@@ -95,6 +95,7 @@ func main() {
 		cpuProf = flag.String("cpuprofile", "", "write a CPU profile of the run to this file (inspect with go tool pprof)")
 		memProf = flag.String("memprofile", "", "write a heap profile taken after the run to this file")
 		allocs  = flag.Bool("allocs", false, "print the run's allocation statistics (mallocs, bytes, GC cycles) to stderr")
+		stats   = flag.Bool("stats", false, "print the event kernel's counters (events scheduled/fired/cancelled, heap/slab/lane high-water marks) to stderr")
 	)
 	flag.Usage = usage
 	flag.Parse()
@@ -210,8 +211,12 @@ func main() {
 		os.Exit(code)
 	}
 
-	rep, err := ftckpt.Run(o)
+	rep, kst, err := ftckpt.RunKernelStats(o)
 	finishProf()
+	if *stats {
+		fmt.Fprintf(os.Stderr, "kernel            %d events scheduled, %d fired, %d cancelled; high water: heap %d, slab %d, lanes %d\n",
+			kst.Scheduled, kst.Fired, kst.Cancelled, kst.HeapMax, kst.SlabMax, kst.LaneMax)
+	}
 	// Flush trace artifacts before deciding the exit: a failure-aborted
 	// run (degraded stop, deadline) must still leave a valid trace
 	// document — the streaming sink closes its open intervals and writes
@@ -418,7 +423,7 @@ func usage() {
 			"chaos-buffer-frac", "chaos-pfs-frac", "chaos-from", "chaos-until"}},
 		{"Output", []string{"v", "trace-out", "stream-trace", "metrics-out", "metrics-snapshot",
 			"explain", "explain-out"}},
-		{"Profiling", []string{"cpuprofile", "memprofile", "allocs"}},
+		{"Profiling", []string{"cpuprofile", "memprofile", "allocs", "stats"}},
 	}
 	for _, g := range groups {
 		fmt.Fprintf(w, "\n%s:\n", g.title)

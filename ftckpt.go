@@ -84,23 +84,37 @@ type Report struct {
 // Run executes the described job to completion (recovering from every
 // injected failure) and reports the outcome.
 func Run(o Options) (Report, error) {
+	rep, _, err := RunKernelStats(o)
+	return rep, err
+}
+
+// KernelStats are the event kernel's own counters for one run: events
+// scheduled, fired and cancelled, and the high-water marks of its heap,
+// slot slab and lanes.  They describe what the run cost the simulator,
+// not the simulated system, and are not part of the Report.
+type KernelStats = sim.Stats
+
+// RunKernelStats is Run, also returning the kernel's counters (valid even
+// when the run fails).
+func RunKernelStats(o Options) (Report, KernelStats, error) {
 	cfg, err := buildConfig(o)
 	if err != nil {
-		return Report{}, err
+		return Report{}, KernelStats{}, err
 	}
 	job, err := ftpm.NewJob(cfg)
 	if err != nil {
-		return Report{}, err
+		return Report{}, KernelStats{}, err
 	}
 	res, err := job.Run()
+	st := job.Kernel().Stats()
 	if err != nil {
-		return Report{}, err
+		return Report{}, st, err
 	}
 	rep := reportFrom(res, cfg.NP)
 	if progs := job.Programs(); len(progs) > 0 {
 		rep.Checksum = checksum(progs[0])
 	}
-	return rep, nil
+	return rep, st, nil
 }
 
 func reportFrom(res ftpm.Result, np int) Report {

@@ -1,0 +1,128 @@
+package ftckpt
+
+// Pinned cross-commit goldens.  The other golden suites compare a run with
+// its own repeat (or with its sharded twin), which proves determinism but
+// not that a refactor left the output alone.  TestGoldenPinned hashes the
+// Report, the metrics export and the Chrome trace of five scenarios and
+// compares them with testdata/golden_pinned.json, recorded at the commit
+// before the last change that claimed byte-identical output.  A PR that
+// means to change simulation output re-records the file with
+//
+//	go test -run TestGoldenPinned -update .
+//
+// and says so in CHANGES.md.  The hashes cover float formatting, so they
+// are pinned for amd64 (the CI and benchmark platform).
+
+import (
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
+	"flag"
+	"fmt"
+	"os"
+	"runtime"
+	"testing"
+	"time"
+)
+
+var updatePinned = flag.Bool("update", false, "rewrite testdata/golden_pinned.json from this run")
+
+const pinnedPath = "testdata/golden_pinned.json"
+
+// pinnedHashes is one scenario's entry in the pinned file.
+type pinnedHashes struct {
+	Report  string `json:"report"`
+	Metrics string `json:"metrics"`
+	Trace   string `json:"trace"`
+}
+
+func pinnedScenarios() []struct {
+	name string
+	opts Options
+} {
+	np64 := func(p Protocol) Options {
+		return Options{
+			Workload:     WorkloadBT,
+			Class:        ClassA,
+			NP:           64,
+			ProcsPerNode: 2,
+			Protocol:     p,
+			Interval:     2 * time.Second,
+			Servers:      4,
+			Seed:         42,
+			Failures:     []Failure{KillRank(3*time.Second, 21)},
+		}
+	}
+	ulfm := ulfmGolden()
+	ulfm.Failures = []Failure{KillNode(40*time.Millisecond, 3)}
+	return []struct {
+		name string
+		opts Options
+	}{
+		{"pcl-64", np64(Pcl)},
+		{"vcl-64", np64(Vcl)},
+		{"mlog-64", np64(Mlog)},
+		{"grid-vcl-16", Options{
+			Workload:     WorkloadBT,
+			Class:        ClassA,
+			NP:           16,
+			ProcsPerNode: 2,
+			Protocol:     Vcl,
+			Interval:     2 * time.Second,
+			Platform:     PlatformGrid,
+			Seed:         9,
+		}},
+		{"ulfm-node-8", ulfm},
+	}
+}
+
+func sha(b []byte) string {
+	h := sha256.Sum256(b)
+	return hex.EncodeToString(h[:])
+}
+
+func TestGoldenPinned(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skipf("hashes are pinned for amd64, not %s", runtime.GOARCH)
+	}
+	scenarios := pinnedScenarios()
+	got := make(map[string]pinnedHashes)
+	for _, sc := range scenarios {
+		rep, met, trace := goldenArtifacts(t, sc.opts)
+		got[sc.name] = pinnedHashes{
+			Report:  sha([]byte(fmt.Sprintf("%+v", rep))),
+			Metrics: sha(met),
+			Trace:   sha(trace),
+		}
+	}
+	if *updatePinned {
+		b, err := json.MarshalIndent(got, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(pinnedPath, append(b, '\n'), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	b, err := os.ReadFile(pinnedPath)
+	if err != nil {
+		t.Fatalf("%v (record it with -update)", err)
+	}
+	var want map[string]pinnedHashes
+	if err := json.Unmarshal(b, &want); err != nil {
+		t.Fatalf("%s: %v", pinnedPath, err)
+	}
+	if len(want) != len(got) {
+		t.Errorf("%s has %d scenarios, the test runs %d", pinnedPath, len(want), len(got))
+	}
+	for _, sc := range scenarios {
+		if got[sc.name] != want[sc.name] {
+			t.Errorf("%s: output differs from the pinned commit:\n  got  %+v\n  want %+v",
+				sc.name, got[sc.name], want[sc.name])
+		}
+	}
+}

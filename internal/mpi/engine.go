@@ -61,6 +61,9 @@ type Engine struct {
 	inbox      []*Packet
 	inboxHead  int
 	daemonBusy sim.Time
+	// admitLane carries packets through the daemon-service delay:
+	// daemonBusy never decreases, so the delayed admits are a lane.
+	admitLane *sim.Lane
 	// admitPool recycles the records that carry a packet through a
 	// daemon-service delay event without a per-packet closure.
 	//
@@ -109,6 +112,8 @@ func NewEngine(rank, size int, lp *sim.Proc, prof Profile, fab *Fabric) *Engine 
 		rank: rank, size: size, lp: lp, prof: prof, fab: fab,
 		filter: PassFilter{},
 		cond:   sim.NewCond(lp.Kernel()),
+
+		admitLane: lp.Kernel().NewLane(admitEvent),
 	}
 	fab.Bind(rank, e.HandleWire)
 	return e
@@ -193,8 +198,7 @@ func (e *Engine) HandleWire(p *Packet) {
 		return
 	}
 	if svc := e.prof.daemonService(p.PayloadSize()); svc > 0 {
-		k := e.lp.Kernel()
-		now := k.Now()
+		now := e.lp.Now()
 		ready := e.daemonBusy
 		if ready < now {
 			ready = now
@@ -203,7 +207,7 @@ func (e *Engine) HandleWire(p *Packet) {
 		e.daemonBusy = ready
 		r := e.getAdmit()
 		r.e, r.p, r.epoch = e, p, e.epoch
-		k.AtArg(ready, admitEvent, r)
+		e.admitLane.At(ready, r)
 		return
 	}
 	e.admit(p)

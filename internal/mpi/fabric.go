@@ -2,20 +2,37 @@ package mpi
 
 import (
 	"fmt"
-	"sort"
 
 	"ftckpt/internal/obs"
 	"ftckpt/internal/simnet"
 )
 
-// handlerOff maps endpoint ids onto handler-table indices: ranks are
-// >= 0 and the runtime service ids are small negatives (currently only
-// SchedulerID), so id+handlerOff is a dense non-negative index.
+// handlerOff maps endpoint ids onto table indices: ranks are >= 0 and the
+// runtime service ids are small negatives (currently only SchedulerID), so
+// id+handlerOff is a dense non-negative index.  Every per-endpoint table
+// of the Fabric — placement, handlers, links — is indexed this way.
 const handlerOff = -SchedulerID
 
+// endpointIndex returns id's table index.  An id below the service range
+// names no endpoint the fabric can host: that is a bug in the caller.
+func endpointIndex(id int) int {
+	i := id + handlerOff
+	if i < 0 {
+		panic(fmt.Sprintf("mpi: endpoint id %d below the service id range", id))
+	}
+	return i
+}
+
+// grown returns s extended with zero values to at least n elements.
+func grown[T any](s []T, n int) []T {
+	if len(s) < n {
+		s = append(s, make([]T, n-len(s))...)
+	}
+	return s
+}
+
 // link is the per-ordered-pair connection state: the FIFO channel and the
-// packet sequence counter, held together so the per-packet send path costs
-// one map access instead of three.
+// packet sequence counter.  ch == nil means the connection is not open.
 type link struct {
 	ch  *simnet.Channel
 	seq uint64
@@ -31,9 +48,13 @@ type link struct {
 // reinitialization the paper's restart performs.
 type Fabric struct {
 	net      *simnet.Network
-	nodeOf   map[int]int
-	handlers []func(*Packet) // indexed by endpoint id + handlerOff
-	links    map[[2]int]*link
+	nodeOf   []int           // node+1 per endpoint index, 0 = not placed
+	handlers []func(*Packet) // per endpoint index, nil = unbound
+	// links[src][dst] by endpoint index.  A source's row is allocated on
+	// its first send and links are held by value, so the per-packet send
+	// path is two slice indexings and a marker flood opens NP² links
+	// without NP² allocations.
+	links [][]link
 
 	// met, when set, mirrors the traffic counters into the observability
 	// registry ("fabric.msgs", "fabric.payload_bytes"); nil-safe.
@@ -46,11 +67,7 @@ type Fabric struct {
 
 // NewFabric wraps a simulated network.
 func NewFabric(net *simnet.Network) *Fabric {
-	return &Fabric{
-		net:    net,
-		nodeOf: make(map[int]int),
-		links:  make(map[[2]int]*link),
-	}
+	return &Fabric{net: net}
 }
 
 // Net exposes the underlying network (for bulk image flows).
@@ -66,34 +83,30 @@ func (f *Fabric) Place(id, node int) {
 	if node < 0 || node >= f.net.NumNodes() {
 		panic(fmt.Sprintf("mpi: endpoint %d placed on invalid node %d", id, node))
 	}
-	f.nodeOf[id] = node
+	i := endpointIndex(id)
+	f.nodeOf = grown(f.nodeOf, i+1)
+	f.nodeOf[i] = node + 1
 }
 
 // NodeOf returns the node an endpoint lives on.
 func (f *Fabric) NodeOf(id int) int {
-	n, ok := f.nodeOf[id]
-	if !ok {
+	if !f.Placed(id) {
 		panic(fmt.Sprintf("mpi: endpoint %d not placed", id))
 	}
-	return n
+	return f.nodeOf[id+handlerOff] - 1
 }
 
 // Placed reports whether the endpoint has been placed on a node.
 func (f *Fabric) Placed(id int) bool {
-	_, ok := f.nodeOf[id]
-	return ok
+	i := id + handlerOff
+	return i >= 0 && i < len(f.nodeOf) && f.nodeOf[i] != 0
 }
 
 // Bind registers the packet handler for an endpoint.  The handler runs as
 // an event callback for every packet addressed to the endpoint.
 func (f *Fabric) Bind(id int, h func(*Packet)) {
-	i := id + handlerOff
-	if i < 0 {
-		panic(fmt.Sprintf("mpi: endpoint id %d below the service id range", id))
-	}
-	for len(f.handlers) <= i {
-		f.handlers = append(f.handlers, nil)
-	}
+	i := endpointIndex(id)
+	f.handlers = grown(f.handlers, i+1)
 	f.handlers[i] = h
 }
 
@@ -106,32 +119,54 @@ func (f *Fabric) handler(id int) func(*Packet) {
 }
 
 // Unbind removes an endpoint's handler and resets every channel touching
-// it.  Queued and in-flight packets are lost.  Channels close in sorted
-// endpoint-pair order: closing cancels in-flight flows and reschedules
-// every flow sharing a resource with them, which assigns fresh kernel
-// event sequence numbers — doing that in map-iteration order would let
-// the per-run map permutation pick which equal-time completions fire
-// first.
+// it.  Queued and in-flight packets are lost.  Channels close in ascending
+// (src, dst) order: closing cancels in-flight flows and reschedules every
+// flow sharing a resource with them, which assigns fresh kernel event
+// sequence numbers, so the close order decides which equal-time
+// completions fire first and must not depend on anything but the ids.
 func (f *Fabric) Unbind(id int) {
-	if i := id + handlerOff; i >= 0 && i < len(f.handlers) {
+	i := id + handlerOff
+	if i < 0 {
+		return
+	}
+	if i < len(f.handlers) {
 		f.handlers[i] = nil
 	}
-	var keys [][2]int
-	for key := range f.links {
-		if key[0] == id || key[1] == id {
-			keys = append(keys, key)
+	// Column i above the row, the row itself, then column i below it.
+	for src := range f.links {
+		row := f.links[src]
+		switch {
+		case src == i:
+			for dst := range row {
+				row[dst].close()
+			}
+		case i < len(row):
+			row[i].close()
 		}
 	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i][0] != keys[j][0] {
-			return keys[i][0] < keys[j][0]
-		}
-		return keys[i][1] < keys[j][1]
-	})
-	for _, key := range keys {
-		f.links[key].ch.Close()
-		delete(f.links, key)
+}
+
+func (l *link) close() {
+	if l.ch != nil {
+		l.ch.Close()
+		*l = link{}
 	}
+}
+
+// linkFor returns the src→dst link, opening its channel on first use.
+func (f *Fabric) linkFor(src, dst int) *link {
+	si, di := endpointIndex(src), endpointIndex(dst)
+	f.links = grown(f.links, si+1)
+	if di >= len(f.links[si]) {
+		// Endpoints are placed before anyone sends, so nodeOf already
+		// spans every peer and a row is sized once.
+		f.links[si] = grown(f.links[si], max(di+1, len(f.nodeOf)))
+	}
+	l := &f.links[si][di]
+	if l.ch == nil {
+		l.ch = f.net.NewChannel(f.NodeOf(src), f.NodeOf(dst), f.deliverPacket)
+	}
+	return l
 }
 
 // deliverPacket is the arrival callback shared by every channel: it routes
@@ -145,17 +180,12 @@ func (f *Fabric) deliverPacket(payload any) {
 }
 
 // Send transmits a packet from src to dst over their FIFO channel.  The
-// packet's Seq is assigned here.  Sending to an unplaced endpoint panics
-// (programming error); sending to an unbound one silently drops at
-// delivery time (peer died).
+// packet's Seq is assigned here.  Sending to an unplaced endpoint, or to
+// an id below the service range, panics (programming error); sending to an
+// unbound one silently drops at delivery time (peer died).
 func (f *Fabric) Send(src, dst int, p *Packet) {
 	p.Src, p.Dst = src, dst
-	key := [2]int{src, dst}
-	l := f.links[key]
-	if l == nil {
-		l = &link{ch: f.net.NewChannel(f.NodeOf(src), f.NodeOf(dst), f.deliverPacket)}
-		f.links[key] = l
-	}
+	l := f.linkFor(src, dst)
 	l.seq++
 	p.Seq = l.seq
 	f.MsgCount++

@@ -1,6 +1,10 @@
 package mpi
 
 import (
+	"fmt"
+	"reflect"
+	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -66,12 +70,83 @@ func TestFabricUnplacedPanics(t *testing.T) {
 	fab.Send(0, 1, &Packet{})
 }
 
-func TestServiceEndpointIDs(t *testing.T) {
-	if ServerID(0) == ServerID(1) {
-		t.Fatal("server ids collide")
+// TestFabricBelowServiceRangePanics pins the one endpoint-id range: every
+// entry point that takes an id rejects one below SchedulerID by name, as
+// Bind does, instead of filing it somewhere no handler can ever be bound.
+func TestFabricBelowServiceRangePanics(t *testing.T) {
+	k := sim.New(1)
+	fab := NewFabric(simnet.New(k, testTopo(2)))
+	fab.Place(0, 0)
+	fab.Place(SchedulerID, 1) // the lowest valid id
+	bad := SchedulerID - 1
+	for name, call := range map[string]func(){
+		"Place":    func() { fab.Place(bad, 0) },
+		"Bind":     func() { fab.Bind(bad, func(*Packet) {}) },
+		"Send src": func() { fab.Send(bad, 0, &Packet{}) },
+		"Send dst": func() { fab.Send(0, bad, &Packet{}) },
+	} {
+		func() {
+			defer func() {
+				msg := fmt.Sprint(recover())
+				if !strings.Contains(msg, "below the service id range") {
+					t.Errorf("%s(%d): panic %q, want one naming the service id range", name, bad, msg)
+				}
+			}()
+			call()
+		}()
 	}
-	if !IsServer(ServerID(3)) || IsServer(SchedulerID) || IsServer(0) {
-		t.Fatal("IsServer misclassifies")
+	if fab.Placed(bad) {
+		t.Errorf("Placed(%d) = true", bad)
+	}
+}
+
+// TestFabricUnbindCloseOrder kills an endpoint in the middle of a bulk
+// flood and checks that its links closed in ascending (src, dst) order.
+// Each link of the victim shares one NIC direction with one surviving
+// flow; closing the link reschedules that survivor, which hands it a fresh
+// kernel sequence number.  The survivors are symmetric and finish at the
+// same instant, so they complete in the order their partners closed.
+func TestFabricUnbindCloseOrder(t *testing.T) {
+	const victim = 4
+	// The victim's open links, deliberately opened out of order.
+	pairs := [][2]int{{7, victim}, {victim, 5}, {1, victim}, {victim, 0}, {6, victim}, {victim, 8}, {2, victim}, {victim, 3}}
+	k := sim.New(1)
+	net := simnet.New(k, testTopo(9+len(pairs)))
+	fab := NewFabric(net)
+	for id := 0; id < 9+len(pairs); id++ {
+		fab.Place(id, id)
+	}
+	var order [][2]int
+	big := func() *Packet { return &Packet{Kind: KindPayload, VSize: 1e6} }
+	for i, pr := range pairs {
+		pr, helper := pr, 9+i
+		fab.Send(pr[0], pr[1], big())
+		// The survivor shares the non-victim end of the link: that end's
+		// transmit side for an inbound link, its receive side otherwise.
+		from, to := pr[0], helper
+		if pr[0] == victim {
+			from, to = helper, pr[1]
+		}
+		fab.Bind(to, func(p *Packet) {
+			if p.Src == from {
+				order = append(order, pr)
+			}
+		})
+		fab.Send(from, to, big())
+	}
+	k.After(time.Millisecond, func() { fab.Unbind(victim) })
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	want := append([][2]int(nil), pairs...)
+	sort.Slice(want, func(i, j int) bool {
+		if want[i][0] != want[j][0] {
+			return want[i][0] < want[j][0]
+		}
+		return want[i][1] < want[j][1]
+	})
+	if !reflect.DeepEqual(order, want) {
+		t.Fatalf("survivors did not complete in ascending (src, dst) order of their partner links:\n  got  %v\n  want %v", order, want)
 	}
 }
 

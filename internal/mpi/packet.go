@@ -34,21 +34,9 @@ const (
 	AnyTag = -1
 )
 
-// Service endpoint identifiers (never valid ranks).
-const (
-	// SchedulerID is the Vcl checkpoint scheduler endpoint.
-	SchedulerID = -2
-	// DispatcherID is the FTPM dispatcher endpoint.
-	DispatcherID = -3
-	// serverBase anchors checkpoint-server endpoints.
-	serverBase = -10
-)
-
-// ServerID returns the endpoint identifier of checkpoint server i.
-func ServerID(i int) int { return serverBase - i }
-
-// IsServer reports whether an endpoint identifier names a checkpoint server.
-func IsServer(id int) bool { return id <= serverBase }
+// SchedulerID is the Vcl checkpoint scheduler endpoint: the one service
+// endpoint, and the lowest id the Fabric hosts (never a valid rank).
+const SchedulerID = -2
 
 // Kind discriminates what a packet is.
 type Kind uint8

@@ -20,7 +20,9 @@
 // (no per-At allocation in steady state), EventIDs carry a generation
 // counter so Cancel is an O(1) mark (the slot drains from the heap
 // lazily), and timers that only wake an LP (Advance) carry the *Proc
-// directly instead of a closure.
+// directly instead of a closure.  Bursts of events that share a callback
+// and never go back in time (a NIC's transmit horizon) queue in a Lane,
+// which keeps only its head in the heap (lane.go).
 package sim
 
 import (
@@ -86,6 +88,9 @@ type eventSlot struct {
 	seq  uint64
 	gen  uint32
 	live bool
+	// lane marks the head-of-line slot of a Lane: arg holds the *Lane and
+	// the slot is re-keyed, not freed, while the lane has more entries.
+	lane bool
 	// Sharded mode only: shard is the staging owner, staged reports that
 	// the slot has left its shard's heap/inbox and now lives in a staged
 	// run or the executor's overflow heap (so Cancel must not touch the
@@ -93,7 +98,7 @@ type eventSlot struct {
 	shard  int32
 	staged bool
 	// Exactly one of the payload forms is set: fn (closure callback),
-	// argFn+arg (closure-free callback), or proc (wake the LP).
+	// argFn+arg (closure-free callback), proc (wake the LP), or lane+arg.
 	fn    func()
 	argFn func(any)
 	arg   any
@@ -110,6 +115,13 @@ type Kernel struct {
 	heap []int32 // 4-ary min-heap of slot indices, keyed by (t, seq)
 
 	dead int // cancelled slots still parked in the heap
+
+	// Counters behind Stats.  seq doubles as the scheduled count.
+	fired     uint64
+	cancelled uint64
+	heapMax   int
+	laned     int // entries queued across all lanes
+	lanedMax  int
 
 	runq     []*Proc
 	runqHead int
@@ -158,6 +170,39 @@ func (k *Kernel) Rand() *rand.Rand { return k.rng }
 // Now returns the current virtual time.
 func (k *Kernel) Now() Time { return k.now }
 
+// Stats are the kernel's own counters: how much queue work a run cost, as
+// opposed to what it simulated.  They are plain counts, so a (program,
+// seed) pair always reports the same values on a sequential kernel.
+type Stats struct {
+	// Scheduled counts events entered (At/After/AtArg, LP timers and lane
+	// appends), Fired the callbacks and LP wakes dispatched, Cancelled the
+	// successful Cancel calls.
+	Scheduled, Fired, Cancelled uint64
+	// HeapMax is the deepest the event heap got and SlabMax the most
+	// event slots ever allocated.  On a sharded kernel HeapMax is the sum
+	// of the per-shard maxima, an upper bound.
+	HeapMax, SlabMax int
+	// LaneMax is the most entries queued across all lanes at once.
+	LaneMax int
+}
+
+// Stats reports the kernel's counters so far.  Call it after Run, or from
+// an LP or event callback.
+func (k *Kernel) Stats() Stats {
+	st := Stats{
+		Scheduled: k.seq,
+		Fired:     k.fired,
+		Cancelled: k.cancelled,
+		HeapMax:   k.heapMax,
+		SlabMax:   len(k.slab),
+		LaneMax:   k.lanedMax,
+	}
+	for _, sh := range k.shards {
+		st.HeapMax += sh.heapMax
+	}
+	return st
+}
+
 // EventID identifies a scheduled event for cancellation.  It packs the
 // slot index and the slot's generation at schedule time; a recycled slot
 // has a new generation, so stale IDs can never cancel a later event.  The
@@ -185,6 +230,9 @@ func (k *Kernel) slotLess(a, b int32) bool {
 func (k *Kernel) heapPush(idx int32) {
 	k.heap = append(k.heap, idx)
 	h := k.heap
+	if len(h) > k.heapMax {
+		k.heapMax = len(h)
+	}
 	i := len(h) - 1
 	for i > 0 {
 		parent := (i - 1) / 4
@@ -261,14 +309,7 @@ func (k *Kernel) schedule(t Time, fn func(), argFn func(any), arg any, proc *Pro
 		t = k.now
 	}
 	k.seq++
-	var idx int32
-	if n := len(k.free); n > 0 {
-		idx = k.free[n-1]
-		k.free = k.free[:n-1]
-	} else {
-		k.slab = append(k.slab, eventSlot{})
-		idx = int32(len(k.slab) - 1)
-	}
+	idx := k.allocSlot()
 	s := &k.slab[idx]
 	s.t, s.seq, s.live = t, k.seq, true
 	s.fn, s.argFn, s.arg, s.proc = fn, argFn, arg, proc
@@ -288,12 +329,25 @@ func (k *Kernel) schedule(t Time, fn func(), argFn func(any), arg any, proc *Pro
 	return makeEventID(idx, s.gen)
 }
 
+// allocSlot takes a slot off the free list, growing the slab when it is
+// empty.
+func (k *Kernel) allocSlot() int32 {
+	if n := len(k.free); n > 0 {
+		idx := k.free[n-1]
+		k.free = k.free[:n-1]
+		return idx
+	}
+	k.slab = append(k.slab, eventSlot{})
+	return int32(len(k.slab) - 1)
+}
+
 // freeSlot recycles a popped slot.  Bumping the generation invalidates
 // every EventID issued for the slot's previous lives.
 func (k *Kernel) freeSlot(idx int32) {
 	s := &k.slab[idx]
 	s.gen++
 	s.live = false
+	s.lane = false
 	s.staged = false
 	s.fn, s.argFn, s.arg, s.proc = nil, nil, nil, nil
 	if s.gen == 0 {
@@ -362,6 +416,7 @@ func (k *Kernel) Cancel(id EventID) bool {
 	}
 	s.live = false
 	s.fn, s.argFn, s.arg, s.proc = nil, nil, nil, nil
+	k.cancelled++
 	if k.nshards > 1 {
 		// Slots still owned by a shard (heap or inbox) count toward that
 		// shard's dead total so its worker knows when to compact; staged
@@ -614,9 +669,10 @@ func (k *Kernel) Run() error {
 			}
 			k.runLP(p)
 		case len(k.heap) > 0:
-			idx := k.heapPop()
+			idx := k.heap[0]
 			s := &k.slab[idx]
 			if !s.live {
+				k.heapPop()
 				k.freeSlot(idx)
 				k.dead--
 				continue
@@ -625,11 +681,17 @@ func (k *Kernel) Run() error {
 				return fmt.Errorf("sim: event time went backwards: %v < %v", s.t, k.now)
 			}
 			k.now = s.t
-			fn, argFn, arg, proc := s.fn, s.argFn, s.arg, s.proc
-			k.freeSlot(idx)
+			k.fired++
 			if k.Trace != nil {
 				k.Trace(k.now, "event")
 			}
+			if s.lane {
+				k.fireLane(idx)
+				continue
+			}
+			k.heapPop()
+			fn, argFn, arg, proc := s.fn, s.argFn, s.arg, s.proc
+			k.freeSlot(idx)
 			switch {
 			case proc != nil:
 				k.ready(proc)

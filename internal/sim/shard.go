@@ -56,6 +56,8 @@ type shard struct {
 	//ftlint:shardlocal
 	heap []int32 // 4-ary min-heap of slot indices, keyed by (t, seq)
 	//ftlint:shardlocal
+	heapMax int // deepest the heap got, for Stats
+	//ftlint:shardlocal
 	dead int // cancelled slots still in heap or inbox
 
 	//ftlint:shardlocal
@@ -91,6 +93,9 @@ func (sh *shard) less(a, b int32) bool {
 func (sh *shard) push(idx int32) {
 	sh.heap = append(sh.heap, idx)
 	h := sh.heap
+	if len(h) > sh.heapMax {
+		sh.heapMax = len(h)
+	}
 	i := len(h) - 1
 	for i > 0 {
 		parent := (i - 1) / 4
@@ -217,9 +222,9 @@ func (sh *shard) head() (Time, uint64) {
 // SetShards partitions the event queue into n shards, each staged by its
 // own worker goroutine during Run.  n <= 1 leaves the kernel sequential
 // (the default).  Must be called before Run and at most once; events
-// already scheduled are handed to shard 0.  Sharding never changes
-// simulation output — it only parallelizes queue maintenance — so any
-// shard count is safe for any workload.
+// already scheduled, lane entries included, are handed to shard 0.
+// Sharding never changes simulation output — it only parallelizes queue
+// maintenance — so any shard count is safe for any workload.
 func (k *Kernel) SetShards(n int) {
 	if k.started {
 		panic("sim: SetShards after Run")
@@ -242,16 +247,19 @@ func (k *Kernel) SetShards(n int) {
 		}
 		k.inboxMin[i] = timeMax
 	}
-	for _, idx := range k.heap {
-		s := &k.slab[idx]
-		if !s.live {
-			k.freeSlot(idx)
-			continue
-		}
-		k.routeSlot(idx, 0)
-	}
-	k.heap = k.heap[:0]
+	pending := k.heap
+	k.heap = nil
 	k.dead = 0
+	for _, idx := range pending {
+		switch s := &k.slab[idx]; {
+		case !s.live:
+			k.freeSlot(idx)
+		case s.lane:
+			k.unlane(idx)
+		default:
+			k.routeSlot(idx, 0)
+		}
+	}
 }
 
 // NumShards reports the configured shard count (1 when sequential).
@@ -415,6 +423,7 @@ func (k *Kernel) dispatchWindow() error {
 			return fmt.Errorf("sim: event time went backwards: %v < %v", s.t, k.now)
 		}
 		k.now = s.t
+		k.fired++
 		k.curShard = s.shard
 		fn, argFn, arg, proc := s.fn, s.argFn, s.arg, s.proc
 		k.freeSlot(idx)

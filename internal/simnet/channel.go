@@ -92,19 +92,21 @@ func (c *Channel) Send(payload any, size Bytes) {
 	}
 	c.MsgsSent++
 	c.BytesSent += size
-	c.queue = append(c.queue, message{payload, size})
-	if !c.busy {
-		c.startNext()
+	m := message{payload, size}
+	if c.busy {
+		c.queue = append(c.queue, m)
+		return
 	}
+	// Idle channel: transmit directly.  A channel that never backs up (one
+	// marker per wave) never allocates a queue.
+	c.start(m)
 }
 
+// startNext begins transmitting the next queued message, or marks the
+// channel idle when there is none.
 func (c *Channel) startNext() {
 	if c.closed || c.qhead == len(c.queue) {
 		c.busy = false
-		if c.qhead > 0 {
-			c.queue = c.queue[:0]
-			c.qhead = 0
-		}
 		return
 	}
 	m := c.queue[c.qhead]
@@ -114,6 +116,10 @@ func (c *Channel) startNext() {
 		c.queue = c.queue[:0]
 		c.qhead = 0
 	}
+	c.start(m)
+}
+
+func (c *Channel) start(m message) {
 	c.busy = true
 	if m.size < smallCutoff {
 		c.startSmall(m)
@@ -146,12 +152,13 @@ func (c *Channel) startNext() {
 }
 
 // startSmall transmits a message on the fast path: the unloaded path
-// bandwidth, serialized against the sender node's transmit horizon.
+// bandwidth, serialized against the sender node's transmit horizon.  Both
+// of its events go through the sender node's lanes (sim.Lane), so a burst
+// of small messages holds one heap entry per lane, not two per message.
 func (c *Channel) startSmall(m message) {
 	c.inFly = nil
 	n := c.net
-	k := n.k
-	now := k.Now()
+	now := n.k.Now()
 	var svc sim.Time
 	if c.src != c.dst {
 		svc = sim.Time(float64(m.size) / n.Bandwidth(c.src, c.dst) * 1e9)
@@ -163,11 +170,16 @@ func (c *Channel) startSmall(m message) {
 	}
 	ready += svc
 	node.smallTxBusy = ready
-	lat := n.Latency(c.src, c.dst)
-	k.AtArg(ready, smallNext, c)
+	node.smallNext.At(ready, c)
 	sm := n.getSmall()
 	sm.c, sm.payload, sm.size = c, m.payload, m.size
-	n.deliverAt(c.dst, ready+lat, smallDeliver, sm)
+	// ready never decreases per node and the latency is one constant per
+	// class, so each delivery lane's times are monotone too.
+	lane, lat := node.smallIntra, n.topo.Clusters[node.cluster].Latency
+	if n.nodes[c.dst].cluster != node.cluster {
+		lane, lat = node.smallWan, n.topo.WanLatency
+	}
+	n.deliverOn(lane, c.dst, ready+lat, sm)
 }
 
 // smallNext fires when a fast-path message clears the transmit horizon:

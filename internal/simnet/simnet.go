@@ -106,6 +106,10 @@ type node struct {
 	// smallTxBusy is the fast-path transmit horizon: small messages
 	// serialize against it instead of joining the fluid flow machinery.
 	smallTxBusy sim.Time
+	// The fast path's event lanes: smallNext frees the sending channel at
+	// the transmit horizon; smallIntra and smallWan deliver one latency
+	// later, one lane per latency class so each stays monotone.
+	smallNext, smallIntra, smallWan *sim.Lane
 }
 
 // maxPathRes is the most resources a flow can cross: src NIC tx, dst NIC
@@ -185,6 +189,10 @@ func New(k *sim.Kernel, topo Topology) *Network {
 				cluster: ci,
 				tx:      &resource{name: fmt.Sprintf("n%d.tx", id), bw: c.NICBW},
 				rx:      &resource{name: fmt.Sprintf("n%d.rx", id), bw: c.NICBW},
+
+				smallNext:  k.NewLane(smallNext),
+				smallIntra: k.NewLane(smallDeliver),
+				smallWan:   k.NewLane(smallDeliver),
 			})
 		}
 	}
@@ -223,6 +231,15 @@ func (n *Network) deliverAt(dst int, t sim.Time, fn func(any), arg any) {
 		return
 	}
 	n.k.AtArg(t, fn, arg)
+}
+
+// deliverOn is deliverAt through a lane.
+func (n *Network) deliverOn(l *sim.Lane, dst int, t sim.Time, arg any) {
+	if n.shardOf != nil {
+		l.AtOn(n.shardOf(dst), t, arg)
+		return
+	}
+	l.At(t, arg)
 }
 
 // Lookahead returns the platform's conservative-parallel lookahead: the

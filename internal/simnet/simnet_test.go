@@ -375,3 +375,49 @@ func ExampleNetwork_StartFlow() {
 	_ = k.Run()
 	// Output: delivered at 1.001s
 }
+
+// TestSmallBurstHoldsThreeHeapSlots floods small messages from one node
+// over many channels, to its own cluster, across the WAN and to itself.
+// Whatever the burst's size, the node's three lanes are all the heap sees;
+// every message still arrives, in order on its channel, one latency of its
+// class after it cleared the sender's NIC.
+func TestSmallBurstHoldsThreeHeapSlots(t *testing.T) {
+	k := sim.New(1)
+	n := grid(k)
+	const perChannel = 50
+	dsts := []int{0, 1, 2, 3, 4, 5, 6, 7} // 0 is loopback, 4..7 are across the WAN
+	got := make([][]int, len(dsts))
+	at := make([][]sim.Time, len(dsts))
+	chans := make([]*Channel, len(dsts))
+	for i, d := range dsts {
+		i := i
+		chans[i] = n.NewChannel(0, d, func(p any) {
+			got[i] = append(got[i], p.(int))
+			at[i] = append(at[i], k.Now())
+		})
+	}
+	for m := 0; m < perChannel; m++ {
+		for _, ch := range chans {
+			ch.Send(m, 64)
+		}
+	}
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if st := k.Stats(); st.HeapMax > 3 || st.LaneMax < len(dsts) {
+		t.Errorf("heap high-water %d (want <= 3 lanes), lane high-water %d (want >= %d)", st.HeapMax, st.LaneMax, len(dsts))
+	}
+	for i, d := range dsts {
+		if len(got[i]) != perChannel {
+			t.Fatalf("channel 0->%d delivered %d of %d", d, len(got[i]), perChannel)
+		}
+		for m, v := range got[i] {
+			if v != m {
+				t.Fatalf("channel 0->%d delivered %v: not FIFO", d, got[i])
+			}
+		}
+		if first := at[i][0]; first < n.Latency(0, d) {
+			t.Errorf("channel 0->%d first delivery at %v, before one latency %v", d, first, n.Latency(0, d))
+		}
+	}
+}
