@@ -48,32 +48,6 @@ func benchRunOpts(proto string, np int) Options {
 	}
 }
 
-// BenchmarkRunSharded is BenchmarkRun's parallel-kernel counterpart: the
-// mlog NP=1024 point (the densest event stream, the sharded kernel's
-// target) on a 4-shard kernel.  Compare against BenchmarkRun/proto=mlog/
-// np=1024 for the staging speedup; the outputs are byte-identical, so
-// wall-clock is the only axis that moves.
-func BenchmarkRunSharded(b *testing.B) {
-	if testing.Short() {
-		b.Skip("mlog np=1024 exceeds the -short budget")
-	}
-	b.Run("proto=mlog/np=1024/shards=4", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			o := benchRunOpts("mlog", 1024)
-			o.Shards = 4
-			rep, err := Run(o)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if i == 0 {
-				b.ReportMetric(rep.Completion.Seconds(), "virt-s")
-				b.ReportMetric(float64(rep.Waves), "waves")
-			}
-		}
-	})
-}
-
 // BenchmarkRun is the end-to-end macro benchmark: one complete
 // fault-tolerant run (BT model, 4 checkpoint servers) per iteration.
 func BenchmarkRun(b *testing.B) {

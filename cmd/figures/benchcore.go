@@ -33,10 +33,9 @@ import (
 )
 
 type corePoint struct {
-	Bench  string `json:"bench"`            // "kernel-events", "run" or "repair"
-	Proto  string `json:"proto,omitempty"`  // run: protocol
-	NP     int    `json:"np,omitempty"`     // run: process count
-	Shards int    `json:"shards,omitempty"` // run: kernel shards (0 = sequential)
+	Bench string `json:"bench"`           // "kernel-events", "run" or "repair"
+	Proto string `json:"proto,omitempty"` // run: protocol
+	NP    int    `json:"np,omitempty"`    // run: process count
 	// WallMS is the wall-clock of the whole measurement; NsPerOp the
 	// per-event cost (kernel-events only).
 	WallMS  float64 `json:"wall_ms"`
@@ -55,12 +54,6 @@ type corePoint struct {
 	// reproducible, so drift in either means the repair path changed.
 	RepairMS  float64 `json:"repair_ms,omitempty"`
 	Recovered float64 `json:"recovered,omitempty"`
-	// Speedup is sequential wall / sharded wall for the same proto and NP,
-	// set on shard points when the matching sequential point was measured
-	// in the same document.  Recorded, and gated by -bench-core-check: a
-	// shard point whose speedup falls >25% below the committed baseline's
-	// fails CI.
-	Speedup float64 `json:"speedup,omitempty"`
 }
 
 type coreDoc struct {
@@ -78,10 +71,8 @@ type coreFile struct {
 	After  *coreDoc `json:"after,omitempty"`
 }
 
-// coreRunOpts mirrors benchRunOpts in bench_core_test.go; shards>0 runs
-// the same job on the sharded kernel (output identical, wall-clock the
-// variable under measurement).
-func coreRunOpts(proto string, np, shards int) ftckpt.Options {
+// coreRunOpts mirrors benchRunOpts in bench_core_test.go.
+func coreRunOpts(proto string, np int) ftckpt.Options {
 	intervals := map[int]time.Duration{
 		64:    8 * time.Second,
 		256:   2 * time.Second,
@@ -102,7 +93,6 @@ func coreRunOpts(proto string, np, shards int) ftckpt.Options {
 		Interval:        interval,
 		Servers:         4,
 		Seed:            1,
-		Shards:          shards,
 		VclProcessLimit: -1,
 	}
 }
@@ -143,14 +133,14 @@ func measureKernelEvents() (corePoint, error) {
 }
 
 // measureRun times one complete fault-tolerant run.
-func measureRun(proto string, np, shards int) (corePoint, error) {
+func measureRun(proto string, np int) (corePoint, error) {
 	runtime.GC()
 	var m0, m1 runtime.MemStats
 	runtime.ReadMemStats(&m0)
 	start := time.Now()
-	rep, err := ftckpt.Run(coreRunOpts(proto, np, shards))
+	rep, err := ftckpt.Run(coreRunOpts(proto, np))
 	if err != nil {
-		return corePoint{}, fmt.Errorf("run proto=%s np=%d shards=%d: %w", proto, np, shards, err)
+		return corePoint{}, fmt.Errorf("run proto=%s np=%d: %w", proto, np, err)
 	}
 	wall := time.Since(start)
 	runtime.ReadMemStats(&m1)
@@ -158,7 +148,6 @@ func measureRun(proto string, np, shards int) (corePoint, error) {
 		Bench:       "run",
 		Proto:       proto,
 		NP:          np,
-		Shards:      shards,
 		WallMS:      float64(wall.Nanoseconds()) / 1e6,
 		AllocsPerOp: float64(m1.Mallocs - m0.Mallocs),
 		BytesPerOp:  float64(m1.TotalAlloc - m0.TotalAlloc),
@@ -252,7 +241,7 @@ func measureRepair() (corePoint, error) {
 // shows up in CI.
 func measureStorage(incremental bool) (corePoint, error) {
 	const np = 256
-	o := coreRunOpts("pcl", np, 0)
+	o := coreRunOpts("pcl", np)
 	o.Servers = 0
 	o.Storage = &ftckpt.StorageSpec{
 		Levels: []ftckpt.LevelSpec{
@@ -288,14 +277,12 @@ func measureStorage(incremental bool) (corePoint, error) {
 	}, nil
 }
 
-// coreSpec names one run measurement: protocol, size and shard count
-// (0 = sequential kernel); repair selects the ULFM in-job recovery
-// point and storage ("full" or "incremental") the hierarchy store-path
-// points instead of a plain run.
+// coreSpec names one run measurement: protocol and size; repair selects
+// the ULFM in-job recovery point and storage ("full" or "incremental")
+// the hierarchy store-path points instead of a plain run.
 type coreSpec struct {
 	proto   string
 	np      int
-	shards  int
 	repair  bool
 	storage string
 }
@@ -311,7 +298,7 @@ func coreMeasure(points []coreSpec) (*coreDoc, error) {
 	// consistently 20-50% slower than steady state, which would bias
 	// whichever matrix point happens to run first.
 	if len(points) > 0 {
-		if _, err := ftckpt.Run(coreRunOpts("pcl", 64, 0)); err != nil {
+		if _, err := ftckpt.Run(coreRunOpts("pcl", 64)); err != nil {
 			return nil, err
 		}
 	}
@@ -331,7 +318,7 @@ func coreMeasure(points []coreSpec) (*coreDoc, error) {
 		case pt.storage != "":
 			p, err = measureStorage(pt.storage == "incremental")
 		default:
-			p, err = measureRun(pt.proto, pt.np, pt.shards)
+			p, err = measureRun(pt.proto, pt.np)
 		}
 		if err != nil {
 			return nil, err
@@ -339,28 +326,10 @@ func coreMeasure(points []coreSpec) (*coreDoc, error) {
 		if p.NP > doc.MaxNP {
 			doc.MaxNP = p.NP
 		}
-		// A shard point's speedup is computed against the sequential point
-		// of the same protocol and size measured earlier in this document,
-		// so both sides of the ratio come from the same machine and load.
-		if pt.shards > 1 {
-			for i := range doc.Points {
-				s := &doc.Points[i]
-				if s.Bench == "run" && s.Proto == pt.proto && s.NP == pt.np && s.Shards == 0 && s.WallMS > 0 {
-					p.Speedup = s.WallMS / p.WallMS
-					break
-				}
-			}
-		}
 		doc.Points = append(doc.Points, p)
 		label := fmt.Sprintf("%s proto=%s np=%d", p.Bench, pt.proto, pt.np)
-		if pt.shards > 0 {
-			label += fmt.Sprintf(" shards=%d", pt.shards)
-		}
 		fmt.Fprintf(os.Stderr, "figures: %-28s %8.0f ms  %12.0f allocs  %6.1f virt-s  %d waves",
 			label, p.WallMS, p.AllocsPerOp, p.VirtS, p.Waves)
-		if p.Speedup > 0 {
-			fmt.Fprintf(os.Stderr, "  %.2fx vs sequential", p.Speedup)
-		}
 		if pt.repair {
 			fmt.Fprintf(os.Stderr, "  repair %.2f virt-ms  recovered %.4f", p.RepairMS, p.Recovered)
 		}
@@ -370,11 +339,9 @@ func coreMeasure(points []coreSpec) (*coreDoc, error) {
 }
 
 // benchCore measures the full matrix up to maxNP and writes the document.
-// After the sequential matrix it measures the shard-scaling points: mlog
-// (the protocol with the densest event stream, hence the one the sharded
-// kernel targets) at NP=1024 and — when -bench-core-np raises the ceiling
-// — 4096 and 16384, each on a 4-shard kernel, with speedup computed
-// against the sequential run of the same size.
+// When -bench-core-np raises the ceiling past the matrix it adds the
+// scaling points: mlog (the protocol with the densest event stream) at
+// 4096 and 16384.
 func benchCore(path string, maxNP int) error {
 	var pts []coreSpec
 	for _, proto := range []string{"pcl", "vcl", "mlog"} {
@@ -384,9 +351,6 @@ func benchCore(path string, maxNP int) error {
 			}
 		}
 	}
-	// The cheap pcl point backs -bench-core-check's smoke gate; the mlog
-	// points are the recorded scaling trajectory.
-	pts = append(pts, coreSpec{proto: "pcl", np: 256, shards: 4})
 	// The ULFM repair point: one node loss survived in-job at the paper's
 	// grid scale, gated on allocations like every run point and recorded
 	// with its virtual detection-to-resume latency.
@@ -399,16 +363,10 @@ func benchCore(path string, maxNP int) error {
 			coreSpec{proto: "pcl", np: 256, storage: "full"},
 			coreSpec{proto: "pcl", np: 256, storage: "incremental"})
 	}
-	for _, np := range []int{1024, 4096, 16384} {
-		if np > maxNP {
-			continue
-		}
-		if np > 1024 {
-			// The matrix stops at 1024; larger scaling points need their
-			// own sequential baseline for the speedup ratio.
+	for _, np := range []int{4096, 16384} {
+		if np <= maxNP {
 			pts = append(pts, coreSpec{proto: "mlog", np: np})
 		}
-		pts = append(pts, coreSpec{proto: "mlog", np: np, shards: 4})
 	}
 	doc, err := coreMeasure(pts)
 	if err != nil {
@@ -452,10 +410,10 @@ func benchCoreCheck(path string) error {
 		}
 		base = &flat
 	}
-	find := func(bench, proto string, np, shards int) *corePoint {
+	find := func(bench, proto string, np int) *corePoint {
 		for i := range base.Points {
 			p := &base.Points[i]
-			if p.Bench == bench && p.Proto == proto && p.NP == np && p.Shards == shards {
+			if p.Bench == bench && p.Proto == proto && p.NP == np {
 				return p
 			}
 		}
@@ -464,9 +422,6 @@ func benchCoreCheck(path string) error {
 	smoke := []coreSpec{
 		{proto: "pcl", np: 64}, {proto: "vcl", np: 64}, {proto: "mlog", np: 64},
 		{proto: "pcl", np: 256}, {proto: "pcl", np: 1024},
-		// One sharded point: keeps the parallel staging path and its
-		// speedup under the same regression gate as the allocation counts.
-		{proto: "pcl", np: 256, shards: 4},
 		// The in-job repair point: keeps the ULFM recovery path under the
 		// allocation gate too (a leak in revoke/park/splice shows up here).
 		{proto: "pcl", np: 256, repair: true},
@@ -481,10 +436,10 @@ func benchCoreCheck(path string) error {
 	}
 	bad := 0
 	for _, p := range doc.Points {
-		b := find(p.Bench, p.Proto, p.NP, p.Shards)
+		b := find(p.Bench, p.Proto, p.NP)
 		if b == nil {
-			fmt.Fprintf(os.Stderr, "figures: %s proto=%s np=%d shards=%d: no committed baseline point — add it with -bench-core\n",
-				p.Bench, p.Proto, p.NP, p.Shards)
+			fmt.Fprintf(os.Stderr, "figures: %s proto=%s np=%d: no committed baseline point — add it with -bench-core\n",
+				p.Bench, p.Proto, p.NP)
 			bad++
 			continue
 		}
@@ -499,25 +454,12 @@ func benchCoreCheck(path string) error {
 			verdict = "REGRESSION"
 			bad++
 		}
-		fmt.Fprintf(os.Stderr, "figures: %-12s proto=%-4s np=%-5d shards=%d allocs %12.3f vs baseline %12.3f (limit %12.3f) %s\n",
-			p.Bench, p.Proto, p.NP, p.Shards, p.AllocsPerOp, b.AllocsPerOp, limit, verdict)
-		// Shard points additionally gate on speedup: losing more than 25%
-		// of the committed speedup means staging parallelism regressed
-		// (lookahead collapsed, a new barrier, or shard workers serialized).
-		if p.Shards > 1 && b.Speedup > 0 && p.Speedup > 0 {
-			floor := b.Speedup * 0.75
-			sv := "ok"
-			if p.Speedup < floor {
-				sv = "REGRESSION"
-				bad++
-			}
-			fmt.Fprintf(os.Stderr, "figures: %-12s proto=%-4s np=%-5d shards=%d speedup %8.2fx vs baseline %8.2fx (floor %8.2fx) %s\n",
-				p.Bench, p.Proto, p.NP, p.Shards, p.Speedup, b.Speedup, floor, sv)
-		}
+		fmt.Fprintf(os.Stderr, "figures: %-12s proto=%-4s np=%-5d allocs %12.3f vs baseline %12.3f (limit %12.3f) %s\n",
+			p.Bench, p.Proto, p.NP, p.AllocsPerOp, b.AllocsPerOp, limit, verdict)
 	}
 	if bad > 0 {
-		return fmt.Errorf("core regression: %d point(s) exceed the committed baseline in %s (allocs >1.25x or shard speedup <0.75x)", bad, path)
+		return fmt.Errorf("core regression: %d point(s) exceed the committed baseline in %s (allocs >1.25x)", bad, path)
 	}
-	fmt.Fprintln(os.Stderr, "figures: core allocations and shard speedup within 25% of the committed baseline")
+	fmt.Fprintln(os.Stderr, "figures: core allocations within 25% of the committed baseline")
 	return nil
 }

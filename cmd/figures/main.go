@@ -40,7 +40,6 @@ func main() {
 		seed   = flag.Int64("seed", 1, "simulation seed")
 		v      = flag.Bool("v", false, "trace per-run progress")
 		jobs   = flag.Int("jobs", runtime.NumCPU(), "concurrent sweep points per figure (1 = sequential; output is identical either way)")
-		shards = flag.Int("shards", 0, "event-kernel shards per simulation (parallel staging workers); 0/1 = sequential, output is identical either way")
 		metDir = flag.String("metrics-dir", "", "also write each figure's aggregated metrics as <dir>/fig<N>.metrics.json")
 		attrib = flag.Bool("attrib", false, "trace causal spans and append each figure's merged per-phase overhead attribution")
 		bench  = flag.String("bench-sweep", "", "time the selected figures sequentially and at -jobs, write the wall-clock baseline JSON to this file (suppresses tables)")
@@ -63,7 +62,7 @@ func main() {
 		return
 	}
 
-	o := expt.Options{Quick: *quick, Seed: *seed, Jobs: *jobs, Shards: *shards}
+	o := expt.Options{Quick: *quick, Seed: *seed, Jobs: *jobs}
 	if *v {
 		o.Trace = log.Printf
 	}

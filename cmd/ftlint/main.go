@@ -1,5 +1,5 @@
 // Command ftlint runs the repository's static-analysis suite — the
-// determinism, pooling, confinement, span-balance and error-discipline
+// determinism, pooling, span-balance and error-discipline
 // invariants documented in DESIGN §5.8 and §5.13 — over Go package
 // patterns and exits non-zero if any diagnostic is reported.
 //
@@ -7,7 +7,7 @@
 //
 //	go run ./cmd/ftlint ./...
 //	go run ./cmd/ftlint -json ./internal/sim ./internal/simnet
-//	go run ./cmd/ftlint -only shardconfine ./...
+//	go run ./cmd/ftlint -only spanbalance ./...
 //	go run ./cmd/ftlint -fix ./...
 //
 // Must run with the working directory inside the module (import

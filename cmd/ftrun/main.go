@@ -58,7 +58,6 @@ func main() {
 		servers  = flag.Int("servers", 1, "number of checkpoint servers")
 		plat     = flag.String("platform", "ethernet", "platform: ethernet, myrinet-gm, myrinet-tcp, grid")
 		seed     = flag.Int64("seed", 1, "simulation seed")
-		shards   = flag.Int("shards", 0, "event-kernel shards (parallel staging workers); 0/1 = sequential, output is identical either way")
 		failAt   = flag.Duration("fail-at", 0, "inject a failure at this virtual time (0 = none)")
 		failRank = flag.Int("fail-rank", 0, "rank killed by -fail-at")
 		mttf     = flag.Duration("mttf", 0, "mean time to failure for random failures (0 = none)")
@@ -114,7 +113,6 @@ func main() {
 		Recovery:   ftckpt.RecoveryMode(*recovery),
 		Spares:     *spares,
 		Seed:       *seed,
-		Shards:     *shards,
 		MTTF:       *mttf,
 		ServerMTTF: *srvMTTF,
 		NodeMTTF:   *nodeMTTF,
@@ -152,6 +150,10 @@ func main() {
 			StoreRetries: *retries,
 			RetryBackoff: *backoff,
 		}
+	}
+	if *stats && *chaosN > 0 {
+		fmt.Fprintln(os.Stderr, "ftrun: -stats conflicts with -chaos (a chaos run reports no kernel counters)")
+		os.Exit(2)
 	}
 	if *proto != "none" {
 		o.Interval = *interval
@@ -191,10 +193,24 @@ func main() {
 		}
 	}
 
+	// flushTrace completes the trace artifact.  It runs before the exit is
+	// decided: a failure-aborted run (degraded stop, deadline) must still
+	// leave a valid trace document — the streaming sink closes its open
+	// intervals and writes the JSON tail, and the collector dumps what it
+	// saw.
+	flushTrace := func() {
+		if col != nil {
+			writeFile(*traceOut, col.WriteChromeTrace)
+		}
+		if closeStream != nil {
+			closeStream()
+		}
+	}
+
 	finishProf := startProfiling(*cpuProf, *memProf, *allocs)
 
 	if *chaosN > 0 {
-		code := runChaos(o, ftckpt.ChaosSpec{
+		rep, code := runChaos(o, ftckpt.ChaosSpec{
 			Seed:       *chaosSeed,
 			Kills:      *chaosN,
 			ServerFrac: *chaosSrvFrac,
@@ -204,10 +220,11 @@ func main() {
 			From:       *chaosFrom,
 			Until:      *chaosUntil,
 		}, *explain, *explOut)
-		if closeStream != nil {
-			closeStream()
-		}
 		finishProf()
+		flushTrace()
+		if rep.Report.Metrics != nil {
+			writeMetrics(*metOut, rep.Report.Metrics)
+		}
 		os.Exit(code)
 	}
 
@@ -217,28 +234,12 @@ func main() {
 		fmt.Fprintf(os.Stderr, "kernel            %d events scheduled, %d fired, %d cancelled; high water: heap %d, slab %d, lanes %d\n",
 			kst.Scheduled, kst.Fired, kst.Cancelled, kst.HeapMax, kst.SlabMax, kst.LaneMax)
 	}
-	// Flush trace artifacts before deciding the exit: a failure-aborted
-	// run (degraded stop, deadline) must still leave a valid trace
-	// document — the streaming sink closes its open intervals and writes
-	// the JSON tail, and the collector dumps what it saw.  Exiting first
-	// used to truncate -stream-trace output mid-document.
-	if col != nil {
-		writeFile(*traceOut, col.WriteChromeTrace)
-	}
-	if closeStream != nil {
-		closeStream()
-	}
+	flushTrace()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "ftrun:", err)
 		os.Exit(1)
 	}
-	if *metOut != "" {
-		if strings.HasSuffix(*metOut, ".csv") {
-			writeFile(*metOut, rep.Metrics.WriteCSV)
-		} else {
-			writeFile(*metOut, rep.Metrics.WriteJSON)
-		}
-	}
+	writeMetrics(*metOut, rep.Metrics)
 	fmt.Printf("workload          %s (class %s), np=%d ppn=%d on %s\n", *bench, *class, *np, *ppn, *plat)
 	fmt.Printf("protocol          %s", *proto)
 	if *proto != "none" {
@@ -304,15 +305,16 @@ func explainReport(a *ftckpt.Attribution, table bool, jsonPath string) int {
 }
 
 // runChaos executes the job under a seeded random failure schedule and
-// reports the recovery-invariant verdict.  It returns the process exit
-// code rather than exiting, so profiling output is flushed first.
-// Invariant violations are non-zero; a degraded stop (unrecoverable loss,
-// expected without replication) is a reported outcome.
-func runChaos(o ftckpt.Options, sp ftckpt.ChaosSpec, explain bool, explOut string) int {
+// reports the recovery-invariant verdict.  It returns the report and the
+// process exit code rather than exiting, so profiling output and the
+// requested artifacts are flushed first.  Invariant violations are
+// non-zero; a degraded stop (unrecoverable loss, expected without
+// replication) is a reported outcome.
+func runChaos(o ftckpt.Options, sp ftckpt.ChaosSpec, explain bool, explOut string) (ftckpt.ChaosReport, int) {
 	rep, err := ftckpt.Chaos(o, sp)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "ftrun:", err)
-		return 1
+		return rep, 1
 	}
 	fmt.Printf("chaos schedule    seed %d, %d kills in [%v, %v)\n", sp.Seed, sp.Kills, sp.From, sp.Until)
 	for _, f := range rep.Plan {
@@ -338,7 +340,7 @@ func runChaos(o ftckpt.Options, sp ftckpt.ChaosSpec, explain bool, explOut strin
 	}
 	if rep.Report.Attribution != nil {
 		if code := explainReport(rep.Report.Attribution, explain, explOut); code != 0 {
-			return code
+			return rep, code
 		}
 	}
 	if !rep.OK() {
@@ -346,10 +348,10 @@ func runChaos(o ftckpt.Options, sp ftckpt.ChaosSpec, explain bool, explOut strin
 		for _, v := range rep.Violations {
 			fmt.Println("  " + v)
 		}
-		return 1
+		return rep, 1
 	}
 	fmt.Println("invariants        all held")
-	return 0
+	return rep, 0
 }
 
 // startProfiling arms the requested profilers and returns the function
@@ -413,7 +415,7 @@ func usage() {
 		title string
 		names []string
 	}{
-		{"Workload and platform", []string{"bench", "class", "np", "ppn", "platform", "seed", "shards"}},
+		{"Workload and platform", []string{"bench", "class", "np", "ppn", "platform", "seed"}},
 		{"Protocol", []string{"proto", "interval"}},
 		{"Storage and replication", []string{"servers", "replicas", "quorum", "retries", "retry-backoff",
 			"storage-levels", "incremental", "compress"}},
@@ -508,6 +510,19 @@ func parseStorageLevels(s string) (*ftckpt.StorageSpec, error) {
 		}
 	}
 	return spec, nil
+}
+
+// writeMetrics writes the -metrics-out export (nothing when path is empty);
+// a .csv extension selects CSV, anything else JSON.
+func writeMetrics(path string, m *ftckpt.Metrics) {
+	if path == "" {
+		return
+	}
+	write := m.WriteJSON
+	if strings.HasSuffix(path, ".csv") {
+		write = m.WriteCSV
+	}
+	writeFile(path, write)
 }
 
 // writeFile writes one export, treating any failure as fatal: a run whose

@@ -1,0 +1,123 @@
+package main
+
+import (
+	"errors"
+	"os"
+	"os/exec"
+	"path/filepath"
+	"reflect"
+	"strings"
+	"testing"
+
+	"ftckpt"
+)
+
+func TestParseStorageLevels(t *testing.T) {
+	good := []struct {
+		spec string
+		want []ftckpt.LevelSpec
+	}{
+		{"servers:2", []ftckpt.LevelSpec{{Kind: ftckpt.LevelServers, Servers: 2}}},
+		{"buffer,servers:2x2", []ftckpt.LevelSpec{
+			{Kind: ftckpt.LevelBuffer},
+			{Kind: ftckpt.LevelServers, Servers: 2, Replicas: 2},
+		}},
+		{" buffer , servers:3x2 , pfs:4x2 ", []ftckpt.LevelSpec{
+			{Kind: ftckpt.LevelBuffer},
+			{Kind: ftckpt.LevelServers, Servers: 3, Replicas: 2},
+			{Kind: ftckpt.LevelPFS, Targets: 4, Stripes: 2},
+		}},
+		{"servers:1,pfs", []ftckpt.LevelSpec{
+			{Kind: ftckpt.LevelServers, Servers: 1},
+			{Kind: ftckpt.LevelPFS},
+		}},
+	}
+	for _, tc := range good {
+		spec, err := parseStorageLevels(tc.spec)
+		if err != nil {
+			t.Errorf("%q: %v", tc.spec, err)
+			continue
+		}
+		if !reflect.DeepEqual(spec.Levels, tc.want) {
+			t.Errorf("%q: levels %+v, want %+v", tc.spec, spec.Levels, tc.want)
+		}
+	}
+	// Each malformed spec must be refused, naming the offending part.
+	bad := []struct{ spec, names string }{
+		{"", `""`},
+		{"buffer,", `""`},
+		{"disk", `"disk"`},
+		{"buffer:2", `"buffer:2"`},
+		{"servers", `"servers"`},
+		{"servers:", `""`},
+		{"servers:two", `"two"`},
+		{"servers:2x", `""`},
+		{"servers:2xtwo", `"two"`},
+		{"pfs:x2", `""`},
+		{"buffer,servers:2x2,tape:1", `"tape:1"`},
+	}
+	for _, tc := range bad {
+		spec, err := parseStorageLevels(tc.spec)
+		if err == nil {
+			t.Errorf("%q: accepted as %+v", tc.spec, spec.Levels)
+			continue
+		}
+		if !strings.Contains(err.Error(), tc.names) {
+			t.Errorf("%q: error %q does not name %s", tc.spec, err, tc.names)
+		}
+	}
+}
+
+// TestFlagValidationExitCodes runs the built binary: a flag combination
+// ftrun refuses must exit 2, before any simulation, with a message that
+// names the flags involved.
+func TestFlagValidationExitCodes(t *testing.T) {
+	bin := filepath.Join(t.TempDir(), "ftrun")
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	for _, tc := range []struct {
+		name  string
+		args  []string
+		names []string // substrings of stderr
+	}{
+		{"storage-levels with servers",
+			[]string{"-storage-levels", "buffer,servers:2x2", "-servers", "3"},
+			[]string{"-servers", "-storage-levels"}},
+		{"storage-levels malformed",
+			[]string{"-storage-levels", "buffer,servers"},
+			[]string{"-storage-levels", `"servers"`}},
+		{"incremental without storage-levels",
+			[]string{"-incremental"},
+			[]string{"-incremental", "-storage-levels"}},
+		{"compress without storage-levels",
+			[]string{"-compress"},
+			[]string{"-compress", "-storage-levels"}},
+		{"stats with chaos",
+			[]string{"-proto", "pcl", "-chaos", "2", "-stats", "-trace-out", "t.json"},
+			[]string{"-stats", "-chaos"}},
+		{"shards is gone",
+			[]string{"-shards", "2"},
+			[]string{"not defined: -shards"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cmd := exec.Command(bin, tc.args...)
+			cmd.Dir = t.TempDir()
+			var stderr strings.Builder
+			cmd.Stderr = &stderr
+			err := cmd.Run()
+			var exit *exec.ExitError
+			if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+				t.Fatalf("ftrun %v: %v, want exit status 2\n%s", tc.args, err, stderr.String())
+			}
+			for _, s := range tc.names {
+				if !strings.Contains(stderr.String(), s) {
+					t.Errorf("ftrun %v: stderr does not name %q:\n%s", tc.args, s, stderr.String())
+				}
+			}
+			if files, _ := os.ReadDir(cmd.Dir); len(files) != 0 {
+				t.Errorf("ftrun %v left %d file(s) behind", tc.args, len(files))
+			}
+		})
+	}
+}

@@ -337,7 +337,6 @@ func buildConfig(o Options) (ftpm.Config, error) {
 		FTEvery:          ftEvery,
 		NewProgram:       newProgram,
 		Seed:             o.Seed,
-		Shards:           o.Shards,
 		MTTF:             o.MTTF,
 		ServerMTTF:       o.ServerMTTF,
 		NodeMTTF:         o.NodeMTTF,

@@ -1,12 +1,13 @@
 package ftckpt
 
 // Pinned cross-commit goldens.  The other golden suites compare a run with
-// its own repeat (or with its sharded twin), which proves determinism but
-// not that a refactor left the output alone.  TestGoldenPinned hashes the
-// Report, the metrics export and the Chrome trace of five scenarios and
-// compares them with testdata/golden_pinned.json, recorded at the commit
-// before the last change that claimed byte-identical output.  A PR that
-// means to change simulation output re-records the file with
+// its own repeat, which proves determinism but not that a refactor left the
+// output alone.  TestGoldenPinned hashes the Report, the metrics export,
+// the Chrome trace and (where the scenario turns it on) the attribution
+// document of seven scenarios and compares them with
+// testdata/golden_pinned.json, recorded at the commit before the last
+// change that claimed byte-identical output.  A PR that means to change
+// simulation output re-records the file with
 //
 //	go test -run TestGoldenPinned -update .
 //
@@ -34,6 +35,8 @@ type pinnedHashes struct {
 	Report  string `json:"report"`
 	Metrics string `json:"metrics"`
 	Trace   string `json:"trace"`
+	// Attribution is set only for scenarios that run with Options.Attribution.
+	Attribution string `json:"attribution,omitempty"`
 }
 
 func pinnedScenarios() []struct {
@@ -55,6 +58,8 @@ func pinnedScenarios() []struct {
 	}
 	ulfm := ulfmGolden()
 	ulfm.Failures = []Failure{KillNode(40*time.Millisecond, 3)}
+	storage := storageGolden()
+	storage.Attribution = true
 	return []struct {
 		name string
 		opts Options
@@ -73,6 +78,27 @@ func pinnedScenarios() []struct {
 			Seed:         9,
 		}},
 		{"ulfm-node-8", ulfm},
+		// Replication, heartbeats and failover: a server kill then a rank
+		// kill, so retry timers and bulk-flow delivery order are pinned.
+		{"replicated-hb-8", Options{
+			Workload:     WorkloadCGReal,
+			NP:           8,
+			ProcsPerNode: 2,
+			Protocol:     Pcl,
+			Interval:     5 * time.Millisecond,
+			Servers:      3,
+			Replication:  &ReplicationSpec{Replicas: 2, WriteQuorum: 1, StoreRetries: 2, RetryBackoff: time.Millisecond},
+			Heartbeat:    &HeartbeatSpec{Period: 2 * time.Millisecond},
+			Seed:         7,
+			Attribution:  true,
+			Failures: []Failure{
+				KillServer(11*time.Millisecond, 1),
+				KillRank(17*time.Millisecond, 3),
+			},
+		}},
+		// Buffer → servers 2×2, incremental + compressed, a buffer kill then
+		// a rank kill: the staged drains run concurrently with compute.
+		{"storage-hier-8", storage},
 	}
 }
 
@@ -89,11 +115,13 @@ func TestGoldenPinned(t *testing.T) {
 	got := make(map[string]pinnedHashes)
 	for _, sc := range scenarios {
 		rep, met, trace := goldenArtifacts(t, sc.opts)
-		got[sc.name] = pinnedHashes{
-			Report:  sha([]byte(fmt.Sprintf("%+v", rep))),
-			Metrics: sha(met),
-			Trace:   sha(trace),
+		h := pinnedHashes{Metrics: sha(met), Trace: sha(trace)}
+		if rep.Attribution != nil {
+			h.Attribution = sha(attribJSON(t, rep.Attribution))
+			rep.Attribution = nil // a pointer: its address must not reach the hash
 		}
+		h.Report = sha([]byte(fmt.Sprintf("%+v", rep)))
+		got[sc.name] = h
 	}
 	if *updatePinned {
 		b, err := json.MarshalIndent(got, "", "  ")

@@ -1,5 +1,5 @@
 // Package analysis implements ftlint, the repository's static-analysis
-// suite.  Seven analyzers encode the house invariants that the golden
+// suite.  Six analyzers encode the house invariants that the golden
 // byte-identity tests can only check dynamically:
 //
 //   - nodeterm: simulation packages must not read wall-clock time or
@@ -17,12 +17,6 @@
 //   - metricowner: the obs.Metrics registry is single-writer; a metric
 //     name literal must not be mutated from more than one
 //     goroutine-spawning scope.
-//   - shardconfine: state marked //ftlint:shardlocal (a shard's staging
-//     heap, inbox, run queue, free list and dead counter) may only be
-//     written through its owner or through functions marked
-//     //ftlint:crossshard — the inbox/merge APIs of the sharded kernel.
-//     Aliases are tracked by the dataflow engine, so a heap slice copied
-//     into a local and mutated elsewhere is still caught.
 //   - spanbalance: an EvXxxBegin-family emit must be matched by its End
 //     (or Abort) on every return and panic path of the function, unless
 //     the span handle demonstrably hands off to a later closer (stored
@@ -59,8 +53,6 @@
 //
 //	//ftlint:pooled      (type doc)   values of this type are pool-recycled
 //	//ftlint:pool        (field/var)  sanctioned holder of pooled pointers
-//	//ftlint:shardlocal  (field/var)  state confined to one shard's staging
-//	//ftlint:crossshard  (func doc)   sanctioned cross-shard mutation point
 //	//ftlint:besteffort  (func doc)   callers may discard the error result
 package analysis
 
@@ -235,7 +227,7 @@ func (idx waiverIndex) directiveAt(position token.Position, payload string) bool
 }
 
 // collectWaivers builds the file/line directive index for one package.
-// Marker payloads (pooled, pool, shardlocal, ...) are excluded — they
+// Marker payloads (pooled, pool, besteffort) are excluded — they
 // attach to declarations, not diagnostic lines, and must not show up as
 // dead waivers.
 func collectWaivers(fset *token.FileSet, files []*ast.File) waiverIndex {
@@ -286,14 +278,6 @@ type Markers struct {
 	PoolFields  map[string]bool
 	PoolVars    map[string]bool
 
-	// ShardLocalFields / ShardLocalVars hold state confined to one
-	// shard's staging context (//ftlint:shardlocal).
-	ShardLocalFields map[string]bool
-	ShardLocalVars   map[string]bool
-	// CrossShardFuncs are the sanctioned cross-shard mutation points
-	// (//ftlint:crossshard): the inbox/merge APIs and the executor code
-	// that runs while every shard worker is parked.
-	CrossShardFuncs map[string]bool
 	// BestEffortFuncs may have their error result discarded by callers
 	// (//ftlint:besteffort).
 	BestEffortFuncs map[string]bool
@@ -301,13 +285,10 @@ type Markers struct {
 
 func newMarkers() *Markers {
 	return &Markers{
-		PooledTypes:      make(map[string]bool),
-		PoolFields:       make(map[string]bool),
-		PoolVars:         make(map[string]bool),
-		ShardLocalFields: make(map[string]bool),
-		ShardLocalVars:   make(map[string]bool),
-		CrossShardFuncs:  make(map[string]bool),
-		BestEffortFuncs:  make(map[string]bool),
+		PooledTypes:     make(map[string]bool),
+		PoolFields:      make(map[string]bool),
+		PoolVars:        make(map[string]bool),
+		BestEffortFuncs: make(map[string]bool),
 	}
 }
 
@@ -335,12 +316,8 @@ func (m *Markers) collect(pkgPath string, files []*ast.File) {
 		for _, decl := range f.Decls {
 			switch decl := decl.(type) {
 			case *ast.FuncDecl:
-				key := funcDeclKey(pkgPath, decl)
-				if hasDirective("crossshard", decl.Doc) {
-					m.CrossShardFuncs[key] = true
-				}
 				if hasDirective("besteffort", decl.Doc) {
-					m.BestEffortFuncs[key] = true
+					m.BestEffortFuncs[funcDeclKey(pkgPath, decl)] = true
 				}
 			case *ast.GenDecl:
 				m.collectGen(pkgPath, decl)
@@ -362,37 +339,22 @@ func (m *Markers) collectGen(pkgPath string, gd *ast.GenDecl) {
 				continue
 			}
 			for _, field := range st.Fields.List {
-				pool := hasDirective("pool", field.Doc, field.Comment)
-				local := hasDirective("shardlocal", field.Doc, field.Comment)
-				if !pool && !local {
+				if !hasDirective("pool", field.Doc, field.Comment) {
 					continue
 				}
 				for _, name := range field.Names {
-					key := pkgPath + "." + ts.Name.Name + "." + name.Name
-					if pool {
-						m.PoolFields[key] = true
-					}
-					if local {
-						m.ShardLocalFields[key] = true
-					}
+					m.PoolFields[pkgPath+"."+ts.Name.Name+"."+name.Name] = true
 				}
 			}
 		}
 	case token.VAR:
 		for _, spec := range gd.Specs {
 			vs := spec.(*ast.ValueSpec)
-			pool := hasDirective("pool", gd.Doc, vs.Doc, vs.Comment)
-			local := hasDirective("shardlocal", gd.Doc, vs.Doc, vs.Comment)
-			if !pool && !local {
+			if !hasDirective("pool", gd.Doc, vs.Doc, vs.Comment) {
 				continue
 			}
 			for _, name := range vs.Names {
-				if pool {
-					m.PoolVars[pkgPath+"."+name.Name] = true
-				}
-				if local {
-					m.ShardLocalVars[pkgPath+"."+name.Name] = true
-				}
+				m.PoolVars[pkgPath+"."+name.Name] = true
 			}
 		}
 	}
@@ -432,7 +394,7 @@ func funcKey(fn *types.Func) string {
 
 // All returns every registered analyzer, in reporting order.
 func All() []*Analyzer {
-	return []*Analyzer{NoDeterm, MapIter, PoolEscape, MetricOwner, ShardConfine, SpanBalance, ErrType}
+	return []*Analyzer{NoDeterm, MapIter, PoolEscape, MetricOwner, SpanBalance, ErrType}
 }
 
 // Run executes the analyzers over the loaded packages and returns the

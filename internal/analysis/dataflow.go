@@ -11,9 +11,9 @@ import (
 // engine over the typed AST plus a cross-package function summary table.
 // Both are deliberately modest — flow-insensitive tag propagation and
 // one-level syntactic summaries — because the invariants they serve
-// (shard confinement, span balance, error discipline) live in code that
-// is already written defensively; the engine's job is to catch the alias
-// one hop away from the marker, not to be a points-to analysis.
+// (span balance, error discipline) live in code that is already written
+// defensively; the engine's job is to catch the alias one hop away from
+// the source, not to be a points-to analysis.
 
 // flowKind classifies where a tracked value originally came from.
 type flowKind int
@@ -22,9 +22,6 @@ const (
 	// flowRecover: the value is the result of recover() — errtype uses
 	// this to demand mpi.AsFTError instead of raw type assertions.
 	flowRecover flowKind = iota
-	// flowShardLocal: the value aliases state marked //ftlint:shardlocal;
-	// key is the marker key ("pkg.Type.Field" or "pkg.var").
-	flowShardLocal
 	// flowSpan: the value is the result of a NextSpan() call — spanbalance
 	// uses this to see a span handle escape into a struct field.
 	flowSpan
@@ -33,7 +30,6 @@ const (
 // flowTag is one provenance fact about a local value.
 type flowTag struct {
 	kind flowKind
-	key  string // marker key for flowShardLocal, "" otherwise
 }
 
 // funcFlow holds the alias facts for one function (or function literal)
@@ -49,16 +45,15 @@ type funcFlow struct {
 	spanFieldStore bool
 }
 
-// analyzeFlow runs the alias engine over one function body.  markers may
-// be nil when the caller only needs recover/span tracking.
-func analyzeFlow(info *types.Info, body *ast.BlockStmt, markers *Markers) *funcFlow {
+// analyzeFlow runs the alias engine over one function body.
+func analyzeFlow(info *types.Info, body *ast.BlockStmt) *funcFlow {
 	ff := &funcFlow{info: info, tags: make(map[types.Object]map[flowTag]bool)}
 	if body == nil {
 		return ff
 	}
 	// Collect assignment edges lhs <- rhs (including := and var decls),
 	// then iterate to a fixpoint so chains resolve regardless of source
-	// order: `y := x` before `x := sh.heap` still tags y.
+	// order: `y := x` before `x := recover()` still tags y.
 	type edge struct {
 		lhs types.Object
 		rhs ast.Expr
@@ -91,7 +86,7 @@ func analyzeFlow(info *types.Info, body *ast.BlockStmt, markers *Markers) *funcF
 			if len(n.Lhs) == len(n.Rhs) {
 				for i, l := range n.Lhs {
 					if _, ok := l.(*ast.SelectorExpr); ok {
-						if ff.exprTags(n.Rhs[i], markers)[flowTag{kind: flowSpan}] {
+						if ff.exprTags(n.Rhs[i])[flowTag{kind: flowSpan}] {
 							ff.spanFieldStore = true
 						}
 					}
@@ -111,20 +106,13 @@ func analyzeFlow(info *types.Info, body *ast.BlockStmt, markers *Markers) *funcF
 					addAssign(lhs, vs.Values)
 				}
 			}
-		case *ast.RangeStmt:
-			// `for _, v := range tagged` propagates the container's tags
-			// to the element: an element of a shardlocal slice is still
-			// shardlocal storage when it is a pointer.
-			if n.Value != nil {
-				addAssign([]ast.Expr{n.Value}, []ast.Expr{n.X})
-			}
 		}
 		return true
 	})
 	for changed := true; changed; {
 		changed = false
 		for _, e := range edges {
-			for tag := range ff.exprTags(e.rhs, markers) {
+			for tag := range ff.exprTags(e.rhs) {
 				set := ff.tags[e.lhs]
 				if set == nil {
 					set = make(map[flowTag]bool)
@@ -151,7 +139,7 @@ func analyzeFlow(info *types.Info, body *ast.BlockStmt, markers *Markers) *funcF
 		}
 		for i, l := range as.Lhs {
 			if _, ok := l.(*ast.SelectorExpr); ok {
-				if ff.exprTags(as.Rhs[i], markers)[flowTag{kind: flowSpan}] {
+				if ff.exprTags(as.Rhs[i])[flowTag{kind: flowSpan}] {
 					ff.spanFieldStore = true
 				}
 			}
@@ -163,43 +151,20 @@ func analyzeFlow(info *types.Info, body *ast.BlockStmt, markers *Markers) *funcF
 
 // exprTags resolves the provenance tags of an expression under the
 // current fact table.
-func (ff *funcFlow) exprTags(e ast.Expr, markers *Markers) map[flowTag]bool {
+func (ff *funcFlow) exprTags(e ast.Expr) map[flowTag]bool {
 	out := make(map[flowTag]bool)
-	ff.collectTags(e, markers, out)
+	ff.collectTags(e, out)
 	return out
 }
 
-func (ff *funcFlow) collectTags(e ast.Expr, markers *Markers, out map[flowTag]bool) {
+func (ff *funcFlow) collectTags(e ast.Expr, out map[flowTag]bool) {
 	switch e := e.(type) {
 	case *ast.Ident:
 		for tag := range ff.tags[identObj(ff.info, e)] {
 			out[tag] = true
 		}
-		if markers != nil {
-			if key := globalVarKey(ff.info, e); key != "" && markers.ShardLocalVars[key] {
-				out[flowTag{kind: flowShardLocal, key: key}] = true
-			}
-		}
-	case *ast.SelectorExpr:
-		if markers != nil {
-			if key := fieldSelKey(ff.info, e); key != "" && markers.ShardLocalFields[key] {
-				out[flowTag{kind: flowShardLocal, key: key}] = true
-			}
-		}
-	case *ast.IndexExpr:
-		// An element of a tagged container carries the container's tags:
-		// writing through it still lands in the marked storage.
-		ff.collectTags(e.X, markers, out)
 	case *ast.ParenExpr:
-		ff.collectTags(e.X, markers, out)
-	case *ast.StarExpr:
-		ff.collectTags(e.X, markers, out)
-	case *ast.UnaryExpr:
-		if e.Op == token.AND {
-			ff.collectTags(e.X, markers, out)
-		}
-	case *ast.SliceExpr:
-		ff.collectTags(e.X, markers, out)
+		ff.collectTags(e.X, out)
 	case *ast.CallExpr:
 		switch fn := e.Fun.(type) {
 		case *ast.Ident:
@@ -233,34 +198,6 @@ func identObj(info *types.Info, ident *ast.Ident) types.Object {
 	return info.Defs[ident]
 }
 
-// fieldSelKey returns the marker key "pkgpath.Type.Field" for a selector
-// that resolves to a struct field, or "".
-func fieldSelKey(info *types.Info, sel *ast.SelectorExpr) string {
-	selection, ok := info.Selections[sel]
-	if !ok || selection.Kind() != types.FieldVal {
-		return ""
-	}
-	field, ok := selection.Obj().(*types.Var)
-	if !ok || field.Pkg() == nil {
-		return ""
-	}
-	owner := ownerNamed(selection.Recv())
-	if owner == nil {
-		return ""
-	}
-	return field.Pkg().Path() + "." + owner.Obj().Name() + "." + field.Name()
-}
-
-// globalVarKey returns "pkgpath.name" when ident resolves to a
-// package-scope variable, or "".
-func globalVarKey(info *types.Info, ident *ast.Ident) string {
-	v, ok := identObj(info, ident).(*types.Var)
-	if !ok || v.Pkg() == nil || v.Parent() != v.Pkg().Scope() {
-		return ""
-	}
-	return v.Pkg().Path() + "." + v.Name()
-}
-
 // ---------------------------------------------------------------------
 // Cross-package function summaries.
 
@@ -277,11 +214,7 @@ type FuncSummary struct {
 	// constants the body references directly.
 	Opens  map[string]bool
 	Closes map[string]bool
-	// WritesShardLocal lists the //ftlint:shardlocal marker keys the body
-	// writes directly (assignment, IncDec, or element store).
-	WritesShardLocal []string
-	// CrossShard / BestEffort mirror the function's own markers.
-	CrossShard bool
+	// BestEffort mirrors the function's own //ftlint:besteffort marker.
 	BestEffort bool
 	// ErrorResult reports that the last result is of type error.
 	ErrorResult bool
@@ -322,8 +255,7 @@ func buildSummaries(pkgs []*Package, markers *Markers) *Summaries {
 					continue
 				}
 				key := funcDeclKey(pkg.Path, fd)
-				sum := summarize(pkg.Info, fd.Body, markers)
-				sum.CrossShard = markers.CrossShardFuncs[key]
+				sum := summarize(pkg.Info, fd.Body)
 				sum.BestEffort = markers.BestEffortFuncs[key]
 				if fn, ok := pkg.Info.Defs[fd.Name].(*types.Func); ok {
 					sig := fn.Type().(*types.Signature)
@@ -338,34 +270,21 @@ func buildSummaries(pkgs []*Package, markers *Markers) *Summaries {
 	return table
 }
 
-func summarize(info *types.Info, body *ast.BlockStmt, markers *Markers) *FuncSummary {
+func summarize(info *types.Info, body *ast.BlockStmt) *FuncSummary {
 	sum := &FuncSummary{Opens: make(map[string]bool), Closes: make(map[string]bool)}
-	writes := make(map[string]bool)
 	walkOwnStmts(body, func(n ast.Node) {
-		switch n := n.(type) {
-		case *ast.Ident:
-			if family, role := spanConst(info, n); family != "" {
-				if role == "Begin" {
-					sum.Opens[family] = true
-				} else {
-					sum.Closes[family] = true
-				}
-			}
-		case *ast.AssignStmt:
-			for _, l := range n.Lhs {
-				for _, key := range writeTargets(info, l, markers) {
-					writes[key] = true
-				}
-			}
-		case *ast.IncDecStmt:
-			for _, key := range writeTargets(info, n.X, markers) {
-				writes[key] = true
+		ident, ok := n.(*ast.Ident)
+		if !ok {
+			return
+		}
+		if family, role := spanConst(info, ident); family != "" {
+			if role == "Begin" {
+				sum.Opens[family] = true
+			} else {
+				sum.Closes[family] = true
 			}
 		}
 	})
-	for key := range writes {
-		sum.WritesShardLocal = append(sum.WritesShardLocal, key)
-	}
 	return sum
 }
 
@@ -396,29 +315,6 @@ func spanConst(info *types.Info, ident *ast.Ident) (family, role string) {
 		return "", ""
 	}
 	return m[1], m[2]
-}
-
-// writeTargets resolves an assignment target to the //ftlint:shardlocal
-// marker keys it writes into: a marked field, a marked package var, or an
-// element/deref of either.  No aliasing here — summaries stay one level.
-func writeTargets(info *types.Info, target ast.Expr, markers *Markers) []string {
-	switch target := target.(type) {
-	case *ast.Ident:
-		if key := globalVarKey(info, target); key != "" && markers.ShardLocalVars[key] {
-			return []string{key}
-		}
-	case *ast.SelectorExpr:
-		if key := fieldSelKey(info, target); key != "" && markers.ShardLocalFields[key] {
-			return []string{key}
-		}
-	case *ast.IndexExpr:
-		return writeTargets(info, target.X, markers)
-	case *ast.StarExpr:
-		return writeTargets(info, target.X, markers)
-	case *ast.ParenExpr:
-		return writeTargets(info, target.X, markers)
-	}
-	return nil
 }
 
 // isErrorType reports whether t is the built-in error interface.

@@ -55,37 +55,28 @@ func findLocal(t *testing.T, pkg *Package, name string) types.Object {
 	return nil
 }
 
-// TestAliasChainPropagation pins the engine's fixpoint: a shardlocal tag
+// TestAliasChainPropagation pins the engine's fixpoint: a recover() tag
 // reaches a local through a two-hop assignment chain whose hops appear in
-// the "wrong" source order (g = h before h = q.heap, inside a loop).
+// the "wrong" source order (g = h before h = recover(), inside a loop).
 func TestAliasChainPropagation(t *testing.T) {
-	pkg := loadSrc(t, "flow.test/kernel", `package kernel
+	pkg := loadSrc(t, "flow.test/errs", `package errs
 
-type queue struct {
-	//ftlint:shardlocal
-	heap []int32
-}
-
-func f(q *queue) {
-	var h []int32
-	var g []int32
+func f() {
+	var h any
+	var g any
 	for i := 0; i < 2; i++ {
 		g = h
-		h = q.heap
+		h = recover()
 	}
-	g[0] = 1
+	_ = g
 }
 `)
-	markers := newMarkers()
-	markers.collect(pkg.Path, pkg.Files)
-	flow := analyzeFlow(pkg.Info, findFunc(t, pkg, "f").Body, markers)
+	flow := analyzeFlow(pkg.Info, findFunc(t, pkg, "f").Body)
 
-	g := findLocal(t, pkg, "g")
-	wantKey := "flow.test/kernel.queue.heap"
-	if !flow.tags[g][flowTag{kind: flowShardLocal, key: wantKey}] {
-		t.Errorf("local g not tagged shardlocal %q; tags: %v", wantKey, flow.tags[g])
+	if g := findLocal(t, pkg, "g"); !flow.tags[g][flowTag{kind: flowRecover}] {
+		t.Errorf("local g not tagged as a recover() result; tags: %v", flow.tags[g])
 	}
-	// The loop index never aliases the marked state.
+	// The loop index never aliases the recovered value.
 	i := findLocal(t, pkg, "i")
 	if len(flow.tags[i]) != 0 {
 		t.Errorf("loop index unexpectedly tagged: %v", flow.tags[i])
@@ -111,11 +102,11 @@ func g(recover func() any) {
 	_ = s
 }
 `)
-	flow := analyzeFlow(pkg.Info, findFunc(t, pkg, "f").Body, nil)
+	flow := analyzeFlow(pkg.Info, findFunc(t, pkg, "f").Body)
 	if !flow.tags[findLocal(t, pkg, "v")][flowTag{kind: flowRecover}] {
 		t.Error("v not tagged as a recover() result")
 	}
-	flowG := analyzeFlow(pkg.Info, findFunc(t, pkg, "g").Body, nil)
+	flowG := analyzeFlow(pkg.Info, findFunc(t, pkg, "g").Body)
 	if len(flowG.tags[findLocal(t, pkg, "s")]) != 0 {
 		t.Error("shadowed recover incorrectly tagged")
 	}
@@ -145,20 +136,20 @@ func (j *job) viaLocal() {
 func (j *job) unrelated() { j.span = 7 }
 `)
 	for _, name := range []string{"direct", "viaLocal"} {
-		flow := analyzeFlow(pkg.Info, findFunc(t, pkg, name).Body, nil)
+		flow := analyzeFlow(pkg.Info, findFunc(t, pkg, name).Body)
 		if !flow.spanFieldStore {
 			t.Errorf("%s: span field store not detected", name)
 		}
 	}
-	flow := analyzeFlow(pkg.Info, findFunc(t, pkg, "unrelated").Body, nil)
+	flow := analyzeFlow(pkg.Info, findFunc(t, pkg, "unrelated").Body)
 	if flow.spanFieldStore {
 		t.Error("unrelated: constant store misread as span handoff")
 	}
 }
 
 // TestSummaryTable pins the cross-package summary computation: span
-// opens/closes at the unit's own level only, shardlocal write sets,
-// marker bits, error results — and lookup through a *types.Func.
+// opens/closes at the unit's own level only, marker bits, error results —
+// and lookup through a *types.Func.
 func TestSummaryTable(t *testing.T) {
 	pkg := loadSrc(t, "sum.test/spans", `package spans
 
@@ -171,11 +162,6 @@ const (
 
 func emit(ev) {}
 
-type queue struct {
-	//ftlint:shardlocal
-	dead int
-}
-
 func open() { emit(EvRepairBegin) }
 
 func close_() { emit(EvRepairEnd) }
@@ -186,8 +172,8 @@ func closeInCallback(run func(func())) {
 	run(func() { emit(EvRepairEnd) })
 }
 
-//ftlint:crossshard
-func route(q *queue) { q.dead++ }
+//ftlint:besteffort
+func tryCommit() error { return nil }
 
 func commit() error { return nil }
 `)
@@ -212,15 +198,11 @@ func commit() error { return nil }
 	if sum := check("sum.test/spans.closeInCallback"); len(sum.Closes) != 0 {
 		t.Errorf("closeInCallback leaked nested closer: Closes=%v", sum.Closes)
 	}
-	route := check("sum.test/spans.route")
-	if !route.CrossShard {
-		t.Error("route: CrossShard marker not summarized")
+	if sum := check("sum.test/spans.tryCommit"); !sum.BestEffort {
+		t.Error("tryCommit: BestEffort marker not summarized")
 	}
-	if len(route.WritesShardLocal) != 1 || route.WritesShardLocal[0] != "sum.test/spans.queue.dead" {
-		t.Errorf("route: WritesShardLocal=%v", route.WritesShardLocal)
-	}
-	if sum := check("sum.test/spans.commit"); !sum.ErrorResult {
-		t.Error("commit: error result not summarized")
+	if sum := check("sum.test/spans.commit"); !sum.ErrorResult || sum.BestEffort {
+		t.Errorf("commit: ErrorResult=%v BestEffort=%v", sum.ErrorResult, sum.BestEffort)
 	}
 	if sum := check("sum.test/spans.open"); sum.ErrorResult {
 		t.Error("open: spurious error result")

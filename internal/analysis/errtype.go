@@ -55,7 +55,7 @@ func runErrType(pass *Pass) error {
 			if !ok || fd.Body == nil {
 				continue
 			}
-			flow := analyzeFlow(pass.TypesInfo, fd.Body, nil)
+			flow := analyzeFlow(pass.TypesInfo, fd.Body)
 			// An `Is(target error) bool` method IS the sentinel match:
 			// `target == ErrX` there is the implementation errors.Is
 			// dispatches to, not a call site to rewrite.
@@ -92,7 +92,7 @@ func checkRecoverAssert(pass *Pass, flow *funcFlow, assert *ast.TypeAssertExpr, 
 	if inMPI {
 		return
 	}
-	if !flow.exprTags(assert.X, nil)[flowTag{kind: flowRecover}] {
+	if !flow.exprTags(assert.X)[flowTag{kind: flowRecover}] {
 		return
 	}
 	pass.Reportf(assert.Pos(),

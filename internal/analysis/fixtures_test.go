@@ -18,7 +18,6 @@ func TestFixtures(t *testing.T) {
 		{"testdata/src/mapiter/sweep", "mapiter.test/sweep", MapIter},
 		{"testdata/src/poolescape/pool", "poolescape.test/pool", PoolEscape},
 		{"testdata/src/metricowner/met", "metricowner.test/met", MetricOwner},
-		{"testdata/src/shardconfine/kernel", "shardconfine.test/kernel", ShardConfine},
 		{"testdata/src/spanbalance/spans", "spanbalance.test/spans", SpanBalance},
 		{"testdata/src/errtype/errs", "errtype.test/errs", ErrType},
 		{"testdata/src/deadwaiver/sweep", "deadwaiver.test/sweep", MapIter},

@@ -13,19 +13,18 @@ import (
 // harnesses may read the wall clock — they time the simulator, they do
 // not run inside it.
 var simPackages = map[string]bool{
-	"sim":       true,
-	"placement": true, // shard placement feeds the sharded kernel's staging
-	"simnet":    true,
-	"mpi":       true,
-	"ftpm":      true,
-	"ckpt":      true,
-	"chaos":     true,
-	"failure":   true,
-	"trace":     true,
-	"obs":       true,
-	"sweep":     true,
-	"span":      true,
-	"nas":       true, // application kernels run inside the simulation, FT snapshots included
+	"sim":     true,
+	"simnet":  true,
+	"mpi":     true,
+	"ftpm":    true,
+	"ckpt":    true,
+	"chaos":   true,
+	"failure": true,
+	"trace":   true,
+	"obs":     true,
+	"sweep":   true,
+	"span":    true,
+	"nas":     true, // application kernels run inside the simulation, FT snapshots included
 }
 
 // isSimPackage reports whether an import path names a simulation package.

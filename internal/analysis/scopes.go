@@ -7,10 +7,6 @@ import "path"
 // inside the simulation.  The v2 analyzers are narrower or differently
 // shaped, so each declares its own set of package base names:
 //
-//   - shardconfine guards the sharded kernel's staging path: the kernel
-//     itself, the placement that assigns LPs to shards, and the two
-//     layers that schedule work onto shards (simnet delivery, the mpi
-//     engine).  Protocol code above the engine never sees a shard.
 //   - spanbalance covers every package that emits Begin/End span events:
 //     the protocols, the checkpoint store hierarchy, the process manager
 //     (repair and restart windows), the mpi engine, the NAS kernels'
@@ -22,16 +18,9 @@ import "path"
 //     outside, so they may read the wall clock).
 //
 // Fixture packages opt in the same way the v1 fixtures do: the loader
-// assigns them synthetic import paths ("shardconfine.test/kernel") whose
+// assigns them synthetic import paths ("spanbalance.test/spans") whose
 // base name matches a scoped package.
 var analyzerScopes = map[string]map[string]bool{
-	"shardconfine": {
-		"sim":       true,
-		"placement": true,
-		"simnet":    true,
-		"mpi":       true,
-		"kernel":    true, // fixture base name
-	},
 	"spanbalance": {
 		"ftpm":   true,
 		"ckpt":   true,

@@ -89,7 +89,7 @@ func checkSpanUnit(pass *Pass, body *ast.BlockStmt) {
 		unitCloses[key] = true
 	}
 	var cfg *funcCFG
-	flow := analyzeFlow(pass.TypesInfo, body, pass.Markers)
+	flow := analyzeFlow(pass.TypesInfo, body)
 	for _, open := range opens {
 		if deferred[open.family] || nested[open.family] {
 			continue

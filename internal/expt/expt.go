@@ -45,10 +45,6 @@ type Options struct {
 	// this accumulator — deterministically in point order, like Metrics,
 	// so the merged breakdown is byte-identical for any Jobs value.
 	Attrib *span.Attribution
-	// Shards runs every simulation on a sharded kernel (ftpm
-	// Config.Shards); 0 or 1 keeps the sequential kernel.  Outputs are
-	// byte-identical either way.
-	Shards int
 
 	// point labels the sweep point a run belongs to ("fig6 interval=10s
 	// np=64"), for deadline/error reporting; set by runSweep.
@@ -143,9 +139,6 @@ func (o Options) run(cfg ftpm.Config) (ftpm.Result, error) {
 	cfg.Deadline = o.deadline()
 	cfg.Metrics = o.Metrics
 	cfg.Attrib = o.Attrib != nil
-	if cfg.Shards == 0 {
-		cfg.Shards = o.Shards
-	}
 	res, err := ftpm.Run(cfg)
 	if o.Attrib != nil && res.Attribution != nil {
 		o.Attrib.Merge(res.Attribution)
@@ -159,15 +152,8 @@ func (o Options) run(cfg ftpm.Config) (ftpm.Result, error) {
 		if proto == "" {
 			proto = ftpm.ProtoNone
 		}
-		// The effective shard count is part of the point's identity: a
-		// deadline hit only at Shards>1 is a sharded-kernel bug (window
-		// or lookahead), not a protocol regression.
-		shards := cfg.Shards
-		if shards < 1 {
-			shards = 1
-		}
-		return res, fmt.Errorf("%s (np=%d proto=%s interval=%v shards=%d): %w",
-			point, cfg.NP, proto, cfg.Interval, shards, err)
+		return res, fmt.Errorf("%s (np=%d proto=%s interval=%v): %w",
+			point, cfg.NP, proto, cfg.Interval, err)
 	}
 	return res, nil
 }

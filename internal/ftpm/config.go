@@ -157,12 +157,6 @@ type Config struct {
 	// VclProcessLimit overrides the Vcl dispatcher's select() limit;
 	// -1 removes it (what-if studies), 0 means the default.
 	VclProcessLimit int
-	// Shards partitions the event kernel into that many conservatively
-	// synchronized shards (sim.Kernel.SetShards), each staging its ranks'
-	// events on its own goroutine with the platform's minimum link
-	// latency as lookahead.  0 or 1 runs the sequential kernel (the
-	// default).  Output is byte-identical for every shard count.
-	Shards int
 	// Seed feeds the deterministic kernel.
 	Seed int64
 	// Trace, when set, receives runtime progress lines (the legacy
@@ -361,9 +355,6 @@ func (c *Config) Validate() error {
 	}
 	if c.FTEvery < 0 {
 		return cfgErr("FTEvery", "must be non-negative, got %d", c.FTEvery)
-	}
-	if c.Shards < 0 {
-		return cfgErr("Shards", "must be non-negative, got %d", c.Shards)
 	}
 	if c.Placement == nil {
 		computeNodes := (c.NP + c.ProcsPerNode - 1) / c.ProcsPerNode

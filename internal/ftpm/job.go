@@ -13,7 +13,6 @@ import (
 	"ftckpt/internal/mpi"
 	"ftckpt/internal/obs"
 	"ftckpt/internal/sim"
-	"ftckpt/internal/sim/placement"
 	"ftckpt/internal/simnet"
 	"ftckpt/internal/span"
 	"ftckpt/internal/trace"
@@ -120,19 +119,6 @@ func NewJob(cfg Config) (*Job, error) {
 	job.hub = obs.NewHub(append(sinks, cfg.Sink, text)...)
 	job.net = simnet.New(job.k, cfg.Topology)
 	job.net.SetMetrics(job.met)
-	if cfg.Shards > 1 {
-		// Shard the kernel before anything schedules events or spawns
-		// LPs: node-blocked placement keeps a rank's timers and inbound
-		// deliveries staged by the same worker, and the platform's
-		// minimum link latency bounds the conservative window.  None of
-		// this changes output — dispatch stays in (time, seq) order.
-		job.k.SetShards(cfg.Shards)
-		job.k.SetLookahead(job.net.Lookahead())
-		totalNodes := cfg.Topology.TotalNodes()
-		job.net.SetShardOf(func(node int) int {
-			return placement.Block(node, totalNodes, cfg.Shards)
-		})
-	}
 	job.fab = mpi.NewFabric(job.net)
 	job.fab.SetMetrics(job.met)
 	job.computeNodes = (cfg.NP + cfg.ProcsPerNode - 1) / cfg.ProcsPerNode
@@ -247,11 +233,7 @@ func (job *Job) Run() (Result, error) {
 	}
 	if job.cfg.Deadline > 0 {
 		job.k.At(job.cfg.Deadline, func() {
-			// Naming the effective shard count distinguishes a sharded-
-			// kernel deadlock (a lookahead/window bug) from a protocol
-			// regression when a sweep times out in CI logs.
-			job.k.Stop(fmt.Errorf("ftpm: deadline %v exceeded (shards=%d)",
-				job.cfg.Deadline, job.k.NumShards()))
+			job.k.Stop(fmt.Errorf("ftpm: deadline %v exceeded", job.cfg.Deadline))
 		})
 	}
 	if job.cfg.HeartbeatPeriod > 0 {
@@ -701,10 +683,7 @@ func (job *Job) startSchedulers() {
 func (job *Job) spawn(rank int, img *ckpt.Image, logs []*mpi.Packet) {
 	pr := &procRun{job: job, rank: rank, node: job.nodeOfRank(rank), gen: job.gen, img: img, replay: logs}
 	job.procs[rank] = pr
-	p := job.k.Go(fmt.Sprintf("g%d.rank%d", job.gen, rank), pr.body)
-	if job.cfg.Shards > 1 {
-		p.SetShard(placement.Block(pr.node, job.cfg.Topology.TotalNodes(), job.cfg.Shards))
-	}
+	job.k.Go(fmt.Sprintf("g%d.rank%d", job.gen, rank), pr.body)
 }
 
 func (job *Job) newProtocol(pr *procRun) core.Protocol {

@@ -6,7 +6,6 @@ import (
 	"ftckpt/internal/mpi"
 	"ftckpt/internal/obs"
 	"ftckpt/internal/sim"
-	"ftckpt/internal/sim/placement"
 )
 
 // In-job (ULFM-style) recovery: instead of killing the whole job and
@@ -333,10 +332,7 @@ func (job *Job) repairSplice(repGen int) {
 func (job *Job) spawnRepair(rank int, blob []byte) {
 	pr := &procRun{job: job, rank: rank, node: job.nodeOfRank(rank), gen: job.gen, ftBlob: blob}
 	job.procs[rank] = pr
-	p := job.k.Go(fmt.Sprintf("g%d.rank%d", job.gen, rank), pr.body)
-	if job.cfg.Shards > 1 {
-		p.SetShard(placement.Block(pr.node, job.cfg.Topology.TotalNodes(), job.cfg.Shards))
-	}
+	job.k.Go(fmt.Sprintf("g%d.rank%d", job.gen, rank), pr.body)
 }
 
 // abortRepair abandons an open repair window and falls back to the

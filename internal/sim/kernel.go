@@ -60,7 +60,6 @@ type Proc struct {
 	name   string
 	wake   chan struct{}
 	state  procState
-	shard  int32 // staging shard for the LP's timers and scheduled events
 	daemon bool
 	killed error // poison: delivered at the next kernel call
 }
@@ -91,12 +90,6 @@ type eventSlot struct {
 	// lane marks the head-of-line slot of a Lane: arg holds the *Lane and
 	// the slot is re-keyed, not freed, while the lane has more entries.
 	lane bool
-	// Sharded mode only: shard is the staging owner, staged reports that
-	// the slot has left its shard's heap/inbox and now lives in a staged
-	// run or the executor's overflow heap (so Cancel must not touch the
-	// shard's dead counter).
-	shard  int32
-	staged bool
 	// Exactly one of the payload forms is set: fn (closure callback),
 	// argFn+arg (closure-free callback), proc (wake the LP), or lane+arg.
 	fn    func()
@@ -134,22 +127,6 @@ type Kernel struct {
 	stopErr error
 	started bool
 	rng     *rand.Rand
-
-	// Sharded mode (SetShards > 1).  The sequential fields above stay
-	// untouched when sharding is on: events live in per-shard heaps
-	// staged by worker goroutines, and the executor dispatches them in
-	// the global (t, seq) order.  See shard.go.
-	nshards   int
-	shards    []*shard
-	lookahead Time
-	curShard  int32   // shard context of the running event/LP
-	inboxMin  []Time  // earliest pending time per shard inbox
-	ov        []int32 // overflow heap: events scheduled inside the open window
-	inWindow  bool
-	windowEnd Time
-	// Trace, when non-nil, receives a line for every LP wake and event
-	// dispatch.  Intended for debugging; off by default.
-	Trace func(t Time, format string, args ...any)
 }
 
 // New returns a kernel whose deterministic random source is seeded with
@@ -172,15 +149,14 @@ func (k *Kernel) Now() Time { return k.now }
 
 // Stats are the kernel's own counters: how much queue work a run cost, as
 // opposed to what it simulated.  They are plain counts, so a (program,
-// seed) pair always reports the same values on a sequential kernel.
+// seed) pair always reports the same values.
 type Stats struct {
 	// Scheduled counts events entered (At/After/AtArg, LP timers and lane
 	// appends), Fired the callbacks and LP wakes dispatched, Cancelled the
 	// successful Cancel calls.
 	Scheduled, Fired, Cancelled uint64
 	// HeapMax is the deepest the event heap got and SlabMax the most
-	// event slots ever allocated.  On a sharded kernel HeapMax is the sum
-	// of the per-shard maxima, an upper bound.
+	// event slots ever allocated.
 	HeapMax, SlabMax int
 	// LaneMax is the most entries queued across all lanes at once.
 	LaneMax int
@@ -189,7 +165,7 @@ type Stats struct {
 // Stats reports the kernel's counters so far.  Call it after Run, or from
 // an LP or event callback.
 func (k *Kernel) Stats() Stats {
-	st := Stats{
+	return Stats{
 		Scheduled: k.seq,
 		Fired:     k.fired,
 		Cancelled: k.cancelled,
@@ -197,10 +173,6 @@ func (k *Kernel) Stats() Stats {
 		SlabMax:   len(k.slab),
 		LaneMax:   k.lanedMax,
 	}
-	for _, sh := range k.shards {
-		st.HeapMax += sh.heapMax
-	}
-	return st
 }
 
 // EventID identifies a scheduled event for cancellation.  It packs the
@@ -300,11 +272,8 @@ func (k *Kernel) compactHeap() {
 	k.dead = 0
 }
 
-// schedule inserts one event, reusing a free slot when available.  owner
-// is the explicit staging shard for the event, or -1 to inherit it from
-// the scheduling context (the waking proc's shard, else the shard of the
-// event/LP currently executing); it is ignored by a sequential kernel.
-func (k *Kernel) schedule(t Time, fn func(), argFn func(any), arg any, proc *Proc, owner int32) EventID {
+// schedule inserts one event, reusing a free slot when available.
+func (k *Kernel) schedule(t Time, fn func(), argFn func(any), arg any, proc *Proc) EventID {
 	if t < k.now {
 		t = k.now
 	}
@@ -313,19 +282,7 @@ func (k *Kernel) schedule(t Time, fn func(), argFn func(any), arg any, proc *Pro
 	s := &k.slab[idx]
 	s.t, s.seq, s.live = t, k.seq, true
 	s.fn, s.argFn, s.arg, s.proc = fn, argFn, arg, proc
-	if k.nshards > 1 {
-		if owner < 0 {
-			owner = k.curShard
-			if proc != nil {
-				owner = proc.shard
-			}
-		} else if owner >= int32(k.nshards) {
-			owner %= int32(k.nshards)
-		}
-		k.routeSlot(idx, owner)
-	} else {
-		k.heapPush(idx)
-	}
+	k.heapPush(idx)
 	return makeEventID(idx, s.gen)
 }
 
@@ -348,7 +305,6 @@ func (k *Kernel) freeSlot(idx int32) {
 	s.gen++
 	s.live = false
 	s.lane = false
-	s.staged = false
 	s.fn, s.argFn, s.arg, s.proc = nil, nil, nil, nil
 	if s.gen == 0 {
 		// The generation counter wrapped: an EventID issued 2^32 lives
@@ -364,7 +320,7 @@ func (k *Kernel) freeSlot(idx int32) {
 // At schedules fn to run as an event callback at virtual time t.  If t is
 // in the past it runs at the current time, after already-pending work.
 func (k *Kernel) At(t Time, fn func()) EventID {
-	return k.schedule(t, fn, nil, nil, nil, -1)
+	return k.schedule(t, fn, nil, nil, nil)
 }
 
 // After schedules fn to run d from now.
@@ -372,14 +328,14 @@ func (k *Kernel) After(d Time, fn func()) EventID {
 	if d < 0 {
 		d = 0
 	}
-	return k.schedule(k.now+d, fn, nil, nil, nil, -1)
+	return k.schedule(k.now+d, fn, nil, nil, nil)
 }
 
 // AtArg schedules fn(arg) at virtual time t.  Passing the argument
 // explicitly lets hot paths share one callback func instead of allocating
 // a closure per event.
 func (k *Kernel) AtArg(t Time, fn func(any), arg any) EventID {
-	return k.schedule(t, nil, fn, arg, nil, -1)
+	return k.schedule(t, nil, fn, arg, nil)
 }
 
 // AfterArg schedules fn(arg) to run d from now.
@@ -387,19 +343,7 @@ func (k *Kernel) AfterArg(d Time, fn func(any), arg any) EventID {
 	if d < 0 {
 		d = 0
 	}
-	return k.schedule(k.now+d, nil, fn, arg, nil, -1)
-}
-
-// AtArgOn schedules fn(arg) at t with an explicit staging shard.  The
-// hint only decides which shard worker stages the event — dispatch order
-// is the global (time, seq) total order regardless — so a poor hint costs
-// locality, never determinism.  Out-of-range shards wrap; a sequential
-// kernel ignores the hint entirely.
-func (k *Kernel) AtArgOn(shard int, t Time, fn func(any), arg any) EventID {
-	if shard < 0 {
-		shard = 0
-	}
-	return k.schedule(t, nil, fn, arg, nil, int32(shard))
+	return k.schedule(k.now+d, nil, fn, arg, nil)
 }
 
 // Cancel revokes a pending event.  Cancelling an event that already fired
@@ -417,16 +361,6 @@ func (k *Kernel) Cancel(id EventID) bool {
 	s.live = false
 	s.fn, s.argFn, s.arg, s.proc = nil, nil, nil, nil
 	k.cancelled++
-	if k.nshards > 1 {
-		// Slots still owned by a shard (heap or inbox) count toward that
-		// shard's dead total so its worker knows when to compact; staged
-		// slots are already en route to dispatch, which skips and frees
-		// dead slots itself.
-		if !s.staged {
-			k.shards[s.shard].noteDead()
-		}
-		return true
-	}
 	k.dead++
 	if k.dead > 64 && k.dead > len(k.heap)/2 {
 		k.compactHeap()
@@ -439,11 +373,10 @@ func (k *Kernel) Cancel(id EventID) bool {
 // immediately but does not start executing until the scheduler selects it.
 func (k *Kernel) Go(name string, fn func(p *Proc)) *Proc {
 	p := &Proc{
-		k:     k,
-		id:    len(k.procs),
-		name:  name,
-		wake:  make(chan struct{}, 1),
-		shard: k.curShard, // inherit the spawner's shard; SetShard overrides
+		k:    k,
+		id:   len(k.procs),
+		name: name,
+		wake: make(chan struct{}, 1),
 	}
 	k.procs = append(k.procs, p)
 	k.live++
@@ -471,26 +404,6 @@ func (k *Kernel) Go(name string, fn func(p *Proc)) *Proc {
 	}()
 	return p
 }
-
-// SetShard pins the LP to a kernel shard: its wake timers and the events
-// it schedules are staged by that shard's worker.  Like ownership hints
-// generally, placement affects staging locality only, never the dispatch
-// order, so the choice cannot change simulation output.  Must be called
-// from the LP itself or before the LP has first run; out-of-range shards
-// wrap, and a sequential kernel ignores the call.
-func (p *Proc) SetShard(s int) {
-	n := p.k.nshards
-	if n <= 1 {
-		return
-	}
-	if s < 0 {
-		s = 0
-	}
-	p.shard = int32(s % n)
-}
-
-// Shard reports the LP's staging shard (0 on a sequential kernel).
-func (p *Proc) Shard() int { return int(p.shard) }
 
 // SetDaemon marks the LP as a daemon: the simulation may end while the LP
 // is still parked (servers, dispatchers).  Must be called from the LP
@@ -593,7 +506,7 @@ func (p *Proc) Advance(d Time) {
 	if d < 0 {
 		d = 0
 	}
-	id := p.k.schedule(p.k.now+d, nil, nil, nil, p, -1)
+	id := p.k.schedule(p.k.now+d, nil, nil, nil, p)
 	// If the LP is killed while parked, the timer would otherwise fire
 	// later and drag virtual time forward for a dead process.
 	defer p.k.Cancel(id)
@@ -639,10 +552,6 @@ var ErrDeadlock = errors.New("sim: deadlock")
 func (k *Kernel) runLP(p *Proc) {
 	p.state = stateRunning
 	k.running = p
-	k.curShard = p.shard
-	if k.Trace != nil {
-		k.Trace(k.now, "run %s", p.name)
-	}
 	p.wake <- struct{}{}
 	<-k.yield
 	k.running = nil
@@ -657,9 +566,6 @@ func (k *Kernel) Run() error {
 	}
 	k.started = true
 	defer k.cleanup()
-	if k.nshards > 1 {
-		return k.runSharded()
-	}
 	for !k.stopped {
 		switch {
 		case len(k.runq) > k.runqHead:
@@ -682,9 +588,6 @@ func (k *Kernel) Run() error {
 			}
 			k.now = s.t
 			k.fired++
-			if k.Trace != nil {
-				k.Trace(k.now, "event")
-			}
 			if s.lane {
 				k.fireLane(idx)
 				continue

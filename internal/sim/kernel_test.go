@@ -8,6 +8,7 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+	"unsafe"
 )
 
 func TestAdvanceOrdering(t *testing.T) {
@@ -346,5 +347,105 @@ func TestTraceMonotone(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestCancelChurn schedules/cancels heavy churn over a small slab with the
+// corpses concentrated at the heap head: long-lived anchor events hold the
+// tail while every round schedules a batch of earlier events and cancels
+// most of them.  It fails on a stale-EventID double-fire, a cancelled event
+// firing, a lost event, or a heap that never compacts.
+func TestCancelChurn(t *testing.T) {
+	k := New(7)
+	const (
+		rounds = 200
+		batch  = 64
+	)
+	fireCount := map[int]int{}
+	cancelled := map[int]bool{}
+	fire := func(a any) { fireCount[a.(int)]++ }
+	next := 0
+	maxPending := 0
+	k.Go("churn", func(p *Proc) {
+		for i := 0; i < batch; i++ {
+			k.AfterArg(time.Hour+Time(i)*time.Second, fire, next) // anchors
+			next++
+		}
+		ids := make([]EventID, 0, batch)
+		tags := make([]int, 0, batch)
+		for r := 0; r < rounds; r++ {
+			ids, tags = ids[:0], tags[:0]
+			for i := 0; i < batch; i++ {
+				ids = append(ids, k.AfterArg(Time(i+1)*time.Millisecond, fire, next))
+				tags = append(tags, next)
+				next++
+			}
+			// All earlier than the anchors, so the dead slots pile up at
+			// the heap head.
+			for i := 0; i < batch*9/10; i++ {
+				if k.Cancel(ids[i]) {
+					cancelled[tags[i]] = true
+				}
+			}
+			if n := len(k.heap); n > maxPending {
+				maxPending = n
+			}
+			p.Advance(100 * time.Millisecond)
+		}
+		p.Advance(2 * time.Hour) // anchors fire
+	})
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	for tag := 0; tag < next; tag++ {
+		switch n := fireCount[tag]; {
+		case cancelled[tag] && n != 0:
+			t.Fatalf("cancelled event %d fired %d times", tag, n)
+		case !cancelled[tag] && n != 1:
+			t.Fatalf("event %d fired %d times, want 1", tag, n)
+		}
+	}
+	// Live population never exceeds ~2*batch (anchors + one round), so a
+	// compacting heap stays O(batch); a never-compacting one would retain
+	// rounds*batch*9/10 ≈ 11k corpses.
+	if maxPending > 16*batch {
+		t.Fatalf("pending events peaked at %d — compaction never ran", maxPending)
+	}
+}
+
+// TestGenWraparoundRetiresSlot pins the ABA fix: when a slot's generation
+// counter wraps to zero the slot must be retired, never recycled, so an
+// EventID from 2^32 lives ago cannot cancel (or double-fire through) a
+// future occupant.
+func TestGenWraparoundRetiresSlot(t *testing.T) {
+	k := New(1)
+	fired := false
+	id := k.After(0, func() { fired = true })
+	idx, _ := id.split()
+	k.slab[idx].gen = ^uint32(0) // as if recycled 2^32-1 times
+	stale := makeEventID(idx, ^uint32(0))
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if !fired {
+		t.Fatal("event did not fire")
+	}
+	if k.slab[idx].gen != 0 {
+		t.Fatalf("gen = %d, want wrapped to 0", k.slab[idx].gen)
+	}
+	for _, f := range k.free {
+		if f == idx {
+			t.Fatal("wrapped slot returned to the free list")
+		}
+	}
+	if k.Cancel(stale) {
+		t.Fatal("stale EventID cancelled through a generation wrap")
+	}
+}
+
+// TestEventSlotSize pins the slab's stride: a slot is one cache line.
+func TestEventSlotSize(t *testing.T) {
+	if n := unsafe.Sizeof(eventSlot{}); n != 64 {
+		t.Fatalf("eventSlot is %d bytes, want 64", n)
 	}
 }

@@ -46,27 +46,16 @@ func (k *Kernel) NewLane(fn func(any)) *Lane {
 }
 
 // At schedules fn(arg) at virtual time t, like Kernel.AtArg.  An append
-// earlier than the lane's newest pending entry, or any append on a sharded
-// kernel, becomes an ordinary event: the lane is an optimisation for the
-// monotone case, never a constraint on the caller.
-func (l *Lane) At(t Time, arg any) { l.at(-1, t, arg) }
-
-// AtOn is At with an explicit staging shard, like Kernel.AtArgOn.  The
-// hint matters only on a sharded kernel.
-func (l *Lane) AtOn(shard int, t Time, arg any) {
-	if shard < 0 {
-		shard = 0
-	}
-	l.at(int32(shard), t, arg)
-}
-
-func (l *Lane) at(owner int32, t Time, arg any) {
+// earlier than the lane's newest pending entry becomes an ordinary event:
+// the lane is an optimisation for the monotone case, never a constraint on
+// the caller.
+func (l *Lane) At(t Time, arg any) {
 	k := l.k
 	if t < k.now {
 		t = k.now
 	}
-	if k.nshards > 1 || (l.n > 0 && t < l.tail) {
-		k.schedule(t, nil, l.fn, arg, nil, owner)
+	if l.n > 0 && t < l.tail {
+		k.schedule(t, nil, l.fn, arg, nil)
 		return
 	}
 	k.seq++
@@ -127,23 +116,4 @@ func (k *Kernel) fireLane(idx int32) {
 		k.freeSlot(idx)
 	}
 	l.fn(e.arg)
-}
-
-// unlane turns the lane whose head slot is idx into ordinary events on
-// shard 0, one slot per entry with its (t, seq) key kept.  SetShards uses
-// it: a sharded kernel stages every event through a shard, so lanes stay
-// empty there.
-func (k *Kernel) unlane(idx int32) {
-	l := k.slab[idx].arg.(*Lane)
-	for {
-		e := l.pop()
-		s := &k.slab[idx]
-		s.t, s.seq, s.live, s.lane = e.t, e.seq, true, false
-		s.argFn, s.arg = l.fn, e.arg
-		k.routeSlot(idx, 0)
-		if l.n == 0 {
-			return
-		}
-		idx = k.allocSlot()
-	}
 }

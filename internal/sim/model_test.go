@@ -2,10 +2,11 @@ package sim
 
 // Model-based test of the kernel's one contract: callbacks and LP wakes
 // are dispatched in (t, seq) order, where seq is the order of scheduling.
-// Random programs of At/After/AtArg/Cancel/Kill/Lane.At run against the
-// real kernel (sequential, sharded, and sharded after events are already
-// queued) and against a reference that keeps every pending event in one
-// sorted slice; the two dispatch logs must match record for record.
+// Programs of At/After/AtArg/Cancel/Kill/Lane.At run against the real
+// kernel and against a reference that keeps every pending event in one
+// sorted slice; the two dispatch logs must match record for record.  The
+// programs come from a seed (TestKernelMatchesSortedSliceModel) or from
+// fuzzer-chosen bytes (FuzzKernelModel, corpus under testdata/fuzz).
 
 import (
 	"fmt"
@@ -25,7 +26,7 @@ const (
 type modelOps interface {
 	now() Time
 	schedule(kind int, t Time, id int) // kind 0 At, 1 After, 2 AtArg
-	laneAt(lane, shard int, t Time, id int)
+	laneAt(lane int, t Time, id int)
 	cancel(id int)
 	kill(lp int)
 }
@@ -38,11 +39,31 @@ type modelRec struct {
 	t    Time
 }
 
-// modelProg is a random program.  Everything it decides derives from seed
-// and the id of the firing event, so two machines that dispatch in the
-// same order see the same program, and a divergence stays local.
+// modelDraw is a stream of decisions: *rand.Rand or bytes.
+type modelDraw interface{ Intn(n int) int }
+
+// byteDraw reads decisions from data, one byte each, wrapping at the end.
+type byteDraw struct {
+	data []byte
+	pos  int
+}
+
+func (b *byteDraw) Intn(n int) int {
+	v := int(b.data[b.pos%len(b.data)])
+	b.pos++
+	return v % n
+}
+
+// modelBlock is how many bytes of a fuzz input belong to one decision
+// stream before it runs into the next one's.
+const modelBlock = 16
+
+// modelProg is a program.  Everything it decides derives from seed (or
+// data) and the id of the firing event, so two machines that dispatch in
+// the same order see the same program, and a divergence stays local.
 type modelProg struct {
 	seed        int64
+	data        []byte // when set, decisions come from here, not from seed
 	m           modelOps
 	budget      int
 	laneOf      []int // per event id: its lane, or -1
@@ -51,7 +72,14 @@ type modelProg struct {
 	log         []modelRec
 }
 
-func (p *modelProg) rng(salt int) *rand.Rand {
+// rng returns the decision stream for salt: -1 is setup, an event id its
+// firing, anything lower an LP delay.  With data, stream salt starts at
+// block salt+modelLPs*modelLPSteps+2, so every stream has a block of its
+// own in a long enough input.
+func (p *modelProg) rng(salt int) modelDraw {
+	if p.data != nil {
+		return &byteDraw{p.data, (salt + modelLPs*modelLPSteps + 2) * modelBlock}
+	}
 	return rand.New(rand.NewSource(p.seed*1_000_003 + int64(salt)))
 }
 
@@ -62,7 +90,7 @@ func (p *modelProg) newID(lane int) int {
 }
 
 // act performs n random operations; self is the lane of the firing event.
-func (p *modelProg) act(r *rand.Rand, n, self int) {
+func (p *modelProg) act(r modelDraw, n, self int) {
 	for i := 0; i < n; i++ {
 		switch op := r.Intn(20); {
 		case op < 6 && p.budget > 0:
@@ -82,7 +110,7 @@ func (p *modelProg) act(r *rand.Rand, n, self int) {
 			if t > p.laneTail[lane] {
 				p.laneTail[lane] = t
 			}
-			p.m.laneAt(lane, r.Intn(6)-1, t, p.newID(lane))
+			p.m.laneAt(lane, t, p.newID(lane))
 		case op < 19:
 			if len(p.cancellable) > 0 {
 				p.m.cancel(p.cancellable[r.Intn(len(p.cancellable))])
@@ -153,13 +181,7 @@ func (m *realMachine) schedule(kind int, t Time, id int) {
 	}
 }
 
-func (m *realMachine) laneAt(lane, shard int, t Time, id int) {
-	if shard < 0 {
-		m.lanes[lane].At(t, id)
-		return
-	}
-	m.lanes[lane].AtOn(shard, t, id)
-}
+func (m *realMachine) laneAt(lane int, t Time, id int) { m.lanes[lane].At(t, id) }
 
 func (m *realMachine) cancel(id int) { m.k.Cancel(m.ids[id]) }
 func (m *realMachine) kill(lp int)   { m.k.Kill(m.lps[lp], nil) }
@@ -210,9 +232,9 @@ func (m *refMachine) remove(id int, lp bool) {
 	}
 }
 
-func (m *refMachine) schedule(_ int, t Time, id int)  { m.add(t, id, false) }
-func (m *refMachine) laneAt(_, _ int, t Time, id int) { m.add(t, id, false) }
-func (m *refMachine) cancel(id int)                   { m.remove(id, false) }
+func (m *refMachine) schedule(_ int, t Time, id int) { m.add(t, id, false) }
+func (m *refMachine) laneAt(_ int, t Time, id int)   { m.add(t, id, false) }
+func (m *refMachine) cancel(id int)                  { m.remove(id, false) }
 
 func (m *refMachine) kill(lp int) {
 	if !m.gone[lp] {
@@ -256,46 +278,54 @@ func (m *refMachine) run() {
 	}
 }
 
+// checkAgainstModel runs the program want describes on the reference and
+// an identical copy on the real kernel, and compares the dispatch logs and
+// the kernel's counters.  It returns how many records the program logged.
+func checkAgainstModel(t *testing.T, want *modelProg) int {
+	t.Helper()
+	got := &modelProg{seed: want.seed, data: want.data, budget: want.budget}
+	ref := &refMachine{p: want}
+	want.m = ref
+	want.setup()
+	ref.run()
+
+	m := newRealMachine(got)
+	got.setup()
+	if err := m.k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if len(got.log) != len(want.log) {
+		t.Errorf("kernel dispatched %d records, model %d", len(got.log), len(want.log))
+	}
+	for i := 0; i < len(got.log) && i < len(want.log); i++ {
+		if got.log[i] != want.log[i] {
+			t.Fatalf("dispatch %d differs: kernel %c%d at %v, model %c%d at %v", i,
+				got.log[i].what, got.log[i].id, got.log[i].t, want.log[i].what, want.log[i].id, want.log[i].t)
+		}
+	}
+	if st := m.k.Stats(); st.Scheduled != ref.seq || st.Fired != ref.fired {
+		t.Errorf("Stats scheduled %d fired %d, model %d and %d", st.Scheduled, st.Fired, ref.seq, ref.fired)
+	}
+	return len(want.log)
+}
+
 func TestKernelMatchesSortedSliceModel(t *testing.T) {
-	variants := []struct {
-		name  string
-		build func(m *realMachine)
-	}{
-		{"sequential", func(m *realMachine) { m.p.setup() }},
-		{"sharded", func(m *realMachine) { m.k.SetShards(4); m.k.SetLookahead(2); m.p.setup() }},
-		// Events and lane entries queued on the sequential kernel, then
-		// migrated into the shards.
-		{"sharded-late", func(m *realMachine) { m.p.setup(); m.k.SetShards(4); m.k.SetLookahead(2) }},
-	}
 	for seed := int64(1); seed <= 60; seed++ {
-		want := &modelProg{seed: seed, budget: modelBudget}
-		ref := &refMachine{p: want}
-		want.m = ref
-		want.setup()
-		ref.run()
-		if len(want.log) < modelBudget/2 {
-			t.Fatalf("seed %d: the program dispatched only %d records", seed, len(want.log))
-		}
-		for _, v := range variants {
-			got := &modelProg{seed: seed, budget: modelBudget}
-			m := newRealMachine(got)
-			v.build(m)
-			if err := m.k.Run(); err != nil {
-				t.Fatalf("seed %d %s: %v", seed, v.name, err)
+		t.Run(fmt.Sprint("seed", seed), func(t *testing.T) {
+			if n := checkAgainstModel(t, &modelProg{seed: seed, budget: modelBudget}); n < modelBudget/2 {
+				t.Fatalf("the program dispatched only %d records", n)
 			}
-			if len(got.log) != len(want.log) {
-				t.Errorf("seed %d %s: kernel dispatched %d records, model %d", seed, v.name, len(got.log), len(want.log))
-			}
-			for i := 0; i < len(got.log) && i < len(want.log); i++ {
-				if got.log[i] != want.log[i] {
-					t.Fatalf("seed %d %s: dispatch %d differs: kernel %c%d at %v, model %c%d at %v", seed, v.name, i,
-						got.log[i].what, got.log[i].id, got.log[i].t, want.log[i].what, want.log[i].id, want.log[i].t)
-				}
-			}
-			if st := m.k.Stats(); st.Scheduled != ref.seq || st.Fired != ref.fired {
-				t.Errorf("seed %d %s: Stats scheduled %d fired %d, model %d and %d",
-					seed, v.name, st.Scheduled, st.Fired, ref.seq, ref.fired)
-			}
-		}
+		})
 	}
+}
+
+// FuzzKernelModel is the same check with the program read from the fuzz
+// input: one byte per decision, modelBlock bytes per decision stream.
+func FuzzKernelModel(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		checkAgainstModel(t, &modelProg{data: data, budget: modelBudget})
+	})
 }

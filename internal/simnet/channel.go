@@ -130,7 +130,6 @@ func (c *Channel) start(m message) {
 	f := &Flow{
 		net:       n,
 		seq:       n.flowSeq,
-		dst:       c.dst,
 		remaining: float64(m.size),
 		size:      m.size,
 		last:      n.k.Now(),
@@ -179,7 +178,7 @@ func (c *Channel) startSmall(m message) {
 	if n.nodes[c.dst].cluster != node.cluster {
 		lane, lat = node.smallWan, n.topo.WanLatency
 	}
-	n.deliverOn(lane, c.dst, ready+lat, sm)
+	lane.At(ready+lat, sm)
 }
 
 // smallNext fires when a fast-path message clears the transmit horizon:

@@ -120,7 +120,6 @@ const maxPathRes = 4
 type Flow struct {
 	net       *Network
 	seq       uint64 // creation order, for deterministic rescheduling
-	dst       int    // destination node, for delivery-event shard placement
 	res       [maxPathRes]*resource
 	nres      int
 	cap       Rate    // per-flow rate ceiling (WAN), 0 = none
@@ -161,11 +160,6 @@ type Network struct {
 	// met, when set, mirrors delivery statistics into the observability
 	// registry ("net.flows", "net.bytes_moved"); nil-safe.
 	met *obs.Metrics
-
-	// shardOf, when set, maps a node to its kernel shard so delivery
-	// events can be staged by the receiver's shard worker (see
-	// SetShardOf); nil schedules deliveries in the sender's context.
-	shardOf func(node int) int
 
 	// BytesMoved and FlowsDone accumulate delivery statistics.
 	BytesMoved Bytes
@@ -214,54 +208,6 @@ func (n *Network) Kernel() *sim.Kernel { return n.k }
 // SetMetrics attaches the observability registry delivery statistics are
 // mirrored into (nil disables).
 func (n *Network) SetMetrics(m *obs.Metrics) { n.met = m }
-
-// SetShardOf installs the node→shard placement used to stage delivery
-// events on the receiving node's shard when the kernel is sharded.  Like
-// every ownership hint, it tunes staging locality only — dispatch follows
-// the global (time, seq) order — so the mapping can never change
-// simulation output.  nil (the default) leaves deliveries in the sender's
-// scheduling context.
-func (n *Network) SetShardOf(f func(node int) int) { n.shardOf = f }
-
-// deliverAt schedules a delivery callback at t, staged on the destination
-// node's shard when a placement is installed.
-func (n *Network) deliverAt(dst int, t sim.Time, fn func(any), arg any) {
-	if n.shardOf != nil {
-		n.k.AtArgOn(n.shardOf(dst), t, fn, arg)
-		return
-	}
-	n.k.AtArg(t, fn, arg)
-}
-
-// deliverOn is deliverAt through a lane.
-func (n *Network) deliverOn(l *sim.Lane, dst int, t sim.Time, arg any) {
-	if n.shardOf != nil {
-		l.AtOn(n.shardOf(dst), t, arg)
-		return
-	}
-	l.At(t, arg)
-}
-
-// Lookahead returns the platform's conservative-parallel lookahead: the
-// minimum one-way link latency, which bounds how far apart in virtual
-// time two nodes can causally affect each other.  The sharded kernel uses
-// it to size its synchronization windows (sim.Kernel.SetLookahead); the
-// value affects staging batch sizes only, never simulation output.
-func (n *Network) Lookahead() sim.Time {
-	la := sim.Time(math.MaxInt64)
-	for _, c := range n.topo.Clusters {
-		if c.Latency < la {
-			la = c.Latency
-		}
-	}
-	if len(n.topo.Clusters) > 1 && n.topo.WanLatency < la {
-		la = n.topo.WanLatency
-	}
-	if la == sim.Time(math.MaxInt64) || la < 0 {
-		la = 0
-	}
-	return la
-}
 
 // NumNodes returns the number of nodes in the platform.
 func (n *Network) NumNodes() int { return len(n.nodes) }
@@ -327,7 +273,6 @@ func (n *Network) StartFlowCapped(src, dst int, size Bytes, cap Rate, onDone fun
 	f := &Flow{
 		net:       n,
 		seq:       n.flowSeq,
-		dst:       dst,
 		cap:       cap,
 		remaining: float64(size),
 		size:      size,
@@ -474,7 +419,7 @@ func (f *Flow) transferComplete() {
 		f.net.detach(f)
 		f.net.reschedule()
 	}
-	f.net.deliverAt(f.dst, f.net.k.Now()+f.latency, deliverFlow, f)
+	f.net.k.AtArg(f.net.k.Now()+f.latency, deliverFlow, f)
 	if f.ch != nil {
 		// The channel's next message may start transmitting as soon as
 		// this one clears the bottleneck.

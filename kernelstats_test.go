@@ -28,3 +28,24 @@ func TestHeapHighWaterBounded(t *testing.T) {
 		})
 	}
 }
+
+// TestShardsOptionIgnored pins the deprecated Options.Shards as a no-op:
+// any value gives the same Report and the same kernel counters.
+func TestShardsOptionIgnored(t *testing.T) {
+	o := storageGolden()
+	run := func(n int) (Report, KernelStats) {
+		o.Shards = n
+		rep, st, err := RunKernelStats(o)
+		if err != nil {
+			t.Fatalf("%d: %v", n, err)
+		}
+		rep.Metrics = nil
+		return rep, st
+	}
+	rep0, st0 := run(0)
+	for _, n := range []int{2, 7} {
+		if rep, st := run(n); rep != rep0 || st != st0 {
+			t.Errorf("%d changed the run:\n  got  %+v %+v\n  want %+v %+v", n, rep, st, rep0, st0)
+		}
+	}
+}

@@ -282,13 +282,10 @@ type Options struct {
 	Spares int
 	// Seed drives the deterministic simulation.
 	Seed int64
-	// Shards partitions the simulation kernel into that many
-	// conservatively synchronized shards, each staging its ranks' events
-	// on its own goroutine (time-window synchronization with the
-	// platform's minimum link latency as lookahead).  0 (the default) or
-	// 1 runs the sequential kernel.  For any fixed Seed the Report,
-	// metrics, traces and attribution are byte-identical at every shard
-	// count — sharding only spreads the event-queue work across cores.
+	// Shards does nothing.
+	//
+	// Deprecated: ignored; the simulator runs one event queue, use Sweep
+	// (ftrun/figures -jobs) for parallelism.
 	Shards int
 	// Failures schedules component kills (KillRank, KillNode, KillServer,
 	// KillBuffer, KillPFS); MTTF adds memoryless rank failures, ServerMTTF and
