@@ -13,24 +13,18 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"log"
 	"os"
 	"path/filepath"
 	"runtime"
 	"text/tabwriter"
-	"time"
 
 	"ftckpt"
 	"ftckpt/internal/expt"
 	"ftckpt/internal/span"
 )
-
-// out receives every table; -bench-sweep redirects it to io.Discard.
-var out io.Writer = os.Stdout
 
 func main() {
 	log.SetFlags(0)
@@ -42,24 +36,15 @@ func main() {
 		jobs   = flag.Int("jobs", runtime.NumCPU(), "concurrent sweep points per figure (1 = sequential; output is identical either way)")
 		metDir = flag.String("metrics-dir", "", "also write each figure's aggregated metrics as <dir>/fig<N>.metrics.json")
 		attrib = flag.Bool("attrib", false, "trace causal spans and append each figure's merged per-phase overhead attribution")
-		bench  = flag.String("bench-sweep", "", "time the selected figures sequentially and at -jobs, write the wall-clock baseline JSON to this file (suppresses tables)")
-		core   = flag.String("bench-core", "", "measure the hot-path core benchmarks (kernel events + one run per protocol and size) and write the JSON document to this file")
-		coreNP = flag.Int("bench-core-np", 1024, "largest NP measured by -bench-core")
-		check  = flag.String("bench-core-check", "", "re-measure the core smoke subset and fail if allocations regress >25% vs this committed BENCH_core.json")
 	)
 	flag.Parse()
-
-	if *core != "" {
-		if err := benchCore(*core, *coreNP); err != nil {
-			fail(err)
-		}
-		return
+	// The flag package stops at the first non-flag word: `figures 5` (a
+	// forgotten -fig) would otherwise regenerate every figure.
+	if flag.NArg() > 0 {
+		usageError(fmt.Errorf("unexpected argument %q (select a figure with -fig)", flag.Arg(0)))
 	}
-	if *check != "" {
-		if err := benchCoreCheck(*check); err != nil {
-			fail(err)
-		}
-		return
+	if *jobs < 0 {
+		usageError(fmt.Errorf("-jobs %d: must be >= 0 (0 = one per CPU)", *jobs))
 	}
 
 	o := expt.Options{Quick: *quick, Seed: *seed, Jobs: *jobs}
@@ -68,12 +53,12 @@ func main() {
 	}
 
 	runners := map[string]func(expt.Options) error{
-		"5":       fig5,
-		"6":       fig6,
-		"7":       fig7,
-		"8":       fig8,
-		"9":       fig9,
-		"10":      fig10,
+		"5":        fig5,
+		"6":        fig6,
+		"7":        fig7,
+		"8":        fig8,
+		"9":        fig9,
+		"10":       fig10,
 		"netpipe":  netpipe,
 		"recovery": recovery,
 		"storage":  storage,
@@ -85,16 +70,9 @@ func main() {
 		names = order
 	} else {
 		if _, ok := runners[*fig]; !ok {
-			fail(fmt.Errorf("unknown figure %q", *fig))
+			usageError(fmt.Errorf("-fig %q: unknown figure", *fig))
 		}
 		names = []string{*fig}
-	}
-
-	if *bench != "" {
-		if err := benchSweep(*bench, names, runners, o); err != nil {
-			fail(err)
-		}
-		return
 	}
 
 	// runOne regenerates one figure; with -metrics-dir every run of the
@@ -118,8 +96,8 @@ func main() {
 			if err := o.Attrib.Check(); err != nil {
 				return fmt.Errorf("fig %s attribution conservation: %w", name, err)
 			}
-			fmt.Fprintf(out, "\n-- overhead attribution, merged across the figure's sweep points --\n")
-			if err := o.Attrib.WriteTable(out); err != nil {
+			fmt.Printf("\n-- overhead attribution, merged across the figure's sweep points --\n")
+			if err := o.Attrib.WriteTable(os.Stdout); err != nil {
 				return err
 			}
 		}
@@ -132,7 +110,7 @@ func main() {
 		}
 		path, err := writeMetrics(*metDir, base, o.Metrics)
 		if err == nil {
-			fmt.Fprintf(out, "metrics: %s\n", path)
+			fmt.Printf("metrics: %s\n", path)
 		}
 		return err
 	}
@@ -171,78 +149,22 @@ func writeMetrics(dir, base string, m *ftckpt.Metrics) (string, error) {
 	return path, nil
 }
 
-// benchSweep times the selected figures twice — sequentially and with the
-// configured job count — and records the wall-clock baseline as JSON (the
-// repo's BENCH_sweep.json trajectory).
-func benchSweep(path string, names []string, runners map[string]func(expt.Options) error, o expt.Options) error {
-	out = io.Discard
-	o.Metrics = nil
-	run := func(jobs int) (time.Duration, error) {
-		po := o
-		po.Jobs = jobs
-		start := time.Now()
-		for _, name := range names {
-			if err := runners[name](po); err != nil {
-				return 0, err
-			}
-		}
-		return time.Since(start), nil
-	}
-	seq, err := run(1)
-	if err != nil {
-		return err
-	}
-	parJobs := o.Jobs
-	if parJobs <= 1 {
-		parJobs = runtime.NumCPU()
-	}
-	par, err := run(parJobs)
-	if err != nil {
-		return err
-	}
-	doc := struct {
-		Cmd       string   `json:"cmd"`
-		Figures   []string `json:"figures"`
-		Quick     bool     `json:"quick"`
-		Seed      int64    `json:"seed"`
-		CPUs      int      `json:"cpus"`
-		JobsSeq   int      `json:"jobs_sequential"`
-		WallSeqMS float64  `json:"wall_sequential_ms"`
-		JobsPar   int      `json:"jobs_parallel"`
-		WallParMS float64  `json:"wall_parallel_ms"`
-		Speedup   float64  `json:"speedup"`
-	}{
-		Cmd: "figures -bench-sweep", Figures: names, Quick: o.Quick, Seed: o.Seed,
-		CPUs: runtime.NumCPU(), JobsSeq: 1, WallSeqMS: float64(seq.Milliseconds()),
-		JobsPar: parJobs, WallParMS: float64(par.Milliseconds()),
-		Speedup: float64(seq) / float64(par),
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	err = enc.Encode(doc)
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err == nil {
-		fmt.Fprintf(os.Stderr, "figures: sweep baseline %s: seq=%v jobs=%d par=%v speedup=%.2fx\n",
-			path, seq.Round(time.Millisecond), parJobs, par.Round(time.Millisecond), doc.Speedup)
-	}
-	return err
-}
-
 func fail(err error) {
 	fmt.Fprintln(os.Stderr, "figures:", err)
 	os.Exit(1)
 }
 
+// usageError reports a bad command line: exit 2, like the flag package
+// and ftrun, before any simulation starts.
+func usageError(err error) {
+	fmt.Fprintln(os.Stderr, "figures:", err)
+	os.Exit(2)
+}
+
 func table(header string) (*tabwriter.Writer, func()) {
-	fmt.Fprintln(out)
-	fmt.Fprintln(out, header)
-	w := tabwriter.NewWriter(out, 2, 4, 2, ' ', 0)
+	fmt.Println()
+	fmt.Println(header)
+	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
 	return w, func() { w.Flush() }
 }
 

@@ -27,8 +27,7 @@
 //	      -storage-levels buffer,servers:2x2,pfs:4x2 -incremental -compress
 //
 // -cpuprofile and -memprofile write runtime/pprof profiles of the run and
-// -allocs prints its allocation statistics — the knobs behind the numbers
-// recorded in BENCH_core.json.
+// -allocs prints its allocation statistics.
 package main
 
 import (
@@ -98,6 +97,12 @@ func main() {
 	)
 	flag.Usage = usage
 	flag.Parse()
+	if flag.NArg() > 0 {
+		// The flag package stops at the first non-flag word, so everything
+		// after it would be silently dropped.
+		fmt.Fprintf(os.Stderr, "ftrun: unexpected argument %q (every option is a flag)\n", flag.Arg(0))
+		os.Exit(2)
+	}
 
 	o := ftckpt.Options{
 		Workload:     ftckpt.Workload(*bench),
@@ -358,7 +363,7 @@ func runChaos(o ftckpt.Options, sp ftckpt.ChaosSpec, explain bool, explOut strin
 // that finalizes them once the run is over.  The CPU profile covers the
 // whole run; the heap profile is taken after a final GC so it shows what
 // the run left live, and -allocs prints cumulative allocation counters
-// (the number CI's bench-core gate tracks) without any profile file.
+// (the number TestAllocCeilings bounds) without any profile file.
 func startProfiling(cpuPath, memPath string, allocStats bool) func() {
 	var m0 runtime.MemStats
 	if allocStats {

@@ -99,6 +99,9 @@ func TestFlagValidationExitCodes(t *testing.T) {
 		{"shards is gone",
 			[]string{"-shards", "2"},
 			[]string{"not defined: -shards"}},
+		{"positional argument",
+			[]string{"-bench", "cg-real", "-np", "4", "-proto", "pcl", "-interval", "5ms", "stray"},
+			[]string{`unexpected argument "stray"`}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cmd := exec.Command(bin, tc.args...)

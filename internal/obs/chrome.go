@@ -25,21 +25,13 @@ type chromeEvent struct {
 	Dur  float64        `json:"dur,omitempty"`
 	Pid  int            `json:"pid"`
 	Tid  int            `json:"tid"`
-	Id   uint64         `json:"id,omitempty"`
+	Id   any            `json:"id,omitempty"` // flow: the cause's span id; async interval: a string
 	Bp   string         `json:"bp,omitempty"`
 	S    string         `json:"s,omitempty"`
 	Args map[string]any `json:"args,omitempty"`
 }
 
 func usec(t int64) float64 { return float64(t) / 1e3 }
-
-// openSpan is a begin event waiting for its end.
-type openSpan struct {
-	name     string
-	pid, tid int
-	ts       float64
-	args     map[string]any
-}
 
 // WriteChromeTrace exports events as a Chrome trace_event JSON document —
 // loadable in chrome://tracing or Perfetto — with one track per MPI rank,
@@ -52,65 +44,44 @@ type openSpan struct {
 // bytes.
 func WriteChromeTrace(w io.Writer, events []Event) error {
 	var out []chromeEvent
-	var maxTs float64
-	for _, ev := range events {
-		if ts := usec(int64(ev.T)); ts > maxTs {
-			maxTs = ts
-		}
-	}
+	var maxTs float64 // the trace horizon
 
 	// Track naming metadata, emitted for every tid seen.
 	ranks := map[int]bool{}
 	servers := map[int]bool{}
 
-	spans := map[string]openSpan{} // key → open begin
-	var spanOrder []string         // deterministic sweep of unclosed spans
-	open := func(key string, s openSpan) {
-		if _, dup := spans[key]; !dup {
-			spanOrder = append(spanOrder, key)
-		}
-		spans[key] = s
-	}
-	closeSpan := func(key string, ts float64) {
+	spans := map[string]chromeEvent{} // key → begin waiting for its end
+	var spanOrder []string            // deterministic sweep of unclosed spans
+	closeSpan := func(key string, ts float64, aborted bool) {
 		s, ok := spans[key]
 		if !ok {
 			return
 		}
 		delete(spans, key)
-		out = append(out, chromeEvent{
-			Name: s.name, Ph: "X", Ts: s.ts, Dur: ts - s.ts,
-			Pid: s.pid, Tid: s.tid, Args: s.args,
-		})
-	}
-	instant := func(name string, pid, tid int, ev Event, args map[string]any) {
-		out = append(out, chromeEvent{
-			Name: name, Ph: "i", Ts: usec(int64(ev.T)), Pid: pid, Tid: tid,
-			S: "t", Args: args,
-		})
+		if aborted {
+			s.Name += abortedSuffix
+		}
+		s.Ph, s.Dur = "X", ts-s.Ts
+		out = append(out, s)
 	}
 
 	// Causality: the first event carrying each span id anchors the span's
 	// origin; every event naming that span as its Cause becomes a flow
 	// arrow from the origin in Perfetto ("s" at origin, "f" at consumer).
-	type flowPoint struct {
-		ts       float64
-		pid, tid int
-	}
-	spanOrigin := map[uint64]flowPoint{}
-	type flowRef struct {
-		cause uint64
-		at    flowPoint
-	}
-	var flowRefs []flowRef
-	pointOf := func(ev Event) flowPoint {
+	spanOrigin := map[uint64]chromeEvent{}
+	var flows []chromeEvent // the "f" ends, Id = the cause
+	flowAt := func(ev Event) chromeEvent {
 		pid, tid := trackOf(ev.Rank)
 		if ev.Server >= 0 {
 			pid, tid = pidServers, ev.Server
 		}
-		return flowPoint{ts: usec(int64(ev.T)), pid: pid, tid: tid}
+		return chromeEvent{Name: "cause", Cat: "flow", Ts: usec(int64(ev.T)), Pid: pid, Tid: tid}
 	}
 
 	for _, ev := range events {
+		if ts := usec(int64(ev.T)); ts > maxTs {
+			maxTs = ts
+		}
 		if ev.Rank >= 0 {
 			ranks[ev.Rank] = true
 		}
@@ -119,160 +90,48 @@ func WriteChromeTrace(w io.Writer, events []Event) error {
 		}
 		if ev.Span != 0 {
 			if _, seen := spanOrigin[ev.Span]; !seen {
-				spanOrigin[ev.Span] = pointOf(ev)
+				spanOrigin[ev.Span] = flowAt(ev)
 			}
 		}
 		if ev.Cause != 0 {
-			flowRefs = append(flowRefs, flowRef{cause: ev.Cause, at: pointOf(ev)})
+			f := flowAt(ev)
+			f.Ph, f.Bp, f.Id = "f", "e", ev.Cause
+			flows = append(flows, f)
 		}
-		switch ev.Type {
-		case EvMarkerSent:
-			pid, tid := trackOf(ev.Rank)
-			instant("marker-sent", pid, tid, ev, map[string]any{"wave": ev.Wave, "to": ev.Channel})
-		case EvMarkerRecv:
-			pid, tid := trackOf(ev.Rank)
-			instant("marker-recv", pid, tid, ev, map[string]any{"wave": ev.Wave, "from": ev.Channel})
-		case EvChannelBlocked:
-			open(fmt.Sprintf("blk:%d", ev.Rank), openSpan{
-				name: fmt.Sprintf("blocked send (wave %d)", ev.Wave),
-				pid:  pidRanks, tid: ev.Rank, ts: usec(int64(ev.T)),
-				args: map[string]any{"wave": ev.Wave},
-			})
-		case EvChannelUnblocked:
-			closeSpan(fmt.Sprintf("blk:%d", ev.Rank), usec(int64(ev.T)))
-		case EvSendDelayed:
-			instant("send-delayed", pidRanks, ev.Rank, ev, map[string]any{"to": ev.Channel})
-		case EvRecvDelayed:
-			instant("recv-delayed", pidRanks, ev.Rank, ev, map[string]any{"from": ev.Channel})
-		case EvMessageLogged:
-			instant("message-logged", pidRanks, ev.Rank, ev,
-				map[string]any{"from": ev.Channel, "bytes": ev.Bytes, "wave": ev.Wave})
-		case EvLocalCkptEnd:
-			instant(fmt.Sprintf("snapshot (wave %d)", ev.Wave), pidRanks, ev.Rank, ev, nil)
-		case EvImageStoreBegin:
-			pid, tid := pidServers, ev.Server
-			name := fmt.Sprintf("store r%d w%d", ev.Rank, ev.Wave)
-			if ev.Server < 0 { // node-local buffer store: render on the rank
-				pid, tid = pidRanks, ev.Rank
-				name = fmt.Sprintf("buffer store w%d", ev.Wave)
+		switch m := render(ev); m.shape {
+		case instant, counter:
+			out = append(out, m.rec)
+		case begin:
+			if _, dup := spans[m.key]; !dup {
+				spanOrder = append(spanOrder, m.key)
 			}
-			open(fmt.Sprintf("img:%d:%d:%d", ev.Rank, ev.Wave, ev.Server), openSpan{
-				name: name,
-				pid:  pid, tid: tid, ts: usec(int64(ev.T)),
-				args: map[string]any{"bytes": ev.Bytes},
-			})
-		case EvImageStoreEnd:
-			closeSpan(fmt.Sprintf("img:%d:%d:%d", ev.Rank, ev.Wave, ev.Server), usec(int64(ev.T)))
-		case EvLogShipBegin:
-			open(fmt.Sprintf("log:%d:%d:%d", ev.Rank, ev.Wave, ev.Server), openSpan{
-				name: fmt.Sprintf("logs r%d w%d", ev.Rank, ev.Wave),
-				pid:  pidServers, tid: ev.Server, ts: usec(int64(ev.T)),
-				args: map[string]any{"bytes": ev.Bytes},
-			})
-		case EvLogShipEnd:
-			closeSpan(fmt.Sprintf("log:%d:%d:%d", ev.Rank, ev.Wave, ev.Server), usec(int64(ev.T)))
-		case EvWaveCommit:
-			pid, tid := trackOf(ev.Rank)
-			instant(fmt.Sprintf("wave %d committed", ev.Wave), pid, tid, ev, nil)
-		case EvRankKilled:
-			instant(fmt.Sprintf("rank %d killed", ev.Rank), pidRuntime, 0, ev,
-				map[string]any{"restart_wave": ev.Wave})
-		case EvNodeLost:
-			instant(fmt.Sprintf("node %d lost", ev.Node), pidRuntime, 0, ev, nil)
-		case EvRestartBegin:
-			pid, tid := trackOf(ev.Rank)
-			open(fmt.Sprintf("rst:%d", ev.Rank), openSpan{
-				name: fmt.Sprintf("restart (wave %d)", ev.Wave),
-				pid:  pid, tid: tid, ts: usec(int64(ev.T)),
-				args: map[string]any{"wave": ev.Wave},
-			})
-		case EvRestartEnd:
-			closeSpan(fmt.Sprintf("rst:%d", ev.Rank), usec(int64(ev.T)))
-		case EvComponentDead:
-			pid, tid := trackOf(ev.Rank)
-			instant(fmt.Sprintf("rank %d dead (silent)", ev.Rank), pid, tid, ev, nil)
-		case EvProcFailed:
-			instant(fmt.Sprintf("rank %d failed", ev.Rank), pidRuntime, 0, ev,
-				map[string]any{"wave": ev.Wave})
-		case EvRevoked:
-			instant("revoked", pidRuntime, 0, ev, map[string]any{"victim": ev.Channel})
-		case EvRepairBegin:
-			open("rep", openSpan{
-				name: fmt.Sprintf("repair (rank %d)", ev.Channel),
-				pid:  pidRuntime, tid: 0, ts: usec(int64(ev.T)),
-				args: map[string]any{"victim": ev.Channel, "wave": ev.Wave},
-			})
-		case EvRepairEnd:
-			closeSpan("rep", usec(int64(ev.T)))
-		case EvRepairAbort:
-			if s, ok := spans["rep"]; ok {
-				s.name += " (aborted)"
-				spans["rep"] = s
-			}
-			closeSpan("rep", usec(int64(ev.T)))
-		case EvAppCkpt:
-			instant(fmt.Sprintf("app snapshot (iter %d)", ev.Wave), pidRanks, ev.Rank, ev,
-				map[string]any{"partner": ev.Channel, "bytes": ev.Bytes})
-		case EvAppRestore:
-			instant(fmt.Sprintf("app restore (iter %d)", ev.Wave), pidRanks, ev.Rank, ev, nil)
-		case EvRankDone:
-			pid, tid := trackOf(ev.Rank)
-			instant(fmt.Sprintf("rank %d done", ev.Rank), pid, tid, ev, nil)
-		case EvCounterSample:
-			out = append(out, chromeEvent{
-				Name: ev.Detail, Ph: "C", Ts: usec(int64(ev.T)),
-				Pid: pidRuntime, Tid: 0,
-				Args: map[string]any{"value": ev.Bytes},
-			})
-		case EvJobComplete:
-			instant("job complete", pidRuntime, 0, ev, nil)
-		case EvDrainBegin:
-			open(fmt.Sprintf("drn:%d:%d:%d", ev.Rank, ev.Wave, ev.Level), openSpan{
-				name: fmt.Sprintf("drain r%d w%d → L%d", ev.Rank, ev.Wave, ev.Level),
-				pid:  pidRuntime, tid: 0, ts: usec(int64(ev.T)),
-				args: map[string]any{"bytes": ev.Bytes, "level": ev.Level},
-			})
-		case EvDrainEnd:
-			closeSpan(fmt.Sprintf("drn:%d:%d:%d", ev.Rank, ev.Wave, ev.Level), usec(int64(ev.T)))
-		case EvBufferKilled:
-			instant(fmt.Sprintf("buffer on node %d lost", ev.Node), pidRuntime, 0, ev, nil)
-		case EvPFSKilled:
-			instant(fmt.Sprintf("pfs target %d lost", ev.Server), pidRuntime, 0, ev, nil)
-		case EvLevelEvict:
-			instant(fmt.Sprintf("evict r%d w%d (L%d)", ev.Rank, ev.Wave, ev.Level),
-				pidRuntime, 0, ev, map[string]any{"bytes": ev.Bytes})
+			spans[m.key] = m.rec
+		case end:
+			closeSpan(m.key, m.rec.Ts, m.aborted)
 		}
 	}
 
 	// Flow arrows: one "s" per referenced span origin (first reference
 	// wins), one "f" per consumer, in stream order — deterministic.
 	started := map[uint64]bool{}
-	for _, fr := range flowRefs {
-		org, ok := spanOrigin[fr.cause]
+	for _, f := range flows {
+		cause := f.Id.(uint64)
+		org, ok := spanOrigin[cause]
 		if !ok {
 			continue
 		}
-		if !started[fr.cause] {
-			started[fr.cause] = true
-			out = append(out, chromeEvent{
-				Name: "cause", Cat: "flow", Ph: "s", Ts: org.ts,
-				Pid: org.pid, Tid: org.tid, Id: fr.cause,
-			})
+		if !started[cause] {
+			started[cause] = true
+			org.Ph, org.Id = "s", cause
+			out = append(out, org)
 		}
-		out = append(out, chromeEvent{
-			Name: "cause", Cat: "flow", Ph: "f", Bp: "e", Ts: fr.at.ts,
-			Pid: fr.at.pid, Tid: fr.at.tid, Id: fr.cause,
-		})
+		out = append(out, f)
 	}
 
 	// Close spans left open (transfers aborted by a failure) at the trace
 	// horizon, in the order they were opened.
 	for _, key := range spanOrder {
-		if s, ok := spans[key]; ok {
-			s.name += " (aborted)"
-			spans[key] = s
-			closeSpan(key, maxTs)
-		}
+		closeSpan(key, maxTs, true)
 	}
 
 	// Track metadata, sorted for determinism.

@@ -20,6 +20,16 @@ func TestEventTypeNames(t *testing.T) {
 		if name != strings.ToLower(name) || strings.Contains(name, " ") {
 			t.Fatalf("event type %d name %q is not kebab-case", ty, name)
 		}
+		// Every kind has a render row somebody filled in: not showing a
+		// kind on the timeline is spelled notRendered, never left out.
+		switch r := renderTable[ty]; {
+		case r.shape == shapeUnset:
+			t.Errorf("%s has no row in renderTable (use notRendered to leave it off the timeline)", name)
+		case r.shape == end && renderTable[r.of].shape != begin:
+			t.Errorf("%s closes %s, which is not a begin row", name, r.of)
+		case r.shape == begin && r.key.format == "":
+			t.Errorf("%s opens an interval without a span key", name)
+		}
 	}
 	if numEventTypes.String() != "unknown" {
 		t.Fatal("out-of-range type must stringify as unknown")

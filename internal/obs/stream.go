@@ -12,7 +12,8 @@ import (
 // event history in memory (a Collector at NP=1024 holds every event just
 // to serialize them at the end; this sink holds O(NP) track-name state).
 //
-// Differences from WriteChromeTrace, forced by statelessness:
+// Both exporters render events through renderTable; the differences from
+// WriteChromeTrace are forced by statelessness:
 //
 //   - Intervals are async begin/end pairs ("b"/"e") instead of complete
 //     "X" events — Perfetto pairs them by (cat, id, name), all of which
@@ -35,7 +36,7 @@ type ChromeStreamSink struct {
 
 	namedRank map[int]bool
 	namedSrv  map[int]bool
-	open      map[string]streamEvent // async spans begun but not yet ended
+	open      map[string]chromeEvent // async spans begun but not yet ended
 	lastTs    float64                // horizon for spans still open at Close
 }
 
@@ -44,7 +45,7 @@ type ChromeStreamSink struct {
 func NewChromeStreamSink(w io.Writer) *ChromeStreamSink {
 	s := &ChromeStreamSink{w: w, first: true,
 		namedRank: map[int]bool{}, namedSrv: map[int]bool{},
-		open: map[string]streamEvent{}}
+		open: map[string]chromeEvent{}}
 	s.raw(`{"displayTimeUnit":"ms","traceEvents":[`)
 	s.record(metaName("process_name", pidRuntime, 0, "runtime"))
 	s.record(metaName("process_name", pidRanks, 0, "mpi ranks"))
@@ -59,26 +60,7 @@ func (s *ChromeStreamSink) raw(text string) {
 	_, s.err = io.WriteString(s.w, text)
 }
 
-// streamEvent mirrors chromeEvent but with a string id, letting async
-// intervals be keyed by the same composite keys the batch exporter uses.
-type streamEvent struct {
-	Name string         `json:"name"`
-	Cat  string         `json:"cat,omitempty"`
-	Ph   string         `json:"ph"`
-	Ts   float64        `json:"ts"`
-	Pid  int            `json:"pid"`
-	Tid  int            `json:"tid"`
-	Id   string         `json:"id,omitempty"`
-	S    string         `json:"s,omitempty"`
-	Args map[string]any `json:"args,omitempty"`
-}
-
 func (s *ChromeStreamSink) record(ev chromeEvent) {
-	s.recordStream(streamEvent{Name: ev.Name, Cat: ev.Cat, Ph: ev.Ph, Ts: ev.Ts,
-		Pid: ev.Pid, Tid: ev.Tid, S: ev.S, Args: ev.Args})
-}
-
-func (s *ChromeStreamSink) recordStream(ev streamEvent) {
 	if s.err != nil {
 		return
 	}
@@ -107,26 +89,23 @@ func (s *ChromeStreamSink) nameTracks(ev Event) {
 	}
 }
 
-func (s *ChromeStreamSink) instant(name string, pid, tid int, ev Event, args map[string]any) {
-	s.recordStream(streamEvent{Name: name, Ph: "i", Ts: usec(int64(ev.T)),
-		Pid: pid, Tid: tid, S: "t", Args: args})
-}
-
-func (s *ChromeStreamSink) async(ph, name, id string, pid, tid int, ev Event, args map[string]any) {
-	// The composite (rank, wave, server) id repeats when a wave aborted by
-	// a failure re-runs after the restart; the event's span id is unique
-	// per attempt, so prefer it whenever the emitter stamped one.
-	if ev.Span != 0 {
-		id = fmt.Sprintf("sp:%d", ev.Span)
+// async writes one half of an async interval.  The render table's
+// composite key repeats when a wave aborted by a failure re-runs after the
+// restart; the event's span id is unique per attempt, so prefer it
+// whenever the emitter stamped one.
+func (s *ChromeStreamSink) async(m mark, span uint64) {
+	id := m.key
+	if span != 0 {
+		id = fmt.Sprintf("sp:%d", span)
 	}
-	rec := streamEvent{Name: name, Cat: "span", Ph: ph,
-		Ts: usec(int64(ev.T)), Pid: pid, Tid: tid, Id: id, Args: args}
-	if ph == "b" {
-		s.open[id] = rec
+	m.rec.Cat, m.rec.Ph, m.rec.Id = "span", "e", id
+	if m.shape == begin {
+		m.rec.Ph = "b"
+		s.open[id] = m.rec
 	} else {
 		delete(s.open, id)
 	}
-	s.recordStream(rec)
+	s.record(m.rec)
 }
 
 // Emit translates one event to trace records.  Implements Sink.  Events
@@ -141,115 +120,11 @@ func (s *ChromeStreamSink) Emit(ev Event) {
 		s.lastTs = ts
 	}
 	s.nameTracks(ev)
-	switch ev.Type {
-	case EvMarkerSent:
-		pid, tid := trackOf(ev.Rank)
-		s.instant("marker-sent", pid, tid, ev, map[string]any{"wave": ev.Wave, "to": ev.Channel})
-	case EvMarkerRecv:
-		pid, tid := trackOf(ev.Rank)
-		s.instant("marker-recv", pid, tid, ev, map[string]any{"wave": ev.Wave, "from": ev.Channel})
-	case EvChannelBlocked:
-		s.async("b", fmt.Sprintf("blocked send (wave %d)", ev.Wave),
-			fmt.Sprintf("blk:%d", ev.Rank), pidRanks, ev.Rank, ev,
-			map[string]any{"wave": ev.Wave})
-	case EvChannelUnblocked:
-		s.async("e", fmt.Sprintf("blocked send (wave %d)", ev.Wave),
-			fmt.Sprintf("blk:%d", ev.Rank), pidRanks, ev.Rank, ev, nil)
-	case EvSendDelayed:
-		s.instant("send-delayed", pidRanks, ev.Rank, ev, map[string]any{"to": ev.Channel})
-	case EvRecvDelayed:
-		s.instant("recv-delayed", pidRanks, ev.Rank, ev, map[string]any{"from": ev.Channel})
-	case EvMessageLogged:
-		s.instant("message-logged", pidRanks, ev.Rank, ev,
-			map[string]any{"from": ev.Channel, "bytes": ev.Bytes, "wave": ev.Wave})
-	case EvLocalCkptEnd:
-		s.instant(fmt.Sprintf("snapshot (wave %d)", ev.Wave), pidRanks, ev.Rank, ev, nil)
-	case EvImageStoreBegin:
-		pid, tid, name := pidServers, ev.Server, fmt.Sprintf("store r%d w%d", ev.Rank, ev.Wave)
-		if ev.Server < 0 { // node-local buffer store: render on the rank
-			pid, tid, name = pidRanks, ev.Rank, fmt.Sprintf("buffer store w%d", ev.Wave)
-		}
-		s.async("b", name,
-			fmt.Sprintf("img:%d:%d:%d", ev.Rank, ev.Wave, ev.Server),
-			pid, tid, ev, map[string]any{"bytes": ev.Bytes})
-	case EvImageStoreEnd:
-		pid, tid, name := pidServers, ev.Server, fmt.Sprintf("store r%d w%d", ev.Rank, ev.Wave)
-		if ev.Server < 0 {
-			pid, tid, name = pidRanks, ev.Rank, fmt.Sprintf("buffer store w%d", ev.Wave)
-		}
-		s.async("e", name,
-			fmt.Sprintf("img:%d:%d:%d", ev.Rank, ev.Wave, ev.Server),
-			pid, tid, ev, nil)
-	case EvLogShipBegin:
-		s.async("b", fmt.Sprintf("logs r%d w%d", ev.Rank, ev.Wave),
-			fmt.Sprintf("log:%d:%d:%d", ev.Rank, ev.Wave, ev.Server),
-			pidServers, ev.Server, ev, map[string]any{"bytes": ev.Bytes})
-	case EvLogShipEnd:
-		s.async("e", fmt.Sprintf("logs r%d w%d", ev.Rank, ev.Wave),
-			fmt.Sprintf("log:%d:%d:%d", ev.Rank, ev.Wave, ev.Server),
-			pidServers, ev.Server, ev, nil)
-	case EvWaveCommit:
-		pid, tid := trackOf(ev.Rank)
-		s.instant(fmt.Sprintf("wave %d committed", ev.Wave), pid, tid, ev, nil)
-	case EvRankKilled:
-		s.instant(fmt.Sprintf("rank %d killed", ev.Rank), pidRuntime, 0, ev,
-			map[string]any{"restart_wave": ev.Wave})
-	case EvNodeLost:
-		s.instant(fmt.Sprintf("node %d lost", ev.Node), pidRuntime, 0, ev, nil)
-	case EvRestartBegin:
-		pid, tid := trackOf(ev.Rank)
-		s.async("b", fmt.Sprintf("restart (wave %d)", ev.Wave),
-			fmt.Sprintf("rst:%d", ev.Rank), pid, tid, ev,
-			map[string]any{"wave": ev.Wave})
-	case EvRestartEnd:
-		pid, tid := trackOf(ev.Rank)
-		s.async("e", fmt.Sprintf("restart (wave %d)", ev.Wave),
-			fmt.Sprintf("rst:%d", ev.Rank), pid, tid, ev, nil)
-	case EvComponentDead:
-		pid, tid := trackOf(ev.Rank)
-		s.instant(fmt.Sprintf("rank %d dead (silent)", ev.Rank), pid, tid, ev, nil)
-	case EvProcFailed:
-		s.instant(fmt.Sprintf("rank %d failed", ev.Rank), pidRuntime, 0, ev,
-			map[string]any{"wave": ev.Wave})
-	case EvRevoked:
-		s.instant("revoked", pidRuntime, 0, ev, map[string]any{"victim": ev.Channel})
-	case EvRepairBegin:
-		s.async("b", fmt.Sprintf("repair (rank %d)", ev.Channel), "rep",
-			pidRuntime, 0, ev, map[string]any{"victim": ev.Channel, "wave": ev.Wave})
-	case EvRepairEnd:
-		s.async("e", fmt.Sprintf("repair (rank %d)", ev.Channel), "rep",
-			pidRuntime, 0, ev, nil)
-	case EvRepairAbort:
-		s.async("e", fmt.Sprintf("repair (rank %d) (aborted)", ev.Channel), "rep",
-			pidRuntime, 0, ev, nil)
-	case EvAppCkpt:
-		s.instant(fmt.Sprintf("app snapshot (iter %d)", ev.Wave), pidRanks, ev.Rank, ev,
-			map[string]any{"partner": ev.Channel, "bytes": ev.Bytes})
-	case EvAppRestore:
-		s.instant(fmt.Sprintf("app restore (iter %d)", ev.Wave), pidRanks, ev.Rank, ev, nil)
-	case EvRankDone:
-		pid, tid := trackOf(ev.Rank)
-		s.instant(fmt.Sprintf("rank %d done", ev.Rank), pid, tid, ev, nil)
-	case EvCounterSample:
-		s.recordStream(streamEvent{Name: ev.Detail, Ph: "C", Ts: usec(int64(ev.T)),
-			Pid: pidRuntime, Tid: 0, Args: map[string]any{"value": ev.Bytes}})
-	case EvJobComplete:
-		s.instant("job complete", pidRuntime, 0, ev, nil)
-	case EvDrainBegin:
-		s.async("b", fmt.Sprintf("drain r%d w%d → L%d", ev.Rank, ev.Wave, ev.Level),
-			fmt.Sprintf("drn:%d:%d:%d", ev.Rank, ev.Wave, ev.Level),
-			pidRuntime, 0, ev, map[string]any{"bytes": ev.Bytes, "level": ev.Level})
-	case EvDrainEnd:
-		s.async("e", fmt.Sprintf("drain r%d w%d → L%d", ev.Rank, ev.Wave, ev.Level),
-			fmt.Sprintf("drn:%d:%d:%d", ev.Rank, ev.Wave, ev.Level),
-			pidRuntime, 0, ev, nil)
-	case EvBufferKilled:
-		s.instant(fmt.Sprintf("buffer on node %d lost", ev.Node), pidRuntime, 0, ev, nil)
-	case EvPFSKilled:
-		s.instant(fmt.Sprintf("pfs target %d lost", ev.Server), pidRuntime, 0, ev, nil)
-	case EvLevelEvict:
-		s.instant(fmt.Sprintf("evict r%d w%d (L%d)", ev.Rank, ev.Wave, ev.Level),
-			pidRuntime, 0, ev, map[string]any{"bytes": ev.Bytes})
+	switch m := render(ev); m.shape {
+	case instant, counter:
+		s.record(m.rec)
+	case begin, end:
+		s.async(m, ev.Span)
 	}
 }
 
@@ -270,7 +145,7 @@ func (s *ChromeStreamSink) Close() error {
 	sort.Strings(ids) // deterministic close order for aborted spans
 	for _, id := range ids {
 		b := s.open[id]
-		s.recordStream(streamEvent{Name: b.Name, Cat: b.Cat, Ph: "e",
+		s.record(chromeEvent{Name: b.Name, Cat: b.Cat, Ph: "e",
 			Ts: s.lastTs, Pid: b.Pid, Tid: b.Tid, Id: id})
 	}
 	s.open = nil

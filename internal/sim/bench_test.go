@@ -9,7 +9,7 @@ import (
 // population of 1024 pending timers (a realistic heap depth for an NP=256
 // job) and measures the cost of one schedule+dispatch cycle.  The fn is
 // shared, so every allocation charged to an op comes from the kernel's own
-// bookkeeping — the number BENCH_core.json tracks as allocs/op.
+// bookkeeping — what bench/ records as sim.event_allocs.
 func BenchmarkKernelEvents(b *testing.B) {
 	b.ReportAllocs()
 	k := New(1)

@@ -1,6 +1,27 @@
 package ftckpt
 
-import "testing"
+import (
+	"runtime"
+	"testing"
+	"time"
+)
+
+// kernelRunOpts is the one option set the kernel-level checks share: the
+// BT.A model, two processes per node, four checkpoint servers, seed 1, and
+// an interval that commits a couple of waves at each size.
+func kernelRunOpts(proto Protocol, np int) Options {
+	return Options{
+		Workload:        WorkloadBT,
+		Class:           ClassA,
+		NP:              np,
+		ProcsPerNode:    2,
+		Protocol:        proto,
+		Interval:        map[int]time.Duration{64: 8 * time.Second, 256: 2 * time.Second}[np],
+		Servers:         4,
+		Seed:            1,
+		VclProcessLimit: -1,
+	}
+}
 
 // TestHeapHighWaterBounded pins what the head-of-line lanes buy: the event
 // heap stays O(NP) deep through a checkpoint wave.  BT.A at NP=256, ppn 2,
@@ -10,9 +31,9 @@ import "testing"
 // 122 623.
 func TestHeapHighWaterBounded(t *testing.T) {
 	const np = 256
-	for _, proto := range []string{"pcl", "vcl"} {
-		t.Run(proto, func(t *testing.T) {
-			_, st, err := RunKernelStats(benchRunOpts(proto, np))
+	for _, proto := range []Protocol{Pcl, Vcl} {
+		t.Run(string(proto), func(t *testing.T) {
+			_, st, err := RunKernelStats(kernelRunOpts(proto, np))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -24,6 +45,47 @@ func TestHeapHighWaterBounded(t *testing.T) {
 			}
 			if st.Scheduled < st.Fired+st.Cancelled {
 				t.Errorf("fired %d + cancelled %d events exceed the %d scheduled", st.Fired, st.Cancelled, st.Scheduled)
+			}
+		})
+	}
+}
+
+// TestAllocCeilings holds heap allocations per run under a ceiling.  The
+// simulator is deterministic, so runtime.MemStats.Mallocs around one Run
+// repeats to within 0.2 % (the rest is runtime background work); wall-clock
+// does not, which is why allocations are what a plain test can gate.  Each
+// constant is the largest of four repeats at the commit that recorded it,
+// and the ceiling is that plus 3 %: a leak in a protocol's hot path, the
+// hierarchy's staging/drain/delta chain or the revoke/park/splice repair
+// fails here.  A change that means to allocate more re-records the constant
+// and says so.
+func TestAllocCeilings(t *testing.T) {
+	if testing.Short() || raceEnabled {
+		t.Skip("allocation counts are recorded for a plain, full run")
+	}
+	ulfm := ulfmGolden()
+	ulfm.Failures = []Failure{KillNode(40*time.Millisecond, 3)}
+	for _, c := range []struct {
+		name     string
+		opts     Options
+		recorded uint64
+	}{
+		{"pcl-64", kernelRunOpts(Pcl, 64), 419_647},
+		{"vcl-64", kernelRunOpts(Vcl, 64), 425_603},
+		{"mlog-64", kernelRunOpts(Mlog, 64), 2_362_504},
+		{"storage-incremental-8", storageGolden(), 63_049},
+		{"ulfm-node-repair-8", ulfm, 179_356},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			if _, err := Run(c.opts); err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&after)
+			got, ceiling := after.Mallocs-before.Mallocs, c.recorded+c.recorded*3/100
+			if got > ceiling {
+				t.Errorf("%d mallocs in one run, ceiling %d (recorded %d + 3%%)", got, ceiling, c.recorded)
 			}
 		})
 	}
