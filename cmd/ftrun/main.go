@@ -163,6 +163,10 @@ func main() {
 	if *proto != "none" {
 		o.Interval = *interval
 	}
+	if flagSet("fail-rank") && *failAt <= 0 {
+		fmt.Fprintln(os.Stderr, "ftrun: -fail-rank requires -fail-at (no failure is injected without a time)")
+		os.Exit(2)
+	}
 	if *failAt > 0 {
 		o.Failures = []ftckpt.Failure{ftckpt.KillRank(*failAt, *failRank)}
 	}

@@ -70,7 +70,8 @@ func TestParseStorageLevels(t *testing.T) {
 
 // TestFlagValidationExitCodes runs the built binary: a flag combination
 // ftrun refuses must exit 2, before any simulation, with a message that
-// names the flags involved.
+// names the flags involved; a configuration the library rejects exits 1
+// naming the field.
 func TestFlagValidationExitCodes(t *testing.T) {
 	bin := filepath.Join(t.TempDir(), "ftrun")
 	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
@@ -80,28 +81,35 @@ func TestFlagValidationExitCodes(t *testing.T) {
 		name  string
 		args  []string
 		names []string // substrings of stderr
+		exit  int      // 0 means 2, the usage-error status
 	}{
 		{"storage-levels with servers",
 			[]string{"-storage-levels", "buffer,servers:2x2", "-servers", "3"},
-			[]string{"-servers", "-storage-levels"}},
+			[]string{"-servers", "-storage-levels"}, 0},
 		{"storage-levels malformed",
 			[]string{"-storage-levels", "buffer,servers"},
-			[]string{"-storage-levels", `"servers"`}},
+			[]string{"-storage-levels", `"servers"`}, 0},
 		{"incremental without storage-levels",
 			[]string{"-incremental"},
-			[]string{"-incremental", "-storage-levels"}},
+			[]string{"-incremental", "-storage-levels"}, 0},
 		{"compress without storage-levels",
 			[]string{"-compress"},
-			[]string{"-compress", "-storage-levels"}},
+			[]string{"-compress", "-storage-levels"}, 0},
 		{"stats with chaos",
 			[]string{"-proto", "pcl", "-chaos", "2", "-stats", "-trace-out", "t.json"},
-			[]string{"-stats", "-chaos"}},
+			[]string{"-stats", "-chaos"}, 0},
 		{"shards is gone",
 			[]string{"-shards", "2"},
-			[]string{"not defined: -shards"}},
+			[]string{"not defined: -shards"}, 0},
 		{"positional argument",
 			[]string{"-bench", "cg-real", "-np", "4", "-proto", "pcl", "-interval", "5ms", "stray"},
-			[]string{`unexpected argument "stray"`}},
+			[]string{`unexpected argument "stray"`}, 0},
+		{"fail-rank without fail-at",
+			[]string{"-bench", "jacobi", "-np", "8", "-proto", "pcl", "-interval", "25ms", "-fail-rank", "3"},
+			[]string{"-fail-rank", "-fail-at"}, 0},
+		{"fail-rank past the job",
+			[]string{"-bench", "jacobi", "-np", "8", "-proto", "pcl", "-interval", "25ms", "-fail-at", "40ms", "-fail-rank", "8"},
+			[]string{"Failures[0].Rank"}, 1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cmd := exec.Command(bin, tc.args...)
@@ -109,9 +117,13 @@ func TestFlagValidationExitCodes(t *testing.T) {
 			var stderr strings.Builder
 			cmd.Stderr = &stderr
 			err := cmd.Run()
+			want := tc.exit
+			if want == 0 {
+				want = 2
+			}
 			var exit *exec.ExitError
-			if !errors.As(err, &exit) || exit.ExitCode() != 2 {
-				t.Fatalf("ftrun %v: %v, want exit status 2\n%s", tc.args, err, stderr.String())
+			if !errors.As(err, &exit) || exit.ExitCode() != want {
+				t.Fatalf("ftrun %v: %v, want exit status %d\n%s", tc.args, err, want, stderr.String())
 			}
 			for _, s := range tc.names {
 				if !strings.Contains(stderr.String(), s) {

@@ -7,6 +7,7 @@ package ftckpt
 // specs, and reject Storage conflicts with an error naming both sides.
 
 import (
+	"errors"
 	"strings"
 	"testing"
 	"time"
@@ -230,6 +231,42 @@ func TestBuildConfigFailureConstructors(t *testing.T) {
 	}
 	if ev := cfg.Failures[4]; ev.Kind != failure.KindPFS || ev.Server != 1 {
 		t.Errorf("KillPFS event = %+v", ev)
+	}
+}
+
+// TestRunRejectsMissingVictim: a scripted kill of a rank, server or PFS
+// target the job does not have is refused before anything runs, and the
+// facade hands back ftpm's *ConfigError unchanged so the caller can read
+// the offending field.
+func TestRunRejectsMissingVictim(t *testing.T) {
+	hier := &StorageSpec{Levels: []LevelSpec{
+		{Kind: LevelServers, Servers: 2}, {Kind: LevelPFS, Targets: 2, Stripes: 2}}}
+	cases := []struct {
+		name    string
+		storage *StorageSpec
+		kills   []Failure
+		field   string
+	}{
+		{"rank", nil, []Failure{KillRank(time.Second, 8)}, "Failures[0].Rank"},
+		{"server", nil, []Failure{KillRank(time.Second, 7), KillServer(time.Second, 2)}, "Failures[1].Server"},
+		{"pfs target", hier, []Failure{KillPFS(time.Second, 2)}, "Failures[0].Server"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			o := Options{Workload: WorkloadJacobi, NP: 8, Protocol: Pcl, Interval: time.Second,
+				Storage: tc.storage, Failures: tc.kills}
+			if tc.storage == nil {
+				o.Servers = 2
+			}
+			_, err := Run(o)
+			var ce *ftpm.ConfigError
+			if !errors.As(err, &ce) {
+				t.Fatalf("Run returned %v (%T), want a *ftpm.ConfigError", err, err)
+			}
+			if ce.Field != tc.field {
+				t.Errorf("Field = %q, want %q (reason %q)", ce.Field, tc.field, ce.Reason)
+			}
+		})
 	}
 }
 

@@ -131,3 +131,50 @@ func TestGoldenStorageChaos(t *testing.T) {
 		t.Errorf("chaos report differs across identical runs:\n  first  %+v\n  second %+v", r1, r2)
 	}
 }
+
+// TestSharedImageRestoredTwice kills two ranks inside one checkpoint
+// interval, so the job rolls back to the same committed wave twice.  The
+// levels of the hierarchy share one image per (rank, wave) and a restore
+// reads it in place: a restart that wrote through it would hand the
+// second restart a poisoned image, and the checksum would drift from the
+// failure-free run's.
+func TestSharedImageRestoredTwice(t *testing.T) {
+	for _, proto := range []Protocol{Pcl, Vcl} {
+		t.Run(string(proto), func(t *testing.T) {
+			col := NewCollector()
+			o := Options{
+				Workload: WorkloadCGReal, NP: 8, ProcsPerNode: 2, Seed: 7,
+				Protocol: proto, Interval: 5 * time.Millisecond,
+				Storage: &StorageSpec{
+					Levels: []LevelSpec{
+						{Kind: LevelBuffer},
+						{Kind: LevelServers, Servers: 2, Replicas: 2, WriteQuorum: 1},
+						{Kind: LevelPFS, Targets: 2, Stripes: 2},
+					},
+					Incremental: true,
+					Compress:    true,
+				},
+				// Wave 3 (a delta image) commits at ~16-17ms, wave 4 not
+				// before 24ms; each restart takes well under 1ms.
+				Failures: []Failure{KillRank(17*time.Millisecond, 3), KillRank(19*time.Millisecond, 5)},
+				Sink:     col,
+			}
+			rep, err := Run(o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			restarts := col.Filter(EvRestartBegin)
+			if len(restarts) != 2 || restarts[0].Wave == 0 || restarts[0].Wave != restarts[1].Wave {
+				t.Fatalf("want two restarts from one committed wave, got %+v", restarts)
+			}
+			base, err := Run(Options{Workload: WorkloadCGReal, NP: 8, ProcsPerNode: 2, Seed: 7})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep.Checksum != base.Checksum {
+				t.Fatalf("checksum %v after restoring wave %d twice, failure-free %v",
+					rep.Checksum, restarts[0].Wave, base.Checksum)
+			}
+		})
+	}
+}

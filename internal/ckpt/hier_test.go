@@ -1,6 +1,7 @@
 package ckpt
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
@@ -52,6 +53,60 @@ func TestHierarchyCommitAtBufferSpeed(t *testing.T) {
 	}
 	if h.pfs.readable(imgKey{0, 1}) == nil {
 		t.Fatal("drain did not reach the PFS")
+	}
+}
+
+// TestStoredImageIsShared pins the immutability contract: one image goes
+// through buffer → two replicas → PFS, and what every level holds and
+// every fetch returns is the stored pointer itself, still equal to what
+// was handed to Store.
+func TestStoredImageIsShared(t *testing.T) {
+	build := func() *Image {
+		img := testImage(0, 1)
+		img.Device = []byte{1, 2, 3}
+		img.Engine = &mpi.EngineImage{CollSeq: 7, Unexpected: []*mpi.Packet{
+			{Src: 1, Dst: 0, Kind: mpi.KindPayload, Tag: 5, Data: []byte("in flight")},
+		}}
+		return img
+	}
+	img, want := build(), build()
+	k := sim.New(1)
+	h, pool := hierSetup(k)
+	k.Go("rank", func(p *sim.Proc) {
+		h.Store(img, 0, 0, nil, func() { t.Error("store failed") })
+	})
+	fetched := map[string]*Image{}
+	fetch := func(level string) {
+		h.Fetch(0, 1, 0, false, func(got *Image, _ []*mpi.Packet) { fetched[level] = got },
+			func(err error) { t.Errorf("fetch from %s: %v", level, err) })
+	}
+	// Long after the drains: read each level, killing the one above between
+	// reads so the next fetch falls one level further down.
+	k.After(500*time.Millisecond, func() {
+		key := imgKey{0, 1}
+		held := map[string]*Image{"buffer": h.buffers[0].images[key], "pfs": h.pfs.readable(key)}
+		held["replica 0"], _ = pool[0].Image(0, 1)
+		held["replica 1"], _ = pool[1].Image(0, 1)
+		for level, got := range held {
+			if got != img {
+				t.Errorf("%s holds %p, want the stored pointer %p", level, got, img)
+			}
+		}
+		fetch("buffer")
+	})
+	k.After(600*time.Millisecond, func() { h.KillBuffer(0); fetch("replica 0") })
+	k.After(700*time.Millisecond, func() { pool[0].Kill(); fetch("replica 1") })
+	k.After(800*time.Millisecond, func() { pool[1].Kill(); fetch("pfs") })
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	for _, level := range []string{"buffer", "replica 0", "replica 1", "pfs"} {
+		if fetched[level] != img {
+			t.Errorf("fetch from %s returned %p, want the stored pointer %p", level, fetched[level], img)
+		}
+	}
+	if !reflect.DeepEqual(img, want) {
+		t.Errorf("image changed on its way through the hierarchy:\n got %+v\nwant %+v", img, want)
 	}
 }
 

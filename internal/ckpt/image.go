@@ -11,6 +11,19 @@
 // is dominated by the application's resident set: Image.Bytes() charges
 // the Program's declared Footprint plus the serialized engine/protocol
 // state actually needed to restore.
+//
+// An Image is an immutable value from the moment it is handed to a store.
+// The process manager builds it (App, Engine and Device are fresh copies
+// out of the live process: EncodeProgram, Engine.CaptureImage and the
+// protocol's DeviceState) and passes it to Hierarchy.Store, which makes the
+// last writes — the modelled costs Delta/Base/Stored/Restore — before any
+// level holds a reference.  After that the node buffer, every replica
+// server and the PFS entry share the one pointer, a fetch at any level
+// returns that same pointer, and restart only reads it (DecodeProgram,
+// Engine.RestoreImage and the protocol's Restore copy into the new
+// process).  Nothing may write through an *Image obtained from a store.
+// Log packets are the exception to sharing: Server.ReceiveLogs keeps its
+// own copies, because the sender's packets stay live.
 package ckpt
 
 import (
@@ -21,7 +34,10 @@ import (
 	"ftckpt/internal/mpi"
 )
 
-// Image is one process's local checkpoint for one wave.
+// Image is one process's local checkpoint for one wave.  Its builder sets
+// Rank through Done, Hierarchy.Store sets Delta through Restore on entry,
+// and from then on the image — the bytes App, Device and Engine point to
+// included — is shared and read-only (see the package comment).
 type Image struct {
 	Rank int
 	Wave int
@@ -64,9 +80,9 @@ func (im *Image) Bytes() int64 {
 	return n
 }
 
-// StoredBytes returns the modelled bytes shipped to and kept on each copy
-// of the image: the incremental/compressed payload when the hierarchy's
-// image planner set one, the full Bytes() otherwise.
+// StoredBytes returns the modelled bytes shipped to and kept by each holder
+// of the image: the incremental/compressed payload when Hierarchy.Store
+// priced one, the full Bytes() otherwise.
 func (im *Image) StoredBytes() int64 {
 	if im.Stored > 0 {
 		return im.Stored
@@ -100,16 +116,4 @@ func DecodeProgram(b []byte) (mpi.Program, error) {
 		return nil, fmt.Errorf("ckpt: decoding program: %w", err)
 	}
 	return p, nil
-}
-
-// Clone returns a deep copy of the image (servers keep their own copy, as
-// a real server holds the bytes it received).
-func (im *Image) Clone() *Image {
-	c := *im
-	c.App = append([]byte(nil), im.App...)
-	c.Device = append([]byte(nil), im.Device...)
-	if im.Engine != nil {
-		c.Engine = im.Engine.Clone()
-	}
-	return &c
 }

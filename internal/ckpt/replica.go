@@ -85,9 +85,6 @@ func (g *Group) emit(t obs.EventType, rank, wave, server int) {
 		Channel: -1, Node: -1, Server: server, Span: g.obs.NextSpan()})
 }
 
-// Servers returns the underlying pool (shared slice; do not mutate).
-func (g *Group) Servers() []*Server { return g.servers }
-
 // ReplicaSet returns the rank's replica servers, primary first.
 func (g *Group) ReplicaSet(rank int) []*Server {
 	out := make([]*Server, g.Replicas)
@@ -153,7 +150,7 @@ type StoreOp struct {
 func (g *Group) Store(img *Image, srcNode int, cap simnet.Rate, onQuorum, onFailed func()) *StoreOp {
 	return g.start(img.Rank, img.Wave, onQuorum, onFailed,
 		func(srv *Server, onStored, onAbort func()) *simnet.Flow {
-			return srv.ReceiveCappedAbort(img, srcNode, cap, onStored, onAbort)
+			return srv.Receive(img, srcNode, cap, onStored, onAbort)
 		})
 }
 
@@ -162,7 +159,7 @@ func (g *Group) Store(img *Image, srcNode int, cap simnet.Rate, onQuorum, onFail
 func (g *Group) StoreLogs(rank, wave int, pkts []*mpi.Packet, srcNode int, onQuorum, onFailed func()) *StoreOp {
 	return g.start(rank, wave, onQuorum, onFailed,
 		func(srv *Server, onStored, onAbort func()) *simnet.Flow {
-			return srv.ReceiveLogsAbort(rank, wave, pkts, srcNode, onStored, onAbort)
+			return srv.ReceiveLogs(rank, wave, pkts, srcNode, onStored, onAbort)
 		})
 }
 

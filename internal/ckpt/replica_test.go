@@ -156,8 +156,8 @@ func TestGroupLogsSinceUnion(t *testing.T) {
 		return &mpi.Packet{Src: src, Dst: 0, Kind: mpi.KindPayload, PSeq: pseq, Data: []byte{byte(pseq)}}
 	}
 	k.Go("w", func(p *sim.Proc) {
-		pool[0].ReceiveLogs(0, 1, []*mpi.Packet{pkt(1, 1), pkt(1, 2), pkt(2, 1)}, 0, nil)
-		pool[1].ReceiveLogs(0, 1, []*mpi.Packet{pkt(1, 2), pkt(1, 3), pkt(2, 1)}, 0, nil)
+		pool[0].ReceiveLogs(0, 1, []*mpi.Packet{pkt(1, 1), pkt(1, 2), pkt(2, 1)}, 0, nil, nil)
+		pool[1].ReceiveLogs(0, 1, []*mpi.Packet{pkt(1, 2), pkt(1, 3), pkt(2, 1)}, 0, nil, nil)
 	})
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
@@ -186,12 +186,15 @@ func TestServerFetchErrors(t *testing.T) {
 	k := sim.New(1)
 	_, pool := testGroup(k, 1, 1, 1)
 	srv := pool[0]
-	if _, err := srv.Fetch(0, 9, 0, nil); !errors.Is(err, ErrNoImage) {
+	if _, err := srv.FetchImage(0, 9, 0, nil, nil); !errors.Is(err, ErrNoImage) {
 		t.Fatalf("missing image: %v", err)
 	}
 	srv.Kill()
-	if _, err := srv.Fetch(0, 9, 0, nil); !errors.Is(err, ErrServerDown) {
+	if _, err := srv.FetchImage(0, 9, 0, nil, nil); !errors.Is(err, ErrServerDown) {
 		t.Fatalf("dead server: %v", err)
+	}
+	if _, err := srv.FetchLogs(0, 9, 0, false, nil, nil); !errors.Is(err, ErrServerDown) {
+		t.Fatalf("dead server logs: %v", err)
 	}
 	if _, err := srv.Image(0, 9); !errors.Is(err, ErrServerDown) {
 		t.Fatalf("dead server image: %v", err)

@@ -67,14 +67,6 @@ func NewServer(net *simnet.Network, index, node int) *Server {
 	}
 }
 
-// Receive starts the transfer of img from srcNode to the server.  The
-// returned flow may be cancelled if the sender dies.  onStored runs when
-// the image is fully stored.  The server keeps its own copy, so later
-// mutation of img by the sender is invisible.
-func (s *Server) Receive(img *Image, srcNode int, onStored func()) *simnet.Flow {
-	return s.ReceiveCapped(img, srcNode, 0, onStored)
-}
-
 // SetObs attaches the observability hub the server's transfer events go
 // to (nil disables).
 func (s *Server) SetObs(h *obs.Hub) { s.obs = h }
@@ -108,68 +100,62 @@ func (s *Server) Kill() {
 	}
 }
 
-// track registers an in-progress flow for cancellation on Kill.  The
-// returned func unregisters it; completion callbacks must call it first.
-func (s *Server) track(tr *transfer) func() {
+// flow starts a transfer the server is one end of and tracks it until it
+// lands, so that Kill can cancel it and run onAbort (may be nil).
+func (s *Server) flow(src, dst int, bytes int64, cap simnet.Rate, onDone, onAbort func()) *simnet.Flow {
+	tr := &transfer{onAbort: onAbort}
 	s.inflight = append(s.inflight, tr)
-	return func() {
+	tr.flow = s.net.StartFlowCapped(src, dst, bytes, cap, func() {
 		for i, t := range s.inflight {
 			if t == tr {
 				s.inflight = append(s.inflight[:i], s.inflight[i+1:]...)
 				break
 			}
 		}
-	}
+		onDone()
+	})
+	return tr.flow
 }
 
-// ReceiveCapped is Receive with a sender-side rate ceiling (0 = none),
-// modelling transfers paced by a single-threaded daemon.
-func (s *Server) ReceiveCapped(img *Image, srcNode int, cap simnet.Rate, onStored func()) *simnet.Flow {
-	return s.ReceiveCappedAbort(img, srcNode, cap, onStored, nil)
-}
-
-// ReceiveCappedAbort is ReceiveCapped with an abort notification: if the
-// server dies while the transfer is in flight, onAbort runs instead of
-// onStored (the replica Group retries elsewhere).  A dead server refuses
-// the transfer outright: nil flow, immediate onAbort.
-func (s *Server) ReceiveCappedAbort(img *Image, srcNode int, cap simnet.Rate, onStored, onAbort func()) *simnet.Flow {
+// Receive starts the transfer of img from srcNode to the server, paced by
+// a sender-side rate ceiling (cap 0 = none, modelling transfers driven by
+// a single-threaded daemon).  The returned flow may be cancelled if the
+// sender dies.  onStored runs when the image is fully stored; if the
+// server dies while the transfer is in flight, onAbort runs instead (the
+// replica Group retries elsewhere).  A dead server refuses the transfer
+// outright: nil flow, immediate onAbort.  The server keeps the pointer it
+// was given — an image is immutable once handed to a store (see Image).
+func (s *Server) Receive(img *Image, srcNode int, cap simnet.Rate, onStored, onAbort func()) *simnet.Flow {
 	if s.dead {
 		if onAbort != nil {
 			onAbort()
 		}
 		return nil
 	}
-	stored := img.Clone()
 	// One span per replica transfer, closed by the matching end event (or
 	// left open if the server dies mid-flight).
 	sp := s.obs.NextSpan()
-	s.emit(obs.EvImageStoreBegin, stored.Rank, stored.Wave, stored.StoredBytes(), sp)
-	tr := &transfer{onAbort: onAbort}
-	done := s.track(tr)
-	tr.flow = s.net.StartFlowCapped(srcNode, s.Node, img.StoredBytes(), cap, func() {
-		done()
-		s.images[imgKey{stored.Rank, stored.Wave}] = stored
-		s.BytesReceived += stored.StoredBytes()
+	bytes := img.StoredBytes()
+	s.emit(obs.EvImageStoreBegin, img.Rank, img.Wave, bytes, sp)
+	return s.flow(srcNode, s.Node, bytes, cap, func() {
+		s.images[imgKey{img.Rank, img.Wave}] = img
+		s.BytesReceived += bytes
 		s.ImagesStored++
-		s.emit(obs.EvImageStoreEnd, stored.Rank, stored.Wave, stored.StoredBytes(), sp)
+		s.emit(obs.EvImageStoreEnd, img.Rank, img.Wave, bytes, sp)
 		if onStored != nil {
 			onStored()
 		}
-	})
-	return tr.flow
+	}, onAbort)
 }
 
 // ReceiveLogs transfers a set of logged in-transit messages (Vcl channel
-// state) for (rank, wave).  Logs from several channels may arrive in
+// state, or one mlog reception record) for (rank, wave), with the abort
+// semantics of Receive.  Logs from several channels may arrive in
 // separate calls; they accumulate in arrival order, which preserves
 // per-channel FIFO since each channel's log is shipped in one piece.
-func (s *Server) ReceiveLogs(rank, wave int, pkts []*mpi.Packet, srcNode int, onStored func()) *simnet.Flow {
-	return s.ReceiveLogsAbort(rank, wave, pkts, srcNode, onStored, nil)
-}
-
-// ReceiveLogsAbort is ReceiveLogs with the same abort semantics as
-// ReceiveCappedAbort.
-func (s *Server) ReceiveLogsAbort(rank, wave int, pkts []*mpi.Packet, srcNode int, onStored, onAbort func()) *simnet.Flow {
+// Unlike images, packets are copied: Mlog ships the live received packet,
+// and Fabric.Send stamps Seq/Dst on whatever it is handed.
+func (s *Server) ReceiveLogs(rank, wave int, pkts []*mpi.Packet, srcNode int, onStored, onAbort func()) *simnet.Flow {
 	if s.dead {
 		if onAbort != nil {
 			onAbort()
@@ -184,10 +170,7 @@ func (s *Server) ReceiveLogsAbort(rank, wave int, pkts []*mpi.Packet, srcNode in
 	}
 	sp := s.obs.NextSpan()
 	s.emit(obs.EvLogShipBegin, rank, wave, bytes, sp)
-	tr := &transfer{onAbort: onAbort}
-	done := s.track(tr)
-	tr.flow = s.net.StartFlow(srcNode, s.Node, bytes, func() {
-		done()
+	return s.flow(srcNode, s.Node, bytes, 0, func() {
 		k := imgKey{rank, wave}
 		s.logs[k] = append(s.logs[k], cp...)
 		s.BytesReceived += bytes
@@ -195,8 +178,7 @@ func (s *Server) ReceiveLogsAbort(rank, wave int, pkts []*mpi.Packet, srcNode in
 		if onStored != nil {
 			onStored()
 		}
-	})
-	return tr.flow
+	}, onAbort)
 }
 
 // Image returns the stored image for (rank, wave).  It errors instead of
@@ -285,72 +267,29 @@ func (s *Server) LogsSince(rank, wave int) []*mpi.Packet {
 	return out
 }
 
-// Fetch starts the transfer of the stored image (and logs) for
-// (rank, wave) from the server to dstNode, calling onDone with them when
-// the transfer completes.  Coordinated recovery replays exactly the
-// committed wave's channel state (later, aborted waves' logs describe
-// messages the rolled-back senders will regenerate); allLogsSince selects
-// the message-logging semantics instead, where peers do not roll back and
-// the whole reception history since the image is replayed.  A missing
-// image or a dead server is an error (ErrNoImage / ErrServerDown), never
-// a panic: with replication the caller fails over, without it the job
-// stops in degraded mode.
-func (s *Server) Fetch(rank, wave, dstNode int, onDone func(*Image, []*mpi.Packet)) (*simnet.Flow, error) {
-	return s.fetch(rank, wave, dstNode, false, onDone)
-}
-
-// FetchSince is Fetch with the message-logging log semantics.
-func (s *Server) FetchSince(rank, wave, dstNode int, onDone func(*Image, []*mpi.Packet)) (*simnet.Flow, error) {
-	return s.fetch(rank, wave, dstNode, true, onDone)
-}
-
-func (s *Server) fetch(rank, wave, dstNode int, allSince bool, onDone func(*Image, []*mpi.Packet)) (*simnet.Flow, error) {
-	img, err := s.Image(rank, wave)
-	if err != nil {
-		return nil, err
-	}
-	var logs []*mpi.Packet
-	if allSince {
-		logs = s.LogsSince(rank, wave)
-	} else {
-		logs = s.Logs(rank, wave)
-	}
-	size := img.RestoreBytes()
-	for _, p := range logs {
-		size += p.WireSize()
-	}
-	tr := &transfer{}
-	done := s.track(tr)
-	tr.flow = s.net.StartFlow(s.Node, dstNode, size, func() {
-		done()
-		onDone(img.Clone(), logs)
-	})
-	return tr.flow, nil
-}
-
-// FetchImage transfers just the stored image for (rank, wave) to
-// dstNode.  onAbort runs if the server dies mid-transfer, so a replica
-// Group can fail over to the next copy.
+// FetchImage transfers the stored image for (rank, wave) to dstNode and
+// hands onDone the stored pointer itself (read-only, like every image past
+// a store).  onAbort runs if the server dies mid-transfer, so a replica
+// Group can fail over to the next copy.  A missing image or a dead server
+// is an error (ErrNoImage / ErrServerDown), never a panic: with
+// replication the caller fails over, without it the job stops in degraded
+// mode.
 func (s *Server) FetchImage(rank, wave, dstNode int, onDone func(*Image), onAbort func()) (*simnet.Flow, error) {
 	img, err := s.Image(rank, wave)
 	if err != nil {
 		return nil, err
 	}
-	tr := &transfer{onAbort: onAbort}
-	done := s.track(tr)
-	tr.flow = s.net.StartFlow(s.Node, dstNode, img.RestoreBytes(), func() {
-		done()
-		onDone(img.Clone())
-	})
-	return tr.flow, nil
+	return s.flow(s.Node, dstNode, img.RestoreBytes(), 0, func() { onDone(img) }, onAbort), nil
 }
 
-// FetchLogs transfers the stored logs for (rank, wave) — the committed
-// wave's channel state (allSince false) or the whole reception history
-// from the wave on (allSince true) — to dstNode.  The server must be
-// alive; a replica holding the image but not the logs is possible (the
-// two are separate transfers), which is why the Group picks image and
-// log sources independently.
+// FetchLogs transfers the stored logs for (rank, wave) to dstNode.
+// Coordinated recovery replays exactly the committed wave's channel state
+// (allSince false: later, aborted waves' logs describe messages the
+// rolled-back senders will regenerate); message logging, where peers do
+// not roll back, replays the whole reception history from the wave on
+// (allSince true).  The server must be alive; a replica holding the image
+// but not the logs is possible (the two are separate transfers), which is
+// why the Group picks image and log sources independently.
 func (s *Server) FetchLogs(rank, wave, dstNode int, allSince bool, onDone func([]*mpi.Packet), onAbort func()) (*simnet.Flow, error) {
 	if s.dead {
 		return nil, fmt.Errorf("ckpt: server %d, logs rank %d wave %d: %w",
@@ -366,11 +305,5 @@ func (s *Server) FetchLogs(rank, wave, dstNode int, allSince bool, onDone func([
 	for _, p := range logs {
 		size += p.WireSize()
 	}
-	tr := &transfer{onAbort: onAbort}
-	done := s.track(tr)
-	tr.flow = s.net.StartFlow(s.Node, dstNode, size, func() {
-		done()
-		onDone(logs)
-	})
-	return tr.flow, nil
+	return s.flow(s.Node, dstNode, size, 0, func() { onDone(logs) }, onAbort), nil
 }

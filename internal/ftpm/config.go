@@ -368,6 +368,29 @@ func (c *Config) Validate() error {
 				c.Topology.TotalNodes(), need, computeNodes, c.Servers, c.SpareNodes, c.pfsTargets())
 		}
 	}
+	return c.validateFailures()
+}
+
+// validateFailures rejects a scripted kill whose victim does not exist: a
+// run that silently skipped it would report a failure-free result for a
+// schedule that asked for a failure.
+func (c *Config) validateFailures() error {
+	for i, ev := range c.Failures {
+		switch ev.Kind {
+		case failure.KindRank:
+			if ev.Rank < 0 || ev.Rank >= c.NP {
+				return cfgErr(fmt.Sprintf("Failures[%d].Rank", i), "no rank %d in a job of %d", ev.Rank, c.NP)
+			}
+		case failure.KindServer:
+			if ev.Server < 0 || ev.Server >= c.Servers {
+				return cfgErr(fmt.Sprintf("Failures[%d].Server", i), "no checkpoint server %d among %d", ev.Server, c.Servers)
+			}
+		case failure.KindPFS:
+			if n := c.pfsTargets(); n > 0 && (ev.Server < 0 || ev.Server >= n) {
+				return cfgErr(fmt.Sprintf("Failures[%d].Server", i), "no PFS target %d among %d", ev.Server, n)
+			}
+		}
+	}
 	return nil
 }
 

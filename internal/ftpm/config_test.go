@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"ftckpt/internal/ckpt"
+	"ftckpt/internal/failure"
 )
 
 // storageCfg returns a valid three-level config the rejection cases
@@ -84,6 +85,16 @@ func TestValidateStorageRejections(t *testing.T) {
 		{"full every", func(c *Config) { c.Storage.FullEvery = -1 }, "Storage.FullEvery"},
 		{"dirty fraction", func(c *Config) { c.Storage.DirtyFraction = 1.5 }, "Storage.DirtyFraction"},
 		{"compress ratio", func(c *Config) { c.Storage.CompressRatio = -0.1 }, "Storage.CompressRatio"},
+		// Scripted kills must name a victim that exists (4 ranks, 2
+		// servers, 2 PFS targets); the index is the offending event's.
+		{"failure rank", func(c *Config) { c.Failures = failure.KillAt(time.Millisecond, 4) }, "Failures[0].Rank"},
+		{"failure negative rank", func(c *Config) { c.Failures = failure.KillAt(time.Millisecond, -1) }, "Failures[0].Rank"},
+		{"failure server", func(c *Config) {
+			c.Failures = append(failure.KillAt(time.Millisecond, 3), failure.KillServerAt(time.Millisecond, 2)...)
+		}, "Failures[1].Server"},
+		{"failure pfs target", func(c *Config) {
+			c.Failures = failure.Plan{{At: time.Millisecond, Kind: failure.KindPFS, Server: 2}}
+		}, "Failures[0].Server"},
 	}
 	for _, tc := range cases {
 		tc := tc

@@ -387,16 +387,15 @@ func (job *Job) scheduleNodeMTTF() {
 	})
 }
 
-// inject routes one scripted failure event to its kill path.
+// inject routes one scripted failure event to its kill path.  Validate
+// has checked that rank, server and PFS victims exist.
 func (job *Job) inject(ev failure.Event) {
 	if job.doneRes {
 		return
 	}
 	switch ev.Kind {
 	case failure.KindServer:
-		if ev.Server >= 0 && ev.Server < len(job.servers) {
-			job.injectServerKill(ev.Server)
-		}
+		job.injectServerKill(ev.Server)
 	case failure.KindNode:
 		if ev.Node >= 0 {
 			job.injectNodeKill(ev.Node)
@@ -410,9 +409,7 @@ func (job *Job) inject(ev failure.Event) {
 			job.store.KillPFSTarget(ev.Server)
 		}
 	default:
-		if ev.Rank >= 0 && ev.Rank < job.cfg.NP {
-			job.injectRankKill(ev.Rank)
-		}
+		job.injectRankKill(ev.Rank)
 	}
 }
 
@@ -1140,9 +1137,6 @@ func (pr *procRun) TakeCheckpoint(wave int, dev []byte, onStored func()) {
 	}
 	gen := pr.gen
 	prof := pr.job.cfg.Profile
-	// The hierarchy's image planner prices the image (incremental delta,
-	// compression) before any bytes move.
-	pr.job.store.PlanImage(img)
 	pr.job.rec.LocalCkpt(wave, pr.job.k.Now())
 	// The fork'd clone and the pipelined transfer steal CPU and memory
 	// bandwidth from the application until the image is stored.

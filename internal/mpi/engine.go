@@ -479,18 +479,6 @@ func (e *Engine) RestoreImage(img *EngineImage) {
 	}
 }
 
-// Clone deep-copies an engine image.
-func (img *EngineImage) Clone() *EngineImage {
-	c := &EngineImage{CollSeq: img.CollSeq}
-	for _, p := range img.Unexpected {
-		c.Unexpected = append(c.Unexpected, p.Clone())
-	}
-	if img.Coll != nil {
-		c.Coll = img.Coll.clone()
-	}
-	return c
-}
-
 // Debug renders the engine's blocking state for diagnostics: what the
 // process is waiting for and what is queued.
 func (e *Engine) Debug() string {
