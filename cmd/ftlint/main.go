@@ -1,24 +1,18 @@
 // Command ftlint runs the repository's static-analysis suite — the
-// determinism, pooling, span-balance and error-discipline
-// invariants documented in DESIGN §5.8 and §5.13 — over Go package
-// patterns and exits non-zero if any diagnostic is reported.
+// determinism and pooling invariants documented in DESIGN §5.8 — over Go
+// package patterns and exits non-zero if any diagnostic is reported.
 //
 // Usage:
 //
 //	go run ./cmd/ftlint ./...
 //	go run ./cmd/ftlint -json ./internal/sim ./internal/simnet
-//	go run ./cmd/ftlint -only spanbalance ./...
-//	go run ./cmd/ftlint -fix ./...
+//	go run ./cmd/ftlint -only mapiter ./...
 //
 // Must run with the working directory inside the module (import
 // resolution shells out to `go list` for module paths).  -json emits a
 // machine-readable diagnostic array (file/line/col/analyzer/message) for
 // CI annotations; the exit status is 1 whenever diagnostics exist in
-// either mode.  -tests includes in-package _test.go files.  -fix applies
-// the mechanical rewrites some diagnostics carry (sorted-iteration
-// wrappers for mapiter, %w rewrites for errtype, dead-waiver removal)
-// and exits 0 when every diagnostic was fixed; a second -fix run is a
-// no-op by construction.
+// either mode.  -tests includes in-package _test.go files.
 package main
 
 import (
@@ -35,7 +29,6 @@ func main() {
 	jsonOut := flag.Bool("json", false, "emit diagnostics as JSON (file/line/col/analyzer/message)")
 	includeTests := flag.Bool("tests", false, "also analyze in-package _test.go files")
 	only := flag.String("only", "", "comma-separated analyzer names to run (default: all)")
-	fix := flag.Bool("fix", false, "apply suggested mechanical rewrites to the source files")
 	flag.Parse()
 
 	patterns := flag.Args()
@@ -73,26 +66,6 @@ func main() {
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "ftlint: %v\n", err)
 		os.Exit(2)
-	}
-
-	if *fix && len(diags) > 0 {
-		fixed := analysis.FixCount(diags)
-		files, err := analysis.ApplyFixes(pkgs[0].Fset, diags)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "ftlint: %v\n", err)
-			os.Exit(2)
-		}
-		fmt.Fprintf(os.Stderr, "ftlint: fixed %d of %d diagnostic(s) in %d file(s)\n",
-			fixed, len(diags), len(files))
-		for _, d := range diags {
-			if len(d.Fixes) == 0 {
-				fmt.Println(d)
-			}
-		}
-		if fixed == len(diags) {
-			return
-		}
-		os.Exit(1)
 	}
 
 	if *jsonOut {

@@ -1,6 +1,7 @@
 package ftckpt
 
 import (
+	"errors"
 	"reflect"
 	"strings"
 	"testing"
@@ -8,6 +9,7 @@ import (
 
 	"ftckpt/internal/chaos"
 	"ftckpt/internal/failure"
+	"ftckpt/internal/ftpm"
 )
 
 func TestRunBaseline(t *testing.T) {
@@ -174,6 +176,35 @@ func TestSweepErrorNamesPoint(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "sweep point 1") {
 		t.Fatalf("error does not name the point: %v", err)
+	}
+}
+
+// TestSweepErrorKeepsType checks the sweep-point prefix wraps rather than
+// flattens the point's error: a caller of Sweep can still tell a rejected
+// configuration from a job that stopped degraded.
+func TestSweepErrorKeepsType(t *testing.T) {
+	good := Options{Workload: "cg-real", NP: 4, Protocol: "pcl", Interval: 4 * time.Millisecond, Servers: 1, Seed: 1}
+
+	// The only server dies after wave 1 commits (~6.3 ms) with the only
+	// copy of every image; the rank kill finds nothing to restart from.
+	lost := good
+	lost.Failures = []Failure{KillServer(8*time.Millisecond, 0), KillRank(10*time.Millisecond, 2)}
+	_, err := Sweep([]Options{good, lost}, SweepOptions{Jobs: 2})
+	var deg *DegradedError
+	if !errors.As(err, &deg) {
+		t.Errorf("lost server: Sweep returned %v (%T), want a *DegradedError in the chain", err, err)
+	} else if deg.Wave < 1 {
+		t.Errorf("degraded at wave %d, want a committed wave", deg.Wave)
+	}
+
+	bad := good
+	bad.Failures = []Failure{KillRank(time.Millisecond, 4)}
+	_, err = Sweep([]Options{good, bad}, SweepOptions{Jobs: 2})
+	var ce *ftpm.ConfigError
+	if !errors.As(err, &ce) {
+		t.Errorf("KillRank(4) of 4: Sweep returned %v (%T), want a *ftpm.ConfigError in the chain", err, err)
+	} else if ce.Field != "Failures[0].Rank" {
+		t.Errorf("ConfigError.Field = %q, want Failures[0].Rank", ce.Field)
 	}
 }
 

@@ -1,5 +1,5 @@
 // Package analysis implements ftlint, the repository's static-analysis
-// suite.  Six analyzers encode the house invariants that the golden
+// suite.  Four analyzers encode the house invariants that the golden
 // byte-identity tests can only check dynamically:
 //
 //   - nodeterm: simulation packages must not read wall-clock time or
@@ -17,18 +17,6 @@
 //   - metricowner: the obs.Metrics registry is single-writer; a metric
 //     name literal must not be mutated from more than one
 //     goroutine-spawning scope.
-//   - spanbalance: an EvXxxBegin-family emit must be matched by its End
-//     (or Abort) on every return and panic path of the function, unless
-//     the span handle demonstrably hands off to a later closer (stored
-//     into a field, captured by a completion callback that closes it, or
-//     declared with //ftlint:handoff, which in turn requires a closer to
-//     exist in the package).
-//   - errtype: typed-error discipline — FT panics classified only via
-//     mpi.AsFTError, FT/Config error values matched with errors.Is or
-//     errors.As (never == or direct type assertion), fmt.Errorf wrapping
-//     errors with %w (never %s/%v), and no discarded error results from
-//     the checkpoint-commit layer unless the callee is marked
-//     //ftlint:besteffort.
 //
 // The driver deliberately mirrors the golang.org/x/tools/go/analysis API
 // (Analyzer, Pass, Reportf, analysistest-style fixtures with // want
@@ -38,22 +26,15 @@
 // real multichecker later is a mechanical substitution — the analyzer
 // bodies already speak its vocabulary.
 //
-// On top of the analyzers the driver enforces waiver hygiene: an
-// //ftlint:allow or //ftlint:ordered comment that no longer suppresses
-// any diagnostic of an enabled analyzer is itself reported (analyzer
-// name "deadwaiver"), so waivers cannot outlive the code they excused.
-//
 // Waiver directives, checked at the diagnostic's line or the line above:
 //
 //	//ftlint:allow <analyzer>[,<analyzer>...]   suppress named analyzers
 //	//ftlint:ordered                            mapiter: order proven total
-//	//ftlint:handoff                            spanbalance: closer elsewhere
 //
 // Marker directives, attached to declarations:
 //
-//	//ftlint:pooled      (type doc)   values of this type are pool-recycled
-//	//ftlint:pool        (field/var)  sanctioned holder of pooled pointers
-//	//ftlint:besteffort  (func doc)   callers may discard the error result
+//	//ftlint:pooled   (type doc)   values of this type are pool-recycled
+//	//ftlint:pool     (field/var)  sanctioned holder of pooled pointers
 package analysis
 
 import (
@@ -74,21 +55,11 @@ type Analyzer struct {
 	Run  func(*Pass) error
 }
 
-// A TextEdit is one span of source to replace — the unit of a suggested
-// fix.  Pos == End inserts.
-type TextEdit struct {
-	Pos token.Pos
-	End token.Pos
-	New string
-}
-
 // A Diagnostic is one finding, positioned for file:line:col rendering.
-// Fixes, when non-empty, are mechanical rewrites `ftlint -fix` applies.
 type Diagnostic struct {
 	Pos      token.Position
 	Analyzer string
 	Message  string
-	Fixes    []TextEdit
 }
 
 func (d Diagnostic) String() string {
@@ -106,132 +77,57 @@ type Pass struct {
 	// load, so pooled types declared in internal/sim are known when
 	// analyzing internal/ckpt.
 	Markers *Markers
-	// Summaries is the cross-package function summary table built by the
-	// dataflow engine over every package in the load.
-	Summaries *Summaries
 
-	// waivers maps file name -> line -> directive records present on that
-	// line.  Shared across analyzers so usage accumulates for the
-	// dead-waiver check.
-	waivers waiverIndex
+	// waivers maps file name -> line -> directive payloads
+	// ("allow nodeterm,mapiter", "ordered") present on that line.
+	waivers map[string]map[int][]string
 
 	diags *[]Diagnostic
 }
 
 // Reportf records a diagnostic at pos unless a waiver directive covers it.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
-	p.report(pos, nil, format, args...)
-}
-
-// ReportfFix is Reportf with a suggested mechanical rewrite attached.
-func (p *Pass) ReportfFix(pos token.Pos, fixes []TextEdit, format string, args ...any) {
-	p.report(pos, fixes, format, args...)
-}
-
-func (p *Pass) report(pos token.Pos, fixes []TextEdit, format string, args ...any) {
 	position := p.Fset.Position(pos)
-	if p.waivers.waivedAt(position, p.Analyzer.Name) {
+	if p.waivedAt(position) {
 		return
 	}
 	*p.diags = append(*p.diags, Diagnostic{
 		Pos:      position,
 		Analyzer: p.Analyzer.Name,
 		Message:  fmt.Sprintf(format, args...),
-		Fixes:    fixes,
 	})
 }
 
-// Handoff reports whether an //ftlint:handoff directive marks pos (the
-// line or the line above).  Consulting it counts as use, like a waiver.
-func (p *Pass) Handoff(pos token.Pos) bool {
-	return p.waivers.directiveAt(p.Fset.Position(pos), "handoff")
+// waivedAt reports whether a directive on the position's line or the line
+// above suppresses this pass's analyzer: //ftlint:allow naming it, or
+// //ftlint:ordered for mapiter.
+func (p *Pass) waivedAt(position token.Position) bool {
+	lines := p.waivers[position.Filename]
+	for _, line := range []int{position.Line, position.Line - 1} {
+		for _, payload := range lines[line] {
+			if payload == "ordered" && p.Analyzer.Name == "mapiter" {
+				return true
+			}
+			rest, ok := strings.CutPrefix(payload, "allow")
+			if !ok {
+				continue
+			}
+			for _, name := range strings.Split(rest, ",") {
+				if strings.TrimSpace(name) == p.Analyzer.Name {
+					return true
+				}
+			}
+		}
+	}
+	return false
 }
 
 // directivePrefix introduces every ftlint comment directive.
 const directivePrefix = "//ftlint:"
 
-// waiverRec is one line directive occurrence, tracking whether it ever
-// suppressed (or sanctioned) a diagnostic.
-type waiverRec struct {
-	payload    string // "allow nodeterm,mapiter", "ordered", "handoff"
-	pos        token.Position
-	cPos, cEnd token.Pos // the comment's extent, for the removal fix
-	used       bool
-}
-
-// analyzers returns the analyzer names the waiver speaks for: the names
-// listed by an allow directive, mapiter for ordered, spanbalance for
-// handoff, nil for marker payloads that are not line waivers.
-func (w *waiverRec) analyzers() []string {
-	switch {
-	case w.payload == "ordered":
-		return []string{"mapiter"}
-	case w.payload == "handoff":
-		return []string{"spanbalance"}
-	default:
-		rest, ok := strings.CutPrefix(w.payload, "allow")
-		if !ok {
-			return nil
-		}
-		var names []string
-		for _, name := range strings.Split(rest, ",") {
-			if name = strings.TrimSpace(name); name != "" {
-				names = append(names, name)
-			}
-		}
-		return names
-	}
-}
-
-// waiverIndex maps file name -> line -> directive records on that line.
-type waiverIndex map[string]map[int][]*waiverRec
-
-// waivedAt reports whether a waiver suppresses analyzer at position,
-// marking any matching record used.  Handoff is not a waiver: it
-// sanctions a validated pattern, and its own validation diagnostic must
-// not be self-suppressed — it participates only through directiveAt and
-// the dead-waiver check.
-func (idx waiverIndex) waivedAt(position token.Position, analyzer string) bool {
-	hit := false
-	lines := idx[position.Filename]
-	for _, line := range []int{position.Line, position.Line - 1} {
-		for _, rec := range lines[line] {
-			if rec.payload == "handoff" {
-				continue
-			}
-			for _, name := range rec.analyzers() {
-				if name == analyzer {
-					rec.used = true
-					hit = true
-				}
-			}
-		}
-	}
-	return hit
-}
-
-// directiveAt reports whether the exact directive payload appears at the
-// position's line or the line above, marking matches used.
-func (idx waiverIndex) directiveAt(position token.Position, payload string) bool {
-	hit := false
-	lines := idx[position.Filename]
-	for _, line := range []int{position.Line, position.Line - 1} {
-		for _, rec := range lines[line] {
-			if rec.payload == payload {
-				rec.used = true
-				hit = true
-			}
-		}
-	}
-	return hit
-}
-
 // collectWaivers builds the file/line directive index for one package.
-// Marker payloads (pooled, pool, besteffort) are excluded — they
-// attach to declarations, not diagnostic lines, and must not show up as
-// dead waivers.
-func collectWaivers(fset *token.FileSet, files []*ast.File) waiverIndex {
-	out := make(waiverIndex)
+func collectWaivers(fset *token.FileSet, files []*ast.File) map[string]map[int][]string {
+	out := make(map[string]map[int][]string)
 	for _, f := range files {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
@@ -244,51 +140,35 @@ func collectWaivers(fset *token.FileSet, files []*ast.File) waiverIndex {
 				if i := strings.Index(payload, "//"); i >= 0 {
 					payload = payload[:i]
 				}
-				payload = strings.TrimSpace(payload)
-				if !isLineDirective(payload) {
-					continue
-				}
 				position := fset.Position(c.Pos())
 				lines := out[position.Filename]
 				if lines == nil {
-					lines = make(map[int][]*waiverRec)
+					lines = make(map[int][]string)
 					out[position.Filename] = lines
 				}
-				lines[position.Line] = append(lines[position.Line],
-					&waiverRec{payload: payload, pos: position, cPos: c.Pos(), cEnd: c.End()})
+				lines[position.Line] = append(lines[position.Line], strings.TrimSpace(payload))
 			}
 		}
 	}
 	return out
 }
 
-// isLineDirective distinguishes line waivers from declaration markers.
-func isLineDirective(payload string) bool {
-	return payload == "ordered" || payload == "handoff" || strings.HasPrefix(payload, "allow")
-}
-
-// Markers is the cross-package table of declaration directives.  Keys are
-// position-independent so that the same declaration is recognized whether
-// it was type-checked by the driver or re-checked as a dependency:
-// "pkgpath.Type" for types, "pkgpath.Type.Field" for fields,
-// "pkgpath.var" for package variables and "pkgpath.Func" /
-// "pkgpath.Type.Method" for functions.
+// Markers is the cross-package table of //ftlint:pooled and //ftlint:pool
+// declarations.  Keys are position-independent so that the same type is
+// recognized whether it was type-checked by the driver or re-checked as a
+// dependency: "pkgpath.Type" for pooled types, "pkgpath.Type.Field" for
+// sanctioned pool fields and "pkgpath.var" for sanctioned pool variables.
 type Markers struct {
 	PooledTypes map[string]bool
 	PoolFields  map[string]bool
 	PoolVars    map[string]bool
-
-	// BestEffortFuncs may have their error result discarded by callers
-	// (//ftlint:besteffort).
-	BestEffortFuncs map[string]bool
 }
 
 func newMarkers() *Markers {
 	return &Markers{
-		PooledTypes:     make(map[string]bool),
-		PoolFields:      make(map[string]bool),
-		PoolVars:        make(map[string]bool),
-		BestEffortFuncs: make(map[string]bool),
+		PooledTypes: make(map[string]bool),
+		PoolFields:  make(map[string]bool),
+		PoolVars:    make(map[string]bool),
 	}
 }
 
@@ -314,113 +194,60 @@ func hasDirective(want string, groups ...*ast.CommentGroup) bool {
 func (m *Markers) collect(pkgPath string, files []*ast.File) {
 	for _, f := range files {
 		for _, decl := range f.Decls {
-			switch decl := decl.(type) {
-			case *ast.FuncDecl:
-				if hasDirective("besteffort", decl.Doc) {
-					m.BestEffortFuncs[funcDeclKey(pkgPath, decl)] = true
-				}
-			case *ast.GenDecl:
-				m.collectGen(pkgPath, decl)
-			}
-		}
-	}
-}
-
-func (m *Markers) collectGen(pkgPath string, gd *ast.GenDecl) {
-	switch gd.Tok {
-	case token.TYPE:
-		for _, spec := range gd.Specs {
-			ts := spec.(*ast.TypeSpec)
-			if hasDirective("pooled", gd.Doc, ts.Doc, ts.Comment) {
-				m.PooledTypes[pkgPath+"."+ts.Name.Name] = true
-			}
-			st, ok := ts.Type.(*ast.StructType)
+			gd, ok := decl.(*ast.GenDecl)
 			if !ok {
 				continue
 			}
-			for _, field := range st.Fields.List {
-				if !hasDirective("pool", field.Doc, field.Comment) {
-					continue
+			switch gd.Tok {
+			case token.TYPE:
+				for _, spec := range gd.Specs {
+					ts := spec.(*ast.TypeSpec)
+					if hasDirective("pooled", gd.Doc, ts.Doc, ts.Comment) {
+						m.PooledTypes[pkgPath+"."+ts.Name.Name] = true
+					}
+					st, ok := ts.Type.(*ast.StructType)
+					if !ok {
+						continue
+					}
+					for _, field := range st.Fields.List {
+						if !hasDirective("pool", field.Doc, field.Comment) {
+							continue
+						}
+						for _, name := range field.Names {
+							m.PoolFields[pkgPath+"."+ts.Name.Name+"."+name.Name] = true
+						}
+					}
 				}
-				for _, name := range field.Names {
-					m.PoolFields[pkgPath+"."+ts.Name.Name+"."+name.Name] = true
+			case token.VAR:
+				for _, spec := range gd.Specs {
+					vs := spec.(*ast.ValueSpec)
+					if !hasDirective("pool", gd.Doc, vs.Doc, vs.Comment) {
+						continue
+					}
+					for _, name := range vs.Names {
+						m.PoolVars[pkgPath+"."+name.Name] = true
+					}
 				}
 			}
 		}
-	case token.VAR:
-		for _, spec := range gd.Specs {
-			vs := spec.(*ast.ValueSpec)
-			if !hasDirective("pool", gd.Doc, vs.Doc, vs.Comment) {
-				continue
-			}
-			for _, name := range vs.Names {
-				m.PoolVars[pkgPath+"."+name.Name] = true
-			}
-		}
 	}
-}
-
-// funcDeclKey builds the marker/summary key for a function declaration:
-// "pkgpath.Name" or "pkgpath.Recv.Name" for methods.
-func funcDeclKey(pkgPath string, fd *ast.FuncDecl) string {
-	if fd.Recv == nil || len(fd.Recv.List) == 0 {
-		return pkgPath + "." + fd.Name.Name
-	}
-	t := fd.Recv.List[0].Type
-	if star, ok := t.(*ast.StarExpr); ok {
-		t = star.X
-	}
-	// Generic receivers (T[P]) do not occur in this repository; plain
-	// identifiers cover every method here.
-	if ident, ok := t.(*ast.Ident); ok {
-		return pkgPath + "." + ident.Name + "." + fd.Name.Name
-	}
-	return pkgPath + "." + fd.Name.Name
-}
-
-// funcKey builds the same key from a types.Func object.
-func funcKey(fn *types.Func) string {
-	if fn.Pkg() == nil {
-		return fn.Name()
-	}
-	sig, ok := fn.Type().(*types.Signature)
-	if ok && sig.Recv() != nil {
-		if owner := ownerNamed(sig.Recv().Type()); owner != nil {
-			return fn.Pkg().Path() + "." + owner.Obj().Name() + "." + fn.Name()
-		}
-	}
-	return fn.Pkg().Path() + "." + fn.Name()
 }
 
 // All returns every registered analyzer, in reporting order.
 func All() []*Analyzer {
-	return []*Analyzer{NoDeterm, MapIter, PoolEscape, MetricOwner, SpanBalance, ErrType}
+	return []*Analyzer{NoDeterm, MapIter, PoolEscape, MetricOwner}
 }
 
 // Run executes the analyzers over the loaded packages and returns the
-// diagnostics sorted by position then analyzer.  After the analyzers it
-// runs the driver's own dead-waiver check: a waiver whose named
-// analyzers all ran yet suppressed nothing is reported under the
-// pseudo-analyzer name "deadwaiver".
+// diagnostics sorted by position then analyzer.
 func Run(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 	markers := newMarkers()
 	for _, pkg := range pkgs {
 		markers.collect(pkg.Path, pkg.Files)
 	}
-	summaries := buildSummaries(pkgs, markers)
-	enabled := make(map[string]bool)
-	for _, a := range analyzers {
-		enabled[a.Name] = true
-	}
 	var diags []Diagnostic
-	var allWaivers []*waiverRec
 	for _, pkg := range pkgs {
 		waivers := collectWaivers(pkg.Fset, pkg.Files)
-		for _, lines := range waivers {
-			for _, recs := range lines {
-				allWaivers = append(allWaivers, recs...)
-			}
-		}
 		for _, a := range analyzers {
 			pass := &Pass{
 				Analyzer:  a,
@@ -429,7 +256,6 @@ func Run(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 				Pkg:       pkg.Types,
 				TypesInfo: pkg.Info,
 				Markers:   markers,
-				Summaries: summaries,
 				waivers:   waivers,
 				diags:     &diags,
 			}
@@ -438,7 +264,6 @@ func Run(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 			}
 		}
 	}
-	diags = append(diags, deadWaivers(allWaivers, enabled)...)
 	sort.Slice(diags, func(i, j int) bool {
 		a, b := diags[i], diags[j]
 		if a.Pos.Filename != b.Pos.Filename {
@@ -453,38 +278,4 @@ func Run(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 		return a.Analyzer < b.Analyzer
 	})
 	return diags, nil
-}
-
-// deadWaivers flags every waiver that (a) names only analyzers that were
-// enabled for this run — a partial `-only` run cannot judge the others —
-// and (b) never suppressed a diagnostic.  The fix deletes the comment.
-func deadWaivers(recs []*waiverRec, enabled map[string]bool) []Diagnostic {
-	var out []Diagnostic
-	for _, rec := range recs {
-		if rec.used {
-			continue
-		}
-		names := rec.analyzers()
-		if len(names) == 0 {
-			continue
-		}
-		covered := true
-		for _, name := range names {
-			if !enabled[name] {
-				covered = false
-				break
-			}
-		}
-		if !covered {
-			continue
-		}
-		out = append(out, Diagnostic{
-			Pos:      rec.pos,
-			Analyzer: "deadwaiver",
-			Message: fmt.Sprintf("//ftlint:%s suppresses no diagnostic; remove dead waiver",
-				rec.payload),
-			Fixes: []TextEdit{{Pos: rec.cPos, End: rec.cEnd, New: ""}},
-		})
-	}
-	return out
 }

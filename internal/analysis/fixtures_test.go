@@ -18,9 +18,6 @@ func TestFixtures(t *testing.T) {
 		{"testdata/src/mapiter/sweep", "mapiter.test/sweep", MapIter},
 		{"testdata/src/poolescape/pool", "poolescape.test/pool", PoolEscape},
 		{"testdata/src/metricowner/met", "metricowner.test/met", MetricOwner},
-		{"testdata/src/spanbalance/spans", "spanbalance.test/spans", SpanBalance},
-		{"testdata/src/errtype/errs", "errtype.test/errs", ErrType},
-		{"testdata/src/deadwaiver/sweep", "deadwaiver.test/sweep", MapIter},
 	}
 	for _, tc := range cases {
 		tc := tc
@@ -29,5 +26,29 @@ func TestFixtures(t *testing.T) {
 				t.Error(err)
 			}
 		})
+	}
+}
+
+// TestRepoClean is the lint gate: the whole module must pass every
+// analyzer.  It runs where the tests run, so a violation fails tier-1
+// rather than waiting for the CI lint job.  Most of its time is
+// type-checking the tree from source.
+func TestRepoClean(t *testing.T) {
+	if testing.Short() {
+		t.Skip("type-checks the whole module")
+	}
+	pkgs, err := NewLoader().Load([]string{"ftckpt/..."})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(pkgs) == 0 {
+		t.Fatal("loaded no packages")
+	}
+	diags, err := Run(pkgs, All())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range diags {
+		t.Error(d)
 	}
 }

@@ -2,10 +2,8 @@ package analysis
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
 	"sort"
-	"strings"
 )
 
 // MapIter flags `for range` over a map whose body feeds an
@@ -80,10 +78,6 @@ func checkFuncMapRanges(pass *Pass, ftype *ast.FuncType, body *ast.BlockStmt) {
 			}
 		}
 	})
-	// No early waiver prune here: suppression happens in Reportf, so the
-	// dead-waiver check sees whether an //ftlint:ordered actually earned
-	// its keep (every sink diagnostic is positioned at the range
-	// statement, where the waiver lives).
 	for _, rs := range ranges {
 		checkMapRange(pass, ftype, body, rs)
 	}
@@ -191,60 +185,9 @@ func checkMapRange(pass *Pass, ftype *ast.FuncType, body *ast.BlockStmt, rs *ast
 	sort.Strings(names)
 	for _, name := range names {
 		if !sortedAfter(pass, body, rs, objs[name]) {
-			pass.ReportfFix(rs.Pos(), sortInsertFix(pass, rs, objs[name]),
-				"map iteration appends to returned slice %q in random order; sort it with a total key after the loop or waive with //ftlint:ordered", name)
+			pass.Reportf(rs.Pos(), "map iteration appends to returned slice %q in random order; sort it with a total key after the loop or waive with //ftlint:ordered", name)
 		}
 	}
-}
-
-// sortInsertFix builds the mechanical rewrite for the returned-slice
-// diagnostic: insert the element-typed sort call right after the range
-// loop.  Only offered when the element type has a stdlib sorter and the
-// file already imports "sort" (the fixer does not edit import blocks).
-func sortInsertFix(pass *Pass, rs *ast.RangeStmt, obj types.Object) []TextEdit {
-	slice, ok := obj.Type().Underlying().(*types.Slice)
-	if !ok {
-		return nil
-	}
-	basic, ok := slice.Elem().Underlying().(*types.Basic)
-	if !ok {
-		return nil
-	}
-	var sorter string
-	switch basic.Kind() {
-	case types.String:
-		sorter = "sort.Strings"
-	case types.Int:
-		sorter = "sort.Ints"
-	case types.Float64:
-		sorter = "sort.Float64s"
-	default:
-		return nil
-	}
-	if !importsSort(pass, rs.Pos()) {
-		return nil
-	}
-	indent := strings.Repeat("\t", pass.Fset.Position(rs.Pos()).Column-1)
-	return []TextEdit{{
-		Pos: rs.End(),
-		End: rs.End(),
-		New: "\n" + indent + sorter + "(" + obj.Name() + ")",
-	}}
-}
-
-// importsSort reports whether the file containing pos imports "sort".
-func importsSort(pass *Pass, pos token.Pos) bool {
-	for _, file := range pass.Files {
-		if pos < file.Pos() || pos >= file.End() {
-			continue
-		}
-		for _, imp := range file.Imports {
-			if imp.Path.Value == `"sort"` {
-				return true
-			}
-		}
-	}
-	return false
 }
 
 // isBuiltinAppend reports whether the call is the append builtin.

@@ -303,8 +303,8 @@ func TestChaosDeterministic(t *testing.T) {
 	}
 }
 
-// TestChaosULFMSparesExhausted is the in-job recovery campaign: under
-// node-loss semantics with a single spare, the first random kill must be
+// TestChaosULFMSparesExhausted is the in-job recovery campaign: with
+// whole machines dying and a single spare, the first random kill must be
 // repaired in place, and a later kill — pool empty — must degrade
 // cleanly into the classic rollback-restart with no hang, no invariant
 // breach, and the failure-free numerics.
@@ -317,24 +317,23 @@ func TestChaosULFMSparesExhausted(t *testing.T) {
 		cfg.Interval = 25 * time.Millisecond
 		cfg.Recovery = ftpm.RecoveryULFM
 		cfg.FTEvery = 10
-		cfg.NodeLoss = true
 		cfg.SpareNodes = 1
 		return cfg
 	}
-	// Two rank kills, both after the first snapshot exchanges, on distinct
-	// victims and far enough apart that the second cannot land inside the
-	// first's (sub-millisecond) repair window.
-	sp := Spec{Kills: 2, From: 30 * time.Millisecond, Until: 65 * time.Millisecond}
+	// Two node kills (one rank per node), both after the first snapshot
+	// exchanges, on distinct victims and far enough apart that the second
+	// cannot land inside the first's (sub-millisecond) repair window.
+	sp := Spec{Kills: 2, NodeFrac: 1, From: 30 * time.Millisecond, Until: 65 * time.Millisecond}
 	for seed := int64(1); ; seed++ {
 		if seed > 200 {
-			t.Fatal("no seed in 1..200 produced two spread-out rank kills on distinct victims")
+			t.Fatal("no seed in 1..200 produced two spread-out node kills on distinct victims")
 		}
 		sp.Seed = seed
 		plan, err := Schedule(sp, mkCfg())
 		if err != nil {
 			t.Fatal(err)
 		}
-		if plan[0].Rank != plan[1].Rank && plan[1].At-plan[0].At >= 5*time.Millisecond {
+		if plan[0].Node != plan[1].Node && plan[1].At-plan[0].At >= 5*time.Millisecond {
 			break
 		}
 	}

@@ -1,11 +1,15 @@
 package expt
 
 import (
+	"errors"
 	"fmt"
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
+	"ftckpt/internal/failure"
+	"ftckpt/internal/ftpm"
 	"ftckpt/internal/obs"
 )
 
@@ -67,5 +71,51 @@ func TestDeadlineErrorNamesPoint(t *testing.T) {
 				t.Errorf("jobs=%d: error %q does not mention %q", jobs, err, want)
 			}
 		}
+	}
+}
+
+// TestRunErrorKeepsType checks the sweep-point prefix wraps rather than
+// flattens: callers of a harness can still tell a rejected configuration
+// from a job that stopped degraded with errors.As.
+func TestRunErrorKeepsType(t *testing.T) {
+	o := quick()
+	o.point = "errchain np=4"
+	cfg := ftpm.Config{
+		NP:         4,
+		Protocol:   ftpm.ProtoPcl,
+		Profile:    pclSockProfile(),
+		Interval:   time.Second,
+		Servers:    1,
+		Topology:   platformEthernet(4 + 1 + 1),
+		NewProgram: newBT(o.btClass()),
+		Seed:       o.Seed,
+	}
+
+	bad := cfg
+	bad.NP = 0
+	_, err := o.run(bad)
+	var ce *ftpm.ConfigError
+	if !errors.As(err, &ce) {
+		t.Errorf("NP=0: run returned %v (%T), want a *ftpm.ConfigError in the chain", err, err)
+	} else if ce.Field != "NP" {
+		t.Errorf("ConfigError.Field = %q, want NP", ce.Field)
+	}
+
+	// The only server dies after wave 1 commits (~6.1 s), taking the only
+	// copy of every image; the rank kill then finds nothing to restart from.
+	cfg.Failures = failure.Plan{
+		{At: 8 * time.Second, Kind: failure.KindServer, Server: 0},
+		{At: 10 * time.Second, Rank: 2},
+	}
+	_, err = o.run(cfg)
+	var deg *ftpm.DegradedError
+	if !errors.As(err, &deg) {
+		t.Fatalf("lost server: run returned %v (%T), want a *ftpm.DegradedError in the chain", err, err)
+	}
+	if deg.Wave < 1 {
+		t.Errorf("degraded at wave %d, want a committed wave", deg.Wave)
+	}
+	if !strings.HasPrefix(err.Error(), o.point) {
+		t.Errorf("error %q lost the sweep-point prefix %q", err, o.point)
 	}
 }

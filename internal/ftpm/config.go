@@ -135,14 +135,12 @@ type Config struct {
 	// RestartDelay models the runtime's respawn cost before image
 	// fetches begin.
 	RestartDelay sim.Time
-	// NodeLoss makes a failure take down the whole node (every process on
-	// it) and remove the machine from the pool, as when a machine — not
-	// just a task — dies.  The dispatcher remaps the victims to spare
-	// nodes while any remain, then overbooks surviving compute nodes (the
-	// paper: "this may lead to overloading of some processors ... one has
-	// to overbook processors to have available spare nodes").
-	NodeLoss bool
 	// SpareNodes reserves that many extra nodes after the service node.
+	// When a machine dies (a failure.KindNode kill) the dispatcher remaps
+	// its ranks to a spare while any remain, then overbooks surviving
+	// compute nodes (the paper: "this may lead to overloading of some
+	// processors ... one has to overbook processors to have available
+	// spare nodes").
 	SpareNodes int
 	// Recovery selects rollback-restart (default) or ULFM-style in-job
 	// repair; FTEvery is the application snapshot cadence in iterations

@@ -710,7 +710,7 @@ func (job *Job) onFailure(rank int) {
 // detectedRank is the dispatcher's reaction to a rank failure, however
 // it learned of it (instant detection, heartbeat timeout, scripted node
 // kill).  Node-loss semantics apply when the rank's machine was killed
-// outright or the configuration says rank failures take the machine.
+// outright.
 func (job *Job) detectedRank(rank int) {
 	if !job.running {
 		return
@@ -718,7 +718,7 @@ func (job *Job) detectedRank(rank int) {
 	node := job.nodeMap[rank]
 	nodeDown := job.nodeKilled[node] && !job.deadNodes[node]
 	if job.cfg.Protocol == ProtoMlog {
-		if nodeDown || job.cfg.NodeLoss {
+		if nodeDown {
 			victims, ok := job.loseNode(node)
 			if !ok {
 				return
@@ -734,7 +734,7 @@ func (job *Job) detectedRank(rank int) {
 	if job.tryRepair(rank, node, nodeDown) {
 		return
 	}
-	if nodeDown || job.cfg.NodeLoss {
+	if nodeDown {
 		if _, ok := job.loseNode(node); !ok {
 			return
 		}

@@ -10,7 +10,6 @@ import (
 func nodeLossCfg(np int) Config {
 	cfg := baseCfg(np)
 	cfg.ProcsPerNode = 2
-	cfg.NodeLoss = true
 	cfg.SpareNodes = 2
 	cfg.Topology = topoN(np/2 + 2 + 1 + 2 + 2) // compute + servers + service + spares + slack
 	cfg.RestartDelay = 2 * time.Millisecond
@@ -24,7 +23,7 @@ func TestNodeLossRemapsToSpare(t *testing.T) {
 	cfg := nodeLossCfg(8)
 	cfg.Protocol = ProtoPcl
 	cfg.Interval = 15 * time.Millisecond
-	cfg.Failures = failure.KillAt(60*time.Millisecond, 2) // node 1 hosts ranks 2,3
+	cfg.Failures = failure.KillNodeAt(60*time.Millisecond, 1) // node 1 hosts ranks 2,3
 	job, err := NewJob(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -64,8 +63,8 @@ func TestNodeLossOverbooking(t *testing.T) {
 	cfg.Protocol = ProtoPcl
 	cfg.Interval = 15 * time.Millisecond
 	cfg.Failures = failure.Plan{
-		{At: 50 * time.Millisecond, Rank: 4},
-		{At: 120 * time.Millisecond, Rank: 6},
+		{At: 50 * time.Millisecond, Kind: failure.KindNode, Node: 2},  // ranks 4,5
+		{At: 120 * time.Millisecond, Kind: failure.KindNode, Node: 3}, // ranks 6,7
 	}
 	job, err := NewJob(cfg)
 	if err != nil {
@@ -96,7 +95,7 @@ func TestNodeLossLocalRecovery(t *testing.T) {
 	cfg := nodeLossCfg(8)
 	cfg.Protocol = ProtoMlog
 	cfg.Interval = 25 * time.Millisecond
-	cfg.Failures = failure.KillAt(80*time.Millisecond, 5) // node 2: ranks 4,5
+	cfg.Failures = failure.KillNodeAt(80*time.Millisecond, 2) // node 2: ranks 4,5
 	job, err := NewJob(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -126,8 +125,8 @@ func TestOverbookingSpareExhaustion(t *testing.T) {
 	cfg.Protocol = ProtoPcl
 	cfg.Interval = 15 * time.Millisecond
 	cfg.Failures = failure.Plan{
-		{At: 40 * time.Millisecond, Rank: 0},
-		{At: 110 * time.Millisecond, Rank: 2},
+		{At: 40 * time.Millisecond, Kind: failure.KindNode, Node: 0},  // ranks 0,1
+		{At: 110 * time.Millisecond, Kind: failure.KindNode, Node: 1}, // ranks 2,3
 	}
 	job, err := NewJob(cfg)
 	if err != nil {

@@ -252,3 +252,139 @@ func TestObsTextSinkCompat(t *testing.T) {
 		}
 	}
 }
+
+// spanEnds maps each span-opening event type to the types that close it.
+// A begin/end pair shares Event.Span, which is all the pairing needs.
+var spanEnds = map[obs.EventType][]obs.EventType{
+	obs.EvImageStoreBegin: {obs.EvImageStoreEnd},
+	obs.EvLogShipBegin:    {obs.EvLogShipEnd},
+	obs.EvDrainBegin:      {obs.EvDrainEnd},
+	obs.EvLocalCkptBegin:  {obs.EvLocalCkptEnd},
+	obs.EvChannelBlocked:  {obs.EvChannelUnblocked},
+	obs.EvRestartBegin:    {obs.EvRestartEnd},
+	obs.EvRepairBegin:     {obs.EvRepairEnd, obs.EvRepairAbort},
+}
+
+// openSpans returns the opening events of the given types that no
+// closing event of the same Span matches, grouped by type.
+func openSpans(col *obs.Collector, begins ...obs.EventType) []obs.Event {
+	beginOf := make(map[obs.EventType]obs.EventType) // closing type -> opening type
+	for _, b := range begins {
+		for _, e := range spanEnds[b] {
+			beginOf[e] = b
+		}
+	}
+	closed := make(map[uint64]obs.EventType) // span -> opening type it closes
+	for _, ev := range col.Events() {
+		if b, ok := beginOf[ev.Type]; ok {
+			closed[ev.Span] = b
+		}
+	}
+	var open []obs.Event
+	for _, b := range begins {
+		for _, ev := range col.Filter(b) {
+			if ev.Span == 0 || closed[ev.Span] != b {
+				open = append(open, ev)
+			}
+		}
+	}
+	return open
+}
+
+func reportOpen(t *testing.T, open []obs.Event) {
+	t.Helper()
+	for _, ev := range open {
+		t.Errorf("%v (rank %d, wave %d, level %d, span %d) opened at %v and never closed",
+			ev.Type, ev.Rank, ev.Wave, ev.Level, ev.Span, ev.T)
+	}
+}
+
+// TestSpansBalancedFailureFree: a run nothing interrupts closes every
+// span it opens.  The 60 ms interval puts the ring's two waves at 60 and
+// 120 ms, so the last image, log and drain land well before the ranks
+// finalize at ~160 ms — a transfer still in flight at job completion
+// would be legitimately open.
+func TestSpansBalancedFailureFree(t *testing.T) {
+	all := []obs.EventType{
+		obs.EvImageStoreBegin, obs.EvLogShipBegin, obs.EvDrainBegin, obs.EvLocalCkptBegin,
+		obs.EvChannelBlocked, obs.EvRestartBegin, obs.EvRepairBegin,
+	}
+	for _, proto := range []Proto{ProtoPcl, ProtoVcl, ProtoMlog} {
+		for _, hier := range []bool{false, true} {
+			name := string(proto) + "/flat"
+			if hier {
+				name = string(proto) + "/hier"
+			}
+			t.Run(name, func(t *testing.T) {
+				cfg := baseCfg(4)
+				if hier { // buffer, servers:2x2, pfs; incremental + compressed
+					cfg = storageCfg()
+					cfg.Storage.Levels[1].Replicas = 2
+					cfg.Storage.Incremental = true
+					cfg.Storage.Compress = true
+				}
+				cfg.Protocol = proto
+				cfg.Interval = 60 * time.Millisecond
+				res, col := collectRun(t, cfg)
+				if res.WavesCommitted < 2 {
+					t.Fatalf("%d waves committed, want the second (incremental) one too", res.WavesCommitted)
+				}
+				// The run must have opened what it claims to balance.
+				must := []obs.EventType{obs.EvImageStoreBegin, obs.EvLocalCkptBegin}
+				if proto == ProtoPcl {
+					must = append(must, obs.EvChannelBlocked)
+				} else {
+					must = append(must, obs.EvLogShipBegin)
+				}
+				if hier && proto != ProtoMlog { // mlog drops the staging levels
+					must = append(must, obs.EvDrainBegin)
+				}
+				for _, b := range must {
+					if col.Count(b) == 0 {
+						t.Errorf("no %v in the stream", b)
+					}
+				}
+				reportOpen(t, openSpans(col, all...))
+			})
+		}
+	}
+}
+
+// TestRestartSpansClosed: every recovery that completes closes the
+// restart span it opened — the from-scratch relaunch (no wave committed
+// yet), the global rollback to a committed wave, and mlog's single-rank
+// restart.  Transfers the kill cancelled stay open by design, so only
+// the restart family is checked.
+func TestRestartSpansClosed(t *testing.T) {
+	cases := []struct {
+		name     string
+		np       int
+		proto    Proto
+		interval time.Duration
+		kill     failure.Plan
+		fromZero bool
+	}{
+		{"scratch", 6, ProtoPcl, 10 * time.Second, failure.KillAt(10*time.Millisecond, 0), true},
+		{"pcl", 4, ProtoPcl, 15 * time.Millisecond, failure.KillAt(40*time.Millisecond, 2), false},
+		{"vcl", 4, ProtoVcl, 15 * time.Millisecond, failure.KillAt(40*time.Millisecond, 2), false},
+		{"mlog", 4, ProtoMlog, 15 * time.Millisecond, failure.KillAt(30*time.Millisecond, 1), false},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := baseCfg(tc.np)
+			cfg.Protocol = tc.proto
+			cfg.Interval = tc.interval
+			cfg.RestartDelay = time.Millisecond
+			cfg.Failures = tc.kill
+			res, col := collectRun(t, cfg)
+			begins := col.Filter(obs.EvRestartBegin)
+			if res.Restarts != 1 || len(begins) != 1 {
+				t.Fatalf("%d restarts, %d restart-begin events, want one each", res.Restarts, len(begins))
+			}
+			if (begins[0].Wave == 0) != tc.fromZero {
+				t.Fatalf("restart from wave %d, from-scratch=%v wanted", begins[0].Wave, tc.fromZero)
+			}
+			reportOpen(t, openSpans(col, obs.EvRestartBegin))
+		})
+	}
+}

@@ -68,8 +68,7 @@ func (job *Job) tryRepair(rank, node int, nodeDown bool) bool {
 			return false
 		}
 	}
-	takeNode := nodeDown || job.cfg.NodeLoss
-	if takeNode {
+	if nodeDown {
 		// A machine died with the rank.  Repair needs a spare to splice
 		// the replacement onto (overbooking would double up a survivor's
 		// node mid-run), and exactly one victim — losing several ranks at
@@ -99,7 +98,7 @@ func (job *Job) tryRepair(rank, node int, nodeDown bool) bool {
 	if !ok || fp.FTPeerLatest(rank) < 0 {
 		return false
 	}
-	if takeNode {
+	if nodeDown {
 		if _, ok := job.loseNode(node); !ok {
 			return true // degraded; nothing left to repair or restart
 		}

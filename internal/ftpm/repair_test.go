@@ -114,16 +114,15 @@ func TestULFMDeterminism(t *testing.T) {
 	}
 }
 
-// TestULFMSparesExhausted: with node-loss semantics and one spare, the
-// first failure repairs onto the spare and the second — pool empty —
-// degrades cleanly into the classic overbooked rollback-restart.
+// TestULFMSparesExhausted: with machines dying and one spare, the first
+// failure repairs onto the spare and the second — pool empty — degrades
+// cleanly into the classic overbooked rollback-restart.
 func TestULFMSparesExhausted(t *testing.T) {
 	cfg := ulfmCfg(8)
-	cfg.NodeLoss = true
 	cfg.SpareNodes = 1
-	cfg.Failures = failure.Plan{
-		{At: 40 * time.Millisecond, Rank: 3},
-		{At: 60 * time.Millisecond, Rank: 5},
+	cfg.Failures = failure.Plan{ // one rank per node: node n hosts rank n
+		{At: 40 * time.Millisecond, Kind: failure.KindNode, Node: 3},
+		{At: 60 * time.Millisecond, Kind: failure.KindNode, Node: 5},
 	}
 	res, _ := runOK(t, cfg)
 	if res.Repairs != 1 {
