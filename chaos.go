@@ -2,9 +2,7 @@ package ftckpt
 
 import (
 	"ftckpt/internal/chaos"
-	"ftckpt/internal/failure"
 	"ftckpt/internal/ftpm"
-	"time"
 )
 
 // DegradedError is the structured error a job stops with when a loss is
@@ -13,27 +11,15 @@ import (
 // through errors.As instead of panicking.
 type DegradedError = ftpm.DegradedError
 
-// ChaosSpec seeds a random kill schedule for Chaos.  The schedule is a
-// pure function of the spec and the job options: the same seed always
-// kills the same components at the same virtual times.
-type ChaosSpec struct {
-	// Seed drives the schedule (independent of Options.Seed).
-	Seed int64
-	// Kills is the number of kill events.
-	Kills int
-	// ServerFrac and NodeFrac are the expected fractions of kills aimed
-	// at checkpoint servers and whole compute nodes; BufferFrac and
-	// PFSFrac aim kills at node-local staging buffers and PFS targets
-	// (jobs with the matching Options.Storage levels only); the
-	// remainder kill single ranks.
-	ServerFrac float64
-	NodeFrac   float64
-	BufferFrac float64
-	PFSFrac    float64
-	// Kills land uniformly in [From, Until).
-	From  time.Duration
-	Until time.Duration
-}
+// ChaosSpec seeds a random kill schedule for Chaos: Kills events landing
+// uniformly in [From, Until), of which ServerFrac, NodeFrac, BufferFrac
+// and PFSFrac are the expected fractions aimed at checkpoint servers,
+// whole compute nodes, node-local staging buffers and PFS targets (the
+// last two need the matching Options.Storage levels); the remainder kill
+// single ranks.  The schedule is a pure function of the spec (its Seed
+// is independent of Options.Seed) and the job options: the same seed
+// always kills the same components at the same virtual times.
+type ChaosSpec = chaos.Spec
 
 // ChaosReport is the outcome of a chaos run.
 type ChaosReport struct {
@@ -74,39 +60,15 @@ func Chaos(o Options, sp ChaosSpec) (ChaosReport, error) {
 	if err != nil {
 		return ChaosReport{}, err
 	}
-	out, err := chaos.Run(chaos.Config{
-		Job: cfg,
-		Spec: chaos.Spec{
-			Seed: sp.Seed, Kills: sp.Kills,
-			ServerFrac: sp.ServerFrac, NodeFrac: sp.NodeFrac,
-			BufferFrac: sp.BufferFrac, PFSFrac: sp.PFSFrac,
-			From: sp.From, Until: sp.Until,
-		},
-		Checksum: checksum,
-	})
+	out, err := chaos.Run(chaos.Config{Job: cfg, Spec: sp, Checksum: checksum})
 	if err != nil {
 		return ChaosReport{}, err
 	}
 	rep := ChaosReport{
+		Plan:       out.Plan,
 		Report:     reportFrom(out.Result, cfg.NP),
 		Degraded:   out.Degraded,
 		Violations: out.Violations,
-	}
-	for _, ev := range out.Plan {
-		f := Failure{At: ev.At, Kind: ev.Kind.String()}
-		switch ev.Kind {
-		case failure.KindNode:
-			f.Node = ev.Node
-		case failure.KindServer:
-			f.Server = ev.Server
-		case failure.KindBuffer:
-			f.Node = ev.Node
-		case failure.KindPFS:
-			f.Server = ev.Server
-		default:
-			f.Rank = ev.Rank
-		}
-		rep.Plan = append(rep.Plan, f)
 	}
 	if len(out.Checksums) > 0 {
 		rep.Checksum = out.Checksums[0]

@@ -327,14 +327,7 @@ func runChaos(o ftckpt.Options, sp ftckpt.ChaosSpec, explain bool, explOut strin
 	}
 	fmt.Printf("chaos schedule    seed %d, %d kills in [%v, %v)\n", sp.Seed, sp.Kills, sp.From, sp.Until)
 	for _, f := range rep.Plan {
-		victim := f.Rank
-		switch f.Kind {
-		case "node", "buffer":
-			victim = f.Node
-		case "server", "pfs":
-			victim = f.Server
-		}
-		fmt.Printf("  kill %-6s %-3d @ %v\n", f.Kind, victim, f.At)
+		fmt.Printf("  kill %-6s %-3d @ %v\n", f.Kind, f.Victim(), f.At)
 	}
 	if rep.Degraded != nil {
 		fmt.Printf("outcome           degraded stop: %v\n", rep.Degraded)

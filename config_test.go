@@ -2,13 +2,12 @@ package ftckpt
 
 // Table tests for buildConfig: the typed facade must accept every
 // supported enum value (and the legacy string literals, which still
-// compile through the string-backed types), reject unknown values with an
-// error naming the Options field, forward the Replication/Heartbeat
-// specs, and reject Storage conflicts with an error naming both sides.
+// compile through the string-backed types) and forward the
+// Replication/Heartbeat/Storage specs.  What a run is rejected for is
+// pinned from outside the package, in reject_test.go.
 
 import (
 	"errors"
-	"strings"
 	"testing"
 	"time"
 
@@ -32,7 +31,7 @@ func TestBuildConfigMatrix(t *testing.T) {
 			if err != nil {
 				t.Fatalf("platform %q protocol %q: %v", pl, pr, err)
 			}
-			if got, want := cfg.Protocol, ftpm.Proto(pr); got != want {
+			if got, want := cfg.Protocol, pr; got != want {
 				t.Errorf("platform %q protocol %q: cfg.Protocol = %q, want %q", pl, pr, got, want)
 			}
 			if pr != ProtocolNone && pl != PlatformGrid && cfg.Servers != 1 {
@@ -69,42 +68,6 @@ func TestBuildConfigLegacyLiterals(t *testing.T) {
 	}
 	if cfg.Protocol != ftpm.ProtoPcl {
 		t.Errorf("cfg.Protocol = %q, want %q", cfg.Protocol, ftpm.ProtoPcl)
-	}
-}
-
-func TestBuildConfigErrors(t *testing.T) {
-	cases := []struct {
-		name string
-		o    Options
-		want string // substring the error must contain (the field name)
-	}{
-		{"np", Options{}, "Options.NP"},
-		{"protocol", Options{NP: 4, Protocol: "tcp"}, "Options.Protocol"},
-		{"platform", Options{NP: 4, Platform: "atm"}, "Options.Platform"},
-		{"workload", Options{NP: 4, Workload: "ft"}, "Options.Workload"},
-		{"class", Options{NP: 4, Workload: WorkloadBT, Class: "Z"}, "Options.Class"},
-		{"failure kind", Options{NP: 4, Failures: []Failure{{At: time.Second, Kind: "rack"}}}, "Options.Failures"},
-		{"servers vs storage", Options{NP: 4, Protocol: Pcl, Interval: time.Second, Servers: 2,
-			Storage: &StorageSpec{Levels: []LevelSpec{{Kind: LevelServers, Servers: 2}}}},
-			"Options.Servers conflicts with Options.Storage"},
-		{"replication vs storage", Options{NP: 4, Protocol: Pcl, Interval: time.Second,
-			Replication: &ReplicationSpec{Replicas: 2},
-			Storage:     &StorageSpec{Levels: []LevelSpec{{Kind: LevelServers, Servers: 2}}}},
-			"Options.Replication conflicts with Options.Storage"},
-		{"storage on grid", Options{NP: 4, Protocol: Pcl, Interval: time.Second, Platform: PlatformGrid,
-			Storage: &StorageSpec{Levels: []LevelSpec{{Kind: LevelServers, Servers: 2}}}},
-			"Options.Storage"},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			_, err := buildConfig(tc.o)
-			if err == nil {
-				t.Fatalf("expected error containing %q, got nil", tc.want)
-			}
-			if !strings.Contains(err.Error(), tc.want) {
-				t.Errorf("error %q does not contain %q", err, tc.want)
-			}
-		})
 	}
 }
 
@@ -149,7 +112,7 @@ func TestBuildConfigSpecConversion(t *testing.T) {
 		t.Fatalf("storage spec: %v", err)
 	}
 	if cfg.Storage == nil || len(cfg.Storage.Levels) != 1 {
-		t.Fatalf("Storage not converted: %+v", cfg.Storage)
+		t.Fatalf("Storage not forwarded: %+v", cfg.Storage)
 	}
 	if err := cfg.Validate(); err != nil {
 		t.Fatalf("storage spec validation: %v", err)
@@ -165,7 +128,7 @@ func TestBuildConfigSpecConversion(t *testing.T) {
 // and the planner knobs ride along.
 func TestBuildConfigStorageHierarchy(t *testing.T) {
 	cfg, err := buildConfig(Options{
-		NP: 8, ProcsPerNode: 2, Protocol: Pcl, Interval: time.Second,
+		Workload: WorkloadCG, NP: 8, ProcsPerNode: 2, Protocol: Pcl, Interval: time.Second,
 		Storage: &StorageSpec{
 			Levels: []LevelSpec{
 				{Kind: LevelBuffer, Bandwidth: 3e9, Latency: 100 * time.Microsecond, Capacity: 1 << 30, Retention: 2},
@@ -202,7 +165,7 @@ func TestBuildConfigStorageHierarchy(t *testing.T) {
 
 func TestBuildConfigFailureConstructors(t *testing.T) {
 	cfg, err := buildConfig(Options{
-		NP: 8, Protocol: Pcl, Interval: time.Second,
+		Workload: WorkloadCG, NP: 8, Protocol: Pcl, Interval: time.Second,
 		Failures: []Failure{
 			KillRank(time.Second, 3),
 			KillNode(2*time.Second, 1),
@@ -235,9 +198,8 @@ func TestBuildConfigFailureConstructors(t *testing.T) {
 }
 
 // TestRunRejectsMissingVictim: a scripted kill of a rank, server or PFS
-// target the job does not have is refused before anything runs, and the
-// facade hands back ftpm's *ConfigError unchanged so the caller can read
-// the offending field.
+// target the job does not have is refused before anything runs, with a
+// *ConfigError naming the offending field.
 func TestRunRejectsMissingVictim(t *testing.T) {
 	hier := &StorageSpec{Levels: []LevelSpec{
 		{Kind: LevelServers, Servers: 2}, {Kind: LevelPFS, Targets: 2, Stripes: 2}}}
@@ -259,9 +221,9 @@ func TestRunRejectsMissingVictim(t *testing.T) {
 				o.Servers = 2
 			}
 			_, err := Run(o)
-			var ce *ftpm.ConfigError
+			var ce *ConfigError
 			if !errors.As(err, &ce) {
-				t.Fatalf("Run returned %v (%T), want a *ftpm.ConfigError", err, err)
+				t.Fatalf("Run returned %v (%T), want a *ConfigError", err, err)
 			}
 			if ce.Field != tc.field {
 				t.Errorf("Field = %q, want %q (reason %q)", ce.Field, tc.field, ce.Reason)
@@ -271,7 +233,7 @@ func TestRunRejectsMissingVictim(t *testing.T) {
 }
 
 func TestBuildConfigVclProcessLimit(t *testing.T) {
-	cfg, err := buildConfig(Options{NP: 8, Protocol: Vcl, Interval: time.Second, VclProcessLimit: -1})
+	cfg, err := buildConfig(Options{Workload: WorkloadCG, NP: 8, Protocol: Vcl, Interval: time.Second, VclProcessLimit: -1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,10 +20,9 @@ package ftckpt
 import (
 	"context"
 	"fmt"
+	"slices"
 	"time"
 
-	"ftckpt/internal/ckpt"
-	"ftckpt/internal/failure"
 	"ftckpt/internal/ftpm"
 	"ftckpt/internal/mpi"
 	"ftckpt/internal/nas"
@@ -221,72 +220,21 @@ func checksum(p mpi.Program) float64 {
 	}
 }
 
-// storageSpec converts the facade storage description into the internal
-// spec; ftpm.Config.Validate checks and normalizes it.
-func storageSpec(s *StorageSpec) *ckpt.Spec {
-	sp := &ckpt.Spec{
-		Incremental:   s.Incremental,
-		FullEvery:     s.FullEvery,
-		DirtyFraction: s.DirtyFraction,
-		Compress:      s.Compress,
-		CompressRatio: s.CompressRatio,
-	}
-	for _, l := range s.Levels {
-		sp.Levels = append(sp.Levels, ckpt.LevelSpec{
-			Kind:         ckpt.LevelKind(l.Kind),
-			Servers:      l.Servers,
-			Replicas:     l.Replicas,
-			WriteQuorum:  l.WriteQuorum,
-			StoreRetries: l.StoreRetries,
-			RetryBackoff: sim.Time(l.RetryBackoff),
-			Bandwidth:    l.Bandwidth,
-			Latency:      sim.Time(l.Latency),
-			Capacity:     l.Capacity,
-			Retention:    l.Retention,
-			Targets:      l.Targets,
-			Stripes:      l.Stripes,
-		})
-	}
-	return sp
-}
+// ConfigError is the one shape a rejected run description takes, from
+// Run, RunKernelStats, Sweep and Chaos alike: Field names the offending
+// knob (dotted for nested ones — "Storage.Levels[0].Kind",
+// "Failures[1].Server"), Reason says what is wrong with it.  Reach it
+// with errors.As.
+type ConfigError = ftpm.ConfigError
 
+// buildConfig translates Options into the process manager's Config: the
+// workload becomes a program factory, the platform a topology sized for
+// the job's nodes and a communication profile.  Everything else is
+// copied as written — ftpm.Config.Validate is where a run is rejected,
+// so the only errors produced here concern what ftpm never sees
+// (Workload, Class, Platform, the grid layout's limits).
 func buildConfig(o Options) (ftpm.Config, error) {
-	if o.NP <= 0 {
-		return ftpm.Config{}, fmt.Errorf("ftckpt: Options.NP must be positive, got %d", o.NP)
-	}
-	ppn := o.ProcsPerNode
-	if ppn <= 0 {
-		ppn = 1
-	}
-	proto := ftpm.ProtoNone
-	switch o.Protocol {
-	case "", ProtocolNone:
-	case Pcl, Vcl, Mlog:
-		proto = ftpm.Proto(o.Protocol)
-	default:
-		return ftpm.Config{}, fmt.Errorf("ftckpt: Options.Protocol: unknown protocol %q (want %q, %q, %q or %q)",
-			o.Protocol, ProtocolNone, Pcl, Vcl, Mlog)
-	}
-	servers := o.Servers
-	if servers <= 0 && proto != ftpm.ProtoNone {
-		servers = 1
-	}
-	var storage *ckpt.Spec
-	if o.Storage != nil {
-		if o.Servers != 0 {
-			return ftpm.Config{}, fmt.Errorf("ftckpt: Options.Servers conflicts with Options.Storage (set the servers level's Servers instead)")
-		}
-		if o.Replication != nil {
-			return ftpm.Config{}, fmt.Errorf("ftckpt: Options.Replication conflicts with Options.Storage (set the replication knobs on the servers level instead)")
-		}
-		storage = storageSpec(o.Storage)
-		// The spec's servers level is the server count now; keeping the
-		// flat field equal makes the fold in Config.Validate a no-op.
-		servers = 0
-		if sl := storage.ServersLevel(); sl != nil {
-			servers = sl.Servers
-		}
-	}
+	ppn := max(o.ProcsPerNode, 1)
 	var repl ReplicationSpec
 	if o.Replication != nil {
 		repl = *o.Replication
@@ -299,20 +247,8 @@ func buildConfig(o Options) (ftpm.Config, error) {
 	if err != nil {
 		return ftpm.Config{}, err
 	}
-	recovery := ftpm.RecoveryRestart
-	switch o.Recovery {
-	case "", RecoveryRestart:
-	case RecoveryULFM:
-		recovery = ftpm.RecoveryULFM
-	default:
-		return ftpm.Config{}, fmt.Errorf("ftckpt: Options.Recovery: unknown mode %q (want %q or %q)",
-			o.Recovery, RecoveryRestart, RecoveryULFM)
-	}
-	if o.Spares < 0 {
-		return ftpm.Config{}, fmt.Errorf("ftckpt: Options.Spares must be non-negative, got %d", o.Spares)
-	}
 	ftEvery := 0
-	if recovery == ftpm.RecoveryULFM {
+	if o.Recovery == RecoveryULFM {
 		// Application snapshot cadence for the partner-checkpoint scheme;
 		// every 10 iterations balances repair cost against lost work for
 		// the real kernels.
@@ -321,10 +257,9 @@ func buildConfig(o Options) (ftpm.Config, error) {
 	cfg := ftpm.Config{
 		NP:               o.NP,
 		ProcsPerNode:     ppn,
-		Protocol:         proto,
+		Protocol:         o.Protocol,
 		Interval:         o.Interval,
-		Servers:          servers,
-		Storage:          storage,
+		Servers:          o.Servers,
 		Replicas:         repl.Replicas,
 		WriteQuorum:      repl.WriteQuorum,
 		StoreRetries:     repl.StoreRetries,
@@ -332,11 +267,12 @@ func buildConfig(o Options) (ftpm.Config, error) {
 		HeartbeatPeriod:  hb.Period,
 		HeartbeatTimeout: hb.Timeout,
 		VclProcessLimit:  o.VclProcessLimit,
-		Recovery:         recovery,
+		Recovery:         o.Recovery,
 		SpareNodes:       o.Spares,
 		FTEvery:          ftEvery,
 		NewProgram:       newProgram,
 		Seed:             o.Seed,
+		Failures:         o.Failures,
 		MTTF:             o.MTTF,
 		ServerMTTF:       o.ServerMTTF,
 		NodeMTTF:         o.NodeMTTF,
@@ -344,43 +280,35 @@ func buildConfig(o Options) (ftpm.Config, error) {
 		Sink:             o.Sink,
 		Metrics:          o.Metrics,
 		Attrib:           o.Attribution,
-		SnapshotPeriod:   sim.Time(o.MetricsSnapshot),
+		SnapshotPeriod:   o.MetricsSnapshot,
 	}
-	for _, f := range o.Failures {
-		ev := failure.Event{At: f.At}
-		switch f.Kind {
-		case "", "rank":
-			ev.Rank = f.Rank
-		case "node":
-			ev.Kind = failure.KindNode
-			ev.Node = f.Node
-		case "server":
-			ev.Kind = failure.KindServer
-			ev.Server = f.Server
-		case "buffer":
-			ev.Kind = failure.KindBuffer
-			ev.Node = f.Node
-		case "pfs":
-			ev.Kind = failure.KindPFS
-			ev.Server = f.Server
-		default:
-			return ftpm.Config{}, fmt.Errorf("ftckpt: Options.Failures: unknown failure kind %q (use KillRank, KillNode, KillServer, KillBuffer or KillPFS)", f.Kind)
+	// serverNodes and pfsTargets size the topology; negative counts are
+	// Validate's to reject and contribute nothing here.
+	serverNodes, pfsTargets := o.Servers, 0
+	switch {
+	case o.Storage != nil:
+		// Validate writes defaults into the spec, and Sweep points may
+		// share one *StorageSpec across goroutines: the job gets its own.
+		sp := *o.Storage
+		sp.Levels = slices.Clone(sp.Levels)
+		cfg.Storage = &sp
+		if sl := sp.ServersLevel(); sl != nil {
+			serverNodes = sl.Servers
 		}
-		cfg.Failures = append(cfg.Failures, ev)
-	}
-	computeNodes := (o.NP + ppn - 1) / ppn
-	pad := computeNodes + servers + 1 + o.Spares
-	if storage != nil {
-		if i := storage.Level(ckpt.LevelPFS); i >= 0 {
-			// Size the topology for the PFS target nodes too; 4 targets is
-			// the model default Normalize applies when the spec left it 0.
-			if t := storage.Levels[i].Targets; t > 0 {
-				pad += t
-			} else {
-				pad += 4
+		if i := sp.Level(LevelPFS); i >= 0 {
+			// 4 targets is the default Normalize applies to a zero count.
+			if pfsTargets = sp.Levels[i].Targets; pfsTargets <= 0 {
+				pfsTargets = 4
 			}
 		}
+	case o.Servers <= 0 && o.Protocol != "" && o.Protocol != ProtocolNone:
+		// One checkpoint server unless the caller asked for more.
+		cfg.Servers, serverNodes = 1, 1
 	}
+	// Compute nodes, checkpoint servers, the service node, spares, then
+	// the PFS targets.
+	computeNodes := (max(o.NP, 0) + ppn - 1) / ppn
+	pad := computeNodes + max(serverNodes, 0) + 1 + max(o.Spares, 0) + pfsTargets
 	switch o.Platform {
 	case "", PlatformEthernet:
 		cfg.Topology = platform.EthernetCluster(pad)
@@ -393,14 +321,14 @@ func buildConfig(o Options) (ftpm.Config, error) {
 		cfg.Profile = platform.PclSock
 	case PlatformGrid:
 		if o.Spares > 0 {
-			return ftpm.Config{}, fmt.Errorf("ftckpt: Options.Spares: the grid platform's fixed layout has no spare slots")
+			return ftpm.Config{}, &ConfigError{Field: "Spares", Reason: "the grid platform's fixed layout has no spare slots"}
 		}
-		if storage != nil {
-			return ftpm.Config{}, fmt.Errorf("ftckpt: Options.Storage: the grid platform's per-cluster server placement keeps the flat server model")
+		if o.Storage != nil {
+			return ftpm.Config{}, &ConfigError{Field: "Storage", Reason: "the grid platform's per-cluster server placement keeps the flat server model"}
 		}
 		lay, err := platform.Grid5000Layout(o.NP, ppn, 1)
 		if err != nil {
-			return ftpm.Config{}, err
+			return ftpm.Config{}, &ConfigError{Field: "NP", Reason: err.Error()}
 		}
 		cfg.Topology = lay.Topo
 		cfg.Placement = lay.Placement
@@ -410,47 +338,56 @@ func buildConfig(o Options) (ftpm.Config, error) {
 		cfg.Servers = lay.Servers
 		cfg.Profile = platform.PclSock
 	default:
-		return ftpm.Config{}, fmt.Errorf("ftckpt: Options.Platform: unknown platform %q (want %q, %q, %q or %q)",
-			o.Platform, PlatformEthernet, PlatformMyrinetGM, PlatformMyrinetTCP, PlatformGrid)
+		return ftpm.Config{}, &ConfigError{Field: "Platform", Reason: fmt.Sprintf("unknown platform %q (want %q, %q, %q or %q)",
+			o.Platform, PlatformEthernet, PlatformMyrinetGM, PlatformMyrinetTCP, PlatformGrid)}
 	}
-	if proto == ftpm.ProtoVcl || proto == ftpm.ProtoMlog {
+	if o.Protocol == Vcl || o.Protocol == Mlog {
 		// Both MPICH-V protocol families run through the daemon device.
 		cfg.Profile = platform.Vcl
 	}
 	return cfg, nil
 }
 
+// workloadFactory resolves Workload and Class to a program constructor,
+// rejecting a process count the workload's decomposition cannot take
+// before a rank's constructor would panic on it.
 func workloadFactory(o Options) (func(rank, size int) mpi.Program, error) {
 	class := string(o.Class)
 	if class == "" {
 		class = string(ClassB)
 	}
-	wrapClass := func(err error) error {
-		return fmt.Errorf("ftckpt: Options.Class: %w", err)
+	reject := func(field string, err error) (func(rank, size int) mpi.Program, error) {
+		return nil, &ConfigError{Field: field, Reason: err.Error()}
 	}
 	switch o.Workload {
 	case "", WorkloadBT:
 		c, err := nas.BTClass(class)
 		if err != nil {
-			return nil, wrapClass(err)
+			return reject("Class", err)
+		}
+		if err := nas.CheckBTProcs(o.NP); err != nil {
+			return reject("NP", err)
 		}
 		return func(rank, size int) mpi.Program { return nas.NewBTModel(c, rank, size) }, nil
 	case WorkloadCG:
 		c, err := nas.CGClass(class)
 		if err != nil {
-			return nil, wrapClass(err)
+			return reject("Class", err)
 		}
 		return func(rank, size int) mpi.Program { return nas.NewCGModel(c, rank, size) }, nil
 	case WorkloadMG:
 		c, err := nas.MGClass(class)
 		if err != nil {
-			return nil, wrapClass(err)
+			return reject("Class", err)
+		}
+		if err := nas.CheckMGProcs(o.NP); err != nil {
+			return reject("NP", err)
 		}
 		return func(rank, size int) mpi.Program { return nas.NewMGModel(c, rank, size) }, nil
 	case WorkloadLU:
 		c, err := nas.LUClass(class)
 		if err != nil {
-			return nil, wrapClass(err)
+			return reject("Class", err)
 		}
 		return func(rank, size int) mpi.Program { return nas.NewLUModel(c, rank, size) }, nil
 	case WorkloadCGReal:
@@ -462,7 +399,7 @@ func workloadFactory(o Options) (func(rank, size int) mpi.Program, error) {
 		n := o.NP * 16
 		return func(rank, size int) mpi.Program { return nas.NewJacobi(rank, size, n, 2000) }, nil
 	default:
-		return nil, fmt.Errorf("ftckpt: Options.Workload: unknown workload %q (want %q, %q, %q, %q, %q, %q or %q)",
-			o.Workload, WorkloadBT, WorkloadCG, WorkloadMG, WorkloadLU, WorkloadCGReal, WorkloadEP, WorkloadJacobi)
+		return reject("Workload", fmt.Errorf("unknown workload %q (want %q, %q, %q, %q, %q, %q or %q)",
+			o.Workload, WorkloadBT, WorkloadCG, WorkloadMG, WorkloadLU, WorkloadCGReal, WorkloadEP, WorkloadJacobi))
 	}
 }

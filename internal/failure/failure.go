@@ -113,17 +113,6 @@ func KillServerAt(at sim.Time, server int) Plan {
 	return Plan{{At: at, Kind: KindServer, Server: server}}
 }
 
-// KillBufferAt builds a plan losing the node-local checkpoint buffer on
-// one machine.
-func KillBufferAt(at sim.Time, node int) Plan {
-	return Plan{{At: at, Kind: KindBuffer, Node: node}}
-}
-
-// KillPFSAt builds a plan losing one parallel-file-system target.
-func KillPFSAt(at sim.Time, target int) Plan {
-	return Plan{{At: at, Kind: KindPFS, Server: target}}
-}
-
 // Exponential draws failure inter-arrival times with the given MTTF,
 // choosing victims uniformly — the memoryless failure model used for
 // MTTF-vs-checkpoint-interval tuning studies (paper §6).  One instance

@@ -261,15 +261,20 @@ func (c *Config) Validate() error {
 	switch c.Protocol {
 	case ProtoNone, ProtoPcl, ProtoVcl, ProtoMlog:
 	default:
-		return cfgErr("Protocol", "unknown protocol %q", c.Protocol)
+		return cfgErr("Protocol", "unknown protocol %q (want %q, %q, %q or %q)",
+			c.Protocol, ProtoNone, ProtoPcl, ProtoVcl, ProtoMlog)
+	}
+	if c.Interval < 0 {
+		return cfgErr("Interval", "must be non-negative, got %v", c.Interval)
 	}
 	if err := c.validateStorage(); err != nil {
 		return err
 	}
-	if c.Protocol != ProtoNone {
-		if c.Servers <= 0 {
-			return cfgErr("Servers", "checkpointing requires at least one server")
-		}
+	if c.Servers < 0 {
+		return cfgErr("Servers", "must be non-negative, got %d", c.Servers)
+	}
+	if c.Protocol != ProtoNone && c.Servers == 0 {
+		return cfgErr("Servers", "checkpointing requires at least one server")
 	}
 	if c.NewProgram == nil {
 		return cfgErr("NewProgram", "is required")
@@ -369,24 +374,49 @@ func (c *Config) Validate() error {
 	return c.validateFailures()
 }
 
-// validateFailures rejects a scripted kill whose victim does not exist: a
-// run that silently skipped it would report a failure-free result for a
-// schedule that asked for a failure.
+// validateFailures rejects a scripted kill that could not happen — a
+// victim the job does not have, a storage level the spec does not
+// declare, a time before the run starts: a run that silently skipped it
+// would report a failure-free result for a schedule that asked for a
+// failure.  Buffer and PFS kills are judged against Storage as given;
+// that Mlog runs without the staging levels is the runtime's business.
 func (c *Config) validateFailures() error {
+	computeNodes := (c.NP + c.ProcsPerNode - 1) / c.ProcsPerNode
 	for i, ev := range c.Failures {
+		field := func(name string) string { return fmt.Sprintf("Failures[%d].%s", i, name) }
+		if ev.At < 0 {
+			return cfgErr(field("At"), "must be non-negative, got %v", ev.At)
+		}
 		switch ev.Kind {
 		case failure.KindRank:
 			if ev.Rank < 0 || ev.Rank >= c.NP {
-				return cfgErr(fmt.Sprintf("Failures[%d].Rank", i), "no rank %d in a job of %d", ev.Rank, c.NP)
+				return cfgErr(field("Rank"), "no rank %d in a job of %d", ev.Rank, c.NP)
+			}
+		case failure.KindNode:
+			if n := c.Topology.TotalNodes(); ev.Node < 0 || ev.Node >= n {
+				return cfgErr(field("Node"), "no node %d on a platform of %d", ev.Node, n)
 			}
 		case failure.KindServer:
 			if ev.Server < 0 || ev.Server >= c.Servers {
-				return cfgErr(fmt.Sprintf("Failures[%d].Server", i), "no checkpoint server %d among %d", ev.Server, c.Servers)
+				return cfgErr(field("Server"), "no checkpoint server %d among %d", ev.Server, c.Servers)
+			}
+		case failure.KindBuffer:
+			if c.Storage == nil || c.Storage.Level(ckpt.LevelBuffer) < 0 {
+				return cfgErr(field("Kind"), "a buffer kill needs a %q level in Storage", ckpt.LevelBuffer)
+			}
+			if ev.Node < 0 || ev.Node >= computeNodes {
+				return cfgErr(field("Node"), "no staging buffer on node %d: the job has %d compute nodes", ev.Node, computeNodes)
 			}
 		case failure.KindPFS:
-			if n := c.pfsTargets(); n > 0 && (ev.Server < 0 || ev.Server >= n) {
-				return cfgErr(fmt.Sprintf("Failures[%d].Server", i), "no PFS target %d among %d", ev.Server, n)
+			n := c.pfsTargets()
+			if n == 0 {
+				return cfgErr(field("Kind"), "a PFS kill needs a %q level in Storage", ckpt.LevelPFS)
 			}
+			if ev.Server < 0 || ev.Server >= n {
+				return cfgErr(field("Server"), "no PFS target %d among %d", ev.Server, n)
+			}
+		default:
+			return cfgErr(field("Kind"), "unknown failure kind %d", ev.Kind)
 		}
 	}
 	return nil

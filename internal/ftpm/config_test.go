@@ -95,6 +95,28 @@ func TestValidateStorageRejections(t *testing.T) {
 		{"failure pfs target", func(c *Config) {
 			c.Failures = failure.Plan{{At: time.Millisecond, Kind: failure.KindPFS, Server: 2}}
 		}, "Failures[0].Server"},
+		// ... on a platform of 12 nodes, 4 of them compute nodes with a
+		// staging buffer, at a time the run reaches.
+		{"failure node", func(c *Config) { c.Failures = failure.KillNodeAt(time.Millisecond, 12) }, "Failures[0].Node"},
+		{"failure negative node", func(c *Config) { c.Failures = failure.KillNodeAt(time.Millisecond, -1) }, "Failures[0].Node"},
+		{"failure buffer node", func(c *Config) {
+			c.Failures = failure.Plan{{At: time.Millisecond, Kind: failure.KindBuffer, Node: 4}}
+		}, "Failures[0].Node"},
+		{"failure buffer without the level", func(c *Config) {
+			c.Storage.Levels = c.Storage.Levels[1:]
+			c.Failures = failure.Plan{{At: time.Millisecond, Kind: failure.KindBuffer}}
+		}, "Failures[0].Kind"},
+		{"failure pfs without the level", func(c *Config) {
+			c.Storage.Levels = c.Storage.Levels[:2]
+			c.Failures = failure.Plan{{At: time.Millisecond, Kind: failure.KindPFS}}
+		}, "Failures[0].Kind"},
+		{"failure pfs without storage", func(c *Config) {
+			c.Storage, c.Servers = nil, 2
+			c.Failures = failure.Plan{{At: time.Millisecond, Kind: failure.KindPFS}}
+		}, "Failures[0].Kind"},
+		{"failure kind", func(c *Config) { c.Failures = failure.Plan{{At: time.Millisecond, Kind: 9}} }, "Failures[0].Kind"},
+		{"failure time", func(c *Config) { c.Failures = failure.KillAt(-time.Millisecond, 0) }, "Failures[0].At"},
+		{"interval", func(c *Config) { c.Interval = -time.Millisecond }, "Interval"},
 	}
 	for _, tc := range cases {
 		tc := tc
@@ -138,6 +160,17 @@ func TestValidateStorageFold(t *testing.T) {
 	}
 	if err := cfg.Validate(); err != nil {
 		t.Fatalf("re-validation not idempotent: %v", err)
+	}
+	// Kills of the staging levels are judged against the spec as written:
+	// Mlog runs without those levels, and a schedule drawn for the spec
+	// (chaos) must still be accepted.
+	cfg.Protocol = ProtoMlog
+	cfg.Failures = failure.Plan{
+		{At: time.Millisecond, Kind: failure.KindBuffer, Node: 3},
+		{At: time.Millisecond, Kind: failure.KindPFS, Server: 1},
+	}
+	if err := cfg.Validate(); err != nil {
+		t.Fatalf("staging-level kills under mlog: %v", err)
 	}
 }
 

@@ -388,7 +388,8 @@ func (job *Job) scheduleNodeMTTF() {
 }
 
 // inject routes one scripted failure event to its kill path.  Validate
-// has checked that rank, server and PFS victims exist.
+// has checked that the victim exists and, for buffer and PFS kills, that
+// Storage (and so job.store) does.
 func (job *Job) inject(ev failure.Event) {
 	if job.doneRes {
 		return
@@ -397,17 +398,11 @@ func (job *Job) inject(ev failure.Event) {
 	case failure.KindServer:
 		job.injectServerKill(ev.Server)
 	case failure.KindNode:
-		if ev.Node >= 0 {
-			job.injectNodeKill(ev.Node)
-		}
+		job.injectNodeKill(ev.Node)
 	case failure.KindBuffer:
-		if ev.Node >= 0 && job.store != nil {
-			job.store.KillBuffer(ev.Node)
-		}
+		job.store.KillBuffer(ev.Node)
 	case failure.KindPFS:
-		if ev.Server >= 0 && job.store != nil {
-			job.store.KillPFSTarget(ev.Server)
-		}
+		job.store.KillPFSTarget(ev.Server)
 	default:
 		job.injectRankKill(ev.Rank)
 	}
@@ -627,44 +622,56 @@ func (job *Job) launch(wave int) {
 	remaining := job.cfg.NP
 	gen := job.gen
 	needLogs := job.cfg.Protocol == ProtoVcl
-	var fetchOne func(r, attempt int)
-	fetchOne = func(r, attempt int) {
-		job.store.Fetch(r, wave, job.nodeOfRank(r), needLogs, func(img *ckpt.Image, logs []*mpi.Packet) {
-			if job.gen != gen {
-				return
+	fetch := func(r int, onDone func(*ckpt.Image, []*mpi.Packet), onFail func(error)) {
+		job.store.Fetch(r, wave, job.nodeOfRank(r), needLogs, onDone, onFail)
+	}
+	live := func() bool { return job.gen == gen && !job.doneRes }
+	restore := func(r int, img *ckpt.Image, logs []*mpi.Packet) {
+		pending[r] = restored{img, logs}
+		remaining--
+		if remaining == 0 {
+			for q := 0; q < job.cfg.NP; q++ {
+				job.spawn(q, pending[q].img, pending[q].logs)
 			}
-			pending[r] = restored{img, logs}
-			remaining--
-			if remaining == 0 {
-				for q := 0; q < job.cfg.NP; q++ {
-					job.spawn(q, pending[q].img, pending[q].logs)
-				}
-				job.startSchedulers()
-				job.emit(obs.Event{Type: obs.EvRestartEnd, Rank: -1, Wave: wave, Channel: -1, Node: -1, Server: -1, Span: rs}, "")
-			}
-		}, func(err error) {
-			if job.gen != gen || job.doneRes {
-				return
-			}
-			if attempt < job.cfg.StoreRetries {
-				// Copies may still be in flight towards surviving
-				// replicas; back off and retry before giving up.
-				job.k.After(job.cfg.RetryBackoff, func() {
-					if job.gen == gen && !job.doneRes {
-						fetchOne(r, attempt+1)
-					}
-				})
-				return
-			}
-			job.degrade(&DegradedError{
-				Reason: "committed checkpoint unrecoverable: every replica of the image is gone",
-				Rank:   r, Wave: wave, Server: -1, Node: -1, Err: err,
-			})
-		})
+			job.startSchedulers()
+			job.emit(obs.Event{Type: obs.EvRestartEnd, Rank: -1, Wave: wave, Channel: -1, Node: -1, Server: -1, Span: rs}, "")
+		}
 	}
 	for r := 0; r < job.cfg.NP; r++ {
-		fetchOne(r, 0)
+		job.fetchCommitted(r, wave, 0, fetch, live, restore)
 	}
+}
+
+// fetchCommitted fetches rank's committed image of wave for a restart and
+// hands it to restore.  A failed fetch is retried up to StoreRetries times,
+// RetryBackoff apart — copies may still be in flight towards surviving
+// replicas — and then stops the job in degraded mode.  live is asked
+// before every step, so a fetch overtaken by a newer restart or by job
+// completion does nothing.
+func (job *Job) fetchCommitted(rank, wave, attempt int,
+	fetch func(rank int, onDone func(*ckpt.Image, []*mpi.Packet), onFail func(error)),
+	live func() bool, restore func(rank int, img *ckpt.Image, logs []*mpi.Packet)) {
+	fetch(rank, func(img *ckpt.Image, logs []*mpi.Packet) {
+		if live() {
+			restore(rank, img, logs)
+		}
+	}, func(err error) {
+		if !live() {
+			return
+		}
+		if attempt < job.cfg.StoreRetries {
+			job.k.After(job.cfg.RetryBackoff, func() {
+				if live() {
+					job.fetchCommitted(rank, wave, attempt+1, fetch, live, restore)
+				}
+			})
+			return
+		}
+		job.degrade(&DegradedError{
+			Reason: "committed checkpoint unrecoverable: every replica of the image is gone",
+			Rank:   rank, Wave: wave, Server: -1, Node: -1, Err: err,
+		})
+	})
 }
 
 func (job *Job) startSchedulers() {
@@ -803,32 +810,11 @@ func (job *Job) onFailureLocal(rank int) {
 			job.respawnLocal(rank, nil, job.store.LogsSinceUnion(rank, 0))
 			return
 		}
-		var tryFetch func(attempt int)
-		tryFetch = func(attempt int) {
-			job.store.FetchSince(rank, wave, job.nodeOfRank(rank), func(img *ckpt.Image, logs []*mpi.Packet) {
-				if job.doneRes {
-					return
-				}
-				job.respawnLocal(rank, img, logs)
-			}, func(err error) {
-				if job.doneRes {
-					return
-				}
-				if attempt < job.cfg.StoreRetries {
-					job.k.After(job.cfg.RetryBackoff, func() {
-						if !job.doneRes {
-							tryFetch(attempt + 1)
-						}
-					})
-					return
-				}
-				job.degrade(&DegradedError{
-					Reason: "committed checkpoint unrecoverable: every replica of the image is gone",
-					Rank:   rank, Wave: wave, Server: -1, Node: -1, Err: err,
-				})
-			})
-		}
-		tryFetch(0)
+		job.fetchCommitted(rank, wave, 0,
+			func(r int, onDone func(*ckpt.Image, []*mpi.Packet), onFail func(error)) {
+				job.store.FetchSince(r, wave, job.nodeOfRank(r), onDone, onFail)
+			},
+			func() bool { return !job.doneRes }, job.respawnLocal)
 	})
 }
 

@@ -13,11 +13,11 @@ import (
 //
 // OutPayload is consulted before a payload packet reaches the wire; the
 // protocol returns false to hold it (Pcl's delayed sends) and later emits
-// it with Engine.WireSend.  InPacket sees every packet arriving from the
-// wire; the protocol returns false to consume it (markers, control) or to
-// hold it (Pcl's delayed receive queue — re-injected later with
-// Engine.Deliver), and true to let it reach the matching engine (it may
-// also copy it first, as Vcl's logging does).
+// it through its host (core.Host.Wire).  InPacket sees every packet
+// arriving from the wire; the protocol returns false to consume it
+// (markers, control) or to hold it (Pcl's delayed receive queue —
+// re-injected later with Engine.Deliver), and true to let it reach the
+// matching engine (it may also copy it first, as Vcl's logging does).
 type Filter interface {
 	OutPayload(p *Packet) bool
 	InPacket(p *Packet) bool
@@ -43,7 +43,7 @@ type Stats struct {
 
 // Engine is one MPI process's communication engine: eager sends, blocking
 // receives with (source, tag) matching and wildcards, and resumable
-// collectives.  All methods except HandleWire, Deliver, WireSend,
+// collectives.  All methods except HandleWire, Deliver,
 // CaptureImage and RestoreImage must be called from the process's own LP.
 type Engine struct {
 	rank, size int
@@ -290,11 +290,6 @@ func (e *Engine) Deliver(p *Packet) {
 	}
 }
 
-// WireSend transmits a packet directly, bypassing the outgoing gate.
-// Protocols use it for markers, control messages and released delayed
-// sends.  The packet must already carry Dst.
-func (e *Engine) WireSend(p *Packet) { e.fab.Send(e.rank, p.Dst, p) }
-
 // --- op bracketing ------------------------------------------------------
 
 func (e *Engine) enterOp() {
@@ -477,24 +472,6 @@ func (e *Engine) RestoreImage(img *EngineImage) {
 		e.coll = img.Coll.clone()
 		e.coll.Resumed = true
 	}
-}
-
-// Debug renders the engine's blocking state for diagnostics: what the
-// process is waiting for and what is queued.
-func (e *Engine) Debug() string {
-	s := fmt.Sprintf("rank %d", e.rank)
-	if e.waiting {
-		s += fmt.Sprintf(" waiting(src=%d tag=%d)", e.waitSrc, e.waitTag)
-	}
-	if e.coll != nil {
-		s += fmt.Sprintf(" in %v(seq=%d stage=%d mask=%d round=%d sent=%v)",
-			e.coll.Kind, e.coll.Seq, e.coll.Stage, e.coll.Mask, e.coll.Round, e.coll.Sent)
-	}
-	s += fmt.Sprintf(" unexpected=%d inbox=%d", len(e.unexpected), len(e.inbox)-e.inboxHead)
-	for _, p := range e.unexpected {
-		s += fmt.Sprintf(" [%d:%d]", p.Src, p.Tag)
-	}
-	return s
 }
 
 // StateBytes estimates the engine's contribution to the checkpoint image

@@ -85,9 +85,6 @@ func (e *Engine) EnableFT() {
 	}
 }
 
-// FTEnabled reports whether the engine is in error-reporting mode.
-func (e *Engine) FTEnabled() bool { return e.ft }
-
 // Epoch returns the communicator incarnation this engine is in; FTReset
 // advances it.  Packets stamped with an older epoch are never delivered.
 func (e *Engine) Epoch() int { return e.epoch }

@@ -31,13 +31,26 @@ type BTModel struct {
 	Checksum   float64 // global residual (valid when done)
 }
 
-// NewBTModel builds rank's BT model for an NPB class.  np must be a
-// perfect square (as in the paper's BT runs: 4, 9, 16, 25, ...).
-func NewBTModel(class BTClassSpec, rank, np int) *BTModel {
-	g := int(math.Round(math.Sqrt(float64(np))))
-	if g*g != np {
-		panic(fmt.Sprintf("nas: BT needs a square process count, got %d", np))
+// CheckBTProcs reports why np processes cannot run BT: its
+// multipartition needs a perfect square (as in the paper's BT runs: 4, 9,
+// 16, 25, ...).  Nil means they can.
+func CheckBTProcs(np int) error {
+	if g := btGrid(np); g*g != np {
+		return fmt.Errorf("BT needs a square process count, got %d", np)
 	}
+	return nil
+}
+
+// btGrid is the side of the process grid: √np, rounded.
+func btGrid(np int) int { return int(math.Round(math.Sqrt(float64(np)))) }
+
+// NewBTModel builds rank's BT model for an NPB class.  np must pass
+// CheckBTProcs.
+func NewBTModel(class BTClassSpec, rank, np int) *BTModel {
+	if err := CheckBTProcs(np); err != nil {
+		panic("nas: " + err.Error())
+	}
+	g := btGrid(np)
 	perStep := class.Flops / float64(class.Iters) / float64(np) / EffectiveFlopRate
 	// Multipartition: each process owns g sub-blocks; one sweep exchanges
 	// a face of each, Grid²·5 doubles/g per process per direction.
@@ -133,13 +146,3 @@ func (b *BTModel) Step(e *mpi.Engine) bool {
 
 // Footprint reports the class resident set per process.
 func (b *BTModel) Footprint() int64 { return b.Mem }
-
-// SquareCounts lists the square process counts the paper's BT experiments
-// use, capped at limit.
-func SquareCounts(limit int) []int {
-	var out []int
-	for g := 2; g*g <= limit; g++ {
-		out = append(out, g*g)
-	}
-	return out
-}

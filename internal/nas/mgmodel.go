@@ -66,10 +66,20 @@ type MGModel struct {
 	Checksum   float64
 }
 
-// NewMGModel builds rank's MG model for an NPB class.
-func NewMGModel(class MGClassSpec, rank, np int) *MGModel {
+// CheckMGProcs reports why np processes cannot run MG: its halving
+// decomposition needs a power of two.  Nil means they can.
+func CheckMGProcs(np int) error {
 	if np&(np-1) != 0 {
-		panic(fmt.Sprintf("nas: MG needs a power-of-two process count, got %d", np))
+		return fmt.Errorf("MG needs a power-of-two process count, got %d", np)
+	}
+	return nil
+}
+
+// NewMGModel builds rank's MG model for an NPB class.  np must pass
+// CheckMGProcs.
+func NewMGModel(class MGClassSpec, rank, np int) *MGModel {
+	if err := CheckMGProcs(np); err != nil {
+		panic("nas: " + err.Error())
 	}
 	levels := bits.Len(uint(class.Grid)) - 3 // stop at an 8³ coarse grid
 	if levels < 2 {

@@ -137,19 +137,6 @@ func TestCGModelRunsPow2AndOdd(t *testing.T) {
 	}
 }
 
-func TestSquareCounts(t *testing.T) {
-	got := nas.SquareCounts(300)
-	want := []int{4, 9, 16, 25, 36, 49, 64, 81, 100, 121, 144, 169, 196, 225, 256, 289}
-	if len(got) != len(want) {
-		t.Fatalf("got %v", got)
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("got %v", got)
-		}
-	}
-}
-
 // failureAtHalf kills rank 2 halfway through the reference job's runtime.
 func failureAtHalf(t *testing.T, ref *ftpm.Job) failure.Plan {
 	t.Helper()

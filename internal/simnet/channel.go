@@ -221,6 +221,3 @@ func (c *Channel) Close() {
 		c.inFly = nil
 	}
 }
-
-// Closed reports whether Close was called.
-func (c *Channel) Closed() bool { return c.closed }

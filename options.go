@@ -1,28 +1,40 @@
 package ftckpt
 
-import "time"
+import (
+	"time"
+
+	"ftckpt/internal/ckpt"
+	"ftckpt/internal/failure"
+	"ftckpt/internal/ftpm"
+)
 
 // Typed facade constants.  Protocol, Platform, Workload and Class are
 // string-backed, so the stringly-typed literals of earlier releases
 // ("pcl", "ethernet", "bt", "B") keep compiling unchanged; the exported
-// constants below are the supported values, and buildConfig rejects
-// anything outside them with an error naming the Options field.
+// constants below are the supported values, and anything outside them is
+// rejected with a *ConfigError naming the field.
+//
+// The types a run is described with below Options — Protocol,
+// RecoveryMode, Failure, StorageSpec, LevelSpec, LevelKind (and ChaosSpec
+// in chaos.go) — are aliases of the runtime's own types: Options is
+// handed to the process manager as written, with no second schema to
+// keep in step.
 
 // Protocol selects the fault-tolerance protocol of a run.
-type Protocol string
+type Protocol = ftpm.Proto
 
 // Protocols.
 const (
 	// ProtocolNone disables checkpointing (baseline runs).  The zero
 	// value "" means the same.
-	ProtocolNone Protocol = "none"
+	ProtocolNone = ftpm.ProtoNone
 	// Pcl is the blocking coordinated protocol (MPICH2 implementation).
-	Pcl Protocol = "pcl"
+	Pcl = ftpm.ProtoPcl
 	// Vcl is the non-blocking Chandy–Lamport protocol (MPICH-V).
-	Vcl Protocol = "vcl"
+	Vcl = ftpm.ProtoVcl
 	// Mlog is uncoordinated checkpointing with pessimistic message
 	// logging (single-process recovery).
-	Mlog Protocol = "mlog"
+	Mlog = ftpm.ProtoMlog
 )
 
 // Platform selects the simulated platform of a run.
@@ -73,14 +85,14 @@ const (
 )
 
 // RecoveryMode selects how a run reacts to process failures.
-type RecoveryMode string
+type RecoveryMode = ftpm.Recovery
 
 // Recovery modes.
 const (
 	// RecoveryRestart is the paper's rollback-restart: a failure kills the
 	// whole job, which relaunches from the last committed wave.  The zero
 	// value "" means the same.
-	RecoveryRestart RecoveryMode = "restart"
+	RecoveryRestart = ftpm.RecoveryRestart
 	// RecoveryULFM repairs the world in place, ULFM-style: the failed
 	// rank's communicator is revoked, the survivors agree on the failure
 	// and the newest common application snapshot, a replacement is spliced
@@ -90,36 +102,31 @@ const (
 	// WorkloadCGReal); any irreparable failure falls back to
 	// RecoveryRestart.  Mlog runs keep their native single-process
 	// recovery.
-	RecoveryULFM RecoveryMode = "ulfm"
+	RecoveryULFM = ftpm.RecoveryULFM
 )
 
 // Failure schedules the kill of one component at a virtual time.  Build
-// values with KillRank, KillNode, KillServer, KillBuffer or KillPFS; the
-// raw struct-literal form (Kind plus the matching index field) is
-// deprecated but still honoured.  Kind "" means "rank".
-type Failure struct {
-	At     time.Duration
-	Kind   string
-	Rank   int
-	Node   int
-	Server int
-}
+// values with KillRank, KillNode, KillServer, KillBuffer or KillPFS;
+// Victim returns the index in the kind's own space and String renders
+// "kill <kind> <victim> @ <t>".  A victim the job does not have, or a
+// negative time, is rejected before the run starts.
+type Failure = failure.Event
 
 // KillRank schedules the kill of one MPI process at virtual time at.
 func KillRank(at time.Duration, rank int) Failure {
-	return Failure{At: at, Kind: "rank", Rank: rank}
+	return Failure{At: at, Kind: failure.KindRank, Rank: rank}
 }
 
 // KillNode schedules the kill of a whole compute node: every process on
 // it dies and the machine leaves the pool.
 func KillNode(at time.Duration, node int) Failure {
-	return Failure{At: at, Kind: "node", Node: node}
+	return Failure{At: at, Kind: failure.KindNode, Node: node}
 }
 
 // KillServer schedules the kill of a checkpoint server: its stored images
 // and logs are lost; replicas on other servers survive.
 func KillServer(at time.Duration, server int) Failure {
-	return Failure{At: at, Kind: "server", Server: server}
+	return Failure{At: at, Kind: failure.KindServer, Server: server}
 }
 
 // KillBuffer schedules the loss of one compute node's staging buffer
@@ -127,14 +134,14 @@ func KillServer(at time.Duration, server int) Failure {
 // drains are cancelled, but the node and its ranks keep running —
 // restores fall through to the servers or the PFS.
 func KillBuffer(at time.Duration, node int) Failure {
-	return Failure{At: at, Kind: "buffer", Node: node}
+	return Failure{At: at, Kind: failure.KindBuffer, Node: node}
 }
 
 // KillPFS schedules the loss of one parallel-file-system target
 // (storage-hierarchy runs only): stripes on it become unreadable, so
 // images needing that target can no longer be served from the PFS level.
 func KillPFS(at time.Duration, target int) Failure {
-	return Failure{At: at, Kind: "pfs", Server: target}
+	return Failure{At: at, Kind: failure.KindPFS, Server: target}
 }
 
 // ReplicationSpec groups the checkpoint-image replication knobs.
@@ -161,77 +168,41 @@ type HeartbeatSpec struct {
 }
 
 // LevelKind names a tier of the checkpoint storage hierarchy.
-type LevelKind string
+type LevelKind = ckpt.LevelKind
 
 // Storage level kinds, fastest to most durable.
 const (
 	// LevelBuffer is a node-local staging buffer: each compute node
 	// absorbs its ranks' images at local-memory speed and drains them to
 	// the next level in the background.  Lost with the node.
-	LevelBuffer LevelKind = "buffer"
+	LevelBuffer = ckpt.LevelBuffer
 	// LevelServers is the paper's checkpoint-server tier — dedicated
 	// nodes holding replicated images, the only mandatory level.
-	LevelServers LevelKind = "servers"
+	LevelServers = ckpt.LevelServers
 	// LevelPFS is a parallel file system: images striped across Targets
 	// backend targets, slowest but most durable.
-	LevelPFS LevelKind = "pfs"
+	LevelPFS = ckpt.LevelPFS
 )
 
 // LevelSpec describes one tier of a StorageSpec.  Zero fields take the
 // level kind's defaults; fields that do not apply to a kind must stay
-// zero (Servers/Replicas/WriteQuorum are for LevelServers,
-// Targets/Stripes for LevelPFS).
-type LevelSpec struct {
-	// Kind is the tier: LevelBuffer, LevelServers or LevelPFS.
-	Kind LevelKind
-	// Servers, Replicas, WriteQuorum, StoreRetries and RetryBackoff are
-	// the LevelServers knobs — the same knobs ReplicationSpec and
-	// Options.Servers configure for the flat single-level model.
-	Servers      int
-	Replicas     int
-	WriteQuorum  int
-	StoreRetries int
-	RetryBackoff time.Duration
-	// Bandwidth (bytes/s) and Latency shape the level's transfer model
-	// for LevelBuffer and LevelPFS (LevelServers uses the platform
-	// network).  0 keeps the kind's default.
-	Bandwidth float64
-	Latency   time.Duration
-	// Capacity bounds a buffer level's staged bytes per node (0 =
-	// unbounded); the oldest staged image is evicted when full.
-	// Retention bounds staged images per rank the same way.
-	Capacity  int64
-	Retention int
-	// Targets is the PFS backend-target count (default 4); Stripes is
-	// how many targets one image is striped across (default 2).
-	Targets int
-	Stripes int
-}
+// zero (Servers/Replicas/WriteQuorum/StoreRetries/RetryBackoff are for
+// LevelServers — the knobs ReplicationSpec and Options.Servers configure
+// for the flat model — Capacity/Retention for LevelBuffer,
+// Targets/Stripes for LevelPFS; Bandwidth and Latency shape LevelBuffer
+// and LevelPFS transfers).
+type LevelSpec = ckpt.LevelSpec
 
 // StorageSpec describes a multi-level checkpoint storage hierarchy:
 // Levels ordered fastest-first (an optional LevelBuffer, the mandatory
 // LevelServers, an optional LevelPFS last).  Writes complete at the
 // fastest level and drain down asynchronously; restores search from the
-// fastest level and fall through on a miss or a failed level.  Setting
-// Storage conflicts with Options.Servers and Options.Replication — the
-// servers level carries those knobs instead.
-type StorageSpec struct {
-	// Levels, fastest first.  A single {Kind: LevelServers} level is the
-	// flat model expressed in the new form.
-	Levels []LevelSpec
-	// Incremental switches to dirty-region checkpoints: every FullEvery-th
-	// image per rank is full (default 4), the others carry only the
-	// regions touched since — DirtyFraction of the image per elapsed
-	// interval (default 0.35), restore replaying the chain since the
-	// last full image.
-	Incremental   bool
-	FullEvery     int
-	DirtyFraction float64
-	// Compress scales stored and restored bytes by CompressRatio
-	// (default 0.6) before they hit any level.
-	Compress      bool
-	CompressRatio float64
-}
+// fastest level and fall through on a miss or a failed level.
+// Incremental/FullEvery/DirtyFraction select dirty-region images,
+// Compress/CompressRatio scale stored bytes.  Setting Storage conflicts
+// with Options.Servers and Options.Replication — the servers level
+// carries those knobs instead.  A run never writes to the caller's spec.
+type StorageSpec = ckpt.Spec
 
 // Options describes one fault-tolerant MPI run.
 type Options struct {
