@@ -31,7 +31,9 @@ import (
 	"ftckpt/internal/sweep"
 )
 
-// Report summarizes a completed run.
+// Report summarizes a completed run.  Its counts are read off the run's
+// own metrics (folded from the event stream), so they equal what a Sink
+// attached through Options.Sink counts.
 type Report struct {
 	// Completion is the job's virtual completion time.
 	Completion time.Duration
@@ -42,7 +44,9 @@ type Report struct {
 	Restarts         int
 	// Messages counts packets on the wire; PayloadMB application bytes;
 	// CheckpointMB data stored on checkpoint servers; LoggedMessages and
-	// LoggedMB the channel state Vcl logged.
+	// LoggedMB the messages logged — the channel state under Vcl, every
+	// delivered payload under Mlog's pessimistic logging (a message
+	// replayed during recovery is not logged a second time).
 	Messages       int64
 	PayloadMB      float64
 	CheckpointMB   float64
@@ -66,13 +70,15 @@ type Report struct {
 	Failovers      int
 	// MeanWaveSpread, MeanWaveTransfer and MeanWaveCycle break a committed
 	// wave into the synchronization/snapshot straggle, the image-transfer
-	// tail and the whole first-snapshot-to-commit cycle.
+	// tail and the whole first-snapshot-to-commit cycle.  Zero under Mlog,
+	// whose ranks checkpoint independently: it has no waves.
 	MeanWaveSpread   time.Duration
 	MeanWaveTransfer time.Duration
 	MeanWaveCycle    time.Duration
 	// Metrics is the run's full metrics registry (blocked-time and wave
 	// histograms, per-channel logged bytes, per-server image bytes …),
-	// exportable with its WriteJSON / WriteCSV methods.
+	// exportable with its WriteJSON / WriteCSV methods — Options.Metrics
+	// when that was set, with this run merged into it.
 	Metrics *Metrics
 	// Attribution is the conservation-checked per-phase overhead
 	// breakdown of the run's virtual completion time, present when
@@ -164,20 +170,16 @@ type SweepOptions struct {
 // Sweep runs several independent jobs concurrently and returns their
 // reports in input order — the batch counterpart of Run for parameter
 // grids (checkpoint interval × MTTF, size sweeps, protocol comparisons).
-// Each point runs against a private metrics registry (any Options.Metrics
-// on a point is ignored — sharing a registry across concurrent runs is a
-// data race), folded into o.Metrics afterwards.  Reports, merged metrics
-// and trace output are byte-identical for any Jobs value with the same
-// seeds.  The first point error cancels the remaining unstarted points
-// and is returned, naming the point.
+// Each point keeps the registry its run counted into (any Options.Metrics
+// on a point is ignored — merging into one registry from concurrent runs
+// is a data race); they are folded into o.Metrics afterwards.  Reports,
+// merged metrics and trace output are byte-identical for any Jobs value
+// with the same seeds.  The first point error cancels the remaining
+// unstarted points and is returned, naming the point.
 func Sweep(points []Options, o SweepOptions) ([]Report, error) {
-	regs := make([]*Metrics, len(points))
 	reps, err := sweep.Run(context.Background(), points,
 		func(_ context.Context, i int, p Options, trace sweep.Tracef) (Report, error) {
-			if o.Metrics != nil {
-				regs[i] = NewMetrics()
-			}
-			p.Metrics = regs[i]
+			p.Metrics = nil
 			if o.Trace != nil && p.Verbose != nil {
 				// Route the run's progress lines through the ordered sink
 				// instead of calling the point's own func from a worker.
@@ -193,8 +195,8 @@ func Sweep(points []Options, o SweepOptions) ([]Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	for _, reg := range regs {
-		o.Metrics.Merge(reg)
+	for _, rep := range reps {
+		o.Metrics.Merge(rep.Metrics)
 	}
 	return reps, nil
 }

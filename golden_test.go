@@ -32,6 +32,7 @@ func goldenArtifacts(t *testing.T, o Options) (Report, []byte, []byte) {
 	if err := col.WriteChromeTrace(&trace); err != nil {
 		t.Fatalf("WriteChromeTrace: %v", err)
 	}
+	checkReportAgainstEvents(t, rep, col.Events())
 	rep.Metrics = nil
 	return rep, met.Bytes(), trace.Bytes()
 }

@@ -20,7 +20,6 @@ var simPackages = map[string]bool{
 	"ckpt":    true,
 	"chaos":   true,
 	"failure": true,
-	"trace":   true,
 	"obs":     true,
 	"sweep":   true,
 	"span":    true,

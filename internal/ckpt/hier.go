@@ -266,10 +266,6 @@ type Hierarchy struct {
 
 	chains map[int]*chainState
 
-	// failovers counts recovery fall-throughs between hierarchy levels
-	// (buffer→servers, servers→PFS); the group counts its own.
-	failovers int
-
 	hub *obs.Hub
 }
 
@@ -310,9 +306,6 @@ func NewHierarchy(net *simnet.Network, spec Spec, group *Group, pfsNodes []int) 
 
 // SetObs attaches the hub hierarchy events go to.
 func (h *Hierarchy) SetObs(hub *obs.Hub) { h.hub = hub; h.group.SetObs(hub) }
-
-// Failovers returns recovery fall-throughs at every level.
-func (h *Hierarchy) Failovers() int { return h.failovers + h.group.Failovers }
 
 func (h *Hierarchy) emit(ev obs.Event) {
 	ev.T = h.k.Now()
@@ -662,7 +655,6 @@ func (h *Hierarchy) Fetch(rank, wave, dstNode int, needLogs bool, onDone func(*I
 					op.timer = 0
 					if buf.dead {
 						// Device died during the read; fall down a level.
-						h.failovers++
 						h.emit(obs.Event{Type: obs.EvReplicaFailover, Rank: rank, Wave: wave,
 							Channel: -1, Node: dstNode, Server: -1, Level: h.srvIdx})
 						op.fetchLower()
@@ -717,7 +709,6 @@ func (op *hierFetchOp) fetchFromPFS() bool {
 		return true
 	}
 	targets := h.pfs.images[k].targets
-	h.failovers++
 	h.emit(obs.Event{Type: obs.EvReplicaFailover, Rank: op.rank, Wave: op.wave,
 		Channel: -1, Node: op.dstNode, Server: -1, Level: h.pfsIdx})
 	op.flows = h.stripe(op.dstNode, targets, img.RestoreBytes(), false, func() {

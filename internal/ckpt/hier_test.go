@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"ftckpt/internal/mpi"
+	"ftckpt/internal/obs"
 	"ftckpt/internal/sim"
 	"ftckpt/internal/simnet"
 )
@@ -117,6 +118,8 @@ func TestStoredImageIsShared(t *testing.T) {
 func TestHierarchyRestoreFallsThroughToPFS(t *testing.T) {
 	k := sim.New(1)
 	h, pool := hierSetup(k)
+	col := obs.NewCollector()
+	h.SetObs(obs.NewHub(col))
 	k.Go("rank", func(p *sim.Proc) {
 		h.Store(testImage(0, 1), 0, 0, nil, func() { t.Error("store failed") })
 	})
@@ -139,8 +142,8 @@ func TestHierarchyRestoreFallsThroughToPFS(t *testing.T) {
 	if fetched == nil || fetched.Rank != 0 || fetched.Wave != 1 {
 		t.Fatalf("fetched %+v", fetched)
 	}
-	if h.Failovers() == 0 {
-		t.Error("fall-through to the PFS not counted as a failover")
+	if col.Count(obs.EvReplicaFailover) == 0 {
+		t.Error("fall-through to the PFS not reported as a failover")
 	}
 }
 

@@ -39,9 +39,6 @@ type Group struct {
 	MaxRetries int
 	Backoff    sim.Time
 
-	// Failovers counts fetches that fell over to a surviving replica.
-	Failovers int
-
 	obs *obs.Hub
 }
 
@@ -78,9 +75,6 @@ func NewGroup(net *simnet.Network, servers []*Server, replicas, quorum int, prim
 func (g *Group) SetObs(h *obs.Hub) { g.obs = h }
 
 func (g *Group) emit(t obs.EventType, rank, wave, server int) {
-	if t == obs.EvReplicaFailover {
-		g.Failovers++
-	}
 	g.obs.Emit(obs.Event{Type: t, T: g.net.Kernel().Now(), Rank: rank, Wave: wave,
 		Channel: -1, Node: -1, Server: server, Span: g.obs.NextSpan()})
 }

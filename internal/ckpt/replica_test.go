@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"ftckpt/internal/mpi"
+	"ftckpt/internal/obs"
 	"ftckpt/internal/sim"
 	"ftckpt/internal/simnet"
 )
@@ -54,6 +55,8 @@ func TestGroupStoreQuorum(t *testing.T) {
 func TestGroupFetchFailover(t *testing.T) {
 	k := sim.New(1)
 	g, pool := testGroup(k, 2, 2, 2)
+	col := obs.NewCollector()
+	g.SetObs(obs.NewHub(col))
 	var fetched *Image
 	k.Go("w", func(p *sim.Proc) {
 		g.Store(testImage(0, 1), 0, 0, func() {
@@ -71,8 +74,8 @@ func TestGroupFetchFailover(t *testing.T) {
 	if fetched == nil || fetched.Rank != 0 || fetched.Wave != 1 {
 		t.Fatalf("fetched %+v", fetched)
 	}
-	if g.Failovers == 0 {
-		t.Fatal("failover not counted")
+	if col.Count(obs.EvReplicaFailover) == 0 {
+		t.Fatal("failover not reported")
 	}
 }
 

@@ -42,10 +42,6 @@ type Server struct {
 	// inflight tracks transfers in progress so Kill can cancel them and
 	// notify their owners, in start order (deterministic).
 	inflight []*transfer
-
-	// BytesReceived and ImagesStored accumulate statistics.
-	BytesReceived int64
-	ImagesStored  int
 }
 
 // transfer is one in-progress flow with its abort notification.
@@ -139,8 +135,6 @@ func (s *Server) Receive(img *Image, srcNode int, cap simnet.Rate, onStored, onA
 	s.emit(obs.EvImageStoreBegin, img.Rank, img.Wave, bytes, sp)
 	return s.flow(srcNode, s.Node, bytes, cap, func() {
 		s.images[imgKey{img.Rank, img.Wave}] = img
-		s.BytesReceived += bytes
-		s.ImagesStored++
 		s.emit(obs.EvImageStoreEnd, img.Rank, img.Wave, bytes, sp)
 		if onStored != nil {
 			onStored()
@@ -173,7 +167,6 @@ func (s *Server) ReceiveLogs(rank, wave int, pkts []*mpi.Packet, srcNode int, on
 	return s.flow(srcNode, s.Node, bytes, 0, func() {
 		k := imgKey{rank, wave}
 		s.logs[k] = append(s.logs[k], cp...)
-		s.BytesReceived += bytes
 		s.emit(obs.EvLogShipEnd, rank, wave, bytes, sp)
 		if onStored != nil {
 			onStored()

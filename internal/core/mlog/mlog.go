@@ -62,11 +62,6 @@ type Mlog struct {
 
 	timer   sim.EventID
 	hasTick bool
-	waves   int
-
-	// LoggedMsgs counts messages logged; AcksSent the acknowledgements.
-	LoggedMsgs int
-	AcksSent   int
 }
 
 type pendingMsg struct {
@@ -89,9 +84,6 @@ func New(h core.Host, interval sim.Time) *Mlog {
 
 // Name returns "mlog".
 func (m *Mlog) Name() string { return "mlog" }
-
-// Waves returns the number of local (independent) checkpoints taken.
-func (m *Mlog) Waves() int { return m.waves }
 
 // Start arms the independent checkpoint timer, staggered by rank so the
 // uncoordinated checkpoints do not accidentally synchronize.
@@ -127,7 +119,6 @@ func (m *Mlog) tick() {
 // logs make this process recoverable.
 func (m *Mlog) checkpoint() {
 	m.wave++
-	m.waves++
 	w := m.wave
 	now := m.h.Now()
 	cs := m.h.Obs().NextSpan()
@@ -222,14 +213,12 @@ func (m *Mlog) drain() {
 
 func (m *Mlog) deliver(p *mpi.Packet) {
 	m.delUpTo[p.Src] = p.PSeq
-	m.LoggedMsgs++
 	m.h.Obs().Emit(obs.Event{Type: obs.EvMessageLogged, T: m.h.Now(), Rank: m.h.Rank(), Wave: m.wave, Channel: p.Src, Node: -1, Server: -1, Bytes: p.PayloadSize(), Seq: p.PSeq, Span: m.h.Obs().NextSpan()})
 	m.h.Engine().Deliver(p)
 	m.ack(p.Src, p.PSeq)
 }
 
 func (m *Mlog) ack(dst int, seq uint64) {
-	m.AcksSent++
 	m.h.Wire(dst, &mpi.Packet{Kind: mpi.KindControl, Tag: OpAck, PSeq: seq})
 }
 
@@ -318,7 +307,6 @@ func (m *Mlog) Restore(dev []byte, logs []*mpi.Packet, lastWave int) {
 			continue // also present in Pending (stored twice across the snapshot)
 		}
 		m.delUpTo[p.Src] = p.PSeq
-		m.LoggedMsgs++
 		m.h.Obs().Emit(obs.Event{Type: obs.EvMessageReplayed, T: m.h.Now(), Rank: m.h.Rank(),
 			Wave: m.wave, Channel: p.Src, Node: -1, Server: -1, Bytes: p.PayloadSize(), Seq: p.PSeq,
 			Span: m.h.Obs().NextSpan()})

@@ -15,6 +15,8 @@ type fakeHost struct {
 	rank, size int
 	k          *sim.Kernel
 	eng        *mpi.Engine
+	col        obs.Collector // the events the protocol emitted
+	hub        *obs.Hub
 	wired      []*mpi.Packet
 	ckpts      []int
 	commits    []int
@@ -25,7 +27,12 @@ type fakeHost struct {
 func (h *fakeHost) Rank() int           { return h.rank }
 func (h *fakeHost) Size() int           { return h.size }
 func (h *fakeHost) Engine() *mpi.Engine { return h.eng }
-func (h *fakeHost) Obs() *obs.Hub       { return nil }
+func (h *fakeHost) Obs() *obs.Hub {
+	if h.hub == nil {
+		h.hub = obs.NewHub(&h.col)
+	}
+	return h.hub
+}
 func (h *fakeHost) Wire(dst int, p *mpi.Packet) {
 	p.Dst = dst
 	h.wired = append(h.wired, p)
@@ -94,12 +101,12 @@ func TestPessimisticDeliveryGating(t *testing.T) {
 		}
 		// Second log completes first: nothing delivered (order preserved).
 		h.onLog[1]()
-		if m.LoggedMsgs != 0 {
+		if h.col.Count(obs.EvMessageLogged) != 0 {
 			t.Fatal("out-of-order delivery")
 		}
 		h.onLog[0]()
-		if m.LoggedMsgs != 2 {
-			t.Fatalf("delivered %d", m.LoggedMsgs)
+		if n := h.col.Count(obs.EvMessageLogged); n != 2 {
+			t.Fatalf("delivered %d", n)
 		}
 		if got := acksTo(h.wired, 0); len(got) != 2 || got[0] != 1 || got[1] != 2 {
 			t.Fatalf("acks %v", got)
@@ -133,8 +140,8 @@ func TestDuplicateSuppression(t *testing.T) {
 		if len(h.onLog) != 2 {
 			t.Fatalf("pipeline dup re-shipped: %d shipments", len(h.onLog))
 		}
-		if m.LoggedMsgs != 1 {
-			t.Fatalf("LoggedMsgs %d", m.LoggedMsgs)
+		if n := h.col.Count(obs.EvMessageLogged); n != 1 {
+			t.Fatalf("logged %d messages", n)
 		}
 	})
 }
@@ -255,8 +262,8 @@ func TestIndependentCheckpointTimer(t *testing.T) {
 			if len(h.commits) != len(h.ckpts) {
 				t.Errorf("commits %v vs ckpts %v", h.commits, h.ckpts)
 			}
-			if m.Waves() != len(h.ckpts) {
-				t.Errorf("Waves %d", m.Waves())
+			if n := h.col.Count(obs.EvLocalCkptEnd); n != len(h.ckpts) {
+				t.Errorf("%d local-ckpt-end events for ckpts %v", n, h.ckpts)
 			}
 			m.Stop()
 		})

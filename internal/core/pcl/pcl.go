@@ -32,6 +32,7 @@ import (
 	"bytes"
 	"encoding/gob"
 	"fmt"
+	"io"
 
 	"ftckpt/internal/core"
 	"ftckpt/internal/mpi"
@@ -52,7 +53,6 @@ type Pcl struct {
 	markers       int
 	delayedSend   []*mpi.Packet
 	delayedRecv   []*mpi.Packet
-	waves         int
 
 	// Causal spans of the wave in progress: the local-checkpoint span and
 	// the freeze (blocked-send) window it causes.
@@ -63,10 +63,6 @@ type Pcl struct {
 	timer   sim.EventID
 	hasTick bool
 	done    int
-
-	// Stats.
-	DelayedSends int
-	DelayedRecvs int
 }
 
 // New builds a Pcl instance with the given time between checkpoint waves.
@@ -76,9 +72,6 @@ func New(h core.Host, interval sim.Time) *Pcl {
 
 // Name returns "pcl".
 func (p *Pcl) Name() string { return "pcl" }
-
-// Waves returns the number of local checkpoints taken.
-func (p *Pcl) Waves() int { return p.waves }
 
 // Start arms the coordinator timer (rank 0) and re-emits delayed sends
 // restored from an image.
@@ -154,7 +147,6 @@ func (p *Pcl) enterWave(w int, cause uint64) {
 func (p *Pcl) OutPayload(pkt *mpi.Packet) bool {
 	if p.checkpointing {
 		p.delayedSend = append(p.delayedSend, pkt)
-		p.DelayedSends++
 		p.h.Obs().Emit(obs.Event{Type: obs.EvSendDelayed, T: p.h.Now(), Rank: p.h.Rank(), Wave: p.wave, Channel: pkt.Dst, Node: -1, Server: -1, Bytes: pkt.PayloadSize(), Cause: p.freezeSpan})
 		return false
 	}
@@ -174,7 +166,6 @@ func (p *Pcl) InPacket(pkt *mpi.Packet) bool {
 	default:
 		if p.checkpointing && pkt.Src >= 0 && p.markerFrom[pkt.Src] {
 			p.delayedRecv = append(p.delayedRecv, pkt)
-			p.DelayedRecvs++
 			p.h.Obs().Emit(obs.Event{Type: obs.EvRecvDelayed, T: p.h.Now(), Rank: p.h.Rank(), Wave: p.wave, Channel: pkt.Src, Node: -1, Server: -1, Bytes: pkt.PayloadSize(), Cause: p.freezeSpan})
 			return false
 		}
@@ -210,7 +201,6 @@ func (p *Pcl) takeCheckpoint() {
 	p.h.TakeCheckpoint(w, p.DeviceState(), func() {
 		p.h.Wire(0, core.Done(w))
 	})
-	p.waves++
 	p.checkpointing = false
 	now := p.h.Now()
 	p.h.Obs().Emit(obs.Event{Type: obs.EvLocalCkptEnd, T: now, Rank: p.h.Rank(), Wave: w, Channel: -1, Node: -1, Server: -1, Span: p.ckptSpan})
@@ -254,6 +244,21 @@ func (p *Pcl) onControl(pkt *mpi.Packet) {
 type devState struct {
 	Wave  int
 	Sends []*mpi.Packet
+}
+
+// encoding/gob numbers user types per process in first-use order from 64,
+// and a stream that defines type 64 is one byte shorter than one defining
+// any later id (-64 is the last whose varint fits a byte).  Image.Bytes
+// counts the App and Device streams, so which type a process encoded first
+// reached the modelled image size, then transfer times and wave counts: a
+// Sweep's result depended on its point order and on Jobs.  Claiming 64
+// before anything runs makes a stream's length a function of its value
+// alone up to id 128 (this module's tests reach 75); ROADMAP "One image"
+// (c), an own codec, removes the dependence on gob's numbering.
+func init() {
+	if err := gob.NewEncoder(io.Discard).Encode(devState{}); err != nil {
+		panic(fmt.Sprintf("pcl: claiming the first gob type id: %v", err))
+	}
 }
 
 // DeviceState serializes the delayed send queue (the paper: delayed

@@ -84,9 +84,6 @@ type Protocol interface {
 	// the image's DeviceState, logs are the stored channel-state messages
 	// to replay (Vcl), lastWave is the committed wave restarted from.
 	Restore(dev []byte, logs []*mpi.Packet, lastWave int)
-	// Waves reports how many checkpoint waves this instance completed
-	// locally (local checkpoints taken).
-	Waves() int
 }
 
 // PeerAware is implemented by protocols with single-process recovery
@@ -123,6 +120,3 @@ func (None) DeviceState() []byte { return nil }
 
 // Restore is a no-op.
 func (None) Restore([]byte, []*mpi.Packet, int) {}
-
-// Waves returns zero.
-func (None) Waves() int { return 0 }

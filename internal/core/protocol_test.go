@@ -25,7 +25,7 @@ func TestNoneProtocolPassesEverything(t *testing.T) {
 	if !n.OutPayload(&mpi.Packet{}) || !n.InPacket(&mpi.Packet{}) {
 		t.Fatal("None filtered a packet")
 	}
-	if n.DeviceState() != nil || n.Waves() != 0 {
+	if n.DeviceState() != nil {
 		t.Fatal("None carries state")
 	}
 	n.Start()

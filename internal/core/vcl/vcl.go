@@ -38,13 +38,7 @@ type Vcl struct {
 	logs        []*mpi.Packet
 	imageStored bool
 	logsStored  bool
-	waves       int
 	ckptSpan    uint64 // causal span of the wave's local snapshot
-
-	// LoggedMsgs and LoggedBytes count channel-state captured across the
-	// run (Fig. 1's message m).
-	LoggedMsgs  int
-	LoggedBytes int64
 }
 
 // New builds a Vcl process instance.
@@ -54,9 +48,6 @@ func New(h core.Host) *Vcl {
 
 // Name returns "vcl".
 func (v *Vcl) Name() string { return "vcl" }
-
-// Waves returns the number of local checkpoints taken.
-func (v *Vcl) Waves() int { return v.waves }
 
 // Start is a no-op: waves are driven by the scheduler.
 func (v *Vcl) Start() {}
@@ -81,8 +72,6 @@ func (v *Vcl) InPacket(pkt *mpi.Packet) bool {
 			// Received after the local snapshot, before the sender's
 			// marker: this is channel state (message m in Fig. 1).
 			v.logs = append(v.logs, pkt.Clone())
-			v.LoggedMsgs++
-			v.LoggedBytes += pkt.PayloadSize()
 			v.h.Obs().Emit(obs.Event{Type: obs.EvMessageLogged, T: v.h.Now(), Rank: v.h.Rank(), Wave: v.wave, Channel: pkt.Src, Node: -1, Server: -1, Bytes: pkt.PayloadSize(), Span: v.h.Obs().NextSpan(), Cause: v.ckptSpan})
 		}
 		return true
@@ -134,7 +123,6 @@ func (v *Vcl) beginWave(w int, cause uint64) {
 		v.imageStored = true
 		v.maybeAck(w)
 	})
-	v.waves++
 	// The fork is immediate — computation never stops under Vcl, so the
 	// snapshot begin/end collapse to the same virtual instant.
 	hub.Emit(obs.Event{Type: obs.EvLocalCkptEnd, T: now, Rank: v.h.Rank(), Wave: w, Channel: -1, Node: -1, Server: -1, Span: v.ckptSpan})
@@ -220,9 +208,6 @@ type Scheduler struct {
 	// OnCommit is invoked with each committed wave number (wired to the
 	// runtime's registry).
 	OnCommit func(wave int)
-
-	// Committed counts committed waves.
-	Committed int
 }
 
 // NewScheduler places the scheduler on a node and binds its endpoint.
@@ -284,7 +269,6 @@ func (s *Scheduler) onPacket(p *mpi.Packet) {
 	}
 	s.acks++
 	if s.acks == s.size {
-		s.Committed++
 		if s.OnCommit != nil {
 			s.OnCommit(s.wave)
 		}

@@ -17,6 +17,7 @@ type fakeHost struct {
 	rank, size int
 	k          *sim.Kernel
 	eng        *mpi.Engine
+	hub        *obs.Hub // nil unless a test counts events
 	wired      []*mpi.Packet
 	ckptWaves  []int
 	logWaves   []int
@@ -28,7 +29,7 @@ type fakeHost struct {
 func (h *fakeHost) Rank() int           { return h.rank }
 func (h *fakeHost) Size() int           { return h.size }
 func (h *fakeHost) Engine() *mpi.Engine { return h.eng }
-func (h *fakeHost) Obs() *obs.Hub       { return nil }
+func (h *fakeHost) Obs() *obs.Hub       { return h.hub }
 func (h *fakeHost) Wire(dst int, p *mpi.Packet) {
 	p.Dst = dst
 	h.wired = append(h.wired, p)
@@ -84,15 +85,17 @@ func withEngine(t *testing.T, h *fakeHost, body func()) {
 // before the sender's marker — and is still delivered either way.
 func TestVclLoggingWindow(t *testing.T) {
 	k := sim.New(1)
-	h := &fakeHost{rank: 1, size: 3, k: k}
+	col := obs.NewCollector()
+	h := &fakeHost{rank: 1, size: 3, k: k, hub: obs.NewHub(col)}
 	v := New(h)
+	logged := func() int { return col.Count(obs.EvMessageLogged) }
 	withEngine(t, h, func() {
 		v.Start()
 		// Pre-wave payload: delivered, not logged.
 		if !v.InPacket(payload(0, 1, 10)) {
 			t.Fatal("pre-wave payload consumed")
 		}
-		if v.LoggedMsgs != 0 {
+		if logged() != 0 {
 			t.Fatal("pre-wave payload logged")
 		}
 
@@ -119,19 +122,19 @@ func TestVclLoggingWindow(t *testing.T) {
 		if !v.InPacket(payload(0, 1, 12)) {
 			t.Fatal("in-transit payload withheld")
 		}
-		if v.LoggedMsgs != 1 {
-			t.Fatalf("LoggedMsgs = %d", v.LoggedMsgs)
+		if logged() != 1 {
+			t.Fatalf("logged %d messages", logged())
 		}
 
 		// Marker from 0 closes channel 0; later payloads are not logged.
 		v.InPacket(&mpi.Packet{Src: 0, Kind: mpi.KindMarker, Wave: 1})
 		v.InPacket(payload(0, 1, 13))
-		if v.LoggedMsgs != 1 {
+		if logged() != 1 {
 			t.Fatal("post-marker payload logged")
 		}
 		// Channel 2 still open: its payloads are logged.
 		v.InPacket(payload(2, 1, 14))
-		if v.LoggedMsgs != 2 {
+		if logged() != 2 {
 			t.Fatal("open-channel payload not logged")
 		}
 
@@ -151,8 +154,8 @@ func TestVclLoggingWindow(t *testing.T) {
 		if acks(h.wired) != 1 {
 			t.Fatalf("acks = %d, want 1", acks(h.wired))
 		}
-		if v.Waves() != 1 {
-			t.Fatalf("Waves() = %d", v.Waves())
+		if len(h.ckptWaves) != 1 {
+			t.Fatalf("ckpts %v after the wave closed", h.ckptWaves)
 		}
 	})
 }
@@ -255,8 +258,5 @@ func TestSchedulerCommitCycle(t *testing.T) {
 	}
 	if len(markers) != 4 {
 		t.Fatalf("markers %d, want 4 (2 waves × 2 ranks)", len(markers))
-	}
-	if s.Committed != 2 {
-		t.Fatalf("Committed = %d", s.Committed)
 	}
 }

@@ -20,7 +20,6 @@ import (
 	"ftckpt/internal/sim"
 	"ftckpt/internal/simnet"
 	"ftckpt/internal/span"
-	"ftckpt/internal/trace"
 )
 
 // Proto selects the checkpointing protocol of a run.
@@ -164,9 +163,10 @@ type Config struct {
 	// the run (markers, block/unblock spans, logged messages, image
 	// transfers, commits, failures, restarts).
 	Sink obs.Sink
-	// Metrics, when set, is the registry the run folds its metrics into —
-	// shared across runs to aggregate (cmd/figures); nil gives the job a
-	// private registry, exposed through Result.Metrics either way.
+	// Metrics, when set, receives the run's metrics — shared across runs
+	// to aggregate (cmd/figures).  A job always counts into a registry of
+	// its own and merges it into this one when Run returns (on the error
+	// paths too), so Result's totals are this run's alone.
 	Metrics *obs.Metrics
 	// Attrib attaches the causal span tracer (internal/span) to the run
 	// and computes the per-phase overhead attribution into
@@ -178,7 +178,18 @@ type Config struct {
 	SnapshotPeriod sim.Time
 }
 
-// Result summarizes a completed run.
+// WaveBreakdown is the mean, over the globally committed waves, of the
+// three phases the paper's cost analysis separates: the straggle between
+// the first and last local snapshot, the tail from the last snapshot to
+// the last durable image, and the whole first-snapshot-to-commit cycle.
+// All zero under uncoordinated checkpointing (Mlog), which has no waves.
+type WaveBreakdown struct {
+	MeanSpread, MeanTransfer, MeanCycle sim.Time
+}
+
+// Result summarizes a completed run.  Every count is read off the run's
+// metrics registry (obs.MetricsSink folds it from the event stream), so
+// it equals what a Sink attached to the run would count.
 type Result struct {
 	// Completion is the job's virtual completion time.
 	Completion sim.Time
@@ -199,7 +210,8 @@ type Result struct {
 	LostWork sim.Time
 	// Messages and PayloadBytes count application traffic; CkptBytes the
 	// data received by checkpoint servers; LoggedMsgs/LoggedBytes the
-	// Vcl channel state.
+	// messages logged — Vcl's channel state, Mlog's pessimistic log (a
+	// message replayed during recovery is not logged again).
 	Messages     int64
 	PayloadBytes int64
 	CkptBytes    int64
@@ -209,12 +221,12 @@ type Result struct {
 	// recovery fetches that fell over to a surviving replica.
 	ServerFailures int
 	Failovers      int
-	// WaveBreakdown separates per-wave snapshot-straggle and transfer
-	// durations (committed waves only).
-	WaveBreakdown trace.Summary
-	// Metrics is the run's metrics registry: counters (markers, logged
-	// bytes per channel, image bytes per server), and virtual-time
-	// histograms (blocked-send spans, store transfers, wave phases).
+	// WaveBreakdown is the mean of each wave phase (zero under Mlog).
+	WaveBreakdown WaveBreakdown
+	// Metrics is Config.Metrics when that was set (this run merged into
+	// it), else the run's own registry: counters (markers, logged bytes
+	// per channel, image bytes per server), and virtual-time histograms
+	// (blocked-send spans, store transfers, wave phases).
 	Metrics *obs.Metrics
 	// Attribution is the conservation-checked per-phase overhead
 	// breakdown, computed when Config.Attrib is set (nil otherwise, and on

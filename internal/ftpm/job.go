@@ -15,7 +15,6 @@ import (
 	"ftckpt/internal/sim"
 	"ftckpt/internal/simnet"
 	"ftckpt/internal/span"
-	"ftckpt/internal/trace"
 )
 
 // Job is one running MPI job under the fault tolerant process manager.
@@ -46,11 +45,6 @@ type Job struct {
 	lastWave   int
 	rankWave   []int // per-rank recovery lines (uncoordinated protocols)
 	recovering []bool
-	commits    int
-	restarts   int
-	localCkpts int
-	loggedMsgs int
-	loggedByte int64
 
 	// In-job (ULFM) repair window state; see repair.go.
 	repairing     bool
@@ -61,7 +55,6 @@ type Job struct {
 	repairT0      sim.Time // window open time (lost-work baseline)
 	repairSpan    uint64   // EvRepairBegin span, closed by End/Abort
 	repairSkip    bool     // an aborted repair's fallback must not re-enter
-	repairs       int
 	lostWork      sim.Time
 
 	expFail     *failure.Exponential
@@ -69,11 +62,12 @@ type Job struct {
 	expNodeFail *failure.Exponential
 	rankDiedAt  []sim.Time // actual death times (heartbeat mode)
 	srvDiedAt   []sim.Time
-	serverFails int
 	degraded    bool
 
-	rec     *trace.Recorder
-	hub     *obs.Hub
+	hub *obs.Hub
+	// met is the run's one ledger, always the job's own: the MetricsSink
+	// folds the event stream into it and procFinished reads Result off
+	// it.  Config.Metrics receives it by Merge when Run returns.
 	met     *obs.Metrics
 	spans   *span.Builder
 	res     Result
@@ -102,11 +96,7 @@ func NewJob(cfg Config) (*Job, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	job := &Job{cfg: cfg, k: sim.New(cfg.Seed), rec: trace.New()}
-	job.met = cfg.Metrics
-	if job.met == nil {
-		job.met = obs.NewMetrics()
-	}
+	job := &Job{cfg: cfg, k: sim.New(cfg.Seed), met: obs.NewMetrics()}
 	var text obs.Sink
 	if cfg.Trace != nil {
 		text = obs.NewTextSink(cfg.Trace)
@@ -247,16 +237,19 @@ func (job *Job) Run() (Result, error) {
 		job.det.start()
 	}
 	err := job.k.Run()
-	if err != nil {
-		// Even a failed run keeps its metrics reachable: degraded stops,
-		// detection latencies and failover counts are exactly what the
-		// caller wants to inspect after an unrecoverable loss.
-		return Result{Metrics: job.met}, err
+	if err == nil && !job.doneRes {
+		err = errors.New("ftpm: simulation ended before job completion")
 	}
-	if !job.doneRes {
-		return Result{Metrics: job.met}, errors.New("ftpm: simulation ended before job completion")
+	// Even a failed run keeps its metrics reachable: degraded stops,
+	// detection latencies and failover counts are exactly what the
+	// caller wants to inspect after an unrecoverable loss.
+	res := job.res // zero unless the job completed
+	res.Metrics = job.met
+	if job.cfg.Metrics != nil {
+		job.cfg.Metrics.Merge(job.met)
+		res.Metrics = job.cfg.Metrics
 	}
-	return job.res, nil
+	return res, err
 }
 
 func (job *Job) nodeOfRank(r int) int { return job.nodeMap[r] }
@@ -434,7 +427,6 @@ func (job *Job) injectServerKill(s int) {
 		return
 	}
 	job.srvDiedAt[s] = job.k.Now()
-	job.serverFails++
 	job.srvKillSpan[s] = job.hub.NextSpan()
 	job.emit(obs.Event{Type: obs.EvServerKilled, Rank: -1, Wave: -1, Channel: -1,
 		Node: srv.Node, Server: s, Span: job.srvKillSpan[s]},
@@ -505,7 +497,6 @@ func (job *Job) silentKill(rank int) {
 	job.deathSpan[rank] = job.hub.NextSpan()
 	job.emit(obs.Event{Type: obs.EvComponentDead, Rank: rank, Wave: job.lastWave, Channel: -1,
 		Node: job.nodeMap[rank], Server: -1, Span: job.deathSpan[rank]}, "")
-	job.harvest(pr)
 	pr.teardown()
 }
 
@@ -753,17 +744,11 @@ func (job *Job) detectedRank(rank int) {
 		Span: job.lastKillSpan, Cause: ds},
 		"rank %d failed; killing job, restarting from wave %d", rank, job.lastWave)
 	job.running = false
-	job.restarts++
 	job.gen++
-	// Waves past the recovery line are aborted; their numbers will be
-	// reused by the relaunched incarnation, so drop their partial stats.
-	job.rec.Rollback(job.lastWave)
 	for _, pr := range job.procs {
-		if pr == nil {
-			continue
+		if pr != nil {
+			pr.teardown()
 		}
-		job.harvest(pr)
-		pr.teardown()
 	}
 	if job.scheduler != nil {
 		job.scheduler.Stop()
@@ -791,9 +776,7 @@ func (job *Job) onFailureLocal(rank int) {
 	job.emit(obs.Event{Type: obs.EvRankKilled, Rank: rank, Wave: job.rankWave[rank], Channel: -1, Node: job.nodeMap[rank], Server: -1,
 		Span: ks, Cause: ds},
 		"rank %d failed; local recovery from its wave %d", rank, job.rankWave[rank])
-	job.restarts++
 	job.recovering[rank] = true
-	job.harvest(pr)
 	pr.teardown()
 	wave := job.rankWave[rank]
 	job.k.After(job.cfg.RestartDelay, func() {
@@ -844,30 +827,12 @@ func (job *Job) respawnLocal(rank int, img *ckpt.Image, logs []*mpi.Packet) {
 	})
 }
 
-// harvest accumulates a process incarnation's statistics.
-func (job *Job) harvest(pr *procRun) {
-	if pr.harvested || pr.proto == nil {
-		return
-	}
-	pr.harvested = true
-	job.localCkpts += pr.proto.Waves()
-	if v, ok := pr.proto.(*vcl.Vcl); ok {
-		job.loggedMsgs += v.LoggedMsgs
-		job.loggedByte += v.LoggedBytes
-	}
-	if ml, ok := pr.proto.(*mlog.Mlog); ok {
-		job.loggedMsgs += ml.LoggedMsgs
-	}
-}
-
 // commitRank advances one rank's private recovery line (uncoordinated
 // checkpointing).
 func (job *Job) commitRank(r, w int) {
 	if w > job.rankWave[r] {
 		job.rankWave[r] = w
 	}
-	job.commits++
-	job.rec.Commit(w, job.k.Now())
 	job.emit(obs.Event{Type: obs.EvWaveCommit, Rank: r, Wave: w, Channel: -1, Node: -1, Server: -1,
 		Span: job.hub.NextSpan()}, "")
 	job.store.GCRank(r, w)
@@ -875,16 +840,9 @@ func (job *Job) commitRank(r, w int) {
 
 func (job *Job) commitWave(w int) {
 	job.lastWave = w
-	job.commits++
-	job.rec.Commit(w, job.k.Now())
 	job.emit(obs.Event{Type: obs.EvWaveCommit, Rank: -1, Wave: w, Channel: -1, Node: -1, Server: -1,
 		Span: job.hub.NextSpan()},
 		"wave %d committed", w)
-	if ws, ok := job.rec.Stat(w); ok {
-		job.met.Observe(obs.MWaveSpread, ws.SnapshotSpread())
-		job.met.Observe(obs.MWaveTransfer, ws.TransferTime())
-		job.met.Observe(obs.MWaveCycle, ws.CycleTime())
-	}
 	job.store.GC(w)
 }
 
@@ -908,7 +866,6 @@ func (job *Job) procFinished(pr *procRun) {
 	// Job complete.
 	job.running = false
 	for _, p := range job.procs {
-		job.harvest(p)
 		if p.proto != nil {
 			p.proto.Stop()
 		}
@@ -916,29 +873,33 @@ func (job *Job) procFinished(pr *procRun) {
 	if job.scheduler != nil {
 		job.scheduler.Stop()
 	}
-	var ckptBytes int64
-	for _, s := range job.servers {
-		ckptBytes += s.BytesReceived
+	// Every total is read off the run's own registry, which the
+	// MetricsSink (and the fabric, for traffic) folded from the events.
+	met := job.met
+	ckptBytes := met.Counter(obs.MLogShipBytes)
+	for s := range job.servers {
+		ckptBytes += met.Counter(fmt.Sprintf("%s.server%d", obs.MImageBytes, s))
 	}
 	job.res = Result{
-		Completion:     job.k.Now(),
-		WaveBreakdown:  job.rec.Summarize(),
-		WavesCommitted: job.commits,
+		Completion: job.k.Now(),
+		WaveBreakdown: WaveBreakdown{
+			MeanSpread:   met.Hist(obs.MWaveSpread).Mean(),
+			MeanTransfer: met.Hist(obs.MWaveTransfer).Mean(),
+			MeanCycle:    met.Hist(obs.MWaveCycle).Mean(),
+		},
+		WavesCommitted: int(met.Counter(obs.MWavesCommitted)),
 		LastWave:       job.lastWave,
-		LocalCkpts:     job.localCkpts,
-		Restarts:       job.restarts,
-		Messages:       job.fab.MsgCount,
-		PayloadBytes:   job.fab.PayloadBytes,
+		LocalCkpts:     int(met.Counter(obs.MLocalCkpts)),
+		Restarts:       int(met.Counter(obs.MFailures)),
+		Messages:       met.Counter(obs.MFabricMsgs),
+		PayloadBytes:   met.Counter(obs.MFabricPayloadBytes),
 		CkptBytes:      ckptBytes,
-		LoggedMsgs:     job.loggedMsgs,
-		LoggedBytes:    job.loggedByte,
-		ServerFailures: job.serverFails,
-		Repairs:        job.repairs,
+		LoggedMsgs:     int(met.Counter(obs.MLoggedMsgs)),
+		LoggedBytes:    met.Counter(obs.MLoggedBytes),
+		ServerFailures: int(met.Counter(obs.MServerFailures)),
+		Failovers:      int(met.Counter(obs.MFailovers)),
+		Repairs:        int(met.Counter(obs.MRepairs)),
 		LostWork:       job.lostWork,
-		Metrics:        job.met,
-	}
-	if job.store != nil {
-		job.res.Failovers = job.store.Failovers()
 	}
 	if job.spans != nil {
 		job.res.Attribution = job.spans.Finalize(job.k.Now())
@@ -971,8 +932,6 @@ type procRun struct {
 	down   bool // torn down (idempotence guard; heartbeat ground truth)
 	flows  []canceler
 	timers []sim.EventID
-
-	harvested bool
 }
 
 // ftTunable is implemented by programs with an application-level
@@ -1123,7 +1082,6 @@ func (pr *procRun) TakeCheckpoint(wave int, dev []byte, onStored func()) {
 	}
 	gen := pr.gen
 	prof := pr.job.cfg.Profile
-	pr.job.rec.LocalCkpt(wave, pr.job.k.Now())
 	// The fork'd clone and the pipelined transfer steal CPU and memory
 	// bandwidth from the application until the image is stored.
 	if prof.CkptSteal > 0 {
@@ -1139,7 +1097,7 @@ func (pr *procRun) TakeCheckpoint(wave int, dev []byte, onStored func()) {
 	op := pr.job.store.Store(img, pr.node, prof.ShipBW, func() {
 		// Write quorum reached: the checkpoint is durable.
 		release()
-		pr.job.rec.Stored(wave, pr.job.k.Now())
+		pr.job.emit(obs.Event{Type: obs.EvImageDurable, Rank: pr.rank, Wave: wave, Channel: -1, Node: -1, Server: -1}, "")
 		if pr.job.gen == gen && onStored != nil {
 			onStored()
 		}

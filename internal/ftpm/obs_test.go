@@ -108,8 +108,7 @@ func TestObsVclLoggedMessages(t *testing.T) {
 	if res.WavesCommitted == 0 {
 		t.Fatal("no waves committed")
 	}
-	// The event stream's logged-message count and bytes must agree with
-	// the protocol's own accounting in Result.
+	// Result's logged-message count and bytes are the event stream's.
 	logged := col.Filter(obs.EvMessageLogged)
 	if len(logged) != res.LoggedMsgs {
 		t.Fatalf("%d message-logged events, Result.LoggedMsgs %d", len(logged), res.LoggedMsgs)
@@ -193,12 +192,22 @@ func TestObsMlogLocalRecovery(t *testing.T) {
 	if res.Restarts != 1 {
 		t.Fatalf("restarts %d", res.Restarts)
 	}
-	// Pessimistic receiver-based logging: every delivered payload logs.
-	// Result.LoggedMsgs additionally counts messages the recovery replayed
-	// from the server (already logged once), so it bounds the event count
-	// from above.
-	if n := col.Count(obs.EvMessageLogged); n == 0 || n > res.LoggedMsgs {
-		t.Fatalf("%d message-logged events, Result.LoggedMsgs %d", n, res.LoggedMsgs)
+	// Pessimistic receiver-based logging: every delivered payload logs,
+	// once — a message the recovery replays from the server is counted in
+	// log.replayed, not logged again — and Mlog's logged bytes are
+	// reported like Vcl's.
+	var bytes int64
+	for _, ev := range col.Filter(obs.EvMessageLogged) {
+		bytes += ev.Bytes
+	}
+	if n := col.Count(obs.EvMessageLogged); n == 0 || n != res.LoggedMsgs || bytes == 0 || bytes != res.LoggedBytes {
+		t.Fatalf("%d message-logged events of %d bytes, Result %d / %d", n, bytes, res.LoggedMsgs, res.LoggedBytes)
+	}
+	if col.Count(obs.EvMessageReplayed) == 0 {
+		t.Fatal("the recovery replayed nothing: the scenario no longer separates logged from replayed")
+	}
+	if wb := res.WaveBreakdown; wb != (WaveBreakdown{}) {
+		t.Fatalf("wave phases %+v for a protocol without waves", wb)
 	}
 	// Single-process recovery: the restart span is on the failed rank, not
 	// the runtime track.

@@ -128,9 +128,7 @@ func (job *Job) beginRepair(victim int) {
 	job.emit(obs.Event{Type: obs.EvRepairBegin, Rank: -1, Wave: job.lastWave, Channel: victim,
 		Node: -1, Server: -1, Span: job.repairSpan, Cause: ps}, "")
 
-	pr := job.procs[victim]
-	job.harvest(pr)
-	pr.teardown() // idempotent: heartbeat mode tore it down at death
+	job.procs[victim].teardown() // idempotent: heartbeat mode tore it down at death
 
 	if job.scheduler != nil {
 		job.scheduler.Stop()
@@ -277,13 +275,11 @@ func (job *Job) repairSplice(repGen int) {
 	// are dropped at the gen and epoch gates, exactly as across a full
 	// restart — but the committed recovery line does not move.
 	job.gen++
-	job.rec.Rollback(job.lastWave)
 	for r := 0; r < job.cfg.NP; r++ {
 		if r == victim {
 			continue
 		}
 		pr := job.procs[r]
-		job.harvest(pr)
 		pr.gen = job.gen
 		for _, f := range pr.flows {
 			f.Cancel()
@@ -304,12 +300,10 @@ func (job *Job) repairSplice(repGen int) {
 		job.fab.Bind(r, pr.eng.HandleWire)
 		pr.eng.FTReset()
 		pr.proto = job.newProtocol(pr)
-		pr.harvested = false
 		pr.eng.SetFilter(pr.proto)
 		pr.proto.Restore(nil, nil, job.lastWave)
 		pr.proto.Start()
 	}
-	job.repairs++
 	job.lostWork += lost
 	job.repairing = false
 	job.running = true

@@ -34,6 +34,8 @@ func TestServerFailoverRecovery(t *testing.T) {
 				// fetch must fail over to the surviving replica.
 				{At: 80 * time.Millisecond, Rank: 2},
 			}
+			col := obs.NewCollector()
+			cfg.Sink = col
 			res, progs := runOK(t, cfg)
 			if res.ServerFailures != 1 {
 				t.Fatalf("server failures = %d, want 1", res.ServerFailures)
@@ -44,9 +46,8 @@ func TestServerFailoverRecovery(t *testing.T) {
 			if res.Failovers == 0 {
 				t.Fatal("no fetch fell over to the surviving replica")
 			}
-			if res.Metrics.Counter(obs.MFailovers) != int64(res.Failovers) {
-				t.Fatalf("metrics failovers %d, result %d",
-					res.Metrics.Counter(obs.MFailovers), res.Failovers)
+			if n := col.Count(obs.EvReplicaFailover); n != res.Failovers {
+				t.Fatalf("%d replica-failover events, result %d", n, res.Failovers)
 			}
 			for r, s := range sums(progs) {
 				if s != want {

@@ -152,7 +152,6 @@ func collTag(kind CollKind, seq uint64, round int) int {
 func (e *Engine) Barrier() {
 	e.enterOp()
 	defer e.exitOp()
-	e.Stats.Collectives++
 	cs, fresh := e.beginColl(CollBarrier)
 	if fresh {
 		cs.Mask = 1
@@ -179,7 +178,6 @@ func (e *Engine) Barrier() {
 func (e *Engine) Bcast(root int, data []byte) []byte {
 	e.enterOp()
 	defer e.exitOp()
-	e.Stats.Collectives++
 	cs, fresh := e.beginColl(CollBcast)
 	p := e.size
 	rel := (e.rank - root + p) % p
@@ -234,7 +232,6 @@ func (e *Engine) Bcast(root int, data []byte) []byte {
 func (e *Engine) ReduceF64(root int, op ReduceOp, x []float64) []float64 {
 	e.enterOp()
 	defer e.exitOp()
-	e.Stats.Collectives++
 	cs, fresh := e.beginColl(CollReduce)
 	if fresh {
 		cs.Op = op
@@ -282,7 +279,6 @@ func (e *Engine) reduceSteps(cs *CollState, root int, kind CollKind) {
 func (e *Engine) AllreduceF64(op ReduceOp, x []float64) []float64 {
 	e.enterOp()
 	defer e.exitOp()
-	e.Stats.Collectives++
 	cs, fresh := e.beginColl(CollAllreduce)
 	p := e.size
 	if fresh {
@@ -335,7 +331,6 @@ func (e *Engine) AllreduceF64(op ReduceOp, x []float64) []float64 {
 func (e *Engine) AllgatherB(block []byte) [][]byte {
 	e.enterOp()
 	defer e.exitOp()
-	e.Stats.Collectives++
 	cs, fresh := e.beginColl(CollAllgather)
 	p := e.size
 	if fresh {
@@ -371,7 +366,6 @@ func (e *Engine) AlltoallB(blocks [][]byte) [][]byte {
 	}
 	e.enterOp()
 	defer e.exitOp()
-	e.Stats.Collectives++
 	cs, fresh := e.beginColl(CollAlltoall)
 	p := e.size
 	if fresh {

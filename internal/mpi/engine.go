@@ -32,15 +32,6 @@ func (PassFilter) OutPayload(*Packet) bool { return true }
 // InPacket always passes.
 func (PassFilter) InPacket(*Packet) bool { return true }
 
-// Stats counts an engine's activity.
-type Stats struct {
-	SendCalls    int64
-	RecvCalls    int64
-	Collectives  int64
-	PayloadBytes int64
-	BlockedTime  sim.Time
-}
-
 // Engine is one MPI process's communication engine: eager sends, blocking
 // receives with (source, tag) matching and wildcards, and resumable
 // collectives.  All methods except HandleWire, Deliver,
@@ -97,9 +88,6 @@ type Engine struct {
 	met *obs.Metrics
 	// hub, when set, receives application-layer events (EmitFT); nil-safe.
 	hub *obs.Hub
-
-	// Stat counters, exported for experiment harnesses.
-	Stats Stats
 }
 
 // NewEngine builds the engine for rank running on LP lp over fabric fab.
@@ -328,7 +316,6 @@ func (e *Engine) Send(dst, tag int, data []byte, vsize int64) {
 	}
 	e.enterOp()
 	defer e.exitOp()
-	e.Stats.SendCalls++
 	e.chargeSend(data, vsize)
 	e.sendPayload(dst, tag, data, vsize)
 }
@@ -353,7 +340,6 @@ func (e *Engine) sendPayload(dst, tag int, data []byte, vsize int64) {
 		buf = append([]byte(nil), data...)
 	}
 	p := &Packet{Src: e.rank, Dst: dst, Kind: KindPayload, Tag: tag, Data: buf, VSize: vsize}
-	e.Stats.PayloadBytes += p.PayloadSize()
 	if e.filter.OutPayload(p) {
 		e.fab.Send(e.rank, dst, p)
 	}
@@ -365,7 +351,6 @@ func (e *Engine) sendPayload(dst, tag int, data []byte, vsize int64) {
 func (e *Engine) Recv(src, tag int) *Packet {
 	e.enterOp()
 	defer e.exitOp()
-	e.Stats.RecvCalls++
 	return e.recvMatch(src, tag)
 }
 
@@ -388,9 +373,7 @@ func (e *Engine) recvMatch(src, tag int) *Packet {
 		e.waiting, e.waitSrc, e.waitTag = true, src, tag
 		t0 := e.lp.Now()
 		e.cond.Wait(e.lp)
-		blocked := e.lp.Now() - t0
-		e.Stats.BlockedTime += blocked
-		e.met.Observe("mpi.recv_blocked", blocked)
+		e.met.Observe("mpi.recv_blocked", e.lp.Now()-t0)
 		e.waiting = false
 	}
 }
@@ -422,8 +405,6 @@ func match(p *Packet, src, tag int) bool {
 func (e *Engine) Sendrecv(dst, sendTag int, data []byte, vsize int64, src, recvTag int) *Packet {
 	e.enterOp()
 	defer e.exitOp()
-	e.Stats.SendCalls++
-	e.Stats.RecvCalls++
 	cs, _ := e.beginColl(CollSendrecv)
 	if !cs.Sent {
 		e.chargeSend(data, vsize)

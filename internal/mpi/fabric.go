@@ -56,13 +56,9 @@ type Fabric struct {
 	// without NP² allocations.
 	links [][]link
 
-	// met, when set, mirrors the traffic counters into the observability
-	// registry ("fabric.msgs", "fabric.payload_bytes"); nil-safe.
+	// met, when set, counts the traffic (obs.MFabricMsgs,
+	// obs.MFabricPayloadBytes); nil-safe.
 	met *obs.Metrics
-
-	// MsgCount and PayloadBytes accumulate global traffic statistics.
-	MsgCount     int64
-	PayloadBytes int64
 }
 
 // NewFabric wraps a simulated network.
@@ -73,8 +69,8 @@ func NewFabric(net *simnet.Network) *Fabric {
 // Net exposes the underlying network (for bulk image flows).
 func (f *Fabric) Net() *simnet.Network { return f.net }
 
-// SetMetrics attaches the observability registry traffic counters are
-// mirrored into (nil disables).
+// SetMetrics attaches the observability registry the traffic counters
+// live in (nil disables).
 func (f *Fabric) SetMetrics(m *obs.Metrics) { f.met = m }
 
 // Place assigns an endpoint to a node.  An endpoint must be placed before
@@ -188,9 +184,7 @@ func (f *Fabric) Send(src, dst int, p *Packet) {
 	l := f.linkFor(src, dst)
 	l.seq++
 	p.Seq = l.seq
-	f.MsgCount++
-	f.PayloadBytes += p.PayloadSize()
-	f.met.Inc("fabric.msgs")
-	f.met.Add("fabric.payload_bytes", p.PayloadSize())
+	f.met.Inc(obs.MFabricMsgs)
+	f.met.Add(obs.MFabricPayloadBytes, p.PayloadSize())
 	l.ch.Send(p, p.WireSize())
 }

@@ -24,8 +24,8 @@ const (
 	MWavesCommitted = "waves.committed"
 	MFailures       = "failures"
 	MRestartTime    = "restart.time" // hist: failure-detection to resumed execution
-	// Wave-phase histograms, observed by the process manager at commit
-	// (the paper's cost decomposition: flush straggle / transfer / cycle).
+	// Wave-phase histograms, observed at each global commit (the paper's
+	// cost decomposition: flush straggle / transfer / cycle); see wavePhase.
 	MWaveSpread   = "wave.spread"
 	MWaveTransfer = "wave.transfer"
 	MWaveCycle    = "wave.cycle"
@@ -61,14 +61,30 @@ const (
 	MEvictedBytes   = "ckpt.evicted_bytes"
 	MBufferFailures = "failures.buffer"
 	MPFSFailures    = "failures.pfs"
+	// Application traffic, counted by the fabric per packet (a packet is
+	// not an event: the stream would triple in size).
+	MFabricMsgs         = "fabric.msgs"
+	MFabricPayloadBytes = "fabric.payload_bytes"
 )
+
+// wavePhase is what the sink keeps of a checkpoint wave still in flight:
+// the first and last local snapshot and the last image to turn durable
+// (events arrive in time order, so the last seen is the latest).
+// A global commit reads the three phases off it — spread is the flush
+// straggle (Pcl) or marker propagation (Vcl) between the snapshots,
+// transfer the tail from the last snapshot to the last durable image,
+// cycle first snapshot to commit.
+type wavePhase struct {
+	firstCkpt, lastCkpt, lastDurable sim.Time // firstCkpt < 0: no snapshot yet
+}
 
 // MetricsSink folds the event stream into a Metrics registry: counters
 // for every discrete event, histograms for the spans it can pair
-// (blocked-send windows, image-store transfers, restarts).
+// (blocked-send windows, image-store transfers, restarts, wave phases).
 type MetricsSink struct {
 	m *Metrics
 
+	waves        map[int]*wavePhase  // wave → phases of the wave in flight
 	blockedSince map[int]sim.Time    // rank → EvChannelBlocked time
 	storeSince   map[[3]int]sim.Time // (rank, wave, server) → EvImageStoreBegin time
 	restartSince map[int]sim.Time    // rank (-1 global) → EvRestartBegin time
@@ -101,6 +117,7 @@ func NewMetricsSink(m *Metrics) *MetricsSink {
 	}
 	return &MetricsSink{
 		m:            m,
+		waves:        make(map[int]*wavePhase),
 		blockedSince: make(map[int]sim.Time),
 		storeSince:   make(map[[3]int]sim.Time),
 		restartSince: make(map[int]sim.Time),
@@ -111,6 +128,15 @@ func NewMetricsSink(m *Metrics) *MetricsSink {
 
 // Metrics returns the registry the sink folds into.
 func (s *MetricsSink) Metrics() *Metrics { return s.m }
+
+func (s *MetricsSink) wave(w int) *wavePhase {
+	wp, ok := s.waves[w]
+	if !ok {
+		wp = &wavePhase{firstCkpt: -1}
+		s.waves[w] = wp
+	}
+	return wp
+}
 
 // Emit folds one event.
 func (s *MetricsSink) Emit(ev Event) {
@@ -137,6 +163,14 @@ func (s *MetricsSink) Emit(ev Event) {
 		s.m.Add(fmt.Sprintf("%s.ch%d-%d", MLoggedBytes, ev.Channel, ev.Rank), ev.Bytes)
 	case EvLocalCkptEnd:
 		s.m.Inc(MLocalCkpts)
+		wp := s.wave(ev.Wave)
+		if wp.firstCkpt < 0 {
+			wp.firstCkpt = ev.T
+		}
+		wp.lastCkpt = ev.T
+	case EvImageDurable:
+		wp := s.wave(ev.Wave)
+		wp.lastDurable = ev.T
 	case EvImageStoreBegin:
 		s.storeSince[[3]int{ev.Rank, ev.Wave, ev.Server}] = ev.T
 	case EvImageStoreEnd:
@@ -159,6 +193,15 @@ func (s *MetricsSink) Emit(ev Event) {
 		s.m.Add(MLogShipBytes, ev.Bytes)
 	case EvWaveCommit:
 		s.m.Inc(MWavesCommitted)
+		// A per-rank commit (uncoordinated checkpointing) closes no wave:
+		// ranks number their checkpoints independently, so the entry mixes
+		// unrelated ranks and is dropped unobserved.
+		if wp, ok := s.waves[ev.Wave]; ok && ev.Rank < 0 && wp.firstCkpt >= 0 {
+			s.m.Observe(MWaveSpread, wp.lastCkpt-wp.firstCkpt)
+			s.m.Observe(MWaveTransfer, wp.lastDurable-wp.lastCkpt)
+			s.m.Observe(MWaveCycle, ev.T-wp.firstCkpt)
+		}
+		delete(s.waves, ev.Wave)
 	case EvRankKilled:
 		s.m.Inc(MFailures)
 	case EvServerKilled:
@@ -177,6 +220,12 @@ func (s *MetricsSink) Emit(ev Event) {
 		s.m.Inc(MDegradedStops)
 	case EvRestartBegin:
 		s.restartSince[ev.Rank] = ev.T
+		if ev.Rank < 0 {
+			// A global rollback re-executes every wave past the recovery
+			// line under the same numbers: the aborted attempts' snapshots
+			// must not smear into the re-executed waves.
+			clear(s.waves)
+		}
 	case EvRestartEnd:
 		if t0, ok := s.restartSince[ev.Rank]; ok {
 			delete(s.restartSince, ev.Rank)
@@ -187,6 +236,9 @@ func (s *MetricsSink) Emit(ev Event) {
 		s.repairSince[ev.Rank] = ev.T
 	case EvRepairEnd:
 		s.m.Inc(MRepairs)
+		// The repaired world is a new generation, as after a restart:
+		// waves the revoked one left open are re-executed.
+		clear(s.waves)
 		if t0, ok := s.repairSince[ev.Channel]; ok {
 			delete(s.repairSince, ev.Channel)
 			s.m.Observe(MRepairLatency, ev.T-t0)

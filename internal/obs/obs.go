@@ -154,6 +154,11 @@ const (
 	// EvLevelEvict: storage level Level evicted (Rank, Wave)'s image to
 	// respect its capacity or retention bound; Bytes is the freed size.
 	EvLevelEvict
+	// EvImageDurable: the image of (Rank, Wave) reached its write quorum —
+	// the instant the checkpoint counts as stored, whatever replicas or
+	// levels it still drains to.  The last one of a wave ends its
+	// image-transfer phase (wave.transfer).
+	EvImageDurable
 
 	numEventTypes
 )
@@ -171,6 +176,7 @@ var eventNames = [numEventTypes]string{
 	"proc-failed", "revoked", "repair-begin", "repair-end", "repair-abort",
 	"app-ckpt", "app-restore",
 	"drain-begin", "drain-end", "buffer-killed", "pfs-killed", "level-evict",
+	"image-durable",
 }
 
 // String returns the event type's kebab-case name.

@@ -75,6 +75,7 @@ const (
 	EvBufferKilled     = obs.EvBufferKilled
 	EvPFSKilled        = obs.EvPFSKilled
 	EvLevelEvict       = obs.EvLevelEvict
+	EvImageDurable     = obs.EvImageDurable
 )
 
 // Attribution is a conservation-checked per-phase breakdown of a run's

@@ -271,9 +271,10 @@ type Options struct {
 	// Sink receives every structured observability event of the run (see
 	// observe.go); a Collector here enables timeline export.
 	Sink Sink
-	// Metrics, when set, makes the run fold its counters and histograms
-	// into an existing registry instead of a private one — sharing one
-	// registry aggregates several runs.
+	// Metrics, when set, receives the run's counters and histograms when
+	// Run returns, also when it returns an error — sharing one registry
+	// aggregates several runs.  The run itself counts into a registry of
+	// its own, so Report describes this run alone.
 	Metrics *Metrics
 	// Attribution attaches the causal span tracer and computes the run's
 	// conservation-checked per-phase overhead breakdown, returned on
