@@ -28,6 +28,21 @@ func testNet(k *sim.Kernel) *simnet.Network {
 	}}})
 }
 
+// sinkFuncs adapts two closures (either may be nil) to a TransferSink.
+type sinkFuncs struct{ stored, aborted func() }
+
+func (s sinkFuncs) Stored() {
+	if s.stored != nil {
+		s.stored()
+	}
+}
+
+func (s sinkFuncs) Aborted() {
+	if s.aborted != nil {
+		s.aborted()
+	}
+}
+
 func TestProgramCodecRoundTrip(t *testing.T) {
 	p := &toyProgram{Phase: 2, X: []float64{1.5, -3}, Mem: 1 << 20}
 	b, err := EncodeProgram(p)
@@ -64,7 +79,7 @@ func TestServerStoreFetch(t *testing.T) {
 	var storedAt sim.Time
 	var fetched *Image
 	k.Go("proc", func(p *sim.Proc) {
-		srv.Receive(img, 0, 0, func() {
+		srv.Receive(img, 0, 0, sinkFuncs{stored: func() {
 			storedAt = k.Now()
 			if !srv.Has(2, 1) {
 				t.Error("image not stored at onStored time")
@@ -79,7 +94,7 @@ func TestServerStoreFetch(t *testing.T) {
 			}, nil); err != nil {
 				t.Error(err)
 			}
-		}, nil)
+		}})
 	})
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
@@ -104,13 +119,13 @@ func TestServerLogsAccumulate(t *testing.T) {
 	k := sim.New(1)
 	net := testNet(k)
 	srv := NewServer(net, 0, 1)
-	srv.Receive(&Image{Rank: 0, Wave: 2, Footprint: 100}, 0, 0, nil, nil)
+	srv.Receive(&Image{Rank: 0, Wave: 2, Footprint: 100}, 0, 0, nil)
 	srv.ReceiveLogs(0, 2, []*mpi.Packet{
 		{Src: 1, Dst: 0, Kind: mpi.KindPayload, Tag: 5, Data: []byte("a")},
-	}, 0, nil, nil)
+	}, 0, nil)
 	srv.ReceiveLogs(0, 2, []*mpi.Packet{
 		{Src: 2, Dst: 0, Kind: mpi.KindPayload, Tag: 5, Data: []byte("b")},
-	}, 0, nil, nil)
+	}, 0, nil)
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -125,8 +140,8 @@ func TestServerGC(t *testing.T) {
 	net := testNet(k)
 	srv := NewServer(net, 0, 1)
 	for wave := 1; wave <= 3; wave++ {
-		srv.Receive(&Image{Rank: 0, Wave: wave, Footprint: 10}, 0, 0, nil, nil)
-		srv.ReceiveLogs(0, wave, []*mpi.Packet{{Kind: mpi.KindPayload}}, 0, nil, nil)
+		srv.Receive(&Image{Rank: 0, Wave: wave, Footprint: 10}, 0, 0, nil)
+		srv.ReceiveLogs(0, wave, []*mpi.Packet{{Kind: mpi.KindPayload}}, 0, nil)
 	}
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
@@ -147,9 +162,9 @@ func TestReceiveCancelled(t *testing.T) {
 	k := sim.New(1)
 	net := testNet(k)
 	srv := NewServer(net, 0, 1)
-	f := srv.Receive(&Image{Rank: 0, Wave: 1, Footprint: 100 << 20}, 0, 0, func() {
+	f := srv.Receive(&Image{Rank: 0, Wave: 1, Footprint: 100 << 20}, 0, 0, sinkFuncs{stored: func() {
 		t.Error("cancelled transfer stored")
-	}, nil)
+	}})
 	k.After(time.Millisecond, f.Cancel)
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
@@ -164,8 +179,8 @@ func TestTransfersCompeteForServerNIC(t *testing.T) {
 	net := testNet(k)
 	srv := NewServer(net, 0, 3)
 	var t1, t2 sim.Time
-	srv.Receive(&Image{Rank: 0, Wave: 1, Footprint: 50e6}, 0, 0, func() { t1 = k.Now() }, nil)
-	srv.Receive(&Image{Rank: 1, Wave: 1, Footprint: 50e6}, 1, 0, func() { t2 = k.Now() }, nil)
+	srv.Receive(&Image{Rank: 0, Wave: 1, Footprint: 50e6}, 0, 0, sinkFuncs{stored: func() { t1 = k.Now() }})
+	srv.Receive(&Image{Rank: 1, Wave: 1, Footprint: 50e6}, 1, 0, sinkFuncs{stored: func() { t2 = k.Now() }})
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}

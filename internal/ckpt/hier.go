@@ -270,8 +270,13 @@ type Hierarchy struct {
 }
 
 // Op is the cancellation handle shared by every store/fetch the
-// hierarchy starts; Cancel aborts whatever leg is in flight.
-type Op interface{ Cancel() }
+// hierarchy starts; Cancel aborts whatever leg is in flight.  Settled
+// reports that no leg is: nothing is left to cancel and no callback will
+// run, so a holder that only keeps the handle to cancel it can let it go.
+type Op interface {
+	Cancel()
+	Settled() bool
+}
 
 // NewHierarchy builds the hierarchy over an existing server group.  The
 // spec must already be validated (exactly one servers level, buffer
@@ -400,6 +405,14 @@ type hierOp struct {
 	inner     Op
 	flows     []*simnet.Flow
 	cancelled bool
+}
+
+// Settled: no device timer, no inner operation with a leg in flight, no
+// stripe flows — or cancelled.  (A buffer-level store settles when the
+// local write lands: the drain that follows belongs to the buffer.)
+func (op *hierOp) Settled() bool {
+	return op.cancelled ||
+		op.timer == 0 && len(op.flows) == 0 && (op.inner == nil || op.inner.Settled())
 }
 
 func (op *hierOp) Cancel() {
@@ -565,13 +578,7 @@ func (h *Hierarchy) drainToPFS(img *Image, cap simnet.Rate) {
 	if h.pfs.images[k] != nil || h.pfs.staging[k] {
 		return
 	}
-	var src *Server
-	for _, srv := range h.group.ReplicaSet(img.Rank) {
-		if srv.Alive() && srv.Has(img.Rank, img.Wave) {
-			src = srv
-			break
-		}
-	}
+	src := h.group.holder(img.Rank, img.Wave)
 	if src == nil {
 		return
 	}
@@ -775,8 +782,8 @@ func (h *Hierarchy) KillPFSTarget(target int) bool {
 
 // StoreLogs ships a wave's message logs to the server group (logs are
 // never staged: replay correctness needs them with the replicas).
-func (h *Hierarchy) StoreLogs(rank, wave int, pkts []*mpi.Packet, srcNode int, onQuorum, onFailed func()) *StoreOp {
-	return h.group.StoreLogs(rank, wave, pkts, srcNode, onQuorum, onFailed)
+func (h *Hierarchy) StoreLogs(rank, wave int, pkts []*mpi.Packet, srcNode int, done LogSink) *StoreOp {
+	return h.group.StoreLogs(rank, wave, pkts, srcNode, done)
 }
 
 // FetchSince delegates to the group: mlog per-rank recovery reads the

@@ -79,25 +79,26 @@ func (g *Group) emit(t obs.EventType, rank, wave, server int) {
 		Channel: -1, Node: -1, Server: server, Span: g.obs.NextSpan()})
 }
 
-// ReplicaSet returns the rank's replica servers, primary first.
-func (g *Group) ReplicaSet(rank int) []*Server {
-	out := make([]*Server, g.Replicas)
+// replica returns the i-th server (0 ≤ i < Replicas) of the replica set
+// whose primary is server index primary — PrimaryOf(rank) for a rank's set.
+func (g *Group) replica(primary, i int) *Server {
+	return g.servers[(primary+i)%len(g.servers)]
+}
+
+// holder returns the first live replica holding the image for (rank,
+// wave), nil when none does.
+func (g *Group) holder(rank, wave int) *Server {
 	p := g.PrimaryOf(rank)
-	for i := range out {
-		out[i] = g.servers[(p+i)%len(g.servers)]
+	for i := 0; i < g.Replicas; i++ {
+		if srv := g.replica(p, i); srv.Alive() && srv.Has(rank, wave) {
+			return srv
+		}
 	}
-	return out
+	return nil
 }
 
 // Has reports whether any live replica holds the image for (rank, wave).
-func (g *Group) Has(rank, wave int) bool {
-	for _, srv := range g.ReplicaSet(rank) {
-		if srv.Alive() && srv.Has(rank, wave) {
-			return true
-		}
-	}
-	return false
-}
+func (g *Group) Has(rank, wave int) bool { return g.holder(rank, wave) != nil }
 
 // GC garbage-collects waves older than wave on every server in the pool.
 func (g *Group) GC(wave int) {
@@ -109,31 +110,59 @@ func (g *Group) GC(wave int) {
 // GCRank garbage-collects one rank's data older than wave on its
 // replica set.
 func (g *Group) GCRank(rank, wave int) {
-	for _, srv := range g.ReplicaSet(rank) {
-		srv.GCRank(rank, wave)
+	p := g.PrimaryOf(rank)
+	for i := 0; i < g.Replicas; i++ {
+		g.replica(p, i).GCRank(rank, wave)
 	}
 }
 
-// StoreOp is one replicated store in progress.  It satisfies the same
-// cancellation contract as a single flow: Cancel aborts every replica
-// transfer and pending retry (copies already stored stay stored; GC
-// reclaims them).
+// LogSink is told that a replicated log store reached its write quorum.
+// core.LogSink has the same method, so a protocol's record passes through
+// the host to the store unwrapped.
+type LogSink interface{ LogsStored() }
+
+// StoreOp is one replicated store in progress — of an image, or of a log
+// set — and the completion target of its own replica transfers.  It
+// satisfies the same cancellation contract as a single flow: Cancel aborts
+// every replica transfer and pending retry (copies already stored stay
+// stored; GC reclaims them).
 type StoreOp struct {
 	g          *Group
 	rank, wave int
-	replicas   []*Server
-	ship       func(srv *Server, onStored, onAbort func()) *simnet.Flow
-	onQuorum   func()
-	onFailed   func()
+	srcNode    int
 
-	flows     []*simnet.Flow // per-replica current attempt (nil when idle)
-	timers    []sim.EventID  // per-replica pending retry (0 when none)
-	retries   []int          // per-replica retries left
+	// What is shipped and who hears of the quorum: an image (Store) reports
+	// to onQuorum/onFailed, a log set (StoreLogs) to logSink.
+	img      *Image
+	cap      simnet.Rate
+	onQuorum func()
+	onFailed func()
+	pkts     []*mpi.Packet
+	logSink  LogSink
+
+	// replicas is the per-replica state, primary first; up to two entries
+	// live in inline, so the usual replica counts cost no second
+	// allocation.
+	replicas []replica
+	inline   [2]replica
+
 	acks      int
 	failed    int
 	quorumHit bool
 	lost      bool
 	cancelled bool
+}
+
+// replica is one replica's share of a StoreOp: the server, the current
+// attempt's flow (nil when idle), the pending retry (0 when none) and the
+// retries left.  The entry itself is what the server reports the attempt's
+// outcome to (TransferSink) and what the retry timer fires on.
+type replica struct {
+	op      *StoreOp
+	srv     *Server
+	flow    *simnet.Flow
+	timer   sim.EventID
+	retries int
 }
 
 // Store replicates img from srcNode across the rank's replica set,
@@ -142,81 +171,100 @@ type StoreOp struct {
 // instead — the wave will not commit, which is the graceful-degradation
 // path: the job continues under its previous recovery line.
 func (g *Group) Store(img *Image, srcNode int, cap simnet.Rate, onQuorum, onFailed func()) *StoreOp {
-	return g.start(img.Rank, img.Wave, onQuorum, onFailed,
-		func(srv *Server, onStored, onAbort func()) *simnet.Flow {
-			return srv.Receive(img, srcNode, cap, onStored, onAbort)
-		})
-}
-
-// StoreLogs replicates a log set (Vcl channel state for a wave, or one
-// mlog pessimistic log record) with the same quorum semantics as Store.
-func (g *Group) StoreLogs(rank, wave int, pkts []*mpi.Packet, srcNode int, onQuorum, onFailed func()) *StoreOp {
-	return g.start(rank, wave, onQuorum, onFailed,
-		func(srv *Server, onStored, onAbort func()) *simnet.Flow {
-			return srv.ReceiveLogs(rank, wave, pkts, srcNode, onStored, onAbort)
-		})
-}
-
-func (g *Group) start(rank, wave int, onQuorum, onFailed func(), ship func(*Server, func(), func()) *simnet.Flow) *StoreOp {
-	op := &StoreOp{
-		g: g, rank: rank, wave: wave,
-		replicas: g.ReplicaSet(rank),
-		ship:     ship,
-		onQuorum: onQuorum,
-		onFailed: onFailed,
-	}
-	op.flows = make([]*simnet.Flow, len(op.replicas))
-	op.timers = make([]sim.EventID, len(op.replicas))
-	op.retries = make([]int, len(op.replicas))
-	for i := range op.retries {
-		op.retries[i] = g.MaxRetries
-	}
-	for i := range op.replicas {
-		op.attempt(i)
-	}
+	op := &StoreOp{g: g, rank: img.Rank, wave: img.Wave, srcNode: srcNode,
+		img: img, cap: cap, onQuorum: onQuorum, onFailed: onFailed}
+	op.start()
 	return op
 }
 
-// attempt ships to replica i (current attempt).
-func (op *StoreOp) attempt(i int) {
-	if op.cancelled {
-		return
-	}
-	srv := op.replicas[i]
-	op.flows[i] = op.ship(srv,
-		func() { // stored
-			op.flows[i] = nil
-			op.acks++
-			if !op.quorumHit && op.acks >= op.g.Quorum {
-				op.quorumHit = true
-				if op.onQuorum != nil {
-					op.onQuorum()
-				}
-			}
-		},
-		func() { // aborted: replica died (before or during the transfer)
-			op.flows[i] = nil
-			op.retry(i)
-		})
+// StoreLogs replicates a log set (Vcl channel state for a wave, or one
+// mlog pessimistic log record) with the same quorum semantics as Store;
+// done (may be nil) hears of the quorum.  pkts stays the caller's: the
+// servers copy the packets when an attempt starts, and a retry reads the
+// slice again.
+func (g *Group) StoreLogs(rank, wave int, pkts []*mpi.Packet, srcNode int, done LogSink) *StoreOp {
+	op := &StoreOp{g: g, rank: rank, wave: wave, srcNode: srcNode, pkts: pkts, logSink: done}
+	op.start()
+	return op
 }
 
-// retry re-schedules replica i's attempt after the backoff, or marks it
-// failed once retries are exhausted.
-func (op *StoreOp) retry(i int) {
+func (op *StoreOp) start() {
+	g := op.g
+	if g.Replicas <= len(op.inline) {
+		op.replicas = op.inline[:g.Replicas]
+	} else {
+		op.replicas = make([]replica, g.Replicas)
+	}
+	p := g.PrimaryOf(op.rank)
+	for i := range op.replicas {
+		op.replicas[i] = replica{op: op, srv: g.replica(p, i), retries: g.MaxRetries}
+	}
+	for i := range op.replicas {
+		op.replicas[i].attempt()
+	}
+}
+
+// Settled reports that nothing is left to cancel: every replica has
+// acknowledged or failed for good, or the store was cancelled.  No
+// callback runs after that, so whoever tracks the op to cancel it on the
+// sender's death can drop it.
+func (op *StoreOp) Settled() bool {
+	return op.cancelled || op.acks+op.failed == len(op.replicas)
+}
+
+// attempt ships to the replica (current attempt).
+func (r *replica) attempt() {
+	op := r.op
 	if op.cancelled {
 		return
 	}
-	if op.retries[i] <= 0 {
+	// A dead server refuses by calling Aborted before it returns nil, so
+	// the assignment leaves flow nil beside the retry Aborted scheduled.
+	if op.img != nil {
+		r.flow = r.srv.Receive(op.img, op.srcNode, op.cap, r)
+	} else {
+		r.flow = r.srv.ReceiveLogs(op.rank, op.wave, op.pkts, op.srcNode, r)
+	}
+}
+
+// Stored: the replica holds its copy.
+func (r *replica) Stored() {
+	op := r.op
+	r.flow = nil
+	op.acks++
+	if !op.quorumHit && op.acks >= op.g.Quorum {
+		op.quorumHit = true
+		if op.onQuorum != nil {
+			op.onQuorum()
+		}
+		if op.logSink != nil {
+			op.logSink.LogsStored()
+		}
+	}
+}
+
+// Aborted: the replica died before or during the transfer; re-schedule
+// the attempt after the backoff, or mark the replica failed once its
+// retries are exhausted.
+func (r *replica) Aborted() {
+	op := r.op
+	r.flow = nil
+	if op.cancelled {
+		return
+	}
+	if r.retries <= 0 {
 		op.replicaFailed()
 		return
 	}
-	op.retries[i]--
-	op.g.emit(obs.EvStoreRetry, op.rank, op.wave, op.replicas[i].Index)
-	k := op.g.net.Kernel()
-	op.timers[i] = k.After(op.g.Backoff, func() {
-		op.timers[i] = 0
-		op.attempt(i)
-	})
+	r.retries--
+	op.g.emit(obs.EvStoreRetry, op.rank, op.wave, r.srv.Index)
+	r.timer = op.g.net.Kernel().AfterArg(op.g.Backoff, replicaRetry, r)
+}
+
+func replicaRetry(x any) {
+	r := x.(*replica)
+	r.timer = 0
+	r.attempt()
 }
 
 func (op *StoreOp) replicaFailed() {
@@ -239,13 +287,14 @@ func (op *StoreOp) Cancel() {
 	op.cancelled = true
 	k := op.g.net.Kernel()
 	for i := range op.replicas {
-		if op.flows[i] != nil {
-			op.flows[i].Cancel()
-			op.flows[i] = nil
+		r := &op.replicas[i]
+		if r.flow != nil {
+			r.flow.Cancel()
+			r.flow = nil
 		}
-		if op.timers[i] != 0 {
-			k.Cancel(op.timers[i])
-			op.timers[i] = 0
+		if r.timer != 0 {
+			k.Cancel(r.timer)
+			r.timer = 0
 		}
 	}
 }
@@ -260,7 +309,7 @@ type FetchOp struct {
 	onDone     func(*Image, []*mpi.Packet)
 	onFail     func(error)
 
-	replicas  []*Server
+	primary   int // the rank's primary replica; the set is walked by index
 	img       *Image
 	logs      []*mpi.Packet
 	union     bool // logs are a multi-replica union: sort + dedup at the end
@@ -282,7 +331,7 @@ func (g *Group) Fetch(rank, wave, dstNode int, needLogs bool, onDone func(*Image
 	op := &FetchOp{
 		g: g, rank: rank, wave: wave, dstNode: dstNode,
 		onDone: onDone, onFail: onFail,
-		replicas:  g.ReplicaSet(rank),
+		primary:   g.PrimaryOf(rank),
 		remaining: 1,
 	}
 	if needLogs {
@@ -304,15 +353,15 @@ func (g *Group) FetchSince(rank, wave, dstNode int, onDone func(*Image, []*mpi.P
 	op := &FetchOp{
 		g: g, rank: rank, wave: wave, dstNode: dstNode,
 		onDone: onDone, onFail: onFail,
-		replicas:  g.ReplicaSet(rank),
+		primary:   g.PrimaryOf(rank),
 		remaining: 1,
 		union:     true,
 	}
 	// One log transfer per live replica; deaths mid-transfer just shrink
 	// the union.
 	var live []*Server
-	for _, srv := range op.replicas {
-		if srv.Alive() {
+	for i := 0; i < g.Replicas; i++ {
+		if srv := g.replica(op.primary, i); srv.Alive() {
 			live = append(live, srv)
 		}
 	}
@@ -346,8 +395,8 @@ func (op *FetchOp) fetchImage(i int) {
 	if op.cancelled {
 		return
 	}
-	for ; i < len(op.replicas); i++ {
-		srv := op.replicas[i]
+	for ; i < op.g.Replicas; i++ {
+		srv := op.g.replica(op.primary, i)
 		if !srv.Alive() || !srv.Has(op.rank, op.wave) {
 			continue
 		}
@@ -385,8 +434,8 @@ func (op *FetchOp) fetchLogs(i int, failover bool) {
 	if op.cancelled {
 		return
 	}
-	for ; i < len(op.replicas); i++ {
-		srv := op.replicas[i]
+	for ; i < op.g.Replicas; i++ {
+		srv := op.g.replica(op.primary, i)
 		if !srv.Alive() || !srv.HasLogs(op.rank, op.wave) {
 			continue
 		}
@@ -451,6 +500,12 @@ func (op *FetchOp) fail(err error) {
 	}
 }
 
+// Settled reports that nothing is left to cancel: the fetch delivered,
+// failed or was cancelled.
+func (op *FetchOp) Settled() bool {
+	return op.cancelled || op.failedErr != nil || op.remaining == 0
+}
+
 // Cancel aborts the fetch; no further callbacks run.
 func (op *FetchOp) Cancel() {
 	if op.cancelled {
@@ -478,7 +533,7 @@ func (g *Group) FetchLogsOnly(rank, wave, dstNode int, onDone func([]*mpi.Packet
 			}
 		},
 		onFail:    onFail,
-		replicas:  g.ReplicaSet(rank),
+		primary:   g.PrimaryOf(rank),
 		remaining: 1,
 	}
 	op.fetchLogs(0, false)
@@ -490,8 +545,9 @@ func (g *Group) FetchLogsOnly(rank, wave, dstNode int, onDone func([]*mpi.Packet
 // (no-transfer) variant used when recovery already runs next to the data.
 func (g *Group) LogsSinceUnion(rank, wave int) []*mpi.Packet {
 	var out []*mpi.Packet
-	for _, srv := range g.ReplicaSet(rank) {
-		if srv.Alive() {
+	p := g.PrimaryOf(rank)
+	for i := 0; i < g.Replicas; i++ {
+		if srv := g.replica(p, i); srv.Alive() {
 			out = append(out, srv.LogsSince(rank, wave)...)
 		}
 	}

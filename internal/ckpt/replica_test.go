@@ -2,6 +2,7 @@ package ckpt
 
 import (
 	"errors"
+	"slices"
 	"testing"
 	"time"
 
@@ -159,8 +160,8 @@ func TestGroupLogsSinceUnion(t *testing.T) {
 		return &mpi.Packet{Src: src, Dst: 0, Kind: mpi.KindPayload, PSeq: pseq, Data: []byte{byte(pseq)}}
 	}
 	k.Go("w", func(p *sim.Proc) {
-		pool[0].ReceiveLogs(0, 1, []*mpi.Packet{pkt(1, 1), pkt(1, 2), pkt(2, 1)}, 0, nil, nil)
-		pool[1].ReceiveLogs(0, 1, []*mpi.Packet{pkt(1, 2), pkt(1, 3), pkt(2, 1)}, 0, nil, nil)
+		pool[0].ReceiveLogs(0, 1, []*mpi.Packet{pkt(1, 1), pkt(1, 2), pkt(2, 1)}, 0, nil)
+		pool[1].ReceiveLogs(0, 1, []*mpi.Packet{pkt(1, 2), pkt(1, 3), pkt(2, 1)}, 0, nil)
 	})
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
@@ -201,5 +202,108 @@ func TestServerFetchErrors(t *testing.T) {
 	}
 	if _, err := srv.Image(0, 9); !errors.Is(err, ErrServerDown) {
 		t.Fatalf("dead server image: %v", err)
+	}
+}
+
+// TestKillAbortsInStartOrderAfterOutOfOrderCompletion pins Kill's contract
+// on the in-progress list: transfers leave it when they land, in whatever
+// order that is, and the ones still there are aborted in the order they
+// started.
+func TestKillAbortsInStartOrderAfterOutOfOrderCompletion(t *testing.T) {
+	k := sim.New(1)
+	srv := NewServer(testNet(k), 0, 3)
+	var stored, aborted []int
+	// Transfers 2 and 4 are small enough to land before the kill.
+	for i, size := range []int64{40 << 20, 1 << 10, 30 << 20, 2 << 10, 20 << 20, 10 << 20} {
+		id := i + 1
+		srv.Receive(&Image{Rank: id, Wave: 1, Footprint: size}, i%3, 0, sinkFuncs{
+			stored:  func() { stored = append(stored, id) },
+			aborted: func() { aborted = append(aborted, id) },
+		})
+	}
+	var started []*transfer
+	for tr := srv.first; tr != nil; tr = tr.next {
+		started = append(started, tr)
+	}
+	k.After(5*time.Millisecond, srv.Kill)
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	// A transfer that left the list keeps no link into it: anything still
+	// holding its flow would otherwise hold every later transfer too.
+	for i, tr := range started {
+		if tr.prev != nil || tr.next != nil {
+			t.Errorf("transfer %d still linked after it landed or was aborted", i+1)
+		}
+	}
+	if !slices.Equal(stored, []int{2, 4}) {
+		t.Errorf("stored %v, want [2 4]", stored)
+	}
+	if !slices.Equal(aborted, []int{1, 3, 5, 6}) {
+		t.Errorf("aborted %v, want [1 3 5 6]: start order, and none for a transfer that landed", aborted)
+	}
+}
+
+// TestCancelWithTransferAndRetryPending: the sender dies while one of its
+// three replica transfers is in flight and another replica waits out a
+// retry backoff.  Cancel takes down exactly those — the flow never lands,
+// the timer never fires, nobody is called — and that is what Settled
+// tracks: an op that has run its course has nothing to cancel.
+func TestCancelWithTransferAndRetryPending(t *testing.T) {
+	k := sim.New(1)
+	g, pool := testGroup(k, 3, 3, 3)
+	g.MaxRetries = 3
+	g.Backoff = 50 * time.Millisecond
+	col := obs.NewCollector()
+	hub := obs.NewHub(col)
+	g.SetObs(hub)
+	for _, srv := range pool {
+		srv.SetObs(hub)
+	}
+	calls := 0
+	called := func() { calls++ }
+	var early, op *StoreOp
+	k.Go("w", func(p *sim.Proc) {
+		early = g.StoreLogs(0, 1, []*mpi.Packet{{Src: 1, Kind: mpi.KindPayload, PSeq: 1}}, 0, nil)
+		p.Advance(5 * time.Millisecond)
+		if !early.Settled() {
+			t.Error("a log set stored on every replica is not settled")
+		}
+		// Three rival flows into server 1 hold its replica transfer to a
+		// quarter of the NIC, so server 0's copy lands well before it.
+		for _, src := range []int{1, 2, 4} {
+			g.net.StartFlow(src, pool[1].Node, 64<<20, nil)
+		}
+		op = g.Store(testImage(0, 2), 0, 0, called, called)
+		p.Advance(time.Millisecond)
+		pool[2].Kill() // replica 2 backs off until 56ms
+		p.Advance(29 * time.Millisecond)
+		if !pool[0].Has(0, 2) || pool[1].Has(0, 2) || op.Settled() {
+			t.Errorf("at the cancel: server 0 has %v, server 1 has %v, settled %v; want one stored, one in flight, one backing off",
+				pool[0].Has(0, 2), pool[1].Has(0, 2), op.Settled())
+		}
+		op.Cancel()
+		early.Cancel() // settled: nothing to do
+		if !op.Settled() {
+			t.Error("a cancelled op is not settled")
+		}
+	})
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if pool[1].Has(0, 2) {
+		t.Error("the cancelled transfer landed")
+	}
+	if n := col.Count(obs.EvStoreRetry); n != 1 {
+		t.Errorf("%d store retries, want the 1 scheduled before the cancel: the backoff timer fired", n)
+	}
+	if n := col.Count(obs.EvImageStoreBegin); n != 3 {
+		t.Errorf("%d image transfers started, want 3", n)
+	}
+	if calls != 0 || col.Count(obs.EvQuorumLost) != 0 {
+		t.Errorf("%d callbacks and %d quorum-lost events after a cancel", calls, col.Count(obs.EvQuorumLost))
+	}
+	if len(pool[0].Logs(0, 1)) != 1 {
+		t.Error("cancelling a settled op touched what it stored")
 	}
 }

@@ -39,15 +39,43 @@ type Server struct {
 
 	// dead is set by Kill: the server stops serving and its data is gone.
 	dead bool
-	// inflight tracks transfers in progress so Kill can cancel them and
-	// notify their owners, in start order (deterministic).
-	inflight []*transfer
+	// first and last delimit the transfers in progress, linked in start
+	// order so Kill can cancel them and notify their owners
+	// deterministically; a transfer that lands unlinks itself in O(1).
+	first, last *transfer
 }
 
-// transfer is one in-progress flow with its abort notification.
+// TransferSink is the completion target of one store transfer (Receive,
+// ReceiveLogs): Stored runs when the copy is on the server, Aborted when
+// the server died first — refused outright or killed mid-flight.  At most
+// one of them runs, once; neither does after the sender cancels the flow.
+// The replica Group hands in a StoreOp's replica entry, so an attempt
+// builds no callback of its own.
+type TransferSink interface {
+	Stored()
+	Aborted()
+}
+
+// transfer is one in-progress flow the server is an end of, from its start
+// until it lands, and its own completion: the flow is handed the transfer
+// itself, not a closure over it.
 type transfer struct {
-	flow    *simnet.Flow
-	onAbort func()
+	srv        *Server
+	flow       *simnet.Flow
+	prev, next *transfer // the server's in-progress list
+
+	// A store reports to sink (nil: to no one); what lands is img, or else
+	// the log set logs for (rank, wave).
+	sink       TransferSink
+	img        *Image
+	rank, wave int
+	logs       []*mpi.Packet
+	one        [1]*mpi.Packet // backs logs for a one-record set (mlog)
+	bytes      int64
+	span       uint64
+
+	// A fetch (the recovery path, cold) hands over through closures.
+	onDone, onAbort func()
 }
 
 type imgKey struct{ rank, wave int }
@@ -86,60 +114,96 @@ func (s *Server) Kill() {
 	s.dead = true
 	s.images = make(map[imgKey]*Image)
 	s.logs = make(map[imgKey][]*mpi.Packet)
-	pending := s.inflight
-	s.inflight = nil
-	for _, tr := range pending {
+	tr := s.first
+	s.first, s.last = nil, nil
+	for tr != nil {
+		next := tr.next
+		tr.prev, tr.next = nil, nil // see landed
 		tr.flow.Cancel()
-		if tr.onAbort != nil {
+		switch {
+		case tr.sink != nil:
+			tr.sink.Aborted()
+		case tr.onAbort != nil:
 			tr.onAbort()
 		}
+		tr = next
 	}
 }
 
-// flow starts a transfer the server is one end of and tracks it until it
-// lands, so that Kill can cancel it and run onAbort (may be nil).
-func (s *Server) flow(src, dst int, bytes int64, cap simnet.Rate, onDone, onAbort func()) *simnet.Flow {
-	tr := &transfer{onAbort: onAbort}
-	s.inflight = append(s.inflight, tr)
-	tr.flow = s.net.StartFlowCapped(src, dst, bytes, cap, func() {
-		for i, t := range s.inflight {
-			if t == tr {
-				s.inflight = append(s.inflight[:i], s.inflight[i+1:]...)
-				break
-			}
-		}
-		onDone()
-	})
+// start begins tr's flow and appends it to the in-progress list, where it
+// stays until it lands (a flow its sender cancelled stays until Kill).
+func (s *Server) start(tr *transfer, src, dst int, bytes int64, cap simnet.Rate) *simnet.Flow {
+	tr.srv = s
+	tr.prev = s.last
+	if s.last != nil {
+		s.last.next = tr
+	} else {
+		s.first = tr
+	}
+	s.last = tr
+	tr.flow = s.net.StartFlowArg(src, dst, bytes, cap, transferLanded, tr)
 	return tr.flow
+}
+
+// transferLanded is every transfer's flow completion.
+func transferLanded(x any) { x.(*transfer).landed() }
+
+// landed leaves the in-progress list and completes the transfer: a fetch
+// hands over, a store puts what it carried on the server and tells its sink.
+func (tr *transfer) landed() {
+	s := tr.srv
+	if tr.prev != nil {
+		tr.prev.next = tr.next
+	} else {
+		s.first = tr.next
+	}
+	if tr.next != nil {
+		tr.next.prev = tr.prev
+	} else {
+		s.last = tr.prev
+	}
+	// A finished transfer must not point into the list: its flow lingers
+	// in the network's scratch sets and the kernel's dead slots for a
+	// while, and through a kept link it would hold every later transfer.
+	tr.prev, tr.next = nil, nil
+	switch {
+	case tr.onDone != nil:
+		tr.onDone()
+		return
+	case tr.img != nil:
+		s.images[imgKey{tr.img.Rank, tr.img.Wave}] = tr.img
+		s.emit(obs.EvImageStoreEnd, tr.img.Rank, tr.img.Wave, tr.bytes, tr.span)
+	default:
+		k := imgKey{tr.rank, tr.wave}
+		s.logs[k] = append(s.logs[k], tr.logs...)
+		s.emit(obs.EvLogShipEnd, tr.rank, tr.wave, tr.bytes, tr.span)
+	}
+	if tr.sink != nil {
+		tr.sink.Stored()
+	}
 }
 
 // Receive starts the transfer of img from srcNode to the server, paced by
 // a sender-side rate ceiling (cap 0 = none, modelling transfers driven by
 // a single-threaded daemon).  The returned flow may be cancelled if the
-// sender dies.  onStored runs when the image is fully stored; if the
-// server dies while the transfer is in flight, onAbort runs instead (the
-// replica Group retries elsewhere).  A dead server refuses the transfer
-// outright: nil flow, immediate onAbort.  The server keeps the pointer it
-// was given — an image is immutable once handed to a store (see Image).
-func (s *Server) Receive(img *Image, srcNode int, cap simnet.Rate, onStored, onAbort func()) *simnet.Flow {
+// sender dies.  sink.Stored runs when the image is fully stored; if the
+// server dies while the transfer is in flight, sink.Aborted runs instead
+// (the replica Group retries elsewhere).  A dead server refuses the
+// transfer outright: nil flow, immediate Aborted.  The server keeps the
+// pointer it was given — an image is immutable once handed to a store (see
+// Image).
+func (s *Server) Receive(img *Image, srcNode int, cap simnet.Rate, sink TransferSink) *simnet.Flow {
 	if s.dead {
-		if onAbort != nil {
-			onAbort()
+		if sink != nil {
+			sink.Aborted()
 		}
 		return nil
 	}
 	// One span per replica transfer, closed by the matching end event (or
 	// left open if the server dies mid-flight).
-	sp := s.obs.NextSpan()
-	bytes := img.StoredBytes()
-	s.emit(obs.EvImageStoreBegin, img.Rank, img.Wave, bytes, sp)
-	return s.flow(srcNode, s.Node, bytes, cap, func() {
-		s.images[imgKey{img.Rank, img.Wave}] = img
-		s.emit(obs.EvImageStoreEnd, img.Rank, img.Wave, bytes, sp)
-		if onStored != nil {
-			onStored()
-		}
-	}, onAbort)
+	tr := &transfer{sink: sink, img: img, bytes: img.StoredBytes(), span: s.obs.NextSpan()}
+	s.emit(obs.EvImageStoreBegin, img.Rank, img.Wave, tr.bytes, tr.span)
+	return s.start(tr, srcNode, s.Node, tr.bytes, cap)
 }
 
 // ReceiveLogs transfers a set of logged in-transit messages (Vcl channel
@@ -149,29 +213,26 @@ func (s *Server) Receive(img *Image, srcNode int, cap simnet.Rate, onStored, onA
 // per-channel FIFO since each channel's log is shipped in one piece.
 // Unlike images, packets are copied: Mlog ships the live received packet,
 // and Fabric.Send stamps Seq/Dst on whatever it is handed.
-func (s *Server) ReceiveLogs(rank, wave int, pkts []*mpi.Packet, srcNode int, onStored, onAbort func()) *simnet.Flow {
+func (s *Server) ReceiveLogs(rank, wave int, pkts []*mpi.Packet, srcNode int, sink TransferSink) *simnet.Flow {
 	if s.dead {
-		if onAbort != nil {
-			onAbort()
+		if sink != nil {
+			sink.Aborted()
 		}
 		return nil
 	}
-	cp := make([]*mpi.Packet, len(pkts))
-	var bytes int64
-	for i, p := range pkts {
-		cp[i] = p.Clone()
-		bytes += p.WireSize()
+	tr := &transfer{sink: sink, rank: rank, wave: wave}
+	if len(pkts) == 1 {
+		tr.logs = tr.one[:]
+	} else {
+		tr.logs = make([]*mpi.Packet, len(pkts))
 	}
-	sp := s.obs.NextSpan()
-	s.emit(obs.EvLogShipBegin, rank, wave, bytes, sp)
-	return s.flow(srcNode, s.Node, bytes, 0, func() {
-		k := imgKey{rank, wave}
-		s.logs[k] = append(s.logs[k], cp...)
-		s.emit(obs.EvLogShipEnd, rank, wave, bytes, sp)
-		if onStored != nil {
-			onStored()
-		}
-	}, onAbort)
+	for i, p := range pkts {
+		tr.logs[i] = p.Clone()
+		tr.bytes += p.WireSize()
+	}
+	tr.span = s.obs.NextSpan()
+	s.emit(obs.EvLogShipBegin, rank, wave, tr.bytes, tr.span)
+	return s.start(tr, srcNode, s.Node, tr.bytes, 0)
 }
 
 // Image returns the stored image for (rank, wave).  It errors instead of
@@ -272,7 +333,8 @@ func (s *Server) FetchImage(rank, wave, dstNode int, onDone func(*Image), onAbor
 	if err != nil {
 		return nil, err
 	}
-	return s.flow(s.Node, dstNode, img.RestoreBytes(), 0, func() { onDone(img) }, onAbort), nil
+	tr := &transfer{onDone: func() { onDone(img) }, onAbort: onAbort}
+	return s.start(tr, s.Node, dstNode, img.RestoreBytes(), 0), nil
 }
 
 // FetchLogs transfers the stored logs for (rank, wave) to dstNode.
@@ -298,5 +360,6 @@ func (s *Server) FetchLogs(rank, wave, dstNode int, allSince bool, onDone func([
 	for _, p := range logs {
 		size += p.WireSize()
 	}
-	return s.flow(s.Node, dstNode, size, 0, func() { onDone(logs) }, onAbort), nil
+	tr := &transfer{onDone: func() { onDone(logs) }, onAbort: onAbort}
+	return s.start(tr, s.Node, dstNode, size, 0), nil
 }

@@ -53,8 +53,8 @@ type Mlog struct {
 	sendSeq map[int]uint64 // next PSeq per destination
 	delUpTo map[int]uint64 // highest PSeq delivered (logged) per source
 	nextSeq map[int]uint64 // highest PSeq accepted into the log pipeline
-	unacked map[int][]*mpi.Packet
-	pending []*pendingMsg // accepted in order, waiting for the log store
+	unacked map[int]*fifo[*mpi.Packet]
+	pending fifo[*pendingMsg] // accepted in order, waiting for the log store
 	// ooo holds packets that overtook a gap (organic traffic racing a
 	// retransmission after a peer restart); the retransmission fills the
 	// gap and releases them in sequence.
@@ -64,9 +64,65 @@ type Mlog struct {
 	hasTick bool
 }
 
+// pendingMsg is one pessimistic log record from accept to delivery: the
+// held packet as the one-element set ShipLogs is handed (the record owns
+// the slice) and the store's completion target, so logging a message
+// allocates the record and nothing else here.
 type pendingMsg struct {
-	pkt    *mpi.Packet
+	m      *Mlog
+	pkt    [1]*mpi.Packet
 	stored bool
+}
+
+// LogsStored: the record is on stable storage; deliver what that unblocks.
+func (pm *pendingMsg) LogsStored() {
+	pm.stored = true
+	pm.m.drain()
+}
+
+// fifo is a queue that reuses its storage.  Popping by re-slicing past the
+// front gives up the slot for good — the capacity shrinks, so a queue
+// hovering at a small depth reallocates on every append, and the dropped
+// element stays reachable from the old array.  Here a pop clears the slot
+// and advances head; the array is rewound when the queue empties and, once
+// full, slid down (at least half is dead) or doubled (it is not) —
+// amortised O(1).
+type fifo[T any] struct {
+	buf  []T
+	head int
+}
+
+func (q *fifo[T]) len() int { return len(q.buf) - q.head }
+
+// front returns the oldest element of a non-empty queue.
+func (q *fifo[T]) front() T { return q.buf[q.head] }
+
+// live returns the queued elements, oldest first; valid until the next push.
+func (q *fifo[T]) live() []T { return q.buf[q.head:] }
+
+func (q *fifo[T]) push(v T) {
+	if q.head > 0 && len(q.buf) == cap(q.buf) {
+		live := q.live()
+		if q.head < len(q.buf)/2 {
+			q.buf = append(make([]T, 0, 2*cap(q.buf)), live...)
+		} else {
+			n := copy(q.buf, live)
+			clear(q.buf[n:])
+			q.buf = q.buf[:n]
+		}
+		q.head = 0
+	}
+	q.buf = append(q.buf, v)
+}
+
+func (q *fifo[T]) pop() T {
+	v := q.buf[q.head]
+	var zero T
+	q.buf[q.head] = zero
+	if q.head++; q.head == len(q.buf) {
+		q.buf, q.head = q.buf[:0], 0
+	}
+	return v
 }
 
 // New builds an Mlog instance checkpointing every interval.
@@ -77,7 +133,7 @@ func New(h core.Host, interval sim.Time) *Mlog {
 		sendSeq:  map[int]uint64{},
 		delUpTo:  map[int]uint64{},
 		nextSeq:  map[int]uint64{},
-		unacked:  map[int][]*mpi.Packet{},
+		unacked:  map[int]*fifo[*mpi.Packet]{},
 		ooo:      map[int]map[uint64]*mpi.Packet{},
 	}
 }
@@ -134,7 +190,12 @@ func (m *Mlog) checkpoint() {
 func (m *Mlog) OutPayload(p *mpi.Packet) bool {
 	m.sendSeq[p.Dst]++
 	p.PSeq = m.sendSeq[p.Dst]
-	m.unacked[p.Dst] = append(m.unacked[p.Dst], p.Clone())
+	q := m.unacked[p.Dst]
+	if q == nil {
+		q = &fifo[*mpi.Packet]{}
+		m.unacked[p.Dst] = q
+	}
+	q.push(p.Clone())
 	return true
 }
 
@@ -193,21 +254,16 @@ func (m *Mlog) onPayload(p *mpi.Packet) {
 // pipeline: delivery waits until the log is on stable storage.
 func (m *Mlog) accept(p *mpi.Packet) {
 	m.nextSeq[p.Src] = p.PSeq
-	pm := &pendingMsg{pkt: p}
-	m.pending = append(m.pending, pm)
-	m.h.ShipLogs(m.wave, []*mpi.Packet{p}, func() {
-		pm.stored = true
-		m.drain()
-	})
+	pm := &pendingMsg{m: m, pkt: [1]*mpi.Packet{p}}
+	m.pending.push(pm)
+	m.h.ShipLogs(m.wave, pm.pkt[:], pm)
 }
 
 // drain delivers the stored prefix of the pending queue, preserving the
 // original arrival order.
 func (m *Mlog) drain() {
-	for len(m.pending) > 0 && m.pending[0].stored {
-		pm := m.pending[0]
-		m.pending = m.pending[1:]
-		m.deliver(pm.pkt)
+	for m.pending.len() > 0 && m.pending.front().stored {
+		m.deliver(m.pending.pop().pkt[0])
 	}
 }
 
@@ -226,23 +282,24 @@ func (m *Mlog) ack(dst int, seq uint64) {
 // pair, so acks arrive in sequence order).
 func (m *Mlog) onAck(from int, seq uint64) {
 	q := m.unacked[from]
-	for len(q) > 0 && q[0].PSeq <= seq {
-		q = q[1:]
+	for q != nil && q.len() > 0 && q.front().PSeq <= seq {
+		q.pop()
 	}
-	m.unacked[from] = q
 }
 
 // PeerRestarted retransmits the unacknowledged messages to a recovered
 // peer — in-flight messages died with its channels.
 func (m *Mlog) PeerRestarted(rank int) {
-	for _, p := range m.unacked[rank] {
-		m.h.Wire(rank, p.Clone())
+	if q := m.unacked[rank]; q != nil {
+		for _, p := range q.live() {
+			m.h.Wire(rank, p.Clone())
+		}
 	}
 }
 
 func (m *Mlog) retransmitAll() {
 	for dst, q := range m.unacked {
-		for _, p := range q {
+		for _, p := range q.live() {
 			m.h.Wire(dst, p.Clone())
 		}
 	}
@@ -263,10 +320,16 @@ func (m *Mlog) DeviceState() []byte {
 		Wave:    m.wave,
 		SendSeq: m.sendSeq,
 		DelUpTo: m.delUpTo,
-		Unacked: m.unacked,
+		// One entry per destination ever sent to, empty once everything
+		// is acknowledged: the entry is part of the encoding, and so of
+		// the image size.
+		Unacked: make(map[int][]*mpi.Packet, len(m.unacked)),
 	}
-	for _, pm := range m.pending {
-		ds.Pending = append(ds.Pending, pm.pkt)
+	for dst, q := range m.unacked {
+		ds.Unacked[dst] = q.live()
+	}
+	for _, pm := range m.pending.live() {
+		ds.Pending = append(ds.Pending, pm.pkt[0])
 	}
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(ds); err != nil {
@@ -293,10 +356,11 @@ func (m *Mlog) Restore(dev []byte, logs []*mpi.Packet, lastWave int) {
 	if m.delUpTo = ds.DelUpTo; m.delUpTo == nil {
 		m.delUpTo = map[int]uint64{}
 	}
-	if m.unacked = ds.Unacked; m.unacked == nil {
-		m.unacked = map[int][]*mpi.Packet{}
+	m.unacked = make(map[int]*fifo[*mpi.Packet], len(ds.Unacked))
+	for dst, q := range ds.Unacked {
+		m.unacked[dst] = &fifo[*mpi.Packet]{buf: q}
 	}
-	m.pending = nil
+	m.pending = fifo[*pendingMsg]{}
 	m.ooo = map[int]map[uint64]*mpi.Packet{}
 	for _, p := range ds.Pending {
 		// Already persisted by the image itself: deliver directly.

@@ -1,9 +1,12 @@
 package mlog
 
 import (
+	"crypto/sha256"
+	"fmt"
 	"testing"
 	"time"
 
+	"ftckpt/internal/core"
 	"ftckpt/internal/mpi"
 	"ftckpt/internal/obs"
 	"ftckpt/internal/sim"
@@ -41,8 +44,8 @@ func (h *fakeHost) TakeCheckpoint(wave int, dev []byte, onStored func()) {
 	h.ckpts = append(h.ckpts, wave)
 	h.onImg = append(h.onImg, onStored)
 }
-func (h *fakeHost) ShipLogs(wave int, pkts []*mpi.Packet, onStored func()) {
-	h.onLog = append(h.onLog, onStored)
+func (h *fakeHost) ShipLogs(wave int, pkts []*mpi.Packet, done core.LogSink) {
+	h.onLog = append(h.onLog, done.LogsStored)
 }
 func (h *fakeHost) CommitWave(w int) { h.commits = append(h.commits, w) }
 func (h *fakeHost) Now() sim.Time    { return h.k.Now() }
@@ -268,4 +271,96 @@ func TestIndependentCheckpointTimer(t *testing.T) {
 			m.Stop()
 		})
 	})
+}
+
+// TestQueuesReuseStorage: the pending and unacked queues hover at a small
+// depth for the whole run, so they must cycle through one small array
+// each — not allocate per message, not keep popped packets reachable —
+// and the device state, whose size is the image's, must encode exactly
+// what it did when the queues were front-sliced slices.
+func TestQueuesReuseStorage(t *testing.T) {
+	// The queue itself: steady-state rounds at depth 4 allocate nothing.
+	var q fifo[*mpi.Packet]
+	p := pl(0, 1, 5)
+	round := func() {
+		for i := 0; i < 4; i++ {
+			q.push(p)
+		}
+		q.pop() // leave the window off the array's start once per round
+		q.push(p)
+		for q.len() > 0 {
+			q.pop()
+		}
+	}
+	round()
+	if n := testing.AllocsPerRun(10_000, round); n != 0 {
+		t.Errorf("%v allocations per round of pushes and pops at depth <= 5", n)
+	}
+	if cap(q.buf) > 8 {
+		t.Errorf("queue grew to %d slots at depth <= 5", cap(q.buf))
+	}
+	for i, v := range q.buf[:cap(q.buf)] {
+		if v != nil {
+			t.Errorf("slot %d still holds a popped packet", i)
+		}
+	}
+
+	// The protocol: 10 000 accept/drain and send/ack rounds, four deep.
+	k := sim.New(1)
+	h := &fakeHost{rank: 1, size: 2, k: k}
+	m := New(h, 0)
+	send := func(seq uint64) {
+		m.OutPayload(&mpi.Packet{Dst: 0, Kind: mpi.KindPayload, Tag: 5, Data: []byte{byte(seq)}})
+	}
+	withEngine(t, h, func() {
+		m.Start()
+		var in, out uint64
+		for round := 0; round < 10_000; round++ {
+			for i := 0; i < 4; i++ {
+				in++
+				m.InPacket(pl(0, in, 5))
+				out++
+				send(out)
+			}
+			for _, stored := range h.onLog {
+				stored()
+			}
+			h.onLog = h.onLog[:0]
+			for i := 0; i < 4; i++ {
+				if got := h.eng.Recv(0, 5); got.PSeq != in-3+uint64(i) {
+					t.Fatalf("round %d: delivered PSeq %d out of order", round, got.PSeq)
+				}
+			}
+			m.InPacket(&mpi.Packet{Src: 0, Kind: mpi.KindControl, Tag: OpAck, PSeq: out})
+			h.wired = h.wired[:0]
+		}
+		if c := cap(m.pending.buf); c > 8 {
+			t.Errorf("pending grew to %d slots at depth 4", c)
+		}
+		if c := cap(m.unacked[0].buf); c > 8 {
+			t.Errorf("unacked grew to %d slots at depth 4", c)
+		}
+		// Recorded at the parent commit (queues popped by re-slicing) for
+		// this exact sequence: everything delivered and acknowledged, the
+		// destination's empty Unacked entry still encoded.
+		devStateIs(t, m, "faabff33c5a7dd79fc943a3650ecd0ca85967c0160d96859602574f9969fae41")
+		// And mid-flight: three accepted of which the first is stored and
+		// delivered, two held; three sent, none acknowledged.
+		for i := 0; i < 3; i++ {
+			in++
+			m.InPacket(pl(0, in, 5))
+			out++
+			send(out)
+		}
+		h.onLog[0]()
+		devStateIs(t, m, "dfd58c9057a2debcd21ca2ab1fc82dca7dfcb6a48c4331c00dc7e28691e61604")
+	})
+}
+
+func devStateIs(t *testing.T, m *Mlog, want string) {
+	t.Helper()
+	dev := m.DeviceState()
+	if got := fmt.Sprintf("%x", sha256.Sum256(dev)); got != want {
+		t.Errorf("device state (%d bytes) hashes to %s, recorded %s", len(dev), got, want)
+	}
 }

@@ -46,11 +46,11 @@ func (h *fakeHost) TakeCheckpoint(wave int, dev []byte, onStored func()) {
 		h.pending = append(h.pending, onStored)
 	}
 }
-func (h *fakeHost) ShipLogs(wave int, pkts []*mpi.Packet, onStored func()) {
+func (h *fakeHost) ShipLogs(wave int, pkts []*mpi.Packet, done core.LogSink) {
 	if h.storeNow {
-		onStored()
+		done.LogsStored()
 	} else {
-		h.pending = append(h.pending, onStored)
+		h.pending = append(h.pending, done.LogsStored)
 	}
 }
 func (h *fakeHost) CommitWave(w int) { h.commits = append(h.commits, w) }

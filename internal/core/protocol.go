@@ -49,9 +49,11 @@ type Host interface {
 	// background while the process continues (the paper's fork-and-
 	// pipeline).  onStored runs when the image is fully stored.
 	TakeCheckpoint(wave int, dev []byte, onStored func())
-	// ShipLogs transfers logged channel-state packets for wave to the
-	// checkpoint server (Vcl's message connection).
-	ShipLogs(wave int, pkts []*mpi.Packet, onStored func())
+	// ShipLogs transfers logged packets for wave to the checkpoint server
+	// (Vcl's message connection; mlog's pessimistic log, one record per
+	// call) and tells done once they are durable.  pkts stays the
+	// caller's and must not change until then.
+	ShipLogs(wave int, pkts []*mpi.Packet, done LogSink)
 	// CommitWave records that wave is complete on every server: the
 	// recovery line advances and older waves are garbage collected.
 	// Called by the wave coordinator only.
@@ -65,6 +67,18 @@ type Host interface {
 	// unblock, logging and snapshot events through it.
 	Obs() *obs.Hub
 }
+
+// LogSink is the completion target of one ShipLogs call.  It is an
+// interface rather than a func so that a protocol logging every message
+// (mlog) can pass the record it already holds instead of a closure per
+// message; LogSinkFunc adapts a func where the call is rare.
+type LogSink interface{ LogsStored() }
+
+// LogSinkFunc is a func() as a LogSink.
+type LogSinkFunc func()
+
+// LogsStored calls f.
+func (f LogSinkFunc) LogsStored() { f() }
 
 // Protocol is one process's checkpointing protocol instance.  It extends
 // the device filter (mpi.Filter) with lifecycle hooks.

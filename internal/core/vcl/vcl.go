@@ -144,10 +144,10 @@ func (v *Vcl) beginWave(w int, cause uint64) {
 // complete and goes to the checkpoint server over the message connection.
 func (v *Vcl) shipLogs() {
 	w := v.wave
-	v.h.ShipLogs(w, v.logs, func() {
+	v.h.ShipLogs(w, v.logs, core.LogSinkFunc(func() {
 		v.logsStored = true
 		v.maybeAck(w)
-	})
+	}))
 }
 
 // maybeAck acknowledges the scheduler once both transfers finished and the

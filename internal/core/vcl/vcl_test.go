@@ -38,10 +38,10 @@ func (h *fakeHost) TakeCheckpoint(wave int, dev []byte, onStored func()) {
 	h.ckptWaves = append(h.ckptWaves, wave)
 	h.onImg = append(h.onImg, onStored)
 }
-func (h *fakeHost) ShipLogs(wave int, pkts []*mpi.Packet, onStored func()) {
+func (h *fakeHost) ShipLogs(wave int, pkts []*mpi.Packet, done core.LogSink) {
 	h.logWaves = append(h.logWaves, wave)
 	h.logged = append(h.logged, pkts)
-	h.onLogs = append(h.onLogs, onStored)
+	h.onLogs = append(h.onLogs, done.LogsStored)
 }
 func (h *fakeHost) CommitWave(int) {}
 func (h *fakeHost) Now() sim.Time  { return h.k.Now() }

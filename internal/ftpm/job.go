@@ -3,6 +3,7 @@ package ftpm
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"ftckpt/internal/ckpt"
 	"ftckpt/internal/core"
@@ -839,6 +840,11 @@ func (job *Job) commitRank(r, w int) {
 }
 
 func (job *Job) commitWave(w int) {
+	for _, pr := range job.procs {
+		if pr != nil {
+			pr.dropSettled()
+		}
+	}
 	job.lastWave = w
 	job.emit(obs.Event{Type: obs.EvWaveCommit, Rank: -1, Wave: w, Channel: -1, Node: -1, Server: -1,
 		Span: job.hub.NextSpan()},
@@ -911,10 +917,6 @@ func (job *Job) procFinished(pr *procRun) {
 	job.k.Stop(nil)
 }
 
-// canceler is anything teardown can abort: a network flow, a replicated
-// store, a replicated fetch.
-type canceler interface{ Cancel() }
-
 // procRun is one process incarnation; it implements core.Host.
 type procRun struct {
 	job    *Job
@@ -930,7 +932,11 @@ type procRun struct {
 	ftBlob []byte // partner-held app snapshot seeding a repaired rank
 	done   bool
 	down   bool // torn down (idempotence guard; heartbeat ground truth)
-	flows  []canceler
+	// stores are the image and log stores this incarnation started that
+	// still have something to cancel, in start order; timers the protocol
+	// timers that can still fire.  Both are what teardown and repair
+	// cancel, so neither keeps what has settled or fired (see track, After).
+	stores []ckpt.Op
 	timers []sim.EventID
 }
 
@@ -1032,14 +1038,8 @@ func (pr *procRun) teardown() {
 		pr.eng.Close()
 	}
 	pr.job.fab.Unbind(pr.rank)
-	for _, f := range pr.flows {
-		f.Cancel()
-	}
-	pr.flows = nil
-	for _, id := range pr.timers {
-		pr.job.k.Cancel(id)
-	}
-	pr.timers = nil
+	pr.cancelStores()
+	pr.cancelTimers()
 	if pr.lp != nil {
 		pr.job.k.Kill(pr.lp, fmt.Errorf("ftpm: rank %d torn down", pr.rank))
 	}
@@ -1106,19 +1106,54 @@ func (pr *procRun) TakeCheckpoint(wave int, dev []byte, onStored func()) {
 		// commit; stop stealing bandwidth for it.
 		release()
 	})
-	pr.flows = append(pr.flows, op)
+	pr.track(op)
 }
 
-// ShipLogs replicates logged channel-state packets across the rank's
-// replica set, acknowledging at the write quorum.
-func (pr *procRun) ShipLogs(wave int, pkts []*mpi.Packet, onStored func()) {
-	gen := pr.gen
-	op := pr.job.store.StoreLogs(pr.rank, wave, pkts, pr.node, func() {
-		if pr.job.gen == gen && onStored != nil {
-			onStored()
+// ShipLogs replicates logged packets across the rank's replica set,
+// acknowledging at the write quorum.  done goes to the store as it is: a
+// completion from a revoked incarnation cannot arrive, because teardown
+// and repair cancel every store that has not settled and a settled one
+// calls nobody.
+func (pr *procRun) ShipLogs(wave int, pkts []*mpi.Packet, done core.LogSink) {
+	pr.track(pr.job.store.StoreLogs(pr.rank, wave, pkts, pr.node, done))
+}
+
+// track remembers a store so that the incarnation's death cancels it.  A
+// host tracks an op only while it is unsettled: when the list is full the
+// settled ones are dropped before it grows, so it stays within a small
+// multiple of the stores in flight instead of holding every op — with its
+// packets and callbacks — of the whole run.  Order is kept: cancellation order is
+// part of the run.
+func (pr *procRun) track(op ckpt.Op) {
+	if len(pr.stores) == cap(pr.stores) {
+		pr.dropSettled()
+		if len(pr.stores) > cap(pr.stores)/2 {
+			// Mostly live: double, so the next sweep is a list away.
+			pr.stores = slices.Grow(pr.stores, cap(pr.stores)+1)
 		}
-	}, nil)
-	pr.flows = append(pr.flows, op)
+	}
+	pr.stores = append(pr.stores, op)
+}
+
+// dropSettled removes the stores with nothing left to cancel, in place.
+func (pr *procRun) dropSettled() {
+	pr.stores = slices.DeleteFunc(pr.stores, ckpt.Op.Settled)
+}
+
+// cancelStores aborts every store still in flight.
+func (pr *procRun) cancelStores() {
+	for _, op := range pr.stores {
+		op.Cancel()
+	}
+	pr.stores = nil
+}
+
+// cancelTimers cancels the protocol timers still pending.
+func (pr *procRun) cancelTimers() {
+	for _, id := range pr.timers {
+		pr.job.k.Cancel(id)
+	}
+	pr.timers = pr.timers[:0]
 }
 
 // CommitWave advances the recovery line: the global one for coordinated
@@ -1126,6 +1161,7 @@ func (pr *procRun) ShipLogs(wave int, pkts []*mpi.Packet, onStored func()) {
 // protocols.
 func (pr *procRun) CommitWave(w int) {
 	if pr.job.cfg.Protocol == ProtoMlog {
+		pr.dropSettled()
 		pr.job.commitRank(pr.rank, w)
 		return
 	}
@@ -1135,14 +1171,29 @@ func (pr *procRun) CommitWave(w int) {
 // Now returns the virtual time.
 func (pr *procRun) Now() sim.Time { return pr.job.k.Now() }
 
-// After schedules a protocol timer.
+// After schedules a protocol timer.  It is tracked until it fires or is
+// cancelled, not for the life of the incarnation: a protocol re-arms one
+// timer per interval, so the list holds a pending id or two.
 func (pr *procRun) After(d sim.Time, fn func()) sim.EventID {
-	id := pr.job.k.After(d, fn)
+	var id sim.EventID
+	id = pr.job.k.After(d, func() {
+		pr.forgetTimer(id)
+		fn()
+	})
 	pr.timers = append(pr.timers, id)
 	return id
 }
 
 // CancelTimer cancels a protocol timer.
-func (pr *procRun) CancelTimer(id sim.EventID) { pr.job.k.Cancel(id) }
+func (pr *procRun) CancelTimer(id sim.EventID) {
+	pr.forgetTimer(id)
+	pr.job.k.Cancel(id)
+}
+
+func (pr *procRun) forgetTimer(id sim.EventID) {
+	if i := slices.Index(pr.timers, id); i >= 0 {
+		pr.timers = slices.Delete(pr.timers, i, i+1)
+	}
+}
 
 var _ core.Host = (*procRun)(nil)

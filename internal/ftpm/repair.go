@@ -141,10 +141,7 @@ func (job *Job) beginRepair(victim int) {
 			continue
 		}
 		o := job.procs[r]
-		for _, id := range o.timers {
-			job.k.Cancel(id)
-		}
-		o.timers = o.timers[:0]
+		o.cancelTimers()
 		o.eng.NotifyFailed(victim)
 		o.eng.Revoke()
 	}
@@ -281,10 +278,7 @@ func (job *Job) repairSplice(repGen int) {
 		}
 		pr := job.procs[r]
 		pr.gen = job.gen
-		for _, f := range pr.flows {
-			f.Cancel()
-		}
-		pr.flows = nil
+		pr.cancelStores()
 		job.fab.Unbind(r) // closing the channels drops in-flight packets
 	}
 	job.repairLevel = level

@@ -90,6 +90,40 @@ type MetricsSink struct {
 	restartSince map[int]sim.Time    // rank (-1 global) → EvRestartBegin time
 	repairSince  map[int]sim.Time    // failed rank → EvProcFailed time
 	drainSince   map[[3]int]sim.Time // (rank, wave, level) → EvDrainBegin time
+
+	// names interns the indexed counter names (".rank<r>", ".ch<s>-<d>",
+	// ".server<s>", ".l<k>"): one is formatted on its first use, not once
+	// per event — a logged message is an event.
+	names map[nameKey]string
+}
+
+// nameKey is one indexed counter name before formatting: the format and
+// its one or two indices (b is 0 for a one-index format).
+type nameKey struct {
+	format string
+	a, b   int
+}
+
+// indexed returns fmt.Sprintf(format, a).
+func (s *MetricsSink) indexed(format string, a int) string {
+	k := nameKey{format: format, a: a}
+	n, ok := s.names[k]
+	if !ok {
+		n = fmt.Sprintf(format, a)
+		s.names[k] = n
+	}
+	return n
+}
+
+// indexed2 returns fmt.Sprintf(format, a, b).
+func (s *MetricsSink) indexed2(format string, a, b int) string {
+	k := nameKey{format, a, b}
+	n, ok := s.names[k]
+	if !ok {
+		n = fmt.Sprintf(format, a, b)
+		s.names[k] = n
+	}
+	return n
 }
 
 // NewMetricsSink builds a sink folding into m, pre-registering the
@@ -123,6 +157,7 @@ func NewMetricsSink(m *Metrics) *MetricsSink {
 		restartSince: make(map[int]sim.Time),
 		repairSince:  make(map[int]sim.Time),
 		drainSince:   make(map[[3]int]sim.Time),
+		names:        make(map[nameKey]string),
 	}
 }
 
@@ -151,7 +186,7 @@ func (s *MetricsSink) Emit(ev Event) {
 		if t0, ok := s.blockedSince[ev.Rank]; ok {
 			delete(s.blockedSince, ev.Rank)
 			s.m.Observe(MBlockedTime, ev.T-t0)
-			s.m.Add(fmt.Sprintf("%s.rank%d", MBlockedTime, ev.Rank), int64(ev.T-t0))
+			s.m.Add(s.indexed(MBlockedTime+".rank%d", ev.Rank), int64(ev.T-t0))
 		}
 	case EvSendDelayed:
 		s.m.Inc(MDelayedSends)
@@ -160,7 +195,7 @@ func (s *MetricsSink) Emit(ev Event) {
 	case EvMessageLogged:
 		s.m.Inc(MLoggedMsgs)
 		s.m.Add(MLoggedBytes, ev.Bytes)
-		s.m.Add(fmt.Sprintf("%s.ch%d-%d", MLoggedBytes, ev.Channel, ev.Rank), ev.Bytes)
+		s.m.Add(s.indexed2(MLoggedBytes+".ch%d-%d", ev.Channel, ev.Rank), ev.Bytes)
 	case EvLocalCkptEnd:
 		s.m.Inc(MLocalCkpts)
 		wp := s.wave(ev.Wave)
@@ -176,17 +211,17 @@ func (s *MetricsSink) Emit(ev Event) {
 	case EvImageStoreEnd:
 		s.m.Add(MImageBytes, ev.Bytes)
 		if ev.Server >= 0 {
-			s.m.Add(fmt.Sprintf("%s.server%d", MImageBytes, ev.Server), ev.Bytes)
+			s.m.Add(s.indexed(MImageBytes+".server%d", ev.Server), ev.Bytes)
 		} else {
 			// A node-local buffer store (no server index): account it to
 			// its hierarchy level instead.
-			s.m.Add(fmt.Sprintf("%s.l%d", MLevelBytes, ev.Level), ev.Bytes)
+			s.m.Add(s.indexed(MLevelBytes+".l%d", ev.Level), ev.Bytes)
 		}
 		if t0, ok := s.storeSince[[3]int{ev.Rank, ev.Wave, ev.Server}]; ok {
 			delete(s.storeSince, [3]int{ev.Rank, ev.Wave, ev.Server})
 			s.m.Observe(MImageStoreTime, ev.T-t0)
 			if ev.Server >= 0 {
-				s.m.Add(fmt.Sprintf("%s.server%d", "ckpt.store_ns", ev.Server), int64(ev.T-t0))
+				s.m.Add(s.indexed("ckpt.store_ns.server%d", ev.Server), int64(ev.T-t0))
 			}
 		}
 	case EvLogShipEnd:
@@ -251,7 +286,7 @@ func (s *MetricsSink) Emit(ev Event) {
 		s.drainSince[[3]int{ev.Rank, ev.Wave, ev.Level}] = ev.T
 	case EvDrainEnd:
 		s.m.Add(MDrainBytes, ev.Bytes)
-		s.m.Add(fmt.Sprintf("%s.l%d", MLevelBytes, ev.Level), ev.Bytes)
+		s.m.Add(s.indexed(MLevelBytes+".l%d", ev.Level), ev.Bytes)
 		if t0, ok := s.drainSince[[3]int{ev.Rank, ev.Wave, ev.Level}]; ok {
 			delete(s.drainSince, [3]int{ev.Rank, ev.Wave, ev.Level})
 			s.m.Observe(MDrainTime, ev.T-t0)
@@ -259,7 +294,7 @@ func (s *MetricsSink) Emit(ev Event) {
 	case EvLevelEvict:
 		s.m.Inc(MEvictions)
 		s.m.Add(MEvictedBytes, ev.Bytes)
-		s.m.Add(fmt.Sprintf("%s.l%d", MEvictedBytes, ev.Level), ev.Bytes)
+		s.m.Add(s.indexed(MEvictedBytes+".l%d", ev.Level), ev.Bytes)
 	case EvBufferKilled:
 		s.m.Inc(MBufferFailures)
 	case EvPFSKilled:

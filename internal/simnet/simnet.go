@@ -129,9 +129,9 @@ type Flow struct {
 	last      sim.Time
 	latency   sim.Time
 	doneEv    sim.EventID
-	onDone    func()   // StartFlow API callback; nil for channel flows
-	ch        *Channel // owning channel for bulk channel messages
-	payload   any      // delivered payload for channel flows
+	fn        func(any) // StartFlow API completion, called with payload; nil for channel flows
+	ch        *Channel  // owning channel for bulk channel messages
+	payload   any       // delivered payload for channel flows, fn's argument otherwise
 	done      bool
 	cancelled bool
 	mark      uint64 // affected-set epoch (see Network.addAffected)
@@ -269,6 +269,19 @@ func (n *Network) StartFlow(src, dst int, size Bytes, onDone func()) *Flow {
 // used for transfers paced at the sender, like MPICH-V's daemon
 // interleaving image shipping with message handling.
 func (n *Network) StartFlowCapped(src, dst int, size Bytes, cap Rate, onDone func()) *Flow {
+	if onDone == nil {
+		return n.StartFlowArg(src, dst, size, cap, nil, nil)
+	}
+	return n.StartFlowArg(src, dst, size, cap, callFunc, onDone)
+}
+
+func callFunc(x any) { x.(func())() }
+
+// StartFlowArg is StartFlowCapped with the completion in Kernel.AfterArg's
+// shape: fn(arg) runs where onDone would.  A caller that already keeps a
+// record per transfer passes a shared fn and the record, and binds no
+// closure per flow.
+func (n *Network) StartFlowArg(src, dst int, size Bytes, cap Rate, fn func(any), arg any) *Flow {
 	n.flowSeq++
 	f := &Flow{
 		net:       n,
@@ -278,7 +291,8 @@ func (n *Network) StartFlowCapped(src, dst int, size Bytes, cap Rate, onDone fun
 		size:      size,
 		last:      n.k.Now(),
 		latency:   n.Latency(src, dst),
-		onDone:    onDone,
+		fn:        fn,
+		payload:   arg,
 	}
 	if src == dst {
 		// Loopback: latency only (applied by transferComplete); intra-node
@@ -449,8 +463,8 @@ func deliverFlow(x any) {
 	n.FlowsDone++
 	n.met.Inc("net.flows")
 	n.met.Add("net.bytes_moved", f.size)
-	if f.onDone != nil {
-		f.onDone()
+	if f.fn != nil {
+		f.fn(f.payload)
 	}
 }
 

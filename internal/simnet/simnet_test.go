@@ -52,6 +52,25 @@ func TestSingleFlowTime(t *testing.T) {
 	within(t, done, time.Second+50*time.Microsecond, time.Millisecond, "flow completion")
 }
 
+// TestStartFlowArg: fn(arg) runs exactly where StartFlow's onDone does —
+// the two are one path — and a nil completion is still allowed.
+func TestStartFlowArg(t *testing.T) {
+	k := sim.New(1)
+	n := lan(k)
+	type landing struct{ at sim.Time }
+	var byFunc sim.Time
+	rec := &landing{}
+	n.StartFlow(0, 1, 50e6, func() { byFunc = k.Now() })
+	n.StartFlowArg(2, 3, 50e6, 0, func(x any) { x.(*landing).at = k.Now() }, rec)
+	n.StartFlowCapped(0, 3, 1e3, 0, nil)
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if rec.at == 0 || rec.at != byFunc {
+		t.Fatalf("StartFlowArg completed at %v, StartFlow at %v", rec.at, byFunc)
+	}
+}
+
 func TestTwoFlowsShareTxNIC(t *testing.T) {
 	k := sim.New(1)
 	n := lan(k)

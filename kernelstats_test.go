@@ -57,8 +57,9 @@ func TestHeapHighWaterBounded(t *testing.T) {
 // constant is the largest of four repeats at the commit that recorded it,
 // and the ceiling is that plus 3 %: a leak in a protocol's hot path, the
 // hierarchy's staging/drain/delta chain or the revoke/park/splice repair
-// fails here.  A change that means to allocate more re-records the constant
-// and says so.
+// fails here.  mlog-256 is the per-record path (one replicated store per
+// received message) at the size the benchmark's proto-matrix-256 runs it.
+// A change that means to allocate more re-records the constant and says so.
 func TestAllocCeilings(t *testing.T) {
 	if testing.Short() || raceEnabled {
 		t.Skip("allocation counts are recorded for a plain, full run")
@@ -70,11 +71,12 @@ func TestAllocCeilings(t *testing.T) {
 		opts     Options
 		recorded uint64
 	}{
-		{"pcl-64", kernelRunOpts(Pcl, 64), 419_647},
-		{"vcl-64", kernelRunOpts(Vcl, 64), 425_603},
-		{"mlog-64", kernelRunOpts(Mlog, 64), 2_362_504},
-		{"storage-incremental-8", storageGolden(), 63_049},
-		{"ulfm-node-repair-8", ulfm, 179_356},
+		{"pcl-64", kernelRunOpts(Pcl, 64), 417_332},
+		{"vcl-64", kernelRunOpts(Vcl, 64), 422_451},
+		{"mlog-64", kernelRunOpts(Mlog, 64), 1_112_622},
+		{"mlog-256", kernelRunOpts(Mlog, 256), 4_507_840},
+		{"storage-incremental-8", storageGolden(), 61_560},
+		{"ulfm-node-repair-8", ulfm, 176_247},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			var before, after runtime.MemStats
@@ -84,6 +86,7 @@ func TestAllocCeilings(t *testing.T) {
 			}
 			runtime.ReadMemStats(&after)
 			got, ceiling := after.Mallocs-before.Mallocs, c.recorded+c.recorded*3/100
+			t.Logf("%d mallocs", got) // what a re-record reads, with -v
 			if got > ceiling {
 				t.Errorf("%d mallocs in one run, ceiling %d (recorded %d + 3%%)", got, ceiling, c.recorded)
 			}
