@@ -225,8 +225,8 @@ func checksum(p mpi.Program) float64 {
 // ConfigError is the one shape a rejected run description takes, from
 // Run, RunKernelStats, Sweep and Chaos alike: Field names the offending
 // knob (dotted for nested ones — "Storage.Levels[0].Kind",
-// "Failures[1].Server"), Reason says what is wrong with it.  Reach it
-// with errors.As.
+// "Failures[1].Server", "ChaosSpec.Kills"), Reason says what is wrong with
+// it.  Reach it with errors.As.
 type ConfigError = ftpm.ConfigError
 
 // buildConfig translates Options into the process manager's Config: the

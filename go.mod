@@ -1,3 +1,5 @@
 module ftckpt
 
 go 1.22
+
+toolchain go1.23.0

@@ -46,26 +46,31 @@ type Spec struct {
 	From, Until sim.Time
 }
 
+// validate rejects a malformed spec the way ftpm.Config.Validate rejects a
+// malformed job: a *ftpm.ConfigError naming the ChaosSpec field at fault.
 func (sp Spec) validate(cfg *ftpm.Config) error {
+	bad := func(field, format string, args ...any) error {
+		return &ftpm.ConfigError{Field: "ChaosSpec." + field, Reason: fmt.Sprintf(format, args...)}
+	}
 	if sp.Kills <= 0 {
-		return errors.New("chaos: Kills must be positive")
+		return bad("Kills", "must be positive")
 	}
 	if sp.Until <= sp.From || sp.From < 0 {
-		return fmt.Errorf("chaos: kill window [%v, %v) is empty", sp.From, sp.Until)
+		return bad("Until", "kill window [%v, %v) is empty", sp.From, sp.Until)
 	}
 	if sp.ServerFrac < 0 || sp.NodeFrac < 0 || sp.BufferFrac < 0 || sp.PFSFrac < 0 ||
 		sp.ServerFrac+sp.NodeFrac+sp.BufferFrac+sp.PFSFrac > 1 {
-		return fmt.Errorf("chaos: kill fractions server=%v node=%v buffer=%v pfs=%v outside [0,1]",
+		return bad("ServerFrac", "kill fractions server=%v node=%v buffer=%v pfs=%v outside [0,1]",
 			sp.ServerFrac, sp.NodeFrac, sp.BufferFrac, sp.PFSFrac)
 	}
 	if sp.ServerFrac > 0 && cfg.Servers == 0 {
-		return errors.New("chaos: ServerFrac > 0 but the job has no checkpoint servers")
+		return bad("ServerFrac", "> 0 but the job has no checkpoint servers")
 	}
 	if sp.BufferFrac > 0 && (cfg.Storage == nil || cfg.Storage.Level(ckpt.LevelBuffer) < 0) {
-		return errors.New("chaos: BufferFrac > 0 but the job's storage hierarchy has no buffer level")
+		return bad("BufferFrac", "> 0 but the job's storage hierarchy has no buffer level")
 	}
 	if sp.PFSFrac > 0 && (cfg.Storage == nil || cfg.Storage.Level(ckpt.LevelPFS) < 0) {
-		return errors.New("chaos: PFSFrac > 0 but the job's storage hierarchy has no PFS level")
+		return bad("PFSFrac", "> 0 but the job's storage hierarchy has no PFS level")
 	}
 	return nil
 }

@@ -243,8 +243,9 @@ func TestSchedulerCommitCycle(t *testing.T) {
 			k.Stop(nil)
 		}
 	}
+	// The clock never exits: OnCommit's k.Stop ends the run while it is
+	// parked.
 	k.Go("clock", func(p *sim.Proc) {
-		p.SetDaemon(true)
 		s.Start(0)
 		for {
 			p.Advance(time.Hour)

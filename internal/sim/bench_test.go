@@ -50,9 +50,9 @@ func BenchmarkKernelCancel(b *testing.B) {
 }
 
 // BenchmarkAdvance measures the LP park/wake round trip: one logical
-// process advancing virtual time b.N times — two goroutine handoffs plus a
-// timer schedule/fire per op.  This is the dominant cost of every compute
-// step in a simulated MPI run.
+// process advancing virtual time b.N times — a coroutine switch out and one
+// back in plus a timer schedule/fire per op.  This is the dominant cost of
+// every compute step in a simulated MPI run.
 func BenchmarkAdvance(b *testing.B) {
 	b.ReportAllocs()
 	k := New(1)
@@ -95,5 +95,22 @@ func BenchmarkCondPingPong(b *testing.B) {
 	b.ResetTimer()
 	if err := k.Run(); err != nil {
 		b.Fatal(err)
+	}
+}
+
+// BenchmarkSpawn measures starting and finishing one LP, in kernels of
+// 1 024 LPs that each yield once — the launch/teardown cost a small
+// simulation pays per rank, and what bench/ records as sim.lp_spawn_us.
+func BenchmarkSpawn(b *testing.B) {
+	b.ReportAllocs()
+	const lps = 1024
+	for left := b.N; left > 0; left -= lps {
+		k := New(1)
+		for i := 0; i < min(lps, left); i++ {
+			k.Go("lp", func(p *Proc) { p.Yield() })
+		}
+		if err := k.Run(); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

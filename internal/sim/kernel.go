@@ -1,12 +1,20 @@
+//go:build go1.23
+
 // Package sim provides a deterministic discrete-event simulation kernel.
 //
-// A simulation is a set of logical processes (LPs) — ordinary goroutines
-// created with Kernel.Go — plus a queue of timed event callbacks.  The
-// kernel runs exactly one thing at a time: either a single LP (until it
-// parks on a timer or a Cond) or a single event callback.  Events with
-// equal timestamps fire in scheduling order, and woken LPs run in wake
-// order, so a simulation is bit-reproducible: the same program produces
-// the same trace on every run.
+// A simulation is a set of logical processes (LPs) — coroutines created
+// with Kernel.Go — plus a queue of timed event callbacks.  The kernel runs
+// exactly one thing at a time: either a single LP (until it parks on a
+// timer or a Cond) or a single event callback.  Events with equal
+// timestamps fire in scheduling order, and woken LPs run in wake order, so
+// a simulation is bit-reproducible: the same program produces the same
+// trace on every run.
+//
+// An LP is a standard-library coroutine (iter.Pull, hence the go1.23 build
+// line): the kernel resumes it and gets control back when it parks — one
+// switch in, one out, with no trip through the Go scheduler and nothing
+// running concurrently.  A Kill, or the end of Run, unwinds a parked LP
+// from the kernel call it is parked in, running its deferred functions.
 //
 // Virtual time is a time.Duration measured from the start of the
 // simulation.  It only advances when every LP is parked and the earliest
@@ -28,6 +36,7 @@ package sim
 import (
 	"errors"
 	"fmt"
+	"iter"
 	"math/rand"
 	"sort"
 	"time"
@@ -42,26 +51,29 @@ type Time = time.Duration
 type procState int
 
 const (
-	stateNew procState = iota
-	stateRunnable
+	stateRunnable procState = iota
 	stateRunning
 	stateParked
 	stateDead
 )
 
-// Proc is a logical process: a goroutine whose execution interleaves with
+// Proc is a logical process: a coroutine whose execution interleaves with
 // the rest of the simulation only at kernel calls (Advance, Cond.Wait,
-// Yield).  All Proc methods must be called from the LP's own goroutine
-// while it holds the execution token, i.e. from inside the function passed
-// to Kernel.Go.
+// Yield).  All Proc methods must be called by the LP itself while it is
+// the one running, i.e. from inside the function passed to Kernel.Go.
 type Proc struct {
 	k      *Kernel
 	id     int
 	name   string
-	wake   chan struct{}
 	state  procState
-	daemon bool
 	killed error // poison: delivered at the next kernel call
+
+	// The coroutine's two ends (iter.Pull): the kernel calls next to run
+	// the LP until it parks or exits and stop to unwind it; the LP calls
+	// yield to park, and a false return means stop was called.
+	next  func() (struct{}, bool)
+	stop  func()
+	yield func(struct{}) bool
 }
 
 // ID returns the process identifier assigned by the kernel (dense,
@@ -120,8 +132,7 @@ type Kernel struct {
 	runqHead int
 
 	procs   []*Proc
-	live    int // non-daemon LPs not yet dead
-	yield   chan *Proc
+	live    int // LPs not yet dead
 	running *Proc
 	stopped bool
 	stopErr error
@@ -133,10 +144,7 @@ type Kernel struct {
 // seed.  The source is available through Rand for workloads that need
 // reproducible pseudo-randomness tied to the simulation.
 func New(seed int64) *Kernel {
-	return &Kernel{
-		yield: make(chan *Proc),
-		rng:   rand.New(rand.NewSource(seed)),
-	}
+	return &Kernel{rng: rand.New(rand.NewSource(seed))}
 }
 
 // Rand returns the kernel's deterministic random source.  It must only be
@@ -373,53 +381,32 @@ func (k *Kernel) Cancel(id EventID) bool {
 // immediately but does not start executing until the scheduler selects it.
 func (k *Kernel) Go(name string, fn func(p *Proc)) *Proc {
 	p := &Proc{
-		k:    k,
-		id:   len(k.procs),
-		name: name,
-		wake: make(chan struct{}, 1),
+		k:     k,
+		id:    len(k.procs),
+		name:  name,
+		state: stateRunnable,
 	}
 	k.procs = append(k.procs, p)
 	k.live++
-	p.state = stateRunnable
 	k.pushRunq(p)
-	go func() {
-		<-p.wake
+	p.next, p.stop = iter.Pull(func(yield func(struct{}) bool) {
+		p.yield = yield
 		defer func() {
 			if r := recover(); r != nil {
 				if _, ok := r.(killedPanic); !ok {
-					// Re-panicking here would crash on the LP's own
-					// goroutine without unwinding Run; record and stop.
+					// Run reports the panic as its error rather than
+					// letting it cross the coroutine boundary.
 					k.stopped = true
 					k.stopErr = fmt.Errorf("sim: LP %q panicked: %v", p.name, r)
 				}
 			}
 			p.state = stateDead
-			if !p.daemon {
-				k.live--
-			}
-			k.yield <- p
+			k.live--
 		}()
 		p.checkKilled()
 		fn(p)
-	}()
+	})
 	return p
-}
-
-// SetDaemon marks the LP as a daemon: the simulation may end while the LP
-// is still parked (servers, dispatchers).  Must be called from the LP
-// itself or before the LP has first run.
-func (p *Proc) SetDaemon(on bool) {
-	if p.daemon == on {
-		return
-	}
-	p.daemon = on
-	if p.state != stateDead {
-		if on {
-			p.k.live--
-		} else {
-			p.k.live++
-		}
-	}
 }
 
 // killedPanic unwinds a killed LP's stack.
@@ -486,13 +473,15 @@ func (k *Kernel) ready(p *Proc) {
 	k.pushRunq(p)
 }
 
-// park yields the token to the kernel and blocks until woken.
+// park switches back to the kernel until it resumes the LP.  A false
+// return from yield means the kernel is unwinding the LP (stop, at the end
+// of Run) rather than resuming it: it dies the way a killed LP does.
 func (p *Proc) park() {
 	p.checkKilled()
 	p.state = stateParked
-	p.k.running = nil
-	p.k.yield <- p
-	<-p.wake
+	if !p.yield(struct{}{}) && p.killed == nil {
+		p.killed = ErrKilled
+	}
 	p.checkKilled()
 }
 
@@ -517,15 +506,11 @@ func (p *Proc) Advance(d Time) {
 // current instant, without advancing time.
 func (p *Proc) Yield() {
 	p.checkKilled()
-	p.k.ready2(p)
+	// The LP waits in the run queue as parked, so a Kill queues it a
+	// second time; it dies on the first resume and Run skips the dead
+	// second entry.
+	p.k.pushRunq(p)
 	p.park()
-}
-
-// ready2 is ready for a running LP that is about to park (Yield).
-func (k *Kernel) ready2(p *Proc) {
-	k.pushRunq(p)
-	// park() will set stateParked then the queued entry flips it back; to
-	// keep the state machine simple we mark it runnable when dequeued.
 }
 
 // Now returns the current virtual time (convenience mirror of Kernel.Now).
@@ -543,21 +528,19 @@ func (k *Kernel) Stop(err error) {
 	}
 }
 
-// ErrDeadlock is returned (wrapped) by Run when non-daemon LPs remain
-// parked but no event can ever wake them.
+// ErrDeadlock is returned (wrapped) by Run when LPs remain parked but no
+// event can ever wake them.
 var ErrDeadlock = errors.New("sim: deadlock")
 
-// runLP hands the execution token to a runnable LP and blocks until it
-// parks, exits, or yields.
+// runLP resumes a runnable LP and returns when it parks or exits.
 func (k *Kernel) runLP(p *Proc) {
 	p.state = stateRunning
 	k.running = p
-	p.wake <- struct{}{}
-	<-k.yield
+	p.next()
 	k.running = nil
 }
 
-// Run executes the simulation until all non-daemon LPs have exited, Stop is
+// Run executes the simulation until all LPs have exited, Stop is
 // called, or no progress is possible.  It must be called exactly once, from
 // the goroutine that built the kernel.
 func (k *Kernel) Run() error {
@@ -614,26 +597,22 @@ func (k *Kernel) Run() error {
 	return k.stopErr
 }
 
-// cleanup unwinds every LP goroutine still alive when Run returns (parked
-// daemons, LPs outliving an early Stop) so that simulations do not leak
-// goroutines across tests.
+// cleanup unwinds every LP still alive when Run returns (LPs outliving an
+// early Stop, a deadlock or another LP's panic) so that a simulation leaves
+// no coroutine behind.  An LP that never ran has no stack to unwind: stop
+// just releases it.
 func (k *Kernel) cleanup() {
 	for _, p := range k.procs {
-		if p.state == stateDead {
-			continue
+		if p.state != stateDead {
+			p.stop()
 		}
-		if p.killed == nil {
-			p.killed = ErrKilled
-		}
-		p.wake <- struct{}{}
-		<-k.yield
 	}
 }
 
 func (k *Kernel) parkedNames() []string {
 	var names []string
 	for _, p := range k.procs {
-		if p.state == stateParked && !p.daemon {
+		if p.state == stateParked {
 			names = append(names, p.name)
 		}
 	}

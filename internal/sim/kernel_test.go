@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 	"testing/quick"
 	"time"
@@ -174,18 +175,112 @@ func TestKillRunnableLPBeforeFirstRun(t *testing.T) {
 	}
 }
 
-func TestDaemonDoesNotBlockExit(t *testing.T) {
+// TestKillWhileYielded kills an LP that waits in the run queue behind its
+// killer after a Yield.  The Kill queues it a second time; it must unwind
+// once, at the Yield, and the stale entry must not run it again.
+func TestKillWhileYielded(t *testing.T) {
 	k := New(1)
-	c := NewCond(k)
-	k.Go("server", func(p *Proc) {
-		p.SetDaemon(true)
-		for {
-			c.Wait(p) // parked forever
-		}
+	unwound, resumed := 0, false
+	victim := k.Go("victim", func(p *Proc) {
+		defer func() { unwound++ }()
+		p.Yield()
+		resumed = true
 	})
-	k.Go("client", func(p *Proc) { p.Advance(time.Millisecond) })
+	k.Go("killer", func(p *Proc) { k.Kill(victim, nil) })
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
+	}
+	if unwound != 1 || resumed {
+		t.Fatalf("victim unwound %d time(s), resumed past Yield = %v; want 1, false", unwound, resumed)
+	}
+	if victim.Killed() != ErrKilled {
+		t.Fatalf("Killed() = %v, want ErrKilled", victim.Killed())
+	}
+	if k.live != 0 {
+		t.Fatalf("%d LP(s) still counted live", k.live)
+	}
+}
+
+// TestRunLeavesNoGoroutines checks that however Run ends, every LP it leaves
+// behind is unwound (deferred functions run once) or released, so the
+// process is back to the goroutines it had before.
+func TestRunLeavesNoGoroutines(t *testing.T) {
+	boom := errors.New("enough")
+	// parked spawns one LP parked in a long Advance and one in Cond.Wait.
+	parked := func(k *Kernel, unwound *int) {
+		c := NewCond(k)
+		k.Go("sleeper", func(p *Proc) {
+			defer func() { *unwound++ }()
+			p.Advance(time.Hour)
+		})
+		k.Go("waiter", func(p *Proc) {
+			defer func() { *unwound++ }()
+			for {
+				c.Wait(p)
+			}
+		})
+	}
+	cases := []struct {
+		name    string
+		build   func(k *Kernel, unwound *int)
+		check   func(err error) bool
+		unwound int
+	}{
+		{"completion", func(k *Kernel, unwound *int) {
+			for i := 0; i < 3; i++ {
+				k.Go("lp", func(p *Proc) {
+					defer func() { *unwound++ }()
+					p.Advance(time.Millisecond)
+					p.Yield()
+				})
+			}
+		}, func(err error) bool { return err == nil }, 3},
+		{"stop", func(k *Kernel, unwound *int) {
+			parked(k, unwound)
+			k.After(time.Second, func() { k.Stop(boom) })
+		}, func(err error) bool { return err == boom }, 2},
+		{"deadlock", func(k *Kernel, unwound *int) {
+			c := NewCond(k)
+			k.Go("stuck", func(p *Proc) {
+				defer func() { *unwound++ }()
+				c.Wait(p)
+			})
+		}, func(err error) bool { return errors.Is(err, ErrDeadlock) }, 1},
+		{"panic", func(k *Kernel, unwound *int) {
+			parked(k, unwound)
+			k.Go("bad", func(p *Proc) {
+				p.Advance(time.Second)
+				panic("kaboom")
+			})
+		}, func(err error) bool { return err != nil && !errors.Is(err, ErrDeadlock) }, 2},
+		{"never run", func(k *Kernel, unwound *int) {
+			k.After(time.Second, func() {
+				k.Go("late", func(p *Proc) {
+					defer func() { *unwound++ }()
+					t.Error("LP spawned in the stopping step ran")
+				})
+				k.Stop(boom)
+			})
+		}, func(err error) bool { return err == boom }, 0},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			before := runtime.NumGoroutine()
+			k := New(1)
+			unwound := 0
+			tc.build(k, &unwound)
+			if err := k.Run(); !tc.check(err) {
+				t.Fatalf("Run returned %v", err)
+			}
+			if unwound != tc.unwound {
+				t.Fatalf("%d LP(s) unwound, want %d", unwound, tc.unwound)
+			}
+			// More, not different: a goroutine of an earlier test may
+			// still be exiting when the baseline is taken.
+			if after := runtime.NumGoroutine(); after > before {
+				t.Fatalf("%d goroutines after Run, %d before", after, before)
+			}
+		})
 	}
 }
 

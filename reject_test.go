@@ -86,6 +86,39 @@ func TestBuildConfigErrors(t *testing.T) {
 	}
 }
 
+// TestChaosSpecErrors: a malformed ChaosSpec over a valid job is refused in
+// the same shape, naming the ChaosSpec field.
+func TestChaosSpecErrors(t *testing.T) {
+	const ms = time.Millisecond
+	job := ftckpt.Options{Workload: ftckpt.WorkloadJacobi, NP: 4, Protocol: ftckpt.Pcl, Interval: 5 * ms}
+	noServers := ftckpt.Options{Workload: ftckpt.WorkloadJacobi, NP: 4}
+	for _, tc := range []struct {
+		name  string
+		o     ftckpt.Options
+		sp    ftckpt.ChaosSpec
+		field string
+	}{
+		{"no kills", job, ftckpt.ChaosSpec{Until: ms}, "ChaosSpec.Kills"},
+		{"empty window", job, ftckpt.ChaosSpec{Kills: 1, From: ms, Until: ms}, "ChaosSpec.Until"},
+		{"window before time zero", job, ftckpt.ChaosSpec{Kills: 1, From: -ms, Until: ms}, "ChaosSpec.Until"},
+		{"fractions past one", job, ftckpt.ChaosSpec{Kills: 1, Until: ms, ServerFrac: 0.8, NodeFrac: 0.5}, "ChaosSpec.ServerFrac"},
+		{"server kills without servers", noServers, ftckpt.ChaosSpec{Kills: 1, Until: ms, ServerFrac: 0.5}, "ChaosSpec.ServerFrac"},
+		{"buffer kills without a buffer level", job, ftckpt.ChaosSpec{Kills: 1, Until: ms, BufferFrac: 0.5}, "ChaosSpec.BufferFrac"},
+		{"pfs kills without a pfs level", job, ftckpt.ChaosSpec{Kills: 1, Until: ms, PFSFrac: 0.5}, "ChaosSpec.PFSFrac"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, err := ftckpt.Chaos(tc.o, tc.sp)
+			var ce *ftckpt.ConfigError
+			if !errors.As(err, &ce) {
+				t.Fatalf("Chaos returned %v (%T), want a *ftckpt.ConfigError", err, err)
+			}
+			if ce.Field != tc.field {
+				t.Errorf("Field = %q, want %q (reason %q)", ce.Field, tc.field, ce.Reason)
+			}
+		})
+	}
+}
+
 // TestSweepSharedStorageSpec: points of one Sweep may share a
 // *StorageSpec.  Validation writes defaults into the spec a job runs
 // with, so each job must get a copy — sharing the caller's would be a
