@@ -173,8 +173,8 @@ func TestAttributionJobsInvariant(t *testing.T) {
 // invariants.
 func TestAttributionUnderChaos(t *testing.T) {
 	o := attribOptions(Pcl)
-	o.Servers = 3 // replication needs a replica set to spread over
-	o.Replication = &ReplicationSpec{Replicas: 2, WriteQuorum: 1, StoreRetries: 2, RetryBackoff: time.Millisecond}
+	// Replication needs a replica set to spread over.
+	o.Servers, o.Storage = 0, replicatedTier(3)
 	rep, err := Chaos(o, ChaosSpec{
 		Seed: 3, Kills: 3, ServerFrac: 0.3,
 		From: 5 * time.Millisecond, Until: 30 * time.Millisecond,

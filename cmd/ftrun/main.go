@@ -19,9 +19,10 @@
 //	      -chaos 3 -chaos-seed 7 -chaos-server-frac 0.3 -chaos-until 60ms
 //
 // -storage-levels selects the multi-level checkpoint storage hierarchy
-// instead of the flat server model (levels fastest-first; the level
-// carries the server/replica counts, so -servers/-replicas/-quorum must
-// stay unset); -incremental and -compress tune the image planner:
+// instead of the one servers level the server and replication flags
+// describe (levels fastest-first; its servers level carries the
+// server/replica counts, so -servers/-replicas/-quorum must stay unset);
+// -incremental and -compress tune the image planner:
 //
 //	ftrun -bench cg-real -np 8 -proto pcl -interval 5ms \
 //	      -storage-levels buffer,servers:2x2,pfs:4x2 -incremental -compress
@@ -66,7 +67,7 @@ func main() {
 		quorum   = flag.Int("quorum", 0, "replicas that must acknowledge a store (0 = all replicas)")
 		retries  = flag.Int("retries", 0, "store/fetch retry attempts after a replica dies")
 		backoff  = flag.Duration("retry-backoff", 0, "delay before each store/fetch retry")
-		storage  = flag.String("storage-levels", "", "multi-level storage hierarchy, fastest first: e.g. buffer,servers:2x2,pfs:4x2 (servers:NxR = N servers R replicas, pfs:TxS = T targets S stripes); conflicts with -servers/-replicas/-quorum/-retries/-retry-backoff")
+		storage  = flag.String("storage-levels", "", "multi-level storage hierarchy, fastest first: e.g. buffer,servers:2x2,pfs:4x2 (servers:NxR = N servers R replicas, pfs:TxS = T targets S stripes); replaces the one servers level -servers/-replicas/-quorum/-retries/-retry-backoff describe, so it conflicts with them")
 		incr     = flag.Bool("incremental", false, "dirty-region incremental checkpoint images (requires -storage-levels)")
 		compress = flag.Bool("compress", false, "compress checkpoint images (requires -storage-levels)")
 		hbPeriod = flag.Duration("heartbeat", 0, "heartbeat ping period; 0 keeps instant failure detection")
@@ -122,6 +123,10 @@ func main() {
 		ServerMTTF: *srvMTTF,
 		NodeMTTF:   *nodeMTTF,
 	}
+	// One spec describes the storage tier: -storage-levels, or else the
+	// single servers level the server and replication flags describe.
+	o.Storage = &ftckpt.StorageSpec{Levels: []ftckpt.LevelSpec{{Kind: ftckpt.LevelServers,
+		Servers: *servers, Replicas: *replicas, WriteQuorum: *quorum, StoreRetries: *retries, RetryBackoff: *backoff}}}
 	if *storage != "" {
 		// The hierarchy's levels carry the server and replication knobs;
 		// the flat flags would silently disagree with them.
@@ -136,26 +141,16 @@ func main() {
 			fmt.Fprintln(os.Stderr, "ftrun: -storage-levels:", err)
 			os.Exit(2)
 		}
-		spec.Incremental = *incr
-		spec.Compress = *compress
 		o.Storage = spec
-	} else {
-		if *incr {
-			fmt.Fprintln(os.Stderr, "ftrun: -incremental requires -storage-levels")
-			os.Exit(2)
-		}
-		if *compress {
-			fmt.Fprintln(os.Stderr, "ftrun: -compress requires -storage-levels")
-			os.Exit(2)
-		}
-		o.Servers = *servers
-		o.Replication = &ftckpt.ReplicationSpec{
-			Replicas:     *replicas,
-			WriteQuorum:  *quorum,
-			StoreRetries: *retries,
-			RetryBackoff: *backoff,
-		}
+	} else if *incr {
+		fmt.Fprintln(os.Stderr, "ftrun: -incremental requires -storage-levels")
+		os.Exit(2)
+	} else if *compress {
+		fmt.Fprintln(os.Stderr, "ftrun: -compress requires -storage-levels")
+		os.Exit(2)
 	}
+	o.Storage.Incremental = *incr
+	o.Storage.Compress = *compress
 	if *stats && *chaosN > 0 {
 		fmt.Fprintln(os.Stderr, "ftrun: -stats conflicts with -chaos (a chaos run reports no kernel counters)")
 		os.Exit(2)

@@ -3,11 +3,12 @@ package ftckpt
 // Table tests for buildConfig: the typed facade must accept every
 // supported enum value (and the legacy string literals, which still
 // compile through the string-backed types) and forward the
-// Replication/Heartbeat/Storage specs.  What a run is rejected for is
+// Heartbeat/Storage specs.  What a run is rejected for is
 // pinned from outside the package, in reject_test.go.
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 	"time"
 
@@ -71,56 +72,62 @@ func TestBuildConfigLegacyLiterals(t *testing.T) {
 	}
 }
 
-// TestBuildConfigSpecConversion pins the conversion contract left behind
-// by the deleted flat fields: a Replication/Heartbeat spec sets exactly
-// the ftpm fields the flat form used to, and a one-level Storage spec is
-// the same job again with the knobs on the servers level.
+// TestBuildConfigSpecConversion pins the conversion contract: the
+// Heartbeat spec sets ftpm's HeartbeatPeriod/Timeout, Storage reaches the
+// job with its servers level as written, and Servers is the one-level
+// spec it stands for once validated.
 func TestBuildConfigSpecConversion(t *testing.T) {
-	want := func(name string, cfg ftpm.Config) {
-		t.Helper()
-		if cfg.Replicas != 2 || cfg.WriteQuorum != 1 || cfg.StoreRetries != 5 ||
-			cfg.RetryBackoff != time.Millisecond {
-			t.Errorf("%s: replication knobs not forwarded: %+v", name, cfg)
-		}
-	}
 	cfg, err := buildConfig(Options{
 		NP: 4, Protocol: Pcl, Interval: time.Second, Servers: 3,
-		Replication: &ReplicationSpec{Replicas: 2, WriteQuorum: 1, StoreRetries: 5, RetryBackoff: time.Millisecond},
-		Heartbeat:   &HeartbeatSpec{Period: 10 * time.Millisecond, Timeout: 50 * time.Millisecond},
+		Heartbeat: &HeartbeatSpec{Period: 10 * time.Millisecond, Timeout: 50 * time.Millisecond},
 	})
 	if err != nil {
 		t.Fatalf("specs: %v", err)
 	}
-	if cfg.Servers != 3 {
-		t.Errorf("Servers = %d, want 3", cfg.Servers)
-	}
-	want("flat specs", cfg)
 	if cfg.HeartbeatPeriod != 10*time.Millisecond || cfg.HeartbeatTimeout != 50*time.Millisecond {
 		t.Errorf("heartbeat spec not forwarded: %+v", cfg)
 	}
+	if err := cfg.Validate(); err != nil {
+		t.Fatalf("shorthand validation: %v", err)
+	}
+	want := []LevelSpec{{Kind: LevelServers, Servers: 3, Replicas: 1, WriteQuorum: 1}}
+	if cfg.Servers != 0 || cfg.Storage == nil || !reflect.DeepEqual(cfg.Storage.Levels, want) {
+		t.Errorf("Servers 3 validated to Servers=%d Storage=%+v, want the levels %+v", cfg.Servers, cfg.Storage, want)
+	}
 
-	// The same replication expressed as a one-level storage hierarchy
-	// folds onto the identical flat runtime fields after validation.
+	tier := LevelSpec{Kind: LevelServers, Servers: 3,
+		Replicas: 2, WriteQuorum: 1, StoreRetries: 5, RetryBackoff: time.Millisecond}
 	cfg, err = buildConfig(Options{
 		NP: 4, Protocol: Pcl, Interval: time.Second,
-		Storage: &StorageSpec{Levels: []LevelSpec{{
-			Kind: LevelServers, Servers: 3,
-			Replicas: 2, WriteQuorum: 1, StoreRetries: 5, RetryBackoff: time.Millisecond,
-		}}},
+		Storage: &StorageSpec{Levels: []LevelSpec{tier}},
 	})
 	if err != nil {
 		t.Fatalf("storage spec: %v", err)
 	}
-	if cfg.Storage == nil || len(cfg.Storage.Levels) != 1 {
-		t.Fatalf("Storage not forwarded: %+v", cfg.Storage)
-	}
 	if err := cfg.Validate(); err != nil {
 		t.Fatalf("storage spec validation: %v", err)
 	}
-	if cfg.Servers != 3 {
-		t.Errorf("Servers folded = %d, want 3", cfg.Servers)
+	if cfg.Storage == nil || !reflect.DeepEqual(cfg.Storage.Levels, []LevelSpec{tier}) {
+		t.Errorf("servers level not forwarded as written: %+v", cfg.Storage)
 	}
-	want("storage spec", cfg)
+
+	// On the grid the same level keeps its replication; the layout's one
+	// server per cluster replaces the count.
+	cfg, err = buildConfig(Options{
+		NP: 16, ProcsPerNode: 2, Protocol: Pcl, Interval: time.Second, Platform: PlatformGrid,
+		Storage: &StorageSpec{Levels: []LevelSpec{tier}},
+	})
+	if err != nil {
+		t.Fatalf("grid storage spec: %v", err)
+	}
+	if err := cfg.Validate(); err != nil {
+		t.Fatalf("grid storage spec validation: %v", err)
+	}
+	grid := tier
+	grid.Servers = len(cfg.ServerNodes)
+	if !reflect.DeepEqual(cfg.Storage.Levels, []LevelSpec{grid}) {
+		t.Errorf("grid servers level %+v, want %+v", cfg.Storage.Levels, grid)
+	}
 }
 
 // TestBuildConfigStorageHierarchy checks the multi-level conversion:

@@ -237,10 +237,6 @@ type ConfigError = ftpm.ConfigError
 // (Workload, Class, Platform, the grid layout's limits).
 func buildConfig(o Options) (ftpm.Config, error) {
 	ppn := max(o.ProcsPerNode, 1)
-	var repl ReplicationSpec
-	if o.Replication != nil {
-		repl = *o.Replication
-	}
 	var hb HeartbeatSpec
 	if o.Heartbeat != nil {
 		hb = *o.Heartbeat
@@ -262,10 +258,6 @@ func buildConfig(o Options) (ftpm.Config, error) {
 		Protocol:         o.Protocol,
 		Interval:         o.Interval,
 		Servers:          o.Servers,
-		Replicas:         repl.Replicas,
-		WriteQuorum:      repl.WriteQuorum,
-		StoreRetries:     repl.StoreRetries,
-		RetryBackoff:     repl.RetryBackoff,
 		HeartbeatPeriod:  hb.Period,
 		HeartbeatTimeout: hb.Timeout,
 		VclProcessLimit:  o.VclProcessLimit,
@@ -284,8 +276,9 @@ func buildConfig(o Options) (ftpm.Config, error) {
 		Attrib:           o.Attribution,
 		SnapshotPeriod:   o.MetricsSnapshot,
 	}
-	// serverNodes and pfsTargets size the topology; negative counts are
-	// Validate's to reject and contribute nothing here.
+	// serverNodes and pfsTargets size the topology from the storage tier:
+	// Storage's levels, or the one servers level Servers is shorthand for.
+	// Negative counts are Validate's to reject and contribute nothing here.
 	serverNodes, pfsTargets := o.Servers, 0
 	switch {
 	case o.Storage != nil:
@@ -325,8 +318,8 @@ func buildConfig(o Options) (ftpm.Config, error) {
 		if o.Spares > 0 {
 			return ftpm.Config{}, &ConfigError{Field: "Spares", Reason: "the grid platform's fixed layout has no spare slots"}
 		}
-		if o.Storage != nil {
-			return ftpm.Config{}, &ConfigError{Field: "Storage", Reason: "the grid platform's per-cluster server placement keeps the flat server model"}
+		if sp := cfg.Storage; sp != nil && (len(sp.Levels) != 1 || sp.Levels[0].Kind != LevelServers) {
+			return ftpm.Config{}, &ConfigError{Field: "Storage", Reason: "the grid platform's per-cluster server placement takes only the servers level"}
 		}
 		lay, err := platform.Grid5000Layout(o.NP, ppn, 1)
 		if err != nil {
@@ -337,7 +330,12 @@ func buildConfig(o Options) (ftpm.Config, error) {
 		cfg.ServerNodes = lay.ServerNodes
 		cfg.ServerOf = lay.ServerOf
 		cfg.ServiceNode = lay.ServiceNode
-		cfg.Servers = lay.Servers
+		// The layout's one server per cluster overrides the count written.
+		if cfg.Storage != nil {
+			cfg.Storage.Levels[0].Servers = lay.Servers
+		} else {
+			cfg.Servers = lay.Servers
+		}
 		cfg.Profile = platform.PclSock
 	default:
 		return ftpm.Config{}, &ConfigError{Field: "Platform", Reason: fmt.Sprintf("unknown platform %q (want %q, %q, %q or %q)",

@@ -222,17 +222,12 @@ func TestRunValidation(t *testing.T) {
 
 func chaosOpts(replicas int) Options {
 	return Options{
-		Workload:     "cg-real",
-		NP:           4,
-		Protocol:     "pcl",
-		Interval:     4 * time.Millisecond,
-		Servers:  2,
-		Replication: &ReplicationSpec{
-			Replicas:     replicas,
-			WriteQuorum:  1,
-			StoreRetries: 2,
-			RetryBackoff: time.Millisecond,
-		},
+		Workload: "cg-real",
+		NP:       4,
+		Protocol: "pcl",
+		Interval: 4 * time.Millisecond,
+		Storage: &StorageSpec{Levels: []LevelSpec{{Kind: LevelServers, Servers: 2,
+			Replicas: replicas, WriteQuorum: 1, StoreRetries: 2, RetryBackoff: time.Millisecond}}},
 		Seed: 1,
 	}
 }
@@ -304,7 +299,7 @@ func TestChaosRecoveryViaFacade(t *testing.T) {
 
 func TestChaosDegradedViaFacade(t *testing.T) {
 	o := chaosOpts(1)
-	o.Replication.StoreRetries = 0
+	o.Storage.Levels[0].StoreRetries = 0
 	sp := chaosSeed(t, o, ChaosSpec{Kills: 2, ServerFrac: 0.5,
 		From: 6 * time.Millisecond, Until: 14 * time.Millisecond})
 	rep, err := Chaos(o, sp)

@@ -15,8 +15,11 @@ import (
 //	0 NP (signed, at most 64)   1 ProcsPerNode   2 Workload   3 Class
 //	4 Protocol   5 Interval (ms)   6 Servers   7 Platform   8 Recovery
 //	9 Spares   10 VclProcessLimit
-//	11 bit 0 Replication, 1 Heartbeat, 2 Storage, 3 Incremental, 4 Compress
-//	12-15 Replicas, WriteQuorum, StoreRetries, RetryBackoff (ms)
+//	11 bit 0 replication, 1 Heartbeat, 2 Storage, 3 Incremental, 4 Compress
+//	12-15 Replicas, WriteQuorum, StoreRetries, RetryBackoff (ms): with bit 0
+//	they fill every servers level of the Storage of bit 2, or, without bit
+//	2, make Storage the one servers level with byte 6's count of servers
+//	(and Servers 0)
 //	16-17 heartbeat Period, Timeout (ms)
 //	18-20 MTTF, ServerMTTF, NodeMTTF (s)
 //	21-23 FullEvery, DirtyFraction (/64), CompressRatio (/64)
@@ -52,10 +55,7 @@ func fuzzOptions(data []byte) Options {
 	o.Spares = next()
 	o.VclProcessLimit = next()
 	flags := next()
-	repl := ReplicationSpec{Replicas: next(), WriteQuorum: next(), StoreRetries: next(), RetryBackoff: ms()}
-	if flags&1 != 0 {
-		o.Replication = &repl
-	}
+	repl := LevelSpec{Kind: LevelServers, Replicas: next(), WriteQuorum: next(), StoreRetries: next(), RetryBackoff: ms()}
 	hb := HeartbeatSpec{Period: ms(), Timeout: ms()}
 	if flags&2 != 0 {
 		o.Heartbeat = &hb
@@ -79,6 +79,14 @@ func fuzzOptions(data []byte) Options {
 	}
 	if flags&4 != 0 {
 		o.Storage = &st
+		for i := range st.Levels {
+			if l := &st.Levels[i]; flags&1 != 0 && l.Kind == LevelServers {
+				l.Replicas, l.WriteQuorum, l.StoreRetries, l.RetryBackoff = repl.Replicas, repl.WriteQuorum, repl.StoreRetries, repl.RetryBackoff
+			}
+		}
+	} else if flags&1 != 0 {
+		repl.Servers, o.Servers = o.Servers, 0
+		o.Storage = &StorageSpec{Levels: []LevelSpec{repl}}
 	}
 	for ; failures > 0; failures-- {
 		kind, at, victim := failure.Kind(uint8(next())%7), ms(), next()

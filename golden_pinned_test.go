@@ -42,23 +42,40 @@ type pinnedHashes struct {
 	Attribution string `json:"attribution,omitempty"`
 }
 
+// pinnedNP64 is the option set of the pcl-64, vcl-64 and mlog-64
+// scenarios.
+func pinnedNP64(p Protocol) Options {
+	return Options{
+		Workload:     WorkloadBT,
+		Class:        ClassA,
+		NP:           64,
+		ProcsPerNode: 2,
+		Protocol:     p,
+		Interval:     2 * time.Second,
+		Servers:      4,
+		Seed:         42,
+		Failures:     []Failure{KillRank(3*time.Second, 21)},
+	}
+}
+
+// pinnedGrid is the option set of the grid-vcl-16 scenario.
+func pinnedGrid() Options {
+	return Options{
+		Workload:     WorkloadBT,
+		Class:        ClassA,
+		NP:           16,
+		ProcsPerNode: 2,
+		Protocol:     Vcl,
+		Interval:     2 * time.Second,
+		Platform:     PlatformGrid,
+		Seed:         9,
+	}
+}
+
 func pinnedScenarios() []struct {
 	name string
 	opts Options
 } {
-	np64 := func(p Protocol) Options {
-		return Options{
-			Workload:     WorkloadBT,
-			Class:        ClassA,
-			NP:           64,
-			ProcsPerNode: 2,
-			Protocol:     p,
-			Interval:     2 * time.Second,
-			Servers:      4,
-			Seed:         42,
-			Failures:     []Failure{KillRank(3*time.Second, 21)},
-		}
-	}
 	ulfm := ulfmGolden()
 	ulfm.Failures = []Failure{KillNode(40*time.Millisecond, 3)}
 	storage := storageGolden()
@@ -67,19 +84,10 @@ func pinnedScenarios() []struct {
 		name string
 		opts Options
 	}{
-		{"pcl-64", np64(Pcl)},
-		{"vcl-64", np64(Vcl)},
-		{"mlog-64", np64(Mlog)},
-		{"grid-vcl-16", Options{
-			Workload:     WorkloadBT,
-			Class:        ClassA,
-			NP:           16,
-			ProcsPerNode: 2,
-			Protocol:     Vcl,
-			Interval:     2 * time.Second,
-			Platform:     PlatformGrid,
-			Seed:         9,
-		}},
+		{"pcl-64", pinnedNP64(Pcl)},
+		{"vcl-64", pinnedNP64(Vcl)},
+		{"mlog-64", pinnedNP64(Mlog)},
+		{"grid-vcl-16", pinnedGrid()},
 		{"ulfm-node-8", ulfm},
 		// Replication, heartbeats and failover: a server kill then a rank
 		// kill, so retry timers and bulk-flow delivery order are pinned.
@@ -89,8 +97,7 @@ func pinnedScenarios() []struct {
 			ProcsPerNode: 2,
 			Protocol:     Pcl,
 			Interval:     5 * time.Millisecond,
-			Servers:      3,
-			Replication:  &ReplicationSpec{Replicas: 2, WriteQuorum: 1, StoreRetries: 2, RetryBackoff: time.Millisecond},
+			Storage:      replicatedTier(3),
 			Heartbeat:    &HeartbeatSpec{Period: 2 * time.Millisecond},
 			Seed:         7,
 			Attribution:  true,

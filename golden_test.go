@@ -85,8 +85,7 @@ func TestGoldenDeterminismReplicated(t *testing.T) {
 		ProcsPerNode: 2,
 		Protocol:     Pcl,
 		Interval:     5 * time.Millisecond,
-		Servers:      3,
-		Replication:  &ReplicationSpec{Replicas: 2, WriteQuorum: 1, StoreRetries: 2, RetryBackoff: time.Millisecond},
+		Storage:      replicatedTier(3),
 		Heartbeat:    &HeartbeatSpec{Period: 2 * time.Millisecond},
 		Seed:         7,
 		Failures: []Failure{
@@ -108,27 +107,7 @@ func TestGoldenDeterminismChaosSweep(t *testing.T) {
 	prev := runtime.GOMAXPROCS(4)
 	defer runtime.GOMAXPROCS(prev)
 
-	repl := &ReplicationSpec{Replicas: 2, WriteQuorum: 1, StoreRetries: 2, RetryBackoff: time.Millisecond}
-	hb := &HeartbeatSpec{Period: 2 * time.Millisecond}
-	base := []Options{
-		{Protocol: Pcl, Seed: 7, Failures: []Failure{
-			KillServer(11*time.Millisecond, 1), KillRank(17*time.Millisecond, 3)}},
-		{Protocol: Vcl, Seed: 11, Failures: []Failure{
-			KillRank(13*time.Millisecond, 2), KillNode(23*time.Millisecond, 1)}},
-		{Protocol: Mlog, Seed: 13, Failures: []Failure{
-			KillServer(9*time.Millisecond, 0)}},
-		{Protocol: Pcl, Seed: 21, Failures: []Failure{
-			KillNode(15*time.Millisecond, 2)}},
-	}
-	for i := range base {
-		base[i].Workload = WorkloadCGReal
-		base[i].NP = 8
-		base[i].ProcsPerNode = 2
-		base[i].Interval = 5 * time.Millisecond
-		base[i].Servers = 3
-		base[i].Replication = repl
-		base[i].Heartbeat = hb
-	}
+	base := chaosSweepPoints()
 
 	runOnce := func() ([]Report, []byte, [][]byte, []byte) {
 		pts := make([]Options, len(base))
@@ -185,6 +164,39 @@ func TestGoldenDeterminismChaosSweep(t *testing.T) {
 	if !bytes.Equal(l1, l2) {
 		t.Errorf("serialized trace log differs across identical sweeps (%d vs %d bytes)", len(l1), len(l2))
 	}
+}
+
+// replicatedTier is the replicated server tier of the golden suites:
+// servers checkpoint servers, two copies of every image, a write quorum of
+// one, two retries 1 ms apart.
+func replicatedTier(servers int) *StorageSpec {
+	return &StorageSpec{Levels: []LevelSpec{{Kind: LevelServers, Servers: servers,
+		Replicas: 2, WriteQuorum: 1, StoreRetries: 2, RetryBackoff: time.Millisecond}}}
+}
+
+// chaosSweepPoints are the four replicated, heartbeat-enabled cg-real
+// runs of TestGoldenDeterminismChaosSweep, each with its own kills.
+func chaosSweepPoints() []Options {
+	hb := &HeartbeatSpec{Period: 2 * time.Millisecond}
+	base := []Options{
+		{Protocol: Pcl, Seed: 7, Failures: []Failure{
+			KillServer(11*time.Millisecond, 1), KillRank(17*time.Millisecond, 3)}},
+		{Protocol: Vcl, Seed: 11, Failures: []Failure{
+			KillRank(13*time.Millisecond, 2), KillNode(23*time.Millisecond, 1)}},
+		{Protocol: Mlog, Seed: 13, Failures: []Failure{
+			KillServer(9*time.Millisecond, 0)}},
+		{Protocol: Pcl, Seed: 21, Failures: []Failure{
+			KillNode(15*time.Millisecond, 2)}},
+	}
+	for i := range base {
+		base[i].Workload = WorkloadCGReal
+		base[i].NP = 8
+		base[i].ProcsPerNode = 2
+		base[i].Interval = 5 * time.Millisecond
+		base[i].Storage = replicatedTier(3)
+		base[i].Heartbeat = hb
+	}
+	return base
 }
 
 // ulfmGolden is the spare-rank in-job recovery scenario of the golden

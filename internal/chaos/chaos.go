@@ -63,7 +63,7 @@ func (sp Spec) validate(cfg *ftpm.Config) error {
 		return bad("ServerFrac", "kill fractions server=%v node=%v buffer=%v pfs=%v outside [0,1]",
 			sp.ServerFrac, sp.NodeFrac, sp.BufferFrac, sp.PFSFrac)
 	}
-	if sp.ServerFrac > 0 && cfg.Servers == 0 {
+	if sp.ServerFrac > 0 && cfg.Storage == nil {
 		return bad("ServerFrac", "> 0 but the job has no checkpoint servers")
 	}
 	if sp.BufferFrac > 0 && (cfg.Storage == nil || cfg.Storage.Level(ckpt.LevelBuffer) < 0) {
@@ -92,10 +92,11 @@ func Schedule(sp Spec, cfg ftpm.Config) (failure.Plan, error) {
 	for i := 0; i < sp.Kills; i++ {
 		at := sp.From + sim.Time(rng.Int63n(int64(sp.Until-sp.From)))
 		ev := failure.Event{At: at}
+		// sp.validate made sure Storage has the level each kind draws from.
 		switch x := rng.Float64(); {
 		case x < sp.ServerFrac:
 			ev.Kind = failure.KindServer
-			ev.Server = rng.Intn(cfg.Servers)
+			ev.Server = rng.Intn(cfg.Storage.ServersLevel().Servers)
 		case x < sp.ServerFrac+sp.NodeFrac:
 			ev.Kind = failure.KindNode
 			ev.Node = rng.Intn(computeNodes)
@@ -104,25 +105,13 @@ func Schedule(sp Spec, cfg ftpm.Config) (failure.Plan, error) {
 			ev.Node = rng.Intn(computeNodes)
 		case x < sp.ServerFrac+sp.NodeFrac+sp.BufferFrac+sp.PFSFrac:
 			ev.Kind = failure.KindPFS
-			ev.Server = rng.Intn(pfsTargets(&cfg))
+			ev.Server = rng.Intn(cfg.Storage.Levels[cfg.Storage.Level(ckpt.LevelPFS)].Targets)
 		default:
 			ev.Rank = rng.Intn(cfg.NP)
 		}
 		plan = append(plan, ev)
 	}
 	return plan.Sorted(), nil
-}
-
-// pfsTargets returns the PFS target count of a validated config's
-// storage spec (validate guarantees it is > 0 when PFSFrac > 0).
-func pfsTargets(cfg *ftpm.Config) int {
-	if cfg.Storage == nil {
-		return 0
-	}
-	if i := cfg.Storage.Level(ckpt.LevelPFS); i >= 0 {
-		return cfg.Storage.Levels[i].Targets
-	}
-	return 0
 }
 
 // Config describes one chaos experiment.
@@ -213,9 +202,9 @@ func Run(c Config) (Outcome, error) {
 	// With a staging buffer the commit gate is the node-local write (one
 	// store-end event), not the server write quorum; mlog strips the
 	// staging levels and keeps the quorum gate.
-	quorum := cfg.WriteQuorum
-	if cfg.Storage != nil && cfg.Storage.Level(ckpt.LevelBuffer) >= 0 && cfg.Protocol != ftpm.ProtoMlog {
-		quorum = 1
+	quorum := 1
+	if sp := cfg.Storage; sp != nil && (sp.Level(ckpt.LevelBuffer) < 0 || cfg.Protocol == ftpm.ProtoMlog) {
+		quorum = sp.ServersLevel().WriteQuorum
 	}
 	out.Violations = checkInvariants(col.Events(), cfg.NP, quorum, cfg.Protocol)
 	// When the job carried a span tracer (Config.Job.Attrib), its overhead

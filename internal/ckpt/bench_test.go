@@ -6,14 +6,16 @@ import (
 	"time"
 
 	"ftckpt/internal/mpi"
+	"ftckpt/internal/nas"
 	"ftckpt/internal/platform"
 	"ftckpt/internal/sim"
 	"ftckpt/internal/simnet"
 )
 
-// The in-package twins of bench's ckpt.group_store_us and
-// ckpt.hier_cycle_us probes, plus the per-record log store message
-// logging pays on every delivery.  allocs/op is the number to read: the
+// The in-package twins of bench's ckpt.encode_ns_per_kb,
+// ckpt.decode_ns_per_kb, ckpt.group_store_us and ckpt.hier_cycle_us
+// probes, plus the per-record log store message logging pays on every
+// delivery.  allocs/op is the number to read: the
 // simulator is deterministic, so it repeats exactly.
 
 // benchGroup is a four-server pool behind eight compute nodes.
@@ -123,5 +125,45 @@ func BenchmarkHierCycle(b *testing.B) {
 	}
 	if fetched != b.N {
 		b.Fatalf("%d of %d images fetched", fetched, b.N)
+	}
+}
+
+// BenchmarkImageCodec: EncodeProgram, then DecodeProgram, of the
+// real-kernel states recover-hier-64 checkpoints — one cg-real rank of the
+// NP=64 job and one jacobi rank of the NP=16 job — reported per KB of
+// encoded state.
+func BenchmarkImageCodec(b *testing.B) {
+	for _, tc := range []struct {
+		name string
+		prog mpi.Program
+	}{
+		{"cg-real", nas.NewCG(0, 64, 256*64, 12, 80)},
+		{"jacobi", nas.NewJacobi(0, 16, 16*16, 2000)},
+	} {
+		blob, err := EncodeProgram(tc.prog)
+		if err != nil {
+			b.Fatal(err)
+		}
+		perKB := func(b *testing.B) {
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/(float64(len(blob))/1024), "ns/KB")
+		}
+		b.Run(tc.name+"/encode", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := EncodeProgram(tc.prog); err != nil {
+					b.Fatal(err)
+				}
+			}
+			perKB(b)
+		})
+		b.Run(tc.name+"/decode", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := DecodeProgram(blob); err != nil {
+					b.Fatal(err)
+				}
+			}
+			perKB(b)
+		})
 	}
 }

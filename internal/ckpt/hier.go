@@ -10,12 +10,11 @@
 // stripe target.
 //
 // Hierarchy wraps the replicated Group with that staging model.  A spec
-// with only the servers level degenerates to pure delegation, so runs
-// configured through the flat replication fields are byte-identical to
-// the pre-hierarchy code.  Recovery searches top-down: the node-local
-// buffer (free restore), then the server group, then the PFS stripes —
-// falling through dead levels and counting each fall-through as a
-// failover.
+// with only the servers level degenerates to pure delegation, which is
+// byte-identical to the pre-hierarchy code.  Recovery searches top-down:
+// the node-local buffer (free restore), then the server group, then the
+// PFS stripes — falling through dead levels and counting each
+// fall-through as a failover.
 package ckpt
 
 import (
@@ -35,7 +34,7 @@ const (
 	LevelBuffer LevelKind = "buffer"
 	// LevelServers is the replicated checkpoint-server group — the
 	// paper's checkpoint servers.  Exactly one servers level is
-	// mandatory; a spec with only this level reproduces the flat model.
+	// mandatory; a spec with only this level is the paper's model.
 	LevelServers LevelKind = "servers"
 	// LevelPFS is a striped parallel file system over dedicated target
 	// nodes: cheapest per byte, most reliable, slowest.  Must be the
@@ -48,7 +47,9 @@ const (
 type LevelSpec struct {
 	Kind LevelKind
 
-	// Servers-level fields (mirror the flat ftpm config).
+	// Servers-level fields: the server tier's size, replication and
+	// retries, said nowhere else (ftpm.Config.Servers is shorthand for a
+	// spec with only this level).
 	Servers      int
 	Replicas     int
 	WriteQuorum  int

@@ -63,7 +63,8 @@ type StorageStudy struct {
 	Sat []StorageSatRow
 }
 
-// storageVariant is one hierarchy shape under study.
+// storageVariant is one hierarchy shape under study.  Without a spec it
+// is the paper's tier alone: servers single-copy checkpoint servers.
 type storageVariant struct {
 	name    string
 	servers int
@@ -74,7 +75,7 @@ type storageVariant struct {
 func storageVariants() []storageVariant {
 	const servers = 2
 	return []storageVariant{
-		{name: "servers", servers: servers, spec: func() *ckpt.Spec { return nil }},
+		{name: "servers", servers: servers},
 		{name: "buffer+servers", servers: servers, spec: func() *ckpt.Spec {
 			return &ckpt.Spec{Levels: []ckpt.LevelSpec{
 				{Kind: ckpt.LevelBuffer},
@@ -97,20 +98,20 @@ func storageVariants() []storageVariant {
 
 // storageConfig assembles one variant's job.
 func (o Options) storageConfig(v storageVariant, np int) ftpm.Config {
-	var spec *ckpt.Spec
-	if v.spec != nil {
-		spec = v.spec()
-	}
-	return ftpm.Config{
+	cfg := ftpm.Config{
 		NP:           np,
 		ProcsPerNode: 2,
-		Servers:      v.servers,
-		Storage:      spec,
 		Topology:     platformEthernet(np/2 + v.servers + 1 + v.pfs),
 		Profile:      pclSockProfile(),
 		NewProgram:   newCG(o.cgClass()),
 		Seed:         o.Seed,
 	}
+	if v.spec != nil {
+		cfg.Storage = v.spec()
+	} else {
+		cfg.Servers = v.servers
+	}
+	return cfg
 }
 
 // youngDaly computes the analytic optimal intervals for commit cost c

@@ -77,30 +77,18 @@ type Config struct {
 	// protocol infrastructure without periodic waves.
 	Protocol Proto
 	Interval sim.Time
-	// Servers is the number of checkpoint servers; processes are assigned
-	// round-robin (rank mod Servers) unless ServerOf is set.
+	// Servers is shorthand for a Storage spec with only the servers level
+	// and that many single-copy servers; Validate turns it into that spec
+	// and zeroes it, so it conflicts with a Storage set alongside it.
+	// Processes are assigned round-robin (rank mod servers) unless
+	// ServerOf is set.
 	Servers  int
 	ServerOf func(rank int) int
-	// Replicas is how many copies of each image and log set are kept
-	// across checkpoint servers (k-way replication, ServerOf picking the
-	// primary); 0 or 1 keeps the paper's single-copy model.  WriteQuorum
-	// is how many replicas must acknowledge before a store counts as
-	// durable (0 means all Replicas).
-	Replicas    int
-	WriteQuorum int
-	// StoreRetries bounds per-replica re-ship attempts after a replica
-	// dies mid-store; RetryBackoff is the delay before each retry (also
-	// the delay between recovery-fetch attempts while copies may still be
-	// in flight to surviving replicas).
-	StoreRetries int
-	RetryBackoff sim.Time
-	// Storage configures the multi-level checkpoint storage hierarchy
-	// (node-local staging buffer, replicated servers, striped PFS, plus
-	// incremental/compressed images).  When set, the flat Servers/
-	// Replicas/WriteQuorum/StoreRetries/RetryBackoff fields above must be
-	// zero: Validate copies the servers-level values into them, so
-	// exactly one of the two forms describes the server tier.  Nil keeps
-	// the flat single-level model.
+	// Storage describes the checkpoint storage: the server tier (its
+	// servers level carries the server count, replicas, write quorum and
+	// retries), optionally a node-local staging buffer above it and a
+	// striped PFS below it, plus incremental/compressed images.  After
+	// Validate it is nil exactly when the job has no checkpoint servers.
 	Storage *ckpt.Spec
 	// HeartbeatPeriod > 0 replaces the paper's instant failure detection
 	// (the dying task's TCP connection breaks immediately) with a
@@ -282,12 +270,6 @@ func (c *Config) Validate() error {
 	if err := c.validateStorage(); err != nil {
 		return err
 	}
-	if c.Servers < 0 {
-		return cfgErr("Servers", "must be non-negative, got %d", c.Servers)
-	}
-	if c.Protocol != ProtoNone && c.Servers == 0 {
-		return cfgErr("Servers", "checkpointing requires at least one server")
-	}
 	if c.NewProgram == nil {
 		return cfgErr("NewProgram", "is required")
 	}
@@ -302,30 +284,6 @@ func (c *Config) Validate() error {
 	}
 	if c.NodeMTTF < 0 {
 		return cfgErr("NodeMTTF", "must be non-negative, got %v", c.NodeMTTF)
-	}
-	if c.Replicas < 0 {
-		return cfgErr("Replicas", "must be non-negative, got %d", c.Replicas)
-	}
-	if c.Replicas == 0 {
-		c.Replicas = 1
-	}
-	if c.Replicas > c.Servers && c.Protocol != ProtoNone {
-		return cfgErr("Replicas", "%d replicas exceed the number of servers (%d)", c.Replicas, c.Servers)
-	}
-	if c.WriteQuorum < 0 {
-		return cfgErr("WriteQuorum", "must be non-negative, got %d", c.WriteQuorum)
-	}
-	if c.WriteQuorum == 0 {
-		c.WriteQuorum = c.Replicas
-	}
-	if c.WriteQuorum > c.Replicas {
-		return cfgErr("WriteQuorum", "quorum %d exceeds Replicas (%d)", c.WriteQuorum, c.Replicas)
-	}
-	if c.StoreRetries < 0 {
-		return cfgErr("StoreRetries", "must be non-negative, got %d", c.StoreRetries)
-	}
-	if c.RetryBackoff < 0 {
-		return cfgErr("RetryBackoff", "must be non-negative, got %v", c.RetryBackoff)
 	}
 	if c.HeartbeatPeriod < 0 {
 		return cfgErr("HeartbeatPeriod", "must be non-negative, got %v", c.HeartbeatPeriod)
@@ -354,8 +312,8 @@ func (c *Config) Validate() error {
 			return cfgErr("NP", "Vcl dispatcher multiplexes with select(): %d processes exceed the ~%d socket limit (paper §5.4); set VclProcessLimit=-1 to override", c.NP, limit)
 		}
 	}
-	if c.ServerNodes != nil && len(c.ServerNodes) != c.Servers {
-		return cfgErr("ServerNodes", "has %d entries for %d servers", len(c.ServerNodes), c.Servers)
+	if c.ServerNodes != nil && len(c.ServerNodes) != c.servers() {
+		return cfgErr("ServerNodes", "has %d entries for %d servers", len(c.ServerNodes), c.servers())
 	}
 	if c.SpareNodes < 0 {
 		return cfgErr("SpareNodes", "must be non-negative, got %d", c.SpareNodes)
@@ -373,14 +331,14 @@ func (c *Config) Validate() error {
 	}
 	if c.Placement == nil {
 		computeNodes := (c.NP + c.ProcsPerNode - 1) / c.ProcsPerNode
-		need := computeNodes + c.Servers + 1 + c.SpareNodes // +1 service node
+		need := computeNodes + c.servers() + 1 + c.SpareNodes // +1 service node
 		if c.ServerNodes != nil {
 			need = computeNodes + c.SpareNodes
 		}
 		need += c.pfsTargets()
 		if c.Topology.TotalNodes() < need {
 			return cfgErr("Topology", "has %d nodes, need %d (%d compute + %d servers + 1 service + %d spares + %d pfs targets)",
-				c.Topology.TotalNodes(), need, computeNodes, c.Servers, c.SpareNodes, c.pfsTargets())
+				c.Topology.TotalNodes(), need, computeNodes, c.servers(), c.SpareNodes, c.pfsTargets())
 		}
 	}
 	return c.validateFailures()
@@ -409,8 +367,8 @@ func (c *Config) validateFailures() error {
 				return cfgErr(field("Node"), "no node %d on a platform of %d", ev.Node, n)
 			}
 		case failure.KindServer:
-			if ev.Server < 0 || ev.Server >= c.Servers {
-				return cfgErr(field("Server"), "no checkpoint server %d among %d", ev.Server, c.Servers)
+			if n := c.servers(); ev.Server < 0 || ev.Server >= n {
+				return cfgErr(field("Server"), "no checkpoint server %d among %d", ev.Server, n)
 			}
 		case failure.KindBuffer:
 			if c.Storage == nil || c.Storage.Level(ckpt.LevelBuffer) < 0 {
@@ -434,6 +392,15 @@ func (c *Config) validateFailures() error {
 	return nil
 }
 
+// servers returns the checkpoint-server count, 0 without servers.  Valid
+// only after validateStorage.
+func (c *Config) servers() int {
+	if c.Storage == nil {
+		return 0
+	}
+	return c.Storage.ServersLevel().Servers
+}
+
 // pfsTargets returns the PFS target-node count of the storage spec, 0
 // without one.  Valid only after validateStorage normalized the spec.
 func (c *Config) pfsTargets() int {
@@ -446,41 +413,33 @@ func (c *Config) pfsTargets() int {
 	return 0
 }
 
-// validateStorage checks the typed storage hierarchy and, when present,
-// folds its servers-level values into the flat fields the runtime
-// reads, rejecting configs that set both forms.
+// validateStorage turns the Servers shorthand into its one-level spec,
+// then checks the spec and applies its defaults in place.  Both steps are
+// no-ops on a config it already accepted, so validation is idempotent
+// (harnesses validate before handing the config to a job).
 func (c *Config) validateStorage() error {
+	if c.Servers < 0 {
+		return cfgErr("Servers", "must be non-negative, got %d", c.Servers)
+	}
 	if c.Storage == nil {
-		return nil
+		if c.Servers == 0 {
+			if c.Protocol != ProtoNone {
+				return cfgErr("Servers", "checkpointing requires at least one server")
+			}
+			return nil
+		}
+		c.Storage = &ckpt.Spec{Levels: []ckpt.LevelSpec{{Kind: ckpt.LevelServers, Servers: c.Servers}}}
+		c.Servers = 0
+	}
+	if c.Servers != 0 {
+		return cfgErr("Servers", "conflicts with Storage (set the servers level's Servers instead)")
 	}
 	sp := c.Storage
 	if len(sp.Levels) == 0 {
 		return cfgErr("Storage.Levels", "a storage spec needs at least the servers level")
 	}
-	// The flat server fields must be unset — or exactly the values a
-	// previous Validate folded out of this same spec, so validation is
-	// idempotent (harnesses validate before handing the config to Run).
-	srvLevel := sp.ServersLevel()
-	folded := func(flat int, spec func(*ckpt.LevelSpec) int) bool {
-		return flat == 0 || (srvLevel != nil && flat == spec(srvLevel))
-	}
-	if !folded(c.Servers, func(l *ckpt.LevelSpec) int { return l.Servers }) {
-		return cfgErr("Servers", "conflicts with Storage (set the servers level's Servers instead)")
-	}
-	if !folded(c.Replicas, func(l *ckpt.LevelSpec) int { return l.Replicas }) {
-		return cfgErr("Replicas", "conflicts with Storage (set the servers level's Replicas instead)")
-	}
-	if !folded(c.WriteQuorum, func(l *ckpt.LevelSpec) int { return l.WriteQuorum }) {
-		return cfgErr("WriteQuorum", "conflicts with Storage (set the servers level's WriteQuorum instead)")
-	}
-	if !folded(c.StoreRetries, func(l *ckpt.LevelSpec) int { return l.StoreRetries }) {
-		return cfgErr("StoreRetries", "conflicts with Storage (set the servers level's StoreRetries instead)")
-	}
-	if !folded(int(c.RetryBackoff), func(l *ckpt.LevelSpec) int { return int(l.RetryBackoff) }) {
-		return cfgErr("RetryBackoff", "conflicts with Storage (set the servers level's RetryBackoff instead)")
-	}
-	if c.ServerNodes != nil {
-		return cfgErr("ServerNodes", "explicit server placement (grid platforms) keeps the flat server model; Storage is not supported there")
+	if c.ServerNodes != nil && len(sp.Levels) > 1 {
+		return cfgErr("ServerNodes", "explicit server placement (grid platforms) takes a Storage with only the servers level")
 	}
 	srvSeen := -1
 	for i := range sp.Levels {
@@ -523,6 +482,18 @@ func (c *Config) validateStorage() error {
 			if l.RetryBackoff < 0 {
 				return cfgErr(field("RetryBackoff"), "must be non-negative, got %v", l.RetryBackoff)
 			}
+			if l.Replicas == 0 {
+				l.Replicas = 1 // the paper's single-copy model
+			}
+			if l.Replicas > l.Servers && c.Protocol != ProtoNone {
+				return cfgErr(field("Replicas"), "%d replicas exceed the number of servers (%d)", l.Replicas, l.Servers)
+			}
+			if l.WriteQuorum == 0 {
+				l.WriteQuorum = l.Replicas
+			}
+			if l.WriteQuorum > l.Replicas {
+				return cfgErr(field("WriteQuorum"), "quorum %d exceeds Replicas (%d)", l.WriteQuorum, l.Replicas)
+			}
 		case ckpt.LevelPFS:
 			if i != len(sp.Levels)-1 {
 				return cfgErr(field("Kind"), "the PFS is the bottom level and must come last")
@@ -554,21 +525,5 @@ func (c *Config) validateStorage() error {
 		return cfgErr("Storage.CompressRatio", "must be in [0, 1], got %g", sp.CompressRatio)
 	}
 	sp.Normalize()
-	// Fold the servers level into the flat fields: the launch and retry
-	// paths read those, so one source of truth feeds both forms.  The
-	// flat defaults are applied inside the spec first, keeping the two
-	// forms equal so a re-validation stays a no-op.
-	srv := &sp.Levels[srvSeen]
-	if srv.Replicas == 0 {
-		srv.Replicas = 1
-	}
-	if srv.WriteQuorum == 0 {
-		srv.WriteQuorum = srv.Replicas
-	}
-	c.Servers = srv.Servers
-	c.Replicas = srv.Replicas
-	c.WriteQuorum = srv.WriteQuorum
-	c.StoreRetries = srv.StoreRetries
-	c.RetryBackoff = srv.RetryBackoff
 	return nil
 }

@@ -2,11 +2,12 @@ package ftpm
 
 // Validation tests for the typed storage hierarchy: every rejection must
 // surface as a *ConfigError naming the offending (possibly nested) field,
-// and a valid spec must fold its servers level onto the flat runtime
-// fields idempotently.
+// and validating a valid spec, or the Servers shorthand for one, must be
+// idempotent.
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 	"time"
 
@@ -38,10 +39,6 @@ func TestValidateStorageRejections(t *testing.T) {
 	}{
 		{"empty levels", func(c *Config) { c.Storage.Levels = nil }, "Storage.Levels"},
 		{"flat servers", func(c *Config) { c.Servers = 3 }, "Servers"},
-		{"flat replicas", func(c *Config) { c.Replicas = 2 }, "Replicas"},
-		{"flat quorum", func(c *Config) { c.WriteQuorum = 1 }, "WriteQuorum"},
-		{"flat retries", func(c *Config) { c.StoreRetries = 1 }, "StoreRetries"},
-		{"flat backoff", func(c *Config) { c.RetryBackoff = time.Millisecond }, "RetryBackoff"},
 		{"server nodes", func(c *Config) { c.ServerNodes = []int{1, 2} }, "ServerNodes"},
 		{"buffer not first", func(c *Config) {
 			c.Storage.Levels[0], c.Storage.Levels[1] = c.Storage.Levels[1], c.Storage.Levels[0]
@@ -138,18 +135,30 @@ func TestValidateStorageRejections(t *testing.T) {
 	}
 }
 
-// TestValidateStorageFold pins the fold contract: a valid spec pushes its
-// servers level (with replication defaults applied) onto the flat runtime
-// fields, normalizes the model defaults, and a second Validate is a
-// no-op — harnesses validate before handing the config to a job.
+// TestValidateStorageFold pins what Validate writes: a valid spec gets its
+// replication and model defaults in place, the Servers shorthand becomes
+// the one-level spec it stands for, and a second Validate is a no-op —
+// harnesses validate before handing the config to a job.
 func TestValidateStorageFold(t *testing.T) {
+	short := baseCfg(4)
+	short.Protocol = ProtoPcl
+	if err := short.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	want := []ckpt.LevelSpec{{Kind: ckpt.LevelServers, Servers: 2, Replicas: 1, WriteQuorum: 1}}
+	if short.Servers != 0 || short.Storage == nil || !reflect.DeepEqual(short.Storage.Levels, want) {
+		t.Errorf("Servers 2 validated to Servers=%d Storage=%+v, want the levels %+v", short.Servers, short.Storage, want)
+	}
+	if err := short.Validate(); err != nil {
+		t.Fatalf("re-validating the shorthand: %v", err)
+	}
+
 	cfg := storageCfg()
 	if err := cfg.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if cfg.Servers != 2 || cfg.Replicas != 1 || cfg.WriteQuorum != 1 {
-		t.Errorf("fold: Servers=%d Replicas=%d WriteQuorum=%d, want 2/1/1",
-			cfg.Servers, cfg.Replicas, cfg.WriteQuorum)
+	if l := cfg.Storage.Levels[1]; l.Replicas != 1 || l.WriteQuorum != 1 {
+		t.Errorf("replication defaults: Replicas=%d WriteQuorum=%d, want 1/1", l.Replicas, l.WriteQuorum)
 	}
 	sp := cfg.Storage
 	if sp.FullEvery != 4 || sp.DirtyFraction != 0.35 || sp.CompressRatio != 0.6 {
@@ -182,7 +191,8 @@ func TestValidateConfigErrorType(t *testing.T) {
 		{NP: 4, NewProgram: newRing(1, 0, 0), Protocol: "weird", Topology: topoN(10)},
 		{NP: 4, NewProgram: newRing(1, 0, 0), Protocol: ProtoPcl, Topology: topoN(10)},
 		{NP: 40, NewProgram: newRing(1, 0, 0), Topology: topoN(4)},
-		{NP: 4, NewProgram: newRing(1, 0, 0), Replicas: -1, Topology: topoN(10)},
+		{NP: 4, NewProgram: newRing(1, 0, 0), Topology: topoN(10),
+			Storage: &ckpt.Spec{Levels: []ckpt.LevelSpec{{Kind: ckpt.LevelServers, Servers: 1, Replicas: -1}}}},
 		{NP: 4, NewProgram: newRing(1, 0, 0), HeartbeatTimeout: time.Second, Topology: topoN(10)},
 	}
 	for i, cfg := range bad {

@@ -113,15 +113,16 @@ func NewJob(cfg Config) (*Job, error) {
 	job.fab = mpi.NewFabric(job.net)
 	job.fab.SetMetrics(job.met)
 	job.computeNodes = (cfg.NP + cfg.ProcsPerNode - 1) / cfg.ProcsPerNode
+	nServers := cfg.servers()
 	switch {
 	case cfg.ServiceNode > 0:
 		job.serviceNode = cfg.ServiceNode
 	case cfg.Placement != nil:
 		job.serviceNode = cfg.Topology.TotalNodes() - 1
 	default:
-		job.serviceNode = job.computeNodes + cfg.Servers
+		job.serviceNode = job.computeNodes + nServers
 	}
-	for i := 0; i < cfg.Servers; i++ {
+	for i := 0; i < nServers; i++ {
 		node := job.computeNodes + i
 		if cfg.ServerNodes != nil {
 			node = cfg.ServerNodes[i]
@@ -130,21 +131,19 @@ func NewJob(cfg Config) (*Job, error) {
 		s.SetObs(job.hub)
 		job.servers = append(job.servers, s)
 	}
-	if cfg.Servers > 0 {
-		job.group = ckpt.NewGroup(job.net, job.servers, cfg.Replicas, cfg.WriteQuorum, cfg.ServerOf)
-		job.group.MaxRetries = cfg.StoreRetries
-		job.group.Backoff = cfg.RetryBackoff
-		// Every job writes through a storage hierarchy; without a typed
-		// spec it degenerates to the bare server group (byte-identical to
-		// the flat model).  Mlog drops the staging levels: its per-rank
-		// recovery fetches image+log unions from the group the moment a
-		// failure is detected, which an asynchronous drain cannot honor.
-		spec := ckpt.Spec{Levels: []ckpt.LevelSpec{{Kind: ckpt.LevelServers, Servers: cfg.Servers}}}
-		if cfg.Storage != nil {
-			spec = *cfg.Storage
-			if cfg.Protocol == ProtoMlog {
-				spec = *spec.WithoutStaging()
-			}
+	if cfg.Storage != nil {
+		srv := cfg.Storage.ServersLevel()
+		job.group = ckpt.NewGroup(job.net, job.servers, srv.Replicas, srv.WriteQuorum, cfg.ServerOf)
+		job.group.MaxRetries = srv.StoreRetries
+		job.group.Backoff = srv.RetryBackoff
+		// Every job writes through the storage hierarchy; a spec with only
+		// the servers level degenerates to the bare server group.  Mlog
+		// drops the staging levels: its per-rank recovery fetches
+		// image+log unions from the group the moment a failure is
+		// detected, which an asynchronous drain cannot honor.
+		spec := *cfg.Storage
+		if cfg.Protocol == ProtoMlog {
+			spec = *spec.WithoutStaging()
 		}
 		var pfsNodes []int
 		if i := spec.Level(ckpt.LevelPFS); i >= 0 {
@@ -161,11 +160,11 @@ func NewJob(cfg Config) (*Job, error) {
 	job.deadNodes = map[int]bool{}
 	job.nodeKilled = map[int]bool{}
 	job.rankDiedAt = make([]sim.Time, cfg.NP)
-	job.srvDiedAt = make([]sim.Time, cfg.Servers)
+	job.srvDiedAt = make([]sim.Time, nServers)
 	job.deathSpan = make([]uint64, cfg.NP)
 	job.detectSpan = make([]uint64, cfg.NP)
 	job.restartSpan = make([]uint64, cfg.NP)
-	job.srvKillSpan = make([]uint64, cfg.Servers)
+	job.srvKillSpan = make([]uint64, nServers)
 	for r := 0; r < cfg.NP; r++ {
 		if cfg.Placement != nil {
 			job.nodeMap[r] = cfg.Placement(r)
@@ -635,11 +634,11 @@ func (job *Job) launch(wave int) {
 }
 
 // fetchCommitted fetches rank's committed image of wave for a restart and
-// hands it to restore.  A failed fetch is retried up to StoreRetries times,
-// RetryBackoff apart — copies may still be in flight towards surviving
-// replicas — and then stops the job in degraded mode.  live is asked
-// before every step, so a fetch overtaken by a newer restart or by job
-// completion does nothing.
+// hands it to restore.  A failed fetch is retried up to the servers
+// level's StoreRetries times, RetryBackoff apart — copies may still be in
+// flight towards surviving replicas — and then stops the job in degraded
+// mode.  live is asked before every step, so a fetch overtaken by a newer
+// restart or by job completion does nothing.
 func (job *Job) fetchCommitted(rank, wave, attempt int,
 	fetch func(rank int, onDone func(*ckpt.Image, []*mpi.Packet), onFail func(error)),
 	live func() bool, restore func(rank int, img *ckpt.Image, logs []*mpi.Packet)) {
@@ -651,8 +650,8 @@ func (job *Job) fetchCommitted(rank, wave, attempt int,
 		if !live() {
 			return
 		}
-		if attempt < job.cfg.StoreRetries {
-			job.k.After(job.cfg.RetryBackoff, func() {
+		if attempt < job.group.MaxRetries {
+			job.k.After(job.group.Backoff, func() {
 				if live() {
 					job.fetchCommitted(rank, wave, attempt+1, fetch, live, restore)
 				}

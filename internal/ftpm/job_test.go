@@ -9,6 +9,7 @@ import (
 	"testing/quick"
 	"time"
 
+	"ftckpt/internal/ckpt"
 	"ftckpt/internal/failure"
 	"ftckpt/internal/mpi"
 	"ftckpt/internal/sim"
@@ -95,6 +96,13 @@ func baseCfg(np int) Config {
 		Deadline:   time.Hour,
 		Seed:       1,
 	}
+}
+
+// replicated replaces cfg's Servers shorthand with the servers level it
+// stands for, carrying l's replication knobs.
+func replicated(cfg *Config, l ckpt.LevelSpec) {
+	l.Kind, l.Servers = ckpt.LevelServers, cfg.Servers
+	cfg.Servers, cfg.Storage = 0, &ckpt.Spec{Levels: []ckpt.LevelSpec{l}}
 }
 
 // runOK runs a config and fails the test on error.

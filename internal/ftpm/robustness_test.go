@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"ftckpt/internal/ckpt"
 	"ftckpt/internal/failure"
 	"ftckpt/internal/obs"
 )
@@ -24,8 +25,7 @@ func TestServerFailoverRecovery(t *testing.T) {
 			cfg.Protocol = proto
 			cfg.Interval = 15 * time.Millisecond
 			cfg.RestartDelay = 2 * time.Millisecond
-			cfg.Replicas = 2
-			cfg.WriteQuorum = 1
+			replicated(&cfg, ckpt.LevelSpec{Replicas: 2, WriteQuorum: 1})
 			cfg.Failures = failure.Plan{
 				// Server 0 dies while wave transfers are typically in
 				// flight; server 0 is the primary for even ranks.
@@ -67,10 +67,7 @@ func TestServerFailoverDeterministic(t *testing.T) {
 		cfg.Protocol = ProtoPcl
 		cfg.Interval = 15 * time.Millisecond
 		cfg.RestartDelay = 2 * time.Millisecond
-		cfg.Replicas = 2
-		cfg.WriteQuorum = 1
-		cfg.StoreRetries = 1
-		cfg.RetryBackoff = time.Millisecond
+		replicated(&cfg, ckpt.LevelSpec{Replicas: 2, WriteQuorum: 1, StoreRetries: 1, RetryBackoff: time.Millisecond})
 		cfg.Failures = failure.Plan{
 			failure.KillServerAt(35*time.Millisecond, 0)[0],
 			{At: 80 * time.Millisecond, Rank: 2},
@@ -101,7 +98,6 @@ func TestDegradedStopWithoutReplication(t *testing.T) {
 	cfg.Protocol = ProtoPcl
 	cfg.Interval = 15 * time.Millisecond
 	cfg.RestartDelay = 2 * time.Millisecond
-	cfg.Replicas = 1
 	cfg.Failures = failure.Plan{
 		// Server 0 dies between waves, after at least one commit; rank
 		// 2's only image copy dies with it.
@@ -176,8 +172,7 @@ func TestHeartbeatDetectsServerDeath(t *testing.T) {
 	cfg := baseCfg(8)
 	cfg.Protocol = ProtoPcl
 	cfg.Interval = 15 * time.Millisecond
-	cfg.Replicas = 2
-	cfg.WriteQuorum = 1
+	replicated(&cfg, ckpt.LevelSpec{Replicas: 2, WriteQuorum: 1})
 	cfg.HeartbeatPeriod = 2 * time.Millisecond
 	cfg.HeartbeatTimeout = 8 * time.Millisecond
 	cfg.Failures = failure.KillServerAt(35*time.Millisecond, 1)
@@ -212,9 +207,9 @@ func TestRobustnessConfigValidation(t *testing.T) {
 		want string
 	}{
 		{"negative restart delay", func(c *Config) { c.RestartDelay = -time.Second }, "RestartDelay"},
-		{"replicas exceed servers", func(c *Config) { c.Replicas = 3 }, "Replicas"},
-		{"quorum exceeds replicas", func(c *Config) { c.Replicas = 2; c.WriteQuorum = 3 }, "WriteQuorum"},
-		{"negative store retries", func(c *Config) { c.StoreRetries = -1 }, "StoreRetries"},
+		{"replicas exceed servers", func(c *Config) { replicated(c, ckpt.LevelSpec{Replicas: 3}) }, "Storage.Levels[0].Replicas"},
+		{"quorum exceeds replicas", func(c *Config) { replicated(c, ckpt.LevelSpec{Replicas: 2, WriteQuorum: 3}) }, "Storage.Levels[0].WriteQuorum"},
+		{"negative store retries", func(c *Config) { replicated(c, ckpt.LevelSpec{StoreRetries: -1}) }, "Storage.Levels[0].StoreRetries"},
 		{"period not below timeout", func(c *Config) {
 			c.HeartbeatPeriod = 10 * time.Millisecond
 			c.HeartbeatTimeout = 10 * time.Millisecond
@@ -237,13 +232,13 @@ func TestRobustnessConfigValidation(t *testing.T) {
 	}
 	// Defaults: WriteQuorum 0 means all replicas, timeout 0 means 4×period.
 	cfg := good()
-	cfg.Replicas = 2
+	replicated(&cfg, ckpt.LevelSpec{Replicas: 2})
 	cfg.HeartbeatPeriod = 3 * time.Millisecond
 	if err := cfg.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if cfg.WriteQuorum != 2 {
-		t.Fatalf("WriteQuorum defaulted to %d, want 2", cfg.WriteQuorum)
+	if q := cfg.Storage.Levels[0].WriteQuorum; q != 2 {
+		t.Fatalf("WriteQuorum defaulted to %d, want 2", q)
 	}
 	if cfg.HeartbeatTimeout != 12*time.Millisecond {
 		t.Fatalf("HeartbeatTimeout defaulted to %v, want 12ms", cfg.HeartbeatTimeout)

@@ -144,20 +144,6 @@ func KillPFS(at time.Duration, target int) Failure {
 	return Failure{At: at, Kind: failure.KindPFS, Server: target}
 }
 
-// ReplicationSpec groups the checkpoint-image replication knobs.
-type ReplicationSpec struct {
-	// Replicas keeps that many copies of every image and log set across
-	// the checkpoint servers (default 1, the paper's single-copy model).
-	Replicas int
-	// WriteQuorum is how many replicas must acknowledge before a store
-	// counts as durable (default all Replicas).
-	WriteQuorum int
-	// StoreRetries bounds re-ship and recovery-fetch attempts after a
-	// replica dies; RetryBackoff is the delay before each retry.
-	StoreRetries int
-	RetryBackoff time.Duration
-}
-
 // HeartbeatSpec groups the failure-detector knobs.  A non-nil spec with
 // Period > 0 replaces instant failure detection with a heartbeat
 // detector: the dispatcher pings ranks and servers each Period and
@@ -187,10 +173,13 @@ const (
 // LevelSpec describes one tier of a StorageSpec.  Zero fields take the
 // level kind's defaults; fields that do not apply to a kind must stay
 // zero (Servers/Replicas/WriteQuorum/StoreRetries/RetryBackoff are for
-// LevelServers — the knobs ReplicationSpec and Options.Servers configure
-// for the flat model — Capacity/Retention for LevelBuffer,
+// LevelServers, and the only place a run's server count, replication,
+// write quorum and retries are set; Capacity/Retention for LevelBuffer,
 // Targets/Stripes for LevelPFS; Bandwidth and Latency shape LevelBuffer
-// and LevelPFS transfers).
+// and LevelPFS transfers).  Replicas defaults to 1, the paper's
+// single-copy model, and WriteQuorum to all Replicas; StoreRetries bounds
+// the re-ship and recovery-fetch attempts after a replica dies, each
+// RetryBackoff after the last.
 type LevelSpec = ckpt.LevelSpec
 
 // StorageSpec describes a multi-level checkpoint storage hierarchy:
@@ -200,8 +189,8 @@ type LevelSpec = ckpt.LevelSpec
 // fastest level and fall through on a miss or a failed level.
 // Incremental/FullEvery/DirtyFraction select dirty-region images,
 // Compress/CompressRatio scale stored bytes.  Setting Storage conflicts
-// with Options.Servers and Options.Replication — the servers level
-// carries those knobs instead.  A run never writes to the caller's spec.
+// with Options.Servers, which is shorthand for a spec with only the
+// servers level.  A run never writes to the caller's spec.
 type StorageSpec = ckpt.Spec
 
 // Options describes one fault-tolerant MPI run.
@@ -223,19 +212,17 @@ type Options struct {
 	// Mlog).
 	Protocol Protocol
 	Interval time.Duration
-	// Servers is the number of checkpoint servers (default 1 when
-	// checkpointing).  Conflicts with Storage, whose servers level
-	// carries the count instead.
+	// Servers is shorthand for a Storage with only the servers level and
+	// that many single-copy checkpoint servers (default 1 when
+	// checkpointing).  Conflicts with Storage.
 	Servers int
-	// Replication groups the replication knobs; nil keeps the paper's
-	// single-copy model.  Conflicts with Storage.
-	Replication *ReplicationSpec
 	// Heartbeat enables the ping/timeout failure detector; nil keeps
 	// instant failure detection.
 	Heartbeat *HeartbeatSpec
-	// Storage selects the multi-level checkpoint storage hierarchy; nil
-	// keeps the flat single-level server model that Servers and
-	// Replication configure.
+	// Storage describes the checkpoint storage: the server tier, whose
+	// servers level sets the server count and replication, optionally
+	// with a staging buffer above it and a PFS below it.  Nil means the
+	// tier Servers describes.
 	Storage *StorageSpec
 	// Platform is PlatformEthernet (default), PlatformMyrinetGM,
 	// PlatformMyrinetTCP or PlatformGrid.

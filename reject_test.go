@@ -21,8 +21,9 @@ func rejected() []struct {
 	field string
 } {
 	const t = time.Second
-	servers := func(n int) *ftckpt.StorageSpec {
-		return &ftckpt.StorageSpec{Levels: []ftckpt.LevelSpec{{Kind: ftckpt.LevelServers, Servers: n}}}
+	replicated := func(n, replicas, quorum int) *ftckpt.StorageSpec {
+		return &ftckpt.StorageSpec{Levels: []ftckpt.LevelSpec{{Kind: ftckpt.LevelServers, Servers: n,
+			Replicas: replicas, WriteQuorum: quorum}}}
 	}
 	buffered := &ftckpt.StorageSpec{Levels: []ftckpt.LevelSpec{
 		{Kind: ftckpt.LevelBuffer}, {Kind: ftckpt.LevelServers, Servers: 2}}}
@@ -43,11 +44,16 @@ func rejected() []struct {
 		{"recovery", ftckpt.Options{NP: 4, Recovery: "pray"}, "Recovery"},
 		{"spares", ftckpt.Options{NP: 4, Spares: -1}, "SpareNodes"},
 		{"servers vs storage", ftckpt.Options{NP: 4, Protocol: ftckpt.Pcl, Interval: t, Servers: 3,
-			Storage: servers(2)}, "Servers"},
-		{"replication vs storage", ftckpt.Options{NP: 4, Protocol: ftckpt.Pcl, Interval: t,
-			Replication: &ftckpt.ReplicationSpec{Replicas: 2}, Storage: servers(2)}, "Replicas"},
+			Storage: replicated(2, 0, 0)}, "Servers"},
+		// The servers level's own limits, named on the level.
+		{"replicas exceed servers", ftckpt.Options{NP: 4, Protocol: ftckpt.Pcl, Interval: t,
+			Storage: replicated(2, 3, 0)}, "Storage.Levels[0].Replicas"},
+		{"quorum exceeds replicas", ftckpt.Options{NP: 4, Protocol: ftckpt.Pcl, Interval: t,
+			Storage: replicated(2, 2, 3)}, "Storage.Levels[0].WriteQuorum"},
+		// The grid places one server per cluster and takes the servers
+		// level alone.
 		{"storage on grid", ftckpt.Options{NP: 4, Protocol: ftckpt.Pcl, Interval: t,
-			Platform: ftckpt.PlatformGrid, Storage: servers(2)}, "Storage"},
+			Platform: ftckpt.PlatformGrid, Storage: buffered}, "Storage"},
 		{"spares on grid", ftckpt.Options{NP: 4, Platform: ftckpt.PlatformGrid, Spares: 1}, "Spares"},
 		{"grid too small", ftckpt.Options{NP: 1 << 20, Workload: ftckpt.WorkloadCG, Platform: ftckpt.PlatformGrid}, "NP"},
 
