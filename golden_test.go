@@ -100,9 +100,10 @@ func TestGoldenDeterminismReplicated(t *testing.T) {
 // that under -race the points really execute in parallel) and requires
 // every artifact — reports, the deterministically merged metrics
 // registry, each point's Chrome trace and the serialized progress log —
-// to be byte-identical across two executions.  This is the dynamic half
-// of the contract ftlint enforces statically: no map-iteration order, no
+// to be byte-identical across two executions: no map-iteration order, no
 // worker interleaving and no shared-registry write may leak into output.
+// TestGoldenDeterminismRepeat repeats runs further to catch map order;
+// lint_test.go holds the two rules no run can show.
 func TestGoldenDeterminismChaosSweep(t *testing.T) {
 	prev := runtime.GOMAXPROCS(4)
 	defer runtime.GOMAXPROCS(prev)
@@ -163,6 +164,54 @@ func TestGoldenDeterminismChaosSweep(t *testing.T) {
 	}
 	if !bytes.Equal(l1, l2) {
 		t.Errorf("serialized trace log differs across identical sweeps (%d vs %d bytes)", len(l1), len(l2))
+	}
+}
+
+// TestGoldenDeterminismRepeat runs each case eight times in one process
+// and requires one result.  Go draws a new map order on every range, so
+// map order that reaches a run shows up as a second result; two runs, as
+// checkGolden makes, see it only sometimes.
+func TestGoldenDeterminismRepeat(t *testing.T) {
+	const repeats = 8
+	cases := []struct {
+		name  string
+		o     Options
+		chaos *ChaosSpec // nil: a plain Run, compared on all three artifacts
+	}{
+		// The CI Mlog chaos smoke: restarted ranks retransmit their
+		// unacknowledged sends to every destination.
+		{"mlog-chaos", Options{Workload: WorkloadCGReal, NP: 8, Protocol: Mlog,
+			Interval: 5 * time.Millisecond, Storage: replicatedTier(2)},
+			&ChaosSpec{Seed: 7, Kills: 3, ServerFrac: 0.3, NodeFrac: 0.25,
+				From: 8 * time.Millisecond, Until: 40 * time.Millisecond}},
+		// Metrics snapshots: one counter sample per tracked counter at each
+		// instant, in the order the trace keeps them.
+		{"snapshots", Options{Workload: WorkloadCGReal, NP: 4, Protocol: Pcl,
+			Interval: 5 * time.Millisecond, Servers: 1, Seed: 7,
+			MetricsSnapshot: 2 * time.Millisecond}, nil},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			run := func() (Report, []byte, []byte) {
+				if tc.chaos == nil {
+					return goldenArtifacts(t, tc.o)
+				}
+				out, err := Chaos(tc.o, *tc.chaos)
+				if err != nil {
+					t.Fatalf("Chaos: %v", err)
+				}
+				out.Report.Metrics = nil
+				return out.Report, nil, nil
+			}
+			r0, m0, c0 := run()
+			for i := 1; i < repeats; i++ {
+				r, m, c := run()
+				if r != r0 || !bytes.Equal(m, m0) || !bytes.Equal(c, c0) {
+					t.Fatalf("run %d differs from run 0 (metrics equal %v, trace equal %v):\n  run 0 %+v\n  run %d %+v",
+						i, bytes.Equal(m, m0), bytes.Equal(c, c0), r0, i, r)
+				}
+			}
+		})
 	}
 }
 

@@ -34,6 +34,7 @@ import (
 	"bytes"
 	"encoding/gob"
 	"fmt"
+	"slices"
 
 	"ftckpt/internal/core"
 	"ftckpt/internal/mpi"
@@ -297,9 +298,16 @@ func (m *Mlog) PeerRestarted(rank int) {
 	}
 }
 
+// retransmitAll re-sends every unacknowledged message, destinations in
+// ascending order: the wire order is part of the run.
 func (m *Mlog) retransmitAll() {
-	for dst, q := range m.unacked {
-		for _, p := range q.live() {
+	dsts := make([]int, 0, len(m.unacked))
+	for dst := range m.unacked {
+		dsts = append(dsts, dst)
+	}
+	slices.Sort(dsts)
+	for _, dst := range dsts {
+		for _, p := range m.unacked[dst].live() {
 			m.h.Wire(dst, p.Clone())
 		}
 	}

@@ -60,12 +60,11 @@ func applyOp(op ReduceOp, acc, x []float64) {
 // after restart the re-invoked operation resumes at the recorded round
 // instead of re-executing completed sends.
 //
-// Lifetime rule (enforced by ftlint's poolescape analyzer): the engine
-// recycles its CollState through Engine.collFree, so a *CollState is
-// valid only while its collective is in flight; anything that must
-// outlive the operation (a checkpoint image) stores clone() instead.
-//
-//ftlint:pooled
+// Lifetime rule (its declarations are checked by the pooled-holder rule
+// of lint_test.go at the repo root): the engine recycles its CollState
+// through Engine.collFree, so a *CollState is valid only while its
+// collective is in flight; anything that must outlive the operation (a
+// checkpoint image) stores clone() instead.
 type CollState struct {
 	Kind    CollKind
 	Seq     uint64

@@ -57,8 +57,6 @@ type Engine struct {
 	admitLane *sim.Lane
 	// admitPool recycles the records that carry a packet through a
 	// daemon-service delay event without a per-packet closure.
-	//
-	//ftlint:pool
 	admitPool []*admitRec
 
 	unexpected []*Packet
@@ -67,10 +65,8 @@ type Engine struct {
 	waitSrc    int
 	waitTag    int
 
-	collSeq uint64
-	//ftlint:pool
-	coll *CollState
-	//ftlint:pool
+	collSeq  uint64
+	coll     *CollState
 	collFree *CollState // recycled by endColl, reused by beginColl
 	closed   bool
 	steal    float64 // background checkpoint work stealing compute speed
@@ -204,12 +200,11 @@ func (e *Engine) HandleWire(p *Packet) {
 // admitRec carries a packet through the daemon-service delay; it returns
 // to the engine's pool as the event fires.
 //
-// Lifetime rule (enforced by ftlint's poolescape analyzer): a *admitRec
-// is valid from getAdmit until admitEvent recycles it — the scheduled
-// event is the sole reference; a pointer retained past the event fire
-// aliases a later packet's record.
-//
-//ftlint:pooled
+// Lifetime rule (its declarations are checked by the pooled-holder rule
+// of lint_test.go at the repo root): a *admitRec is valid from getAdmit
+// until admitEvent recycles it — the scheduled event is the sole
+// reference; a pointer retained past the event fire aliases a later
+// packet's record.
 type admitRec struct {
 	e *Engine
 	p *Packet

@@ -87,13 +87,12 @@ func (p *Proc) Name() string { return p.name }
 // heap entry; cancelled slots stay in the heap (lazily skipped on pop)
 // and are recycled through the free list once popped.
 //
-// Lifetime rule (enforced by ftlint's poolescape analyzer): a *eventSlot
-// obtained from the slab is only valid until the slot is freed — the
-// generation counter advances and the same storage is handed to the next
-// schedule call.  Never store a slot pointer in a field or global; hold
-// the EventID instead, which detects recycling.
-//
-//ftlint:pooled
+// Lifetime rule (its declarations are checked by the pooled-holder rule
+// of lint_test.go at the repo root): a *eventSlot obtained from the slab
+// is only valid until the slot is freed — the generation counter advances
+// and the same storage is handed to the next schedule call.  Never store
+// a slot pointer in a field or global; hold the EventID instead, which
+// detects recycling.
 type eventSlot struct {
 	t    Time
 	seq  uint64

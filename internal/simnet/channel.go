@@ -49,12 +49,11 @@ type message struct {
 // carries the payload to the delivery event without a per-message closure
 // and returns to the network's pool as it is consumed.
 //
-// Lifetime rule (enforced by ftlint's poolescape analyzer): a *smallMsg
-// is valid from getSmall until smallDeliver recycles it — the delivery
-// event is the sole reference; storing the pointer anywhere that
-// survives delivery aliases the next message's record.
-//
-//ftlint:pooled
+// Lifetime rule (its declarations are checked by the pooled-holder rule
+// of lint_test.go at the repo root): a *smallMsg is valid from getSmall
+// until smallDeliver recycles it — the delivery event is the sole
+// reference; storing the pointer anywhere that survives delivery aliases
+// the next message's record.
 type smallMsg struct {
 	c       *Channel
 	payload any

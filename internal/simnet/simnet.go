@@ -153,8 +153,6 @@ type Network struct {
 	epoch    uint64
 
 	// smallPool recycles the fast-path delivery records of channel.go.
-	//
-	//ftlint:pool
 	smallPool []*smallMsg
 
 	// met, when set, mirrors delivery statistics into the observability

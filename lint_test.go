@@ -1,0 +1,199 @@
+package ftckpt
+
+// Two static rules over the module's non-test source, read with go/parser
+// alone; no run shows either hazard until a workload exercises it.
+//   - Ambient entropy: simulation packages read no host clock and no unseeded
+//     randomness (entropyBans).  Import names come from each file's import
+//     specs; a name the parser resolves to a local declaration is not one.
+//   - Pooled holders: a struct field or package var whose declared type holds
+//     a pointer to a pooled type (*T, []*T, [N]*T, map value, type argument)
+//     is listed in pooledHolders, since a pooled record is reused on release.
+// The holder rule checks declarations, not stores.  Its gap is a holder typed
+// any: the kernel's event payload eventSlot.arg carries *smallMsg and
+// *admitRec records that way, guarded only by those types' lifetime
+// comments.  A package var with an inferred type is not seen either, and
+// the entropy rule misses names used through a dot import.  Map order is
+// left to the runs (TestGoldenDeterminismRepeat).
+
+import (
+	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"os"
+	"path"
+	"path/filepath"
+	"slices"
+	"strconv"
+	"strings"
+	"testing"
+)
+
+// simPackages run inside, or feed, the simulation.  cmd/ and the experiment
+// harnesses time the simulator and may read the host clock.
+const simPackages = "sim simnet mpi ftpm ckpt chaos failure obs sweep span nas core pcl vcl mlog"
+
+// randGlobals are the top-level draws of math/rand and math/rand/v2.
+const randGlobals = "Int Intn IntN Int31 Int31n Int32 Int32N Int63 Int63n Int64 Int64N Uint Uint32 Uint32N " +
+	"Uint64 Uint64N UintN Float32 Float64 ExpFloat64 NormFloat64 Perm Shuffle Seed Read N"
+
+// entropyBans maps an import path to the names a simulation package may
+// not use from it ("*" bans every name) and why.
+var entropyBans = map[string]struct{ names, why string }{
+	"time":         {"Now Since Until Sleep After Tick NewTimer NewTicker AfterFunc", "reads host time; use the kernel's virtual clock"},
+	"math/rand":    {randGlobals, "draws from the process-seeded global source; use sim.Kernel.Rand() or a seeded rand.New"},
+	"math/rand/v2": {randGlobals, "draws from the process-seeded global source; use sim.Kernel.Rand() or a seeded rand.New"},
+	"crypto/rand":  {"*", "is hardware entropy and cannot be seeded"},
+	"os":           {"Getpid Getppid", "differs from process to process"},
+}
+
+// pooledTypes are the recycled record types.
+const pooledTypes = "sim.eventSlot simnet.smallMsg mpi.admitRec mpi.CollState"
+
+// pooledHolders are the only declarations that may hold a pooled pointer,
+// each with why it cannot outlive the release.
+var pooledHolders = map[string]string{
+	"simnet.Network.smallPool": "the pool's free list",
+	"mpi.Engine.admitPool":     "the pool's free list",
+	"mpi.Engine.coll":          "the in-flight collective; endColl moves it to collFree",
+	"mpi.Engine.collFree":      "the one-record free list",
+	"mpi.EngineImage.Coll":     "holds a clone(), never the pooled record",
+}
+
+// lintFile returns one file's findings and marks in held the holders it declares.
+func lintFile(fset *token.FileSet, f *ast.File, held map[string]bool) []string {
+	pkg := f.Name.Name
+	var out []string
+	imports := map[string]string{} // local name -> import path
+	for _, spec := range f.Imports {
+		p, _ := strconv.Unquote(spec.Path.Value)
+		name := path.Base(strings.TrimSuffix(p, "/v2")) // math/rand/v2 is rand
+		if spec.Name != nil {
+			name = spec.Name.Name
+		}
+		imports[name] = p
+	}
+	if slices.Contains(strings.Fields(simPackages), pkg) {
+		ast.Inspect(f, func(n ast.Node) bool {
+			if sel, ok := n.(*ast.SelectorExpr); ok {
+				if id, ok := sel.X.(*ast.Ident); ok && id.Obj == nil {
+					p := imports[id.Name]
+					ban, ok := entropyBans[p]
+					if ok && (ban.names == "*" || slices.Contains(strings.Fields(ban.names), sel.Sel.Name)) {
+						out = append(out, fmt.Sprintf("%s: %s.%s %s", fset.Position(sel.Pos()), p, sel.Sel.Name, ban.why))
+					}
+				}
+			}
+			return true
+		})
+	}
+
+	// check flags a declared type holding a pooled pointer outside a func.
+	check := func(key string, typ ast.Expr, pos token.Pos) {
+		ast.Inspect(typ, func(n ast.Node) bool {
+			star, ok := n.(*ast.StarExpr)
+			if !ok {
+				_, isFunc := n.(*ast.FuncType) // a func value holds no record
+				return n != nil && !isFunc     // nil: a var's inferred type
+			}
+			t := pkg + "." + fmt.Sprint(star.X) // an *ast.Ident prints its name
+			if sel, ok := star.X.(*ast.SelectorExpr); ok {
+				t = path.Base(imports[fmt.Sprint(sel.X)]) + "." + sel.Sel.Name
+			}
+			if !slices.Contains(strings.Fields(pooledTypes), t) {
+				return true
+			}
+			if _, ok := pooledHolders[key]; !ok {
+				out = append(out, fmt.Sprintf("%s: %s holds a pooled *%s but is not in pooledHolders", fset.Position(pos), key, t))
+			}
+			held[key] = true
+			return false
+		})
+	}
+	for name, obj := range f.Scope.Objects { // the file's package-level declarations
+		switch d := obj.Decl.(type) {
+		case *ast.ValueSpec:
+			check(pkg+"."+name, d.Type, obj.Pos())
+		case *ast.TypeSpec:
+			if st, ok := d.Type.(*ast.StructType); ok {
+				for _, fld := range st.Fields.List {
+					for _, n := range fld.Names {
+						check(pkg+"."+name+"."+n.Name, fld.Type, n.Pos())
+					}
+				}
+			}
+		}
+	}
+	slices.Sort(out)
+	return out
+}
+
+// TestLintTree holds the module to both rules, and the tables to the tree:
+// every listed package and holder still exists.
+func TestLintTree(t *testing.T) {
+	fset := token.NewFileSet()
+	held, seen := map[string]bool{}, map[string]bool{}
+	err := filepath.Walk(".", func(p string, info os.FileInfo, err error) error {
+		if err != nil || p == "." {
+			return err
+		}
+		if info.IsDir() { // skip nested modules, fixtures and .git
+			if _, mod := os.Stat(filepath.Join(p, "go.mod")); mod == nil || info.Name() == "testdata" || info.Name()[0] == '.' {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(p, ".go") || strings.HasSuffix(p, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, p, nil, 0)
+		if err == nil {
+			seen[f.Name.Name] = true
+			for _, msg := range lintFile(fset, f, held) {
+				t.Error(msg)
+			}
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pkg := range strings.Fields(simPackages) {
+		if !seen[pkg] {
+			t.Errorf("simPackages lists %s, which is not a package in the tree", pkg)
+		}
+	}
+	for key := range pooledHolders {
+		if !held[key] {
+			t.Errorf("pooledHolders lists %s, which declares no pooled pointer", key)
+		}
+	}
+}
+
+// TestLintSnippets feeds the rules one-line files they must flag, or pass.
+func TestLintSnippets(t *testing.T) {
+	for _, tc := range []struct{ src, want string }{
+		{`package sim; import "time"; var t0 = time.Now()`, "time.Now reads host time"},
+		{`package mpi; import mr "math/rand"; var x = mr.Intn(3)`, "math/rand.Intn draws"},
+		{`package obs; import "math/rand/v2"; var x = rand.N(3)`, "math/rand/v2.N draws"},
+		{`package ckpt; import "crypto/rand"; func f(b []byte) { rand.Read(b) }`, "crypto/rand.Read is hardware"},
+		{`package simnet; type Channel struct{ last *smallMsg }`, "simnet.Channel.last holds a pooled *simnet.smallMsg"},
+		{`package ckpt; import m "ftckpt/internal/mpi"; var held map[int][]*m.CollState`, "ckpt.held holds a pooled *mpi.CollState"},
+		{`package sim; type q struct{ s ring[*eventSlot] }`, "sim.q.s holds a pooled *sim.eventSlot"},
+		// Not flagged: outside the simulation, shadowed, values, callbacks
+		// and the documented gap, a var of inferred type.
+		{`package expt; import "time"; var t0 = time.Now()`, ""},
+		{`package sim; import "math/rand"; func f(rand *rand.Rand) int { return rand.Intn(3) }`, ""},
+		{`package sim; type s struct{ v []eventSlot; f func(*eventSlot) }; var inferred = &eventSlot{}`, ""},
+	} {
+		fset := token.NewFileSet()
+		f, err := parser.ParseFile(fset, "snippet.go", tc.src, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := lintFile(fset, f, map[string]bool{})
+		if tc.want == "" && len(got) > 0 || tc.want != "" && (len(got) != 1 || !strings.Contains(got[0], tc.want)) {
+			t.Errorf("%s\n  want one finding containing %q (none if empty), got %q", tc.src, tc.want, got)
+		}
+	}
+}
