@@ -3,6 +3,7 @@ package mpi
 import (
 	"encoding/binary"
 	"math"
+	"slices"
 )
 
 // EncodeF64s serializes a float64 slice little-endian (8 bytes each).
@@ -16,14 +17,21 @@ func EncodeF64s(x []float64) []byte {
 
 // DecodeF64s is the inverse of EncodeF64s.
 func DecodeF64s(b []byte) []float64 {
+	return AppendF64s(make([]float64, 0, len(b)/8), b)
+}
+
+// AppendF64s decodes b (as EncodeF64s lays it out) onto the end of dst and
+// returns the extended slice; with capacity for len(b)/8 more values it
+// allocates nothing, so a receiver can decode straight into its own vector.
+func AppendF64s(dst []float64, b []byte) []float64 {
 	if len(b)%8 != 0 {
-		panic("mpi: DecodeF64s: length not a multiple of 8")
+		panic("mpi: AppendF64s: length not a multiple of 8")
 	}
-	x := make([]float64, len(b)/8)
-	for i := range x {
-		x[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
+	dst = slices.Grow(dst, len(b)/8)
+	for i := 0; i < len(b); i += 8 {
+		dst = append(dst, math.Float64frombits(binary.LittleEndian.Uint64(b[i:])))
 	}
-	return x
+	return dst
 }
 
 // EncodeF64 serializes a single float64.

@@ -265,7 +265,7 @@ func (e *Engine) reduceSteps(cs *CollState, root int, kind CollKind) {
 			dst := (dstRel + root) % p
 			buf := EncodeF64s(cs.AccF)
 			e.chargeSend(buf, 0)
-			e.sendPayload(dst, tag, buf, 0)
+			e.sendOwned(dst, tag, buf, 0)
 			cs.Mask = p // done: contribution handed off
 			break
 		}
@@ -316,7 +316,7 @@ func (e *Engine) AllreduceF64(op ReduceOp, x []float64) []float64 {
 		if e.rank+cs.Mask < p {
 			buf := EncodeF64s(cs.AccF)
 			e.chargeSend(buf, 0)
-			e.sendPayload(e.rank+cs.Mask, tag, buf, 0)
+			e.sendOwned(e.rank+cs.Mask, tag, buf, 0)
 		}
 		cs.Mask >>= 1
 	}
@@ -326,7 +326,10 @@ func (e *Engine) AllreduceF64(op ReduceOp, x []float64) []float64 {
 }
 
 // AllgatherB gathers one block from every process on every process (ring
-// algorithm, p-1 rounds).  The result is indexed by rank.
+// algorithm, p-1 rounds).  The result is indexed by rank.  The engine
+// copies block once and then forwards what it holds without copying
+// again, so the returned blocks are shared with the packets that carried
+// them (and with other ranks' results): they are read-only.
 func (e *Engine) AllgatherB(block []byte) [][]byte {
 	e.enterOp()
 	defer e.exitOp()
@@ -343,7 +346,7 @@ func (e *Engine) AllgatherB(block []byte) [][]byte {
 		sendIdx := ((e.rank-cs.Round)%p + p) % p
 		if !cs.Sent {
 			e.chargeSend(cs.Blocks[sendIdx], 0)
-			e.sendPayload(right, tag, cs.Blocks[sendIdx], 0)
+			e.sendOwned(right, tag, cs.Blocks[sendIdx], 0)
 			cs.Sent = true
 		}
 		pkt := e.recvMatch(left, tag)

@@ -328,12 +328,21 @@ func (e *Engine) chargeSend(data []byte, vsize int64) {
 	}
 }
 
-// sendPayload builds and emits a payload packet through the outgoing gate.
+// sendPayload sends a copy of the caller's data: MPI buffer semantics, the
+// caller may rewrite data as soon as the call returns.
 func (e *Engine) sendPayload(dst, tag int, data []byte, vsize int64) {
 	var buf []byte
 	if len(data) > 0 {
 		buf = append([]byte(nil), data...)
 	}
+	e.sendOwned(dst, tag, buf, vsize)
+}
+
+// sendOwned builds and emits a payload packet through the outgoing gate
+// around buf itself.  Only buffers the engine owns and never writes again
+// go here — a collective's private copy, a block it received, a fresh
+// encoding — since the packet, and every receiver, shares them.
+func (e *Engine) sendOwned(dst, tag int, buf []byte, vsize int64) {
 	p := &Packet{Src: e.rank, Dst: dst, Kind: KindPayload, Tag: tag, Data: buf, VSize: vsize}
 	if e.filter.OutPayload(p) {
 		e.fab.Send(e.rank, dst, p)

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -455,17 +456,16 @@ func TestEngineImageRoundTrip(t *testing.T) {
 }
 
 func TestEncodeDecodeF64s(t *testing.T) {
-	f := func(x []float64) bool {
-		dec := DecodeF64s(EncodeF64s(x))
-		if len(dec) != len(x) {
-			return false
-		}
-		for i := range x {
-			if dec[i] != x[i] && !(math.IsNaN(dec[i]) && math.IsNaN(x[i])) {
-				return false
-			}
-		}
-		return true
+	same := func(a, b []float64) bool {
+		return slices.EqualFunc(a, b, func(u, v float64) bool { return u == v || math.IsNaN(u) && math.IsNaN(v) })
+	}
+	// DecodeF64s returns an exact-capacity slice; AppendF64s extends a
+	// prefix it leaves alone.
+	f := func(head, x []float64) bool {
+		b := EncodeF64s(x)
+		dec := DecodeF64s(b)
+		app := AppendF64s(slices.Clone(head), b)
+		return same(dec, x) && cap(dec) == len(x) && same(app, append(slices.Clone(head), x...))
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

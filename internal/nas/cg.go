@@ -2,6 +2,7 @@ package nas
 
 import (
 	"math"
+	"slices"
 
 	"ftckpt/internal/mpi"
 	"ftckpt/internal/sim"
@@ -144,9 +145,9 @@ func (c *CG) Step(e *mpi.Engine) bool {
 		c.Phase = cgGatherP
 	case cgGatherP:
 		blocks := e.AllgatherB(mpi.EncodeF64s(c.P))
-		c.PFull = c.PFull[:0]
+		c.PFull = slices.Grow(c.PFull[:0], c.N)
 		for _, b := range blocks {
-			c.PFull = append(c.PFull, mpi.DecodeF64s(b)...)
+			c.PFull = mpi.AppendF64s(c.PFull, b)
 		}
 		c.Phase = cgMatvec
 	case cgMatvec:
@@ -206,7 +207,7 @@ func (c *CG) Step(e *mpi.Engine) bool {
 // ftEncode captures the solver state at the exchange point (after the
 // r·r allreduce, about to gather the next search direction).
 func (c *CG) ftEncode() []byte {
-	var w ftEncoder
+	w := newFTEncoder(2, c.X, c.R, c.P)
 	w.putInt(int64(c.It))
 	w.putF64(c.RR)
 	w.putVec(c.X)

@@ -173,6 +173,16 @@ func (f *ftState) ftExchange(e *mpi.Engine, rank, size, it int, blob []byte) {
 
 type ftEncoder struct{ buf []byte }
 
+// newFTEncoder sizes the buffer for scalars header words plus vecs, so a
+// blob is allocated once at its exact length.
+func newFTEncoder(scalars int, vecs ...[]float64) ftEncoder {
+	n := 8 * scalars
+	for _, v := range vecs {
+		n += 8 + 8*len(v)
+	}
+	return ftEncoder{buf: make([]byte, 0, n)}
+}
+
 func (w *ftEncoder) putInt(v int64) {
 	w.buf = binary.LittleEndian.AppendUint64(w.buf, uint64(v))
 }

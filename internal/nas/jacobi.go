@@ -76,13 +76,13 @@ func (j *Jacobi) Step(e *mpi.Engine) bool {
 	case jacExchUp:
 		if j.Rank > 0 {
 			p := e.Sendrecv(j.Rank-1, jacTagUp, mpi.EncodeF64s(j.Cur[n:2*n]), 0, j.Rank-1, jacTagDown)
-			copy(j.Cur[0:n], mpi.DecodeF64s(p.Data))
+			j.recvHalo(j.Cur[0:n], p, jacTagDown)
 		}
 		j.Phase = jacExchDown
 	case jacExchDown:
 		if j.Rank < j.Size-1 {
 			p := e.Sendrecv(j.Rank+1, jacTagDown, mpi.EncodeF64s(j.Cur[rows*n:(rows+1)*n]), 0, j.Rank+1, jacTagUp)
-			copy(j.Cur[(rows+1)*n:], mpi.DecodeF64s(p.Data))
+			j.recvHalo(j.Cur[(rows+1)*n:], p, jacTagUp)
 		}
 		j.Phase = jacCompute
 	case jacCompute:
@@ -143,10 +143,21 @@ func (j *Jacobi) Step(e *mpi.Engine) bool {
 	return false
 }
 
+// recvHalo decodes a received halo row straight into its ghost row.  A
+// row of the wrong length would overwrite the next row (or fall short of
+// the ghost), so it panics instead.
+func (j *Jacobi) recvHalo(ghost []float64, p *mpi.Packet, tag int) {
+	if len(p.Data) != 8*len(ghost) {
+		panic(fmt.Sprintf("nas: Jacobi rank %d: halo tag %d carries %d bytes, want %d",
+			j.Rank, tag, len(p.Data), 8*len(ghost)))
+	}
+	mpi.AppendF64s(ghost[:0], p.Data)
+}
+
 // ftEncode captures the solver state at the exchange point (after the
 // residual allreduce, about to start the next iteration).
 func (j *Jacobi) ftEncode() []byte {
-	var w ftEncoder
+	w := newFTEncoder(2, j.Cur, j.New)
 	w.putInt(int64(j.It))
 	w.putF64(j.Residual)
 	w.putVec(j.Cur)

@@ -59,7 +59,12 @@ func TestHeapHighWaterBounded(t *testing.T) {
 // hierarchy's staging/drain/delta chain or the revoke/park/splice repair
 // fails here.  mlog-256 is the per-record path (one replicated store per
 // received message) at the size the benchmark's proto-matrix-256 runs it.
-// A change that means to allocate more re-records the constant and says so.
+// The two real-kernel cases also gate bytes (TotalAlloc) at recorded + 5 %:
+// their payloads are real, so a copy returned to the data plane (an
+// unsized snapshot blob, a re-copied forwarded block) costs bytes in
+// proportion to the payload while it adds only one malloc per message.
+// A change that means to allocate more re-records the constants and says
+// so.
 func TestAllocCeilings(t *testing.T) {
 	if testing.Short() || raceEnabled {
 		t.Skip("allocation counts are recorded for a plain, full run")
@@ -70,13 +75,14 @@ func TestAllocCeilings(t *testing.T) {
 		name     string
 		opts     Options
 		recorded uint64
+		bytes    uint64 // recorded TotalAlloc; 0 = not gated
 	}{
-		{"pcl-64", kernelRunOpts(Pcl, 64), 417_332},
-		{"vcl-64", kernelRunOpts(Vcl, 64), 422_451},
-		{"mlog-64", kernelRunOpts(Mlog, 64), 1_112_622},
-		{"mlog-256", kernelRunOpts(Mlog, 256), 4_507_840},
-		{"storage-incremental-8", storageGolden(), 61_560},
-		{"ulfm-node-repair-8", ulfm, 176_247},
+		{"pcl-64", kernelRunOpts(Pcl, 64), 417_332, 0},
+		{"vcl-64", kernelRunOpts(Vcl, 64), 422_451, 0},
+		{"mlog-64", kernelRunOpts(Mlog, 64), 1_112_622, 0},
+		{"mlog-256", kernelRunOpts(Mlog, 256), 4_507_840, 0},
+		{"storage-incremental-8", storageGolden(), 56_491, 7_534_384},
+		{"ulfm-node-repair-8", ulfm, 115_204, 218_252_600},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			var before, after runtime.MemStats
@@ -86,9 +92,13 @@ func TestAllocCeilings(t *testing.T) {
 			}
 			runtime.ReadMemStats(&after)
 			got, ceiling := after.Mallocs-before.Mallocs, c.recorded+c.recorded*3/100
-			t.Logf("%d mallocs", got) // what a re-record reads, with -v
+			gotB, ceilingB := after.TotalAlloc-before.TotalAlloc, c.bytes+c.bytes*5/100
+			t.Logf("%d mallocs, %d bytes", got, gotB) // what a re-record reads, with -v
 			if got > ceiling {
 				t.Errorf("%d mallocs in one run, ceiling %d (recorded %d + 3%%)", got, ceiling, c.recorded)
+			}
+			if c.bytes > 0 && gotB > ceilingB {
+				t.Errorf("%d bytes allocated in one run, ceiling %d (recorded %d + 5%%)", gotB, ceilingB, c.bytes)
 			}
 		})
 	}
