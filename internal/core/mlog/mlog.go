@@ -54,8 +54,8 @@ type Mlog struct {
 	sendSeq map[int]uint64 // next PSeq per destination
 	delUpTo map[int]uint64 // highest PSeq delivered (logged) per source
 	nextSeq map[int]uint64 // highest PSeq accepted into the log pipeline
-	unacked map[int]*fifo[*mpi.Packet]
-	pending fifo[*pendingMsg] // accepted in order, waiting for the log store
+	unacked map[int]*sim.Queue[*mpi.Packet]
+	pending sim.Queue[*pendingMsg] // accepted in order, waiting for the log store
 	// ooo holds packets that overtook a gap (organic traffic racing a
 	// retransmission after a peer restart); the retransmission fills the
 	// gap and releases them in sequence.
@@ -81,51 +81,6 @@ func (pm *pendingMsg) LogsStored() {
 	pm.m.drain()
 }
 
-// fifo is a queue that reuses its storage.  Popping by re-slicing past the
-// front gives up the slot for good — the capacity shrinks, so a queue
-// hovering at a small depth reallocates on every append, and the dropped
-// element stays reachable from the old array.  Here a pop clears the slot
-// and advances head; the array is rewound when the queue empties and, once
-// full, slid down (at least half is dead) or doubled (it is not) —
-// amortised O(1).
-type fifo[T any] struct {
-	buf  []T
-	head int
-}
-
-func (q *fifo[T]) len() int { return len(q.buf) - q.head }
-
-// front returns the oldest element of a non-empty queue.
-func (q *fifo[T]) front() T { return q.buf[q.head] }
-
-// live returns the queued elements, oldest first; valid until the next push.
-func (q *fifo[T]) live() []T { return q.buf[q.head:] }
-
-func (q *fifo[T]) push(v T) {
-	if q.head > 0 && len(q.buf) == cap(q.buf) {
-		live := q.live()
-		if q.head < len(q.buf)/2 {
-			q.buf = append(make([]T, 0, 2*cap(q.buf)), live...)
-		} else {
-			n := copy(q.buf, live)
-			clear(q.buf[n:])
-			q.buf = q.buf[:n]
-		}
-		q.head = 0
-	}
-	q.buf = append(q.buf, v)
-}
-
-func (q *fifo[T]) pop() T {
-	v := q.buf[q.head]
-	var zero T
-	q.buf[q.head] = zero
-	if q.head++; q.head == len(q.buf) {
-		q.buf, q.head = q.buf[:0], 0
-	}
-	return v
-}
-
 // New builds an Mlog instance checkpointing every interval.
 func New(h core.Host, interval sim.Time) *Mlog {
 	return &Mlog{
@@ -134,7 +89,7 @@ func New(h core.Host, interval sim.Time) *Mlog {
 		sendSeq:  map[int]uint64{},
 		delUpTo:  map[int]uint64{},
 		nextSeq:  map[int]uint64{},
-		unacked:  map[int]*fifo[*mpi.Packet]{},
+		unacked:  map[int]*sim.Queue[*mpi.Packet]{},
 		ooo:      map[int]map[uint64]*mpi.Packet{},
 	}
 }
@@ -193,10 +148,10 @@ func (m *Mlog) OutPayload(p *mpi.Packet) bool {
 	p.PSeq = m.sendSeq[p.Dst]
 	q := m.unacked[p.Dst]
 	if q == nil {
-		q = &fifo[*mpi.Packet]{}
+		q = &sim.Queue[*mpi.Packet]{}
 		m.unacked[p.Dst] = q
 	}
-	q.push(p.Clone())
+	q.Push(p.Clone())
 	return true
 }
 
@@ -256,15 +211,15 @@ func (m *Mlog) onPayload(p *mpi.Packet) {
 func (m *Mlog) accept(p *mpi.Packet) {
 	m.nextSeq[p.Src] = p.PSeq
 	pm := &pendingMsg{m: m, pkt: [1]*mpi.Packet{p}}
-	m.pending.push(pm)
+	m.pending.Push(pm)
 	m.h.ShipLogs(m.wave, pm.pkt[:], pm)
 }
 
 // drain delivers the stored prefix of the pending queue, preserving the
 // original arrival order.
 func (m *Mlog) drain() {
-	for m.pending.len() > 0 && m.pending.front().stored {
-		m.deliver(m.pending.pop().pkt[0])
+	for m.pending.Len() > 0 && m.pending.Front().stored {
+		m.deliver(m.pending.Pop().pkt[0])
 	}
 }
 
@@ -283,8 +238,8 @@ func (m *Mlog) ack(dst int, seq uint64) {
 // pair, so acks arrive in sequence order).
 func (m *Mlog) onAck(from int, seq uint64) {
 	q := m.unacked[from]
-	for q != nil && q.len() > 0 && q.front().PSeq <= seq {
-		q.pop()
+	for q != nil && q.Len() > 0 && q.Front().PSeq <= seq {
+		q.Pop()
 	}
 }
 
@@ -292,9 +247,14 @@ func (m *Mlog) onAck(from int, seq uint64) {
 // peer — in-flight messages died with its channels.
 func (m *Mlog) PeerRestarted(rank int) {
 	if q := m.unacked[rank]; q != nil {
-		for _, p := range q.live() {
-			m.h.Wire(rank, p.Clone())
-		}
+		m.retransmit(rank, q)
+	}
+}
+
+// retransmit re-sends a copy of every message in q to dst, oldest first.
+func (m *Mlog) retransmit(dst int, q *sim.Queue[*mpi.Packet]) {
+	for i, n := 0, q.Len(); i < n; i++ {
+		m.h.Wire(dst, q.At(i).Clone())
 	}
 }
 
@@ -307,9 +267,7 @@ func (m *Mlog) retransmitAll() {
 	}
 	slices.Sort(dsts)
 	for _, dst := range dsts {
-		for _, p := range m.unacked[dst].live() {
-			m.h.Wire(dst, p.Clone())
-		}
+		m.retransmit(dst, m.unacked[dst])
 	}
 }
 
@@ -334,10 +292,14 @@ func (m *Mlog) DeviceState() []byte {
 		Unacked: make(map[int][]*mpi.Packet, len(m.unacked)),
 	}
 	for dst, q := range m.unacked {
-		ds.Unacked[dst] = q.live()
+		pkts := make([]*mpi.Packet, q.Len())
+		for i := range pkts {
+			pkts[i] = q.At(i)
+		}
+		ds.Unacked[dst] = pkts
 	}
-	for _, pm := range m.pending.live() {
-		ds.Pending = append(ds.Pending, pm.pkt[0])
+	for i := 0; i < m.pending.Len(); i++ {
+		ds.Pending = append(ds.Pending, m.pending.At(i).pkt[0])
 	}
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(ds); err != nil {
@@ -364,11 +326,15 @@ func (m *Mlog) Restore(dev []byte, logs []*mpi.Packet, lastWave int) {
 	if m.delUpTo = ds.DelUpTo; m.delUpTo == nil {
 		m.delUpTo = map[int]uint64{}
 	}
-	m.unacked = make(map[int]*fifo[*mpi.Packet], len(ds.Unacked))
-	for dst, q := range ds.Unacked {
-		m.unacked[dst] = &fifo[*mpi.Packet]{buf: q}
+	m.unacked = make(map[int]*sim.Queue[*mpi.Packet], len(ds.Unacked))
+	for dst, pkts := range ds.Unacked {
+		q := &sim.Queue[*mpi.Packet]{}
+		for _, p := range pkts {
+			q.Push(p)
+		}
+		m.unacked[dst] = q
 	}
-	m.pending = fifo[*pendingMsg]{}
+	m.pending = sim.Queue[*pendingMsg]{}
 	m.ooo = map[int]map[uint64]*mpi.Packet{}
 	for _, p := range ds.Pending {
 		// Already persisted by the image itself: deliver directly.

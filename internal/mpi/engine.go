@@ -47,17 +47,11 @@ type Engine struct {
 	// inbox holds wire packets not yet run through the filter: with a
 	// synchronous profile (MPICH2-style progress engine) packets arriving
 	// while the application computes wait here until the next MPI call.
-	// It is a sliding-window ring (inboxHead advances, array reset when
-	// drained) so steady traffic reuses one backing array.
-	inbox      []*Packet
-	inboxHead  int
+	inbox      sim.Queue[*Packet]
 	daemonBusy sim.Time
 	// admitLane carries packets through the daemon-service delay:
 	// daemonBusy never decreases, so the delayed admits are a lane.
-	admitLane *sim.Lane
-	// admitPool recycles the records that carry a packet through a
-	// daemon-service delay event without a per-packet closure.
-	admitPool []*admitRec
+	admitLane *sim.Lane[admitRec]
 
 	unexpected []*Packet
 	opDepth    int
@@ -96,9 +90,8 @@ func NewEngine(rank, size int, lp *sim.Proc, prof Profile, fab *Fabric) *Engine 
 		rank: rank, size: size, lp: lp, prof: prof, fab: fab,
 		filter: PassFilter{},
 		cond:   sim.NewCond(lp.Kernel()),
-
-		admitLane: lp.Kernel().NewLane(admitEvent),
 	}
+	e.admitLane = sim.NewLane(lp.Kernel(), e.admitEvent)
 	fab.Bind(rank, e.HandleWire)
 	return e
 }
@@ -189,50 +182,28 @@ func (e *Engine) HandleWire(p *Packet) {
 		}
 		ready += svc
 		e.daemonBusy = ready
-		r := e.getAdmit()
-		r.e, r.p, r.epoch = e, p, e.epoch
-		e.admitLane.At(ready, r)
+		e.admitLane.At(ready, admitRec{p, e.epoch})
 		return
 	}
 	e.admit(p)
 }
 
-// admitRec carries a packet through the daemon-service delay; it returns
-// to the engine's pool as the event fires.
-//
-// Lifetime rule (its declarations are checked by the pooled-holder rule
-// of lint_test.go at the repo root): a *admitRec is valid from getAdmit
-// until admitEvent recycles it — the scheduled event is the sole
-// reference; a pointer retained past the event fire aliases a later
-// packet's record.
+// admitRec carries a packet through the daemon-service delay, by value in
+// the admit lane.
 type admitRec struct {
-	e *Engine
 	p *Packet
 	// epoch is the communicator incarnation the packet arrived in; if the
 	// engine was repaired while the packet sat in the daemon-service
 	// delay, admitEvent drops it (a revoked incarnation's message must
-	// never reach the repaired one) — after recycling the record.
+	// never reach the repaired one).
 	epoch int
 }
 
-func (e *Engine) getAdmit() *admitRec {
-	if last := len(e.admitPool) - 1; last >= 0 {
-		r := e.admitPool[last]
-		e.admitPool = e.admitPool[:last]
-		return r
+func (e *Engine) admitEvent(r admitRec) {
+	if e.ft && r.epoch != e.epoch {
+		return // sent to a since-revoked incarnation: drop
 	}
-	return &admitRec{}
-}
-
-func admitEvent(x any) {
-	r := x.(*admitRec)
-	e, p, epoch := r.e, r.p, r.epoch
-	r.e, r.p = nil, nil
-	e.admitPool = append(e.admitPool, r)
-	if e.ft && epoch != e.epoch {
-		return // sent to a since-revoked incarnation: drop, record recycled
-	}
-	e.admit(p)
+	e.admit(r.p)
 }
 
 // Close marks the engine dead (its process was killed): packets still in
@@ -248,7 +219,7 @@ func (e *Engine) admit(p *Packet) {
 		e.process(p)
 		return
 	}
-	e.inbox = append(e.inbox, p)
+	e.inbox.Push(p)
 }
 
 func (e *Engine) process(p *Packet) {
@@ -285,14 +256,9 @@ func (e *Engine) enterOp() {
 func (e *Engine) exitOp() { e.opDepth-- }
 
 func (e *Engine) drainInbox() {
-	for e.inboxHead < len(e.inbox) {
-		p := e.inbox[e.inboxHead]
-		e.inbox[e.inboxHead] = nil
-		e.inboxHead++
-		e.process(p)
+	for e.inbox.Len() > 0 {
+		e.process(e.inbox.Pop())
 	}
-	e.inbox = e.inbox[:0]
-	e.inboxHead = 0
 }
 
 // advanceInOp parks inside an MPI call; packets arriving meanwhile are

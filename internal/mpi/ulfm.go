@@ -186,11 +186,7 @@ func (e *Engine) FTReset() {
 		e.unexpected[i] = nil
 	}
 	e.unexpected = e.unexpected[:0]
-	for i := range e.inbox {
-		e.inbox[i] = nil
-	}
-	e.inbox = e.inbox[:0]
-	e.inboxHead = 0
+	e.inbox.Reset()
 	for i := range e.failed {
 		e.failed[i] = false
 	}

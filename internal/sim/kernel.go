@@ -98,8 +98,9 @@ type eventSlot struct {
 	seq  uint64
 	gen  uint32
 	live bool
-	// lane marks the head-of-line slot of a Lane: arg holds the *Lane and
-	// the slot is re-keyed, not freed, while the lane has more entries.
+	// lane marks the head-of-line slot of a Lane: arg holds the lane (a
+	// laneHead) and the slot is re-keyed, not freed, while the lane has
+	// more entries.
 	lane bool
 	// Exactly one of the payload forms is set: fn (closure callback),
 	// argFn+arg (closure-free callback), proc (wake the LP), or lane+arg.
@@ -127,8 +128,7 @@ type Kernel struct {
 	laned     int // entries queued across all lanes
 	lanedMax  int
 
-	runq     []*Proc
-	runqHead int
+	runq Queue[*Proc]
 
 	procs   []*Proc
 	live    int // LPs not yet dead
@@ -387,7 +387,7 @@ func (k *Kernel) Go(name string, fn func(p *Proc)) *Proc {
 	}
 	k.procs = append(k.procs, p)
 	k.live++
-	k.pushRunq(p)
+	k.runq.Push(p)
 	p.next, p.stop = iter.Pull(func(yield func(struct{}) bool) {
 		p.yield = yield
 		defer func() {
@@ -444,24 +444,6 @@ func (p *Proc) checkKilled() {
 	}
 }
 
-// pushRunq appends to the run queue (a sliding-window ring: popRunq
-// advances runqHead and the array is reset once drained, so steady-state
-// scheduling never reallocates).
-func (k *Kernel) pushRunq(p *Proc) {
-	k.runq = append(k.runq, p)
-}
-
-func (k *Kernel) popRunq() *Proc {
-	p := k.runq[k.runqHead]
-	k.runq[k.runqHead] = nil
-	k.runqHead++
-	if k.runqHead == len(k.runq) {
-		k.runq = k.runq[:0]
-		k.runqHead = 0
-	}
-	return p
-}
-
 // ready moves a parked LP to the run queue.  Dead or already-runnable LPs
 // are skipped, which lets stale timer callbacks fire harmlessly.
 func (k *Kernel) ready(p *Proc) {
@@ -469,7 +451,7 @@ func (k *Kernel) ready(p *Proc) {
 		return
 	}
 	p.state = stateRunnable
-	k.pushRunq(p)
+	k.runq.Push(p)
 }
 
 // park switches back to the kernel until it resumes the LP.  A false
@@ -508,7 +490,7 @@ func (p *Proc) Yield() {
 	// The LP waits in the run queue as parked, so a Kill queues it a
 	// second time; it dies on the first resume and Run skips the dead
 	// second entry.
-	p.k.pushRunq(p)
+	p.k.runq.Push(p)
 	p.park()
 }
 
@@ -550,8 +532,8 @@ func (k *Kernel) Run() error {
 	defer k.cleanup()
 	for !k.stopped {
 		switch {
-		case len(k.runq) > k.runqHead:
-			p := k.popRunq()
+		case k.runq.Len() > 0:
+			p := k.runq.Pop()
 			if p.state == stateDead {
 				continue
 			}
@@ -571,7 +553,7 @@ func (k *Kernel) Run() error {
 			k.now = s.t
 			k.fired++
 			if s.lane {
-				k.fireLane(idx)
+				s.arg.(laneHead).fire(idx)
 				continue
 			}
 			k.heapPop()

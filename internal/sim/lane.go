@@ -5,9 +5,14 @@ package sim
 // A lane is a FIFO of events that share one callback and whose times never
 // decrease — a NIC's transmit horizon, a daemon's service queue.  Only the
 // lane's head occupies a slot in the event heap; the rest wait in the
-// lane's ring.  A burst of n events on one lane therefore costs the heap
+// lane's queue.  A burst of n events on one lane therefore costs the heap
 // one entry, not n, which is what keeps a Pcl marker flood (NP² small
 // messages serialised on NP/ppn NICs) from making the heap NP² deep.
+//
+// Records.  A Lane[T] stores each entry's record by value in its queue
+// slot, so the record needs no allocation and no free list of its own: it
+// lives from At until its callback is called, and a callback that keeps
+// it keeps a copy.
 //
 // Ordering.  Every append draws its seq from the kernel's counter at
 // enqueue time, exactly as schedule would, and a lane's entries are
@@ -21,54 +26,50 @@ package sim
 // output cannot tell the difference.
 
 // laneEntry is one queued lane event.
-type laneEntry struct {
+type laneEntry[T any] struct {
 	t   Time
 	seq uint64
-	arg any
+	v   T
 }
+
+// laneHead is what the kernel sees of a lane: its head slot's arg holds
+// the lane, and fire dispatches the head.
+type laneHead interface{ fire(idx int32) }
 
 // Lane is a monotone event FIFO bound to one callback.  Create one with
-// Kernel.NewLane.  Lane events cannot be cancelled.
-type Lane struct {
-	k  *Kernel
-	fn func(any)
-	// ring holds the pending entries, head first; its length is a power
-	// of two so positions wrap with a mask.
-	ring []laneEntry
-	head int
-	n    int
-	tail Time // time of the newest entry; meaningful while n > 0
+// NewLane.  Lane events cannot be cancelled.
+type Lane[T any] struct {
+	k    *Kernel
+	fn   func(T)
+	q    Queue[laneEntry[T]]
+	tail Time // time of the newest entry; meaningful while q is not empty
 }
 
-// NewLane returns an empty lane whose events run fn(arg).
-func (k *Kernel) NewLane(fn func(any)) *Lane {
-	return &Lane{k: k, fn: fn}
+// NewLane returns an empty lane on k whose events run fn(v).
+func NewLane[T any](k *Kernel, fn func(T)) *Lane[T] {
+	return &Lane[T]{k: k, fn: fn}
 }
 
-// At schedules fn(arg) at virtual time t, like Kernel.AtArg.  An append
+// At schedules fn(v) at virtual time t, like Kernel.AtArg.  An append
 // earlier than the lane's newest pending entry becomes an ordinary event:
 // the lane is an optimisation for the monotone case, never a constraint on
 // the caller.
-func (l *Lane) At(t Time, arg any) {
+func (l *Lane[T]) At(t Time, v T) {
 	k := l.k
 	if t < k.now {
 		t = k.now
 	}
-	if l.n > 0 && t < l.tail {
-		k.schedule(t, nil, l.fn, arg, nil)
+	if l.q.Len() > 0 && t < l.tail {
+		k.schedule(t, func() { l.fn(v) }, nil, nil, nil)
 		return
 	}
 	k.seq++
-	if l.n == len(l.ring) {
-		l.grow()
-	}
-	l.ring[(l.head+l.n)&(len(l.ring)-1)] = laneEntry{t, k.seq, arg}
-	l.n++
+	l.q.Push(laneEntry[T]{t, k.seq, v})
 	l.tail = t
 	if k.laned++; k.laned > k.lanedMax {
 		k.lanedMax = k.laned
 	}
-	if l.n == 1 {
+	if l.q.Len() == 1 {
 		idx := k.allocSlot()
 		s := &k.slab[idx]
 		s.t, s.seq, s.live, s.lane = t, k.seq, true, true
@@ -77,43 +78,22 @@ func (l *Lane) At(t Time, arg any) {
 	}
 }
 
-func (l *Lane) grow() {
-	size := 2 * len(l.ring)
-	if size == 0 {
-		size = 8
-	}
-	ring := make([]laneEntry, size)
-	for i := 0; i < l.n; i++ {
-		ring[i] = l.ring[(l.head+i)&(len(l.ring)-1)]
-	}
-	l.ring, l.head = ring, 0
-}
-
-// pop removes and returns the head entry.
-func (l *Lane) pop() laneEntry {
-	e := l.ring[l.head]
-	l.ring[l.head] = laneEntry{} // drop the payload reference
-	l.head = (l.head + 1) & (len(l.ring) - 1)
-	l.n--
-	l.k.laned--
-	return e
-}
-
-// fireLane dispatches the head of the lane whose slot idx sits at the heap
+// fire dispatches the head of the lane whose slot idx sits at the heap
 // root.  The slot is re-keyed to the lane's next entry, or released when
 // the lane drains, before the callback runs — so a callback that appends
 // to its own lane sees a consistent lane.
-func (k *Kernel) fireLane(idx int32) {
-	s := &k.slab[idx]
-	l := s.arg.(*Lane)
-	e := l.pop()
-	if l.n > 0 {
-		next := &l.ring[l.head]
+func (l *Lane[T]) fire(idx int32) {
+	k := l.k
+	e := l.q.Pop()
+	k.laned--
+	if l.q.Len() > 0 {
+		next := l.q.Front()
+		s := &k.slab[idx]
 		s.t, s.seq = next.t, next.seq
 		k.siftDown(0)
 	} else {
 		k.heapPop()
 		k.freeSlot(idx)
 	}
-	l.fn(e.arg)
+	l.fn(e.v)
 }

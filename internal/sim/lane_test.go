@@ -8,7 +8,7 @@ import "testing"
 func TestLaneHoldsOneHeapSlot(t *testing.T) {
 	k := New(1)
 	var got []int
-	l := k.NewLane(func(x any) { got = append(got, x.(int)) })
+	l := NewLane(k, func(v int) { got = append(got, v) })
 	const n = 1000
 	for i := 0; i < n; i++ {
 		l.At(Time(i/10), i) // ten-way ties: seq decides

@@ -11,6 +11,7 @@ package sim
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 )
@@ -144,15 +145,27 @@ type realMachine struct {
 	k     *Kernel
 	p     *modelProg
 	ids   map[int]EventID
-	lanes [modelLanes]*Lane
+	lanes [modelLanes]*Lane[int]
 	lps   [modelLPs]*Proc
 }
+
+// modelOldSlots is how many slots the real machine starts with, and
+// modelLivesLeft how many lives each has left before its generation
+// wraps: a program reuses them, so it runs through slot retirement.
+const (
+	modelOldSlots  = 8
+	modelLivesLeft = 3
+)
 
 func newRealMachine(p *modelProg) *realMachine {
 	m := &realMachine{k: New(1), p: p, ids: make(map[int]EventID)}
 	p.m = m
+	for i := int32(0); i < modelOldSlots; i++ {
+		m.k.slab = append(m.k.slab, eventSlot{gen: 1<<32 - modelLivesLeft})
+		m.k.free = append(m.k.free, i)
+	}
 	for i := range m.lanes {
-		m.lanes[i] = m.k.NewLane(m.fireArg)
+		m.lanes[i] = NewLane(m.k, m.fire)
 	}
 	for i := range m.lps {
 		lp := i
@@ -167,8 +180,21 @@ func newRealMachine(p *modelProg) *realMachine {
 	return m
 }
 
+func (m *realMachine) fire(id int)   { m.p.fire(id) }
 func (m *realMachine) fireArg(x any) { m.p.fire(x.(int)) }
 func (m *realMachine) now() Time     { return m.k.Now() }
+
+// retired counts the slots whose generation wrapped: the kernel took them
+// out of use.
+func (m *realMachine) retired() int {
+	n := 0
+	for i := range m.k.slab {
+		if s := &m.k.slab[i]; s.gen == 0 && !s.live && !slices.Contains(m.k.free, int32(i)) {
+			n++
+		}
+	}
+	return n
+}
 
 func (m *realMachine) schedule(kind int, t Time, id int) {
 	switch kind {
@@ -305,6 +331,9 @@ func checkAgainstModel(t *testing.T, want *modelProg) int {
 	}
 	if st := m.k.Stats(); st.Scheduled != ref.seq || st.Fired != ref.fired {
 		t.Errorf("Stats scheduled %d fired %d, model %d and %d", st.Scheduled, st.Fired, ref.seq, ref.fired)
+	}
+	if m.retired() == 0 {
+		t.Errorf("no slot's generation wrapped")
 	}
 	return len(want.log)
 }

@@ -26,11 +26,8 @@ type Channel struct {
 	src     int
 	dst     int
 	deliver func(payload any)
-	// queue is a sliding-window ring: startNext advances qhead and the
-	// array is reset once drained, so a steady send/transmit cadence
-	// reuses the same backing array instead of reallocating per message.
-	queue  []message
-	qhead  int
+	// queue holds the messages waiting behind the one in transmission.
+	queue  sim.Queue[message]
 	busy   bool
 	inFly  *Flow
 	closed bool
@@ -45,28 +42,12 @@ type message struct {
 	size    Bytes
 }
 
-// smallMsg is a pooled fast-path delivery record (see startSmall): it
-// carries the payload to the delivery event without a per-message closure
-// and returns to the network's pool as it is consumed.
-//
-// Lifetime rule (its declarations are checked by the pooled-holder rule
-// of lint_test.go at the repo root): a *smallMsg is valid from getSmall
-// until smallDeliver recycles it — the delivery event is the sole
-// reference; storing the pointer anywhere that survives delivery aliases
-// the next message's record.
+// smallMsg is a fast-path delivery (see startSmall): the delivery lanes
+// carry it by value from transmission to smallDeliver.
 type smallMsg struct {
 	c       *Channel
 	payload any
 	size    Bytes
-}
-
-func (n *Network) getSmall() *smallMsg {
-	if last := len(n.smallPool) - 1; last >= 0 {
-		sm := n.smallPool[last]
-		n.smallPool = n.smallPool[:last]
-		return sm
-	}
-	return &smallMsg{}
 }
 
 // NewChannel opens a FIFO message channel from node src to node dst.
@@ -93,7 +74,7 @@ func (c *Channel) Send(payload any, size Bytes) {
 	c.BytesSent += size
 	m := message{payload, size}
 	if c.busy {
-		c.queue = append(c.queue, m)
+		c.queue.Push(m)
 		return
 	}
 	// Idle channel: transmit directly.  A channel that never backs up (one
@@ -104,18 +85,11 @@ func (c *Channel) Send(payload any, size Bytes) {
 // startNext begins transmitting the next queued message, or marks the
 // channel idle when there is none.
 func (c *Channel) startNext() {
-	if c.closed || c.qhead == len(c.queue) {
+	if c.closed || c.queue.Len() == 0 {
 		c.busy = false
 		return
 	}
-	m := c.queue[c.qhead]
-	c.queue[c.qhead] = message{} // drop the payload reference
-	c.qhead++
-	if c.qhead == len(c.queue) {
-		c.queue = c.queue[:0]
-		c.qhead = 0
-	}
-	c.start(m)
+	c.start(c.queue.Pop())
 }
 
 func (c *Channel) start(m message) {
@@ -169,40 +143,34 @@ func (c *Channel) startSmall(m message) {
 	ready += svc
 	node.smallTxBusy = ready
 	node.smallNext.At(ready, c)
-	sm := n.getSmall()
-	sm.c, sm.payload, sm.size = c, m.payload, m.size
 	// ready never decreases per node and the latency is one constant per
 	// class, so each delivery lane's times are monotone too.
 	lane, lat := node.smallIntra, n.topo.Clusters[node.cluster].Latency
 	if n.nodes[c.dst].cluster != node.cluster {
 		lane, lat = node.smallWan, n.topo.WanLatency
 	}
-	lane.At(ready+lat, sm)
+	lane.At(ready+lat, smallMsg{c, m.payload, m.size})
 }
 
 // smallNext fires when a fast-path message clears the transmit horizon:
 // the channel may start its next message.
-func smallNext(x any) {
-	c := x.(*Channel)
+func smallNext(c *Channel) {
 	if !c.closed {
 		c.startNext()
 	}
 }
 
 // smallDeliver fires one path latency later and hands the payload to the
-// receiver, recycling the record.
-func smallDeliver(x any) {
-	sm := x.(*smallMsg)
-	c, payload, size := sm.c, sm.payload, sm.size
-	sm.c, sm.payload = nil, nil
-	n := c.net
-	n.smallPool = append(n.smallPool, sm)
+// receiver.
+func smallDeliver(sm smallMsg) {
+	c := sm.c
 	if c.closed {
 		return
 	}
-	n.BytesMoved += size
+	n := c.net
+	n.BytesMoved += sm.size
 	n.FlowsDone++
-	c.deliver(payload)
+	c.deliver(sm.payload)
 }
 
 // Close tears the channel down, dropping queued and in-flight messages —
@@ -212,8 +180,7 @@ func (c *Channel) Close() {
 		return
 	}
 	c.closed = true
-	c.queue = nil
-	c.qhead = 0
+	c.queue.Reset()
 	c.busy = false
 	if c.inFly != nil {
 		c.inFly.Cancel()

@@ -109,7 +109,8 @@ type node struct {
 	// The fast path's event lanes: smallNext frees the sending channel at
 	// the transmit horizon; smallIntra and smallWan deliver one latency
 	// later, one lane per latency class so each stays monotone.
-	smallNext, smallIntra, smallWan *sim.Lane
+	smallNext            *sim.Lane[*Channel]
+	smallIntra, smallWan *sim.Lane[smallMsg]
 }
 
 // maxPathRes is the most resources a flow can cross: src NIC tx, dst NIC
@@ -152,9 +153,6 @@ type Network struct {
 	affected []*Flow
 	epoch    uint64
 
-	// smallPool recycles the fast-path delivery records of channel.go.
-	smallPool []*smallMsg
-
 	// met, when set, mirrors delivery statistics into the observability
 	// registry ("net.flows", "net.bytes_moved"); nil-safe.
 	met *obs.Metrics
@@ -182,9 +180,9 @@ func New(k *sim.Kernel, topo Topology) *Network {
 				tx:      &resource{name: fmt.Sprintf("n%d.tx", id), bw: c.NICBW},
 				rx:      &resource{name: fmt.Sprintf("n%d.rx", id), bw: c.NICBW},
 
-				smallNext:  k.NewLane(smallNext),
-				smallIntra: k.NewLane(smallDeliver),
-				smallWan:   k.NewLane(smallDeliver),
+				smallNext:  sim.NewLane(k, smallNext),
+				smallIntra: sim.NewLane(k, smallDeliver),
+				smallWan:   sim.NewLane(k, smallDeliver),
 			})
 		}
 	}

@@ -395,6 +395,47 @@ func ExampleNetwork_StartFlow() {
 	// Output: delivered at 1.001s
 }
 
+// TestBackloggedChannelReusesQueue keeps a channel backlogged for good: a
+// new message joins it every time one clears the NIC, so two or three are
+// always waiting and its queue never empties.  Such a channel must still
+// cycle through one small array — a queue that only rewinds once drained
+// grows by a slot per message instead, for as long as the backlog lasts.
+func TestBackloggedChannelReusesQueue(t *testing.T) {
+	k := sim.New(1)
+	n := lan(k)
+	const size = 512
+	delivered := 0
+	ch := n.NewChannel(0, 1, func(any) { delivered++ })
+	svc := sim.Time(float64(size) / n.Bandwidth(0, 1) * 1e9)
+	var allocs float64
+	k.Go("sender", func(p *sim.Proc) {
+		for i := 0; i < 4; i++ {
+			ch.Send(nil, size)
+		}
+		messages := func() {
+			for i := 0; i < 20_000; i++ {
+				p.Advance(svc)
+				ch.Send(nil, size)
+			}
+		}
+		// The warm-up call sends the first 20 000, the counted one
+		// another 20 000.
+		allocs = testing.AllocsPerRun(1, messages)
+	})
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if delivered != 40_004 {
+		t.Fatalf("delivered %d of 40004 messages", delivered)
+	}
+	if allocs != 0 {
+		t.Errorf("%v allocations over 20 000 messages through a backlogged channel", allocs)
+	}
+	if c := ch.queue.Cap(); c > 8 {
+		t.Errorf("the queue grew to %d slots at a backlog of three", c)
+	}
+}
+
 // TestSmallBurstHoldsThreeHeapSlots floods small messages from one node
 // over many channels, to its own cluster, across the WAN and to itself.
 // Whatever the burst's size, the node's three lanes are all the heap sees;

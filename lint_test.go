@@ -8,12 +8,11 @@ package ftckpt
 //   - Pooled holders: a struct field or package var whose declared type holds
 //     a pointer to a pooled type (*T, []*T, [N]*T, map value, type argument)
 //     is listed in pooledHolders, since a pooled record is reused on release.
-// The holder rule checks declarations, not stores.  Its gap is a holder typed
-// any: the kernel's event payload eventSlot.arg carries *smallMsg and
-// *admitRec records that way, guarded only by those types' lifetime
-// comments.  A package var with an inferred type is not seen either, and
-// the entropy rule misses names used through a dot import.  Map order is
-// left to the runs (TestGoldenDeterminismRepeat).
+// The holder rule checks declarations, not stores, so a holder typed any
+// would go unseen; no pooled record travels that way (lanes carry their
+// records by value).  A package var with an inferred type is not seen
+// either, and the entropy rule misses names used through a dot import.
+// Map order is left to the runs (TestGoldenDeterminismRepeat).
 
 import (
 	"fmt"
@@ -48,16 +47,14 @@ var entropyBans = map[string]struct{ names, why string }{
 }
 
 // pooledTypes are the recycled record types.
-const pooledTypes = "sim.eventSlot simnet.smallMsg mpi.admitRec mpi.CollState"
+const pooledTypes = "sim.eventSlot mpi.CollState"
 
 // pooledHolders are the only declarations that may hold a pooled pointer,
 // each with why it cannot outlive the release.
 var pooledHolders = map[string]string{
-	"simnet.Network.smallPool": "the pool's free list",
-	"mpi.Engine.admitPool":     "the pool's free list",
-	"mpi.Engine.coll":          "the in-flight collective; endColl moves it to collFree",
-	"mpi.Engine.collFree":      "the one-record free list",
-	"mpi.EngineImage.Coll":     "holds a clone(), never the pooled record",
+	"mpi.Engine.coll":      "the in-flight collective; endColl moves it to collFree",
+	"mpi.Engine.collFree":  "the one-record free list",
+	"mpi.EngineImage.Coll": "holds a clone(), never the pooled record",
 }
 
 // lintFile returns one file's findings and marks in held the holders it declares.
@@ -177,11 +174,11 @@ func TestLintSnippets(t *testing.T) {
 		{`package mpi; import mr "math/rand"; var x = mr.Intn(3)`, "math/rand.Intn draws"},
 		{`package obs; import "math/rand/v2"; var x = rand.N(3)`, "math/rand/v2.N draws"},
 		{`package ckpt; import "crypto/rand"; func f(b []byte) { rand.Read(b) }`, "crypto/rand.Read is hardware"},
-		{`package simnet; type Channel struct{ last *smallMsg }`, "simnet.Channel.last holds a pooled *simnet.smallMsg"},
+		{`package mpi; type Engine struct{ last *CollState }`, "mpi.Engine.last holds a pooled *mpi.CollState"},
 		{`package ckpt; import m "ftckpt/internal/mpi"; var held map[int][]*m.CollState`, "ckpt.held holds a pooled *mpi.CollState"},
 		{`package sim; type q struct{ s ring[*eventSlot] }`, "sim.q.s holds a pooled *sim.eventSlot"},
 		// Not flagged: outside the simulation, shadowed, values, callbacks
-		// and the documented gap, a var of inferred type.
+		// and a var of inferred type.
 		{`package expt; import "time"; var t0 = time.Now()`, ""},
 		{`package sim; import "math/rand"; func f(rand *rand.Rand) int { return rand.Intn(3) }`, ""},
 		{`package sim; type s struct{ v []eventSlot; f func(*eventSlot) }; var inferred = &eventSlot{}`, ""},
