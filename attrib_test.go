@@ -11,6 +11,8 @@ import (
 	"encoding/json"
 	"testing"
 	"time"
+
+	"ftckpt/internal/obs"
 )
 
 // attribOptions uses a single checkpoint server deliberately: server
@@ -195,20 +197,48 @@ func TestAttributionUnderChaos(t *testing.T) {
 	}
 }
 
+// chromeRecord is the part of a trace_event record the tests below read.
+type chromeRecord struct {
+	Ph   string   `json:"ph"`
+	Cat  string   `json:"cat"`
+	Name string   `json:"name"`
+	Id   uint64   `json:"id"`
+	Dur  *float64 `json:"dur"`
+}
+
+// tracedRun runs o with the Chrome exporter attached and returns the
+// parsed records together with the events it saw.
+func tracedRun(t *testing.T, o Options) ([]chromeRecord, []Event) {
+	t.Helper()
+	col := NewCollector()
+	var buf bytes.Buffer
+	sink := NewChromeStreamSink(&buf)
+	o.Sink = obs.NewHub(col, sink)
+	if _, err := Run(o); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if err := sink.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	var doc struct {
+		TraceEvents []chromeRecord `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+		t.Fatalf("trace is not valid JSON: %v", err)
+	}
+	return doc.TraceEvents, col.Events()
+}
+
 // TestMetricsSnapshotCounters runs with a snapshot period and checks the
 // counter-sample events arrive, carry the fixed metric names, and render
 // as Chrome counter tracks.
 func TestMetricsSnapshotCounters(t *testing.T) {
-	col := NewCollector()
 	o := attribOptions(Pcl)
 	o.MetricsSnapshot = 2 * time.Millisecond
-	o.Sink = col
-	if _, err := Run(o); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
+	recs, events := tracedRun(t, o)
 	var samples int
 	names := map[string]bool{}
-	for _, ev := range col.Events() {
+	for _, ev := range events {
 		if ev.Type == EvCounterSample {
 			samples++
 			names[ev.Detail] = true
@@ -222,86 +252,67 @@ func TestMetricsSnapshotCounters(t *testing.T) {
 			t.Errorf("counter %q never sampled (got %v)", want, names)
 		}
 	}
-	var trace bytes.Buffer
-	if err := col.WriteChromeTrace(&trace); err != nil {
-		t.Fatalf("WriteChromeTrace: %v", err)
+	counters := 0
+	for _, r := range recs {
+		if r.Ph == "C" {
+			counters++
+			if !names[r.Name] {
+				t.Errorf("counter record %q names no sampled counter", r.Name)
+			}
+		}
 	}
-	if !bytes.Contains(trace.Bytes(), []byte(`"ph": "C"`)) {
-		t.Error("Chrome trace carries no counter records")
+	if counters != samples {
+		t.Errorf("%d counter records for %d samples", counters, samples)
 	}
 }
 
 // TestChromeTraceFlowEvents checks span/cause stamps render as Perfetto
-// flow arrows in the batch exporter.
+// flow arrows: every "f" has exactly one "s" with its id, written before
+// it.
 func TestChromeTraceFlowEvents(t *testing.T) {
-	col := NewCollector()
-	o := attribOptions(Pcl)
-	o.Sink = col
-	if _, err := Run(o); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	var trace bytes.Buffer
-	if err := col.WriteChromeTrace(&trace); err != nil {
-		t.Fatalf("WriteChromeTrace: %v", err)
-	}
-	var doc struct {
-		TraceEvents []struct {
-			Ph  string `json:"ph"`
-			Cat string `json:"cat"`
-			Id  uint64 `json:"id"`
-		} `json:"traceEvents"`
-	}
-	if err := json.Unmarshal(trace.Bytes(), &doc); err != nil {
-		t.Fatalf("trace is not valid JSON: %v", err)
-	}
-	var starts, finishes int
-	for _, ev := range doc.TraceEvents {
-		if ev.Cat == "flow" {
-			switch ev.Ph {
-			case "s":
-				starts++
-			case "f":
-				finishes++
+	recs, _ := tracedRun(t, attribOptions(Pcl))
+	started := map[uint64]int{}
+	var finishes int
+	for _, r := range recs {
+		if r.Cat != "flow" {
+			continue
+		}
+		switch r.Ph {
+		case "s":
+			started[r.Id]++
+		case "f":
+			finishes++
+			if started[r.Id] != 1 {
+				t.Fatalf("flow finish %d follows %d starts, want 1", r.Id, started[r.Id])
 			}
 		}
 	}
-	if starts == 0 || finishes == 0 {
-		t.Fatalf("no flow arrows in trace: %d starts, %d finishes", starts, finishes)
+	if len(started) == 0 || finishes == 0 {
+		t.Fatalf("no flow arrows in trace: %d starts, %d finishes", len(started), finishes)
 	}
-	if finishes < starts {
-		t.Errorf("every flow start needs a finish: %d starts, %d finishes", starts, finishes)
+	for id, n := range started {
+		if n != 1 {
+			t.Errorf("flow %d started %d times", id, n)
+		}
 	}
 }
 
-// TestChromeStreamSink streams a run's trace and checks the document is
-// valid JSON with the same instants a Collector-based export carries.
+// TestChromeStreamSink streams a Vcl run's trace and checks the document
+// carries every record shape: complete spans, counters, instants and
+// track metadata.
 func TestChromeStreamSink(t *testing.T) {
-	var buf bytes.Buffer
-	sink := NewChromeStreamSink(&buf)
 	o := attribOptions(Vcl)
 	o.MetricsSnapshot = 2 * time.Millisecond
-	o.Sink = sink
-	if _, err := Run(o); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if err := sink.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
-	}
-	var doc struct {
-		TraceEvents []struct {
-			Ph   string `json:"ph"`
-			Name string `json:"name"`
-		} `json:"traceEvents"`
-	}
-	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
-		t.Fatalf("streamed trace is not valid JSON: %v", err)
-	}
+	recs, _ := tracedRun(t, o)
 	kinds := map[string]int{}
-	for _, ev := range doc.TraceEvents {
-		kinds[ev.Ph]++
+	for _, r := range recs {
+		kinds[r.Ph]++
+		if r.Ph == "X" && (r.Dur == nil || *r.Dur < 0) {
+			t.Errorf("span %q has no duration or a negative one", r.Name)
+		}
 	}
-	if kinds["b"] == 0 || kinds["e"] == 0 {
-		t.Errorf("no async interval records: %v", kinds)
+	if kinds["X"] == 0 {
+		t.Errorf("no complete spans: %v", kinds)
 	}
 	if kinds["C"] == 0 {
 		t.Errorf("no counter records: %v", kinds)

@@ -32,6 +32,7 @@
 package main
 
 import (
+	"bufio"
 	"flag"
 	"fmt"
 	"io"
@@ -85,7 +86,6 @@ func main() {
 		chaosUntil   = flag.Duration("chaos-until", 100*time.Millisecond, "end of the chaos kill window")
 		verbose      = flag.Bool("v", false, "trace runtime events")
 		traceOut     = flag.String("trace-out", "", "write a Chrome trace_event timeline (open in Perfetto) to this file")
-		streamTr     = flag.Bool("stream-trace", false, "stream -trace-out to disk as the run progresses (bounded memory, no causality arrows)")
 		metOut       = flag.String("metrics-out", "", "write the run's metrics to this file (.csv extension selects CSV, else JSON)")
 		explain      = flag.Bool("explain", false, "trace causal spans and print the per-phase overhead attribution (conservation-checked)")
 		explOut      = flag.String("explain-out", "", "write the attribution report as deterministic JSON to this file (implies span tracing)")
@@ -170,44 +170,32 @@ func main() {
 	}
 	o.Attribution = *explain || *explOut != ""
 	o.MetricsSnapshot = *metSnap
-	var col *ftckpt.Collector
-	var closeStream func()
+	// flushTrace completes the trace artifact.  It runs before the exit is
+	// decided: a failure-aborted run (degraded stop, deadline) must still
+	// leave a valid trace document, its open intervals closed and the JSON
+	// tail written.
+	flushTrace := func() {}
 	if *traceOut != "" {
-		if *streamTr {
-			f, err := os.Create(*traceOut)
+		f, err := os.Create(*traceOut)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "ftrun:", err)
+			os.Exit(1)
+		}
+		buf := bufio.NewWriterSize(f, 1<<16)
+		trace := ftckpt.NewChromeStreamSink(buf)
+		o.Sink = trace
+		flushTrace = func() {
+			err := trace.Close()
+			if ferr := buf.Flush(); err == nil {
+				err = ferr
+			}
+			if cerr := f.Close(); err == nil {
+				err = cerr
+			}
 			if err != nil {
 				fmt.Fprintln(os.Stderr, "ftrun:", err)
 				os.Exit(1)
 			}
-			stream := ftckpt.NewChromeStreamSink(f)
-			o.Sink = stream
-			closeStream = func() {
-				err := stream.Close()
-				if cerr := f.Close(); err == nil {
-					err = cerr
-				}
-				if err != nil {
-					fmt.Fprintln(os.Stderr, "ftrun:", err)
-					os.Exit(1)
-				}
-			}
-		} else {
-			col = ftckpt.NewCollector()
-			o.Sink = col
-		}
-	}
-
-	// flushTrace completes the trace artifact.  It runs before the exit is
-	// decided: a failure-aborted run (degraded stop, deadline) must still
-	// leave a valid trace document — the streaming sink closes its open
-	// intervals and writes the JSON tail, and the collector dumps what it
-	// saw.
-	flushTrace := func() {
-		if col != nil {
-			writeFile(*traceOut, col.WriteChromeTrace)
-		}
-		if closeStream != nil {
-			closeStream()
 		}
 	}
 
@@ -420,7 +408,7 @@ func usage() {
 			"node-mttf", "heartbeat", "hb-timeout", "recovery", "spares"}},
 		{"Chaos harness", []string{"chaos", "chaos-seed", "chaos-server-frac", "chaos-node-frac",
 			"chaos-buffer-frac", "chaos-pfs-frac", "chaos-from", "chaos-until"}},
-		{"Output", []string{"v", "trace-out", "stream-trace", "metrics-out", "metrics-snapshot",
+		{"Output", []string{"v", "trace-out", "metrics-out", "metrics-snapshot",
 			"explain", "explain-out"}},
 		{"Profiling", []string{"cpuprofile", "memprofile", "allocs", "stats"}},
 	}

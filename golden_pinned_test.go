@@ -15,7 +15,6 @@ package ftckpt
 // are pinned for amd64 (the CI and benchmark platform).
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -36,8 +35,6 @@ type pinnedHashes struct {
 	Report  string `json:"report"`
 	Metrics string `json:"metrics"`
 	Trace   string `json:"trace"`
-	// Stream is the ChromeStreamSink document of the same run.
-	Stream string `json:"stream,omitempty"`
 	// Attribution is set only for scenarios that run with Options.Attribution.
 	Attribution string `json:"attribution,omitempty"`
 }
@@ -117,22 +114,6 @@ func sha(b []byte) string {
 	return hex.EncodeToString(h[:])
 }
 
-// streamedTrace runs o with a ChromeStreamSink attached through
-// Options.Sink and returns the document as it stands after Close.
-func streamedTrace(t *testing.T, o Options) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	sink := NewChromeStreamSink(&buf)
-	o.Sink = sink
-	if _, err := Run(o); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if err := sink.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
-	}
-	return buf.Bytes()
-}
-
 func TestGoldenPinned(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skipf("hashes are pinned for amd64, not %s", runtime.GOARCH)
@@ -141,7 +122,7 @@ func TestGoldenPinned(t *testing.T) {
 	got := make(map[string]pinnedHashes)
 	for _, sc := range scenarios {
 		rep, met, trace := goldenArtifacts(t, sc.opts)
-		h := pinnedHashes{Metrics: sha(met), Trace: sha(trace), Stream: sha(streamedTrace(t, sc.opts))}
+		h := pinnedHashes{Metrics: sha(met), Trace: sha(trace)}
 		if rep.Attribution != nil {
 			h.Attribution = sha(attribJSON(t, rep.Attribution))
 			rep.Attribution = nil // a pointer: its address must not reach the hash

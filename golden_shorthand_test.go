@@ -15,20 +15,22 @@ import (
 // shorthandRecorded holds the sha256 of the Report (%+v, registry pointer
 // stripped), the metrics JSON and the Chrome trace of each
 // chaosSweepPoints run, recorded with the replication knobs written in the
-// flat form the servers level replaced.
+// flat form the servers level replaced.  The trace hashes were re-recorded
+// when the streaming exporter became the only one; the report and metrics
+// hashes are the originals.
 var shorthandRecorded = [][3]string{
 	{"fd2d490e4431ac9b6f439c38476228275b886c6e8fe55c539c109351c3dad58b",
 		"f05c5fb467f68a1d806065a65754efbb379a79aec9ee25440fd82840519cc412",
-		"17b59cee60a80e6cc6bb206c88af106426ec502de2bced6d43e02fc982a3a6a6"},
+		"228bc17c25bdba9cfc0af9ffb1ed64d242f21c57605092eb4277975cd39c0cb6"},
 	{"f574f941d695fcd4510b1dcebbaa054cadf00741be3b00423236df0aad43208d",
 		"f8eae6ca0c8c0591fec15db651aba9b9bc0710878c97db328ac68e2ab07b3440",
-		"9d95b6dbf41fdd1384951ee87d3c4b7dc64fb2f582fa2d6a5c2006872171dd00"},
+		"2a8bc3796fd56b62f117c7a52508656f2b435eb2310294ac72d0c47c9a213cdf"},
 	{"804a351fdb1756e4f749535eeaf9ea55217a8f1f9dcc1c8689469c8e7241a8fb",
 		"35971598e21a5bd5ff2bfa1ee3de8cc9f0fa6adf5c4cc781f6806997443f7ec1",
-		"dc39244798ebe03f62f435a846c1ef25fd6516bbbff5e0bd66cbc38f0cce6988"},
+		"e97cfae3347d5edd6a88711f9ca6a79ca8621cca0bb6be4e40be9e99e0f4e49d"},
 	{"f6f2710e3feabf22878c1ef7021003d606870956bc5132b1932ed0ea0fd4d2c5",
 		"4c546f5593d036b44d3dacbc88915532ee3a6638b3e7cdc28af892d02cc94343",
-		"d89182ef98ebfbe220f20db03676db420f714000e2867ec3013d5b875d66a4ae"},
+		"6b9b1cedb633412c32c7928094bebccb8a8aaa48cd19e42e7f6d0e80f0922c95"},
 }
 
 // gridReplicatedReport is the Report of pinnedGrid under Pcl with two

@@ -13,6 +13,8 @@ import (
 	"runtime"
 	"testing"
 	"time"
+
+	"ftckpt/internal/obs"
 )
 
 // goldenArtifacts executes one run and returns its comparable Report (the
@@ -20,17 +22,18 @@ import (
 func goldenArtifacts(t *testing.T, o Options) (Report, []byte, []byte) {
 	t.Helper()
 	col := NewCollector()
-	o.Sink = col
+	var met, trace bytes.Buffer
+	chrome := NewChromeStreamSink(&trace)
+	o.Sink = obs.NewHub(col, chrome)
 	rep, err := Run(o)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	var met, trace bytes.Buffer
 	if err := rep.Metrics.WriteJSON(&met); err != nil {
 		t.Fatalf("WriteJSON: %v", err)
 	}
-	if err := col.WriteChromeTrace(&trace); err != nil {
-		t.Fatalf("WriteChromeTrace: %v", err)
+	if err := chrome.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
 	}
 	checkReportAgainstEvents(t, rep, col.Events())
 	rep.Metrics = nil
@@ -112,11 +115,12 @@ func TestGoldenDeterminismChaosSweep(t *testing.T) {
 
 	runOnce := func() ([]Report, []byte, [][]byte, []byte) {
 		pts := make([]Options, len(base))
-		cols := make([]*Collector, len(base))
+		chromes := make([]bytes.Buffer, len(base))
+		sinks := make([]*ChromeStreamSink, len(base))
 		for i := range base {
 			pts[i] = base[i]
-			cols[i] = NewCollector()
-			pts[i].Sink = cols[i]
+			sinks[i] = NewChromeStreamSink(&chromes[i])
+			pts[i].Sink = sinks[i]
 			// Non-nil Verbose opts the point into the sweep's ordered
 			// trace sink; the function itself is replaced by Sweep.
 			pts[i].Verbose = func(string, ...any) {}
@@ -135,18 +139,17 @@ func TestGoldenDeterminismChaosSweep(t *testing.T) {
 		if err := met.WriteJSON(&metJSON); err != nil {
 			t.Fatalf("WriteJSON: %v", err)
 		}
-		chromes := make([][]byte, len(cols))
-		for i, col := range cols {
-			var b bytes.Buffer
-			if err := col.WriteChromeTrace(&b); err != nil {
-				t.Fatalf("WriteChromeTrace: %v", err)
+		traces := make([][]byte, len(sinks))
+		for i, sink := range sinks {
+			if err := sink.Close(); err != nil {
+				t.Fatalf("Close: %v", err)
 			}
-			chromes[i] = b.Bytes()
+			traces[i] = chromes[i].Bytes()
 		}
 		for i := range reps {
 			reps[i].Metrics = nil
 		}
-		return reps, metJSON.Bytes(), chromes, traceLog.Bytes()
+		return reps, metJSON.Bytes(), traces, traceLog.Bytes()
 	}
 
 	r1, m1, c1, l1 := runOnce()

@@ -162,7 +162,7 @@ type Config struct {
 	Attrib bool
 	// SnapshotPeriod > 0 emits a periodic metrics snapshot (counter-sample
 	// events) every period, rendered as counter tracks by the Chrome trace
-	// exporters.
+	// exporter.
 	SnapshotPeriod sim.Time
 }
 

@@ -558,7 +558,7 @@ var snapshotCounters = []string{
 
 // scheduleSnapshot arms the recurring metrics-snapshot timer: every
 // SnapshotPeriod it emits one EvCounterSample per tracked counter, which
-// trace exporters render as Perfetto counter tracks.
+// trace exporter renders as Perfetto counter tracks.
 func (job *Job) scheduleSnapshot() {
 	job.k.After(job.cfg.SnapshotPeriod, func() {
 		if job.doneRes {

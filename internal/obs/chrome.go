@@ -1,10 +1,12 @@
 package obs
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"sort"
+	"strconv"
+
+	"ftckpt/internal/sim"
 )
 
 // Chrome trace_event pids: one "process" per track family, one "thread"
@@ -15,145 +17,266 @@ const (
 	pidServers = 2 // tid = checkpoint server index
 )
 
-// chromeEvent is one trace_event record.  Field order (fixed by the
-// struct) plus sorted Args maps make the marshalled output deterministic.
+// chromeEvent is one trace_event record.  appendRecord writes its fields
+// in a fixed order, so the output is deterministic.
 type chromeEvent struct {
-	Name string         `json:"name"`
-	Cat  string         `json:"cat,omitempty"`
-	Ph   string         `json:"ph"`
-	Ts   float64        `json:"ts"` // microseconds of virtual time
-	Dur  float64        `json:"dur,omitempty"`
-	Pid  int            `json:"pid"`
-	Tid  int            `json:"tid"`
-	Id   any            `json:"id,omitempty"` // flow: the cause's span id; async interval: a string
-	Bp   string         `json:"bp,omitempty"`
-	S    string         `json:"s,omitempty"`
-	Args map[string]any `json:"args,omitempty"`
+	name     string
+	cat, ph  string
+	ts, dur  float64 // microseconds of virtual time; dur is written for "X" only
+	pid, tid int
+	id       uint64 // flow: the cause's span id
+	args     []byte // a JSON object, or nil
 }
 
-func usec(t int64) float64 { return float64(t) / 1e3 }
-
-// WriteChromeTrace exports events as a Chrome trace_event JSON document —
-// loadable in chrome://tracing or Perfetto — with one track per MPI rank,
-// one per checkpoint server, and a runtime track for global events
-// (commits, rollbacks, failures).  Spans are virtual-time intervals:
-// Pcl's per-rank blocked-send windows, per-image store transfers on the
-// server tracks, log shipments, restarts.  Point events (markers, logged
-// messages, delayed packets, snapshots, commits) render as instants.
-// Output is deterministic: identical event streams produce identical
-// bytes.
-func WriteChromeTrace(w io.Writer, events []Event) error {
-	var out []chromeEvent
-	var maxTs float64 // the trace horizon
-
-	// Track naming metadata, emitted for every tid seen.
-	ranks := map[int]bool{}
-	servers := map[int]bool{}
-
-	spans := map[string]chromeEvent{} // key → begin waiting for its end
-	var spanOrder []string            // deterministic sweep of unclosed spans
-	closeSpan := func(key string, ts float64, aborted bool) {
-		s, ok := spans[key]
-		if !ok {
-			return
-		}
-		delete(spans, key)
-		if aborted {
-			s.Name += abortedSuffix
-		}
-		s.Ph, s.Dur = "X", ts-s.Ts
-		out = append(out, s)
+// appendRecord appends ev as one JSON object.  The phase implies the
+// fields Chrome wants beside it: a flow end binds to its enclosing slice
+// ("bp":"e"), an instant is thread-scoped ("s":"t").
+func appendRecord(b []byte, ev chromeEvent) []byte {
+	b = append(b, `{"name":`...)
+	b = appendString(b, ev.name)
+	if ev.cat != "" {
+		b = append(b, `,"cat":`...)
+		b = appendString(b, ev.cat)
 	}
-
-	// Causality: the first event carrying each span id anchors the span's
-	// origin; every event naming that span as its Cause becomes a flow
-	// arrow from the origin in Perfetto ("s" at origin, "f" at consumer).
-	spanOrigin := map[uint64]chromeEvent{}
-	var flows []chromeEvent // the "f" ends, Id = the cause
-	flowAt := func(ev Event) chromeEvent {
-		pid, tid := trackOf(ev.Rank)
-		if ev.Server >= 0 {
-			pid, tid = pidServers, ev.Server
-		}
-		return chromeEvent{Name: "cause", Cat: "flow", Ts: usec(int64(ev.T)), Pid: pid, Tid: tid}
+	b = append(b, `,"ph":"`...)
+	b = append(b, ev.ph...)
+	b = append(b, `","ts":`...)
+	b = strconv.AppendFloat(b, ev.ts, 'f', -1, 64)
+	if ev.ph == "X" {
+		b = append(b, `,"dur":`...)
+		b = strconv.AppendFloat(b, ev.dur, 'f', -1, 64)
 	}
+	b = append(b, `,"pid":`...)
+	b = strconv.AppendInt(b, int64(ev.pid), 10)
+	b = append(b, `,"tid":`...)
+	b = strconv.AppendInt(b, int64(ev.tid), 10)
+	switch ev.ph {
+	case "s", "f":
+		b = append(b, `,"id":`...)
+		b = strconv.AppendUint(b, ev.id, 10)
+		if ev.ph == "f" {
+			b = append(b, `,"bp":"e"`...)
+		}
+	case "i":
+		b = append(b, `,"s":"t"`...)
+	}
+	if ev.args != nil {
+		b = append(b, `,"args":`...)
+		b = append(b, ev.args...)
+	}
+	return append(b, '}')
+}
 
-	for _, ev := range events {
-		if ts := usec(int64(ev.T)); ts > maxTs {
-			maxTs = ts
-		}
-		if ev.Rank >= 0 {
-			ranks[ev.Rank] = true
-		}
-		if ev.Server >= 0 {
-			servers[ev.Server] = true
-		}
-		if ev.Span != 0 {
-			if _, seen := spanOrigin[ev.Span]; !seen {
-				spanOrigin[ev.Span] = flowAt(ev)
-			}
-		}
-		if ev.Cause != 0 {
-			f := flowAt(ev)
-			f.Ph, f.Bp, f.Id = "f", "e", ev.Cause
-			flows = append(flows, f)
-		}
-		switch m := render(ev); m.shape {
-		case instant, counter:
-			out = append(out, m.rec)
-		case begin:
-			if _, dup := spans[m.key]; !dup {
-				spanOrder = append(spanOrder, m.key)
-			}
-			spans[m.key] = m.rec
-		case end:
-			closeSpan(m.key, m.rec.Ts, m.aborted)
+// appendString appends s as a JSON string.
+func appendString(b []byte, s string) []byte {
+	const hex = "0123456789abcdef"
+	b = append(b, '"')
+	for i := 0; i < len(s); i++ {
+		switch c := s[i]; {
+		case c == '"' || c == '\\':
+			b = append(b, '\\', c)
+		case c < 0x20:
+			b = append(b, '\\', 'u', '0', '0', hex[c>>4], hex[c&0xf])
+		default:
+			b = append(b, c)
 		}
 	}
+	return append(b, '"')
+}
 
-	// Flow arrows: one "s" per referenced span origin (first reference
-	// wins), one "f" per consumer, in stream order — deterministic.
-	started := map[uint64]bool{}
-	for _, f := range flows {
-		cause := f.Id.(uint64)
-		org, ok := spanOrigin[cause]
-		if !ok {
-			continue
+func usec(t sim.Time) float64 { return float64(t) / 1e3 }
+
+// ChromeStreamSink is the Chrome trace_event exporter: it writes a JSON
+// document loadable in chrome://tracing or Perfetto as events arrive, with
+// one track per MPI rank, one per checkpoint server, and a runtime track
+// for global events (commits, rollbacks, failures).  Every event renders
+// through renderTable.
+//
+//   - An interval is one complete "X" record, written when its end
+//     arrives.  Open intervals are keyed by the events' span id when the
+//     emitter stamped one, else by the row's span key.  A second begin on
+//     a key still open closes the first as aborted at that instant, so an
+//     attempt a failure abandoned still shows.
+//   - A cause edge is a flow arrow: an "s" at the origin of the cause span
+//     (the first event that carried it), written at its first reference,
+//     and an "f" at each consumer.
+//   - Intervals still open at Close (transfers a failure cut short) end
+//     at the trace horizon, the last timestamp seen, marked aborted.
+//
+// The sink keeps the named tracks, the open intervals and one fixed-size
+// origin per span id, never an Event.  Output is deterministic: identical
+// event streams produce identical bytes.  Close writes the closing
+// bracket; the sink is inert after.
+type ChromeStreamSink struct {
+	w      io.Writer
+	buf    []byte // the record being written
+	err    error
+	first  bool // next record is the first (no leading comma)
+	closed bool // document terminated; late emits are dropped
+
+	namedRank map[int]bool
+	namedSrv  map[int]bool
+	open      map[spanKey]openSpan
+	opened    int               // intervals begun so far: Close's order
+	origins   map[uint64]origin // span id → where its arrows start
+	horizon   sim.Time          // end of intervals still open at Close
+}
+
+// openSpan is an interval's begin record waiting for its end.
+type openSpan struct {
+	rec chromeEvent
+	seq int
+}
+
+// origin is where a span first appeared, and whether its flow start is
+// written yet.
+type origin struct {
+	t       sim.Time
+	tid     int32
+	pid     int8
+	started bool
+}
+
+// NewChromeStreamSink starts a trace document on w.  The caller owns w
+// (buffering, closing the file); call Close to finish the JSON.
+func NewChromeStreamSink(w io.Writer) *ChromeStreamSink {
+	s := &ChromeStreamSink{w: w, first: true,
+		namedRank: map[int]bool{}, namedSrv: map[int]bool{},
+		open: map[spanKey]openSpan{}, origins: map[uint64]origin{}}
+	s.raw(`{"displayTimeUnit":"ms","traceEvents":[`)
+	s.record(metaName("process_name", pidRuntime, 0, "runtime"))
+	s.record(metaName("process_name", pidRanks, 0, "mpi ranks"))
+	s.record(metaName("process_name", pidServers, 0, "ckpt servers"))
+	return s
+}
+
+func (s *ChromeStreamSink) raw(text string) {
+	if s.err != nil {
+		return
+	}
+	_, s.err = io.WriteString(s.w, text)
+}
+
+func (s *ChromeStreamSink) record(ev chromeEvent) {
+	if s.err != nil {
+		return
+	}
+	s.buf = s.buf[:0]
+	if !s.first {
+		s.buf = append(s.buf, ",\n"...)
+	}
+	s.first = false
+	s.buf = appendRecord(s.buf, ev)
+	_, s.err = s.w.Write(s.buf)
+}
+
+// nameTracks lazily emits thread-name metadata the first time a rank or
+// server track appears, since a streaming writer cannot front-load them.
+func (s *ChromeStreamSink) nameTracks(ev Event) {
+	if ev.Rank >= 0 && !s.namedRank[ev.Rank] {
+		s.namedRank[ev.Rank] = true
+		s.record(metaName("thread_name", pidRanks, ev.Rank, fmt.Sprintf("rank %d", ev.Rank)))
+	}
+	if ev.Server >= 0 && !s.namedSrv[ev.Server] {
+		s.namedSrv[ev.Server] = true
+		s.record(metaName("thread_name", pidServers, ev.Server, fmt.Sprintf("server %d", ev.Server)))
+	}
+}
+
+// complete writes the interval begun by b as one "X" record ending at end.
+func (s *ChromeStreamSink) complete(b chromeEvent, end float64, aborted bool) {
+	b.ph, b.dur = "X", end-b.ts
+	if aborted {
+		b.name += abortedSuffix
+	}
+	s.record(b)
+}
+
+// flowTrack is the track an arrow starts or ends on: the server's for an
+// event that names one, else the emitter's.
+func flowTrack(ev Event) (pid, tid int) {
+	if ev.Server >= 0 {
+		return pidServers, ev.Server
+	}
+	return trackOf(ev.Rank)
+}
+
+// flow draws ev's cause edge: the cause's "s" on its first reference, then
+// an "f" at ev.  A cause no event on this stream carried has no origin and
+// draws nothing.
+func (s *ChromeStreamSink) flow(ev Event) {
+	o, ok := s.origins[ev.Cause]
+	if !ok {
+		return
+	}
+	if !o.started {
+		o.started = true
+		s.origins[ev.Cause] = o
+		s.record(chromeEvent{name: "cause", cat: "flow", ph: "s", ts: usec(o.t), pid: int(o.pid), tid: int(o.tid), id: ev.Cause})
+	}
+	pid, tid := flowTrack(ev)
+	s.record(chromeEvent{name: "cause", cat: "flow", ph: "f", ts: usec(ev.T), pid: pid, tid: tid, id: ev.Cause})
+}
+
+// Emit translates one event to trace records.  Implements Sink.  Events
+// arriving after Close — possible when an aborted run's teardown races a
+// caller flushing artifacts — are dropped rather than appended past the
+// document terminator.
+func (s *ChromeStreamSink) Emit(ev Event) {
+	if s.err != nil || s.closed {
+		return
+	}
+	if ev.T > s.horizon {
+		s.horizon = ev.T
+	}
+	s.nameTracks(ev)
+	if ev.Span != 0 {
+		if _, seen := s.origins[ev.Span]; !seen {
+			pid, tid := flowTrack(ev)
+			s.origins[ev.Span] = origin{t: ev.T, tid: int32(tid), pid: int8(pid)}
 		}
-		if !started[cause] {
-			started[cause] = true
-			org.Ph, org.Id = "s", cause
-			out = append(out, org)
+	}
+	switch m := render(ev); m.shape {
+	case instant, counter:
+		s.record(m.rec)
+	case begin:
+		if prev, dup := s.open[m.key]; dup {
+			s.complete(prev.rec, m.rec.ts, true)
 		}
-		out = append(out, f)
+		s.open[m.key] = openSpan{m.rec, s.opened}
+		s.opened++
+	case end:
+		if b, ok := s.open[m.key]; ok {
+			delete(s.open, m.key)
+			s.complete(b.rec, m.rec.ts, m.aborted)
+		}
 	}
+	if ev.Cause != 0 {
+		s.flow(ev)
+	}
+}
 
-	// Close spans left open (transfers aborted by a failure) at the trace
-	// horizon, in the order they were opened.
-	for _, key := range spanOrder {
-		closeSpan(key, maxTs, true)
+// Close ends every still-open interval at the horizon, in the order they
+// were begun, terminates the JSON document, and reports any write error
+// seen during the stream.  It runs on every exit path — normal
+// completion, DegradedError, deadline — so an aborted run still leaves a
+// valid, importable trace.  Closing twice is a no-op.
+func (s *ChromeStreamSink) Close() error {
+	if s.closed {
+		return s.err
 	}
-
-	// Track metadata, sorted for determinism.
-	meta := []chromeEvent{
-		metaName("process_name", pidRuntime, 0, "runtime"),
-		metaName("process_name", pidRanks, 0, "mpi ranks"),
-		metaName("process_name", pidServers, 0, "ckpt servers"),
+	s.closed = true
+	left := make([]openSpan, 0, len(s.open))
+	for _, o := range s.open {
+		left = append(left, o)
 	}
-	for _, r := range sortedKeys(ranks) {
-		meta = append(meta, metaName("thread_name", pidRanks, r, fmt.Sprintf("rank %d", r)))
+	sort.Slice(left, func(i, j int) bool { return left[i].seq < left[j].seq })
+	for _, o := range left {
+		s.complete(o.rec, usec(s.horizon), true)
 	}
-	for _, s := range sortedKeys(servers) {
-		meta = append(meta, metaName("thread_name", pidServers, s, fmt.Sprintf("server %d", s)))
-	}
-
-	doc := struct {
-		TraceEvents     []chromeEvent `json:"traceEvents"`
-		DisplayTimeUnit string        `json:"displayTimeUnit"`
-	}{append(meta, out...), "ms"}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", " ")
-	return enc.Encode(doc)
+	s.open, s.origins = nil, nil
+	s.raw("]}\n")
+	return s.err
 }
 
 // trackOf maps an emitter to a (pid, tid): MPI ranks to the rank tracks,
@@ -166,20 +289,6 @@ func trackOf(rank int) (pid, tid int) {
 }
 
 func metaName(kind string, pid, tid int, name string) chromeEvent {
-	return chromeEvent{Name: kind, Ph: "M", Pid: pid, Tid: tid,
-		Args: map[string]any{"name": name}}
-}
-
-func sortedKeys(m map[int]bool) []int {
-	out := make([]int, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Ints(out)
-	return out
-}
-
-// WriteChromeTrace is also available on the Collector directly.
-func (c *Collector) WriteChromeTrace(w io.Writer) error {
-	return WriteChromeTrace(w, c.events)
+	args := appendString([]byte(`{"name":`), name)
+	return chromeEvent{name: kind, ph: "M", pid: pid, tid: tid, args: append(args, '}')}
 }

@@ -9,8 +9,8 @@
 // image-transfer contention.  Every layer of the stack (protocols, the
 // checkpoint servers, the MPI engine and fabric, the network, the process
 // manager) emits structured events into a Hub; sinks consume them — the
-// Collector for timelines, the MetricsSink for aggregates, the TextSink
-// for the human-readable -v stream.  Everything is deterministic: a fixed
+// ChromeStreamSink for timelines, the MetricsSink for aggregates, the
+// TextSink for the human-readable -v stream, the Collector for tests.  Everything is deterministic: a fixed
 // seed produces byte-identical exports.
 package obs
 
@@ -106,7 +106,7 @@ const (
 	EvRankDone
 	// EvCounterSample: a periodic metrics snapshot — Detail is the metric
 	// name, Bytes its current value.  Rendered as a counter track in the
-	// Chrome trace exporters.
+	// Chrome trace.
 	EvCounterSample
 	// EvProcFailed: a process failure the job survives in place (ULFM
 	// in-job recovery): Rank died but the world is repaired rather than
@@ -225,8 +225,9 @@ type Event struct {
 	Span uint64
 	// Cause is the Span of the event that causally triggered this one
 	// (marker flight → wave entry, snapshot → freeze, kill → detection →
-	// restart), 0 when there is no recorded cause.  The exporters render
-	// cause edges as Perfetto flow arrows; internal/span rebuilds the DAG.
+	// restart), 0 when there is no recorded cause.  The Chrome exporter
+	// renders cause edges as Perfetto flow arrows; internal/span rebuilds
+	// the DAG.
 	Cause uint64
 	// Detail carries free-text context for runtime events.
 	Detail string
@@ -284,8 +285,8 @@ func (h *Hub) NextSpan() uint64 {
 	return h.nextSpan
 }
 
-// Collector is a sink retaining every event in emission order — the
-// input of the timeline exporter and of event-level assertions in tests.
+// Collector is a sink retaining every event in emission order, for
+// event-level assertions and replaying a stream through another sink.
 type Collector struct {
 	events []Event
 }

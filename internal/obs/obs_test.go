@@ -20,11 +20,14 @@ func TestEventTypeNames(t *testing.T) {
 		if name != strings.ToLower(name) || strings.Contains(name, " ") {
 			t.Fatalf("event type %d name %q is not kebab-case", ty, name)
 		}
-		// Every kind has a render row somebody filled in: not showing a
-		// kind on the timeline is spelled notRendered, never left out.
+		// Every kind has a render row somebody filled in.  Only
+		// EvImageDurable stays off the timeline: it coincides with the
+		// store end that reached the quorum.
 		switch r := renderTable[ty]; {
 		case r.shape == shapeUnset:
-			t.Errorf("%s has no row in renderTable (use notRendered to leave it off the timeline)", name)
+			t.Errorf("%s has no row in renderTable", name)
+		case r.shape == notRendered && ty != EvImageDurable:
+			t.Errorf("%s is not rendered; every kind but %s shows on the timeline", name, EvImageDurable)
 		case r.shape == end && renderTable[r.of].shape != begin:
 			t.Errorf("%s closes %s, which is not a begin row", name, r.of)
 		case r.shape == begin && r.key.format == "":
@@ -208,10 +211,15 @@ func TestMetricsSinkPairsSpans(t *testing.T) {
 	}
 }
 
+// chromeDoc streams events through the exporter and parses the document.
 func chromeDoc(t *testing.T, events []Event) (raw []byte, evs []map[string]any) {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := WriteChromeTrace(&buf, events); err != nil {
+	s := NewChromeStreamSink(&buf)
+	for _, ev := range events {
+		s.Emit(ev)
+	}
+	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
 	var doc struct {
@@ -243,13 +251,16 @@ func TestChromeTraceWellFormed(t *testing.T) {
 	}
 
 	var spans, instants, metas int
-	var aborted *map[string]any
-	for i := range evs {
-		switch evs[i]["ph"] {
+	var blocked, aborted map[string]any
+	for _, ev := range evs {
+		switch ev["ph"] {
 		case "X":
 			spans++
-			if strings.Contains(evs[i]["name"].(string), "aborted") {
-				aborted = &evs[i]
+			switch name := ev["name"].(string); {
+			case strings.Contains(name, "aborted"):
+				aborted = ev
+			case strings.HasPrefix(name, "blocked send"):
+				blocked = ev
 			}
 		case "i":
 			instants++
@@ -266,11 +277,66 @@ func TestChromeTraceWellFormed(t *testing.T) {
 	if metas < 4 { // 3 process names + at least rank 0's thread name
 		t.Fatalf("%d metadata records", metas)
 	}
+	if blocked == nil || blocked["ts"].(float64) != 10000 || blocked["dur"].(float64) != 2000 {
+		t.Fatalf("blocked-send span %v, want ts 10000 dur 2000", blocked)
+	}
 	if aborted == nil {
 		t.Fatal("unclosed store span not closed at horizon")
 	}
 	// Horizon is the last event (30ms); store began at 12ms → 18ms span.
-	if dur := (*aborted)["dur"].(float64); dur != 18000 {
+	if dur := aborted["dur"].(float64); dur != 18000 {
 		t.Fatalf("aborted span dur %v µs", dur)
+	}
+}
+
+// TestChromeTraceRepeatedKey: a second begin on a key that is still open
+// (a wave re-run after a restart, with no span id to tell the attempts
+// apart) must not swallow the first attempt: it closes, aborted, where
+// the second begins, and the one end closes the second.
+func TestChromeTraceRepeatedKey(t *testing.T) {
+	_, evs := chromeDoc(t, []Event{
+		{Type: EvChannelBlocked, T: 10 * time.Millisecond, Rank: 2, Wave: 1, Server: -1},
+		{Type: EvChannelBlocked, T: 15 * time.Millisecond, Rank: 2, Wave: 1, Server: -1},
+		{Type: EvChannelUnblocked, T: 18 * time.Millisecond, Rank: 2, Wave: 1, Server: -1},
+	})
+	type span struct {
+		name    string
+		ts, dur float64
+	}
+	var got []span
+	for _, ev := range evs {
+		if ev["ph"] == "X" {
+			got = append(got, span{ev["name"].(string), ev["ts"].(float64), ev["dur"].(float64)})
+		}
+	}
+	want := []span{
+		{"blocked send (wave 1)" + abortedSuffix, 10000, 5000},
+		{"blocked send (wave 1)", 15000, 3000},
+	}
+	if len(got) != len(want) || got[0] != want[0] || got[1] != want[1] {
+		t.Fatalf("spans %+v, want %+v", got, want)
+	}
+}
+
+// TestChromeTraceFlowPairs: a cause edge is an "s" at the origin of the
+// cause span, written once, and an "f" at every consumer; a cause no event
+// carried draws nothing.
+func TestChromeTraceFlowPairs(t *testing.T) {
+	_, evs := chromeDoc(t, []Event{
+		{Type: EvMarkerSent, T: 1 * time.Millisecond, Rank: 0, Wave: 1, Channel: 1, Server: -1, Span: 7},
+		{Type: EvMarkerRecv, T: 2 * time.Millisecond, Rank: 1, Wave: 1, Channel: 0, Server: -1, Span: 7},
+		{Type: EvChannelBlocked, T: 2 * time.Millisecond, Rank: 1, Wave: 1, Server: -1, Span: 8, Cause: 7},
+		{Type: EvSendDelayed, T: 3 * time.Millisecond, Rank: 1, Wave: 1, Channel: 0, Server: -1, Cause: 7},
+		{Type: EvSendDelayed, T: 3 * time.Millisecond, Rank: 1, Wave: 1, Channel: 0, Server: -1, Cause: 99},
+	})
+	var flows []string
+	for _, ev := range evs {
+		if ev["cat"] == "flow" {
+			flows = append(flows, fmt.Sprintf("%s@%v/%v:%v", ev["ph"], ev["ts"], ev["tid"], ev["id"]))
+		}
+	}
+	want := "[s@1000/0:7 f@2000/1:7 f@3000/1:7]"
+	if got := fmt.Sprint(flows); got != want {
+		t.Fatalf("flows %s, want %s", got, want)
 	}
 }

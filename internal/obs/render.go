@@ -1,13 +1,16 @@
 package obs
 
-import "fmt"
+import (
+	"fmt"
+	"strconv"
+)
 
-// How each event kind renders on a Chrome timeline, said once.  Both
-// exporters read renderTable: WriteChromeTrace pairs begin/end rows into
-// complete spans over a retained slice, ChromeStreamSink writes them as
-// they arrive.  The table is an array over EventType, so a new kind has a
-// row by construction; TestEventTypeNames rejects a row left at its zero
-// shape, which makes "not rendered" a decision somebody wrote down.
+// How each event kind renders on a Chrome timeline, said once.
+// ChromeStreamSink reads renderTable and pairs each begin row with its end
+// row into one complete span.  The table is an array over EventType, so a
+// new kind has a row by construction; TestEventTypeNames rejects a row
+// left at its zero shape, which makes "not rendered" a decision somebody
+// wrote down.
 
 // shape is what an event kind becomes on the timeline.
 type shape uint8
@@ -73,8 +76,9 @@ type arg struct {
 }
 
 // rendering is one row of renderTable.  An end row carries only of (and
-// aborted): name, track and span key are its begin row's, evaluated on the
-// end event's own fields, so the two cannot drift apart.
+// aborted): its span key is its begin row's, evaluated on the end event's
+// own fields, so the two cannot drift apart; name, track and args are the
+// begin event's.
 type rendering struct {
 	shape   shape
 	track   track
@@ -93,8 +97,8 @@ var renderTable = [numEventTypes]rendering{
 	EvSendDelayed:      {shape: instant, track: onRank, name: t("send-delayed"), args: []arg{{"to", fChannel}}},
 	EvRecvDelayed:      {shape: instant, track: onRank, name: t("recv-delayed"), args: []arg{{"from", fChannel}}},
 	EvMessageLogged:    {shape: instant, track: onRank, name: t("message-logged"), args: []arg{{"from", fChannel}, {"bytes", fBytes}, {"wave", fWave}}},
-	EvLocalCkptBegin:   {shape: notRendered},
-	EvLocalCkptEnd:     {shape: instant, track: onRank, name: t("snapshot (wave %d)", fWave)},
+	EvLocalCkptBegin:   {shape: begin, track: onRank, name: t("snapshot (wave %d)", fWave), key: t("snap:%d", fRank), args: []arg{{"wave", fWave}}},
+	EvLocalCkptEnd:     {shape: end, of: EvLocalCkptBegin},
 	EvImageStoreBegin:  {shape: begin, track: onStore, name: t("store r%d w%d", fRank, fWave), key: t("img:%d:%d:%d", fRank, fWave, fServer), args: []arg{{"bytes", fBytes}}},
 	EvImageStoreEnd:    {shape: end, of: EvImageStoreBegin},
 	EvLogShipBegin:     {shape: begin, track: onServer, name: t("logs r%d w%d", fRank, fWave), key: t("log:%d:%d:%d", fRank, fWave, fServer), args: []arg{{"bytes", fBytes}}},
@@ -105,18 +109,13 @@ var renderTable = [numEventTypes]rendering{
 	EvRestartBegin:     {shape: begin, track: onEmitter, name: t("restart (wave %d)", fWave), key: t("rst:%d", fRank), args: []arg{{"wave", fWave}}},
 	EvRestartEnd:       {shape: end, of: EvRestartBegin},
 	EvJobComplete:      {shape: instant, track: onRuntime, name: t("job complete")},
-	// The timeline's blind spot: a checkpoint-server kill, its detection,
-	// the failover and retries it causes, a lost quorum, replayed messages
-	// and the degraded stop are all invisible, although buffer and PFS
-	// kills show.  Rendering them changes every pinned trace hash, so it
-	// belongs to a PR that re-records testdata/golden_pinned.json.
-	EvServerKilled:     {shape: notRendered},
-	EvHeartbeatTimeout: {shape: notRendered},
-	EvReplicaFailover:  {shape: notRendered},
-	EvStoreRetry:       {shape: notRendered},
-	EvQuorumLost:       {shape: notRendered},
-	EvMessageReplayed:  {shape: notRendered},
-	EvDegraded:         {shape: notRendered},
+	EvServerKilled:     {shape: instant, track: onServer, name: t("server %d killed", fServer), args: []arg{{"node", fNode}}},
+	EvHeartbeatTimeout: {shape: instant, track: onRuntime, name: t("heartbeat timeout"), args: []arg{{"rank", fRank}, {"server", fServer}}},
+	EvReplicaFailover:  {shape: instant, track: onRuntime, name: t("failover r%d w%d", fRank, fWave), args: []arg{{"server", fServer}, {"level", fLevel}}},
+	EvStoreRetry:       {shape: instant, track: onServer, name: t("store retry r%d w%d", fRank, fWave)},
+	EvQuorumLost:       {shape: instant, track: onRuntime, name: t("quorum lost r%d w%d", fRank, fWave)},
+	EvMessageReplayed:  {shape: instant, track: onRank, name: t("message-replayed"), args: []arg{{"from", fChannel}, {"bytes", fBytes}, {"wave", fWave}}},
+	EvDegraded:         {shape: instant, track: onRuntime, name: t("degraded stop"), args: []arg{{"rank", fRank}, {"wave", fWave}}},
 	EvComponentDead:    {shape: instant, track: onEmitter, name: t("rank %d dead (silent)", fRank)},
 	EvRankDone:         {shape: instant, track: onEmitter, name: t("rank %d done", fRank)},
 	EvCounterSample:    {shape: counter, track: onRuntime, args: []arg{{"value", fBytes}}}, // named by Detail
@@ -138,17 +137,26 @@ var renderTable = [numEventTypes]rendering{
 }
 
 // abortedSuffix marks an interval that did not complete: a repair that
-// fell back to a restart, or a transfer still open at the trace horizon.
+// fell back to a restart, an attempt a second begin on its key replaced,
+// or a transfer still open at the trace horizon.
 const abortedSuffix = " (aborted)"
 
 // mark is one event as the timeline shows it.  rec carries name, time,
 // track and args, and is complete for an instant or a counter sample; an
-// exporter frames a begin or end its own way, pairing on key.
+// end's rec carries only its time.  key names the interval a begin opens
+// and an end closes.
 type mark struct {
 	shape   shape
 	rec     chromeEvent
-	key     string
+	key     spanKey
 	aborted bool
+}
+
+// spanKey identifies an open interval: the event's span id when the
+// emitter stamped one (unique per attempt), else the row's key text.
+type spanKey struct {
+	span uint64
+	text string
 }
 
 // render looks ev up in renderTable.
@@ -158,44 +166,53 @@ func render(ev Event) mark {
 	}
 	r := &renderTable[ev.Type]
 	m := mark{shape: r.shape, aborted: r.aborted}
-	if r.shape <= notRendered {
+	switch r.shape {
+	case shapeUnset, notRendered:
+		return m
+	case end:
+		r = &renderTable[r.of]
+		fallthrough
+	case begin:
+		m.key.span = ev.Span
+		if ev.Span == 0 {
+			m.key.text = r.key.of(ev)
+		}
+	}
+	m.rec.ts = usec(ev.T)
+	if m.shape == end {
 		return m
 	}
-	args := r.args
-	if r.shape == end {
-		r, args = &renderTable[r.of], nil
-	}
-	m.rec = chromeEvent{Name: r.name.of(ev), Ts: usec(int64(ev.T)), Pid: pidRuntime}
+	m.rec.name = r.name.of(ev)
 	switch r.track {
 	case onEmitter:
-		m.rec.Pid, m.rec.Tid = trackOf(ev.Rank)
+		m.rec.pid, m.rec.tid = trackOf(ev.Rank)
 	case onRank:
-		m.rec.Pid, m.rec.Tid = pidRanks, ev.Rank
+		m.rec.pid, m.rec.tid = pidRanks, ev.Rank
 	case onServer:
-		m.rec.Pid, m.rec.Tid = pidServers, ev.Server
+		m.rec.pid, m.rec.tid = pidServers, ev.Server
 	case onStore:
-		m.rec.Pid, m.rec.Tid = pidServers, ev.Server
+		m.rec.pid, m.rec.tid = pidServers, ev.Server
 		if ev.Server < 0 {
-			m.rec.Pid, m.rec.Tid = pidRanks, ev.Rank
-			m.rec.Name = fmt.Sprintf("buffer store w%d", ev.Wave)
+			m.rec.pid, m.rec.tid = pidRanks, ev.Rank
+			m.rec.name = fmt.Sprintf("buffer store w%d", ev.Wave)
 		}
 	}
-	if m.aborted {
-		m.rec.Name += abortedSuffix
-	}
-	if len(args) > 0 {
-		m.rec.Args = make(map[string]any, len(args))
-		for _, a := range args {
-			m.rec.Args[a.key] = a.f.of(ev)
+	if len(r.args) > 0 {
+		b := []byte{'{'}
+		for i, a := range r.args {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = append(append(append(b, '"'), a.key...), '"', ':')
+			b = strconv.AppendInt(b, a.f.of(ev), 10)
 		}
+		m.rec.args = append(b, '}')
 	}
 	switch m.shape {
 	case instant:
-		m.rec.Ph, m.rec.S = "i", "t"
+		m.rec.ph = "i"
 	case counter:
-		m.rec.Ph, m.rec.Name = "C", ev.Detail
-	case begin, end:
-		m.key = r.key.of(ev)
+		m.rec.ph, m.rec.name = "C", ev.Detail
 	}
 	return m
 }

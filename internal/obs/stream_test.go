@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"strings"
 	"testing"
 	"time"
 )
@@ -35,34 +36,27 @@ func TestStreamSinkAbortedRunFlushes(t *testing.T) {
 	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
 		t.Fatalf("aborted stream is not valid JSON: %v\n%s", err, buf.String())
 	}
-	open := map[string]float64{}
 	var horizon float64
 	for _, ev := range doc.TraceEvents {
 		if ts, ok := ev["ts"].(float64); ok && ts > horizon {
 			horizon = ts
 		}
-		id, _ := ev["id"].(string)
-		switch ev["ph"] {
-		case "b":
-			open[id] = 0
-		case "e":
-			ts, _ := ev["ts"].(float64)
-			open[id] = ts
-			delete(open, id)
-		}
 	}
-	if len(open) != 0 {
-		t.Fatalf("intervals left open after Close: %v", open)
-	}
-	// The three synthesized ends must sit at the horizon (the last
-	// timestamp seen), mirroring the batch exporter's close-at-horizon.
+	// The three synthesized closes (blocked send, store, restart) must end
+	// at the horizon, the last timestamp seen, and say they were aborted.
 	closes := 0
 	for _, ev := range doc.TraceEvents {
-		if ev["ph"] == "e" {
-			closes++
-			if ts, _ := ev["ts"].(float64); ts != horizon {
-				t.Fatalf("aborted span closed at %v, want horizon %v", ts, horizon)
-			}
+		if ev["ph"] != "X" {
+			continue
+		}
+		closes++
+		ts, _ := ev["ts"].(float64)
+		dur, _ := ev["dur"].(float64)
+		if ts+dur != horizon {
+			t.Fatalf("aborted span %v ends at %v, want horizon %v", ev["name"], ts+dur, horizon)
+		}
+		if name, _ := ev["name"].(string); !strings.HasSuffix(name, abortedSuffix) {
+			t.Fatalf("span %q closed at the horizon is not marked aborted", name)
 		}
 	}
 	if closes != 3 {
@@ -102,9 +96,14 @@ func TestStreamSinkUseAfterCloseIsInert(t *testing.T) {
 	}
 	n := buf.Len()
 	s.Emit(Event{Type: EvMarkerSent, T: time.Second, Rank: 1})
+	if buf.Len() != n {
+		t.Fatalf("post-Close emit wrote %d bytes past the terminator", buf.Len()-n)
+	}
 	var doc map[string]any
 	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
 		t.Fatalf("document corrupted by post-Close emit: %v", err)
 	}
-	_ = n
+	if err := s.Close(); err != nil || buf.Len() != n {
+		t.Fatalf("second Close: err %v, %d bytes written", err, buf.Len()-n)
+	}
 }

@@ -11,10 +11,11 @@ import (
 // every protocol action worth seeing — marker sends and receipts, channel
 // freezes, logged in-transit messages, checkpoint-image transfers, wave
 // commits, failures and restarts — all stamped with virtual time.  Attach
-// a Sink through Options.Sink to receive the stream; a Collector gathers
-// it for export as a Chrome trace_event timeline (chrome://tracing or
-// https://ui.perfetto.dev), and every Report carries the run's Metrics
-// registry of counters and virtual-time histograms.
+// a Sink through Options.Sink to receive the stream; a ChromeStreamSink
+// writes it as a Chrome trace_event timeline (chrome://tracing or
+// https://ui.perfetto.dev), a Collector keeps it for inspection, and every
+// Report carries the run's Metrics registry of counters and virtual-time
+// histograms.
 
 // Sink receives structured observability events.
 type Sink = obs.Sink
@@ -25,8 +26,7 @@ type Event = obs.Event
 // EventType identifies the kind of an Event.
 type EventType = obs.EventType
 
-// Collector is a Sink that retains every event in order, for inspection
-// or timeline export via its WriteChromeTrace method.
+// Collector is a Sink that retains every event in order, for inspection.
 type Collector = obs.Collector
 
 // Metrics is a registry of counters, gauges and virtual-time histograms.
@@ -91,10 +91,11 @@ type Attribution = span.Attribution
 // aggregate, or the critical path) inside an Attribution.
 type Breakdown = span.Breakdown
 
-// ChromeStreamSink streams a Chrome trace_event document to a writer as
-// the run progresses, holding O(ranks+servers) memory instead of the full
-// event history a Collector would retain.  Call Close after the run to
-// finish the JSON document.
+// ChromeStreamSink writes a Chrome trace_event document to a writer as the
+// run progresses: complete spans, instants, counter tracks and flow arrows
+// along cause edges.  It keeps the open intervals and one fixed-size
+// origin per span id, never the event history.  Call Close after the run
+// to finish the JSON document.
 type ChromeStreamSink = obs.ChromeStreamSink
 
 // NewChromeStreamSink starts a streaming trace document on w; attach the

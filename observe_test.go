@@ -7,13 +7,14 @@ import (
 	"time"
 )
 
-// TestChromeTraceDeterministic runs the same seeded job twice with a
-// Collector attached and requires the exported Chrome timeline and metrics
+// TestChromeTraceDeterministic runs the same seeded job twice with the
+// Chrome exporter attached and requires the exported Chrome timeline and metrics
 // dump to be byte-identical — the reproducibility contract of the
 // simulator extended to its observability artifacts.
 func TestChromeTraceDeterministic(t *testing.T) {
 	runOnce := func() ([]byte, []byte) {
-		col := NewCollector()
+		var trace, met bytes.Buffer
+		sink := NewChromeStreamSink(&trace)
 		o := Options{
 			Workload: "jacobi",
 			NP:       8,
@@ -21,14 +22,13 @@ func TestChromeTraceDeterministic(t *testing.T) {
 			Interval: 40 * time.Millisecond,
 			Seed:     7,
 			Failures: []Failure{{At: 60 * time.Millisecond, Rank: 3}},
-			Sink:     col,
+			Sink:     sink,
 		}
 		rep, err := Run(o)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var trace, met bytes.Buffer
-		if err := col.WriteChromeTrace(&trace); err != nil {
+		if err := sink.Close(); err != nil {
 			t.Fatal(err)
 		}
 		if err := rep.Metrics.WriteJSON(&met); err != nil {

@@ -268,7 +268,7 @@ type Options struct {
 	// Report.Attribution.
 	Attribution bool
 	// MetricsSnapshot > 0 samples the run's cumulative counters every
-	// period as counter-sample events, rendered by the trace exporters as
+	// period as counter-sample events, rendered by the trace exporter as
 	// Perfetto counter tracks alongside the timeline.
 	MetricsSnapshot time.Duration
 }
