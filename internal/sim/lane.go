@@ -32,10 +32,6 @@ type laneEntry[T any] struct {
 	v   T
 }
 
-// laneHead is what the kernel sees of a lane: its head slot's arg holds
-// the lane, and fire dispatches the head.
-type laneHead interface{ fire(idx int32) }
-
 // Lane is a monotone event FIFO bound to one callback.  Create one with
 // NewLane.  Lane events cannot be cancelled.
 type Lane[T any] struct {
@@ -60,7 +56,7 @@ func (l *Lane[T]) At(t Time, v T) {
 		t = k.now
 	}
 	if l.q.Len() > 0 && t < l.tail {
-		k.schedule(t, func() { l.fn(v) }, nil, nil, nil)
+		k.schedule(t, func() { l.fn(v) }, nil, nil)
 		return
 	}
 	k.seq++
@@ -72,7 +68,7 @@ func (l *Lane[T]) At(t Time, v T) {
 	if l.q.Len() == 1 {
 		idx := k.allocSlot()
 		s := &k.slab[idx]
-		s.t, s.seq, s.live, s.lane = t, k.seq, true, true
+		s.t, s.seq, s.live, s.owned = t, k.seq, true, true
 		s.arg = l
 		k.heapPush(idx)
 	}

@@ -2,11 +2,13 @@ package sim
 
 // Model-based test of the kernel's one contract: callbacks and LP wakes
 // are dispatched in (t, seq) order, where seq is the order of scheduling.
-// Programs of At/After/AtArg/Cancel/Kill/Lane.At run against the real
-// kernel and against a reference that keeps every pending event in one
-// sorted slice; the two dispatch logs must match record for record.  The
-// programs come from a seed (TestKernelMatchesSortedSliceModel) or from
-// fuzzer-chosen bytes (FuzzKernelModel, corpus under testdata/fuzz).
+// Programs of At/After/AtArg/Cancel/Kill/Lane.At and keyed-timer
+// Arm/Stop/Sync run against the real kernel and against a reference that
+// keeps every pending event in one sorted slice, where an armed timer is an
+// event and a re-arm or Stop cancels it; the two dispatch logs and the
+// kernel's counters must match.  The programs come from a seed
+// (TestKernelMatchesSortedSliceModel) or from fuzzer-chosen bytes
+// (FuzzKernelModel, corpus under testdata/fuzz).
 
 import (
 	"fmt"
@@ -17,10 +19,13 @@ import (
 )
 
 const (
-	modelLanes   = 3
-	modelLPs     = 3
-	modelLPSteps = 6
-	modelBudget  = 400 // events one program may schedule
+	modelLanes  = 3
+	modelTimers = 3
+	// modelTimerLane marks a keyed timer's event id in modelProg.laneOf.
+	modelTimerLane = -2
+	modelLPs       = 3
+	modelLPSteps   = 6
+	modelBudget    = 400 // events one program may schedule
 )
 
 // modelOps is what a program can do to a machine.
@@ -30,6 +35,9 @@ type modelOps interface {
 	laneAt(lane int, t Time, id int)
 	cancel(id int)
 	kill(lp int)
+	arm(timer int, t Time, id int) // Timers.Arm: timer now fires as event id
+	stop(timer int)
+	sync()
 }
 
 // modelRec is one dispatch: an event callback ('e'), an LP returning from
@@ -67,7 +75,7 @@ type modelProg struct {
 	data        []byte // when set, decisions come from here, not from seed
 	m           modelOps
 	budget      int
-	laneOf      []int // per event id: its lane, or -1
+	laneOf      []int // per event id: its lane, -1, or modelTimerLane for a keyed timer
 	cancellable []int
 	laneTail    [modelLanes]Time
 	log         []modelRec
@@ -93,7 +101,7 @@ func (p *modelProg) newID(lane int) int {
 // act performs n random operations; self is the lane of the firing event.
 func (p *modelProg) act(r modelDraw, n, self int) {
 	for i := 0; i < n; i++ {
-		switch op := r.Intn(20); {
+		switch op := r.Intn(26); {
 		case op < 6 && p.budget > 0:
 			id := p.newID(-1)
 			p.cancellable = append(p.cancellable, id)
@@ -116,6 +124,14 @@ func (p *modelProg) act(r modelDraw, n, self int) {
 			if len(p.cancellable) > 0 {
 				p.m.cancel(p.cancellable[r.Intn(len(p.cancellable))])
 			}
+		case op < 23 && p.budget > 0:
+			// Arm or re-arm, from two ticks into the past up to five ahead.
+			p.m.arm(r.Intn(modelTimers), p.m.now()+Time(r.Intn(8)-2), p.newID(modelTimerLane))
+			if r.Intn(3) == 0 {
+				p.m.sync()
+			}
+		case op < 25:
+			p.m.stop(r.Intn(modelTimers))
 		default:
 			// Only once Run is dispatching: an LP killed before it first
 			// ran never enters its body, so it has nothing to log.
@@ -126,12 +142,21 @@ func (p *modelProg) act(r modelDraw, n, self int) {
 	}
 }
 
-func (p *modelProg) setup() { p.act(p.rng(-1), 16, -1) }
+// A batch of operations ends synced, as Timers' callers must leave it —
+// except in a keyed timer's own callback, after which the set syncs
+// itself.
+func (p *modelProg) setup() {
+	p.act(p.rng(-1), 16, -1)
+	p.m.sync()
+}
 
 func (p *modelProg) fire(id int) {
 	p.log = append(p.log, modelRec{'e', id, p.m.now()})
 	r := p.rng(id)
 	p.act(r, 1+r.Intn(3), p.laneOf[id])
+	if p.laneOf[id] != modelTimerLane || r.Intn(2) == 0 {
+		p.m.sync()
+	}
 }
 
 // lpDelay is how long LP lp sleeps in its step-th Advance.
@@ -142,16 +167,28 @@ func (p *modelProg) lpDelay(lp, step int) Time {
 // --- the real kernel ------------------------------------------------------
 
 type realMachine struct {
-	k     *Kernel
-	p     *modelProg
-	ids   map[int]EventID
-	lanes [modelLanes]*Lane[int]
-	lps   [modelLPs]*Proc
+	k      *Kernel
+	p      *modelProg
+	ids    map[int]EventID
+	lanes  [modelLanes]*Lane[int]
+	lps    [modelLPs]*Proc
+	timers *Timers[*modelTimer]
+	recs   [modelTimers]modelTimer
+}
+
+// modelTimer is a record armed in the real machine's timer set: it fires
+// as event id.
+type modelTimer struct {
+	Timer
+	id int
 }
 
 // modelOldSlots is how many slots the real machine starts with, and
 // modelLivesLeft how many lives each has left before its generation
-// wraps: a program reuses them, so it runs through slot retirement.
+// wraps: a program reuses them, so it runs through slot retirement.  The
+// slot handed out first (the free list's top) has a single life left, so
+// even a program that reuses few slots — one that mostly re-arms keyed
+// timers, say — retires at least one.
 const (
 	modelOldSlots  = 8
 	modelLivesLeft = 3
@@ -161,12 +198,17 @@ func newRealMachine(p *modelProg) *realMachine {
 	m := &realMachine{k: New(1), p: p, ids: make(map[int]EventID)}
 	p.m = m
 	for i := int32(0); i < modelOldSlots; i++ {
-		m.k.slab = append(m.k.slab, eventSlot{gen: 1<<32 - modelLivesLeft})
+		lives := uint32(modelLivesLeft)
+		if i == modelOldSlots-1 {
+			lives = 1
+		}
+		m.k.slab = append(m.k.slab, eventSlot{gen: ^uint32(0) - (lives - 1)})
 		m.k.free = append(m.k.free, i)
 	}
 	for i := range m.lanes {
 		m.lanes[i] = NewLane(m.k, m.fire)
 	}
+	m.timers = NewTimers(m.k, func(r *modelTimer) { p.fire(r.id) })
 	for i := range m.lps {
 		lp := i
 		m.lps[i] = m.k.Go(fmt.Sprint("lp", lp), func(pr *Proc) {
@@ -212,34 +254,45 @@ func (m *realMachine) laneAt(lane int, t Time, id int) { m.lanes[lane].At(t, id)
 func (m *realMachine) cancel(id int) { m.k.Cancel(m.ids[id]) }
 func (m *realMachine) kill(lp int)   { m.k.Kill(m.lps[lp], nil) }
 
+func (m *realMachine) arm(timer int, t Time, id int) {
+	m.recs[timer].id = id
+	m.timers.Arm(&m.recs[timer], t)
+}
+
+func (m *realMachine) stop(timer int) { m.timers.Stop(&m.recs[timer]) }
+func (m *realMachine) sync()          { m.timers.Sync() }
+
 // --- the reference ----------------------------------------------------------
 
 type refEvent struct {
-	t   Time
-	seq uint64
-	id  int // event id, or the LP for a wake timer
-	lp  bool
+	t     Time
+	seq   uint64
+	id    int // event id, or the LP for a wake timer
+	lp    bool
+	timer int // the keyed timer this event is, or -1
 }
 
 type refMachine struct {
-	p       *modelProg
-	clock   Time
-	seq     uint64
-	fired   uint64
-	pending []refEvent // sorted by (t, seq)
-	step    [modelLPs]int
-	gone    [modelLPs]bool // exited or killed
-	killq   []int
+	p         *modelProg
+	clock     Time
+	seq       uint64
+	fired     uint64
+	cancelled uint64
+	armed     [modelTimers]int // each timer's pending event id, or -1
+	pending   []refEvent       // sorted by (t, seq)
+	step      [modelLPs]int
+	gone      [modelLPs]bool // exited or killed
+	killq     []int
 }
 
 func (m *refMachine) now() Time { return m.clock }
 
-func (m *refMachine) add(t Time, id int, lp bool) {
+func (m *refMachine) add(t Time, id int, lp bool, timer int) {
 	if t < m.clock {
 		t = m.clock
 	}
 	m.seq++
-	m.pending = append(m.pending, refEvent{t, m.seq, id, lp})
+	m.pending = append(m.pending, refEvent{t, m.seq, id, lp, timer})
 	sort.Slice(m.pending, func(i, j int) bool {
 		a, b := m.pending[i], m.pending[j]
 		if a.t != b.t {
@@ -249,18 +302,36 @@ func (m *refMachine) add(t Time, id int, lp bool) {
 	})
 }
 
+// remove cancels a pending event, counting it as the kernel's Cancel
+// would.
 func (m *refMachine) remove(id int, lp bool) {
 	for i, e := range m.pending {
 		if e.id == id && e.lp == lp {
 			m.pending = append(m.pending[:i], m.pending[i+1:]...)
+			m.cancelled++
 			return
 		}
 	}
 }
 
-func (m *refMachine) schedule(_ int, t Time, id int) { m.add(t, id, false) }
-func (m *refMachine) laneAt(_ int, t Time, id int)   { m.add(t, id, false) }
+func (m *refMachine) schedule(_ int, t Time, id int) { m.add(t, id, false, -1) }
+func (m *refMachine) laneAt(_ int, t Time, id int)   { m.add(t, id, false, -1) }
 func (m *refMachine) cancel(id int)                  { m.remove(id, false) }
+func (m *refMachine) sync()                          {}
+
+// arm is a re-arm as a Cancel plus a schedule.
+func (m *refMachine) arm(timer int, t Time, id int) {
+	m.stop(timer)
+	m.armed[timer] = id
+	m.add(t, id, false, timer)
+}
+
+func (m *refMachine) stop(timer int) {
+	if m.armed[timer] >= 0 {
+		m.remove(m.armed[timer], false)
+		m.armed[timer] = -1
+	}
+}
 
 func (m *refMachine) kill(lp int) {
 	if !m.gone[lp] {
@@ -276,7 +347,7 @@ func (m *refMachine) advance(lp int) {
 		m.p.log = append(m.p.log, modelRec{'x', lp, m.clock})
 		return
 	}
-	m.add(m.clock+m.p.lpDelay(lp, m.step[lp]), lp, true)
+	m.add(m.clock+m.p.lpDelay(lp, m.step[lp]), lp, true, -1)
 }
 
 func (m *refMachine) run() {
@@ -288,6 +359,9 @@ func (m *refMachine) run() {
 		m.pending = m.pending[1:]
 		m.clock = e.t
 		m.fired++
+		if e.timer >= 0 {
+			m.armed[e.timer] = -1
+		}
 		if e.lp {
 			m.p.log = append(m.p.log, modelRec{'w', e.id, m.clock})
 			m.step[e.id]++
@@ -311,6 +385,9 @@ func checkAgainstModel(t *testing.T, want *modelProg) int {
 	t.Helper()
 	got := &modelProg{seed: want.seed, data: want.data, budget: want.budget}
 	ref := &refMachine{p: want}
+	for i := range ref.armed {
+		ref.armed[i] = -1
+	}
 	want.m = ref
 	want.setup()
 	ref.run()
@@ -329,8 +406,9 @@ func checkAgainstModel(t *testing.T, want *modelProg) int {
 				got.log[i].what, got.log[i].id, got.log[i].t, want.log[i].what, want.log[i].id, want.log[i].t)
 		}
 	}
-	if st := m.k.Stats(); st.Scheduled != ref.seq || st.Fired != ref.fired {
-		t.Errorf("Stats scheduled %d fired %d, model %d and %d", st.Scheduled, st.Fired, ref.seq, ref.fired)
+	if st := m.k.Stats(); st.Scheduled != ref.seq || st.Fired != ref.fired || st.Cancelled != ref.cancelled {
+		t.Errorf("Stats scheduled %d fired %d cancelled %d, model %d, %d and %d",
+			st.Scheduled, st.Fired, st.Cancelled, ref.seq, ref.fired, ref.cancelled)
 	}
 	if m.retired() == 0 {
 		t.Errorf("no slot's generation wrapped")

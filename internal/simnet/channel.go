@@ -22,19 +22,16 @@ const smallCutoff = 4 << 10
 // Distinct channels between the same pair of nodes compete for bandwidth
 // like distinct connections.
 type Channel struct {
-	net     *Network
-	src     int
-	dst     int
-	deliver func(payload any)
+	net      *Network
+	src, dst int32
+	deliver  func(payload any)
 	// queue holds the messages waiting behind the one in transmission.
-	queue  sim.Queue[message]
+	queue sim.Queue[message]
+	// flow transmits the channel's bulk messages, one at a time: allocated
+	// on the first and reset for each later one.
+	flow   *Flow
 	busy   bool
-	inFly  *Flow
 	closed bool
-
-	// MsgsSent and BytesSent accumulate per-channel statistics.
-	MsgsSent  int
-	BytesSent Bytes
 }
 
 type message struct {
@@ -42,8 +39,9 @@ type message struct {
 	size    Bytes
 }
 
-// smallMsg is a fast-path delivery (see startSmall): the delivery lanes
-// carry it by value from transmission to smallDeliver.
+// smallMsg is a channel message's delivery (see startSmall and
+// Flow.transferComplete): the delivery lanes carry it by value from
+// transmission to smallDeliver.
 type smallMsg struct {
 	c       *Channel
 	payload any
@@ -54,14 +52,14 @@ type smallMsg struct {
 // deliver runs as an event callback when each message arrives; it must not
 // block (hand off to an LP through a sim.Cond if needed).
 func (n *Network) NewChannel(src, dst int, deliver func(payload any)) *Channel {
-	return &Channel{net: n, src: src, dst: dst, deliver: deliver}
+	return &Channel{net: n, src: int32(src), dst: int32(dst), deliver: deliver}
 }
 
 // Src returns the source node.
-func (c *Channel) Src() int { return c.src }
+func (c *Channel) Src() int { return int(c.src) }
 
 // Dst returns the destination node.
-func (c *Channel) Dst() int { return c.dst }
+func (c *Channel) Dst() int { return int(c.dst) }
 
 // Send enqueues a message.  It never blocks; the sender-side cost of
 // copying into the transmit path is modelled by the caller (device service
@@ -70,8 +68,6 @@ func (c *Channel) Send(payload any, size Bytes) {
 	if c.closed {
 		return // messages to/from a dead node vanish, like a broken socket
 	}
-	c.MsgsSent++
-	c.BytesSent += size
 	m := message{payload, size}
 	if c.busy {
 		c.queue.Push(m)
@@ -99,28 +95,23 @@ func (c *Channel) start(m message) {
 		return
 	}
 	n := c.net
+	src, dst := int(c.src), int(c.dst)
+	f := c.flow
+	if f == nil {
+		f = &Flow{net: n, latency: n.Latency(src, dst), ch: c}
+		if n.Cluster(src) != n.Cluster(dst) {
+			f.cap = n.topo.WanFlowCap
+		}
+		c.flow = f
+	}
 	n.flowSeq++
-	f := &Flow{
-		net:       n,
-		seq:       n.flowSeq,
-		remaining: float64(m.size),
-		size:      m.size,
-		last:      n.k.Now(),
-		latency:   n.Latency(c.src, c.dst),
-		ch:        c,
-		payload:   m.payload,
-	}
-	c.inFly = f
-	if c.src == c.dst {
-		f.doneEv = n.k.AfterArg(0, flowXferComplete, f)
-		return
-	}
-	n.pathInto(f, c.src, c.dst)
-	if n.Cluster(c.src) != n.Cluster(c.dst) {
-		f.cap = n.topo.WanFlowCap
-	}
-	n.attach(f)
-	n.reschedule()
+	f.seq = n.flowSeq
+	f.remaining = float64(m.size)
+	f.size = m.size
+	f.rate = 0
+	f.last = n.k.Now()
+	f.payload = m.payload
+	n.transmit(f, src, dst)
 }
 
 // startSmall transmits a message on the fast path: the unloaded path
@@ -128,12 +119,11 @@ func (c *Channel) start(m message) {
 // of its events go through the sender node's lanes (sim.Lane), so a burst
 // of small messages holds one heap entry per lane, not two per message.
 func (c *Channel) startSmall(m message) {
-	c.inFly = nil
 	n := c.net
 	now := n.k.Now()
 	var svc sim.Time
 	if c.src != c.dst {
-		svc = sim.Time(float64(m.size) / n.Bandwidth(c.src, c.dst) * 1e9)
+		svc = sim.Time(float64(m.size) / n.Bandwidth(int(c.src), int(c.dst)) * 1e9)
 	}
 	node := n.nodes[c.src]
 	ready := node.smallTxBusy
@@ -174,7 +164,9 @@ func smallDeliver(sm smallMsg) {
 }
 
 // Close tears the channel down, dropping queued and in-flight messages —
-// the simulated analogue of a socket reset when a process dies.
+// the simulated analogue of a socket reset when a process dies.  Cancelling
+// the flow stops a bulk message still transmitting; a delivery already on
+// a lane is dropped there, because the channel is closed.
 func (c *Channel) Close() {
 	if c.closed {
 		return
@@ -182,8 +174,7 @@ func (c *Channel) Close() {
 	c.closed = true
 	c.queue.Reset()
 	c.busy = false
-	if c.inFly != nil {
-		c.inFly.Cancel()
-		c.inFly = nil
+	if c.flow != nil {
+		c.flow.Cancel()
 	}
 }

@@ -20,12 +20,16 @@
 // Channels (channel.go) add FIFO ordering on top of flows: a Channel
 // serializes its messages (one in flight at a time), so per-channel FIFO —
 // which both checkpointing protocols require — holds by construction.
+// Because it sends one message at a time, a channel owns one transmit
+// Flow, allocated on its first bulk message and reset for every later one,
+// and its deliveries ride the network's delivery lanes by value.
 //
-// The implementation keeps the per-event hot path allocation-free: flow
+// The implementation keeps the per-message hot path allocation-free: flow
 // membership lives in seq-ordered slices (not maps), the affected set of a
 // reschedule is an epoch-marked scratch slice reused across calls, a
-// flow's resource path is a fixed-size array, and completion/delivery
-// events are scheduled through the kernel's closure-free AfterArg form.
+// flow's resource path is a fixed-size array, and every pending flow
+// completion lives in one keyed timer set (sim.Timers), so a reschedule
+// re-arms each affected flow in place and leaves no dead event behind.
 package simnet
 
 import (
@@ -119,23 +123,24 @@ const maxPathRes = 4
 
 // Flow is an in-progress bulk transfer.
 type Flow struct {
+	// Timer is the flow's place in Network.timers: armed from the start
+	// of its transmission until its last byte clears the bottleneck.
+	sim.Timer
+	nres      uint8
+	cancelled bool
 	net       *Network
 	seq       uint64 // creation order, for deterministic rescheduling
 	res       [maxPathRes]*resource
-	nres      int
 	cap       Rate    // per-flow rate ceiling (WAN), 0 = none
 	remaining float64 // bytes
 	size      Bytes
 	rate      Rate
 	last      sim.Time
 	latency   sim.Time
-	doneEv    sim.EventID
 	fn        func(any) // StartFlow API completion, called with payload; nil for channel flows
 	ch        *Channel  // owning channel for bulk channel messages
 	payload   any       // delivered payload for channel flows, fn's argument otherwise
-	done      bool
-	cancelled bool
-	mark      uint64 // affected-set epoch (see Network.addAffected)
+	mark      uint64    // affected-set epoch (see Network.addAffected)
 }
 
 // Network is the simulated platform.
@@ -146,6 +151,14 @@ type Network struct {
 	// wanUp[i] is cluster i's uplink, nil for single-cluster topologies.
 	wanUp   []*resource
 	flowSeq uint64
+
+	// timers holds every pending flow completion.
+	timers *sim.Timers[*Flow]
+	// bulkIntra[c] carries the deliveries of channel flows inside cluster
+	// c and bulkWan those between clusters: each adds one constant latency
+	// to a completion time that never decreases, so each lane is monotone.
+	bulkIntra []*sim.Lane[smallMsg]
+	bulkWan   *sim.Lane[smallMsg]
 
 	// affected is the scratch set of flows whose rate may have changed in
 	// the current attach/detach; epoch-marking makes membership tests O(1)
@@ -164,7 +177,12 @@ type Network struct {
 
 // New builds the platform described by topo on kernel k.
 func New(k *sim.Kernel, topo Topology) *Network {
-	n := &Network{k: k, topo: topo}
+	n := &Network{
+		k:       k,
+		topo:    topo,
+		timers:  sim.NewTimers(k, (*Flow).transferComplete),
+		bulkWan: sim.NewLane(k, smallDeliver),
+	}
 	for ci, c := range topo.Clusters {
 		if c.Nodes <= 0 {
 			panic(fmt.Sprintf("simnet: cluster %q has %d nodes", c.Name, c.Nodes))
@@ -185,6 +203,7 @@ func New(k *sim.Kernel, topo Topology) *Network {
 				smallWan:   sim.NewLane(k, smallDeliver),
 			})
 		}
+		n.bulkIntra = append(n.bulkIntra, sim.NewLane(k, smallDeliver))
 	}
 	if len(topo.Clusters) > 1 {
 		if topo.WanBW <= 0 {
@@ -290,21 +309,27 @@ func (n *Network) StartFlowArg(src, dst int, size Bytes, cap Rate, fn func(any),
 		fn:        fn,
 		payload:   arg,
 	}
-	if src == dst {
-		// Loopback: latency only (applied by transferComplete); intra-node
-		// copies are not network flows.
-		f.doneEv = n.k.AfterArg(0, flowXferComplete, f)
-		return f
-	}
-	n.pathInto(f, src, dst)
 	if n.Cluster(src) != n.Cluster(dst) {
 		if wc := n.topo.WanFlowCap; wc > 0 && (f.cap == 0 || wc < f.cap) {
 			f.cap = wc
 		}
 	}
+	n.transmit(f, src, dst)
+	return f
+}
+
+// transmit starts a reset flow's transmission from node src to node dst.
+func (n *Network) transmit(f *Flow, src, dst int) {
+	if src == dst {
+		// Loopback: latency only (applied by transferComplete); intra-node
+		// copies are not network flows.
+		n.timers.Arm(f, n.k.Now())
+		n.timers.Sync()
+		return
+	}
+	n.pathInto(f, src, dst)
 	n.attach(f)
 	n.reschedule()
-	return f
 }
 
 // beginAffected starts a new affected-set collection.
@@ -327,8 +352,7 @@ func (n *Network) addAffected(g *Flow) {
 func (n *Network) attach(f *Flow) {
 	n.beginAffected()
 	n.addAffected(f)
-	for i := 0; i < f.nres; i++ {
-		r := f.res[i]
+	for _, r := range f.res[:f.nres] {
 		for _, g := range r.flows {
 			n.addAffected(g)
 		}
@@ -340,8 +364,7 @@ func (n *Network) attach(f *Flow) {
 // flows whose rate may have changed into the affected set.
 func (n *Network) detach(f *Flow) {
 	n.beginAffected()
-	for i := 0; i < f.nres; i++ {
-		r := f.res[i]
+	for i, r := range f.res[:f.nres] {
 		for j, g := range r.flows {
 			if g == f {
 				r.flows = append(r.flows[:j], r.flows[j+1:]...)
@@ -357,9 +380,10 @@ func (n *Network) detach(f *Flow) {
 }
 
 // reschedule settles progress and recomputes rate and completion time for
-// every live flow in the affected set.  In the min-share model a flow's
-// rate depends only on the population counts of its own resources, so a
-// single pass is exact for the resources whose membership changed.
+// every flow in the affected set, re-arming each completion in place, and
+// syncs the timer set once.  In the min-share model a flow's rate depends
+// only on the population counts of its own resources, so a single pass is
+// exact for the resources whose membership changed.
 func (n *Network) reschedule() {
 	now := n.k.Now()
 	// Iterate in flow-creation order — the per-resource lists are already
@@ -377,9 +401,6 @@ func (n *Network) reschedule() {
 		aff[j+1] = g
 	}
 	for _, g := range aff {
-		if g.done || g.cancelled {
-			continue
-		}
 		if g.rate > 0 {
 			g.remaining -= g.rate * (now - g.last).Seconds()
 			if g.remaining < 0 {
@@ -388,8 +409,8 @@ func (n *Network) reschedule() {
 		}
 		g.last = now
 		rate := math.Inf(1)
-		for i := 0; i < g.nres; i++ {
-			if s := g.res[i].share(); s < rate {
+		for _, r := range g.res[:g.nres] {
+			if s := r.share(); s < rate {
 				rate = s
 			}
 		}
@@ -397,10 +418,6 @@ func (n *Network) reschedule() {
 			rate = g.cap
 		}
 		g.rate = rate
-		if g.doneEv != 0 {
-			n.k.Cancel(g.doneEv)
-			g.doneEv = 0
-		}
 		var dt sim.Time
 		if g.remaining > 0 && !math.IsInf(g.rate, 1) {
 			dt = sim.Time(g.remaining / g.rate * float64(time.Second))
@@ -408,53 +425,48 @@ func (n *Network) reschedule() {
 				dt = 0
 			}
 		}
-		g.doneEv = n.k.AfterArg(dt, flowXferComplete, g)
+		n.timers.Arm(g, now+dt)
 	}
+	n.timers.Sync()
 }
-
-// flowXferComplete is the shared completion callback: scheduling it through
-// AfterArg avoids binding a method-value closure per reschedule.
-func flowXferComplete(x any) { x.(*Flow).transferComplete() }
 
 // transferComplete fires when the last byte leaves the bottleneck; the
-// delivery callback runs one path latency later.
+// delivery runs one path latency later.  A channel's delivery rides a
+// delivery lane as a smallMsg, which frees the flow for the channel's next
+// message.
 func (f *Flow) transferComplete() {
-	if f.done || f.cancelled {
-		return
-	}
-	f.done = true
-	f.doneEv = 0
+	n := f.net
 	f.remaining = 0
 	if f.nres > 0 {
-		f.net.detach(f)
-		f.net.reschedule()
+		n.detach(f)
+		n.reschedule()
 	}
-	f.net.k.AtArg(f.net.k.Now()+f.latency, deliverFlow, f)
-	if f.ch != nil {
-		// The channel's next message may start transmitting as soon as
-		// this one clears the bottleneck.
-		f.ch.startNext()
+	at := n.k.Now() + f.latency
+	c := f.ch
+	if c == nil {
+		n.k.AtArg(at, deliverFlow, f)
+		return
 	}
+	lane := n.bulkWan
+	if src := n.nodes[c.src].cluster; src == n.nodes[c.dst].cluster {
+		lane = n.bulkIntra[src]
+	}
+	lane.At(at, smallMsg{c, f.payload, f.size})
+	f.payload = nil
+	// The channel's next message may start transmitting as soon as this
+	// one clears the bottleneck.
+	c.startNext()
 }
 
-// deliverFlow runs one path latency after the last byte cleared the
-// bottleneck: it settles the delivery statistics and hands the result to
-// the receiver (channel delivery callback or StartFlow onDone).
+// deliverFlow runs one path latency after the last byte of a StartFlow
+// transfer cleared the bottleneck: it settles the delivery statistics and
+// hands the payload to the completion.
 func deliverFlow(x any) {
 	f := x.(*Flow)
 	if f.cancelled {
 		return
 	}
 	n := f.net
-	if c := f.ch; c != nil {
-		if c.closed {
-			return
-		}
-		n.BytesMoved += f.size
-		n.FlowsDone++
-		c.deliver(f.payload)
-		return
-	}
 	n.BytesMoved += f.size
 	n.FlowsDone++
 	n.met.Inc("net.flows")
@@ -468,13 +480,14 @@ func deliverFlow(x any) {
 // including after completion (then it only suppresses a pending delivery).
 func (f *Flow) Cancel() {
 	f.cancelled = true
-	if f.doneEv != 0 {
-		f.net.k.Cancel(f.doneEv)
-		f.doneEv = 0
+	n := f.net
+	if !n.timers.Stop(f) {
+		return // transmitted already
 	}
-	if !f.done && f.nres > 0 {
-		f.net.detach(f)
-		f.net.reschedule()
+	if f.nres > 0 {
+		n.detach(f)
+		n.reschedule()
+		return
 	}
-	f.done = true
+	n.timers.Sync()
 }

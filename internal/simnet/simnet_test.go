@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+	"unsafe"
 
 	"ftckpt/internal/sim"
 )
@@ -280,9 +281,14 @@ func TestChannelClose(t *testing.T) {
 	if delivered != 0 {
 		t.Fatalf("delivered %d messages on closed channel", delivered)
 	}
-	ch.Send("c", 1) // send after close is a silent drop
-	if ch.MsgsSent != 2 {
-		t.Fatalf("MsgsSent = %d, want 2 (post-close send not counted)", ch.MsgsSent)
+	// A send after close is a silent drop: it queues nothing and
+	// schedules nothing, so nothing can be delivered.
+	before := k.Stats().Scheduled
+	ch.Send("c", 1)
+	ch.Send("d", 50e6)
+	if ch.busy || ch.queue.Len() != 0 || k.Stats().Scheduled != before {
+		t.Fatalf("a send after close left busy=%v, %d queued, %d events scheduled",
+			ch.busy, ch.queue.Len(), k.Stats().Scheduled-before)
 	}
 }
 
@@ -479,5 +485,81 @@ func TestSmallBurstHoldsThreeHeapSlots(t *testing.T) {
 		if first := at[i][0]; first < n.Latency(0, d) {
 			t.Errorf("channel 0->%d first delivery at %v, before one latency %v", d, first, n.Latency(0, d))
 		}
+	}
+}
+
+// TestBulkStreamAllocatesNothing sends a steady stream of bulk messages on
+// one channel: the channel's one Flow carries every transmission and the
+// delivery lane every arrival, so past warm-up a message costs nothing.
+func TestBulkStreamAllocatesNothing(t *testing.T) {
+	k := sim.New(1)
+	n := lan(k)
+	const size = 64 * KB
+	delivered := 0
+	ch := n.NewChannel(0, 1, func(any) { delivered++ })
+	var payload any = "bulk" // boxed once
+	svc := sim.Time(float64(size) / n.Bandwidth(0, 1) * 1e9)
+	var allocs float64
+	k.Go("sender", func(p *sim.Proc) {
+		allocs = testing.AllocsPerRun(2_000, func() {
+			ch.Send(payload, size)
+			p.Advance(svc)
+		})
+	})
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if delivered != 2_001 {
+		t.Fatalf("delivered %d of 2001 messages", delivered)
+	}
+	if allocs != 0 {
+		t.Errorf("%v allocations per bulk message on one channel", allocs)
+	}
+}
+
+// TestChannelCloseDropsBulkDelivery closes a channel at two points of its
+// one bulk message's life.  While the last byte is still in flight, Close
+// cancels the transmission; after it cleared the NIC but before the
+// delivery, the delivery is already on a lane and is dropped there because
+// the channel is closed.  Either way nothing arrives and nothing is
+// counted as moved.
+func TestChannelCloseDropsBulkDelivery(t *testing.T) {
+	// 1 MB at 100 MB/s leaves the NIC at 10 ms and lands 50 µs later.
+	for _, c := range []struct {
+		name string
+		at   sim.Time
+	}{
+		{"transmitting", 10*time.Millisecond - time.Microsecond},
+		{"delivering", 10*time.Millisecond + 25*time.Microsecond},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			k := sim.New(1)
+			n := lan(k)
+			delivered := 0
+			ch := n.NewChannel(0, 1, func(any) { delivered++ })
+			ch.Send("big", 1e6)
+			k.After(c.at, ch.Close)
+			if err := k.Run(); err != nil {
+				t.Fatal(err)
+			}
+			if delivered != 0 || n.FlowsDone != 0 || n.BytesMoved != 0 {
+				t.Fatalf("closed channel delivered %d, counted %d flows and %d bytes", delivered, n.FlowsDone, n.BytesMoved)
+			}
+			if st := k.Stats(); st.Scheduled != st.Fired+st.Cancelled {
+				t.Fatalf("events left over: %+v", st)
+			}
+		})
+	}
+}
+
+// TestRecordSizes pins the two records simnet keeps most of: a Channel per
+// ordered pair of communicating ranks, and a Flow per bulk transfer in
+// flight (one per channel that ever sent a bulk message).
+func TestRecordSizes(t *testing.T) {
+	if n := unsafe.Sizeof(Flow{}); n > 160 {
+		t.Errorf("Flow is %d bytes, want <= 160", n)
+	}
+	if n := unsafe.Sizeof(Channel{}); n > 80 {
+		t.Errorf("Channel is %d bytes, want <= 80", n)
 	}
 }
