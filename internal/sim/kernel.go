@@ -86,8 +86,8 @@ func (p *Proc) ID() int { return p.id }
 func (p *Proc) Name() string { return p.name }
 
 // eventSlot is one pooled event.  A slot is referenced by at most one
-// heap entry, at position pos; cancelled slots stay in the heap (lazily
-// skipped on pop) and are recycled through the free list once popped.
+// heap entry; cancelled slots stay in the heap (lazily skipped on pop)
+// and are recycled through the free list once popped.
 //
 // Lifetime rule (its declarations are checked by the pooled-holder rule
 // of lint_test.go at the repo root): a *eventSlot obtained from the slab
@@ -96,21 +96,20 @@ func (p *Proc) Name() string { return p.name }
 // a slot pointer in a field or global; hold the EventID instead, which
 // detects recycling.
 type eventSlot struct {
-	t   Time
-	seq uint64
-	gen uint32
-	pos int32 // index in Kernel.heap while the slot is in it
+	t    Time
+	seq  uint64
+	gen  uint32
+	live bool
 	// owned marks the one slot a Lane or a Timers set keeps in the heap:
-	// arg holds the owner (a slotOwner), which re-keys the slot in place
-	// rather than freeing it while it has more entries.
+	// arg holds the owner (a slotOwner), which re-keys the slot rather than
+	// freeing it while it has more entries.
 	owned bool
-	live  bool
 	// Exactly one of the payload forms is set: fn (closure callback),
-	// argFn+arg (closure-free callback), arg alone (the *Proc to wake), or
-	// owned+arg.
+	// argFn+arg (closure-free callback), proc (wake the LP), or owned+arg.
 	fn    func()
 	argFn func(any)
 	arg   any
+	proc  *Proc
 }
 
 // slotOwner is what the kernel sees of a Lane or a Timers set: firing its
@@ -204,10 +203,6 @@ func (id EventID) split() (idx int32, gen uint32) {
 }
 
 // --- 4-ary heap over the slot slab --------------------------------------
-//
-// Every slot in the heap knows its position (eventSlot.pos), so an owned
-// slot can be re-keyed wherever it sits (heapFix) and removed without
-// leaving a dead entry behind (heapRemove).
 
 func (k *Kernel) slotLess(a, b int32) bool {
 	sa, sb := &k.slab[a], &k.slab[b]
@@ -217,70 +212,36 @@ func (k *Kernel) slotLess(a, b int32) bool {
 	return sa.seq < sb.seq
 }
 
-// place puts slot idx at heap position i.
-func (k *Kernel) place(i int, idx int32) {
-	k.heap[i] = idx
-	k.slab[idx].pos = int32(i)
-}
-
 func (k *Kernel) heapPush(idx int32) {
 	k.heap = append(k.heap, idx)
-	if len(k.heap) > k.heapMax {
-		k.heapMax = len(k.heap)
-	}
-	k.siftUp(len(k.heap) - 1)
-}
-
-// heapPop removes the root.
-func (k *Kernel) heapPop() {
-	last := len(k.heap) - 1
-	k.heap[0] = k.heap[last]
-	k.heap = k.heap[:last]
-	if last > 0 {
-		k.siftDown(0)
-	}
-}
-
-// heapRemove takes the entry at position i out of the heap.
-func (k *Kernel) heapRemove(i int) {
-	last := len(k.heap) - 1
-	k.heap[i] = k.heap[last]
-	k.heap = k.heap[:last]
-	if i < last {
-		k.heapFix(i)
-	}
-}
-
-// heapFix restores the heap order around position i after its slot's key
-// changed.
-func (k *Kernel) heapFix(i int) {
-	if !k.siftUp(i) {
-		k.siftDown(i)
-	}
-}
-
-// siftUp moves the entry at i towards the root and reports whether it
-// moved.
-func (k *Kernel) siftUp(i int) bool {
 	h := k.heap
-	idx := h[i]
-	start := i
+	if len(h) > k.heapMax {
+		k.heapMax = len(h)
+	}
+	i := len(h) - 1
 	for i > 0 {
 		parent := (i - 1) / 4
-		if !k.slotLess(idx, h[parent]) {
+		if !k.slotLess(h[i], h[parent]) {
 			break
 		}
-		k.place(i, h[parent])
+		h[i], h[parent] = h[parent], h[i]
 		i = parent
 	}
-	k.place(i, idx)
-	return i != start
+}
+
+func (k *Kernel) heapPop() int32 {
+	h := k.heap
+	top := h[0]
+	last := len(h) - 1
+	h[0] = h[last]
+	k.heap = h[:last]
+	k.siftDown(0)
+	return top
 }
 
 func (k *Kernel) siftDown(i int) {
 	h := k.heap
 	n := len(h)
-	idx := h[i]
 	for {
 		first := 4*i + 1
 		if first >= n {
@@ -296,13 +257,12 @@ func (k *Kernel) siftDown(i int) {
 				m = j
 			}
 		}
-		if !k.slotLess(h[m], idx) {
+		if !k.slotLess(h[m], h[i]) {
 			break
 		}
-		k.place(i, h[m])
+		h[i], h[m] = h[m], h[i]
 		i = m
 	}
-	k.place(i, idx)
 }
 
 // compactHeap drops cancelled slots and re-heapifies.  Called once more
@@ -313,7 +273,6 @@ func (k *Kernel) compactHeap() {
 	h := k.heap[:0]
 	for _, idx := range k.heap {
 		if k.slab[idx].live {
-			k.slab[idx].pos = int32(len(h))
 			h = append(h, idx)
 		} else {
 			k.freeSlot(idx)
@@ -327,7 +286,7 @@ func (k *Kernel) compactHeap() {
 }
 
 // schedule inserts one event, reusing a free slot when available.
-func (k *Kernel) schedule(t Time, fn func(), argFn func(any), arg any) EventID {
+func (k *Kernel) schedule(t Time, fn func(), argFn func(any), arg any, proc *Proc) EventID {
 	if t < k.now {
 		t = k.now
 	}
@@ -335,7 +294,7 @@ func (k *Kernel) schedule(t Time, fn func(), argFn func(any), arg any) EventID {
 	idx := k.allocSlot()
 	s := &k.slab[idx]
 	s.t, s.seq, s.live = t, k.seq, true
-	s.fn, s.argFn, s.arg = fn, argFn, arg
+	s.fn, s.argFn, s.arg, s.proc = fn, argFn, arg, proc
 	k.heapPush(idx)
 	return makeEventID(idx, s.gen)
 }
@@ -359,7 +318,7 @@ func (k *Kernel) freeSlot(idx int32) {
 	s.gen++
 	s.live = false
 	s.owned = false
-	s.fn, s.argFn, s.arg = nil, nil, nil
+	s.fn, s.argFn, s.arg, s.proc = nil, nil, nil, nil
 	if s.gen == 0 {
 		// The generation counter wrapped: an EventID issued 2^32 lives
 		// ago would now alias a future event in this slot and could
@@ -374,7 +333,7 @@ func (k *Kernel) freeSlot(idx int32) {
 // At schedules fn to run as an event callback at virtual time t.  If t is
 // in the past it runs at the current time, after already-pending work.
 func (k *Kernel) At(t Time, fn func()) EventID {
-	return k.schedule(t, fn, nil, nil)
+	return k.schedule(t, fn, nil, nil, nil)
 }
 
 // After schedules fn to run d from now.
@@ -382,14 +341,14 @@ func (k *Kernel) After(d Time, fn func()) EventID {
 	if d < 0 {
 		d = 0
 	}
-	return k.schedule(k.now+d, fn, nil, nil)
+	return k.schedule(k.now+d, fn, nil, nil, nil)
 }
 
 // AtArg schedules fn(arg) at virtual time t.  Passing the argument
 // explicitly lets hot paths share one callback func instead of allocating
 // a closure per event.
 func (k *Kernel) AtArg(t Time, fn func(any), arg any) EventID {
-	return k.schedule(t, nil, fn, arg)
+	return k.schedule(t, nil, fn, arg, nil)
 }
 
 // AfterArg schedules fn(arg) to run d from now.
@@ -397,7 +356,7 @@ func (k *Kernel) AfterArg(d Time, fn func(any), arg any) EventID {
 	if d < 0 {
 		d = 0
 	}
-	return k.schedule(k.now+d, nil, fn, arg)
+	return k.schedule(k.now+d, nil, fn, arg, nil)
 }
 
 // Cancel revokes a pending event.  Cancelling an event that already fired
@@ -412,14 +371,21 @@ func (k *Kernel) Cancel(id EventID) bool {
 	if !s.live || s.gen != gen {
 		return false
 	}
-	s.live = false
-	s.fn, s.argFn, s.arg = nil, nil, nil
 	k.cancelled++
+	k.retire(idx)
+	return true
+}
+
+// retire marks a pending slot dead where it sits in the heap: Run frees it
+// when it surfaces, or compactHeap sooner.
+func (k *Kernel) retire(idx int32) {
+	s := &k.slab[idx]
+	s.live = false
+	s.fn, s.argFn, s.arg, s.proc = nil, nil, nil, nil
 	k.dead++
 	if k.dead > 64 && k.dead > len(k.heap)/2 {
 		k.compactHeap()
 	}
-	return true
 }
 
 // Go spawns a new LP running fn.  It may be called before Run or from any
@@ -523,7 +489,7 @@ func (p *Proc) Advance(d Time) {
 	if d < 0 {
 		d = 0
 	}
-	id := p.k.schedule(p.k.now+d, nil, nil, p)
+	id := p.k.schedule(p.k.now+d, nil, nil, nil, p)
 	// If the LP is killed while parked, the timer would otherwise fire
 	// later and drag virtual time forward for a dead process.
 	defer p.k.Cancel(id)
@@ -604,15 +570,15 @@ func (k *Kernel) Run() error {
 				continue
 			}
 			k.heapPop()
-			fn, argFn, arg := s.fn, s.argFn, s.arg
+			fn, argFn, arg, proc := s.fn, s.argFn, s.arg, s.proc
 			k.freeSlot(idx)
 			switch {
+			case proc != nil:
+				k.ready(proc)
 			case argFn != nil:
 				argFn(arg)
-			case fn != nil:
-				fn()
 			default:
-				k.ready(arg.(*Proc))
+				fn()
 			}
 		default:
 			if k.live > 0 {

@@ -56,7 +56,7 @@ func (l *Lane[T]) At(t Time, v T) {
 		t = k.now
 	}
 	if l.q.Len() > 0 && t < l.tail {
-		k.schedule(t, func() { l.fn(v) }, nil, nil)
+		k.schedule(t, func() { l.fn(v) }, nil, nil, nil)
 		return
 	}
 	k.seq++

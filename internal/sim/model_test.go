@@ -13,8 +13,11 @@ package sim
 import (
 	"fmt"
 	"math/rand"
+	"os"
 	"slices"
 	"sort"
+	"strconv"
+	"strings"
 	"testing"
 )
 
@@ -124,20 +127,20 @@ func (p *modelProg) act(r modelDraw, n, self int) {
 			if len(p.cancellable) > 0 {
 				p.m.cancel(p.cancellable[r.Intn(len(p.cancellable))])
 			}
-		case op < 23 && p.budget > 0:
-			// Arm or re-arm, from two ticks into the past up to five ahead.
-			p.m.arm(r.Intn(modelTimers), p.m.now()+Time(r.Intn(8)-2), p.newID(modelTimerLane))
-			if r.Intn(3) == 0 {
-				p.m.sync()
-			}
-		case op < 25:
-			p.m.stop(r.Intn(modelTimers))
-		default:
+		case op < 20:
 			// Only once Run is dispatching: an LP killed before it first
 			// ran never enters its body, so it has nothing to log.
 			if len(p.log) > 0 {
 				p.m.kill(r.Intn(modelLPs))
 			}
+		case op < 24 && p.budget > 0:
+			// Arm or re-arm, from two ticks into the past up to five ahead.
+			p.m.arm(r.Intn(modelTimers), p.m.now()+Time(r.Intn(8)-2), p.newID(modelTimerLane))
+			if r.Intn(3) == 0 {
+				p.m.sync()
+			}
+		default:
+			p.m.stop(r.Intn(modelTimers))
 		}
 	}
 }
@@ -153,7 +156,9 @@ func (p *modelProg) setup() {
 func (p *modelProg) fire(id int) {
 	p.log = append(p.log, modelRec{'e', id, p.m.now()})
 	r := p.rng(id)
-	p.act(r, 1+r.Intn(3), p.laneOf[id])
+	// Up to four operations: most arms re-arm a pending timer and add no
+	// event, and with three at most some programs die out early.
+	p.act(r, 1+r.Intn(4), p.laneOf[id])
 	if p.laneOf[id] != modelTimerLane || r.Intn(2) == 0 {
 		p.m.sync()
 	}
@@ -187,8 +192,8 @@ type modelTimer struct {
 // modelLivesLeft how many lives each has left before its generation
 // wraps: a program reuses them, so it runs through slot retirement.  The
 // slot handed out first (the free list's top) has a single life left, so
-// even a program that reuses few slots — one that mostly re-arms keyed
-// timers, say — retires at least one.
+// that even a fuzzed program that reuses few slots retires one; the seeded
+// programs must also retire one of the others, under realistic reuse.
 const (
 	modelOldSlots  = 8
 	modelLivesLeft = 3
@@ -226,16 +231,19 @@ func (m *realMachine) fire(id int)   { m.p.fire(id) }
 func (m *realMachine) fireArg(x any) { m.p.fire(x.(int)) }
 func (m *realMachine) now() Time     { return m.k.Now() }
 
-// retired counts the slots whose generation wrapped: the kernel took them
-// out of use.
-func (m *realMachine) retired() int {
-	n := 0
+// retired counts the slots whose generation wrapped — the kernel took
+// them out of use — in all and among the slots that started with
+// modelLivesLeft lives.
+func (m *realMachine) retired() (all, full int) {
 	for i := range m.k.slab {
 		if s := &m.k.slab[i]; s.gen == 0 && !s.live && !slices.Contains(m.k.free, int32(i)) {
-			n++
+			all++
+			if i < modelOldSlots-1 {
+				full++
+			}
 		}
 	}
-	return n
+	return all, full
 }
 
 func (m *realMachine) schedule(kind int, t Time, id int) {
@@ -380,8 +388,10 @@ func (m *refMachine) run() {
 
 // checkAgainstModel runs the program want describes on the reference and
 // an identical copy on the real kernel, and compares the dispatch logs and
-// the kernel's counters.  It returns how many records the program logged.
-func checkAgainstModel(t *testing.T, want *modelProg) int {
+// the kernel's counters.  It returns how many records the program logged
+// and how many of the slots that started with modelLivesLeft lives
+// retired.
+func checkAgainstModel(t *testing.T, want *modelProg) (records, retiredFull int) {
 	t.Helper()
 	got := &modelProg{seed: want.seed, data: want.data, budget: want.budget}
 	ref := &refMachine{p: want}
@@ -410,17 +420,22 @@ func checkAgainstModel(t *testing.T, want *modelProg) int {
 		t.Errorf("Stats scheduled %d fired %d cancelled %d, model %d, %d and %d",
 			st.Scheduled, st.Fired, st.Cancelled, ref.seq, ref.fired, ref.cancelled)
 	}
-	if m.retired() == 0 {
+	all, full := m.retired()
+	if all == 0 {
 		t.Errorf("no slot's generation wrapped")
 	}
-	return len(want.log)
+	return len(want.log), full
 }
 
 func TestKernelMatchesSortedSliceModel(t *testing.T) {
 	for seed := int64(1); seed <= 60; seed++ {
 		t.Run(fmt.Sprint("seed", seed), func(t *testing.T) {
-			if n := checkAgainstModel(t, &modelProg{seed: seed, budget: modelBudget}); n < modelBudget/2 {
+			n, full := checkAgainstModel(t, &modelProg{seed: seed, budget: modelBudget})
+			if n < modelBudget/2 {
 				t.Fatalf("the program dispatched only %d records", n)
+			}
+			if full == 0 {
+				t.Errorf("none of the slots with %d lives retired", modelLivesLeft)
 			}
 		})
 	}
@@ -435,4 +450,37 @@ func FuzzKernelModel(f *testing.F) {
 		}
 		checkAgainstModel(t, &modelProg{data: data, budget: modelBudget})
 	})
+}
+
+// TestFuzzCorpusKillsKills keeps the "kills" corpus entry what its name
+// says: decoded under the current op layout, its program kills an LP —
+// one exits before its last Advance.
+func TestFuzzCorpusKillsKills(t *testing.T) {
+	raw, err := os.ReadFile("testdata/fuzz/FuzzKernelModel/kills")
+	if err != nil {
+		t.Fatal(err)
+	}
+	lit, ok := strings.CutPrefix(strings.TrimSpace(string(raw)), "go test fuzz v1\n[]byte(")
+	if !ok || !strings.HasSuffix(lit, ")") {
+		t.Fatalf("unexpected corpus file: %q", raw)
+	}
+	data, err := strconv.Unquote(strings.TrimSuffix(lit, ")"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := &modelProg{data: []byte(data), budget: modelBudget}
+	checkAgainstModel(t, p)
+	var wakes [modelLPs]int
+	killed := 0
+	for _, r := range p.log {
+		switch {
+		case r.what == 'w':
+			wakes[r.id]++
+		case r.what == 'x' && wakes[r.id] < modelLPSteps:
+			killed++
+		}
+	}
+	if killed == 0 {
+		t.Fatalf("no LP was killed in %d records", len(p.log))
+	}
 }

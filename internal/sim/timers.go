@@ -19,9 +19,9 @@ package sim
 // its slot in the kernel heap carries the key of the set's minimum — not a
 // copy that is earlier or later — so the kernel heap's root is the global
 // minimum over every pending event, as with a Lane.  Arm and Stop only
-// reorder the set; Sync then re-keys the slot in place (or pushes or
-// removes it), once per batch of changes, before control returns to the
-// kernel.  When the slot fires, the minimum is taken off the set, its
+// reorder the set; Sync then gives the slot the new minimum's key (or
+// pushes or drops it), once per batch of changes, before control returns
+// to the kernel.  When the slot fires, the minimum is taken off the set, its
 // callback runs, and the slot is synced again.  Dispatch thus follows the
 // same (t, seq) order as if every arm had been an individual event and
 // every re-arm or Stop a Cancel of it.
@@ -29,7 +29,9 @@ package sim
 // Counters.  Stats count the set as those events: an arm is one scheduled
 // event, a re-arm of a pending timer one cancelled plus one scheduled, a
 // Stop of a pending timer one cancelled, and a firing one fired.  Only the
-// heap and slab high-water marks see the difference.
+// heap and slab high-water marks see the difference: a set holds one live
+// slot, plus at most one dead one per Sync that moved its minimum while
+// another event sat at the heap root.
 
 // Timer is the handle a record embeds to be armed in a Timers set.
 type Timer struct {
@@ -99,37 +101,47 @@ func (s *Timers[T]) Stop(v T) bool {
 	return true
 }
 
-// Sync gives the set's kernel slot the key of its earliest timer: pushed
-// when the set fills, removed when it empties, re-keyed in place
-// otherwise.
+// Sync gives the set's kernel slot the key of its earliest timer.  The
+// kernel heap records no positions, so a slot is re-keyed in place only at
+// the heap root (as a Lane's is); elsewhere the old slot is retired — left
+// dead in the heap, as Cancel leaves one, but not counted — and a fresh one
+// pushed.  A batch of changes thus leaves at most one dead slot behind,
+// where one Cancel per re-arm would leave one per timer it moved.
 func (s *Timers[T]) Sync() {
 	k := s.k
-	if len(s.h) == 0 {
-		if s.slot >= 0 {
-			k.heapRemove(int(k.slab[s.slot].pos))
-			k.freeSlot(s.slot)
-			s.slot = -1
-		}
-		return
-	}
-	head := &s.h[0]
-	if s.slot < 0 {
-		s.slot = k.allocSlot()
+	if s.slot >= 0 {
 		sl := &k.slab[s.slot]
-		sl.t, sl.seq, sl.live, sl.owned, sl.arg = head.t, head.seq, true, true, s
-		k.heapPush(s.slot)
+		atRoot := k.heap[0] == s.slot
+		switch {
+		case len(s.h) == 0 && atRoot:
+			k.heapPop()
+			k.freeSlot(s.slot)
+		case len(s.h) == 0:
+			k.retire(s.slot)
+		case sl.t == s.h[0].t && sl.seq == s.h[0].seq:
+			return
+		case atRoot:
+			sl.t, sl.seq = s.h[0].t, s.h[0].seq
+			k.siftDown(0)
+			return
+		default:
+			k.retire(s.slot)
+		}
+		s.slot = -1
+	}
+	if len(s.h) == 0 {
 		return
 	}
-	if sl := &k.slab[s.slot]; sl.t != head.t || sl.seq != head.seq {
-		sl.t, sl.seq = head.t, head.seq
-		k.heapFix(int(sl.pos))
-	}
+	s.slot = k.allocSlot()
+	sl := &k.slab[s.slot]
+	sl.t, sl.seq, sl.live, sl.owned, sl.arg = s.h[0].t, s.h[0].seq, true, true, s
+	k.heapPush(s.slot)
 }
 
 // fire dispatches the set's earliest timer, whose slot sits at the heap
 // root.  The slot keeps the fired key while the callback runs — every
-// pending event is later, so it stays put — and is synced afterwards, once
-// for whatever the callback armed or stopped.
+// pending event is later, so it stays at the root — and is synced
+// afterwards, in place, once for whatever the callback armed or stopped.
 func (s *Timers[T]) fire(int32) {
 	v := s.h[0].v
 	s.remove(0)

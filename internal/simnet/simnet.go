@@ -29,7 +29,8 @@
 // reschedule is an epoch-marked scratch slice reused across calls, a
 // flow's resource path is a fixed-size array, and every pending flow
 // completion lives in one keyed timer set (sim.Timers), so a reschedule
-// re-arms each affected flow in place and leaves no dead event behind.
+// re-arms each affected flow in place in the set's own heap and leaves at
+// most one dead event behind.
 package simnet
 
 import (

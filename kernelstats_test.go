@@ -52,7 +52,7 @@ func skipInstrumentedMlog(t *testing.T, proto Protocol) {
 // TestHeapHighWaterBounded pins what the head-of-line lanes and the flow
 // timer set buy: the event heap stays O(NP) deep through a checkpoint
 // wave.  BT.A at NP=256, ppn 2, measures 429 entries under Pcl (whose wave
-// floods NP² markers), 769 under Vcl (whose daemons delay every packet)
+// floods NP² markers), 986 under Vcl (whose daemons delay every packet)
 // and 768 under Mlog (whose re-timed flows were 1 022, 1 867 and 1 277
 // while every flow completion was an event of its own); with one heap
 // entry per pending small message or daemon admit the Pcl and Vcl runs
