@@ -36,7 +36,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"log"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -48,7 +47,6 @@ import (
 )
 
 func main() {
-	log.SetFlags(0)
 	var (
 		bench    = flag.String("bench", "bt", "workload: bt, cg, mg, lu (models), cg-real, ep, jacobi (real)")
 		class    = flag.String("class", "B", "NPB class for model workloads: A, B, C")
@@ -84,7 +82,7 @@ func main() {
 		chaosPFSFrac = flag.Float64("chaos-pfs-frac", 0, "fraction of chaos kills aimed at PFS targets (requires a pfs level)")
 		chaosFrom    = flag.Duration("chaos-from", 10*time.Millisecond, "start of the chaos kill window")
 		chaosUntil   = flag.Duration("chaos-until", 100*time.Millisecond, "end of the chaos kill window")
-		verbose      = flag.Bool("v", false, "trace runtime events")
+		verbose      = flag.Bool("v", false, "write every event to stderr, one line each: virtual ns, type, rank, wave, channel, node, server, level, bytes, seq, span, cause")
 		traceOut     = flag.String("trace-out", "", "write a Chrome trace_event timeline (open in Perfetto) to this file")
 		metOut       = flag.String("metrics-out", "", "write the run's metrics to this file (.csv extension selects CSV, else JSON)")
 		explain      = flag.Bool("explain", false, "trace causal spans and print the per-phase overhead attribution (conservation-checked)")
@@ -165,34 +163,37 @@ func main() {
 	if *failAt > 0 {
 		o.Failures = []ftckpt.Failure{ftckpt.KillRank(*failAt, *failRank)}
 	}
-	if *verbose {
-		o.Verbose = log.Printf
-	}
 	o.Attribution = *explain || *explOut != ""
 	o.MetricsSnapshot = *metSnap
-	// flushTrace completes the trace artifact.  It runs before the exit is
-	// decided: a failure-aborted run (degraded stop, deadline) must still
-	// leave a valid trace document, its open intervals closed and the JSON
-	// tail written.
-	flushTrace := func() {}
+	// flush completes the -v event stream and the -trace-out document.  It
+	// runs before the exit is decided and before anything else is printed
+	// to stderr: a failure-aborted run (degraded stop, deadline) must
+	// still leave every event line and a valid trace, its open intervals
+	// closed and the JSON tail written.
+	var sinks fanout
+	var closers []func() error
+	if *verbose {
+		w := bufio.NewWriterSize(os.Stderr, 1<<16)
+		sinks = append(sinks, ftckpt.NewLineSink(w))
+		closers = append(closers, w.Flush)
+	}
 	if *traceOut != "" {
 		f, err := os.Create(*traceOut)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "ftrun:", err)
 			os.Exit(1)
 		}
-		buf := bufio.NewWriterSize(f, 1<<16)
-		trace := ftckpt.NewChromeStreamSink(buf)
-		o.Sink = trace
-		flushTrace = func() {
-			err := trace.Close()
-			if ferr := buf.Flush(); err == nil {
-				err = ferr
-			}
-			if cerr := f.Close(); err == nil {
-				err = cerr
-			}
-			if err != nil {
+		w := bufio.NewWriterSize(f, 1<<16)
+		trace := ftckpt.NewChromeStreamSink(w)
+		sinks = append(sinks, trace)
+		closers = append(closers, trace.Close, w.Flush, f.Close)
+	}
+	if len(sinks) > 0 {
+		o.Sink = sinks
+	}
+	flush := func() {
+		for _, c := range closers {
+			if err := c(); err != nil {
 				fmt.Fprintln(os.Stderr, "ftrun:", err)
 				os.Exit(1)
 			}
@@ -212,8 +213,8 @@ func main() {
 			From:       *chaosFrom,
 			Until:      *chaosUntil,
 		}, *explain, *explOut)
+		flush()
 		finishProf()
-		flushTrace()
 		if rep.Report.Metrics != nil {
 			writeMetrics(*metOut, rep.Report.Metrics)
 		}
@@ -221,12 +222,12 @@ func main() {
 	}
 
 	rep, kst, err := ftckpt.RunKernelStats(o)
+	flush()
 	finishProf()
 	if *stats {
 		fmt.Fprintf(os.Stderr, "kernel            %d events scheduled, %d fired, %d cancelled; high water: heap %d, slab %d, lanes %d\n",
 			kst.Scheduled, kst.Fired, kst.Cancelled, kst.HeapMax, kst.SlabMax, kst.LaneMax)
 	}
-	flushTrace()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "ftrun:", err)
 		os.Exit(1)
@@ -271,6 +272,15 @@ func main() {
 		if code := explainReport(rep.Attribution, *explain, *explOut); code != 0 {
 			os.Exit(code)
 		}
+	}
+}
+
+// fanout feeds every event to each of its sinks (-v beside -trace-out).
+type fanout []ftckpt.Sink
+
+func (f fanout) Emit(ev ftckpt.Event) {
+	for _, s := range f {
+		s.Emit(ev)
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"reflect"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -150,35 +151,106 @@ func TestFlagValidationExitCodes(t *testing.T) {
 	}
 }
 
-// TestDegradedChaosTrace runs the built binary through a chaos campaign
-// that ends in a degraded stop: -trace-out must still leave a document
-// that parses, shows the stop, and gives every span a duration ≥ 0.
-func TestDegradedChaosTrace(t *testing.T) {
-	bin := buildFtrun(t)
-	path := filepath.Join(t.TempDir(), "trace.json")
-	out, err := exec.Command(bin, "-bench", "cg-real", "-np", "8", "-proto", "pcl", "-interval", "5ms",
-		"-servers", "2", "-chaos", "3", "-chaos-seed", "4", "-chaos-server-frac", "0.5",
-		"-chaos-from", "8ms", "-chaos-until", "40ms", "-trace-out", path).CombinedOutput()
+// eventLine is one line of the -v stream: virtual ns, type, six signed
+// fields (rank, wave, channel, node, server, level), four unsigned ones
+// (bytes, seq, span, cause) and, on a counter sample, the metric name.
+var eventLine = regexp.MustCompile(`^[0-9]+ [a-z]+(-[a-z]+)*( -?[0-9]+){6}( [0-9]+){4}( [a-z0-9._]+)?$`)
+
+// runStream runs the built binary and returns its stdout and its -v
+// event lines, failing on a non-zero exit or on a stderr line that is
+// not an event line.
+func runStream(t *testing.T, bin string, args ...string) (stdout string, lines []string) {
+	t.Helper()
+	cmd := exec.Command(bin, args...)
+	var stderr strings.Builder
+	cmd.Stderr = &stderr
+	out, err := cmd.Output()
 	if err != nil {
-		t.Fatalf("ftrun: %v\n%s", err, out)
+		t.Fatalf("ftrun: %v\n%s%s", err, out, stderr.String())
 	}
-	if !strings.Contains(string(out), "degraded stop") {
-		t.Fatalf("the campaign no longer ends in a degraded stop:\n%s", out)
+	lines = strings.Split(strings.TrimSuffix(stderr.String(), "\n"), "\n")
+	for i, l := range lines {
+		if !eventLine.MatchString(l) {
+			t.Fatalf("stderr line %d is not an event line: %q", i+1, l)
+		}
 	}
+	return string(out), lines
+}
+
+// hasEvent reports whether some line is an event of the named type.
+func hasEvent(lines []string, kind string) bool {
+	for _, l := range lines {
+		if f := strings.Fields(l); f[1] == kind {
+			return true
+		}
+	}
+	return false
+}
+
+// traceDoc is the part of a -trace-out document the tests read.
+type traceDoc struct {
+	TraceEvents []struct {
+		Ph   string   `json:"ph"`
+		Name string   `json:"name"`
+		Dur  *float64 `json:"dur"`
+	} `json:"traceEvents"`
+}
+
+// parseTrace reads a -trace-out document.
+func parseTrace(t *testing.T, path string) traceDoc {
+	t.Helper()
 	b, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var doc struct {
-		TraceEvents []struct {
-			Ph   string   `json:"ph"`
-			Name string   `json:"name"`
-			Dur  *float64 `json:"dur"`
-		} `json:"traceEvents"`
-	}
+	var doc traceDoc
 	if err := json.Unmarshal(b, &doc); err != nil {
-		t.Fatalf("trace of a degraded run does not parse: %v", err)
+		t.Fatalf("%s does not parse: %v", path, err)
 	}
+	return doc
+}
+
+// TestVerboseEventStream runs the built binary with -v and -trace-out
+// together: stderr carries only event lines, the failure and the commits
+// among them, two runs write the same bytes, and the trace still parses.
+func TestVerboseEventStream(t *testing.T) {
+	bin := buildFtrun(t)
+	var streams [2][]string
+	for i := range streams {
+		path := filepath.Join(t.TempDir(), "trace.json")
+		_, streams[i] = runStream(t, bin, "-bench", "cg-real", "-np", "8", "-proto", "pcl",
+			"-interval", "5ms", "-fail-at", "20ms", "-fail-rank", "3", "-v", "-trace-out", path)
+		if doc := parseTrace(t, path); len(doc.TraceEvents) == 0 {
+			t.Fatalf("run %d: the trace has no records", i)
+		}
+	}
+	for _, kind := range []string{"rank-killed", "wave-commit"} {
+		if !hasEvent(streams[0], kind) {
+			t.Errorf("the stream has no %s line", kind)
+		}
+	}
+	if !reflect.DeepEqual(streams[0], streams[1]) {
+		t.Errorf("two runs wrote different streams (%d vs %d lines)", len(streams[0]), len(streams[1]))
+	}
+}
+
+// TestDegradedChaosTrace runs the built binary through a chaos campaign
+// that ends in a degraded stop: -trace-out must still leave a document
+// that parses, shows the stop, and gives every span a duration ≥ 0, and
+// the -v stream must reach its degraded line.
+func TestDegradedChaosTrace(t *testing.T) {
+	bin := buildFtrun(t)
+	path := filepath.Join(t.TempDir(), "trace.json")
+	out, lines := runStream(t, bin, "-bench", "cg-real", "-np", "8", "-proto", "pcl", "-interval", "5ms",
+		"-servers", "2", "-chaos", "3", "-chaos-seed", "4", "-chaos-server-frac", "0.5",
+		"-chaos-from", "8ms", "-chaos-until", "40ms", "-trace-out", path, "-v")
+	if !strings.Contains(out, "degraded stop") {
+		t.Fatalf("the campaign no longer ends in a degraded stop:\n%s", out)
+	}
+	if !hasEvent(lines, "degraded") {
+		t.Errorf("the -v stream of a degraded run has no degraded line")
+	}
+	doc := parseTrace(t, path)
 	var spans, stops int
 	for _, ev := range doc.TraceEvents {
 		switch {

@@ -161,10 +161,6 @@ type SweepOptions struct {
 	// points finish — byte-identical to sequential runs sharing one
 	// registry.
 	Metrics *Metrics
-	// Trace, when set, receives the points' Verbose progress lines,
-	// serialized in point order so concurrent points never interleave
-	// (points with a nil Verbose stay silent).
-	Trace func(format string, args ...any)
 }
 
 // Sweep runs several independent jobs concurrently and returns their
@@ -178,20 +174,15 @@ type SweepOptions struct {
 // unstarted points and is returned, naming the point.
 func Sweep(points []Options, o SweepOptions) ([]Report, error) {
 	reps, err := sweep.Run(context.Background(), points,
-		func(_ context.Context, i int, p Options, trace sweep.Tracef) (Report, error) {
+		func(_ context.Context, i int, p Options, _ sweep.Tracef) (Report, error) {
 			p.Metrics = nil
-			if o.Trace != nil && p.Verbose != nil {
-				// Route the run's progress lines through the ordered sink
-				// instead of calling the point's own func from a worker.
-				p.Verbose = trace
-			}
 			rep, err := Run(p)
 			if err != nil {
 				return Report{}, fmt.Errorf("ftckpt: sweep point %d (np=%d proto=%q interval=%v): %w",
 					i, p.NP, p.Protocol, p.Interval, err)
 			}
 			return rep, nil
-		}, sweep.Opts{Jobs: o.Jobs, Trace: sweep.Tracef(o.Trace)})
+		}, sweep.Opts{Jobs: o.Jobs})
 	if err != nil {
 		return nil, err
 	}
@@ -270,7 +261,6 @@ func buildConfig(o Options) (ftpm.Config, error) {
 		MTTF:             o.MTTF,
 		ServerMTTF:       o.ServerMTTF,
 		NodeMTTF:         o.NodeMTTF,
-		Trace:            o.Verbose,
 		Sink:             o.Sink,
 		Metrics:          o.Metrics,
 		Attrib:           o.Attribution,

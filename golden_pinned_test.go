@@ -2,17 +2,23 @@ package ftckpt
 
 // Pinned cross-commit goldens.  The other golden suites compare a run with
 // its own repeat, which proves determinism but not that a refactor left the
-// output alone.  TestGoldenPinned hashes the Report, the metrics export,
-// the Chrome trace and (where the scenario turns it on) the attribution
-// document of seven scenarios and compares them with
+// output alone.  TestGoldenPinned hashes the event line stream, the Report,
+// the metrics export, the Chrome trace and (where the scenario turns it on)
+// the attribution document of seven scenarios and compares them with
 // testdata/golden_pinned.json, recorded at the commit before the last
 // change that claimed byte-identical output.  A PR that means to change
 // simulation output re-records the file with
 //
 //	go test -run TestGoldenPinned -update .
 //
-// and says so in CHANGES.md.  The hashes cover float formatting, so they
-// are pinned for amd64 (the CI and benchmark platform).
+// and says so in CHANGES.md.  To see which event moved, write the streams
+// of both commits and diff them:
+//
+//	go test -run '^TestGoldenPinned$' -events-dir DIR .
+//	diff -u OLD/<scenario>.events NEW/<scenario>.events
+//
+// The hashes cover float formatting, so they are pinned for amd64 (the CI
+// and benchmark platform).
 
 import (
 	"crypto/sha256"
@@ -21,17 +27,23 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"path/filepath"
 	"runtime"
 	"testing"
 	"time"
 )
 
-var updatePinned = flag.Bool("update", false, "rewrite testdata/golden_pinned.json from this run")
+var (
+	updatePinned = flag.Bool("update", false, "rewrite testdata/golden_pinned.json from this run")
+	eventsDir    = flag.String("events-dir", "", "write each pinned scenario's event line stream to DIR/<name>.events")
+)
 
 const pinnedPath = "testdata/golden_pinned.json"
 
 // pinnedHashes is one scenario's entry in the pinned file.
 type pinnedHashes struct {
+	// Events comes first so that adding it to the file only added lines.
+	Events  string `json:"events"`
 	Report  string `json:"report"`
 	Metrics string `json:"metrics"`
 	Trace   string `json:"trace"`
@@ -121,8 +133,16 @@ func TestGoldenPinned(t *testing.T) {
 	scenarios := pinnedScenarios()
 	got := make(map[string]pinnedHashes)
 	for _, sc := range scenarios {
-		rep, met, trace := goldenArtifacts(t, sc.opts)
-		h := pinnedHashes{Metrics: sha(met), Trace: sha(trace)}
+		rep, met, trace, events := goldenArtifacts(t, sc.opts)
+		if *eventsDir != "" {
+			if err := os.MkdirAll(*eventsDir, 0o755); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(filepath.Join(*eventsDir, sc.name+".events"), events, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		h := pinnedHashes{Events: sha(events), Metrics: sha(met), Trace: sha(trace)}
 		if rep.Attribution != nil {
 			h.Attribution = sha(attribJSON(t, rep.Attribution))
 			rep.Attribution = nil // a pointer: its address must not reach the hash
@@ -156,7 +176,9 @@ func TestGoldenPinned(t *testing.T) {
 	}
 	for _, sc := range scenarios {
 		if got[sc.name] != want[sc.name] {
-			t.Errorf("%s: output differs from the pinned commit:\n  got  %+v\n  want %+v",
+			t.Errorf("%s: output differs from the pinned commit:\n  got  %+v\n  want %+v\n"+
+				"for the first differing event, run `go test -run '^TestGoldenPinned$' -events-dir DIR .` "+
+				"here and at the pinned commit, then `diff -u OLD/%[1]s.events NEW/%[1]s.events`",
 				sc.name, got[sc.name], want[sc.name])
 		}
 	}

@@ -6,7 +6,6 @@ package ftckpt
 // to describe must come out of their servers-level spelling unchanged.
 
 import (
-	"bytes"
 	"fmt"
 	"runtime"
 	"testing"
@@ -48,16 +47,19 @@ func TestServersShorthandIsOneLevel(t *testing.T) {
 			spelled := short
 			spelled.Servers = 0
 			spelled.Storage = &StorageSpec{Levels: []LevelSpec{{Kind: LevelServers, Servers: short.Servers}}}
-			r1, m1, c1 := goldenArtifacts(t, short)
-			r2, m2, c2 := goldenArtifacts(t, spelled)
+			r1, m1, c1, e1 := goldenArtifacts(t, short)
+			r2, m2, c2, e2 := goldenArtifacts(t, spelled)
 			if r1 != r2 {
 				t.Errorf("Report differs:\n  Servers %+v\n  Storage %+v", r1, r2)
 			}
-			if !bytes.Equal(m1, m2) {
-				t.Errorf("metrics JSON differs (%d vs %d bytes)", len(m1), len(m2))
+			if d := firstDivergence(m1, m2); d != "" {
+				t.Errorf("metrics JSON differs, %s", d)
 			}
-			if !bytes.Equal(c1, c2) {
-				t.Errorf("Chrome trace differs (%d vs %d bytes)", len(c1), len(c2))
+			if d := firstDivergence(c1, c2); d != "" {
+				t.Errorf("Chrome trace differs, %s", d)
+			}
+			if d := firstDivergence(e1, e2); d != "" {
+				t.Errorf("event stream differs, %s", d)
 			}
 		})
 	}
@@ -66,7 +68,7 @@ func TestServersShorthandIsOneLevel(t *testing.T) {
 		t.Skipf("the recorded runs are pinned for amd64, not %s", runtime.GOARCH)
 	}
 	for i, o := range chaosSweepPoints() {
-		rep, met, trace := goldenArtifacts(t, o)
+		rep, met, trace, _ := goldenArtifacts(t, o)
 		got := [3]string{sha([]byte(fmt.Sprintf("%+v", rep))), sha(met), sha(trace)}
 		if got != shorthandRecorded[i] {
 			t.Errorf("chaos point %d (%s): report/metrics/trace hashes %v, recorded %v",
@@ -76,7 +78,7 @@ func TestServersShorthandIsOneLevel(t *testing.T) {
 	grid := pinnedGrid()
 	grid.Protocol = Pcl
 	grid.Storage = &StorageSpec{Levels: []LevelSpec{{Kind: LevelServers, Replicas: 2}}}
-	rep, _, _ := goldenArtifacts(t, grid)
+	rep, _, _, _ := goldenArtifacts(t, grid)
 	if got := fmt.Sprintf("%+v", rep); got != gridReplicatedReport {
 		t.Errorf("replicated grid run:\n  got      %s\n  recorded %s", got, gridReplicatedReport)
 	}

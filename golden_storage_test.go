@@ -48,7 +48,7 @@ func storageGolden() Options {
 // repeat byte for byte.
 func TestGoldenDeterminismStorage(t *testing.T) {
 	o := storageGolden()
-	rep, _, _ := goldenArtifacts(t, o)
+	rep, _, _, _ := goldenArtifacts(t, o)
 	if rep.Waves == 0 || rep.Restarts == 0 {
 		t.Fatalf("hierarchy scenario exercised no recovery: %+v", rep)
 	}

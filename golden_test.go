@@ -2,15 +2,17 @@ package ftckpt
 
 // Golden determinism tests: the contract the performance work must not
 // bend is that a seed fully determines a run.  Every observable artifact —
-// the Report (including the workload checksum), the metrics export and the
-// Chrome trace timeline — must be byte-identical when the same Options run
-// twice, including runs that exercise failure injection, recovery and
-// replicated checkpoint servers.
+// the Report (including the workload checksum), the metrics export, the
+// Chrome trace timeline and the event line stream — must be byte-identical
+// when the same Options run twice, including runs that exercise failure
+// injection, recovery and replicated checkpoint servers.  A mismatch is
+// reported by firstDivergence, which names the first differing line.
 
 import (
 	"bytes"
 	"fmt"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -18,13 +20,14 @@ import (
 )
 
 // goldenArtifacts executes one run and returns its comparable Report (the
-// registry pointer stripped), metrics JSON and Chrome trace bytes.
-func goldenArtifacts(t *testing.T, o Options) (Report, []byte, []byte) {
+// registry pointer stripped), metrics JSON, Chrome trace and event line
+// stream.
+func goldenArtifacts(t *testing.T, o Options) (Report, []byte, []byte, []byte) {
 	t.Helper()
 	col := NewCollector()
-	var met, trace bytes.Buffer
+	var met, trace, events bytes.Buffer
 	chrome := NewChromeStreamSink(&trace)
-	o.Sink = obs.NewHub(col, chrome)
+	o.Sink = obs.NewHub(col, chrome, NewLineSink(&events))
 	rep, err := Run(o)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
@@ -37,24 +40,94 @@ func goldenArtifacts(t *testing.T, o Options) (Report, []byte, []byte) {
 	}
 	checkReportAgainstEvents(t, rep, col.Events())
 	rep.Metrics = nil
-	return rep, met.Bytes(), trace.Bytes()
+	return rep, met.Bytes(), trace.Bytes(), events.Bytes()
 }
 
+// firstDivergence names the first line where a and b differ: its 1-based
+// number, the five lines before it and both versions of it ("<end>" for a
+// text that ended).  It returns "" when a and b are equal.
+func firstDivergence(a, b []byte) string {
+	if bytes.Equal(a, b) {
+		return ""
+	}
+	split := func(text []byte) []string { return strings.Split(strings.TrimSuffix(string(text), "\n"), "\n") }
+	la, lb := split(a), split(b)
+	n := 0 // lines in common
+	for n < len(la) && n < len(lb) && la[n] == lb[n] {
+		n++
+	}
+	var sb strings.Builder
+	fmt.Fprintf(&sb, "first difference at line %d:\n", n+1)
+	for i := max(0, n-5); i < n; i++ {
+		fmt.Fprintf(&sb, "  %d  %s\n", i+1, la[i])
+	}
+	line := func(l []string) string {
+		if n < len(l) {
+			return l[n]
+		}
+		return "<end>"
+	}
+	fmt.Fprintf(&sb, "- %d  %s\n+ %d  %s", n+1, line(la), n+1, line(lb))
+	return sb.String()
+}
+
+// checkGolden runs o twice and requires identical artifacts.
 func checkGolden(t *testing.T, o Options) {
 	t.Helper()
-	r1, m1, c1 := goldenArtifacts(t, o)
-	r2, m2, c2 := goldenArtifacts(t, o)
+	r1, m1, c1, e1 := goldenArtifacts(t, o)
+	r2, m2, c2, e2 := goldenArtifacts(t, o)
 	if r1 != r2 {
 		t.Errorf("Report differs across identical runs:\n  first  %+v\n  second %+v", r1, r2)
 	}
 	if r1.Checksum != r2.Checksum {
 		t.Errorf("checksum differs: %v vs %v", r1.Checksum, r2.Checksum)
 	}
-	if !bytes.Equal(m1, m2) {
-		t.Errorf("metrics JSON differs across identical runs (%d vs %d bytes)", len(m1), len(m2))
+	for _, art := range []struct {
+		name string
+		a, b []byte
+	}{{"metrics JSON", m1, m2}, {"Chrome trace", c1, c2}, {"event stream", e1, e2}} {
+		if d := firstDivergence(art.a, art.b); d != "" {
+			t.Errorf("%s differs across identical runs, %s", art.name, d)
+		}
 	}
-	if !bytes.Equal(c1, c2) {
-		t.Errorf("Chrome trace differs across identical runs (%d vs %d bytes)", len(c1), len(c2))
+}
+
+// TestFirstDivergenceNamesTheEvent runs the replicated-hb-8 scenario with
+// its rank kill at 17 ms and at 18 ms: the streams agree up to the
+// earlier kill, and firstDivergence names that line, its number and both
+// versions of it.
+func TestFirstDivergenceNamesTheEvent(t *testing.T) {
+	var early Options
+	for _, sc := range pinnedScenarios() {
+		if sc.name == "replicated-hb-8" {
+			early = sc.opts
+		}
+	}
+	late := early
+	late.Failures = []Failure{KillServer(11*time.Millisecond, 1), KillRank(18*time.Millisecond, 3)}
+	_, _, _, a := goldenArtifacts(t, early)
+	_, _, _, b := goldenArtifacts(t, late)
+	la, lb := strings.Split(string(a), "\n"), strings.Split(string(b), "\n")
+	n := 0
+	for n < len(la) && n < len(lb) && la[n] == lb[n] {
+		n++
+	}
+	if !strings.HasPrefix(la[n], "17000000 component-dead 3 ") {
+		t.Fatalf("the streams part at line %d, %q, not at the 17 ms kill", n+1, la[n])
+	}
+	d := firstDivergence(a, b)
+	for _, want := range []string{
+		fmt.Sprintf("first difference at line %d:\n", n+1),
+		fmt.Sprintf("\n  %d  %s\n", n, la[n-1]),
+		fmt.Sprintf("\n- %d  %s\n", n+1, la[n]),
+		fmt.Sprintf("\n+ %d  %s", n+1, lb[n]),
+	} {
+		if !strings.Contains(d, want) {
+			t.Errorf("firstDivergence lacks %q:\n%s", want, d)
+		}
+	}
+	if firstDivergence(a, a) != "" {
+		t.Error("firstDivergence reports a difference between equal streams")
 	}
 }
 
@@ -102,8 +175,8 @@ func TestGoldenDeterminismReplicated(t *testing.T) {
 // chaos sweep concurrently (Jobs=4, with GOMAXPROCS pinned above 1 so
 // that under -race the points really execute in parallel) and requires
 // every artifact — reports, the deterministically merged metrics
-// registry, each point's Chrome trace and the serialized progress log —
-// to be byte-identical across two executions: no map-iteration order, no
+// registry, each point's Chrome trace and each point's event stream — to
+// be byte-identical across two executions: no map-iteration order, no
 // worker interleaving and no shared-registry write may leak into output.
 // TestGoldenDeterminismRepeat repeats runs further to catch map order;
 // lint_test.go holds the two rules no run can show.
@@ -113,25 +186,18 @@ func TestGoldenDeterminismChaosSweep(t *testing.T) {
 
 	base := chaosSweepPoints()
 
-	runOnce := func() ([]Report, []byte, [][]byte, []byte) {
+	runOnce := func() ([]Report, []byte, [][]byte, [][]byte) {
 		pts := make([]Options, len(base))
 		chromes := make([]bytes.Buffer, len(base))
+		events := make([]bytes.Buffer, len(base))
 		sinks := make([]*ChromeStreamSink, len(base))
 		for i := range base {
 			pts[i] = base[i]
 			sinks[i] = NewChromeStreamSink(&chromes[i])
-			pts[i].Sink = sinks[i]
-			// Non-nil Verbose opts the point into the sweep's ordered
-			// trace sink; the function itself is replaced by Sweep.
-			pts[i].Verbose = func(string, ...any) {}
+			pts[i].Sink = obs.NewHub(sinks[i], NewLineSink(&events[i]))
 		}
 		met := NewMetrics()
-		var traceLog bytes.Buffer
-		reps, err := Sweep(pts, SweepOptions{
-			Jobs:    4,
-			Metrics: met,
-			Trace:   func(format string, args ...any) { fmt.Fprintf(&traceLog, format+"\n", args...) },
-		})
+		reps, err := Sweep(pts, SweepOptions{Jobs: 4, Metrics: met})
 		if err != nil {
 			t.Fatalf("Sweep: %v", err)
 		}
@@ -140,33 +206,34 @@ func TestGoldenDeterminismChaosSweep(t *testing.T) {
 			t.Fatalf("WriteJSON: %v", err)
 		}
 		traces := make([][]byte, len(sinks))
+		streams := make([][]byte, len(sinks))
 		for i, sink := range sinks {
 			if err := sink.Close(); err != nil {
 				t.Fatalf("Close: %v", err)
 			}
-			traces[i] = chromes[i].Bytes()
+			traces[i], streams[i] = chromes[i].Bytes(), events[i].Bytes()
 		}
 		for i := range reps {
 			reps[i].Metrics = nil
 		}
-		return reps, metJSON.Bytes(), traces, traceLog.Bytes()
+		return reps, metJSON.Bytes(), traces, streams
 	}
 
-	r1, m1, c1, l1 := runOnce()
-	r2, m2, c2, l2 := runOnce()
+	r1, m1, c1, e1 := runOnce()
+	r2, m2, c2, e2 := runOnce()
 	for i := range r1 {
 		if r1[i] != r2[i] {
 			t.Errorf("point %d: Report differs across identical sweeps:\n  first  %+v\n  second %+v", i, r1[i], r2[i])
 		}
-		if !bytes.Equal(c1[i], c2[i]) {
-			t.Errorf("point %d: Chrome trace differs across identical sweeps (%d vs %d bytes)", i, len(c1[i]), len(c2[i]))
+		if d := firstDivergence(c1[i], c2[i]); d != "" {
+			t.Errorf("point %d: Chrome trace differs across identical sweeps, %s", i, d)
+		}
+		if d := firstDivergence(e1[i], e2[i]); d != "" {
+			t.Errorf("point %d: event stream differs across identical sweeps, %s", i, d)
 		}
 	}
-	if !bytes.Equal(m1, m2) {
-		t.Errorf("merged metrics JSON differs across identical sweeps (%d vs %d bytes)", len(m1), len(m2))
-	}
-	if !bytes.Equal(l1, l2) {
-		t.Errorf("serialized trace log differs across identical sweeps (%d vs %d bytes)", len(l1), len(l2))
+	if d := firstDivergence(m1, m2); d != "" {
+		t.Errorf("merged metrics JSON differs across identical sweeps, %s", d)
 	}
 }
 
@@ -179,10 +246,11 @@ func TestGoldenDeterminismRepeat(t *testing.T) {
 	cases := []struct {
 		name  string
 		o     Options
-		chaos *ChaosSpec // nil: a plain Run, compared on all three artifacts
+		chaos *ChaosSpec // nil: a plain Run, compared on all four artifacts
 	}{
 		// The CI Mlog chaos smoke: restarted ranks retransmit their
-		// unacknowledged sends to every destination.
+		// unacknowledged sends to every destination.  Compared on the
+		// Report and the event stream.
 		{"mlog-chaos", Options{Workload: WorkloadCGReal, NP: 8, Protocol: Mlog,
 			Interval: 5 * time.Millisecond, Storage: replicatedTier(2)},
 			&ChaosSpec{Seed: 7, Kills: 3, ServerFrac: 0.3, NodeFrac: 0.25,
@@ -195,23 +263,31 @@ func TestGoldenDeterminismRepeat(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			run := func() (Report, []byte, []byte) {
+			run := func() (Report, [3][]byte) {
 				if tc.chaos == nil {
-					return goldenArtifacts(t, tc.o)
+					rep, met, trace, events := goldenArtifacts(t, tc.o)
+					return rep, [3][]byte{met, trace, events}
 				}
-				out, err := Chaos(tc.o, *tc.chaos)
+				var events bytes.Buffer
+				o := tc.o
+				o.Sink = NewLineSink(&events)
+				out, err := Chaos(o, *tc.chaos)
 				if err != nil {
 					t.Fatalf("Chaos: %v", err)
 				}
 				out.Report.Metrics = nil
-				return out.Report, nil, nil
+				return out.Report, [3][]byte{nil, nil, events.Bytes()}
 			}
-			r0, m0, c0 := run()
+			r0, a0 := run()
 			for i := 1; i < repeats; i++ {
-				r, m, c := run()
-				if r != r0 || !bytes.Equal(m, m0) || !bytes.Equal(c, c0) {
-					t.Fatalf("run %d differs from run 0 (metrics equal %v, trace equal %v):\n  run 0 %+v\n  run %d %+v",
-						i, bytes.Equal(m, m0), bytes.Equal(c, c0), r0, i, r)
+				r, a := run()
+				if r != r0 {
+					t.Fatalf("run %d: Report differs from run 0:\n  run 0 %+v\n  run %d %+v", i, r0, i, r)
+				}
+				for j, name := range []string{"metrics JSON", "Chrome trace", "event stream"} {
+					if d := firstDivergence(a0[j], a[j]); d != "" {
+						t.Fatalf("run %d: %s differs from run 0, %s", i, name, d)
+					}
 				}
 			}
 		})
@@ -287,7 +363,7 @@ func TestGoldenDeterminismULFM(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			o := ulfmGolden()
 			tc.mut(&o)
-			rep, _, _ := goldenArtifacts(t, o)
+			rep, _, _, _ := goldenArtifacts(t, o)
 			if rep.Repairs != 1 || rep.Restarts != 0 {
 				t.Errorf("Repairs = %d, Restarts = %d, want 1 in-job repair and zero restarts",
 					rep.Repairs, rep.Restarts)

@@ -165,7 +165,7 @@ func Run(c Config) (Outcome, error) {
 		ref := c.Job
 		ref.Failures = nil
 		ref.MTTF, ref.ServerMTTF, ref.NodeMTTF = 0, 0, 0
-		ref.Sink, ref.Trace, ref.Metrics = nil, nil, nil
+		ref.Sink, ref.Metrics = nil, nil
 		job, err := ftpm.NewJob(ref)
 		if err != nil {
 			return Outcome{}, err

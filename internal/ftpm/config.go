@@ -144,9 +144,6 @@ type Config struct {
 	VclProcessLimit int
 	// Seed feeds the deterministic kernel.
 	Seed int64
-	// Trace, when set, receives runtime progress lines (the legacy
-	// unstructured stream, rendered through an obs.TextSink).
-	Trace func(format string, args ...any)
 	// Sink, when set, receives every structured observability event of
 	// the run (markers, block/unblock spans, logged messages, image
 	// transfers, commits, failures, restarts).
@@ -220,11 +217,6 @@ type Result struct {
 	// breakdown, computed when Config.Attrib is set (nil otherwise, and on
 	// degraded runs).
 	Attribution *span.Attribution
-}
-
-func (r Result) String() string {
-	return fmt.Sprintf("completion=%v waves=%d restarts=%d ckptMB=%.1f",
-		r.Completion, r.WavesCommitted, r.Restarts, float64(r.CkptBytes)/float64(1<<20))
 }
 
 // ConfigError is the single rejection shape Validate reports: the

@@ -82,7 +82,7 @@ func (d *detector) tick() {
 			}
 			if now-d.lastRank[r] > d.timeout {
 				d.suspRank[r] = true
-				job.suspectRank(r, now-d.lastRank[r])
+				job.suspectRank(r)
 				if !job.running {
 					break // a global restart began; monitoring is suspended
 				}
@@ -92,7 +92,7 @@ func (d *detector) tick() {
 	for s := range d.lastSrv {
 		if !d.suspSrv[s] && now-d.lastSrv[s] > d.timeout {
 			d.suspSrv[s] = true
-			job.suspectServer(s, now-d.lastSrv[s])
+			job.suspectServer(s)
 		}
 	}
 	if job.running {

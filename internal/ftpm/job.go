@@ -98,16 +98,12 @@ func NewJob(cfg Config) (*Job, error) {
 		return nil, err
 	}
 	job := &Job{cfg: cfg, k: sim.New(cfg.Seed), met: obs.NewMetrics()}
-	var text obs.Sink
-	if cfg.Trace != nil {
-		text = obs.NewTextSink(cfg.Trace)
-	}
 	sinks := []obs.Sink{obs.NewMetricsSink(job.met)}
 	if cfg.Attrib {
 		job.spans = span.NewBuilder(cfg.NP, string(cfg.Protocol))
 		sinks = append(sinks, job.spans)
 	}
-	job.hub = obs.NewHub(append(sinks, cfg.Sink, text)...)
+	job.hub = obs.NewHub(append(sinks, cfg.Sink)...)
 	job.net = simnet.New(job.k, cfg.Topology)
 	job.net.SetMetrics(job.met)
 	job.fab = mpi.NewFabric(job.net)
@@ -270,8 +266,6 @@ func (job *Job) loseNode(node int) (victims []int, ok bool) {
 	if len(job.spares) > 0 {
 		target = job.spares[0]
 		job.spares = job.spares[1:]
-		job.emit(obs.Event{Type: obs.EvNodeLost, Rank: -1, Wave: -1, Channel: -1, Node: node, Server: -1},
-			"node %d lost; remapping ranks %v to spare node %d", node, victims, target)
 	} else {
 		// Overbook: reuse the next surviving compute node.
 		target = -1
@@ -288,9 +282,8 @@ func (job *Job) loseNode(node int) (victims []int, ok bool) {
 			})
 			return victims, false
 		}
-		job.emit(obs.Event{Type: obs.EvNodeLost, Rank: -1, Wave: -1, Channel: -1, Node: node, Server: -1},
-			"node %d lost, no spares; overbooking ranks %v onto node %d", node, victims, target)
 	}
+	job.emit(obs.Event{Type: obs.EvNodeLost, Rank: -1, Wave: -1, Channel: -1, Node: node, Server: -1})
 	for _, r := range victims {
 		job.nodeMap[r] = target
 		job.fab.Place(r, target)
@@ -331,19 +324,15 @@ func (job *Job) degrade(err *DegradedError) {
 		}
 	}
 	job.emit(obs.Event{Type: obs.EvDegraded, Rank: err.Rank, Wave: err.Wave,
-		Channel: -1, Node: err.Node, Server: err.Server}, "%v", err)
+		Channel: -1, Node: err.Node, Server: err.Server})
 	job.running = false
 	job.k.Stop(err)
 }
 
-// emit stamps ev with the current virtual time, formats the optional
-// legacy progress line into Detail (rendered by the -v text sink), and
-// publishes the event to the job's hub.
-func (job *Job) emit(ev obs.Event, format string, args ...any) {
+// emit stamps ev with the current virtual time and publishes it to the
+// job's hub.
+func (job *Job) emit(ev obs.Event) {
 	ev.T = job.k.Now()
-	if format != "" {
-		ev.Detail = fmt.Sprintf(format, args...)
-	}
 	job.hub.Emit(ev)
 }
 
@@ -429,8 +418,7 @@ func (job *Job) injectServerKill(s int) {
 	job.srvDiedAt[s] = job.k.Now()
 	job.srvKillSpan[s] = job.hub.NextSpan()
 	job.emit(obs.Event{Type: obs.EvServerKilled, Rank: -1, Wave: -1, Channel: -1,
-		Node: srv.Node, Server: s, Span: job.srvKillSpan[s]},
-		"checkpoint server %d (node %d) lost", s, srv.Node)
+		Node: srv.Node, Server: s, Span: job.srvKillSpan[s]})
 	srv.Kill()
 }
 
@@ -496,7 +484,7 @@ func (job *Job) silentKill(rank int) {
 	job.rankDiedAt[rank] = job.k.Now()
 	job.deathSpan[rank] = job.hub.NextSpan()
 	job.emit(obs.Event{Type: obs.EvComponentDead, Rank: rank, Wave: job.lastWave, Channel: -1,
-		Node: job.nodeMap[rank], Server: -1, Span: job.deathSpan[rank]}, "")
+		Node: job.nodeMap[rank], Server: -1, Span: job.deathSpan[rank]})
 	pr.teardown()
 }
 
@@ -504,20 +492,18 @@ func (job *Job) silentKill(rank int) {
 // detection latency (or count the false suspicion — the dispatcher
 // kills and restarts either way, which is what a real one does when it
 // closes a live task's connection), then run the recovery path.
-func (job *Job) suspectRank(r int, silence sim.Time) {
+func (job *Job) suspectRank(r int) {
 	pr := job.procs[r]
 	now := job.k.Now()
 	job.detectSpan[r] = job.hub.NextSpan()
 	if pr == nil || pr.down {
 		job.met.Observe(obs.MDetectLatency, now-job.rankDiedAt[r])
 		job.emit(obs.Event{Type: obs.EvHeartbeatTimeout, Rank: r, Wave: -1, Channel: -1,
-			Node: job.nodeMap[r], Server: -1, Span: job.detectSpan[r], Cause: job.deathSpan[r]},
-			"rank %d silent %v; declared dead (detection latency %v)", r, silence, now-job.rankDiedAt[r])
+			Node: job.nodeMap[r], Server: -1, Span: job.detectSpan[r], Cause: job.deathSpan[r]})
 	} else {
 		job.met.Inc(obs.MFalseSuspicions)
 		job.emit(obs.Event{Type: obs.EvHeartbeatTimeout, Rank: r, Wave: -1, Channel: -1,
-			Node: job.nodeMap[r], Server: -1, Span: job.detectSpan[r]},
-			"rank %d silent %v; false suspicion, restarting it anyway", r, silence)
+			Node: job.nodeMap[r], Server: -1, Span: job.detectSpan[r]})
 	}
 	job.detectedRank(r)
 }
@@ -525,19 +511,17 @@ func (job *Job) suspectRank(r int, silence sim.Time) {
 // suspectServer handles the detector declaring a checkpoint server
 // dead.  Detection is observational for servers: stores and fetches
 // already discovered the death through their aborted transfers.
-func (job *Job) suspectServer(s int, silence sim.Time) {
+func (job *Job) suspectServer(s int) {
 	srv := job.servers[s]
 	now := job.k.Now()
 	if !srv.Alive() {
 		job.met.Observe(obs.MDetectLatency, now-job.srvDiedAt[s])
 		job.emit(obs.Event{Type: obs.EvHeartbeatTimeout, Rank: -1, Wave: -1, Channel: -1,
-			Node: srv.Node, Server: s, Span: job.hub.NextSpan(), Cause: job.srvKillSpan[s]},
-			"server %d silent %v; declared dead (detection latency %v)", s, silence, now-job.srvDiedAt[s])
+			Node: srv.Node, Server: s, Span: job.hub.NextSpan(), Cause: job.srvKillSpan[s]})
 	} else {
 		job.met.Inc(obs.MFalseSuspicions)
 		job.emit(obs.Event{Type: obs.EvHeartbeatTimeout, Rank: -1, Wave: -1, Channel: -1,
-			Node: srv.Node, Server: s, Span: job.hub.NextSpan()},
-			"server %d silent %v; false suspicion", s, silence)
+			Node: srv.Node, Server: s, Span: job.hub.NextSpan()})
 	}
 }
 
@@ -566,7 +550,7 @@ func (job *Job) scheduleSnapshot() {
 		}
 		for _, name := range snapshotCounters {
 			job.emit(obs.Event{Type: obs.EvCounterSample, Rank: -1, Wave: -1, Channel: -1,
-				Node: -1, Server: -1, Bytes: job.met.Counter(name), Detail: name}, "")
+				Node: -1, Server: -1, Bytes: job.met.Counter(name), Detail: name})
 		}
 		job.scheduleSnapshot()
 	})
@@ -587,14 +571,14 @@ func (job *Job) launch(wave int) {
 		if restarting {
 			rs = job.hub.NextSpan()
 			job.emit(obs.Event{Type: obs.EvRestartBegin, Rank: -1, Wave: 0, Channel: -1, Node: -1, Server: -1,
-				Span: rs, Cause: job.lastKillSpan}, "")
+				Span: rs, Cause: job.lastKillSpan})
 		}
 		for r := 0; r < job.cfg.NP; r++ {
 			job.spawn(r, nil, nil)
 		}
 		job.startSchedulers()
 		if restarting {
-			job.emit(obs.Event{Type: obs.EvRestartEnd, Rank: -1, Wave: 0, Channel: -1, Node: -1, Server: -1, Span: rs}, "")
+			job.emit(obs.Event{Type: obs.EvRestartEnd, Rank: -1, Wave: 0, Channel: -1, Node: -1, Server: -1, Span: rs})
 		}
 		return
 	}
@@ -603,8 +587,7 @@ func (job *Job) launch(wave int) {
 	// before the first re-execution message flies.
 	rs := job.hub.NextSpan()
 	job.emit(obs.Event{Type: obs.EvRestartBegin, Rank: -1, Wave: wave, Channel: -1, Node: -1, Server: -1,
-		Span: rs, Cause: job.lastKillSpan},
-		"restart: fetching %d images for wave %d", job.cfg.NP, wave)
+		Span: rs, Cause: job.lastKillSpan})
 	type restored struct {
 		img  *ckpt.Image
 		logs []*mpi.Packet
@@ -625,7 +608,7 @@ func (job *Job) launch(wave int) {
 				job.spawn(q, pending[q].img, pending[q].logs)
 			}
 			job.startSchedulers()
-			job.emit(obs.Event{Type: obs.EvRestartEnd, Rank: -1, Wave: wave, Channel: -1, Node: -1, Server: -1, Span: rs}, "")
+			job.emit(obs.Event{Type: obs.EvRestartEnd, Rank: -1, Wave: wave, Channel: -1, Node: -1, Server: -1, Span: rs})
 		}
 	}
 	for r := 0; r < job.cfg.NP; r++ {
@@ -741,8 +724,7 @@ func (job *Job) detectedRank(rank int) {
 	ds := job.detectSpan[rank]
 	job.detectSpan[rank] = 0
 	job.emit(obs.Event{Type: obs.EvRankKilled, Rank: rank, Wave: job.lastWave, Channel: -1, Node: node, Server: -1,
-		Span: job.lastKillSpan, Cause: ds},
-		"rank %d failed; killing job, restarting from wave %d", rank, job.lastWave)
+		Span: job.lastKillSpan, Cause: ds})
 	job.running = false
 	job.gen++
 	for _, pr := range job.procs {
@@ -774,8 +756,7 @@ func (job *Job) onFailureLocal(rank int) {
 	ds := job.detectSpan[rank]
 	job.detectSpan[rank] = 0
 	job.emit(obs.Event{Type: obs.EvRankKilled, Rank: rank, Wave: job.rankWave[rank], Channel: -1, Node: job.nodeMap[rank], Server: -1,
-		Span: ks, Cause: ds},
-		"rank %d failed; local recovery from its wave %d", rank, job.rankWave[rank])
+		Span: ks, Cause: ds})
 	job.recovering[rank] = true
 	pr.teardown()
 	wave := job.rankWave[rank]
@@ -785,7 +766,7 @@ func (job *Job) onFailureLocal(rank int) {
 		}
 		job.restartSpan[rank] = job.hub.NextSpan()
 		job.emit(obs.Event{Type: obs.EvRestartBegin, Rank: rank, Wave: wave, Channel: -1, Node: -1, Server: -1,
-			Span: job.restartSpan[rank], Cause: ks}, "")
+			Span: job.restartSpan[rank], Cause: ks})
 		if wave == 0 {
 			// No image yet: restart from scratch and replay the whole
 			// reception history recorded since launch — the union across
@@ -811,7 +792,7 @@ func (job *Job) respawnLocal(rank int, img *ckpt.Image, logs []*mpi.Packet) {
 	}
 	job.spawn(rank, img, logs)
 	job.emit(obs.Event{Type: obs.EvRestartEnd, Rank: rank, Wave: job.rankWave[rank], Channel: -1, Node: -1, Server: -1,
-		Span: job.restartSpan[rank]}, "")
+		Span: job.restartSpan[rank]})
 	job.restartSpan[rank] = 0
 	// Once the fresh engine is bound (the LP runs before queued events),
 	// live peers retransmit their unacknowledged messages.
@@ -834,7 +815,7 @@ func (job *Job) commitRank(r, w int) {
 		job.rankWave[r] = w
 	}
 	job.emit(obs.Event{Type: obs.EvWaveCommit, Rank: r, Wave: w, Channel: -1, Node: -1, Server: -1,
-		Span: job.hub.NextSpan()}, "")
+		Span: job.hub.NextSpan()})
 	job.store.GCRank(r, w)
 }
 
@@ -846,8 +827,7 @@ func (job *Job) commitWave(w int) {
 	}
 	job.lastWave = w
 	job.emit(obs.Event{Type: obs.EvWaveCommit, Rank: -1, Wave: w, Channel: -1, Node: -1, Server: -1,
-		Span: job.hub.NextSpan()},
-		"wave %d committed", w)
+		Span: job.hub.NextSpan()})
 	job.store.GC(w)
 }
 
@@ -857,12 +837,12 @@ func (job *Job) procFinished(pr *procRun) {
 	}
 	job.finishedRank[pr.rank] = true
 	job.finished++
-	job.emit(obs.Event{Type: obs.EvRankDone, Rank: pr.rank, Wave: job.lastWave, Channel: -1, Node: -1, Server: -1}, "")
+	job.emit(obs.Event{Type: obs.EvRankDone, Rank: pr.rank, Wave: job.lastWave, Channel: -1, Node: -1, Server: -1})
 	if job.repairing {
 		// A rank finished while the world was parked for a repair: the
 		// barrier can never fill, so the repair falls back to a restart.
 		// Deferred one event so the finishing LP is not killed mid-body.
-		job.k.After(0, func() { job.abortRepair("a rank finished during the repair window") })
+		job.k.After(0, job.abortRepair)
 		return
 	}
 	if job.finished < job.cfg.NP {
@@ -911,8 +891,7 @@ func (job *Job) procFinished(pr *procRun) {
 	}
 	job.doneRes = true
 	job.met.Set("job.completion_s", job.k.Now().Seconds())
-	job.emit(obs.Event{Type: obs.EvJobComplete, Rank: -1, Wave: job.lastWave, Channel: -1, Node: -1, Server: -1},
-		"job complete: %v", job.res)
+	job.emit(obs.Event{Type: obs.EvJobComplete, Rank: -1, Wave: job.lastWave, Channel: -1, Node: -1, Server: -1})
 	job.k.Stop(nil)
 }
 
@@ -987,8 +966,7 @@ func (pr *procRun) body(p *sim.Proc) {
 		}
 		pr.proto.Restore(nil, nil, pr.job.lastWave)
 		pr.eng.EmitFT(obs.Event{Type: obs.EvAppRestore, Rank: pr.rank, Wave: pr.job.repairLevel,
-			Channel: -1, Node: -1, Server: -1,
-			Detail: "installed the partner-held snapshot into the repaired rank"})
+			Channel: -1, Node: -1, Server: -1})
 		pr.ftBlob = nil
 	}
 	pr.img, pr.replay = nil, nil
@@ -1096,7 +1074,7 @@ func (pr *procRun) TakeCheckpoint(wave int, dev []byte, onStored func()) {
 	op := pr.job.store.Store(img, pr.node, prof.ShipBW, func() {
 		// Write quorum reached: the checkpoint is durable.
 		release()
-		pr.job.emit(obs.Event{Type: obs.EvImageDurable, Rank: pr.rank, Wave: wave, Channel: -1, Node: -1, Server: -1}, "")
+		pr.job.emit(obs.Event{Type: obs.EvImageDurable, Rank: pr.rank, Wave: wave, Channel: -1, Node: -1, Server: -1})
 		if pr.job.gen == gen && onStored != nil {
 			onStored()
 		}

@@ -1,6 +1,7 @@
 package ftpm
 
 import (
+	"bytes"
 	"fmt"
 	"strings"
 	"testing"
@@ -231,33 +232,42 @@ func TestObsMlogLocalRecovery(t *testing.T) {
 	}
 }
 
-// TestObsTextSinkCompat checks the -v stream still carries the legacy
-// lines, rendered from event Detail, with the legacy "[<time>] " prefix.
-func TestObsTextSinkCompat(t *testing.T) {
-	var lines []string
+// TestObsLineStream runs a Pcl job through a rank kill and a restart
+// with a LineSink beside a Collector: the stream has one line per event,
+// in emission order, with every field in its fixed place; only counter
+// samples carry Detail, their metric name.
+func TestObsLineStream(t *testing.T) {
+	var buf bytes.Buffer
+	col := obs.NewCollector()
 	cfg := baseCfg(4)
 	cfg.Protocol = ProtoPcl
 	cfg.Interval = 20 * time.Millisecond
+	cfg.SnapshotPeriod = 10 * time.Millisecond
 	cfg.Failures = failure.Plan{{At: 50 * time.Millisecond, Rank: 0}}
-	cfg.Trace = func(format string, args ...any) {
-		lines = append(lines, fmt.Sprintf(format, args...))
-	}
+	cfg.Sink = obs.NewHub(col, obs.NewLineSink(&buf))
 	runOK(t, cfg)
-	joined := strings.Join(lines, "\n")
-	for _, frag := range []string{
-		"rank 0 failed; killing job, restarting from wave",
-		"restart: fetching 4 images for wave",
-		"wave 1 committed",
-		"job complete:",
-	} {
-		if !strings.Contains(joined, frag) {
-			t.Fatalf("legacy line %q missing from -v stream:\n%s", frag, joined)
+	lines := strings.Split(strings.TrimSuffix(buf.String(), "\n"), "\n")
+	evs := col.Events()
+	if len(lines) != len(evs) {
+		t.Fatalf("%d lines for %d events", len(lines), len(evs))
+	}
+	for i, ev := range evs {
+		want := fmt.Sprintf("%d %s %d %d %d %d %d %d %d %d %d %d",
+			int64(ev.T), ev.Type, ev.Rank, ev.Wave, ev.Channel, ev.Node, ev.Server, ev.Level,
+			ev.Bytes, ev.Seq, ev.Span, ev.Cause)
+		if ev.Type == obs.EvCounterSample {
+			want += " " + ev.Detail
+		} else if ev.Detail != "" {
+			t.Errorf("event %d (%s) carries Detail %q", i, ev.Type, ev.Detail)
+		}
+		if lines[i] != want {
+			t.Fatalf("line %d: %q, want %q", i+1, lines[i], want)
 		}
 	}
-	// Every line keeps the legacy "[<12-wide time>] " prefix.
-	for _, l := range lines {
-		if len(l) < 15 || l[0] != '[' || l[13] != ']' || l[14] != ' ' {
-			t.Fatalf("line lost the legacy time prefix: %q", l)
+	for _, kind := range []obs.EventType{obs.EvRankKilled, obs.EvRestartBegin,
+		obs.EvWaveCommit, obs.EvJobComplete, obs.EvCounterSample} {
+		if col.Count(kind) == 0 {
+			t.Errorf("the run emitted no %s", kind)
 		}
 	}
 }

@@ -122,11 +122,10 @@ func (job *Job) beginRepair(victim int) {
 	job.detectSpan[victim] = 0
 	ps := job.hub.NextSpan()
 	job.emit(obs.Event{Type: obs.EvProcFailed, Rank: victim, Wave: job.lastWave, Channel: -1,
-		Node: job.nodeMap[victim], Server: -1, Span: ps, Cause: ds},
-		"rank %d failed; repairing the world in place (wave %d stays committed)", victim, job.lastWave)
+		Node: job.nodeMap[victim], Server: -1, Span: ps, Cause: ds})
 	job.repairSpan = job.hub.NextSpan()
 	job.emit(obs.Event{Type: obs.EvRepairBegin, Rank: -1, Wave: job.lastWave, Channel: victim,
-		Node: -1, Server: -1, Span: job.repairSpan, Cause: ps}, "")
+		Node: -1, Server: -1, Span: job.repairSpan, Cause: ps})
 
 	job.procs[victim].teardown() // idempotent: heartbeat mode tore it down at death
 
@@ -146,7 +145,7 @@ func (job *Job) beginRepair(victim int) {
 		o.eng.Revoke()
 	}
 	job.emit(obs.Event{Type: obs.EvRevoked, Rank: -1, Wave: job.lastWave, Channel: victim,
-		Node: -1, Server: -1, Cause: ps}, "")
+		Node: -1, Server: -1, Cause: ps})
 }
 
 // repairParked is called by each survivor once it has unwound out of its
@@ -240,7 +239,8 @@ func (job *Job) repairSplice(repGen int) {
 		}
 	}
 	if !ok {
-		job.abortRepair("no common application snapshot level")
+		// No application snapshot level every survivor and the partner hold.
+		job.abortRepair()
 		return
 	}
 
@@ -308,9 +308,7 @@ func (job *Job) repairSplice(repGen int) {
 		job.scheduler.Start(job.lastWave)
 	}
 	job.emit(obs.Event{Type: obs.EvRepairEnd, Rank: -1, Wave: level, Channel: victim,
-		Node: -1, Server: -1, Span: job.repairSpan},
-		"world repaired: rank %d restored at app level %d (%d spare nodes left)",
-		victim, level, len(job.spares))
+		Node: -1, Server: -1, Span: job.repairSpan})
 	job.repairSpan = 0
 }
 
@@ -327,7 +325,7 @@ func (job *Job) spawnRepair(rank int, blob []byte) {
 // invalidates any agreement-round callback still in flight; the restart
 // path then tears every survivor down (parked LPs die through the
 // kernel's unwind, like any mid-restart kill).
-func (job *Job) abortRepair(reason string) {
+func (job *Job) abortRepair() {
 	if !job.repairing {
 		return
 	}
@@ -336,8 +334,7 @@ func (job *Job) abortRepair(reason string) {
 	job.running = true // detectedRank requires a running job
 	victim := job.repairVictim
 	job.emit(obs.Event{Type: obs.EvRepairAbort, Rank: -1, Wave: job.lastWave, Channel: victim,
-		Node: -1, Server: -1, Span: job.repairSpan},
-		"repair of rank %d abandoned (%s); falling back to rollback-restart", victim, reason)
+		Node: -1, Server: -1, Span: job.repairSpan})
 	job.repairSpan = 0
 	// The fallback must not re-enter the repair it just abandoned: the
 	// condition that broke it (e.g. no common snapshot level) is not

@@ -10,8 +10,9 @@
 // checkpoint servers, the MPI engine and fabric, the network, the process
 // manager) emits structured events into a Hub; sinks consume them — the
 // ChromeStreamSink for timelines, the MetricsSink for aggregates, the
-// TextSink for the human-readable -v stream, the Collector for tests.  Everything is deterministic: a fixed
-// seed produces byte-identical exports.
+// LineSink for the one-line-per-event text stream (-v), the Collector for
+// tests.  Everything is deterministic: a fixed seed produces
+// byte-identical exports.
 package obs
 
 import "ftckpt/internal/sim"
@@ -62,23 +63,24 @@ const (
 	// EvRankKilled: Rank failed (injected or MTTF); Wave is the recovery
 	// line it will restart from.
 	EvRankKilled
-	// EvNodeLost: machine Node left the pool; Detail names the remapping.
+	// EvNodeLost: machine Node left the pool; its ranks move to a spare
+	// node, or onto a surviving compute node when no spare remains.
 	EvNodeLost
 	// EvRestartBegin: recovery began fetching images for wave Wave (Rank is
 	// -1 for a global rollback, the restarting rank for mlog).
 	EvRestartBegin
 	// EvRestartEnd: the restarted process(es) resumed execution.
 	EvRestartEnd
-	// EvJobComplete: every rank finalized; Detail is the result summary.
+	// EvJobComplete: every rank finalized.
 	EvJobComplete
 	// EvServerKilled: checkpoint server Server (on machine Node) was lost;
 	// every image and log it stored is gone.
 	EvServerKilled
 	// EvHeartbeatTimeout: the dispatcher's heartbeat detector declared a
 	// component dead — Rank ≥ 0 names a rank, else Server ≥ 0 names a
-	// checkpoint server.  Detail says whether the suspicion was true
-	// (detection, with its latency) or false (a live component exceeded
-	// the timeout).
+	// checkpoint server.  A true detection's Cause is the span of the
+	// death it detects (EvComponentDead, EvServerKilled); a false
+	// suspicion (a live component exceeded the timeout) has no Cause.
 	EvHeartbeatTimeout
 	// EvReplicaFailover: a fetch fell over from a dead or incomplete
 	// replica to checkpoint server Server for (Rank, Wave).
@@ -94,7 +96,7 @@ const (
 	// number when the protocol stamps one; Bytes the payload size).
 	EvMessageReplayed
 	// EvDegraded: the job stopped in degraded mode — unrecoverable loss;
-	// Detail carries the structured error text.
+	// the job returns the structured error (DegradedError).
 	EvDegraded
 	// EvComponentDead: the simulator's omniscient record of a silent death
 	// under heartbeat detection — Rank (or Server) stopped at T, but the
@@ -134,9 +136,9 @@ const (
 	// and exchanged it with its partner rank (Channel); Bytes is the
 	// snapshot size.
 	EvAppCkpt
-	// EvAppRestore: Rank restored application state after a repair —
-	// Detail says from which source (own snapshot, partner copy, or a
-	// fresh start when no snapshot existed yet).
+	// EvAppRestore: Rank restored its application state to the snapshot
+	// of level Wave after a repair — a survivor from its own snapshot, the
+	// repaired rank (the repair's Channel) from the partner-held copy.
 	EvAppRestore
 	// EvDrainBegin: the asynchronous copy of (Rank, Wave)'s image from
 	// storage level Level-1 down to Level started; Bytes is the stored
@@ -229,7 +231,7 @@ type Event struct {
 	// renders cause edges as Perfetto flow arrows; internal/span rebuilds
 	// the DAG.
 	Cause uint64
-	// Detail carries free-text context for runtime events.
+	// Detail is the metric name of an EvCounterSample, empty otherwise.
 	Detail string
 }
 
@@ -269,10 +271,6 @@ func (h *Hub) Emit(ev Event) {
 		s.Emit(ev)
 	}
 }
-
-// Active reports whether any sink is attached (lets hot paths skip
-// assembling expensive Detail strings).
-func (h *Hub) Active() bool { return h != nil && len(h.sinks) > 0 }
 
 // NextSpan allocates a fresh span identifier.  Runs in simulation
 // (single-threaded) context; IDs start at 1 so 0 always means "no span".

@@ -13,9 +13,9 @@ import (
 // commits, failures and restarts — all stamped with virtual time.  Attach
 // a Sink through Options.Sink to receive the stream; a ChromeStreamSink
 // writes it as a Chrome trace_event timeline (chrome://tracing or
-// https://ui.perfetto.dev), a Collector keeps it for inspection, and every
-// Report carries the run's Metrics registry of counters and virtual-time
-// histograms.
+// https://ui.perfetto.dev), a LineSink writes it as one line per event, a
+// Collector keeps it for inspection, and every Report carries the run's
+// Metrics registry of counters and virtual-time histograms.
 
 // Sink receives structured observability events.
 type Sink = obs.Sink
@@ -101,6 +101,16 @@ type ChromeStreamSink = obs.ChromeStreamSink
 // NewChromeStreamSink starts a streaming trace document on w; attach the
 // sink through Options.Sink and Close it when the run returns.
 func NewChromeStreamSink(w io.Writer) *ChromeStreamSink { return obs.NewChromeStreamSink(w) }
+
+// LineSink writes every event as one fixed-format line of text (virtual
+// ns, type, then Rank, Wave, Channel, Node, Server, Level, Bytes, Seq,
+// Span and Cause; a counter sample adds its metric name), so two runs
+// compare line by line.  ftrun -v writes it to stderr.
+type LineSink = obs.LineSink
+
+// NewLineSink returns a LineSink writing to w; attach it through
+// Options.Sink and flush w when the run returns.
+func NewLineSink(w io.Writer) *LineSink { return obs.NewLineSink(w) }
 
 // NewCollector returns an empty event Collector.
 func NewCollector() *Collector { return obs.NewCollector() }

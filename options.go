@@ -253,8 +253,6 @@ type Options struct {
 	MTTF       time.Duration
 	ServerMTTF time.Duration
 	NodeMTTF   time.Duration
-	// Verbose receives runtime progress lines.
-	Verbose func(format string, args ...any)
 	// Sink receives every structured observability event of the run (see
 	// observe.go); a Collector here enables timeline export.
 	Sink Sink
