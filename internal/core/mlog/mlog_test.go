@@ -274,8 +274,8 @@ func TestIndependentCheckpointTimer(t *testing.T) {
 }
 
 // TestQueuesReuseStorage: the pending and unacked queues hover at a small
-// depth for the whole run, so they must cycle through one small array
-// each (sim's queue tests hold the queue itself to that), and the device
+// depth for the whole run, so they must cycle through one segment each
+// (sim's queue tests hold the queue itself to that), and the device
 // state, whose size is the image's, must encode exactly what it did when
 // the queues were front-sliced slices.
 func TestQueuesReuseStorage(t *testing.T) {
@@ -308,11 +308,11 @@ func TestQueuesReuseStorage(t *testing.T) {
 			m.InPacket(&mpi.Packet{Src: 0, Kind: mpi.KindControl, Tag: OpAck, PSeq: out})
 			h.wired = h.wired[:0]
 		}
-		if c := m.pending.Cap(); c > 8 {
-			t.Errorf("pending grew to %d slots at depth 4", c)
+		if s := m.pending.Segments(); s != 1 {
+			t.Errorf("pending holds %d segments at depth 4, want 1", s)
 		}
-		if c := m.unacked[0].Cap(); c > 8 {
-			t.Errorf("unacked grew to %d slots at depth 4", c)
+		if s := m.unacked[0].Segments(); s != 1 {
+			t.Errorf("unacked holds %d segments at depth 4, want 1", s)
 		}
 		// Recorded at the parent commit (queues popped by re-slicing) for
 		// this exact sequence: everything delivered and acknowledged, the

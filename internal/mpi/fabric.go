@@ -52,9 +52,12 @@ type Fabric struct {
 	handlers []func(*Packet) // per endpoint index, nil = unbound
 	// links[src][dst] by endpoint index.  A source's row is allocated on
 	// its first send and links are held by value, so the per-packet send
-	// path is two slice indexings and a marker flood opens NP² links
-	// without NP² allocations.
+	// path is two slice indexings and opening a link allocates its Channel
+	// and nothing else.
 	links [][]link
+	// deliver is deliverPacket bound once and shared by every channel: a
+	// method value passed per link would be a closure allocated per pair.
+	deliver func(payload any)
 
 	// met, when set, counts the traffic (obs.MFabricMsgs,
 	// obs.MFabricPayloadBytes); nil-safe.
@@ -63,7 +66,9 @@ type Fabric struct {
 
 // NewFabric wraps a simulated network.
 func NewFabric(net *simnet.Network) *Fabric {
-	return &Fabric{net: net}
+	f := &Fabric{net: net}
+	f.deliver = f.deliverPacket
+	return f
 }
 
 // Net exposes the underlying network (for bulk image flows).
@@ -160,7 +165,7 @@ func (f *Fabric) linkFor(src, dst int) *link {
 	}
 	l := &f.links[si][di]
 	if l.ch == nil {
-		l.ch = f.net.NewChannel(f.NodeOf(src), f.NodeOf(dst), f.deliverPacket)
+		l.ch = f.net.NewChannel(f.NodeOf(src), f.NodeOf(dst), f.deliver)
 	}
 	return l
 }

@@ -150,6 +150,42 @@ func TestFabricUnbindCloseOrder(t *testing.T) {
 	}
 }
 
+// TestFabricNewPairAllocatesChannelOnly is the marker flood's cost per
+// ordered pair: opening a link and sending one marker on it allocates the
+// Channel and the caller's packet, nothing else — no delivery closure per
+// channel, no backlog or flow state for a channel that never backs up.
+func TestFabricNewPairAllocatesChannelOnly(t *testing.T) {
+	const runs, peers = 100, 102 // AllocsPerRun makes one warm-up call
+	k := sim.New(1)
+	fab := NewFabric(simnet.New(k, testTopo(peers+1)))
+	delivered := 0
+	for id := 0; id <= peers; id++ {
+		fab.Place(id, id)
+		fab.Bind(id, func(*Packet) { delivered++ })
+	}
+	var allocs float64
+	k.Go("sender", func(p *sim.Proc) {
+		// The first send sizes the sender's link row and the node's lanes.
+		fab.Send(0, 1, &Packet{Kind: KindMarker, Wave: 1})
+		p.Advance(time.Millisecond)
+		dst := 1
+		allocs = testing.AllocsPerRun(runs, func() {
+			dst++
+			fab.Send(0, dst, &Packet{Kind: KindMarker, Wave: 1})
+			p.Advance(time.Millisecond) // transmitted and delivered
+		})
+	})
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if delivered != peers {
+		t.Fatalf("delivered %d of %d markers", delivered, peers)
+	}
+	if allocs != 2 {
+		t.Errorf("%v allocations per new pair and marker, want 2 (the Channel and the packet)", allocs)
+	}
+}
+
 func TestFinalizeKeepsProgressAlive(t *testing.T) {
 	k := sim.New(1)
 	w := NewWorld(k, testTopo(2), Profile{Name: "sync"}, 2, 1)

@@ -101,11 +101,10 @@ func (p *Packet) String() string {
 		p.Kind, p.Src, p.Dst, p.Tag, p.Seq, p.Wave, p.PayloadSize())
 }
 
-// Clone returns a deep copy (used when logging channel state).
+// Clone returns a copy of the packet's header that shares its Data (used
+// when logging channel state and capturing images).  Data is read-only
+// once sent, so the copy and the original may both hold it.
 func (p *Packet) Clone() *Packet {
 	q := *p
-	if p.Data != nil {
-		q.Data = append([]byte(nil), p.Data...)
-	}
 	return &q
 }

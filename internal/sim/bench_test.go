@@ -111,7 +111,7 @@ type burstRecord struct {
 // through one lane kept 1 024 deep, each fired entry appending the next —
 // a NIC working through a marker flood.  The records ride in the lane by
 // value, so a steady lane allocates nothing: B/entry and allocs/entry
-// only carry the ring's growth, amortised over the run.
+// only carry the queue's segment growth, amortised over the run.
 func BenchmarkLaneBurst(b *testing.B) {
 	b.ReportAllocs()
 	const perOp, depth = 1 << 20, 1024

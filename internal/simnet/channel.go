@@ -21,17 +21,29 @@ const smallCutoff = 4 << 10
 // FIFO property both checkpointing protocols assume holds by construction.
 // Distinct channels between the same pair of nodes compete for bandwidth
 // like distinct connections.
+//
+// A marker flood opens a channel per ordered pair and sends one small
+// message on most of them, so the Channel itself holds only what every
+// channel needs.  The backlog and the bulk Flow live in a chanSide,
+// allocated the first time the channel backs up or sends a message of
+// smallCutoff bytes or more: a channel that only ever sends small messages
+// on an idle path is this one record.
 type Channel struct {
 	net      *Network
-	src, dst int32
 	deliver  func(payload any)
+	side     *chanSide // nil until the channel first backs up or sends bulk
+	src, dst int32
+	busy     bool
+	closed   bool
+}
+
+// chanSide is the state only a backlogged or bulk-sending channel needs.
+type chanSide struct {
 	// queue holds the messages waiting behind the one in transmission.
 	queue sim.Queue[message]
 	// flow transmits the channel's bulk messages, one at a time: allocated
 	// on the first and reset for each later one.
-	flow   *Flow
-	busy   bool
-	closed bool
+	flow *Flow
 }
 
 type message struct {
@@ -70,7 +82,7 @@ func (c *Channel) Send(payload any, size Bytes) {
 	}
 	m := message{payload, size}
 	if c.busy {
-		c.queue.Push(m)
+		c.sideState().queue.Push(m)
 		return
 	}
 	// Idle channel: transmit directly.  A channel that never backs up (one
@@ -78,14 +90,22 @@ func (c *Channel) Send(payload any, size Bytes) {
 	c.start(m)
 }
 
+// sideState returns the channel's side state, allocating it on first use.
+func (c *Channel) sideState() *chanSide {
+	if c.side == nil {
+		c.side = new(chanSide)
+	}
+	return c.side
+}
+
 // startNext begins transmitting the next queued message, or marks the
 // channel idle when there is none.
 func (c *Channel) startNext() {
-	if c.closed || c.queue.Len() == 0 {
+	if c.closed || c.side == nil || c.side.queue.Len() == 0 {
 		c.busy = false
 		return
 	}
-	c.start(c.queue.Pop())
+	c.start(c.side.queue.Pop())
 }
 
 func (c *Channel) start(m message) {
@@ -96,13 +116,14 @@ func (c *Channel) start(m message) {
 	}
 	n := c.net
 	src, dst := int(c.src), int(c.dst)
-	f := c.flow
+	side := c.sideState()
+	f := side.flow
 	if f == nil {
 		f = &Flow{net: n, latency: n.Latency(src, dst), ch: c}
 		if n.Cluster(src) != n.Cluster(dst) {
 			f.cap = n.topo.WanFlowCap
 		}
-		c.flow = f
+		side.flow = f
 	}
 	n.flowSeq++
 	f.seq = n.flowSeq
@@ -172,9 +193,11 @@ func (c *Channel) Close() {
 		return
 	}
 	c.closed = true
-	c.queue.Reset()
 	c.busy = false
-	if c.flow != nil {
-		c.flow.Cancel()
+	if side := c.side; side != nil {
+		side.queue.Reset()
+		if side.flow != nil {
+			side.flow.Cancel()
+		}
 	}
 }

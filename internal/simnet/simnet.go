@@ -22,7 +22,10 @@
 // which both checkpointing protocols require — holds by construction.
 // Because it sends one message at a time, a channel owns one transmit
 // Flow, allocated on its first bulk message and reset for every later one,
-// and its deliveries ride the network's delivery lanes by value.
+// and its deliveries ride the network's delivery lanes by value.  The Flow
+// and the backlog sit in a side record allocated only when the channel
+// first backs up or sends bulk, so a channel that carries one marker per
+// wave — most of the NP² channels of a flood — is one 48-byte allocation.
 //
 // The implementation keeps the per-message hot path allocation-free: flow
 // membership lives in seq-ordered slices (not maps), the affected set of a

@@ -286,9 +286,9 @@ func TestChannelClose(t *testing.T) {
 	before := k.Stats().Scheduled
 	ch.Send("c", 1)
 	ch.Send("d", 50e6)
-	if ch.busy || ch.queue.Len() != 0 || k.Stats().Scheduled != before {
+	if ch.busy || ch.side.queue.Len() != 0 || k.Stats().Scheduled != before {
 		t.Fatalf("a send after close left busy=%v, %d queued, %d events scheduled",
-			ch.busy, ch.queue.Len(), k.Stats().Scheduled-before)
+			ch.busy, ch.side.queue.Len(), k.Stats().Scheduled-before)
 	}
 }
 
@@ -404,8 +404,9 @@ func ExampleNetwork_StartFlow() {
 // TestBackloggedChannelReusesQueue keeps a channel backlogged for good: a
 // new message joins it every time one clears the NIC, so two or three are
 // always waiting and its queue never empties.  Such a channel must still
-// cycle through one small array — a queue that only rewinds once drained
-// grows by a slot per message instead, for as long as the backlog lasts.
+// cycle through the two segments a sliding window needs — a queue that
+// only rewinds once drained grows by a slot per message instead, for as
+// long as the backlog lasts.
 func TestBackloggedChannelReusesQueue(t *testing.T) {
 	k := sim.New(1)
 	n := lan(k)
@@ -437,8 +438,8 @@ func TestBackloggedChannelReusesQueue(t *testing.T) {
 	if allocs != 0 {
 		t.Errorf("%v allocations over 20 000 messages through a backlogged channel", allocs)
 	}
-	if c := ch.queue.Cap(); c > 8 {
-		t.Errorf("the queue grew to %d slots at a backlog of three", c)
+	if s := ch.side.queue.Segments(); s > 2 {
+		t.Errorf("the queue grew to %d segments at a backlog of three, want <= 2", s)
 	}
 }
 
@@ -559,7 +560,41 @@ func TestRecordSizes(t *testing.T) {
 	if n := unsafe.Sizeof(Flow{}); n > 160 {
 		t.Errorf("Flow is %d bytes, want <= 160", n)
 	}
-	if n := unsafe.Sizeof(Channel{}); n > 80 {
-		t.Errorf("Channel is %d bytes, want <= 80", n)
+	if n := unsafe.Sizeof(Channel{}); n > 48 {
+		t.Errorf("Channel is %d bytes, want <= 48", n)
+	}
+}
+
+// TestIdleSmallChannelHasNoSideState: a channel that only sends small
+// messages, each on an idle channel, neither backs up nor sends bulk, so it
+// never allocates the backlog and flow state — a marker flood's channel is
+// the Channel record alone.  A backlog or one bulk message allocates it.
+func TestIdleSmallChannelHasNoSideState(t *testing.T) {
+	k := sim.New(1)
+	n := lan(k)
+	delivered := 0
+	idle := n.NewChannel(0, 1, func(any) { delivered++ })
+	backlogged := n.NewChannel(0, 2, func(any) {})
+	bulk := n.NewChannel(0, 3, func(any) {})
+	k.Go("sender", func(p *sim.Proc) {
+		for i := 0; i < 100; i++ {
+			idle.Send(i, smallCutoff-1)
+			p.Advance(time.Millisecond) // transmitted and delivered
+		}
+		backlogged.Send(0, 64)
+		backlogged.Send(1, 64)
+		bulk.Send(0, smallCutoff)
+	})
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if delivered != 100 {
+		t.Fatalf("delivered %d of 100 messages", delivered)
+	}
+	if idle.side != nil {
+		t.Errorf("a channel sending small messages on an idle path allocated its side state")
+	}
+	if backlogged.side == nil || bulk.side == nil {
+		t.Errorf("side state allocated: backlogged %v, bulk %v; want both", backlogged.side != nil, bulk.side != nil)
 	}
 }

@@ -123,9 +123,10 @@ func TestKernelCountsPinned(t *testing.T) {
 // proportion to the payload while it adds only one malloc per message.
 // A change that means to allocate more re-records the constants and says
 // so; so does one that allocates less, or its saving could come back
-// unnoticed under the old ceiling.  Every row but storage-incremental-8
-// was last re-recorded when a channel's bulk messages began sharing one
-// Flow (four repeats, largest kept, as above).
+// unnoticed under the old ceiling.  Every row was last re-recorded when
+// channels stopped allocating a delivery closure and an unused backlog,
+// the queue became segmented and Packet.Clone began sharing Data (four
+// repeats, largest kept, as above).
 func TestAllocCeilings(t *testing.T) {
 	if testing.Short() || raceEnabled {
 		t.Skip("allocation counts are recorded for a plain, full run")
@@ -138,12 +139,12 @@ func TestAllocCeilings(t *testing.T) {
 		recorded uint64
 		bytes    uint64 // recorded TotalAlloc; 0 = not gated
 	}{
-		{"pcl-64", kernelRunOpts(Pcl, 64), 339_616, 0},
-		{"vcl-64", kernelRunOpts(Vcl, 64), 337_330, 0},
-		{"mlog-64", kernelRunOpts(Mlog, 64), 1_035_262, 0},
-		{"mlog-256", kernelRunOpts(Mlog, 256), 4_198_713, 0},
-		{"storage-incremental-8", storageGolden(), 56_491, 7_534_384},
-		{"ulfm-node-repair-8", ulfm, 113_588, 217_242_576},
+		{"pcl-64", kernelRunOpts(Pcl, 64), 335_081, 0},
+		{"vcl-64", kernelRunOpts(Vcl, 64), 332_581, 0},
+		{"mlog-64", kernelRunOpts(Mlog, 64), 878_773, 0},
+		{"mlog-256", kernelRunOpts(Mlog, 256), 3_572_496, 0},
+		{"storage-incremental-8", storageGolden(), 56_266, 7_527_272},
+		{"ulfm-node-repair-8", ulfm, 113_141, 213_680_976},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			var before, after runtime.MemStats
