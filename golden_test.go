@@ -1,46 +1,50 @@
 package ftckpt
 
-// Golden determinism tests: the contract the performance work must not
-// bend is that a seed fully determines a run.  Every observable artifact —
-// the Report (including the workload checksum), the metrics export, the
-// Chrome trace timeline and the event line stream — must be byte-identical
-// when the same Options run twice, including runs that exercise failure
-// injection, recovery and replicated checkpoint servers.  A mismatch is
-// reported by firstDivergence, which names the first differing line.
+// Golden tests over the rows of scenario_test.go: a seed fully determines
+// a run, byte for byte, and the pinned rows match testdata/golden_pinned.json
+// (amd64: the hashes cover float formatting).  A PR that means to change
+// simulation output re-records it with `go test -run TestGoldenPinned
+// -update .` and says so in CHANGES.md.  To see which event moved, run
+// `go test -run '^TestGoldenPinned$' -events-dir DIR .` at both commits and
+// `diff -u OLD/<scenario>.events NEW/<scenario>.events`.
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
+	"errors"
+	"flag"
 	"fmt"
+	"os"
+	"path/filepath"
 	"runtime"
 	"strings"
 	"testing"
-	"time"
 
-	"ftckpt/internal/obs"
+	"ftckpt/internal/failure"
 )
 
-// goldenArtifacts executes one run and returns its comparable Report (the
-// registry pointer stripped), metrics JSON, Chrome trace and event line
-// stream.
-func goldenArtifacts(t *testing.T, o Options) (Report, []byte, []byte, []byte) {
-	t.Helper()
-	col := NewCollector()
-	var met, trace, events bytes.Buffer
-	chrome := NewChromeStreamSink(&trace)
-	o.Sink = obs.NewHub(col, chrome, NewLineSink(&events))
-	rep, err := Run(o)
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if err := rep.Metrics.WriteJSON(&met); err != nil {
-		t.Fatalf("WriteJSON: %v", err)
-	}
-	if err := chrome.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
-	}
-	checkReportAgainstEvents(t, rep, col.Events())
-	rep.Metrics = nil
-	return rep, met.Bytes(), trace.Bytes(), events.Bytes()
+var (
+	updatePinned = flag.Bool("update", false, "rewrite testdata/golden_pinned.json from this run")
+	eventsDir    = flag.String("events-dir", "", "write each pinned scenario's event line stream to DIR/<name>.events")
+)
+
+const pinnedPath = "testdata/golden_pinned.json"
+
+// pinnedHashes is one scenario's entry in the pinned file, fields in the
+// file's key order.
+type pinnedHashes struct {
+	Events      string `json:"events"`
+	Report      string `json:"report"`
+	Metrics     string `json:"metrics"`
+	Trace       string `json:"trace"`
+	Attribution string `json:"attribution,omitempty"` // rows with Options.Attribution
+}
+
+func sha(b []byte) string {
+	h := sha256.Sum256(b)
+	return hex.EncodeToString(h[:])
 }
 
 // firstDivergence names the first line where a and b differ: its 1-based
@@ -71,42 +75,200 @@ func firstDivergence(a, b []byte) string {
 	return sb.String()
 }
 
-// checkGolden runs o twice and requires identical artifacts.
-func checkGolden(t *testing.T, o Options) {
-	t.Helper()
-	r1, m1, c1, e1 := goldenArtifacts(t, o)
-	r2, m2, c2, e2 := goldenArtifacts(t, o)
-	if r1 != r2 {
-		t.Errorf("Report differs across identical runs:\n  first  %+v\n  second %+v", r1, r2)
+// checkRow holds a row's first run to its post-conditions, recorded hashes
+// and the row it must equal, then repeats it.  One test checks each row.
+func checkRow(t *testing.T, name string) {
+	r, sc := first(t, name), byName[name]
+	if sc.post != nil {
+		sc.post(t, r)
 	}
-	if r1.Checksum != r2.Checksum {
-		t.Errorf("checksum differs: %v vs %v", r1.Checksum, r2.Checksum)
+	if h := pinned(r); sc.recorded != [3]string{} && runtime.GOARCH == "amd64" {
+		if got := [3]string{h.Report, h.Metrics, h.Trace}; got != sc.recorded {
+			t.Errorf("report/metrics/trace hashes %v, recorded %v", got, sc.recorded)
+		}
 	}
-	for _, art := range []struct {
-		name string
-		a, b []byte
-	}{{"metrics JSON", m1, m2}, {"Chrome trace", c1, c2}, {"event stream", e1, e2}} {
-		if d := firstDivergence(art.a, art.b); d != "" {
-			t.Errorf("%s differs across identical runs, %s", art.name, d)
+	if sc.same != "" {
+		for _, d := range differences(first(t, sc.same), r) {
+			t.Errorf("against %s: %s", sc.same, d)
+		}
+	}
+	for i := 1; i <= sc.repeat; i++ {
+		again, err := runScenario(sc)
+		if err != nil {
+			t.Fatalf("run %d: %v", i, err)
+		}
+		if ds := differences(r, again); len(ds) > 0 {
+			t.Fatalf("run %d differs from run 0: %s", i, strings.Join(ds, "\n"))
 		}
 	}
 }
 
-// TestFirstDivergenceNamesTheEvent runs the replicated-hb-8 scenario with
-// its rank kill at 17 ms and at 18 ms: the streams agree up to the
-// earlier kill, and firstDivergence names that line, its number and both
-// versions of it.
-func TestFirstDivergenceNamesTheEvent(t *testing.T) {
-	var early Options
-	for _, sc := range pinnedScenarios() {
-		if sc.name == "replicated-hb-8" {
-			early = sc.opts
+// forRows runs check on the rows fmt.Sprintf(pattern, label) as parallel
+// subtests named label.
+func forRows(t *testing.T, pattern string, check func(*testing.T, string), labels ...string) {
+	for _, label := range labels {
+		t.Run(label, func(t *testing.T) {
+			t.Parallel()
+			check(t, fmt.Sprintf(pattern, label))
+		})
+	}
+}
+
+// checkRows is a parallel test of checkRow on its rows.
+func checkRows(t *testing.T, pattern string, labels ...string) {
+	t.Parallel()
+	forRows(t, pattern, checkRow, labels...)
+}
+
+// The determinism tests name their rows; what each row exercises is said
+// at the row.
+func TestGoldenDeterminism(t *testing.T)           { checkRows(t, "%s-16", "pcl", "vcl", "mlog") }
+func TestGoldenDeterminismULFM(t *testing.T)       { checkRows(t, "ulfm-%s-8", "rank", "node", "vcl") }
+func TestGoldenDeterminismRepeat(t *testing.T)     { checkRows(t, "%s", "mlog-chaos", "snapshots") }
+func TestSharedImageRestoredTwice(t *testing.T)    { checkRows(t, "shared-image-%s-8", "pcl", "vcl") }
+func TestGoldenDeterminismReplicated(t *testing.T) { checkRows(t, "%s", "replicated-hb-8") }
+func TestGoldenDeterminismGrid(t *testing.T)       { checkRows(t, "%s", "grid-vcl-16") }
+func TestGoldenDeterminismStorage(t *testing.T)    { checkRows(t, "%s", "storage-hier-8") }
+func TestGoldenStorageChaos(t *testing.T)          { checkRows(t, "%s", "storage-chaos-8") }
+
+// TestServersShorthandIsOneLevel: Options.Servers is the same run as the
+// one-level Storage it stands for, and the replicated tiers the deleted
+// flat replication fields described keep their recorded output.
+func TestServersShorthandIsOneLevel(t *testing.T) {
+	checkRows(t, "%s-64-storage", "pcl", "vcl", "mlog")
+	forRows(t, "%s", checkRow, "replicated-vcl-8", "replicated-mlog-8", "replicated-node-8", "grid-pcl-16-replicated")
+}
+
+// The post-conditions of the table.
+
+func wantReport(want string) func(*testing.T, *result) {
+	return func(t *testing.T, r *result) {
+		if got := fmt.Sprintf("%+v", r.rep); got != want {
+			t.Errorf("Report:\n  got      %s\n  recorded %s", got, want)
 		}
 	}
-	late := early
-	late.Failures = []Failure{KillServer(11*time.Millisecond, 1), KillRank(18*time.Millisecond, 3)}
-	_, _, _, a := goldenArtifacts(t, early)
-	_, _, _, b := goldenArtifacts(t, late)
+}
+
+func repairedInJob(t *testing.T, r *result) {
+	if r.rep.Repairs != 1 || r.rep.Restarts != 0 || r.rep.RecoveredWork <= 0 || r.rep.RecoveredWork >= 1 {
+		t.Errorf("Repairs %d, Restarts %d, RecoveredWork %v; want one in-job repair, no restart, RecoveredWork in (0, 1)",
+			r.rep.Repairs, r.rep.Restarts, r.rep.RecoveredWork)
+	}
+}
+
+// recovered: the run checkpointed, restarted and ended on cg-real-8's
+// failure-free checksum.
+func recovered(t *testing.T, r *result) {
+	if base := first(t, "cg-real-8").rep.Checksum; r.rep.Waves == 0 || r.rep.Restarts == 0 || r.rep.Checksum != base {
+		t.Errorf("want a restart from a committed wave and checksum %v; got %+v", base, r.rep)
+	}
+}
+
+// restoredTwice: the levels share one image per (rank, wave) and a restore
+// reads it in place; a restart that wrote through it would poison the
+// second restore from the same wave.
+func restoredTwice(t *testing.T, r *result) {
+	var waves []string
+	for _, line := range strings.Split(string(r.events), "\n") {
+		if f := strings.Fields(line); len(f) > 3 && f[1] == EvRestartBegin.String() {
+			waves = append(waves, f[3])
+		}
+	}
+	if len(waves) != 2 || waves[0] == "0" || waves[0] != waves[1] {
+		t.Fatalf("want two restarts from one committed wave, got waves %v", waves)
+	}
+	recovered(t, r)
+}
+
+// bufferThenRankKill: a rank dies after a staged copy was lost, and every
+// recovery invariant holds.
+func bufferThenRankKill(t *testing.T, r *result) {
+	buffer, exercised := false, false // the plan is in execution order
+	for _, ev := range r.chaos.Plan {
+		buffer = buffer || ev.Kind == failure.KindBuffer
+		exercised = exercised || buffer && ev.Kind == failure.KindRank
+	}
+	c := r.chaos
+	if !exercised || !c.OK() || c.Degraded == nil && (c.Checksum == 0 || c.Checksum != c.Reference) {
+		t.Fatalf("want a rank kill after a buffer kill, no violation and the reference checksum; got %+v", *c)
+	}
+}
+
+func pinned(r *result) pinnedHashes {
+	h := pinnedHashes{sha(r.events), sha([]byte(fmt.Sprintf("%+v", r.rep))), sha(r.metrics), r.traceSHA, ""}
+	if r.attrib != nil {
+		h.Attribution = sha(r.attrib)
+	}
+	return h
+}
+
+func readPinned(t *testing.T) map[string]pinnedHashes {
+	var pinned map[string]pinnedHashes
+	b, err := os.ReadFile(pinnedPath)
+	if err == nil {
+		err = json.Unmarshal(b, &pinned)
+	}
+	if err != nil {
+		t.Fatalf("%v (record it with -update)", err)
+	}
+	return pinned
+}
+
+func TestGoldenPinned(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skipf("hashes are pinned for amd64, not %s", runtime.GOARCH)
+	}
+	t.Parallel()
+	var want map[string]pinnedHashes
+	if !*updatePinned {
+		want = readPinned(t)
+	}
+	if *eventsDir != "" {
+		if err := os.MkdirAll(*eventsDir, 0o755); err != nil {
+			t.Fatal(err)
+		}
+	}
+	t.Cleanup(func() { // after every row's subtest; first returns the kept runs
+		if *updatePinned && !t.Failed() {
+			got := map[string]pinnedHashes{}
+			for _, sc := range scenarios {
+				if sc.pinned {
+					got[sc.name] = pinned(first(t, sc.name))
+				}
+			}
+			b, _ := json.MarshalIndent(got, "", "  ")
+			if err := os.WriteFile(pinnedPath, append(b, '\n'), 0o644); err != nil {
+				t.Error(err)
+			}
+		}
+	})
+	for _, sc := range scenarios {
+		if !sc.pinned {
+			continue
+		}
+		t.Run(sc.name, func(t *testing.T) {
+			t.Parallel()
+			r := first(t, sc.name)
+			if *eventsDir != "" {
+				if err := os.WriteFile(filepath.Join(*eventsDir, sc.name+".events"), r.events, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if h := pinned(r); !*updatePinned && h != want[sc.name] {
+				t.Errorf("output differs from the pinned commit:\n  got  %+v\n  want %+v\nfor the first differing "+
+					"event, run `go test -run '^TestGoldenPinned$' -events-dir DIR .` here and at the pinned "+
+					"commit, then `diff -u OLD/%[3]s.events NEW/%[3]s.events`", h, want[sc.name], sc.name)
+			}
+		})
+	}
+}
+
+// TestFirstDivergenceNamesTheEvent: the streams of replicated-hb-8 and its
+// -late twin agree up to the earlier rank kill, and firstDivergence names
+// that line, its number and both versions of it.
+func TestFirstDivergenceNamesTheEvent(t *testing.T) {
+	t.Parallel()
+	a, b := first(t, "replicated-hb-8").events, first(t, "replicated-hb-8-late").events
 	la, lb := strings.Split(string(a), "\n"), strings.Split(string(b), "\n")
 	n := 0
 	for n < len(la) && n < len(lb) && la[n] == lb[n] {
@@ -131,263 +293,41 @@ func TestFirstDivergenceNamesTheEvent(t *testing.T) {
 	}
 }
 
-// TestGoldenDeterminism runs each protocol twice through a failure and
-// recovery and requires byte-identical artifacts.
-func TestGoldenDeterminism(t *testing.T) {
-	for _, proto := range []Protocol{Pcl, Vcl, Mlog} {
-		t.Run(string(proto), func(t *testing.T) {
-			checkGolden(t, Options{
-				Workload:     WorkloadBT,
-				Class:        ClassA,
-				NP:           16,
-				ProcsPerNode: 2,
-				Protocol:     proto,
-				Interval:     2 * time.Second,
-				Servers:      2,
-				Seed:         42,
-				Failures:     []Failure{KillRank(3*time.Second, 5)},
-			})
-		})
-	}
-}
-
-// TestGoldenDeterminismReplicated covers the replication + heartbeat path,
-// whose retry timers and failover fetches must be as reproducible as the
-// base protocols.
-func TestGoldenDeterminismReplicated(t *testing.T) {
-	checkGolden(t, Options{
-		Workload:     WorkloadCGReal,
-		NP:           8,
-		ProcsPerNode: 2,
-		Protocol:     Pcl,
-		Interval:     5 * time.Millisecond,
-		Storage:      replicatedTier(3),
-		Heartbeat:    &HeartbeatSpec{Period: 2 * time.Millisecond},
-		Seed:         7,
-		Failures: []Failure{
-			KillServer(11*time.Millisecond, 1),
-			KillRank(17*time.Millisecond, 3),
-		},
-	})
-}
-
-// TestGoldenDeterminismChaosSweep runs a replicated, heartbeat-enabled
-// chaos sweep concurrently (Jobs=4, with GOMAXPROCS pinned above 1 so
-// that under -race the points really execute in parallel) and requires
-// every artifact — reports, the deterministically merged metrics
-// registry, each point's Chrome trace and each point's event stream — to
-// be byte-identical across two executions: no map-iteration order, no
-// worker interleaving and no shared-registry write may leak into output.
-// TestGoldenDeterminismRepeat repeats runs further to catch map order;
-// lint_test.go holds the two rules no run can show.
+// TestGoldenDeterminismChaosSweep sweeps the four replicated rows at Jobs 4
+// (GOMAXPROCS above 1, so that under -race the points really run in
+// parallel; hence a serial test) and wants every point equal to the row's
+// own run and the merged registry equal to the rows' registries merged in
+// point order: no worker interleaving or shared-registry write may leak.
 func TestGoldenDeterminismChaosSweep(t *testing.T) {
-	prev := runtime.GOMAXPROCS(4)
-	defer runtime.GOMAXPROCS(prev)
-
-	base := chaosSweepPoints()
-
-	runOnce := func() ([]Report, []byte, [][]byte, [][]byte) {
-		pts := make([]Options, len(base))
-		chromes := make([]bytes.Buffer, len(base))
-		events := make([]bytes.Buffer, len(base))
-		sinks := make([]*ChromeStreamSink, len(base))
-		for i := range base {
-			pts[i] = base[i]
-			sinks[i] = NewChromeStreamSink(&chromes[i])
-			pts[i].Sink = obs.NewHub(sinks[i], NewLineSink(&events[i]))
-		}
-		met := NewMetrics()
-		reps, err := Sweep(pts, SweepOptions{Jobs: 4, Metrics: met})
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	names := []string{"replicated-hb-8", "replicated-vcl-8", "replicated-mlog-8", "replicated-node-8"}
+	points := make([]Options, len(names))
+	finish := make([]func(Report) (*result, error), len(names))
+	for i, name := range names {
+		points[i] = byName[name].opts
+		finish[i] = attach(&points[i])
+	}
+	merged, want := NewMetrics(), NewMetrics()
+	reps, err := Sweep(points, SweepOptions{Jobs: 4, Metrics: merged})
+	if err != nil {
+		t.Fatalf("Sweep: %v", err)
+	}
+	for i, name := range names {
+		got, err := finish[i](reps[i])
 		if err != nil {
-			t.Fatalf("Sweep: %v", err)
+			t.Fatal(err)
 		}
-		var metJSON bytes.Buffer
-		if err := met.WriteJSON(&metJSON); err != nil {
-			t.Fatalf("WriteJSON: %v", err)
+		r := first(t, name)
+		for _, d := range differences(r, got) {
+			t.Errorf("point %d (%s) against its own run: %s", i, name, d)
 		}
-		traces := make([][]byte, len(sinks))
-		streams := make([][]byte, len(sinks))
-		for i, sink := range sinks {
-			if err := sink.Close(); err != nil {
-				t.Fatalf("Close: %v", err)
-			}
-			traces[i], streams[i] = chromes[i].Bytes(), events[i].Bytes()
-		}
-		for i := range reps {
-			reps[i].Metrics = nil
-		}
-		return reps, metJSON.Bytes(), traces, streams
+		want.Merge(r.reg)
 	}
-
-	r1, m1, c1, e1 := runOnce()
-	r2, m2, c2, e2 := runOnce()
-	for i := range r1 {
-		if r1[i] != r2[i] {
-			t.Errorf("point %d: Report differs across identical sweeps:\n  first  %+v\n  second %+v", i, r1[i], r2[i])
-		}
-		if d := firstDivergence(c1[i], c2[i]); d != "" {
-			t.Errorf("point %d: Chrome trace differs across identical sweeps, %s", i, d)
-		}
-		if d := firstDivergence(e1[i], e2[i]); d != "" {
-			t.Errorf("point %d: event stream differs across identical sweeps, %s", i, d)
-		}
+	var a, b bytes.Buffer
+	if err := errors.Join(want.WriteJSON(&a), merged.WriteJSON(&b)); err != nil {
+		t.Fatal(err)
 	}
-	if d := firstDivergence(m1, m2); d != "" {
-		t.Errorf("merged metrics JSON differs across identical sweeps, %s", d)
+	if d := firstDivergence(a.Bytes(), b.Bytes()); d != "" {
+		t.Errorf("merged metrics JSON differs from the rows' merged in order, %s", d)
 	}
-}
-
-// TestGoldenDeterminismRepeat runs each case eight times in one process
-// and requires one result.  Go draws a new map order on every range, so
-// map order that reaches a run shows up as a second result; two runs, as
-// checkGolden makes, see it only sometimes.
-func TestGoldenDeterminismRepeat(t *testing.T) {
-	const repeats = 8
-	cases := []struct {
-		name  string
-		o     Options
-		chaos *ChaosSpec // nil: a plain Run, compared on all four artifacts
-	}{
-		// The CI Mlog chaos smoke: restarted ranks retransmit their
-		// unacknowledged sends to every destination.  Compared on the
-		// Report and the event stream.
-		{"mlog-chaos", Options{Workload: WorkloadCGReal, NP: 8, Protocol: Mlog,
-			Interval: 5 * time.Millisecond, Storage: replicatedTier(2)},
-			&ChaosSpec{Seed: 7, Kills: 3, ServerFrac: 0.3, NodeFrac: 0.25,
-				From: 8 * time.Millisecond, Until: 40 * time.Millisecond}},
-		// Metrics snapshots: one counter sample per tracked counter at each
-		// instant, in the order the trace keeps them.
-		{"snapshots", Options{Workload: WorkloadCGReal, NP: 4, Protocol: Pcl,
-			Interval: 5 * time.Millisecond, Servers: 1, Seed: 7,
-			MetricsSnapshot: 2 * time.Millisecond}, nil},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			run := func() (Report, [3][]byte) {
-				if tc.chaos == nil {
-					rep, met, trace, events := goldenArtifacts(t, tc.o)
-					return rep, [3][]byte{met, trace, events}
-				}
-				var events bytes.Buffer
-				o := tc.o
-				o.Sink = NewLineSink(&events)
-				out, err := Chaos(o, *tc.chaos)
-				if err != nil {
-					t.Fatalf("Chaos: %v", err)
-				}
-				out.Report.Metrics = nil
-				return out.Report, [3][]byte{nil, nil, events.Bytes()}
-			}
-			r0, a0 := run()
-			for i := 1; i < repeats; i++ {
-				r, a := run()
-				if r != r0 {
-					t.Fatalf("run %d: Report differs from run 0:\n  run 0 %+v\n  run %d %+v", i, r0, i, r)
-				}
-				for j, name := range []string{"metrics JSON", "Chrome trace", "event stream"} {
-					if d := firstDivergence(a0[j], a[j]); d != "" {
-						t.Fatalf("run %d: %s differs from run 0, %s", i, name, d)
-					}
-				}
-			}
-		})
-	}
-}
-
-// replicatedTier is the replicated server tier of the golden suites:
-// servers checkpoint servers, two copies of every image, a write quorum of
-// one, two retries 1 ms apart.
-func replicatedTier(servers int) *StorageSpec {
-	return &StorageSpec{Levels: []LevelSpec{{Kind: LevelServers, Servers: servers,
-		Replicas: 2, WriteQuorum: 1, StoreRetries: 2, RetryBackoff: time.Millisecond}}}
-}
-
-// chaosSweepPoints are the four replicated, heartbeat-enabled cg-real
-// runs of TestGoldenDeterminismChaosSweep, each with its own kills.
-func chaosSweepPoints() []Options {
-	hb := &HeartbeatSpec{Period: 2 * time.Millisecond}
-	base := []Options{
-		{Protocol: Pcl, Seed: 7, Failures: []Failure{
-			KillServer(11*time.Millisecond, 1), KillRank(17*time.Millisecond, 3)}},
-		{Protocol: Vcl, Seed: 11, Failures: []Failure{
-			KillRank(13*time.Millisecond, 2), KillNode(23*time.Millisecond, 1)}},
-		{Protocol: Mlog, Seed: 13, Failures: []Failure{
-			KillServer(9*time.Millisecond, 0)}},
-		{Protocol: Pcl, Seed: 21, Failures: []Failure{
-			KillNode(15*time.Millisecond, 2)}},
-	}
-	for i := range base {
-		base[i].Workload = WorkloadCGReal
-		base[i].NP = 8
-		base[i].ProcsPerNode = 2
-		base[i].Interval = 5 * time.Millisecond
-		base[i].Storage = replicatedTier(3)
-		base[i].Heartbeat = hb
-	}
-	return base
-}
-
-// ulfmGolden is the spare-rank in-job recovery scenario of the golden
-// suite: Jacobi under ULFM recovery with a spare pool.
-func ulfmGolden() Options {
-	return Options{
-		Workload: WorkloadJacobi,
-		NP:       8,
-		Protocol: Pcl,
-		Interval: 25 * time.Millisecond,
-		Servers:  2,
-		Recovery: RecoveryULFM,
-		Spares:   2,
-		Seed:     5,
-	}
-}
-
-// TestGoldenDeterminismULFM pins the in-job recovery path: a spare-rank
-// repair sweep — rank kill, node kill spliced onto a spare, and the
-// non-blocking protocol — must repair without any rollback-restart and
-// be byte-identical across repeats.
-func TestGoldenDeterminismULFM(t *testing.T) {
-	cases := []struct {
-		name string
-		mut  func(*Options)
-	}{
-		{"rank", func(o *Options) { o.Failures = []Failure{KillRank(40*time.Millisecond, 3)} }},
-		{"node", func(o *Options) { o.Failures = []Failure{KillNode(40*time.Millisecond, 3)} }},
-		{"vcl", func(o *Options) {
-			o.Protocol = Vcl
-			o.Failures = []Failure{KillRank(40*time.Millisecond, 3)}
-		}},
-	}
-	for _, tc := range cases {
-		tc := tc
-		t.Run(tc.name, func(t *testing.T) {
-			o := ulfmGolden()
-			tc.mut(&o)
-			rep, _, _, _ := goldenArtifacts(t, o)
-			if rep.Repairs != 1 || rep.Restarts != 0 {
-				t.Errorf("Repairs = %d, Restarts = %d, want 1 in-job repair and zero restarts",
-					rep.Repairs, rep.Restarts)
-			}
-			if rep.RecoveredWork <= 0 || rep.RecoveredWork >= 1 {
-				t.Errorf("RecoveredWork = %v, want in (0, 1) after one repair", rep.RecoveredWork)
-			}
-			checkGolden(t, o)
-		})
-	}
-}
-
-// TestGoldenDeterminismGrid covers the multi-cluster topology: WAN flow
-// caps and per-cluster servers stress the fluid-flow rescheduling whose
-// ordering the allocation work reworked.
-func TestGoldenDeterminismGrid(t *testing.T) {
-	checkGolden(t, Options{
-		Workload:     WorkloadBT,
-		Class:        ClassA,
-		NP:           16,
-		ProcsPerNode: 2,
-		Protocol:     Vcl,
-		Interval:     2 * time.Second,
-		Platform:     PlatformGrid,
-		Seed:         9,
-	})
 }

@@ -36,7 +36,8 @@ type Options struct {
 	// observability registry (cmd/figures dumps it next to each figure).
 	Metrics *obs.Metrics
 	// Jobs caps how many sweep points run concurrently (each point is one
-	// or more full simulations); 0 or 1 runs the classic sequential sweep.
+	// or more full simulations); 1 runs them one after another and 0 means
+	// one per CPU.
 	// Rows, trace output and exported metrics are byte-identical for any
 	// Jobs value with the same seed.
 	Jobs int

@@ -20,14 +20,13 @@ import (
 	"time"
 )
 
-// checkReportAgainstEvents re-counts every count and byte field of rep from
-// the events a Collector saw during the same run.  goldenArtifacts calls
-// it, so every golden scenario — the seven of TestGoldenPinned among them —
+// foldMismatch re-counts every count and byte field of rep from the
+// events a Collector saw during the same run.  runScenario calls it, so
+// every plain row of the scenario table — the pinned rows among them —
 // checks its Report against this independent fold.  (Messages and
 // PayloadMB count packets, which are not events; the fabric counts them
 // into the same registry and TestGoldenPinned pins them.)
-func checkReportAgainstEvents(t *testing.T, rep Report, events []Event) {
-	t.Helper()
+func foldMismatch(rep Report, events []Event) error {
 	n := map[EventType]int{}
 	var logged, stored int64
 	for _, ev := range events {
@@ -51,11 +50,12 @@ func checkReportAgainstEvents(t *testing.T, rep Report, events []Event) {
 		LoggedMessages: rep.LoggedMessages, LoggedMB: rep.LoggedMB, CheckpointMB: rep.CheckpointMB,
 	}
 	if got != want {
-		t.Errorf("the events fold to\n  %+v\nthe Report says\n  %+v", got, want)
+		return fmt.Errorf("the events fold to\n  %+v\nthe Report says\n  %+v", got, want)
 	}
 	if n[EvImageDurable] < rep.Waves {
-		t.Errorf("%d waves committed on %d durable images", rep.Waves, n[EvImageDurable])
+		return fmt.Errorf("%d waves committed on %d durable images", rep.Waves, n[EvImageDurable])
 	}
+	return nil
 }
 
 // sharedRegistrySHA is the metrics export of the two runs below sharing
@@ -141,6 +141,7 @@ func TestSweepFreshProcessOrder(t *testing.T) {
 		// runs this test in the no-race step next to TestGoldenPinned.
 		t.Skip("re-executes the test binary four times")
 	}
+	t.Parallel()
 	variants := [][2]string{{"mlog-64,pcl-64", "1"}, {"mlog-64,pcl-64", "2"}, {"pcl-64,mlog-64", "1"}, {"pcl-64,mlog-64", "2"}}
 	outs := make([][]byte, len(variants))
 	errs := make([]error, len(variants))
@@ -166,18 +167,14 @@ func TestSweepFreshProcessOrder(t *testing.T) {
 	}
 }
 
-// sweepOrderChild sweeps the named pinned scenarios in the given order and
+// sweepOrderChild sweeps the named scenario rows in the given order and
 // prints their reports in name order, so every variant prints the same
 // thing if its points came out the same.
 func sweepOrderChild(t *testing.T, order, jobs string) {
-	byName := map[string]Options{}
-	for _, sc := range pinnedScenarios() {
-		byName[sc.name] = sc.opts
-	}
 	names := strings.Split(order, ",")
 	var points []Options
 	for _, name := range names {
-		points = append(points, byName[name])
+		points = append(points, byName[name].opts)
 	}
 	j, err := strconv.Atoi(jobs)
 	if err != nil {

@@ -1,0 +1,312 @@
+package ftckpt
+
+// The scenario table: every run the root package's golden, pinned and
+// kernel-budget tests make is one named row, with the checks that ride on
+// it.  A row's first run is made once per test process and every check
+// reads that one result; only the row's repeats run it again.  The golden
+// test that names a row runs its post, recorded, same and repeat checks
+// (checkRow); DESIGN §5.8 lists the columns and the tests that read each.
+
+import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
+	"errors"
+	"fmt"
+	"reflect"
+	"sync"
+	"testing"
+	"time"
+
+	"ftckpt/internal/obs"
+)
+
+type scenario struct {
+	name string
+	opts Options
+	// chaos runs the row through Chaos under this spec; the result holds
+	// the ChaosReport and the event stream only.
+	chaos  *ChaosSpec
+	pinned bool // hashes in testdata/golden_pinned.json
+	repeat int  // further runs in the same process that must equal the first
+	// recorded: sha256 of the Report, metrics JSON and Chrome trace, taken
+	// (amd64) with the replication knobs in their old flat form.
+	recorded [3]string
+	same     string                    // the row this row must equal on every artifact
+	post     func(*testing.T, *result) // post-conditions on the first run
+	budget   *budget                   // what one run without sinks may cost
+}
+
+type budget struct {
+	mallocs, bytes uint64    // recorded; TestAllocCeilings allows +3 % and +5 %; 0: not gated
+	heapPerRank    int       // event-heap high-water bound per rank; 0: not gated
+	counts         [3]uint64 // pinned scheduled, fired, cancelled; zero: not pinned
+}
+
+// gridReplicatedReport is the Report of grid-pcl-16-replicated, recorded
+// like the hashes of the replicated rows: 10 waves, 5250.2 MB stored.
+const gridReplicatedReport = "{Completion:1m58.516531991s Waves:10 LocalCheckpoints:176 Restarts:0 " +
+	"Messages:22300 PayloadMB:750.0022888183594 CheckpointMB:5250.233316421509 LoggedMessages:0 " +
+	"LoggedMB:0 Checksum:64.00000000000003 Repairs:0 LostWork:0s RecoveredWork:1 ServerFailures:0 " +
+	"Failovers:0 MeanWaveSpread:37.006µs MeanWaveTransfer:8.743009429s MeanWaveCycle:8.80762661s " +
+	"Metrics:<nil> Attribution:<nil>}"
+
+// replicatedTier is servers checkpoint servers, two copies of every image,
+// a write quorum of one and two retries 1 ms apart.
+func replicatedTier(servers int) *StorageSpec {
+	return &StorageSpec{Levels: []LevelSpec{{Kind: LevelServers, Servers: servers,
+		Replicas: 2, WriteQuorum: 1, StoreRetries: 2, RetryBackoff: time.Millisecond}}}
+}
+
+var scenarios = func() []scenario {
+	const ms, s = time.Millisecond, time.Second
+	bt := func(p Protocol, np, servers int, interval time.Duration, seed int64, kills ...Failure) Options {
+		return Options{Workload: WorkloadBT, Class: ClassA, NP: np, ProcsPerNode: 2, Protocol: p,
+			Interval: interval, Servers: servers, Seed: seed, Failures: kills}
+	}
+	spelled := func(p Protocol) Options { // pcl-64 &c. with Servers: 4 as the Storage it stands for
+		o := bt(p, 64, 0, 2*s, 42, KillRank(3*s, 21))
+		o.Storage = &StorageSpec{Levels: []LevelSpec{{Kind: LevelServers, Servers: 4}}}
+		return o
+	}
+	grid := func(p Protocol, st *StorageSpec) Options {
+		o := bt(p, 16, 0, 2*s, 9)
+		o.Platform, o.Storage = PlatformGrid, st
+		return o
+	}
+	kernel := func(p Protocol, np int, interval time.Duration) Options {
+		o := bt(p, np, 4, interval, 1)
+		o.VclProcessLimit = -1
+		return o
+	}
+	ulfm := func(p Protocol, kill Failure) Options {
+		return Options{Workload: WorkloadJacobi, NP: 8, Protocol: p, Interval: 25 * ms, Servers: 2,
+			Recovery: RecoveryULFM, Spares: 2, Seed: 5, Failures: []Failure{kill}}
+	}
+	cg8 := func(p Protocol, seed int64, kills ...Failure) Options {
+		return Options{Workload: WorkloadCGReal, NP: 8, ProcsPerNode: 2, Protocol: p, Interval: 5 * ms, Seed: seed, Failures: kills}
+	}
+	hb := &HeartbeatSpec{Period: 2 * ms}
+	replicated := func(p Protocol, seed int64, kills ...Failure) Options {
+		o := cg8(p, seed, kills...)
+		o.Storage, o.Heartbeat = replicatedTier(3), hb
+		return o
+	}
+	hbKill := func(rankAt time.Duration) Options {
+		o := replicated(Pcl, 7, KillServer(11*ms, 1), KillRank(rankAt, 3))
+		o.Attribution = true
+		return o
+	}
+	hier := func(attribution bool, kills ...Failure) Options { // buffer → servers 2×2, deltas, compressed
+		o := cg8(Pcl, 7, kills...)
+		o.Storage = &StorageSpec{Levels: []LevelSpec{{Kind: LevelBuffer}, {Kind: LevelServers, Servers: 2,
+			Replicas: 2, WriteQuorum: 1, StoreRetries: 2, RetryBackoff: ms}}, Incremental: true, Compress: true}
+		o.Heartbeat, o.Attribution = hb, attribution
+		return o
+	}
+	shared := func(p Protocol) Options { // three levels, two rank kills inside one interval
+		o := cg8(p, 7, KillRank(17*ms, 3), KillRank(19*ms, 5))
+		o.Storage = &StorageSpec{Levels: []LevelSpec{{Kind: LevelBuffer}, {Kind: LevelServers, Servers: 2,
+			Replicas: 2, WriteQuorum: 1}, {Kind: LevelPFS, Targets: 2, Stripes: 2}}, Incremental: true, Compress: true}
+		return o
+	}
+	return []scenario{
+		// The three protocols through a rank kill at NP=64 and NP=16; the
+		// Servers shorthand is the same run as its spelled-out level.
+		{name: "pcl-64", opts: bt(Pcl, 64, 4, 2*s, 42, KillRank(3*s, 21)), pinned: true},
+		{name: "vcl-64", opts: bt(Vcl, 64, 4, 2*s, 42, KillRank(3*s, 21)), pinned: true},
+		{name: "mlog-64", opts: bt(Mlog, 64, 4, 2*s, 42, KillRank(3*s, 21)), pinned: true},
+		{name: "pcl-64-storage", opts: spelled(Pcl), same: "pcl-64"},
+		{name: "vcl-64-storage", opts: spelled(Vcl), same: "vcl-64"},
+		{name: "mlog-64-storage", opts: spelled(Mlog), same: "mlog-64"},
+		{name: "pcl-16", opts: bt(Pcl, 16, 2, 2*s, 42, KillRank(3*s, 5)), repeat: 1},
+		{name: "vcl-16", opts: bt(Vcl, 16, 2, 2*s, 42, KillRank(3*s, 5)), repeat: 1},
+		{name: "mlog-16", opts: bt(Mlog, 16, 2, 2*s, 42, KillRank(3*s, 5)), repeat: 1},
+		// Multi-cluster: WAN flow caps and per-cluster servers.
+		{name: "grid-vcl-16", opts: grid(Vcl, nil), pinned: true, repeat: 1},
+		{name: "grid-pcl-16-replicated", opts: grid(Pcl, &StorageSpec{Levels: []LevelSpec{{Kind: LevelServers, Replicas: 2}}}),
+			post: wantReport(gridReplicatedReport)},
+		// Spare-rank in-job recovery: a rank kill, a node kill spliced onto
+		// a spare, and the non-blocking protocol, each without a restart.
+		{name: "ulfm-rank-8", opts: ulfm(Pcl, KillRank(40*ms, 3)), repeat: 1, post: repairedInJob},
+		{name: "ulfm-node-8", opts: ulfm(Pcl, KillNode(40*ms, 3)), pinned: true, repeat: 1, post: repairedInJob,
+			budget: &budget{mallocs: 113_141, bytes: 213_680_976}},
+		{name: "ulfm-vcl-8", opts: ulfm(Vcl, KillRank(40*ms, 3)), repeat: 1, post: repairedInJob},
+		// Replication, heartbeats and failover: retry timers, failover
+		// fetches and bulk-flow delivery order.  replicated-hb-8's recorded
+		// hashes are its pinned report, metrics and trace hashes.  -late
+		// moves its rank kill by 1 ms for TestFirstDivergenceNamesTheEvent.
+		{name: "replicated-hb-8", opts: hbKill(17 * ms), pinned: true, repeat: 1},
+		{name: "replicated-hb-8-late", opts: hbKill(18 * ms)},
+		{name: "replicated-vcl-8", opts: replicated(Vcl, 11, KillRank(13*ms, 2), KillNode(23*ms, 1)), recorded: [3]string{
+			"f574f941d695fcd4510b1dcebbaa054cadf00741be3b00423236df0aad43208d",
+			"f8eae6ca0c8c0591fec15db651aba9b9bc0710878c97db328ac68e2ab07b3440",
+			"2a8bc3796fd56b62f117c7a52508656f2b435eb2310294ac72d0c47c9a213cdf"}},
+		{name: "replicated-mlog-8", opts: replicated(Mlog, 13, KillServer(9*ms, 0)), recorded: [3]string{
+			"804a351fdb1756e4f749535eeaf9ea55217a8f1f9dcc1c8689469c8e7241a8fb",
+			"35971598e21a5bd5ff2bfa1ee3de8cc9f0fa6adf5c4cc781f6806997443f7ec1",
+			"e97cfae3347d5edd6a88711f9ca6a79ca8621cca0bb6be4e40be9e99e0f4e49d"}},
+		{name: "replicated-node-8", opts: replicated(Pcl, 21, KillNode(15*ms, 2)), recorded: [3]string{
+			"f6f2710e3feabf22878c1ef7021003d606870956bc5132b1932ed0ea0fd4d2c5",
+			"4c546f5593d036b44d3dacbc88915532ee3a6638b3e7cdc28af892d02cc94343",
+			"6b9b1cedb633412c32c7928094bebccb8a8aaa48cd19e42e7f6d0e80f0922c95"}},
+		// The storage hierarchy: a buffer loss between two waves, then a
+		// rank kill whose restore falls through the dead buffer; a chaos
+		// schedule biased toward buffer kills; two restores of one shared
+		// image.  cg-real-8 is their failure-free checksum.
+		{name: "storage-hier-8", opts: hier(true, KillBuffer(9*ms, 1), KillRank(17*ms, 3)),
+			pinned: true, repeat: 1, post: recovered},
+		{name: "storage-incremental-8", opts: hier(false, KillBuffer(9*ms, 1), KillRank(17*ms, 3)),
+			budget: &budget{mallocs: 56_266, bytes: 7_527_272}},
+		{name: "storage-chaos-8", opts: hier(false), repeat: 1, post: bufferThenRankKill,
+			chaos: &ChaosSpec{Seed: 1, Kills: 3, BufferFrac: 0.5, From: 6 * ms, Until: 16 * ms}},
+		{name: "shared-image-pcl-8", opts: shared(Pcl), post: restoredTwice},
+		{name: "shared-image-vcl-8", opts: shared(Vcl), post: restoredTwice},
+		{name: "cg-real-8", opts: Options{Workload: WorkloadCGReal, NP: 8, ProcsPerNode: 2, Seed: 7}},
+		// Eight runs in one process catch map order: the CI Mlog chaos smoke
+		// (restarted ranks retransmit to every destination), and counter
+		// samples at each snapshot instant.
+		{name: "mlog-chaos", opts: Options{Workload: WorkloadCGReal, NP: 8, Protocol: Mlog,
+			Interval: 5 * ms, Storage: replicatedTier(2)}, repeat: 7,
+			chaos: &ChaosSpec{Seed: 7, Kills: 3, ServerFrac: 0.3, NodeFrac: 0.25, From: 8 * ms, Until: 40 * ms}},
+		{name: "snapshots", opts: Options{Workload: WorkloadCGReal, NP: 4, Protocol: Pcl,
+			Interval: 5 * ms, Servers: 1, Seed: 7, MetricsSnapshot: 2 * ms}, repeat: 7},
+		// Kernel budgets.  The NP=256 counts were recorded before flow
+		// completions moved into a keyed timer set (sim.Timers).
+		{name: "pcl-256", opts: kernel(Pcl, 256, 2*s),
+			budget: &budget{heapPerRank: 4, counts: [3]uint64{2_006_795, 1_665_970, 340_825}}},
+		{name: "vcl-256", opts: kernel(Vcl, 256, 2*s),
+			budget: &budget{heapPerRank: 4, counts: [3]uint64{2_500_731, 2_111_390, 389_341}}},
+		{name: "mlog-256", opts: kernel(Mlog, 256, 2*s),
+			budget: &budget{mallocs: 3_572_496, heapPerRank: 4, counts: [3]uint64{20_620_751, 3_279_811, 17_340_915}}},
+		{name: "pcl-64-nofail", opts: kernel(Pcl, 64, 8*s), budget: &budget{mallocs: 335_081}},
+		{name: "vcl-64-nofail", opts: kernel(Vcl, 64, 8*s), budget: &budget{mallocs: 332_581}},
+		{name: "mlog-64-nofail", opts: kernel(Mlog, 64, 8*s), budget: &budget{mallocs: 878_773}},
+	}
+}()
+
+// result is one run's artifacts, Report pointers stripped; reg is the
+// run's registry.  The Chrome trace, the largest artifact, is kept as its
+// sha256: a trace that differs while the event stream agrees is the
+// exporter's fault.
+type result struct {
+	rep                     Report
+	reg                     *Metrics
+	metrics, events, attrib []byte
+	traceSHA                string
+	chaos                   *ChaosReport // chaos rows, Report.Metrics stripped
+}
+
+// byName indexes the table; firstRuns makes each row's first run once.
+var (
+	byName    = map[string]*scenario{}
+	firstRuns = map[string]func() (*result, error){}
+)
+
+func init() {
+	for i := range scenarios {
+		sc := &scenarios[i]
+		byName[sc.name] = sc
+		firstRuns[sc.name] = sync.OnceValues(func() (*result, error) { return runScenario(sc) })
+	}
+}
+
+// first returns the row's first run, making it if no test has yet.
+func first(t *testing.T, name string) *result {
+	t.Helper()
+	run := firstRuns[name]
+	if run == nil {
+		t.Fatalf("no scenario %q", name)
+	}
+	r, err := run()
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	return r
+}
+
+func runScenario(sc *scenario) (*result, error) {
+	o := sc.opts
+	if sc.chaos != nil {
+		var events bytes.Buffer
+		o.Sink = NewLineSink(&events)
+		out, err := Chaos(o, *sc.chaos)
+		out.Report.Metrics = nil
+		return &result{rep: out.Report, chaos: &out, events: events.Bytes()}, err
+	}
+	finish := attach(&o)
+	rep, err := Run(o)
+	if err != nil {
+		return nil, err
+	}
+	return finish(rep)
+}
+
+// attach gives o a Collector, a Chrome exporter and an event line stream,
+// and returns what makes the run's result once it has returned rep.  The
+// Collector's events must fold to the Report (foldMismatch).
+func attach(o *Options) func(rep Report) (*result, error) {
+	col, trace := NewCollector(), sha256.New()
+	chrome := NewChromeStreamSink(trace)
+	var events bytes.Buffer
+	o.Sink = obs.NewHub(col, chrome, NewLineSink(&events))
+	return func(rep Report) (*result, error) {
+		var met, attrib bytes.Buffer
+		err := errors.Join(chrome.Close(), foldMismatch(rep, col.Events()), rep.Metrics.WriteJSON(&met))
+		if rep.Attribution != nil {
+			err = errors.Join(err, rep.Attribution.WriteJSON(&attrib))
+		}
+		r := &result{rep: rep, reg: rep.Metrics, metrics: met.Bytes(), events: events.Bytes(),
+			attrib: attrib.Bytes(), traceSHA: hex.EncodeToString(trace.Sum(nil))}
+		r.rep.Metrics, r.rep.Attribution = nil, nil
+		return r, err
+	}
+}
+
+// differences names each artifact in which b differs from a.
+func differences(a, b *result) []string {
+	var ds []string
+	if a.rep != b.rep {
+		ds = append(ds, fmt.Sprintf("Report differs:\n  %+v\n  %+v", a.rep, b.rep))
+	}
+	if !reflect.DeepEqual(a.chaos, b.chaos) {
+		ds = append(ds, fmt.Sprintf("ChaosReport differs:\n  %+v\n  %+v", a.chaos, b.chaos))
+	}
+	if a.traceSHA != b.traceSHA {
+		ds = append(ds, fmt.Sprintf("Chrome trace differs: sha256 %s, %s", a.traceSHA, b.traceSHA))
+	}
+	for _, art := range [...]struct {
+		name string
+		a, b []byte
+	}{{"metrics JSON", a.metrics, b.metrics}, {"event stream", a.events, b.events}, {"attribution", a.attrib, b.attrib}} {
+		if d := firstDivergence(art.a, art.b); d != "" {
+			ds = append(ds, art.name+" differs, "+d)
+		}
+	}
+	return ds
+}
+
+// TestScenarioTable: every row is named once, no two rows are the same
+// Options, and the pinned rows are exactly the keys of the pinned file.
+func TestScenarioTable(t *testing.T) {
+	t.Parallel()
+	file, opts := readPinned(t), map[string]string{}
+	for i, sc := range scenarios {
+		j, _ := json.Marshal(sc.opts)
+		if other, ok := opts[string(j)]; ok {
+			t.Errorf("%s and %s are the same Options", other, sc.name)
+		}
+		if byName[sc.name] != &scenarios[i] {
+			t.Errorf("two rows are named %s", sc.name)
+		}
+		if _, ok := file[sc.name]; ok != sc.pinned {
+			t.Errorf("%s: pinned %v, in %s %v", sc.name, sc.pinned, pinnedPath, ok)
+		}
+		opts[string(j)] = sc.name
+		delete(file, sc.name)
+	}
+	for name := range file {
+		t.Errorf("%s pins %s, which is not a row", pinnedPath, name)
+	}
+}
