@@ -20,7 +20,7 @@ type benchHost struct {
 }
 
 func (h *benchHost) ShipLogs(wave int, pkts []*mpi.Packet, done core.LogSink) { h.sink = done }
-func (h *benchHost) Wire(dst int, p *mpi.Packet)                              {}
+func (h *benchHost) Wire(dst int, p mpi.Packet)                               {}
 
 // BenchmarkAcceptDeliver: one received message per op through the
 // pessimistic pipeline — accepted (Mlog.accept, up to the host's

@@ -63,6 +63,11 @@ type Mlog struct {
 
 	timer   sim.EventID
 	hasTick bool
+	// busy is set from a checkpoint until its image is durable.  A tick
+	// that finds it set skips its checkpoint (admission control): an image
+	// store slower than the interval must not stack concurrent transfers
+	// without bound.
+	busy bool
 }
 
 // pendingMsg is one pessimistic log record from accept to delivery: the
@@ -119,7 +124,11 @@ func (m *Mlog) Stop() {
 
 func (m *Mlog) tick() {
 	m.hasTick = false
-	m.checkpoint()
+	if m.busy {
+		m.h.Obs().Emit(obs.Event{Type: obs.EvCkptDeferred, T: m.h.Now(), Rank: m.h.Rank(), Wave: m.wave, Channel: -1, Node: -1, Server: -1})
+	} else {
+		m.checkpoint()
+	}
 	if m.interval > 0 {
 		m.hasTick = true
 		m.timer = m.h.After(m.interval, m.tick)
@@ -136,7 +145,9 @@ func (m *Mlog) checkpoint() {
 	cs := m.h.Obs().NextSpan()
 	m.h.Obs().Emit(obs.Event{Type: obs.EvLocalCkptBegin, T: now, Rank: m.h.Rank(), Wave: w, Channel: -1, Node: -1, Server: -1, Span: cs})
 	m.h.Obs().Emit(obs.Event{Type: obs.EvLocalCkptEnd, T: now, Rank: m.h.Rank(), Wave: w, Channel: -1, Node: -1, Server: -1, Span: cs})
+	m.busy = true
 	m.h.TakeCheckpoint(w, m.DeviceState(), func() {
+		m.busy = false
 		// Logs older than this image are no longer needed.
 		m.h.CommitWave(w)
 	})
@@ -231,7 +242,7 @@ func (m *Mlog) deliver(p *mpi.Packet) {
 }
 
 func (m *Mlog) ack(dst int, seq uint64) {
-	m.h.Wire(dst, &mpi.Packet{Kind: mpi.KindControl, Tag: OpAck, PSeq: seq})
+	m.h.Wire(dst, mpi.Packet{Kind: mpi.KindControl, Tag: OpAck, PSeq: seq})
 }
 
 // onAck drops acknowledged messages (cumulative: logging is FIFO per
@@ -251,10 +262,11 @@ func (m *Mlog) PeerRestarted(rank int) {
 	}
 }
 
-// retransmit re-sends a copy of every message in q to dst, oldest first.
+// retransmit re-sends every message in q to dst, oldest first.  Wire takes
+// the packet by value, so the one in q stays as it is.
 func (m *Mlog) retransmit(dst int, q *sim.Queue[*mpi.Packet]) {
 	for i, n := 0, q.Len(); i < n; i++ {
-		m.h.Wire(dst, q.At(i).Clone())
+		m.h.Wire(dst, *q.At(i))
 	}
 }
 
@@ -320,6 +332,7 @@ func (m *Mlog) Restore(dev []byte, logs []*mpi.Packet, lastWave int) {
 		}
 	}
 	m.wave = ds.Wave
+	m.busy = false
 	if m.sendSeq = ds.SendSeq; m.sendSeq == nil {
 		m.sendSeq = map[int]uint64{}
 	}

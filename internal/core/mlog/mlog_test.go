@@ -13,7 +13,8 @@ import (
 	"ftckpt/internal/simnet"
 )
 
-// fakeHost records effects; log stores complete on demand.
+// fakeHost records effects; log stores complete on demand, and so do
+// image stores unless storeAfter is set.
 type fakeHost struct {
 	rank, size int
 	k          *sim.Kernel
@@ -25,6 +26,9 @@ type fakeHost struct {
 	commits    []int
 	onLog      []func()
 	onImg      []func()
+	// storeAfter > 0 reports every image durable that long after it was
+	// taken, as the runtime does when its store completes.
+	storeAfter sim.Time
 }
 
 func (h *fakeHost) Rank() int           { return h.rank }
@@ -36,12 +40,16 @@ func (h *fakeHost) Obs() *obs.Hub {
 	}
 	return h.hub
 }
-func (h *fakeHost) Wire(dst int, p *mpi.Packet) {
+func (h *fakeHost) Wire(dst int, p mpi.Packet) {
 	p.Dst = dst
-	h.wired = append(h.wired, p)
+	h.wired = append(h.wired, &p)
 }
 func (h *fakeHost) TakeCheckpoint(wave int, dev []byte, onStored func()) {
 	h.ckpts = append(h.ckpts, wave)
+	if h.storeAfter > 0 {
+		h.k.After(h.storeAfter, onStored)
+		return
+	}
 	h.onImg = append(h.onImg, onStored)
 }
 func (h *fakeHost) ShipLogs(wave int, pkts []*mpi.Packet, done core.LogSink) {
@@ -247,18 +255,17 @@ func TestDeviceStateRoundTrip(t *testing.T) {
 }
 
 // TestIndependentCheckpointTimer: checkpoints fire on the private timer
-// and commit the rank's own recovery line when stored.
+// and commit the rank's own recovery line when stored.  Each image is
+// durable 1 ms after it is taken, well inside the 10 ms interval, so no
+// tick is deferred.
 func TestIndependentCheckpointTimer(t *testing.T) {
 	k := sim.New(1)
-	h := &fakeHost{rank: 1, size: 4, k: k}
+	h := &fakeHost{rank: 1, size: 4, k: k, storeAfter: time.Millisecond}
 	m := New(h, 10*time.Millisecond)
 	withEngine(t, h, func() {
 		m.Start()
 		h.k.Go("clock", func(p *sim.Proc) {
 			p.Advance(40 * time.Millisecond)
-			for _, f := range h.onImg {
-				f()
-			}
 			if len(h.ckpts) < 2 {
 				t.Errorf("ckpts %v", h.ckpts)
 			}
@@ -268,7 +275,38 @@ func TestIndependentCheckpointTimer(t *testing.T) {
 			if n := h.col.Count(obs.EvLocalCkptEnd); n != len(h.ckpts) {
 				t.Errorf("%d local-ckpt-end events for ckpts %v", n, h.ckpts)
 			}
+			if n := h.col.Count(obs.EvCkptDeferred); n != 0 {
+				t.Errorf("%d ticks deferred with every image durable in 1 ms", n)
+			}
 			m.Stop()
+		})
+	})
+}
+
+// TestCheckpointDeferredWhileImageInFlight: admission control.  An image
+// store slower than the interval makes the next ticks skip their
+// checkpoint, one ckpt-deferred event each, until the image is durable;
+// a restart clears the flag.  Rank 1 of 4 ticks at 12.5, 22.5, 32.5 and
+// 42.5 ms, and each image takes 25 ms.
+func TestCheckpointDeferredWhileImageInFlight(t *testing.T) {
+	k := sim.New(1)
+	h := &fakeHost{rank: 1, size: 4, k: k, storeAfter: 25 * time.Millisecond}
+	m := New(h, 10*time.Millisecond)
+	withEngine(t, h, func() {
+		m.Start()
+		h.k.Go("clock", func(p *sim.Proc) {
+			p.Advance(45 * time.Millisecond)
+			if fmt.Sprint(h.ckpts, h.commits) != "[1 2] [1]" {
+				t.Errorf("ckpts %v, commits %v; want [1 2] and [1]", h.ckpts, h.commits)
+			}
+			if n := h.col.Count(obs.EvCkptDeferred); n != 2 {
+				t.Errorf("%d ticks deferred, want 2 (22.5 and 32.5 ms)", n)
+			}
+			m.Stop()
+			m.Restore(m.DeviceState(), nil, 0)
+			if m.busy {
+				t.Error("Restore kept the busy flag of the image in flight")
+			}
 		})
 	})
 }

@@ -77,7 +77,7 @@ func (p *Pcl) Name() string { return "pcl" }
 // restored from an image.
 func (p *Pcl) Start() {
 	for _, pkt := range p.delayedSend {
-		p.h.Wire(pkt.Dst, pkt)
+		p.h.Wire(pkt.Dst, *pkt)
 	}
 	p.delayedSend = nil
 	if p.h.Rank() == 0 && p.interval > 0 {
@@ -143,10 +143,11 @@ func (p *Pcl) enterWave(w int, cause uint64) {
 
 // OutPayload delays every payload posted while the process is
 // checkpointing: markers were already sent on all channels, so any payload
-// must wait for the local checkpoint.
+// must wait for the local checkpoint.  The packet is lent (mpi.Filter), so
+// the queue holds a copy.
 func (p *Pcl) OutPayload(pkt *mpi.Packet) bool {
 	if p.checkpointing {
-		p.delayedSend = append(p.delayedSend, pkt)
+		p.delayedSend = append(p.delayedSend, pkt.Clone())
 		p.h.Obs().Emit(obs.Event{Type: obs.EvSendDelayed, T: p.h.Now(), Rank: p.h.Rank(), Wave: p.wave, Channel: pkt.Dst, Node: -1, Server: -1, Bytes: pkt.PayloadSize(), Cause: p.freezeSpan})
 		return false
 	}
@@ -209,7 +210,7 @@ func (p *Pcl) takeCheckpoint() {
 	sends := p.delayedSend
 	p.delayedSend = nil
 	for _, pkt := range sends {
-		p.h.Wire(pkt.Dst, pkt)
+		p.h.Wire(pkt.Dst, *pkt)
 	}
 	// Handle the delayed receive queue before any newer packet.
 	recvs := p.delayedRecv

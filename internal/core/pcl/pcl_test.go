@@ -34,9 +34,9 @@ func (h *fakeHost) Rank() int           { return h.rank }
 func (h *fakeHost) Size() int           { return h.size }
 func (h *fakeHost) Engine() *mpi.Engine { return h.eng }
 func (h *fakeHost) Obs() *obs.Hub       { return nil }
-func (h *fakeHost) Wire(dst int, p *mpi.Packet) {
+func (h *fakeHost) Wire(dst int, p mpi.Packet) {
 	p.Dst = dst
-	h.wired = append(h.wired, p)
+	h.wired = append(h.wired, &p)
 }
 func (h *fakeHost) TakeCheckpoint(wave int, dev []byte, onStored func()) {
 	h.ckpts = append(h.ckpts, wave)

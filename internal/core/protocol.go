@@ -41,8 +41,10 @@ type Host interface {
 	Engine() *mpi.Engine
 	// Wire sends a packet directly on the FIFO channel to an endpoint
 	// (rank, SchedulerID, ...), bypassing the protocol's own send gate —
-	// used for markers, control messages and released delayed sends.
-	Wire(dst int, p *mpi.Packet)
+	// used for markers, control messages and released delayed sends.  The
+	// packet is a value: a marker or control packet travels inline and
+	// allocates nothing (mpi.WireMsg).
+	Wire(dst int, p mpi.Packet)
 	// TakeCheckpoint captures the local process image for wave
 	// (application + engine + the given protocol device state) right now,
 	// then transfers it to this rank's checkpoint server in the
@@ -108,13 +110,13 @@ type PeerAware interface {
 }
 
 // Marker builds a checkpoint-wave marker packet.
-func Marker(wave int) *mpi.Packet {
-	return &mpi.Packet{Kind: mpi.KindMarker, Wave: wave}
+func Marker(wave int) mpi.Packet {
+	return mpi.Packet{Kind: mpi.KindMarker, Wave: wave}
 }
 
 // Done builds an OpCkptDone control packet.
-func Done(wave int) *mpi.Packet {
-	return &mpi.Packet{Kind: mpi.KindControl, Tag: OpCkptDone, Wave: wave}
+func Done(wave int) mpi.Packet {
+	return mpi.Packet{Kind: mpi.KindControl, Tag: OpCkptDone, Wave: wave}
 }
 
 // None is the checkpoint-free protocol used by baseline runs.

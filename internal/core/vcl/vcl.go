@@ -256,7 +256,7 @@ func (s *Scheduler) initiate() {
 		s.Obs.Emit(obs.Event{Type: obs.EvMarkerSent, T: s.k.Now(), Rank: mpi.SchedulerID, Wave: s.wave, Channel: r, Node: -1, Server: -1, Span: ms})
 		mk := core.Marker(s.wave)
 		mk.SpanID = ms
-		s.fab.Send(mpi.SchedulerID, r, mk)
+		s.fab.Send(mpi.SchedulerID, r, &mk)
 	}
 }
 

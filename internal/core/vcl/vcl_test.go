@@ -30,9 +30,9 @@ func (h *fakeHost) Rank() int           { return h.rank }
 func (h *fakeHost) Size() int           { return h.size }
 func (h *fakeHost) Engine() *mpi.Engine { return h.eng }
 func (h *fakeHost) Obs() *obs.Hub       { return h.hub }
-func (h *fakeHost) Wire(dst int, p *mpi.Packet) {
+func (h *fakeHost) Wire(dst int, p mpi.Packet) {
 	p.Dst = dst
-	h.wired = append(h.wired, p)
+	h.wired = append(h.wired, &p)
 }
 func (h *fakeHost) TakeCheckpoint(wave int, dev []byte, onStored func()) {
 	h.ckptWaves = append(h.ckptWaves, wave)
@@ -228,9 +228,11 @@ func TestSchedulerCommitCycle(t *testing.T) {
 		fab.Place(r, r)
 		fab.Bind(r, func(p *mpi.Packet) {
 			if p.Kind == mpi.KindMarker {
-				markers = append(markers, p)
+				// The handler is lent an inline marker: keep a copy.
+				markers = append(markers, p.Clone())
 				// Ack immediately.
-				fab.Send(r, mpi.SchedulerID, core.Done(p.Wave))
+				done := core.Done(p.Wave)
+				fab.Send(r, mpi.SchedulerID, &done)
 			}
 		})
 	}

@@ -1037,9 +1037,8 @@ func (pr *procRun) Engine() *mpi.Engine { return pr.eng }
 func (pr *procRun) Obs() *obs.Hub { return pr.job.hub }
 
 // Wire sends a raw packet on the FIFO channel to dst.
-func (pr *procRun) Wire(dst int, p *mpi.Packet) {
-	p.Dst = dst
-	pr.job.fab.Send(pr.rank, dst, p)
+func (pr *procRun) Wire(dst int, p mpi.Packet) {
+	pr.job.fab.Send(pr.rank, dst, &p)
 }
 
 // TakeCheckpoint captures the local image and ships it in the background.

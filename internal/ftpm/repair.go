@@ -291,7 +291,7 @@ func (job *Job) repairSplice(repGen int) {
 			continue
 		}
 		pr := job.procs[r]
-		job.fab.Bind(r, pr.eng.HandleWire)
+		job.fab.BindWire(r, pr.eng.HandleWire)
 		pr.eng.FTReset()
 		pr.proto = job.newProtocol(pr)
 		pr.eng.SetFilter(pr.proto)

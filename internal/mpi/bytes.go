@@ -37,5 +37,12 @@ func AppendF64s(dst []float64, b []byte) []float64 {
 // EncodeF64 serializes a single float64.
 func EncodeF64(v float64) []byte { return EncodeF64s([]float64{v}) }
 
-// DecodeF64 deserializes a single float64.
-func DecodeF64(b []byte) float64 { return DecodeF64s(b)[0] }
+// DecodeF64 deserializes the first float64 of b, in place: the models call
+// it on every exchange, so it allocates nothing.  Like DecodeF64s it
+// panics when b is not a whole number of values.
+func DecodeF64(b []byte) float64 {
+	if len(b)%8 != 0 {
+		panic("mpi: DecodeF64: length not a multiple of 8")
+	}
+	return math.Float64frombits(binary.LittleEndian.Uint64(b))
+}

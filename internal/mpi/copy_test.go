@@ -27,6 +27,23 @@ func TestAppendF64sInPlace(t *testing.T) {
 	}
 }
 
+// TestDecodeF64InPlace: the models decode one value per exchange, so
+// DecodeF64 allocates nothing, reads the first value of a longer buffer,
+// and still refuses a buffer that is not whole values.
+func TestDecodeF64InPlace(t *testing.T) {
+	b := EncodeF64s([]float64{2.5, -1})
+	var v float64
+	if n := testing.AllocsPerRun(100, func() { v = DecodeF64(b) }); n != 0 || v != 2.5 {
+		t.Fatalf("DecodeF64 = %v with %v allocs per run, want 2.5 and 0", v, n)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("DecodeF64 accepted 12 bytes")
+		}
+	}()
+	DecodeF64(make([]byte, 12))
+}
+
 // TestSendCopiesCallerBuffer: the public Send keeps MPI buffer semantics —
 // the caller may rewrite its buffer the moment the call returns.
 func TestSendCopiesCallerBuffer(t *testing.T) {

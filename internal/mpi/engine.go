@@ -18,6 +18,12 @@ import (
 // (markers, control) or to hold it (Pcl's delayed receive queue —
 // re-injected later with Engine.Deliver), and true to let it reach the
 // matching engine (it may also copy it first, as Vcl's logging does).
+//
+// Both hooks are lent their packet for the length of the call, except a
+// payload InPacket passes, which is its own heap Packet and may be kept.
+// OutPayload's packet is the engine's send buffer, and a marker or control
+// packet reaching InPacket is rebuilt from its inline WireMsg into the
+// engine's receive buffer: a protocol that holds either copies it.
 type Filter interface {
 	OutPayload(p *Packet) bool
 	InPacket(p *Packet) bool
@@ -44,14 +50,17 @@ type Engine struct {
 	filter     Filter
 	cond       *sim.Cond
 
-	// inbox holds wire packets not yet run through the filter: with a
+	// inbox holds wire messages not yet run through the filter: with a
 	// synchronous profile (MPICH2-style progress engine) packets arriving
 	// while the application computes wait here until the next MPI call.
-	inbox      sim.Queue[*Packet]
+	inbox      sim.Queue[WireMsg]
 	daemonBusy sim.Time
 	// admitLane carries packets through the daemon-service delay:
 	// daemonBusy never decreases, so the delayed admits are a lane.
 	admitLane *sim.Lane[admitRec]
+	// in is the Packet an inline message is rebuilt into for InPacket, and
+	// out the one sendOwned builds for OutPayload: both lent for the call.
+	in, out Packet
 
 	unexpected []*Packet
 	opDepth    int
@@ -92,7 +101,7 @@ func NewEngine(rank, size int, lp *sim.Proc, prof Profile, fab *Fabric) *Engine 
 		cond:   sim.NewCond(lp.Kernel()),
 	}
 	e.admitLane = sim.NewLane(lp.Kernel(), e.admitEvent)
-	fab.Bind(rank, e.HandleWire)
+	fab.BindWire(rank, e.HandleWire)
 	return e
 }
 
@@ -166,15 +175,16 @@ func (e *Engine) SubSteal(f float64) {
 
 // --- wire-side path (event context) -----------------------------------
 
-// HandleWire accepts a packet from the fabric.  It applies the daemon
-// service time (store-and-forward, preserving order) if the profile has
-// one, then either processes the packet immediately (asynchronous daemon,
-// or the application is inside an MPI call) or defers it to the inbox.
-func (e *Engine) HandleWire(p *Packet) {
+// HandleWire accepts a message from the fabric (Fabric.BindWire).  It
+// applies the daemon service time (store-and-forward, preserving order) if
+// the profile has one, then either processes the message immediately
+// (asynchronous daemon, or the application is inside an MPI call) or
+// defers it to the inbox.
+func (e *Engine) HandleWire(m WireMsg) {
 	if e.closed {
 		return
 	}
-	if svc := e.prof.daemonService(p.PayloadSize()); svc > 0 {
+	if svc := e.prof.daemonService(m.payloadSize()); svc > 0 {
 		now := e.lp.Now()
 		ready := e.daemonBusy
 		if ready < now {
@@ -182,16 +192,16 @@ func (e *Engine) HandleWire(p *Packet) {
 		}
 		ready += svc
 		e.daemonBusy = ready
-		e.admitLane.At(ready, admitRec{p, e.epoch})
+		e.admitLane.At(ready, admitRec{m, e.epoch})
 		return
 	}
-	e.admit(p)
+	e.admit(m)
 }
 
-// admitRec carries a packet through the daemon-service delay, by value in
+// admitRec carries a message through the daemon-service delay, by value in
 // the admit lane.
 type admitRec struct {
-	p *Packet
+	m WireMsg
 	// epoch is the communicator incarnation the packet arrived in; if the
 	// engine was repaired while the packet sat in the daemon-service
 	// delay, admitEvent drops it (a revoked incarnation's message must
@@ -203,7 +213,7 @@ func (e *Engine) admitEvent(r admitRec) {
 	if e.ft && r.epoch != e.epoch {
 		return // sent to a since-revoked incarnation: drop
 	}
-	e.admit(r.p)
+	e.admit(r.m)
 }
 
 // Close marks the engine dead (its process was killed): packets still in
@@ -211,19 +221,21 @@ func (e *Engine) admitEvent(r admitRec) {
 // instead of mutating a defunct process's state.
 func (e *Engine) Close() { e.closed = true }
 
-func (e *Engine) admit(p *Packet) {
+func (e *Engine) admit(m WireMsg) {
 	if e.closed {
 		return
 	}
 	if e.prof.Async || e.opDepth > 0 {
-		e.process(p)
+		e.process(m)
 		return
 	}
-	e.inbox.Push(p)
+	e.inbox.Push(m)
 }
 
-func (e *Engine) process(p *Packet) {
-	if e.filter.InPacket(p) {
+// process runs one message through the filter: a payload as its own
+// Packet, a marker or control packet lent in e.in.
+func (e *Engine) process(m WireMsg) {
+	if p := m.packet(&e.in); e.filter.InPacket(p) {
 		e.Deliver(p)
 	}
 }
@@ -307,12 +319,16 @@ func (e *Engine) sendPayload(dst, tag int, data []byte, vsize int64) {
 // sendOwned builds and emits a payload packet through the outgoing gate
 // around buf itself.  Only buffers the engine owns and never writes again
 // go here — a collective's private copy, a block it received, a fresh
-// encoding — since the packet, and every receiver, shares them.
+// encoding — since the packet, and every receiver, shares them.  The
+// packet is built in e.out, which the gate is lent; Fabric.Send makes the
+// one heap copy that travels.
 func (e *Engine) sendOwned(dst, tag int, buf []byte, vsize int64) {
-	p := &Packet{Src: e.rank, Dst: dst, Kind: KindPayload, Tag: tag, Data: buf, VSize: vsize}
+	p := &e.out
+	*p = Packet{Src: e.rank, Dst: dst, Kind: KindPayload, Tag: tag, Data: buf, VSize: vsize}
 	if e.filter.OutPayload(p) {
 		e.fab.Send(e.rank, dst, p)
 	}
+	p.Data = nil // e.out must not keep the buffer alive
 }
 
 // Recv blocks until a payload matching (src, tag) is available and returns

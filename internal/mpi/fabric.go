@@ -34,7 +34,7 @@ func grown[T any](s []T, n int) []T {
 // link is the per-ordered-pair connection state: the FIFO channel and the
 // packet sequence counter.  ch == nil means the connection is not open.
 type link struct {
-	ch  *simnet.Channel
+	ch  *simnet.Chan[WireMsg]
 	seq uint64
 }
 
@@ -47,9 +47,12 @@ type link struct {
 // when the endpoint is bound again, modelling the communication-layer
 // reinitialization the paper's restart performs.
 type Fabric struct {
-	net      *simnet.Network
+	net *simnet.Network
+	// wire carries every channel's WireMsgs: a marker is a value from
+	// Send to its delivery.
+	wire     *simnet.Wire[WireMsg]
 	nodeOf   []int           // node+1 per endpoint index, 0 = not placed
-	handlers []func(*Packet) // per endpoint index, nil = unbound
+	handlers []func(WireMsg) // per endpoint index, nil = unbound
 	// links[src][dst] by endpoint index.  A source's row is allocated on
 	// its first send and links are held by value, so the per-packet send
 	// path is two slice indexings and opening a link allocates its Channel
@@ -57,7 +60,10 @@ type Fabric struct {
 	links [][]link
 	// deliver is deliverPacket bound once and shared by every channel: a
 	// method value passed per link would be a closure allocated per pair.
-	deliver func(payload any)
+	deliver func(WireMsg)
+	// lent is the Packet an inline message is rebuilt into for a Bind
+	// handler, for the length of the call.
+	lent Packet
 
 	// met, when set, counts the traffic (obs.MFabricMsgs,
 	// obs.MFabricPayloadBytes); nil-safe.
@@ -66,7 +72,7 @@ type Fabric struct {
 
 // NewFabric wraps a simulated network.
 func NewFabric(net *simnet.Network) *Fabric {
-	f := &Fabric{net: net}
+	f := &Fabric{net: net, wire: simnet.NewWire[WireMsg](net)}
 	f.deliver = f.deliverPacket
 	return f
 }
@@ -104,15 +110,24 @@ func (f *Fabric) Placed(id int) bool {
 }
 
 // Bind registers the packet handler for an endpoint.  The handler runs as
-// an event callback for every packet addressed to the endpoint.
+// an event callback for every packet addressed to the endpoint.  A payload
+// is its own heap Packet; a marker or control packet that travelled inline
+// is lent for the call (WireMsg), so a handler that keeps one copies it.
 func (f *Fabric) Bind(id int, h func(*Packet)) {
+	f.BindWire(id, func(m WireMsg) { h(m.packet(&f.lent)) })
+}
+
+// BindWire registers an endpoint's handler for the messages themselves, as
+// they left the wire: an Engine keeps them by value until it processes
+// them (Engine.HandleWire).
+func (f *Fabric) BindWire(id int, h func(WireMsg)) {
 	i := endpointIndex(id)
 	f.handlers = grown(f.handlers, i+1)
 	f.handlers[i] = h
 }
 
 // handler returns the bound handler for an endpoint, nil when unbound.
-func (f *Fabric) handler(id int) func(*Packet) {
+func (f *Fabric) handler(id int) func(WireMsg) {
 	if i := id + handlerOff; i >= 0 && i < len(f.handlers) {
 		return f.handlers[i]
 	}
@@ -165,31 +180,30 @@ func (f *Fabric) linkFor(src, dst int) *link {
 	}
 	l := &f.links[si][di]
 	if l.ch == nil {
-		l.ch = f.net.NewChannel(f.NodeOf(src), f.NodeOf(dst), f.deliver)
+		l.ch = f.wire.NewChan(f.NodeOf(src), f.NodeOf(dst), f.deliver)
 	}
 	return l
 }
 
 // deliverPacket is the arrival callback shared by every channel: it routes
-// the packet to its destination handler, silently dropping it when the
+// the message to its destination handler, silently dropping it when the
 // destination is unbound (peer died).
-func (f *Fabric) deliverPacket(payload any) {
-	pkt := payload.(*Packet)
-	if h := f.handler(pkt.Dst); h != nil {
-		h(pkt)
+func (f *Fabric) deliverPacket(m WireMsg) {
+	if h := f.handler(m.dest()); h != nil {
+		h(m)
 	}
 }
 
-// Send transmits a packet from src to dst over their FIFO channel.  The
-// packet's Seq is assigned here.  Sending to an unplaced endpoint, or to
+// Send transmits a packet from src to dst over their FIFO channel, as the
+// link's next Seq.  It reads p and never keeps it, so the caller's packet
+// may live on its stack: a marker or control packet goes inline, anything
+// else as one heap copy (WireMsg).  Sending to an unplaced endpoint, or to
 // an id below the service range, panics (programming error); sending to an
 // unbound one silently drops at delivery time (peer died).
 func (f *Fabric) Send(src, dst int, p *Packet) {
-	p.Src, p.Dst = src, dst
 	l := f.linkFor(src, dst)
 	l.seq++
-	p.Seq = l.seq
 	f.met.Inc(obs.MFabricMsgs)
 	f.met.Add(obs.MFabricPayloadBytes, p.PayloadSize())
-	l.ch.Send(p, p.WireSize())
+	l.ch.Send(newWireMsg(p, src, dst, l.seq), p.WireSize())
 }

@@ -152,8 +152,9 @@ func TestFabricUnbindCloseOrder(t *testing.T) {
 
 // TestFabricNewPairAllocatesChannelOnly is the marker flood's cost per
 // ordered pair: opening a link and sending one marker on it allocates the
-// Channel and the caller's packet, nothing else — no delivery closure per
-// channel, no backlog or flow state for a channel that never backs up.
+// Chan, nothing else — no delivery closure per channel, no backlog or flow
+// state for a channel that never backs up, and no packet: the marker
+// travels inline as a WireMsg and the caller's literal stays on its stack.
 func TestFabricNewPairAllocatesChannelOnly(t *testing.T) {
 	const runs, peers = 100, 102 // AllocsPerRun makes one warm-up call
 	k := sim.New(1)
@@ -181,9 +182,58 @@ func TestFabricNewPairAllocatesChannelOnly(t *testing.T) {
 	if delivered != peers {
 		t.Fatalf("delivered %d of %d markers", delivered, peers)
 	}
-	if allocs != 2 {
-		t.Errorf("%v allocations per new pair and marker, want 2 (the Channel and the packet)", allocs)
+	if allocs != 1 {
+		t.Errorf("%v allocations per new pair and marker, want 1 (the Chan)", allocs)
 	}
+}
+
+// TestMarkerOnOpenPairAllocatesNothing: once a pair's link is open, a
+// marker to a synchronous-profile engine allocates nothing on its whole
+// way — the lane records, the inbox that holds it while the rank computes,
+// and the filter that consumes it at the next MPI call, which is lent the
+// marker rebuilt in the engine's own Packet.
+func TestMarkerOnOpenPairAllocatesNothing(t *testing.T) {
+	k := sim.New(1)
+	fab := NewFabric(simnet.New(k, testTopo(2)))
+	fab.Place(0, 0)
+	fab.Place(1, 1)
+	var seen, queued int
+	var allocs float64
+	k.Go("rank0", func(lp *sim.Proc) {
+		e := NewEngine(0, 1, lp, Profile{Name: "sync"}, fab)
+		e.SetFilter(markerCounter{&seen})
+		marker := func() {
+			fab.Send(1, 0, &Packet{Kind: KindMarker, Wave: 3, SpanID: 7})
+			e.Compute(time.Millisecond) // it arrives mid-computation
+			queued += e.inbox.Len()
+			e.enterOp() // the next MPI call runs it through the filter
+			e.exitOp()
+		}
+		marker() // opens the link and the inbox's first segment
+		allocs = testing.AllocsPerRun(100, marker)
+	})
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if seen != 102 || queued != 102 {
+		t.Fatalf("filter saw %d of 102 markers, %d of them from the inbox", seen, queued)
+	}
+	if allocs != 0 {
+		t.Errorf("%v allocations per marker on an open pair, want 0", allocs)
+	}
+}
+
+// markerCounter consumes wave-3 markers from endpoint 1 with span 7, the
+// fields an inline WireMsg carries.
+type markerCounter struct{ n *int }
+
+func (f markerCounter) OutPayload(*Packet) bool { return true }
+func (f markerCounter) InPacket(p *Packet) bool {
+	if p.Kind == KindMarker && p.Src == 1 && p.Dst == 0 && p.Wave == 3 && p.SpanID == 7 {
+		*f.n++
+		return false
+	}
+	return true
 }
 
 func TestFinalizeKeepsProgressAlive(t *testing.T) {

@@ -61,6 +61,9 @@ const (
 	MEvictedBytes   = "ckpt.evicted_bytes"
 	MBufferFailures = "failures.buffer"
 	MPFSFailures    = "failures.pfs"
+	// Mlog checkpoint ticks skipped because the previous image was not yet
+	// durable (admission control).
+	MCkptDeferred = "ckpt.deferred"
 	// Application traffic, counted by the fabric per packet (a packet is
 	// not an event: the stream would triple in size).
 	MFabricMsgs         = "fabric.msgs"
@@ -203,6 +206,8 @@ func (s *MetricsSink) Emit(ev Event) {
 			wp.firstCkpt = ev.T
 		}
 		wp.lastCkpt = ev.T
+	case EvCkptDeferred:
+		s.m.Inc(MCkptDeferred)
 	case EvImageDurable:
 		wp := s.wave(ev.Wave)
 		wp.lastDurable = ev.T

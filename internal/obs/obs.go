@@ -161,6 +161,10 @@ const (
 	// levels it still drains to.  The last one of a wave ends its
 	// image-transfer phase (wave.transfer).
 	EvImageDurable
+	// EvCkptDeferred: an Mlog checkpoint tick of Rank found its previous
+	// image (Wave) not yet durable and skipped this checkpoint (admission
+	// control); the timer re-arms.  Emitted only on a deferred tick.
+	EvCkptDeferred
 
 	numEventTypes
 )
@@ -178,7 +182,7 @@ var eventNames = [numEventTypes]string{
 	"proc-failed", "revoked", "repair-begin", "repair-end", "repair-abort",
 	"app-ckpt", "app-restore",
 	"drain-begin", "drain-end", "buffer-killed", "pfs-killed", "level-evict",
-	"image-durable",
+	"image-durable", "ckpt-deferred",
 }
 
 // String returns the event type's kebab-case name.

@@ -134,6 +134,7 @@ var renderTable = [numEventTypes]rendering{
 	// Coincides with the image-store-end (or buffer store) that reached the
 	// quorum, which the timeline already shows.
 	EvImageDurable: {shape: notRendered},
+	EvCkptDeferred: {shape: instant, track: onRank, name: t("checkpoint deferred (wave %d in flight)", fWave)},
 }
 
 // abortedSuffix marks an interval that did not complete: a repair that

@@ -13,8 +13,53 @@ import "ftckpt/internal/sim"
 // contend normally.
 const smallCutoff = 4 << 10
 
-// A Channel is a FIFO, reliable, unidirectional message stream between two
-// nodes — the simulated analogue of one TCP connection between two MPI
+// A Wire carries messages of one type T over the network: it owns the
+// event lanes its channels' messages ride from transmission to delivery.
+// Per node, one lane frees a sending channel at the node's transmit
+// horizon and two deliver small messages one latency later (one per
+// latency class, so each stays monotone); per cluster plus one for the
+// WAN, a lane delivers the channels' bulk messages.  Every record on them
+// holds the message by value, so a message type with no pointers to the
+// heap (mpi.WireMsg for a marker) is never allocated between Send and its
+// delivery.  The transmit horizon itself belongs to the node, so the
+// channels of every Wire on one network serialize on the same NIC.
+type Wire[T any] struct {
+	net   *Network
+	nodes []wireNode[T]
+	// bulkIntra[c] carries the deliveries of channel flows inside cluster
+	// c and bulkWan those between clusters: each adds one constant latency
+	// to a completion time that never decreases, so each lane is monotone.
+	bulkIntra []*sim.Lane[delivery[T]]
+	bulkWan   *sim.Lane[delivery[T]]
+}
+
+// wireNode is one node's fast-path lanes: next frees the sending channel
+// at the node's transmit horizon; intra and wan deliver one latency later.
+type wireNode[T any] struct {
+	next       *sim.Lane[*Chan[T]]
+	intra, wan *sim.Lane[delivery[T]]
+}
+
+// NewWire builds the lanes that carry messages of type T over n.
+func NewWire[T any](n *Network) *Wire[T] {
+	k := n.k
+	w := &Wire[T]{net: n, nodes: make([]wireNode[T], len(n.nodes)), bulkWan: sim.NewLane(k, arrive[T])}
+	for i := range w.nodes {
+		w.nodes[i] = wireNode[T]{
+			next:  sim.NewLane(k, smallNext[T]),
+			intra: sim.NewLane(k, arrive[T]),
+			wan:   sim.NewLane(k, arrive[T]),
+		}
+	}
+	w.bulkIntra = make([]*sim.Lane[delivery[T]], len(n.topo.Clusters))
+	for i := range w.bulkIntra {
+		w.bulkIntra[i] = sim.NewLane(k, arrive[T])
+	}
+	return w
+}
+
+// A Chan is a FIFO, reliable, unidirectional stream of T messages between
+// two nodes — the simulated analogue of one TCP connection between two MPI
 // peers.  Messages on a channel are transmitted one at a time in order
 // (back-to-back messages pipeline: the next transmission starts as soon as
 // the previous one leaves the bottleneck, not after its delivery), so the
@@ -23,64 +68,78 @@ const smallCutoff = 4 << 10
 // like distinct connections.
 //
 // A marker flood opens a channel per ordered pair and sends one small
-// message on most of them, so the Channel itself holds only what every
+// message on most of them, so the Chan itself holds only what every
 // channel needs.  The backlog and the bulk Flow live in a chanSide,
 // allocated the first time the channel backs up or sends a message of
 // smallCutoff bytes or more: a channel that only ever sends small messages
 // on an idle path is this one record.
-type Channel struct {
-	net      *Network
-	deliver  func(payload any)
-	side     *chanSide // nil until the channel first backs up or sends bulk
+type Chan[T any] struct {
+	w        *Wire[T]
+	deliver  func(T)
+	side     *chanSide[T] // nil until the channel first backs up or sends bulk
 	src, dst int32
 	busy     bool
 	closed   bool
 }
 
+// Channel is a channel of untyped payloads (Network.NewChannel).
+type Channel = Chan[any]
+
 // chanSide is the state only a backlogged or bulk-sending channel needs.
-type chanSide struct {
+type chanSide[T any] struct {
 	// queue holds the messages waiting behind the one in transmission.
-	queue sim.Queue[message]
+	queue sim.Queue[message[T]]
 	// flow transmits the channel's bulk messages, one at a time: allocated
-	// on the first and reset for each later one.
-	flow *Flow
+	// on the first and reset for each later one.  inflight is the message
+	// it is transmitting.
+	flow     *Flow
+	inflight T
 }
 
-type message struct {
-	payload any
+type message[T any] struct {
+	payload T
 	size    Bytes
 }
 
-// smallMsg is a channel message's delivery (see startSmall and
-// Flow.transferComplete): the delivery lanes carry it by value from
-// transmission to smallDeliver.
-type smallMsg struct {
-	c       *Channel
-	payload any
+// delivery is a channel message on its way to the receiver (see startSmall
+// and transferred): the lanes carry it by value from transmission to
+// arrive.
+type delivery[T any] struct {
+	c       *Chan[T]
+	payload T
 	size    Bytes
 }
 
-// NewChannel opens a FIFO message channel from node src to node dst.
+// NewChan opens a FIFO channel of T messages from node src to node dst.
 // deliver runs as an event callback when each message arrives; it must not
 // block (hand off to an LP through a sim.Cond if needed).
+func (w *Wire[T]) NewChan(src, dst int, deliver func(T)) *Chan[T] {
+	return &Chan[T]{w: w, src: int32(src), dst: int32(dst), deliver: deliver}
+}
+
+// NewChannel opens a FIFO channel of untyped payloads from node src to
+// node dst, on a Wire the network builds on first use.
 func (n *Network) NewChannel(src, dst int, deliver func(payload any)) *Channel {
-	return &Channel{net: n, src: int32(src), dst: int32(dst), deliver: deliver}
+	if n.anyWire == nil {
+		n.anyWire = NewWire[any](n)
+	}
+	return n.anyWire.NewChan(src, dst, deliver)
 }
 
 // Src returns the source node.
-func (c *Channel) Src() int { return int(c.src) }
+func (c *Chan[T]) Src() int { return int(c.src) }
 
 // Dst returns the destination node.
-func (c *Channel) Dst() int { return int(c.dst) }
+func (c *Chan[T]) Dst() int { return int(c.dst) }
 
 // Send enqueues a message.  It never blocks; the sender-side cost of
 // copying into the transmit path is modelled by the caller (device service
 // profiles), not here.
-func (c *Channel) Send(payload any, size Bytes) {
+func (c *Chan[T]) Send(payload T, size Bytes) {
 	if c.closed {
 		return // messages to/from a dead node vanish, like a broken socket
 	}
-	m := message{payload, size}
+	m := message[T]{payload, size}
 	if c.busy {
 		c.sideState().queue.Push(m)
 		return
@@ -91,16 +150,16 @@ func (c *Channel) Send(payload any, size Bytes) {
 }
 
 // sideState returns the channel's side state, allocating it on first use.
-func (c *Channel) sideState() *chanSide {
+func (c *Chan[T]) sideState() *chanSide[T] {
 	if c.side == nil {
-		c.side = new(chanSide)
+		c.side = new(chanSide[T])
 	}
 	return c.side
 }
 
 // startNext begins transmitting the next queued message, or marks the
 // channel idle when there is none.
-func (c *Channel) startNext() {
+func (c *Chan[T]) startNext() {
 	if c.closed || c.side == nil || c.side.queue.Len() == 0 {
 		c.busy = false
 		return
@@ -108,18 +167,18 @@ func (c *Channel) startNext() {
 	c.start(c.side.queue.Pop())
 }
 
-func (c *Channel) start(m message) {
+func (c *Chan[T]) start(m message[T]) {
 	c.busy = true
 	if m.size < smallCutoff {
 		c.startSmall(m)
 		return
 	}
-	n := c.net
+	n := c.w.net
 	src, dst := int(c.src), int(c.dst)
 	side := c.sideState()
 	f := side.flow
 	if f == nil {
-		f = &Flow{net: n, latency: n.Latency(src, dst), ch: c}
+		f = &Flow{net: n, latency: n.Latency(src, dst), owner: c}
 		if n.Cluster(src) != n.Cluster(dst) {
 			f.cap = n.topo.WanFlowCap
 		}
@@ -131,7 +190,7 @@ func (c *Channel) start(m message) {
 	f.size = m.size
 	f.rate = 0
 	f.last = n.k.Now()
-	f.payload = m.payload
+	side.inflight = m.payload
 	n.transmit(f, src, dst)
 }
 
@@ -139,8 +198,9 @@ func (c *Channel) start(m message) {
 // bandwidth, serialized against the sender node's transmit horizon.  Both
 // of its events go through the sender node's lanes (sim.Lane), so a burst
 // of small messages holds one heap entry per lane, not two per message.
-func (c *Channel) startSmall(m message) {
-	n := c.net
+func (c *Chan[T]) startSmall(m message[T]) {
+	w := c.w
+	n := w.net
 	now := n.k.Now()
 	var svc sim.Time
 	if c.src != c.dst {
@@ -153,42 +213,60 @@ func (c *Channel) startSmall(m message) {
 	}
 	ready += svc
 	node.smallTxBusy = ready
-	node.smallNext.At(ready, c)
+	lanes := &w.nodes[c.src]
+	lanes.next.At(ready, c)
 	// ready never decreases per node and the latency is one constant per
 	// class, so each delivery lane's times are monotone too.
-	lane, lat := node.smallIntra, n.topo.Clusters[node.cluster].Latency
+	lane, lat := lanes.intra, n.topo.Clusters[node.cluster].Latency
 	if n.nodes[c.dst].cluster != node.cluster {
-		lane, lat = node.smallWan, n.topo.WanLatency
+		lane, lat = lanes.wan, n.topo.WanLatency
 	}
-	lane.At(ready+lat, smallMsg{c, m.payload, m.size})
+	lane.At(ready+lat, delivery[T]{c, m.payload, m.size})
 }
 
 // smallNext fires when a fast-path message clears the transmit horizon:
 // the channel may start its next message.
-func smallNext(c *Channel) {
+func smallNext[T any](c *Chan[T]) {
 	if !c.closed {
 		c.startNext()
 	}
 }
 
-// smallDeliver fires one path latency later and hands the payload to the
-// receiver.
-func smallDeliver(sm smallMsg) {
-	c := sm.c
+// transferred runs when the last byte of the channel's bulk message clears
+// the bottleneck: its delivery rides a bulk lane to at, which frees the
+// flow, and the channel's next message may start transmitting at once.
+func (c *Chan[T]) transferred(at sim.Time, size Bytes) {
+	w := c.w
+	n := w.net
+	lane := w.bulkWan
+	if src := n.nodes[c.src].cluster; src == n.nodes[c.dst].cluster {
+		lane = w.bulkIntra[src]
+	}
+	side := c.side
+	lane.At(at, delivery[T]{c, side.inflight, size})
+	var zero T
+	side.inflight = zero
+	c.startNext()
+}
+
+// arrive fires one path latency after a message's last byte left and
+// hands the payload to the receiver.
+func arrive[T any](d delivery[T]) {
+	c := d.c
 	if c.closed {
 		return
 	}
-	n := c.net
-	n.BytesMoved += sm.size
+	n := c.w.net
+	n.BytesMoved += d.size
 	n.FlowsDone++
-	c.deliver(sm.payload)
+	c.deliver(d.payload)
 }
 
 // Close tears the channel down, dropping queued and in-flight messages —
 // the simulated analogue of a socket reset when a process dies.  Cancelling
 // the flow stops a bulk message still transmitting; a delivery already on
 // a lane is dropped there, because the channel is closed.
-func (c *Channel) Close() {
+func (c *Chan[T]) Close() {
 	if c.closed {
 		return
 	}
@@ -196,6 +274,8 @@ func (c *Channel) Close() {
 	c.busy = false
 	if side := c.side; side != nil {
 		side.queue.Reset()
+		var zero T
+		side.inflight = zero
 		if side.flow != nil {
 			side.flow.Cancel()
 		}

@@ -17,15 +17,19 @@
 // sharing one NIC on dual-processor nodes, and the ~20x bandwidth / two
 // orders of magnitude latency gap between intra- and inter-cluster links.
 //
-// Channels (channel.go) add FIFO ordering on top of flows: a Channel
+// Channels (channel.go) add FIFO ordering on top of flows: a Chan[T]
 // serializes its messages (one in flight at a time), so per-channel FIFO —
 // which both checkpointing protocols require — holds by construction.
-// Because it sends one message at a time, a channel owns one transmit
-// Flow, allocated on its first bulk message and reset for every later one,
-// and its deliveries ride the network's delivery lanes by value.  The Flow
-// and the backlog sit in a side record allocated only when the channel
-// first backs up or sends bulk, so a channel that carries one marker per
-// wave — most of the NP² channels of a flood — is one 48-byte allocation.
+// Channels are generic over the message they carry: a Wire[T] owns the
+// event lanes that carry T messages from transmission to delivery, each
+// record holding the message by value, so a message type without heap
+// pointers (mpi.WireMsg for a marker) is never allocated on its way.
+// Channel is Chan[any], for untyped payloads.  Because it sends one
+// message at a time, a channel owns one transmit Flow, allocated on its
+// first bulk message and reset for every later one.  The Flow and the
+// backlog sit in a side record allocated only when the channel first
+// backs up or sends bulk, so a channel that carries one marker per wave —
+// most of the NP² channels of a flood — is one 48-byte allocation.
 //
 // The implementation keeps the per-message hot path allocation-free: flow
 // membership lives in seq-ordered slices (not maps), the affected set of a
@@ -113,12 +117,9 @@ type node struct {
 	tx, rx  *resource
 	// smallTxBusy is the fast-path transmit horizon: small messages
 	// serialize against it instead of joining the fluid flow machinery.
+	// It is the node's, not a Wire's: every channel leaving the node
+	// shares the one NIC.
 	smallTxBusy sim.Time
-	// The fast path's event lanes: smallNext frees the sending channel at
-	// the transmit horizon; smallIntra and smallWan deliver one latency
-	// later, one lane per latency class so each stays monotone.
-	smallNext            *sim.Lane[*Channel]
-	smallIntra, smallWan *sim.Lane[smallMsg]
 }
 
 // maxPathRes is the most resources a flow can cross: src NIC tx, dst NIC
@@ -142,9 +143,17 @@ type Flow struct {
 	last      sim.Time
 	latency   sim.Time
 	fn        func(any) // StartFlow API completion, called with payload; nil for channel flows
-	ch        *Channel  // owning channel for bulk channel messages
-	payload   any       // delivered payload for channel flows, fn's argument otherwise
+	owner     flowOwner // owning channel for bulk channel messages
+	payload   any       // fn's argument
 	mark      uint64    // affected-set epoch (see Network.addAffected)
+}
+
+// flowOwner is the channel a bulk channel message's Flow belongs to,
+// whatever the type of message it carries.
+type flowOwner interface {
+	// transferred runs when the flow's last byte clears the bottleneck;
+	// the message is delivered at at.
+	transferred(at sim.Time, size Bytes)
 }
 
 // Network is the simulated platform.
@@ -158,11 +167,9 @@ type Network struct {
 
 	// timers holds every pending flow completion.
 	timers *sim.Timers[*Flow]
-	// bulkIntra[c] carries the deliveries of channel flows inside cluster
-	// c and bulkWan those between clusters: each adds one constant latency
-	// to a completion time that never decreases, so each lane is monotone.
-	bulkIntra []*sim.Lane[smallMsg]
-	bulkWan   *sim.Lane[smallMsg]
+	// anyWire carries the untyped channels of NewChannel; nil until the
+	// first one opens.
+	anyWire *Wire[any]
 
 	// affected is the scratch set of flows whose rate may have changed in
 	// the current attach/detach; epoch-marking makes membership tests O(1)
@@ -182,10 +189,9 @@ type Network struct {
 // New builds the platform described by topo on kernel k.
 func New(k *sim.Kernel, topo Topology) *Network {
 	n := &Network{
-		k:       k,
-		topo:    topo,
-		timers:  sim.NewTimers(k, (*Flow).transferComplete),
-		bulkWan: sim.NewLane(k, smallDeliver),
+		k:      k,
+		topo:   topo,
+		timers: sim.NewTimers(k, (*Flow).transferComplete),
 	}
 	for ci, c := range topo.Clusters {
 		if c.Nodes <= 0 {
@@ -201,13 +207,8 @@ func New(k *sim.Kernel, topo Topology) *Network {
 				cluster: ci,
 				tx:      &resource{name: fmt.Sprintf("n%d.tx", id), bw: c.NICBW},
 				rx:      &resource{name: fmt.Sprintf("n%d.rx", id), bw: c.NICBW},
-
-				smallNext:  sim.NewLane(k, smallNext),
-				smallIntra: sim.NewLane(k, smallDeliver),
-				smallWan:   sim.NewLane(k, smallDeliver),
 			})
 		}
-		n.bulkIntra = append(n.bulkIntra, sim.NewLane(k, smallDeliver))
 	}
 	if len(topo.Clusters) > 1 {
 		if topo.WanBW <= 0 {
@@ -435,9 +436,9 @@ func (n *Network) reschedule() {
 }
 
 // transferComplete fires when the last byte leaves the bottleneck; the
-// delivery runs one path latency later.  A channel's delivery rides a
-// delivery lane as a smallMsg, which frees the flow for the channel's next
-// message.
+// delivery runs one path latency later.  A channel's delivery rides its
+// Wire's bulk lane (Chan.transferred), which frees the flow for the
+// channel's next message.
 func (f *Flow) transferComplete() {
 	n := f.net
 	f.remaining = 0
@@ -446,20 +447,11 @@ func (f *Flow) transferComplete() {
 		n.reschedule()
 	}
 	at := n.k.Now() + f.latency
-	c := f.ch
-	if c == nil {
-		n.k.AtArg(at, deliverFlow, f)
+	if f.owner != nil {
+		f.owner.transferred(at, f.size)
 		return
 	}
-	lane := n.bulkWan
-	if src := n.nodes[c.src].cluster; src == n.nodes[c.dst].cluster {
-		lane = n.bulkIntra[src]
-	}
-	lane.At(at, smallMsg{c, f.payload, f.size})
-	f.payload = nil
-	// The channel's next message may start transmitting as soon as this
-	// one clears the bottleneck.
-	c.startNext()
+	n.k.AtArg(at, deliverFlow, f)
 }
 
 // deliverFlow runs one path latency after the last byte of a StartFlow

@@ -553,9 +553,11 @@ func TestChannelCloseDropsBulkDelivery(t *testing.T) {
 	}
 }
 
-// TestRecordSizes pins the two records simnet keeps most of: a Channel per
+// TestRecordSizes pins the two records simnet keeps most of: a Chan per
 // ordered pair of communicating ranks, and a Flow per bulk transfer in
-// flight (one per channel that ever sent a bulk message).
+// flight (one per channel that ever sent a bulk message).  A Flow is 152
+// bytes: its owning channel is an interface, whatever the channel carries.
+// (mpi's TestRecordSizes pins the WireMsg the fabric's lanes hold.)
 func TestRecordSizes(t *testing.T) {
 	if n := unsafe.Sizeof(Flow{}); n > 160 {
 		t.Errorf("Flow is %d bytes, want <= 160", n)

@@ -7,14 +7,18 @@ import (
 	"runtime"
 	"sync"
 	"testing"
+
+	"ftckpt/internal/obs"
 )
 
 // kernelCost is one plain run of a budgeted row: its Report (Metrics
-// stripped), the kernel's counters and the heap allocations around it.
+// stripped), the kernel's counters, the heap allocations around it and
+// the checkpoint ticks Mlog deferred.
 type kernelCost struct {
 	rep            Report
 	stats          KernelStats
 	mallocs, bytes uint64
+	deferred       int64
 }
 
 // kernelRuns makes each budgeted row's plain run once per test process.
@@ -31,8 +35,9 @@ func init() {
 				runtime.ReadMemStats(&before)
 				rep, st, err := RunKernelStats(sc.opts)
 				runtime.ReadMemStats(&after)
+				deferred := rep.Metrics.Counter(obs.MCkptDeferred)
 				rep.Metrics = nil
-				return kernelCost{rep, st, after.Mallocs - before.Mallocs, after.TotalAlloc - before.TotalAlloc}, err
+				return kernelCost{rep, st, after.Mallocs - before.Mallocs, after.TotalAlloc - before.TotalAlloc, deferred}, err
 			})
 		}
 	}
@@ -93,14 +98,38 @@ func TestKernelCountsPinned(t *testing.T) {
 	})
 }
 
+// TestOverloadedMlogReturns: the mlog-64-overload row offers its servers
+// more image bytes than they can store, so Mlog's admission control defers
+// the ticks that find the last image in flight, and the run returns (in
+// 0.8 s on a 2-core host; it never did before) with pinned counts and an
+// O(NP) heap.  An instrumented run of it is slow,
+// so it skips under -race; CI runs it in the no-race allocation step.
+func TestOverloadedMlogReturns(t *testing.T) {
+	t.Parallel()
+	if raceEnabled {
+		t.Skip("an instrumented overloaded Mlog run is slow; its counts do not need the race detector")
+	}
+	b, c := kernelRun(t, "mlog-64-overload")
+	st, np := c.stats, byName["mlog-64-overload"].opts.NP
+	if got := [3]uint64{st.Scheduled, st.Fired, st.Cancelled}; got != b.counts {
+		t.Errorf("scheduled, fired, cancelled %v; pinned %v", got, b.counts)
+	}
+	if st.HeapMax > b.heapPerRank*np || st.Scheduled < st.Fired+st.Cancelled {
+		t.Errorf("want heap high-water <= %d and fired + cancelled <= scheduled; stats %+v", b.heapPerRank*np, st)
+	}
+	if c.deferred == 0 || c.rep.LocalCheckpoints == 0 {
+		t.Errorf("%d ticks deferred, %d local checkpoints: want both > 0", c.deferred, c.rep.LocalCheckpoints)
+	}
+}
+
 // TestAllocCeilings: a deterministic run repeats its mallocs to within
 // 0.2 %, so they are what a plain test can gate (wall-clock is not).  Each
 // recorded value is the largest of four repeats, the ceiling 3 % above it;
 // the two real-kernel rows also gate TotalAlloc at +5 %, since a payload
 // copy costs bytes, not mallocs.  mlog-256 is the per-record logging path
 // at the benchmark's proto-matrix-256 size.  A change that allocates more
-// or less re-records the values (last: when Packet.Clone began sharing
-// Data) and says so.
+// or less re-records the values (last: when markers and control packets
+// began to travel inline, mpi.WireMsg) and says so.
 func TestAllocCeilings(t *testing.T) {
 	if testing.Short() || raceEnabled {
 		t.Skip("allocation counts are recorded for a plain, full run")

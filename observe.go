@@ -76,6 +76,7 @@ const (
 	EvPFSKilled        = obs.EvPFSKilled
 	EvLevelEvict       = obs.EvLevelEvict
 	EvImageDurable     = obs.EvImageDurable
+	EvCkptDeferred     = obs.EvCkptDeferred
 )
 
 // Attribution is a conservation-checked per-phase breakdown of a run's

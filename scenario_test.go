@@ -131,7 +131,7 @@ var scenarios = func() []scenario {
 		// a spare, and the non-blocking protocol, each without a restart.
 		{name: "ulfm-rank-8", opts: ulfm(Pcl, KillRank(40*ms, 3)), repeat: 1, post: repairedInJob},
 		{name: "ulfm-node-8", opts: ulfm(Pcl, KillNode(40*ms, 3)), pinned: true, repeat: 1, post: repairedInJob,
-			budget: &budget{mallocs: 113_141, bytes: 213_680_976}},
+			budget: &budget{mallocs: 111_952, bytes: 213_680_976}},
 		{name: "ulfm-vcl-8", opts: ulfm(Vcl, KillRank(40*ms, 3)), repeat: 1, post: repairedInJob},
 		// Replication, heartbeats and failover: retry timers, failover
 		// fetches and bulk-flow delivery order.  replicated-hb-8's recorded
@@ -143,10 +143,17 @@ var scenarios = func() []scenario {
 			"f574f941d695fcd4510b1dcebbaa054cadf00741be3b00423236df0aad43208d",
 			"f8eae6ca0c8c0591fec15db651aba9b9bc0710878c97db328ac68e2ab07b3440",
 			"2a8bc3796fd56b62f117c7a52508656f2b435eb2310294ac72d0c47c9a213cdf"}},
+		// Re-recorded when Mlog began deferring a checkpoint tick while the
+		// previous image is in flight.  The stream first differs at line 2616:
+		//   2615  18711687 log-ship-end 4 3 -1 -1 1 0 72 0 1715 0
+		// - 2616  18750000 local-ckpt-begin 6 3 -1 -1 -1 0 0 0 1720 0
+		// + 2616  18750000 ckpt-deferred 6 2 -1 -1 -1 0 0 0 0 0
+		// Eight ticks defer; completion 108.58 → 96.48 ms, 166 → 139 local
+		// checkpoints, same checksum.
 		{name: "replicated-mlog-8", opts: replicated(Mlog, 13, KillServer(9*ms, 0)), recorded: [3]string{
-			"804a351fdb1756e4f749535eeaf9ea55217a8f1f9dcc1c8689469c8e7241a8fb",
-			"35971598e21a5bd5ff2bfa1ee3de8cc9f0fa6adf5c4cc781f6806997443f7ec1",
-			"e97cfae3347d5edd6a88711f9ca6a79ca8621cca0bb6be4e40be9e99e0f4e49d"}},
+			"bbc821911072e494404585881e720fdf3e4d778fd82f49e2d167fa7d15d99db2",
+			"52e96e4ef41761897e6125aef64baecc68a7b70155784711f54464fa91ce11fa",
+			"b382b9f95bd9a40d7b4b8c6276637356c6e8c0e14f57b08a09b40e8a7bb30694"}},
 		{name: "replicated-node-8", opts: replicated(Pcl, 21, KillNode(15*ms, 2)), recorded: [3]string{
 			"f6f2710e3feabf22878c1ef7021003d606870956bc5132b1932ed0ea0fd4d2c5",
 			"4c546f5593d036b44d3dacbc88915532ee3a6638b3e7cdc28af892d02cc94343",
@@ -158,7 +165,7 @@ var scenarios = func() []scenario {
 		{name: "storage-hier-8", opts: hier(true, KillBuffer(9*ms, 1), KillRank(17*ms, 3)),
 			pinned: true, repeat: 1, post: recovered},
 		{name: "storage-incremental-8", opts: hier(false, KillBuffer(9*ms, 1), KillRank(17*ms, 3)),
-			budget: &budget{mallocs: 56_266, bytes: 7_527_272}},
+			budget: &budget{mallocs: 56_018, bytes: 7_527_272}},
 		{name: "storage-chaos-8", opts: hier(false), repeat: 1, post: bufferThenRankKill,
 			chaos: &ChaosSpec{Seed: 1, Kills: 3, BufferFrac: 0.5, From: 6 * ms, Until: 16 * ms}},
 		{name: "shared-image-pcl-8", opts: shared(Pcl), post: restoredTwice},
@@ -179,10 +186,15 @@ var scenarios = func() []scenario {
 		{name: "vcl-256", opts: kernel(Vcl, 256, 2*s),
 			budget: &budget{heapPerRank: 4, counts: [3]uint64{2_500_731, 2_111_390, 389_341}}},
 		{name: "mlog-256", opts: kernel(Mlog, 256, 2*s),
-			budget: &budget{mallocs: 3_572_496, heapPerRank: 4, counts: [3]uint64{20_620_751, 3_279_811, 17_340_915}}},
-		{name: "pcl-64-nofail", opts: kernel(Pcl, 64, 8*s), budget: &budget{mallocs: 335_081}},
-		{name: "vcl-64-nofail", opts: kernel(Vcl, 64, 8*s), budget: &budget{mallocs: 332_581}},
-		{name: "mlog-64-nofail", opts: kernel(Mlog, 64, 8*s), budget: &budget{mallocs: 878_773}},
+			budget: &budget{mallocs: 2_953_556, heapPerRank: 4, counts: [3]uint64{20_620_751, 3_279_811, 17_340_915}}},
+		{name: "pcl-64-nofail", opts: kernel(Pcl, 64, 8*s), budget: &budget{mallocs: 250_199}},
+		{name: "vcl-64-nofail", opts: kernel(Vcl, 64, 8*s), budget: &budget{mallocs: 247_577}},
+		{name: "mlog-64-nofail", opts: kernel(Mlog, 64, 8*s), budget: &budget{mallocs: 723_952}},
+		// Overload: 64 images of 3.9 MB every 400 ms offer four servers
+		// 625 MB/s.  Before Mlog deferred a tick while its last image was
+		// in flight, this run never returned.
+		{name: "mlog-64-overload", opts: kernel(Mlog, 64, 400*ms),
+			budget: &budget{mallocs: 983_089, heapPerRank: 4, counts: [3]uint64{3_163_884, 828_683, 2_335_144}}},
 	}
 }()
 
