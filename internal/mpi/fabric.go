@@ -48,19 +48,16 @@ type link struct {
 // reinitialization the paper's restart performs.
 type Fabric struct {
 	net *simnet.Network
-	// wire carries every channel's WireMsgs: a marker is a value from
-	// Send to its delivery.
+	// wire carries every channel's WireMsgs to deliverPacket, bound once:
+	// a marker is a value from Send to its delivery.
 	wire     *simnet.Wire[WireMsg]
 	nodeOf   []int           // node+1 per endpoint index, 0 = not placed
 	handlers []func(WireMsg) // per endpoint index, nil = unbound
 	// links[src][dst] by endpoint index.  A source's row is allocated on
 	// its first send and links are held by value, so the per-packet send
-	// path is two slice indexings and opening a link allocates its Channel
-	// and nothing else.
+	// path is two slice indexings and opening a link allocates nothing but
+	// a 64th of a chunk of channels (simnet.Wire.NewChan).
 	links [][]link
-	// deliver is deliverPacket bound once and shared by every channel: a
-	// method value passed per link would be a closure allocated per pair.
-	deliver func(WireMsg)
 	// lent is the Packet an inline message is rebuilt into for a Bind
 	// handler, for the length of the call.
 	lent Packet
@@ -72,8 +69,8 @@ type Fabric struct {
 
 // NewFabric wraps a simulated network.
 func NewFabric(net *simnet.Network) *Fabric {
-	f := &Fabric{net: net, wire: simnet.NewWire[WireMsg](net)}
-	f.deliver = f.deliverPacket
+	f := &Fabric{net: net}
+	f.wire = simnet.NewWire(net, f.deliverPacket)
 	return f
 }
 
@@ -180,12 +177,12 @@ func (f *Fabric) linkFor(src, dst int) *link {
 	}
 	l := &f.links[si][di]
 	if l.ch == nil {
-		l.ch = f.wire.NewChan(f.NodeOf(src), f.NodeOf(dst), f.deliver)
+		l.ch = f.wire.NewChan(f.NodeOf(src), f.NodeOf(dst))
 	}
 	return l
 }
 
-// deliverPacket is the arrival callback shared by every channel: it routes
+// deliverPacket is the wire's arrival callback, for every channel: it routes
 // the message to its destination handler, silently dropping it when the
 // destination is unbound (peer died).
 func (f *Fabric) deliverPacket(m WireMsg) {

@@ -150,12 +150,16 @@ func TestFabricUnbindCloseOrder(t *testing.T) {
 	}
 }
 
-// TestFabricNewPairAllocatesChannelOnly is the marker flood's cost per
-// ordered pair: opening a link and sending one marker on it allocates the
-// Chan, nothing else — no delivery closure per channel, no backlog or flow
-// state for a channel that never backs up, and no packet: the marker
-// travels inline as a WireMsg and the caller's literal stays on its stack.
-func TestFabricNewPairAllocatesChannelOnly(t *testing.T) {
+// TestFabricNewPairAllocatesNothing is the marker flood's cost per ordered
+// pair: opening a link and sending one marker on it allocates nothing of
+// its own.  The Chan is a slot of a 64-channel chunk (the 100 pairs counted
+// here open one chunk between them, which AllocsPerRun's integer mean
+// rounds to 0 per pair); there is no
+// delivery closure per channel, no backlog or flow state for a channel
+// that never backs up, no release event for a channel without a backlog,
+// and no packet: the marker travels inline as a WireMsg and the caller's
+// literal stays on its stack.
+func TestFabricNewPairAllocatesNothing(t *testing.T) {
 	const runs, peers = 100, 102 // AllocsPerRun makes one warm-up call
 	k := sim.New(1)
 	fab := NewFabric(simnet.New(k, testTopo(peers+1)))
@@ -182,8 +186,8 @@ func TestFabricNewPairAllocatesChannelOnly(t *testing.T) {
 	if delivered != peers {
 		t.Fatalf("delivered %d of %d markers", delivered, peers)
 	}
-	if allocs != 1 {
-		t.Errorf("%v allocations per new pair and marker, want 1 (the Chan)", allocs)
+	if allocs != 0 {
+		t.Errorf("%v allocations per new pair and marker, want 0", allocs)
 	}
 }
 

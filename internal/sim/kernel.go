@@ -33,6 +33,10 @@
 // which keeps only its head in the heap (lane.go); timers that are re-armed
 // far more often than they fire (a flow's completion) live in a Timers
 // set, which likewise keeps only its earliest entry there (timers.go).
+// An event that is usually not needed need not be scheduled at all:
+// Reserve draws the key it would have, Passed tells whether it would have
+// fired yet, and Lane.AtKey schedules it at that key only once it turns
+// out to be needed.
 package sim
 
 import (
@@ -127,6 +131,10 @@ type Kernel struct {
 
 	dead int // cancelled slots still parked in the heap
 
+	// cur is the seq of the event being dispatched, or of the last one
+	// while an LP runs: with now, the key Passed compares against.
+	cur uint64
+
 	// Counters behind Stats.  seq doubles as the scheduled count.
 	fired     uint64
 	cancelled uint64
@@ -164,9 +172,12 @@ func (k *Kernel) Now() Time { return k.now }
 // opposed to what it simulated.  They are plain counts, so a (program,
 // seed) pair always reports the same values.
 type Stats struct {
-	// Scheduled counts events entered (At/After/AtArg, LP timers and lane
-	// appends), Fired the callbacks and LP wakes dispatched, Cancelled the
-	// successful Cancel calls.
+	// Scheduled counts the keys drawn: events entered (At/After/AtArg, LP
+	// timers, lane appends, timer arms) and Reserve calls, including
+	// reserved keys whose event was never needed.  Fired counts the
+	// callbacks and LP wakes dispatched, Cancelled the successful Cancel
+	// calls (and timer re-arms and stops).  On a completed run Scheduled
+	// is Fired + Cancelled + the reserved keys never scheduled.
 	Scheduled, Fired, Cancelled uint64
 	// HeapMax is the deepest the event heap got and SlabMax the most
 	// event slots ever allocated.
@@ -193,6 +204,39 @@ func (k *Kernel) Stats() Stats {
 // has a new generation, so stale IDs can never cancel a later event.  The
 // zero EventID never names an event.
 type EventID uint64
+
+// Key is an event's place in dispatch order: its time, then its seq — the
+// count of keys the kernel had drawn when it drew this one.  Events fire
+// in ascending key order.
+type Key struct {
+	t   Time
+	seq uint64
+}
+
+// before reports whether an event at key a fires before one at b.
+func (a Key) before(b Key) bool {
+	return a.t < b.t || a.t == b.t && a.seq < b.seq
+}
+
+// Reserve draws the key an event scheduled now at t would get (t clamped
+// to the current time, as At does) without scheduling one.  Lane.AtKey
+// can schedule an event at it later, for as long as it has not passed.
+// The key counts in Stats.Scheduled whether or not that happens.
+func (k *Kernel) Reserve(t Time) Key {
+	if t < k.now {
+		t = k.now
+	}
+	k.seq++
+	return Key{t, k.seq}
+}
+
+// Passed reports whether an event at key would already have fired: the
+// kernel is dispatching it or an event after it.  While an LP runs, the
+// event that last fired decides.  A reserved key that has passed can no
+// longer be scheduled.
+func (k *Kernel) Passed(key Key) bool {
+	return key.t < k.now || key.t == k.now && key.seq <= k.cur
+}
 
 func makeEventID(idx int32, gen uint32) EventID {
 	return EventID(uint64(idx+1)<<32 | uint64(gen))
@@ -287,13 +331,14 @@ func (k *Kernel) compactHeap() {
 
 // schedule inserts one event, reusing a free slot when available.
 func (k *Kernel) schedule(t Time, fn func(), argFn func(any), arg any, proc *Proc) EventID {
-	if t < k.now {
-		t = k.now
-	}
-	k.seq++
+	return k.scheduleKey(k.Reserve(t), fn, argFn, arg, proc)
+}
+
+// scheduleKey inserts one event at a key already drawn.
+func (k *Kernel) scheduleKey(key Key, fn func(), argFn func(any), arg any, proc *Proc) EventID {
 	idx := k.allocSlot()
 	s := &k.slab[idx]
-	s.t, s.seq, s.live = t, k.seq, true
+	s.t, s.seq, s.live = key.t, key.seq, true
 	s.fn, s.argFn, s.arg, s.proc = fn, argFn, arg, proc
 	k.heapPush(idx)
 	return makeEventID(idx, s.gen)
@@ -563,7 +608,7 @@ func (k *Kernel) Run() error {
 			if s.t < k.now {
 				return fmt.Errorf("sim: event time went backwards: %v < %v", s.t, k.now)
 			}
-			k.now = s.t
+			k.now, k.cur = s.t, s.seq
 			k.fired++
 			if s.owned {
 				s.arg.(slotOwner).fire(idx)

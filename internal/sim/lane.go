@@ -14,12 +14,13 @@ package sim
 // lives from At until its callback is called, and a callback that keeps
 // it keeps a copy.
 //
-// Ordering.  Every append draws its seq from the kernel's counter at
-// enqueue time, exactly as schedule would, and a lane's entries are
-// (t, seq)-ascending by construction (t never decreases, seq always
-// increases).  The heap slot carries the head's key, so the heap's minimum
-// is the global minimum over every pending event: the lane's hidden
-// entries are all later than its head.  When the head fires the slot is
+// Ordering.  Every At draws its seq from the kernel's counter at enqueue
+// time, exactly as schedule would; AtKey appends at a key drawn earlier by
+// Kernel.Reserve.  An append whose key is below the newest entry's becomes
+// an ordinary event at that key, so a lane's entries are (t, seq)-ascending
+// by construction.  The heap slot carries the head's key, so the heap's
+// minimum is the global minimum over every pending event: the lane's
+// hidden entries are all later than its head.  When the head fires the slot is
 // re-keyed to the next entry and sifted down from the root, which restores
 // the same invariant.  Dispatch thus follows the same (t, seq) total
 // order as if every entry had been scheduled individually, and a run's
@@ -27,8 +28,7 @@ package sim
 
 // laneEntry is one queued lane event.
 type laneEntry[T any] struct {
-	t   Time
-	seq uint64
+	key Key
 	v   T
 }
 
@@ -38,7 +38,7 @@ type Lane[T any] struct {
 	k    *Kernel
 	fn   func(T)
 	q    Queue[laneEntry[T]]
-	tail Time // time of the newest entry; meaningful while q is not empty
+	tail Key // key of the newest entry; meaningful while q is not empty
 }
 
 // NewLane returns an empty lane on k whose events run fn(v).
@@ -51,24 +51,35 @@ func NewLane[T any](k *Kernel, fn func(T)) *Lane[T] {
 // the lane is an optimisation for the monotone case, never a constraint on
 // the caller.
 func (l *Lane[T]) At(t Time, v T) {
-	k := l.k
-	if t < k.now {
-		t = k.now
+	l.append(l.k.Reserve(t), v)
+}
+
+// AtKey schedules fn(v) at key, drawn earlier by Kernel.Reserve: the event
+// fires exactly where one scheduled when the key was drawn would have.
+// The key must not have passed.  A key below the lane's newest pending
+// entry becomes an ordinary event at that key, as an out-of-order At does.
+func (l *Lane[T]) AtKey(key Key, v T) {
+	if l.k.Passed(key) {
+		panic("sim: Lane.AtKey at a key that has passed")
 	}
-	if l.q.Len() > 0 && t < l.tail {
-		k.schedule(t, func() { l.fn(v) }, nil, nil, nil)
+	l.append(key, v)
+}
+
+func (l *Lane[T]) append(key Key, v T) {
+	k := l.k
+	if l.q.Len() > 0 && key.before(l.tail) {
+		k.scheduleKey(key, func() { l.fn(v) }, nil, nil, nil)
 		return
 	}
-	k.seq++
-	l.q.Push(laneEntry[T]{t, k.seq, v})
-	l.tail = t
+	l.q.Push(laneEntry[T]{key, v})
+	l.tail = key
 	if k.laned++; k.laned > k.lanedMax {
 		k.lanedMax = k.laned
 	}
 	if l.q.Len() == 1 {
 		idx := k.allocSlot()
 		s := &k.slab[idx]
-		s.t, s.seq, s.live, s.owned = t, k.seq, true, true
+		s.t, s.seq, s.live, s.owned = key.t, key.seq, true, true
 		s.arg = l
 		k.heapPush(idx)
 	}
@@ -85,7 +96,7 @@ func (l *Lane[T]) fire(idx int32) {
 	if l.q.Len() > 0 {
 		next := l.q.Front()
 		s := &k.slab[idx]
-		s.t, s.seq = next.t, next.seq
+		s.t, s.seq = next.key.t, next.key.seq
 		k.siftDown(0)
 	} else {
 		k.heapPop()

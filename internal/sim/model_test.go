@@ -2,12 +2,14 @@ package sim
 
 // Model-based test of the kernel's one contract: callbacks and LP wakes
 // are dispatched in (t, seq) order, where seq is the order of scheduling.
-// Programs of At/After/AtArg/Cancel/Kill/Lane.At and keyed-timer
-// Arm/Stop/Sync run against the real kernel and against a reference that
-// keeps every pending event in one sorted slice, where an armed timer is an
-// event and a re-arm or Stop cancels it; the two dispatch logs and the
-// kernel's counters must match.  The programs come from a seed
-// (TestKernelMatchesSortedSliceModel) or from fuzzer-chosen bytes
+// Programs of At/After/AtArg/Cancel/Kill/Lane.At, keyed-timer
+// Arm/Stop/Sync and Reserve/Lane.AtKey/Passed run against the real kernel
+// and against a reference that keeps every pending event in one sorted
+// slice, where an armed timer is an event and a re-arm or Stop cancels it,
+// and a reserved key is a placeholder that AtKey turns into an event and
+// that has passed once it is popped; the two logs (dispatches and Passed
+// answers) and the kernel's counters must match.  The programs come from
+// a seed (TestKernelMatchesSortedSliceModel) or from fuzzer-chosen bytes
 // (FuzzKernelModel, corpus under testdata/fuzz).
 
 import (
@@ -41,10 +43,14 @@ type modelOps interface {
 	arm(timer int, t Time, id int) // Timers.Arm: timer now fires as event id
 	stop(timer int)
 	sync()
+	reserve(t Time)                  // Kernel.Reserve: the next key, numbered in draw order
+	laneAtKey(lane, key int, id int) // Lane.AtKey: event id fires at key
+	passed(key int) bool
 }
 
-// modelRec is one dispatch: an event callback ('e'), an LP returning from
-// Advance ('w') or an LP exiting ('x').
+// modelRec is one dispatch — an event callback ('e'), an LP returning from
+// Advance ('w') or an LP exiting ('x') — or a Passed answer about a key,
+// true ('p') or false ('n').
 type modelRec struct {
 	what byte
 	id   int
@@ -82,6 +88,18 @@ type modelProg struct {
 	cancellable []int
 	laneTail    [modelLanes]Time
 	log         []modelRec
+	inSetup     bool        // the program is setting up, before Run
+	keys        []bool      // per reserved key: scheduled by AtKey
+	keyOf       map[int]int // event id → the reserved key it fires at
+	cover       modelCover
+}
+
+// modelCover counts the reserved-key cases a program reached.
+type modelCover struct {
+	belowTail  int // AtKey below the lane's newest entry: an ordinary event
+	atReserve  int // Passed right after Reserve, at the reserving instant
+	ownKey     int // Passed on the key of the event being dispatched
+	passedTrue int // Passed answers true
 }
 
 // rng returns the decision stream for salt: -1 is setup, an event id its
@@ -101,20 +119,39 @@ func (p *modelProg) newID(lane int) int {
 	return len(p.laneOf) - 1
 }
 
+// query logs the machine's Passed answer for key.
+func (p *modelProg) query(key int) bool {
+	ok := p.m.passed(key)
+	what := byte('n')
+	if ok {
+		what = 'p'
+		p.cover.passedTrue++
+	}
+	p.log = append(p.log, modelRec{what, key, p.m.now()})
+	return ok
+}
+
+// pickLane picks a lane to append to: any, or the firing event's own.
+func (p *modelProg) pickLane(r modelDraw, self int) int {
+	if self >= 0 && r.Intn(2) == 0 {
+		return self // a lane appended to from its own callback
+	}
+	return r.Intn(modelLanes)
+}
+
 // act performs n random operations; self is the lane of the firing event.
+// Ops 0-25 are laid out as before reserved keys existed, so a corpus input
+// that never draws 26 or more decodes to the same program.
 func (p *modelProg) act(r modelDraw, n, self int) {
 	for i := 0; i < n; i++ {
-		switch op := r.Intn(26); {
+		switch op := r.Intn(32); {
 		case op < 6 && p.budget > 0:
 			id := p.newID(-1)
 			p.cancellable = append(p.cancellable, id)
 			// Two ticks into the past up to five ahead: clamping and ties.
 			p.m.schedule(r.Intn(3), p.m.now()+Time(r.Intn(8)-2), id)
 		case op < 15 && p.budget > 0:
-			lane := r.Intn(modelLanes)
-			if self >= 0 && r.Intn(2) == 0 {
-				lane = self // a lane appended to from its own callback
-			}
+			lane := p.pickLane(r, self)
 			t := p.laneTail[lane] + Time(r.Intn(3))
 			if r.Intn(5) == 0 {
 				t = p.m.now() + Time(r.Intn(3)) // may precede the lane's tail
@@ -130,7 +167,7 @@ func (p *modelProg) act(r modelDraw, n, self int) {
 		case op < 20:
 			// Only once Run is dispatching: an LP killed before it first
 			// ran never enters its body, so it has nothing to log.
-			if len(p.log) > 0 {
+			if !p.inSetup {
 				p.m.kill(r.Intn(modelLPs))
 			}
 		case op < 24 && p.budget > 0:
@@ -139,23 +176,69 @@ func (p *modelProg) act(r modelDraw, n, self int) {
 			if r.Intn(3) == 0 {
 				p.m.sync()
 			}
-		default:
+		case op < 26:
 			p.m.stop(r.Intn(modelTimers))
+		case op < 28 && p.budget > 0:
+			// Two ticks into the past up to five ahead, like At; asked at
+			// once whether it has passed, and half the time scheduled at
+			// once too.
+			p.budget--
+			p.m.reserve(p.m.now() + Time(r.Intn(8)-2))
+			p.keys = append(p.keys, false)
+			p.cover.atReserve++
+			key := len(p.keys) - 1
+			if !p.query(key) && r.Intn(2) == 0 {
+				p.atKey(r, self, key)
+			}
+		case op < 30:
+			// One of the last four keys drawn, the likeliest to be pending.
+			if n := len(p.keys); n > 0 {
+				p.tryAtKey(r, self, n-1-r.Intn(min(n, 4)))
+			}
+		default:
+			// Any key drawn: most have passed.
+			if n := len(p.keys); n > 0 {
+				p.tryAtKey(r, self, r.Intn(n))
+			}
 		}
 	}
+}
+
+// tryAtKey asks whether a reserved key has passed and, if it has not and
+// is not scheduled yet, schedules it.
+func (p *modelProg) tryAtKey(r modelDraw, self, key int) {
+	if !p.query(key) && !p.keys[key] && p.budget > 0 {
+		p.atKey(r, self, key)
+	}
+}
+
+// atKey schedules a new event at a reserved key that has not passed.
+func (p *modelProg) atKey(r modelDraw, self, key int) {
+	p.keys[key] = true
+	lane := p.pickLane(r, self)
+	id := p.newID(lane)
+	p.keyOf[id] = key
+	p.m.laneAtKey(lane, key, id)
 }
 
 // A batch of operations ends synced, as Timers' callers must leave it —
 // except in a keyed timer's own callback, after which the set syncs
 // itself.
 func (p *modelProg) setup() {
+	p.inSetup = true
 	p.act(p.rng(-1), 16, -1)
 	p.m.sync()
+	p.inSetup = false
 }
 
 func (p *modelProg) fire(id int) {
 	p.log = append(p.log, modelRec{'e', id, p.m.now()})
 	r := p.rng(id)
+	if key, ok := p.keyOf[id]; ok {
+		// An event scheduled at a reserved key: that key is passing now.
+		p.cover.ownKey++
+		p.query(key)
+	}
 	// Up to four operations: most arms re-arm a pending timer and add no
 	// event, and with three at most some programs die out early.
 	p.act(r, 1+r.Intn(4), p.laneOf[id])
@@ -173,6 +256,7 @@ func (p *modelProg) lpDelay(lp, step int) Time {
 
 type realMachine struct {
 	k      *Kernel
+	keys   []Key
 	p      *modelProg
 	ids    map[int]EventID
 	lanes  [modelLanes]*Lane[int]
@@ -270,14 +354,26 @@ func (m *realMachine) arm(timer int, t Time, id int) {
 func (m *realMachine) stop(timer int) { m.timers.Stop(&m.recs[timer]) }
 func (m *realMachine) sync()          { m.timers.Sync() }
 
+func (m *realMachine) reserve(t Time)      { m.keys = append(m.keys, m.k.Reserve(t)) }
+func (m *realMachine) passed(key int) bool { return m.k.Passed(m.keys[key]) }
+
+func (m *realMachine) laneAtKey(lane, key, id int) {
+	l := m.lanes[lane]
+	if l.q.Len() > 0 && m.keys[key].before(l.tail) {
+		m.p.cover.belowTail++
+	}
+	l.AtKey(m.keys[key], id)
+}
+
 // --- the reference ----------------------------------------------------------
 
 type refEvent struct {
 	t     Time
 	seq   uint64
-	id    int // event id, or the LP for a wake timer
+	id    int // event id, the LP for a wake timer, or -1 for a reserved key not scheduled
 	lp    bool
 	timer int // the keyed timer this event is, or -1
+	key   int // the reserved key this is, or -1
 }
 
 type refMachine struct {
@@ -288,6 +384,7 @@ type refMachine struct {
 	cancelled uint64
 	armed     [modelTimers]int // each timer's pending event id, or -1
 	pending   []refEvent       // sorted by (t, seq)
+	passedKey []bool           // per reserved key: popped
 	step      [modelLPs]int
 	gone      [modelLPs]bool // exited or killed
 	killq     []int
@@ -296,11 +393,15 @@ type refMachine struct {
 func (m *refMachine) now() Time { return m.clock }
 
 func (m *refMachine) add(t Time, id int, lp bool, timer int) {
+	m.addKey(t, id, lp, timer, -1)
+}
+
+func (m *refMachine) addKey(t Time, id int, lp bool, timer, key int) {
 	if t < m.clock {
 		t = m.clock
 	}
 	m.seq++
-	m.pending = append(m.pending, refEvent{t, m.seq, id, lp, timer})
+	m.pending = append(m.pending, refEvent{t, m.seq, id, lp, timer, key})
 	sort.Slice(m.pending, func(i, j int) bool {
 		a, b := m.pending[i], m.pending[j]
 		if a.t != b.t {
@@ -326,6 +427,24 @@ func (m *refMachine) schedule(_ int, t Time, id int) { m.add(t, id, false, -1) }
 func (m *refMachine) laneAt(_ int, t Time, id int)   { m.add(t, id, false, -1) }
 func (m *refMachine) cancel(id int)                  { m.remove(id, false) }
 func (m *refMachine) sync()                          {}
+func (m *refMachine) passed(key int) bool            { return m.passedKey[key] }
+
+// reserve is a placeholder event that fires nothing.
+func (m *refMachine) reserve(t Time) {
+	m.passedKey = append(m.passedKey, false)
+	m.addKey(t, -1, false, -1, len(m.passedKey)-1)
+}
+
+// laneAtKey makes the key's placeholder event id, where it stands.
+func (m *refMachine) laneAtKey(_, key, id int) {
+	for i := range m.pending {
+		if m.pending[i].key == key {
+			m.pending[i].id = id
+			return
+		}
+	}
+	panic(fmt.Sprintf("model: reserved key %d not pending", key))
+}
 
 // arm is a re-arm as a Cancel plus a schedule.
 func (m *refMachine) arm(timer int, t Time, id int) {
@@ -365,6 +484,12 @@ func (m *refMachine) run() {
 	for len(m.pending) > 0 {
 		e := m.pending[0]
 		m.pending = m.pending[1:]
+		if e.key >= 0 {
+			m.passedKey[e.key] = true
+			if e.id < 0 {
+				continue // a reserved key never scheduled: nothing fires
+			}
+		}
 		m.clock = e.t
 		m.fired++
 		if e.timer >= 0 {
@@ -388,12 +513,13 @@ func (m *refMachine) run() {
 
 // checkAgainstModel runs the program want describes on the reference and
 // an identical copy on the real kernel, and compares the dispatch logs and
-// the kernel's counters.  It returns how many records the program logged
-// and how many of the slots that started with modelLivesLeft lives
-// retired.
-func checkAgainstModel(t *testing.T, want *modelProg) (records, retiredFull int) {
+// the kernel's counters.  It returns how many dispatches the program
+// logged (Passed answers aside), how many of the slots that started with
+// modelLivesLeft lives retired, and the reserved-key cases it reached.
+func checkAgainstModel(t *testing.T, want *modelProg) (dispatches, retiredFull int, cover modelCover) {
 	t.Helper()
-	got := &modelProg{seed: want.seed, data: want.data, budget: want.budget}
+	got := &modelProg{seed: want.seed, data: want.data, budget: want.budget, keyOf: map[int]int{}}
+	want.keyOf = map[int]int{}
 	ref := &refMachine{p: want}
 	for i := range ref.armed {
 		ref.armed[i] = -1
@@ -424,21 +550,35 @@ func checkAgainstModel(t *testing.T, want *modelProg) (records, retiredFull int)
 	if all == 0 {
 		t.Errorf("no slot's generation wrapped")
 	}
-	return len(want.log), full
+	for _, r := range want.log {
+		if r.what != 'p' && r.what != 'n' {
+			dispatches++
+		}
+	}
+	return dispatches, full, got.cover
 }
 
 func TestKernelMatchesSortedSliceModel(t *testing.T) {
+	var all modelCover
 	for seed := int64(1); seed <= 60; seed++ {
 		t.Run(fmt.Sprint("seed", seed), func(t *testing.T) {
-			n, full := checkAgainstModel(t, &modelProg{seed: seed, budget: modelBudget})
+			n, full, cover := checkAgainstModel(t, &modelProg{seed: seed, budget: modelBudget})
 			if n < modelBudget/2 {
 				t.Fatalf("the program dispatched only %d records", n)
 			}
 			if full == 0 {
 				t.Errorf("none of the slots with %d lives retired", modelLivesLeft)
 			}
+			all.belowTail += cover.belowTail
+			all.atReserve += cover.atReserve
+			all.ownKey += cover.ownKey
+			all.passedTrue += cover.passedTrue
 		})
 	}
+	if all.belowTail == 0 || all.atReserve == 0 || all.ownKey == 0 || all.passedTrue == 0 {
+		t.Errorf("the seeded programs missed a reserved-key case: %+v", all)
+	}
+	t.Logf("reserved-key cases: %+v", all)
 }
 
 // FuzzKernelModel is the same check with the program read from the fuzz
@@ -452,11 +592,10 @@ func FuzzKernelModel(f *testing.F) {
 	})
 }
 
-// TestFuzzCorpusKillsKills keeps the "kills" corpus entry what its name
-// says: decoded under the current op layout, its program kills an LP —
-// one exits before its last Advance.
-func TestFuzzCorpusKillsKills(t *testing.T) {
-	raw, err := os.ReadFile("testdata/fuzz/FuzzKernelModel/kills")
+// corpusInput reads the named FuzzKernelModel corpus entry.
+func corpusInput(t *testing.T, name string) []byte {
+	t.Helper()
+	raw, err := os.ReadFile("testdata/fuzz/FuzzKernelModel/" + name)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -468,7 +607,14 @@ func TestFuzzCorpusKillsKills(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := &modelProg{data: []byte(data), budget: modelBudget}
+	return []byte(data)
+}
+
+// TestFuzzCorpusKillsKills keeps the "kills" corpus entry what its name
+// says: decoded under the current op layout, its program kills an LP —
+// one exits before its last Advance.
+func TestFuzzCorpusKillsKills(t *testing.T) {
+	p := &modelProg{data: corpusInput(t, "kills"), budget: modelBudget}
 	checkAgainstModel(t, p)
 	var wakes [modelLPs]int
 	killed := 0
@@ -482,5 +628,16 @@ func TestFuzzCorpusKillsKills(t *testing.T) {
 	}
 	if killed == 0 {
 		t.Fatalf("no LP was killed in %d records", len(p.log))
+	}
+}
+
+// TestFuzzCorpusReservedKeys keeps the "reserved-keys" corpus entry a
+// seed for the reserved-key ops: its program schedules a key below a
+// lane's tail, asks Passed at the reserving instant, at an event's own key
+// and of a key that has passed.
+func TestFuzzCorpusReservedKeys(t *testing.T) {
+	_, _, c := checkAgainstModel(t, &modelProg{data: corpusInput(t, "reserved-keys"), budget: modelBudget})
+	if c.belowTail == 0 || c.atReserve == 0 || c.ownKey == 0 || c.passedTrue == 0 {
+		t.Fatalf("the program missed a reserved-key case: %+v", c)
 	}
 }

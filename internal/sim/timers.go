@@ -72,15 +72,12 @@ func NewTimers[T timed](k *Kernel, fn func(T)) *Timers[T] {
 // before control returns to the kernel.
 func (s *Timers[T]) Arm(v T, t Time) {
 	k := s.k
-	if t < k.now {
-		t = k.now
-	}
 	tm := v.timer()
 	if tm.at != 0 {
 		k.cancelled++
 	}
-	k.seq++
-	e := timerEntry[T]{t, k.seq, tm, v}
+	key := k.Reserve(t)
+	e := timerEntry[T]{key.t, key.seq, tm, v}
 	if tm.at == 0 {
 		s.h = append(s.h, e)
 		s.fix(len(s.h)-1, e)

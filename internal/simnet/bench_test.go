@@ -15,7 +15,8 @@ func benchTopo() Topology {
 
 // BenchmarkChannelSmall measures the small-message fast path: b.N
 // back-to-back sub-cutoff messages through one FIFO channel, including
-// their delivery events.
+// their delivery events.  It and BenchmarkChannelBulk open their channels
+// with Network.NewChannel, as the benchmark's simnet probes do.
 func BenchmarkChannelSmall(b *testing.B) {
 	b.ReportAllocs()
 	k := sim.New(1)

@@ -13,9 +13,10 @@ import "ftckpt/internal/sim"
 // contend normally.
 const smallCutoff = 4 << 10
 
-// A Wire carries messages of one type T over the network: it owns the
-// event lanes its channels' messages ride from transmission to delivery.
-// Per node, one lane frees a sending channel at the node's transmit
+// A Wire carries messages of one type T over the network to one deliver
+// callback: it owns the event lanes its channels' messages ride from
+// transmission to delivery, and it carves its channels from chunks.  Per
+// node, one lane releases a backlogged channel at the node's transmit
 // horizon and two deliver small messages one latency later (one per
 // latency class, so each stays monotone); per cluster plus one for the
 // WAN, a lane delivers the channels' bulk messages.  Every record on them
@@ -24,29 +25,41 @@ const smallCutoff = 4 << 10
 // delivery.  The transmit horizon itself belongs to the node, so the
 // channels of every Wire on one network serialize on the same NIC.
 type Wire[T any] struct {
-	net   *Network
-	nodes []wireNode[T]
+	net *Network
+	// deliver runs as an event callback when a message arrives; it must
+	// not block (hand off to an LP through a sim.Cond if needed).  It is
+	// the Wire's, not each channel's: the message says where it goes.
+	deliver func(T)
+	nodes   []wireNode[T]
 	// bulkIntra[c] carries the deliveries of channel flows inside cluster
 	// c and bulkWan those between clusters: each adds one constant latency
 	// to a completion time that never decreases, so each lane is monotone.
 	bulkIntra []*sim.Lane[delivery[T]]
 	bulkWan   *sim.Lane[delivery[T]]
+	// spare is the rest of the chunk NewChan carves channels from.
+	spare []Chan[T]
 }
 
-// wireNode is one node's fast-path lanes: next frees the sending channel
-// at the node's transmit horizon; intra and wan deliver one latency later.
+// chanChunk is how many channels NewChan carves from one allocation: 64
+// Chans of 48 bytes are 3 072, exactly a malloc size class.
+const chanChunk = 64
+
+// wireNode is one node's fast-path lanes: next releases a backlogged
+// channel at the node's transmit horizon; intra and wan deliver one
+// latency later.
 type wireNode[T any] struct {
 	next       *sim.Lane[*Chan[T]]
 	intra, wan *sim.Lane[delivery[T]]
 }
 
-// NewWire builds the lanes that carry messages of type T over n.
-func NewWire[T any](n *Network) *Wire[T] {
+// NewWire builds the lanes that carry messages of type T over n to
+// deliver.
+func NewWire[T any](n *Network, deliver func(T)) *Wire[T] {
 	k := n.k
-	w := &Wire[T]{net: n, nodes: make([]wireNode[T], len(n.nodes)), bulkWan: sim.NewLane(k, arrive[T])}
+	w := &Wire[T]{net: n, deliver: deliver, nodes: make([]wireNode[T], len(n.nodes)), bulkWan: sim.NewLane(k, arrive[T])}
 	for i := range w.nodes {
 		w.nodes[i] = wireNode[T]{
-			next:  sim.NewLane(k, smallNext[T]),
+			next:  sim.NewLane(k, (*Chan[T]).startNext),
 			intra: sim.NewLane(k, arrive[T]),
 			wan:   sim.NewLane(k, arrive[T]),
 		}
@@ -71,19 +84,22 @@ func NewWire[T any](n *Network) *Wire[T] {
 // message on most of them, so the Chan itself holds only what every
 // channel needs.  The backlog and the bulk Flow live in a chanSide,
 // allocated the first time the channel backs up or sends a message of
-// smallCutoff bytes or more: a channel that only ever sends small messages
-// on an idle path is this one record.
+// smallCutoff bytes or more.  A small message schedules no event to free
+// the channel: the channel keeps the key that event would have had
+// (release), is busy until that key has passed, and has the event
+// scheduled at that key only when a message queues behind it.  A channel
+// that only ever sends small messages on an idle path is this one record,
+// a 64th of a chunk, and costs one delivery per message.
 type Chan[T any] struct {
-	w        *Wire[T]
-	deliver  func(T)
-	side     *chanSide[T] // nil until the channel first backs up or sends bulk
+	w    *Wire[T]
+	side *chanSide[T] // nil until the channel first backs up or sends bulk
+	// release is the key at which the small message in transmission
+	// clears the sender's NIC; the zero key has passed from the start.
+	release  sim.Key
 	src, dst int32
-	busy     bool
+	bulk     bool // a bulk message is transmitting
 	closed   bool
 }
-
-// Channel is a channel of untyped payloads (Network.NewChannel).
-type Channel = Chan[any]
 
 // chanSide is the state only a backlogged or bulk-sending channel needs.
 type chanSide[T any] struct {
@@ -111,19 +127,24 @@ type delivery[T any] struct {
 }
 
 // NewChan opens a FIFO channel of T messages from node src to node dst.
-// deliver runs as an event callback when each message arrives; it must not
-// block (hand off to an LP through a sim.Cond if needed).
-func (w *Wire[T]) NewChan(src, dst int, deliver func(T)) *Chan[T] {
-	return &Chan[T]{w: w, src: int32(src), dst: int32(dst), deliver: deliver}
+// Channels are carved chanChunk to an allocation and never reused, so a
+// closed channel stays closed for the deliveries still on their way.
+func (w *Wire[T]) NewChan(src, dst int) *Chan[T] {
+	if len(w.spare) == 0 {
+		w.spare = make([]Chan[T], chanChunk)
+	}
+	c := &w.spare[0]
+	w.spare = w.spare[1:]
+	c.w, c.src, c.dst = w, int32(src), int32(dst)
+	return c
 }
 
 // NewChannel opens a FIFO channel of untyped payloads from node src to
-// node dst, on a Wire the network builds on first use.
-func (n *Network) NewChannel(src, dst int, deliver func(payload any)) *Channel {
-	if n.anyWire == nil {
-		n.anyWire = NewWire[any](n)
-	}
-	return n.anyWire.NewChan(src, dst, deliver)
+// node dst, on a Wire of its own that delivers to deliver.  It suits a
+// probe or a test with a few channels; a simulation with many opens them
+// on one typed Wire.
+func (n *Network) NewChannel(src, dst int, deliver func(payload any)) *Chan[any] {
+	return NewWire(n, deliver).NewChan(src, dst)
 }
 
 // Src returns the source node.
@@ -140,13 +161,18 @@ func (c *Chan[T]) Send(payload T, size Bytes) {
 		return // messages to/from a dead node vanish, like a broken socket
 	}
 	m := message[T]{payload, size}
-	if c.busy {
-		c.sideState().queue.Push(m)
+	if !c.bulk && c.w.net.k.Passed(c.release) {
+		// Idle channel: transmit directly.  A channel that never backs up
+		// (one marker per wave) never allocates a queue.
+		c.start(m)
 		return
 	}
-	// Idle channel: transmit directly.  A channel that never backs up (one
-	// marker per wave) never allocates a queue.
-	c.start(m)
+	q := &c.sideState().queue
+	q.Push(m)
+	if q.Len() == 1 && !c.bulk {
+		// The first message behind a small one: its release is needed now.
+		c.w.nodes[c.src].next.AtKey(c.release, c)
+	}
 }
 
 // sideState returns the channel's side state, allocating it on first use.
@@ -157,22 +183,28 @@ func (c *Chan[T]) sideState() *chanSide[T] {
 	return c.side
 }
 
-// startNext begins transmitting the next queued message, or marks the
-// channel idle when there is none.
+// startNext begins transmitting the next queued message, if any, once the
+// one in transmission has cleared the NIC: it runs when a bulk message is
+// transferred and, on the node's next lane, at a backlogged channel's
+// release key.  A small message that still has a backlog behind it has
+// its own release scheduled at once.
 func (c *Chan[T]) startNext() {
+	c.bulk = false
 	if c.closed || c.side == nil || c.side.queue.Len() == 0 {
-		c.busy = false
 		return
 	}
 	c.start(c.side.queue.Pop())
+	if !c.bulk && c.side.queue.Len() > 0 {
+		c.w.nodes[c.src].next.AtKey(c.release, c)
+	}
 }
 
 func (c *Chan[T]) start(m message[T]) {
-	c.busy = true
 	if m.size < smallCutoff {
 		c.startSmall(m)
 		return
 	}
+	c.bulk = true
 	n := c.w.net
 	src, dst := int(c.src), int(c.dst)
 	side := c.sideState()
@@ -195,9 +227,11 @@ func (c *Chan[T]) start(m message[T]) {
 }
 
 // startSmall transmits a message on the fast path: the unloaded path
-// bandwidth, serialized against the sender node's transmit horizon.  Both
-// of its events go through the sender node's lanes (sim.Lane), so a burst
-// of small messages holds one heap entry per lane, not two per message.
+// bandwidth, serialized against the sender node's transmit horizon.  It
+// reserves the key at which the message clears the NIC, which frees the
+// channel, and schedules the delivery one latency later on the sender
+// node's lane for its latency class (sim.Lane), so a burst of small
+// messages holds one heap entry per lane, not one per message.
 func (c *Chan[T]) startSmall(m message[T]) {
 	w := c.w
 	n := w.net
@@ -213,8 +247,8 @@ func (c *Chan[T]) startSmall(m message[T]) {
 	}
 	ready += svc
 	node.smallTxBusy = ready
+	c.release = n.k.Reserve(ready)
 	lanes := &w.nodes[c.src]
-	lanes.next.At(ready, c)
 	// ready never decreases per node and the latency is one constant per
 	// class, so each delivery lane's times are monotone too.
 	lane, lat := lanes.intra, n.topo.Clusters[node.cluster].Latency
@@ -222,14 +256,6 @@ func (c *Chan[T]) startSmall(m message[T]) {
 		lane, lat = lanes.wan, n.topo.WanLatency
 	}
 	lane.At(ready+lat, delivery[T]{c, m.payload, m.size})
-}
-
-// smallNext fires when a fast-path message clears the transmit horizon:
-// the channel may start its next message.
-func smallNext[T any](c *Chan[T]) {
-	if !c.closed {
-		c.startNext()
-	}
 }
 
 // transferred runs when the last byte of the channel's bulk message clears
@@ -259,7 +285,7 @@ func arrive[T any](d delivery[T]) {
 	n := c.w.net
 	n.BytesMoved += d.size
 	n.FlowsDone++
-	c.deliver(d.payload)
+	c.w.deliver(d.payload)
 }
 
 // Close tears the channel down, dropping queued and in-flight messages —
@@ -271,7 +297,6 @@ func (c *Chan[T]) Close() {
 		return
 	}
 	c.closed = true
-	c.busy = false
 	if side := c.side; side != nil {
 		side.queue.Reset()
 		var zero T

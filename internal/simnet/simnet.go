@@ -23,13 +23,15 @@
 // Channels are generic over the message they carry: a Wire[T] owns the
 // event lanes that carry T messages from transmission to delivery, each
 // record holding the message by value, so a message type without heap
-// pointers (mpi.WireMsg for a marker) is never allocated on its way.
-// Channel is Chan[any], for untyped payloads.  Because it sends one
-// message at a time, a channel owns one transmit Flow, allocated on its
-// first bulk message and reset for every later one.  The Flow and the
-// backlog sit in a side record allocated only when the channel first
-// backs up or sends bulk, so a channel that carries one marker per wave —
-// most of the NP² channels of a flood — is one 48-byte allocation.
+// pointers (mpi.WireMsg for a marker) is never allocated on its way, and
+// the one callback they are delivered to.  Because it sends one message
+// at a time, a channel owns one transmit Flow, allocated on its first bulk
+// message and reset for every later one.  The Flow and the backlog sit in
+// a side record allocated only when the channel first backs up or sends
+// bulk, and a small message frees its channel by a reserved kernel key
+// rather than an event (sim.Kernel.Reserve), so a channel that carries one
+// marker per wave — most of the NP² channels of a flood — is a 48-byte
+// slot of a 64-channel chunk and one delivery event per marker.
 //
 // The implementation keeps the per-message hot path allocation-free: flow
 // membership lives in seq-ordered slices (not maps), the affected set of a
@@ -167,9 +169,6 @@ type Network struct {
 
 	// timers holds every pending flow completion.
 	timers *sim.Timers[*Flow]
-	// anyWire carries the untyped channels of NewChannel; nil until the
-	// first one opens.
-	anyWire *Wire[any]
 
 	// affected is the scratch set of flows whose rate may have changed in
 	// the current attach/detach; epoch-marking makes membership tests O(1)

@@ -30,6 +30,40 @@ func grid(k *sim.Kernel) *Network {
 	})
 }
 
+// msg is what the tests send: the index of the channel it travels on —
+// a Wire has one deliver callback for all its channels — and a value.
+type msg struct{ ch, v int }
+
+// testWire is a Wire of msgs that records every delivery under its
+// channel's index: got[i] holds channel i's values, at[i] their arrival
+// times.
+type testWire struct {
+	*Wire[msg]
+	chans []*Chan[msg]
+	got   [][]int
+	at    [][]sim.Time
+}
+
+func newTestWire(n *Network) *testWire {
+	w := &testWire{}
+	w.Wire = NewWire(n, func(m msg) {
+		w.got[m.ch] = append(w.got[m.ch], m.v)
+		w.at[m.ch] = append(w.at[m.ch], n.k.Now())
+	})
+	return w
+}
+
+// open opens a channel from src to dst and returns its index.
+func (w *testWire) open(src, dst int) int {
+	w.chans = append(w.chans, w.NewChan(src, dst))
+	w.got = append(w.got, nil)
+	w.at = append(w.at, nil)
+	return len(w.chans) - 1
+}
+
+// send sends value v of size bytes on channel ch.
+func (w *testWire) send(ch, v int, size Bytes) { w.chans[ch].Send(msg{ch, v}, size) }
+
 func within(t *testing.T, got, want, tol time.Duration, what string) {
 	t.Helper()
 	d := got - want
@@ -204,14 +238,16 @@ func TestCappedChannelMessage(t *testing.T) {
 		WanBW:      50e6,
 		WanFlowCap: 5e6,
 	}
-	n := New(k, topo)
-	var at sim.Time
-	ch := n.NewChannel(0, 1, func(any) { at = k.Now() })
-	ch.Send("big", 5e6) // above smallCutoff → fluid, capped
+	w := newTestWire(New(k, topo))
+	ch := w.open(0, 1)
+	w.send(ch, 0, 5e6) // above smallCutoff → fluid, capped
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
-	within(t, at, time.Second+5*time.Millisecond, 10*time.Millisecond, "capped channel message")
+	if len(w.at[ch]) != 1 {
+		t.Fatalf("delivered %d, want 1", len(w.at[ch]))
+	}
+	within(t, w.at[ch][0], time.Second+5*time.Millisecond, 10*time.Millisecond, "capped channel message")
 }
 
 func TestLoopbackLatencyOnly(t *testing.T) {
@@ -227,17 +263,17 @@ func TestLoopbackLatencyOnly(t *testing.T) {
 
 func TestChannelFIFO(t *testing.T) {
 	k := sim.New(1)
-	n := lan(k)
-	var got []int
-	ch := n.NewChannel(0, 1, func(p any) { got = append(got, p.(int)) })
+	w := newTestWire(lan(k))
+	ch := w.open(0, 1)
 	// A large message followed by small ones: without serialization the
 	// small ones would overtake.
-	ch.Send(0, 50e6)
-	ch.Send(1, 1)
-	ch.Send(2, 1)
+	w.send(ch, 0, 50e6)
+	w.send(ch, 1, 1)
+	w.send(ch, 2, 1)
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
+	got := w.got[ch]
 	for i, v := range got {
 		if v != i {
 			t.Fatalf("delivery order %v", got)
@@ -250,61 +286,57 @@ func TestChannelFIFO(t *testing.T) {
 
 func TestChannelPipelines(t *testing.T) {
 	k := sim.New(1)
-	n := lan(k)
-	count := 0
-	var last sim.Time
-	ch := n.NewChannel(0, 1, func(p any) { count++; last = k.Now() })
+	w := newTestWire(lan(k))
+	ch := w.open(0, 1)
 	for i := 0; i < 10; i++ {
-		ch.Send(i, 10e6) // 10 × 10MB = 1s of transmission
+		w.send(ch, i, 10e6) // 10 × 10MB = 1s of transmission
 	}
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if count != 10 {
-		t.Fatalf("delivered %d", count)
+	if len(w.at[ch]) != 10 {
+		t.Fatalf("delivered %d", len(w.at[ch]))
 	}
 	// Back-to-back: total ≈ N·size/bw + one latency, NOT N·(transfer+latency).
-	within(t, last, time.Second+50*time.Microsecond, 5*time.Millisecond, "pipelined channel")
+	within(t, w.at[ch][9], time.Second+50*time.Microsecond, 5*time.Millisecond, "pipelined channel")
 }
 
 func TestChannelClose(t *testing.T) {
 	k := sim.New(1)
-	n := lan(k)
-	delivered := 0
-	ch := n.NewChannel(0, 1, func(p any) { delivered++ })
-	ch.Send("a", 50e6)
-	ch.Send("b", 1)
+	w := newTestWire(lan(k))
+	i := w.open(0, 1)
+	ch := w.chans[i]
+	w.send(i, 0, 50e6)
+	w.send(i, 1, 1)
 	k.After(time.Millisecond, ch.Close)
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if delivered != 0 {
-		t.Fatalf("delivered %d messages on closed channel", delivered)
+	if len(w.got[i]) != 0 {
+		t.Fatalf("delivered %d messages on closed channel", len(w.got[i]))
 	}
 	// A send after close is a silent drop: it queues nothing and
 	// schedules nothing, so nothing can be delivered.
 	before := k.Stats().Scheduled
-	ch.Send("c", 1)
-	ch.Send("d", 50e6)
-	if ch.busy || ch.side.queue.Len() != 0 || k.Stats().Scheduled != before {
-		t.Fatalf("a send after close left busy=%v, %d queued, %d events scheduled",
-			ch.busy, ch.side.queue.Len(), k.Stats().Scheduled-before)
+	w.send(i, 2, 1)
+	w.send(i, 3, 50e6)
+	if ch.side.queue.Len() != 0 || k.Stats().Scheduled != before {
+		t.Fatalf("a send after close left %d queued, %d events scheduled",
+			ch.side.queue.Len(), k.Stats().Scheduled-before)
 	}
 }
 
 func TestCrossChannelsIndependent(t *testing.T) {
 	k := sim.New(1)
-	n := lan(k)
-	var dSmall sim.Time
-	chBig := n.NewChannel(0, 1, func(p any) {})
-	chSmall := n.NewChannel(2, 3, func(p any) { dSmall = k.Now() })
-	chBig.Send("big", 100e6)
-	chSmall.Send("small", 1000)
+	w := newTestWire(lan(k))
+	big, small := w.open(0, 1), w.open(2, 3)
+	w.send(big, 0, 100e6)
+	w.send(small, 0, 1000)
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if dSmall > time.Millisecond {
-		t.Fatalf("independent channel delayed: %v", dSmall)
+	if d := w.at[small][0]; d > time.Millisecond {
+		t.Fatalf("independent channel delayed: %v", d)
 	}
 }
 
@@ -349,17 +381,17 @@ func TestConservation(t *testing.T) {
 func TestChannelFIFOProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		k := sim.New(seed)
-		n := lan(k)
+		w := newTestWire(lan(k))
+		ch := w.open(0, 1)
 		rng := rand.New(rand.NewSource(seed))
-		var got []int
-		ch := n.NewChannel(0, 1, func(p any) { got = append(got, p.(int)) })
 		nm := 1 + rng.Intn(30)
 		for i := 0; i < nm; i++ {
-			ch.Send(i, Bytes(rng.Intn(5e6)))
+			w.send(ch, i, Bytes(rng.Intn(5e6)))
 		}
 		if err := k.Run(); err != nil {
 			return false
 		}
+		got := w.got[ch]
 		if len(got) != nm {
 			return false
 		}
@@ -412,17 +444,17 @@ func TestBackloggedChannelReusesQueue(t *testing.T) {
 	n := lan(k)
 	const size = 512
 	delivered := 0
-	ch := n.NewChannel(0, 1, func(any) { delivered++ })
+	ch := NewWire(n, func(msg) { delivered++ }).NewChan(0, 1)
 	svc := sim.Time(float64(size) / n.Bandwidth(0, 1) * 1e9)
 	var allocs float64
 	k.Go("sender", func(p *sim.Proc) {
 		for i := 0; i < 4; i++ {
-			ch.Send(nil, size)
+			ch.Send(msg{}, size)
 		}
 		messages := func() {
 			for i := 0; i < 20_000; i++ {
 				p.Advance(svc)
-				ch.Send(nil, size)
+				ch.Send(msg{}, size)
 			}
 		}
 		// The warm-up call sends the first 20 000, the counted one
@@ -451,21 +483,15 @@ func TestBackloggedChannelReusesQueue(t *testing.T) {
 func TestSmallBurstHoldsThreeHeapSlots(t *testing.T) {
 	k := sim.New(1)
 	n := grid(k)
+	w := newTestWire(n)
 	const perChannel = 50
 	dsts := []int{0, 1, 2, 3, 4, 5, 6, 7} // 0 is loopback, 4..7 are across the WAN
-	got := make([][]int, len(dsts))
-	at := make([][]sim.Time, len(dsts))
-	chans := make([]*Channel, len(dsts))
-	for i, d := range dsts {
-		i := i
-		chans[i] = n.NewChannel(0, d, func(p any) {
-			got[i] = append(got[i], p.(int))
-			at[i] = append(at[i], k.Now())
-		})
+	for _, d := range dsts {
+		w.open(0, d)
 	}
 	for m := 0; m < perChannel; m++ {
-		for _, ch := range chans {
-			ch.Send(m, 64)
+		for ch := range dsts {
+			w.send(ch, m, 64)
 		}
 	}
 	if err := k.Run(); err != nil {
@@ -475,15 +501,15 @@ func TestSmallBurstHoldsThreeHeapSlots(t *testing.T) {
 		t.Errorf("heap high-water %d (want <= 3 lanes), lane high-water %d (want >= %d)", st.HeapMax, st.LaneMax, len(dsts))
 	}
 	for i, d := range dsts {
-		if len(got[i]) != perChannel {
-			t.Fatalf("channel 0->%d delivered %d of %d", d, len(got[i]), perChannel)
+		if len(w.got[i]) != perChannel {
+			t.Fatalf("channel 0->%d delivered %d of %d", d, len(w.got[i]), perChannel)
 		}
-		for m, v := range got[i] {
+		for m, v := range w.got[i] {
 			if v != m {
-				t.Fatalf("channel 0->%d delivered %v: not FIFO", d, got[i])
+				t.Fatalf("channel 0->%d delivered %v: not FIFO", d, w.got[i])
 			}
 		}
-		if first := at[i][0]; first < n.Latency(0, d) {
+		if first := w.at[i][0]; first < n.Latency(0, d) {
 			t.Errorf("channel 0->%d first delivery at %v, before one latency %v", d, first, n.Latency(0, d))
 		}
 	}
@@ -497,13 +523,12 @@ func TestBulkStreamAllocatesNothing(t *testing.T) {
 	n := lan(k)
 	const size = 64 * KB
 	delivered := 0
-	ch := n.NewChannel(0, 1, func(any) { delivered++ })
-	var payload any = "bulk" // boxed once
+	ch := NewWire(n, func(msg) { delivered++ }).NewChan(0, 1)
 	svc := sim.Time(float64(size) / n.Bandwidth(0, 1) * 1e9)
 	var allocs float64
 	k.Go("sender", func(p *sim.Proc) {
 		allocs = testing.AllocsPerRun(2_000, func() {
-			ch.Send(payload, size)
+			ch.Send(msg{}, size)
 			p.Advance(svc)
 		})
 	})
@@ -536,14 +561,14 @@ func TestChannelCloseDropsBulkDelivery(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			k := sim.New(1)
 			n := lan(k)
-			delivered := 0
-			ch := n.NewChannel(0, 1, func(any) { delivered++ })
-			ch.Send("big", 1e6)
-			k.After(c.at, ch.Close)
+			w := newTestWire(n)
+			ch := w.open(0, 1)
+			w.send(ch, 0, 1e6)
+			k.After(c.at, w.chans[ch].Close)
 			if err := k.Run(); err != nil {
 				t.Fatal(err)
 			}
-			if delivered != 0 || n.FlowsDone != 0 || n.BytesMoved != 0 {
+			if delivered := len(w.got[ch]); delivered != 0 || n.FlowsDone != 0 || n.BytesMoved != 0 {
 				t.Fatalf("closed channel delivered %d, counted %d flows and %d bytes", delivered, n.FlowsDone, n.BytesMoved)
 			}
 			if st := k.Stats(); st.Scheduled != st.Fired+st.Cancelled {
@@ -557,46 +582,110 @@ func TestChannelCloseDropsBulkDelivery(t *testing.T) {
 // ordered pair of communicating ranks, and a Flow per bulk transfer in
 // flight (one per channel that ever sent a bulk message).  A Flow is 152
 // bytes: its owning channel is an interface, whatever the channel carries.
+// A Chan holds no message, so its size is the same for every T; at 48
+// bytes, a chunk of chanChunk of them is an exact malloc size class.
 // (mpi's TestRecordSizes pins the WireMsg the fabric's lanes hold.)
 func TestRecordSizes(t *testing.T) {
 	if n := unsafe.Sizeof(Flow{}); n > 160 {
 		t.Errorf("Flow is %d bytes, want <= 160", n)
 	}
-	if n := unsafe.Sizeof(Channel{}); n > 48 {
-		t.Errorf("Channel is %d bytes, want <= 48", n)
+	if n := unsafe.Sizeof(Chan[msg]{}); n > 48 {
+		t.Errorf("Chan is %d bytes, want <= 48", n)
 	}
 }
 
 // TestIdleSmallChannelHasNoSideState: a channel that only sends small
 // messages, each on an idle channel, neither backs up nor sends bulk, so it
 // never allocates the backlog and flow state — a marker flood's channel is
-// the Channel record alone.  A backlog or one bulk message allocates it.
+// the Chan record alone — and never needs its release event: each message
+// reserves the release key and fires only its delivery.  A backlog or one
+// bulk message allocates the side state.
 func TestIdleSmallChannelHasNoSideState(t *testing.T) {
 	k := sim.New(1)
-	n := lan(k)
-	delivered := 0
-	idle := n.NewChannel(0, 1, func(any) { delivered++ })
-	backlogged := n.NewChannel(0, 2, func(any) {})
-	bulk := n.NewChannel(0, 3, func(any) {})
+	w := newTestWire(lan(k))
+	idle, backlogged, bulk := w.open(0, 1), w.open(0, 2), w.open(0, 3)
+	var unfired uint64
 	k.Go("sender", func(p *sim.Proc) {
 		for i := 0; i < 100; i++ {
-			idle.Send(i, smallCutoff-1)
+			w.send(idle, i, smallCutoff-1)
 			p.Advance(time.Millisecond) // transmitted and delivered
 		}
-		backlogged.Send(0, 64)
-		backlogged.Send(1, 64)
-		bulk.Send(0, smallCutoff)
+		// 100 deliveries and 100 wakes fired; 100 release keys did not.
+		st := k.Stats()
+		unfired = st.Scheduled - st.Fired - st.Cancelled
+		w.send(backlogged, 0, 64)
+		w.send(backlogged, 1, 64)
+		w.send(bulk, 0, smallCutoff)
 	})
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if delivered != 100 {
+	if delivered := len(w.got[idle]); delivered != 100 {
 		t.Fatalf("delivered %d of 100 messages", delivered)
 	}
-	if idle.side != nil {
+	if unfired != 100 {
+		t.Errorf("%d keys drawn and not fired over 100 idle small messages, want 100 (their releases)", unfired)
+	}
+	if w.chans[idle].side != nil {
 		t.Errorf("a channel sending small messages on an idle path allocated its side state")
 	}
-	if backlogged.side == nil || bulk.side == nil {
-		t.Errorf("side state allocated: backlogged %v, bulk %v; want both", backlogged.side != nil, bulk.side != nil)
+	if b, u := w.chans[backlogged].side, w.chans[bulk].side; b == nil || u == nil {
+		t.Errorf("side state allocated: backlogged %v, bulk %v; want both", b != nil, u != nil)
+	}
+}
+
+// TestReleaseTie: a small message frees its channel at the key reserved
+// for it, (t, s), not merely at time t.  A second message on the channel,
+// sent at exactly t by an event ordered before s, finds the channel busy:
+// it queues, and starts at (t, s) — after a message another channel of the
+// same node sends in that same event, which takes the NIC first.  Sent by
+// an event ordered after s, it starts at once, ahead of the other
+// channel's.  The node's transmit horizon after that event is 2·svc in
+// the first case (the second message still waits) and 3·svc in the
+// second; it ends at 3·svc either way.
+func TestReleaseTie(t *testing.T) {
+	const size = 1000
+	for _, before := range []bool{true, false} {
+		t.Run(map[bool]string{true: "before", false: "after"}[before], func(t *testing.T) {
+			k := sim.New(1)
+			n := lan(k)
+			w := newTestWire(n)
+			a, b := w.open(0, 1), w.open(0, 2)
+			svc := sim.Time(float64(size) / n.Bandwidth(0, 1) * 1e9)
+			var horizon sim.Time
+			second := func() {
+				w.send(a, 1, size)
+				w.send(b, 0, size)
+				horizon = n.nodes[0].smallTxBusy
+			}
+			if before {
+				k.At(svc, second) // drawn before the first message's release key
+			}
+			k.At(0, func() {
+				w.send(a, 0, size) // clears the NIC at svc
+				if !before {
+					k.At(svc, second) // drawn after it
+				}
+			})
+			if err := k.Run(); err != nil {
+				t.Fatal(err)
+			}
+			lat := n.Latency(0, 1)
+			wantA, wantB, wantHorizon := 2*svc+lat, 3*svc+lat, 3*svc
+			if before {
+				wantA, wantB, wantHorizon = wantB, wantA, 2*svc
+			}
+			if len(w.at[a]) != 2 || len(w.at[b]) != 1 {
+				t.Fatalf("delivered %d on a and %d on b, want 2 and 1", len(w.at[a]), len(w.at[b]))
+			}
+			if w.at[a][0] != svc+lat || w.at[a][1] != wantA || w.at[b][0] != wantB {
+				t.Errorf("a delivered at %v, b at %v; want a at [%v %v], b at %v",
+					w.at[a], w.at[b], svc+lat, wantA, wantB)
+			}
+			if h := n.nodes[0].smallTxBusy; horizon != wantHorizon || h != 3*svc {
+				t.Errorf("transmit horizon %v after the second send, %v at the end; want %v and %v",
+					horizon, h, wantHorizon, 3*svc)
+			}
+		})
 	}
 }

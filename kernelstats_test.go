@@ -89,7 +89,9 @@ func TestHeapHighWaterBounded(t *testing.T) {
 // events are queued may change — lanes, the timer set — but not what they
 // count: a re-arm of a pending flow completion is still one cancelled and
 // one scheduled event, so a re-timer that drops or double-counts one fails
-// here by name.
+// here by name.  Scheduled counts the keys drawn, so a small message's
+// reserved release key counts whether or not its event was needed (only
+// behind a backlog); fired counts only the releases that were.
 func TestKernelCountsPinned(t *testing.T) {
 	at256(t, func(t *testing.T, b *budget, st KernelStats, _ int) {
 		if got := [3]uint64{st.Scheduled, st.Fired, st.Cancelled}; got != b.counts {
@@ -128,8 +130,9 @@ func TestOverloadedMlogReturns(t *testing.T) {
 // the two real-kernel rows also gate TotalAlloc at +5 %, since a payload
 // copy costs bytes, not mallocs.  mlog-256 is the per-record logging path
 // at the benchmark's proto-matrix-256 size.  A change that allocates more
-// or less re-records the values (last: when markers and control packets
-// began to travel inline, mpi.WireMsg) and says so.
+// or less re-records the values (last: when channels began to be carved
+// 64 to a chunk and a small message to free its channel by a reserved
+// key) and says so.
 func TestAllocCeilings(t *testing.T) {
 	if testing.Short() || raceEnabled {
 		t.Skip("allocation counts are recorded for a plain, full run")
