@@ -135,6 +135,42 @@ func TestServerLogsAccumulate(t *testing.T) {
 	}
 }
 
+// TestServerLogsShareHandedPackets: ReceiveLogs keeps the packets it is
+// handed, not copies — they are received payloads, read-only — though the
+// slice that holds them is its own.  A log fetched twice, by wave and as a
+// reception history, replays the same packets both times.
+func TestServerLogsShareHandedPackets(t *testing.T) {
+	k := sim.New(1)
+	srv := NewServer(testNet(k), 0, 1)
+	a := &mpi.Packet{Src: 1, Dst: 0, Kind: mpi.KindPayload, Tag: 5, PSeq: 1, Data: []byte("a")}
+	b := &mpi.Packet{Src: 2, Dst: 0, Kind: mpi.KindPayload, Tag: 5, PSeq: 1, Data: []byte("b")}
+	handed := []*mpi.Packet{a, b}
+	srv.ReceiveLogs(0, 2, handed, 0, nil)
+	handed[0], handed[1] = nil, nil // the sender's slice is its own to reuse
+	var fetched [][]*mpi.Packet
+	k.After(time.Second, func() {
+		for _, since := range []bool{false, true} {
+			if _, err := srv.FetchLogs(0, 2, 3, since, func(l []*mpi.Packet) { fetched = append(fetched, l) }, nil); err != nil {
+				t.Error(err)
+			}
+		}
+	})
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if logs := srv.Logs(0, 2); len(logs) != 2 || logs[0] != a || logs[1] != b {
+		t.Fatalf("stored %v, want the two packets handed over", logs)
+	}
+	if len(fetched) != 2 {
+		t.Fatalf("%d fetches landed, want 2", len(fetched))
+	}
+	for i, l := range fetched {
+		if len(l) != 2 || l[0] != a || l[1] != b {
+			t.Errorf("fetch %d replays %v, want the stored packets", i, l)
+		}
+	}
+}
+
 func TestServerGC(t *testing.T) {
 	k := sim.New(1)
 	net := testNet(k)

@@ -22,8 +22,9 @@
 // returns that same pointer, and restart only reads it (DecodeProgram,
 // Engine.RestoreImage and the protocol's Restore copy into the new
 // process).  Nothing may write through an *Image obtained from a store.
-// Log packets are the exception to sharing: Server.ReceiveLogs keeps its
-// own copies, because the sender's packets stay live.
+// Log packets are shared the same way: Server.ReceiveLogs keeps the
+// received packets it is handed, which the receiving engine holds too and
+// nobody writes (mpi.Filter), and a replay delivers clones of them.
 package ckpt
 
 import (

@@ -211,8 +211,9 @@ func (s *Server) Receive(img *Image, srcNode int, cap simnet.Rate, sink Transfer
 // semantics of Receive.  Logs from several channels may arrive in
 // separate calls; they accumulate in arrival order, which preserves
 // per-channel FIFO since each channel's log is shipped in one piece.
-// Unlike images, packets are copied: Mlog ships the live received packet,
-// and Fabric.Send stamps Seq/Dst on whatever it is handed.
+// Like an image, a packet is kept, not copied: a received payload is
+// read-only (mpi.Filter), so the server shares Mlog's and Vcl's packets.
+// Only the slice of them is the server's own.
 func (s *Server) ReceiveLogs(rank, wave int, pkts []*mpi.Packet, srcNode int, sink TransferSink) *simnet.Flow {
 	if s.dead {
 		if sink != nil {
@@ -226,8 +227,8 @@ func (s *Server) ReceiveLogs(rank, wave int, pkts []*mpi.Packet, srcNode int, si
 	} else {
 		tr.logs = make([]*mpi.Packet, len(pkts))
 	}
-	for i, p := range pkts {
-		tr.logs[i] = p.Clone()
+	copy(tr.logs, pkts)
+	for _, p := range pkts {
 		tr.bytes += p.WireSize()
 	}
 	tr.span = s.obs.NextSpan()

@@ -70,8 +70,9 @@ func (v *Vcl) InPacket(pkt *mpi.Packet) bool {
 	default:
 		if v.inWave && pkt.Src >= 0 && !v.markerFrom[pkt.Src] {
 			// Received after the local snapshot, before the sender's
-			// marker: this is channel state (message m in Fig. 1).
-			v.logs = append(v.logs, pkt.Clone())
+			// marker: this is channel state (message m in Fig. 1).  The
+			// log shares the packet with the matching engine (mpi.Filter).
+			v.logs = append(v.logs, pkt)
 			v.h.Obs().Emit(obs.Event{Type: obs.EvMessageLogged, T: v.h.Now(), Rank: v.h.Rank(), Wave: v.wave, Channel: pkt.Src, Node: -1, Server: -1, Bytes: pkt.PayloadSize(), Span: v.h.Obs().NextSpan(), Cause: v.ckptSpan})
 		}
 		return true

@@ -1,6 +1,9 @@
 package mpi
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // CollKind identifies a collective (or resumable point-to-point) operation.
 type CollKind uint8
@@ -79,22 +82,14 @@ type CollState struct {
 	Resumed bool
 }
 
+// clone returns a copy that shares Data and every block, which are sent or
+// received bytes and so read-only (Packet.Data).  AccF is copied, since
+// applyOp accumulates into it in place, and so is the Blocks slice itself,
+// whose entries the live operation keeps filling.
 func (cs *CollState) clone() *CollState {
 	c := *cs
-	if cs.AccF != nil {
-		c.AccF = append([]float64(nil), cs.AccF...)
-	}
-	if cs.Data != nil {
-		c.Data = append([]byte(nil), cs.Data...)
-	}
-	if cs.Blocks != nil {
-		c.Blocks = make([][]byte, len(cs.Blocks))
-		for i, b := range cs.Blocks {
-			if b != nil {
-				c.Blocks[i] = append([]byte(nil), b...)
-			}
-		}
-	}
+	c.AccF = slices.Clone(cs.AccF)
+	c.Blocks = slices.Clone(cs.Blocks)
 	return &c
 }
 
@@ -161,7 +156,7 @@ func (e *Engine) Barrier() {
 		src := (e.rank - cs.Mask + p) % p
 		tag := collTag(CollBarrier, cs.Seq, cs.Round)
 		if !cs.Sent {
-			e.sendPayload(dst, tag, nil, 0)
+			e.send(dst, tag, nil, 0)
 			cs.Sent = true
 		}
 		e.recvMatch(src, tag)
@@ -173,7 +168,9 @@ func (e *Engine) Barrier() {
 }
 
 // Bcast distributes root's data to every process (binomial tree) and
-// returns each process's copy.
+// returns it on every process: root's own data at the root, and elsewhere
+// the bytes that arrived, shared with the packets that carried them.  Both
+// are read-only: the root hands data over as in Send.
 func (e *Engine) Bcast(root int, data []byte) []byte {
 	e.enterOp()
 	defer e.exitOp()
@@ -184,7 +181,7 @@ func (e *Engine) Bcast(root int, data []byte) []byte {
 		cs.Mask = 1
 		cs.Stage = 0
 		if rel == 0 {
-			cs.Data = append([]byte(nil), data...)
+			cs.Data = data
 		}
 	}
 	tag := collTag(CollBcast, cs.Seq, 0)
@@ -217,7 +214,7 @@ func (e *Engine) Bcast(root int, data []byte) []byte {
 				dst -= p
 			}
 			e.chargeSend(cs.Data, 0)
-			e.sendPayload(dst, tag, cs.Data, 0)
+			e.send(dst, tag, cs.Data, 0)
 		}
 		cs.Mask >>= 1
 	}
@@ -265,7 +262,7 @@ func (e *Engine) reduceSteps(cs *CollState, root int, kind CollKind) {
 			dst := (dstRel + root) % p
 			buf := EncodeF64s(cs.AccF)
 			e.chargeSend(buf, 0)
-			e.sendOwned(dst, tag, buf, 0)
+			e.send(dst, tag, buf, 0)
 			cs.Mask = p // done: contribution handed off
 			break
 		}
@@ -316,7 +313,7 @@ func (e *Engine) AllreduceF64(op ReduceOp, x []float64) []float64 {
 		if e.rank+cs.Mask < p {
 			buf := EncodeF64s(cs.AccF)
 			e.chargeSend(buf, 0)
-			e.sendOwned(e.rank+cs.Mask, tag, buf, 0)
+			e.send(e.rank+cs.Mask, tag, buf, 0)
 		}
 		cs.Mask >>= 1
 	}
@@ -326,10 +323,11 @@ func (e *Engine) AllreduceF64(op ReduceOp, x []float64) []float64 {
 }
 
 // AllgatherB gathers one block from every process on every process (ring
-// algorithm, p-1 rounds).  The result is indexed by rank.  The engine
-// copies block once and then forwards what it holds without copying
-// again, so the returned blocks are shared with the packets that carried
-// them (and with other ranks' results): they are read-only.
+// algorithm, p-1 rounds).  The result is indexed by rank.  block is
+// handed over as in Send, and the engine forwards what it holds without
+// copying, so the returned blocks, the caller's own among them, are shared
+// with the packets that carried them (and with other ranks' results): they
+// are read-only.
 func (e *Engine) AllgatherB(block []byte) [][]byte {
 	e.enterOp()
 	defer e.exitOp()
@@ -337,7 +335,7 @@ func (e *Engine) AllgatherB(block []byte) [][]byte {
 	p := e.size
 	if fresh {
 		cs.Blocks = make([][]byte, p)
-		cs.Blocks[e.rank] = append([]byte(nil), block...)
+		cs.Blocks[e.rank] = block
 	}
 	right := (e.rank + 1) % p
 	left := (e.rank - 1 + p) % p
@@ -346,7 +344,7 @@ func (e *Engine) AllgatherB(block []byte) [][]byte {
 		sendIdx := ((e.rank-cs.Round)%p + p) % p
 		if !cs.Sent {
 			e.chargeSend(cs.Blocks[sendIdx], 0)
-			e.sendOwned(right, tag, cs.Blocks[sendIdx], 0)
+			e.send(right, tag, cs.Blocks[sendIdx], 0)
 			cs.Sent = true
 		}
 		pkt := e.recvMatch(left, tag)
@@ -361,7 +359,9 @@ func (e *Engine) AllgatherB(block []byte) [][]byte {
 }
 
 // AlltoallB exchanges blocks[i] with every rank i and returns the blocks
-// received, indexed by source rank (pairwise exchange, p-1 rounds).
+// received, indexed by source rank (pairwise exchange, p-1 rounds).  Every
+// block is handed over as in Send: the result's own entry is blocks[rank]
+// itself and the others are the received bytes, all read-only.
 func (e *Engine) AlltoallB(blocks [][]byte) [][]byte {
 	if len(blocks) != e.size {
 		panic(fmt.Sprintf("mpi: Alltoall needs %d blocks, got %d", e.size, len(blocks)))
@@ -373,7 +373,7 @@ func (e *Engine) AlltoallB(blocks [][]byte) [][]byte {
 	if fresh {
 		cs.Round = 1
 		cs.Blocks = make([][]byte, p)
-		cs.Blocks[e.rank] = append([]byte(nil), blocks[e.rank]...)
+		cs.Blocks[e.rank] = blocks[e.rank]
 	}
 	for cs.Round < p {
 		tag := collTag(CollAlltoall, cs.Seq, cs.Round)
@@ -381,7 +381,7 @@ func (e *Engine) AlltoallB(blocks [][]byte) [][]byte {
 		src := (e.rank - cs.Round + p) % p
 		if !cs.Sent {
 			e.chargeSend(blocks[dst], 0)
-			e.sendPayload(dst, tag, blocks[dst], 0)
+			e.send(dst, tag, blocks[dst], 0)
 			cs.Sent = true
 		}
 		pkt := e.recvMatch(src, tag)

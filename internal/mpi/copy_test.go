@@ -1,9 +1,12 @@
 package mpi
 
 import (
+	"bytes"
+	"encoding/gob"
 	"slices"
 	"testing"
 	"time"
+	"unsafe"
 
 	"ftckpt/internal/sim"
 )
@@ -44,28 +47,152 @@ func TestDecodeF64InPlace(t *testing.T) {
 	DecodeF64(make([]byte, 12))
 }
 
-// TestSendCopiesCallerBuffer: the public Send keeps MPI buffer semantics —
-// the caller may rewrite its buffer the moment the call returns.
-func TestSendCopiesCallerBuffer(t *testing.T) {
-	w := newWorld(t, 2)
-	var got []string
-	err := w.Run(func(e *Engine) {
-		if e.Rank() == 0 {
-			buf := []byte("abc")
-			e.Send(1, 1, buf, 0)
-			buf[0] = 'z'
-			e.Send(1, 1, buf, 0)
-			buf[0] = 'q'
-			return
+// TestSendHandsOverBuffer: a payload buffer passed to a send becomes the
+// packet's Data and is read-only from then on (Packet.Data), so the engine
+// copies none.  The receiver of a Send, Isend or Sendrecv holds the
+// sender's own backing array; Bcast returns the root's data itself, at the
+// root and everywhere it forwards it; AllgatherB and AlltoallB return and
+// forward each caller's own blocks.
+func TestSendHandsOverBuffer(t *testing.T) {
+	const p = 4
+	buf := func(r, i int) []byte { return []byte{byte(r), byte(i)} }
+	sends, srs, ags := make([][]byte, p), make([][]byte, p), make([][]byte, p)
+	a2as := make([][][]byte, p)
+	bc := []byte("bcast")
+	type result struct {
+		send, sr, bc []byte
+		ag, a2a      [][]byte
+	}
+	got := make([]result, p)
+	err := newWorld(t, p).Run(func(e *Engine) {
+		r := e.Rank()
+		right, left := (r+1)%p, (r+p-1)%p
+		sends[r], srs[r], ags[r] = buf(r, 0), buf(r, 1), buf(r, 2)
+		a2as[r] = make([][]byte, p)
+		for d := range a2as[r] {
+			a2as[r][d] = buf(r, 3+d)
 		}
-		got = append(got, string(e.Recv(0, 1).Data), string(e.Recv(0, 1).Data))
+		if r%2 == 0 {
+			e.Send(right, 1, sends[r], 0)
+		} else {
+			e.Isend(right, 1, sends[r], 0)
+		}
+		got[r].send = e.Recv(left, 1).Data
+		got[r].sr = e.Sendrecv(right, 2, srs[r], 0, left, 2).Data
+		var in []byte
+		if r == 1 {
+			in = bc
+		}
+		got[r].bc = e.Bcast(1, in)
+		got[r].ag = e.AllgatherB(ags[r])
+		got[r].a2a = e.AlltoallB(a2as[r])
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !slices.Equal(got, []string{"abc", "zbc"}) {
-		t.Fatalf("received %q, want [abc zbc]", got)
+	same := func(a, b []byte) bool { return len(a) > 0 && unsafe.SliceData(a) == unsafe.SliceData(b) }
+	for r, g := range got {
+		left := (r + p - 1) % p
+		if !same(g.send, sends[left]) || !same(g.sr, srs[left]) {
+			t.Errorf("rank %d: Recv and Sendrecv data are copies of rank %d's buffers", r, left)
+		}
+		if !same(g.bc, bc) {
+			t.Errorf("rank %d: Bcast returned a copy of the root's data", r)
+		}
+		for i := range p {
+			if !same(g.ag[i], ags[i]) {
+				t.Errorf("rank %d: AllgatherB block %d is a copy of rank %d's block", r, i, i)
+			}
+			if !same(g.a2a[i], a2as[i][r]) {
+				t.Errorf("rank %d: AlltoallB block %d is a copy of rank %d's block", r, i, i)
+			}
+		}
 	}
+}
+
+// TestSendrecvAllocsPinned: an exchange of pre-encoded buffers between two
+// ranks allocates what the two packets' headers need and nothing per
+// payload byte: the engine hands the buffer over instead of copying it.
+// It is 2 (one boxed Packet per direction, Fabric.Send); a copy of each
+// buffer would make it 4.
+func TestSendrecvAllocsPinned(t *testing.T) {
+	const runs, perExchange = 100, 2
+	var allocs float64
+	err := newWorld(t, 2).Run(func(e *Engine) {
+		peer := 1 - e.Rank()
+		halo := EncodeF64s(make([]float64, 128)) // a 1 KB halo row
+		exchange := func() { e.Sendrecv(peer, 1, halo, 0, peer, 1) }
+		exchange() // opens the links and sizes the queues
+		if e.Rank() == 1 {
+			for range runs + 1 { // AllocsPerRun makes one warm-up call
+				exchange()
+			}
+			return
+		}
+		// Every malloc of the run while rank 0 is inside AllocsPerRun
+		// counts: rank 1's, the network's and the kernel's too.
+		allocs = testing.AllocsPerRun(runs, exchange)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if allocs > perExchange {
+		t.Errorf("%v allocations per Sendrecv exchange of a 1 KB buffer, want at most %d", allocs, perExchange)
+	}
+}
+
+// checkpointMid runs op on every rank of a p-rank asynchronous world (so
+// early packets reach an unexpected queue, and so an image, while a rank
+// computes), captures every engine's image at virtual time at, and lets
+// the live run finish.  inspect sees the engines at the capture.  Then it
+// runs op again in a fresh world restored from the images, and fails if
+// either run changed an image after the capture: the images share the
+// live run's sent and received bytes, never a buffer it writes.  op's
+// restored flag is set in the second run.
+func checkpointMid[T any](t *testing.T, p int, prof Profile, at time.Duration, inspect func(es []*Engine, imgs []*EngineImage),
+	op func(e *Engine, restored bool) T) (live, restored []T) {
+	t.Helper()
+	prof.Async = true
+	encode := func(imgs []*EngineImage) []byte {
+		var b bytes.Buffer
+		if err := gob.NewEncoder(&b).Encode(imgs); err != nil {
+			t.Fatal(err)
+		}
+		return b.Bytes()
+	}
+	w := NewWorld(sim.New(1), testTopo(p), prof, p, 1)
+	imgs := make([]*EngineImage, p)
+	var captured []byte
+	w.K.At(sim.Time(at), func() {
+		for r, e := range w.Engines {
+			imgs[r] = e.CaptureImage()
+		}
+		inspect(w.Engines, imgs)
+		captured = encode(imgs)
+	})
+	live = make([]T, p)
+	if err := w.Run(func(e *Engine) { live[e.Rank()] = op(e, false) }); err != nil {
+		t.Fatal(err)
+	}
+	if captured == nil {
+		t.Fatal("the run ended before the capture")
+	}
+	if !bytes.Equal(encode(imgs), captured) {
+		t.Error("the live run changed the captured images")
+	}
+	w = NewWorld(sim.New(1), testTopo(p), prof, p, 1)
+	restored = make([]T, p)
+	err := w.Run(func(e *Engine) {
+		e.RestoreImage(imgs[e.Rank()])
+		restored[e.Rank()] = op(e, true)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(encode(imgs), captured) {
+		t.Error("the restored run changed the images it restored from")
+	}
+	return live, restored
 }
 
 // TestAllgatherCheckpointMidRing checkpoints a 4-rank AllgatherB while
@@ -76,51 +203,93 @@ func TestSendCopiesCallerBuffer(t *testing.T) {
 func TestAllgatherCheckpointMidRing(t *testing.T) {
 	const p = 4
 	block := func(r int) []byte { return []byte{byte(r), byte(10 * r), byte(100 + r)} }
-	newAsyncWorld := func() *World {
-		// Async: rank 3's early packets reach its unexpected queue (and so
-		// its image) while it computes.
-		return NewWorld(sim.New(1), testTopo(p), Profile{Name: "test", Async: true}, p, 1)
-	}
-
-	w := newAsyncWorld()
-	imgs := make([]*EngineImage, p)
-	w.K.At(sim.Time(500*time.Millisecond), func() {
-		for r, e := range w.Engines {
-			if r < p-1 && (e.coll == nil || e.coll.Round != r) {
-				t.Errorf("rank %d not parked in round %d at the capture: %+v", r, r, e.coll)
+	want, got := checkpointMid(t, p, Profile{Name: "test"}, 500*time.Millisecond,
+		func(es []*Engine, imgs []*EngineImage) {
+			for r, e := range es[:p-1] {
+				if e.coll == nil || e.coll.Round != r {
+					t.Errorf("rank %d not parked in round %d at the capture: %+v", r, r, e.coll)
+				}
 			}
-			imgs[r] = e.CaptureImage()
-		}
-		if n := len(imgs[p-1].Unexpected); n != p-1 {
-			t.Errorf("rank %d holds %d early blocks at the capture, want %d", p-1, n, p-1)
-		}
-	})
-	want := make([][][]byte, p)
-	err := w.Run(func(e *Engine) {
-		if e.Rank() == p-1 {
-			e.Compute(time.Second)
-		}
-		want[e.Rank()] = e.AllgatherB(block(e.Rank()))
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	w = newAsyncWorld()
-	got := make([][][]byte, p)
-	err = w.Run(func(e *Engine) {
-		e.RestoreImage(imgs[e.Rank()])
-		got[e.Rank()] = e.AllgatherB(block(e.Rank()))
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+			if n := len(imgs[p-1].Unexpected); n != p-1 {
+				t.Errorf("rank %d holds %d early blocks at the capture, want %d", p-1, n, p-1)
+			}
+		},
+		func(e *Engine, restored bool) [][]byte {
+			if e.Rank() == p-1 && !restored {
+				e.Compute(time.Second)
+			}
+			return e.AllgatherB(block(e.Rank()))
+		})
 	for r := range want {
 		for i := range want[r] {
 			if !slices.Equal(want[r][i], block(i)) || !slices.Equal(got[r][i], block(i)) {
 				t.Errorf("rank %d block %d: uninterrupted %v, restored %v, want %v",
 					r, i, want[r][i], got[r][i], block(i))
 			}
+		}
+	}
+}
+
+// TestBcastCheckpointMidTree checkpoints a 4-rank Bcast from rank 0 while
+// the root (rank 0) and rank 2 are parked in the send overhead of their
+// last forward, each holding the broadcast bytes — the root its caller's
+// own buffer, rank 2 the packet it received — and ranks 1 and 3 wait to
+// receive.  The restored run sends only what the capture had not, and
+// every rank of both runs ends with the root's bytes.
+func TestBcastCheckpointMidTree(t *testing.T) {
+	const p = 4
+	payload := []byte("tree")
+	want, got := checkpointMid(t, p, Profile{Name: "test", SendOverhead: 100 * time.Millisecond}, 150*time.Millisecond,
+		func(es []*Engine, imgs []*EngineImage) {
+			for r, e := range es {
+				holds := r == 0 || r == 2
+				if e.coll == nil || e.coll.Kind != CollBcast || (e.coll.Stage == 1) != holds ||
+					holds && !bytes.Equal(imgs[r].Coll.Data, payload) {
+					t.Errorf("rank %d at the capture: %+v", r, e.coll)
+				}
+			}
+		},
+		func(e *Engine, restored bool) []byte {
+			var in []byte
+			if e.Rank() == 0 {
+				in = payload
+			}
+			return e.Bcast(0, in)
+		})
+	for r := range want {
+		if !bytes.Equal(want[r], payload) || !bytes.Equal(got[r], payload) {
+			t.Errorf("rank %d: uninterrupted %q, restored %q, want %q", r, want[r], got[r], payload)
+		}
+	}
+}
+
+// TestAllreduceCheckpointMidReduce checkpoints a 4-rank AllreduceF64 while
+// rank 0 holds the partial sum of ranks 0 and 1 in AccF and waits for rank
+// 2, which waits for rank 3, still computing.  The live run then adds into
+// both accumulators in place, which must not reach the images; the
+// restored run finishes with the uninterrupted sum.
+func TestAllreduceCheckpointMidReduce(t *testing.T) {
+	const p = 4
+	x := func(r int) []float64 { return []float64{float64(r + 1), float64(10 * r)} }
+	want, got := checkpointMid(t, p, Profile{Name: "test"}, 500*time.Millisecond,
+		func(es []*Engine, imgs []*EngineImage) {
+			if c := imgs[0].Coll; c == nil || c.Stage != 0 || c.Mask != 2 || !slices.Equal(c.AccF, []float64{3, 10}) {
+				t.Errorf("rank 0 at the capture: %+v", c)
+			}
+			if c := imgs[2].Coll; c == nil || c.Stage != 0 || !slices.Equal(c.AccF, x(2)) {
+				t.Errorf("rank 2 at the capture: %+v", c)
+			}
+		},
+		func(e *Engine, restored bool) []float64 {
+			if e.Rank() == p-1 && !restored {
+				e.Compute(time.Second)
+			}
+			return e.AllreduceF64(OpSum, x(e.Rank()))
+		})
+	sum := []float64{10, 60}
+	for r := range want {
+		if !slices.Equal(want[r], sum) || !slices.Equal(got[r], sum) {
+			t.Errorf("rank %d: uninterrupted %v, restored %v, want %v", r, want[r], got[r], sum)
 		}
 	}
 }

@@ -17,13 +17,14 @@ import (
 // arriving from the wire; the protocol returns false to consume it
 // (markers, control) or to hold it (Pcl's delayed receive queue —
 // re-injected later with Engine.Deliver), and true to let it reach the
-// matching engine (it may also copy it first, as Vcl's logging does).
+// matching engine (it may also keep it, as Vcl's logging does).
 //
 // Both hooks are lent their packet for the length of the call, except a
-// payload InPacket passes, which is its own heap Packet and may be kept.
-// OutPayload's packet is the engine's send buffer, and a marker or control
-// packet reaching InPacket is rebuilt from its inline WireMsg into the
-// engine's receive buffer: a protocol that holds either copies it.
+// payload InPacket passes, which is its own heap Packet and may be kept:
+// the matching engine and the protocol then share it, and neither writes
+// it.  OutPayload's packet is the engine's send buffer, and a marker or
+// control packet reaching InPacket is rebuilt from its inline WireMsg into
+// the engine's receive buffer: a protocol that holds either copies it.
 type Filter interface {
 	OutPayload(p *Packet) bool
 	InPacket(p *Packet) bool
@@ -59,7 +60,7 @@ type Engine struct {
 	// daemonBusy never decreases, so the delayed admits are a lane.
 	admitLane *sim.Lane[admitRec]
 	// in is the Packet an inline message is rebuilt into for InPacket, and
-	// out the one sendOwned builds for OutPayload: both lent for the call.
+	// out the one send builds for OutPayload: both lent for the call.
 	in, out Packet
 
 	unexpected []*Packet
@@ -282,7 +283,10 @@ func (e *Engine) advanceInOp(d sim.Time) { e.lp.Advance(d) }
 // Send transmits data (and/or a modelled vsize) to dst with an application
 // tag (tag must be >= 0).  Sends are eager: the call returns once the
 // message is handed to the device; it never blocks waiting for the
-// receiver, so a checkpoint can never split a send.
+// receiver, so a checkpoint can never split a send.  data is handed over,
+// not copied: it becomes the packet's Data, which the receiver, a
+// protocol's log and a checkpoint image may all share, so the caller must
+// not write it again (Packet.Data).
 func (e *Engine) Send(dst, tag int, data []byte, vsize int64) {
 	if tag < 0 {
 		panic("mpi: application tags must be >= 0")
@@ -290,7 +294,7 @@ func (e *Engine) Send(dst, tag int, data []byte, vsize int64) {
 	e.enterOp()
 	defer e.exitOp()
 	e.chargeSend(data, vsize)
-	e.sendPayload(dst, tag, data, vsize)
+	e.send(dst, tag, data, vsize)
 }
 
 // chargeSend consumes the CPU cost of a send call.  It runs before the
@@ -306,23 +310,12 @@ func (e *Engine) chargeSend(data []byte, vsize int64) {
 	}
 }
 
-// sendPayload sends a copy of the caller's data: MPI buffer semantics, the
-// caller may rewrite data as soon as the call returns.
-func (e *Engine) sendPayload(dst, tag int, data []byte, vsize int64) {
-	var buf []byte
-	if len(data) > 0 {
-		buf = append([]byte(nil), data...)
-	}
-	e.sendOwned(dst, tag, buf, vsize)
-}
-
-// sendOwned builds and emits a payload packet through the outgoing gate
-// around buf itself.  Only buffers the engine owns and never writes again
-// go here — a collective's private copy, a block it received, a fresh
-// encoding — since the packet, and every receiver, shares them.  The
+// send builds and emits a payload packet through the outgoing gate around
+// buf itself, which nobody writes again once it is sent: a caller's handed
+// over buffer, a block a collective received, a fresh encoding.  The
 // packet is built in e.out, which the gate is lent; Fabric.Send makes the
-// one heap copy that travels.
-func (e *Engine) sendOwned(dst, tag int, buf []byte, vsize int64) {
+// one heap copy of the header that travels.
+func (e *Engine) send(dst, tag int, buf []byte, vsize int64) {
 	p := &e.out
 	*p = Packet{Src: e.rank, Dst: dst, Kind: KindPayload, Tag: tag, Data: buf, VSize: vsize}
 	if e.filter.OutPayload(p) {
@@ -387,14 +380,14 @@ func match(p *Packet, src, tag int) bool {
 
 // Sendrecv sends to dst and receives from src, resumable across a
 // checkpoint: if a snapshot is taken while blocked in the receive, the
-// restored process does not send again.
+// restored process does not send again.  data is handed over as in Send.
 func (e *Engine) Sendrecv(dst, sendTag int, data []byte, vsize int64, src, recvTag int) *Packet {
 	e.enterOp()
 	defer e.exitOp()
 	cs, _ := e.beginColl(CollSendrecv)
 	if !cs.Sent {
 		e.chargeSend(data, vsize)
-		e.sendPayload(dst, sendTag, data, vsize)
+		e.send(dst, sendTag, data, vsize)
 		cs.Sent = true
 	}
 	p := e.recvMatch(src, recvTag)

@@ -78,9 +78,9 @@ type Packet struct {
 	Wave     int    // checkpoint wave number (markers, control)
 	PSeq     uint64 // protocol sequence (message logging: per-pair, survives restarts)
 	SpanID   uint64 // causal span of the packet's flight (markers), 0 when untraced
-	// Data is shared and read-only once sent: a collective forwards the
-	// buffer it received, so one slice can back several packets, a
-	// protocol's log and a caller's result.  Copy before writing.
+	// Data is shared and read-only once sent: a sender hands its buffer
+	// over (Engine.Send) and a collective forwards the one it received, so
+	// one slice backs packets, logs, images and results.  Copy first.
 	Data  []byte
 	VSize int64 // modelled payload size when Data is empty or symbolic
 }

@@ -27,7 +27,7 @@ type Request struct {
 func (r *Request) Done() bool { return r.done }
 
 // Isend sends eagerly and returns an already-complete request, for
-// symmetry with MPI code structure.
+// symmetry with MPI code structure.  data is handed over as in Send.
 func (e *Engine) Isend(dst, tag int, data []byte, vsize int64) *Request {
 	e.Send(dst, tag, data, vsize)
 	return &Request{Src: -2, Tag: tag, done: true}

@@ -224,7 +224,8 @@ func (e *Engine) ftCheck(src int) {
 // TrySendrecv is the error-returning Sendrecv of FT mode: against a
 // failed peer it returns ErrProcFailed, under a revocation ErrRevoked,
 // in both cases releasing the in-flight operation state back to its
-// pool.  Outside FT mode it is exactly Sendrecv.
+// pool.  Outside FT mode it is exactly Sendrecv.  data is handed over as
+// in Send.
 func (e *Engine) TrySendrecv(dst, sendTag int, data []byte, vsize int64, src, recvTag int) (pkt *Packet, err error) {
 	if e.ft {
 		if e.revoked {

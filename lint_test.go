@@ -1,17 +1,22 @@
 package ftckpt
 
-// Two static rules over the module's non-test source, read with go/parser
-// alone; no run shows either hazard until a workload exercises it.
+// Three static rules over the module's non-test source, read with go/parser
+// alone; no run shows any of these hazards until a workload exercises it.
 //   - Ambient entropy: simulation packages read no host clock and no unseeded
 //     randomness (entropyBans).  Import names come from each file's import
 //     specs; a name the parser resolves to a local declaration is not one.
 //   - Pooled holders: a struct field or package var whose declared type holds
 //     a pointer to a pooled type (*T, []*T, [N]*T, map value, type argument)
 //     is listed in pooledHolders, since a pooled record is reused on release.
+//   - Sent bytes are read-only: simulation packages write no byte that a
+//     .Data or .Blocks selector reaches (p.Data[i], cs.Blocks[i][j], by
+//     assignment, op=, ++ or --, or as the destination of copy or append),
+//     since a sent buffer is shared by its receivers, logs and images.
 // The holder rule checks declarations, not stores, so a holder typed any
 // would go unseen; no pooled record travels that way (lanes carry their
 // records by value).  A package var with an inferred type is not seen
-// either, and the entropy rule misses names used through a dot import.
+// either, the entropy rule misses names used through a dot import, and
+// the sent-bytes rule misses a write through a local alias of the bytes.
 // Map order is left to the runs (TestGoldenDeterminismRepeat).
 
 import (
@@ -71,14 +76,32 @@ func lintFile(fset *token.FileSet, f *ast.File, held map[string]bool) []string {
 		imports[name] = p
 	}
 	if slices.Contains(strings.Fields(simPackages), pkg) {
+		// written flags x when it reaches sent bytes.
+		written := func(x ast.Expr, indexes int) {
+			if sentBytes(x, indexes) {
+				out = append(out, fmt.Sprintf("%s: writes into sent bytes, which are shared and read-only (mpi.Packet.Data)", fset.Position(x.Pos())))
+			}
+		}
 		ast.Inspect(f, func(n ast.Node) bool {
-			if sel, ok := n.(*ast.SelectorExpr); ok {
-				if id, ok := sel.X.(*ast.Ident); ok && id.Obj == nil {
+			switch n := n.(type) {
+			case *ast.SelectorExpr:
+				if id, ok := n.X.(*ast.Ident); ok && id.Obj == nil {
 					p := imports[id.Name]
 					ban, ok := entropyBans[p]
-					if ok && (ban.names == "*" || slices.Contains(strings.Fields(ban.names), sel.Sel.Name)) {
-						out = append(out, fmt.Sprintf("%s: %s.%s %s", fset.Position(sel.Pos()), p, sel.Sel.Name, ban.why))
+					if ok && (ban.names == "*" || slices.Contains(strings.Fields(ban.names), n.Sel.Name)) {
+						out = append(out, fmt.Sprintf("%s: %s.%s %s", fset.Position(n.Pos()), p, n.Sel.Name, ban.why))
 					}
+				}
+			case *ast.AssignStmt:
+				for _, lhs := range n.Lhs {
+					written(lhs, 0)
+				}
+			case *ast.IncDecStmt:
+				written(n.X, 0)
+			case *ast.CallExpr:
+				// The builtins write into their first argument's elements.
+				if id, ok := n.Fun.(*ast.Ident); ok && id.Obj == nil && (id.Name == "copy" || id.Name == "append") && len(n.Args) > 0 {
+					written(n.Args[0], 1)
 				}
 			}
 			return true
@@ -125,7 +148,29 @@ func lintFile(fset *token.FileSet, f *ast.File, held map[string]bool) []string {
 	return out
 }
 
-// TestLintTree holds the module to both rules, and the tables to the tree:
+// sentBytes reports whether x, written with indexes more levels of
+// indexing, reaches the bytes of a .Data selector (a []byte) or a .Blocks
+// one (a [][]byte): p.Data[i] and cs.Blocks[i][j] do, cs.Blocks[i] is the
+// holder's own slot.  Slicing and parentheses reach the same bytes.
+func sentBytes(x ast.Expr, indexes int) bool {
+	for {
+		switch e := x.(type) {
+		case *ast.IndexExpr:
+			indexes++
+			x = e.X
+		case *ast.SliceExpr:
+			x = e.X
+		case *ast.ParenExpr:
+			x = e.X
+		case *ast.SelectorExpr:
+			return e.Sel.Name == "Data" && indexes >= 1 || e.Sel.Name == "Blocks" && indexes >= 2
+		default:
+			return false
+		}
+	}
+}
+
+// TestLintTree holds the module to every rule, and the tables to the tree:
 // every listed package and holder still exists.
 func TestLintTree(t *testing.T) {
 	fset := token.NewFileSet()
@@ -177,11 +222,24 @@ func TestLintSnippets(t *testing.T) {
 		{`package mpi; type Engine struct{ last *CollState }`, "mpi.Engine.last holds a pooled *mpi.CollState"},
 		{`package ckpt; import m "ftckpt/internal/mpi"; var held map[int][]*m.CollState`, "ckpt.held holds a pooled *mpi.CollState"},
 		{`package sim; type q struct{ s ring[*eventSlot] }`, "sim.q.s holds a pooled *sim.eventSlot"},
+		{`package nas; func f(p *P) { p.Data[0] = 1 }`, "writes into sent bytes"},
+		{`package mpi; func f(cs *C, x byte) { cs.Blocks[1][2] |= x }`, "writes into sent bytes"},
+		{`package vcl; func f(p *P) { (p.Data)[3]++ }`, "writes into sent bytes"},
+		{`package ckpt; func f(p *P) { p.Data[1:][0]-- }`, "writes into sent bytes"},
+		{`package core; func f(p *P, b []byte) { copy(p.Data[4:], b) }`, "writes into sent bytes"},
+		{`package mlog; func f(cs *C, b []byte) { copy(cs.Blocks[0], b) }`, "writes into sent bytes"},
+		{`package pcl; func f(p *P) []byte { return append(p.Data[:0], 1) }`, "writes into sent bytes"},
 		// Not flagged: outside the simulation, shadowed, values, callbacks
-		// and a var of inferred type.
+		// and a var of inferred type; a holder's own Data or Blocks slot,
+		// reads of sent bytes, a copy out of them, a shadowed copy and
+		// writes outside the simulation.
 		{`package expt; import "time"; var t0 = time.Now()`, ""},
 		{`package sim; import "math/rand"; func f(rand *rand.Rand) int { return rand.Intn(3) }`, ""},
 		{`package sim; type s struct{ v []eventSlot; f func(*eventSlot) }; var inferred = &eventSlot{}`, ""},
+		{`package mpi; func f(p *P, cs *C, b []byte) { p.Data = b; cs.Blocks[1] = p.Data; cs.Data = append([]byte(nil), p.Data...) }`, ""},
+		{`package mpi; func f(p *P, cs *C, b []byte) byte { copy(b, p.Data); copy(cs.Blocks, nil); return p.Data[0] + cs.Blocks[0][1] }`, ""},
+		{`package mpi; func f(p *P, copy func([]byte, []byte)) { copy(p.Data, nil) }`, ""},
+		{`package expt; func f(p *P) { p.Data[0] = 1 }`, ""},
 	} {
 		fset := token.NewFileSet()
 		f, err := parser.ParseFile(fset, "snippet.go", tc.src, 0)

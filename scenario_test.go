@@ -131,7 +131,7 @@ var scenarios = func() []scenario {
 		// a spare, and the non-blocking protocol, each without a restart.
 		{name: "ulfm-rank-8", opts: ulfm(Pcl, KillRank(40*ms, 3)), repeat: 1, post: repairedInJob},
 		{name: "ulfm-node-8", opts: ulfm(Pcl, KillNode(40*ms, 3)), pinned: true, repeat: 1, post: repairedInJob,
-			budget: &budget{mallocs: 111_847, bytes: 213_680_976}},
+			budget: &budget{mallocs: 82_073, bytes: 119_375_152}},
 		{name: "ulfm-vcl-8", opts: ulfm(Vcl, KillRank(40*ms, 3)), repeat: 1, post: repairedInJob},
 		// Replication, heartbeats and failover: retry timers, failover
 		// fetches and bulk-flow delivery order.  replicated-hb-8's recorded
@@ -165,7 +165,7 @@ var scenarios = func() []scenario {
 		{name: "storage-hier-8", opts: hier(true, KillBuffer(9*ms, 1), KillRank(17*ms, 3)),
 			pinned: true, repeat: 1, post: recovered},
 		{name: "storage-incremental-8", opts: hier(false, KillBuffer(9*ms, 1), KillRank(17*ms, 3)),
-			budget: &budget{mallocs: 55_922, bytes: 7_527_272}},
+			budget: &budget{mallocs: 55_622, bytes: 7_070_984}},
 		{name: "storage-chaos-8", opts: hier(false), repeat: 1, post: bufferThenRankKill,
 			chaos: &ChaosSpec{Seed: 1, Kills: 3, BufferFrac: 0.5, From: 6 * ms, Until: 16 * ms}},
 		{name: "shared-image-pcl-8", opts: shared(Pcl), post: restoredTwice},
@@ -189,16 +189,16 @@ var scenarios = func() []scenario {
 		{name: "vcl-256", opts: kernel(Vcl, 256, 2*s),
 			budget: &budget{heapPerRank: 4, counts: [3]uint64{2_500_731, 1_974_706, 389_341}}},
 		{name: "mlog-256", opts: kernel(Mlog, 256, 2*s),
-			budget: &budget{mallocs: 2_952_267, heapPerRank: 4, counts: [3]uint64{20_620_751, 2_962_674, 17_340_915}}},
-		{name: "pcl-64-nofail", opts: kernel(Pcl, 64, 8*s), budget: &budget{mallocs: 246_200}},
-		{name: "vcl-64-nofail", opts: kernel(Vcl, 64, 8*s), budget: &budget{mallocs: 243_417}},
-		{name: "mlog-64-nofail", opts: kernel(Mlog, 64, 8*s), budget: &budget{mallocs: 723_632}},
+			budget: &budget{mallocs: 2_332_766, heapPerRank: 4, counts: [3]uint64{20_620_751, 2_962_674, 17_340_915}}},
+		{name: "pcl-64-nofail", opts: kernel(Pcl, 64, 8*s), budget: &budget{mallocs: 169_399}},
+		{name: "vcl-64-nofail", opts: kernel(Vcl, 64, 8*s), budget: &budget{mallocs: 166_619}},
+		{name: "mlog-64-nofail", opts: kernel(Mlog, 64, 8*s), budget: &budget{mallocs: 568_776}},
 		// Overload: 64 images of 3.9 MB every 400 ms offer four servers
 		// 625 MB/s.  Before Mlog deferred a tick while its last image was
 		// in flight, this run never returned.  Its fired count was
 		// re-recorded with the NP=256 rows'.
 		{name: "mlog-64-overload", opts: kernel(Mlog, 64, 400*ms),
-			budget: &budget{mallocs: 982_768, heapPerRank: 4, counts: [3]uint64{3_163_884, 749_387, 2_335_144}}},
+			budget: &budget{mallocs: 827_891, heapPerRank: 4, counts: [3]uint64{3_163_884, 749_387, 2_335_144}}},
 	}
 }()
 
