@@ -21,7 +21,7 @@
 //     safely logged, and retransmit-after-restart plus
 //     duplicate-suppression by sequence number give exactly-once
 //     delivery over the lossy restart boundary.
-//   - Each process checkpoints independently on its own timer; its image
+//   - Each process checkpoints independently on its own cadence; its image
 //     plus the logs recorded since that image reconstruct it.
 //   - Recovery restarts only the failed rank: it restores its image,
 //     re-delivers the held-but-unlogged messages serialized inside the
@@ -47,8 +47,8 @@ const OpAck = 100
 
 // Mlog is one process's message-logging protocol instance.
 type Mlog struct {
-	h        core.Host
-	interval sim.Time
+	h   core.Host
+	cad *core.Cadence
 
 	wave    int
 	sendSeq map[int]uint64 // next PSeq per destination
@@ -60,14 +60,6 @@ type Mlog struct {
 	// retransmission after a peer restart); the retransmission fills the
 	// gap and releases them in sequence.
 	ooo map[int]map[uint64]*mpi.Packet
-
-	timer   sim.EventID
-	hasTick bool
-	// busy is set from a checkpoint until its image is durable.  A tick
-	// that finds it set skips its checkpoint (admission control): an image
-	// store slower than the interval must not stack concurrent transfers
-	// without bound.
-	busy bool
 }
 
 // pendingMsg is one pessimistic log record from accept to delivery: the
@@ -86,71 +78,50 @@ func (pm *pendingMsg) LogsStored() {
 	pm.m.drain()
 }
 
-// New builds an Mlog instance checkpointing every interval.
+// New builds an Mlog instance checkpointing every interval, staggered by
+// rank so the uncoordinated checkpoints do not accidentally synchronize.
 func New(h core.Host, interval sim.Time) *Mlog {
-	return &Mlog{
-		h:        h,
-		interval: interval,
-		sendSeq:  map[int]uint64{},
-		delUpTo:  map[int]uint64{},
-		nextSeq:  map[int]uint64{},
-		unacked:  map[int]*sim.Queue[*mpi.Packet]{},
-		ooo:      map[int]map[uint64]*mpi.Packet{},
+	m := &Mlog{
+		h:       h,
+		sendSeq: map[int]uint64{},
+		delUpTo: map[int]uint64{},
+		nextSeq: map[int]uint64{},
+		unacked: map[int]*sim.Queue[*mpi.Packet]{},
+		ooo:     map[int]map[uint64]*mpi.Packet{},
 	}
+	stagger := interval * sim.Time(h.Rank()) / sim.Time(h.Size())
+	m.cad = core.Independent(h, h.Obs(), h.Rank(), interval, stagger, m.checkpoint)
+	return m
 }
 
 // Name returns "mlog".
 func (m *Mlog) Name() string { return "mlog" }
 
-// Start arms the independent checkpoint timer, staggered by rank so the
-// uncoordinated checkpoints do not accidentally synchronize.
+// Start starts the cadence and retransmits what our own restart lost.
 func (m *Mlog) Start() {
-	if m.interval > 0 {
-		stagger := m.interval * sim.Time(m.h.Rank()) / sim.Time(m.h.Size())
-		m.hasTick = true
-		m.timer = m.h.After(m.interval+stagger, m.tick)
-	}
-	// Cover anything lost on the wire across our own restart.
+	m.cad.Start()
 	m.retransmitAll()
 }
 
-// Stop cancels the timer.
-func (m *Mlog) Stop() {
-	if m.hasTick {
-		m.h.CancelTimer(m.timer)
-		m.hasTick = false
-	}
-}
-
-func (m *Mlog) tick() {
-	m.hasTick = false
-	if m.busy {
-		m.h.Obs().Emit(obs.Event{Type: obs.EvCkptDeferred, T: m.h.Now(), Rank: m.h.Rank(), Wave: m.wave, Channel: -1, Node: -1, Server: -1})
-	} else {
-		m.checkpoint()
-	}
-	if m.interval > 0 {
-		m.hasTick = true
-		m.timer = m.h.After(m.interval, m.tick)
-	}
-}
+// Stop stops the cadence.
+func (m *Mlog) Stop() { m.cad.Stop() }
 
 // checkpoint takes an independent local checkpoint: no coordination, no
 // markers — the image alone (with the protocol state inside) plus later
-// logs make this process recoverable.
-func (m *Mlog) checkpoint() {
+// logs make this process recoverable.  It returns the image's wave.
+func (m *Mlog) checkpoint() int {
 	m.wave++
 	w := m.wave
 	now := m.h.Now()
 	cs := m.h.Obs().NextSpan()
 	m.h.Obs().Emit(obs.Event{Type: obs.EvLocalCkptBegin, T: now, Rank: m.h.Rank(), Wave: w, Channel: -1, Node: -1, Server: -1, Span: cs})
 	m.h.Obs().Emit(obs.Event{Type: obs.EvLocalCkptEnd, T: now, Rank: m.h.Rank(), Wave: w, Channel: -1, Node: -1, Server: -1, Span: cs})
-	m.busy = true
 	m.h.TakeCheckpoint(w, m.DeviceState(), func() {
-		m.busy = false
+		m.cad.Durable()
 		// Logs older than this image are no longer needed.
 		m.h.CommitWave(w)
 	})
+	return w
 }
 
 // OutPayload stamps and buffers every outgoing payload.
@@ -332,7 +303,6 @@ func (m *Mlog) Restore(dev []byte, logs []*mpi.Packet, lastWave int) {
 		}
 	}
 	m.wave = ds.Wave
-	m.busy = false
 	if m.sendSeq = ds.SendSeq; m.sendSeq == nil {
 		m.sendSeq = map[int]uint64{}
 	}

@@ -60,7 +60,7 @@ func (h *fakeHost) Now() sim.Time    { return h.k.Now() }
 func (h *fakeHost) After(d sim.Time, fn func()) sim.EventID {
 	return h.k.After(d, fn)
 }
-func (h *fakeHost) CancelTimer(id sim.EventID) { h.k.Cancel(id) }
+func (h *fakeHost) Cancel(id sim.EventID) bool { return h.k.Cancel(id) }
 
 func withEngine(t *testing.T, h *fakeHost, body func()) {
 	t.Helper()
@@ -286,8 +286,10 @@ func TestIndependentCheckpointTimer(t *testing.T) {
 // TestCheckpointDeferredWhileImageInFlight: admission control.  An image
 // store slower than the interval makes the next ticks skip their
 // checkpoint, one ckpt-deferred event each, until the image is durable;
-// a restart clears the flag.  Rank 1 of 4 ticks at 12.5, 22.5, 32.5 and
-// 42.5 ms, and each image takes 25 ms.
+// a restart admits its first tick even with the old image still in
+// flight.  Rank 1 of 4 ticks at 12.5, 22.5, 32.5 and 42.5 ms, each image
+// takes 25 ms, and the restarted instance ticks first at 57.5 ms, before
+// image 2 is durable at 67.5 ms.
 func TestCheckpointDeferredWhileImageInFlight(t *testing.T) {
 	k := sim.New(1)
 	h := &fakeHost{rank: 1, size: 4, k: k, storeAfter: 25 * time.Millisecond}
@@ -304,9 +306,12 @@ func TestCheckpointDeferredWhileImageInFlight(t *testing.T) {
 			}
 			m.Stop()
 			m.Restore(m.DeviceState(), nil, 0)
-			if m.busy {
-				t.Error("Restore kept the busy flag of the image in flight")
+			m.Start()
+			p.Advance(13 * time.Millisecond)
+			if fmt.Sprint(h.ckpts) != "[1 2 3]" {
+				t.Errorf("ckpts %v after a restart, want [1 2 3]: its first tick must checkpoint", h.ckpts)
 			}
+			m.Stop()
 		})
 	})
 }

@@ -44,8 +44,8 @@ import (
 // acts as the wave coordinator — the paper explicitly replaces MPICH-V's
 // dedicated checkpoint scheduler with the rank-0 MPI process.
 type Pcl struct {
-	h        core.Host
-	interval sim.Time
+	h   core.Host
+	cad *core.Cadence // ticks at rank 0 only
 
 	checkpointing bool
 	wave          int // current wave while checkpointing, else last entered
@@ -59,55 +59,33 @@ type Pcl struct {
 	ckptSpan   uint64
 	freezeSpan uint64
 
-	// Coordinator state (rank 0 only).
-	timer   sim.EventID
-	hasTick bool
-	done    int
+	done int // OpCkptDone count of the wave (rank 0 only)
 }
 
 // New builds a Pcl instance with the given time between checkpoint waves.
 func New(h core.Host, interval sim.Time) *Pcl {
-	return &Pcl{h: h, interval: interval, markerFrom: make([]bool, h.Size())}
+	p := &Pcl{h: h, markerFrom: make([]bool, h.Size())}
+	if h.Rank() != 0 {
+		interval = 0 // only the coordinator starts waves
+	}
+	p.cad = core.Coordinated(h, interval, func() int { p.enterWave(p.wave+1, 0); return p.wave })
+	return p
 }
 
 // Name returns "pcl".
 func (p *Pcl) Name() string { return "pcl" }
 
-// Start arms the coordinator timer (rank 0) and re-emits delayed sends
-// restored from an image.
+// Start re-emits delayed sends restored from an image and starts the cadence.
 func (p *Pcl) Start() {
 	for _, pkt := range p.delayedSend {
 		p.h.Wire(pkt.Dst, *pkt)
 	}
 	p.delayedSend = nil
-	if p.h.Rank() == 0 && p.interval > 0 {
-		p.arm()
-	}
+	p.cad.Start()
 }
 
-// Stop cancels the coordinator timer.
-func (p *Pcl) Stop() {
-	if p.hasTick {
-		p.h.CancelTimer(p.timer)
-		p.hasTick = false
-	}
-}
-
-func (p *Pcl) arm() {
-	p.hasTick = true
-	p.timer = p.h.After(p.interval, func() {
-		p.hasTick = false
-		p.initiate()
-	})
-}
-
-// initiate starts a new wave from the coordinator.
-func (p *Pcl) initiate() {
-	if p.checkpointing {
-		return // previous wave still flushing; should not happen (timer arms at commit)
-	}
-	p.enterWave(p.wave+1, 0)
-}
+// Stop stops the coordinator's cadence.
+func (p *Pcl) Stop() { p.cad.Stop() }
 
 // enterWave switches the process to checkpointing and floods markers.
 // cause is the flight span of the marker that pulled this process into the
@@ -235,9 +213,7 @@ func (p *Pcl) onControl(pkt *mpi.Packet) {
 	if p.done == p.h.Size() {
 		p.done = 0
 		p.h.CommitWave(p.wave)
-		if p.interval > 0 {
-			p.arm()
-		}
+		p.cad.Durable()
 	}
 }
 

@@ -58,7 +58,7 @@ func (h *fakeHost) Now() sim.Time    { return h.k.Now() }
 func (h *fakeHost) After(d sim.Time, fn func()) sim.EventID {
 	return h.k.After(d, fn)
 }
-func (h *fakeHost) CancelTimer(id sim.EventID) { h.k.Cancel(id) }
+func (h *fakeHost) Cancel(id sim.EventID) bool { return h.k.Cancel(id) }
 
 func countKind(pkts []*mpi.Packet, k mpi.Kind) int {
 	n := 0

@@ -1,9 +1,9 @@
-// Package core defines the coordinated-checkpointing framework shared by
-// the two protocols the paper compares: checkpoint waves, markers, commit,
-// and the contract between a protocol instance (one per MPI process) and
-// the process runtime that hosts it.
+// Package core defines the checkpointing framework shared by the paper's
+// two protocols and the message-logging alternative: waves, markers, commit,
+// the one Cadence that starts checkpoints, and the contract between a
+// protocol instance (one per MPI process) and the runtime that hosts it.
 //
-// The two implementations are:
+// The three implementations are:
 //
 //   - core/pcl — the blocking protocol (paper §3 "Pcl", implemented in
 //     MPICH2 as the ft-sock and Nemesis channels): markers flush every
@@ -13,12 +13,13 @@
 //     implementation of Chandy–Lamport): a process snapshots on the first
 //     marker and keeps computing; in-transit messages are logged as the
 //     channel state and replayed on restart.
+//   - core/mlog — the alternative: uncoordinated checkpoints plus pessimistic
+//     message logging, so a failure restarts the failed process alone.
 package core
 
 import (
 	"ftckpt/internal/mpi"
 	"ftckpt/internal/obs"
-	"ftckpt/internal/sim"
 )
 
 // Control opcodes carried in Packet.Tag of KindControl packets.
@@ -33,6 +34,7 @@ const (
 // methods are called from event context or the process LP; the kernel
 // serializes execution, so no locking is involved.
 type Host interface {
+	Clock // for the protocol's Cadence: a protocol arms no timer of its own
 	// Rank and Size identify the process within the job.
 	Rank() int
 	Size() int
@@ -60,10 +62,6 @@ type Host interface {
 	// recovery line advances and older waves are garbage collected.
 	// Called by the wave coordinator only.
 	CommitWave(wave int)
-	// Now, After and CancelTimer expose virtual time to the protocol.
-	Now() sim.Time
-	After(d sim.Time, fn func()) sim.EventID
-	CancelTimer(id sim.EventID)
 	// Obs returns the runtime's observability hub (never panics; a nil
 	// hub is a valid no-op emitter).  Protocols emit marker, block/
 	// unblock, logging and snapshot events through it.
@@ -86,12 +84,12 @@ func (f LogSinkFunc) LogsStored() { f() }
 // the device filter (mpi.Filter) with lifecycle hooks.
 type Protocol interface {
 	mpi.Filter
-	// Name identifies the protocol ("pcl", "vcl", "none").
+	// Name identifies the protocol ("pcl", "vcl", "mlog", "none").
 	Name() string
 	// Start runs when the process (fresh or restarted) begins executing:
-	// arm timers, flush restored delayed sends.
+	// start the Cadence, flush restored delayed sends.
 	Start()
-	// Stop runs when the process dies or the job ends: cancel timers.
+	// Stop runs when the process dies, is revoked or the job ends: stop the Cadence.
 	Stop()
 	// DeviceState serializes protocol-private state into a checkpoint
 	// image (Pcl: the delayed send queue).

@@ -191,16 +191,14 @@ var _ core.Protocol = (*Vcl)(nil)
 // the only entity that initiates checkpoint waves.  It is an event-driven
 // service bound to the mpi.SchedulerID endpoint.
 type Scheduler struct {
-	fab      *mpi.Fabric
-	size     int
-	interval sim.Time
-	k        *sim.Kernel
+	fab  *mpi.Fabric
+	size int
+	k    *sim.Kernel
+	cad  *core.Cadence
 
-	wave    int
-	acks    int
-	timer   sim.EventID
-	hasTick bool
-	active  bool
+	wave   int
+	acks   int
+	active bool
 
 	// Obs, when set, receives the scheduler's marker-broadcast events
 	// (Rank = mpi.SchedulerID).
@@ -213,7 +211,8 @@ type Scheduler struct {
 
 // NewScheduler places the scheduler on a node and binds its endpoint.
 func NewScheduler(k *sim.Kernel, fab *mpi.Fabric, size, node int, interval sim.Time) *Scheduler {
-	s := &Scheduler{fab: fab, size: size, interval: interval, k: k}
+	s := &Scheduler{fab: fab, size: size, k: k}
+	s.cad = core.Coordinated(k, interval, s.initiate)
 	fab.Place(mpi.SchedulerID, node)
 	fab.Bind(mpi.SchedulerID, s.onPacket)
 	return s
@@ -224,32 +223,16 @@ func (s *Scheduler) Start(lastWave int) {
 	s.wave = lastWave
 	s.acks = 0
 	s.active = true
-	if s.interval > 0 {
-		s.arm()
-	}
+	s.cad.Start()
 }
 
 // Stop cancels the pending timeout (job end or restart in progress).
 func (s *Scheduler) Stop() {
 	s.active = false
-	if s.hasTick {
-		s.k.Cancel(s.timer)
-		s.hasTick = false
-	}
+	s.cad.Stop()
 }
 
-func (s *Scheduler) arm() {
-	s.hasTick = true
-	s.timer = s.k.After(s.interval, func() {
-		s.hasTick = false
-		s.initiate()
-	})
-}
-
-func (s *Scheduler) initiate() {
-	if !s.active {
-		return
-	}
+func (s *Scheduler) initiate() int {
 	s.wave++
 	s.acks = 0
 	for r := 0; r < s.size; r++ {
@@ -259,6 +242,7 @@ func (s *Scheduler) initiate() {
 		mk.SpanID = ms
 		s.fab.Send(mpi.SchedulerID, r, &mk)
 	}
+	return s.wave
 }
 
 func (s *Scheduler) onPacket(p *mpi.Packet) {
@@ -273,8 +257,6 @@ func (s *Scheduler) onPacket(p *mpi.Packet) {
 		if s.OnCommit != nil {
 			s.OnCommit(s.wave)
 		}
-		if s.interval > 0 {
-			s.arm()
-		}
+		s.cad.Durable()
 	}
 }

@@ -911,11 +911,9 @@ type procRun struct {
 	done   bool
 	down   bool // torn down (idempotence guard; heartbeat ground truth)
 	// stores are the image and log stores this incarnation started that
-	// still have something to cancel, in start order; timers the protocol
-	// timers that can still fire.  Both are what teardown and repair
-	// cancel, so neither keeps what has settled or fired (see track, After).
+	// still have something to cancel, in start order: what teardown
+	// cancels, so it keeps nothing that has settled (see track).
 	stores []ckpt.Op
-	timers []sim.EventID
 }
 
 // ftTunable is implemented by programs with an application-level
@@ -1016,7 +1014,6 @@ func (pr *procRun) teardown() {
 	}
 	pr.job.fab.Unbind(pr.rank)
 	pr.cancelStores()
-	pr.cancelTimers()
 	if pr.lp != nil {
 		pr.job.k.Kill(pr.lp, fmt.Errorf("ftpm: rank %d torn down", pr.rank))
 	}
@@ -1124,14 +1121,6 @@ func (pr *procRun) cancelStores() {
 	pr.stores = nil
 }
 
-// cancelTimers cancels the protocol timers still pending.
-func (pr *procRun) cancelTimers() {
-	for _, id := range pr.timers {
-		pr.job.k.Cancel(id)
-	}
-	pr.timers = pr.timers[:0]
-}
-
 // CommitWave advances the recovery line: the global one for coordinated
 // protocols (coordinator only), this rank's private one for uncoordinated
 // protocols.
@@ -1144,32 +1133,10 @@ func (pr *procRun) CommitWave(w int) {
 	pr.job.commitWave(w)
 }
 
-// Now returns the virtual time.
-func (pr *procRun) Now() sim.Time { return pr.job.k.Now() }
-
-// After schedules a protocol timer.  It is tracked until it fires or is
-// cancelled, not for the life of the incarnation: a protocol re-arms one
-// timer per interval, so the list holds a pending id or two.
-func (pr *procRun) After(d sim.Time, fn func()) sim.EventID {
-	var id sim.EventID
-	id = pr.job.k.After(d, func() {
-		pr.forgetTimer(id)
-		fn()
-	})
-	pr.timers = append(pr.timers, id)
-	return id
-}
-
-// CancelTimer cancels a protocol timer.
-func (pr *procRun) CancelTimer(id sim.EventID) {
-	pr.forgetTimer(id)
-	pr.job.k.Cancel(id)
-}
-
-func (pr *procRun) forgetTimer(id sim.EventID) {
-	if i := slices.Index(pr.timers, id); i >= 0 {
-		pr.timers = slices.Delete(pr.timers, i, i+1)
-	}
-}
+// Now, After and Cancel are the rank's core.Clock: the kernel's.  The
+// protocol's one timer is its core.Cadence's, which Protocol.Stop cancels.
+func (pr *procRun) Now() sim.Time                           { return pr.job.k.Now() }
+func (pr *procRun) After(d sim.Time, fn func()) sim.EventID { return pr.job.k.After(d, fn) }
+func (pr *procRun) Cancel(id sim.EventID) bool              { return pr.job.k.Cancel(id) }
 
 var _ core.Host = (*procRun)(nil)

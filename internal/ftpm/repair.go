@@ -132,15 +132,15 @@ func (job *Job) beginRepair(victim int) {
 	if job.scheduler != nil {
 		job.scheduler.Stop()
 	}
-	// Revoke the world.  Survivors' protocol timers are cancelled first:
-	// a pending wave-start closure from the revoked incarnation must not
-	// inject markers into the parked world.
+	// Revoke the world.  Survivors' protocols are stopped first: a wave
+	// start from the revoked incarnation's cadence must not inject markers
+	// into the parked world.
 	for r := 0; r < job.cfg.NP; r++ {
 		if r == victim {
 			continue
 		}
 		o := job.procs[r]
-		o.cancelTimers()
+		o.proto.Stop()
 		o.eng.NotifyFailed(victim)
 		o.eng.Revoke()
 	}

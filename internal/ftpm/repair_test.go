@@ -10,7 +10,10 @@ import (
 )
 
 // ulfmCfg is a small Jacobi job with in-job recovery enabled: partner
-// snapshots every 10 iterations, coordinated blocking checkpoints.
+// snapshots every 10 iterations, coordinated blocking checkpoints.  Its
+// runs end within 0.12 s of virtual time, so a 10 s deadline stops a run
+// that keeps checkpointing without progress in seconds of host time, not
+// minutes.
 func ulfmCfg(np int) Config {
 	cfg := baseCfg(np)
 	cfg.NewProgram = func(rank, size int) mpi.Program {
@@ -20,6 +23,7 @@ func ulfmCfg(np int) Config {
 	cfg.Interval = 25 * time.Millisecond
 	cfg.Recovery = RecoveryULFM
 	cfg.FTEvery = 10
+	cfg.Deadline = 10 * time.Second
 	return cfg
 }
 

@@ -1,6 +1,6 @@
 package ftckpt
 
-// Three static rules over the module's non-test source, read with go/parser
+// Four static rules over the module's non-test source, read with go/parser
 // alone; no run shows any of these hazards until a workload exercises it.
 //   - Ambient entropy: simulation packages read no host clock and no unseeded
 //     randomness (entropyBans).  Import names come from each file's import
@@ -12,11 +12,18 @@ package ftckpt
 //     .Data or .Blocks selector reaches (p.Data[i], cs.Blocks[i][j], by
 //     assignment, op=, ++ or --, or as the destination of copy or append),
 //     since a sent buffer is shared by its receivers, logs and images.
+//   - One cadence: the protocol packages arm and cancel no timer (a call of
+//     a clock method, timerMethods), since core.Cadence owns the one timer
+//     a protocol has and Protocol.Stop cancels it; a timer armed beside it
+//     outlives Stop into a revoked or restarted world.
 // The holder rule checks declarations, not stores, so a holder typed any
 // would go unseen; no pooled record travels that way (lanes carry their
 // records by value).  A package var with an inferred type is not seen
 // either, the entropy rule misses names used through a dot import, and
 // the sent-bytes rule misses a write through a local alias of the bytes.
+// The cadence rule tells a clock method from a namesake by its argument
+// count (a sim.Queue's At(i) is a read), so a timer call through a func
+// value or a wrapper of another name goes unseen.
 // Map order is left to the runs (TestGoldenDeterminismRepeat).
 
 import (
@@ -50,6 +57,13 @@ var entropyBans = map[string]struct{ names, why string }{
 	"crypto/rand":  {"*", "is hardware entropy and cannot be seeded"},
 	"os":           {"Getpid Getppid", "differs from process to process"},
 }
+
+// protocolPackages arm no timer of their own: core.Cadence does.
+const protocolPackages = "pcl vcl mlog"
+
+// timerMethods are the clock methods (sim.Kernel, core.Clock) with the
+// number of arguments each takes.
+var timerMethods = map[string]int{"After": 2, "AfterArg": 3, "At": 2, "AtArg": 3, "Cancel": 1}
 
 // pooledTypes are the recycled record types.
 const pooledTypes = "sim.eventSlot mpi.CollState"
@@ -102,6 +116,11 @@ func lintFile(fset *token.FileSet, f *ast.File, held map[string]bool) []string {
 				// The builtins write into their first argument's elements.
 				if id, ok := n.Fun.(*ast.Ident); ok && id.Obj == nil && (id.Name == "copy" || id.Name == "append") && len(n.Args) > 0 {
 					written(n.Args[0], 1)
+				}
+				if sel, ok := n.Fun.(*ast.SelectorExpr); ok && slices.Contains(strings.Fields(protocolPackages), pkg) {
+					if args, ok := timerMethods[sel.Sel.Name]; ok && args == len(n.Args) {
+						out = append(out, fmt.Sprintf("%s: %s arms or cancels a protocol timer; only core.Cadence does", fset.Position(n.Pos()), sel.Sel.Name))
+					}
 				}
 			}
 			return true
@@ -229,6 +248,10 @@ func TestLintSnippets(t *testing.T) {
 		{`package core; func f(p *P, b []byte) { copy(p.Data[4:], b) }`, "writes into sent bytes"},
 		{`package mlog; func f(cs *C, b []byte) { copy(cs.Blocks[0], b) }`, "writes into sent bytes"},
 		{`package pcl; func f(p *P) []byte { return append(p.Data[:0], 1) }`, "writes into sent bytes"},
+		{`package pcl; func (p *Pcl) f() { p.h.After(p.interval, p.tick) }`, "After arms or cancels a protocol timer"},
+		{`package vcl; func (s *S) f() { s.k.Cancel(s.timer) }`, "Cancel arms or cancels a protocol timer"},
+		{`package mlog; func f(k *K, fn func(any)) { k.AtArg(5, fn, nil) }`, "AtArg arms or cancels a protocol timer"},
+		{`package mlog; func f(k *K) { k.At(5, func() {}) }`, "At arms or cancels a protocol timer"},
 		// Not flagged: outside the simulation, shadowed, values, callbacks
 		// and a var of inferred type; a holder's own Data or Blocks slot,
 		// reads of sent bytes, a copy out of them, a shadowed copy and
@@ -240,6 +263,11 @@ func TestLintSnippets(t *testing.T) {
 		{`package mpi; func f(p *P, cs *C, b []byte) byte { copy(b, p.Data); copy(cs.Blocks, nil); return p.Data[0] + cs.Blocks[0][1] }`, ""},
 		{`package mpi; func f(p *P, copy func([]byte, []byte)) { copy(p.Data, nil) }`, ""},
 		{`package expt; func f(p *P) { p.Data[0] = 1 }`, ""},
+		// Not flagged: a queue read and a store's Cancel in a protocol, a
+		// cadence call, and timers outside the protocol packages.
+		{`package mlog; func f(q *Q, op Op) *P { op.Cancel(); return q.At(0) }`, ""},
+		{`package pcl; func (p *Pcl) f() { p.cad.Start(); p.cad.Stop() }`, ""},
+		{`package ftpm; func f(k *K) { k.Cancel(k.After(1, nil)) }`, ""},
 	} {
 		fset := token.NewFileSet()
 		f, err := parser.ParseFile(fset, "snippet.go", tc.src, 0)
