@@ -73,7 +73,7 @@ func TestBuildConfigLegacyLiterals(t *testing.T) {
 }
 
 // TestBuildConfigSpecConversion pins the conversion contract: the
-// Heartbeat spec sets ftpm's HeartbeatPeriod/Timeout, Storage reaches the
+// Heartbeat spec reaches ftpm's Heartbeat as written, Storage reaches the
 // job with its servers level as written, and Servers is the one-level
 // spec it stands for once validated.
 func TestBuildConfigSpecConversion(t *testing.T) {
@@ -84,7 +84,7 @@ func TestBuildConfigSpecConversion(t *testing.T) {
 	if err != nil {
 		t.Fatalf("specs: %v", err)
 	}
-	if cfg.HeartbeatPeriod != 10*time.Millisecond || cfg.HeartbeatTimeout != 50*time.Millisecond {
+	if cfg.Heartbeat != (HeartbeatSpec{Period: 10 * time.Millisecond, Timeout: 50 * time.Millisecond}) {
 		t.Errorf("heartbeat spec not forwarded: %+v", cfg)
 	}
 	if err := cfg.Validate(); err != nil {

@@ -23,6 +23,7 @@ import (
 	"slices"
 	"time"
 
+	"ftckpt/internal/ckpt"
 	"ftckpt/internal/ftpm"
 	"ftckpt/internal/mpi"
 	"ftckpt/internal/nas"
@@ -244,27 +245,26 @@ func buildConfig(o Options) (ftpm.Config, error) {
 		ftEvery = 10
 	}
 	cfg := ftpm.Config{
-		NP:               o.NP,
-		ProcsPerNode:     ppn,
-		Protocol:         o.Protocol,
-		Interval:         o.Interval,
-		Servers:          o.Servers,
-		HeartbeatPeriod:  hb.Period,
-		HeartbeatTimeout: hb.Timeout,
-		VclProcessLimit:  o.VclProcessLimit,
-		Recovery:         o.Recovery,
-		SpareNodes:       o.Spares,
-		FTEvery:          ftEvery,
-		NewProgram:       newProgram,
-		Seed:             o.Seed,
-		Failures:         o.Failures,
-		MTTF:             o.MTTF,
-		ServerMTTF:       o.ServerMTTF,
-		NodeMTTF:         o.NodeMTTF,
-		Sink:             o.Sink,
-		Metrics:          o.Metrics,
-		Attrib:           o.Attribution,
-		SnapshotPeriod:   o.MetricsSnapshot,
+		NP:              o.NP,
+		ProcsPerNode:    ppn,
+		Protocol:        o.Protocol,
+		Interval:        o.Interval,
+		Servers:         o.Servers,
+		Heartbeat:       hb,
+		VclProcessLimit: o.VclProcessLimit,
+		Recovery:        o.Recovery,
+		Spares:          o.Spares,
+		FTEvery:         ftEvery,
+		NewProgram:      newProgram,
+		Seed:            o.Seed,
+		Failures:        o.Failures,
+		MTTF:            o.MTTF,
+		ServerMTTF:      o.ServerMTTF,
+		NodeMTTF:        o.NodeMTTF,
+		Sink:            o.Sink,
+		Metrics:         o.Metrics,
+		Attrib:          o.Attribution,
+		SnapshotPeriod:  o.MetricsSnapshot,
 	}
 	// serverNodes and pfsTargets size the topology from the storage tier:
 	// Storage's levels, or the one servers level Servers is shorthand for.
@@ -281,9 +281,8 @@ func buildConfig(o Options) (ftpm.Config, error) {
 			serverNodes = sl.Servers
 		}
 		if i := sp.Level(LevelPFS); i >= 0 {
-			// 4 targets is the default Normalize applies to a zero count.
 			if pfsTargets = sp.Levels[i].Targets; pfsTargets <= 0 {
-				pfsTargets = 4
+				pfsTargets = ckpt.DefaultPFSTargets // what Normalize gives it
 			}
 		}
 	case o.Servers <= 0 && o.Protocol != "" && o.Protocol != ProtocolNone:

@@ -75,7 +75,7 @@ func chaosCfg(np int, proto ftpm.Proto) ftpm.Config {
 		Storage: &ckpt.Spec{Levels: []ckpt.LevelSpec{{Kind: ckpt.LevelServers, Servers: 2,
 			Replicas: 2, WriteQuorum: 1, StoreRetries: 3, RetryBackoff: 2 * time.Millisecond}}},
 		RestartDelay: 2 * time.Millisecond,
-		SpareNodes:   2,
+		Spares:       2,
 		Deadline:     time.Hour,
 		Seed:         1,
 	}
@@ -313,7 +313,7 @@ func TestChaosULFMSparesExhausted(t *testing.T) {
 		cfg.Interval = 25 * time.Millisecond
 		cfg.Recovery = ftpm.RecoveryULFM
 		cfg.FTEvery = 10
-		cfg.SpareNodes = 1
+		cfg.Spares = 1
 		return cfg
 	}
 	// Two node kills (one rank per node), both after the first snapshot

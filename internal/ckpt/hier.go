@@ -102,6 +102,9 @@ type Spec struct {
 	CompressRatio float64
 }
 
+// DefaultPFSTargets is the PFS target count of a level that names none.
+const DefaultPFSTargets = 4
+
 // Normalize fills model defaults in place and returns the spec.
 func (sp *Spec) Normalize() *Spec {
 	if sp.FullEvery <= 0 {
@@ -125,14 +128,12 @@ func (sp *Spec) Normalize() *Spec {
 			}
 		case LevelPFS:
 			if l.Targets <= 0 {
-				l.Targets = 4
+				l.Targets = DefaultPFSTargets
 			}
 			if l.Stripes <= 0 {
 				l.Stripes = 2
 			}
-			if l.Stripes > l.Targets {
-				l.Stripes = l.Targets
-			}
+			l.Stripes = min(l.Stripes, l.Targets)
 			if l.Bandwidth <= 0 {
 				l.Bandwidth = 1e9 // per-stripe PFS target
 			}

@@ -55,9 +55,7 @@ func NewGroup(net *simnet.Network, servers []*Server, replicas, quorum int, prim
 	if quorum < 1 {
 		quorum = 1
 	}
-	if quorum > replicas {
-		quorum = replicas
-	}
+	quorum = min(quorum, replicas)
 	if primaryOf == nil {
 		n := len(servers)
 		primaryOf = func(rank int) int { return rank % n }

@@ -2,20 +2,19 @@ package mlog
 
 import (
 	"testing"
-	"time"
 
 	"ftckpt/internal/core"
+	"ftckpt/internal/core/coretest"
 	"ftckpt/internal/mpi"
 	"ftckpt/internal/obs"
 	"ftckpt/internal/sim"
-	"ftckpt/internal/simnet"
 )
 
 // benchHost is the fake host without its bookkeeping: the log sink is kept
 // as handed over (no bound method value), acks are dropped, no event is
 // collected — so allocs/op is the protocol's own.
 type benchHost struct {
-	fakeHost
+	*coretest.Host
 	sink core.LogSink
 }
 
@@ -29,16 +28,10 @@ func (h *benchHost) Wire(dst int, p mpi.Packet)                               {}
 // (internal/ckpt) is the other half of a logged message.
 func BenchmarkAcceptDeliver(b *testing.B) {
 	b.ReportAllocs()
-	k := sim.New(1)
-	h := &benchHost{fakeHost: fakeHost{rank: 1, size: 2, k: k, hub: obs.NewHub()}}
+	h := &benchHost{Host: coretest.New(sim.New(1), 1, 2)}
+	h.Hub = obs.NewHub()
 	m := New(h, 0)
-	net := simnet.New(k, simnet.Topology{Clusters: []simnet.ClusterSpec{{
-		Name: "b", Nodes: 1, NICBW: 1e9, Latency: time.Microsecond,
-	}}})
-	fab := mpi.NewFabric(net)
-	fab.Place(h.rank, 0)
-	k.Go("host", func(lp *sim.Proc) {
-		h.eng = mpi.NewEngine(h.rank, h.size, lp, mpi.Profile{}, fab)
+	h.Run(b, func() {
 		m.Start()
 		p := &mpi.Packet{Src: 0, Kind: mpi.KindPayload, Tag: 5, VSize: 4 << 10}
 		b.ResetTimer()
@@ -46,10 +39,7 @@ func BenchmarkAcceptDeliver(b *testing.B) {
 			p.PSeq = uint64(i + 1)
 			m.InPacket(p)
 			h.sink.LogsStored()
-			p = h.eng.Recv(0, 5)
+			p = h.Eng.Recv(0, 5)
 		}
 	})
-	if err := k.Run(); err != nil {
-		b.Fatal(err)
-	}
 }

@@ -6,77 +6,11 @@ import (
 	"testing"
 	"time"
 
-	"ftckpt/internal/core"
+	"ftckpt/internal/core/coretest"
 	"ftckpt/internal/mpi"
 	"ftckpt/internal/obs"
 	"ftckpt/internal/sim"
-	"ftckpt/internal/simnet"
 )
-
-// fakeHost records effects; log stores complete on demand, and so do
-// image stores unless storeAfter is set.
-type fakeHost struct {
-	rank, size int
-	k          *sim.Kernel
-	eng        *mpi.Engine
-	col        obs.Collector // the events the protocol emitted
-	hub        *obs.Hub
-	wired      []*mpi.Packet
-	ckpts      []int
-	commits    []int
-	onLog      []func()
-	onImg      []func()
-	// storeAfter > 0 reports every image durable that long after it was
-	// taken, as the runtime does when its store completes.
-	storeAfter sim.Time
-}
-
-func (h *fakeHost) Rank() int           { return h.rank }
-func (h *fakeHost) Size() int           { return h.size }
-func (h *fakeHost) Engine() *mpi.Engine { return h.eng }
-func (h *fakeHost) Obs() *obs.Hub {
-	if h.hub == nil {
-		h.hub = obs.NewHub(&h.col)
-	}
-	return h.hub
-}
-func (h *fakeHost) Wire(dst int, p mpi.Packet) {
-	p.Dst = dst
-	h.wired = append(h.wired, &p)
-}
-func (h *fakeHost) TakeCheckpoint(wave int, dev []byte, onStored func()) {
-	h.ckpts = append(h.ckpts, wave)
-	if h.storeAfter > 0 {
-		h.k.After(h.storeAfter, onStored)
-		return
-	}
-	h.onImg = append(h.onImg, onStored)
-}
-func (h *fakeHost) ShipLogs(wave int, pkts []*mpi.Packet, done core.LogSink) {
-	h.onLog = append(h.onLog, done.LogsStored)
-}
-func (h *fakeHost) CommitWave(w int) { h.commits = append(h.commits, w) }
-func (h *fakeHost) Now() sim.Time    { return h.k.Now() }
-func (h *fakeHost) After(d sim.Time, fn func()) sim.EventID {
-	return h.k.After(d, fn)
-}
-func (h *fakeHost) Cancel(id sim.EventID) bool { return h.k.Cancel(id) }
-
-func withEngine(t *testing.T, h *fakeHost, body func()) {
-	t.Helper()
-	net := simnet.New(h.k, simnet.Topology{Clusters: []simnet.ClusterSpec{{
-		Name: "t", Nodes: 1, NICBW: 1e9, Latency: time.Microsecond,
-	}}})
-	fab := mpi.NewFabric(net)
-	fab.Place(h.rank, 0)
-	h.k.Go("host", func(lp *sim.Proc) {
-		h.eng = mpi.NewEngine(h.rank, h.size, lp, mpi.Profile{}, fab)
-		body()
-	})
-	if err := h.k.Run(); err != nil {
-		t.Fatal(err)
-	}
-}
 
 func pl(src int, seq uint64, tag int) *mpi.Packet {
 	return &mpi.Packet{Src: src, Kind: mpi.KindPayload, PSeq: seq, Tag: tag, Data: []byte{byte(seq)}}
@@ -96,37 +30,37 @@ func acksTo(wired []*mpi.Packet, dst int) []uint64 {
 // only once its log is on stable storage, in arrival order.
 func TestPessimisticDeliveryGating(t *testing.T) {
 	k := sim.New(1)
-	h := &fakeHost{rank: 1, size: 2, k: k}
+	h := coretest.New(k, 1, 2)
 	m := New(h, 0)
-	withEngine(t, h, func() {
+	h.Run(t, func() {
 		m.Start()
 		if m.InPacket(pl(0, 1, 5)) {
 			t.Fatal("payload passed through before logging")
 		}
 		m.InPacket(pl(0, 2, 5))
-		if len(h.onLog) != 2 {
-			t.Fatalf("%d log shipments", len(h.onLog))
+		if len(h.OnLog) != 2 {
+			t.Fatalf("%d log shipments", len(h.OnLog))
 		}
-		if len(acksTo(h.wired, 0)) != 0 {
+		if len(acksTo(h.Wired, 0)) != 0 {
 			t.Fatal("acked before log stored")
 		}
 		// Second log completes first: nothing delivered (order preserved).
-		h.onLog[1]()
-		if h.col.Count(obs.EvMessageLogged) != 0 {
+		h.OnLog[1]()
+		if h.Col.Count(obs.EvMessageLogged) != 0 {
 			t.Fatal("out-of-order delivery")
 		}
-		h.onLog[0]()
-		if n := h.col.Count(obs.EvMessageLogged); n != 2 {
+		h.OnLog[0]()
+		if n := h.Col.Count(obs.EvMessageLogged); n != 2 {
 			t.Fatalf("delivered %d", n)
 		}
-		if got := acksTo(h.wired, 0); len(got) != 2 || got[0] != 1 || got[1] != 2 {
+		if got := acksTo(h.Wired, 0); len(got) != 2 || got[0] != 1 || got[1] != 2 {
 			t.Fatalf("acks %v", got)
 		}
 		// Both reached the engine in order.
-		if p := h.eng.Recv(0, 5); p.PSeq != 1 {
+		if p := h.Eng.Recv(0, 5); p.PSeq != 1 {
 			t.Fatalf("first delivery %v", p)
 		}
-		if p := h.eng.Recv(0, 5); p.PSeq != 2 {
+		if p := h.Eng.Recv(0, 5); p.PSeq != 2 {
 			t.Fatalf("second delivery %v", p)
 		}
 	})
@@ -136,22 +70,22 @@ func TestPessimisticDeliveryGating(t *testing.T) {
 // re-acknowledged; in-pipeline duplicates are dropped silently.
 func TestDuplicateSuppression(t *testing.T) {
 	k := sim.New(1)
-	h := &fakeHost{rank: 1, size: 2, k: k}
+	h := coretest.New(k, 1, 2)
 	m := New(h, 0)
-	withEngine(t, h, func() {
+	h.Run(t, func() {
 		m.InPacket(pl(0, 1, 5))
-		h.onLog[0]() // logged + delivered + acked
-		before := len(acksTo(h.wired, 0))
+		h.OnLog[0]() // logged + delivered + acked
+		before := len(acksTo(h.Wired, 0))
 		m.InPacket(pl(0, 1, 5)) // retransmission of a logged message
-		if got := len(acksTo(h.wired, 0)); got != before+1 {
+		if got := len(acksTo(h.Wired, 0)); got != before+1 {
 			t.Fatalf("dup of logged message not re-acked: %d", got)
 		}
 		m.InPacket(pl(0, 2, 5))
 		m.InPacket(pl(0, 2, 5)) // dup while still in the pipeline
-		if len(h.onLog) != 2 {
-			t.Fatalf("pipeline dup re-shipped: %d shipments", len(h.onLog))
+		if len(h.OnLog) != 2 {
+			t.Fatalf("pipeline dup re-shipped: %d shipments", len(h.OnLog))
 		}
-		if n := h.col.Count(obs.EvMessageLogged); n != 1 {
+		if n := h.Col.Count(obs.EvMessageLogged); n != 1 {
 			t.Fatalf("logged %d messages", n)
 		}
 	})
@@ -161,23 +95,23 @@ func TestDuplicateSuppression(t *testing.T) {
 // fills, then everything delivers in sequence.
 func TestOutOfOrderHold(t *testing.T) {
 	k := sim.New(1)
-	h := &fakeHost{rank: 1, size: 2, k: k}
+	h := coretest.New(k, 1, 2)
 	m := New(h, 0)
-	withEngine(t, h, func() {
+	h.Run(t, func() {
 		m.InPacket(pl(0, 3, 5)) // overtook 1 and 2
-		if len(h.onLog) != 0 {
+		if len(h.OnLog) != 0 {
 			t.Fatal("out-of-order packet entered the pipeline")
 		}
 		m.InPacket(pl(0, 1, 5))
 		m.InPacket(pl(0, 2, 5))
-		if len(h.onLog) != 3 {
-			t.Fatalf("%d shipments after gap filled", len(h.onLog))
+		if len(h.OnLog) != 3 {
+			t.Fatalf("%d shipments after gap filled", len(h.OnLog))
 		}
-		for _, f := range h.onLog {
+		for _, f := range h.OnLog {
 			f()
 		}
 		for want := uint64(1); want <= 3; want++ {
-			if p := h.eng.Recv(0, 5); p.PSeq != want {
+			if p := h.Eng.Recv(0, 5); p.PSeq != want {
 				t.Fatalf("delivery %v, want seq %d", p, want)
 			}
 		}
@@ -188,9 +122,9 @@ func TestOutOfOrderHold(t *testing.T) {
 // acks drop them, and PeerRestarted retransmits the rest.
 func TestSenderBufferAndRetransmit(t *testing.T) {
 	k := sim.New(1)
-	h := &fakeHost{rank: 0, size: 2, k: k}
+	h := coretest.New(k, 0, 2)
 	m := New(h, 0)
-	withEngine(t, h, func() {
+	h.Run(t, func() {
 		for i := 1; i <= 4; i++ {
 			p := &mpi.Packet{Src: 0, Dst: 1, Kind: mpi.KindPayload, Tag: 5}
 			if !m.OutPayload(p) {
@@ -202,10 +136,10 @@ func TestSenderBufferAndRetransmit(t *testing.T) {
 		}
 		// Cumulative ack for 1..2.
 		m.InPacket(&mpi.Packet{Src: 1, Kind: mpi.KindControl, Tag: OpAck, PSeq: 2})
-		h.wired = nil
+		h.Wired = nil
 		m.PeerRestarted(1)
-		if len(h.wired) != 2 || h.wired[0].PSeq != 3 || h.wired[1].PSeq != 4 {
-			t.Fatalf("retransmitted %v", h.wired)
+		if len(h.Wired) != 2 || h.Wired[0].PSeq != 3 || h.Wired[1].PSeq != 4 {
+			t.Fatalf("retransmitted %v", h.Wired)
 		}
 	})
 }
@@ -214,42 +148,42 @@ func TestSenderBufferAndRetransmit(t *testing.T) {
 // and the restored instance replays pending + logs in order.
 func TestDeviceStateRoundTrip(t *testing.T) {
 	k := sim.New(1)
-	h := &fakeHost{rank: 1, size: 3, k: k}
+	h := coretest.New(k, 1, 3)
 	m := New(h, 0)
-	withEngine(t, h, func() {
+	h.Run(t, func() {
 		// Deliver seq 1; leave seq 2 pending (log store incomplete).
 		m.InPacket(pl(0, 1, 5))
-		h.onLog[0]()
+		h.OnLog[0]()
 		m.InPacket(pl(0, 2, 5))
 		// Buffer an unacked send to rank 2.
 		m.OutPayload(&mpi.Packet{Src: 1, Dst: 2, Kind: mpi.KindPayload, Tag: 6})
 		dev := m.DeviceState()
 
-		h2 := &fakeHost{rank: 1, size: 3, k: k}
-		h2.eng = h.eng // reuse the live engine for replay delivery
+		h2 := coretest.New(k, 1, 3)
+		h2.Eng = h.Eng // reuse the live engine for replay delivery
 		m2 := New(h2, 0)
 		// Logs after the snapshot: seq 3 from rank 0.
 		m2.Restore(dev, []*mpi.Packet{pl(0, 3, 5)}, 1)
 		// Drain the engine: seq 1 was consumed pre-snapshot (not ours to
 		// replay); 2 came from Pending, 3 from the logs.
-		h.eng.Recv(0, 5) // seq 1 from the first instance's delivery
-		if p := h.eng.Recv(0, 5); p.PSeq != 2 {
+		h.Eng.Recv(0, 5) // seq 1 from the first instance's delivery
+		if p := h.Eng.Recv(0, 5); p.PSeq != 2 {
 			t.Fatalf("pending replay %v", p)
 		}
-		if p := h.eng.Recv(0, 5); p.PSeq != 3 {
+		if p := h.Eng.Recv(0, 5); p.PSeq != 3 {
 			t.Fatalf("log replay %v", p)
 		}
 		// The unacked send retransmits on Start.
-		h2.wired = nil
+		h2.Wired = nil
 		m2.Start()
 		found := false
-		for _, p := range h2.wired {
+		for _, p := range h2.Wired {
 			if p.Kind == mpi.KindPayload && p.Dst == 2 && p.PSeq == 1 {
 				found = true
 			}
 		}
 		if !found {
-			t.Fatalf("unacked send not retransmitted: %v", h2.wired)
+			t.Fatalf("unacked send not retransmitted: %v", h2.Wired)
 		}
 	})
 }
@@ -260,22 +194,23 @@ func TestDeviceStateRoundTrip(t *testing.T) {
 // tick is deferred.
 func TestIndependentCheckpointTimer(t *testing.T) {
 	k := sim.New(1)
-	h := &fakeHost{rank: 1, size: 4, k: k, storeAfter: time.Millisecond}
+	h := coretest.New(k, 1, 4)
+	h.StoreAfter = time.Millisecond
 	m := New(h, 10*time.Millisecond)
-	withEngine(t, h, func() {
+	h.Run(t, func() {
 		m.Start()
-		h.k.Go("clock", func(p *sim.Proc) {
+		h.K.Go("clock", func(p *sim.Proc) {
 			p.Advance(40 * time.Millisecond)
-			if len(h.ckpts) < 2 {
-				t.Errorf("ckpts %v", h.ckpts)
+			if len(h.Ckpts) < 2 {
+				t.Errorf("ckpts %v", h.Ckpts)
 			}
-			if len(h.commits) != len(h.ckpts) {
-				t.Errorf("commits %v vs ckpts %v", h.commits, h.ckpts)
+			if len(h.Commits) != len(h.Ckpts) {
+				t.Errorf("commits %v vs ckpts %v", h.Commits, h.Ckpts)
 			}
-			if n := h.col.Count(obs.EvLocalCkptEnd); n != len(h.ckpts) {
-				t.Errorf("%d local-ckpt-end events for ckpts %v", n, h.ckpts)
+			if n := h.Col.Count(obs.EvLocalCkptEnd); n != len(h.Ckpts) {
+				t.Errorf("%d local-ckpt-end events for ckpts %v", n, h.Ckpts)
 			}
-			if n := h.col.Count(obs.EvCkptDeferred); n != 0 {
+			if n := h.Col.Count(obs.EvCkptDeferred); n != 0 {
 				t.Errorf("%d ticks deferred with every image durable in 1 ms", n)
 			}
 			m.Stop()
@@ -292,24 +227,25 @@ func TestIndependentCheckpointTimer(t *testing.T) {
 // image 2 is durable at 67.5 ms.
 func TestCheckpointDeferredWhileImageInFlight(t *testing.T) {
 	k := sim.New(1)
-	h := &fakeHost{rank: 1, size: 4, k: k, storeAfter: 25 * time.Millisecond}
+	h := coretest.New(k, 1, 4)
+	h.StoreAfter = 25 * time.Millisecond
 	m := New(h, 10*time.Millisecond)
-	withEngine(t, h, func() {
+	h.Run(t, func() {
 		m.Start()
-		h.k.Go("clock", func(p *sim.Proc) {
+		h.K.Go("clock", func(p *sim.Proc) {
 			p.Advance(45 * time.Millisecond)
-			if fmt.Sprint(h.ckpts, h.commits) != "[1 2] [1]" {
-				t.Errorf("ckpts %v, commits %v; want [1 2] and [1]", h.ckpts, h.commits)
+			if fmt.Sprint(h.Ckpts, h.Commits) != "[1 2] [1]" {
+				t.Errorf("ckpts %v, commits %v; want [1 2] and [1]", h.Ckpts, h.Commits)
 			}
-			if n := h.col.Count(obs.EvCkptDeferred); n != 2 {
+			if n := h.Col.Count(obs.EvCkptDeferred); n != 2 {
 				t.Errorf("%d ticks deferred, want 2 (22.5 and 32.5 ms)", n)
 			}
 			m.Stop()
 			m.Restore(m.DeviceState(), nil, 0)
 			m.Start()
 			p.Advance(13 * time.Millisecond)
-			if fmt.Sprint(h.ckpts) != "[1 2 3]" {
-				t.Errorf("ckpts %v after a restart, want [1 2 3]: its first tick must checkpoint", h.ckpts)
+			if fmt.Sprint(h.Ckpts) != "[1 2 3]" {
+				t.Errorf("ckpts %v after a restart, want [1 2 3]: its first tick must checkpoint", h.Ckpts)
 			}
 			m.Stop()
 		})
@@ -324,12 +260,12 @@ func TestCheckpointDeferredWhileImageInFlight(t *testing.T) {
 func TestQueuesReuseStorage(t *testing.T) {
 	// 10 000 accept/drain and send/ack rounds, four deep.
 	k := sim.New(1)
-	h := &fakeHost{rank: 1, size: 2, k: k}
+	h := coretest.New(k, 1, 2)
 	m := New(h, 0)
 	send := func(seq uint64) {
 		m.OutPayload(&mpi.Packet{Dst: 0, Kind: mpi.KindPayload, Tag: 5, Data: []byte{byte(seq)}})
 	}
-	withEngine(t, h, func() {
+	h.Run(t, func() {
 		m.Start()
 		var in, out uint64
 		for round := 0; round < 10_000; round++ {
@@ -339,17 +275,17 @@ func TestQueuesReuseStorage(t *testing.T) {
 				out++
 				send(out)
 			}
-			for _, stored := range h.onLog {
+			for _, stored := range h.OnLog {
 				stored()
 			}
-			h.onLog = h.onLog[:0]
+			h.OnLog = h.OnLog[:0]
 			for i := 0; i < 4; i++ {
-				if got := h.eng.Recv(0, 5); got.PSeq != in-3+uint64(i) {
+				if got := h.Eng.Recv(0, 5); got.PSeq != in-3+uint64(i) {
 					t.Fatalf("round %d: delivered PSeq %d out of order", round, got.PSeq)
 				}
 			}
 			m.InPacket(&mpi.Packet{Src: 0, Kind: mpi.KindControl, Tag: OpAck, PSeq: out})
-			h.wired = h.wired[:0]
+			h.Wired = h.Wired[:0]
 		}
 		if s := m.pending.Segments(); s != 1 {
 			t.Errorf("pending holds %d segments at depth 4, want 1", s)
@@ -369,7 +305,7 @@ func TestQueuesReuseStorage(t *testing.T) {
 			out++
 			send(out)
 		}
-		h.onLog[0]()
+		h.OnLog[0]()
 		devStateIs(t, m, "dfd58c9057a2debcd21ca2ab1fc82dca7dfcb6a48c4331c00dc7e28691e61604")
 	})
 }

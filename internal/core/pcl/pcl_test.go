@@ -5,60 +5,17 @@ import (
 	"time"
 
 	"ftckpt/internal/core"
+	"ftckpt/internal/core/coretest"
 	"ftckpt/internal/mpi"
-	"ftckpt/internal/obs"
 	"ftckpt/internal/sim"
-	"ftckpt/internal/simnet"
 )
 
-// fakeHost drives the protocol state machine directly, recording its
-// effects — a white-box harness for the wave mechanics that the ftpm
-// integration tests exercise end-to-end.
-type fakeHost struct {
-	rank, size int
-	k          *sim.Kernel
-	wired      []*mpi.Packet
-	ckpts      []int
-	commits    []int
-	delivered  []*mpi.Packet
-	eng        *mpi.Engine
-	storeNow   bool // run onStored synchronously
-	pending    []func()
+// newHost returns a host whose stores complete at once.
+func newHost(k *sim.Kernel, rank, size int) *coretest.Host {
+	h := coretest.New(k, rank, size)
+	h.StoreNow = true
+	return h
 }
-
-func newFakeHost(k *sim.Kernel, rank, size int) *fakeHost {
-	return &fakeHost{rank: rank, size: size, k: k, storeNow: true}
-}
-
-func (h *fakeHost) Rank() int           { return h.rank }
-func (h *fakeHost) Size() int           { return h.size }
-func (h *fakeHost) Engine() *mpi.Engine { return h.eng }
-func (h *fakeHost) Obs() *obs.Hub       { return nil }
-func (h *fakeHost) Wire(dst int, p mpi.Packet) {
-	p.Dst = dst
-	h.wired = append(h.wired, &p)
-}
-func (h *fakeHost) TakeCheckpoint(wave int, dev []byte, onStored func()) {
-	h.ckpts = append(h.ckpts, wave)
-	if h.storeNow {
-		onStored()
-	} else {
-		h.pending = append(h.pending, onStored)
-	}
-}
-func (h *fakeHost) ShipLogs(wave int, pkts []*mpi.Packet, done core.LogSink) {
-	if h.storeNow {
-		done.LogsStored()
-	} else {
-		h.pending = append(h.pending, done.LogsStored)
-	}
-}
-func (h *fakeHost) CommitWave(w int) { h.commits = append(h.commits, w) }
-func (h *fakeHost) Now() sim.Time    { return h.k.Now() }
-func (h *fakeHost) After(d sim.Time, fn func()) sim.EventID {
-	return h.k.After(d, fn)
-}
-func (h *fakeHost) Cancel(id sim.EventID) bool { return h.k.Cancel(id) }
 
 func countKind(pkts []*mpi.Packet, k mpi.Kind) int {
 	n := 0
@@ -74,32 +31,14 @@ func payload(src, dst int) *mpi.Packet {
 	return &mpi.Packet{Src: src, Dst: dst, Kind: mpi.KindPayload, Tag: 1}
 }
 
-// withEngine runs body inside an LP that owns a real engine, so protocol
-// paths that re-inject packets (Engine.Deliver) work.
-func withEngine(t *testing.T, h *fakeHost, body func()) {
-	t.Helper()
-	net := simnet.New(h.k, simnet.Topology{Clusters: []simnet.ClusterSpec{{
-		Name: "t", Nodes: 1, NICBW: 1e9, Latency: time.Microsecond,
-	}}})
-	fab := mpi.NewFabric(net)
-	fab.Place(h.rank, 0)
-	h.k.Go("host", func(lp *sim.Proc) {
-		h.eng = mpi.NewEngine(h.rank, h.size, lp, mpi.Profile{}, fab)
-		body()
-	})
-	if err := h.k.Run(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestPclWaveFlushSequence(t *testing.T) {
 	k := sim.New(1)
-	h := newFakeHost(k, 1, 3) // non-coordinator rank in a 3-process job
+	h := newHost(k, 1, 3) // non-coordinator rank in a 3-process job
 	p := New(h, time.Second)
-	withEngine(t, h, func() { pclWaveFlushBody(t, h, p) })
+	h.Run(t, func() { pclWaveFlushBody(t, h, p) })
 }
 
-func pclWaveFlushBody(t *testing.T, h *fakeHost, p *Pcl) {
+func pclWaveFlushBody(t *testing.T, h *coretest.Host, p *Pcl) {
 	p.Start()
 
 	// A payload before any wave passes through both gates.
@@ -114,7 +53,7 @@ func pclWaveFlushBody(t *testing.T, h *fakeHost, p *Pcl) {
 	if p.InPacket(&mpi.Packet{Src: 0, Kind: mpi.KindMarker, Wave: 1}) {
 		t.Fatal("marker reached the matching engine")
 	}
-	if got := countKind(h.wired, mpi.KindMarker); got != 2 {
+	if got := countKind(h.Wired, mpi.KindMarker); got != 2 {
 		t.Fatalf("flooded %d markers, want 2", got)
 	}
 	if p.OutPayload(payload(1, 2)) {
@@ -127,21 +66,21 @@ func pclWaveFlushBody(t *testing.T, h *fakeHost, p *Pcl) {
 	if !p.InPacket(payload(2, 1)) {
 		t.Fatal("pre-marker payload delayed")
 	}
-	if len(h.ckpts) != 0 {
+	if len(h.Ckpts) != 0 {
 		t.Fatal("checkpoint before all markers")
 	}
 
 	// Second (last) marker: snapshot, then release queues in order.
-	h.wired = nil
+	h.Wired = nil
 	p.InPacket(&mpi.Packet{Src: 2, Kind: mpi.KindMarker, Wave: 1})
-	if len(h.ckpts) != 1 || h.ckpts[0] != 1 {
-		t.Fatalf("ckpts %v", h.ckpts)
+	if len(h.Ckpts) != 1 || h.Ckpts[0] != 1 {
+		t.Fatalf("ckpts %v", h.Ckpts)
 	}
-	if got := countKind(h.wired, mpi.KindPayload); got != 1 {
+	if got := countKind(h.Wired, mpi.KindPayload); got != 1 {
 		t.Fatalf("released %d delayed sends, want 1", got)
 	}
 	// onStored ran synchronously → Done sent to rank 0.
-	if got := countKind(h.wired, mpi.KindControl); got != 1 {
+	if got := countKind(h.Wired, mpi.KindControl); got != 1 {
 		t.Fatalf("sent %d control packets, want 1 Done", got)
 	}
 	// Unfrozen afterwards.
@@ -152,7 +91,7 @@ func pclWaveFlushBody(t *testing.T, h *fakeHost, p *Pcl) {
 
 func TestPclCoordinatorCommitRearm(t *testing.T) {
 	k := sim.New(1)
-	h := newFakeHost(k, 0, 2)
+	h := newHost(k, 0, 2)
 	p := New(h, 10*time.Millisecond)
 
 	k.Go("driver", func(lp *sim.Proc) {
@@ -161,19 +100,19 @@ func TestPclCoordinatorCommitRearm(t *testing.T) {
 		// Wave 1 is active; feed rank 1's marker.
 		p.InPacket(&mpi.Packet{Src: 1, Kind: mpi.KindMarker, Wave: 1})
 		// Coordinator's own Done plus rank 1's Done commit the wave.
-		for _, pkt := range h.wired {
+		for _, pkt := range h.Wired {
 			if pkt.Kind == mpi.KindControl && pkt.Dst == 0 {
 				p.InPacket(pkt)
 			}
 		}
 		p.InPacket(&mpi.Packet{Src: 1, Dst: 0, Kind: mpi.KindControl, Tag: core.OpCkptDone, Wave: 1})
-		if len(h.commits) != 1 || h.commits[0] != 1 {
-			t.Errorf("commits %v", h.commits)
+		if len(h.Commits) != 1 || h.Commits[0] != 1 {
+			t.Errorf("commits %v", h.Commits)
 		}
 		// Timer re-armed: a second wave initiates after another interval.
 		lp.Advance(11 * time.Millisecond)
 		wave2 := 0
-		for _, pkt := range h.wired {
+		for _, pkt := range h.Wired {
 			if pkt.Kind == mpi.KindMarker && pkt.Wave == 2 {
 				wave2++
 			}
@@ -190,7 +129,7 @@ func TestPclCoordinatorCommitRearm(t *testing.T) {
 
 func TestPclDeviceStateRoundTrip(t *testing.T) {
 	k := sim.New(1)
-	h := newFakeHost(k, 1, 2)
+	h := newHost(k, 1, 2)
 	p := New(h, 0)
 	p.enterWave(1, 0)
 	if p.OutPayload(payload(1, 0)) {
@@ -198,49 +137,49 @@ func TestPclDeviceStateRoundTrip(t *testing.T) {
 	}
 	dev := p.DeviceState()
 
-	h2 := newFakeHost(k, 1, 2)
+	h2 := newHost(k, 1, 2)
 	q := New(h2, 0)
 	q.Restore(dev, nil, 1)
 	q.Start()
 	// The delayed send is re-emitted on restart (paper §3, segment 7).
-	if got := countKind(h2.wired, mpi.KindPayload); got != 1 {
+	if got := countKind(h2.Wired, mpi.KindPayload); got != 1 {
 		t.Fatalf("re-emitted %d delayed sends, want 1", got)
 	}
-	if len(h2.ckpts) != 0 {
-		t.Fatalf("restore took checkpoints %v", h2.ckpts)
+	if len(h2.Ckpts) != 0 {
+		t.Fatalf("restore took checkpoints %v", h2.Ckpts)
 	}
 }
 
 func TestPclStaleMarkerIgnored(t *testing.T) {
 	k := sim.New(1)
-	h := newFakeHost(k, 1, 2)
+	h := newHost(k, 1, 2)
 	p := New(h, 0)
 	p.Restore(nil, nil, 3) // restarted from wave 3
 	p.Start()
 	p.InPacket(&mpi.Packet{Src: 0, Kind: mpi.KindMarker, Wave: 2})
-	if len(h.ckpts) != 0 || len(h.wired) != 0 {
+	if len(h.Ckpts) != 0 || len(h.Wired) != 0 {
 		t.Fatal("stale marker triggered protocol activity")
 	}
 }
 
 func TestPclSingleProcessWave(t *testing.T) {
 	k := sim.New(1)
-	h := newFakeHost(k, 0, 1)
+	h := newHost(k, 0, 1)
 	p := New(h, 5*time.Millisecond)
 	k.Go("driver", func(lp *sim.Proc) {
 		p.Start()
 		lp.Advance(6 * time.Millisecond)
 		// np=1: the wave checkpoints immediately; the Done goes to self.
-		if len(h.ckpts) != 1 {
-			t.Errorf("ckpts %v", h.ckpts)
+		if len(h.Ckpts) != 1 {
+			t.Errorf("ckpts %v", h.Ckpts)
 		}
-		for _, pkt := range h.wired {
+		for _, pkt := range h.Wired {
 			if pkt.Kind == mpi.KindControl {
 				p.InPacket(pkt)
 			}
 		}
-		if len(h.commits) != 1 {
-			t.Errorf("commits %v", h.commits)
+		if len(h.Commits) != 1 {
+			t.Errorf("commits %v", h.Commits)
 		}
 		p.Stop()
 	})

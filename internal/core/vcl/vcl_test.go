@@ -5,50 +5,12 @@ import (
 	"time"
 
 	"ftckpt/internal/core"
+	"ftckpt/internal/core/coretest"
 	"ftckpt/internal/mpi"
 	"ftckpt/internal/obs"
 	"ftckpt/internal/sim"
 	"ftckpt/internal/simnet"
 )
-
-// fakeHost records protocol effects; checkpoints and log shipments
-// complete on demand to exercise the acknowledgement gating.
-type fakeHost struct {
-	rank, size int
-	k          *sim.Kernel
-	eng        *mpi.Engine
-	hub        *obs.Hub // nil unless a test counts events
-	wired      []*mpi.Packet
-	ckptWaves  []int
-	logWaves   []int
-	logged     [][]*mpi.Packet
-	onImg      []func()
-	onLogs     []func()
-}
-
-func (h *fakeHost) Rank() int           { return h.rank }
-func (h *fakeHost) Size() int           { return h.size }
-func (h *fakeHost) Engine() *mpi.Engine { return h.eng }
-func (h *fakeHost) Obs() *obs.Hub       { return h.hub }
-func (h *fakeHost) Wire(dst int, p mpi.Packet) {
-	p.Dst = dst
-	h.wired = append(h.wired, &p)
-}
-func (h *fakeHost) TakeCheckpoint(wave int, dev []byte, onStored func()) {
-	h.ckptWaves = append(h.ckptWaves, wave)
-	h.onImg = append(h.onImg, onStored)
-}
-func (h *fakeHost) ShipLogs(wave int, pkts []*mpi.Packet, done core.LogSink) {
-	h.logWaves = append(h.logWaves, wave)
-	h.logged = append(h.logged, pkts)
-	h.onLogs = append(h.onLogs, done.LogsStored)
-}
-func (h *fakeHost) CommitWave(int) {}
-func (h *fakeHost) Now() sim.Time  { return h.k.Now() }
-func (h *fakeHost) After(d sim.Time, fn func()) sim.EventID {
-	return h.k.After(d, fn)
-}
-func (h *fakeHost) Cancel(id sim.EventID) bool { return h.k.Cancel(id) }
 
 func acks(pkts []*mpi.Packet) int {
 	n := 0
@@ -64,32 +26,15 @@ func payload(src, dst, tag int) *mpi.Packet {
 	return &mpi.Packet{Src: src, Dst: dst, Kind: mpi.KindPayload, Tag: tag, Data: []byte{byte(tag)}}
 }
 
-func withEngine(t *testing.T, h *fakeHost, body func()) {
-	t.Helper()
-	net := simnet.New(h.k, simnet.Topology{Clusters: []simnet.ClusterSpec{{
-		Name: "t", Nodes: 1, NICBW: 1e9, Latency: time.Microsecond,
-	}}})
-	fab := mpi.NewFabric(net)
-	fab.Place(h.rank, 0)
-	h.k.Go("host", func(lp *sim.Proc) {
-		h.eng = mpi.NewEngine(h.rank, h.size, lp, mpi.Profile{}, fab)
-		body()
-	})
-	if err := h.k.Run(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestVclLoggingWindow checks the Chandy–Lamport channel-state rule: a
 // payload is logged exactly when it arrives after the local snapshot and
 // before the sender's marker — and is still delivered either way.
 func TestVclLoggingWindow(t *testing.T) {
 	k := sim.New(1)
-	col := obs.NewCollector()
-	h := &fakeHost{rank: 1, size: 3, k: k, hub: obs.NewHub(col)}
+	h := coretest.New(k, 1, 3)
 	v := New(h)
-	logged := func() int { return col.Count(obs.EvMessageLogged) }
-	withEngine(t, h, func() {
+	logged := func() int { return h.Col.Count(obs.EvMessageLogged) }
+	h.Run(t, func() {
 		v.Start()
 		// Pre-wave payload: delivered, not logged.
 		if !v.InPacket(payload(0, 1, 10)) {
@@ -102,11 +47,11 @@ func TestVclLoggingWindow(t *testing.T) {
 		// Scheduler marker: snapshot immediately, markers flooded,
 		// computation not interrupted.
 		v.InPacket(&mpi.Packet{Src: mpi.SchedulerID, Kind: mpi.KindMarker, Wave: 1})
-		if len(h.ckptWaves) != 1 || h.ckptWaves[0] != 1 {
-			t.Fatalf("ckpts %v", h.ckptWaves)
+		if len(h.Ckpts) != 1 || h.Ckpts[0] != 1 {
+			t.Fatalf("ckpts %v", h.Ckpts)
 		}
 		markers := 0
-		for _, p := range h.wired {
+		for _, p := range h.Wired {
 			if p.Kind == mpi.KindMarker {
 				markers++
 			}
@@ -140,22 +85,22 @@ func TestVclLoggingWindow(t *testing.T) {
 
 		// Last marker: logs ship; ack waits for both transfers.
 		v.InPacket(&mpi.Packet{Src: 2, Kind: mpi.KindMarker, Wave: 1})
-		if len(h.logWaves) != 1 || len(h.logged[0]) != 2 {
-			t.Fatalf("logs shipped: %v (%d pkts)", h.logWaves, len(h.logged[0]))
+		if len(h.LogWaves) != 1 || len(h.Logged[0]) != 2 {
+			t.Fatalf("logs shipped: %v (%d pkts)", h.LogWaves, len(h.Logged[0]))
 		}
-		if acks(h.wired) != 0 {
+		if acks(h.Wired) != 0 {
 			t.Fatal("acked before transfers stored")
 		}
-		h.onImg[0]()
-		if acks(h.wired) != 0 {
+		h.OnImg[0]()
+		if acks(h.Wired) != 0 {
 			t.Fatal("acked before logs stored")
 		}
-		h.onLogs[0]()
-		if acks(h.wired) != 1 {
-			t.Fatalf("acks = %d, want 1", acks(h.wired))
+		h.OnLog[0]()
+		if acks(h.Wired) != 1 {
+			t.Fatalf("acks = %d, want 1", acks(h.Wired))
 		}
-		if len(h.ckptWaves) != 1 {
-			t.Fatalf("ckpts %v after the wave closed", h.ckptWaves)
+		if len(h.Ckpts) != 1 {
+			t.Fatalf("ckpts %v after the wave closed", h.Ckpts)
 		}
 	})
 }
@@ -164,22 +109,22 @@ func TestVclLoggingWindow(t *testing.T) {
 // marker before the scheduler's own marker arrives.
 func TestVclPeerMarkerTriggersWave(t *testing.T) {
 	k := sim.New(1)
-	h := &fakeHost{rank: 0, size: 2, k: k}
+	h := coretest.New(k, 0, 2)
 	v := New(h)
-	withEngine(t, h, func() {
+	h.Run(t, func() {
 		v.Start()
 		v.InPacket(&mpi.Packet{Src: 1, Kind: mpi.KindMarker, Wave: 1})
-		if len(h.ckptWaves) != 1 {
-			t.Fatalf("ckpts %v", h.ckptWaves)
+		if len(h.Ckpts) != 1 {
+			t.Fatalf("ckpts %v", h.Ckpts)
 		}
 		// Peer marker counted: np=2 needs exactly that one marker, so the
 		// (empty) logs ship immediately.
-		if len(h.logWaves) != 1 {
-			t.Fatalf("logs not shipped: %v", h.logWaves)
+		if len(h.LogWaves) != 1 {
+			t.Fatalf("logs not shipped: %v", h.LogWaves)
 		}
 		// The scheduler's own marker afterwards is a no-op.
 		v.InPacket(&mpi.Packet{Src: mpi.SchedulerID, Kind: mpi.KindMarker, Wave: 1})
-		if len(h.ckptWaves) != 1 {
+		if len(h.Ckpts) != 1 {
 			t.Fatal("scheduler marker re-triggered the wave")
 		}
 	})
@@ -189,28 +134,28 @@ func TestVclPeerMarkerTriggersWave(t *testing.T) {
 // fresh engine before any new traffic.
 func TestVclRestoreReplaysLogs(t *testing.T) {
 	k := sim.New(1)
-	h := &fakeHost{rank: 1, size: 2, k: k}
+	h := coretest.New(k, 1, 2)
 	v := New(h)
-	withEngine(t, h, func() {
+	h.Run(t, func() {
 		logs := []*mpi.Packet{
 			payload(0, 1, 21),
 			payload(0, 1, 22),
 		}
 		v.Restore(nil, logs, 5)
 		// The replayed messages are in the engine, in order.
-		p1 := h.eng.Recv(0, 21)
-		p2 := h.eng.Recv(0, 22)
+		p1 := h.Eng.Recv(0, 21)
+		p2 := h.Eng.Recv(0, 22)
 		if p1.Data[0] != 21 || p2.Data[0] != 22 {
 			t.Fatalf("replayed %v %v", p1, p2)
 		}
 		// Wave numbering resumes after the restored wave.
 		v.InPacket(&mpi.Packet{Src: mpi.SchedulerID, Kind: mpi.KindMarker, Wave: 5})
-		if len(h.ckptWaves) != 0 {
+		if len(h.Ckpts) != 0 {
 			t.Fatal("stale wave accepted after restore")
 		}
 		v.InPacket(&mpi.Packet{Src: mpi.SchedulerID, Kind: mpi.KindMarker, Wave: 6})
-		if len(h.ckptWaves) != 1 || h.ckptWaves[0] != 6 {
-			t.Fatalf("ckpts %v", h.ckptWaves)
+		if len(h.Ckpts) != 1 || h.Ckpts[0] != 6 {
+			t.Fatalf("ckpts %v", h.Ckpts)
 		}
 	})
 }

@@ -1,12 +1,14 @@
 // Package expt contains one harness per figure of the paper's evaluation
 // (§5, Figs. 5–10) plus the NetPIPE platform characterization (§5.4).
-// Each harness builds the figure's platform, workload and protocol
-// configuration, runs the simulation, and returns the rows/series the
-// paper plots.  cmd/figures prints them; bench_test.go wraps them in
-// testing.B benchmarks; EXPERIMENTS.md records paper-vs-measured shapes.
+// A harness is its sweep as data and a reducer: it lists the sweep's
+// points (a label and the jobs it runs, in order), hands them to one
+// runner, and turns the returned results into the rows the paper plots.
+// cmd/figures prints them; bench_test.go wraps them in testing.B
+// benchmarks; EXPERIMENTS.md records paper-vs-measured shapes.
 package expt
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"time"
@@ -15,9 +17,7 @@ import (
 	"ftckpt/internal/mpi"
 	"ftckpt/internal/nas"
 	"ftckpt/internal/obs"
-	"ftckpt/internal/platform"
 	"ftckpt/internal/sim"
-	"ftckpt/internal/simnet"
 	"ftckpt/internal/span"
 	"ftckpt/internal/sweep"
 )
@@ -28,7 +28,7 @@ type Options struct {
 	// so the full suite smoke-tests in seconds.  Figure shapes survive;
 	// absolute values do not.
 	Quick bool
-	// Trace receives progress lines (nil = silent).
+	// Trace receives one progress line per job (nil = silent).
 	Trace func(format string, args ...any)
 	// Seed feeds the deterministic kernels.
 	Seed int64
@@ -37,27 +37,16 @@ type Options struct {
 	Metrics *obs.Metrics
 	// Jobs caps how many sweep points run concurrently (each point is one
 	// or more full simulations); 1 runs them one after another and 0 means
-	// one per CPU.
-	// Rows, trace output and exported metrics are byte-identical for any
-	// Jobs value with the same seed.
+	// one per CPU.  Rows, trace output, Metrics and Attrib are
+	// byte-identical for any Jobs value with the same seed.
 	Jobs int
 	// Attrib, when set, attaches the causal span tracer to every run of
 	// the harness and folds each run's per-phase overhead attribution into
-	// this accumulator — deterministically in point order, like Metrics,
-	// so the merged breakdown is byte-identical for any Jobs value.
+	// this accumulator.
 	Attrib *span.Attribution
 
-	// point labels the sweep point a run belongs to ("fig6 interval=10s
-	// np=64"), for deadline/error reporting; set by runSweep.
-	point string
 	// maxTime overrides the derived per-run deadline (test hook).
 	maxTime sim.Time
-}
-
-func (o Options) tracef(format string, args ...any) {
-	if o.Trace != nil {
-		o.Trace(format, args...)
-	}
 }
 
 // btClass returns the BT class for a harness, shortened in Quick mode.
@@ -91,14 +80,6 @@ func (o Options) scaleInterval(d sim.Time) sim.Time {
 	return d
 }
 
-// Platform and profile shorthands (see internal/platform).
-func platformEthernet(nodes int) simnet.Topology { return platform.EthernetCluster(nodes) }
-func platformMyriGM(nodes int) simnet.Topology   { return platform.MyrinetGM(nodes) }
-func platformMyriTCP(nodes int) simnet.Topology  { return platform.MyrinetTCP(nodes) }
-func pclSockProfile() mpi.Profile                { return platform.PclSock }
-func pclNemesisProfile() mpi.Profile             { return platform.PclNemesis }
-func vclProfile() mpi.Profile                    { return platform.Vcl }
-
 // newBT builds a BT-model program factory.
 func newBT(class nas.BTClassSpec) func(rank, size int) mpi.Program {
 	return func(rank, size int) mpi.Program { return nas.NewBTModel(class, rank, size) }
@@ -107,6 +88,15 @@ func newBT(class nas.BTClassSpec) func(rank, size int) mpi.Program {
 // newCG builds a CG-model program factory.
 func newCG(class nas.CGClassSpec) func(rank, size int) mpi.Program {
 	return func(rank, size int) mpi.Program { return nas.NewCGModel(class, rank, size) }
+}
+
+// every returns c checkpointing under proto every iv; at iv 0 it is c
+// unchanged, the checkpoint-free baseline on the same platform and profile.
+func every(c ftpm.Config, proto ftpm.Proto, iv sim.Time) ftpm.Config {
+	if iv > 0 {
+		c.Protocol, c.Interval = proto, iv
+	}
+	return c
 }
 
 // deadline bounds one run's virtual time.  A regressed protocol deadlock
@@ -121,79 +111,70 @@ func (o Options) deadline() sim.Time {
 	if o.maxTime != 0 {
 		return o.maxTime
 	}
-	serialFlops := o.btClass().Flops
-	if f := o.cgClass().Flops; f > serialFlops {
-		serialFlops = f
-	}
+	serialFlops := max(o.btClass().Flops, o.cgClass().Flops)
 	d := sim.Time(serialFlops / nas.EffectiveFlopRate * float64(time.Second))
-	if d < time.Minute {
-		d = time.Minute
-	}
-	return 8 * d
+	return 8 * max(d, time.Minute)
 }
 
-// run executes one configured job under the harness deadline, folding its
-// metrics into the harness registry when one is attached.  A run that
-// exceeds the deadline returns an error naming the sweep point (figure,
-// np, interval) instead of hanging the harness.
-func (o Options) run(cfg ftpm.Config) (ftpm.Result, error) {
-	cfg.Deadline = o.deadline()
-	cfg.Metrics = o.Metrics
-	cfg.Attrib = o.Attrib != nil
-	res, err := ftpm.Run(cfg)
-	if o.Attrib != nil && res.Attribution != nil {
-		o.Attrib.Merge(res.Attribution)
-	}
-	if err != nil {
-		point := o.point
-		if point == "" {
-			point = "run"
-		}
-		proto := cfg.Protocol
-		if proto == "" {
-			proto = ftpm.ProtoNone
-		}
-		return res, fmt.Errorf("%s (np=%d proto=%s interval=%v): %w",
-			point, cfg.NP, proto, cfg.Interval, err)
-	}
-	return res, nil
+// point is one sweep point: the label naming it ("fig6 interval=10s
+// np=64") and the jobs it runs, in order.
+type point struct {
+	label string
+	runs  []ftpm.Config
 }
 
-// runSweep fans a harness's independent sweep points over o.Jobs workers
-// (each point runs one or more full simulations).  The sequential
-// contract is preserved: results come back in input order, each point
-// runs against a private metrics registry merged deterministically into
-// o.Metrics after the barrier, and per-point trace lines are serialized
-// in input order — so rows, -v output and exported metrics are
-// byte-identical to a Jobs=1 run with the same seed.
-func runSweep[P, R any](o Options, points []P, label func(P) string, fn func(Options, P) (R, error)) ([]R, error) {
-	regs := make([]*obs.Metrics, len(points))
-	attribs := make([]*span.Attribution, len(points))
+// runPoints is the one runner of every harness.  It runs each point's jobs
+// in order under the harness deadline, one sweep task per point with at
+// most o.Jobs points at once, and returns each point's results.  An error
+// names the point, NP, protocol and interval of the job that failed,
+// wrapping the job's own error.  Every job counts into a registry of its
+// own (Result.Metrics); once the sweep is done those registries merge
+// into o.Metrics, and the attributions into o.Attrib, in point and run
+// order.  One -v line per job goes out in the same order, so rows, lines
+// and merged metrics are byte-identical for any Jobs.
+func (o Options) runPoints(points []point) ([][]ftpm.Result, error) {
 	out, err := sweep.Run(context.Background(), points,
-		func(_ context.Context, i int, p P, trace sweep.Tracef) (R, error) {
-			po := o
-			po.Trace = trace
-			po.point = label(p)
-			if o.Metrics != nil {
-				regs[i] = obs.NewMetrics()
-				po.Metrics = regs[i]
+		func(_ context.Context, _ int, p point, trace sweep.Tracef) ([]ftpm.Result, error) {
+			results := make([]ftpm.Result, len(p.runs))
+			for i, cfg := range p.runs {
+				cfg.Deadline = o.deadline()
+				cfg.Attrib = o.Attrib != nil
+				res, err := ftpm.Run(cfg)
+				name := fmt.Sprintf("%s (np=%d proto=%s interval=%v)",
+					p.label, cfg.NP, cmp.Or(cfg.Protocol, ftpm.ProtoNone), cfg.Interval)
+				if err != nil {
+					return nil, fmt.Errorf("%s: %w", name, err)
+				}
+				trace("%s: time=%v waves=%d restarts=%d repairs=%d",
+					name, res.Completion, res.WavesCommitted, res.Restarts, res.Repairs)
+				results[i] = res
 			}
-			if o.Attrib != nil {
-				attribs[i] = &span.Attribution{}
-				po.Attrib = attribs[i]
-			}
-			return fn(po, p)
+			return results, nil
 		}, sweep.Opts{Jobs: o.Jobs, Trace: sweep.Tracef(o.Trace)})
 	if err != nil {
 		return nil, err
 	}
-	for _, reg := range regs {
-		o.Metrics.Merge(reg)
-	}
-	for _, at := range attribs {
-		o.Attrib.Merge(at)
+	for _, results := range out {
+		for _, res := range results {
+			o.Metrics.Merge(res.Metrics)
+			o.Attrib.Merge(res.Attribution)
+		}
 	}
 	return out, nil
+}
+
+// reduce runs the points of a harness whose every point is one row: rows
+// holds each point's coordinates, and fill adds what the point's runs
+// measured.
+func reduce[R any](o Options, points []point, rows []R, fill func(row *R, r []ftpm.Result)) ([]R, error) {
+	results, err := o.runPoints(points)
+	if err != nil {
+		return nil, err
+	}
+	for i, r := range results {
+		fill(&rows[i], r)
+	}
+	return rows, nil
 }
 
 // FmtTime renders a virtual duration in seconds for table output.

@@ -6,6 +6,7 @@ import (
 
 	"ftckpt/internal/ftpm"
 	"ftckpt/internal/mpi"
+	"ftckpt/internal/platform"
 	"ftckpt/internal/sim"
 	"ftckpt/internal/simnet"
 )
@@ -21,24 +22,18 @@ type Fig7Row struct {
 	Time     sim.Time
 }
 
-// fig7Stack is one of the implementations compared on the high-speed
-// network.
-type fig7Stack struct {
-	name  string
-	proto ftpm.Proto
-	topo  simnet.Topology
-	prof  mpi.Profile
-}
-
 // fig7Stacks are the three implementations compared on the high-speed
 // network: both TCP stacks run over the Myrinet Ethernet emulation, the
 // Nemesis stack over native GM.
-func fig7Stacks(nodes int) []fig7Stack {
-	return []fig7Stack{
-		{"pcl-sock", ftpm.ProtoPcl, platformMyriTCP(nodes), pclSockProfile()},
-		{"vcl", ftpm.ProtoVcl, platformMyriTCP(nodes), vclProfile()},
-		{"pcl-nemesis", ftpm.ProtoPcl, platformMyriGM(nodes), pclNemesisProfile()},
-	}
+var fig7Stacks = []struct {
+	name  string
+	proto ftpm.Proto
+	topo  func(nodes int) simnet.Topology
+	prof  mpi.Profile
+}{
+	{"pcl-sock", ftpm.ProtoPcl, platform.MyrinetTCP, platform.PclSock},
+	{"vcl", ftpm.ProtoVcl, platform.MyrinetTCP, platform.Vcl},
+	{"pcl-nemesis", ftpm.ProtoPcl, platform.MyrinetGM, platform.PclNemesis},
 }
 
 // fig7Intervals sweeps the timeout between waves; the x-axis of the
@@ -61,38 +56,74 @@ func fig7Intervals(o Options) []sim.Time {
 func Fig7(o Options) ([]Fig7Row, error) {
 	const np = 64
 	class := o.cgClass()
-	nodes := np/2 + 2 + 1
-	type point struct {
-		st fig7Stack
-		iv sim.Time
-	}
+	var rows []Fig7Row
 	var points []point
-	for _, st := range fig7Stacks(nodes) {
+	for _, st := range fig7Stacks {
 		for _, iv := range fig7Intervals(o) {
-			points = append(points, point{st, iv})
-		}
-	}
-	return runSweep(o, points,
-		func(p point) string { return fmt.Sprintf("fig7 %s np=%d interval=%v", p.st.name, np, p.iv) },
-		func(o Options, p point) (Fig7Row, error) {
 			cfg := ftpm.Config{
 				NP:           np,
 				ProcsPerNode: 2,
 				Servers:      2,
-				Topology:     p.st.topo,
-				Profile:      p.st.prof,
+				Topology:     st.topo(np/2 + 2 + 1),
+				Profile:      st.prof,
 				NewProgram:   newCG(class),
 				Seed:         o.Seed,
 			}
-			if p.iv > 0 {
-				cfg.Protocol = p.st.proto
-				cfg.Interval = o.scaleInterval(p.iv)
+			rows = append(rows, Fig7Row{Stack: st.name, Interval: iv})
+			points = append(points, point{fmt.Sprintf("fig7 %s np=%d interval=%v", st.name, np, iv),
+				[]ftpm.Config{every(cfg, st.proto, o.scaleInterval(iv))}})
+		}
+	}
+	return reduce(o, points, rows, func(row *Fig7Row, r []ftpm.Result) {
+		row.Waves, row.Time = r[0].WavesCommitted, r[0].Completion
+	})
+}
+
+// Fig8Row is one run of Fig. 8: CG class C at varying process counts on
+// the Myrinet cluster, Pcl/Nemesis only.
+type Fig8Row struct {
+	NP       int
+	PPN      int
+	Interval sim.Time
+	Waves    int
+	Time     sim.Time
+}
+
+// Fig8 reproduces "Impact of the size of the system for varying number of
+// checkpoint waves over high speed network".  Expected shape: completion
+// time grows linearly with the wave count at every size with roughly the
+// same slope — the checkpoint frequency matters, the process count does
+// not; 32 and 64 processes perform alike because two processes share each
+// NIC.  The interval sweep is fig7's (the figures share an x-axis).
+func Fig8(o Options) ([]Fig8Row, error) {
+	class := o.cgClass()
+	sizes := []int{4, 8, 16, 32, 64}
+	if o.Quick {
+		sizes = []int{4, 16, 64}
+	}
+	var rows []Fig8Row
+	var points []point
+	for _, np := range sizes {
+		ppn := 1
+		if np >= 32 {
+			ppn = 2 // dual-processor deployments share the NIC
+		}
+		for _, iv := range fig7Intervals(o) {
+			cfg := ftpm.Config{
+				NP:           np,
+				ProcsPerNode: ppn,
+				Servers:      2,
+				Topology:     platform.MyrinetGM((np+ppn-1)/ppn + 3),
+				Profile:      platform.PclNemesis,
+				NewProgram:   newCG(class),
+				Seed:         o.Seed,
 			}
-			res, err := o.run(cfg)
-			if err != nil {
-				return Fig7Row{}, err
-			}
-			o.tracef("fig7 %s interval=%v waves=%d time=%v", p.st.name, p.iv, res.WavesCommitted, res.Completion)
-			return Fig7Row{Stack: p.st.name, Interval: p.iv, Waves: res.WavesCommitted, Time: res.Completion}, nil
-		})
+			rows = append(rows, Fig8Row{NP: np, PPN: ppn, Interval: iv})
+			points = append(points, point{fmt.Sprintf("fig8 np=%d interval=%v", np, iv),
+				[]ftpm.Config{every(cfg, ftpm.ProtoPcl, o.scaleInterval(iv))}})
+		}
+	}
+	return reduce(o, points, rows, func(row *Fig8Row, r []ftpm.Result) {
+		row.Waves, row.Time = r[0].WavesCommitted, r[0].Completion
+	})
 }

@@ -9,7 +9,8 @@ import (
 	"ftckpt/internal/sim"
 )
 
-// gridConfig assembles a grid job with same-cluster checkpoint servers.
+// gridConfig assembles a checkpoint-free grid job with same-cluster
+// checkpoint servers.
 func gridConfig(np int, o Options) (ftpm.Config, error) {
 	lay, err := platform.Grid5000Layout(np, 2, 1)
 	if err != nil {
@@ -24,7 +25,7 @@ func gridConfig(np int, o Options) (ftpm.Config, error) {
 		ServiceNode:  lay.ServiceNode,
 		Placement:    lay.Placement,
 		Topology:     lay.Topo,
-		Profile:      pclSockProfile(),
+		Profile:      platform.PclSock,
 		NewProgram:   newBT(o.btClass()),
 		Seed:         o.Seed,
 	}, nil
@@ -56,24 +57,20 @@ func Fig9(o Options) ([]Fig9Row, error) {
 		// still fit several waves after scaleInterval's /10.
 		intervals = []sim.Time{0, 8 * time.Second, 4 * time.Second}
 	}
-	return runSweep(o, intervals,
-		func(iv sim.Time) string { return fmt.Sprintf("fig9 np=%d interval=%v", np, iv) },
-		func(o Options, iv sim.Time) (Fig9Row, error) {
-			cfg, err := gridConfig(np, o)
-			if err != nil {
-				return Fig9Row{}, err
-			}
-			if iv > 0 {
-				cfg.Protocol = ftpm.ProtoPcl
-				cfg.Interval = o.scaleInterval(iv)
-			}
-			res, err := o.run(cfg)
-			if err != nil {
-				return Fig9Row{}, err
-			}
-			o.tracef("fig9 interval=%v waves=%d time=%v", iv, res.WavesCommitted, res.Completion)
-			return Fig9Row{Interval: iv, Waves: res.WavesCommitted, Time: res.Completion}, nil
-		})
+	cfg, err := gridConfig(np, o)
+	if err != nil {
+		return nil, err
+	}
+	var rows []Fig9Row
+	var points []point
+	for _, iv := range intervals {
+		rows = append(rows, Fig9Row{Interval: iv})
+		points = append(points, point{fmt.Sprintf("fig9 np=%d interval=%v", np, iv),
+			[]ftpm.Config{every(cfg, ftpm.ProtoPcl, o.scaleInterval(iv))}})
+	}
+	return reduce(o, points, rows, func(row *Fig9Row, r []ftpm.Result) {
+		row.Waves, row.Time = r[0].WavesCommitted, r[0].Completion
+	})
 }
 
 // Fig10Row is one process count of Fig. 10: BT class B over the grid,
@@ -96,36 +93,24 @@ func Fig10(o Options) ([]Fig10Row, error) {
 	if o.Quick {
 		sizes = []int{100, 256}
 	}
-	return runSweep(o, sizes,
-		func(np int) string { return fmt.Sprintf("fig10 np=%d", np) },
-		func(o Options, np int) (Fig10Row, error) {
-			cfg, err := gridConfig(np, o)
-			if err != nil {
-				return Fig10Row{}, err
-			}
-			res, err := o.run(cfg)
-			if err != nil {
-				return Fig10Row{}, err
-			}
-			row := Fig10Row{NP: np, NoCkpt: res.Completion}
-
-			cfg, err = gridConfig(np, o)
-			if err != nil {
-				return row, err
-			}
-			cfg.Protocol = ftpm.ProtoPcl
-			// The paper's 60 s interval, divided by the grid calibration
-			// factor of ten (see Fig9).
-			iv := 6 * time.Second
-			if o.Quick {
-				iv = 8 * time.Second // scaleInterval divides by ten again
-			}
-			cfg.Interval = o.scaleInterval(iv)
-			if res, err = o.run(cfg); err != nil {
-				return row, err
-			}
-			row.Ckpt60, row.Waves = res.Completion, res.WavesCommitted
-			o.tracef("fig10 np=%d none=%v ckpt=%v waves=%d", np, row.NoCkpt, row.Ckpt60, row.Waves)
-			return row, nil
-		})
+	// The paper's 60 s interval, divided by the grid calibration factor of
+	// ten (see Fig9).
+	iv := 6 * time.Second
+	if o.Quick {
+		iv = 8 * time.Second // scaleInterval divides by ten again
+	}
+	var rows []Fig10Row
+	var points []point
+	for _, np := range sizes {
+		cfg, err := gridConfig(np, o)
+		if err != nil {
+			return nil, err
+		}
+		rows = append(rows, Fig10Row{NP: np})
+		points = append(points, point{fmt.Sprintf("fig10 np=%d", np),
+			[]ftpm.Config{cfg, every(cfg, ftpm.ProtoPcl, o.scaleInterval(iv))}})
+	}
+	return reduce(o, points, rows, func(row *Fig10Row, r []ftpm.Result) {
+		row.NoCkpt, row.Ckpt60, row.Waves = r[0].Completion, r[1].Completion, r[1].WavesCommitted
+	})
 }

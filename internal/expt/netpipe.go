@@ -27,27 +27,22 @@ var NetpipeSizes = []int64{1, 1 << 10, 32 << 10, 1 << 20, 8 << 20}
 // 20 times faster between two nodes of the same cluster than between two
 // nodes of two distinct clusters; the latency is up to two orders of
 // magnitude greater between clusters".
+// Its ping-pongs run on bare engines, not as jobs, one after another.
 func Netpipe(o Options) ([]NetpipeRow, error) {
-	return runSweep(o, NetpipeSizes,
-		func(size int64) string { return fmt.Sprintf("netpipe size=%d", size) },
-		func(o Options, size int64) (NetpipeRow, error) {
-			intra, err := pingpong(o, size, 0, 1) // two Bordeaux nodes
-			if err != nil {
-				return NetpipeRow{}, err
-			}
-			inter, err := pingpong(o, size, 0, 60) // Bordeaux ↔ Lille
-			if err != nil {
-				return NetpipeRow{}, err
-			}
-			o.tracef("netpipe size=%d intra=%v inter=%v", size, intra/2, inter/2)
-			return NetpipeRow{
-				Size:     size,
-				IntraRTT: intra / 2,
-				InterRTT: inter / 2,
-				IntraBW:  bwMBs(size, intra),
-				InterBW:  bwMBs(size, inter),
-			}, nil
-		})
+	rows := make([]NetpipeRow, len(NetpipeSizes))
+	for i, size := range NetpipeSizes {
+		intra, err := pingpong(o, size, 0, 1) // two Bordeaux nodes
+		if err != nil {
+			return nil, err
+		}
+		inter, err := pingpong(o, size, 0, 60) // Bordeaux ↔ Lille
+		if err != nil {
+			return nil, err
+		}
+		rows[i] = NetpipeRow{Size: size, IntraRTT: intra / 2, InterRTT: inter / 2,
+			IntraBW: bwMBs(size, intra), InterBW: bwMBs(size, inter)}
+	}
+	return rows, nil
 }
 
 func bwMBs(size int64, rtt sim.Time) float64 {
@@ -67,14 +62,10 @@ func pingpong(o Options, size int64, nodeA, nodeB int) (sim.Time, error) {
 	fab.Place(0, nodeA)
 	fab.Place(1, nodeB)
 	var rtt sim.Time
-	prof := pclSockProfile()
-	engines := make([]*mpi.Engine, 2)
 	for r := 0; r < 2; r++ {
-		r := r
 		k.Go(fmt.Sprintf("pp%d", r), func(p *sim.Proc) {
-			engines[r] = mpi.NewEngine(r, 2, p, prof, fab)
-			p.Yield()
-			e := engines[r]
+			e := mpi.NewEngine(r, 2, p, platform.PclSock, fab)
+			p.Yield() // both engines exist before the first send
 			if r == 0 {
 				start := e.Now()
 				for i := 0; i < reps; i++ {

@@ -8,6 +8,7 @@ import (
 	"ftckpt/internal/ftpm"
 	"ftckpt/internal/mpi"
 	"ftckpt/internal/nas"
+	"ftckpt/internal/platform"
 	"ftckpt/internal/sim"
 )
 
@@ -44,68 +45,47 @@ func Recovery(o Options) ([]RecoveryRow, error) {
 	if o.Quick {
 		iters = 300
 	}
-	grid := np * 8
-	base := func() ftpm.Config {
-		return ftpm.Config{
-			NP:       np,
-			Protocol: ftpm.ProtoPcl,
-			Interval: o.scaleInterval(100 * time.Millisecond),
-			Servers:  2,
-			Topology: platformEthernet(np + 3),
-			Profile:  pclSockProfile(),
-			NewProgram: func(rank, size int) mpi.Program {
-				return nas.NewJacobi(rank, size, grid, iters)
-			},
-			FTEvery: 10,
-			Seed:    o.Seed,
-		}
+	base := ftpm.Config{
+		NP:         np,
+		Protocol:   ftpm.ProtoPcl,
+		Interval:   o.scaleInterval(100 * time.Millisecond),
+		Servers:    2,
+		Topology:   platform.EthernetCluster(np + 3),
+		Profile:    platform.PclSock,
+		NewProgram: func(rank, size int) mpi.Program { return nas.NewJacobi(rank, size, np*8, iters) },
+		FTEvery:    10,
+		Seed:       o.Seed,
 	}
 	// The failure-free completion anchors the kill schedule, so kills land
 	// mid-run at every -quick setting.
-	po := o
-	po.point = "recovery probe"
-	probe, err := po.run(base())
+	probe, err := o.runPoints([]point{{"recovery probe", []ftpm.Config{base}}})
 	if err != nil {
 		return nil, err
 	}
-	total := probe.Completion
+	total := probe[0][0].Completion
 
-	return runSweep(o, []int{1, 2, 3},
-		func(kills int) string { return fmt.Sprintf("recovery kills=%d", kills) },
-		func(o Options, kills int) (RecoveryRow, error) {
-			row := RecoveryRow{Kills: kills}
-			var plan failure.Plan
-			for i := 0; i < kills; i++ {
-				plan = append(plan, failure.Event{
-					At:   total / sim.Time(kills+1) * sim.Time(i+1),
-					Rank: (3*i + 1) % np,
-				})
-			}
-
-			cfg := base()
-			cfg.Failures = plan
-			res, err := o.run(cfg)
-			if err != nil {
-				return row, err
-			}
-			row.RestartTime, row.Restarts = res.Completion, res.Restarts
-
-			cfg = base()
-			cfg.Failures = plan
-			cfg.Recovery = ftpm.RecoveryULFM
-			res, err = o.run(cfg)
-			if err != nil {
-				return row, err
-			}
-			row.UlfmTime, row.Repairs, row.UlfmRestarts = res.Completion, res.Repairs, res.Restarts
-			row.LostWork = res.LostWork
-			if res.Completion > 0 {
-				row.RecoveredWork = 1 - float64(res.LostWork)/(float64(np)*float64(res.Completion))
-			}
-
-			o.tracef("recovery kills=%d restart=%v/%dr ulfm=%v/%drep+%dr recovered=%.4f",
-				kills, row.RestartTime, row.Restarts, row.UlfmTime, row.Repairs,
-				row.UlfmRestarts, row.RecoveredWork)
-			return row, nil
-		})
+	var rows []RecoveryRow
+	var points []point
+	for _, n := range []int{1, 2, 3} {
+		restart := base
+		for i := 0; i < n; i++ {
+			restart.Failures = append(restart.Failures, failure.Event{
+				At:   total / sim.Time(n+1) * sim.Time(i+1),
+				Rank: (3*i + 1) % np,
+			})
+		}
+		ulfm := restart
+		ulfm.Recovery = ftpm.RecoveryULFM
+		rows = append(rows, RecoveryRow{Kills: n})
+		points = append(points, point{fmt.Sprintf("recovery kills=%d", n), []ftpm.Config{restart, ulfm}})
+	}
+	return reduce(o, points, rows, func(row *RecoveryRow, r []ftpm.Result) {
+		restart, ulfm := r[0], r[1]
+		row.RestartTime, row.Restarts = restart.Completion, restart.Restarts
+		row.UlfmTime, row.Repairs, row.UlfmRestarts = ulfm.Completion, ulfm.Repairs, ulfm.Restarts
+		row.LostWork = ulfm.LostWork
+		if ulfm.Completion > 0 {
+			row.RecoveredWork = 1 - float64(ulfm.LostWork)/(float64(np)*float64(ulfm.Completion))
+		}
+	})
 }

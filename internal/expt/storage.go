@@ -7,6 +7,7 @@ import (
 	"ftckpt/internal/ckpt"
 	"ftckpt/internal/ftpm"
 	"ftckpt/internal/obs"
+	"ftckpt/internal/platform"
 	"ftckpt/internal/sim"
 )
 
@@ -96,24 +97,6 @@ func storageVariants() []storageVariant {
 	}
 }
 
-// storageConfig assembles one variant's job.
-func (o Options) storageConfig(v storageVariant, np int) ftpm.Config {
-	cfg := ftpm.Config{
-		NP:           np,
-		ProcsPerNode: 2,
-		Topology:     platformEthernet(np/2 + v.servers + 1 + v.pfs),
-		Profile:      pclSockProfile(),
-		NewProgram:   newCG(o.cgClass()),
-		Seed:         o.Seed,
-	}
-	if v.spec != nil {
-		cfg.Storage = v.spec()
-	} else {
-		cfg.Servers = v.servers
-	}
-	return cfg
-}
-
 // youngDaly computes the analytic optimal intervals for commit cost c
 // and system MTBF m: Young's W = sqrt(2·c·m) and Daly's higher-order
 // refinement W = sqrt(2·c·m)·[1 + sqrt(c/2m)/3 + (c/2m)/9] − c (valid
@@ -143,47 +126,56 @@ func youngDaly(c, m sim.Time) (young, daly sim.Time) {
 func Storage(o Options) (StorageStudy, error) {
 	const np = 16
 	variants := storageVariants()
+	// job runs variant v checkpointing under Pcl every iv (checkpoint-free
+	// at iv 0), with memoryless rank failures when rankMTTF > 0.
+	job := func(v storageVariant, iv, rankMTTF sim.Time) ftpm.Config {
+		cfg := ftpm.Config{
+			NP:           np,
+			ProcsPerNode: 2,
+			Servers:      v.servers,
+			Topology:     platform.EthernetCluster(np/2 + v.servers + 1 + v.pfs),
+			Profile:      platform.PclSock,
+			NewProgram:   newCG(o.cgClass()),
+			MTTF:         rankMTTF,
+			Seed:         o.Seed,
+		}
+		if v.spec != nil {
+			cfg.Servers, cfg.Storage = 0, v.spec()
+		}
+		return every(cfg, ftpm.ProtoPcl, iv)
+	}
 
 	// Baseline: the workload without checkpointing fixes the time scale
 	// every derived quantity hangs off.
-	base := o.storageConfig(storageVariant{name: "none", servers: 1}, np)
-	o.point = "storage baseline"
-	res, err := o.run(base)
+	base, err := o.runPoints([]point{{"storage baseline", []ftpm.Config{job(storageVariant{servers: 1}, 0, 0)}}})
 	if err != nil {
 		return StorageStudy{}, err
 	}
-	t0 := res.Completion
+	t0 := base[0][0].Completion
 	// System MTBF for the analytic optima and the failure sweeps: a
 	// third of the baseline run, so every sweep point sees a few kills.
 	mttf := t0 / 3
 
+	pcl := func(stage string, i int, iv, rankMTTF sim.Time) point {
+		return point{fmt.Sprintf("storage %s %s", stage, variants[i].name), []ftpm.Config{job(variants[i], iv, rankMTTF)}}
+	}
+
 	// Probe each variant failure-free at a fixed interval to measure the
 	// commit cost C (mean first-snapshot→commit cycle).
-	type probe struct {
-		cost sim.Time
+	var points []point
+	for i := range variants {
+		points = append(points, pcl("probe", i, t0/6, 0))
 	}
-	probes, err := runSweep(o, variants,
-		func(v storageVariant) string { return fmt.Sprintf("storage probe %s", v.name) },
-		func(o Options, v storageVariant) (probe, error) {
-			cfg := o.storageConfig(v, np)
-			cfg.Protocol = ftpm.ProtoPcl
-			cfg.Interval = t0 / 6
-			res, err := o.run(cfg)
-			if err != nil {
-				return probe{}, err
-			}
-			if res.WavesCommitted == 0 {
-				return probe{}, fmt.Errorf("storage probe %s: no wave committed at interval %v", v.name, cfg.Interval)
-			}
-			cost := res.WaveBreakdown.MeanCycle
-			if cost <= 0 {
-				cost = 1
-			}
-			o.tracef("storage probe %s: waves=%d cost=%v", v.name, res.WavesCommitted, cost)
-			return probe{cost: cost}, nil
-		})
+	probes, err := o.runPoints(points)
 	if err != nil {
 		return StorageStudy{}, err
+	}
+	costs := make([]sim.Time, len(variants))
+	for i, r := range probes {
+		if r[0].WavesCommitted == 0 {
+			return StorageStudy{}, fmt.Errorf("storage probe %s: no wave committed at interval %v", variants[i].name, t0/6)
+		}
+		costs[i] = max(r[0].WaveBreakdown.MeanCycle, 1)
 	}
 
 	// Interval sweep under memoryless rank failures, around each
@@ -195,113 +187,73 @@ func Storage(o Options) (StorageStudy, error) {
 		fracs = []float64{0.5, 1, 2}
 	}
 	floor := t0 / 40
-	study := StorageStudy{}
-	type gridPoint struct {
-		variant  int
-		interval sim.Time
-	}
-	var points []gridPoint
-	for i, p := range probes {
-		young, _ := youngDaly(p.cost, mttf)
+	points = nil
+	for i, c := range costs {
+		young, _ := youngDaly(c, mttf)
 		for _, f := range fracs {
-			iv := sim.Time(float64(young) * f)
-			if iv < floor {
-				iv = floor
-			}
-			points = append(points, gridPoint{variant: i, interval: iv})
+			points = append(points, pcl("sweep", i, max(sim.Time(float64(young)*f), floor), mttf*np))
 		}
 	}
-	type gridRes struct {
-		completion sim.Time
-	}
-	grid, err := runSweep(o, points,
-		func(p gridPoint) string {
-			return fmt.Sprintf("storage sweep %s interval=%v", variants[p.variant].name, p.interval)
-		},
-		func(o Options, p gridPoint) (gridRes, error) {
-			cfg := o.storageConfig(variants[p.variant], np)
-			cfg.Protocol = ftpm.ProtoPcl
-			cfg.Interval = p.interval
-			cfg.MTTF = mttf * sim.Time(np)
-			res, err := o.run(cfg)
-			if err != nil {
-				return gridRes{}, err
-			}
-			o.tracef("storage sweep %s interval=%v time=%v restarts=%d",
-				variants[p.variant].name, p.interval, res.Completion, res.Restarts)
-			return gridRes{completion: res.Completion}, nil
-		})
+	grid, err := o.runPoints(points)
 	if err != nil {
 		return StorageStudy{}, err
 	}
-	for i, p := range probes {
-		young, daly := youngDaly(p.cost, mttf)
-		row := StorageOptRow{
-			Config: variants[i].name, Cost: p.cost, MTTF: mttf,
-			Young: young, Daly: daly,
-		}
-		for j, gp := range points {
-			if gp.variant != i {
-				continue
-			}
-			if row.BestTime == 0 || grid[j].completion < row.BestTime {
-				row.Best, row.BestTime = gp.interval, grid[j].completion
+	study := StorageStudy{}
+	for i, c := range costs {
+		young, daly := youngDaly(c, mttf)
+		row := StorageOptRow{Config: variants[i].name, Cost: c, MTTF: mttf, Young: young, Daly: daly}
+		for j, r := range grid[i*len(fracs) : (i+1)*len(fracs)] {
+			if row.BestTime == 0 || r[0].Completion < row.BestTime {
+				row.Best, row.BestTime = points[i*len(fracs)+j].runs[0].Interval, r[0].Completion
 			}
 		}
 		study.Opt = append(study.Opt, row)
 	}
 
 	// Saturation accounting: run each variant failure-free at its best
-	// interval against a private registry and charge every level with
-	// the bytes that landed on it.
+	// interval and charge every level with the bytes that landed on it,
+	// read off the run's own registry.
+	points = nil
+	for i := range variants {
+		points = append(points, pcl("saturation", i, study.Opt[i].Best, 0))
+	}
+	sat, err := o.runPoints(points)
+	if err != nil {
+		return StorageStudy{}, err
+	}
+	const mib = 1 << 20
 	for i, v := range variants {
-		cfg := o.storageConfig(v, np)
-		cfg.Protocol = ftpm.ProtoPcl
-		cfg.Interval = study.Opt[i].Best
-		reg := obs.NewMetrics()
-		po := o
-		po.Metrics = reg
-		po.point = fmt.Sprintf("storage saturation %s", v.name)
-		res, err := po.run(cfg)
-		if err != nil {
-			return StorageStudy{}, err
-		}
-		o.Metrics.Merge(reg)
-		secs := res.Completion.Seconds()
-		if secs <= 0 {
-			secs = 1
-		}
-		nicMBps := cfg.Topology.Clusters[0].NICBW / (1 << 20)
-		addRow := func(level string, bytes int64, capMBps float64, evict int64) {
-			mb := float64(bytes) / (1 << 20)
-			util := 0.0
-			if capMBps > 0 {
-				util = mb / (capMBps * secs)
-			}
-			study.Sat = append(study.Sat, StorageSatRow{
-				Config: v.name, Level: level,
-				MB: mb, Capacity: capMBps, Util: util, Evictions: evict,
-			})
-		}
+		res, cfg := sat[i][0], points[i].runs[0]
+		reg := res.Metrics
+		nicMBps := cfg.Topology.Clusters[0].NICBW / mib
+		levels := []StorageSatRow{{Level: "servers", MB: float64(reg.Counter(obs.MImageBytes)) / mib,
+			Capacity: nicMBps * float64(v.servers)}}
+		// The run's Validate normalized the spec in place, so the level
+		// bandwidths read here are the ones the run used.
 		if sp := cfg.Storage; sp != nil {
-			computeNodes := (np + cfg.ProcsPerNode - 1) / cfg.ProcsPerNode
-			for k := range sp.Levels {
-				l := &sp.Levels[k]
-				bytes := reg.Counter(fmt.Sprintf("%s.l%d", obs.MLevelBytes, k))
+			levels = levels[:0]
+			for k, l := range sp.Levels {
+				row := StorageSatRow{Level: string(l.Kind), MB: float64(reg.Counter(fmt.Sprintf("%s.l%d", obs.MLevelBytes, k))) / mib}
 				switch l.Kind {
 				case ckpt.LevelBuffer:
-					addRow("buffer", bytes, l.Bandwidth*float64(computeNodes)/(1<<20),
-						reg.Counter(obs.MEvictions))
+					computeNodes := (np + cfg.ProcsPerNode - 1) / cfg.ProcsPerNode
+					row.Capacity, row.Evictions = l.Bandwidth*float64(computeNodes)/mib, reg.Counter(obs.MEvictions)
 				case ckpt.LevelServers:
-					addRow("servers", bytes, nicMBps*float64(l.Servers), 0)
+					row.Capacity = nicMBps * float64(l.Servers)
 				case ckpt.LevelPFS:
-					addRow("pfs", bytes, l.Bandwidth*float64(l.Targets)/(1<<20), 0)
+					row.Capacity = l.Bandwidth * float64(l.Targets) / mib
 				}
+				levels = append(levels, row)
 			}
-		} else {
-			addRow("servers", reg.Counter(obs.MImageBytes), nicMBps*float64(v.servers), 0)
 		}
-		o.tracef("storage saturation %s: time=%v", v.name, res.Completion)
+		secs := res.Completion.Seconds() // a completed run, so positive
+		for _, row := range levels {
+			row.Config = v.name
+			if row.Capacity > 0 {
+				row.Util = row.MB / (row.Capacity * secs)
+			}
+			study.Sat = append(study.Sat, row)
+		}
 	}
 	return study, nil
 }

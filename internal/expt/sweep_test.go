@@ -11,6 +11,7 @@ import (
 	"ftckpt/internal/failure"
 	"ftckpt/internal/ftpm"
 	"ftckpt/internal/obs"
+	"ftckpt/internal/platform"
 )
 
 // fig6Capture runs the quick Fig. 6 sweep at the given job count,
@@ -79,21 +80,21 @@ func TestDeadlineErrorNamesPoint(t *testing.T) {
 // from a job that stopped degraded with errors.As.
 func TestRunErrorKeepsType(t *testing.T) {
 	o := quick()
-	o.point = "errchain np=4"
+	const label = "errchain np=4"
 	cfg := ftpm.Config{
 		NP:         4,
 		Protocol:   ftpm.ProtoPcl,
-		Profile:    pclSockProfile(),
+		Profile:    platform.PclSock,
 		Interval:   time.Second,
 		Servers:    1,
-		Topology:   platformEthernet(4 + 1 + 1),
+		Topology:   platform.EthernetCluster(4 + 1 + 1),
 		NewProgram: newBT(o.btClass()),
 		Seed:       o.Seed,
 	}
 
 	bad := cfg
 	bad.NP = 0
-	_, err := o.run(bad)
+	_, err := o.runPoints([]point{{label, []ftpm.Config{bad}}})
 	var ce *ftpm.ConfigError
 	if !errors.As(err, &ce) {
 		t.Errorf("NP=0: run returned %v (%T), want a *ftpm.ConfigError in the chain", err, err)
@@ -107,7 +108,7 @@ func TestRunErrorKeepsType(t *testing.T) {
 		{At: 8 * time.Second, Kind: failure.KindServer, Server: 0},
 		{At: 10 * time.Second, Rank: 2},
 	}
-	_, err = o.run(cfg)
+	_, err = o.runPoints([]point{{label, []ftpm.Config{cfg}}})
 	var deg *ftpm.DegradedError
 	if !errors.As(err, &deg) {
 		t.Fatalf("lost server: run returned %v (%T), want a *ftpm.DegradedError in the chain", err, err)
@@ -115,7 +116,7 @@ func TestRunErrorKeepsType(t *testing.T) {
 	if deg.Wave < 1 {
 		t.Errorf("degraded at wave %d, want a committed wave", deg.Wave)
 	}
-	if !strings.HasPrefix(err.Error(), o.point) {
-		t.Errorf("error %q lost the sweep-point prefix %q", err, o.point)
+	if !strings.HasPrefix(err.Error(), label) {
+		t.Errorf("error %q lost the sweep-point prefix %q", err, label)
 	}
 }

@@ -90,14 +90,9 @@ type Config struct {
 	// striped PFS below it, plus incremental/compressed images.  After
 	// Validate it is nil exactly when the job has no checkpoint servers.
 	Storage *ckpt.Spec
-	// HeartbeatPeriod > 0 replaces the paper's instant failure detection
-	// (the dying task's TCP connection breaks immediately) with a
-	// heartbeat detector: the dispatcher pings every rank and checkpoint
-	// server on the simulated network each period and declares a
-	// component dead after HeartbeatTimeout of silence — detection
-	// latency and false suspicions become measurable model parameters.
-	HeartbeatPeriod  sim.Time
-	HeartbeatTimeout sim.Time
+	// Heartbeat, with a Period, replaces instant failure detection with
+	// a heartbeat detector.
+	Heartbeat HeartbeatSpec
 	// Placement overrides the default rank→node mapping
 	// (rank/ProcsPerNode); ServerNodes the default server placement
 	// (after the compute nodes); ServiceNode the scheduler/dispatcher
@@ -122,13 +117,13 @@ type Config struct {
 	// RestartDelay models the runtime's respawn cost before image
 	// fetches begin.
 	RestartDelay sim.Time
-	// SpareNodes reserves that many extra nodes after the service node.
+	// Spares reserves that many extra nodes after the service node.
 	// When a machine dies (a failure.KindNode kill) the dispatcher remaps
 	// its ranks to a spare while any remain, then overbooks surviving
 	// compute nodes (the paper: "this may lead to overloading of some
 	// processors ... one has to overbook processors to have available
 	// spare nodes").
-	SpareNodes int
+	Spares int
 	// Recovery selects rollback-restart (default) or ULFM-style in-job
 	// repair; FTEvery is the application snapshot cadence in iterations
 	// for programs that support in-memory partner checkpoints (0 leaves
@@ -161,6 +156,18 @@ type Config struct {
 	// events) every period, rendered as counter tracks by the Chrome trace
 	// exporter.
 	SnapshotPeriod sim.Time
+}
+
+// HeartbeatSpec groups the failure-detector knobs.  Period > 0 replaces
+// the paper's instant failure detection (the dying task's TCP connection
+// breaks immediately) with a heartbeat detector: the dispatcher pings
+// every rank and checkpoint server on the simulated network each Period
+// and declares a component dead after Timeout of silence (default
+// 4×Period) — detection latency and false suspicions become measurable
+// model parameters.
+type HeartbeatSpec struct {
+	Period  sim.Time
+	Timeout sim.Time
 }
 
 // WaveBreakdown is the mean, over the globally committed waves, of the
@@ -277,23 +284,19 @@ func (c *Config) Validate() error {
 	if c.NodeMTTF < 0 {
 		return cfgErr("NodeMTTF", "must be non-negative, got %v", c.NodeMTTF)
 	}
-	if c.HeartbeatPeriod < 0 {
-		return cfgErr("HeartbeatPeriod", "must be non-negative, got %v", c.HeartbeatPeriod)
+	switch hb := &c.Heartbeat; {
+	case hb.Period < 0:
+		return cfgErr("Heartbeat.Period", "must be non-negative, got %v", hb.Period)
+	case hb.Timeout < 0:
+		return cfgErr("Heartbeat.Timeout", "must be non-negative, got %v", hb.Timeout)
+	case hb.Timeout > 0 && hb.Period == 0:
+		return cfgErr("Heartbeat.Timeout", "is set but Heartbeat.Period is zero (no detector to time out)")
+	case hb.Period > 0 && hb.Timeout == 0:
+		hb.Timeout = 4 * hb.Period
 	}
-	if c.HeartbeatTimeout < 0 {
-		return cfgErr("HeartbeatTimeout", "must be non-negative, got %v", c.HeartbeatTimeout)
-	}
-	if c.HeartbeatTimeout > 0 && c.HeartbeatPeriod == 0 {
-		return cfgErr("HeartbeatTimeout", "is set but HeartbeatPeriod is zero (no detector to time out)")
-	}
-	if c.HeartbeatPeriod > 0 {
-		if c.HeartbeatTimeout == 0 {
-			c.HeartbeatTimeout = 4 * c.HeartbeatPeriod
-		}
-		if c.HeartbeatPeriod >= c.HeartbeatTimeout {
-			return cfgErr("HeartbeatPeriod", "%v must be shorter than HeartbeatTimeout (%v), or every component is suspected between pings",
-				c.HeartbeatPeriod, c.HeartbeatTimeout)
-		}
+	if hb := c.Heartbeat; hb.Period > 0 && hb.Period >= hb.Timeout {
+		return cfgErr("Heartbeat.Period", "%v must be shorter than Heartbeat.Timeout (%v), or every component is suspected between pings",
+			hb.Period, hb.Timeout)
 	}
 	if c.Protocol == ProtoVcl {
 		limit := c.VclProcessLimit
@@ -307,8 +310,8 @@ func (c *Config) Validate() error {
 	if c.ServerNodes != nil && len(c.ServerNodes) != c.servers() {
 		return cfgErr("ServerNodes", "has %d entries for %d servers", len(c.ServerNodes), c.servers())
 	}
-	if c.SpareNodes < 0 {
-		return cfgErr("SpareNodes", "must be non-negative, got %d", c.SpareNodes)
+	if c.Spares < 0 {
+		return cfgErr("Spares", "must be non-negative, got %d", c.Spares)
 	}
 	switch c.Recovery {
 	case "":
@@ -323,14 +326,14 @@ func (c *Config) Validate() error {
 	}
 	if c.Placement == nil {
 		computeNodes := (c.NP + c.ProcsPerNode - 1) / c.ProcsPerNode
-		need := computeNodes + c.servers() + 1 + c.SpareNodes // +1 service node
+		need := computeNodes + c.servers() + 1 + c.Spares // +1 service node
 		if c.ServerNodes != nil {
-			need = computeNodes + c.SpareNodes
+			need = computeNodes + c.Spares
 		}
 		need += c.pfsTargets()
 		if c.Topology.TotalNodes() < need {
 			return cfgErr("Topology", "has %d nodes, need %d (%d compute + %d servers + 1 service + %d spares + %d pfs targets)",
-				c.Topology.TotalNodes(), need, computeNodes, c.servers(), c.SpareNodes, c.pfsTargets())
+				c.Topology.TotalNodes(), need, computeNodes, c.servers(), c.Spares, c.pfsTargets())
 		}
 	}
 	return c.validateFailures()

@@ -193,7 +193,7 @@ func TestValidateConfigErrorType(t *testing.T) {
 		{NP: 40, NewProgram: newRing(1, 0, 0), Topology: topoN(4)},
 		{NP: 4, NewProgram: newRing(1, 0, 0), Topology: topoN(10),
 			Storage: &ckpt.Spec{Levels: []ckpt.LevelSpec{{Kind: ckpt.LevelServers, Servers: 1, Replicas: -1}}}},
-		{NP: 4, NewProgram: newRing(1, 0, 0), HeartbeatTimeout: time.Second, Topology: topoN(10)},
+		{NP: 4, NewProgram: newRing(1, 0, 0), Heartbeat: HeartbeatSpec{Timeout: time.Second}, Topology: topoN(10)},
 	}
 	for i, cfg := range bad {
 		err := cfg.Validate()

@@ -14,9 +14,8 @@ const heartbeatBytes = 64
 // and false suspicions (a live component's round trip exceeding the
 // timeout under congestion) become observable model parameters.
 type detector struct {
-	job     *Job
-	period  sim.Time
-	timeout sim.Time
+	job *Job
+	HeartbeatSpec
 
 	lastRank []sim.Time // last pong per rank
 	lastSrv  []sim.Time // last pong per server
@@ -26,9 +25,8 @@ type detector struct {
 
 func newDetector(job *Job) *detector {
 	return &detector{
-		job:     job,
-		period:  job.cfg.HeartbeatPeriod,
-		timeout: job.cfg.HeartbeatTimeout,
+		job:           job,
+		HeartbeatSpec: job.cfg.Heartbeat,
 
 		lastRank: make([]sim.Time, job.cfg.NP),
 		lastSrv:  make([]sim.Time, len(job.servers)),
@@ -47,7 +45,7 @@ func (d *detector) start() {
 	for i := range d.lastSrv {
 		d.lastSrv[i] = now
 	}
-	d.job.k.After(d.period, d.tick)
+	d.job.k.After(d.Period, d.tick)
 }
 
 // resetRanks re-arms rank monitoring after a global relaunch (ranks are
@@ -80,7 +78,7 @@ func (d *detector) tick() {
 			if d.suspRank[r] || job.recovering[r] {
 				continue
 			}
-			if now-d.lastRank[r] > d.timeout {
+			if now-d.lastRank[r] > d.Timeout {
 				d.suspRank[r] = true
 				job.suspectRank(r)
 				if !job.running {
@@ -90,7 +88,7 @@ func (d *detector) tick() {
 		}
 	}
 	for s := range d.lastSrv {
-		if !d.suspSrv[s] && now-d.lastSrv[s] > d.timeout {
+		if !d.suspSrv[s] && now-d.lastSrv[s] > d.Timeout {
 			d.suspSrv[s] = true
 			job.suspectServer(s)
 		}
@@ -107,7 +105,7 @@ func (d *detector) tick() {
 			d.pingServer(s)
 		}
 	}
-	job.k.After(d.period, d.tick)
+	job.k.After(d.Period, d.tick)
 }
 
 // pingRank round-trips service node → rank's node → service node; only a

@@ -146,7 +146,7 @@ func NewJob(cfg Config) (*Job, error) {
 			// PFS targets live on the last nodes, after compute, servers,
 			// the service node and the spares.
 			for t := 0; t < spec.Levels[i].Targets; t++ {
-				pfsNodes = append(pfsNodes, job.serviceNode+cfg.SpareNodes+1+t)
+				pfsNodes = append(pfsNodes, job.serviceNode+cfg.Spares+1+t)
 			}
 		}
 		job.store = ckpt.NewHierarchy(job.net, spec, job.group, pfsNodes)
@@ -169,7 +169,7 @@ func NewJob(cfg Config) (*Job, error) {
 		}
 		job.fab.Place(r, job.nodeMap[r])
 	}
-	for i := 0; i < cfg.SpareNodes; i++ {
+	for i := 0; i < cfg.Spares; i++ {
 		job.spares = append(job.spares, job.serviceNode+1+i)
 	}
 	job.procs = make([]*procRun, cfg.NP)
@@ -222,7 +222,7 @@ func (job *Job) Run() (Result, error) {
 			job.k.Stop(fmt.Errorf("ftpm: deadline %v exceeded", job.cfg.Deadline))
 		})
 	}
-	if job.cfg.HeartbeatPeriod > 0 {
+	if job.cfg.Heartbeat.Period > 0 {
 		job.det = newDetector(job)
 	}
 	if job.cfg.SnapshotPeriod > 0 {

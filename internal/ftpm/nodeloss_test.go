@@ -10,7 +10,7 @@ import (
 func nodeLossCfg(np int) Config {
 	cfg := baseCfg(np)
 	cfg.ProcsPerNode = 2
-	cfg.SpareNodes = 2
+	cfg.Spares = 2
 	cfg.Topology = topoN(np/2 + 2 + 1 + 2 + 2) // compute + servers + service + spares + slack
 	cfg.RestartDelay = 2 * time.Millisecond
 	return cfg
@@ -59,7 +59,7 @@ func TestNodeLossRemapsToSpare(t *testing.T) {
 func TestNodeLossOverbooking(t *testing.T) {
 	want := reference(t, 8)
 	cfg := nodeLossCfg(8)
-	cfg.SpareNodes = 0
+	cfg.Spares = 0
 	cfg.Protocol = ProtoPcl
 	cfg.Interval = 15 * time.Millisecond
 	cfg.Failures = failure.Plan{
@@ -121,7 +121,7 @@ func TestNodeLossLocalRecovery(t *testing.T) {
 // node contend for its NIC; the job still completes correctly.
 func TestOverbookingSpareExhaustion(t *testing.T) {
 	cfg := nodeLossCfg(8)
-	cfg.SpareNodes = 1
+	cfg.Spares = 1
 	cfg.Protocol = ProtoPcl
 	cfg.Interval = 15 * time.Millisecond
 	cfg.Failures = failure.Plan{

@@ -232,9 +232,7 @@ func (job *Job) repairSplice(repGen int) {
 		if pl := fp.FTPeerLatest(victim); pl < 0 {
 			ok = false
 		} else {
-			if pl < level {
-				level = pl
-			}
+			level = min(level, pl)
 			blob, ok = fp.FTPeerSnapshot(victim, level)
 		}
 	}

@@ -123,7 +123,7 @@ func TestULFMDeterminism(t *testing.T) {
 // cleanly into the classic overbooked rollback-restart.
 func TestULFMSparesExhausted(t *testing.T) {
 	cfg := ulfmCfg(8)
-	cfg.SpareNodes = 1
+	cfg.Spares = 1
 	cfg.Failures = failure.Plan{ // one rank per node: node n hosts rank n
 		{At: 40 * time.Millisecond, Kind: failure.KindNode, Node: 3},
 		{At: 60 * time.Millisecond, Kind: failure.KindNode, Node: 5},
@@ -141,8 +141,8 @@ func TestULFMSparesExhausted(t *testing.T) {
 // detector — the silent death is declared by timeout, then repaired.
 func TestULFMHeartbeatRepair(t *testing.T) {
 	cfg := ulfmCfg(8)
-	cfg.HeartbeatPeriod = 2 * time.Millisecond
-	cfg.HeartbeatTimeout = 8 * time.Millisecond
+	cfg.Heartbeat.Period = 2 * time.Millisecond
+	cfg.Heartbeat.Timeout = 8 * time.Millisecond
 	cfg.Failures = failure.KillAt(60*time.Millisecond, 3)
 	res, _ := runOK(t, cfg)
 	if res.Restarts != 0 || res.Repairs != 1 {

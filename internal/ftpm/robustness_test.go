@@ -129,7 +129,7 @@ func TestDegradedStopWithoutReplication(t *testing.T) {
 
 // TestHeartbeatDetection replaces instant failure detection with the
 // ping/timeout detector: a rank dies silently, the dispatcher declares
-// it dead only after HeartbeatTimeout of silence, and recovery still
+// it dead only after Heartbeat.Timeout of silence, and recovery still
 // converges to the failure-free result.  Detection latency lands in the
 // metrics histogram.
 func TestHeartbeatDetection(t *testing.T) {
@@ -138,8 +138,8 @@ func TestHeartbeatDetection(t *testing.T) {
 	cfg.Protocol = ProtoPcl
 	cfg.Interval = 15 * time.Millisecond
 	cfg.RestartDelay = 2 * time.Millisecond
-	cfg.HeartbeatPeriod = 2 * time.Millisecond
-	cfg.HeartbeatTimeout = 8 * time.Millisecond
+	cfg.Heartbeat.Period = 2 * time.Millisecond
+	cfg.Heartbeat.Timeout = 8 * time.Millisecond
 	cfg.Failures = failure.KillAt(60*time.Millisecond, 3)
 	res, progs := runOK(t, cfg)
 	if res.Restarts != 1 {
@@ -154,9 +154,9 @@ func TestHeartbeatDetection(t *testing.T) {
 	}
 	// Silence is declared between timeout and timeout+period (plus the
 	// sweep granularity); far outside that window the detector is wrong.
-	if h.Min < cfg.HeartbeatTimeout || h.Max > 3*cfg.HeartbeatTimeout {
+	if h.Min < cfg.Heartbeat.Timeout || h.Max > 3*cfg.Heartbeat.Timeout {
 		t.Fatalf("detection latency [%v, %v] outside the plausible window for timeout %v",
-			h.Min, h.Max, cfg.HeartbeatTimeout)
+			h.Min, h.Max, cfg.Heartbeat.Timeout)
 	}
 	for r, s := range sums(progs) {
 		if s != want {
@@ -173,8 +173,8 @@ func TestHeartbeatDetectsServerDeath(t *testing.T) {
 	cfg.Protocol = ProtoPcl
 	cfg.Interval = 15 * time.Millisecond
 	replicated(&cfg, ckpt.LevelSpec{Replicas: 2, WriteQuorum: 1})
-	cfg.HeartbeatPeriod = 2 * time.Millisecond
-	cfg.HeartbeatTimeout = 8 * time.Millisecond
+	cfg.Heartbeat.Period = 2 * time.Millisecond
+	cfg.Heartbeat.Timeout = 8 * time.Millisecond
 	cfg.Failures = failure.KillServerAt(35*time.Millisecond, 1)
 	res, _ := runOK(t, cfg)
 	if res.ServerFailures != 1 {
@@ -211,10 +211,10 @@ func TestRobustnessConfigValidation(t *testing.T) {
 		{"quorum exceeds replicas", func(c *Config) { replicated(c, ckpt.LevelSpec{Replicas: 2, WriteQuorum: 3}) }, "Storage.Levels[0].WriteQuorum"},
 		{"negative store retries", func(c *Config) { replicated(c, ckpt.LevelSpec{StoreRetries: -1}) }, "Storage.Levels[0].StoreRetries"},
 		{"period not below timeout", func(c *Config) {
-			c.HeartbeatPeriod = 10 * time.Millisecond
-			c.HeartbeatTimeout = 10 * time.Millisecond
-		}, "HeartbeatPeriod"},
-		{"timeout without period", func(c *Config) { c.HeartbeatTimeout = 10 * time.Millisecond }, "HeartbeatPeriod"},
+			c.Heartbeat.Period = 10 * time.Millisecond
+			c.Heartbeat.Timeout = 10 * time.Millisecond
+		}, "Heartbeat.Period"},
+		{"timeout without period", func(c *Config) { c.Heartbeat.Timeout = 10 * time.Millisecond }, "Heartbeat.Timeout"},
 		{"negative server mttf", func(c *Config) { c.ServerMTTF = -time.Second }, "ServerMTTF"},
 	}
 	for _, tc := range cases {
@@ -233,14 +233,14 @@ func TestRobustnessConfigValidation(t *testing.T) {
 	// Defaults: WriteQuorum 0 means all replicas, timeout 0 means 4×period.
 	cfg := good()
 	replicated(&cfg, ckpt.LevelSpec{Replicas: 2})
-	cfg.HeartbeatPeriod = 3 * time.Millisecond
+	cfg.Heartbeat.Period = 3 * time.Millisecond
 	if err := cfg.Validate(); err != nil {
 		t.Fatal(err)
 	}
 	if q := cfg.Storage.Levels[0].WriteQuorum; q != 2 {
 		t.Fatalf("WriteQuorum defaulted to %d, want 2", q)
 	}
-	if cfg.HeartbeatTimeout != 12*time.Millisecond {
-		t.Fatalf("HeartbeatTimeout defaulted to %v, want 12ms", cfg.HeartbeatTimeout)
+	if cfg.Heartbeat.Timeout != 12*time.Millisecond {
+		t.Fatalf("Heartbeat.Timeout defaulted to %v, want 12ms", cfg.Heartbeat.Timeout)
 	}
 }

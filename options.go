@@ -148,10 +148,7 @@ func KillPFS(at time.Duration, target int) Failure {
 // Period > 0 replaces instant failure detection with a heartbeat
 // detector: the dispatcher pings ranks and servers each Period and
 // declares a component dead after Timeout of silence (default 4×Period).
-type HeartbeatSpec struct {
-	Period  time.Duration
-	Timeout time.Duration
-}
+type HeartbeatSpec = ftpm.HeartbeatSpec
 
 // LevelKind names a tier of the checkpoint storage hierarchy.
 type LevelKind = ckpt.LevelKind

@@ -42,7 +42,9 @@ func rejected() []struct {
 		{"workload", ftckpt.Options{NP: 4, Workload: "ft"}, "Workload"},
 		{"class", ftckpt.Options{NP: 4, Workload: ftckpt.WorkloadBT, Class: "Z"}, "Class"},
 		{"recovery", ftckpt.Options{NP: 4, Recovery: "pray"}, "Recovery"},
-		{"spares", ftckpt.Options{NP: 4, Spares: -1}, "SpareNodes"},
+		{"spares", ftckpt.Options{NP: 4, Spares: -1}, "Spares"},
+		{"heartbeat period", ftckpt.Options{NP: 4, Heartbeat: &ftckpt.HeartbeatSpec{Period: -t}}, "Heartbeat.Period"},
+		{"heartbeat timeout alone", ftckpt.Options{NP: 4, Heartbeat: &ftckpt.HeartbeatSpec{Timeout: t}}, "Heartbeat.Timeout"},
 		{"servers vs storage", ftckpt.Options{NP: 4, Protocol: ftckpt.Pcl, Interval: t, Servers: 3,
 			Storage: replicated(2, 0, 0)}, "Servers"},
 		// The servers level's own limits, named on the level.
