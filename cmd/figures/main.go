@@ -299,10 +299,13 @@ func netpipe(o expt.Options) error {
 		return err
 	}
 	w, done := table("== NetPIPE (§5.4): intra- vs inter-cluster characterization of the grid ==")
-	defer done()
 	fmt.Fprintln(w, "size\tintra lat\tinter lat\tintra MB/s\tinter MB/s")
 	for _, r := range rows {
 		fmt.Fprintf(w, "%d\t%v\t%v\t%.1f\t%.1f\n", r.Size, r.IntraRTT, r.InterRTT, r.IntraBW, r.InterBW)
 	}
+	done()
+	first, last := rows[0], rows[len(rows)-1]
+	fmt.Printf("latency ratio (inter/intra):   %.0fx\n", float64(first.InterRTT)/float64(first.IntraRTT))
+	fmt.Printf("bandwidth ratio (intra/inter): %.1fx\n", last.IntraBW/last.InterBW)
 	return nil
 }

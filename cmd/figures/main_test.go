@@ -74,6 +74,11 @@ func TestCommandLine(t *testing.T) {
 		if !strings.Contains(stdout, "== NetPIPE") || strings.Count(stdout, "\n") < 4 {
 			t.Errorf("no NetPIPE table on stdout:\n%s", stdout)
 		}
+		for _, ratio := range []string{"latency ratio (inter/intra):", "bandwidth ratio (intra/inter):"} {
+			if !strings.Contains(stdout, ratio) {
+				t.Errorf("no %q line on stdout:\n%s", ratio, stdout)
+			}
+		}
 	})
 
 	t.Run("metrics-dir", func(t *testing.T) {

@@ -48,7 +48,7 @@ import (
 
 func main() {
 	var (
-		bench    = flag.String("bench", "bt", "workload: bt, cg, mg, lu (models), cg-real, ep, jacobi (real)")
+		bench    = flag.String("bench", "bt", "workload: bt, cg (models), cg-real, jacobi (real)")
 		class    = flag.String("class", "B", "NPB class for model workloads: A, B, C")
 		np       = flag.Int("np", 16, "number of MPI processes")
 		ppn      = flag.Int("ppn", 1, "processes per node (2 = dual-processor nodes)")

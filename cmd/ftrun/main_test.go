@@ -124,6 +124,12 @@ func TestFlagValidationExitCodes(t *testing.T) {
 		{"fail-rank past the job",
 			[]string{"-bench", "jacobi", "-np", "8", "-proto", "pcl", "-interval", "25ms", "-fail-at", "40ms", "-fail-rank", "8"},
 			[]string{"Failures[0].Rank"}, 1},
+		{"ep is not a workload",
+			[]string{"-bench", "ep", "-np", "4"},
+			[]string{"Workload"}, 1},
+		{"negative ppn",
+			[]string{"-np", "4", "-ppn", "-1"},
+			[]string{"ProcsPerNode"}, 1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cmd := exec.Command(bin, tc.args...)

@@ -43,7 +43,7 @@ func TestBuildConfigMatrix(t *testing.T) {
 }
 
 func TestBuildConfigWorkloads(t *testing.T) {
-	for _, w := range []Workload{WorkloadBT, WorkloadCG, WorkloadMG, WorkloadLU, WorkloadCGReal, WorkloadEP, WorkloadJacobi} {
+	for _, w := range []Workload{WorkloadBT, WorkloadCG, WorkloadCGReal, WorkloadJacobi} {
 		o := Options{Workload: w, Class: ClassA, NP: 16, Seed: 1}
 		if _, err := buildConfig(o); err != nil {
 			t.Errorf("workload %q: %v", w, err)

@@ -13,8 +13,8 @@
 // paper's evaluation.
 //
 // This package is the high-level facade: describe a run with Options and
-// execute it with Run.  The examples/ directory shows typical use; the
-// cmd/ tools and internal/expt regenerate every figure of the paper.
+// execute it with Run.  The package examples show typical use; the cmd/
+// tools and internal/expt regenerate every figure of the paper.
 package ftckpt
 
 import (
@@ -199,14 +199,8 @@ func checksum(p mpi.Program) float64 {
 		return w.Checksum
 	case *nas.CGModel:
 		return w.Checksum
-	case *nas.MGModel:
-		return w.Checksum
-	case *nas.LUModel:
-		return w.Checksum
 	case *nas.CG:
 		return w.Residual
-	case *nas.EP:
-		return w.SumX + w.SumY
 	case *nas.Jacobi:
 		return w.Residual
 	default:
@@ -228,7 +222,7 @@ type ConfigError = ftpm.ConfigError
 // so the only errors produced here concern what ftpm never sees
 // (Workload, Class, Platform, the grid layout's limits).
 func buildConfig(o Options) (ftpm.Config, error) {
-	ppn := max(o.ProcsPerNode, 1)
+	ppn := max(o.ProcsPerNode, 1) // sizes the topology; Validate owns the rule
 	var hb HeartbeatSpec
 	if o.Heartbeat != nil {
 		hb = *o.Heartbeat
@@ -246,7 +240,7 @@ func buildConfig(o Options) (ftpm.Config, error) {
 	}
 	cfg := ftpm.Config{
 		NP:              o.NP,
-		ProcsPerNode:    ppn,
+		ProcsPerNode:    o.ProcsPerNode,
 		Protocol:        o.Protocol,
 		Interval:        o.Interval,
 		Servers:         o.Servers,
@@ -364,31 +358,14 @@ func workloadFactory(o Options) (func(rank, size int) mpi.Program, error) {
 			return reject("Class", err)
 		}
 		return func(rank, size int) mpi.Program { return nas.NewCGModel(c, rank, size) }, nil
-	case WorkloadMG:
-		c, err := nas.MGClass(class)
-		if err != nil {
-			return reject("Class", err)
-		}
-		if err := nas.CheckMGProcs(o.NP); err != nil {
-			return reject("NP", err)
-		}
-		return func(rank, size int) mpi.Program { return nas.NewMGModel(c, rank, size) }, nil
-	case WorkloadLU:
-		c, err := nas.LUClass(class)
-		if err != nil {
-			return reject("Class", err)
-		}
-		return func(rank, size int) mpi.Program { return nas.NewLUModel(c, rank, size) }, nil
 	case WorkloadCGReal:
 		n := 256 * o.NP
 		return func(rank, size int) mpi.Program { return nas.NewCG(rank, size, n, o.Seed+11, 80) }, nil
-	case WorkloadEP:
-		return func(rank, size int) mpi.Program { return nas.NewEP(rank, size, 1<<18, o.Seed+13) }, nil
 	case WorkloadJacobi:
 		n := o.NP * 16
 		return func(rank, size int) mpi.Program { return nas.NewJacobi(rank, size, n, 2000) }, nil
 	default:
-		return reject("Workload", fmt.Errorf("unknown workload %q (want %q, %q, %q, %q, %q, %q or %q)",
-			o.Workload, WorkloadBT, WorkloadCG, WorkloadMG, WorkloadLU, WorkloadCGReal, WorkloadEP, WorkloadJacobi))
+		return reject("Workload", fmt.Errorf("unknown workload %q (want %q, %q, %q or %q)",
+			o.Workload, WorkloadBT, WorkloadCG, WorkloadCGReal, WorkloadJacobi))
 	}
 }

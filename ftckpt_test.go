@@ -71,7 +71,7 @@ func TestRunVclOnGrid(t *testing.T) {
 }
 
 func TestRunAllWorkloads(t *testing.T) {
-	for _, w := range []Workload{WorkloadBT, WorkloadCG, WorkloadMG, WorkloadLU, WorkloadEP, WorkloadCGReal, WorkloadJacobi} {
+	for _, w := range []Workload{WorkloadBT, WorkloadCG, WorkloadCGReal, WorkloadJacobi} {
 		w := w
 		t.Run(string(w), func(t *testing.T) {
 			np := 4

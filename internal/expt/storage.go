@@ -112,7 +112,7 @@ func youngDaly(c, m sim.Time) (young, daly sim.Time) {
 		return young, m
 	}
 	x := math.Sqrt(cf / (2 * mf))
-	daly = sim.Time(w*(1+x/3+x*x/9) - cf)
+	daly = sim.Time(float64(w*(1+x/3+x*x/9)) - cf) // float64(·): never fused
 	if daly <= 0 {
 		daly = young
 	}

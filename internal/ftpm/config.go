@@ -69,7 +69,7 @@ type Config struct {
 	// NP is the number of MPI processes.
 	NP int
 	// ProcsPerNode co-locates processes on nodes (the paper's
-	// bi-processor deployments: 2 processes share one NIC).
+	// bi-processor deployments: 2 processes share one NIC); 0 means 1.
 	ProcsPerNode int
 	// Protocol and Interval select checkpointing; Interval is the time
 	// between checkpoint waves (re-armed when a wave's images are all
@@ -251,7 +251,10 @@ func (c *Config) Validate() error {
 	if c.NP <= 0 {
 		return cfgErr("NP", "must be positive, got %d", c.NP)
 	}
-	if c.ProcsPerNode <= 0 {
+	switch {
+	case c.ProcsPerNode < 0:
+		return cfgErr("ProcsPerNode", "must be non-negative, got %d", c.ProcsPerNode)
+	case c.ProcsPerNode == 0:
 		c.ProcsPerNode = 1
 	}
 	if c.Protocol == "" {

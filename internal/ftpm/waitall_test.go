@@ -61,8 +61,9 @@ func (g *haloProg) Footprint() int64 { return 256 << 10 }
 
 // The Isends in phase 1 violate no contract: Isend never parks (it is
 // eager and the engine charges no overhead under the test profile), so
-// phase 1 is atomic; with per-call overheads a SentA-style flag would be
-// required, as nas.LUModel demonstrates.
+// phase 1 is atomic; with per-call overheads each send can park, and a
+// phase holding two sends would need a flag recording which one completed,
+// so that a snapshot taken between them does not repeat the first.
 
 func TestWaitallSurvivesRecovery(t *testing.T) {
 	mk := func(rank, size int) mpi.Program {

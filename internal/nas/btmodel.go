@@ -100,7 +100,7 @@ const btTag = 20
 func (b *BTModel) Step(e *mpi.Engine) bool {
 	exchange := func(dst, src int) {
 		p := e.Sendrecv(dst, btTag, mpi.EncodeF64(b.Local), b.FaceBytes, src, btTag)
-		b.Local = 0.5*b.Local + 0.25*mpi.DecodeF64(p.Data[:8]) + 1
+		b.Local = float64(0.5*b.Local) + float64(0.25*mpi.DecodeF64(p.Data[:8])) + 1
 	}
 	switch b.Phase {
 	case btXComp, btYComp, btZComp:

@@ -156,7 +156,7 @@ func (c *CG) Step(e *mpi.Engine) bool {
 		for i := 0; i < local; i++ {
 			s := 0.0
 			for k, j := range c.rows[i] {
-				s += c.vals[i][k] * c.PFull[j]
+				s += float64(c.vals[i][k] * c.PFull[j])
 			}
 			c.Q[i] = s
 		}
@@ -169,8 +169,8 @@ func (c *CG) Step(e *mpi.Engine) bool {
 	case cgUpdate:
 		alpha := c.RR / c.PAp
 		for i := 0; i < local; i++ {
-			c.X[i] += alpha * c.P[i]
-			c.R[i] -= alpha * c.Q[i]
+			c.X[i] += float64(alpha * c.P[i])
+			c.R[i] -= float64(alpha * c.Q[i])
 		}
 		c.Phase = cgDotRR
 	case cgDotRR:
@@ -178,7 +178,7 @@ func (c *CG) Step(e *mpi.Engine) bool {
 		beta := rr[0] / c.RR
 		c.RR = rr[0]
 		for i := 0; i < local; i++ {
-			c.P[i] = c.R[i] + beta*c.P[i]
+			c.P[i] = c.R[i] + float64(beta*c.P[i])
 		}
 		c.It++
 		switch {
@@ -267,7 +267,7 @@ func (c *CG) Footprint() int64 {
 func dot(a, b []float64) float64 {
 	s := 0.0
 	for i := range a {
-		s += a[i] * b[i]
+		s += float64(a[i] * b[i])
 	}
 	return s
 }

@@ -82,17 +82,17 @@ func (c *CGModel) Step(e *mpi.Engine) bool {
 		if c.Size&(c.Size-1) == 0 {
 			// Butterfly partners exchange mutually.
 			pkt := e.Sendrecv(p, cgmTag, mpi.EncodeF64(c.Local), c.SegBytes, p, cgmTag)
-			c.Local = 0.5*c.Local + 0.5*mpi.DecodeF64(pkt.Data[:8]) + 1
+			c.Local = float64(0.5*c.Local) + float64(0.5*mpi.DecodeF64(pkt.Data[:8])) + 1
 		} else {
 			// Ring: send to (rank+s), receive from (rank-s).
 			src := (c.Rank - 1 - c.IIt%(c.Size-1) + 2*c.Size) % c.Size
 			pkt := e.Sendrecv(p, cgmTag, mpi.EncodeF64(c.Local), c.SegBytes, src, cgmTag)
-			c.Local = 0.5*c.Local + 0.5*mpi.DecodeF64(pkt.Data[:8]) + 1
+			c.Local = float64(0.5*c.Local) + float64(0.5*mpi.DecodeF64(pkt.Data[:8])) + 1
 		}
 		c.Phase = cgmDot1
 	case cgmDot1:
 		s := e.AllreduceF64(mpi.OpSum, []float64{c.Local})
-		c.Local = c.Local + s[0]/float64(c.Size)*1e-3
+		c.Local = c.Local + float64(s[0]/float64(c.Size)*1e-3)
 		c.Phase = cgmDot2
 	case cgmDot2:
 		e.AllreduceF64(mpi.OpSum, []float64{c.Local})

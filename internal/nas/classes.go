@@ -1,17 +1,17 @@
 // Package nas provides the workloads of the paper's evaluation — the NAS
-// parallel benchmarks of NPB-2.3 — plus supporting real kernels.
+// parallel benchmarks BT and CG of NPB-2.3 — plus supporting real kernels.
 //
 // Two forms are provided, sharing the same resumable-Program execution
 // model:
 //
-//   - Real kernels (CG, EP, Jacobi) compute actual numerics at reduced
+//   - Real kernels (CG, Jacobi) compute actual numerics at reduced
 //     problem sizes.  They verify that checkpointing and rollback preserve
 //     the numerical result bit-for-bit and serve as library examples.
-//   - Class models (BTModel, CGModel, MGModel, LUModel) reproduce the
-//     benchmarks' communication structure — iteration counts, message
-//     pattern, message sizes and memory footprint for the NPB class —
-//     while standing in for the floating-point work with calibrated
-//     virtual compute time.  The paper's experiments measure protocol
+//   - Class models (BTModel, CGModel) reproduce the benchmarks'
+//     communication structure — iteration counts, message pattern,
+//     message sizes and memory footprint for the NPB class — while
+//     standing in for the floating-point work with calibrated virtual
+//     compute time.  The paper's experiments measure protocol
 //     overhead as a function of exactly these properties, so the models
 //     regenerate the figures at any scale in seconds of wall-clock time.
 //
@@ -19,6 +19,10 @@
 // the era's hardware (2 GHz Opteron 248) and documented in EXPERIMENTS.md;
 // the claims under reproduction are shapes and orderings, not absolute
 // seconds.
+//
+// A product that feeds a sum is written float64(a*b): the explicit
+// conversion rounds it, so no GOARCH fuses it into a multiply-add and a
+// checksum or residual is the same bits on every host.
 package nas
 
 import (
@@ -30,11 +34,8 @@ import (
 
 func init() {
 	gob.Register(&CG{})
-	gob.Register(&EP{})
 	gob.Register(&BTModel{})
 	gob.Register(&CGModel{})
-	gob.Register(&MGModel{})
-	gob.Register(&LUModel{})
 	gob.Register(&Jacobi{})
 }
 

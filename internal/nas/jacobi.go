@@ -118,7 +118,7 @@ func (j *Jacobi) Step(e *mpi.Engine) bool {
 		for r := 1; r <= rows; r++ {
 			for c := 0; c < n; c++ {
 				d := j.Cur[r*n+c] - j.New[r*n+c] // New holds the previous iterate
-				local += d * d
+				local += float64(d * d)
 			}
 		}
 		res := e.AllreduceF64(mpi.OpSum, []float64{local})

@@ -70,27 +70,6 @@ func TestCGProcessCountInvariance(t *testing.T) {
 	}
 }
 
-func TestEPDeterministic(t *testing.T) {
-	run := func() [10]float64 {
-		progs := runWorld(t, 4, func(rank int) mpi.Program {
-			return nas.NewEP(rank, 4, 1<<16, 42)
-		})
-		return progs[2].(*nas.EP).Totals
-	}
-	a, b := run(), run()
-	if a != b {
-		t.Fatalf("EP nondeterministic: %v vs %v", a, b)
-	}
-	var sum float64
-	for _, v := range a {
-		sum += v
-	}
-	// Polar method accepts ~π/4 of pairs.
-	if sum < 0.7*float64(1<<16)*math.Pi/4 || sum > float64(1<<16) {
-		t.Fatalf("implausible accepted-pair count %v", sum)
-	}
-}
-
 func TestBTModelRuns(t *testing.T) {
 	class := nas.BTClassA
 	class.Iters = 20 // shorten for the test
@@ -241,35 +220,5 @@ func TestBTModelRecovery(t *testing.T) {
 		if got := p.(*nas.BTModel).Checksum; got != want {
 			t.Fatalf("checksum %v after recovery, want %v", got, want)
 		}
-	}
-}
-
-// TestEPRecovery: chunked RNG regeneration keeps EP's bins exact across a
-// rollback.
-func TestEPRecovery(t *testing.T) {
-	mk := func(rank, size int) mpi.Program { return nas.NewEP(rank, size, 1<<16, 42) }
-
-	job, err := ftpm.NewJob(recoveryCfg(4, mk))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := job.Run(); err != nil {
-		t.Fatal(err)
-	}
-	want := job.Programs()[0].(*nas.EP).Totals
-
-	cfg := recoveryCfg(4, mk)
-	cfg.Protocol = ftpm.ProtoVcl
-	cfg.Interval = 20 * time.Millisecond
-	cfg.Failures = failure.KillAt(50*time.Millisecond, 3)
-	job2, err := ftpm.NewJob(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := job2.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if got := job2.Programs()[1].(*nas.EP).Totals; got != want {
-		t.Fatalf("EP bins changed across recovery:\n%v\n%v", got, want)
 	}
 }

@@ -406,7 +406,9 @@ func (n *Network) reschedule() {
 	}
 	for _, g := range aff {
 		if g.rate > 0 {
-			g.remaining -= g.rate * (now - g.last).Seconds()
+			// float64(·) rounds the product: no fused multiply-add, so
+			// completion times are the same bits on every GOARCH.
+			g.remaining -= float64(g.rate * (now - g.last).Seconds())
 			if g.remaining < 0 {
 				g.remaining = 0
 			}

@@ -62,14 +62,8 @@ const (
 	WorkloadBT Workload = "bt"
 	// WorkloadCG is the NPB CG model.
 	WorkloadCG Workload = "cg"
-	// WorkloadMG is the NPB MG model.
-	WorkloadMG Workload = "mg"
-	// WorkloadLU is the NPB LU model.
-	WorkloadLU Workload = "lu"
 	// WorkloadCGReal is the real distributed conjugate-gradient kernel.
 	WorkloadCGReal Workload = "cg-real"
-	// WorkloadEP is the real NAS EP kernel.
-	WorkloadEP Workload = "ep"
 	// WorkloadJacobi is the real 2D heat-diffusion kernel.
 	WorkloadJacobi Workload = "jacobi"
 )
@@ -192,9 +186,9 @@ type StorageSpec = ckpt.Spec
 
 // Options describes one fault-tolerant MPI run.
 type Options struct {
-	// Workload selects the application: WorkloadBT, WorkloadCG,
-	// WorkloadMG, WorkloadLU (NPB models), WorkloadCGReal, WorkloadEP,
-	// WorkloadJacobi (real kernels).  Default WorkloadBT.
+	// Workload selects the application: WorkloadBT, WorkloadCG (NPB
+	// models), WorkloadCGReal, WorkloadJacobi (real kernels).  Default
+	// WorkloadBT.
 	Workload Workload
 	// Class is the NPB class for the model workloads: ClassA, ClassB or
 	// ClassC.  Default ClassB.

@@ -40,6 +40,7 @@ func rejected() []struct {
 		{"protocol", ftckpt.Options{NP: 4, Protocol: "tcp"}, "Protocol"},
 		{"platform", ftckpt.Options{NP: 4, Platform: "atm"}, "Platform"},
 		{"workload", ftckpt.Options{NP: 4, Workload: "ft"}, "Workload"},
+		{"mg is not a workload", ftckpt.Options{NP: 6, Workload: "mg"}, "Workload"},
 		{"class", ftckpt.Options{NP: 4, Workload: ftckpt.WorkloadBT, Class: "Z"}, "Class"},
 		{"recovery", ftckpt.Options{NP: 4, Recovery: "pray"}, "Recovery"},
 		{"spares", ftckpt.Options{NP: 4, Spares: -1}, "Spares"},
@@ -62,7 +63,7 @@ func rejected() []struct {
 		// Each of the rest ran to a failure-free report, or failed from
 		// inside rank 0, before Validate learned to refuse it.
 		{"bt needs a square", ftckpt.Options{NP: 5}, "NP"},
-		{"mg needs a power of two", ftckpt.Options{NP: 6, Workload: ftckpt.WorkloadMG}, "NP"},
+		{"negative ppn", ftckpt.Options{NP: 4, ProcsPerNode: -1}, "ProcsPerNode"},
 		{"node past the platform", kill(nil, ftckpt.KillNode(t, 99)), "Failures[0].Node"},
 		{"negative node", kill(nil, ftckpt.KillNode(t, -1)), "Failures[0].Node"},
 		{"buffer kill without a buffer level", kill(nil, ftckpt.KillBuffer(t, 0)), "Failures[0].Kind"},
