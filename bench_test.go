@@ -1,4 +1,4 @@
-package ftckpt
+package ftckpt_test
 
 // Benchmarks regenerating the paper's evaluation: one benchmark per figure
 // (Figs. 5–10) plus the NetPIPE characterization and ablation studies of

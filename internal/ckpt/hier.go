@@ -727,23 +727,6 @@ func (op *hierFetchOp) fetchFromPFS() bool {
 	return true
 }
 
-// HasCommitted reports whether any hierarchy level can restore the wave
-// for the rank right now (used by restore-planning and tests).
-func (h *Hierarchy) HasCommitted(rank, wave, node int) bool {
-	if h.bufIdx >= 0 {
-		if buf := h.buffers[node]; buf != nil && !buf.dead && buf.images[imgKey{rank, wave}] != nil {
-			return true
-		}
-	}
-	if h.group.Has(rank, wave) {
-		return true
-	}
-	if h.pfs != nil && h.pfs.readable(imgKey{rank, wave}) != nil {
-		return true
-	}
-	return false
-}
-
 // KillBuffer destroys one node's staging buffer: staged images are
 // lost, in-flight drains sourced from it are cancelled.  The node's
 // ranks keep running.  Returns false if the node had no live buffer

@@ -130,9 +130,6 @@ func TestHierarchyRestoreFallsThroughToPFS(t *testing.T) {
 		}
 		pool[0].Kill()
 		pool[1].Kill()
-		if !h.HasCommitted(0, 1, 0) {
-			t.Error("PFS copy should still serve the wave")
-		}
 		h.Fetch(0, 1, 0, false, func(img *Image, logs []*mpi.Packet) { fetched = img },
 			func(err error) { t.Errorf("fetch failed with a live PFS copy: %v", err) })
 	})
@@ -162,9 +159,6 @@ func TestHierarchyPFSStripeLoss(t *testing.T) {
 		pool[1].Kill()
 		if !h.KillPFSTarget(0) {
 			t.Error("PFS target kill refused")
-		}
-		if h.HasCommitted(0, 1, 0) {
-			t.Error("wave readable with a stripe target dead")
 		}
 		h.Fetch(0, 1, 0, false,
 			func(img *Image, logs []*mpi.Packet) { t.Error("fetch succeeded with a stripe lost") },

@@ -95,9 +95,6 @@ func (g *Group) holder(rank, wave int) *Server {
 	return nil
 }
 
-// Has reports whether any live replica holds the image for (rank, wave).
-func (g *Group) Has(rank, wave int) bool { return g.holder(rank, wave) != nil }
-
 // GC garbage-collects waves older than wave on every server in the pool.
 func (g *Group) GC(wave int) {
 	for _, srv := range g.servers {

@@ -8,52 +8,33 @@ import (
 // CollKind identifies a collective (or resumable point-to-point) operation.
 type CollKind uint8
 
-// Collective kinds.
+// Collective kinds.  The values are not consecutive: collTag folds the
+// kind into every collective packet's tag, and Pcl's device state encodes
+// delayed packets with their tags, so a renumbering would move image
+// sizes.
 const (
-	CollNone CollKind = iota
-	CollBarrier
-	CollBcast
-	CollReduce
-	CollAllreduce
-	CollAllgather
-	CollAlltoall
-	CollSendrecv
-	CollWaitall
+	CollNone      CollKind = 0
+	CollAllreduce CollKind = 4
+	CollAllgather CollKind = 5
+	CollSendrecv  CollKind = 7
 )
 
-// ReduceOp is a commutative, associative reduction operator.
+// ReduceOp is a reduction operator.  OpSum is the only one, since no
+// workload reduces with anything else; the type and AllreduceF64's op
+// parameter stay because the benchmark module calls
+// AllreduceF64(OpSum, x).
 type ReduceOp uint8
 
-// Reduction operators.
-const (
-	OpSum ReduceOp = iota
-	OpMax
-	OpMin
-)
+// OpSum adds element-wise.
+const OpSum ReduceOp = 0
 
-func applyOp(op ReduceOp, acc, x []float64) {
+// addInto adds x into acc element-wise.
+func addInto(acc, x []float64) {
 	if len(acc) != len(x) {
 		panic(fmt.Sprintf("mpi: reduce length mismatch %d vs %d", len(acc), len(x)))
 	}
-	switch op {
-	case OpSum:
-		for i := range acc {
-			acc[i] += x[i]
-		}
-	case OpMax:
-		for i := range acc {
-			if x[i] > acc[i] {
-				acc[i] = x[i]
-			}
-		}
-	case OpMin:
-		for i := range acc {
-			if x[i] < acc[i] {
-				acc[i] = x[i]
-			}
-		}
-	default:
-		panic("mpi: unknown reduce op")
+	for i := range acc {
+		acc[i] += x[i]
 	}
 }
 
@@ -75,17 +56,15 @@ type CollState struct {
 	Mask    int
 	Round   int
 	Sent    bool
-	Op      ReduceOp
 	AccF    []float64
-	Data    []byte
 	Blocks  [][]byte
 	Resumed bool
 }
 
-// clone returns a copy that shares Data and every block, which are sent or
-// received bytes and so read-only (Packet.Data).  AccF is copied, since
-// applyOp accumulates into it in place, and so is the Blocks slice itself,
-// whose entries the live operation keeps filling.
+// clone returns a copy that shares every block, which are sent or received
+// bytes and so read-only (Packet.Data).  AccF is copied, since addInto
+// accumulates into it in place, and so is the Blocks slice itself, whose
+// entries the live operation keeps filling.
 func (cs *CollState) clone() *CollState {
 	c := *cs
 	c.AccF = slices.Clone(cs.AccF)
@@ -111,10 +90,10 @@ func (e *Engine) beginColl(kind CollKind) (cs *CollState, fresh bool) {
 		cs = &CollState{}
 	}
 	cs.Kind = kind
-	if kind != CollSendrecv && kind != CollWaitall {
-		// Point-to-point resumable ops don't consume a collective
-		// sequence number: tags stay aligned across ranks that perform
-		// different numbers of them.
+	if kind != CollSendrecv {
+		// Sendrecv doesn't consume a collective sequence number: tags
+		// stay aligned across ranks that perform different numbers of
+		// them.
 		e.collSeq++
 		cs.Seq = e.collSeq
 	}
@@ -141,150 +120,37 @@ func collTag(kind CollKind, seq uint64, round int) int {
 	return -(1 + int(kind) + 16*(int(seq%64)+64*round))
 }
 
-// Barrier blocks until every process has entered it (dissemination
-// algorithm, ceil(log2 p) rounds, any process count).
-func (e *Engine) Barrier() {
-	e.enterOp()
-	defer e.exitOp()
-	cs, fresh := e.beginColl(CollBarrier)
-	if fresh {
-		cs.Mask = 1
-	}
-	p := e.size
-	for cs.Mask < p {
-		dst := (e.rank + cs.Mask) % p
-		src := (e.rank - cs.Mask + p) % p
-		tag := collTag(CollBarrier, cs.Seq, cs.Round)
-		if !cs.Sent {
-			e.send(dst, tag, nil, 0)
-			cs.Sent = true
-		}
-		e.recvMatch(src, tag)
-		cs.Mask <<= 1
-		cs.Round++
-		cs.Sent = false
-	}
-	e.endColl()
-}
-
-// Bcast distributes root's data to every process (binomial tree) and
-// returns it on every process: root's own data at the root, and elsewhere
-// the bytes that arrived, shared with the packets that carried them.  Both
-// are read-only: the root hands data over as in Send.
-func (e *Engine) Bcast(root int, data []byte) []byte {
-	e.enterOp()
-	defer e.exitOp()
-	cs, fresh := e.beginColl(CollBcast)
-	p := e.size
-	rel := (e.rank - root + p) % p
-	if fresh {
-		cs.Mask = 1
-		cs.Stage = 0
-		if rel == 0 {
-			cs.Data = data
-		}
-	}
-	tag := collTag(CollBcast, cs.Seq, 0)
-	if cs.Stage == 0 {
-		if rel == 0 {
-			for cs.Mask < p {
-				cs.Mask <<= 1
-			}
-		} else {
-			for cs.Mask < p {
-				if rel&cs.Mask != 0 {
-					src := e.rank - cs.Mask
-					if src < 0 {
-						src += p
-					}
-					pkt := e.recvMatch(src, tag)
-					cs.Data = pkt.Data
-					break
-				}
-				cs.Mask <<= 1
-			}
-		}
-		cs.Mask >>= 1
-		cs.Stage = 1
-	}
-	for cs.Mask > 0 {
-		if rel+cs.Mask < p {
-			dst := e.rank + cs.Mask
-			if dst >= p {
-				dst -= p
-			}
-			e.chargeSend(cs.Data, 0)
-			e.send(dst, tag, cs.Data, 0)
-		}
-		cs.Mask >>= 1
-	}
-	out := cs.Data
-	e.endColl()
-	return out
-}
-
-// ReduceF64 reduces x with op onto root (binomial tree).  Root receives
-// the result; other ranks receive nil.
-func (e *Engine) ReduceF64(root int, op ReduceOp, x []float64) []float64 {
-	e.enterOp()
-	defer e.exitOp()
-	cs, fresh := e.beginColl(CollReduce)
-	if fresh {
-		cs.Op = op
-		cs.Mask = 1
-		cs.AccF = append([]float64(nil), x...)
-	}
-	e.reduceSteps(cs, root, CollReduce)
-	var out []float64
-	if e.rank == root {
-		out = cs.AccF
-	}
-	e.endColl()
-	return out
-}
-
-// reduceSteps runs the binomial-tree reduction toward root over
-// cs.{Mask,AccF}; on return root holds the reduction.
-func (e *Engine) reduceSteps(cs *CollState, root int, kind CollKind) {
-	p := e.size
-	rel := (e.rank - root + p) % p
-	tag := collTag(kind, cs.Seq, 0)
-	for cs.Mask < p {
-		if rel&cs.Mask == 0 {
-			srcRel := rel | cs.Mask
-			if srcRel < p {
-				src := (srcRel + root) % p
-				pkt := e.recvMatch(src, tag)
-				applyOp(cs.Op, cs.AccF, DecodeF64s(pkt.Data))
-			}
-		} else {
-			dstRel := rel &^ cs.Mask
-			dst := (dstRel + root) % p
-			buf := EncodeF64s(cs.AccF)
-			e.chargeSend(buf, 0)
-			e.send(dst, tag, buf, 0)
-			cs.Mask = p // done: contribution handed off
-			break
-		}
-		cs.Mask <<= 1
-	}
-}
-
-// AllreduceF64 reduces x with op and returns the result on every process
-// (reduce to rank 0, then binomial broadcast).
+// AllreduceF64 sums x over every process and returns the result on every
+// process (binomial-tree reduce to rank 0, then binomial broadcast).  op
+// is OpSum, the only operator (ReduceOp says why the parameter stays).
 func (e *Engine) AllreduceF64(op ReduceOp, x []float64) []float64 {
 	e.enterOp()
 	defer e.exitOp()
 	cs, fresh := e.beginColl(CollAllreduce)
 	p := e.size
 	if fresh {
-		cs.Op = op
 		cs.Mask = 1
 		cs.Stage = 0
 		cs.AccF = append([]float64(nil), x...)
 	}
+	// Reduce toward rank 0 (stage 0): a rank adds in its children's
+	// partial sums, then hands its own to its parent.
 	if cs.Stage == 0 {
-		e.reduceSteps(cs, 0, CollAllreduce)
+		tag := collTag(CollAllreduce, cs.Seq, 0)
+		for cs.Mask < p {
+			if e.rank&cs.Mask == 0 {
+				if src := e.rank | cs.Mask; src < p {
+					pkt := e.recvMatch(src, tag)
+					addInto(cs.AccF, DecodeF64s(pkt.Data))
+				}
+			} else {
+				buf := EncodeF64s(cs.AccF)
+				e.chargeSend(buf, 0)
+				e.send(e.rank&^cs.Mask, tag, buf, 0)
+				break
+			}
+			cs.Mask <<= 1
+		}
 		cs.Stage = 1
 		cs.Mask = 1
 	}
@@ -358,62 +224,16 @@ func (e *Engine) AllgatherB(block []byte) [][]byte {
 	return out
 }
 
-// AlltoallB exchanges blocks[i] with every rank i and returns the blocks
-// received, indexed by source rank (pairwise exchange, p-1 rounds).  Every
-// block is handed over as in Send: the result's own entry is blocks[rank]
-// itself and the others are the received bytes, all read-only.
-func (e *Engine) AlltoallB(blocks [][]byte) [][]byte {
-	if len(blocks) != e.size {
-		panic(fmt.Sprintf("mpi: Alltoall needs %d blocks, got %d", e.size, len(blocks)))
-	}
-	e.enterOp()
-	defer e.exitOp()
-	cs, fresh := e.beginColl(CollAlltoall)
-	p := e.size
-	if fresh {
-		cs.Round = 1
-		cs.Blocks = make([][]byte, p)
-		cs.Blocks[e.rank] = blocks[e.rank]
-	}
-	for cs.Round < p {
-		tag := collTag(CollAlltoall, cs.Seq, cs.Round)
-		dst := (e.rank + cs.Round) % p
-		src := (e.rank - cs.Round + p) % p
-		if !cs.Sent {
-			e.chargeSend(blocks[dst], 0)
-			e.send(dst, tag, blocks[dst], 0)
-			cs.Sent = true
-		}
-		pkt := e.recvMatch(src, tag)
-		cs.Blocks[src] = pkt.Data
-		cs.Round++
-		cs.Sent = false
-	}
-	out := cs.Blocks
-	e.endColl()
-	return out
-}
-
 func (k CollKind) String() string {
 	switch k {
 	case CollNone:
 		return "none"
-	case CollBarrier:
-		return "barrier"
-	case CollBcast:
-		return "bcast"
-	case CollReduce:
-		return "reduce"
 	case CollAllreduce:
 		return "allreduce"
 	case CollAllgather:
 		return "allgather"
-	case CollAlltoall:
-		return "alltoall"
 	case CollSendrecv:
 		return "sendrecv"
-	case CollWaitall:
-		return "waitall"
 	}
 	return fmt.Sprintf("coll(%d)", uint8(k))
 }

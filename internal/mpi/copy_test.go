@@ -49,43 +49,26 @@ func TestDecodeF64InPlace(t *testing.T) {
 
 // TestSendHandsOverBuffer: a payload buffer passed to a send becomes the
 // packet's Data and is read-only from then on (Packet.Data), so the engine
-// copies none.  The receiver of a Send, Isend or Sendrecv holds the
-// sender's own backing array; Bcast returns the root's data itself, at the
-// root and everywhere it forwards it; AllgatherB and AlltoallB return and
-// forward each caller's own blocks.
+// copies none.  The receiver of a Send or Sendrecv holds the sender's own
+// backing array, and AllgatherB returns and forwards each caller's own
+// block.
 func TestSendHandsOverBuffer(t *testing.T) {
 	const p = 4
 	buf := func(r, i int) []byte { return []byte{byte(r), byte(i)} }
 	sends, srs, ags := make([][]byte, p), make([][]byte, p), make([][]byte, p)
-	a2as := make([][][]byte, p)
-	bc := []byte("bcast")
 	type result struct {
-		send, sr, bc []byte
-		ag, a2a      [][]byte
+		send, sr []byte
+		ag       [][]byte
 	}
 	got := make([]result, p)
 	err := newWorld(t, p).Run(func(e *Engine) {
 		r := e.Rank()
 		right, left := (r+1)%p, (r+p-1)%p
 		sends[r], srs[r], ags[r] = buf(r, 0), buf(r, 1), buf(r, 2)
-		a2as[r] = make([][]byte, p)
-		for d := range a2as[r] {
-			a2as[r][d] = buf(r, 3+d)
-		}
-		if r%2 == 0 {
-			e.Send(right, 1, sends[r], 0)
-		} else {
-			e.Isend(right, 1, sends[r], 0)
-		}
+		e.Send(right, 1, sends[r], 0)
 		got[r].send = e.Recv(left, 1).Data
 		got[r].sr = e.Sendrecv(right, 2, srs[r], 0, left, 2).Data
-		var in []byte
-		if r == 1 {
-			in = bc
-		}
-		got[r].bc = e.Bcast(1, in)
 		got[r].ag = e.AllgatherB(ags[r])
-		got[r].a2a = e.AlltoallB(a2as[r])
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -96,15 +79,9 @@ func TestSendHandsOverBuffer(t *testing.T) {
 		if !same(g.send, sends[left]) || !same(g.sr, srs[left]) {
 			t.Errorf("rank %d: Recv and Sendrecv data are copies of rank %d's buffers", r, left)
 		}
-		if !same(g.bc, bc) {
-			t.Errorf("rank %d: Bcast returned a copy of the root's data", r)
-		}
 		for i := range p {
 			if !same(g.ag[i], ags[i]) {
 				t.Errorf("rank %d: AllgatherB block %d is a copy of rank %d's block", r, i, i)
-			}
-			if !same(g.a2a[i], a2as[i][r]) {
-				t.Errorf("rank %d: AlltoallB block %d is a copy of rank %d's block", r, i, i)
 			}
 		}
 	}
@@ -230,35 +207,42 @@ func TestAllgatherCheckpointMidRing(t *testing.T) {
 	}
 }
 
-// TestBcastCheckpointMidTree checkpoints a 4-rank Bcast from rank 0 while
-// the root (rank 0) and rank 2 are parked in the send overhead of their
-// last forward, each holding the broadcast bytes — the root its caller's
-// own buffer, rank 2 the packet it received — and ranks 1 and 3 wait to
-// receive.  The restored run sends only what the capture had not, and
-// every rank of both runs ends with the root's bytes.
-func TestBcastCheckpointMidTree(t *testing.T) {
-	const p = 4
-	payload := []byte("tree")
-	want, got := checkpointMid(t, p, Profile{Name: "test", SendOverhead: 100 * time.Millisecond}, 150*time.Millisecond,
+// TestSendrecvCheckpointMidRecv checkpoints a 2-rank Sendrecv while rank
+// 0 is parked in the receive after its send, and rank 1, still computing,
+// holds rank 0's message in its unexpected queue.  The restored rank 0
+// must not send again: each rank of both runs receives the peer's bytes,
+// and rank 1 ends with no second copy of rank 0's message.
+func TestSendrecvCheckpointMidRecv(t *testing.T) {
+	msg := func(r int) []byte { return []byte{byte(r), 'x'} }
+	type result struct {
+		data  []byte
+		extra int
+	}
+	want, got := checkpointMid(t, 2, Profile{Name: "test"}, 500*time.Millisecond,
 		func(es []*Engine, imgs []*EngineImage) {
-			for r, e := range es {
-				holds := r == 0 || r == 2
-				if e.coll == nil || e.coll.Kind != CollBcast || (e.coll.Stage == 1) != holds ||
-					holds && !bytes.Equal(imgs[r].Coll.Data, payload) {
-					t.Errorf("rank %d at the capture: %+v", r, e.coll)
-				}
+			if c := es[0].coll; c == nil || c.Kind != CollSendrecv || !c.Sent {
+				t.Errorf("rank 0 not parked in Sendrecv's receive at the capture: %+v", c)
+			}
+			if u := imgs[1].Unexpected; len(u) != 1 || !bytes.Equal(u[0].Data, msg(0)) || imgs[1].Coll != nil {
+				t.Errorf("rank 1 at the capture: %d unexpected, coll %+v", len(u), imgs[1].Coll)
 			}
 		},
-		func(e *Engine, restored bool) []byte {
-			var in []byte
-			if e.Rank() == 0 {
-				in = payload
+		func(e *Engine, restored bool) result {
+			peer := 1 - e.Rank()
+			if e.Rank() == 1 && !restored {
+				e.Compute(time.Second)
 			}
-			return e.Bcast(0, in)
+			p := e.Sendrecv(peer, 3, msg(e.Rank()), 0, peer, 3)
+			e.Compute(time.Second) // a repeated send arrives meanwhile
+			return result{p.Data, len(e.unexpected)}
 		})
 	for r := range want {
-		if !bytes.Equal(want[r], payload) || !bytes.Equal(got[r], payload) {
-			t.Errorf("rank %d: uninterrupted %q, restored %q, want %q", r, want[r], got[r], payload)
+		if !bytes.Equal(want[r].data, msg(1-r)) || !bytes.Equal(got[r].data, msg(1-r)) {
+			t.Errorf("rank %d: uninterrupted %v, restored %v, want %v", r, want[r].data, got[r].data, msg(1-r))
+		}
+		if want[r].extra != 0 || got[r].extra != 0 {
+			t.Errorf("rank %d holds %d and %d extra messages after the uninterrupted and restored runs, want 0",
+				r, want[r].extra, got[r].extra)
 		}
 	}
 }

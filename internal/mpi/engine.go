@@ -40,9 +40,9 @@ func (PassFilter) OutPayload(*Packet) bool { return true }
 func (PassFilter) InPacket(*Packet) bool { return true }
 
 // Engine is one MPI process's communication engine: eager sends, blocking
-// receives with (source, tag) matching and wildcards, and resumable
-// collectives.  All methods except HandleWire, Deliver,
-// CaptureImage and RestoreImage must be called from the process's own LP.
+// receives with (source, tag) matching, and resumable collectives.  All
+// methods except HandleWire, Deliver, CaptureImage and RestoreImage must
+// be called from the process's own LP.
 type Engine struct {
 	rank, size int
 	lp         *sim.Proc
@@ -114,15 +114,6 @@ func (e *Engine) Size() int { return e.size }
 
 // Now returns the current virtual time.
 func (e *Engine) Now() sim.Time { return e.lp.Now() }
-
-// LP returns the process's logical process.
-func (e *Engine) LP() *sim.Proc { return e.lp }
-
-// Fabric returns the fabric the engine sends through.
-func (e *Engine) Fabric() *Fabric { return e.fab }
-
-// Profile returns the engine's service profile.
-func (e *Engine) Profile() Profile { return e.prof }
 
 // SetMetrics attaches the observability registry the engine reports
 // blocked-receive durations to (nil disables).
@@ -324,9 +315,8 @@ func (e *Engine) send(dst, tag int, buf []byte, vsize int64) {
 	p.Data = nil // e.out must not keep the buffer alive
 }
 
-// Recv blocks until a payload matching (src, tag) is available and returns
-// it.  src may be AnySource; tag may be AnyTag (matching only application
-// tags >= 0).
+// Recv blocks until a payload from src with tag is available and returns
+// it.
 func (e *Engine) Recv(src, tag int) *Packet {
 	e.enterOp()
 	defer e.exitOp()
@@ -366,17 +356,7 @@ func (e *Engine) findMatch(src, tag int) int {
 	return -1
 }
 
-func match(p *Packet, src, tag int) bool {
-	if src != AnySource && p.Src != src {
-		return false
-	}
-	switch tag {
-	case AnyTag:
-		return p.Tag >= 0 // wildcards never match internal collective tags
-	default:
-		return p.Tag == tag
-	}
-}
+func match(p *Packet, src, tag int) bool { return p.Src == src && p.Tag == tag }
 
 // Sendrecv sends to dst and receives from src, resumable across a
 // checkpoint: if a snapshot is taken while blocked in the receive, the

@@ -1,7 +1,6 @@
 package mpi
 
 import (
-	"bytes"
 	"fmt"
 	"math"
 	"math/rand"
@@ -28,13 +27,11 @@ func newWorld(t *testing.T, size int) *World {
 func TestSendRecvBasic(t *testing.T) {
 	w := newWorld(t, 2)
 	var got []byte
-	err := w.RunRanked(func(r int) func(e *Engine) {
-		return func(e *Engine) {
-			if e.Rank() == 0 {
-				e.Send(1, 7, []byte("hello"), 0)
-			} else {
-				got = e.Recv(0, 7).Data
-			}
+	err := w.Run(func(e *Engine) {
+		if e.Rank() == 0 {
+			e.Send(1, 7, []byte("hello"), 0)
+		} else {
+			got = e.Recv(0, 7).Data
 		}
 	})
 	if err != nil {
@@ -65,32 +62,6 @@ func TestRecvTagSelectivity(t *testing.T) {
 		t.Fatalf("order %v", order)
 	}
 }
-
-func TestAnySourceAnyTag(t *testing.T) {
-	w := newWorld(t, 4)
-	var srcs []int
-	err := w.Run(func(e *Engine) {
-		if e.Rank() == 0 {
-			for i := 0; i < 3; i++ {
-				p := e.Recv(AnySource, AnyTag)
-				srcs = append(srcs, p.Src)
-			}
-		} else {
-			e.Compute(sim.Time(e.Rank()) * time.Millisecond) // stagger arrivals
-			e.Send(0, 5, nil, 0)
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []int{1, 2, 3}
-	for i, s := range srcs {
-		if s != want[i] {
-			t.Fatalf("srcs %v", srcs)
-		}
-	}
-}
-
 func TestFIFOPerChannel(t *testing.T) {
 	w := newWorld(t, 2)
 	const n = 50
@@ -150,63 +121,6 @@ func TestSendrecvExchange(t *testing.T) {
 		t.Fatalf("got %v", got)
 	}
 }
-
-func TestBarrierSynchronizes(t *testing.T) {
-	for _, p := range []int{1, 2, 3, 5, 8, 13} {
-		p := p
-		t.Run(fmt.Sprintf("p=%d", p), func(t *testing.T) {
-			w := newWorld(t, p)
-			exits := make([]sim.Time, p)
-			slowest := sim.Time(0)
-			err := w.Run(func(e *Engine) {
-				d := sim.Time(e.Rank()) * 10 * time.Millisecond
-				if d > slowest {
-					slowest = d
-				}
-				e.Compute(d)
-				e.Barrier()
-				exits[e.Rank()] = e.Now()
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			for r, at := range exits {
-				if at < slowest {
-					t.Fatalf("rank %d left barrier at %v before slowest entered (%v)", r, at, slowest)
-				}
-			}
-		})
-	}
-}
-
-func TestBcastValues(t *testing.T) {
-	for _, p := range []int{1, 2, 4, 6, 7, 16} {
-		for root := 0; root < p; root += max(1, p/3) {
-			p, root := p, root
-			t.Run(fmt.Sprintf("p=%d/root=%d", p, root), func(t *testing.T) {
-				w := newWorld(t, p)
-				payload := []byte{42, 1, 2, 3}
-				got := make([][]byte, p)
-				err := w.Run(func(e *Engine) {
-					var in []byte
-					if e.Rank() == root {
-						in = payload
-					}
-					got[e.Rank()] = e.Bcast(root, in)
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
-				for r := range got {
-					if !bytes.Equal(got[r], payload) {
-						t.Fatalf("rank %d got %v", r, got[r])
-					}
-				}
-			})
-		}
-	}
-}
-
 func TestAllreduceSum(t *testing.T) {
 	for _, p := range []int{1, 2, 3, 4, 5, 9, 16, 17} {
 		p := p
@@ -229,53 +143,6 @@ func TestAllreduceSum(t *testing.T) {
 		})
 	}
 }
-
-func TestAllreduceMaxMin(t *testing.T) {
-	w := newWorld(t, 6)
-	var gotMax, gotMin float64
-	err := w.Run(func(e *Engine) {
-		mx := e.AllreduceF64(OpMax, []float64{float64(e.Rank() * e.Rank())})
-		mn := e.AllreduceF64(OpMin, []float64{float64(e.Rank() * e.Rank())})
-		if e.Rank() == 3 {
-			gotMax, gotMin = mx[0], mn[0]
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gotMax != 25 || gotMin != 0 {
-		t.Fatalf("max %v min %v", gotMax, gotMin)
-	}
-}
-
-func TestReduceToRoot(t *testing.T) {
-	for _, root := range []int{0, 2} {
-		root := root
-		t.Run(fmt.Sprintf("root=%d", root), func(t *testing.T) {
-			w := newWorld(t, 5)
-			var atRoot []float64
-			nonRootNil := true
-			err := w.Run(func(e *Engine) {
-				res := e.ReduceF64(root, OpSum, []float64{1})
-				if e.Rank() == root {
-					atRoot = res
-				} else if res != nil {
-					nonRootNil = false
-				}
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(atRoot) != 1 || atRoot[0] != 5 {
-				t.Fatalf("root got %v", atRoot)
-			}
-			if !nonRootNil {
-				t.Fatal("non-root got a result")
-			}
-		})
-	}
-}
-
 func TestAllgather(t *testing.T) {
 	for _, p := range []int{1, 2, 3, 7, 8} {
 		p := p
@@ -301,34 +168,6 @@ func TestAllgather(t *testing.T) {
 		})
 	}
 }
-
-func TestAlltoall(t *testing.T) {
-	for _, p := range []int{1, 2, 3, 5, 8} {
-		p := p
-		t.Run(fmt.Sprintf("p=%d", p), func(t *testing.T) {
-			w := newWorld(t, p)
-			results := make([][][]byte, p)
-			err := w.Run(func(e *Engine) {
-				out := make([][]byte, p)
-				for i := range out {
-					out[i] = []byte{byte(e.Rank()), byte(i)}
-				}
-				results[e.Rank()] = e.AlltoallB(out)
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			for r, blocks := range results {
-				for i, b := range blocks {
-					if len(b) != 2 || b[0] != byte(i) || b[1] != byte(r) {
-						t.Fatalf("rank %d block %d = %v", r, i, b)
-					}
-				}
-			}
-		})
-	}
-}
-
 func TestConsecutiveCollectivesDoNotCrossTalk(t *testing.T) {
 	w := newWorld(t, 4)
 	var bad bool
@@ -338,7 +177,11 @@ func TestConsecutiveCollectivesDoNotCrossTalk(t *testing.T) {
 			if res[0] != float64(4*i) {
 				bad = true
 			}
-			e.Barrier()
+			for r, b := range e.AllgatherB([]byte{byte(i), byte(e.Rank())}) {
+				if len(b) != 2 || b[0] != byte(i) || b[1] != byte(r) {
+					bad = true
+				}
+			}
 		}
 	})
 	if err != nil {
@@ -557,5 +400,33 @@ func TestCollectiveProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+func TestSteal(t *testing.T) {
+	k := sim.New(1)
+	w := NewWorld(k, testTopo(1), Profile{}, 1, 1)
+	var t1, t2 sim.Time
+	err := w.Run(func(e *Engine) {
+		e.Compute(time.Second)
+		t1 = e.Now()
+		e.AddSteal(0.5)
+		e.Compute(time.Second)
+		t2 = e.Now() - t1
+		e.SubSteal(0.5)
+		e.SubSteal(0.5) // extra SubSteal clamps at zero
+		e.Compute(time.Second)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if t1 != time.Second {
+		t.Fatalf("unstolen compute took %v", t1)
+	}
+	if t2 != 1500*time.Millisecond {
+		t.Fatalf("stolen compute took %v, want 1.5s", t2)
+	}
+	if k.Now() != 3500*time.Millisecond {
+		t.Fatalf("end %v, want 3.5s", k.Now())
 	}
 }

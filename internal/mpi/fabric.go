@@ -74,9 +74,6 @@ func NewFabric(net *simnet.Network) *Fabric {
 	return f
 }
 
-// Net exposes the underlying network (for bulk image flows).
-func (f *Fabric) Net() *simnet.Network { return f.net }
-
 // SetMetrics attaches the observability registry the traffic counters
 // live in (nil disables).
 func (f *Fabric) SetMetrics(m *obs.Metrics) { f.met = m }

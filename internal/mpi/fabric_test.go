@@ -244,19 +244,17 @@ func TestFinalizeKeepsProgressAlive(t *testing.T) {
 	k := sim.New(1)
 	w := NewWorld(k, testTopo(2), Profile{Name: "sync"}, 2, 1)
 	var lateSeen bool
-	err := w.RunRanked(func(rank int) func(e *Engine) {
-		return func(e *Engine) {
-			if rank == 0 {
-				// Finish immediately, then stay responsive: a marker-like
-				// packet arriving later must still reach the filter even
-				// though this rank makes no more MPI calls.
-				e.SetFilter(probeFilter{&lateSeen})
-				e.Finalize()
-				e.LP().Advance(time.Second)
-			} else {
-				e.Compute(500 * time.Millisecond)
-				e.Fabric().Send(1, 0, &Packet{Kind: KindMarker, Wave: 1})
-			}
+	err := w.Run(func(e *Engine) {
+		if e.Rank() == 0 {
+			// Finish immediately, then stay responsive: a marker-like
+			// packet arriving later must still reach the filter even
+			// though this rank makes no more MPI calls.
+			e.SetFilter(probeFilter{&lateSeen})
+			e.Finalize()
+			e.lp.Advance(time.Second)
+		} else {
+			e.Compute(500 * time.Millisecond)
+			e.fab.Send(1, 0, &Packet{Kind: KindMarker, Wave: 1})
 		}
 	})
 	if err != nil {

@@ -1,8 +1,9 @@
 // Package mpi implements the message-passing layer of the reproduction: a
-// compact MPI-like library (point-to-point matching with tags and
-// any-source, blocking send/receive, and the collectives the NAS kernels
-// need) structured like MPICH's device stack so that fault-tolerance
-// protocols can hook the exact points the paper instruments:
+// compact MPI-like library (point-to-point matching on source and tag,
+// blocking Send/Recv/Sendrecv, and the two collectives the workloads
+// need, AllreduceF64 and AllgatherB) structured like MPICH's device stack
+// so that fault-tolerance protocols can hook the exact points the paper
+// instruments:
 //
 //   - an outgoing gate consulted before every payload reaches the wire
 //     (where MPICH2-Pcl's ft-sock channel delays request posts and Nemesis
@@ -25,17 +26,9 @@ package mpi
 
 import "fmt"
 
-// Endpoint identifiers.  MPI processes use their rank (0..size-1); runtime
-// services use reserved negative identifiers.
-const (
-	// AnySource matches a message from any rank.
-	AnySource = -1
-	// AnyTag matches a message with any application tag.
-	AnyTag = -1
-)
-
-// SchedulerID is the Vcl checkpoint scheduler endpoint: the one service
-// endpoint, and the lowest id the Fabric hosts (never a valid rank).
+// SchedulerID is the Vcl checkpoint scheduler endpoint.  MPI processes use
+// their rank (0..size-1) as endpoint id; this is the one service endpoint,
+// and the lowest id the Fabric hosts (never a valid rank).
 const SchedulerID = -2
 
 // Kind discriminates what a packet is.

@@ -31,18 +31,16 @@ func TestSyncProfileDefersProtocolPackets(t *testing.T) {
 		k := sim.New(1)
 		w := NewWorld(k, testTopo(2), Profile{Name: "p", Async: async}, 2, 1)
 		var seen []sim.Time
-		err := w.RunRanked(func(rank int) func(e *Engine) {
-			return func(e *Engine) {
-				if rank == 0 {
-					e.SetFilter(recordFilter{k, &seen})
-					e.Compute(100 * time.Millisecond) // marker arrives in here
-					e.Recv(1, 1)                      // first MPI call drains the inbox
-				} else {
-					e.Compute(time.Millisecond)
-					e.Fabric().Send(1, 0, &Packet{Kind: KindMarker, Wave: 1})
-					e.Compute(150 * time.Millisecond)
-					e.Send(0, 1, nil, 0)
-				}
+		err := w.Run(func(e *Engine) {
+			if e.Rank() == 0 {
+				e.SetFilter(recordFilter{k, &seen})
+				e.Compute(100 * time.Millisecond) // marker arrives in here
+				e.Recv(1, 1)                      // first MPI call drains the inbox
+			} else {
+				e.Compute(time.Millisecond)
+				e.fab.Send(1, 0, &Packet{Kind: KindMarker, Wave: 1})
+				e.Compute(150 * time.Millisecond)
+				e.Send(0, 1, nil, 0)
 			}
 		})
 		if err != nil {

@@ -1,8 +1,11 @@
 package mpi
 
 // ULFM-style fault reporting: an error-returning mode for the engine,
-// mirroring MPIX_ERR_PROC_FAILED / MPIX_ERR_REVOKED and the
-// revoke–shrink–agree repair operations of User-Level Failure Mitigation.
+// mirroring MPIX_ERR_PROC_FAILED / MPIX_ERR_REVOKED and the revoke of
+// User-Level Failure Mitigation.  Agreeing on who failed is not an engine
+// operation: ftpm tells every survivor with NotifyFailed when it revokes
+// the world, and its repair runs the agreement as two rounds of simulated
+// flows.
 //
 // In FT mode (EnableFT) an operation against a rank known to have failed
 // does not hang forever waiting for a message that will never come — it
@@ -22,7 +25,6 @@ package mpi
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"ftckpt/internal/sim"
 )
@@ -85,10 +87,6 @@ func (e *Engine) EnableFT() {
 	}
 }
 
-// Epoch returns the communicator incarnation this engine is in; FTReset
-// advances it.  Packets stamped with an older epoch are never delivered.
-func (e *Engine) Epoch() int { return e.epoch }
-
 // Revoke marks the communicator revoked (compare MPIX_Comm_revoke): every
 // blocked operation wakes and aborts with RevokedError, and new blocking
 // operations abort immediately, until FTReset.  Idempotent; callable from
@@ -113,37 +111,6 @@ func (e *Engine) NotifyFailed(rank int) {
 	}
 	e.failed[rank] = true
 	e.cond.Broadcast()
-}
-
-// AgreeOnFailures returns the agreed set of failed ranks, sorted
-// ascending (compare MPIX_Comm_agree over the failure bitmap).  The
-// agreement round itself runs over the simulated network: the repair
-// coordinator gathers every survivor's local knowledge, redistributes
-// the union with NotifyFailed, and only then releases the survivors —
-// so by the time a blocked AwaitRepair returns, AgreeOnFailures is
-// identical on every rank.
-func (e *Engine) AgreeOnFailures() []int {
-	var out []int
-	for r, dead := range e.failed {
-		if dead {
-			out = append(out, r)
-		}
-	}
-	sort.Ints(out)
-	return out
-}
-
-// Shrink returns the surviving ranks, sorted ascending (compare
-// MPIX_Comm_shrink — the live membership the repaired communicator is
-// rebuilt from).
-func (e *Engine) Shrink() []int {
-	out := make([]int, 0, e.size)
-	for r := 0; r < e.size; r++ {
-		if e.failed == nil || !e.failed[r] {
-			out = append(out, r)
-		}
-	}
-	return out
 }
 
 // AwaitRepair parks the process until the revocation is lifted (FTReset).
@@ -215,7 +182,7 @@ func (e *Engine) ftCheck(src int) {
 		e.waiting = false
 		panic(ftSignal{&RevokedError{Epoch: e.epoch}})
 	}
-	if src >= 0 && src < e.size && e.failed[src] {
+	if e.failed[src] {
 		e.waiting = false
 		panic(ftSignal{&ProcFailedError{Rank: src}})
 	}

@@ -2,6 +2,7 @@ package mpi
 
 import (
 	"errors"
+	"slices"
 	"testing"
 	"time"
 
@@ -19,43 +20,42 @@ func TestRevokeRecyclesCollState(t *testing.T) {
 			e.Revoke()
 		}
 	})
-	err := w.RunRanked(func(rank int) func(e *Engine) {
-		return func(e *Engine) {
-			e.EnableFT()
-			if rank == 3 {
-				return // never joins: ranks 0-2 block inside the collective
-			}
-			defer func() {
-				ftErr := AsFTError(recover())
-				if ftErr == nil {
-					t.Errorf("rank %d: collective did not unwind with an FT error", rank)
-					return
-				}
-				if !errors.Is(ftErr, ErrRevoked) {
-					t.Errorf("rank %d: unwound with %v, want ErrRevoked", rank, ftErr)
-				}
-				if e.coll == nil {
-					t.Errorf("rank %d: no in-flight collective state at unwind", rank)
-				}
-				e.AbortColl()
-				if e.coll != nil {
-					t.Errorf("rank %d: CollState still in flight after AbortColl", rank)
-				}
-				if e.collFree == nil {
-					t.Errorf("rank %d: CollState leaked instead of returning to the pool", rank)
-				}
-				e.FTReset()
-				if e.Revoked() || e.Epoch() != 1 {
-					t.Errorf("rank %d: FTReset left revoked=%v epoch=%d", rank, e.Revoked(), e.Epoch())
-				}
-				if len(e.unexpected) != 0 || e.inbox.Len() != 0 {
-					t.Errorf("rank %d: queues not drained by FTReset: %d unexpected, %d inbox",
-						rank, len(e.unexpected), e.inbox.Len())
-				}
-			}()
-			e.AllreduceF64(OpSum, []float64{float64(rank)})
-			t.Errorf("rank %d: Allreduce returned despite revocation", rank)
+	err := w.Run(func(e *Engine) {
+		rank := e.Rank()
+		e.EnableFT()
+		if rank == 3 {
+			return // never joins: ranks 0-2 block inside the collective
 		}
+		defer func() {
+			ftErr := AsFTError(recover())
+			if ftErr == nil {
+				t.Errorf("rank %d: collective did not unwind with an FT error", rank)
+				return
+			}
+			if !errors.Is(ftErr, ErrRevoked) {
+				t.Errorf("rank %d: unwound with %v, want ErrRevoked", rank, ftErr)
+			}
+			if e.coll == nil {
+				t.Errorf("rank %d: no in-flight collective state at unwind", rank)
+			}
+			e.AbortColl()
+			if e.coll != nil {
+				t.Errorf("rank %d: CollState still in flight after AbortColl", rank)
+			}
+			if e.collFree == nil {
+				t.Errorf("rank %d: CollState leaked instead of returning to the pool", rank)
+			}
+			e.FTReset()
+			if e.Revoked() || e.epoch != 1 {
+				t.Errorf("rank %d: FTReset left revoked=%v epoch=%d", rank, e.Revoked(), e.epoch)
+			}
+			if len(e.unexpected) != 0 || e.inbox.Len() != 0 {
+				t.Errorf("rank %d: queues not drained by FTReset: %d unexpected, %d inbox",
+					rank, len(e.unexpected), e.inbox.Len())
+			}
+		}()
+		e.AllreduceF64(OpSum, []float64{float64(rank)})
+		t.Errorf("rank %d: Allreduce returned despite revocation", rank)
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -70,32 +70,31 @@ func TestNotifyFailedAbortsBlockedRecv(t *testing.T) {
 	w.K.After(5*time.Millisecond, func() {
 		w.Engines[0].NotifyFailed(1)
 	})
-	err := w.RunRanked(func(rank int) func(e *Engine) {
-		return func(e *Engine) {
-			e.EnableFT()
-			if rank == 1 {
-				return // dies silently; never sends
-			}
-			defer func() {
-				ftErr := AsFTError(recover())
-				if ftErr == nil {
-					t.Error("blocked Recv did not unwind")
-					return
-				}
-				var pf *ProcFailedError
-				if !errors.As(ftErr, &pf) || pf.Rank != 1 {
-					t.Errorf("unwound with %v, want ProcFailedError{Rank: 1}", ftErr)
-				}
-				if !errors.Is(ftErr, ErrProcFailed) {
-					t.Errorf("%v does not match the ErrProcFailed sentinel", ftErr)
-				}
-				if e.waiting {
-					t.Error("engine still marked waiting after the FT unwind")
-				}
-			}()
-			e.Recv(1, 7)
-			t.Error("Recv returned despite the peer failure")
+	err := w.Run(func(e *Engine) {
+		rank := e.Rank()
+		e.EnableFT()
+		if rank == 1 {
+			return // dies silently; never sends
 		}
+		defer func() {
+			ftErr := AsFTError(recover())
+			if ftErr == nil {
+				t.Error("blocked Recv did not unwind")
+				return
+			}
+			var pf *ProcFailedError
+			if !errors.As(ftErr, &pf) || pf.Rank != 1 {
+				t.Errorf("unwound with %v, want ProcFailedError{Rank: 1}", ftErr)
+			}
+			if !errors.Is(ftErr, ErrProcFailed) {
+				t.Errorf("%v does not match the ErrProcFailed sentinel", ftErr)
+			}
+			if e.waiting {
+				t.Error("engine still marked waiting after the FT unwind")
+			}
+		}()
+		e.Recv(1, 7)
+		t.Error("Recv returned despite the peer failure")
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -107,24 +106,23 @@ func TestNotifyFailedAbortsBlockedRecv(t *testing.T) {
 // FT condition, and recovers cleanly after FTReset.
 func TestTrySendrecvTypedErrors(t *testing.T) {
 	w := newWorld(t, 2)
-	err := w.RunRanked(func(rank int) func(e *Engine) {
-		return func(e *Engine) {
-			e.EnableFT()
-			if rank != 0 {
-				return
-			}
-			e.NotifyFailed(1)
-			if _, err := e.TrySendrecv(1, 3, nil, 8, 1, 3); !errors.Is(err, ErrProcFailed) {
-				t.Errorf("against a failed peer: err = %v, want ErrProcFailed", err)
-			}
-			e.Revoke()
-			if _, err := e.TrySendrecv(1, 3, nil, 8, 1, 3); !errors.Is(err, ErrRevoked) {
-				t.Errorf("under revocation: err = %v, want ErrRevoked", err)
-			}
-			e.FTReset()
-			if e.coll != nil {
-				t.Error("CollState in flight after refused operations")
-			}
+	err := w.Run(func(e *Engine) {
+		rank := e.Rank()
+		e.EnableFT()
+		if rank != 0 {
+			return
+		}
+		e.NotifyFailed(1)
+		if _, err := e.TrySendrecv(1, 3, nil, 8, 1, 3); !errors.Is(err, ErrProcFailed) {
+			t.Errorf("against a failed peer: err = %v, want ErrProcFailed", err)
+		}
+		e.Revoke()
+		if _, err := e.TrySendrecv(1, 3, nil, 8, 1, 3); !errors.Is(err, ErrRevoked) {
+			t.Errorf("under revocation: err = %v, want ErrRevoked", err)
+		}
+		e.FTReset()
+		if e.coll != nil {
+			t.Error("CollState in flight after refused operations")
 		}
 	})
 	if err != nil {
@@ -132,36 +130,28 @@ func TestTrySendrecvTypedErrors(t *testing.T) {
 	}
 }
 
-// TestAgreeShrinkFTReset pins the membership bookkeeping: agreement and
-// shrink partition the ranks, and FTReset clears the failure knowledge
-// while advancing the epoch.
-func TestAgreeShrinkFTReset(t *testing.T) {
+// TestFTResetClearsFailures: FTReset clears the failure knowledge and
+// advances the epoch.
+func TestFTResetClearsFailures(t *testing.T) {
 	w := newWorld(t, 4)
-	err := w.RunRanked(func(rank int) func(e *Engine) {
-		return func(e *Engine) {
-			e.EnableFT()
-			if rank != 0 {
-				return
-			}
-			e.NotifyFailed(2)
-			e.NotifyFailed(1)
-			e.NotifyFailed(1) // idempotent
-			if got := e.AgreeOnFailures(); len(got) != 2 || got[0] != 1 || got[1] != 2 {
-				t.Errorf("AgreeOnFailures = %v, want [1 2]", got)
-			}
-			if got := e.Shrink(); len(got) != 2 || got[0] != 0 || got[1] != 3 {
-				t.Errorf("Shrink = %v, want [0 3]", got)
-			}
-			e.FTReset()
-			if got := e.AgreeOnFailures(); len(got) != 0 {
-				t.Errorf("failure knowledge survived FTReset: %v", got)
-			}
-			if got := e.Shrink(); len(got) != 4 {
-				t.Errorf("Shrink after FTReset = %v, want all 4 ranks", got)
-			}
-			if e.Epoch() != 1 {
-				t.Errorf("Epoch = %d after one FTReset, want 1", e.Epoch())
-			}
+	err := w.Run(func(e *Engine) {
+		rank := e.Rank()
+		e.EnableFT()
+		if rank != 0 {
+			return
+		}
+		e.NotifyFailed(2)
+		e.NotifyFailed(1)
+		e.NotifyFailed(1) // idempotent
+		if want := []bool{false, true, true, false}; !slices.Equal(e.failed, want) {
+			t.Errorf("failed = %v, want %v", e.failed, want)
+		}
+		e.FTReset()
+		if slices.Contains(e.failed, true) {
+			t.Errorf("failure knowledge survived FTReset: %v", e.failed)
+		}
+		if e.epoch != 1 {
+			t.Errorf("epoch = %d after one FTReset, want 1", e.epoch)
 		}
 	})
 	if err != nil {
@@ -180,20 +170,19 @@ func TestAdmitRecDroppedPacketRecycled(t *testing.T) {
 	// admitted at ~250µs; the repair lands in between, so the packet is
 	// stamped with the old epoch and must be dropped at admission.
 	k.After(150*time.Microsecond, func() { w.Engines[0].FTReset() })
-	err := w.RunRanked(func(rank int) func(e *Engine) {
-		return func(e *Engine) {
-			e.EnableFT()
-			if rank == 1 {
-				e.Send(0, 9, []byte("stale"), 0)
-				return
-			}
-			e.Compute(1 * time.Millisecond)
-			if len(e.unexpected) != 0 {
-				t.Errorf("a revoked incarnation's packet reached the matching engine: %v", e.unexpected)
-			}
-			if e.Epoch() != 1 {
-				t.Errorf("Epoch = %d, want 1", e.Epoch())
-			}
+	err := w.Run(func(e *Engine) {
+		rank := e.Rank()
+		e.EnableFT()
+		if rank == 1 {
+			e.Send(0, 9, []byte("stale"), 0)
+			return
+		}
+		e.Compute(1 * time.Millisecond)
+		if len(e.unexpected) != 0 {
+			t.Errorf("a revoked incarnation's packet reached the matching engine: %v", e.unexpected)
+		}
+		if e.epoch != 1 {
+			t.Errorf("epoch = %d, want 1", e.epoch)
 		}
 	})
 	if err != nil {

@@ -8,16 +8,17 @@ import (
 )
 
 // World wires a set of MPI engines onto a simulated platform with no fault
-// tolerance — the direct way to run an SPMD function, used by tests,
-// examples and the no-checkpoint baselines.  Fault-tolerant runs go
-// through the ftpm dispatcher instead.
+// tolerance — the direct way to run an SPMD function, used by tests and
+// the benchmark module's engine probes.  Every job,
+// the no-checkpoint baselines included, runs through the ftpm dispatcher
+// instead.
 type World struct {
 	K       *sim.Kernel
 	Net     *simnet.Network
 	Fab     *Fabric
 	Engines []*Engine
 
-	bodyFn func(rank int) func(e *Engine)
+	body func(e *Engine)
 }
 
 // NewWorld builds size processes over topo, placing rank r on node
@@ -41,7 +42,7 @@ func NewWorld(k *sim.Kernel, topo simnet.Topology, prof Profile, size, procsPerN
 		k.Go(fmt.Sprintf("rank%d", r), func(p *sim.Proc) {
 			w.Engines[r] = NewEngine(r, size, p, prof, w.Fab)
 			p.Yield() // let every engine bind before any rank's body sends
-			w.bodyFn(r)(w.Engines[r])
+			w.body(w.Engines[r])
 		})
 	}
 	return w
@@ -49,12 +50,6 @@ func NewWorld(k *sim.Kernel, topo simnet.Topology, prof Profile, size, procsPerN
 
 // Run executes body on every rank and runs the simulation to completion.
 func (w *World) Run(body func(e *Engine)) error {
-	w.bodyFn = func(int) func(e *Engine) { return body }
-	return w.K.Run()
-}
-
-// RunRanked executes a per-rank body and runs the simulation.
-func (w *World) RunRanked(body func(rank int) func(e *Engine)) error {
-	w.bodyFn = body
+	w.body = body
 	return w.K.Run()
 }

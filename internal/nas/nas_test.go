@@ -24,12 +24,11 @@ func runWorld(t *testing.T, np int, mk func(rank int) mpi.Program) []mpi.Program
 	t.Helper()
 	w := mpi.NewWorld(sim.New(1), topoN(np), mpi.Profile{}, np, 1)
 	progs := make([]mpi.Program, np)
-	err := w.RunRanked(func(rank int) func(e *mpi.Engine) {
-		return func(e *mpi.Engine) {
-			p := mk(rank)
-			progs[rank] = p
-			for !p.Step(e) {
-			}
+	err := w.Run(func(e *mpi.Engine) {
+		rank := e.Rank()
+		p := mk(rank)
+		progs[rank] = p
+		for !p.Step(e) {
 		}
 	})
 	if err != nil {
