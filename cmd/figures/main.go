@@ -285,10 +285,10 @@ func storage(o expt.Options) error {
 	done()
 	w, done = table("== Storage hierarchy: level saturation at the simulated-optimal interval ==")
 	defer done()
-	fmt.Fprintln(w, "config\tlevel\tMB\tcapacity MB/s\tutil\tevictions")
+	fmt.Fprintln(w, "config\tlevel\tMB\tcapacity MB/s\tutil")
 	for _, r := range study.Sat {
-		fmt.Fprintf(w, "%s\t%s\t%.1f\t%.1f\t%.4f\t%d\n",
-			r.Config, r.Level, r.MB, r.Capacity, r.Util, r.Evictions)
+		fmt.Fprintf(w, "%s\t%s\t%.1f\t%.1f\t%.4f\n",
+			r.Config, r.Level, r.MB, r.Capacity, r.Util)
 	}
 	return nil
 }

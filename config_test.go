@@ -132,18 +132,17 @@ func TestBuildConfigSpecConversion(t *testing.T) {
 
 // TestBuildConfigStorageHierarchy checks the multi-level conversion:
 // facade durations become sim times, the PFS targets widen the topology,
-// and the planner knobs ride along.
+// and the pricing switches ride along.
 func TestBuildConfigStorageHierarchy(t *testing.T) {
 	cfg, err := buildConfig(Options{
 		Workload: WorkloadCG, NP: 8, ProcsPerNode: 2, Protocol: Pcl, Interval: time.Second,
 		Storage: &StorageSpec{
 			Levels: []LevelSpec{
-				{Kind: LevelBuffer, Bandwidth: 3e9, Latency: 100 * time.Microsecond, Capacity: 1 << 30, Retention: 2},
-				{Kind: LevelServers, Servers: 2, Replicas: 2},
-				{Kind: LevelPFS, Targets: 3, Stripes: 2, Bandwidth: 5e8},
+				{Kind: LevelBuffer},
+				{Kind: LevelServers, Servers: 2, Replicas: 2, RetryBackoff: 100 * time.Microsecond},
+				{Kind: LevelPFS, Targets: 3, Stripes: 2},
 			},
-			Incremental: true, FullEvery: 3,
-			Compress: true, CompressRatio: 0.5,
+			Incremental: true, Compress: true,
 		},
 	})
 	if err != nil {
@@ -156,11 +155,11 @@ func TestBuildConfigStorageHierarchy(t *testing.T) {
 	if sp == nil || len(sp.Levels) != 3 {
 		t.Fatalf("Storage = %+v", sp)
 	}
-	if !sp.Incremental || sp.FullEvery != 3 || !sp.Compress || sp.CompressRatio != 0.5 {
-		t.Errorf("planner knobs lost: %+v", sp)
+	if !sp.Incremental || !sp.Compress {
+		t.Errorf("pricing switches lost: %+v", sp)
 	}
-	if got := sp.Levels[0].Latency; got != sim.Time(100*time.Microsecond) {
-		t.Errorf("buffer latency = %v", got)
+	if got := sp.Levels[1].RetryBackoff; got != sim.Time(100*time.Microsecond) {
+		t.Errorf("servers retry backoff = %v", got)
 	}
 	// Topology must fit compute + servers + service + PFS target nodes.
 	computeNodes := 4

@@ -258,7 +258,7 @@ func buildConfig(o Options) (ftpm.Config, error) {
 		Sink:            o.Sink,
 		Metrics:         o.Metrics,
 		Attrib:          o.Attribution,
-		SnapshotPeriod:  o.MetricsSnapshot,
+		MetricsSnapshot: o.MetricsSnapshot,
 	}
 	// serverNodes and pfsTargets size the topology from the storage tier:
 	// Storage's levels, or the one servers level Servers is shorthand for.
@@ -304,7 +304,7 @@ func buildConfig(o Options) (ftpm.Config, error) {
 		if sp := cfg.Storage; sp != nil && (len(sp.Levels) != 1 || sp.Levels[0].Kind != LevelServers) {
 			return ftpm.Config{}, &ConfigError{Field: "Storage", Reason: "the grid platform's per-cluster server placement takes only the servers level"}
 		}
-		lay, err := platform.Grid5000Layout(o.NP, ppn, 1)
+		lay, err := platform.Grid5000Layout(o.NP, ppn)
 		if err != nil {
 			return ftpm.Config{}, &ConfigError{Field: "NP", Reason: err.Error()}
 		}

@@ -22,16 +22,18 @@ import (
 //	(and Servers 0)
 //	16-17 heartbeat Period, Timeout (ms)
 //	18-20 MTTF, ServerMTTF, NodeMTTF (s)
-//	21-23 FullEvery, DirtyFraction (/64), CompressRatio (/64)
+//	21-23 ignored (they set the image-pricing constants once)
 //	24 storage levels (mod 5)   25 failures (mod 5)
 //	then 8 bytes per level: Kind, Servers, Replicas, WriteQuorum, Targets,
-//	Stripes, Bandwidth (MB/s), Capacity/Retention
+//	Stripes, and two ignored bytes (they set the level's bandwidth and
+//	buffer bounds once)
 //	then 3 bytes per failure: Kind (mod 7: rank, node, server, buffer,
 //	pfs, two unknown), At (ms), victim index
 //
 // Counts and indices are signed bytes, so every knob sees negative, zero
 // and in-range values; every enum is drawn from its constants plus
-// garbage.
+// garbage.  The ignored bytes are still read, so every committed corpus
+// entry decodes to the options it always did.
 func fuzzOptions(data []byte) Options {
 	next := func() int {
 		if len(data) == 0 {
@@ -63,18 +65,14 @@ func fuzzOptions(data []byte) Options {
 	o.MTTF = time.Duration(next()) * time.Second
 	o.ServerMTTF = time.Duration(next()) * time.Second
 	o.NodeMTTF = time.Duration(next()) * time.Second
-	st := StorageSpec{
-		Incremental: flags&8 != 0, FullEvery: next(), DirtyFraction: float64(next()) / 64,
-		Compress: flags&16 != 0, CompressRatio: float64(next()) / 64,
-	}
+	st := StorageSpec{Incremental: flags&8 != 0, Compress: flags&16 != 0}
+	_, _, _ = next(), next(), next()
 	levels, failures := uint8(next())%5, uint8(next())%5
 	for ; levels > 0; levels-- {
 		l := LevelSpec{Kind: LevelKind(pick("buffer", "servers", "pfs", "", "tape"))}
 		l.Servers, l.Replicas, l.WriteQuorum = next(), next(), next()
 		l.Targets, l.Stripes = next(), next()
-		l.Bandwidth = float64(next()) * 1e6
-		l.Retention = next()
-		l.Capacity = int64(l.Retention) << 20
+		_, _ = next(), next()
 		st.Levels = append(st.Levels, l)
 	}
 	if flags&4 != 0 {

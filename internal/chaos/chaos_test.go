@@ -74,10 +74,9 @@ func chaosCfg(np int, proto ftpm.Proto) ftpm.Config {
 		Interval: 12 * time.Millisecond,
 		Storage: &ckpt.Spec{Levels: []ckpt.LevelSpec{{Kind: ckpt.LevelServers, Servers: 2,
 			Replicas: 2, WriteQuorum: 1, StoreRetries: 3, RetryBackoff: 2 * time.Millisecond}}},
-		RestartDelay: 2 * time.Millisecond,
-		Spares:       2,
-		Deadline:     time.Hour,
-		Seed:         1,
+		Spares:   2,
+		Deadline: time.Hour,
+		Seed:     1,
 	}
 }
 

@@ -43,7 +43,8 @@ const (
 )
 
 // LevelSpec configures one level of the hierarchy.  Which fields apply
-// depends on Kind; Spec.Normalize fills model defaults for the rest.
+// depends on Kind (a buffer level has none); Spec.Normalize fills the
+// PFS defaults.
 type LevelSpec struct {
 	Kind LevelKind
 
@@ -56,22 +57,6 @@ type LevelSpec struct {
 	StoreRetries int
 	RetryBackoff sim.Time
 
-	// Bandwidth is the level's per-target bandwidth in bytes/second:
-	// local-device write/read speed for the buffer, the per-stripe flow
-	// cap for the PFS.  Unused for the servers level (the network model
-	// owns it).
-	Bandwidth float64
-	// Latency is the fixed per-operation setup cost (buffer only; the
-	// network model carries latency for the other levels).
-	Latency sim.Time
-
-	// Capacity bounds a node buffer in bytes; 0 = unbounded.  When an
-	// insert would overflow, the oldest staged images are evicted first.
-	Capacity int64
-	// Retention bounds how many waves per rank a buffer keeps; 0 = all
-	// until GC.
-	Retention int
-
 	// Targets is the PFS target-node count; Stripes is how many targets
 	// one image is striped across.
 	Targets int
@@ -79,54 +64,45 @@ type LevelSpec struct {
 }
 
 // Spec is the full storage-hierarchy configuration: the ordered levels
-// (top first) plus the image-planning knobs shared by all levels.
+// (top first) plus the image-pricing switches shared by all levels.
 type Spec struct {
 	// Levels, top (fastest, least reliable) to bottom.  Exactly one
 	// LevelServers entry is required; LevelBuffer must be first and
 	// LevelPFS last when present.
 	Levels []LevelSpec
 
-	// Incremental captures dirty-region deltas between full images.
+	// Incremental captures dirty-region deltas between full images: a
+	// full image every chainLength-th checkpoint per rank, and a delta d
+	// intervals past its base stores min(1, d·dirtyPerInterval) of the
+	// full size.
 	Incremental bool
-	// FullEvery forces a full image every n-th checkpoint per rank when
-	// Incremental (bounding delta-chain length); default 4.
-	FullEvery int
-	// DirtyFraction is the fraction of the full image dirtied per
-	// checkpoint interval; a delta d intervals past its base stores
-	// min(1, d·DirtyFraction) of the full size.  Default 0.35.
-	DirtyFraction float64
-
 	// Compress models checkpoint compression: stored and restored bytes
-	// shrink by CompressRatio (default 0.6).
-	Compress      bool
-	CompressRatio float64
+	// shrink to compressedShare of their size.
+	Compress bool
 }
+
+// The level device model and the image pricing: constants of every run.
+const (
+	// BufferBW is a node buffer's local write/read speed in bytes/second
+	// (SSD/RAM-disk class), and bufferSetup its fixed per-operation cost.
+	BufferBW    = 2e9
+	bufferSetup = 200 * sim.Time(1000)
+	// PFSStripeBW caps one PFS stripe flow, in bytes/second.
+	PFSStripeBW = 1e9
+
+	chainLength      = 4
+	dirtyPerInterval = 0.35
+	compressedShare  = 0.6
+)
 
 // DefaultPFSTargets is the PFS target count of a level that names none.
 const DefaultPFSTargets = 4
 
-// Normalize fills model defaults in place and returns the spec.
+// Normalize fills the PFS level's Targets and Stripes defaults in place
+// and returns the spec.
 func (sp *Spec) Normalize() *Spec {
-	if sp.FullEvery <= 0 {
-		sp.FullEvery = 4
-	}
-	if sp.DirtyFraction <= 0 {
-		sp.DirtyFraction = 0.35
-	}
-	if sp.CompressRatio <= 0 {
-		sp.CompressRatio = 0.6
-	}
 	for i := range sp.Levels {
-		l := &sp.Levels[i]
-		switch l.Kind {
-		case LevelBuffer:
-			if l.Bandwidth <= 0 {
-				l.Bandwidth = 2e9 // local SSD/RAM-disk class
-			}
-			if l.Latency <= 0 {
-				l.Latency = 200 * sim.Time(1000) // 200µs setup
-			}
-		case LevelPFS:
+		if l := &sp.Levels[i]; l.Kind == LevelPFS {
 			if l.Targets <= 0 {
 				l.Targets = DefaultPFSTargets
 			}
@@ -134,9 +110,6 @@ func (sp *Spec) Normalize() *Spec {
 				l.Stripes = 2
 			}
 			l.Stripes = min(l.Stripes, l.Targets)
-			if l.Bandwidth <= 0 {
-				l.Bandwidth = 1e9 // per-stripe PFS target
-			}
 		}
 	}
 	return sp
@@ -166,7 +139,8 @@ func (sp *Spec) ServersLevel() *LevelSpec {
 // level.  Message-logging recovery fetches per-rank image+log unions
 // from the server group as soon as a failure is detected, which is
 // incompatible with asynchronously draining staged copies — so mlog
-// jobs run the degenerate hierarchy (the planner knobs still apply).
+// jobs run the degenerate hierarchy (incremental and compressed pricing
+// still apply).
 func (sp *Spec) WithoutStaging() *Spec {
 	out := *sp
 	out.Levels = nil
@@ -178,33 +152,20 @@ func (sp *Spec) WithoutStaging() *Spec {
 	return &out
 }
 
-// nodeBuffer is one node's staging buffer.  Insertion order doubles as
-// the deterministic eviction order.
+// nodeBuffer is one node's staging buffer.  It keeps every image until
+// GC reclaims it.
 type nodeBuffer struct {
 	node   int
 	dead   bool
-	used   int64
-	order  []imgKey
 	images map[imgKey]*Image
 	drains []*StoreOp
-}
-
-func (b *nodeBuffer) evictAt(i int) *Image {
-	k := b.order[i]
-	img := b.images[k]
-	b.order = append(b.order[:i], b.order[i+1:]...)
-	delete(b.images, k)
-	if img != nil {
-		b.used -= img.StoredBytes()
-	}
-	return img
 }
 
 // pfsStore is the striped logical store over the PFS target nodes.  An
 // image is readable only while every target holding one of its stripes
 // is still alive.
 type pfsStore struct {
-	spec    LevelSpec
+	stripes int
 	nodes   []int // target index → machine
 	dead    []bool
 	images  map[imgKey]*pfsImage
@@ -299,9 +260,8 @@ func NewHierarchy(net *simnet.Network, spec Spec, group *Group, pfsNodes []int) 
 		h.buffers = make(map[int]*nodeBuffer)
 	}
 	if h.pfsIdx >= 0 {
-		l := spec.Levels[h.pfsIdx]
 		h.pfs = &pfsStore{
-			spec:    l,
+			stripes: spec.Levels[h.pfsIdx].Stripes,
 			nodes:   pfsNodes,
 			dead:    make([]bool, len(pfsNodes)),
 			images:  make(map[imgKey]*pfsImage),
@@ -335,7 +295,7 @@ func (h *Hierarchy) buffer(node int) *nodeBuffer {
 }
 
 // price stamps the image with its modelled stored/restore costs under the
-// spec's incremental and compression knobs, advancing the rank's delta
+// spec's incremental and compression switches, advancing the rank's delta
 // chain.  Store calls it once, at entry: these are the last writes to the
 // image, made before any level holds a reference to it.
 func (h *Hierarchy) price(img *Image) {
@@ -350,9 +310,9 @@ func (h *Hierarchy) price(img *Image) {
 			ch = &chainState{}
 			h.chains[img.Rank] = ch
 		}
-		if ch.haveFull && ch.sinceFull < h.spec.FullEvery-1 {
+		if ch.haveFull && ch.sinceFull < chainLength-1 {
 			ch.sinceFull++
-			frac := h.spec.DirtyFraction * float64(ch.sinceFull)
+			frac := dirtyPerInterval * float64(ch.sinceFull)
 			if frac > 1 {
 				frac = 1
 			}
@@ -373,8 +333,8 @@ func (h *Hierarchy) price(img *Image) {
 		}
 	}
 	if h.spec.Compress {
-		stored = int64(float64(stored) * h.spec.CompressRatio)
-		restore = int64(float64(restore) * h.spec.CompressRatio)
+		stored = int64(float64(stored) * compressedShare)
+		restore = int64(float64(restore) * compressedShare)
 		if stored < 1 {
 			stored = 1
 		}
@@ -457,12 +417,11 @@ func (h *Hierarchy) Store(img *Image, srcNode int, cap simnet.Rate, onQuorum, on
 		return h.storeToServers(img, srcNode, cap, onQuorum, onFailed)
 	}
 	op := &hierOp{h: h}
-	lvl := &h.spec.Levels[h.bufIdx]
 	stored := img.StoredBytes()
 	span := h.hub.NextSpan()
 	h.emit(obs.Event{Type: obs.EvImageStoreBegin, Rank: img.Rank, Wave: img.Wave,
 		Channel: -1, Node: srcNode, Server: -1, Level: h.bufIdx, Bytes: stored, Span: span})
-	op.timer = h.k.After(lvl.Latency+bwTime(stored, lvl.Bandwidth), func() {
+	op.timer = h.k.After(bufferSetup+bwTime(stored, BufferBW), func() {
 		op.timer = 0
 		if buf.dead {
 			// Device died mid-write: the local copy is lost, retry
@@ -470,7 +429,7 @@ func (h *Hierarchy) Store(img *Image, srcNode int, cap simnet.Rate, onQuorum, on
 			op.inner = h.storeToServers(img, srcNode, cap, onQuorum, onFailed)
 			return
 		}
-		h.insert(buf, lvl, img)
+		buf.images[imgKey{img.Rank, img.Wave}] = img
 		h.emit(obs.Event{Type: obs.EvImageStoreEnd, Rank: img.Rank, Wave: img.Wave,
 			Channel: -1, Node: srcNode, Server: -1, Level: h.bufIdx, Bytes: stored, Span: span})
 		if onQuorum != nil {
@@ -490,50 +449,6 @@ func (h *Hierarchy) storeToServers(img *Image, srcNode int, cap simnet.Rate, onQ
 		}
 		h.drainToPFS(img, cap)
 	}, onFailed)
-}
-
-// insert stages an image in the buffer, evicting oldest-first to honor
-// capacity and per-rank retention.
-func (h *Hierarchy) insert(buf *nodeBuffer, lvl *LevelSpec, img *Image) {
-	k := imgKey{img.Rank, img.Wave}
-	if old := buf.images[k]; old != nil {
-		buf.used -= old.StoredBytes()
-	} else {
-		buf.order = append(buf.order, k)
-	}
-	buf.images[k] = img
-	buf.used += img.StoredBytes()
-	for lvl.Capacity > 0 && buf.used > lvl.Capacity {
-		i := 0
-		for i < len(buf.order) && buf.order[i] == k {
-			i++
-		}
-		if i >= len(buf.order) {
-			break // only the just-written image left; never evict it
-		}
-		h.evict(buf, i)
-	}
-	if lvl.Retention > 0 {
-		kept := 0
-		for i := len(buf.order) - 1; i >= 0; i-- {
-			if buf.order[i].rank != img.Rank || buf.order[i] == k {
-				continue
-			}
-			kept++
-			if kept >= lvl.Retention {
-				h.evict(buf, i)
-			}
-		}
-	}
-}
-
-func (h *Hierarchy) evict(buf *nodeBuffer, i int) {
-	victim := buf.evictAt(i)
-	if victim != nil {
-		h.emit(obs.Event{Type: obs.EvLevelEvict, Rank: victim.Rank, Wave: victim.Wave,
-			Channel: -1, Node: buf.node, Server: -1, Level: h.bufIdx,
-			Bytes: victim.StoredBytes()})
-	}
 }
 
 // drainFromBuffer asynchronously pushes a staged image down to the
@@ -584,7 +499,7 @@ func (h *Hierarchy) drainToPFS(img *Image, cap simnet.Rate) {
 	if src == nil {
 		return
 	}
-	targets := h.pfs.liveTargets(img.Rank, h.pfs.spec.Stripes)
+	targets := h.pfs.liveTargets(img.Rank, h.pfs.stripes)
 	if len(targets) == 0 {
 		return
 	}
@@ -631,7 +546,7 @@ func (h *Hierarchy) stripe(node int, targets []int, total int64, write bool, don
 		if write {
 			src, dst = dst, src
 		}
-		flows[i] = h.net.StartFlowCapped(src, dst, sz, simnet.Rate(h.pfs.spec.Bandwidth), landed)
+		flows[i] = h.net.StartFlowCapped(src, dst, sz, PFSStripeBW, landed)
 	}
 	return flows
 }
@@ -659,8 +574,7 @@ func (h *Hierarchy) Fetch(rank, wave, dstNode int, needLogs bool, onDone func(*I
 	if h.bufIdx >= 0 {
 		if buf := h.buffers[dstNode]; buf != nil && !buf.dead {
 			if img := buf.images[imgKey{rank, wave}]; img != nil {
-				lvl := &h.spec.Levels[h.bufIdx]
-				op.timer = h.k.After(lvl.Latency+bwTime(img.RestoreBytes(), lvl.Bandwidth), func() {
+				op.timer = h.k.After(bufferSetup+bwTime(img.RestoreBytes(), BufferBW), func() {
 					op.timer = 0
 					if buf.dead {
 						// Device died during the read; fall down a level.
@@ -741,8 +655,6 @@ func (h *Hierarchy) KillBuffer(node int) bool {
 	}
 	buf.dead = true
 	buf.images = make(map[imgKey]*Image)
-	buf.order = nil
-	buf.used = 0
 	for _, d := range buf.drains {
 		d.Cancel()
 	}
@@ -804,12 +716,10 @@ func (h *Hierarchy) gcBuffer(buf *nodeBuffer, drop func(imgKey) bool) {
 	if buf == nil || buf.dead {
 		return
 	}
-	for i := 0; i < len(buf.order); {
-		if drop(buf.order[i]) {
-			buf.evictAt(i)
-			continue
+	for k := range buf.images {
+		if drop(k) {
+			delete(buf.images, k)
 		}
-		i++
 	}
 }
 

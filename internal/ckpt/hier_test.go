@@ -172,41 +172,40 @@ func TestHierarchyPFSStripeLoss(t *testing.T) {
 	}
 }
 
-// TestHierarchyBufferEviction pins the deterministic oldest-first
-// eviction: a capacity that holds two images drops the oldest wave when
-// the third arrives, and the just-written image is never the victim.
-func TestHierarchyBufferEviction(t *testing.T) {
+// TestHierarchyBufferKeepsUntilGC pins the buffer's residency: it keeps
+// every staged wave (it has no capacity bound) until GC reclaims the
+// waves below the recovery line, and GCRank only the one rank's.
+func TestHierarchyBufferKeepsUntilGC(t *testing.T) {
 	k := sim.New(1)
-	net := simnet.New(k, simnet.Topology{Clusters: []simnet.ClusterSpec{{
-		Name: "c", Nodes: 3, NICBW: 100e6, Latency: 50 * time.Microsecond,
-	}}})
-	pool := []*Server{NewServer(net, 0, 1)}
-	g := NewGroup(net, pool, 1, 1, nil)
-	img := testImage(0, 1)
-	spec := (&Spec{Levels: []LevelSpec{
-		{Kind: LevelBuffer, Capacity: 2 * img.Bytes()},
-		{Kind: LevelServers, Servers: 1},
-	}}).Normalize()
-	h := NewHierarchy(net, *spec, g, nil)
-	k.Go("rank", func(p *sim.Proc) {
-		for wave := 1; wave <= 3; wave++ {
-			wave := wave
-			k.After(sim.Time(wave)*sim.Time(10*time.Millisecond), func() {
-				h.Store(testImage(0, wave), 0, 0, nil, nil)
-			})
-		}
-	})
+	h, _ := hierSetup(k)
+	for wave := 1; wave <= 3; wave++ {
+		k.After(sim.Time(wave)*sim.Time(10*time.Millisecond), func() {
+			h.Store(testImage(0, wave), 0, 0, nil, nil)
+			h.Store(testImage(1, wave), 0, 0, nil, nil)
+		})
+	}
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
-	buf := h.buffers[0]
-	if buf == nil {
-		t.Fatal("no buffer created")
+	resident := func() (keys []imgKey) {
+		for rank := 0; rank < 2; rank++ {
+			for wave := 1; wave <= 3; wave++ {
+				if h.buffers[0].images[imgKey{rank, wave}] != nil {
+					keys = append(keys, imgKey{rank, wave})
+				}
+			}
+		}
+		return keys
 	}
-	if buf.images[imgKey{0, 1}] != nil {
-		t.Error("oldest wave not evicted at capacity")
+	if got := resident(); len(got) != 6 {
+		t.Fatalf("buffer holds %v, want all six images", got)
 	}
-	if buf.images[imgKey{0, 2}] == nil || buf.images[imgKey{0, 3}] == nil {
-		t.Error("capacity eviction dropped the wrong waves")
+	h.GCRank(1, 3)
+	if got, want := resident(), []imgKey{{0, 1}, {0, 2}, {0, 3}, {1, 3}}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("after GCRank(1, 3) the buffer holds %v, want %v", got, want)
+	}
+	h.GC(3)
+	if got, want := resident(), []imgKey{{0, 3}, {1, 3}}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("after GC(3) the buffer holds %v, want %v", got, want)
 	}
 }

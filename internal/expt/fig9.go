@@ -12,7 +12,7 @@ import (
 // gridConfig assembles a checkpoint-free grid job with same-cluster
 // checkpoint servers.
 func gridConfig(np int, o Options) (ftpm.Config, error) {
-	lay, err := platform.Grid5000Layout(np, 2, 1)
+	lay, err := platform.Grid5000Layout(np, 2)
 	if err != nil {
 		return ftpm.Config{}, err
 	}

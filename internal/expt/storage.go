@@ -54,8 +54,6 @@ type StorageSatRow struct {
 	// Util is the level's busy fraction: MB / (Capacity × completion).
 	// The level closest to 1.0 saturates first as waves come faster.
 	Util float64
-	// Evictions counts capacity/retention evictions (buffer levels).
-	Evictions int64
 }
 
 // StorageStudy is the full output of the storage harness.
@@ -228,8 +226,8 @@ func Storage(o Options) (StorageStudy, error) {
 		nicMBps := cfg.Topology.Clusters[0].NICBW / mib
 		levels := []StorageSatRow{{Level: "servers", MB: float64(reg.Counter(obs.MImageBytes)) / mib,
 			Capacity: nicMBps * float64(v.servers)}}
-		// The run's Validate normalized the spec in place, so the level
-		// bandwidths read here are the ones the run used.
+		// The run's Validate normalized the spec in place, so the PFS
+		// target count read here is the one the run used.
 		if sp := cfg.Storage; sp != nil {
 			levels = levels[:0]
 			for k, l := range sp.Levels {
@@ -237,11 +235,11 @@ func Storage(o Options) (StorageStudy, error) {
 				switch l.Kind {
 				case ckpt.LevelBuffer:
 					computeNodes := (np + cfg.ProcsPerNode - 1) / cfg.ProcsPerNode
-					row.Capacity, row.Evictions = l.Bandwidth*float64(computeNodes)/mib, reg.Counter(obs.MEvictions)
+					row.Capacity = ckpt.BufferBW * float64(computeNodes) / mib
 				case ckpt.LevelServers:
 					row.Capacity = nicMBps * float64(l.Servers)
 				case ckpt.LevelPFS:
-					row.Capacity = l.Bandwidth * float64(l.Targets) / mib
+					row.Capacity = ckpt.PFSStripeBW * float64(l.Targets) / mib
 				}
 				levels = append(levels, row)
 			}

@@ -114,9 +114,6 @@ type Config struct {
 	MTTF       sim.Time
 	ServerMTTF sim.Time
 	NodeMTTF   sim.Time
-	// RestartDelay models the runtime's respawn cost before image
-	// fetches begin.
-	RestartDelay sim.Time
 	// Spares reserves that many extra nodes after the service node.
 	// When a machine dies (a failure.KindNode kill) the dispatcher remaps
 	// its ranks to a spare while any remain, then overbooks surviving
@@ -152,10 +149,10 @@ type Config struct {
 	// and computes the per-phase overhead attribution into
 	// Result.Attribution when the job completes.
 	Attrib bool
-	// SnapshotPeriod > 0 emits a periodic metrics snapshot (counter-sample
-	// events) every period, rendered as counter tracks by the Chrome trace
-	// exporter.
-	SnapshotPeriod sim.Time
+	// MetricsSnapshot > 0 emits a periodic metrics snapshot
+	// (counter-sample events) every period, rendered as counter tracks by
+	// the Chrome trace exporter.
+	MetricsSnapshot sim.Time
 }
 
 // HeartbeatSpec groups the failure-detector knobs.  Period > 0 replaces
@@ -275,17 +272,20 @@ func (c *Config) Validate() error {
 	if c.NewProgram == nil {
 		return cfgErr("NewProgram", "is required")
 	}
-	if c.RestartDelay < 0 {
-		return cfgErr("RestartDelay", "must be non-negative, got %v", c.RestartDelay)
-	}
 	if c.MTTF < 0 {
 		return cfgErr("MTTF", "must be non-negative, got %v", c.MTTF)
 	}
-	if c.ServerMTTF < 0 {
+	switch {
+	case c.ServerMTTF < 0:
 		return cfgErr("ServerMTTF", "must be non-negative, got %v", c.ServerMTTF)
+	case c.ServerMTTF > 0 && c.Storage == nil:
+		return cfgErr("ServerMTTF", "> 0 but the job has no checkpoint servers")
 	}
 	if c.NodeMTTF < 0 {
 		return cfgErr("NodeMTTF", "must be non-negative, got %v", c.NodeMTTF)
+	}
+	if c.MetricsSnapshot < 0 {
+		return cfgErr("MetricsSnapshot", "must be non-negative, got %v", c.MetricsSnapshot)
 	}
 	switch hb := &c.Heartbeat; {
 	case hb.Period < 0:
@@ -448,18 +448,6 @@ func (c *Config) validateStorage() error {
 			if i != 0 {
 				return cfgErr(field("Kind"), "the buffer is the staging level and must come first")
 			}
-			if l.Bandwidth < 0 {
-				return cfgErr(field("Bandwidth"), "must be non-negative, got %g", l.Bandwidth)
-			}
-			if l.Latency < 0 {
-				return cfgErr(field("Latency"), "must be non-negative, got %v", l.Latency)
-			}
-			if l.Capacity < 0 {
-				return cfgErr(field("Capacity"), "must be non-negative, got %d", l.Capacity)
-			}
-			if l.Retention < 0 {
-				return cfgErr(field("Retention"), "must be non-negative, got %d", l.Retention)
-			}
 		case ckpt.LevelServers:
 			if srvSeen >= 0 {
 				return cfgErr(field("Kind"), "exactly one servers level is allowed (already at index %d)", srvSeen)
@@ -502,9 +490,6 @@ func (c *Config) validateStorage() error {
 			if l.Stripes < 0 {
 				return cfgErr(field("Stripes"), "must be non-negative, got %d", l.Stripes)
 			}
-			if l.Bandwidth < 0 {
-				return cfgErr(field("Bandwidth"), "must be non-negative, got %g", l.Bandwidth)
-			}
 		default:
 			return cfgErr(field("Kind"), "unknown level kind %q (want %q, %q or %q)",
 				l.Kind, ckpt.LevelBuffer, ckpt.LevelServers, ckpt.LevelPFS)
@@ -512,15 +497,6 @@ func (c *Config) validateStorage() error {
 	}
 	if srvSeen < 0 {
 		return cfgErr("Storage.Levels", "a servers level is mandatory (it is the paper's checkpoint-server tier)")
-	}
-	if sp.FullEvery < 0 {
-		return cfgErr("Storage.FullEvery", "must be non-negative, got %d", sp.FullEvery)
-	}
-	if sp.DirtyFraction < 0 || sp.DirtyFraction > 1 {
-		return cfgErr("Storage.DirtyFraction", "must be in [0, 1], got %g", sp.DirtyFraction)
-	}
-	if sp.CompressRatio < 0 || sp.CompressRatio > 1 {
-		return cfgErr("Storage.CompressRatio", "must be in [0, 1], got %g", sp.CompressRatio)
 	}
 	sp.Normalize()
 	return nil

@@ -43,10 +43,6 @@ func TestValidateStorageRejections(t *testing.T) {
 		{"buffer not first", func(c *Config) {
 			c.Storage.Levels[0], c.Storage.Levels[1] = c.Storage.Levels[1], c.Storage.Levels[0]
 		}, "Storage.Levels[1].Kind"},
-		{"buffer bandwidth", func(c *Config) { c.Storage.Levels[0].Bandwidth = -1 }, "Storage.Levels[0].Bandwidth"},
-		{"buffer latency", func(c *Config) { c.Storage.Levels[0].Latency = -1 }, "Storage.Levels[0].Latency"},
-		{"buffer capacity", func(c *Config) { c.Storage.Levels[0].Capacity = -1 }, "Storage.Levels[0].Capacity"},
-		{"buffer retention", func(c *Config) { c.Storage.Levels[0].Retention = -1 }, "Storage.Levels[0].Retention"},
 		{"duplicate servers", func(c *Config) {
 			c.Storage.Levels = []ckpt.LevelSpec{
 				{Kind: ckpt.LevelBuffer},
@@ -68,7 +64,6 @@ func TestValidateStorageRejections(t *testing.T) {
 		}, "Storage.Levels[1].Kind"},
 		{"pfs targets", func(c *Config) { c.Storage.Levels[2].Targets = -1 }, "Storage.Levels[2].Targets"},
 		{"pfs stripes", func(c *Config) { c.Storage.Levels[2].Stripes = -1 }, "Storage.Levels[2].Stripes"},
-		{"pfs bandwidth", func(c *Config) { c.Storage.Levels[2].Bandwidth = -1 }, "Storage.Levels[2].Bandwidth"},
 		{"unknown kind", func(c *Config) {
 			c.Storage.Levels = []ckpt.LevelSpec{
 				{Kind: ckpt.LevelBuffer},
@@ -79,9 +74,6 @@ func TestValidateStorageRejections(t *testing.T) {
 		{"missing servers level", func(c *Config) {
 			c.Storage.Levels = []ckpt.LevelSpec{{Kind: ckpt.LevelBuffer}}
 		}, "Storage.Levels"},
-		{"full every", func(c *Config) { c.Storage.FullEvery = -1 }, "Storage.FullEvery"},
-		{"dirty fraction", func(c *Config) { c.Storage.DirtyFraction = 1.5 }, "Storage.DirtyFraction"},
-		{"compress ratio", func(c *Config) { c.Storage.CompressRatio = -0.1 }, "Storage.CompressRatio"},
 		// Scripted kills must name a victim that exists (4 ranks, 2
 		// servers, 2 PFS targets); the index is the offending event's.
 		{"failure rank", func(c *Config) { c.Failures = failure.KillAt(time.Millisecond, 4) }, "Failures[0].Rank"},
@@ -114,6 +106,12 @@ func TestValidateStorageRejections(t *testing.T) {
 		{"failure kind", func(c *Config) { c.Failures = failure.Plan{{At: time.Millisecond, Kind: 9}} }, "Failures[0].Kind"},
 		{"failure time", func(c *Config) { c.Failures = failure.KillAt(-time.Millisecond, 0) }, "Failures[0].At"},
 		{"interval", func(c *Config) { c.Interval = -time.Millisecond }, "Interval"},
+		// A server failure process needs servers to draw its victims from.
+		{"server mttf without servers", func(c *Config) {
+			c.Protocol, c.Storage = ProtoNone, nil
+			c.ServerMTTF = time.Millisecond
+		}, "ServerMTTF"},
+		{"negative metrics snapshot", func(c *Config) { c.MetricsSnapshot = -time.Millisecond }, "MetricsSnapshot"},
 	}
 	for _, tc := range cases {
 		tc := tc
@@ -136,7 +134,7 @@ func TestValidateStorageRejections(t *testing.T) {
 }
 
 // TestValidateStorageFold pins what Validate writes: a valid spec gets its
-// replication and model defaults in place, the Servers shorthand becomes
+// replication and PFS defaults in place, the Servers shorthand becomes
 // the one-level spec it stands for, and a second Validate is a no-op —
 // harnesses validate before handing the config to a job.
 func TestValidateStorageFold(t *testing.T) {
@@ -154,18 +152,15 @@ func TestValidateStorageFold(t *testing.T) {
 	}
 
 	cfg := storageCfg()
+	cfg.Storage.Levels[2] = ckpt.LevelSpec{Kind: ckpt.LevelPFS}
 	if err := cfg.Validate(); err != nil {
 		t.Fatal(err)
 	}
 	if l := cfg.Storage.Levels[1]; l.Replicas != 1 || l.WriteQuorum != 1 {
 		t.Errorf("replication defaults: Replicas=%d WriteQuorum=%d, want 1/1", l.Replicas, l.WriteQuorum)
 	}
-	sp := cfg.Storage
-	if sp.FullEvery != 4 || sp.DirtyFraction != 0.35 || sp.CompressRatio != 0.6 {
-		t.Errorf("planner defaults not normalized: %+v", sp)
-	}
-	if l := sp.Levels[0]; l.Bandwidth <= 0 || l.Latency <= 0 {
-		t.Errorf("buffer defaults not normalized: %+v", l)
+	if l := cfg.Storage.Levels[2]; l.Targets != ckpt.DefaultPFSTargets || l.Stripes != 2 {
+		t.Errorf("PFS defaults: Targets=%d Stripes=%d, want %d/2", l.Targets, l.Stripes, ckpt.DefaultPFSTargets)
 	}
 	if err := cfg.Validate(); err != nil {
 		t.Fatalf("re-validation not idempotent: %v", err)

@@ -58,12 +58,9 @@ type Job struct {
 	repairSkip    bool     // an aborted repair's fallback must not re-enter
 	lostWork      sim.Time
 
-	expFail     *failure.Exponential
-	expSrvFail  *failure.Exponential
-	expNodeFail *failure.Exponential
-	rankDiedAt  []sim.Time // actual death times (heartbeat mode)
-	srvDiedAt   []sim.Time
-	degraded    bool
+	rankDiedAt []sim.Time // actual death times (heartbeat mode)
+	srvDiedAt  []sim.Time
+	degraded   bool
 
 	hub *obs.Hub
 	// met is the run's one ledger, always the job's own: the MetricsSink
@@ -205,18 +202,9 @@ func (job *Job) Run() (Result, error) {
 		ev := ev
 		job.k.At(ev.At, func() { job.inject(ev) })
 	}
-	if job.cfg.MTTF > 0 {
-		job.expFail = failure.NewExponential(job.cfg.MTTF, job.cfg.Seed+1)
-		job.scheduleMTTF()
-	}
-	if job.cfg.ServerMTTF > 0 {
-		job.expSrvFail = failure.NewExponential(job.cfg.ServerMTTF, job.cfg.Seed+2)
-		job.scheduleServerMTTF()
-	}
-	if job.cfg.NodeMTTF > 0 {
-		job.expNodeFail = failure.NewExponential(job.cfg.NodeMTTF, job.cfg.Seed+3)
-		job.scheduleNodeMTTF()
-	}
+	job.failEvery(job.cfg.MTTF, 1, job.cfg.NP, job.injectRankKill)
+	job.failEvery(job.cfg.ServerMTTF, 2, len(job.servers), job.injectServerKill)
+	job.failEvery(job.cfg.NodeMTTF, 3, job.computeNodes, job.injectNodeKill)
 	if job.cfg.Deadline > 0 {
 		job.k.At(job.cfg.Deadline, func() {
 			job.k.Stop(fmt.Errorf("ftpm: deadline %v exceeded", job.cfg.Deadline))
@@ -225,7 +213,7 @@ func (job *Job) Run() (Result, error) {
 	if job.cfg.Heartbeat.Period > 0 {
 		job.det = newDetector(job)
 	}
-	if job.cfg.SnapshotPeriod > 0 {
+	if job.cfg.MetricsSnapshot > 0 {
 		job.scheduleSnapshot()
 	}
 	job.launch(0)
@@ -336,37 +324,27 @@ func (job *Job) emit(ev obs.Event) {
 	job.hub.Emit(ev)
 }
 
-func (job *Job) scheduleMTTF() {
-	d, r := job.expFail.Next(job.cfg.NP)
-	job.k.After(d, func() {
-		if job.doneRes {
-			return
-		}
-		job.injectRankKill(r)
-		job.scheduleMTTF()
-	})
-}
-
-func (job *Job) scheduleServerMTTF() {
-	d, s := job.expSrvFail.Next(len(job.servers))
-	job.k.After(d, func() {
-		if job.doneRes {
-			return
-		}
-		job.injectServerKill(s)
-		job.scheduleServerMTTF()
-	})
-}
-
-func (job *Job) scheduleNodeMTTF() {
-	d, n := job.expNodeFail.Next(job.computeNodes)
-	job.k.After(d, func() {
-		if job.doneRes {
-			return
-		}
-		job.injectNodeKill(n)
-		job.scheduleNodeMTTF()
-	})
+// failEvery starts one memoryless failure process when mttf > 0: an
+// exponential source seeded Seed+seedOffset draws a delay and one of n
+// victims, kill takes the victim, and the next draw follows, until the
+// job completes.
+func (job *Job) failEvery(mttf sim.Time, seedOffset int64, n int, kill func(int)) {
+	if mttf <= 0 {
+		return
+	}
+	src := failure.NewExponential(mttf, job.cfg.Seed+seedOffset)
+	var next func()
+	next = func() {
+		d, victim := src.Next(n)
+		job.k.After(d, func() {
+			if job.doneRes {
+				return
+			}
+			kill(victim)
+			next()
+		})
+	}
+	next()
 }
 
 // inject routes one scripted failure event to its kill path.  Validate
@@ -402,7 +380,7 @@ func (job *Job) injectRankKill(rank int) {
 		job.silentKill(rank)
 		return
 	}
-	job.onFailure(rank)
+	job.detectedRank(rank)
 }
 
 // injectServerKill fails a checkpoint server: its data is lost, every
@@ -526,7 +504,7 @@ func (job *Job) suspectServer(s int) {
 }
 
 // snapshotCounters is the fixed set of cumulative counters sampled by
-// the periodic metrics snapshot (Config.SnapshotPeriod).  The list and
+// the periodic metrics snapshot (Config.MetricsSnapshot).  The list and
 // its order are frozen so snapshot streams are byte-deterministic.
 var snapshotCounters = []string{
 	obs.MMarkersSent,
@@ -541,10 +519,10 @@ var snapshotCounters = []string{
 }
 
 // scheduleSnapshot arms the recurring metrics-snapshot timer: every
-// SnapshotPeriod it emits one EvCounterSample per tracked counter, which
-// trace exporter renders as Perfetto counter tracks.
+// MetricsSnapshot it emits one EvCounterSample per tracked counter, which
+// the trace exporter renders as Perfetto counter tracks.
 func (job *Job) scheduleSnapshot() {
-	job.k.After(job.cfg.SnapshotPeriod, func() {
+	job.k.After(job.cfg.MetricsSnapshot, func() {
 		if job.doneRes {
 			return
 		}
@@ -677,21 +655,12 @@ func (job *Job) newProtocol(pr *procRun) core.Protocol {
 	}
 }
 
-// onFailure implements the paper's recovery: the dispatcher detects the
-// broken connection immediately (tasks are killed, not machines), signals
-// every process to exit, and relaunches the application from the last
-// committed wave.
-func (job *Job) onFailure(rank int) {
-	if !job.running {
-		return
-	}
-	job.detectedRank(rank)
-}
-
 // detectedRank is the dispatcher's reaction to a rank failure, however
 // it learned of it (instant detection, heartbeat timeout, scripted node
 // kill).  Node-loss semantics apply when the rank's machine was killed
-// outright.
+// outright.  Outside those and the in-job repair it is the paper's
+// recovery: the dispatcher signals every process to exit and relaunches
+// the application from the last committed wave.
 func (job *Job) detectedRank(rank int) {
 	if !job.running {
 		return
@@ -736,7 +705,9 @@ func (job *Job) detectedRank(rank int) {
 		job.scheduler.Stop()
 	}
 	wave := job.lastWave
-	job.k.After(job.cfg.RestartDelay, func() {
+	// The relaunch is an event of its own, after whatever else this
+	// instant holds; the respawn itself costs no virtual time.
+	job.k.After(0, func() {
 		if job.doneRes {
 			return
 		}
@@ -760,7 +731,7 @@ func (job *Job) onFailureLocal(rank int) {
 	job.recovering[rank] = true
 	pr.teardown()
 	wave := job.rankWave[rank]
-	job.k.After(job.cfg.RestartDelay, func() {
+	job.k.After(0, func() {
 		if job.doneRes {
 			return
 		}

@@ -228,7 +228,6 @@ func TestPclRecovery(t *testing.T) {
 	cfg := baseCfg(8)
 	cfg.Protocol = ProtoPcl
 	cfg.Interval = 15 * time.Millisecond
-	cfg.RestartDelay = 5 * time.Millisecond
 	cfg.Failures = failure.KillAt(60*time.Millisecond, 3)
 	res, progs := runOK(t, cfg)
 	if res.Restarts != 1 {
@@ -246,7 +245,6 @@ func TestVclRecoveryReplaysChannelState(t *testing.T) {
 	cfg := baseCfg(8)
 	cfg.Protocol = ProtoVcl
 	cfg.Interval = 15 * time.Millisecond
-	cfg.RestartDelay = 5 * time.Millisecond
 	cfg.Failures = failure.KillAt(60*time.Millisecond, 5)
 	res, progs := runOK(t, cfg)
 	if res.Restarts != 1 {
@@ -284,7 +282,6 @@ func TestMultipleFailures(t *testing.T) {
 			cfg := baseCfg(8)
 			cfg.Protocol = proto
 			cfg.Interval = 12 * time.Millisecond
-			cfg.RestartDelay = 2 * time.Millisecond
 			cfg.Failures = failure.Plan{
 				{At: 40 * time.Millisecond, Rank: 1},
 				{At: 110 * time.Millisecond, Rank: 6},
@@ -309,7 +306,6 @@ func TestMTTFFailures(t *testing.T) {
 	cfg.Protocol = ProtoPcl
 	cfg.Interval = 15 * time.Millisecond
 	cfg.MTTF = 70 * time.Millisecond
-	cfg.RestartDelay = 2 * time.Millisecond
 	res, progs := runOK(t, cfg)
 	for _, s := range sums(progs) {
 		if s != want {
@@ -374,7 +370,6 @@ func TestRecoveryProperty(t *testing.T) {
 		cfg.Seed = seed
 		cfg.Protocol = proto
 		cfg.Interval = sim.Time(5+rng.Intn(30)) * time.Millisecond
-		cfg.RestartDelay = sim.Time(rng.Intn(5)) * time.Millisecond
 		cfg.Failures = failure.Plan{{
 			At:   sim.Time(10+rng.Intn(150)) * time.Millisecond,
 			Rank: rng.Intn(5),

@@ -42,7 +42,6 @@ func TestMlogFailureFree(t *testing.T) {
 func TestMlogSingleProcessRecovery(t *testing.T) {
 	want := reference(t, 6)
 	cfg := mlogCfg(6)
-	cfg.RestartDelay = 2 * time.Millisecond
 	cfg.Failures = failure.KillAt(80*time.Millisecond, 3)
 	res, progs := runOK(t, cfg)
 	if res.Restarts != 1 {
@@ -74,7 +73,6 @@ func TestMlogRecoveryBeforeFirstCheckpoint(t *testing.T) {
 func TestMlogMultipleFailuresDifferentRanks(t *testing.T) {
 	want := reference(t, 6)
 	cfg := mlogCfg(6)
-	cfg.RestartDelay = time.Millisecond
 	cfg.Failures = failure.Plan{
 		{At: 50 * time.Millisecond, Rank: 1},
 		{At: 120 * time.Millisecond, Rank: 4},
@@ -97,7 +95,6 @@ func TestMlogMultipleFailuresDifferentRanks(t *testing.T) {
 // restart happens.
 func TestMlogNoGlobalRollback(t *testing.T) {
 	cfg := mlogCfg(6)
-	cfg.RestartDelay = time.Millisecond
 	cfg.Failures = failure.KillAt(100*time.Millisecond, 0)
 	res, _ := runOK(t, cfg)
 	if res.Restarts != 1 {
@@ -114,7 +111,6 @@ func TestMlogProperty(t *testing.T) {
 		cfg := mlogCfg(5)
 		cfg.Seed = seed
 		cfg.Interval = sim.Time(10+rng.Intn(40)) * time.Millisecond
-		cfg.RestartDelay = sim.Time(rng.Intn(4)) * time.Millisecond
 		n := 1 + rng.Intn(2)
 		for i := 0; i < n; i++ {
 			cfg.Failures = append(cfg.Failures, failure.Event{

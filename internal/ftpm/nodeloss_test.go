@@ -12,7 +12,6 @@ func nodeLossCfg(np int) Config {
 	cfg.ProcsPerNode = 2
 	cfg.Spares = 2
 	cfg.Topology = topoN(np/2 + 2 + 1 + 2 + 2) // compute + servers + service + spares + slack
-	cfg.RestartDelay = 2 * time.Millisecond
 	return cfg
 }
 

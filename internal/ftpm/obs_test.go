@@ -144,7 +144,6 @@ func TestObsRestartEvents(t *testing.T) {
 	cfg := baseCfg(4)
 	cfg.Protocol = ProtoPcl
 	cfg.Interval = 15 * time.Millisecond
-	cfg.RestartDelay = 2 * time.Millisecond
 	failAt := 40 * time.Millisecond
 	cfg.Failures = failure.Plan{{At: failAt, Rank: 2}}
 	res, col := collectRun(t, cfg)
@@ -164,8 +163,8 @@ func TestObsRestartEvents(t *testing.T) {
 	if len(begins) != 1 || len(ends) != 1 {
 		t.Fatalf("%d restart-begin, %d restart-end", len(begins), len(ends))
 	}
-	if begins[0].T < failAt+cfg.RestartDelay {
-		t.Fatalf("restart began at %v, before the %v respawn delay elapsed", begins[0].T, cfg.RestartDelay)
+	if begins[0].T < failAt {
+		t.Fatalf("restart began at %v, before the kill at %v", begins[0].T, failAt)
 	}
 	if ends[0].T < begins[0].T {
 		t.Fatalf("restart ended at %v before it began at %v", ends[0].T, begins[0].T)
@@ -186,7 +185,6 @@ func TestObsMlogLocalRecovery(t *testing.T) {
 	cfg := baseCfg(4)
 	cfg.Protocol = ProtoMlog
 	cfg.Interval = 15 * time.Millisecond
-	cfg.RestartDelay = time.Millisecond
 	cfg.Failures = failure.Plan{{At: 30 * time.Millisecond, Rank: 1}}
 	res, col := collectRun(t, cfg)
 	monotonic(t, col)
@@ -242,7 +240,7 @@ func TestObsLineStream(t *testing.T) {
 	cfg := baseCfg(4)
 	cfg.Protocol = ProtoPcl
 	cfg.Interval = 20 * time.Millisecond
-	cfg.SnapshotPeriod = 10 * time.Millisecond
+	cfg.MetricsSnapshot = 10 * time.Millisecond
 	cfg.Failures = failure.Plan{{At: 50 * time.Millisecond, Rank: 0}}
 	cfg.Sink = obs.NewHub(col, obs.NewLineSink(&buf))
 	runOK(t, cfg)
@@ -393,7 +391,6 @@ func TestRestartSpansClosed(t *testing.T) {
 			cfg := baseCfg(tc.np)
 			cfg.Protocol = tc.proto
 			cfg.Interval = tc.interval
-			cfg.RestartDelay = time.Millisecond
 			cfg.Failures = tc.kill
 			res, col := collectRun(t, cfg)
 			begins := col.Filter(obs.EvRestartBegin)

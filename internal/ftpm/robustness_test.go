@@ -24,7 +24,6 @@ func TestServerFailoverRecovery(t *testing.T) {
 			cfg := baseCfg(8)
 			cfg.Protocol = proto
 			cfg.Interval = 15 * time.Millisecond
-			cfg.RestartDelay = 2 * time.Millisecond
 			replicated(&cfg, ckpt.LevelSpec{Replicas: 2, WriteQuorum: 1})
 			cfg.Failures = failure.Plan{
 				// Server 0 dies while wave transfers are typically in
@@ -66,7 +65,6 @@ func TestServerFailoverDeterministic(t *testing.T) {
 		cfg := baseCfg(8)
 		cfg.Protocol = ProtoPcl
 		cfg.Interval = 15 * time.Millisecond
-		cfg.RestartDelay = 2 * time.Millisecond
 		replicated(&cfg, ckpt.LevelSpec{Replicas: 2, WriteQuorum: 1, StoreRetries: 1, RetryBackoff: time.Millisecond})
 		cfg.Failures = failure.Plan{
 			failure.KillServerAt(35*time.Millisecond, 0)[0],
@@ -97,7 +95,6 @@ func TestDegradedStopWithoutReplication(t *testing.T) {
 	cfg := baseCfg(8)
 	cfg.Protocol = ProtoPcl
 	cfg.Interval = 15 * time.Millisecond
-	cfg.RestartDelay = 2 * time.Millisecond
 	cfg.Failures = failure.Plan{
 		// Server 0 dies between waves, after at least one commit; rank
 		// 2's only image copy dies with it.
@@ -137,7 +134,6 @@ func TestHeartbeatDetection(t *testing.T) {
 	cfg := baseCfg(6)
 	cfg.Protocol = ProtoPcl
 	cfg.Interval = 15 * time.Millisecond
-	cfg.RestartDelay = 2 * time.Millisecond
 	cfg.Heartbeat.Period = 2 * time.Millisecond
 	cfg.Heartbeat.Timeout = 8 * time.Millisecond
 	cfg.Failures = failure.KillAt(60*time.Millisecond, 3)
@@ -206,7 +202,6 @@ func TestRobustnessConfigValidation(t *testing.T) {
 		mut  func(*Config)
 		want string
 	}{
-		{"negative restart delay", func(c *Config) { c.RestartDelay = -time.Second }, "RestartDelay"},
 		{"replicas exceed servers", func(c *Config) { replicated(c, ckpt.LevelSpec{Replicas: 3}) }, "Storage.Levels[0].Replicas"},
 		{"quorum exceeds replicas", func(c *Config) { replicated(c, ckpt.LevelSpec{Replicas: 2, WriteQuorum: 3}) }, "Storage.Levels[0].WriteQuorum"},
 		{"negative store retries", func(c *Config) { replicated(c, ckpt.LevelSpec{StoreRetries: -1}) }, "Storage.Levels[0].StoreRetries"},

@@ -3,7 +3,6 @@ package nas_test
 import (
 	"math"
 	"testing"
-	"time"
 
 	"ftckpt/internal/ftpm"
 	"ftckpt/internal/mpi"
@@ -70,7 +69,6 @@ func TestJacobiRecoveryExact(t *testing.T) {
 			cfg := recoveryCfg(4, mk)
 			cfg.Protocol = proto
 			cfg.Interval = half / 4
-			cfg.RestartDelay = time.Millisecond
 			cfg.Failures = failureAtHalfTime(half, 1)
 			job2, err := ftpm.NewJob(cfg)
 			if err != nil {

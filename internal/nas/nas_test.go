@@ -161,7 +161,6 @@ func TestCGRecoveryExact(t *testing.T) {
 			cfg := recoveryCfg(4, mk)
 			cfg.Protocol = proto
 			cfg.Interval = 3 * time.Millisecond
-			cfg.RestartDelay = time.Millisecond
 			cfg.Failures = failure.KillAt(8*time.Millisecond, 2)
 			job, err := ftpm.NewJob(cfg)
 			if err != nil {
@@ -202,7 +201,6 @@ func TestBTModelRecovery(t *testing.T) {
 	cfg := recoveryCfg(4, mk)
 	cfg.Protocol = ftpm.ProtoPcl
 	cfg.Interval = 2 * time.Second
-	cfg.RestartDelay = 10 * time.Millisecond
 	cfg.Failures = failure.KillAt(5*time.Second, 1)
 	job2, err := ftpm.NewJob(cfg)
 	if err != nil {

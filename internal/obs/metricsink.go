@@ -52,13 +52,11 @@ const (
 	MAppRestores   = "app.restores"
 	// Storage-hierarchy metrics.  Per-level variants append ".l<k>": bytes
 	// resident per level (stores and drains landing there), the async
-	// drain-duration histogram, capacity/retention evictions, and the two
-	// level failure classes (node-local buffers, PFS targets).
+	// drain-duration histogram, and the two level failure classes
+	// (node-local buffers, PFS targets).
 	MLevelBytes     = "ckpt.level_bytes"
 	MDrainBytes     = "ckpt.drain_bytes"
 	MDrainTime      = "ckpt.drain_time" // hist: per-image inter-level drain duration
-	MEvictions      = "ckpt.evictions"
-	MEvictedBytes   = "ckpt.evicted_bytes"
 	MBufferFailures = "failures.buffer"
 	MPFSFailures    = "failures.pfs"
 	// Mlog checkpoint ticks skipped because the previous image was not yet
@@ -140,7 +138,7 @@ func NewMetricsSink(m *Metrics) *MetricsSink {
 		MServerFailures, MDetectTimeouts, MFalseSuspicions,
 		MFailovers, MStoreRetries, MQuorumLost, MReplayedMsgs, MDegradedStops,
 		MProcFailures, MRepairs, MAppCkpts, MAppRestores,
-		MLevelBytes, MDrainBytes, MEvictions, MEvictedBytes,
+		MLevelBytes, MDrainBytes,
 		MBufferFailures, MPFSFailures,
 	} {
 		m.Touch(c)
@@ -296,10 +294,6 @@ func (s *MetricsSink) Emit(ev Event) {
 			delete(s.drainSince, [3]int{ev.Rank, ev.Wave, ev.Level})
 			s.m.Observe(MDrainTime, ev.T-t0)
 		}
-	case EvLevelEvict:
-		s.m.Inc(MEvictions)
-		s.m.Add(MEvictedBytes, ev.Bytes)
-		s.m.Add(s.indexed(MEvictedBytes+".l%d", ev.Level), ev.Bytes)
 	case EvBufferKilled:
 		s.m.Inc(MBufferFailures)
 	case EvPFSKilled:

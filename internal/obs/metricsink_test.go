@@ -18,7 +18,6 @@ func TestIndexedNamesInterned(t *testing.T) {
 		{Type: EvImageStoreEnd, Rank: 3, Wave: 1, Server: 2, Bytes: 10, T: 9},
 		{Type: EvImageStoreEnd, Rank: 3, Wave: 1, Server: -1, Level: 0, Bytes: 10},
 		{Type: EvDrainEnd, Rank: 3, Wave: 1, Level: 1, Bytes: 10},
-		{Type: EvLevelEvict, Rank: 3, Wave: 1, Level: 0, Bytes: 10},
 	}
 	round := func() {
 		for _, ev := range events {
@@ -36,7 +35,6 @@ func TestIndexedNamesInterned(t *testing.T) {
 		"ckpt.store_ns.server2":    4 * 102,
 		"ckpt.level_bytes.l0":      10 * 102,
 		"ckpt.level_bytes.l1":      10 * 102,
-		"ckpt.evicted_bytes.l0":    10 * 102,
 	} {
 		if got := m.Counter(name); got != want {
 			t.Errorf("%s = %d, want %d", name, got, want)

@@ -153,9 +153,6 @@ const (
 	// EvPFSKilled: parallel-file-system target Server was lost; every
 	// image with a stripe on it is unreadable.
 	EvPFSKilled
-	// EvLevelEvict: storage level Level evicted (Rank, Wave)'s image to
-	// respect its capacity or retention bound; Bytes is the freed size.
-	EvLevelEvict
 	// EvImageDurable: the image of (Rank, Wave) reached its write quorum —
 	// the instant the checkpoint counts as stored, whatever replicas or
 	// levels it still drains to.  The last one of a wave ends its
@@ -181,7 +178,7 @@ var eventNames = [numEventTypes]string{
 	"component-dead", "rank-done", "counter-sample",
 	"proc-failed", "revoked", "repair-begin", "repair-end", "repair-abort",
 	"app-ckpt", "app-restore",
-	"drain-begin", "drain-end", "buffer-killed", "pfs-killed", "level-evict",
+	"drain-begin", "drain-end", "buffer-killed", "pfs-killed",
 	"image-durable", "ckpt-deferred",
 }
 
@@ -216,7 +213,7 @@ type Event struct {
 	Server int
 	// Level is the storage-hierarchy level the event concerns (0 = the
 	// topmost configured level).  0 also for events that predate the
-	// hierarchy; level-scoped events (drain, evict, buffer/pfs kills)
+	// hierarchy; level-scoped events (drains, buffer/pfs kills)
 	// always carry it explicitly.
 	Level int
 	// Bytes is the payload/image/log size when the event moves data.

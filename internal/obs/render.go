@@ -130,7 +130,6 @@ var renderTable = [numEventTypes]rendering{
 	EvDrainEnd:         {shape: end, of: EvDrainBegin},
 	EvBufferKilled:     {shape: instant, track: onRuntime, name: t("buffer on node %d lost", fNode)},
 	EvPFSKilled:        {shape: instant, track: onRuntime, name: t("pfs target %d lost", fServer)},
-	EvLevelEvict:       {shape: instant, track: onRuntime, name: t("evict r%d w%d (L%d)", fRank, fWave, fLevel), args: []arg{{"bytes", fBytes}}},
 	// Coincides with the image-store-end (or buffer store) that reached the
 	// quorum, which the timeline already shows.
 	EvImageDurable: {shape: notRendered},

@@ -129,9 +129,11 @@ type GridLayout struct {
 	Servers     int
 }
 
-// Grid5000Layout reserves serversPerCluster server nodes in each cluster
-// and places np ranks (ppn per node) on the remaining nodes.
-func Grid5000Layout(np, ppn, serversPerCluster int) (GridLayout, error) {
+// Grid5000Layout reserves the last node of each cluster for its one
+// checkpoint server (the next-to-last of the final cluster, whose last
+// node hosts the scheduler/dispatcher) and places np ranks (ppn per node)
+// on the remaining nodes.
+func Grid5000Layout(np, ppn int) (GridLayout, error) {
 	topo := Grid5000()
 	if ppn <= 0 {
 		ppn = 1
@@ -143,20 +145,15 @@ func Grid5000Layout(np, ppn, serversPerCluster int) (GridLayout, error) {
 		base          int
 	)
 	for ci, c := range topo.Clusters {
-		reserve := serversPerCluster
+		reserve := 1
 		if ci == len(topo.Clusters)-1 {
 			reserve++ // one extra reserved node hosts the scheduler/dispatcher
-		}
-		if reserve >= c.Nodes {
-			return GridLayout{}, fmt.Errorf("platform: cluster %s too small for %d reserved nodes", c.Name, reserve)
 		}
 		for i := 0; i < c.Nodes-reserve; i++ {
 			computeNodes = append(computeNodes, base+i)
 			clusterOfNode[base+i] = ci
 		}
-		for s := 0; s < serversPerCluster; s++ {
-			serverNodes = append(serverNodes, base+c.Nodes-reserve+s)
-		}
+		serverNodes = append(serverNodes, base+c.Nodes-reserve)
 		base += c.Nodes
 	}
 	needNodes := (np + ppn - 1) / ppn
@@ -165,10 +162,7 @@ func Grid5000Layout(np, ppn, serversPerCluster int) (GridLayout, error) {
 			np, ppn, needNodes, len(computeNodes))
 	}
 	placement := func(rank int) int { return computeNodes[rank/ppn] }
-	serverOf := func(rank int) int {
-		ci := clusterOfNode[placement(rank)]
-		return ci*serversPerCluster + rank%serversPerCluster
-	}
+	serverOf := func(rank int) int { return clusterOfNode[placement(rank)] }
 	return GridLayout{
 		Topo:        topo,
 		Placement:   placement,

@@ -18,7 +18,7 @@ func TestGrid5000Shape(t *testing.T) {
 }
 
 func TestGrid5000LayoutLocality(t *testing.T) {
-	lay, err := Grid5000Layout(400, 2, 1)
+	lay, err := Grid5000Layout(400, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,10 +67,10 @@ func TestGrid5000LayoutLocality(t *testing.T) {
 }
 
 func TestGrid5000LayoutCapacity(t *testing.T) {
-	if _, err := Grid5000Layout(2000, 1, 1); err == nil {
+	if _, err := Grid5000Layout(2000, 1); err == nil {
 		t.Fatal("oversized layout accepted")
 	}
-	if _, err := Grid5000Layout(529, 2, 1); err != nil {
+	if _, err := Grid5000Layout(529, 2); err != nil {
 		t.Fatalf("paper-scale layout rejected: %v", err)
 	}
 }

@@ -1,7 +1,8 @@
 package ftckpt
 
-// Four static rules over the module's non-test source, read with go/parser
-// alone; no run shows any of these hazards until a workload exercises it.
+// Five static rules over the module's non-test source, read with go/parser
+// alone; no run shows any of the first four hazards until a workload
+// exercises it, and none shows the fifth at all.
 //   - Ambient entropy: simulation packages read no host clock and no unseeded
 //     randomness (entropyBans).  Import names come from each file's import
 //     specs; a name the parser resolves to a local declaration is not one.
@@ -16,6 +17,12 @@ package ftckpt
 //     a clock method, timerMethods), since core.Cadence owns the one timer
 //     a protocol has and Protocol.Stop cancels it; a timer armed beside it
 //     outlives Stop into a revoked or restarted world.
+//   - Every knob is set: each field of the configuration structs
+//     (knobStructs) is written by non-test code in the module or bench/, as
+//     a composite-literal key or a selector assignment.  A field only tests
+//     set is a knob with one value in use, which is a constant.
+//     Default-filling (Normalize, Validate and the validate helpers) is not
+//     a write.
 // The holder rule checks declarations, not stores, so a holder typed any
 // would go unseen; no pooled record travels that way (lanes carry their
 // records by value).  A package var with an inferred type is not seen
@@ -24,6 +31,11 @@ package ftckpt
 // The cadence rule tells a clock method from a namesake by its argument
 // count (a sim.Queue's At(i) is a read), so a timer call through a func
 // value or a wrapper of another name goes unseen.
+// The knob rule types a selector's operand from declarations alone
+// (parameters, receivers, := and var, range values, struct fields, the
+// results of functions and func literals), so a write through a method's
+// result or an interface goes unseen and its field is reported unset;
+// the rule errs towards a finding, never past an unset knob.
 // Map order is left to the runs (TestGoldenDeterminismRepeat).
 
 import (
@@ -76,11 +88,13 @@ var pooledHolders = map[string]string{
 	"mpi.EngineImage.Coll": "holds a clone(), never the pooled record",
 }
 
-// lintFile returns one file's findings and marks in held the holders it declares.
-func lintFile(fset *token.FileSet, f *ast.File, held map[string]bool) []string {
-	pkg := f.Name.Name
-	var out []string
-	imports := map[string]string{} // local name -> import path
+// knobStructs are the configuration structs the knob rule holds to being
+// set; an alias of one (ftckpt.LevelSpec) writes the same fields.
+const knobStructs = "ftckpt.Options ftpm.Config ftpm.HeartbeatSpec ckpt.Spec ckpt.LevelSpec chaos.Spec"
+
+// importsOf maps a file's import names to their paths.
+func importsOf(f *ast.File) map[string]string {
+	imports := map[string]string{}
 	for _, spec := range f.Imports {
 		p, _ := strconv.Unquote(spec.Path.Value)
 		name := path.Base(strings.TrimSuffix(p, "/v2")) // math/rand/v2 is rand
@@ -89,6 +103,14 @@ func lintFile(fset *token.FileSet, f *ast.File, held map[string]bool) []string {
 		}
 		imports[name] = p
 	}
+	return imports
+}
+
+// lintFile returns one file's findings and marks in held the holders it declares.
+func lintFile(fset *token.FileSet, f *ast.File, held map[string]bool) []string {
+	pkg := f.Name.Name
+	var out []string
+	imports := importsOf(f) // local name -> import path
 	if slices.Contains(strings.Fields(simPackages), pkg) {
 		// written flags x when it reaches sent bytes.
 		written := func(x ast.Expr, indexes int) {
@@ -167,6 +189,213 @@ func lintFile(fset *token.FileSet, f *ast.File, held map[string]bool) []string {
 	return out
 }
 
+// qualify names a declared type by its package: "ckpt.LevelSpec",
+// "*ftpm.Config", "[]ckpt.LevelSpec" (a map reads as a slice of its
+// values: indexing reaches those either way); "" for any other shape.
+func qualify(e ast.Expr, pkg string, imports map[string]string) string {
+	switch e := e.(type) {
+	case *ast.Ident:
+		return pkg + "." + e.Name
+	case *ast.SelectorExpr:
+		return path.Base(imports[fmt.Sprint(e.X)]) + "." + e.Sel.Name
+	case *ast.StarExpr:
+		if t := qualify(e.X, pkg, imports); t != "" {
+			return "*" + t
+		}
+	case *ast.ArrayType:
+		if t := qualify(e.Elt, pkg, imports); t != "" {
+			return "[]" + t
+		}
+	case *ast.MapType:
+		if t := qualify(e.Value, pkg, imports); t != "" {
+			return "[]" + t
+		}
+	}
+	return ""
+}
+
+// typeIndex is what the knob rule knows of the tree's types: each
+// struct's fields in order, with their types and positions, each alias's
+// target and each one-result function's result.
+type typeIndex struct {
+	fields  map[string][]string       // "pkg.Type" → field names
+	types   map[string]string         // "pkg.Type.Field" → its type, qualified
+	pos     map[string]token.Position // "pkg.Type.Field" → its declaration
+	aliases map[string]string         // "ftckpt.LevelSpec" → "ckpt.LevelSpec"
+	results map[string]string         // "pkg.Func" → its one result's type
+}
+
+// canon resolves the named type under t's pointer and slice prefixes
+// through the aliases.
+func (ix *typeIndex) canon(t string) string {
+	base := strings.TrimLeft(t, "*[]")
+	if a, ok := ix.aliases[base]; ok {
+		return t[:len(t)-len(base)] + a
+	}
+	return t
+}
+
+// knobWrites indexes the files' types and returns the "pkg.Type.Field"
+// names their code writes: literal keys of a typed (or elided) struct
+// literal, and selector assignments whose operand's type the function's
+// declarations give.  Default-filling functions are skipped.
+func knobWrites(fset *token.FileSet, files []*ast.File) (*typeIndex, map[string]bool) {
+	ix := &typeIndex{fields: map[string][]string{}, types: map[string]string{},
+		pos: map[string]token.Position{}, aliases: map[string]string{}, results: map[string]string{}}
+	for _, f := range files {
+		pkg, imports := f.Name.Name, importsOf(f)
+		for name, obj := range f.Scope.Objects {
+			if fn, ok := obj.Decl.(*ast.FuncDecl); ok && fn.Type.Results != nil && len(fn.Type.Results.List) == 1 {
+				ix.results[pkg+"."+name] = qualify(fn.Type.Results.List[0].Type, pkg, imports)
+			}
+			d, ok := obj.Decl.(*ast.TypeSpec)
+			if !ok {
+				continue
+			}
+			if d.Assign != 0 {
+				ix.aliases[pkg+"."+name] = qualify(d.Type, pkg, imports)
+			} else if st, ok := d.Type.(*ast.StructType); ok {
+				for _, fld := range st.Fields.List {
+					for _, n := range fld.Names {
+						key := pkg + "." + name + "." + n.Name
+						ix.fields[pkg+"."+name] = append(ix.fields[pkg+"."+name], n.Name)
+						ix.types[key], ix.pos[key] = qualify(fld.Type, pkg, imports), fset.Position(n.Pos())
+					}
+				}
+			}
+		}
+	}
+	written := map[string]bool{}
+	for _, f := range files {
+		pkg, imports := f.Name.Name, importsOf(f)
+		typ := func(e ast.Expr) string { return ix.canon(qualify(e, pkg, imports)) }
+		// lit records the keys of a struct literal of type t, and of the
+		// elided literals inside a slice or map literal of type t.
+		var lit func(l *ast.CompositeLit, t string)
+		lit = func(l *ast.CompositeLit, t string) {
+			elem, isSlice := strings.CutPrefix(strings.TrimPrefix(t, "*"), "[]")
+			for _, el := range l.Elts {
+				if kv, ok := el.(*ast.KeyValueExpr); ok {
+					if id, ok := kv.Key.(*ast.Ident); ok && !isSlice {
+						written[strings.TrimPrefix(t, "*")+"."+id.Name] = true
+					}
+					el = kv.Value
+				}
+				if inner, ok := el.(*ast.CompositeLit); ok && inner.Type == nil && isSlice {
+					lit(inner, ix.canon(strings.TrimPrefix(elem, "*")))
+				}
+			}
+		}
+		for _, decl := range f.Decls {
+			fn, _ := decl.(*ast.FuncDecl)
+			if fn != nil && (fn.Name.Name == "Normalize" || strings.HasPrefix(strings.ToLower(fn.Name.Name), "validate")) {
+				continue
+			}
+			env := map[string]string{} // a name in the function → its type
+			var typeOf func(e ast.Expr) string
+			typeOf = func(e ast.Expr) string {
+				switch e := e.(type) {
+				case *ast.Ident:
+					return env[e.Name]
+				case *ast.ParenExpr:
+					return typeOf(e.X)
+				case *ast.CompositeLit:
+					if e.Type != nil {
+						return typ(e.Type)
+					}
+				case *ast.UnaryExpr:
+					if t := typeOf(e.X); t != "" && e.Op == token.AND {
+						return "*" + t
+					}
+				case *ast.StarExpr:
+					return strings.TrimPrefix(typeOf(e.X), "*")
+				case *ast.SelectorExpr:
+					return ix.canon(ix.types[strings.TrimPrefix(typeOf(e.X), "*")+"."+e.Sel.Name])
+				case *ast.IndexExpr:
+					if t, ok := strings.CutPrefix(strings.TrimPrefix(typeOf(e.X), "*"), "[]"); ok {
+						return t
+					}
+				case *ast.FuncLit:
+					if r := e.Type.Results; r != nil && len(r.List) == 1 {
+						return "func " + typ(r.List[0].Type)
+					}
+				case *ast.CallExpr: // a func value of the function, or a package's function
+					switch fun := e.Fun.(type) {
+					case *ast.Ident:
+						if t, ok := strings.CutPrefix(env[fun.Name], "func "); ok {
+							return t
+						}
+						return ix.canon(ix.results[pkg+"."+fun.Name])
+					case *ast.SelectorExpr:
+						return ix.canon(ix.results[path.Base(imports[fmt.Sprint(fun.X)])+"."+fun.Sel.Name])
+					}
+				}
+				return ""
+			}
+			declare := func(fields ...*ast.FieldList) {
+				for _, fl := range fields {
+					for _, fld := range fl.List {
+						for _, n := range fld.Names {
+							env[n.Name] = typ(fld.Type)
+						}
+					}
+				}
+			}
+			assigned := func(x ast.Expr) {
+				if sel, ok := x.(*ast.SelectorExpr); ok {
+					if t := strings.TrimPrefix(typeOf(sel.X), "*"); t != "" {
+						written[t+"."+sel.Sel.Name] = true
+					}
+				}
+			}
+			if fn != nil {
+				if fn.Recv != nil {
+					declare(fn.Recv)
+				}
+				declare(fn.Type.Params)
+				if fn.Type.Results != nil {
+					declare(fn.Type.Results)
+				}
+			}
+			ast.Inspect(decl, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.CompositeLit:
+					if n.Type != nil {
+						lit(n, typ(n.Type))
+					}
+				case *ast.FuncLit:
+					declare(n.Type.Params)
+				case *ast.ValueSpec:
+					for i, name := range n.Names {
+						if n.Type != nil {
+							env[name.Name] = typ(n.Type)
+						} else if i < len(n.Values) {
+							env[name.Name] = typeOf(n.Values[i])
+						}
+					}
+				case *ast.RangeStmt:
+					if id, ok := n.Value.(*ast.Ident); ok {
+						if t, ok := strings.CutPrefix(strings.TrimPrefix(typeOf(n.X), "*"), "[]"); ok {
+							env[id.Name] = t
+						}
+					}
+				case *ast.AssignStmt:
+					for i, lhs := range n.Lhs {
+						assigned(lhs)
+						if id, ok := lhs.(*ast.Ident); ok && n.Tok == token.DEFINE && len(n.Rhs) == len(n.Lhs) {
+							env[id.Name] = typeOf(n.Rhs[i])
+						}
+					}
+				case *ast.IncDecStmt:
+					assigned(n.X)
+				}
+				return true
+			})
+		}
+	}
+	return ix, written
+}
+
 // sentBytes reports whether x, written with indexes more levels of
 // indexing, reaches the bytes of a .Data selector (a []byte) or a .Blocks
 // one (a [][]byte): p.Data[i] and cs.Blocks[i][j] do, cs.Blocks[i] is the
@@ -189,16 +418,15 @@ func sentBytes(x ast.Expr, indexes int) bool {
 	}
 }
 
-// TestLintTree holds the module to every rule, and the tables to the tree:
-// every listed package and holder still exists.
-func TestLintTree(t *testing.T) {
-	fset := token.NewFileSet()
-	held, seen := map[string]bool{}, map[string]bool{}
-	err := filepath.Walk(".", func(p string, info os.FileInfo, err error) error {
-		if err != nil || p == "." {
+// goFiles parses the non-test Go files of the module rooted at root,
+// skipping nested modules, fixtures and dot directories.
+func goFiles(fset *token.FileSet, root string) ([]*ast.File, error) {
+	var files []*ast.File
+	err := filepath.Walk(root, func(p string, info os.FileInfo, err error) error {
+		if err != nil || p == root {
 			return err
 		}
-		if info.IsDir() { // skip nested modules, fixtures and .git
+		if info.IsDir() {
 			if _, mod := os.Stat(filepath.Join(p, "go.mod")); mod == nil || info.Name() == "testdata" || info.Name()[0] == '.' {
 				return filepath.SkipDir
 			}
@@ -208,16 +436,27 @@ func TestLintTree(t *testing.T) {
 			return nil
 		}
 		f, err := parser.ParseFile(fset, p, nil, 0)
-		if err == nil {
-			seen[f.Name.Name] = true
-			for _, msg := range lintFile(fset, f, held) {
-				t.Error(msg)
-			}
-		}
+		files = append(files, f)
 		return err
 	})
+	return files, err
+}
+
+// TestLintTree holds the module to every rule, and the tables to the tree:
+// every listed package, holder and knob struct still exists.  The knob
+// rule also reads bench/, a module of its own that sets knobs.
+func TestLintTree(t *testing.T) {
+	fset := token.NewFileSet()
+	held, seen := map[string]bool{}, map[string]bool{}
+	files, err := goFiles(fset, ".")
 	if err != nil {
 		t.Fatal(err)
+	}
+	for _, f := range files {
+		seen[f.Name.Name] = true
+		for _, msg := range lintFile(fset, f, held) {
+			t.Error(msg)
+		}
 	}
 	for _, pkg := range strings.Fields(simPackages) {
 		if !seen[pkg] {
@@ -227,6 +466,21 @@ func TestLintTree(t *testing.T) {
 	for key := range pooledHolders {
 		if !held[key] {
 			t.Errorf("pooledHolders lists %s, which declares no pooled pointer", key)
+		}
+	}
+	bench, err := goFiles(fset, "bench")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix, written := knobWrites(fset, append(files, bench...))
+	for _, st := range strings.Fields(knobStructs) {
+		if ix.fields[st] == nil {
+			t.Errorf("knobStructs lists %s, which is not a struct in the tree", st)
+		}
+		for _, name := range ix.fields[st] {
+			if key := st + "." + name; !written[key] {
+				t.Errorf("%s: %s is set by no code but tests; a knob with one value in use is a constant", ix.pos[key], key)
+			}
 		}
 	}
 }
@@ -277,6 +531,53 @@ func TestLintSnippets(t *testing.T) {
 		got := lintFile(fset, f, map[string]bool{})
 		if tc.want == "" && len(got) > 0 || tc.want != "" && (len(got) != 1 || !strings.Contains(got[0], tc.want)) {
 			t.Errorf("%s\n  want one finding containing %q (none if empty), got %q", tc.src, tc.want, got)
+		}
+	}
+}
+
+// TestLintKnobSnippets shows which writes the knob rule sees: each case is
+// files separated by "--", and the fields their code writes.
+func TestLintKnobSnippets(t *testing.T) {
+	const decls = `package ckpt; type Spec struct{ Levels []LevelSpec; Compress bool }; type LevelSpec struct{ Kind string; Targets int }
+--
+package ftckpt; import "ftckpt/internal/ckpt"; type StorageSpec = ckpt.Spec; type LevelSpec = ckpt.LevelSpec
+type Options struct{ NP int; Storage *StorageSpec }
+`
+	for _, tc := range []struct{ src, want string }{
+		// Literal keys, elided element literals, an alias, and selector
+		// writes through a parameter, a range value, an index, a pointer
+		// and a closure's result.
+		{`package main; import "ftckpt"; func f() { _ = &ftckpt.StorageSpec{Levels: []ftckpt.LevelSpec{{Kind: "pfs"}}} }`,
+			"ckpt.LevelSpec.Kind ckpt.Spec.Levels"},
+		{`package main; import "ftckpt"; func f(o *ftckpt.Options) { o.NP = 4; for _, l := range o.Storage.Levels { l.Targets++ } }`,
+			"ckpt.LevelSpec.Targets ftckpt.Options.NP"},
+		{`package ftckpt; func f(sp StorageSpec) { l := &sp.Levels[0]; l.Kind = "pfs"; mk := func() Options { return Options{} }; o := mk(); o.Storage = &sp }`,
+			"ckpt.LevelSpec.Kind ftckpt.Options.Storage"},
+		{`package main; import "ftckpt"; func opts() ftckpt.Options { var o ftckpt.Options; return o }; func f() { o := opts(); o.Storage.Compress = true }`,
+			"ckpt.Spec.Compress"},
+		// Not knob writes: default-filling, and a namesake field of another
+		// type (or of an operand whose type the declarations do not give).
+		{`package ckpt; func (sp *Spec) Normalize() { sp.Compress = true }; func (sp *Spec) validate() { sp.Levels = nil }`, ""},
+		{`package expt; type Row struct{ Targets int }; func f(r *Row, x interface{ L() *Row }) { r.Targets = 1; x.L().Targets = 2 }`,
+			"expt.Row.Targets"},
+	} {
+		fset := token.NewFileSet()
+		var files []*ast.File
+		for i, src := range strings.Split(decls+"--\n"+tc.src, "--\n") {
+			f, err := parser.ParseFile(fset, fmt.Sprintf("f%d.go", i), src, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			files = append(files, f)
+		}
+		_, written := knobWrites(fset, files)
+		var got []string
+		for key := range written {
+			got = append(got, key)
+		}
+		slices.Sort(got)
+		if want := strings.Fields(tc.want); !slices.Equal(got, want) {
+			t.Errorf("%s\n  writes %q, want %q", tc.src, got, want)
 		}
 	}
 }

@@ -74,7 +74,6 @@ const (
 	EvDrainEnd         = obs.EvDrainEnd
 	EvBufferKilled     = obs.EvBufferKilled
 	EvPFSKilled        = obs.EvPFSKilled
-	EvLevelEvict       = obs.EvLevelEvict
 	EvImageDurable     = obs.EvImageDurable
 	EvCkptDeferred     = obs.EvCkptDeferred
 )

@@ -165,12 +165,13 @@ const (
 // level kind's defaults; fields that do not apply to a kind must stay
 // zero (Servers/Replicas/WriteQuorum/StoreRetries/RetryBackoff are for
 // LevelServers, and the only place a run's server count, replication,
-// write quorum and retries are set; Capacity/Retention for LevelBuffer,
-// Targets/Stripes for LevelPFS; Bandwidth and Latency shape LevelBuffer
-// and LevelPFS transfers).  Replicas defaults to 1, the paper's
+// write quorum and retries are set; Targets/Stripes for LevelPFS, default
+// 4 targets and 2 stripes).  Replicas defaults to 1, the paper's
 // single-copy model, and WriteQuorum to all Replicas; StoreRetries bounds
 // the re-ship and recovery-fetch attempts after a replica dies, each
-// RetryBackoff after the last.
+// RetryBackoff after the last.  A LevelBuffer has no fields: it is an
+// unbounded node-local device at 2 GB/s plus 200 µs per operation, and a
+// PFS stripe moves at up to 1 GB/s.
 type LevelSpec = ckpt.LevelSpec
 
 // StorageSpec describes a multi-level checkpoint storage hierarchy:
@@ -178,10 +179,11 @@ type LevelSpec = ckpt.LevelSpec
 // LevelServers, an optional LevelPFS last).  Writes complete at the
 // fastest level and drain down asynchronously; restores search from the
 // fastest level and fall through on a miss or a failed level.
-// Incremental/FullEvery/DirtyFraction select dirty-region images,
-// Compress/CompressRatio scale stored bytes.  Setting Storage conflicts
-// with Options.Servers, which is shorthand for a spec with only the
-// servers level.  A run never writes to the caller's spec.
+// Incremental stores dirty-region deltas (a full image every 4th
+// checkpoint, a delta d intervals past it min(1, 0.35·d) of the full
+// size); Compress shrinks stored and restored bytes to 60%.  Setting
+// Storage conflicts with Options.Servers, which is shorthand for a spec
+// with only the servers level.  A run never writes to the caller's spec.
 type StorageSpec = ckpt.Spec
 
 // Options describes one fault-tolerant MPI run.
@@ -239,7 +241,7 @@ type Options struct {
 	// Failures schedules component kills (KillRank, KillNode, KillServer,
 	// KillBuffer, KillPFS); MTTF adds memoryless rank failures, ServerMTTF and
 	// NodeMTTF the same for checkpoint servers and compute nodes (each
-	// an independent failure process).
+	// an independent failure process; ServerMTTF needs servers).
 	Failures   []Failure
 	MTTF       time.Duration
 	ServerMTTF time.Duration
@@ -258,6 +260,6 @@ type Options struct {
 	Attribution bool
 	// MetricsSnapshot > 0 samples the run's cumulative counters every
 	// period as counter-sample events, rendered by the trace exporter as
-	// Perfetto counter tracks alongside the timeline.
+	// Perfetto counter tracks alongside the timeline; negative is refused.
 	MetricsSnapshot time.Duration
 }

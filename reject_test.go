@@ -72,6 +72,11 @@ func rejected() []struct {
 		{"negative kill time", kill(nil, ftckpt.KillRank(-t, 0)), "Failures[0].At"},
 		{"unknown failure kind", kill(nil, ftckpt.Failure{At: t, Kind: 9}), "Failures[0].Kind"},
 		{"negative interval", ftckpt.Options{NP: 4, Protocol: ftckpt.Pcl, Interval: -t}, "Interval"},
+		// These two panicked, or were ignored, before Validate refused them.
+		{"server mttf without servers", ftckpt.Options{Workload: ftckpt.WorkloadJacobi, NP: 4,
+			ServerMTTF: time.Millisecond}, "ServerMTTF"},
+		{"negative metrics snapshot", ftckpt.Options{Workload: ftckpt.WorkloadJacobi, NP: 4,
+			MetricsSnapshot: -t}, "MetricsSnapshot"},
 	}
 }
 

@@ -137,11 +137,14 @@ var scenarios = func() []scenario {
 		// fetches and bulk-flow delivery order.  replicated-hb-8's recorded
 		// hashes are its pinned report, metrics and trace hashes.  -late
 		// moves its rank kill by 1 ms for TestFirstDivergenceNamesTheEvent.
+		// The metrics hashes of these rows were re-recorded when the two
+		// always-zero buffer-eviction counters left every export; nothing
+		// else in them moved.
 		{name: "replicated-hb-8", opts: hbKill(17 * ms), pinned: true, repeat: 1},
 		{name: "replicated-hb-8-late", opts: hbKill(18 * ms)},
 		{name: "replicated-vcl-8", opts: replicated(Vcl, 11, KillRank(13*ms, 2), KillNode(23*ms, 1)), recorded: [3]string{
 			"f574f941d695fcd4510b1dcebbaa054cadf00741be3b00423236df0aad43208d",
-			"f8eae6ca0c8c0591fec15db651aba9b9bc0710878c97db328ac68e2ab07b3440",
+			"d4415386e6445c722db2ec3342d275d48a39f4bf62b80398ba7e00b8ef7a0c7c",
 			"2a8bc3796fd56b62f117c7a52508656f2b435eb2310294ac72d0c47c9a213cdf"}},
 		// Re-recorded when Mlog began deferring a checkpoint tick while the
 		// previous image is in flight.  The stream first differs at line 2616:
@@ -152,11 +155,11 @@ var scenarios = func() []scenario {
 		// checkpoints, same checksum.
 		{name: "replicated-mlog-8", opts: replicated(Mlog, 13, KillServer(9*ms, 0)), recorded: [3]string{
 			"bbc821911072e494404585881e720fdf3e4d778fd82f49e2d167fa7d15d99db2",
-			"52e96e4ef41761897e6125aef64baecc68a7b70155784711f54464fa91ce11fa",
+			"c245368e8003a46c9beaa64306e8248c7185633d525248b9c53bc6f40455a2da",
 			"b382b9f95bd9a40d7b4b8c6276637356c6e8c0e14f57b08a09b40e8a7bb30694"}},
 		{name: "replicated-node-8", opts: replicated(Pcl, 21, KillNode(15*ms, 2)), recorded: [3]string{
 			"f6f2710e3feabf22878c1ef7021003d606870956bc5132b1932ed0ea0fd4d2c5",
-			"4c546f5593d036b44d3dacbc88915532ee3a6638b3e7cdc28af892d02cc94343",
+			"919589fa9ff378bd8b7a21ae20d4b2e58e333ee0734adf2121eab8170f0838a8",
 			"6b9b1cedb633412c32c7928094bebccb8a8aaa48cd19e42e7f6d0e80f0922c95"}},
 		// The storage hierarchy: a buffer loss between two waves, then a
 		// rank kill whose restore falls through the dead buffer; a chaos
