@@ -54,9 +54,9 @@ func ExampleRun_grid() {
 	// BT class B, 256 processes over the six-cluster grid
 	//
 	// protocol   completion    waves ckpt data (MB)
-	// none     36.221190299s        0            0.0
-	// pcl      39.844097945s        4         4052.3
-	// vcl      37.468165675s        3         3042.8
+	// none     36.221190314s        0            0.0
+	// pcl      39.84409796s        4         4052.3
+	// vcl      37.468165664s        3         3042.8
 	//
 	// Note: Vcl runs here because 256 < the ~300-process select() limit of
 	// its dispatcher; at the paper's 400..529-process scales only Pcl runs.

@@ -130,10 +130,11 @@ func (f *Fabric) handler(id int) func(WireMsg) {
 
 // Unbind removes an endpoint's handler and resets every channel touching
 // it.  Queued and in-flight packets are lost.  Channels close in ascending
-// (src, dst) order: closing cancels in-flight flows and reschedules every
-// flow sharing a resource with them, which assigns fresh kernel event
-// sequence numbers, so the close order decides which equal-time
-// completions fire first and must not depend on anything but the ids.
+// (src, dst) order: closing cancels in-flight flows and re-arms the
+// earliest finisher of every resource clock they changed, which assigns
+// fresh kernel event sequence numbers, so the close order decides which
+// equal-time completions fire first and must not depend on anything but
+// the ids.
 func (f *Fabric) Unbind(id int) {
 	i := id + handlerOff
 	if i < 0 {

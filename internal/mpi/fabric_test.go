@@ -103,8 +103,8 @@ func TestFabricBelowServiceRangePanics(t *testing.T) {
 // TestFabricUnbindCloseOrder kills an endpoint in the middle of a bulk
 // flood and checks that its links closed in ascending (src, dst) order.
 // Each link of the victim shares one NIC direction with one surviving
-// flow; closing the link reschedules that survivor, which hands it a fresh
-// kernel sequence number.  The survivors are symmetric and finish at the
+// flow; closing the link re-arms that survivor on its NIC's clock, which
+// hands it a fresh kernel sequence number.  The survivors are symmetric and finish at the
 // same instant, so they complete in the order their partners closed.
 func TestFabricUnbindCloseOrder(t *testing.T) {
 	const victim = 4

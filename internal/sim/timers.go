@@ -2,9 +2,11 @@ package sim
 
 // Keyed timer sets.
 //
-// A Timers set holds timers that are re-armed far more often than they
-// fire — a fluid flow's completion moves every time a flow sharing one of
-// its links starts or finishes.  Scheduled as ordinary events, each re-arm
+// A Timers set holds timers that may be re-armed more often than they
+// fire — the earliest completion on a network resource's clock moves every
+// time a flow starts on or leaves that resource, and a flow's own timer
+// moves when its rate ceiling starts or stops binding.  Scheduled as
+// ordinary events, each re-arm
 // is a Cancel plus a schedule and leaves a dead slot in the heap until it
 // is popped or compacted.  A set instead keeps its timers in a min-heap of
 // its own, indexed so that a re-arm moves the timer in place, and only its

@@ -1,6 +1,7 @@
 package simnet
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -39,9 +40,9 @@ func BenchmarkChannelSmall(b *testing.B) {
 
 // BenchmarkChannelBulk measures the fluid-flow path: b.N above-cutoff
 // messages on one channel while a competing channel keeps the shared NIC
-// busy, so every completion reschedules a neighbour.  The payload is boxed
-// once, so what allocates per message is the path itself: nothing, since
-// each channel reuses its one Flow and its deliveries ride a lane.
+// busy, so every completion changes a neighbour's clock.  The payload is
+// boxed once, so what allocates per message is the path itself: nothing,
+// since each channel reuses its one Flow and its deliveries ride a lane.
 func BenchmarkChannelBulk(b *testing.B) {
 	b.ReportAllocs()
 	k := sim.New(1)
@@ -66,7 +67,7 @@ func BenchmarkChannelBulk(b *testing.B) {
 }
 
 // BenchmarkFlows measures raw StartFlow churn: pairs of competing bulk
-// flows started back-to-back, exercising attach/detach/reschedule.
+// flows started back-to-back, exercising join and leave.
 func BenchmarkFlows(b *testing.B) {
 	b.ReportAllocs()
 	k := sim.New(1)
@@ -89,41 +90,53 @@ func BenchmarkFlows(b *testing.B) {
 	}
 }
 
-// BenchmarkFlowRearm measures the re-timer: F long flows share node 0's
-// receive NIC while b.N short flows, one at a time, arrive on it and leave,
-// so every arrival and departure re-arms all F completions in place.  It
-// reports ns per re-arm (a re-arm counts as one cancelled event) and the
-// bytes each short flow allocates: its Flow.
-func BenchmarkFlowRearm(b *testing.B) {
-	const F = 64
-	b.ReportAllocs()
-	k := sim.New(1)
-	n := New(k, Topology{Clusters: []ClusterSpec{{
-		Name: "rearm", Nodes: F + 2, NICBW: 100 * float64(MB), Latency: 50 * time.Microsecond,
+// churn starts F long flows into node 0's receive NIC and then passes
+// shorts+1 short flows through it, one at a time: each starts when the one
+// before it is delivered, and the run stops after the last.  started runs
+// just before the first short flow.  churn returns the network and the
+// kernel's counts as of that moment.
+func churn(k *sim.Kernel, F, shorts int, started func()) (n *Network, before *sim.Stats) {
+	n = New(k, Topology{Clusters: []ClusterSpec{{
+		Name: "churn", Nodes: F + 2, NICBW: 100 * float64(MB), Latency: 50 * time.Microsecond,
 	}}})
+	before = new(sim.Stats)
 	done := 0
 	var next func(any)
 	next = func(any) {
-		if done++; done <= b.N {
+		if done++; done <= shorts {
 			n.StartFlowArg(F+1, 0, 64*KB, 0, next, nil)
 		} else {
 			k.Stop(nil)
 		}
 	}
-	var start sim.Stats
 	k.After(0, func() {
 		for i := 1; i <= F; i++ {
-			n.StartFlow(i, 0, 1<<50, nil) // outlasts the run
+			n.StartFlow(i, 0, 1<<40, nil) // outlasts the run
 		}
-		start = k.Stats()
-		b.ResetTimer()
+		*before = k.Stats()
+		started()
 		n.StartFlowArg(F+1, 0, 64*KB, 0, next, nil)
 	})
-	if err := k.Run(); err != nil {
-		b.Fatal(err)
-	}
-	b.StopTimer()
-	if rearms := k.Stats().Cancelled - start.Cancelled; rearms > 0 {
-		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(rearms), "ns/rearm")
+	return n, before
+}
+
+// BenchmarkFlowChurn measures a flow change on a loaded resource: F long
+// flows share node 0's receive NIC while b.N short flows, one at a time,
+// arrive on it and leave.  Each arrival and departure changes the NIC's
+// clock once, so the cost per change should not grow with F.  It reports
+// ns per flow change (two per short flow) and the bytes each short flow
+// allocates: its Flow.
+func BenchmarkFlowChurn(b *testing.B) {
+	for _, F := range []int{16, 256, 1024} {
+		b.Run(fmt.Sprintf("F=%d", F), func(b *testing.B) {
+			b.ReportAllocs()
+			k := sim.New(1)
+			churn(k, F, b.N, b.ResetTimer)
+			if err := k.Run(); err != nil {
+				b.Fatal(err)
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(2*b.N), "ns/change")
+		})
 	}
 }

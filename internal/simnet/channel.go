@@ -6,9 +6,9 @@ import "ftckpt/internal/sim"
 // transfer time is charged against a per-node transmit horizon (so bursts
 // of control messages still serialize on the NIC) instead of joining the
 // fluid bandwidth-sharing machinery.  Without this, an n-process marker
-// flood creates O(n²) simultaneous flows whose every arrival reschedules
-// every flow on the shared NICs — quadratic simulation cost for messages
-// whose bandwidth footprint is negligible.  Messages at or above the
+// flood creates O(n²) simultaneous flows, each a Flow on two NIC clocks
+// and every arrival and departure a change to both — quadratic simulation
+// cost for messages whose bandwidth footprint is negligible.  Messages at or above the
 // cutoff (application payloads, checkpoint images) use fluid flows and
 // contend normally.
 const smallCutoff = 4 << 10
@@ -218,10 +218,7 @@ func (c *Chan[T]) start(m message[T]) {
 	}
 	n.flowSeq++
 	f.seq = n.flowSeq
-	f.remaining = float64(m.size)
 	f.size = m.size
-	f.rate = 0
-	f.last = n.k.Now()
 	side.inflight = m.payload
 	n.transmit(f, src, dst)
 }

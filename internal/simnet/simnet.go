@@ -6,11 +6,13 @@
 // side, the receiver's NIC receive side and, between clusters, each
 // cluster's WAN uplink.  Each resource divides its bandwidth equally among
 // the flows crossing it and a flow progresses at the minimum of its shares
-// (a min-share approximation of max-min fairness).  Whenever a flow starts
-// or finishes, the remaining bytes of every flow sharing a resource with it
-// are settled at the old rate and their completion events are rescheduled
-// at the new rate.  Delivery happens one path latency after the last byte
-// is transmitted.
+// (a min-share approximation of max-min fairness).  The flows a resource
+// bottlenecks ride its virtual service clock (clock.go): whenever a flow
+// starts or finishes, each resource it crosses settles its clock once at
+// the old share and re-arms only its earliest finisher at the new one, and
+// a flow's own bytes are settled only when its bottleneck moves to another
+// resource.  Delivery happens one path latency after the last byte is
+// transmitted.
 //
 // This reproduces the effects the paper measures: checkpoint-image
 // transfers competing with application traffic for the NIC, two processes
@@ -34,18 +36,16 @@
 // slot of a 64-channel chunk and one delivery event per marker.
 //
 // The implementation keeps the per-message hot path allocation-free: flow
-// membership lives in seq-ordered slices (not maps), the affected set of a
-// reschedule is an epoch-marked scratch slice reused across calls, a
-// flow's resource path is a fixed-size array, and every pending flow
-// completion lives in one keyed timer set (sim.Timers), so a reschedule
-// re-arms each affected flow in place in the set's own heap and leaves at
+// membership lives in slices (not maps) that a flow indexes into from its
+// fixed-size path array, the resources a flow change touched are an
+// epoch-marked scratch slice reused across calls, and every armed flow
+// completion lives in one keyed timer set (sim.Timers), so a re-arm moves
+// the timer in place in the set's own heap and a flow change leaves at
 // most one dead event behind.
 package simnet
 
 import (
 	"fmt"
-	"math"
-	"time"
 
 	"ftckpt/internal/obs"
 	"ftckpt/internal/sim"
@@ -94,24 +94,6 @@ func (t Topology) TotalNodes() int {
 	return n
 }
 
-// resource is a capacity shared equally by the flows crossing it.  The
-// member list is kept in flow-creation (seq) order: flows attach at
-// creation and seq is monotonic, so plain appends preserve it and ordered
-// removal keeps it — which makes the affected set of a reschedule
-// near-sorted for free.
-type resource struct {
-	name  string
-	bw    Rate
-	flows []*Flow
-}
-
-func (r *resource) share() Rate {
-	if len(r.flows) == 0 {
-		return r.bw
-	}
-	return r.bw / Rate(len(r.flows))
-}
-
 // node is one machine with two independent NIC directions.
 type node struct {
 	id      int
@@ -130,24 +112,28 @@ const maxPathRes = 4
 
 // Flow is an in-progress bulk transfer.
 type Flow struct {
-	// Timer is the flow's place in Network.timers: armed from the start
-	// of its transmission until its last byte clears the bottleneck.
+	// Timer is the flow's place in Network.timers: armed while the flow
+	// rides a clock of its own, or is the earliest finisher of a
+	// resource's clock (clock.go).
 	sim.Timer
+	// pos[i] is the flow's index in res[i].flows.
+	pos       [maxPathRes]int32
 	nres      uint8
+	ride      int8 // index in res of the clock the flow rides; ownClock: its own
 	cancelled bool
 	net       *Network
-	seq       uint64 // creation order, for deterministic rescheduling
+	seq       uint64 // creation order: breaks ties between equal tags
 	res       [maxPathRes]*resource
-	cap       Rate    // per-flow rate ceiling (WAN), 0 = none
-	remaining float64 // bytes
-	size      Bytes
-	rate      Rate
-	last      sim.Time
-	latency   sim.Time
-	fn        func(any) // StartFlow API completion, called with payload; nil for channel flows
-	owner     flowOwner // owning channel for bulk channel messages
-	payload   any       // fn's argument
-	mark      uint64    // affected-set epoch (see Network.addAffected)
+	cap       Rate // per-flow rate ceiling (WAN), 0 = none
+	// tag is the clock's v at which the last byte leaves while the flow
+	// rides res[ride]; on a clock of its own, the bytes left at since.
+	tag     float64
+	since   sim.Time
+	size    Bytes
+	latency sim.Time
+	fn      func(any) // StartFlow API completion, called with payload; nil for channel flows
+	owner   flowOwner // owning channel for bulk channel messages
+	payload any       // fn's argument
 }
 
 // flowOwner is the channel a bulk channel message's Flow belongs to,
@@ -167,14 +153,15 @@ type Network struct {
 	wanUp   []*resource
 	flowSeq uint64
 
-	// timers holds every pending flow completion.
+	// timers holds every armed flow completion.
 	timers *sim.Timers[*Flow]
 
-	// affected is the scratch set of flows whose rate may have changed in
-	// the current attach/detach; epoch-marking makes membership tests O(1)
-	// without clearing per-flow state between calls.
-	affected []*Flow
-	epoch    uint64
+	// epoch numbers flow changes; touched lists the resources the
+	// current one has settled (resource.mark), and movers is the scratch
+	// list of flows it moves between clocks.
+	epoch   uint64
+	touched []*resource
+	movers  []*Flow
 
 	// met, when set, mirrors delivery statistics into the observability
 	// registry ("net.flows", "net.bytes_moved"); nil-safe.
@@ -204,8 +191,8 @@ func New(k *sim.Kernel, topo Topology) *Network {
 			n.nodes = append(n.nodes, &node{
 				id:      id,
 				cluster: ci,
-				tx:      &resource{name: fmt.Sprintf("n%d.tx", id), bw: c.NICBW},
-				rx:      &resource{name: fmt.Sprintf("n%d.rx", id), bw: c.NICBW},
+				tx:      newResource(fmt.Sprintf("n%d.tx", id), c.NICBW),
+				rx:      newResource(fmt.Sprintf("n%d.rx", id), c.NICBW),
 			})
 		}
 	}
@@ -215,7 +202,7 @@ func New(k *sim.Kernel, topo Topology) *Network {
 		}
 		n.wanUp = make([]*resource, len(topo.Clusters))
 		for ci := range topo.Clusters {
-			n.wanUp[ci] = &resource{name: fmt.Sprintf("wan%d", ci), bw: topo.WanBW}
+			n.wanUp[ci] = newResource(fmt.Sprintf("wan%d", ci), topo.WanBW)
 		}
 	}
 	return n
@@ -303,15 +290,13 @@ func callFunc(x any) { x.(func())() }
 func (n *Network) StartFlowArg(src, dst int, size Bytes, cap Rate, fn func(any), arg any) *Flow {
 	n.flowSeq++
 	f := &Flow{
-		net:       n,
-		seq:       n.flowSeq,
-		cap:       cap,
-		remaining: float64(size),
-		size:      size,
-		last:      n.k.Now(),
-		latency:   n.Latency(src, dst),
-		fn:        fn,
-		payload:   arg,
+		net:     n,
+		seq:     n.flowSeq,
+		cap:     cap,
+		size:    size,
+		latency: n.Latency(src, dst),
+		fn:      fn,
+		payload: arg,
 	}
 	if n.Cluster(src) != n.Cluster(dst) {
 		if wc := n.topo.WanFlowCap; wc > 0 && (f.cap == 0 || wc < f.cap) {
@@ -332,108 +317,7 @@ func (n *Network) transmit(f *Flow, src, dst int) {
 		return
 	}
 	n.pathInto(f, src, dst)
-	n.attach(f)
-	n.reschedule()
-}
-
-// beginAffected starts a new affected-set collection.
-func (n *Network) beginAffected() {
-	n.epoch++
-	n.affected = n.affected[:0]
-}
-
-// addAffected inserts a flow into the current affected set once.
-func (n *Network) addAffected(g *Flow) {
-	if g.mark == n.epoch {
-		return
-	}
-	g.mark = n.epoch
-	n.affected = append(n.affected, g)
-}
-
-// attach inserts the flow into its resources, collecting every flow whose
-// rate may have changed (including f itself) into the affected set.
-func (n *Network) attach(f *Flow) {
-	n.beginAffected()
-	n.addAffected(f)
-	for _, r := range f.res[:f.nres] {
-		for _, g := range r.flows {
-			n.addAffected(g)
-		}
-		r.flows = append(r.flows, f)
-	}
-}
-
-// detach removes the flow from its resources, collecting the remaining
-// flows whose rate may have changed into the affected set.
-func (n *Network) detach(f *Flow) {
-	n.beginAffected()
-	for i, r := range f.res[:f.nres] {
-		for j, g := range r.flows {
-			if g == f {
-				r.flows = append(r.flows[:j], r.flows[j+1:]...)
-				break
-			}
-		}
-		for _, g := range r.flows {
-			n.addAffected(g)
-		}
-		f.res[i] = nil
-	}
-	f.nres = 0
-}
-
-// reschedule settles progress and recomputes rate and completion time for
-// every flow in the affected set, re-arming each completion in place, and
-// syncs the timer set once.  In the min-share model a flow's rate depends
-// only on the population counts of its own resources, so a single pass is
-// exact for the resources whose membership changed.
-func (n *Network) reschedule() {
-	now := n.k.Now()
-	// Iterate in flow-creation order — the per-resource lists are already
-	// seq-ordered, so the concatenated set is near-sorted and an insertion
-	// sort settles it without allocating.  (Collection order would make
-	// equal-time completions fire in attach order, not creation order.)
-	aff := n.affected
-	for i := 1; i < len(aff); i++ {
-		g := aff[i]
-		j := i - 1
-		for j >= 0 && aff[j].seq > g.seq {
-			aff[j+1] = aff[j]
-			j--
-		}
-		aff[j+1] = g
-	}
-	for _, g := range aff {
-		if g.rate > 0 {
-			// float64(·) rounds the product: no fused multiply-add, so
-			// completion times are the same bits on every GOARCH.
-			g.remaining -= float64(g.rate * (now - g.last).Seconds())
-			if g.remaining < 0 {
-				g.remaining = 0
-			}
-		}
-		g.last = now
-		rate := math.Inf(1)
-		for _, r := range g.res[:g.nres] {
-			if s := r.share(); s < rate {
-				rate = s
-			}
-		}
-		if g.cap > 0 && rate > g.cap {
-			rate = g.cap
-		}
-		g.rate = rate
-		var dt sim.Time
-		if g.remaining > 0 && !math.IsInf(g.rate, 1) {
-			dt = sim.Time(g.remaining / g.rate * float64(time.Second))
-			if dt < 0 {
-				dt = 0
-			}
-		}
-		n.timers.Arm(g, now+dt)
-	}
-	n.timers.Sync()
+	n.join(f)
 }
 
 // transferComplete fires when the last byte leaves the bottleneck; the
@@ -442,10 +326,8 @@ func (n *Network) reschedule() {
 // channel's next message.
 func (f *Flow) transferComplete() {
 	n := f.net
-	f.remaining = 0
 	if f.nres > 0 {
-		n.detach(f)
-		n.reschedule()
+		n.leave(f)
 	}
 	at := n.k.Now() + f.latency
 	if f.owner != nil {
@@ -478,13 +360,11 @@ func deliverFlow(x any) {
 func (f *Flow) Cancel() {
 	f.cancelled = true
 	n := f.net
-	if !n.timers.Stop(f) {
-		return // transmitted already
-	}
 	if f.nres > 0 {
-		n.detach(f)
-		n.reschedule()
+		n.leave(f)
 		return
 	}
-	n.timers.Sync()
+	if n.timers.Stop(f) { // a loopback flow not yet fired
+		n.timers.Sync()
+	}
 }

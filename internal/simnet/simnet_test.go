@@ -689,3 +689,25 @@ func TestReleaseTie(t *testing.T) {
 		})
 	}
 }
+
+// TestFlowChurnCancelsLinearly pins what a flow change costs in timers:
+// 256 long flows share node 0's receive NIC while N short flows pass
+// through it one at a time.  A short flow's arrival moves the NIC clock's
+// earliest finisher (one cancel) and its departure re-arms the long flow
+// that is earliest again, so the kernel counts at most 2N + c cancelled
+// events; settling and re-arming every member of the NIC, as the reference
+// solver does, counts about 2·256·N.
+func TestFlowChurnCancelsLinearly(t *testing.T) {
+	const F, N = 256, 500
+	k := sim.New(1)
+	n, before := churn(k, F, N, func() {})
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if n.FlowsDone != N+1 {
+		t.Fatalf("%d flows delivered, want the %d short ones", n.FlowsDone, N+1)
+	}
+	if got := k.Stats().Cancelled - before.Cancelled; got > 2*N+4 {
+		t.Errorf("%d short flows through %d long ones cancelled %d events, want <= %d", N, F, got, 2*N+4)
+	}
+}
