@@ -28,19 +28,16 @@ func testNet(k *sim.Kernel) *simnet.Network {
 	}}})
 }
 
-// sinkFuncs adapts two closures (either may be nil) to a TransferSink.
-type sinkFuncs struct{ stored, aborted func() }
-
-func (s sinkFuncs) Stored() {
-	if s.stored != nil {
-		s.stored()
-	}
+// store ships img from srcNode to srv alone, through a one-server Group:
+// onStored (may be nil) runs once the image is on the server, onAborted
+// (may be nil) if the server refuses it or dies first.
+func store(srv *Server, img *Image, srcNode int, onStored, onAborted func()) *StoreOp {
+	return NewGroup(srv.net, []*Server{srv}, 1, 1, nil).Store(img, srcNode, 0, onStored, onAborted)
 }
 
-func (s sinkFuncs) Aborted() {
-	if s.aborted != nil {
-		s.aborted()
-	}
+// storeLogs ships a log set for (rank, wave) from srcNode to srv alone.
+func storeLogs(srv *Server, rank, wave int, pkts []*mpi.Packet, srcNode int) *StoreOp {
+	return NewGroup(srv.net, []*Server{srv}, 1, 1, nil).StoreLogs(rank, wave, pkts, srcNode, nil)
 }
 
 func TestProgramCodecRoundTrip(t *testing.T) {
@@ -79,7 +76,7 @@ func TestServerStoreFetch(t *testing.T) {
 	var storedAt sim.Time
 	var fetched *Image
 	k.Go("proc", func(p *sim.Proc) {
-		srv.Receive(img, 0, 0, sinkFuncs{stored: func() {
+		store(srv, img, 0, func() {
 			storedAt = k.Now()
 			if !srv.Has(2, 1) {
 				t.Error("image not stored at onStored time")
@@ -94,7 +91,7 @@ func TestServerStoreFetch(t *testing.T) {
 			}, nil); err != nil {
 				t.Error(err)
 			}
-		}})
+		}, nil)
 	})
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
@@ -119,13 +116,13 @@ func TestServerLogsAccumulate(t *testing.T) {
 	k := sim.New(1)
 	net := testNet(k)
 	srv := NewServer(net, 0, 1)
-	srv.Receive(&Image{Rank: 0, Wave: 2, Footprint: 100}, 0, 0, nil)
-	srv.ReceiveLogs(0, 2, []*mpi.Packet{
+	store(srv, &Image{Rank: 0, Wave: 2, Footprint: 100}, 0, nil, nil)
+	storeLogs(srv, 0, 2, []*mpi.Packet{
 		{Src: 1, Dst: 0, Kind: mpi.KindPayload, Tag: 5, Data: []byte("a")},
-	}, 0, nil)
-	srv.ReceiveLogs(0, 2, []*mpi.Packet{
+	}, 0)
+	storeLogs(srv, 0, 2, []*mpi.Packet{
 		{Src: 2, Dst: 0, Kind: mpi.KindPayload, Tag: 5, Data: []byte("b")},
-	}, 0, nil)
+	}, 0)
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +132,7 @@ func TestServerLogsAccumulate(t *testing.T) {
 	}
 }
 
-// TestServerLogsShareHandedPackets: ReceiveLogs keeps the packets it is
+// TestServerLogsShareHandedPackets: a log store keeps the packets it is
 // handed, not copies — they are received payloads, read-only — though the
 // slice that holds them is its own.  A log fetched twice, by wave and as a
 // reception history, replays the same packets both times.
@@ -145,7 +142,7 @@ func TestServerLogsShareHandedPackets(t *testing.T) {
 	a := &mpi.Packet{Src: 1, Dst: 0, Kind: mpi.KindPayload, Tag: 5, PSeq: 1, Data: []byte("a")}
 	b := &mpi.Packet{Src: 2, Dst: 0, Kind: mpi.KindPayload, Tag: 5, PSeq: 1, Data: []byte("b")}
 	handed := []*mpi.Packet{a, b}
-	srv.ReceiveLogs(0, 2, handed, 0, nil)
+	storeLogs(srv, 0, 2, handed, 0)
 	handed[0], handed[1] = nil, nil // the sender's slice is its own to reuse
 	var fetched [][]*mpi.Packet
 	k.After(time.Second, func() {
@@ -176,8 +173,8 @@ func TestServerGC(t *testing.T) {
 	net := testNet(k)
 	srv := NewServer(net, 0, 1)
 	for wave := 1; wave <= 3; wave++ {
-		srv.Receive(&Image{Rank: 0, Wave: wave, Footprint: 10}, 0, 0, nil)
-		srv.ReceiveLogs(0, wave, []*mpi.Packet{{Kind: mpi.KindPayload}}, 0, nil)
+		store(srv, &Image{Rank: 0, Wave: wave, Footprint: 10}, 0, nil, nil)
+		storeLogs(srv, 0, wave, []*mpi.Packet{{Kind: mpi.KindPayload}}, 0)
 	}
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
@@ -198,10 +195,10 @@ func TestReceiveCancelled(t *testing.T) {
 	k := sim.New(1)
 	net := testNet(k)
 	srv := NewServer(net, 0, 1)
-	f := srv.Receive(&Image{Rank: 0, Wave: 1, Footprint: 100 << 20}, 0, 0, sinkFuncs{stored: func() {
+	op := store(srv, &Image{Rank: 0, Wave: 1, Footprint: 100 << 20}, 0, func() {
 		t.Error("cancelled transfer stored")
-	}})
-	k.After(time.Millisecond, f.Cancel)
+	}, nil)
+	k.After(time.Millisecond, op.Cancel)
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -215,8 +212,8 @@ func TestTransfersCompeteForServerNIC(t *testing.T) {
 	net := testNet(k)
 	srv := NewServer(net, 0, 3)
 	var t1, t2 sim.Time
-	srv.Receive(&Image{Rank: 0, Wave: 1, Footprint: 50e6}, 0, 0, sinkFuncs{stored: func() { t1 = k.Now() }})
-	srv.Receive(&Image{Rank: 1, Wave: 1, Footprint: 50e6}, 1, 0, sinkFuncs{stored: func() { t2 = k.Now() }})
+	store(srv, &Image{Rank: 0, Wave: 1, Footprint: 50e6}, 0, func() { t1 = k.Now() }, nil)
+	store(srv, &Image{Rank: 1, Wave: 1, Footprint: 50e6}, 1, func() { t2 = k.Now() }, nil)
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}

@@ -127,12 +127,15 @@ type StoreOp struct {
 	srcNode    int
 
 	// What is shipped and who hears of the quorum: an image (Store) reports
-	// to onQuorum/onFailed, a log set (StoreLogs) to logSink.
+	// to onQuorum/onFailed, a log set (StoreLogs) to logSink.  The log set
+	// is the op's own: a one-record set lives in one, so a logged message
+	// costs no slice.
 	img      *Image
 	cap      simnet.Rate
 	onQuorum func()
 	onFailed func()
 	pkts     []*mpi.Packet
+	one      [1]*mpi.Packet
 	logSink  LogSink
 
 	// replicas is the per-replica state, primary first; up to two entries
@@ -148,14 +151,14 @@ type StoreOp struct {
 	cancelled bool
 }
 
-// replica is one replica's share of a StoreOp: the server, the current
-// attempt's flow (nil when idle), the pending retry (0 when none) and the
-// retries left.  The entry itself is what the server reports the attempt's
-// outcome to (TransferSink) and what the retry timer fires on.
+// replica is one replica's share of a StoreOp: the current attempt's
+// transfer — the server, the flow (nil when idle) and what the server
+// links while the copy is in flight — the pending retry (0 when none) and
+// the retries left.  The entry itself is what the server reports the
+// attempt's outcome to and what the retry timer fires on.
 type replica struct {
+	transfer
 	op      *StoreOp
-	srv     *Server
-	flow    *simnet.Flow
 	timer   sim.EventID
 	retries int
 }
@@ -174,11 +177,11 @@ func (g *Group) Store(img *Image, srcNode int, cap simnet.Rate, onQuorum, onFail
 
 // StoreLogs replicates a log set (Vcl channel state for a wave, or one
 // mlog pessimistic log record) with the same quorum semantics as Store;
-// done (may be nil) hears of the quorum.  pkts stays the caller's: the
-// servers copy the packets when an attempt starts, and a retry reads the
-// slice again.
+// done (may be nil) hears of the quorum.  The op copies the set, so pkts
+// is read only during the call.
 func (g *Group) StoreLogs(rank, wave int, pkts []*mpi.Packet, srcNode int, done LogSink) *StoreOp {
-	op := &StoreOp{g: g, rank: rank, wave: wave, srcNode: srcNode, pkts: pkts, logSink: done}
+	op := &StoreOp{g: g, rank: rank, wave: wave, srcNode: srcNode, logSink: done}
+	op.pkts = append(op.one[:0], pkts...)
 	op.start()
 	return op
 }
@@ -192,12 +195,16 @@ func (op *StoreOp) start() {
 	}
 	p := g.PrimaryOf(op.rank)
 	for i := range op.replicas {
-		op.replicas[i] = replica{op: op, srv: g.replica(p, i), retries: g.MaxRetries}
+		r := &op.replicas[i]
+		*r = replica{transfer: transfer{srv: g.replica(p, i), rep: r}, op: op, retries: g.MaxRetries}
 	}
 	for i := range op.replicas {
 		op.replicas[i].attempt()
 	}
 }
+
+// Stored reports whether the store reached its write quorum.
+func (op *StoreOp) Stored() bool { return op.quorumHit }
 
 // Settled reports that nothing is left to cancel: every replica has
 // acknowledged or failed for good, or the store was cancelled.  No
@@ -207,23 +214,15 @@ func (op *StoreOp) Settled() bool {
 	return op.cancelled || op.acks+op.failed == len(op.replicas)
 }
 
-// attempt ships to the replica (current attempt).
+// attempt ships the replica's copy (current attempt).
 func (r *replica) attempt() {
-	op := r.op
-	if op.cancelled {
-		return
-	}
-	// A dead server refuses by calling Aborted before it returns nil, so
-	// the assignment leaves flow nil beside the retry Aborted scheduled.
-	if op.img != nil {
-		r.flow = r.srv.Receive(op.img, op.srcNode, op.cap, r)
-	} else {
-		r.flow = r.srv.ReceiveLogs(op.rank, op.wave, op.pkts, op.srcNode, r)
+	if !r.op.cancelled {
+		r.srv.receive(r)
 	}
 }
 
-// Stored: the replica holds its copy.
-func (r *replica) Stored() {
+// stored: the replica holds its copy.
+func (r *replica) stored() {
 	op := r.op
 	r.flow = nil
 	op.acks++
@@ -238,10 +237,10 @@ func (r *replica) Stored() {
 	}
 }
 
-// Aborted: the replica died before or during the transfer; re-schedule
+// aborted: the replica died before or during the transfer; re-schedule
 // the attempt after the backoff, or mark the replica failed once its
 // retries are exhausted.
-func (r *replica) Aborted() {
+func (r *replica) aborted() {
 	op := r.op
 	r.flow = nil
 	if op.cancelled {
@@ -286,6 +285,7 @@ func (op *StoreOp) Cancel() {
 		if r.flow != nil {
 			r.flow.Cancel()
 			r.flow = nil
+			r.srv.unlink(&r.transfer)
 		}
 		if r.timer != 0 {
 			k.Cancel(r.timer)

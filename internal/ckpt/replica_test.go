@@ -160,8 +160,8 @@ func TestGroupLogsSinceUnion(t *testing.T) {
 		return &mpi.Packet{Src: src, Dst: 0, Kind: mpi.KindPayload, PSeq: pseq, Data: []byte{byte(pseq)}}
 	}
 	k.Go("w", func(p *sim.Proc) {
-		pool[0].ReceiveLogs(0, 1, []*mpi.Packet{pkt(1, 1), pkt(1, 2), pkt(2, 1)}, 0, nil)
-		pool[1].ReceiveLogs(0, 1, []*mpi.Packet{pkt(1, 2), pkt(1, 3), pkt(2, 1)}, 0, nil)
+		storeLogs(pool[0], 0, 1, []*mpi.Packet{pkt(1, 1), pkt(1, 2), pkt(2, 1)}, 0)
+		storeLogs(pool[1], 0, 1, []*mpi.Packet{pkt(1, 2), pkt(1, 3), pkt(2, 1)}, 0)
 	})
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
@@ -216,10 +216,9 @@ func TestKillAbortsInStartOrderAfterOutOfOrderCompletion(t *testing.T) {
 	// Transfers 2 and 4 are small enough to land before the kill.
 	for i, size := range []int64{40 << 20, 1 << 10, 30 << 20, 2 << 10, 20 << 20, 10 << 20} {
 		id := i + 1
-		srv.Receive(&Image{Rank: id, Wave: 1, Footprint: size}, i%3, 0, sinkFuncs{
-			stored:  func() { stored = append(stored, id) },
-			aborted: func() { aborted = append(aborted, id) },
-		})
+		store(srv, &Image{Rank: id, Wave: 1, Footprint: size}, i%3,
+			func() { stored = append(stored, id) },
+			func() { aborted = append(aborted, id) })
 	}
 	var started []*transfer
 	for tr := srv.first; tr != nil; tr = tr.next {
@@ -305,5 +304,81 @@ func TestCancelWithTransferAndRetryPending(t *testing.T) {
 	}
 	if len(pool[0].Logs(0, 1)) != 1 {
 		t.Error("cancelling a settled op touched what it stored")
+	}
+}
+
+// countSink counts the quorums it hears of.
+type countSink int
+
+func (c *countSink) LogsStored() { *c++ }
+
+// TestStoreLogsOwnsRecord: StoreLogs copies the set it is handed, so the
+// caller may overwrite its slot as soon as the call returns — Mlog ships
+// every record from one reused slot.  A retry after the slot changed still
+// ships the original: replica 1's server dies mid-transfer and comes back
+// empty before the backoff ends (a reboot, set by hand: a killed server
+// stays dead in this model), so the retry lands, and both replicas store
+// the original packet.  The sink hears of the quorum once, when the first
+// copy lands.
+func TestStoreLogsOwnsRecord(t *testing.T) {
+	k := sim.New(1)
+	g, pool := testGroup(k, 2, 2, 1)
+	g.MaxRetries = 1
+	g.Backoff = time.Millisecond
+	col := obs.NewCollector()
+	g.SetObs(obs.NewHub(col))
+	orig := &mpi.Packet{Src: 1, Kind: mpi.KindPayload, PSeq: 7, VSize: 4 << 10}
+	var sink countSink
+	k.Go("w", func(p *sim.Proc) {
+		slot := []*mpi.Packet{orig}
+		g.StoreLogs(0, 1, slot, 0, &sink)
+		slot[0] = &mpi.Packet{Src: 2, Kind: mpi.KindPayload, PSeq: 99}
+		p.Advance(20 * time.Microsecond) // both copies in flight (≈ 90 µs each)
+		pool[1].Kill()
+		p.Advance(100 * time.Microsecond)
+		pool[1].dead = false
+	})
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if n := col.Count(obs.EvStoreRetry); n != 1 {
+		t.Errorf("%d store retries, want 1", n)
+	}
+	for i, srv := range pool {
+		if logs := srv.Logs(0, 1); len(logs) != 1 || logs[0] != orig {
+			t.Errorf("replica %d stores %v, want the original packet", i, logs)
+		}
+	}
+	if sink != 1 {
+		t.Errorf("the sink heard of the quorum %d times, want 1", sink)
+	}
+}
+
+// TestStoreLogsAllocs pins BenchmarkGroupStoreLogs: a one-record log store
+// allocates the op and one flow per replica — the record lives in the op,
+// and each attempt's transfer in its replica entry.
+func TestStoreLogsAllocs(t *testing.T) {
+	for _, replicas := range []int{1, 2} {
+		k := sim.New(1)
+		g, _ := benchGroup(k, replicas, replicas)
+		record := []*mpi.Packet{{Src: 1, Kind: mpi.KindPayload, Tag: 5, VSize: 4 << 10}}
+		var sink countSink
+		k.Go("w", func(p *sim.Proc) {
+			one := func() {
+				record[0].PSeq++
+				g.StoreLogs(int(record[0].PSeq%16), 1, record, 0, &sink)
+				p.Advance(time.Millisecond) // long after both copies landed
+			}
+			one()
+			if n := testing.AllocsPerRun(200, one); n != float64(1+replicas) {
+				t.Errorf("replicas=%d: %v allocations per record, want %d", replicas, n, 1+replicas)
+			}
+		})
+		if err := k.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if int(sink) != 202 {
+			t.Errorf("replicas=%d: %d of 202 stores reached their quorum", replicas, sink)
+		}
 	}
 }

@@ -45,37 +45,21 @@ type Server struct {
 	first, last *transfer
 }
 
-// TransferSink is the completion target of one store transfer (Receive,
-// ReceiveLogs): Stored runs when the copy is on the server, Aborted when
-// the server died first — refused outright or killed mid-flight.  At most
-// one of them runs, once; neither does after the sender cancels the flow.
-// The replica Group hands in a StoreOp's replica entry, so an attempt
-// builds no callback of its own.
-type TransferSink interface {
-	Stored()
-	Aborted()
-}
-
 // transfer is one in-progress flow the server is an end of, from its start
 // until it lands, and its own completion: the flow is handed the transfer
-// itself, not a closure over it.
+// itself, not a closure over it.  A store attempt's transfer is part of
+// its replica entry (rep), which reports the outcome, so a store allocates
+// none; a fetch (the recovery path, cold) allocates one that hands over
+// through closures.
 type transfer struct {
 	srv        *Server
 	flow       *simnet.Flow
 	prev, next *transfer // the server's in-progress list
-
-	// A store reports to sink (nil: to no one); what lands is img, or else
-	// the log set logs for (rank, wave).
-	sink       TransferSink
-	img        *Image
-	rank, wave int
-	logs       []*mpi.Packet
-	one        [1]*mpi.Packet // backs logs for a one-record set (mlog)
 	bytes      int64
 	span       uint64
 
-	// A fetch (the recovery path, cold) hands over through closures.
-	onDone, onAbort func()
+	rep             *replica // a store attempt
+	onDone, onAbort func()   // a fetch
 }
 
 type imgKey struct{ rank, wave int }
@@ -104,9 +88,10 @@ func (s *Server) emit(t obs.EventType, rank, wave int, bytes int64, span uint64)
 func (s *Server) Alive() bool { return !s.dead }
 
 // Kill fails the server: every stored image and log is lost, every
-// transfer in progress is cancelled (its onAbort, if any, runs so the
-// other end can fail over), and future stores and fetches are refused.
-// Abort callbacks run in transfer-start order, deterministically.
+// transfer in progress is cancelled (a store attempt is aborted, a fetch's
+// onAbort, if any, runs so the other end can fail over), and future
+// stores and fetches are refused.  Aborts run in transfer-start order,
+// deterministically.
 func (s *Server) Kill() {
 	if s.dead {
 		return
@@ -114,24 +99,21 @@ func (s *Server) Kill() {
 	s.dead = true
 	s.images = make(map[imgKey]*Image)
 	s.logs = make(map[imgKey][]*mpi.Packet)
-	tr := s.first
-	s.first, s.last = nil, nil
-	for tr != nil {
-		next := tr.next
-		tr.prev, tr.next = nil, nil // see landed
+	for s.first != nil {
+		tr := s.first
+		s.unlink(tr)
 		tr.flow.Cancel()
 		switch {
-		case tr.sink != nil:
-			tr.sink.Aborted()
+		case tr.rep != nil:
+			tr.rep.aborted()
 		case tr.onAbort != nil:
 			tr.onAbort()
 		}
-		tr = next
 	}
 }
 
 // start begins tr's flow and appends it to the in-progress list, where it
-// stays until it lands (a flow its sender cancelled stays until Kill).
+// stays until it lands, the sender cancels a store attempt, or Kill.
 func (s *Server) start(tr *transfer, src, dst int, bytes int64, cap simnet.Rate) *simnet.Flow {
 	tr.srv = s
 	tr.prev = s.last
@@ -148,10 +130,11 @@ func (s *Server) start(tr *transfer, src, dst int, bytes int64, cap simnet.Rate)
 // transferLanded is every transfer's flow completion.
 func transferLanded(x any) { x.(*transfer).landed() }
 
-// landed leaves the in-progress list and completes the transfer: a fetch
-// hands over, a store puts what it carried on the server and tells its sink.
-func (tr *transfer) landed() {
-	s := tr.srv
+// unlink takes tr out of the in-progress list.  A transfer that left it
+// must not point into it: its flow lingers in the network's scratch sets
+// and the kernel's dead slots for a while, and through a kept link it
+// would hold every later transfer.
+func (s *Server) unlink(tr *transfer) {
 	if tr.prev != nil {
 		tr.prev.next = tr.next
 	} else {
@@ -162,78 +145,62 @@ func (tr *transfer) landed() {
 	} else {
 		s.last = tr.prev
 	}
-	// A finished transfer must not point into the list: its flow lingers
-	// in the network's scratch sets and the kernel's dead slots for a
-	// while, and through a kept link it would hold every later transfer.
 	tr.prev, tr.next = nil, nil
-	switch {
-	case tr.onDone != nil:
+}
+
+// landed leaves the in-progress list and completes the transfer: a fetch
+// hands over, a store attempt puts what its op carries on the server and
+// tells its replica entry.
+func (tr *transfer) landed() {
+	s := tr.srv
+	s.unlink(tr)
+	r := tr.rep
+	if r == nil {
 		tr.onDone()
 		return
-	case tr.img != nil:
-		s.images[imgKey{tr.img.Rank, tr.img.Wave}] = tr.img
-		s.emit(obs.EvImageStoreEnd, tr.img.Rank, tr.img.Wave, tr.bytes, tr.span)
-	default:
-		k := imgKey{tr.rank, tr.wave}
-		s.logs[k] = append(s.logs[k], tr.logs...)
-		s.emit(obs.EvLogShipEnd, tr.rank, tr.wave, tr.bytes, tr.span)
 	}
-	if tr.sink != nil {
-		tr.sink.Stored()
-	}
-}
-
-// Receive starts the transfer of img from srcNode to the server, paced by
-// a sender-side rate ceiling (cap 0 = none, modelling transfers driven by
-// a single-threaded daemon).  The returned flow may be cancelled if the
-// sender dies.  sink.Stored runs when the image is fully stored; if the
-// server dies while the transfer is in flight, sink.Aborted runs instead
-// (the replica Group retries elsewhere).  A dead server refuses the
-// transfer outright: nil flow, immediate Aborted.  The server keeps the
-// pointer it was given — an image is immutable once handed to a store (see
-// Image).
-func (s *Server) Receive(img *Image, srcNode int, cap simnet.Rate, sink TransferSink) *simnet.Flow {
-	if s.dead {
-		if sink != nil {
-			sink.Aborted()
-		}
-		return nil
-	}
-	// One span per replica transfer, closed by the matching end event (or
-	// left open if the server dies mid-flight).
-	tr := &transfer{sink: sink, img: img, bytes: img.StoredBytes(), span: s.obs.NextSpan()}
-	s.emit(obs.EvImageStoreBegin, img.Rank, img.Wave, tr.bytes, tr.span)
-	return s.start(tr, srcNode, s.Node, tr.bytes, cap)
-}
-
-// ReceiveLogs transfers a set of logged in-transit messages (Vcl channel
-// state, or one mlog reception record) for (rank, wave), with the abort
-// semantics of Receive.  Logs from several channels may arrive in
-// separate calls; they accumulate in arrival order, which preserves
-// per-channel FIFO since each channel's log is shipped in one piece.
-// Like an image, a packet is kept, not copied: a received payload is
-// read-only (mpi.Filter), so the server shares Mlog's and Vcl's packets.
-// Only the slice of them is the server's own.
-func (s *Server) ReceiveLogs(rank, wave int, pkts []*mpi.Packet, srcNode int, sink TransferSink) *simnet.Flow {
-	if s.dead {
-		if sink != nil {
-			sink.Aborted()
-		}
-		return nil
-	}
-	tr := &transfer{sink: sink, rank: rank, wave: wave}
-	if len(pkts) == 1 {
-		tr.logs = tr.one[:]
+	if op := r.op; op.img != nil {
+		s.images[imgKey{op.rank, op.wave}] = op.img
+		s.emit(obs.EvImageStoreEnd, op.rank, op.wave, tr.bytes, tr.span)
 	} else {
-		tr.logs = make([]*mpi.Packet, len(pkts))
+		k := imgKey{op.rank, op.wave}
+		s.logs[k] = append(s.logs[k], op.pkts...)
+		s.emit(obs.EvLogShipEnd, op.rank, op.wave, tr.bytes, tr.span)
 	}
-	copy(tr.logs, pkts)
-	for _, p := range pkts {
-		tr.bytes += p.WireSize()
+	r.stored()
+}
+
+// receive starts store attempt r on the server: r.op's image, paced by
+// the op's sender-side rate ceiling (0 = none, modelling transfers driven
+// by a single-threaded daemon), or its log set (Vcl channel state, or one
+// mlog reception record).  r.stored runs once the copy is on the server;
+// r.aborted runs if the server dies first, or at once when it is already
+// dead.  Log sets for one (rank, wave) accumulate in arrival order, which
+// preserves per-channel FIFO since each channel's log is shipped in one
+// piece.  The server keeps the image pointer and the packets it is handed,
+// not copies: an image is immutable once handed to a store (see Image),
+// and a received payload is read-only (mpi.Filter), so the server shares
+// Mlog's and Vcl's packets.  Only the slice of them is the server's own.
+func (s *Server) receive(r *replica) {
+	if s.dead {
+		r.aborted()
+		return
+	}
+	// One span per attempt, closed by the matching end event (or left open
+	// if the server dies mid-flight).
+	op, tr := r.op, &r.transfer
+	begin := obs.EvImageStoreBegin
+	if op.img != nil {
+		tr.bytes = op.img.StoredBytes()
+	} else {
+		begin, tr.bytes = obs.EvLogShipBegin, 0
+		for _, p := range op.pkts {
+			tr.bytes += p.WireSize()
+		}
 	}
 	tr.span = s.obs.NextSpan()
-	s.emit(obs.EvLogShipBegin, rank, wave, tr.bytes, tr.span)
-	return s.start(tr, srcNode, s.Node, tr.bytes, 0)
+	s.emit(begin, op.rank, op.wave, tr.bytes, tr.span)
+	s.start(tr, op.srcNode, s.Node, tr.bytes, op.cap)
 }
 
 // Image returns the stored image for (rank, wave).  It errors instead of

@@ -1,11 +1,12 @@
 // Package coretest is a fake core.Host for the protocol packages' tests.
 // It drives a protocol state machine directly and records its effects:
-// wired packets, checkpoints, log shipments and commits.  A store
-// completes on demand (the test calls OnImg/OnLog), at once (StoreNow) or,
-// for images, StoreAfter later in virtual time.
+// wired packets, checkpoints, log shipments and commits.  A log store
+// completes on demand (the test calls OnLog); an image store on demand
+// (OnImg), at once (StoreNow) or StoreAfter later in virtual time.
 package coretest
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -33,7 +34,7 @@ type Host struct {
 	OnImg    []func()        // image stores not yet reported durable
 	OnLog    []func()        // log shipments not yet reported durable
 
-	StoreNow   bool     // report every store durable at once
+	StoreNow   bool     // report every image store durable at once
 	StoreAfter sim.Time // > 0: report an image durable that long after it was taken
 
 	rank, size int
@@ -78,14 +79,20 @@ func (h *Host) TakeCheckpoint(wave int, dev []byte, onStored func()) {
 	}
 }
 
-func (h *Host) ShipLogs(wave int, pkts []*mpi.Packet, done core.LogSink) {
+// logStore is a fake log store: durable once the test says so (OnLog).
+type logStore struct{ stored bool }
+
+func (s *logStore) Stored() bool { return s.stored }
+
+func (h *Host) ShipLogs(wave int, pkts []*mpi.Packet, done core.LogSink) core.LogStore {
 	h.LogWaves = append(h.LogWaves, wave)
-	h.Logged = append(h.Logged, pkts)
-	if h.StoreNow {
+	h.Logged = append(h.Logged, slices.Clone(pkts))
+	st := &logStore{}
+	h.OnLog = append(h.OnLog, func() {
+		st.stored = true
 		done.LogsStored()
-	} else {
-		h.OnLog = append(h.OnLog, done.LogsStored)
-	}
+	})
+	return st
 }
 
 // Run runs body inside an LP that owns a real engine on a one-node

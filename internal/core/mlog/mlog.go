@@ -52,31 +52,33 @@ type Mlog struct {
 
 	wave    int
 	sendSeq map[int]uint64 // next PSeq per destination
+	ackSeq  map[int]uint64 // highest PSeq acknowledged per destination
 	delUpTo map[int]uint64 // highest PSeq delivered (logged) per source
 	nextSeq map[int]uint64 // highest PSeq accepted into the log pipeline
-	unacked map[int]*sim.Queue[*mpi.Packet]
-	pending sim.Queue[*pendingMsg] // accepted in order, waiting for the log store
+	// unacked holds the sends, by value (a copy of the header taken at
+	// the send, sharing Data: read-only once sent), in send order across
+	// destinations — one queue, so a peer costs no segment of its own.
+	// An ack pops the acknowledged prefix; an acknowledged send behind an
+	// older unacknowledged one waits in place, and ackSeq tells it apart.
+	unacked sim.Queue[mpi.Packet]
+	pending sim.Queue[held] // accepted in order, waiting for the log store
+	rec     [1]*mpi.Packet  // the one-record set accept ships
 	// ooo holds packets that overtook a gap (organic traffic racing a
 	// retransmission after a peer restart); the retransmission fills the
 	// gap and releases them in sequence.
 	ooo map[int]map[uint64]*mpi.Packet
 }
 
-// pendingMsg is one pessimistic log record from accept to delivery: the
-// held packet as the one-element set ShipLogs is handed (the record owns
-// the slice) and the store's completion target, so logging a message
-// allocates the record and nothing else here.
-type pendingMsg struct {
-	m      *Mlog
-	pkt    [1]*mpi.Packet
-	stored bool
+// held is one pessimistic log record from accept to delivery: the packet
+// and the store that makes it durable.  The Mlog is every store's
+// core.LogSink, so logging a message allocates nothing here.
+type held struct {
+	pkt   *mpi.Packet
+	store core.LogStore
 }
 
-// LogsStored: the record is on stable storage; deliver what that unblocks.
-func (pm *pendingMsg) LogsStored() {
-	pm.stored = true
-	pm.m.drain()
-}
+// LogsStored: a record is on stable storage; deliver what that unblocks.
+func (m *Mlog) LogsStored() { m.drain() }
 
 // New builds an Mlog instance checkpointing every interval, staggered by
 // rank so the uncoordinated checkpoints do not accidentally synchronize.
@@ -84,9 +86,9 @@ func New(h core.Host, interval sim.Time) *Mlog {
 	m := &Mlog{
 		h:       h,
 		sendSeq: map[int]uint64{},
+		ackSeq:  map[int]uint64{},
 		delUpTo: map[int]uint64{},
 		nextSeq: map[int]uint64{},
-		unacked: map[int]*sim.Queue[*mpi.Packet]{},
 		ooo:     map[int]map[uint64]*mpi.Packet{},
 	}
 	stagger := interval * sim.Time(h.Rank()) / sim.Time(h.Size())
@@ -128,12 +130,7 @@ func (m *Mlog) checkpoint() int {
 func (m *Mlog) OutPayload(p *mpi.Packet) bool {
 	m.sendSeq[p.Dst]++
 	p.PSeq = m.sendSeq[p.Dst]
-	q := m.unacked[p.Dst]
-	if q == nil {
-		q = &sim.Queue[*mpi.Packet]{}
-		m.unacked[p.Dst] = q
-	}
-	q.Push(p.Clone())
+	m.unacked.Push(*p)
 	return true
 }
 
@@ -192,16 +189,15 @@ func (m *Mlog) onPayload(p *mpi.Packet) {
 // pipeline: delivery waits until the log is on stable storage.
 func (m *Mlog) accept(p *mpi.Packet) {
 	m.nextSeq[p.Src] = p.PSeq
-	pm := &pendingMsg{m: m, pkt: [1]*mpi.Packet{p}}
-	m.pending.Push(pm)
-	m.h.ShipLogs(m.wave, pm.pkt[:], pm)
+	m.rec[0] = p
+	m.pending.Push(held{p, m.h.ShipLogs(m.wave, m.rec[:], m)})
 }
 
 // drain delivers the stored prefix of the pending queue, preserving the
 // original arrival order.
 func (m *Mlog) drain() {
-	for m.pending.Len() > 0 && m.pending.Front().stored {
-		m.deliver(m.pending.Pop().pkt[0])
+	for m.pending.Len() > 0 && m.pending.Front().store.Stored() {
+		m.deliver(m.pending.Pop().pkt)
 	}
 }
 
@@ -216,45 +212,53 @@ func (m *Mlog) ack(dst int, seq uint64) {
 	m.h.Wire(dst, mpi.Packet{Kind: mpi.KindControl, Tag: OpAck, PSeq: seq})
 }
 
-// onAck drops acknowledged messages (cumulative: logging is FIFO per
-// pair, so acks arrive in sequence order).
+// onAck records an acknowledgement (cumulative: logging is FIFO per
+// pair) and drops the acknowledged prefix of unacked.
 func (m *Mlog) onAck(from int, seq uint64) {
-	q := m.unacked[from]
-	for q != nil && q.Len() > 0 && q.Front().PSeq <= seq {
-		q.Pop()
+	m.ackSeq[from] = max(m.ackSeq[from], seq)
+	for m.unacked.Len() > 0 && m.acked(m.unacked.Front()) {
+		m.unacked.Pop()
 	}
 }
+
+// acked reports whether the send p was acknowledged.
+func (m *Mlog) acked(p mpi.Packet) bool { return p.PSeq <= m.ackSeq[p.Dst] }
 
 // PeerRestarted retransmits the unacknowledged messages to a recovered
 // peer — in-flight messages died with its channels.
-func (m *Mlog) PeerRestarted(rank int) {
-	if q := m.unacked[rank]; q != nil {
-		m.retransmit(rank, q)
-	}
-}
+func (m *Mlog) PeerRestarted(rank int) { m.retransmit(rank) }
 
-// retransmit re-sends every message in q to dst, oldest first.  Wire takes
-// the packet by value, so the one in q stays as it is.
-func (m *Mlog) retransmit(dst int, q *sim.Queue[*mpi.Packet]) {
-	for i, n := 0, q.Len(); i < n; i++ {
-		m.h.Wire(dst, *q.At(i))
+// retransmit re-sends every unacknowledged message to dst, oldest first.
+// Wire takes the packet by value, so the one in unacked stays as it is.
+func (m *Mlog) retransmit(dst int) {
+	for i, n := 0, m.unacked.Len(); i < n; i++ {
+		if p := m.unacked.At(i); p.Dst == dst && !m.acked(p) {
+			m.h.Wire(dst, p)
+		}
 	}
 }
 
 // retransmitAll re-sends every unacknowledged message, destinations in
 // ascending order: the wire order is part of the run.
 func (m *Mlog) retransmitAll() {
-	dsts := make([]int, 0, len(m.unacked))
-	for dst := range m.unacked {
-		dsts = append(dsts, dst)
-	}
-	slices.Sort(dsts)
-	for _, dst := range dsts {
-		m.retransmit(dst, m.unacked[dst])
+	for _, dst := range sortedKeys(m.sendSeq) {
+		m.retransmit(dst)
 	}
 }
 
-// devState is the protocol state stored inside images.
+// sortedKeys returns m's keys in ascending order.
+func sortedKeys[V any](m map[int]V) []int {
+	keys := make([]int, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	return keys
+}
+
+// devState is the protocol state stored inside images.  Its packets are
+// pointers because gob names the types in the encoding, and so in the
+// image size; DeviceState builds them once per checkpoint.
 type devState struct {
 	Wave    int
 	SendSeq map[int]uint64
@@ -272,17 +276,18 @@ func (m *Mlog) DeviceState() []byte {
 		// One entry per destination ever sent to, empty once everything
 		// is acknowledged: the entry is part of the encoding, and so of
 		// the image size.
-		Unacked: make(map[int][]*mpi.Packet, len(m.unacked)),
+		Unacked: make(map[int][]*mpi.Packet, len(m.sendSeq)),
 	}
-	for dst, q := range m.unacked {
-		pkts := make([]*mpi.Packet, q.Len())
-		for i := range pkts {
-			pkts[i] = q.At(i)
+	for dst := range m.sendSeq {
+		ds.Unacked[dst] = []*mpi.Packet{}
+	}
+	for i := 0; i < m.unacked.Len(); i++ {
+		if p := m.unacked.At(i); !m.acked(p) {
+			ds.Unacked[p.Dst] = append(ds.Unacked[p.Dst], &p)
 		}
-		ds.Unacked[dst] = pkts
 	}
 	for i := 0; i < m.pending.Len(); i++ {
-		ds.Pending = append(ds.Pending, m.pending.At(i).pkt[0])
+		ds.Pending = append(ds.Pending, m.pending.At(i).pkt)
 	}
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(ds); err != nil {
@@ -309,15 +314,14 @@ func (m *Mlog) Restore(dev []byte, logs []*mpi.Packet, lastWave int) {
 	if m.delUpTo = ds.DelUpTo; m.delUpTo == nil {
 		m.delUpTo = map[int]uint64{}
 	}
-	m.unacked = make(map[int]*sim.Queue[*mpi.Packet], len(ds.Unacked))
-	for dst, pkts := range ds.Unacked {
-		q := &sim.Queue[*mpi.Packet]{}
-		for _, p := range pkts {
-			q.Push(p)
+	m.ackSeq = map[int]uint64{}
+	m.unacked.Reset()
+	for _, dst := range sortedKeys(ds.Unacked) {
+		for _, p := range ds.Unacked[dst] {
+			m.unacked.Push(*p)
 		}
-		m.unacked[dst] = q
 	}
-	m.pending = sim.Queue[*pendingMsg]{}
+	m.pending = sim.Queue[held]{}
 	m.ooo = map[int]map[uint64]*mpi.Packet{}
 	for _, p := range ds.Pending {
 		// Already persisted by the image itself: deliver directly.

@@ -1,8 +1,11 @@
 package mlog
 
 import (
+	"bytes"
 	"crypto/sha256"
+	"encoding/gob"
 	"fmt"
+	"reflect"
 	"testing"
 	"time"
 
@@ -290,7 +293,7 @@ func TestQueuesReuseStorage(t *testing.T) {
 		if s := m.pending.Segments(); s != 1 {
 			t.Errorf("pending holds %d segments at depth 4, want 1", s)
 		}
-		if s := m.unacked[0].Segments(); s != 1 {
+		if s := m.unacked.Segments(); s != 1 {
 			t.Errorf("unacked holds %d segments at depth 4, want 1", s)
 		}
 		// Recorded at the parent commit (queues popped by re-slicing) for
@@ -316,4 +319,55 @@ func devStateIs(t *testing.T, m *Mlog, want string) {
 	if got := fmt.Sprintf("%x", sha256.Sum256(dev)); got != want {
 		t.Errorf("device state (%d bytes) hashes to %s, recorded %s", len(dev), got, want)
 	}
+}
+
+// TestDeviceStateUnackedRoundTrip: the unacknowledged sends, kept by
+// value, go into the image as the pointer slices they always were — the
+// encoding, and so every Mlog image size, is unchanged — and come back
+// from it as the same packets, in order, per destination.  A send already
+// acknowledged but queued behind an older unacknowledged one (rank 3's)
+// is neither imaged nor retransmitted.
+func TestDeviceStateUnackedRoundTrip(t *testing.T) {
+	k := sim.New(1)
+	h := coretest.New(k, 1, 4)
+	m := New(h, 0)
+	h.Run(t, func() {
+		m.OutPayload(&mpi.Packet{Src: 1, Dst: 2, Kind: mpi.KindPayload, Tag: 6, Data: []byte("ab")})
+		m.OutPayload(&mpi.Packet{Src: 1, Dst: 2, Kind: mpi.KindPayload, Tag: 6, VSize: 4 << 10})
+		m.OutPayload(&mpi.Packet{Src: 1, Dst: 3, Kind: mpi.KindPayload, Tag: 6, VSize: 64})
+		m.OutPayload(&mpi.Packet{Src: 1, Dst: 2, Kind: mpi.KindPayload, Tag: 7, Data: []byte("c")})
+		m.InPacket(&mpi.Packet{Src: 2, Kind: mpi.KindControl, Tag: OpAck, PSeq: 1})
+		m.InPacket(&mpi.Packet{Src: 3, Kind: mpi.KindControl, Tag: OpAck, PSeq: 1})
+		m.InPacket(pl(0, 1, 5)) // held: its log store is still open
+		dev := m.DeviceState()
+		// Recorded at the parent commit, whose unacked queues held clones.
+		if len(dev) != 322 {
+			t.Errorf("device state is %d bytes, recorded 322", len(dev))
+		}
+		h.Wired = nil
+		m.PeerRestarted(3)
+		m.PeerRestarted(2)
+		if len(h.Wired) != 2 || h.Wired[0].PSeq != 2 || string(h.Wired[1].Data) != "c" {
+			t.Errorf("retransmitted %v, want rank 2's PSeq 2 and 3 only", h.Wired)
+		}
+		h2 := coretest.New(k, 1, 4)
+		h2.Eng = h.Eng // the held record is delivered at restore
+		m2 := New(h2, 0)
+		m2.Restore(dev, nil, 1)
+		var was, got devState
+		for _, d := range []struct {
+			dev []byte
+			ds  *devState
+		}{{dev, &was}, {m2.DeviceState(), &got}} {
+			if err := gob.NewDecoder(bytes.NewReader(d.dev)).Decode(d.ds); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if !reflect.DeepEqual(got.Unacked, was.Unacked) || !reflect.DeepEqual(got.SendSeq, was.SendSeq) {
+			t.Errorf("restored unacked %v (send seqs %v), want %v (%v)", got.Unacked, got.SendSeq, was.Unacked, was.SendSeq)
+		}
+		if u := was.Unacked; len(u) != 2 || len(u[3]) != 0 || len(u[2]) != 2 || u[2][0].PSeq != 2 || string(u[2][1].Data) != "c" {
+			t.Errorf("imaged unacked %v, want rank 2's PSeq 2 and 3 and an empty entry for rank 3", u)
+		}
+	})
 }

@@ -55,9 +55,10 @@ type Host interface {
 	TakeCheckpoint(wave int, dev []byte, onStored func())
 	// ShipLogs transfers logged packets for wave to the checkpoint server
 	// (Vcl's message connection; mlog's pessimistic log, one record per
-	// call) and tells done once they are durable.  pkts stays the
-	// caller's and must not change until then.
-	ShipLogs(wave int, pkts []*mpi.Packet, done LogSink)
+	// call) and tells done once they are durable, never before ShipLogs
+	// returns.  The store keeps the packets, not the slice: pkts is read
+	// only during the call.
+	ShipLogs(wave int, pkts []*mpi.Packet, done LogSink) LogStore
 	// CommitWave records that wave is complete on every server: the
 	// recovery line advances and older waves are garbage collected.
 	// Called by the wave coordinator only.
@@ -73,6 +74,14 @@ type Host interface {
 // (mlog) can pass the record it already holds instead of a closure per
 // message; LogSinkFunc adapts a func where the call is rare.
 type LogSink interface{ LogsStored() }
+
+// LogStore is one ShipLogs store in progress.  Mlog queues it beside the
+// record it carries, so a logged message needs no object of its own.
+type LogStore interface {
+	// Stored reports whether the packets are durable (the write quorum
+	// was reached).
+	Stored() bool
+}
 
 // LogSinkFunc is a func() as a LogSink.
 type LogSinkFunc func()

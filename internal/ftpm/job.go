@@ -1054,12 +1054,14 @@ func (pr *procRun) TakeCheckpoint(wave int, dev []byte, onStored func()) {
 }
 
 // ShipLogs replicates logged packets across the rank's replica set,
-// acknowledging at the write quorum.  done goes to the store as it is: a
-// completion from a revoked incarnation cannot arrive, because teardown
-// and repair cancel every store that has not settled and a settled one
-// calls nobody.
-func (pr *procRun) ShipLogs(wave int, pkts []*mpi.Packet, done core.LogSink) {
-	pr.track(pr.job.store.StoreLogs(pr.rank, wave, pkts, pr.node, done))
+// acknowledging at the write quorum, and returns the store itself.  done
+// goes to the store as it is: a completion from a revoked incarnation
+// cannot arrive, because teardown and repair cancel every store that has
+// not settled and a settled one calls nobody.
+func (pr *procRun) ShipLogs(wave int, pkts []*mpi.Packet, done core.LogSink) core.LogStore {
+	op := pr.job.store.StoreLogs(pr.rank, wave, pkts, pr.node, done)
+	pr.track(op)
+	return op
 }
 
 // track remembers a store so that the incarnation's death cancels it.  A

@@ -83,9 +83,9 @@ type Engine struct {
 	failed  []bool
 	epoch   int
 
-	// met, when set, receives blocked-receive time observations
-	// ("mpi.recv_blocked"); nil-safe.
-	met *obs.Metrics
+	// recvBlocked receives blocked-receive time observations
+	// ("mpi.recv_blocked") once SetMetrics names a registry.
+	recvBlocked obs.HistHandle
 	// hub, when set, receives application-layer events (EmitFT); nil-safe.
 	hub *obs.Hub
 }
@@ -117,7 +117,7 @@ func (e *Engine) Now() sim.Time { return e.lp.Now() }
 
 // SetMetrics attaches the observability registry the engine reports
 // blocked-receive durations to (nil disables).
-func (e *Engine) SetMetrics(m *obs.Metrics) { e.met = m }
+func (e *Engine) SetMetrics(m *obs.Metrics) { e.recvBlocked = m.HistHandle("mpi.recv_blocked") }
 
 // SetObs attaches the observability hub application-layer events are
 // published through (nil disables).
@@ -342,7 +342,7 @@ func (e *Engine) recvMatch(src, tag int) *Packet {
 		e.waiting, e.waitSrc, e.waitTag = true, src, tag
 		t0 := e.lp.Now()
 		e.cond.Wait(e.lp)
-		e.met.Observe("mpi.recv_blocked", e.lp.Now()-t0)
+		e.recvBlocked.Observe(e.lp.Now() - t0)
 		e.waiting = false
 	}
 }

@@ -62,9 +62,9 @@ type Fabric struct {
 	// handler, for the length of the call.
 	lent Packet
 
-	// met, when set, counts the traffic (obs.MFabricMsgs,
-	// obs.MFabricPayloadBytes); nil-safe.
-	met *obs.Metrics
+	// msgs and payloadBytes count the traffic (obs.MFabricMsgs,
+	// obs.MFabricPayloadBytes) once SetMetrics names a registry.
+	msgs, payloadBytes obs.Counter
 }
 
 // NewFabric wraps a simulated network.
@@ -76,7 +76,9 @@ func NewFabric(net *simnet.Network) *Fabric {
 
 // SetMetrics attaches the observability registry the traffic counters
 // live in (nil disables).
-func (f *Fabric) SetMetrics(m *obs.Metrics) { f.met = m }
+func (f *Fabric) SetMetrics(m *obs.Metrics) {
+	f.msgs, f.payloadBytes = m.CounterHandle(obs.MFabricMsgs), m.CounterHandle(obs.MFabricPayloadBytes)
+}
 
 // Place assigns an endpoint to a node.  An endpoint must be placed before
 // it sends, receives, or is bound.
@@ -198,7 +200,7 @@ func (f *Fabric) deliverPacket(m WireMsg) {
 func (f *Fabric) Send(src, dst int, p *Packet) {
 	l := f.linkFor(src, dst)
 	l.seq++
-	f.met.Inc(obs.MFabricMsgs)
-	f.met.Add(obs.MFabricPayloadBytes, p.PayloadSize())
+	f.msgs.Inc()
+	f.payloadBytes.Add(p.PayloadSize())
 	l.ch.Send(newWireMsg(p, src, dst, l.seq), p.WireSize())
 }

@@ -97,7 +97,7 @@ func (h *Hist) merge(other *Hist) {
 // run order reproduces exactly the registry a sequential sweep sharing
 // one registry would have produced.
 type Metrics struct {
-	counters map[string]int64
+	counters map[string]*int64 // a pointer, so a Counter handle can hold it
 	gauges   map[string]float64
 	hists    map[string]*Hist
 }
@@ -105,10 +105,30 @@ type Metrics struct {
 // NewMetrics returns an empty registry.
 func NewMetrics() *Metrics {
 	return &Metrics{
-		counters: make(map[string]int64),
+		counters: make(map[string]*int64),
 		gauges:   make(map[string]float64),
 		hists:    make(map[string]*Hist),
 	}
+}
+
+// counter returns the named counter's cell, creating it at 0.
+func (m *Metrics) counter(name string) *int64 {
+	c, ok := m.counters[name]
+	if !ok {
+		c = new(int64)
+		m.counters[name] = c
+	}
+	return c
+}
+
+// hist returns the named histogram, creating it empty.
+func (m *Metrics) hist(name string) *Hist {
+	h, ok := m.hists[name]
+	if !ok {
+		h = newHist()
+		m.hists[name] = h
+	}
+	return h
 }
 
 // Add increments a counter by v (creating it at 0).
@@ -116,7 +136,7 @@ func (m *Metrics) Add(name string, v int64) {
 	if m == nil {
 		return
 	}
-	m.counters[name] += v
+	*m.counter(name) += v
 }
 
 // Inc increments a counter by one.
@@ -127,7 +147,10 @@ func (m *Metrics) Counter(name string) int64 {
 	if m == nil {
 		return 0
 	}
-	return m.counters[name]
+	if c := m.counters[name]; c != nil {
+		return *c
+	}
+	return 0
 }
 
 // Touch ensures a counter exists (so exports include its zero).
@@ -154,12 +177,7 @@ func (m *Metrics) Observe(name string, d sim.Time) {
 	if m == nil {
 		return
 	}
-	h, ok := m.hists[name]
-	if !ok {
-		h = newHist()
-		m.hists[name] = h
-	}
-	h.Observe(d)
+	m.hist(name).Observe(d)
 }
 
 // TouchHist ensures a histogram exists (so exports include it empty).
@@ -167,9 +185,7 @@ func (m *Metrics) TouchHist(name string) {
 	if m == nil {
 		return
 	}
-	if _, ok := m.hists[name]; !ok {
-		m.hists[name] = newHist()
-	}
+	m.hist(name)
 }
 
 // Hist returns a histogram, or nil if absent.
@@ -192,19 +208,65 @@ func (m *Metrics) Merge(other *Metrics) {
 		return
 	}
 	for name, v := range other.counters {
-		m.counters[name] += v
+		*m.counter(name) += *v
 	}
 	for name, v := range other.gauges {
 		m.gauges[name] = v
 	}
 	for name, oh := range other.hists {
-		h, ok := m.hists[name]
-		if !ok {
-			h = newHist()
-			m.hists[name] = h
-		}
-		h.merge(oh)
+		m.hist(name).merge(oh)
 	}
+}
+
+// Counter is a handle on one counter of a registry, for a write site that
+// runs per message: Add through it follows a pointer where Metrics.Add
+// hashes the name.  It binds on its first Add, so a counter that is never
+// written never appears in an export, exactly as with Metrics.Add.  A
+// handle on a nil registry is a no-op.  Write through a pointer to the
+// handle: binding stores into it.
+type Counter struct {
+	m    *Metrics
+	name string
+	c    *int64
+}
+
+// CounterHandle returns a handle on the named counter.  It creates nothing.
+func (m *Metrics) CounterHandle(name string) Counter { return Counter{m: m, name: name} }
+
+// Add increments the counter by v.
+func (c *Counter) Add(v int64) {
+	if c.c == nil {
+		if c.m == nil {
+			return
+		}
+		c.c = c.m.counter(c.name)
+	}
+	*c.c += v
+}
+
+// Inc increments the counter by one.
+func (c *Counter) Inc() { c.Add(1) }
+
+// HistHandle is Counter's twin for a histogram: it binds on its first
+// Observe.
+type HistHandle struct {
+	m    *Metrics
+	name string
+	h    *Hist
+}
+
+// HistHandle returns a handle on the named histogram.  It creates nothing.
+func (m *Metrics) HistHandle(name string) HistHandle { return HistHandle{m: m, name: name} }
+
+// Observe records one duration.
+func (h *HistHandle) Observe(d sim.Time) {
+	if h.h == nil {
+		if h.m == nil {
+			return
+		}
+		h.h = h.m.hist(h.name)
+	}
+	h.h.Observe(d)
 }
 
 // histJSON is the export shape of one histogram.
@@ -242,7 +304,7 @@ func (m *Metrics) WriteJSON(w io.Writer) error {
 		hists[name] = h.export()
 	}
 	doc := struct {
-		Counters   map[string]int64    `json:"counters"`
+		Counters   map[string]*int64   `json:"counters"`
 		Gauges     map[string]float64  `json:"gauges"`
 		Histograms map[string]histJSON `json:"histograms"`
 	}{m.counters, m.gauges, hists}
@@ -258,7 +320,7 @@ func (m *Metrics) WriteCSV(w io.Writer) error {
 	}
 	var rows []string
 	for name, v := range m.counters {
-		rows = append(rows, fmt.Sprintf("counter,%s,value,%d", name, v))
+		rows = append(rows, fmt.Sprintf("counter,%s,value,%d", name, *v))
 	}
 	for name, v := range m.gauges {
 		rows = append(rows, fmt.Sprintf("gauge,%s,value,%g", name, v))

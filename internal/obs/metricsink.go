@@ -79,11 +79,33 @@ type wavePhase struct {
 	firstCkpt, lastCkpt, lastDurable sim.Time // firstCkpt < 0: no snapshot yet
 }
 
+// tallies names the counter each event type adds one to ("" for none).
+var tallies = [numEventTypes]string{
+	EvMarkerSent: MMarkersSent, EvMarkerRecv: MMarkersRecv,
+	EvSendDelayed: MDelayedSends, EvRecvDelayed: MDelayedRecvs,
+	EvMessageLogged: MLoggedMsgs, EvLocalCkptEnd: MLocalCkpts,
+	EvCkptDeferred: MCkptDeferred, EvWaveCommit: MWavesCommitted,
+	EvRankKilled: MFailures, EvServerKilled: MServerFailures,
+	EvHeartbeatTimeout: MDetectTimeouts, EvReplicaFailover: MFailovers,
+	EvStoreRetry: MStoreRetries, EvQuorumLost: MQuorumLost,
+	EvMessageReplayed: MReplayedMsgs, EvDegraded: MDegradedStops,
+	EvProcFailed: MProcFailures, EvRepairEnd: MRepairs,
+	EvAppCkpt: MAppCkpts, EvAppRestore: MAppRestores,
+	EvBufferKilled: MBufferFailures, EvPFSKilled: MPFSFailures,
+}
+
 // MetricsSink folds the event stream into a Metrics registry: counters
 // for every discrete event, histograms for the spans it can pair
 // (blocked-send windows, image-store transfers, restarts, wave phases).
+// Every counter and histogram it writes under a fixed name is a handle
+// (Counter, HistHandle), so a logged message hashes no name.
 type MetricsSink struct {
 	m *Metrics
+
+	tally                                               [numEventTypes]Counter // by event type, from tallies
+	loggedBytes, imageBytes, logShipBytes, drainBytes   Counter
+	blockedTime, imageStoreTime, restartTime, drainTime HistHandle
+	waveSpread, waveTransfer, waveCycle, repairLatency  HistHandle
 
 	waves        map[int]*wavePhase  // wave → phases of the wave in flight
 	blockedSince map[int]sim.Time    // rank → EvChannelBlocked time
@@ -92,39 +114,40 @@ type MetricsSink struct {
 	repairSince  map[int]sim.Time    // failed rank → EvProcFailed time
 	drainSince   map[[3]int]sim.Time // (rank, wave, level) → EvDrainBegin time
 
-	// names interns the indexed counter names (".rank<r>", ".ch<s>-<d>",
-	// ".server<s>", ".l<k>"): one is formatted on its first use, not once
-	// per event — a logged message is an event.
-	names map[nameKey]string
+	// names and channels hold the indexed counters (".rank<r>",
+	// ".server<s>", ".l<k>", and log.bytes' ".ch<s>-<d>"): a name is
+	// formatted and bound on its first use, not once per event — a logged
+	// message is an event.
+	names    map[nameKey]*int64
+	channels map[[2]int32]*int64 // (src, dst) → log.bytes.ch<src>-<dst>
 }
 
-// nameKey is one indexed counter name before formatting: the format and
-// its one or two indices (b is 0 for a one-index format).
+// nameKey is one indexed counter name before formatting.
 type nameKey struct {
 	format string
-	a, b   int
+	a      int
 }
 
-// indexed returns fmt.Sprintf(format, a).
-func (s *MetricsSink) indexed(format string, a int) string {
-	k := nameKey{format: format, a: a}
-	n, ok := s.names[k]
+// indexed returns the counter named fmt.Sprintf(format, a).
+func (s *MetricsSink) indexed(format string, a int) *int64 {
+	k := nameKey{format, a}
+	c, ok := s.names[k]
 	if !ok {
-		n = fmt.Sprintf(format, a)
-		s.names[k] = n
+		c = s.m.counter(fmt.Sprintf(format, a))
+		s.names[k] = c
 	}
-	return n
+	return c
 }
 
-// indexed2 returns fmt.Sprintf(format, a, b).
-func (s *MetricsSink) indexed2(format string, a, b int) string {
-	k := nameKey{format, a, b}
-	n, ok := s.names[k]
+// channel returns the log.bytes counter of the channel src → dst.
+func (s *MetricsSink) channel(src, dst int) *int64 {
+	k := [2]int32{int32(src), int32(dst)}
+	c, ok := s.channels[k]
 	if !ok {
-		n = fmt.Sprintf(format, a, b)
-		s.names[k] = n
+		c = s.m.counter(fmt.Sprintf(MLoggedBytes+".ch%d-%d", src, dst))
+		s.channels[k] = c
 	}
-	return n
+	return c
 }
 
 // NewMetricsSink builds a sink folding into m, pre-registering the
@@ -150,16 +173,35 @@ func NewMetricsSink(m *Metrics) *MetricsSink {
 	} {
 		m.TouchHist(h)
 	}
-	return &MetricsSink{
-		m:            m,
-		waves:        make(map[int]*wavePhase),
-		blockedSince: make(map[int]sim.Time),
-		storeSince:   make(map[[3]int]sim.Time),
-		restartSince: make(map[int]sim.Time),
-		repairSince:  make(map[int]sim.Time),
-		drainSince:   make(map[[3]int]sim.Time),
-		names:        make(map[nameKey]string),
+	s := &MetricsSink{
+		m:              m,
+		loggedBytes:    m.CounterHandle(MLoggedBytes),
+		imageBytes:     m.CounterHandle(MImageBytes),
+		logShipBytes:   m.CounterHandle(MLogShipBytes),
+		drainBytes:     m.CounterHandle(MDrainBytes),
+		blockedTime:    m.HistHandle(MBlockedTime),
+		imageStoreTime: m.HistHandle(MImageStoreTime),
+		restartTime:    m.HistHandle(MRestartTime),
+		drainTime:      m.HistHandle(MDrainTime),
+		waveSpread:     m.HistHandle(MWaveSpread),
+		waveTransfer:   m.HistHandle(MWaveTransfer),
+		waveCycle:      m.HistHandle(MWaveCycle),
+		repairLatency:  m.HistHandle(MRepairLatency),
+		waves:          make(map[int]*wavePhase),
+		blockedSince:   make(map[int]sim.Time),
+		storeSince:     make(map[[3]int]sim.Time),
+		restartSince:   make(map[int]sim.Time),
+		repairSince:    make(map[int]sim.Time),
+		drainSince:     make(map[[3]int]sim.Time),
+		names:          make(map[nameKey]*int64),
+		channels:       make(map[[2]int32]*int64),
 	}
+	for t, name := range tallies {
+		if name != "" {
+			s.tally[t] = m.CounterHandle(name)
+		}
+	}
+	return s
 }
 
 // Metrics returns the registry the sink folds into.
@@ -176,86 +218,58 @@ func (s *MetricsSink) wave(w int) *wavePhase {
 
 // Emit folds one event.
 func (s *MetricsSink) Emit(ev Event) {
+	s.tally[ev.Type].Inc()
 	switch ev.Type {
-	case EvMarkerSent:
-		s.m.Inc(MMarkersSent)
-	case EvMarkerRecv:
-		s.m.Inc(MMarkersRecv)
 	case EvChannelBlocked:
 		s.blockedSince[ev.Rank] = ev.T
 	case EvChannelUnblocked:
 		if t0, ok := s.blockedSince[ev.Rank]; ok {
 			delete(s.blockedSince, ev.Rank)
-			s.m.Observe(MBlockedTime, ev.T-t0)
-			s.m.Add(s.indexed(MBlockedTime+".rank%d", ev.Rank), int64(ev.T-t0))
+			s.blockedTime.Observe(ev.T - t0)
+			*s.indexed(MBlockedTime+".rank%d", ev.Rank) += int64(ev.T - t0)
 		}
-	case EvSendDelayed:
-		s.m.Inc(MDelayedSends)
-	case EvRecvDelayed:
-		s.m.Inc(MDelayedRecvs)
 	case EvMessageLogged:
-		s.m.Inc(MLoggedMsgs)
-		s.m.Add(MLoggedBytes, ev.Bytes)
-		s.m.Add(s.indexed2(MLoggedBytes+".ch%d-%d", ev.Channel, ev.Rank), ev.Bytes)
+		s.loggedBytes.Add(ev.Bytes)
+		*s.channel(ev.Channel, ev.Rank) += ev.Bytes
 	case EvLocalCkptEnd:
-		s.m.Inc(MLocalCkpts)
 		wp := s.wave(ev.Wave)
 		if wp.firstCkpt < 0 {
 			wp.firstCkpt = ev.T
 		}
 		wp.lastCkpt = ev.T
-	case EvCkptDeferred:
-		s.m.Inc(MCkptDeferred)
 	case EvImageDurable:
 		wp := s.wave(ev.Wave)
 		wp.lastDurable = ev.T
 	case EvImageStoreBegin:
 		s.storeSince[[3]int{ev.Rank, ev.Wave, ev.Server}] = ev.T
 	case EvImageStoreEnd:
-		s.m.Add(MImageBytes, ev.Bytes)
+		s.imageBytes.Add(ev.Bytes)
 		if ev.Server >= 0 {
-			s.m.Add(s.indexed(MImageBytes+".server%d", ev.Server), ev.Bytes)
+			*s.indexed(MImageBytes+".server%d", ev.Server) += ev.Bytes
 		} else {
 			// A node-local buffer store (no server index): account it to
 			// its hierarchy level instead.
-			s.m.Add(s.indexed(MLevelBytes+".l%d", ev.Level), ev.Bytes)
+			*s.indexed(MLevelBytes+".l%d", ev.Level) += ev.Bytes
 		}
 		if t0, ok := s.storeSince[[3]int{ev.Rank, ev.Wave, ev.Server}]; ok {
 			delete(s.storeSince, [3]int{ev.Rank, ev.Wave, ev.Server})
-			s.m.Observe(MImageStoreTime, ev.T-t0)
+			s.imageStoreTime.Observe(ev.T - t0)
 			if ev.Server >= 0 {
-				s.m.Add(s.indexed("ckpt.store_ns.server%d", ev.Server), int64(ev.T-t0))
+				*s.indexed("ckpt.store_ns.server%d", ev.Server) += int64(ev.T - t0)
 			}
 		}
 	case EvLogShipEnd:
-		s.m.Add(MLogShipBytes, ev.Bytes)
+		s.logShipBytes.Add(ev.Bytes)
 	case EvWaveCommit:
-		s.m.Inc(MWavesCommitted)
 		// A per-rank commit (uncoordinated checkpointing) closes no wave:
 		// ranks number their checkpoints independently, so the entry mixes
 		// unrelated ranks and is dropped unobserved.
 		if wp, ok := s.waves[ev.Wave]; ok && ev.Rank < 0 && wp.firstCkpt >= 0 {
-			s.m.Observe(MWaveSpread, wp.lastCkpt-wp.firstCkpt)
-			s.m.Observe(MWaveTransfer, wp.lastDurable-wp.lastCkpt)
-			s.m.Observe(MWaveCycle, ev.T-wp.firstCkpt)
+			s.waveSpread.Observe(wp.lastCkpt - wp.firstCkpt)
+			s.waveTransfer.Observe(wp.lastDurable - wp.lastCkpt)
+			s.waveCycle.Observe(ev.T - wp.firstCkpt)
 		}
 		delete(s.waves, ev.Wave)
-	case EvRankKilled:
-		s.m.Inc(MFailures)
-	case EvServerKilled:
-		s.m.Inc(MServerFailures)
-	case EvHeartbeatTimeout:
-		s.m.Inc(MDetectTimeouts)
-	case EvReplicaFailover:
-		s.m.Inc(MFailovers)
-	case EvStoreRetry:
-		s.m.Inc(MStoreRetries)
-	case EvQuorumLost:
-		s.m.Inc(MQuorumLost)
-	case EvMessageReplayed:
-		s.m.Inc(MReplayedMsgs)
-	case EvDegraded:
-		s.m.Inc(MDegradedStops)
 	case EvRestartBegin:
 		s.restartSince[ev.Rank] = ev.T
 		if ev.Rank < 0 {
@@ -267,36 +281,26 @@ func (s *MetricsSink) Emit(ev Event) {
 	case EvRestartEnd:
 		if t0, ok := s.restartSince[ev.Rank]; ok {
 			delete(s.restartSince, ev.Rank)
-			s.m.Observe(MRestartTime, ev.T-t0)
+			s.restartTime.Observe(ev.T - t0)
 		}
 	case EvProcFailed:
-		s.m.Inc(MProcFailures)
 		s.repairSince[ev.Rank] = ev.T
 	case EvRepairEnd:
-		s.m.Inc(MRepairs)
 		// The repaired world is a new generation, as after a restart:
 		// waves the revoked one left open are re-executed.
 		clear(s.waves)
 		if t0, ok := s.repairSince[ev.Channel]; ok {
 			delete(s.repairSince, ev.Channel)
-			s.m.Observe(MRepairLatency, ev.T-t0)
+			s.repairLatency.Observe(ev.T - t0)
 		}
-	case EvAppCkpt:
-		s.m.Inc(MAppCkpts)
-	case EvAppRestore:
-		s.m.Inc(MAppRestores)
 	case EvDrainBegin:
 		s.drainSince[[3]int{ev.Rank, ev.Wave, ev.Level}] = ev.T
 	case EvDrainEnd:
-		s.m.Add(MDrainBytes, ev.Bytes)
-		s.m.Add(s.indexed(MLevelBytes+".l%d", ev.Level), ev.Bytes)
+		s.drainBytes.Add(ev.Bytes)
+		*s.indexed(MLevelBytes+".l%d", ev.Level) += ev.Bytes
 		if t0, ok := s.drainSince[[3]int{ev.Rank, ev.Wave, ev.Level}]; ok {
 			delete(s.drainSince, [3]int{ev.Rank, ev.Wave, ev.Level})
-			s.m.Observe(MDrainTime, ev.T-t0)
+			s.drainTime.Observe(ev.T - t0)
 		}
-	case EvBufferKilled:
-		s.m.Inc(MBufferFailures)
-	case EvPFSKilled:
-		s.m.Inc(MPFSFailures)
 	}
 }

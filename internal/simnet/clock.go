@@ -96,12 +96,21 @@ func (g *Flow) alt() Rate {
 	return a
 }
 
-// until returns how long left bytes take at rate.
+// maxUntil caps until: now + maxUntil stays inside sim.Time for any now
+// below it (≈ 146 years), so a flow too long to finish is due in the far
+// future instead of at a wrapped-negative instant.
+const maxUntil = sim.Time(math.MaxInt64 / 2)
+
+// until returns how long left bytes take at rate, at most maxUntil.
 func until(left float64, rate Rate) sim.Time {
 	if left <= 0 {
 		return 0
 	}
-	return sim.Time(left / rate * float64(time.Second))
+	d := left / rate * float64(time.Second)
+	if d >= float64(maxUntil) {
+		return maxUntil
+	}
+	return sim.Time(d)
 }
 
 // begin starts a flow change.

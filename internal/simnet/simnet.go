@@ -163,9 +163,10 @@ type Network struct {
 	touched []*resource
 	movers  []*Flow
 
-	// met, when set, mirrors delivery statistics into the observability
-	// registry ("net.flows", "net.bytes_moved"); nil-safe.
-	met *obs.Metrics
+	// flows and bytesMoved mirror delivery statistics into the
+	// observability registry ("net.flows", "net.bytes_moved") once
+	// SetMetrics names one.
+	flows, bytesMoved obs.Counter
 
 	// BytesMoved and FlowsDone accumulate delivery statistics.
 	BytesMoved Bytes
@@ -213,7 +214,9 @@ func (n *Network) Kernel() *sim.Kernel { return n.k }
 
 // SetMetrics attaches the observability registry delivery statistics are
 // mirrored into (nil disables).
-func (n *Network) SetMetrics(m *obs.Metrics) { n.met = m }
+func (n *Network) SetMetrics(m *obs.Metrics) {
+	n.flows, n.bytesMoved = m.CounterHandle("net.flows"), m.CounterHandle("net.bytes_moved")
+}
 
 // NumNodes returns the number of nodes in the platform.
 func (n *Network) NumNodes() int { return len(n.nodes) }
@@ -348,8 +351,8 @@ func deliverFlow(x any) {
 	n := f.net
 	n.BytesMoved += f.size
 	n.FlowsDone++
-	n.met.Inc("net.flows")
-	n.met.Add("net.bytes_moved", f.size)
+	n.flows.Inc()
+	n.bytesMoved.Add(f.size)
 	if f.fn != nil {
 		f.fn(f.payload)
 	}

@@ -711,3 +711,23 @@ func TestFlowChurnCancelsLinearly(t *testing.T) {
 		t.Errorf("%d short flows through %d long ones cancelled %d events, want <= %d", N, F, got, 2*N+4)
 	}
 }
+
+// TestLongFlowsNeverWrap: a flow too long for sim.Time is due in the far
+// future, not at a wrapped-negative instant.  1 024 flows of 2^50 B share
+// one 100 MB/s rx NIC, so each would take ≈ 365 years; none may land
+// within the first second.
+func TestLongFlowsNeverWrap(t *testing.T) {
+	k := sim.New(1)
+	n := lan(k)
+	landed := 0
+	for i := 0; i < 1024; i++ {
+		n.StartFlow(1+i%7, 0, 1<<50, func() { landed++ })
+	}
+	k.At(time.Second, func() { k.Stop(nil) })
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if landed != 0 {
+		t.Fatalf("%d of 1024 flows of 2^50 B landed within 1 s", landed)
+	}
+}

@@ -130,9 +130,8 @@ func TestOverloadedMlogReturns(t *testing.T) {
 // the two real-kernel rows also gate TotalAlloc at +5 %, since a payload
 // copy costs bytes, not mallocs.  mlog-256 is the per-record logging path
 // at the benchmark's proto-matrix-256 size.  A change that allocates more
-// or less re-records the values (last: when channels began to be carved
-// 64 to a chunk and a small message to free its channel by a reserved
-// key) and says so.
+// or less re-records the values (last, the three Mlog rows: when a logged
+// message came to cost one store op and one flow per replica) and says so.
 func TestAllocCeilings(t *testing.T) {
 	if testing.Short() || raceEnabled {
 		t.Skip("allocation counts are recorded for a plain, full run")

@@ -198,16 +198,16 @@ var scenarios = func() []scenario {
 		{name: "vcl-256", opts: kernel(Vcl, 256, 2*s),
 			budget: &budget{heapPerRank: 4, counts: [3]uint64{2_172_078, 1_974_706, 60_688}}},
 		{name: "mlog-256", opts: kernel(Mlog, 256, 2*s),
-			budget: &budget{mallocs: 2_332_766, heapPerRank: 4, counts: [3]uint64{3_645_551, 2_962_683, 365_731}}},
+			budget: &budget{mallocs: 1_391_563, heapPerRank: 4, counts: [3]uint64{3_645_551, 2_962_683, 365_731}}},
 		{name: "pcl-64-nofail", opts: kernel(Pcl, 64, 8*s), budget: &budget{mallocs: 169_399}},
 		{name: "vcl-64-nofail", opts: kernel(Vcl, 64, 8*s), budget: &budget{mallocs: 166_619}},
-		{name: "mlog-64-nofail", opts: kernel(Mlog, 64, 8*s), budget: &budget{mallocs: 568_776}},
+		{name: "mlog-64-nofail", opts: kernel(Mlog, 64, 8*s), budget: &budget{mallocs: 333_920}},
 		// Overload: 64 images of 3.9 MB every 400 ms offer four servers
 		// 625 MB/s.  Before Mlog deferred a tick while its last image was
 		// in flight, this run never returned.  Its counts were re-recorded
 		// with the NP=256 rows' (3 163 884 / 749 387 / 2 335 144 before).
 		{name: "mlog-64-overload", opts: kernel(Mlog, 64, 400*ms),
-			budget: &budget{mallocs: 827_891, heapPerRank: 4, counts: [3]uint64{931_921, 749_386, 103_229}}},
+			budget: &budget{mallocs: 582_101, heapPerRank: 4, counts: [3]uint64{931_921, 749_386, 103_229}}},
 	}
 }()
 
