@@ -120,32 +120,31 @@ type LogSink interface{ LogsStored() }
 // set — and the completion target of its own replica transfers.  It
 // satisfies the same cancellation contract as a single flow: Cancel aborts
 // every replica transfer and pending retry (copies already stored stay
-// stored; GC reclaims them).
+// stored; GC reclaims them).  An op, its replica entries and their first
+// flows are one allocation for up to two replicas (newStoreOp), so a
+// logged message costs one object.
 type StoreOp struct {
 	g          *Group
 	rank, wave int
 	srcNode    int
 
-	// What is shipped and who hears of the quorum: an image (Store) reports
-	// to onQuorum/onFailed, a log set (StoreLogs) to logSink.  The log set
-	// is the op's own: a one-record set lives in one, so a logged message
-	// costs no slice.
+	// What is shipped and who hears of the outcome: sink hears of the
+	// quorum (a log set's LogSink, or an image's onQuorum as a quorumFunc),
+	// and an image's onFailed of its loss.  The log set is the op's own: a
+	// one-record set lives in one, so a logged message costs no slice.
 	img      *Image
 	cap      simnet.Rate
-	onQuorum func()
 	onFailed func()
 	pkts     []*mpi.Packet
 	one      [1]*mpi.Packet
-	logSink  LogSink
+	sink     LogSink
 
-	// replicas is the per-replica state, primary first; up to two entries
-	// live in inline, so the usual replica counts cost no second
-	// allocation.
+	// replicas is the per-replica state, primary first, allocated with
+	// the op for up to two replicas.
 	replicas []replica
-	inline   [2]replica
 
-	acks      int
-	failed    int
+	acks      int32
+	failed    int32
 	quorumHit bool
 	lost      bool
 	cancelled bool
@@ -155,12 +154,49 @@ type StoreOp struct {
 // transfer — the server, the flow (nil when idle) and what the server
 // links while the copy is in flight — the pending retry (0 when none) and
 // the retries left.  The entry itself is what the server reports the
-// attempt's outcome to and what the retry timer fires on.
+// attempt's outcome to and what the retry timer fires on.  The first
+// attempt's flow lives in the entry; a retry starts a fresh one, because
+// an aborted flow whose last byte had left still has its delivery pending,
+// and that delivery reads the flow.
 type replica struct {
 	transfer
 	op      *StoreOp
 	timer   sim.EventID
-	retries int
+	retries int32
+	first   simnet.Flow
+}
+
+// quorumFunc is an image store's onQuorum as the op's sink.
+type quorumFunc func()
+
+func (f quorumFunc) LogsStored() { f() }
+
+// storeOp1 and storeOp2 are an op with its replica entries inline.
+type storeOp1 struct {
+	op  StoreOp
+	rep [1]replica
+}
+
+type storeOp2 struct {
+	op  StoreOp
+	rep [2]replica
+}
+
+// newStoreOp allocates an op sized to the group's replica count: the op
+// and its entries in one object for one or two replicas, a slice of its
+// own beside the op for more.
+func (g *Group) newStoreOp() *StoreOp {
+	switch g.Replicas {
+	case 1:
+		x := new(storeOp1)
+		x.op.g, x.op.replicas = g, x.rep[:]
+		return &x.op
+	case 2:
+		x := new(storeOp2)
+		x.op.g, x.op.replicas = g, x.rep[:]
+		return &x.op
+	}
+	return &StoreOp{g: g, replicas: make([]replica, g.Replicas)}
 }
 
 // Store replicates img from srcNode across the rank's replica set,
@@ -169,8 +205,12 @@ type replica struct {
 // instead — the wave will not commit, which is the graceful-degradation
 // path: the job continues under its previous recovery line.
 func (g *Group) Store(img *Image, srcNode int, cap simnet.Rate, onQuorum, onFailed func()) *StoreOp {
-	op := &StoreOp{g: g, rank: img.Rank, wave: img.Wave, srcNode: srcNode,
-		img: img, cap: cap, onQuorum: onQuorum, onFailed: onFailed}
+	op := g.newStoreOp()
+	op.rank, op.wave, op.srcNode = img.Rank, img.Wave, srcNode
+	op.img, op.cap, op.onFailed = img, cap, onFailed
+	if onQuorum != nil {
+		op.sink = quorumFunc(onQuorum)
+	}
 	op.start()
 	return op
 }
@@ -180,26 +220,24 @@ func (g *Group) Store(img *Image, srcNode int, cap simnet.Rate, onQuorum, onFail
 // done (may be nil) hears of the quorum.  The op copies the set, so pkts
 // is read only during the call.
 func (g *Group) StoreLogs(rank, wave int, pkts []*mpi.Packet, srcNode int, done LogSink) *StoreOp {
-	op := &StoreOp{g: g, rank: rank, wave: wave, srcNode: srcNode, logSink: done}
+	op := g.newStoreOp()
+	op.rank, op.wave, op.srcNode, op.sink = rank, wave, srcNode, done
 	op.pkts = append(op.one[:0], pkts...)
 	op.start()
 	return op
 }
 
+// start ships every replica's first attempt, each in the entry's own flow.
 func (op *StoreOp) start() {
 	g := op.g
-	if g.Replicas <= len(op.inline) {
-		op.replicas = op.inline[:g.Replicas]
-	} else {
-		op.replicas = make([]replica, g.Replicas)
-	}
 	p := g.PrimaryOf(op.rank)
 	for i := range op.replicas {
 		r := &op.replicas[i]
-		*r = replica{transfer: transfer{srv: g.replica(p, i), rep: r}, op: op, retries: g.MaxRetries}
+		r.srv, r.rep, r.op, r.retries = g.replica(p, i), r, op, int32(g.MaxRetries)
 	}
 	for i := range op.replicas {
-		op.replicas[i].attempt()
+		r := &op.replicas[i]
+		r.attempt(&r.first)
 	}
 }
 
@@ -211,13 +249,13 @@ func (op *StoreOp) Stored() bool { return op.quorumHit }
 // callback runs after that, so whoever tracks the op to cancel it on the
 // sender's death can drop it.
 func (op *StoreOp) Settled() bool {
-	return op.cancelled || op.acks+op.failed == len(op.replicas)
+	return op.cancelled || int(op.acks+op.failed) == len(op.replicas)
 }
 
-// attempt ships the replica's copy (current attempt).
-func (r *replica) attempt() {
+// attempt ships the replica's copy (current attempt) in flow f.
+func (r *replica) attempt(f *simnet.Flow) {
 	if !r.op.cancelled {
-		r.srv.receive(r)
+		r.srv.receive(r, f)
 	}
 }
 
@@ -226,13 +264,10 @@ func (r *replica) stored() {
 	op := r.op
 	r.flow = nil
 	op.acks++
-	if !op.quorumHit && op.acks >= op.g.Quorum {
+	if !op.quorumHit && int(op.acks) >= op.g.Quorum {
 		op.quorumHit = true
-		if op.onQuorum != nil {
-			op.onQuorum()
-		}
-		if op.logSink != nil {
-			op.logSink.LogsStored()
+		if op.sink != nil {
+			op.sink.LogsStored()
 		}
 	}
 }
@@ -258,12 +293,12 @@ func (r *replica) aborted() {
 func replicaRetry(x any) {
 	r := x.(*replica)
 	r.timer = 0
-	r.attempt()
+	r.attempt(new(simnet.Flow))
 }
 
 func (op *StoreOp) replicaFailed() {
 	op.failed++
-	if !op.quorumHit && !op.lost && len(op.replicas)-op.failed < op.g.Quorum {
+	if !op.quorumHit && !op.lost && len(op.replicas)-int(op.failed) < op.g.Quorum {
 		op.lost = true
 		op.g.emit(obs.EvQuorumLost, op.rank, op.wave, -1)
 		if op.onFailed != nil {

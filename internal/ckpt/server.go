@@ -49,8 +49,8 @@ type Server struct {
 // until it lands, and its own completion: the flow is handed the transfer
 // itself, not a closure over it.  A store attempt's transfer is part of
 // its replica entry (rep), which reports the outcome, so a store allocates
-// none; a fetch (the recovery path, cold) allocates one that hands over
-// through closures.
+// none; a fetch (the recovery path, cold) allocates a fetch record that
+// hands over through closures.
 type transfer struct {
 	srv        *Server
 	flow       *simnet.Flow
@@ -58,8 +58,16 @@ type transfer struct {
 	bytes      int64
 	span       uint64
 
-	rep             *replica // a store attempt
-	onDone, onAbort func()   // a fetch
+	rep   *replica // a store attempt, or
+	fetch *fetch   // a fetch
+}
+
+// fetch is a transfer out of the server with its flow and its two
+// outcomes, in one allocation.
+type fetch struct {
+	transfer
+	f               simnet.Flow
+	onDone, onAbort func()
 }
 
 type imgKey struct{ rank, wave int }
@@ -106,15 +114,16 @@ func (s *Server) Kill() {
 		switch {
 		case tr.rep != nil:
 			tr.rep.aborted()
-		case tr.onAbort != nil:
-			tr.onAbort()
+		case tr.fetch.onAbort != nil:
+			tr.fetch.onAbort()
 		}
 	}
 }
 
-// start begins tr's flow and appends it to the in-progress list, where it
-// stays until it lands, the sender cancels a store attempt, or Kill.
-func (s *Server) start(tr *transfer, src, dst int, bytes int64, cap simnet.Rate) *simnet.Flow {
+// start begins tr's flow in f and appends tr to the in-progress list,
+// where it stays until it lands, the sender cancels a store attempt, or
+// Kill.
+func (s *Server) start(tr *transfer, f *simnet.Flow, src, dst int, bytes int64, cap simnet.Rate) *simnet.Flow {
 	tr.srv = s
 	tr.prev = s.last
 	if s.last != nil {
@@ -123,7 +132,7 @@ func (s *Server) start(tr *transfer, src, dst int, bytes int64, cap simnet.Rate)
 		s.first = tr
 	}
 	s.last = tr
-	tr.flow = s.net.StartFlowArg(src, dst, bytes, cap, transferLanded, tr)
+	tr.flow = s.net.StartFlowArg(f, src, dst, bytes, cap, transferLanded, tr)
 	return tr.flow
 }
 
@@ -156,7 +165,7 @@ func (tr *transfer) landed() {
 	s.unlink(tr)
 	r := tr.rep
 	if r == nil {
-		tr.onDone()
+		tr.fetch.onDone()
 		return
 	}
 	if op := r.op; op.img != nil {
@@ -170,18 +179,19 @@ func (tr *transfer) landed() {
 	r.stored()
 }
 
-// receive starts store attempt r on the server: r.op's image, paced by
-// the op's sender-side rate ceiling (0 = none, modelling transfers driven
-// by a single-threaded daemon), or its log set (Vcl channel state, or one
-// mlog reception record).  r.stored runs once the copy is on the server;
-// r.aborted runs if the server dies first, or at once when it is already
-// dead.  Log sets for one (rank, wave) accumulate in arrival order, which
-// preserves per-channel FIFO since each channel's log is shipped in one
-// piece.  The server keeps the image pointer and the packets it is handed,
-// not copies: an image is immutable once handed to a store (see Image),
-// and a received payload is read-only (mpi.Filter), so the server shares
-// Mlog's and Vcl's packets.  Only the slice of them is the server's own.
-func (s *Server) receive(r *replica) {
+// receive starts store attempt r on the server, in flow f: r.op's image,
+// paced by the op's sender-side rate ceiling (0 = none, modelling
+// transfers driven by a single-threaded daemon), or its log set (Vcl
+// channel state, or one mlog reception record).  r.stored runs once the
+// copy is on the server; r.aborted runs if the server dies first, or at
+// once when it is already dead.  Log sets for one (rank, wave) accumulate
+// in arrival order, which preserves per-channel FIFO since each channel's
+// log is shipped in one piece.  The server keeps the image pointer and
+// the packets it is handed, not copies: an image is immutable once handed
+// to a store (see Image), and a received payload is read-only
+// (mpi.Filter), so the server shares Mlog's and Vcl's packets.  Only the
+// slice of them is the server's own.
+func (s *Server) receive(r *replica, f *simnet.Flow) {
 	if s.dead {
 		r.aborted()
 		return
@@ -200,7 +210,7 @@ func (s *Server) receive(r *replica) {
 	}
 	tr.span = s.obs.NextSpan()
 	s.emit(begin, op.rank, op.wave, tr.bytes, tr.span)
-	s.start(tr, op.srcNode, s.Node, tr.bytes, op.cap)
+	s.start(tr, f, op.srcNode, s.Node, tr.bytes, op.cap)
 }
 
 // Image returns the stored image for (rank, wave).  It errors instead of
@@ -301,8 +311,7 @@ func (s *Server) FetchImage(rank, wave, dstNode int, onDone func(*Image), onAbor
 	if err != nil {
 		return nil, err
 	}
-	tr := &transfer{onDone: func() { onDone(img) }, onAbort: onAbort}
-	return s.start(tr, s.Node, dstNode, img.RestoreBytes(), 0), nil
+	return s.startFetch(dstNode, img.RestoreBytes(), func() { onDone(img) }, onAbort), nil
 }
 
 // FetchLogs transfers the stored logs for (rank, wave) to dstNode.
@@ -328,6 +337,12 @@ func (s *Server) FetchLogs(rank, wave, dstNode int, allSince bool, onDone func([
 	for _, p := range logs {
 		size += p.WireSize()
 	}
-	tr := &transfer{onDone: func() { onDone(logs) }, onAbort: onAbort}
-	return s.start(tr, s.Node, dstNode, size, 0), nil
+	return s.startFetch(dstNode, size, func() { onDone(logs) }, onAbort), nil
+}
+
+// startFetch starts a transfer of size bytes from the server to dstNode.
+func (s *Server) startFetch(dstNode int, size int64, onDone, onAbort func()) *simnet.Flow {
+	x := &fetch{onDone: onDone, onAbort: onAbort}
+	x.fetch = x
+	return s.start(&x.transfer, &x.f, s.Node, dstNode, size, 0)
 }

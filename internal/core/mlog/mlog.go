@@ -166,15 +166,22 @@ func (m *Mlog) onPayload(p *mpi.Packet) {
 		// ack follows when its log is stored.
 	case p.PSeq == m.nextSeq[p.Src]+1:
 		m.accept(p)
-		// The gap may have released out-of-order successors.
-		for {
-			q, ok := m.ooo[p.Src][m.nextSeq[p.Src]+1]
+		// The gap may have released out-of-order successors.  Only a peer
+		// restart makes any, and a source leaves ooo once its last is
+		// released, so the usual payload costs one length check here.
+		if len(m.ooo) == 0 {
+			return
+		}
+		waiting := m.ooo[p.Src]
+		for len(waiting) > 0 {
+			q, ok := waiting[m.nextSeq[p.Src]+1]
 			if !ok {
-				break
+				return
 			}
-			delete(m.ooo[p.Src], q.PSeq)
+			delete(waiting, q.PSeq)
 			m.accept(q)
 		}
+		delete(m.ooo, p.Src)
 	default:
 		// Overtook a gap (organic traffic racing a retransmission after
 		// a restart): hold until the gap fills.

@@ -95,25 +95,31 @@ func TestDuplicateSuppression(t *testing.T) {
 }
 
 // TestOutOfOrderHold: a message that overtakes a gap waits until the gap
-// fills, then everything delivers in sequence.
+// fills, then everything delivers in sequence.  A source leaves the
+// out-of-order set once the last message it held is released.
 func TestOutOfOrderHold(t *testing.T) {
 	k := sim.New(1)
 	h := coretest.New(k, 1, 2)
 	m := New(h, 0)
 	h.Run(t, func() {
 		m.InPacket(pl(0, 3, 5)) // overtook 1 and 2
+		m.InPacket(pl(0, 5, 5)) // and 4
 		if len(h.OnLog) != 0 {
 			t.Fatal("out-of-order packet entered the pipeline")
 		}
 		m.InPacket(pl(0, 1, 5))
 		m.InPacket(pl(0, 2, 5))
-		if len(h.OnLog) != 3 {
-			t.Fatalf("%d shipments after gap filled", len(h.OnLog))
+		if len(h.OnLog) != 3 || len(m.ooo[0]) != 1 {
+			t.Fatalf("%d shipments and %d held after the first gap filled, want 3 and 1", len(h.OnLog), len(m.ooo[0]))
+		}
+		m.InPacket(pl(0, 4, 5))
+		if len(h.OnLog) != 5 || len(m.ooo) != 0 {
+			t.Fatalf("%d shipments and %d sources held after the second gap filled, want 5 and 0", len(h.OnLog), len(m.ooo))
 		}
 		for _, f := range h.OnLog {
 			f()
 		}
-		for want := uint64(1); want <= 3; want++ {
+		for want := uint64(1); want <= 5; want++ {
 			if p := h.Eng.Recv(0, 5); p.PSeq != want {
 				t.Fatalf("delivery %v, want seq %d", p, want)
 			}

@@ -55,7 +55,7 @@ func (g *ringProg) Step(e *mpi.Engine) bool {
 	case phExchange:
 		right := (g.Rank + 1) % g.Size
 		left := (g.Rank - 1 + g.Size) % g.Size
-		p := e.Sendrecv(right, 10, mpi.EncodeF64(g.Val), 0, left, 10)
+		p := e.Sendrecv(right, 10, mpi.EncodeF64s([]float64{g.Val}), 0, left, 10)
 		g.Val = 0.5*g.Val + 0.5*mpi.DecodeF64(p.Data) + 1
 		g.It++
 		switch {

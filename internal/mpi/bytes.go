@@ -34,8 +34,29 @@ func AppendF64s(dst []float64, b []byte) []float64 {
 	return dst
 }
 
-// EncodeF64 serializes a single float64.
-func EncodeF64(v float64) []byte { return EncodeF64s([]float64{v}) }
+// f64ChunkBytes is the chunk an F64Chunk carves its pieces from: 64
+// values.  Every piece a receiver, a log or an image still holds keeps its
+// whole chunk alive, so a larger chunk saves few mallocs and retains more.
+const f64ChunkBytes = 512
+
+// F64Chunk encodes one float64 per payload, the models' exchange: each Put
+// returns a fresh 8-byte piece carved from a chunk of f64ChunkBytes, so 64
+// payloads cost one malloc.  A piece is handed out once and never written
+// again, and its capacity is 8, so an append to it copies instead of
+// reaching the next piece: the handed-over, read-only rule of Packet.Data
+// holds for every piece.  The zero value is ready to use.
+type F64Chunk struct{ free []byte }
+
+// Put encodes v into the next piece of the chunk.
+func (c *F64Chunk) Put(v float64) []byte {
+	if len(c.free) < 8 {
+		c.free = make([]byte, f64ChunkBytes)
+	}
+	b := c.free[:8:8]
+	c.free = c.free[8:]
+	binary.LittleEndian.PutUint64(b, math.Float64bits(v))
+	return b
+}
 
 // DecodeF64 deserializes the first float64 of b, in place: the models call
 // it on every exchange, so it allocates nothing.  Like DecodeF64s it

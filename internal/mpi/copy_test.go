@@ -47,6 +47,39 @@ func TestDecodeF64InPlace(t *testing.T) {
 	DecodeF64(make([]byte, 12))
 }
 
+// TestF64ChunkPieces: every Put is a fresh piece of 8 bytes with no spare
+// capacity, so no two pieces overlap and an append to one copies it
+// instead of writing into the next — each piece may be sent and shared as
+// read-only Data.  64 pieces cost one chunk.
+func TestF64ChunkPieces(t *testing.T) {
+	var c F64Chunk
+	pieces := make([][]byte, 3*f64ChunkBytes/8) // three chunks' worth
+	for i := range pieces {
+		pieces[i] = c.Put(float64(i))
+	}
+	for i, b := range pieces {
+		if len(b) != 8 || cap(b) != 8 || DecodeF64(b) != float64(i) {
+			t.Fatalf("piece %d: len %d cap %d value %v, want 8, 8 and %d", i, len(b), cap(b), DecodeF64(b), i)
+		}
+		for j := range i {
+			if lo, hi := uintptr(unsafe.Pointer(&b[0])), uintptr(unsafe.Pointer(&pieces[j][0])); lo < hi+8 && hi < lo+8 {
+				t.Fatalf("pieces %d and %d overlap", j, i)
+			}
+		}
+	}
+	grown := append(pieces[0], 0xff)
+	if &grown[0] == &pieces[0][0] || DecodeF64(pieces[1]) != 1 {
+		t.Fatal("an append to one piece reached the next")
+	}
+	if n := testing.AllocsPerRun(10, func() {
+		for range f64ChunkBytes / 8 {
+			c.Put(1)
+		}
+	}); n != 1 {
+		t.Fatalf("%v allocations per %d pieces, want 1", n, f64ChunkBytes/8)
+	}
+}
+
 // TestSendHandsOverBuffer: a payload buffer passed to a send becomes the
 // packet's Data and is read-only from then on (Packet.Data), so the engine
 // copies none.  The receiver of a Send or Sendrecv holds the sender's own

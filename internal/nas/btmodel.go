@@ -29,6 +29,9 @@ type BTModel struct {
 	Mem        int64
 	Local      float64 // running local pseudo-residual
 	Checksum   float64 // global residual (valid when done)
+	// out encodes the exchanged scalar.  Unexported, so an image leaves it
+	// out and a restored model starts with an empty chunk.
+	out mpi.F64Chunk
 }
 
 // CheckBTProcs reports why np processes cannot run BT: its
@@ -99,7 +102,7 @@ const btTag = 20
 // Step advances the model by one phase.
 func (b *BTModel) Step(e *mpi.Engine) bool {
 	exchange := func(dst, src int) {
-		p := e.Sendrecv(dst, btTag, mpi.EncodeF64(b.Local), b.FaceBytes, src, btTag)
+		p := e.Sendrecv(dst, btTag, b.out.Put(b.Local), b.FaceBytes, src, btTag)
 		b.Local = float64(0.5*b.Local) + float64(0.25*mpi.DecodeF64(p.Data[:8])) + 1
 	}
 	switch b.Phase {

@@ -25,6 +25,7 @@ type CGModel struct {
 	Mem        int64
 	Local      float64
 	Checksum   float64
+	out        mpi.F64Chunk // as BTModel.out
 }
 
 // NewCGModel builds rank's CG model for an NPB class.
@@ -81,12 +82,12 @@ func (c *CGModel) Step(e *mpi.Engine) bool {
 		}
 		if c.Size&(c.Size-1) == 0 {
 			// Butterfly partners exchange mutually.
-			pkt := e.Sendrecv(p, cgmTag, mpi.EncodeF64(c.Local), c.SegBytes, p, cgmTag)
+			pkt := e.Sendrecv(p, cgmTag, c.out.Put(c.Local), c.SegBytes, p, cgmTag)
 			c.Local = float64(0.5*c.Local) + float64(0.5*mpi.DecodeF64(pkt.Data[:8])) + 1
 		} else {
 			// Ring: send to (rank+s), receive from (rank-s).
 			src := (c.Rank - 1 - c.IIt%(c.Size-1) + 2*c.Size) % c.Size
-			pkt := e.Sendrecv(p, cgmTag, mpi.EncodeF64(c.Local), c.SegBytes, src, cgmTag)
+			pkt := e.Sendrecv(p, cgmTag, c.out.Put(c.Local), c.SegBytes, src, cgmTag)
 			c.Local = float64(0.5*c.Local) + float64(0.5*mpi.DecodeF64(pkt.Data[:8])) + 1
 		}
 		c.Phase = cgmDot1

@@ -104,7 +104,7 @@ func churn(k *sim.Kernel, F, shorts int, started func()) (n *Network, before *si
 	var next func(any)
 	next = func(any) {
 		if done++; done <= shorts {
-			n.StartFlowArg(F+1, 0, 64*KB, 0, next, nil)
+			n.StartFlowArg(new(Flow), F+1, 0, 64*KB, 0, next, nil)
 		} else {
 			k.Stop(nil)
 		}
@@ -115,7 +115,7 @@ func churn(k *sim.Kernel, F, shorts int, started func()) (n *Network, before *si
 		}
 		*before = k.Stats()
 		started()
-		n.StartFlowArg(F+1, 0, 64*KB, 0, next, nil)
+		n.StartFlowArg(new(Flow), F+1, 0, 64*KB, 0, next, nil)
 	})
 	return n, before
 }

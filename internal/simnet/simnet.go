@@ -279,20 +279,23 @@ func (n *Network) StartFlow(src, dst int, size Bytes, onDone func()) *Flow {
 // interleaving image shipping with message handling.
 func (n *Network) StartFlowCapped(src, dst int, size Bytes, cap Rate, onDone func()) *Flow {
 	if onDone == nil {
-		return n.StartFlowArg(src, dst, size, cap, nil, nil)
+		return n.StartFlowArg(new(Flow), src, dst, size, cap, nil, nil)
 	}
-	return n.StartFlowArg(src, dst, size, cap, callFunc, onDone)
+	return n.StartFlowArg(new(Flow), src, dst, size, cap, callFunc, onDone)
 }
 
 func callFunc(x any) { x.(func())() }
 
 // StartFlowArg is StartFlowCapped with the completion in Kernel.AfterArg's
-// shape: fn(arg) runs where onDone would.  A caller that already keeps a
-// record per transfer passes a shared fn and the record, and binds no
-// closure per flow.
-func (n *Network) StartFlowArg(src, dst int, size Bytes, cap Rate, fn func(any), arg any) *Flow {
+// shape: fn(arg) runs where onDone would.  It fills and returns f, so a
+// caller that already keeps a record per transfer can hold the flow in it,
+// pass a shared fn and the record, and allocate nothing per flow.  f must
+// not be one a pending delivery still reads: a flow cancelled after its
+// last byte left keeps its deliverFlow event until the latency has passed,
+// and that event reads f.cancelled.
+func (n *Network) StartFlowArg(f *Flow, src, dst int, size Bytes, cap Rate, fn func(any), arg any) *Flow {
 	n.flowSeq++
-	f := &Flow{
+	*f = Flow{
 		net:     n,
 		seq:     n.flowSeq,
 		cap:     cap,

@@ -88,15 +88,21 @@ func TestSingleFlowTime(t *testing.T) {
 }
 
 // TestStartFlowArg: fn(arg) runs exactly where StartFlow's onDone does —
-// the two are one path — and a nil completion is still allowed.
+// the two are one path — the flow is the one the caller handed in, and a
+// nil completion is still allowed.
 func TestStartFlowArg(t *testing.T) {
 	k := sim.New(1)
 	n := lan(k)
-	type landing struct{ at sim.Time }
+	type landing struct {
+		at   sim.Time
+		flow Flow
+	}
 	var byFunc sim.Time
 	rec := &landing{}
 	n.StartFlow(0, 1, 50e6, func() { byFunc = k.Now() })
-	n.StartFlowArg(2, 3, 50e6, 0, func(x any) { x.(*landing).at = k.Now() }, rec)
+	if f := n.StartFlowArg(&rec.flow, 2, 3, 50e6, 0, func(x any) { x.(*landing).at = k.Now() }, rec); f != &rec.flow {
+		t.Fatal("StartFlowArg returned a flow other than the one it was handed")
+	}
 	n.StartFlowCapped(0, 3, 1e3, 0, nil)
 	if err := k.Run(); err != nil {
 		t.Fatal(err)

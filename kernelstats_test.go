@@ -128,10 +128,12 @@ func TestOverloadedMlogReturns(t *testing.T) {
 // 0.2 %, so they are what a plain test can gate (wall-clock is not).  Each
 // recorded value is the largest of four repeats, the ceiling 3 % above it;
 // the two real-kernel rows also gate TotalAlloc at +5 %, since a payload
-// copy costs bytes, not mallocs.  mlog-256 is the per-record logging path
-// at the benchmark's proto-matrix-256 size.  A change that allocates more
-// or less re-records the values (last, the three Mlog rows: when a logged
-// message came to cost one store op and one flow per replica) and says so.
+// copy costs bytes, not mallocs, and so do the three Mlog rows, since a
+// log record that regrows costs bytes too.  mlog-256 is the per-record
+// logging path at the benchmark's proto-matrix-256 size.  A change that
+// allocates more or less re-records the values (last, every row: when a
+// model payload came to be a piece of a per-rank chunk and a logged
+// message one store op with its flow inside) and says so.
 func TestAllocCeilings(t *testing.T) {
 	if testing.Short() || raceEnabled {
 		t.Skip("allocation counts are recorded for a plain, full run")

@@ -1,8 +1,8 @@
 package ftckpt
 
-// Five static rules over the module's non-test source, read with go/parser
-// alone; no run shows any of the first four hazards until a workload
-// exercises it, and none shows the fifth at all.
+// Six static rules over the module's source and its documents, read with
+// go/parser alone; no run shows any of the first four hazards until a
+// workload exercises it, and none shows the last two at all.
 //   - Ambient entropy: simulation packages read no host clock and no unseeded
 //     randomness (entropyBans).  Import names come from each file's import
 //     specs; a name the parser resolves to a local declaration is not one.
@@ -23,6 +23,13 @@ package ftckpt
 //     set is a knob with one value in use, which is a constant.
 //     Default-filling (Normalize, Validate and the validate helpers) is not
 //     a write.
+//   - Documents name what exists: every backticked pkg.Name, Type.Member or
+//     pkg.Type.Member in docFiles names a declaration in the tree (test
+//     files and bench/ included), since a design that names a removed
+//     function describes code that is gone.  A span whose first part is
+//     neither a package nor a type of the tree (a variable, a file, the
+//     standard library) is not checked, nor is pkg.name in lower case
+//     alone, which is how metric names (mpi.msgs) read.
 // The holder rule checks declarations, not stores, so a holder typed any
 // would go unseen; no pooled record travels that way (lanes carry their
 // records by value).  A package var with an inferred type is not seen
@@ -46,6 +53,7 @@ import (
 	"os"
 	"path"
 	"path/filepath"
+	"regexp"
 	"slices"
 	"strconv"
 	"strings"
@@ -419,8 +427,9 @@ func sentBytes(x ast.Expr, indexes int) bool {
 }
 
 // goFiles parses the non-test Go files of the module rooted at root,
-// skipping nested modules, fixtures and dot directories.
-func goFiles(fset *token.FileSet, root string) ([]*ast.File, error) {
+// skipping nested modules, fixtures and dot directories; with tests, its
+// test files too.
+func goFiles(fset *token.FileSet, root string, tests bool) ([]*ast.File, error) {
 	var files []*ast.File
 	err := filepath.Walk(root, func(p string, info os.FileInfo, err error) error {
 		if err != nil || p == root {
@@ -432,7 +441,7 @@ func goFiles(fset *token.FileSet, root string) ([]*ast.File, error) {
 			}
 			return nil
 		}
-		if !strings.HasSuffix(p, ".go") || strings.HasSuffix(p, "_test.go") {
+		if !strings.HasSuffix(p, ".go") || !tests && strings.HasSuffix(p, "_test.go") {
 			return nil
 		}
 		f, err := parser.ParseFile(fset, p, nil, 0)
@@ -448,7 +457,7 @@ func goFiles(fset *token.FileSet, root string) ([]*ast.File, error) {
 func TestLintTree(t *testing.T) {
 	fset := token.NewFileSet()
 	held, seen := map[string]bool{}, map[string]bool{}
-	files, err := goFiles(fset, ".")
+	files, err := goFiles(fset, ".", false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -468,7 +477,7 @@ func TestLintTree(t *testing.T) {
 			t.Errorf("pooledHolders lists %s, which declares no pooled pointer", key)
 		}
 	}
-	bench, err := goFiles(fset, "bench")
+	bench, err := goFiles(fset, "bench", false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -481,6 +490,198 @@ func TestLintTree(t *testing.T) {
 			if key := st + "." + name; !written[key] {
 				t.Errorf("%s: %s is set by no code but tests; a knob with one value in use is a constant", ix.pos[key], key)
 			}
+		}
+	}
+}
+
+// docFiles are the documents whose backticked identifiers must resolve.
+const docFiles = "DESIGN.md README.md EXPERIMENTS.md"
+
+// docIdent is a backticked pkg.Name, Type.Member or pkg.Type.Member, with
+// an optional "()".
+var docIdent = regexp.MustCompile("`([A-Za-z_][A-Za-z0-9_]*(?:\\.[A-Za-z_][A-Za-z0-9_]*){1,2})(?:\\(\\))?`")
+
+// declIndex is what the documents may name: each package's top-level
+// declarations, and each type's fields and methods with the types it
+// embeds (whose members it promotes).  Types are indexed by name alone,
+// across packages.
+type declIndex struct {
+	pkgs    map[string]map[string]bool
+	members map[string]map[string]bool
+	embeds  map[string][]string
+}
+
+// typeName is the name of a receiver or embedded type: T, *T, T[P], pkg.T.
+func typeName(e ast.Expr) string {
+	switch x := e.(type) {
+	case *ast.StarExpr:
+		return typeName(x.X)
+	case *ast.IndexExpr:
+		return typeName(x.X)
+	case *ast.IndexListExpr:
+		return typeName(x.X)
+	case *ast.SelectorExpr:
+		return x.Sel.Name
+	case *ast.Ident:
+		return x.Name
+	}
+	return ""
+}
+
+func indexDecls(files []*ast.File) *declIndex {
+	ix := &declIndex{pkgs: map[string]map[string]bool{}, members: map[string]map[string]bool{}, embeds: map[string][]string{}}
+	member := func(typ, name string) {
+		if ix.members[typ] == nil {
+			ix.members[typ] = map[string]bool{}
+		}
+		ix.members[typ][name] = true
+	}
+	for _, f := range files {
+		pkg := strings.TrimSuffix(f.Name.Name, "_test")
+		if ix.pkgs[pkg] == nil {
+			ix.pkgs[pkg] = map[string]bool{}
+		}
+		for _, d := range f.Decls {
+			switch d := d.(type) {
+			case *ast.FuncDecl:
+				if d.Recv == nil {
+					ix.pkgs[pkg][d.Name.Name] = true
+				} else {
+					member(typeName(d.Recv.List[0].Type), d.Name.Name)
+				}
+			case *ast.GenDecl:
+				for _, sp := range d.Specs {
+					switch sp := sp.(type) {
+					case *ast.ValueSpec:
+						for _, n := range sp.Names {
+							ix.pkgs[pkg][n.Name] = true
+						}
+					case *ast.TypeSpec:
+						name := sp.Name.Name
+						ix.pkgs[pkg][name] = true
+						if ix.members[name] == nil {
+							ix.members[name] = map[string]bool{}
+						}
+						fields := &ast.FieldList{}
+						switch t := sp.Type.(type) {
+						case *ast.StructType:
+							fields = t.Fields
+						case *ast.InterfaceType:
+							fields = t.Methods
+						default:
+							if sp.Assign.IsValid() { // an alias has its target's members
+								ix.embeds[name] = append(ix.embeds[name], typeName(t))
+							}
+						}
+						for _, fl := range fields.List {
+							if len(fl.Names) == 0 {
+								ix.embeds[name] = append(ix.embeds[name], typeName(fl.Type))
+								member(name, typeName(fl.Type))
+							}
+							for _, n := range fl.Names {
+								member(name, n.Name)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	return ix
+}
+
+// hasMember reports whether type typ declares or promotes name.
+func (ix *declIndex) hasMember(typ, name string, depth int) bool {
+	if ix.members[typ][name] {
+		return true
+	}
+	for _, e := range ix.embeds[typ] {
+		if depth < 4 && ix.hasMember(e, name, depth+1) {
+			return true
+		}
+	}
+	return false
+}
+
+// dangling returns the backticked identifiers of doc, outside fenced code
+// blocks, that name no declaration in ix, as "line N: `span`".
+func (ix *declIndex) dangling(doc string) []string {
+	var out []string
+	fenced := false
+	for i, line := range strings.Split(doc, "\n") {
+		if strings.HasPrefix(strings.TrimSpace(line), "```") {
+			fenced = !fenced
+			continue
+		}
+		if fenced {
+			continue
+		}
+		for _, m := range docIdent.FindAllStringSubmatch(line, -1) {
+			parts := strings.Split(m[1], ".")
+			ok := true
+			switch {
+			case ix.pkgs[parts[0]] != nil && len(parts) == 2 && strings.ToLower(parts[1]) == parts[1]:
+				// A metric name (mpi.msgs), or a lower-case name that may be one.
+			case ix.pkgs[parts[0]] != nil:
+				ok = ix.pkgs[parts[0]][parts[1]] && (len(parts) == 2 || ix.hasMember(parts[1], parts[2], 0))
+			case ix.members[parts[0]] != nil:
+				ok = ix.hasMember(parts[0], parts[1], 0)
+			}
+			if !ok {
+				out = append(out, fmt.Sprintf("line %d: `%s`", i+1, m[1]))
+			}
+		}
+	}
+	return out
+}
+
+// TestLintDocs holds docFiles to the tree: every backticked identifier
+// they check names a declaration.
+func TestLintDocs(t *testing.T) {
+	fset := token.NewFileSet()
+	files, err := goFiles(fset, ".", true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bench, err := goFiles(fset, "bench", true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix := indexDecls(append(files, bench...))
+	for _, name := range strings.Fields(docFiles) {
+		doc, err := os.ReadFile(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, d := range ix.dangling(string(doc)) {
+			t.Errorf("%s %s names no declaration in the tree", name, d)
+		}
+	}
+}
+
+// TestLintDocSnippets shows which backticked spans the document rule
+// checks, against one small package.
+func TestLintDocSnippets(t *testing.T) {
+	const decls = `package mpi; type Packet struct{ Data []byte; Queue }; type Queue struct{}; func (q *Queue) Len() int { return 0 }
+func EncodeF64s() {}; type Alias = Packet`
+	f, err := parser.ParseFile(token.NewFileSet(), "decls.go", decls, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix := indexDecls([]*ast.File{f})
+	for _, tc := range []struct{ doc, want string }{
+		{"`mpi.EncodeF64s` and `mpi.EncodeF64`", "line 1: `mpi.EncodeF64`"},
+		{"`Packet.Data`, `Packet.Len()` (promoted), `Alias.Data`, `Packet.Cap`", "line 1: `Packet.Cap`"},
+		{"`mpi.Packet.Len`\n`mpi.Packet.Nope`", "line 2: `mpi.Packet.Nope`"},
+		{"`mpi.Gone.Len`", "line 1: `mpi.Gone.Len`"},
+		// Not checked: a metric name, the standard library, a file, a
+		// variable's selector, a span that is not an identifier, a fenced
+		// block.
+		{"`mpi.msgs`, `runtime.MemStats`, `lint_test.go`, `p.Data`, `go test -run X .`", ""},
+		{"```\n`mpi.Gone`\n```", ""},
+	} {
+		if got := strings.Join(ix.dangling(tc.doc), "; "); got != tc.want {
+			t.Errorf("%q: dangling %q, want %q", tc.doc, got, tc.want)
 		}
 	}
 }
