@@ -124,9 +124,7 @@ type LogSink interface{ LogsStored() }
 // flows are one allocation for up to two replicas (newStoreOp), so a
 // logged message costs one object.
 type StoreOp struct {
-	g          *Group
-	rank, wave int
-	srcNode    int
+	g *Group
 
 	// What is shipped and who hears of the outcome: sink hears of the
 	// quorum (a log set's LogSink, or an image's onQuorum as a quorumFunc),
@@ -143,11 +141,14 @@ type StoreOp struct {
 	// the op for up to two replicas.
 	replicas []replica
 
-	acks      int32
-	failed    int32
-	quorumHit bool
-	lost      bool
-	cancelled bool
+	// rank, wave and srcNode are int32 beside the counters, which keeps
+	// a one-replica op with its flow in the 352-byte size class.
+	rank, wave, srcNode int32
+	acks                int32
+	failed              int32
+	quorumHit           bool
+	lost                bool
+	cancelled           bool
 }
 
 // replica is one replica's share of a StoreOp: the current attempt's
@@ -206,7 +207,7 @@ func (g *Group) newStoreOp() *StoreOp {
 // path: the job continues under its previous recovery line.
 func (g *Group) Store(img *Image, srcNode int, cap simnet.Rate, onQuorum, onFailed func()) *StoreOp {
 	op := g.newStoreOp()
-	op.rank, op.wave, op.srcNode = img.Rank, img.Wave, srcNode
+	op.rank, op.wave, op.srcNode = int32(img.Rank), int32(img.Wave), int32(srcNode)
 	op.img, op.cap, op.onFailed = img, cap, onFailed
 	if onQuorum != nil {
 		op.sink = quorumFunc(onQuorum)
@@ -221,7 +222,7 @@ func (g *Group) Store(img *Image, srcNode int, cap simnet.Rate, onQuorum, onFail
 // is read only during the call.
 func (g *Group) StoreLogs(rank, wave int, pkts []*mpi.Packet, srcNode int, done LogSink) *StoreOp {
 	op := g.newStoreOp()
-	op.rank, op.wave, op.srcNode, op.sink = rank, wave, srcNode, done
+	op.rank, op.wave, op.srcNode, op.sink = int32(rank), int32(wave), int32(srcNode), done
 	op.pkts = append(op.one[:0], pkts...)
 	op.start()
 	return op
@@ -230,7 +231,7 @@ func (g *Group) StoreLogs(rank, wave int, pkts []*mpi.Packet, srcNode int, done 
 // start ships every replica's first attempt, each in the entry's own flow.
 func (op *StoreOp) start() {
 	g := op.g
-	p := g.PrimaryOf(op.rank)
+	p := g.PrimaryOf(int(op.rank))
 	for i := range op.replicas {
 		r := &op.replicas[i]
 		r.srv, r.rep, r.op, r.retries = g.replica(p, i), r, op, int32(g.MaxRetries)
@@ -286,7 +287,7 @@ func (r *replica) aborted() {
 		return
 	}
 	r.retries--
-	op.g.emit(obs.EvStoreRetry, op.rank, op.wave, r.srv.Index)
+	op.g.emit(obs.EvStoreRetry, int(op.rank), int(op.wave), r.srv.Index)
 	r.timer = op.g.net.Kernel().AfterArg(op.g.Backoff, replicaRetry, r)
 }
 
@@ -300,7 +301,7 @@ func (op *StoreOp) replicaFailed() {
 	op.failed++
 	if !op.quorumHit && !op.lost && len(op.replicas)-int(op.failed) < op.g.Quorum {
 		op.lost = true
-		op.g.emit(obs.EvQuorumLost, op.rank, op.wave, -1)
+		op.g.emit(obs.EvQuorumLost, int(op.rank), int(op.wave), -1)
 		if op.onFailed != nil {
 			op.onFailed()
 		}

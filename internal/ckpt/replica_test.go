@@ -407,10 +407,13 @@ func TestRetryAfterLastByteStartsFreshFlow(t *testing.T) {
 
 // TestRecordSizes: a one-replica log store — the op, its replica entry
 // and the entry's first flow, what every logged message costs — fits a
-// 384-byte size class.
+// 352-byte size class, and a two-replica one 576 bytes.
 func TestRecordSizes(t *testing.T) {
-	if n := unsafe.Sizeof(storeOp1{}); n > 384 {
-		t.Errorf("a one-replica StoreOp is %d bytes, want <= 384", n)
+	if n := unsafe.Sizeof(storeOp1{}); n > 352 {
+		t.Errorf("a one-replica StoreOp is %d bytes, want <= 352", n)
+	}
+	if n := unsafe.Sizeof(storeOp2{}); n > 576 {
+		t.Errorf("a two-replica StoreOp is %d bytes, want <= 576", n)
 	}
 }
 

@@ -168,15 +168,30 @@ func (tr *transfer) landed() {
 		tr.fetch.onDone()
 		return
 	}
-	if op := r.op; op.img != nil {
-		s.images[imgKey{op.rank, op.wave}] = op.img
-		s.emit(obs.EvImageStoreEnd, op.rank, op.wave, tr.bytes, tr.span)
+	op := r.op
+	rank, wave := int(op.rank), int(op.wave)
+	if op.img != nil {
+		s.images[imgKey{rank, wave}] = op.img
+		s.emit(obs.EvImageStoreEnd, rank, wave, tr.bytes, tr.span)
 	} else {
-		k := imgKey{op.rank, op.wave}
-		s.logs[k] = append(s.logs[k], op.pkts...)
-		s.emit(obs.EvLogShipEnd, op.rank, op.wave, tr.bytes, tr.span)
+		s.storeLogs(imgKey{rank, wave}, op.pkts)
+		s.emit(obs.EvLogShipEnd, rank, wave, tr.bytes, tr.span)
 	}
 	r.stored()
+}
+
+// storeLogs appends a landed log set to the (rank, wave) it belongs to.
+// A (rank, wave) whose first set this is starts with room for as many
+// records as the rank's previous wave ended with: an Mlog rank logs one
+// record per set, wave after wave, and a slice grown by append alone
+// would copy itself several times a wave.
+func (s *Server) storeLogs(k imgKey, pkts []*mpi.Packet) {
+	logs, ok := s.logs[k]
+	if !ok {
+		prev := len(s.logs[imgKey{k.rank, k.wave - 1}])
+		logs = make([]*mpi.Packet, 0, max(prev, len(pkts)))
+	}
+	s.logs[k] = append(logs, pkts...)
 }
 
 // receive starts store attempt r on the server, in flow f: r.op's image,
@@ -188,9 +203,10 @@ func (tr *transfer) landed() {
 // in arrival order, which preserves per-channel FIFO since each channel's
 // log is shipped in one piece.  The server keeps the image pointer and
 // the packets it is handed, not copies: an image is immutable once handed
-// to a store (see Image), and a received payload is read-only
-// (mpi.Filter), so the server shares Mlog's and Vcl's packets.  Only the
-// slice of them is the server's own.
+// to a store (see Image), and a log record is the protocol's own copy of
+// a packet it was lent (mpi.Filter) — a piece of Mlog's record chunk, a
+// clone in Vcl's channel log — which nobody writes once shipped, so the
+// server shares the records.  Only the slice of them is the server's own.
 func (s *Server) receive(r *replica, f *simnet.Flow) {
 	if s.dead {
 		r.aborted()
@@ -209,8 +225,8 @@ func (s *Server) receive(r *replica, f *simnet.Flow) {
 		}
 	}
 	tr.span = s.obs.NextSpan()
-	s.emit(begin, op.rank, op.wave, tr.bytes, tr.span)
-	s.start(tr, f, op.srcNode, s.Node, tr.bytes, op.cap)
+	s.emit(begin, int(op.rank), int(op.wave), tr.bytes, tr.span)
+	s.start(tr, f, int(op.srcNode), s.Node, tr.bytes, op.cap)
 }
 
 // Image returns the stored image for (rank, wave).  It errors instead of

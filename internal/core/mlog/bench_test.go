@@ -46,7 +46,7 @@ func acceptDeliver(tb testing.TB, before func(), run func(one func())) {
 			m.InPacket(p)
 			h.stored = true
 			h.sink.LogsStored()
-			p = h.Eng.Recv(0, 5)
+			*p = h.Eng.Recv(0, 5)
 		}
 		one()
 		before()
@@ -67,8 +67,10 @@ func BenchmarkAcceptDeliver(b *testing.B) {
 }
 
 // TestAcceptDeliverAllocs pins BenchmarkAcceptDeliver: a logged message
-// allocates nothing in the protocol — the record is a value in the
-// pending queue and the Mlog is its store's sink.
+// allocates nothing of its own in the protocol — its record is a 32nd of
+// a chunk (Mlog.keep), which AllocsPerRun's whole-number mean rounds to
+// 0, the pending queue holds it by value and the Mlog is its store's
+// sink.
 func TestAcceptDeliverAllocs(t *testing.T) {
 	acceptDeliver(t, func() {}, func(one func()) {
 		if n := testing.AllocsPerRun(1000, one); n != 0 {

@@ -127,6 +127,41 @@ func TestOutOfOrderHold(t *testing.T) {
 	})
 }
 
+// TestRecordsSurviveLentReuse: InPacket is lent the engine's receive
+// buffer, which every later arrival overwrites (mpi.Filter).  What Mlog
+// keeps of a payload — the record it logs and delivers, and one held out
+// of order — must stay as it arrived.
+func TestRecordsSurviveLentReuse(t *testing.T) {
+	k := sim.New(1)
+	h := coretest.New(k, 1, 2)
+	m := New(h, 0)
+	h.Run(t, func() {
+		var lent mpi.Packet
+		for _, seq := range []uint64{2, 1, 3} { // 2 overtakes 1
+			lent = *pl(0, seq, 5)
+			m.InPacket(&lent)
+		}
+		lent = mpi.Packet{Src: 0, Kind: mpi.KindControl, Tag: OpAck, PSeq: 9}
+		m.InPacket(&lent)
+		if len(h.Logged) != 3 {
+			t.Fatalf("%d records shipped, want 3", len(h.Logged))
+		}
+		for i, set := range h.Logged {
+			if p := set[0]; p.PSeq != uint64(i+1) || p.Kind != mpi.KindPayload || len(p.Data) != 1 || p.Data[0] != byte(i+1) {
+				t.Errorf("record %d is %+v", i, *p)
+			}
+		}
+		for _, f := range h.OnLog {
+			f()
+		}
+		for want := uint64(1); want <= 3; want++ {
+			if p := h.Eng.Recv(0, 5); p.PSeq != want || p.Data[0] != byte(want) {
+				t.Fatalf("delivery %v, want seq %d", p, want)
+			}
+		}
+	})
+}
+
 // TestSenderBufferAndRetransmit: unacked sends are buffered, cumulative
 // acks drop them, and PeerRestarted retransmits the rest.
 func TestSenderBufferAndRetransmit(t *testing.T) {

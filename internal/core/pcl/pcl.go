@@ -133,7 +133,8 @@ func (p *Pcl) OutPayload(pkt *mpi.Packet) bool {
 }
 
 // InPacket consumes markers and control packets and holds payloads from
-// flushed channels.
+// flushed channels.  The packet is lent (mpi.Filter), so the delayed
+// receive queue holds a copy.
 func (p *Pcl) InPacket(pkt *mpi.Packet) bool {
 	switch pkt.Kind {
 	case mpi.KindMarker:
@@ -144,7 +145,7 @@ func (p *Pcl) InPacket(pkt *mpi.Packet) bool {
 		return false
 	default:
 		if p.checkpointing && pkt.Src >= 0 && p.markerFrom[pkt.Src] {
-			p.delayedRecv = append(p.delayedRecv, pkt)
+			p.delayedRecv = append(p.delayedRecv, pkt.Clone())
 			p.h.Obs().Emit(obs.Event{Type: obs.EvRecvDelayed, T: p.h.Now(), Rank: p.h.Rank(), Wave: p.wave, Channel: pkt.Src, Node: -1, Server: -1, Bytes: pkt.PayloadSize(), Cause: p.freezeSpan})
 			return false
 		}

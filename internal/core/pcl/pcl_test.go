@@ -187,3 +187,34 @@ func TestPclSingleProcessWave(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestPclDelayedRecvSurvivesLentReuse: InPacket is lent the engine's
+// receive buffer, which every later arrival overwrites (mpi.Filter).  A
+// payload held in the delayed receive queue must reach the matching
+// engine as it arrived, though the marker that releases it came in the
+// same buffer.
+func TestPclDelayedRecvSurvivesLentReuse(t *testing.T) {
+	k := sim.New(1)
+	h := newHost(k, 1, 3)
+	p := New(h, time.Second)
+	h.Run(t, func() {
+		p.Start()
+		var lent mpi.Packet
+		in := func(q mpi.Packet) bool {
+			lent = q
+			return p.InPacket(&lent)
+		}
+		in(mpi.Packet{Src: 0, Dst: 1, Kind: mpi.KindMarker, Wave: 1})
+		if in(mpi.Packet{Src: 0, Dst: 1, Kind: mpi.KindPayload, Tag: 7, Data: []byte("held"), VSize: 64}) {
+			t.Fatal("post-marker payload not delayed")
+		}
+		in(mpi.Packet{Src: 2, Dst: 1, Kind: mpi.KindMarker, Wave: 1}) // the last marker releases it
+		if len(h.Ckpts) != 1 {
+			t.Fatalf("ckpts %v", h.Ckpts)
+		}
+		got := h.Eng.Recv(0, 7)
+		if string(got.Data) != "held" || got.VSize != 64 || got.Src != 0 || got.Dst != 1 {
+			t.Errorf("delayed receive delivered as %+v", got)
+		}
+	})
+}

@@ -44,7 +44,8 @@ type Host interface {
 	// Wire sends a packet directly on the FIFO channel to an endpoint
 	// (rank, SchedulerID, ...), bypassing the protocol's own send gate —
 	// used for markers, control messages and released delayed sends.  The
-	// packet is a value: a marker or control packet travels inline and
+	// packet is a value: its header travels in the wire record and its
+	// Data or VSize in a body slot, so a marker or control packet
 	// allocates nothing (mpi.WireMsg).
 	Wire(dst int, p mpi.Packet)
 	// TakeCheckpoint captures the local process image for wave

@@ -71,8 +71,9 @@ func (v *Vcl) InPacket(pkt *mpi.Packet) bool {
 		if v.inWave && pkt.Src >= 0 && !v.markerFrom[pkt.Src] {
 			// Received after the local snapshot, before the sender's
 			// marker: this is channel state (message m in Fig. 1).  The
-			// log shares the packet with the matching engine (mpi.Filter).
-			v.logs = append(v.logs, pkt)
+			// packet is lent (mpi.Filter), so the log holds a copy, which
+			// shares Data with the one the matching engine keeps.
+			v.logs = append(v.logs, pkt.Clone())
 			v.h.Obs().Emit(obs.Event{Type: obs.EvMessageLogged, T: v.h.Now(), Rank: v.h.Rank(), Wave: v.wave, Channel: pkt.Src, Node: -1, Server: -1, Bytes: pkt.PayloadSize(), Span: v.h.Obs().NextSpan(), Cause: v.ckptSpan})
 		}
 		return true
@@ -181,7 +182,7 @@ func (v *Vcl) Restore(dev []byte, logs []*mpi.Packet, lastWave int) {
 		v.h.Obs().Emit(obs.Event{Type: obs.EvMessageReplayed, T: v.h.Now(), Rank: v.h.Rank(),
 			Wave: lastWave, Channel: pkt.Src, Node: -1, Server: -1, Bytes: pkt.PayloadSize(),
 			Span: v.h.Obs().NextSpan()})
-		v.h.Engine().Deliver(pkt.Clone())
+		v.h.Engine().Deliver(pkt)
 	}
 }
 

@@ -208,3 +208,32 @@ func TestSchedulerCommitCycle(t *testing.T) {
 		t.Fatalf("markers %d, want 4 (2 waves × 2 ranks)", len(markers))
 	}
 }
+
+// TestVclLogSurvivesLentReuse: InPacket is lent the engine's receive
+// buffer, which every later arrival overwrites (mpi.Filter).  The channel
+// log must ship the in-transit payloads as they arrived.
+func TestVclLogSurvivesLentReuse(t *testing.T) {
+	k := sim.New(1)
+	h := coretest.New(k, 1, 2)
+	v := New(h)
+	h.Run(t, func() {
+		v.Start()
+		var lent mpi.Packet
+		in := func(q *mpi.Packet) bool {
+			lent = *q
+			return v.InPacket(&lent)
+		}
+		in(&mpi.Packet{Src: mpi.SchedulerID, Kind: mpi.KindMarker, Wave: 1})
+		in(payload(0, 1, 12))
+		in(payload(0, 1, 13))
+		in(&mpi.Packet{Src: 0, Kind: mpi.KindMarker, Wave: 1}) // closes the channel: the logs ship
+		if len(h.Logged) != 1 || len(h.Logged[0]) != 2 {
+			t.Fatalf("logs shipped: %v", h.Logged)
+		}
+		for i, p := range h.Logged[0] {
+			if want := 12 + i; p.Kind != mpi.KindPayload || p.Tag != want || p.Src != 0 || len(p.Data) != 1 || int(p.Data[0]) != want {
+				t.Errorf("log entry %d is %+v, want the payload with tag %d", i, *p, want)
+			}
+		}
+	})
+}

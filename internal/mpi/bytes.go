@@ -15,11 +15,6 @@ func EncodeF64s(x []float64) []byte {
 	return b
 }
 
-// DecodeF64s is the inverse of EncodeF64s.
-func DecodeF64s(b []byte) []float64 {
-	return AppendF64s(make([]float64, 0, len(b)/8), b)
-}
-
 // AppendF64s decodes b (as EncodeF64s lays it out) onto the end of dst and
 // returns the extended slice; with capacity for len(b)/8 more values it
 // allocates nothing, so a receiver can decode straight into its own vector.
@@ -59,7 +54,7 @@ func (c *F64Chunk) Put(v float64) []byte {
 }
 
 // DecodeF64 deserializes the first float64 of b, in place: the models call
-// it on every exchange, so it allocates nothing.  Like DecodeF64s it
+// it on every exchange, so it allocates nothing.  Like AppendF64s it
 // panics when b is not a whole number of values.
 func DecodeF64(b []byte) float64 {
 	if len(b)%8 != 0 {

@@ -28,13 +28,14 @@ type ReduceOp uint8
 // OpSum adds element-wise.
 const OpSum ReduceOp = 0
 
-// addInto adds x into acc element-wise.
-func addInto(acc, x []float64) {
-	if len(acc) != len(x) {
-		panic(fmt.Sprintf("mpi: reduce length mismatch %d vs %d", len(acc), len(x)))
+// addF64s adds the values b encodes (EncodeF64s) into acc element-wise,
+// decoding in place.
+func addF64s(acc []float64, b []byte) {
+	if len(b) != 8*len(acc) {
+		panic(fmt.Sprintf("mpi: reduce length mismatch %d vs %d", len(acc), len(b)/8))
 	}
 	for i := range acc {
-		acc[i] += x[i]
+		acc[i] += DecodeF64(b[8*i : 8*i+8])
 	}
 }
 
@@ -62,7 +63,7 @@ type CollState struct {
 }
 
 // clone returns a copy that shares every block, which are sent or received
-// bytes and so read-only (Packet.Data).  AccF is copied, since addInto
+// bytes and so read-only (Packet.Data).  AccF is copied, since addF64s
 // accumulates into it in place, and so is the Blocks slice itself, whose
 // entries the live operation keeps filling.
 func (cs *CollState) clone() *CollState {
@@ -123,6 +124,14 @@ func collTag(kind CollKind, seq uint64, round int) int {
 // AllreduceF64 sums x over every process and returns the result on every
 // process (binomial-tree reduce to rank 0, then binomial broadcast).  op
 // is OpSum, the only operator (ReduceOp says why the parameter stays).
+//
+// A rank allocates its result, the encoding of its partial sum for its
+// parent, and on rank 0 the encoding of the result: children's partial
+// sums are added in as they are decoded, the result is decoded into the
+// accumulator, and a rank forwards the bytes it received to all of its
+// children, as AllgatherB forwards blocks.  A rank resumed in the
+// broadcast's send stage no longer has those bytes and encodes the same
+// value from AccF.
 func (e *Engine) AllreduceF64(op ReduceOp, x []float64) []float64 {
 	e.enterOp()
 	defer e.exitOp()
@@ -141,7 +150,7 @@ func (e *Engine) AllreduceF64(op ReduceOp, x []float64) []float64 {
 			if e.rank&cs.Mask == 0 {
 				if src := e.rank | cs.Mask; src < p {
 					pkt := e.recvMatch(src, tag)
-					addInto(cs.AccF, DecodeF64s(pkt.Data))
+					addF64s(cs.AccF, pkt.Data)
 				}
 			} else {
 				buf := EncodeF64s(cs.AccF)
@@ -156,6 +165,7 @@ func (e *Engine) AllreduceF64(op ReduceOp, x []float64) []float64 {
 	}
 	// Broadcast the result from rank 0 (stages 1: receive, 2: send down).
 	tag := collTag(CollAllreduce, cs.Seq, 1)
+	var down []byte // the result's encoding, shared by every child
 	if cs.Stage == 1 {
 		if e.rank == 0 {
 			for cs.Mask < p {
@@ -166,7 +176,8 @@ func (e *Engine) AllreduceF64(op ReduceOp, x []float64) []float64 {
 				if e.rank&cs.Mask != 0 {
 					src := e.rank - cs.Mask
 					pkt := e.recvMatch(src, tag)
-					cs.AccF = DecodeF64s(pkt.Data)
+					cs.AccF = AppendF64s(cs.AccF[:0], pkt.Data)
+					down = pkt.Data
 					break
 				}
 				cs.Mask <<= 1
@@ -177,9 +188,11 @@ func (e *Engine) AllreduceF64(op ReduceOp, x []float64) []float64 {
 	}
 	for cs.Mask > 0 {
 		if e.rank+cs.Mask < p {
-			buf := EncodeF64s(cs.AccF)
-			e.chargeSend(buf, 0)
-			e.send(e.rank+cs.Mask, tag, buf, 0)
+			if down == nil {
+				down = EncodeF64s(cs.AccF)
+			}
+			e.chargeSend(down, 0)
+			e.send(e.rank+cs.Mask, tag, down, 0)
 		}
 		cs.Mask >>= 1
 	}

@@ -121,12 +121,13 @@ func TestSendHandsOverBuffer(t *testing.T) {
 }
 
 // TestSendrecvAllocsPinned: an exchange of pre-encoded buffers between two
-// ranks allocates what the two packets' headers need and nothing per
-// payload byte: the engine hands the buffer over instead of copying it.
-// It is 2 (one boxed Packet per direction, Fabric.Send); a copy of each
-// buffer would make it 4.
+// ranks allocates nothing per payload: the engine hands the buffer over
+// instead of copying it, each packet's header rides in its wire record
+// and its Data in a 128th of a body chunk (Fabric.Send).  AllocsPerRun's
+// whole-number mean is 0; a copy of each buffer would make it 2, and a
+// heap Packet per message 2 as well.
 func TestSendrecvAllocsPinned(t *testing.T) {
-	const runs, perExchange = 100, 2
+	const runs, perExchange = 100, 0
 	var allocs float64
 	err := newWorld(t, 2).Run(func(e *Engine) {
 		peer := 1 - e.Rank()
@@ -148,6 +149,43 @@ func TestSendrecvAllocsPinned(t *testing.T) {
 	}
 	if allocs > perExchange {
 		t.Errorf("%v allocations per Sendrecv exchange of a 1 KB buffer, want at most %d", allocs, perExchange)
+	}
+}
+
+// TestAllreduceAllocs pins AllreduceF64 at np=8 to little more than its
+// results: each rank allocates its result and the encoding of its partial
+// sum for its parent, rank 0 the encoding of the result it broadcasts, and
+// the 14 messages a 128th of a body chunk each.  That is 16 objects and
+// 14/128 of a chunk per call, 2.11 per rank; decoding every child's sum
+// into a temporary, re-encoding the result once per child and decoding it
+// into a fresh slice made it 36 (50 with a heap Packet per message).
+// Every rank reduces the same vector, so the result is checked too.
+func TestAllreduceAllocs(t *testing.T) {
+	const np, runs, perRank = 8, 128, 2.125
+	x := []float64{1, 2, 3, 4}
+	var total float64
+	err := newWorld(t, np).Run(func(e *Engine) {
+		call := func() {
+			if got := e.AllreduceF64(OpSum, x); !slices.Equal(got, []float64{8, 16, 24, 32}) {
+				t.Errorf("rank %d: allreduce %v", e.Rank(), got)
+			}
+		}
+		call() // opens the links and sizes the queues
+		if e.Rank() != 0 {
+			for range runs + 1 { // AllocsPerRun makes one warm-up call
+				call()
+			}
+			return
+		}
+		// Every malloc of the run while rank 0 is inside AllocsPerRun
+		// counts: every rank's, the network's and the kernel's.
+		total = testing.AllocsPerRun(runs, call)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if perCall := total / np; perCall > perRank {
+		t.Errorf("%v allocations per AllreduceF64 per rank (%v per call), want at most %v", perCall, total, perRank)
 	}
 }
 

@@ -2,6 +2,7 @@ package mpi
 
 import (
 	"fmt"
+	"slices"
 
 	"ftckpt/internal/obs"
 	"ftckpt/internal/sim"
@@ -19,12 +20,13 @@ import (
 // re-injected later with Engine.Deliver), and true to let it reach the
 // matching engine (it may also keep it, as Vcl's logging does).
 //
-// Both hooks are lent their packet for the length of the call, except a
-// payload InPacket passes, which is its own heap Packet and may be kept:
-// the matching engine and the protocol then share it, and neither writes
-// it.  OutPayload's packet is the engine's send buffer, and a marker or
-// control packet reaching InPacket is rebuilt from its inline WireMsg into
-// the engine's receive buffer: a protocol that holds either copies it.
+// Both hooks are lent their packet for the length of the call, whatever
+// its kind: OutPayload's is the engine's send buffer, and InPacket's is the
+// WireMsg rebuilt into the engine's receive buffer, which the next arrival
+// reuses.  A protocol that holds a packet past the call copies it
+// (Packet.Clone, or a value of its own); the copy may share Data, which is
+// read-only once sent.  Deliver copies the packet it is given, so a
+// protocol may pass the lent one straight on.
 type Filter interface {
 	OutPayload(p *Packet) bool
 	InPacket(p *Packet) bool
@@ -59,11 +61,13 @@ type Engine struct {
 	// admitLane carries packets through the daemon-service delay:
 	// daemonBusy never decreases, so the delayed admits are a lane.
 	admitLane *sim.Lane[admitRec]
-	// in is the Packet an inline message is rebuilt into for InPacket, and
-	// out the one send builds for OutPayload: both lent for the call.
+	// in is the Packet a message is rebuilt into for InPacket, and out the
+	// one send builds for OutPayload: both lent for the call.
 	in, out Packet
 
-	unexpected []*Packet
+	// unexpected holds delivered payloads by value until a receive
+	// matches them.
+	unexpected []Packet
 	opDepth    int
 	waiting    bool
 	waitSrc    int
@@ -224,17 +228,18 @@ func (e *Engine) admit(m WireMsg) {
 	e.inbox.Push(m)
 }
 
-// process runs one message through the filter: a payload as its own
-// Packet, a marker or control packet lent in e.in.
+// process runs one message through the filter, lent in e.in.
 func (e *Engine) process(m WireMsg) {
 	if p := m.packet(&e.in); e.filter.InPacket(p) {
 		e.Deliver(p)
 	}
+	e.in.Data = nil // e.in must not keep the buffer alive
 }
 
-// Deliver hands a payload packet to the matching engine.  Protocols call
-// it to re-inject held or replayed messages.  Delivery to a closed engine
-// (a torn-down incarnation) is dropped.
+// Deliver hands a payload packet to the matching engine, which keeps a
+// copy: p may be lent.  Protocols call it to re-inject held or replayed
+// messages.  Delivery to a closed engine (a torn-down incarnation) is
+// dropped.
 func (e *Engine) Deliver(p *Packet) {
 	if e.closed {
 		return
@@ -242,7 +247,7 @@ func (e *Engine) Deliver(p *Packet) {
 	if p.Kind != KindPayload {
 		panic(fmt.Sprintf("mpi: %v reached the matching engine", p))
 	}
-	e.unexpected = append(e.unexpected, p)
+	e.unexpected = append(e.unexpected, *p)
 	if e.waiting && match(p, e.waitSrc, e.waitTag) {
 		e.cond.Signal()
 	}
@@ -304,8 +309,8 @@ func (e *Engine) chargeSend(data []byte, vsize int64) {
 // send builds and emits a payload packet through the outgoing gate around
 // buf itself, which nobody writes again once it is sent: a caller's handed
 // over buffer, a block a collective received, a fresh encoding.  The
-// packet is built in e.out, which the gate is lent; Fabric.Send makes the
-// one heap copy of the header that travels.
+// packet is built in e.out, which the gate is lent; Fabric.Send puts it on
+// the wire as a WireMsg and a body slot.
 func (e *Engine) send(dst, tag int, buf []byte, vsize int64) {
 	p := &e.out
 	*p = Packet{Src: e.rank, Dst: dst, Kind: KindPayload, Tag: tag, Data: buf, VSize: vsize}
@@ -317,13 +322,13 @@ func (e *Engine) send(dst, tag int, buf []byte, vsize int64) {
 
 // Recv blocks until a payload from src with tag is available and returns
 // it.
-func (e *Engine) Recv(src, tag int) *Packet {
+func (e *Engine) Recv(src, tag int) Packet {
 	e.enterOp()
 	defer e.exitOp()
 	return e.recvMatch(src, tag)
 }
 
-func (e *Engine) recvMatch(src, tag int) *Packet {
+func (e *Engine) recvMatch(src, tag int) Packet {
 	for {
 		// In FT mode a revocation or known peer failure aborts the receive
 		// (both on entry and on every wake) instead of blocking forever.
@@ -336,7 +341,8 @@ func (e *Engine) recvMatch(src, tag int) *Packet {
 				i = e.findMatch(src, tag)
 			}
 			p := e.unexpected[i]
-			e.unexpected = append(e.unexpected[:i], e.unexpected[i+1:]...)
+			// Delete zeroes the vacated slot, which keeps no Data alive.
+			e.unexpected = slices.Delete(e.unexpected, i, i+1)
 			return p
 		}
 		e.waiting, e.waitSrc, e.waitTag = true, src, tag
@@ -348,8 +354,8 @@ func (e *Engine) recvMatch(src, tag int) *Packet {
 }
 
 func (e *Engine) findMatch(src, tag int) int {
-	for i, p := range e.unexpected {
-		if match(p, src, tag) {
+	for i := range e.unexpected {
+		if match(&e.unexpected[i], src, tag) {
 			return i
 		}
 	}
@@ -361,7 +367,7 @@ func match(p *Packet, src, tag int) bool { return p.Src == src && p.Tag == tag }
 // Sendrecv sends to dst and receives from src, resumable across a
 // checkpoint: if a snapshot is taken while blocked in the receive, the
 // restored process does not send again.  data is handed over as in Send.
-func (e *Engine) Sendrecv(dst, sendTag int, data []byte, vsize int64, src, recvTag int) *Packet {
+func (e *Engine) Sendrecv(dst, sendTag int, data []byte, vsize int64, src, recvTag int) Packet {
 	e.enterOp()
 	defer e.exitOp()
 	cs, _ := e.beginColl(CollSendrecv)
@@ -391,8 +397,8 @@ type EngineImage struct {
 // state is quiescent.
 func (e *Engine) CaptureImage() *EngineImage {
 	img := &EngineImage{CollSeq: e.collSeq}
-	for _, p := range e.unexpected {
-		img.Unexpected = append(img.Unexpected, p.Clone())
+	for i := range e.unexpected {
+		img.Unexpected = append(img.Unexpected, e.unexpected[i].Clone())
 	}
 	if e.coll != nil {
 		img.Coll = e.coll.clone()
@@ -404,7 +410,7 @@ func (e *Engine) CaptureImage() *EngineImage {
 func (e *Engine) RestoreImage(img *EngineImage) {
 	e.unexpected = nil
 	for _, p := range img.Unexpected {
-		e.unexpected = append(e.unexpected, p.Clone())
+		e.unexpected = append(e.unexpected, *p)
 	}
 	e.collSeq = img.CollSeq
 	e.coll = nil

@@ -89,7 +89,7 @@ func TestFIFOPerChannel(t *testing.T) {
 
 func TestUnexpectedBeforePost(t *testing.T) {
 	w := newWorld(t, 2)
-	var got *Packet
+	var got Packet
 	err := w.Run(func(e *Engine) {
 		if e.Rank() == 0 {
 			e.Send(1, 9, []byte("early"), 0)
@@ -101,7 +101,7 @@ func TestUnexpectedBeforePost(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got == nil || string(got.Data) != "early" {
+	if string(got.Data) != "early" {
 		t.Fatalf("got %v", got)
 	}
 }
@@ -273,7 +273,7 @@ func TestSendOverheadCharged(t *testing.T) {
 
 func TestEngineImageRoundTrip(t *testing.T) {
 	e := &Engine{rank: 0, size: 2}
-	e.unexpected = []*Packet{{Src: 1, Dst: 0, Kind: KindPayload, Tag: 3, Data: []byte("x"), VSize: 100}}
+	e.unexpected = []Packet{{Src: 1, Dst: 0, Kind: KindPayload, Tag: 3, Data: []byte("x"), VSize: 100}}
 	e.collSeq = 9
 	e.coll = &CollState{Kind: CollAllreduce, Seq: 9, Stage: 1, Mask: 2, AccF: []float64{1, 2}}
 	img := e.CaptureImage()
@@ -304,13 +304,14 @@ func TestEncodeDecodeF64s(t *testing.T) {
 	same := func(a, b []float64) bool {
 		return slices.EqualFunc(a, b, func(u, v float64) bool { return u == v || math.IsNaN(u) && math.IsNaN(v) })
 	}
-	// DecodeF64s returns an exact-capacity slice; AppendF64s extends a
-	// prefix it leaves alone.
+	// AppendF64s inverts EncodeF64s and extends a prefix it leaves alone;
+	// addF64s adds the encoded values in place.
 	f := func(head, x []float64) bool {
 		b := EncodeF64s(x)
-		dec := DecodeF64s(b)
 		app := AppendF64s(slices.Clone(head), b)
-		return same(dec, x) && cap(dec) == len(x) && same(app, append(slices.Clone(head), x...))
+		acc := make([]float64, len(x))
+		addF64s(acc, b)
+		return same(app, append(slices.Clone(head), x...)) && same(acc, x)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

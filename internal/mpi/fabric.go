@@ -49,7 +49,7 @@ type link struct {
 type Fabric struct {
 	net *simnet.Network
 	// wire carries every channel's WireMsgs to deliverPacket, bound once:
-	// a marker is a value from Send to its delivery.
+	// a message is a value from Send to its delivery.
 	wire     *simnet.Wire[WireMsg]
 	nodeOf   []int           // node+1 per endpoint index, 0 = not placed
 	handlers []func(WireMsg) // per endpoint index, nil = unbound
@@ -58,9 +58,11 @@ type Fabric struct {
 	// path is two slice indexings and opening a link allocates nothing but
 	// a 64th of a chunk of channels (simnet.Wire.NewChan).
 	links [][]link
-	// lent is the Packet an inline message is rebuilt into for a Bind
-	// handler, for the length of the call.
+	// lent is the Packet a message is rebuilt into for a Bind handler,
+	// for the length of the call.
 	lent Packet
+	// bodies is the rest of the chunk Send carves body slots from.
+	bodies []wireBody
 
 	// msgs and payloadBytes count the traffic (obs.MFabricMsgs,
 	// obs.MFabricPayloadBytes) once SetMetrics names a registry.
@@ -106,11 +108,14 @@ func (f *Fabric) Placed(id int) bool {
 }
 
 // Bind registers the packet handler for an endpoint.  The handler runs as
-// an event callback for every packet addressed to the endpoint.  A payload
-// is its own heap Packet; a marker or control packet that travelled inline
-// is lent for the call (WireMsg), so a handler that keeps one copies it.
+// an event callback for every packet addressed to the endpoint.  Every
+// packet, of any kind, is lent for the call (WireMsg), so a handler that
+// keeps one copies it.
 func (f *Fabric) Bind(id int, h func(*Packet)) {
-	f.BindWire(id, func(m WireMsg) { h(m.packet(&f.lent)) })
+	f.BindWire(id, func(m WireMsg) {
+		h(m.packet(&f.lent))
+		f.lent.Data = nil // f.lent must not keep the buffer alive
+	})
 }
 
 // BindWire registers an endpoint's handler for the messages themselves, as
@@ -193,14 +198,25 @@ func (f *Fabric) deliverPacket(m WireMsg) {
 
 // Send transmits a packet from src to dst over their FIFO channel, as the
 // link's next Seq.  It reads p and never keeps it, so the caller's packet
-// may live on its stack: a marker or control packet goes inline, anything
-// else as one heap copy (WireMsg).  Sending to an unplaced endpoint, or to
-// an id below the service range, panics (programming error); sending to an
-// unbound one silently drops at delivery time (peer died).
+// may live on its stack: the header travels in the WireMsg itself, and
+// Data and VSize, when the packet has either, in a body slot carved from
+// the Fabric's chunk.  Sending to an unplaced endpoint, or to an id below
+// the service range, panics (programming error), as does a header the
+// record cannot hold; sending to an unbound endpoint silently drops at
+// delivery time (peer died).
 func (f *Fabric) Send(src, dst int, p *Packet) {
 	l := f.linkFor(src, dst)
 	l.seq++
+	m := header(p, src, dst, l.seq)
+	if p.Data != nil || p.VSize != 0 {
+		if len(f.bodies) == 0 {
+			f.bodies = make([]wireBody, bodyChunk)
+		}
+		m.body = &f.bodies[0]
+		f.bodies = f.bodies[1:]
+		*m.body = wireBody{p.Data, p.VSize}
+	}
 	f.msgs.Inc()
 	f.payloadBytes.Add(p.PayloadSize())
-	l.ch.Send(newWireMsg(p, src, dst, l.seq), p.WireSize())
+	l.ch.Send(m, p.WireSize())
 }

@@ -149,9 +149,7 @@ func (e *Engine) FTReset() {
 		return
 	}
 	e.AbortColl()
-	for i := range e.unexpected {
-		e.unexpected[i] = nil
-	}
+	clear(e.unexpected)
 	e.unexpected = e.unexpected[:0]
 	e.inbox.Reset()
 	for i := range e.failed {
@@ -193,16 +191,16 @@ func (e *Engine) ftCheck(src int) {
 // in both cases releasing the in-flight operation state back to its
 // pool.  Outside FT mode it is exactly Sendrecv.  data is handed over as
 // in Send.
-func (e *Engine) TrySendrecv(dst, sendTag int, data []byte, vsize int64, src, recvTag int) (pkt *Packet, err error) {
+func (e *Engine) TrySendrecv(dst, sendTag int, data []byte, vsize int64, src, recvTag int) (pkt Packet, err error) {
 	if e.ft {
 		if e.revoked {
-			return nil, &RevokedError{Epoch: e.epoch}
+			return Packet{}, &RevokedError{Epoch: e.epoch}
 		}
 		if e.failed[dst] {
-			return nil, &ProcFailedError{Rank: dst}
+			return Packet{}, &ProcFailedError{Rank: dst}
 		}
 		if e.failed[src] {
-			return nil, &ProcFailedError{Rank: src}
+			return Packet{}, &ProcFailedError{Rank: src}
 		}
 		defer func() {
 			if r := recover(); r != nil {
@@ -211,7 +209,7 @@ func (e *Engine) TrySendrecv(dst, sendTag int, data []byte, vsize int64, src, re
 					panic(r)
 				}
 				e.AbortColl()
-				pkt, err = nil, ftErr
+				pkt, err = Packet{}, ftErr
 			}
 		}()
 	}

@@ -1,76 +1,92 @@
 package mpi
 
-import "math"
+import (
+	"fmt"
+	"math"
+)
 
 // WireMsg is a packet between Fabric.Send and its delivery: the record the
 // network's lanes, an engine's inbox and its daemon-service lane hold by
-// value.  A marker or control packet travels inline — its header fields
-// in the record, no heap object — when it carries no data, its ids, tag
-// and wave fit in int32, its Seq in uint32, and at most one of PSeq and
-// SpanID is set.  Everything else, every payload included, travels as the
-// one heap Packet in box, which the matching engine may keep.
+// value.  Every message's header rides in the record itself: its ids, tag
+// and wave as int32, its Seq as uint32, and one of PSeq and SpanID.  A
+// message with Data or a VSize also points at its body, a slot the Fabric
+// carves bodyChunk to an allocation; a marker or control packet without
+// data has none and costs no heap object at all.
 //
-// An inline message is rebuilt into a Packet only for the call that
-// consumes it (Filter.InPacket, a Bind handler): that Packet is lent, and
-// a receiver that keeps it must copy it.
+// A message is rebuilt into a Packet only for the call that consumes it
+// (Filter.InPacket, a Bind handler): that Packet is lent, and a receiver
+// that keeps it must copy it.  Rebuilding empties the body slot, so a
+// chunk whose other slots are still on the wire keeps no consumed Data
+// alive.
 type WireMsg struct {
-	box                 *Packet // the packet, when it does not travel inline
-	aux                 uint64  // PSeq, or SpanID when spanAux
+	body                *wireBody // Data and VSize, nil when the message has neither
+	aux                 uint64    // PSeq, or SpanID when spanAux
 	src, dst, tag, wave int32
 	seq                 uint32
 	kind                Kind
 	spanAux             bool
 }
 
+// wireBody is the part of a packet the record has no room for.
+type wireBody struct {
+	data  []byte
+	vsize int64
+}
+
+// bodyChunk is how many body slots the Fabric carves from one allocation:
+// 128 slots of 32 bytes are 4 KB, a malloc size class.
+const bodyChunk = 128
+
 // fits32 reports whether v survives a round trip through int32.
 func fits32(v int) bool { return v == int(int32(v)) }
 
-// newWireMsg puts p on the wire from src to dst as the seq-th packet of
-// its link.  It reads p and never keeps it: a boxed message holds a copy.
-func newWireMsg(p *Packet, src, dst int, seq uint64) WireMsg {
-	if p.Kind != KindPayload && p.Data == nil && p.VSize == 0 && seq <= math.MaxUint32 &&
-		fits32(src) && fits32(dst) && fits32(p.Tag) && fits32(p.Wave) && (p.PSeq == 0 || p.SpanID == 0) {
-		m := WireMsg{src: int32(src), dst: int32(dst), tag: int32(p.Tag), wave: int32(p.Wave),
-			seq: uint32(seq), kind: p.Kind, aux: p.PSeq}
-		if p.SpanID != 0 {
-			m.aux, m.spanAux = p.SpanID, true
-		}
-		return m
+// header puts p's header on the wire from src to dst as the seq-th packet
+// of its link, without its body.  It reads p and never keeps it.  A header
+// the record cannot hold is a programming error: ids, tags and waves are
+// small, a link does not carry 2^32 packets, and only a marker has a span.
+func header(p *Packet, src, dst int, seq uint64) WireMsg {
+	// The panics name the fields, not p: passing p on would make every
+	// caller's packet escape to the heap.
+	if seq > math.MaxUint32 || !fits32(src) || !fits32(dst) || !fits32(p.Tag) || !fits32(p.Wave) {
+		panic(fmt.Sprintf("mpi: %v %d->%d tag=%d wave=%d as packet %d of its link: a header field exceeds the wire record",
+			p.Kind, src, dst, p.Tag, p.Wave, seq))
 	}
-	b := new(Packet)
-	*b = *p
-	b.Src, b.Dst, b.Seq = src, dst, seq
-	return WireMsg{box: b}
+	if p.PSeq != 0 && p.SpanID != 0 {
+		panic(fmt.Sprintf("mpi: %v %d->%d tag=%d carries both PSeq %d and SpanID %d", p.Kind, src, dst, p.Tag, p.PSeq, p.SpanID))
+	}
+	m := WireMsg{src: int32(src), dst: int32(dst), tag: int32(p.Tag), wave: int32(p.Wave),
+		seq: uint32(seq), kind: p.Kind, aux: p.PSeq}
+	if p.SpanID != 0 {
+		m.aux, m.spanAux = p.SpanID, true
+	}
+	return m
 }
 
 // dest returns the destination endpoint.
-func (m *WireMsg) dest() int {
-	if m.box != nil {
-		return m.box.Dst
-	}
-	return int(m.dst)
-}
+func (m *WireMsg) dest() int { return int(m.dst) }
 
-// payloadSize returns the payload bytes the message represents: none for
-// an inline one.
+// payloadSize returns the payload bytes the message represents: none
+// without a body.
 func (m *WireMsg) payloadSize() int64 {
-	if m.box != nil {
-		return m.box.PayloadSize()
+	if b := m.body; b != nil {
+		return max(int64(len(b.data)), b.vsize)
 	}
 	return 0
 }
 
-// packet returns the message as a Packet: the box itself, or the inline
-// header rebuilt into lent, which the caller owns and lends.
+// packet rebuilds the message into lent, which the caller owns and lends,
+// and returns it.  It consumes the body: its slot is emptied, so a message
+// is rebuilt once.
 func (m *WireMsg) packet(lent *Packet) *Packet {
-	if m.box != nil {
-		return m.box
-	}
 	*lent = Packet{Src: int(m.src), Dst: int(m.dst), Kind: m.kind, Tag: int(m.tag), Seq: uint64(m.seq), Wave: int(m.wave)}
 	if m.spanAux {
 		lent.SpanID = m.aux
 	} else {
 		lent.PSeq = m.aux
+	}
+	if b := m.body; b != nil {
+		lent.Data, lent.VSize = b.data, b.vsize
+		*b = wireBody{}
 	}
 	return lent
 }

@@ -76,13 +76,13 @@ func (j *Jacobi) Step(e *mpi.Engine) bool {
 	case jacExchUp:
 		if j.Rank > 0 {
 			p := e.Sendrecv(j.Rank-1, jacTagUp, mpi.EncodeF64s(j.Cur[n:2*n]), 0, j.Rank-1, jacTagDown)
-			j.recvHalo(j.Cur[0:n], p, jacTagDown)
+			j.recvHalo(j.Cur[0:n], &p, jacTagDown)
 		}
 		j.Phase = jacExchDown
 	case jacExchDown:
 		if j.Rank < j.Size-1 {
 			p := e.Sendrecv(j.Rank+1, jacTagDown, mpi.EncodeF64s(j.Cur[rows*n:(rows+1)*n]), 0, j.Rank+1, jacTagUp)
-			j.recvHalo(j.Cur[(rows+1)*n:], p, jacTagUp)
+			j.recvHalo(j.Cur[(rows+1)*n:], &p, jacTagUp)
 		}
 		j.Phase = jacCompute
 	case jacCompute:

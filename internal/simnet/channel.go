@@ -210,7 +210,7 @@ func (c *Chan[T]) start(m message[T]) {
 	side := c.sideState()
 	f := side.flow
 	if f == nil {
-		f = &Flow{net: n, latency: n.Latency(src, dst), owner: c}
+		f = &Flow{net: n, latency: n.Latency(src, dst), payload: flowOwner(c)}
 		if n.Cluster(src) != n.Cluster(dst) {
 			f.cap = n.topo.WanFlowCap
 		}

@@ -132,8 +132,10 @@ type Flow struct {
 	size    Bytes
 	latency sim.Time
 	fn      func(any) // StartFlow API completion, called with payload; nil for channel flows
-	owner   flowOwner // owning channel for bulk channel messages
-	payload any       // fn's argument
+	// payload is fn's argument, or, when fn is nil, the flowOwner of a
+	// bulk channel message: one field for both keeps a Flow, and so a
+	// log store op that holds one, a size class smaller.
+	payload any
 }
 
 // flowOwner is the channel a bulk channel message's Flow belongs to,
@@ -336,9 +338,11 @@ func (f *Flow) transferComplete() {
 		n.leave(f)
 	}
 	at := n.k.Now() + f.latency
-	if f.owner != nil {
-		f.owner.transferred(at, f.size)
-		return
+	if f.fn == nil {
+		if o, ok := f.payload.(flowOwner); ok {
+			o.transferred(at, f.size)
+			return
+		}
 	}
 	n.k.AtArg(at, deliverFlow, f)
 }

@@ -141,7 +141,7 @@ func compareSolvers(t testing.TB, ops []flowOp) (ended, off, downstream int) {
 	n := New(k, solverTopo)
 	got, cancelled := runSchedule(t, k, ops, func(op flowOp) solverFlow {
 		e := &endedFlow{Flow: n.StartFlowCapped(op.src, op.dst, op.size, op.cap, nil), end: -1}
-		e.owner = e
+		e.payload = flowOwner(e)
 		return e
 	})
 	rk := sim.New(1)

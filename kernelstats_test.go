@@ -132,8 +132,10 @@ func TestOverloadedMlogReturns(t *testing.T) {
 // log record that regrows costs bytes too.  mlog-256 is the per-record
 // logging path at the benchmark's proto-matrix-256 size.  A change that
 // allocates more or less re-records the values (last, every row: when a
-// model payload came to be a piece of a per-rank chunk and a logged
-// message one store op with its flow inside) and says so.
+// message's header came to ride in its wire record and its Data in a
+// slot of a body chunk) and says so.  A re-record only tightens: a row
+// whose bytes came out above the recorded value keeps it (mlog-256,
+// mlog-64-nofail and ulfm-node-8 then, by 0.1-1.3 %).
 func TestAllocCeilings(t *testing.T) {
 	if testing.Short() || raceEnabled {
 		t.Skip("allocation counts are recorded for a plain, full run")

@@ -131,7 +131,7 @@ var scenarios = func() []scenario {
 		// a spare, and the non-blocking protocol, each without a restart.
 		{name: "ulfm-rank-8", opts: ulfm(Pcl, KillRank(40*ms, 3)), repeat: 1, post: repairedInJob},
 		{name: "ulfm-node-8", opts: ulfm(Pcl, KillNode(40*ms, 3)), pinned: true, repeat: 1, post: repairedInJob,
-			budget: &budget{mallocs: 81_776, bytes: 119_375_152}},
+			budget: &budget{mallocs: 45_676, bytes: 119_375_152}},
 		{name: "ulfm-vcl-8", opts: ulfm(Vcl, KillRank(40*ms, 3)), repeat: 1, post: repairedInJob},
 		// Replication, heartbeats and failover: retry timers, failover
 		// fetches and bulk-flow delivery order.  replicated-hb-8's recorded
@@ -173,7 +173,7 @@ var scenarios = func() []scenario {
 		{name: "storage-hier-8", opts: hier(true, KillBuffer(9*ms, 1), KillRank(17*ms, 3)),
 			pinned: true, repeat: 1, post: recovered},
 		{name: "storage-incremental-8", opts: hier(false, KillBuffer(9*ms, 1), KillRank(17*ms, 3)),
-			budget: &budget{mallocs: 55_512, bytes: 7_063_520}},
+			budget: &budget{mallocs: 51_183, bytes: 6_877_264}},
 		{name: "storage-chaos-8", opts: hier(false), repeat: 1, post: bufferThenRankKill,
 			chaos: &ChaosSpec{Seed: 1, Kills: 3, BufferFrac: 0.5, From: 6 * ms, Until: 16 * ms}},
 		{name: "shared-image-pcl-8", opts: shared(Pcl), post: restoredTwice},
@@ -198,16 +198,16 @@ var scenarios = func() []scenario {
 		{name: "vcl-256", opts: kernel(Vcl, 256, 2*s),
 			budget: &budget{heapPerRank: 4, counts: [3]uint64{2_172_078, 1_974_706, 60_688}}},
 		{name: "mlog-256", opts: kernel(Mlog, 256, 2*s),
-			budget: &budget{mallocs: 775_835, bytes: 173_354_592, heapPerRank: 4, counts: [3]uint64{3_645_551, 2_962_683, 365_731}}},
-		{name: "pcl-64-nofail", opts: kernel(Pcl, 64, 8*s), budget: &budget{mallocs: 93_791}},
-		{name: "vcl-64-nofail", opts: kernel(Vcl, 64, 8*s), budget: &budget{mallocs: 90_560}},
-		{name: "mlog-64-nofail", opts: kernel(Mlog, 64, 8*s), budget: &budget{mallocs: 180_132, bytes: 42_377_776}},
+			budget: &budget{mallocs: 460_013, bytes: 173_354_592, heapPerRank: 4, counts: [3]uint64{3_645_551, 2_962_683, 365_731}}},
+		{name: "pcl-64-nofail", opts: kernel(Pcl, 64, 8*s), budget: &budget{mallocs: 14_447}},
+		{name: "vcl-64-nofail", opts: kernel(Vcl, 64, 8*s), budget: &budget{mallocs: 11_228}},
+		{name: "mlog-64-nofail", opts: kernel(Mlog, 64, 8*s), budget: &budget{mallocs: 102_125, bytes: 42_377_776}},
 		// Overload: 64 images of 3.9 MB every 400 ms offer four servers
 		// 625 MB/s.  Before Mlog deferred a tick while its last image was
 		// in flight, this run never returned.  Its counts were re-recorded
 		// with the NP=256 rows' (3 163 884 / 749 387 / 2 335 144 before).
 		{name: "mlog-64-overload", opts: kernel(Mlog, 64, 400*ms),
-			budget: &budget{mallocs: 425_797, bytes: 57_709_608, heapPerRank: 4, counts: [3]uint64{931_921, 749_386, 103_229}}},
+			budget: &budget{mallocs: 335_708, bytes: 57_553_536, heapPerRank: 4, counts: [3]uint64{931_921, 749_386, 103_229}}},
 	}
 }()
 
