@@ -338,7 +338,7 @@ func BenchmarkAblationRestartCost(b *testing.B) {
 				}
 				cfg = ablationBase(2 * time.Second)
 				cfg.NewProgram = func(rank, size int) mpi.Program { return nas.NewBTModel(class, rank, size) }
-				cfg.Failures = failure.KillAt(base.Completion/2, 3)
+				cfg.Failures = failure.Plan{{At: base.Completion / 2, Rank: 3}}
 				res, err := ftpm.Run(cfg)
 				if err != nil {
 					b.Fatal(err)

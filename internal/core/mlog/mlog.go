@@ -121,9 +121,6 @@ func New(h core.Host, interval sim.Time) *Mlog {
 	return m
 }
 
-// Name returns "mlog".
-func (m *Mlog) Name() string { return "mlog" }
-
 // Start starts the cadence and retransmits what our own restart lost.
 func (m *Mlog) Start() {
 	m.cad.Start()

@@ -72,9 +72,6 @@ func New(h core.Host, interval sim.Time) *Pcl {
 	return p
 }
 
-// Name returns "pcl".
-func (p *Pcl) Name() string { return "pcl" }
-
 // Start re-emits delayed sends restored from an image and starts the cadence.
 func (p *Pcl) Start() {
 	for _, pkt := range p.delayedSend {

@@ -94,8 +94,6 @@ func (f LogSinkFunc) LogsStored() { f() }
 // the device filter (mpi.Filter) with lifecycle hooks.
 type Protocol interface {
 	mpi.Filter
-	// Name identifies the protocol ("pcl", "vcl", "mlog", "none").
-	Name() string
 	// Start runs when the process (fresh or restarted) begins executing:
 	// start the Cadence, flush restored delayed sends.
 	Start()
@@ -129,9 +127,6 @@ func Done(wave int) mpi.Packet {
 
 // None is the checkpoint-free protocol used by baseline runs.
 type None struct{ mpi.PassFilter }
-
-// Name returns "none".
-func (None) Name() string { return "none" }
 
 // Start is a no-op.
 func (None) Start() {}

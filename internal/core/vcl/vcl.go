@@ -46,9 +46,6 @@ func New(h core.Host) *Vcl {
 	return &Vcl{h: h, markerFrom: make([]bool, h.Size())}
 }
 
-// Name returns "vcl".
-func (v *Vcl) Name() string { return "vcl" }
-
 // Start is a no-op: waves are driven by the scheduler.
 func (v *Vcl) Start() {}
 

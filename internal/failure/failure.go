@@ -100,19 +100,6 @@ func (p Plan) Sorted() Plan {
 	return q
 }
 
-// KillAt builds a single-rank-failure plan.
-func KillAt(at sim.Time, rank int) Plan { return Plan{{At: at, Rank: rank}} }
-
-// KillNodeAt builds a single-node-failure plan.
-func KillNodeAt(at sim.Time, node int) Plan {
-	return Plan{{At: at, Kind: KindNode, Node: node}}
-}
-
-// KillServerAt builds a single-checkpoint-server-failure plan.
-func KillServerAt(at sim.Time, server int) Plan {
-	return Plan{{At: at, Kind: KindServer, Server: server}}
-}
-
 // Exponential draws failure inter-arrival times with the given MTTF,
 // choosing victims uniformly — the memoryless failure model used for
 // MTTF-vs-checkpoint-interval tuning studies (paper §6).  One instance

@@ -31,16 +31,6 @@ func TestPlanSortedStable(t *testing.T) {
 	}
 }
 
-func TestKillAt(t *testing.T) {
-	p := KillAt(5*time.Second, 3)
-	if len(p) != 1 || p[0].At != 5*time.Second || p[0].Rank != 3 {
-		t.Fatalf("plan %v", p)
-	}
-	if p[0].Kind != KindRank || p[0].Victim() != 3 {
-		t.Fatalf("kind %v victim %d", p[0].Kind, p[0].Victim())
-	}
-}
-
 func TestKindRoundTrip(t *testing.T) {
 	// Server and node kills keep their kind and victim through a sorted
 	// schedule, and the zero value still means a rank kill.
@@ -63,10 +53,10 @@ func TestKindRoundTrip(t *testing.T) {
 			t.Fatalf("event %d: kind name %q", i, s[i].Kind.String())
 		}
 	}
-	if got := KillServerAt(time.Second, 2)[0].String(); got != "kill server 2 @ 1s" {
+	if got := (Event{At: time.Second, Kind: KindServer, Server: 2}).String(); got != "kill server 2 @ 1s" {
 		t.Fatalf("String: %q", got)
 	}
-	if got := KillNodeAt(time.Second, 5)[0].String(); got != "kill node 5 @ 1s" {
+	if got := (Event{At: time.Second, Kind: KindNode, Node: 5}).String(); got != "kill node 5 @ 1s" {
 		t.Fatalf("String: %q", got)
 	}
 }

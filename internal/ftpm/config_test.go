@@ -76,18 +76,18 @@ func TestValidateStorageRejections(t *testing.T) {
 		}, "Storage.Levels"},
 		// Scripted kills must name a victim that exists (4 ranks, 2
 		// servers, 2 PFS targets); the index is the offending event's.
-		{"failure rank", func(c *Config) { c.Failures = failure.KillAt(time.Millisecond, 4) }, "Failures[0].Rank"},
-		{"failure negative rank", func(c *Config) { c.Failures = failure.KillAt(time.Millisecond, -1) }, "Failures[0].Rank"},
+		{"failure rank", func(c *Config) { c.Failures = failure.Plan{{At: time.Millisecond, Rank: 4}} }, "Failures[0].Rank"},
+		{"failure negative rank", func(c *Config) { c.Failures = failure.Plan{{At: time.Millisecond, Rank: -1}} }, "Failures[0].Rank"},
 		{"failure server", func(c *Config) {
-			c.Failures = append(failure.KillAt(time.Millisecond, 3), failure.KillServerAt(time.Millisecond, 2)...)
+			c.Failures = failure.Plan{{At: time.Millisecond, Rank: 3}, {At: time.Millisecond, Kind: failure.KindServer, Server: 2}}
 		}, "Failures[1].Server"},
 		{"failure pfs target", func(c *Config) {
 			c.Failures = failure.Plan{{At: time.Millisecond, Kind: failure.KindPFS, Server: 2}}
 		}, "Failures[0].Server"},
 		// ... on a platform of 12 nodes, 4 of them compute nodes with a
 		// staging buffer, at a time the run reaches.
-		{"failure node", func(c *Config) { c.Failures = failure.KillNodeAt(time.Millisecond, 12) }, "Failures[0].Node"},
-		{"failure negative node", func(c *Config) { c.Failures = failure.KillNodeAt(time.Millisecond, -1) }, "Failures[0].Node"},
+		{"failure node", func(c *Config) { c.Failures = failure.Plan{{At: time.Millisecond, Kind: failure.KindNode, Node: 12}} }, "Failures[0].Node"},
+		{"failure negative node", func(c *Config) { c.Failures = failure.Plan{{At: time.Millisecond, Kind: failure.KindNode, Node: -1}} }, "Failures[0].Node"},
 		{"failure buffer node", func(c *Config) {
 			c.Failures = failure.Plan{{At: time.Millisecond, Kind: failure.KindBuffer, Node: 4}}
 		}, "Failures[0].Node"},
@@ -104,7 +104,7 @@ func TestValidateStorageRejections(t *testing.T) {
 			c.Failures = failure.Plan{{At: time.Millisecond, Kind: failure.KindPFS}}
 		}, "Failures[0].Kind"},
 		{"failure kind", func(c *Config) { c.Failures = failure.Plan{{At: time.Millisecond, Kind: 9}} }, "Failures[0].Kind"},
-		{"failure time", func(c *Config) { c.Failures = failure.KillAt(-time.Millisecond, 0) }, "Failures[0].At"},
+		{"failure time", func(c *Config) { c.Failures = failure.Plan{{At: -time.Millisecond, Rank: 0}} }, "Failures[0].At"},
 		{"interval", func(c *Config) { c.Interval = -time.Millisecond }, "Interval"},
 		// A server failure process needs servers to draw its victims from.
 		{"server mttf without servers", func(c *Config) {

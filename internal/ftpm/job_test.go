@@ -228,7 +228,7 @@ func TestPclRecovery(t *testing.T) {
 	cfg := baseCfg(8)
 	cfg.Protocol = ProtoPcl
 	cfg.Interval = 15 * time.Millisecond
-	cfg.Failures = failure.KillAt(60*time.Millisecond, 3)
+	cfg.Failures = failure.Plan{{At: 60 * time.Millisecond, Rank: 3}}
 	res, progs := runOK(t, cfg)
 	if res.Restarts != 1 {
 		t.Fatalf("restarts = %d", res.Restarts)
@@ -245,7 +245,7 @@ func TestVclRecoveryReplaysChannelState(t *testing.T) {
 	cfg := baseCfg(8)
 	cfg.Protocol = ProtoVcl
 	cfg.Interval = 15 * time.Millisecond
-	cfg.Failures = failure.KillAt(60*time.Millisecond, 5)
+	cfg.Failures = failure.Plan{{At: 60 * time.Millisecond, Rank: 5}}
 	res, progs := runOK(t, cfg)
 	if res.Restarts != 1 {
 		t.Fatalf("restarts = %d", res.Restarts)
@@ -262,7 +262,7 @@ func TestFailureBeforeFirstCommitRestartsFromScratch(t *testing.T) {
 	cfg := baseCfg(6)
 	cfg.Protocol = ProtoPcl
 	cfg.Interval = 10 * time.Second // no wave before the failure
-	cfg.Failures = failure.KillAt(10*time.Millisecond, 0)
+	cfg.Failures = failure.Plan{{At: 10 * time.Millisecond, Rank: 0}}
 	res, progs := runOK(t, cfg)
 	if res.Restarts != 1 || res.LastWave != 0 {
 		t.Fatalf("restarts=%d lastWave=%d", res.Restarts, res.LastWave)

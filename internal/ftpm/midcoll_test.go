@@ -75,7 +75,7 @@ func TestCheckpointInsideCollective(t *testing.T) {
 			// Waves land ~mid-step, while ranks 1..5 sit inside the
 			// allreduce waiting for rank 0's skewed arrival.
 			cfg.Interval = 25 * time.Millisecond
-			cfg.Failures = failure.KillAt(130*time.Millisecond, 4)
+			cfg.Failures = failure.Plan{{At: 130 * time.Millisecond, Rank: 4}}
 			job, err := NewJob(cfg)
 			if err != nil {
 				t.Fatal(err)

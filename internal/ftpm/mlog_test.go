@@ -42,7 +42,7 @@ func TestMlogFailureFree(t *testing.T) {
 func TestMlogSingleProcessRecovery(t *testing.T) {
 	want := reference(t, 6)
 	cfg := mlogCfg(6)
-	cfg.Failures = failure.KillAt(80*time.Millisecond, 3)
+	cfg.Failures = failure.Plan{{At: 80 * time.Millisecond, Rank: 3}}
 	res, progs := runOK(t, cfg)
 	if res.Restarts != 1 {
 		t.Fatalf("restarts = %d", res.Restarts)
@@ -58,7 +58,7 @@ func TestMlogRecoveryBeforeFirstCheckpoint(t *testing.T) {
 	want := reference(t, 5)
 	cfg := mlogCfg(5)
 	cfg.Interval = 10 * time.Second // no checkpoint before the failure
-	cfg.Failures = failure.KillAt(40*time.Millisecond, 2)
+	cfg.Failures = failure.Plan{{At: 40 * time.Millisecond, Rank: 2}}
 	res, progs := runOK(t, cfg)
 	if res.Restarts != 1 {
 		t.Fatalf("restarts = %d", res.Restarts)
@@ -95,7 +95,7 @@ func TestMlogMultipleFailuresDifferentRanks(t *testing.T) {
 // restart happens.
 func TestMlogNoGlobalRollback(t *testing.T) {
 	cfg := mlogCfg(6)
-	cfg.Failures = failure.KillAt(100*time.Millisecond, 0)
+	cfg.Failures = failure.Plan{{At: 100 * time.Millisecond, Rank: 0}}
 	res, _ := runOK(t, cfg)
 	if res.Restarts != 1 {
 		t.Fatalf("restarts = %d, want exactly the failed rank's", res.Restarts)

@@ -22,7 +22,7 @@ func TestNodeLossRemapsToSpare(t *testing.T) {
 	cfg := nodeLossCfg(8)
 	cfg.Protocol = ProtoPcl
 	cfg.Interval = 15 * time.Millisecond
-	cfg.Failures = failure.KillNodeAt(60*time.Millisecond, 1) // node 1 hosts ranks 2,3
+	cfg.Failures = failure.Plan{{At: 60 * time.Millisecond, Kind: failure.KindNode, Node: 1}} // node 1 hosts ranks 2,3
 	job, err := NewJob(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -94,7 +94,7 @@ func TestNodeLossLocalRecovery(t *testing.T) {
 	cfg := nodeLossCfg(8)
 	cfg.Protocol = ProtoMlog
 	cfg.Interval = 25 * time.Millisecond
-	cfg.Failures = failure.KillNodeAt(80*time.Millisecond, 2) // node 2: ranks 4,5
+	cfg.Failures = failure.Plan{{At: 80 * time.Millisecond, Kind: failure.KindNode, Node: 2}} // node 2: ranks 4,5
 	job, err := NewJob(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -381,10 +381,10 @@ func TestRestartSpansClosed(t *testing.T) {
 		kill     failure.Plan
 		fromZero bool
 	}{
-		{"scratch", 6, ProtoPcl, 10 * time.Second, failure.KillAt(10*time.Millisecond, 0), true},
-		{"pcl", 4, ProtoPcl, 15 * time.Millisecond, failure.KillAt(40*time.Millisecond, 2), false},
-		{"vcl", 4, ProtoVcl, 15 * time.Millisecond, failure.KillAt(40*time.Millisecond, 2), false},
-		{"mlog", 4, ProtoMlog, 15 * time.Millisecond, failure.KillAt(30*time.Millisecond, 1), false},
+		{"scratch", 6, ProtoPcl, 10 * time.Second, failure.Plan{{At: 10 * time.Millisecond, Rank: 0}}, true},
+		{"pcl", 4, ProtoPcl, 15 * time.Millisecond, failure.Plan{{At: 40 * time.Millisecond, Rank: 2}}, false},
+		{"vcl", 4, ProtoVcl, 15 * time.Millisecond, failure.Plan{{At: 40 * time.Millisecond, Rank: 2}}, false},
+		{"mlog", 4, ProtoMlog, 15 * time.Millisecond, failure.Plan{{At: 30 * time.Millisecond, Rank: 1}}, false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -46,7 +46,7 @@ func TestULFMRepairSurvivesKill(t *testing.T) {
 	t.Logf("failure-free completion %v", ref.Completion)
 
 	cfg := ulfmCfg(8)
-	cfg.Failures = failure.KillAt(60*time.Millisecond, 3)
+	cfg.Failures = failure.Plan{{At: 60 * time.Millisecond, Rank: 3}}
 	res, progs := runOK(t, cfg)
 	if res.Restarts != 0 {
 		t.Fatalf("ULFM recovery fell back to %d restarts", res.Restarts)
@@ -76,7 +76,7 @@ func TestULFMRepairVcl(t *testing.T) {
 
 	cfg = ulfmCfg(8)
 	cfg.Protocol = ProtoVcl
-	cfg.Failures = failure.KillAt(60*time.Millisecond, 3)
+	cfg.Failures = failure.Plan{{At: 60 * time.Millisecond, Rank: 3}}
 	res, progs := runOK(t, cfg)
 	if res.Restarts != 0 || res.Repairs != 1 {
 		t.Fatalf("Restarts = %d, Repairs = %d, want 0/1", res.Restarts, res.Repairs)
@@ -92,7 +92,7 @@ func TestULFMRepairVcl(t *testing.T) {
 // fall back to the classic rollback-restart.
 func TestULFMFallbackBeforeFirstSnapshot(t *testing.T) {
 	cfg := ulfmCfg(8)
-	cfg.Failures = failure.KillAt(200*time.Microsecond, 3)
+	cfg.Failures = failure.Plan{{At: 200 * time.Microsecond, Rank: 3}}
 	res, _ := runOK(t, cfg)
 	if res.Repairs != 0 {
 		t.Fatalf("Repairs = %d, want 0 (no snapshot existed yet)", res.Repairs)
@@ -107,7 +107,7 @@ func TestULFMFallbackBeforeFirstSnapshot(t *testing.T) {
 func TestULFMDeterminism(t *testing.T) {
 	run := func() (Result, float64) {
 		cfg := ulfmCfg(8)
-		cfg.Failures = failure.KillAt(60*time.Millisecond, 3)
+		cfg.Failures = failure.Plan{{At: 60 * time.Millisecond, Rank: 3}}
 		res, progs := runOK(t, cfg)
 		return res, jacobiResidual(t, progs)
 	}
@@ -143,7 +143,7 @@ func TestULFMHeartbeatRepair(t *testing.T) {
 	cfg := ulfmCfg(8)
 	cfg.Heartbeat.Period = 2 * time.Millisecond
 	cfg.Heartbeat.Timeout = 8 * time.Millisecond
-	cfg.Failures = failure.KillAt(60*time.Millisecond, 3)
+	cfg.Failures = failure.Plan{{At: 60 * time.Millisecond, Rank: 3}}
 	res, _ := runOK(t, cfg)
 	if res.Restarts != 0 || res.Repairs != 1 {
 		t.Fatalf("Restarts = %d, Repairs = %d, want 0/1", res.Restarts, res.Repairs)

@@ -28,7 +28,7 @@ func TestServerFailoverRecovery(t *testing.T) {
 			cfg.Failures = failure.Plan{
 				// Server 0 dies while wave transfers are typically in
 				// flight; server 0 is the primary for even ranks.
-				failure.KillServerAt(35*time.Millisecond, 0)[0],
+				failure.Event{At: 35 * time.Millisecond, Kind: failure.KindServer, Server: 0},
 				// Rank 2's primary is the dead server: its recovery
 				// fetch must fail over to the surviving replica.
 				{At: 80 * time.Millisecond, Rank: 2},
@@ -67,7 +67,7 @@ func TestServerFailoverDeterministic(t *testing.T) {
 		cfg.Interval = 15 * time.Millisecond
 		replicated(&cfg, ckpt.LevelSpec{Replicas: 2, WriteQuorum: 1, StoreRetries: 1, RetryBackoff: time.Millisecond})
 		cfg.Failures = failure.Plan{
-			failure.KillServerAt(35*time.Millisecond, 0)[0],
+			failure.Event{At: 35 * time.Millisecond, Kind: failure.KindServer, Server: 0},
 			{At: 80 * time.Millisecond, Rank: 2},
 		}
 		res, _ := runOK(t, cfg)
@@ -98,7 +98,7 @@ func TestDegradedStopWithoutReplication(t *testing.T) {
 	cfg.Failures = failure.Plan{
 		// Server 0 dies between waves, after at least one commit; rank
 		// 2's only image copy dies with it.
-		failure.KillServerAt(40*time.Millisecond, 0)[0],
+		failure.Event{At: 40 * time.Millisecond, Kind: failure.KindServer, Server: 0},
 		{At: 80 * time.Millisecond, Rank: 2},
 	}
 	job, err := NewJob(cfg)
@@ -136,7 +136,7 @@ func TestHeartbeatDetection(t *testing.T) {
 	cfg.Interval = 15 * time.Millisecond
 	cfg.Heartbeat.Period = 2 * time.Millisecond
 	cfg.Heartbeat.Timeout = 8 * time.Millisecond
-	cfg.Failures = failure.KillAt(60*time.Millisecond, 3)
+	cfg.Failures = failure.Plan{{At: 60 * time.Millisecond, Rank: 3}}
 	res, progs := runOK(t, cfg)
 	if res.Restarts != 1 {
 		t.Fatalf("restarts = %d", res.Restarts)
@@ -171,7 +171,7 @@ func TestHeartbeatDetectsServerDeath(t *testing.T) {
 	replicated(&cfg, ckpt.LevelSpec{Replicas: 2, WriteQuorum: 1})
 	cfg.Heartbeat.Period = 2 * time.Millisecond
 	cfg.Heartbeat.Timeout = 8 * time.Millisecond
-	cfg.Failures = failure.KillServerAt(35*time.Millisecond, 1)
+	cfg.Failures = failure.Plan{{At: 35 * time.Millisecond, Kind: failure.KindServer, Server: 1}}
 	res, _ := runOK(t, cfg)
 	if res.ServerFailures != 1 {
 		t.Fatalf("server failures = %d", res.ServerFailures)

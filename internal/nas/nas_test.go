@@ -118,12 +118,12 @@ func TestCGModelRunsPow2AndOdd(t *testing.T) {
 // failureAtHalf kills rank 2 halfway through the reference job's runtime.
 func failureAtHalf(t *testing.T, ref *ftpm.Job) failure.Plan {
 	t.Helper()
-	return failure.KillAt(ref.Kernel().Now()/2, 2)
+	return failure.Plan{{At: ref.Kernel().Now() / 2, Rank: 2}}
 }
 
 // failureAtHalfTime kills a rank at a precomputed midpoint.
 func failureAtHalfTime(half sim.Time, rank int) failure.Plan {
-	return failure.KillAt(half, rank)
+	return failure.Plan{{At: half, Rank: rank}}
 }
 
 // recoveryCfg builds an ftpm config for a workload factory.
@@ -161,7 +161,7 @@ func TestCGRecoveryExact(t *testing.T) {
 			cfg := recoveryCfg(4, mk)
 			cfg.Protocol = proto
 			cfg.Interval = 3 * time.Millisecond
-			cfg.Failures = failure.KillAt(8*time.Millisecond, 2)
+			cfg.Failures = failure.Plan{{At: 8 * time.Millisecond, Rank: 2}}
 			job, err := ftpm.NewJob(cfg)
 			if err != nil {
 				t.Fatal(err)
@@ -201,7 +201,7 @@ func TestBTModelRecovery(t *testing.T) {
 	cfg := recoveryCfg(4, mk)
 	cfg.Protocol = ftpm.ProtoPcl
 	cfg.Interval = 2 * time.Second
-	cfg.Failures = failure.KillAt(5*time.Second, 1)
+	cfg.Failures = failure.Plan{{At: 5 * time.Second, Rank: 1}}
 	job2, err := ftpm.NewJob(cfg)
 	if err != nil {
 		t.Fatal(err)

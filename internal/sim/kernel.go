@@ -30,9 +30,7 @@
 // lazily), and timers that only wake an LP (Advance) carry the *Proc
 // directly instead of a closure.  Bursts of events that share a callback
 // and never go back in time (a NIC's transmit horizon) queue in a Lane,
-// which keeps only its head in the heap (lane.go); timers that are re-armed
-// far more often than they fire (a flow's completion) live in a Timers
-// set, which likewise keeps only its earliest entry there (timers.go).
+// which keeps only its head in the heap (lane.go).
 // An event that is usually not needed need not be scheduled at all:
 // Reserve draws the key it would have, Passed tells whether it would have
 // fired yet, and Lane.AtKey schedules it at that key only once it turns
@@ -104,9 +102,9 @@ type eventSlot struct {
 	seq  uint64
 	gen  uint32
 	live bool
-	// owned marks the one slot a Lane or a Timers set keeps in the heap:
-	// arg holds the owner (a slotOwner), which re-keys the slot rather than
-	// freeing it while it has more entries.
+	// owned marks the one slot a Lane keeps in the heap: arg holds the
+	// lane (a slotOwner), which re-keys the slot rather than freeing it
+	// while it has more entries.
 	owned bool
 	// Exactly one of the payload forms is set: fn (closure callback),
 	// argFn+arg (closure-free callback), proc (wake the LP), or owned+arg.
@@ -116,8 +114,8 @@ type eventSlot struct {
 	proc  *Proc
 }
 
-// slotOwner is what the kernel sees of a Lane or a Timers set: firing its
-// slot, which sits at the heap root, dispatches its earliest entry.
+// slotOwner is what the kernel sees of a Lane: firing its slot, which sits
+// at the heap root, dispatches the lane's head.
 type slotOwner interface{ fire(idx int32) }
 
 // Kernel is a discrete-event scheduler.  Create one with New, add LPs with
@@ -173,11 +171,11 @@ func (k *Kernel) Now() Time { return k.now }
 // seed) pair always reports the same values.
 type Stats struct {
 	// Scheduled counts the keys drawn: events entered (At/After/AtArg, LP
-	// timers, lane appends, timer arms) and Reserve calls, including
-	// reserved keys whose event was never needed.  Fired counts the
-	// callbacks and LP wakes dispatched, Cancelled the successful Cancel
-	// calls (and timer re-arms and stops).  On a completed run Scheduled
-	// is Fired + Cancelled + the reserved keys never scheduled.
+	// timers, lane appends) and Reserve calls, including reserved keys
+	// whose event was never needed.  Fired counts the callbacks and LP
+	// wakes dispatched, Cancelled the successful Cancel calls.  On a
+	// completed run Scheduled is Fired + Cancelled + the reserved keys
+	// never scheduled.
 	Scheduled, Fired, Cancelled uint64
 	// HeapMax is the deepest the event heap got and SlabMax the most
 	// event slots ever allocated.
@@ -417,20 +415,13 @@ func (k *Kernel) Cancel(id EventID) bool {
 		return false
 	}
 	k.cancelled++
-	k.retire(idx)
-	return true
-}
-
-// retire marks a pending slot dead where it sits in the heap: Run frees it
-// when it surfaces, or compactHeap sooner.
-func (k *Kernel) retire(idx int32) {
-	s := &k.slab[idx]
 	s.live = false
 	s.fn, s.argFn, s.arg, s.proc = nil, nil, nil, nil
 	k.dead++
 	if k.dead > 64 && k.dead > len(k.heap)/2 {
 		k.compactHeap()
 	}
+	return true
 }
 
 // Go spawns a new LP running fn.  It may be called before Run or from any

@@ -2,15 +2,16 @@ package sim
 
 // Model-based test of the kernel's one contract: callbacks and LP wakes
 // are dispatched in (t, seq) order, where seq is the order of scheduling.
-// Programs of At/After/AtArg/Cancel/Kill/Lane.At, keyed-timer
-// Arm/Stop/Sync and Reserve/Lane.AtKey/Passed run against the real kernel
-// and against a reference that keeps every pending event in one sorted
-// slice, where an armed timer is an event and a re-arm or Stop cancels it,
-// and a reserved key is a placeholder that AtKey turns into an event and
-// that has passed once it is popped; the two logs (dispatches and Passed
-// answers) and the kernel's counters must match.  The programs come from
-// a seed (TestKernelMatchesSortedSliceModel) or from fuzzer-chosen bytes
-// (FuzzKernelModel, corpus under testdata/fuzz).
+// Programs of At/After/AtArg/Cancel/Kill/Lane.At, held-timer arms and
+// stops and Reserve/Lane.AtKey/Passed run against the real kernel and
+// against a reference that keeps every pending event in one sorted slice.
+// A held timer is an EventID kept across calls, as simnet keeps a flow's
+// completion: the real kernel re-arms it by Cancel plus AtArg and stops it
+// by Cancel.  A reserved key is a placeholder that AtKey turns into an
+// event and that has passed once it is popped.  The two logs (dispatches
+// and Passed answers) and the kernel's counters must match.  The programs
+// come from a seed (TestKernelMatchesSortedSliceModel) or from
+// fuzzer-chosen bytes (FuzzKernelModel, corpus under testdata/fuzz).
 
 import (
 	"fmt"
@@ -24,13 +25,11 @@ import (
 )
 
 const (
-	modelLanes  = 3
-	modelTimers = 3
-	// modelTimerLane marks a keyed timer's event id in modelProg.laneOf.
-	modelTimerLane = -2
-	modelLPs       = 3
-	modelLPSteps   = 6
-	modelBudget    = 400 // events one program may schedule
+	modelLanes   = 3
+	modelTimers  = 3
+	modelLPs     = 3
+	modelLPSteps = 6
+	modelBudget  = 400 // events one program may schedule
 )
 
 // modelOps is what a program can do to a machine.
@@ -40,9 +39,8 @@ type modelOps interface {
 	laneAt(lane int, t Time, id int)
 	cancel(id int)
 	kill(lp int)
-	arm(timer int, t Time, id int) // Timers.Arm: timer now fires as event id
+	arm(timer int, t Time, id int) // timer now fires as event id
 	stop(timer int)
-	sync()
 	reserve(t Time)                  // Kernel.Reserve: the next key, numbered in draw order
 	laneAtKey(lane, key int, id int) // Lane.AtKey: event id fires at key
 	passed(key int) bool
@@ -84,7 +82,7 @@ type modelProg struct {
 	data        []byte // when set, decisions come from here, not from seed
 	m           modelOps
 	budget      int
-	laneOf      []int // per event id: its lane, -1, or modelTimerLane for a keyed timer
+	laneOf      []int // per event id: its lane, or -1
 	cancellable []int
 	laneTail    [modelLanes]Time
 	log         []modelRec
@@ -172,10 +170,10 @@ func (p *modelProg) act(r modelDraw, n, self int) {
 			}
 		case op < 24 && p.budget > 0:
 			// Arm or re-arm, from two ticks into the past up to five ahead.
-			p.m.arm(r.Intn(modelTimers), p.m.now()+Time(r.Intn(8)-2), p.newID(modelTimerLane))
-			if r.Intn(3) == 0 {
-				p.m.sync()
-			}
+			p.m.arm(r.Intn(modelTimers), p.m.now()+Time(r.Intn(8)-2), p.newID(-1))
+			// One more decision is drawn and not used, so that the
+			// committed corpus inputs decode to the programs they did.
+			r.Intn(3)
 		case op < 26:
 			p.m.stop(r.Intn(modelTimers))
 		case op < 28 && p.budget > 0:
@@ -221,13 +219,9 @@ func (p *modelProg) atKey(r modelDraw, self, key int) {
 	p.m.laneAtKey(lane, key, id)
 }
 
-// A batch of operations ends synced, as Timers' callers must leave it —
-// except in a keyed timer's own callback, after which the set syncs
-// itself.
 func (p *modelProg) setup() {
 	p.inSetup = true
 	p.act(p.rng(-1), 16, -1)
-	p.m.sync()
 	p.inSetup = false
 }
 
@@ -242,9 +236,6 @@ func (p *modelProg) fire(id int) {
 	// Up to four operations: most arms re-arm a pending timer and add no
 	// event, and with three at most some programs die out early.
 	p.act(r, 1+r.Intn(4), p.laneOf[id])
-	if p.laneOf[id] != modelTimerLane || r.Intn(2) == 0 {
-		p.m.sync()
-	}
 }
 
 // lpDelay is how long LP lp sleeps in its step-th Advance.
@@ -255,21 +246,13 @@ func (p *modelProg) lpDelay(lp, step int) Time {
 // --- the real kernel ------------------------------------------------------
 
 type realMachine struct {
-	k      *Kernel
-	keys   []Key
-	p      *modelProg
-	ids    map[int]EventID
-	lanes  [modelLanes]*Lane[int]
-	lps    [modelLPs]*Proc
-	timers *Timers[*modelTimer]
-	recs   [modelTimers]modelTimer
-}
-
-// modelTimer is a record armed in the real machine's timer set: it fires
-// as event id.
-type modelTimer struct {
-	Timer
-	id int
+	k     *Kernel
+	keys  []Key
+	p     *modelProg
+	ids   map[int]EventID
+	lanes [modelLanes]*Lane[int]
+	lps   [modelLPs]*Proc
+	held  [modelTimers]EventID // each timer's last event, pending or not
 }
 
 // modelOldSlots is how many slots the real machine starts with, and
@@ -297,7 +280,6 @@ func newRealMachine(p *modelProg) *realMachine {
 	for i := range m.lanes {
 		m.lanes[i] = NewLane(m.k, m.fire)
 	}
-	m.timers = NewTimers(m.k, func(r *modelTimer) { p.fire(r.id) })
 	for i := range m.lps {
 		lp := i
 		m.lps[i] = m.k.Go(fmt.Sprint("lp", lp), func(pr *Proc) {
@@ -347,12 +329,11 @@ func (m *realMachine) cancel(id int) { m.k.Cancel(m.ids[id]) }
 func (m *realMachine) kill(lp int)   { m.k.Kill(m.lps[lp], nil) }
 
 func (m *realMachine) arm(timer int, t Time, id int) {
-	m.recs[timer].id = id
-	m.timers.Arm(&m.recs[timer], t)
+	m.k.Cancel(m.held[timer])
+	m.held[timer] = m.k.AtArg(t, m.fireArg, id)
 }
 
-func (m *realMachine) stop(timer int) { m.timers.Stop(&m.recs[timer]) }
-func (m *realMachine) sync()          { m.timers.Sync() }
+func (m *realMachine) stop(timer int) { m.k.Cancel(m.held[timer]) }
 
 func (m *realMachine) reserve(t Time)      { m.keys = append(m.keys, m.k.Reserve(t)) }
 func (m *realMachine) passed(key int) bool { return m.k.Passed(m.keys[key]) }
@@ -372,7 +353,7 @@ type refEvent struct {
 	seq   uint64
 	id    int // event id, the LP for a wake timer, or -1 for a reserved key not scheduled
 	lp    bool
-	timer int // the keyed timer this event is, or -1
+	timer int // the held timer this event is, or -1
 	key   int // the reserved key this is, or -1
 }
 
@@ -426,7 +407,6 @@ func (m *refMachine) remove(id int, lp bool) {
 func (m *refMachine) schedule(_ int, t Time, id int) { m.add(t, id, false, -1) }
 func (m *refMachine) laneAt(_ int, t Time, id int)   { m.add(t, id, false, -1) }
 func (m *refMachine) cancel(id int)                  { m.remove(id, false) }
-func (m *refMachine) sync()                          {}
 func (m *refMachine) passed(key int) bool            { return m.passedKey[key] }
 
 // reserve is a placeholder event that fires nothing.

@@ -18,8 +18,8 @@ import (
 // in r's population settles v once and re-arms only the earliest finisher —
 // the riders are a heap by (tag, seq) — where a per-flow settle re-arms
 // every member (VirtualClock, Zhang 1990).  A flow whose cap binds, and a
-// loopback flow, ride a clock of their own: a timer of their own at a
-// fixed rate.
+// loopback flow, ride a clock of their own: an event of their own at a
+// fixed rate, held in Network.own.
 //
 // A flow's bytes are settled (tag − v) only when it migrates between
 // clocks: when the least share on its path drops below the rate it rides
@@ -51,8 +51,10 @@ type resource struct {
 	last sim.Time
 	// lb is at most the rate any rider would get off this clock (alt).
 	lb Rate
-	// armed is the rider whose completion is in Network.timers.
+	// armed is the rider whose completion event ev is pending; ev is
+	// stale while armed is nil.
 	armed *Flow
+	ev    sim.EventID
 	// mark is the epoch of the flow change that last settled v; was is
 	// share as of that settle.
 	mark uint64
@@ -183,7 +185,7 @@ func (n *Network) leave(f *Flow) {
 		n.touch(r, now)
 	}
 	if f.ride == ownClock {
-		n.timers.Stop(f)
+		n.stopOwn(f)
 	}
 	for i, r := range f.res[:f.nres] {
 		if i == int(f.ride) {
@@ -252,7 +254,7 @@ func (n *Network) scan(r *resource, now sim.Time) {
 func (n *Network) migrate(g *Flow, now sim.Time) {
 	var left float64
 	if g.ride == ownClock {
-		n.timers.Stop(g)
+		n.stopOwn(g)
 		left = g.tag - float64(g.cap*(now-g.since).Seconds())
 	} else {
 		r := g.res[g.ride]
@@ -289,7 +291,7 @@ func (n *Network) board(g *Flow, i int, left float64, now sim.Time) {
 	g.ride = int8(i)
 	if i == ownClock {
 		g.tag, g.since = left, now
-		n.timers.Arm(g, now+until(left, g.cap))
+		n.own[g] = n.k.AtArg(now+until(left, g.cap), transferComplete, g)
 		return
 	}
 	r := g.res[i]
@@ -301,8 +303,8 @@ func (n *Network) board(g *Flow, i int, left float64, now sim.Time) {
 	}
 }
 
-// resync arms, for every clock the change touched, its earliest finisher
-// if that rider or the clock's share changed, and syncs the timer set.
+// resync re-arms, for every clock the change touched, its earliest
+// finisher if that rider or the clock's share changed.
 func (n *Network) resync(now sim.Time) {
 	for _, r := range n.touched {
 		if r.nr == 0 {
@@ -313,13 +315,19 @@ func (n *Network) resync(now sim.Time) {
 		if top == r.armed && r.share == r.was {
 			continue
 		}
-		if r.armed != nil && r.armed != top {
-			n.timers.Stop(r.armed)
-		}
+		n.k.Cancel(r.ev)
 		r.armed = top
-		n.timers.Arm(top, now+until(top.tag-r.v, r.share))
+		r.ev = n.k.AtArg(now+until(top.tag-r.v, r.share), transferComplete, top)
 	}
-	n.timers.Sync()
+}
+
+// stopOwn forgets the completion event of g, which rides a clock of its
+// own, cancelling it unless it has fired.
+func (n *Network) stopOwn(g *Flow) {
+	if id, ok := n.own[g]; ok {
+		delete(n.own, g)
+		n.k.Cancel(id)
+	}
 }
 
 // addOther appends g, whose path slot i is r, to r's members as one that
@@ -369,12 +377,12 @@ func (r *resource) pushRider(g *Flow) {
 	r.fix(r.nr-1, g)
 }
 
-// removeRider takes g out of r's members, stopping its timer if it was
-// the one armed: the last rider fills its place in the heap and the last
-// member the last rider's.
+// removeRider takes g out of r's members, cancelling its completion if it
+// was the one armed: the last rider fills its place in the heap and the
+// last member the last rider's.
 func (r *resource) removeRider(g *Flow) {
 	if r.armed == g {
-		g.net.timers.Stop(g)
+		g.net.k.Cancel(r.ev)
 		r.armed = nil
 	}
 	i := int(g.pos[g.ride])

@@ -10,9 +10,10 @@ import (
 
 // The reference solver: the O(F) settle the per-resource clocks replaced.
 // Its solver — attach, detach, reschedule, transferComplete and Cancel — is
-// kept as it was apart from its type names and the instant it records when
-// a flow's last byte leaves (end); the platform around it is cut down to
-// what a schedule uses.  Every change settles the remaining bytes of every
+// kept as it was apart from its type names, the instant it records when a
+// flow's last byte leaves (end), and its completions, which are plain
+// kernel events (a re-arm is a Cancel and a schedule); the platform around
+// it is cut down to what a schedule uses.  Every change settles the remaining bytes of every
 // flow sharing a resource with the flow that started or ended, at the old
 // rate, and re-arms its completion at the new one.  It models the same
 // platform as Network — NIC transmit and receive sides, each cluster's WAN
@@ -33,7 +34,7 @@ func (r *refResource) share() Rate {
 }
 
 type refFlow struct {
-	sim.Timer
+	ev        sim.EventID // the pending completion, or a stale id
 	nres      uint8
 	cancelled bool
 	net       *refNetwork
@@ -61,13 +62,12 @@ type refNetwork struct {
 	nodes    []*refNode
 	wanUp    []*refResource
 	flowSeq  uint64
-	timers   *sim.Timers[*refFlow]
 	affected []*refFlow
 	epoch    uint64
 }
 
 func newRefNetwork(k *sim.Kernel, topo Topology) *refNetwork {
-	n := &refNetwork{k: k, topo: topo, timers: sim.NewTimers(k, (*refFlow).transferComplete)}
+	n := &refNetwork{k: k, topo: topo}
 	for ci, c := range topo.Clusters {
 		for i := 0; i < c.Nodes; i++ {
 			id := len(n.nodes)
@@ -115,8 +115,7 @@ func (n *refNetwork) StartFlowCapped(src, dst int, size Bytes, cap Rate, onDone 
 		}
 	}
 	if src == dst {
-		n.timers.Arm(f, n.k.Now())
-		n.timers.Sync()
+		f.ev = n.k.AtArg(n.k.Now(), refComplete, f)
 		return f
 	}
 	f.res[0], f.res[1] = a.tx, b.rx
@@ -208,10 +207,12 @@ func (n *refNetwork) reschedule() {
 				dt = 0
 			}
 		}
-		n.timers.Arm(g, now+dt)
+		n.k.Cancel(g.ev)
+		g.ev = n.k.AtArg(now+dt, refComplete, g)
 	}
-	n.timers.Sync()
 }
+
+func refComplete(x any) { x.(*refFlow).transferComplete() }
 
 func (f *refFlow) transferComplete() {
 	n := f.net
@@ -237,13 +238,11 @@ func refDeliver(x any) {
 func (f *refFlow) Cancel() {
 	f.cancelled = true
 	n := f.net
-	if !n.timers.Stop(f) {
+	if !n.k.Cancel(f.ev) {
 		return
 	}
 	if f.nres > 0 {
 		n.detach(f)
 		n.reschedule()
-		return
 	}
-	n.timers.Sync()
 }

@@ -38,10 +38,9 @@
 // The implementation keeps the per-message hot path allocation-free: flow
 // membership lives in slices (not maps) that a flow indexes into from its
 // fixed-size path array, the resources a flow change touched are an
-// epoch-marked scratch slice reused across calls, and every armed flow
-// completion lives in one keyed timer set (sim.Timers), so a re-arm moves
-// the timer in place in the set's own heap and a flow change leaves at
-// most one dead event behind.
+// epoch-marked scratch slice reused across calls, and a flow completion is
+// an ordinary kernel event, so a flow change cancels and re-arms at most
+// one event per clock it touched.
 package simnet
 
 import (
@@ -112,10 +111,6 @@ const maxPathRes = 4
 
 // Flow is an in-progress bulk transfer.
 type Flow struct {
-	// Timer is the flow's place in Network.timers: armed while the flow
-	// rides a clock of its own, or is the earliest finisher of a
-	// resource's clock (clock.go).
-	sim.Timer
 	// pos[i] is the flow's index in res[i].flows.
 	pos       [maxPathRes]int32
 	nres      uint8
@@ -155,8 +150,10 @@ type Network struct {
 	wanUp   []*resource
 	flowSeq uint64
 
-	// timers holds every armed flow completion.
-	timers *sim.Timers[*Flow]
+	// own holds the pending completion of every flow on a clock of its
+	// own (clock.go); a resource keeps its armed rider's.  It is never
+	// ranged, so its order cannot reach a run.
+	own map[*Flow]sim.EventID
 
 	// epoch numbers flow changes; touched lists the resources the
 	// current one has settled (resource.mark), and movers is the scratch
@@ -178,9 +175,9 @@ type Network struct {
 // New builds the platform described by topo on kernel k.
 func New(k *sim.Kernel, topo Topology) *Network {
 	n := &Network{
-		k:      k,
-		topo:   topo,
-		timers: sim.NewTimers(k, (*Flow).transferComplete),
+		k:    k,
+		topo: topo,
+		own:  make(map[*Flow]sim.EventID),
 	}
 	for ci, c := range topo.Clusters {
 		if c.Nodes <= 0 {
@@ -320,8 +317,7 @@ func (n *Network) transmit(f *Flow, src, dst int) {
 	if src == dst {
 		// Loopback: latency only (applied by transferComplete); intra-node
 		// copies are not network flows.
-		n.timers.Arm(f, n.k.Now())
-		n.timers.Sync()
+		n.own[f] = n.k.AtArg(n.k.Now(), transferComplete, f)
 		return
 	}
 	n.pathInto(f, src, dst)
@@ -332,10 +328,13 @@ func (n *Network) transmit(f *Flow, src, dst int) {
 // delivery runs one path latency later.  A channel's delivery rides its
 // Wire's bulk lane (Chan.transferred), which frees the flow for the
 // channel's next message.
-func (f *Flow) transferComplete() {
+func transferComplete(x any) {
+	f := x.(*Flow)
 	n := f.net
 	if f.nres > 0 {
 		n.leave(f)
+	} else {
+		delete(n.own, f) // a loopback flow
 	}
 	at := n.k.Now() + f.latency
 	if f.fn == nil {
@@ -374,7 +373,5 @@ func (f *Flow) Cancel() {
 		n.leave(f)
 		return
 	}
-	if n.timers.Stop(f) { // a loopback flow not yet fired
-		n.timers.Sync()
-	}
+	n.stopOwn(f) // a loopback flow, or one that has finished
 }

@@ -267,6 +267,90 @@ func TestLoopbackLatencyOnly(t *testing.T) {
 	within(t, done, 50*time.Microsecond, time.Microsecond, "loopback")
 }
 
+// TestOwnClockEvents follows the completion events of flows on clocks of
+// their own (Network.own): a loopback flow cancelled at its start instant
+// and one that completes, a WAN flow whose cap binds cancelled
+// mid-transfer, and a capped LAN flow that moves onto its receive NIC's
+// clock when a rival halves the NIC's share and back onto its own when the
+// rival leaves.  Each cancel counts one cancelled event, no cancelled flow
+// completes, the capped flow holds an own event exactly while it rides its
+// own clock and ends when that clock says, and after Run no flow holds an
+// event.
+func TestOwnClockEvents(t *testing.T) {
+	k := sim.New(1)
+	n := New(k, Topology{
+		Clusters: []ClusterSpec{
+			{Name: "a", Nodes: 4, NICBW: 100e6, Latency: 50 * time.Microsecond},
+			{Name: "b", Nodes: 4, NICBW: 100e6, Latency: 50 * time.Microsecond},
+		},
+		WanLatency: 5 * time.Millisecond,
+		WanBW:      50e6,
+		WanFlowCap: 5e6,
+	})
+	cancelled := func(what string) func() {
+		return func() { t.Errorf("cancelled %s flow completed", what) }
+	}
+	// cancel cancels f and checks that it counted one cancelled event.
+	cancel := func(f *Flow, what string) {
+		before := k.Stats().Cancelled
+		f.Cancel()
+		if got := k.Stats().Cancelled - before; got != 1 {
+			t.Errorf("cancelling the %s flow counted %d cancelled events, want 1", what, got)
+		}
+		if _, ok := n.own[f]; ok {
+			t.Errorf("the cancelled %s flow still holds its own event", what)
+		}
+	}
+	var wan, capped *Flow
+	var loopDone, cappedDone, rivalDone sim.Time
+	// ownAt checks, at t0, whether the capped flow rides its own clock.
+	ownAt := func(t0 sim.Time, want bool) {
+		k.At(t0, func() {
+			_, held := n.own[capped]
+			if rides := capped.ride == ownClock; rides != want || held != want {
+				t.Errorf("at %v the capped flow rides its own clock: %v, holds an own event: %v; want %v",
+					t0, rides, held, want)
+			}
+		})
+	}
+	k.At(0, func() {
+		cancel(n.StartFlow(3, 3, 1e6, cancelled("loopback")), "loopback")
+		n.StartFlow(3, 3, 1e6, func() { loopDone = k.Now() })
+		wan = n.StartFlow(0, 4, 5e6, cancelled("WAN")) // 1 s at the 5 MB/s cap
+		// 60 MB/s caps the flow below its NICs' 100 MB/s: 1 s alone.
+		capped = n.StartFlowCapped(1, 2, 60e6, 60e6, func() { cappedDone = k.Now() })
+	})
+	k.At(50*time.Millisecond, func() { cancel(wan, "WAN") })
+	ownAt(90*time.Millisecond, true)
+	// The rival halves node 2's receive share to 50 MB/s for 200 ms.
+	k.At(100*time.Millisecond, func() { n.StartFlow(3, 2, 10e6, func() { rivalDone = k.Now() }) })
+	ownAt(200*time.Millisecond, false)
+	ownAt(400*time.Millisecond, true)
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	within(t, loopDone, n.Latency(3, 3), 0, "loopback")
+	lat := n.Latency(1, 2)
+	within(t, rivalDone, 300*time.Millisecond+lat, time.Microsecond, "rival")
+	// 6 MB alone, 10 MB at 50 MB/s, then 44 MB at 60 MB/s.
+	within(t, cappedDone, 300*time.Millisecond+733_333_333+lat, time.Microsecond, "capped flow")
+	if len(n.own) != 0 {
+		t.Errorf("%d flows still hold an own event after Run", len(n.own))
+	}
+	res := append([]*resource(nil), n.wanUp...)
+	for _, nd := range n.nodes {
+		res = append(res, nd.tx, nd.rx)
+	}
+	for _, r := range res {
+		if r.armed != nil {
+			t.Errorf("%s still has an armed rider after Run", r.name)
+		}
+	}
+	if st := k.Stats(); st.Scheduled != st.Fired+st.Cancelled {
+		t.Errorf("events left over: %+v", st)
+	}
+}
+
 func TestChannelFIFO(t *testing.T) {
 	k := sim.New(1)
 	w := newTestWire(lan(k))

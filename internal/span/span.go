@@ -125,20 +125,6 @@ type xfer struct {
 	Begin sim.Time
 }
 
-// xferKey identifies a transfer: by span ID when the server stamped one,
-// else by the (rank, wave, server) triple legacy streams carry.
-type xferKey struct {
-	span               uint64
-	rank, wave, server int
-}
-
-func keyOf(ev obs.Event) xferKey {
-	if ev.Span != 0 {
-		return xferKey{span: ev.Span}
-	}
-	return xferKey{rank: ev.Rank, wave: ev.Wave, server: ev.Server}
-}
-
 // rankWave keys per-checkpoint state.
 type rankWave struct{ rank, wave int }
 
@@ -206,9 +192,11 @@ type Builder struct {
 
 	ranks   []rankState
 	markers map[uint64]markerFlight
-	xfers   map[xferKey]xfer // open image stores
-	ships   map[xferKey]xfer // open log shipments
-	drains  map[xferKey]xfer // open hierarchy drains
+	// Open transfers by span ID: every begin/end pair carries the span
+	// its emitter drew from Hub.NextSpan.
+	xfers   map[uint64]xfer // open image stores
+	ships   map[uint64]xfer // open log shipments
+	drains  map[uint64]xfer // open hierarchy drains
 	quorums map[rankWave]*quorumTrack
 	imgSize map[rankWave]int64
 
@@ -227,9 +215,9 @@ func NewBuilder(np int, proto string) *Builder {
 		coordinated: proto == "pcl" || proto == "vcl",
 		ranks:       make([]rankState, np),
 		markers:     make(map[uint64]markerFlight),
-		xfers:       make(map[xferKey]xfer),
-		ships:       make(map[xferKey]xfer),
-		drains:      make(map[xferKey]xfer),
+		xfers:       make(map[uint64]xfer),
+		ships:       make(map[uint64]xfer),
+		drains:      make(map[uint64]xfer),
 		quorums:     make(map[rankWave]*quorumTrack),
 		imgSize:     make(map[rankWave]int64),
 		pendingKill: make(map[int]sim.Time),
@@ -275,12 +263,12 @@ func (b *Builder) Emit(ev obs.Event) {
 		}
 	case obs.EvImageStoreBegin:
 		if rs := b.rank(ev.Rank); rs != nil {
-			b.xfers[keyOf(ev)] = xfer{Rank: ev.Rank, Begin: ev.T}
+			b.xfers[ev.Span] = xfer{Rank: ev.Rank, Begin: ev.T}
 			b.imgSize[rankWave{ev.Rank, ev.Wave}] = ev.Bytes
 		}
 	case obs.EvImageStoreEnd:
-		if x, ok := b.xfers[keyOf(ev)]; ok {
-			delete(b.xfers, keyOf(ev))
+		if x, ok := b.xfers[ev.Span]; ok {
+			delete(b.xfers, ev.Span)
 			if rs := b.rank(x.Rank); rs != nil {
 				rs.image.add(x.Begin, ev.T)
 			}
@@ -299,22 +287,22 @@ func (b *Builder) Emit(ev obs.Event) {
 		}
 	case obs.EvLogShipBegin:
 		if b.rank(ev.Rank) != nil {
-			b.ships[keyOf(ev)] = xfer{Rank: ev.Rank, Begin: ev.T}
+			b.ships[ev.Span] = xfer{Rank: ev.Rank, Begin: ev.T}
 		}
 	case obs.EvDrainBegin:
 		if b.rank(ev.Rank) != nil {
-			b.drains[keyOf(ev)] = xfer{Rank: ev.Rank, Begin: ev.T}
+			b.drains[ev.Span] = xfer{Rank: ev.Rank, Begin: ev.T}
 		}
 	case obs.EvDrainEnd:
-		if x, ok := b.drains[keyOf(ev)]; ok {
-			delete(b.drains, keyOf(ev))
+		if x, ok := b.drains[ev.Span]; ok {
+			delete(b.drains, ev.Span)
 			if rs := b.rank(x.Rank); rs != nil {
 				rs.drain.add(x.Begin, ev.T)
 			}
 		}
 	case obs.EvLogShipEnd:
-		if x, ok := b.ships[keyOf(ev)]; ok {
-			delete(b.ships, keyOf(ev))
+		if x, ok := b.ships[ev.Span]; ok {
+			delete(b.ships, ev.Span)
 			if rs := b.rank(x.Rank); rs != nil {
 				rs.logging.add(x.Begin, ev.T)
 			}

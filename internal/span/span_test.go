@@ -122,10 +122,10 @@ func TestBuilderEndToEnd(t *testing.T) {
 	// Rank 1 freezes, stores an image of 1000 bytes, unfreezes.
 	b.Emit(ev(obs.EvChannelBlocked, 160, 1))
 	st := ev(obs.EvImageStoreBegin, 200, 1)
-	st.Server, st.Bytes = 0, 1000
+	st.Server, st.Bytes, st.Span = 0, 1000, 8
 	b.Emit(st)
 	se := ev(obs.EvImageStoreEnd, 300, 1)
-	se.Server = 0
+	se.Server, se.Span = 0, 8
 	b.Emit(se)
 	b.Emit(ev(obs.EvChannelUnblocked, 320, 1))
 

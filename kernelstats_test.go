@@ -71,11 +71,12 @@ func at256(t *testing.T, check func(t *testing.T, b *budget, st KernelStats, np 
 	}, "pcl", "vcl", "mlog")
 }
 
-// TestHeapHighWaterBounded: the head-of-line lanes and the flow timer set
-// keep the event heap O(NP) deep through a wave.  At NP=256 it holds 429
-// entries under Pcl (an NP² marker flood), 986 under Vcl and 768 under
-// Mlog; one entry per pending small message or daemon admit made the Pcl
-// and Vcl runs reach 29 179 and 122 623.
+// TestHeapHighWaterBounded: the head-of-line lanes and one armed flow
+// completion per resource clock keep the event heap O(NP) deep through a
+// wave.  At NP=256 it holds 427 entries under Pcl (an NP² marker flood),
+// 898 under Vcl and 768 under Mlog, cancelled completions waiting to be
+// popped included; one entry per pending small message or daemon admit
+// made the Pcl and Vcl runs reach 29 179 and 122 623.
 func TestHeapHighWaterBounded(t *testing.T) {
 	at256(t, func(t *testing.T, b *budget, st KernelStats, np int) {
 		if st.HeapMax > b.heapPerRank*np || st.LaneMax == 0 || st.Scheduled < st.Fired+st.Cancelled {
@@ -86,7 +87,7 @@ func TestHeapHighWaterBounded(t *testing.T) {
 }
 
 // TestKernelCountsPinned pins the logical event counts at NP=256.  How
-// events are queued may change — lanes, the timer set — but not what they
+// events are queued may change — lanes, say — but not what they
 // count: a re-arm of a pending flow completion is still one cancelled and
 // one scheduled event, so a re-timer that drops or double-counts one fails
 // here by name.  Scheduled counts the keys drawn, so a small message's
