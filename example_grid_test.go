@@ -55,8 +55,8 @@ func ExampleRun_grid() {
 	//
 	// protocol   completion    waves ckpt data (MB)
 	// none     36.221190314s        0            0.0
-	// pcl      39.84409796s        4         4052.3
-	// vcl      37.468165664s        3         3042.8
+	// pcl      39.832400651s        4         4052.1
+	// vcl      37.473567549s        3         3042.8
 	//
 	// Note: Vcl runs here because 256 < the ~300-process select() limit of
 	// its dispatcher; at the paper's 400..529-process scales only Pcl runs.

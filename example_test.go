@@ -33,11 +33,11 @@ func Example() {
 	fmt.Printf("  messages on wire    %d (%.2f MB payload)\n", rep.Messages, rep.PayloadMB)
 	// Output:
 	// conjugate gradient under blocking coordinated checkpointing
-	//   completed in        31.073661ms (virtual time)
+	//   completed in        31.10197ms (virtual time)
 	//   final residual      9.616979266261908e-10
-	//   checkpoint waves    3 committed
-	//   local checkpoints   32 (1.74 MB shipped to servers)
-	//   messages on wire    2628 (3.07 MB payload)
+	//   checkpoint waves    4 committed
+	//   local checkpoints   32 (2.20 MB shipped to servers)
+	//   messages on wire    2636 (3.07 MB payload)
 }
 
 // Kill a process mid-run and show that rollback recovery reproduces the
@@ -98,18 +98,18 @@ func ExampleRun_recovery() {
 	// failure-free run:  completion 30.848936ms, residual 7.27365647328481e-10
 	//
 	// pcl with failure:
-	//   completion   44.128246ms (1.4x failure-free)
+	//   completion   44.050946ms (1.4x failure-free)
 	//   waves        4 committed, 1 restart(s)
 	//   residual     IDENTICAL to failure-free run
 	//
 	// vcl with failure:
-	//   completion   63.528708ms (2.1x failure-free)
+	//   completion   63.360643ms (2.1x failure-free)
 	//   waves        6 committed, 1 restart(s)
-	//   channel log  37 in-transit messages captured (0.05 MB)
+	//   channel log  39 in-transit messages captured (0.05 MB)
 	//   residual     IDENTICAL to failure-free run
 	//
 	// mlog with failure:
-	//   completion   86.842609ms (2.8x failure-free)
+	//   completion   86.5119ms (2.8x failure-free)
 	//   waves        128 committed, 1 restart(s)
 	//   note         single-process recovery: only rank 3 rolled back;
 	//                2380 messages were logged pessimistically
@@ -169,12 +169,12 @@ func ExampleSweep() {
 	// CG class A under random failures (MTTF 600ms), blocking checkpointing
 	//
 	// interval       completion   waves  restarts
-	// 50ms         4.339643765s      13         4
-	// 100ms         4.50178012s      10         4
-	// 200ms        4.310726178s       7         4
-	// 400ms        4.575548081s       4         4
-	// 800ms        5.110596452s       2         4
-	// 1.6s         9.640060182s       1         7
+	// 50ms         4.339629954s      13         4
+	// 100ms          4.5017663s      10         4
+	// 200ms        4.310719571s       7         4
+	// 400ms        4.575541492s       4         4
+	// 800ms        5.110589863s       2         4
+	// 1.6s          9.64005658s       1         7
 	//
-	// best interval in this sweep: 200ms (completion 4.310726178s)
+	// best interval in this sweep: 200ms (completion 4.310719571s)
 }

@@ -1,7 +1,6 @@
 package chaos
 
 import (
-	"encoding/gob"
 	"strings"
 	"testing"
 	"time"
@@ -27,7 +26,7 @@ type ringProg struct {
 	Sum        float64
 }
 
-func init() { gob.Register(&ringProg{}) }
+func init() { mpi.RegisterProgram("chaos.ringProg", func() mpi.Program { return new(ringProg) }) }
 
 func (g *ringProg) Step(e *mpi.Engine) bool {
 	switch g.Phase {

@@ -1,7 +1,6 @@
 package ckpt
 
 import (
-	"encoding/gob"
 	"testing"
 	"time"
 
@@ -10,7 +9,7 @@ import (
 	"ftckpt/internal/simnet"
 )
 
-// toyProgram is a minimal gob-serializable Program for image tests.
+// toyProgram is a minimal Program for image tests.
 type toyProgram struct {
 	Phase int
 	X     []float64
@@ -20,7 +19,7 @@ type toyProgram struct {
 func (t *toyProgram) Step(e *mpi.Engine) bool { t.Phase++; return t.Phase > 3 }
 func (t *toyProgram) Footprint() int64        { return t.Mem }
 
-func init() { gob.Register(&toyProgram{}) }
+func init() { mpi.RegisterProgram("ckpt.toyProgram", func() mpi.Program { return new(toyProgram) }) }
 
 func testNet(k *sim.Kernel) *simnet.Network {
 	return simnet.New(k, simnet.Topology{Clusters: []simnet.ClusterSpec{{

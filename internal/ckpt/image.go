@@ -28,8 +28,7 @@
 package ckpt
 
 import (
-	"bytes"
-	"encoding/gob"
+	"encoding/binary"
 	"fmt"
 
 	"ftckpt/internal/mpi"
@@ -42,7 +41,8 @@ import (
 type Image struct {
 	Rank int
 	Wave int
-	// App is the gob-encoded Program.
+	// App is the encoded Program (EncodeProgram): its kind's name and its
+	// exported fields, so its length is a function of the program's state.
 	App []byte
 	// Engine is the communication-engine state (unconsumed messages,
 	// in-flight collective progress).
@@ -100,21 +100,33 @@ func (im *Image) RestoreBytes() int64 {
 	return im.Bytes()
 }
 
-// EncodeProgram serializes a Program for an image.  The concrete type must
-// be gob-registered.
+// EncodeProgram serializes a Program for an image: the name its kind was
+// registered under (mpi.RegisterProgram), then its state (mpi.AppendState).
 func EncodeProgram(p mpi.Program) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&p); err != nil {
-		return nil, fmt.Errorf("ckpt: encoding program: %w", err)
+	name, ok := mpi.ProgramName(p)
+	if !ok {
+		return nil, fmt.Errorf("ckpt: encoding program: %T is not registered", p)
 	}
-	return buf.Bytes(), nil
+	return mpi.AppendState(mpi.AppendState(nil, name), p), nil
 }
 
 // DecodeProgram reverses EncodeProgram.
 func DecodeProgram(b []byte) (mpi.Program, error) {
-	var p mpi.Program
-	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&p); err != nil {
+	var name string
+	// The name is a string: an 8-byte length, then its bytes.
+	if len(b) < 8 || binary.LittleEndian.Uint64(b) > uint64(len(b)-8) {
+		return nil, fmt.Errorf("ckpt: decoding program: %d bytes hold no program name", len(b))
+	}
+	n := 8 + binary.LittleEndian.Uint64(b)
+	if err := mpi.LoadState(b[:n], &name); err != nil {
 		return nil, fmt.Errorf("ckpt: decoding program: %w", err)
+	}
+	p := mpi.NewProgram(name)
+	if p == nil {
+		return nil, fmt.Errorf("ckpt: decoding program: no program kind %q", name)
+	}
+	if err := mpi.LoadState(b[n:], p); err != nil {
+		return nil, fmt.Errorf("ckpt: decoding program %q: %w", name, err)
 	}
 	return p, nil
 }

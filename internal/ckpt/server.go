@@ -141,8 +141,8 @@ func transferLanded(x any) { x.(*transfer).landed() }
 
 // unlink takes tr out of the in-progress list.  A transfer that left it
 // must not point into it: its flow lingers in the network's scratch sets
-// and the kernel's dead slots for a while, and through a kept link it
-// would hold every later transfer.
+// for a while, and through a kept link it would hold every later
+// transfer.
 func (s *Server) unlink(tr *transfer) {
 	if tr.prev != nil {
 		tr.prev.next = tr.next

@@ -31,8 +31,6 @@
 package mlog
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"slices"
 
@@ -287,15 +285,13 @@ func sortedKeys[V any](m map[int]V) []int {
 	return keys
 }
 
-// devState is the protocol state stored inside images.  Its packets are
-// pointers because gob names the types in the encoding, and so in the
-// image size; DeviceState builds them once per checkpoint.
+// devState is the protocol state stored inside images.
 type devState struct {
 	Wave    int
 	SendSeq map[int]uint64
 	DelUpTo map[int]uint64
-	Unacked map[int][]*mpi.Packet
-	Pending []*mpi.Packet // arrived before the snapshot, log not yet stored
+	Unacked map[int][]mpi.Packet
+	Pending []mpi.Packet // arrived before the snapshot, log not yet stored
 }
 
 // DeviceState serializes the protocol state into the image.
@@ -307,24 +303,20 @@ func (m *Mlog) DeviceState() []byte {
 		// One entry per destination ever sent to, empty once everything
 		// is acknowledged: the entry is part of the encoding, and so of
 		// the image size.
-		Unacked: make(map[int][]*mpi.Packet, len(m.sendSeq)),
+		Unacked: make(map[int][]mpi.Packet, len(m.sendSeq)),
 	}
 	for dst := range m.sendSeq {
-		ds.Unacked[dst] = []*mpi.Packet{}
+		ds.Unacked[dst] = nil
 	}
 	for i := 0; i < m.unacked.Len(); i++ {
 		if p := m.unacked.At(i); !m.acked(p) {
-			ds.Unacked[p.Dst] = append(ds.Unacked[p.Dst], &p)
+			ds.Unacked[p.Dst] = append(ds.Unacked[p.Dst], p)
 		}
 	}
 	for i := 0; i < m.pending.Len(); i++ {
-		ds.Pending = append(ds.Pending, m.pending.At(i).pkt)
+		ds.Pending = append(ds.Pending, *m.pending.At(i).pkt)
 	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(ds); err != nil {
-		panic(fmt.Sprintf("mlog: encoding device state: %v", err))
-	}
-	return buf.Bytes()
+	return mpi.AppendState(nil, &ds)
 }
 
 // Restore loads the image state and reconstructs the reception history:
@@ -334,7 +326,7 @@ func (m *Mlog) DeviceState() []byte {
 func (m *Mlog) Restore(dev []byte, logs []*mpi.Packet, lastWave int) {
 	var ds devState
 	if len(dev) > 0 {
-		if err := gob.NewDecoder(bytes.NewReader(dev)).Decode(&ds); err != nil {
+		if err := mpi.LoadState(dev, &ds); err != nil {
 			panic(fmt.Sprintf("mlog: decoding device state: %v", err))
 		}
 	}
@@ -349,14 +341,14 @@ func (m *Mlog) Restore(dev []byte, logs []*mpi.Packet, lastWave int) {
 	m.unacked.Reset()
 	for _, dst := range sortedKeys(ds.Unacked) {
 		for _, p := range ds.Unacked[dst] {
-			m.unacked.Push(*p)
+			m.unacked.Push(p)
 		}
 	}
 	m.pending = sim.Queue[held]{}
 	m.ooo = map[int]map[uint64]*mpi.Packet{}
-	for _, p := range ds.Pending {
+	for i := range ds.Pending {
 		// Already persisted by the image itself: deliver directly.
-		m.deliver(p)
+		m.deliver(&ds.Pending[i])
 	}
 	for _, p := range logs {
 		if p.PSeq <= m.delUpTo[p.Src] {

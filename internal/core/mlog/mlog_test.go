@@ -3,7 +3,6 @@ package mlog
 import (
 	"bytes"
 	"crypto/sha256"
-	"encoding/gob"
 	"fmt"
 	"reflect"
 	"testing"
@@ -299,8 +298,7 @@ func TestCheckpointDeferredWhileImageInFlight(t *testing.T) {
 // TestQueuesReuseStorage: the pending and unacked queues hover at a small
 // depth for the whole run, so they must cycle through one segment each
 // (sim's queue tests hold the queue itself to that), and the device
-// state, whose size is the image's, must encode exactly what it did when
-// the queues were front-sliced slices.
+// state, whose size is the image's, must encode to a pinned value.
 func TestQueuesReuseStorage(t *testing.T) {
 	// 10 000 accept/drain and send/ack rounds, four deep.
 	k := sim.New(1)
@@ -337,10 +335,10 @@ func TestQueuesReuseStorage(t *testing.T) {
 		if s := m.unacked.Segments(); s != 1 {
 			t.Errorf("unacked holds %d segments at depth 4, want 1", s)
 		}
-		// Recorded at the parent commit (queues popped by re-slicing) for
-		// this exact sequence: everything delivered and acknowledged, the
-		// destination's empty Unacked entry still encoded.
-		devStateIs(t, m, "faabff33c5a7dd79fc943a3650ecd0ca85967c0160d96859602574f9969fae41")
+		// Pinned for this exact sequence: everything delivered and
+		// acknowledged, the destination's empty Unacked entry still
+		// encoded.
+		devStateIs(t, m, "c6ac6341736cbe50d129c487c364c38fff33251af3f2aea203156a1bceb1f4d3")
 		// And mid-flight: three accepted of which the first is stored and
 		// delivered, two held; three sent, none acknowledged.
 		for i := 0; i < 3; i++ {
@@ -350,7 +348,7 @@ func TestQueuesReuseStorage(t *testing.T) {
 			send(out)
 		}
 		h.OnLog[0]()
-		devStateIs(t, m, "dfd58c9057a2debcd21ca2ab1fc82dca7dfcb6a48c4331c00dc7e28691e61604")
+		devStateIs(t, m, "6e16c899c8e8b96ff057335fde7c9ab897a5d189c02df2bdd12e0dc1772d8bed")
 	})
 }
 
@@ -362,12 +360,34 @@ func devStateIs(t *testing.T, m *Mlog, want string) {
 	}
 }
 
-// TestDeviceStateUnackedRoundTrip: the unacknowledged sends, kept by
-// value, go into the image as the pointer slices they always were — the
-// encoding, and so every Mlog image size, is unchanged — and come back
-// from it as the same packets, in order, per destination.  A send already
-// acknowledged but queued behind an older unacknowledged one (rank 3's)
-// is neither imaged nor retransmitted.
+// TestDevStateCodec: the device state, every field of it and of its
+// packets non-zero, comes back from its encoding deep-equal, and encodes to
+// the same bytes before and after another type was encoded.
+func TestDevStateCodec(t *testing.T) {
+	pkt := func(n int) mpi.Packet {
+		return mpi.Packet{Src: n, Dst: n + 1, Kind: mpi.KindPayload, Tag: n + 2, Seq: uint64(n + 3), Wave: n + 4,
+			PSeq: uint64(n + 5), SpanID: uint64(n + 6), Data: []byte{byte(n), 7}, VSize: int64(n + 8)}
+	}
+	ds := devState{Wave: 2, SendSeq: map[int]uint64{2: 3, 3: 1}, DelUpTo: map[int]uint64{0: 5},
+		Unacked: map[int][]mpi.Packet{2: {pkt(1), pkt(2)}, 3: {pkt(3)}}, Pending: []mpi.Packet{pkt(4)}}
+	b := mpi.AppendState(nil, &ds)
+	var got devState
+	if err := mpi.LoadState(b, &got); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, ds) {
+		t.Errorf("decoded %+v, want %+v", got, ds)
+	}
+	mpi.AppendState(nil, &mpi.EngineImage{Unexpected: []*mpi.Packet{&ds.Pending[0]}, CollSeq: 1})
+	if !bytes.Equal(mpi.AppendState(nil, &ds), b) {
+		t.Error("encodes to other bytes after another type was encoded")
+	}
+}
+
+// TestDeviceStateUnackedRoundTrip: the unacknowledged sends go into the
+// image and come back from it as the same packets, in order, per
+// destination.  A send already acknowledged but queued behind an older
+// unacknowledged one (rank 3's) is neither imaged nor retransmitted.
 func TestDeviceStateUnackedRoundTrip(t *testing.T) {
 	k := sim.New(1)
 	h := coretest.New(k, 1, 4)
@@ -381,9 +401,9 @@ func TestDeviceStateUnackedRoundTrip(t *testing.T) {
 		m.InPacket(&mpi.Packet{Src: 3, Kind: mpi.KindControl, Tag: OpAck, PSeq: 1})
 		m.InPacket(pl(0, 1, 5)) // held: its log store is still open
 		dev := m.DeviceState()
-		// Recorded at the parent commit, whose unacked queues held clones.
-		if len(dev) != 322 {
-			t.Errorf("device state is %d bytes, recorded 322", len(dev))
+		// Pinned: the size is the image's.
+		if len(dev) != 346 {
+			t.Errorf("device state is %d bytes, recorded 346", len(dev))
 		}
 		h.Wired = nil
 		m.PeerRestarted(3)
@@ -400,7 +420,7 @@ func TestDeviceStateUnackedRoundTrip(t *testing.T) {
 			dev []byte
 			ds  *devState
 		}{{dev, &was}, {m2.DeviceState(), &got}} {
-			if err := gob.NewDecoder(bytes.NewReader(d.dev)).Decode(d.ds); err != nil {
+			if err := mpi.LoadState(d.dev, d.ds); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -29,10 +29,7 @@
 package pcl
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
-	"io"
 
 	"ftckpt/internal/core"
 	"ftckpt/internal/mpi"
@@ -215,36 +212,17 @@ func (p *Pcl) onControl(pkt *mpi.Packet) {
 	}
 }
 
-// devState is the gob wrapper for protocol state stored in images.
+// devState is the protocol state stored in images.
 type devState struct {
 	Wave  int
 	Sends []*mpi.Packet
-}
-
-// encoding/gob numbers user types per process in first-use order from 64,
-// and a stream that defines type 64 is one byte shorter than one defining
-// any later id (-64 is the last whose varint fits a byte).  Image.Bytes
-// counts the App and Device streams, so which type a process encoded first
-// reached the modelled image size, then transfer times and wave counts: a
-// Sweep's result depended on its point order and on Jobs.  Claiming 64
-// before anything runs makes a stream's length a function of its value
-// alone up to id 128 (this module's tests reach 75); ROADMAP "One image"
-// (c), an own codec, removes the dependence on gob's numbering.
-func init() {
-	if err := gob.NewEncoder(io.Discard).Encode(devState{}); err != nil {
-		panic(fmt.Sprintf("pcl: claiming the first gob type id: %v", err))
-	}
 }
 
 // DeviceState serializes the delayed send queue (the paper: delayed
 // messages "still in the process memory are automatically stored in the
 // checkpoint").
 func (p *Pcl) DeviceState() []byte {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(devState{Wave: p.wave, Sends: p.delayedSend}); err != nil {
-		panic(fmt.Sprintf("pcl: encoding device state: %v", err))
-	}
-	return buf.Bytes()
+	return mpi.AppendState(nil, &devState{Wave: p.wave, Sends: p.delayedSend})
 }
 
 // Restore loads image state: the delayed sends will be re-emitted by
@@ -256,7 +234,7 @@ func (p *Pcl) Restore(dev []byte, logs []*mpi.Packet, lastWave int) {
 	}
 	var ds devState
 	if len(dev) > 0 {
-		if err := gob.NewDecoder(bytes.NewReader(dev)).Decode(&ds); err != nil {
+		if err := mpi.LoadState(dev, &ds); err != nil {
 			panic(fmt.Sprintf("pcl: decoding device state: %v", err))
 		}
 	}

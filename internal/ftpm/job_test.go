@@ -1,7 +1,6 @@
 package ftpm
 
 import (
-	"encoding/gob"
 	"math"
 	"math/rand"
 	"strings"
@@ -29,7 +28,7 @@ type ringProg struct {
 	Work       sim.Time
 }
 
-func init() { gob.Register(&ringProg{}) }
+func init() { mpi.RegisterProgram("ftpm.ringProg", func() mpi.Program { return new(ringProg) }) }
 
 func newRing(iters int, work sim.Time, mem int64) func(rank, size int) mpi.Program {
 	return func(rank, size int) mpi.Program {

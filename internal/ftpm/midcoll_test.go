@@ -1,7 +1,6 @@
 package ftpm
 
 import (
-	"encoding/gob"
 	"testing"
 	"time"
 
@@ -22,7 +21,7 @@ type skewProg struct {
 	Skew       sim.Time
 }
 
-func init() { gob.Register(&skewProg{}) }
+func init() { mpi.RegisterProgram("ftpm.skewProg", func() mpi.Program { return new(skewProg) }) }
 
 func (s *skewProg) Step(e *mpi.Engine) bool {
 	switch s.Phase {

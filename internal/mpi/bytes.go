@@ -1,8 +1,11 @@
 package mpi
 
 import (
+	"cmp"
 	"encoding/binary"
+	"fmt"
 	"math"
+	"reflect"
 	"slices"
 )
 
@@ -61,4 +64,237 @@ func DecodeF64(b []byte) float64 {
 		panic("mpi: DecodeF64: length not a multiple of 8")
 	}
 	return math.Float64frombits(binary.LittleEndian.Uint64(b))
+}
+
+// The state codec: how a Program, a protocol's device state and a partner
+// snapshot become bytes.  AppendState walks a value's exported fields in
+// declaration order (unexported ones are soft state and stay out) and
+// writes every integer kind as 8 bytes little-endian, a float as its
+// float64 bits and a bool as one byte.  A slice, string or map is an
+// 8-byte length, then its elements (a slice of bytes one byte each; a
+// map's in ascending key order, keys being integers).  A pointer is a
+// presence byte, then its target.  No type descriptor is written, so an
+// encoding is a function of the value alone, and its length is what an
+// image charges for the state.
+
+var (
+	le       = binary.LittleEndian
+	f64sType = reflect.TypeOf([]float64(nil))
+)
+
+// AppendState appends the encoding of v to dst and returns the extended
+// slice.  A pointer v is followed, so AppendState(dst, &x) equals
+// AppendState(dst, x).  It panics on a kind the codec has no layout for
+// (array, complex, chan, func, interface), which only a declaration brings.
+func AppendState(dst []byte, v any) []byte {
+	return appendState(dst, reflect.Indirect(reflect.ValueOf(v)))
+}
+
+func appendState(b []byte, v reflect.Value) []byte {
+	switch v.Kind() {
+	case reflect.Bool:
+		if v.Bool() {
+			return append(b, 1)
+		}
+		return append(b, 0)
+	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+		return le.AppendUint64(b, uint64(v.Int()))
+	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr:
+		return le.AppendUint64(b, v.Uint())
+	case reflect.Float32, reflect.Float64:
+		return le.AppendUint64(b, math.Float64bits(v.Float()))
+	case reflect.String:
+		return append(le.AppendUint64(b, uint64(v.Len())), v.String()...)
+	case reflect.Pointer:
+		if v.IsNil() {
+			return append(b, 0)
+		}
+		return appendState(append(b, 1), v.Elem())
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			// A field reached through an unexported name cannot be
+			// interfaced: the exported-field test, without the allocation
+			// reflect.Type.Field makes.
+			if f := v.Field(i); f.CanInterface() {
+				b = appendState(b, f)
+			}
+		}
+		return b
+	case reflect.Slice:
+		b = le.AppendUint64(b, uint64(v.Len()))
+		switch {
+		case v.Type().Elem().Kind() == reflect.Uint8:
+			return append(b, v.Bytes()...)
+		case v.Type() == f64sType:
+			b = slices.Grow(b, 8*v.Len())
+			for _, x := range v.Interface().([]float64) {
+				b = le.AppendUint64(b, math.Float64bits(x))
+			}
+			return b
+		}
+		for i := 0; i < v.Len(); i++ {
+			b = appendState(b, v.Index(i))
+		}
+		return b
+	case reflect.Map:
+		b = le.AppendUint64(b, uint64(v.Len()))
+		keys := v.MapKeys()
+		slices.SortFunc(keys, func(x, y reflect.Value) int { return cmp.Compare(x.Int(), y.Int()) })
+		for _, k := range keys {
+			b = appendState(appendState(b, k), v.MapIndex(k))
+		}
+		return b
+	}
+	panic(fmt.Sprintf("mpi: AppendState: no layout for %s", v.Type()))
+}
+
+// LoadState decodes b, laid out by AppendState, into the value v points
+// to, overwriting its exported fields and leaving the unexported ones as
+// they are.  Malformed bytes (short, overlong, or a length, bool or
+// presence byte no encoding holds) are an error, never a panic, and no
+// length makes it allocate more than a small multiple of len(b).
+func LoadState(b []byte, v any) error {
+	rv := reflect.ValueOf(v)
+	if rv.Kind() != reflect.Pointer || rv.IsNil() {
+		return fmt.Errorf("mpi: LoadState into %T: want a non-nil pointer", v)
+	}
+	d := stateDecoder{b: b}
+	if d.value(rv.Elem()); len(d.b) > 0 {
+		d.fail("%d trailing bytes", len(d.b))
+	}
+	if d.err != nil {
+		return fmt.Errorf("mpi: LoadState into %T: %w", v, d.err)
+	}
+	return nil
+}
+
+// stateDecoder reads an encoding; after its first failure (err) every
+// read returns zero values and the decode unwinds.
+type stateDecoder struct {
+	b   []byte
+	err error
+}
+
+func (d *stateDecoder) fail(format string, a ...any) { d.err = cmp.Or(d.err, fmt.Errorf(format, a...)) }
+
+// take consumes n bytes, or fails the decode and returns nil.
+func (d *stateDecoder) take(n int) []byte {
+	if n > len(d.b) {
+		d.fail("state ends %d bytes early", n-len(d.b))
+	}
+	if d.err != nil {
+		return nil
+	}
+	p := d.b[:n]
+	d.b = d.b[n:]
+	return p
+}
+
+func (d *stateDecoder) word() uint64 {
+	if p := d.take(8); p != nil {
+		return le.Uint64(p)
+	}
+	return 0
+}
+
+// length reads a length of elements that encode to at least elem bytes
+// each, refusing one the bytes left cannot hold: whatever a length
+// allocates is bounded by len(b).
+func (d *stateDecoder) length(elem int) int {
+	if n := d.word(); n > uint64(len(d.b)/max(elem, 1)) {
+		d.fail("length %d overruns the %d bytes left", n, len(d.b))
+	} else if d.err == nil {
+		return int(n)
+	}
+	return 0
+}
+
+func (d *stateDecoder) value(v reflect.Value) {
+	switch v.Kind() {
+	case reflect.Bool:
+		p := d.take(1)
+		if p != nil && p[0] > 1 {
+			d.fail("bool byte %d", p[0])
+		}
+		v.SetBool(p != nil && p[0] == 1)
+	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+		x := int64(d.word())
+		if v.OverflowInt(x) {
+			d.fail("%d overflows %s", x, v.Type())
+		}
+		v.SetInt(x)
+	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr:
+		x := d.word()
+		if v.OverflowUint(x) {
+			d.fail("%d overflows %s", x, v.Type())
+		}
+		v.SetUint(x)
+	case reflect.Float32, reflect.Float64:
+		v.SetFloat(math.Float64frombits(d.word()))
+	case reflect.String:
+		v.SetString(string(d.take(d.length(1))))
+	case reflect.Pointer:
+		switch p := d.take(1); {
+		case p == nil || p[0] == 0:
+			v.SetZero()
+		case p[0] == 1:
+			v.Set(reflect.New(v.Type().Elem()))
+			d.value(v.Elem())
+		default:
+			d.fail("presence byte %d", p[0])
+		}
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			if f := v.Field(i); f.CanSet() {
+				d.value(f)
+			}
+		}
+	case reflect.Slice:
+		n := d.length(minStateSize(v.Type().Elem()))
+		switch {
+		case n == 0:
+			v.SetZero()
+		case v.Type() == f64sType:
+			v.Set(reflect.ValueOf(AppendF64s(make([]float64, 0, n), d.take(8*n))))
+		case v.Type().Elem().Kind() == reflect.Uint8:
+			v.Set(reflect.MakeSlice(v.Type(), n, n))
+			copy(v.Bytes(), d.take(n))
+		default:
+			v.Set(reflect.MakeSlice(v.Type(), n, n))
+			for i := 0; i < n && d.err == nil; i++ {
+				d.value(v.Index(i))
+			}
+		}
+	case reflect.Map:
+		kt, et := v.Type().Key(), v.Type().Elem()
+		v.SetZero()
+		if n := d.length(minStateSize(kt) + minStateSize(et)); n > 0 {
+			v.Set(reflect.MakeMapWithSize(v.Type(), n))
+			for i := 0; i < n && d.err == nil; i++ {
+				k, e := reflect.New(kt).Elem(), reflect.New(et).Elem()
+				d.value(k)
+				d.value(e)
+				v.SetMapIndex(k, e)
+			}
+		}
+	default:
+		d.fail("no layout for %s", v.Type())
+	}
+}
+
+// minStateSize is the fewest bytes AppendState writes for a value of type t.
+func minStateSize(t reflect.Type) int {
+	switch t.Kind() {
+	case reflect.Bool, reflect.Uint8, reflect.Pointer:
+		return 1
+	case reflect.Struct:
+		n := 0
+		for i := 0; i < t.NumField(); i++ {
+			if f := t.Field(i); f.IsExported() {
+				n += minStateSize(f.Type)
+			}
+		}
+		return n
+	}
+	return 8
 }

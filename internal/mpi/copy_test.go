@@ -2,7 +2,6 @@ package mpi
 
 import (
 	"bytes"
-	"encoding/gob"
 	"slices"
 	"testing"
 	"time"
@@ -201,13 +200,7 @@ func checkpointMid[T any](t *testing.T, p int, prof Profile, at time.Duration, i
 	op func(e *Engine, restored bool) T) (live, restored []T) {
 	t.Helper()
 	prof.Async = true
-	encode := func(imgs []*EngineImage) []byte {
-		var b bytes.Buffer
-		if err := gob.NewEncoder(&b).Encode(imgs); err != nil {
-			t.Fatal(err)
-		}
-		return b.Bytes()
-	}
+	encode := func(imgs []*EngineImage) []byte { return AppendState(nil, imgs) }
 	w := NewWorld(sim.New(1), testTopo(p), prof, p, 1)
 	imgs := make([]*EngineImage, p)
 	var captured []byte

@@ -204,31 +204,27 @@ func (c *CG) Step(e *mpi.Engine) bool {
 	return false
 }
 
-// ftEncode captures the solver state at the exchange point (after the
-// r·r allreduce, about to gather the next search direction).
+// cgSnap is CG's partner snapshot: the solver state at the exchange point
+// (after the r·r allreduce, about to gather the next search direction).
+type cgSnap struct {
+	It      int
+	RR      float64
+	X, R, P []float64
+}
+
 func (c *CG) ftEncode() []byte {
-	w := newFTEncoder(2, c.X, c.R, c.P)
-	w.putInt(int64(c.It))
-	w.putF64(c.RR)
-	w.putVec(c.X)
-	w.putVec(c.R)
-	w.putVec(c.P)
-	return w.buf
+	return mpi.AppendState(snapBuf(2, c.X, c.R, c.P), &cgSnap{c.It, c.RR, c.X, c.R, c.P})
 }
 
 func (c *CG) ftDecode(blob []byte) bool {
-	r := ftDecoder{buf: blob}
-	it, ok := r.int()
-	if !ok {
+	var s cgSnap
+	if mpi.LoadState(blob, &s) != nil || len(s.X) != len(c.X) || len(s.R) != len(c.R) || len(s.P) != len(c.P) {
 		return false
 	}
-	rr, ok := r.f64()
-	if !ok || !r.vec(c.X) || !r.vec(c.R) || !r.vec(c.P) {
-		return false
-	}
-	c.It = int(it)
-	c.RR = rr
-	c.Phase = cgGatherP
+	copy(c.X, s.X)
+	copy(c.R, s.R)
+	copy(c.P, s.P)
+	c.It, c.RR, c.Phase = s.It, s.RR, cgGatherP
 	return true
 }
 

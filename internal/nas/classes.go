@@ -26,17 +26,17 @@
 package nas
 
 import (
-	"encoding/gob"
 	"fmt"
 
+	"ftckpt/internal/mpi"
 	"ftckpt/internal/simnet"
 )
 
 func init() {
-	gob.Register(&CG{})
-	gob.Register(&BTModel{})
-	gob.Register(&CGModel{})
-	gob.Register(&Jacobi{})
+	mpi.RegisterProgram("nas.CG", func() mpi.Program { return new(CG) })
+	mpi.RegisterProgram("nas.BTModel", func() mpi.Program { return new(BTModel) })
+	mpi.RegisterProgram("nas.CGModel", func() mpi.Program { return new(CGModel) })
+	mpi.RegisterProgram("nas.Jacobi", func() mpi.Program { return new(Jacobi) })
 }
 
 // EffectiveFlopRate is the sustained per-process floating-point rate used

@@ -26,9 +26,6 @@ package nas
 // blob.
 
 import (
-	"encoding/binary"
-	"math"
-
 	"ftckpt/internal/mpi"
 	"ftckpt/internal/obs"
 	"ftckpt/internal/sim"
@@ -167,51 +164,18 @@ func (f *ftState) ftExchange(e *mpi.Engine, rank, size, it int, blob []byte) {
 
 // --- blob encoding -------------------------------------------------------
 //
-// Snapshots are flat little-endian buffers (an int64 header word per
-// scalar, raw float64 bits per vector element): byte-deterministic, no
-// reflection, no gob type descriptors.
+// A snapshot is a small struct of exported fields in the state codec's
+// layout (mpi.AppendState): an 8-byte word per scalar, then each vector's
+// 8-byte length and raw float64 bits.
 
-type ftEncoder struct{ buf []byte }
-
-// newFTEncoder sizes the buffer for scalars header words plus vecs, so a
+// snapBuf returns an empty buffer sized for scalars words plus vecs, so a
 // blob is allocated once at its exact length.
-func newFTEncoder(scalars int, vecs ...[]float64) ftEncoder {
+func snapBuf(scalars int, vecs ...[]float64) []byte {
 	n := 8 * scalars
 	for _, v := range vecs {
 		n += 8 + 8*len(v)
 	}
-	return ftEncoder{buf: make([]byte, 0, n)}
-}
-
-func (w *ftEncoder) putInt(v int64) {
-	w.buf = binary.LittleEndian.AppendUint64(w.buf, uint64(v))
-}
-
-func (w *ftEncoder) putF64(v float64) {
-	w.buf = binary.LittleEndian.AppendUint64(w.buf, math.Float64bits(v))
-}
-
-func (w *ftEncoder) putVec(v []float64) {
-	w.putInt(int64(len(v)))
-	for _, x := range v {
-		w.putF64(x)
-	}
-}
-
-type ftDecoder struct{ buf []byte }
-
-func (r *ftDecoder) int() (int64, bool) {
-	if len(r.buf) < 8 {
-		return 0, false
-	}
-	v := binary.LittleEndian.Uint64(r.buf)
-	r.buf = r.buf[8:]
-	return int64(v), true
-}
-
-func (r *ftDecoder) f64() (float64, bool) {
-	v, ok := r.int()
-	return math.Float64frombits(uint64(v)), ok
+	return make([]byte, 0, n)
 }
 
 // The two real kernels implement the full in-job recovery contract.
@@ -219,19 +183,3 @@ var (
 	_ mpi.FTProgram = (*Jacobi)(nil)
 	_ mpi.FTProgram = (*CG)(nil)
 )
-
-// vec decodes a vector into dst, which must already have the right
-// length — a mismatch means the blob belongs to a different problem
-// shape and the install is rejected.
-func (r *ftDecoder) vec(dst []float64) bool {
-	n, ok := r.int()
-	if !ok || int(n) != len(dst) {
-		return false
-	}
-	for i := range dst {
-		if dst[i], ok = r.f64(); !ok {
-			return false
-		}
-	}
-	return true
-}

@@ -154,30 +154,27 @@ func (j *Jacobi) recvHalo(ghost []float64, p *mpi.Packet, tag int) {
 	mpi.AppendF64s(ghost[:0], p.Data)
 }
 
-// ftEncode captures the solver state at the exchange point (after the
-// residual allreduce, about to start the next iteration).
+// jacobiSnap is Jacobi's partner snapshot: the solver state at the
+// exchange point (after the residual allreduce, about to start the next
+// iteration).
+type jacobiSnap struct {
+	It       int
+	Residual float64
+	Cur, New []float64
+}
+
 func (j *Jacobi) ftEncode() []byte {
-	w := newFTEncoder(2, j.Cur, j.New)
-	w.putInt(int64(j.It))
-	w.putF64(j.Residual)
-	w.putVec(j.Cur)
-	w.putVec(j.New)
-	return w.buf
+	return mpi.AppendState(snapBuf(2, j.Cur, j.New), &jacobiSnap{j.It, j.Residual, j.Cur, j.New})
 }
 
 func (j *Jacobi) ftDecode(blob []byte) bool {
-	r := ftDecoder{buf: blob}
-	it, ok := r.int()
-	if !ok {
+	var s jacobiSnap
+	if mpi.LoadState(blob, &s) != nil || len(s.Cur) != len(j.Cur) || len(s.New) != len(j.New) {
 		return false
 	}
-	res, ok := r.f64()
-	if !ok || !r.vec(j.Cur) || !r.vec(j.New) {
-		return false
-	}
-	j.It = int(it)
-	j.Residual = res
-	j.Phase = jacExchUp
+	copy(j.Cur, s.Cur)
+	copy(j.New, s.New)
+	j.It, j.Residual, j.Phase = s.It, s.Residual, jacExchUp
 	return true
 }
 

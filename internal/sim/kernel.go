@@ -26,11 +26,11 @@
 // The event queue is built for the hot path: an indexed 4-ary min-heap
 // over a pooled slot slab.  Scheduling reuses slots through a free list
 // (no per-At allocation in steady state), EventIDs carry a generation
-// counter so Cancel is an O(1) mark (the slot drains from the heap
-// lazily), and timers that only wake an LP (Advance) carry the *Proc
-// directly instead of a closure.  Bursts of events that share a callback
-// and never go back in time (a NIC's transmit horizon) queue in a Lane,
-// which keeps only its head in the heap (lane.go).
+// counter so a stale one cannot cancel a later event (Cancel unlinks the
+// slot from the heap at once), and timers that only wake an LP (Advance)
+// carry the *Proc directly instead of a closure.  Bursts of events that
+// share a callback and never go back in time (a NIC's transmit horizon)
+// queue in a Lane, which keeps only its head in the heap (lane.go).
 // An event that is usually not needed need not be scheduled at all:
 // Reserve draws the key it would have, Passed tells whether it would have
 // fired yet, and Lane.AtKey schedules it at that key only once it turns
@@ -88,8 +88,8 @@ func (p *Proc) ID() int { return p.id }
 func (p *Proc) Name() string { return p.name }
 
 // eventSlot is one pooled event.  A slot is referenced by at most one
-// heap entry; cancelled slots stay in the heap (lazily skipped on pop)
-// and are recycled through the free list once popped.
+// heap entry and knows its place in the heap, so Cancel unlinks it at once
+// and recycles it through the free list.
 //
 // Lifetime rule (its declarations are checked by the pooled-holder rule
 // of lint_test.go at the repo root): a *eventSlot obtained from the slab
@@ -98,21 +98,23 @@ func (p *Proc) Name() string { return p.name }
 // a slot pointer in a field or global; hold the EventID instead, which
 // detects recycling.
 type eventSlot struct {
-	t    Time
-	seq  uint64
-	gen  uint32
-	live bool
-	// owned marks the one slot a Lane keeps in the heap: arg holds the
-	// lane (a slotOwner), which re-keys the slot rather than freeing it
-	// while it has more entries.
-	owned bool
+	t   Time
+	seq uint64
+	gen uint32
+	pos int32 // index in the heap; -1 while the slot is free or firing
 	// Exactly one of the payload forms is set: fn (closure callback),
-	// argFn+arg (closure-free callback), proc (wake the LP), or owned+arg.
+	// argFn+arg (closure-free callback), proc (wake the LP), or arg alone
+	// (owned).
 	fn    func()
 	argFn func(any)
 	arg   any
 	proc  *Proc
 }
+
+// owned reports whether s is the one slot a Lane keeps in the heap: arg
+// holds the lane (a slotOwner), which re-keys the slot rather than freeing
+// it while it has more entries.
+func (s *eventSlot) owned() bool { return s.fn == nil && s.argFn == nil && s.proc == nil }
 
 // slotOwner is what the kernel sees of a Lane: firing its slot, which sits
 // at the heap root, dispatches the lane's head.
@@ -126,8 +128,6 @@ type Kernel struct {
 	slab []eventSlot
 	free []int32 // recycled slot indices (LIFO)
 	heap []int32 // 4-ary min-heap of slot indices, keyed by (t, seq)
-
-	dead int // cancelled slots still parked in the heap
 
 	// cur is the seq of the event being dispatched, or of the last one
 	// while an LP runs: with now, the key Passed compares against.
@@ -254,77 +254,73 @@ func (k *Kernel) slotLess(a, b int32) bool {
 	return sa.seq < sb.seq
 }
 
+// heapPush adds a slot to the heap.  Every heap write goes through
+// heapSet, so a slot's pos is always its index.
 func (k *Kernel) heapPush(idx int32) {
 	k.heap = append(k.heap, idx)
-	h := k.heap
-	if len(h) > k.heapMax {
-		k.heapMax = len(h)
+	if len(k.heap) > k.heapMax {
+		k.heapMax = len(k.heap)
 	}
-	i := len(h) - 1
-	for i > 0 {
-		parent := (i - 1) / 4
-		if !k.slotLess(h[i], h[parent]) {
-			break
-		}
-		h[i], h[parent] = h[parent], h[i]
-		i = parent
+	k.siftUp(len(k.heap) - 1)
+}
+
+func (k *Kernel) heapSet(i int, idx int32) {
+	k.heap[i] = idx
+	k.slab[idx].pos = int32(i)
+}
+
+// heapRemove unlinks the slot at heap index i.
+func (k *Kernel) heapRemove(i int) {
+	h := k.heap
+	last := len(h) - 1
+	k.slab[h[i]].pos = -1
+	k.heap = h[:last]
+	if i < last {
+		k.heapSet(i, h[last])
+		// The moved slot needs at most one of the two sifts; the other is
+		// a no-op.
+		k.siftDown(i)
+		k.siftUp(i)
 	}
 }
 
-func (k *Kernel) heapPop() int32 {
+func (k *Kernel) siftUp(i int) {
 	h := k.heap
-	top := h[0]
-	last := len(h) - 1
-	h[0] = h[last]
-	k.heap = h[:last]
-	k.siftDown(0)
-	return top
+	x := h[i]
+	for i > 0 {
+		parent := (i - 1) / 4
+		if !k.slotLess(x, h[parent]) {
+			break
+		}
+		k.heapSet(i, h[parent])
+		i = parent
+	}
+	k.heapSet(i, x)
 }
 
 func (k *Kernel) siftDown(i int) {
 	h := k.heap
 	n := len(h)
+	x := h[i]
 	for {
 		first := 4*i + 1
 		if first >= n {
 			break
 		}
 		m := first
-		end := first + 4
-		if end > n {
-			end = n
-		}
+		end := min(first+4, n)
 		for j := first + 1; j < end; j++ {
 			if k.slotLess(h[j], h[m]) {
 				m = j
 			}
 		}
-		if !k.slotLess(h[m], h[i]) {
+		if !k.slotLess(h[m], x) {
 			break
 		}
-		h[i], h[m] = h[m], h[i]
+		k.heapSet(i, h[m])
 		i = m
 	}
-}
-
-// compactHeap drops cancelled slots and re-heapifies.  Called once more
-// than half the heap is dead, it keeps a cancel-heavy workload (rearming
-// timeouts, abandoned flows) at amortised O(1) per cancel and bounds the
-// queue's memory by twice its live population.
-func (k *Kernel) compactHeap() {
-	h := k.heap[:0]
-	for _, idx := range k.heap {
-		if k.slab[idx].live {
-			h = append(h, idx)
-		} else {
-			k.freeSlot(idx)
-		}
-	}
-	k.heap = h
-	for i := (len(h) - 2) / 4; i >= 0; i-- {
-		k.siftDown(i)
-	}
-	k.dead = 0
+	k.heapSet(i, x)
 }
 
 // schedule inserts one event, reusing a free slot when available.
@@ -336,7 +332,7 @@ func (k *Kernel) schedule(t Time, fn func(), argFn func(any), arg any, proc *Pro
 func (k *Kernel) scheduleKey(key Key, fn func(), argFn func(any), arg any, proc *Proc) EventID {
 	idx := k.allocSlot()
 	s := &k.slab[idx]
-	s.t, s.seq, s.live = key.t, key.seq, true
+	s.t, s.seq = key.t, key.seq
 	s.fn, s.argFn, s.arg, s.proc = fn, argFn, arg, proc
 	k.heapPush(idx)
 	return makeEventID(idx, s.gen)
@@ -359,8 +355,7 @@ func (k *Kernel) allocSlot() int32 {
 func (k *Kernel) freeSlot(idx int32) {
 	s := &k.slab[idx]
 	s.gen++
-	s.live = false
-	s.owned = false
+	s.pos = -1
 	s.fn, s.argFn, s.arg, s.proc = nil, nil, nil, nil
 	if s.gen == 0 {
 		// The generation counter wrapped: an EventID issued 2^32 lives
@@ -403,24 +398,20 @@ func (k *Kernel) AfterArg(d Time, fn func(any), arg any) EventID {
 }
 
 // Cancel revokes a pending event.  Cancelling an event that already fired
-// (or was already cancelled) is a no-op and reports false.  Cancellation
-// is O(1): the slot is marked dead and drains from the heap lazily.
+// (or was already cancelled) is a no-op and reports false.  The slot
+// leaves the heap at once, in O(log n), and is recycled.
 func (k *Kernel) Cancel(id EventID) bool {
 	idx, gen := id.split()
 	if idx < 0 || int(idx) >= len(k.slab) {
 		return false
 	}
 	s := &k.slab[idx]
-	if !s.live || s.gen != gen {
+	if s.pos < 0 || s.gen != gen {
 		return false
 	}
 	k.cancelled++
-	s.live = false
-	s.fn, s.argFn, s.arg, s.proc = nil, nil, nil, nil
-	k.dead++
-	if k.dead > 64 && k.dead > len(k.heap)/2 {
-		k.compactHeap()
-	}
+	k.heapRemove(int(s.pos))
+	k.freeSlot(idx)
 	return true
 }
 
@@ -590,22 +581,16 @@ func (k *Kernel) Run() error {
 		case len(k.heap) > 0:
 			idx := k.heap[0]
 			s := &k.slab[idx]
-			if !s.live {
-				k.heapPop()
-				k.freeSlot(idx)
-				k.dead--
-				continue
-			}
 			if s.t < k.now {
 				return fmt.Errorf("sim: event time went backwards: %v < %v", s.t, k.now)
 			}
 			k.now, k.cur = s.t, s.seq
 			k.fired++
-			if s.owned {
+			if s.owned() {
 				s.arg.(slotOwner).fire(idx)
 				continue
 			}
-			k.heapPop()
+			k.heapRemove(0)
 			fn, argFn, arg, proc := s.fn, s.argFn, s.arg, s.proc
 			k.freeSlot(idx)
 			switch {

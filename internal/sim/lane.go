@@ -79,8 +79,7 @@ func (l *Lane[T]) append(key Key, v T) {
 	if l.q.Len() == 1 {
 		idx := k.allocSlot()
 		s := &k.slab[idx]
-		s.t, s.seq, s.live, s.owned = key.t, key.seq, true, true
-		s.arg = l
+		s.t, s.seq, s.arg = key.t, key.seq, l
 		k.heapPush(idx)
 	}
 }
@@ -99,7 +98,7 @@ func (l *Lane[T]) fire(idx int32) {
 		s.t, s.seq = next.key.t, next.key.seq
 		k.siftDown(0)
 	} else {
-		k.heapPop()
+		k.heapRemove(0)
 		k.freeSlot(idx)
 	}
 	l.fn(e.v)

@@ -274,7 +274,7 @@ func newRealMachine(p *modelProg) *realMachine {
 		if i == modelOldSlots-1 {
 			lives = 1
 		}
-		m.k.slab = append(m.k.slab, eventSlot{gen: ^uint32(0) - (lives - 1)})
+		m.k.slab = append(m.k.slab, eventSlot{gen: ^uint32(0) - (lives - 1), pos: -1})
 		m.k.free = append(m.k.free, i)
 	}
 	for i := range m.lanes {
@@ -302,7 +302,7 @@ func (m *realMachine) now() Time     { return m.k.Now() }
 // modelLivesLeft lives.
 func (m *realMachine) retired() (all, full int) {
 	for i := range m.k.slab {
-		if s := &m.k.slab[i]; s.gen == 0 && !s.live && !slices.Contains(m.k.free, int32(i)) {
+		if s := &m.k.slab[i]; s.gen == 0 && s.pos < 0 && !slices.Contains(m.k.free, int32(i)) {
 			all++
 			if i < modelOldSlots-1 {
 				full++

@@ -73,10 +73,10 @@ func at256(t *testing.T, check func(t *testing.T, b *budget, st KernelStats, np 
 
 // TestHeapHighWaterBounded: the head-of-line lanes and one armed flow
 // completion per resource clock keep the event heap O(NP) deep through a
-// wave.  At NP=256 it holds 427 entries under Pcl (an NP² marker flood),
-// 898 under Vcl and 768 under Mlog, cancelled completions waiting to be
-// popped included; one entry per pending small message or daemon admit
-// made the Pcl and Vcl runs reach 29 179 and 122 623.
+// wave.  At NP=256 it holds 429 entries under Pcl (an NP² marker flood),
+// 644 under Vcl and 768 under Mlog (a cancelled event leaves the heap at
+// once); one entry per pending small message or daemon admit made the
+// Pcl and Vcl runs reach 29 179 and 122 623.
 func TestHeapHighWaterBounded(t *testing.T) {
 	at256(t, func(t *testing.T, b *budget, st KernelStats, np int) {
 		if st.HeapMax > b.heapPerRank*np || st.LaneMax == 0 || st.Scheduled < st.Fired+st.Cancelled {
@@ -132,11 +132,10 @@ func TestOverloadedMlogReturns(t *testing.T) {
 // copy costs bytes, not mallocs, and so do the three Mlog rows, since a
 // log record that regrows costs bytes too.  mlog-256 is the per-record
 // logging path at the benchmark's proto-matrix-256 size.  A change that
-// allocates more or less re-records the values (last, every row: when a
-// message's header came to ride in its wire record and its Data in a
-// slot of a body chunk) and says so.  A re-record only tightens: a row
-// whose bytes came out above the recorded value keeps it (mlog-256,
-// mlog-64-nofail and ulfm-node-8 then, by 0.1-1.3 %).
+// allocates more or less re-records the values (last, every row: when
+// images took the flat state codec in place of gob) and says so.
+// A re-record only tightens: a row whose bytes came out above the recorded
+// value keeps it (mlog-64-nofail then, by 0.15 %).
 func TestAllocCeilings(t *testing.T) {
 	if testing.Short() || raceEnabled {
 		t.Skip("allocation counts are recorded for a plain, full run")

@@ -62,8 +62,9 @@ func foldMismatch(rep Report, events []Event) error {
 // one Options.Metrics, recorded at the commit before a job's registry
 // became its own (when both runs wrote into the shared one directly), and
 // re-recorded when the two always-zero buffer-eviction counters left
-// every export.
-const sharedRegistrySHA = "55f3ba4084ed1eabfd7951c061e6d2bd3e5dcc5584b1e80a4ece8743e7d87de8"
+// every export, and again when images took the flat state codec (the
+// stream first differs at its first image-store-begin's Bytes).
+const sharedRegistrySHA = "11bb32185275edb7a931f19bb136da3207313ac7c956e17347916542296ebd2c"
 
 // TestSharedRegistry: two sequential runs sharing one Options.Metrics each
 // report their own totals, and the shared registry ends up byte-identical
@@ -127,11 +128,10 @@ const orderChild = "sweep-order-child"
 
 // TestSweepFreshProcessOrder runs Sweep over {mlog-64, pcl-64} in four
 // fresh processes — both point orders, Jobs 1 and 2 — and requires four
-// identical outputs.  The processes must be fresh: what leaked was
-// process-global state (encoding/gob hands out type ids in first-use
-// order, and the first id encodes one byte shorter, which reached the
-// modelled image size), so a second Sweep in one process sees the ids the
-// first one left behind and proves nothing.
+// identical outputs.  The processes must be fresh: what it guards
+// against is process-global state reaching a result (a cache, a counter,
+// a table filled on first use), and a second Sweep in one process sees
+// whatever the first one left behind and proves nothing.
 func TestSweepFreshProcessOrder(t *testing.T) {
 	if args := flag.Args(); len(args) == 3 && args[0] == orderChild {
 		sweepOrderChild(t, args[1], args[2])

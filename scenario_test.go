@@ -47,9 +47,9 @@ type budget struct {
 // gridReplicatedReport is the Report of grid-pcl-16-replicated, recorded
 // like the hashes of the replicated rows: 10 waves, 5250.2 MB stored.
 const gridReplicatedReport = "{Completion:1m58.516531991s Waves:10 LocalCheckpoints:176 Restarts:0 " +
-	"Messages:22300 PayloadMB:750.0022888183594 CheckpointMB:5250.233316421509 LoggedMessages:0 " +
+	"Messages:22300 PayloadMB:750.0022888183594 CheckpointMB:5250.167500495911 LoggedMessages:0 " +
 	"LoggedMB:0 Checksum:64.00000000000003 Repairs:0 LostWork:0s RecoveredWork:1 ServerFailures:0 " +
-	"Failovers:0 MeanWaveSpread:37.006µs MeanWaveTransfer:8.743009429s MeanWaveCycle:8.80762661s " +
+	"Failovers:0 MeanWaveSpread:37.006µs MeanWaveTransfer:8.742899839s MeanWaveCycle:8.80762661s " +
 	"Metrics:<nil> Attribution:<nil>}"
 
 // replicatedTier is servers checkpoint servers, two copies of every image,
@@ -131,7 +131,7 @@ var scenarios = func() []scenario {
 		// a spare, and the non-blocking protocol, each without a restart.
 		{name: "ulfm-rank-8", opts: ulfm(Pcl, KillRank(40*ms, 3)), repeat: 1, post: repairedInJob},
 		{name: "ulfm-node-8", opts: ulfm(Pcl, KillNode(40*ms, 3)), pinned: true, repeat: 1, post: repairedInJob,
-			budget: &budget{mallocs: 45_676, bytes: 119_375_152}},
+			budget: &budget{mallocs: 43_154, bytes: 107_005_352}},
 		{name: "ulfm-vcl-8", opts: ulfm(Vcl, KillRank(40*ms, 3)), repeat: 1, post: repairedInJob},
 		// Replication, heartbeats and failover: retry timers, failover
 		// fetches and bulk-flow delivery order.  replicated-hb-8's recorded
@@ -144,13 +144,15 @@ var scenarios = func() []scenario {
 		// reorders completions that tie and moves some by 1 ns; each
 		// stream first differs at such an event (CHANGES.md lists them),
 		// and only replicated-mlog-8's Report moved: completion
-		// 96.475813 → 96.475815 ms.
+		// 96.475813 → 96.475815 ms.  All three were re-recorded again when
+		// images took the flat state codec (mpi.AppendState): each stream
+		// first differs at its first image-store-begin, whose Bytes moved.
 		{name: "replicated-hb-8", opts: hbKill(17 * ms), pinned: true, repeat: 1},
 		{name: "replicated-hb-8-late", opts: hbKill(18 * ms)},
 		{name: "replicated-vcl-8", opts: replicated(Vcl, 11, KillRank(13*ms, 2), KillNode(23*ms, 1)), recorded: [3]string{
-			"f574f941d695fcd4510b1dcebbaa054cadf00741be3b00423236df0aad43208d",
-			"d4415386e6445c722db2ec3342d275d48a39f4bf62b80398ba7e00b8ef7a0c7c",
-			"2a900911765fe9fa535fc01e6f8fa328516b0f89b219337155a4190fade86171"}},
+			"be1b860fbf0bfebf4b36ed7a1d3e71f79dfbe9a16c8fff14b2056df2c5c4538b",
+			"3654bffe91fbde2fe34266e80616e93b1080d1616759ae3de64443d3fb0f4304",
+			"afda758ded111eacc016834d38f50baf632c395449f0ec9adceb145bff26c3ca"}},
 		// Re-recorded when Mlog began deferring a checkpoint tick while the
 		// previous image is in flight.  The stream first differs at line 2616:
 		//   2615  18711687 log-ship-end 4 3 -1 -1 1 0 72 0 1715 0
@@ -159,13 +161,13 @@ var scenarios = func() []scenario {
 		// Eight ticks defer; completion 108.58 → 96.48 ms, 166 → 139 local
 		// checkpoints, same checksum.
 		{name: "replicated-mlog-8", opts: replicated(Mlog, 13, KillServer(9*ms, 0)), recorded: [3]string{
-			"e03e32fe1531b58a6af6c4f9d0b944fa8b1fae48d4256a7d02b18c473559cce9",
-			"dc07e84d06ca99ae30c24f147f1b3635ceaa873126ac44a4484be2864b8426ed",
-			"4683086afd868f14744c566318826abe086b1effd712884737689e829e15f615"}},
+			"a692338532b1aeaf59a85467bf4d30d0049a2172c428bfcbfd88cfe5699ec13c",
+			"6072245406a90a6bd02c334751fa5ec47ae9ec6d0caa64d9622a5e36b007d5bb",
+			"48e260d18cf73925c0d4041099560f9b970f1f370f5a31f4a7db721fb0491c19"}},
 		{name: "replicated-node-8", opts: replicated(Pcl, 21, KillNode(15*ms, 2)), recorded: [3]string{
-			"f6f2710e3feabf22878c1ef7021003d606870956bc5132b1932ed0ea0fd4d2c5",
-			"0ea338b011786f3756552c6129951dc3f08c9c14e4963baf8db434afc316bba0",
-			"c40e1b3ce11dee1be5d18688b3f8258f3208f8ebcb9c36899f9d301ced8490d9"}},
+			"226983f51dcd68ac272a495e15456913676f50fbf341f978c24c45a4ea66125c",
+			"1528e6b10366fed38701bc017d1bee38aca209270f86da83bb7bb3fc0bdccd45",
+			"218491927384dd7f34c75bdd32d9f6d55cfb381f55953e12ce7535b36d3194fb"}},
 		// The storage hierarchy: a buffer loss between two waves, then a
 		// rank kill whose restore falls through the dead buffer; a chaos
 		// schedule biased toward buffer kills; two restores of one shared
@@ -173,7 +175,7 @@ var scenarios = func() []scenario {
 		{name: "storage-hier-8", opts: hier(true, KillBuffer(9*ms, 1), KillRank(17*ms, 3)),
 			pinned: true, repeat: 1, post: recovered},
 		{name: "storage-incremental-8", opts: hier(false, KillBuffer(9*ms, 1), KillRank(17*ms, 3)),
-			budget: &budget{mallocs: 51_183, bytes: 6_877_264}},
+			budget: &budget{mallocs: 46_140, bytes: 5_754_448}},
 		{name: "storage-chaos-8", opts: hier(false), repeat: 1, post: bufferThenRankKill,
 			chaos: &ChaosSpec{Seed: 1, Kills: 3, BufferFrac: 0.5, From: 6 * ms, Until: 16 * ms}},
 		{name: "shared-image-pcl-8", opts: shared(Pcl), post: restoredTwice},
@@ -193,21 +195,24 @@ var scenarios = func() []scenario {
 		// changed instead of every flow sharing a resource with it, so
 		// scheduled and cancelled fell (Mlog 20.6 M / 17.3 M before), and
 		// fired moved by a few events where a 1 ns shift reordered ties.
+		// The two Mlog rows' counts were re-recorded when images took the
+		// flat state codec, which sizes an Mlog image's packets at 8 bytes
+		// a field: each stream first differs at an image-store-begin.
 		{name: "pcl-256", opts: kernel(Pcl, 256, 2*s),
 			budget: &budget{heapPerRank: 4, counts: [3]uint64{1_741_930, 1_529_800, 75_960}}},
 		{name: "vcl-256", opts: kernel(Vcl, 256, 2*s),
 			budget: &budget{heapPerRank: 4, counts: [3]uint64{2_172_078, 1_974_706, 60_688}}},
 		{name: "mlog-256", opts: kernel(Mlog, 256, 2*s),
-			budget: &budget{mallocs: 460_013, bytes: 173_354_592, heapPerRank: 4, counts: [3]uint64{3_645_551, 2_962_683, 365_731}}},
-		{name: "pcl-64-nofail", opts: kernel(Pcl, 64, 8*s), budget: &budget{mallocs: 14_447}},
-		{name: "vcl-64-nofail", opts: kernel(Vcl, 64, 8*s), budget: &budget{mallocs: 11_228}},
-		{name: "mlog-64-nofail", opts: kernel(Mlog, 64, 8*s), budget: &budget{mallocs: 102_125, bytes: 42_377_776}},
+			budget: &budget{mallocs: 424_106, bytes: 172_588_008, heapPerRank: 4, counts: [3]uint64{3_645_123, 2_962_662, 365_316}}},
+		{name: "pcl-64-nofail", opts: kernel(Pcl, 64, 8*s), budget: &budget{mallocs: 9_964}},
+		{name: "vcl-64-nofail", opts: kernel(Vcl, 64, 8*s), budget: &budget{mallocs: 8_925}},
+		{name: "mlog-64-nofail", opts: kernel(Mlog, 64, 8*s), budget: &budget{mallocs: 97_651, bytes: 42_377_776}},
 		// Overload: 64 images of 3.9 MB every 400 ms offer four servers
 		// 625 MB/s.  Before Mlog deferred a tick while its last image was
 		// in flight, this run never returned.  Its counts were re-recorded
 		// with the NP=256 rows' (3 163 884 / 749 387 / 2 335 144 before).
 		{name: "mlog-64-overload", opts: kernel(Mlog, 64, 400*ms),
-			budget: &budget{mallocs: 335_708, bytes: 57_553_536, heapPerRank: 4, counts: [3]uint64{931_921, 749_386, 103_229}}},
+			budget: &budget{mallocs: 249_517, bytes: 49_986_360, heapPerRank: 4, counts: [3]uint64{932_159, 749_388, 103_467}}},
 	}
 }()
 
