@@ -12,7 +12,7 @@ import (
 // FuzzDecodeProgram: any bytes decode to a program or an error, never a
 // panic, and no length in them makes the decode allocate more than a small
 // multiple of their size; a program that decodes re-encodes to the same
-// bytes.  The seeds are every registered kind's encoding; the committed
+// bytes, whose state mpi.StateSize measures.  The seeds are every registered kind's encoding; the committed
 // corpus (testdata/fuzz/FuzzDecodeProgram) adds malformed ones.
 func FuzzDecodeProgram(f *testing.F) {
 	for _, p := range []mpi.Program{
@@ -41,6 +41,9 @@ func FuzzDecodeProgram(f *testing.F) {
 		}
 		if again, err := EncodeProgram(p); err != nil || !bytes.Equal(again, b) {
 			t.Fatalf("decoded %T re-encodes to %d other bytes (%v)", p, len(again), err)
+		}
+		if n, enc := mpi.StateSize(p), len(mpi.AppendState(nil, p)); n != enc {
+			t.Fatalf("decoded %T: StateSize %d, encoding %d bytes", p, n, enc)
 		}
 	})
 }

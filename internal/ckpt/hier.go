@@ -153,7 +153,7 @@ func (sp *Spec) WithoutStaging() *Spec {
 }
 
 // nodeBuffer is one node's staging buffer.  It keeps every image until
-// GC reclaims it.
+// GC reclaims it; each entry is a holder of its record.
 type nodeBuffer struct {
 	node   int
 	dead   bool
@@ -169,7 +169,9 @@ type pfsStore struct {
 	nodes   []int // target index → machine
 	dead    []bool
 	images  map[imgKey]*pfsImage
-	staging map[imgKey]bool
+	// staging is the image of each stripe write in flight, which holds it
+	// until the entry it lands as does.
+	staging map[imgKey]*Image
 }
 
 type pfsImage struct {
@@ -229,6 +231,9 @@ type Hierarchy struct {
 
 	chains map[int]*chainState
 
+	// free is each rank's list of released image records (NewImage).
+	free [][]*Image
+
 	hub *obs.Hub
 }
 
@@ -265,10 +270,42 @@ func NewHierarchy(net *simnet.Network, spec Spec, group *Group, pfsNodes []int) 
 			nodes:   pfsNodes,
 			dead:    make([]bool, len(pfsNodes)),
 			images:  make(map[imgKey]*pfsImage),
-			staging: make(map[imgKey]bool),
+			staging: make(map[imgKey]*Image),
 		}
 	}
 	return h
+}
+
+// NewImage returns an empty image record for rank: one the rank released,
+// whose App keeps its capacity for the next AppendProgram, or a new one.
+// The record returns to the rank's free list once no level entry and no
+// leg in flight holds it (see Image).
+func (h *Hierarchy) NewImage(rank int) *Image {
+	for len(h.free) <= rank {
+		h.free = append(h.free, nil)
+	}
+	free := h.free[rank]
+	if len(free) == 0 {
+		return &Image{Rank: rank, home: h}
+	}
+	im := free[len(free)-1]
+	free[len(free)-1] = nil
+	h.free[rank] = free[:len(free)-1]
+	*im = Image{Rank: rank, App: im.App[:0], home: h}
+	return im
+}
+
+// put stores img as the buffer's copy of its wave, holding it, and
+// lets go of a different record it replaces.
+func (b *nodeBuffer) put(img *Image) {
+	k := imgKey{img.Rank, img.Wave}
+	old := b.images[k]
+	if old == img {
+		return
+	}
+	img.hold()
+	b.images[k] = img
+	old.drop()
 }
 
 // SetObs attaches the hub hierarchy events go to.
@@ -360,13 +397,28 @@ func (h *Hierarchy) ResetChain(rank int) {
 
 // hierOp is a store or restore fetch in progress above or below the
 // server group: the buffer device timer, the group operation or the PFS
-// stripe flows of whichever leg is in flight.
+// stripe flows of whichever leg is in flight.  leg is the image a buffer
+// write, a buffer read or a PFS read holds until it is done with it (a
+// group operation holds its own).
 type hierOp struct {
 	h         *Hierarchy
 	timer     sim.EventID
 	inner     Op
 	flows     []*simnet.Flow
+	leg       *Image
 	cancelled bool
+}
+
+// holdLeg makes img the image the leg in flight holds.
+func (op *hierOp) holdLeg(img *Image) {
+	img.hold()
+	op.leg = img
+}
+
+// dropLeg lets go of the leg's image.
+func (op *hierOp) dropLeg() {
+	op.leg.drop()
+	op.leg = nil
 }
 
 // Settled: no device timer, no inner operation with a leg in flight, no
@@ -394,6 +446,7 @@ func (op *hierOp) Cancel() {
 		f.Cancel()
 	}
 	op.flows = nil
+	op.dropLeg()
 }
 
 // Store writes img through the hierarchy.  It prices the image first (the
@@ -417,6 +470,7 @@ func (h *Hierarchy) Store(img *Image, srcNode int, cap simnet.Rate, onQuorum, on
 		return h.storeToServers(img, srcNode, cap, onQuorum, onFailed)
 	}
 	op := &hierOp{h: h}
+	op.holdLeg(img)
 	stored := img.StoredBytes()
 	span := h.hub.NextSpan()
 	h.emit(obs.Event{Type: obs.EvImageStoreBegin, Rank: img.Rank, Wave: img.Wave,
@@ -427,15 +481,17 @@ func (h *Hierarchy) Store(img *Image, srcNode int, cap simnet.Rate, onQuorum, on
 			// Device died mid-write: the local copy is lost, retry
 			// against the servers.
 			op.inner = h.storeToServers(img, srcNode, cap, onQuorum, onFailed)
+			op.dropLeg()
 			return
 		}
-		buf.images[imgKey{img.Rank, img.Wave}] = img
+		buf.put(img)
 		h.emit(obs.Event{Type: obs.EvImageStoreEnd, Rank: img.Rank, Wave: img.Wave,
 			Channel: -1, Node: srcNode, Server: -1, Level: h.bufIdx, Bytes: stored, Span: span})
 		if onQuorum != nil {
 			onQuorum()
 		}
 		h.drainFromBuffer(buf, img, cap)
+		op.dropLeg()
 	})
 	return op
 }
@@ -492,7 +548,7 @@ func (h *Hierarchy) drainToPFS(img *Image, cap simnet.Rate) {
 		return
 	}
 	k := imgKey{img.Rank, img.Wave}
-	if h.pfs.images[k] != nil || h.pfs.staging[k] {
+	if h.pfs.images[k] != nil || h.pfs.staging[k] != nil {
 		return
 	}
 	src := h.group.holder(img.Rank, img.Wave)
@@ -503,7 +559,8 @@ func (h *Hierarchy) drainToPFS(img *Image, cap simnet.Rate) {
 	if len(targets) == 0 {
 		return
 	}
-	h.pfs.staging[k] = true
+	img.hold() // the stripe write's, then the entry's
+	h.pfs.staging[k] = img
 	span := h.hub.NextSpan()
 	stored := img.StoredBytes()
 	h.emit(obs.Event{Type: obs.EvDrainBegin, Rank: img.Rank, Wave: img.Wave,
@@ -574,16 +631,18 @@ func (h *Hierarchy) Fetch(rank, wave, dstNode int, needLogs bool, onDone func(*I
 	if h.bufIdx >= 0 {
 		if buf := h.buffers[dstNode]; buf != nil && !buf.dead {
 			if img := buf.images[imgKey{rank, wave}]; img != nil {
+				op.holdLeg(img)
 				op.timer = h.k.After(bufferSetup+bwTime(img.RestoreBytes(), BufferBW), func() {
 					op.timer = 0
 					if buf.dead {
 						// Device died during the read; fall down a level.
+						op.dropLeg()
 						h.emit(obs.Event{Type: obs.EvReplicaFailover, Rank: rank, Wave: wave,
 							Channel: -1, Node: dstNode, Server: -1, Level: h.srvIdx})
 						op.fetchLower()
 						return
 					}
-					op.deliver(img)
+					op.deliver("a buffer read")
 				})
 				return op
 			}
@@ -593,18 +652,32 @@ func (h *Hierarchy) Fetch(rank, wave, dstNode int, needLogs bool, onDone func(*I
 	return op
 }
 
-// deliver completes a fetch whose image came from the buffer or the PFS.
-// Logs live only on the server level, so a restore that needs them still
-// reads them from the group; if they are gone the caller cannot replay,
-// same as a plain miss.
-func (op *hierFetchOp) deliver(img *Image) {
+// deliver completes a fetch whose image, the leg's, came from the buffer
+// or the PFS (named by from).  Logs live only on the server level, so a
+// restore that needs them still reads them from the group, the image held
+// meanwhile; if they are gone the caller cannot replay, same as a plain
+// miss.
+func (op *hierFetchOp) deliver(from string) {
+	img := op.leg
+	img.check(op.rank, op.wave, from)
 	if !op.needLogs {
-		op.onDone(img, nil)
+		op.done(img, nil)
 		return
 	}
 	op.inner = op.h.group.FetchLogsOnly(op.rank, op.wave, op.dstNode, func(logs []*mpi.Packet) {
-		op.onDone(img, logs)
-	}, op.onFail)
+		op.done(img, logs)
+	}, func(err error) {
+		op.dropLeg()
+		op.onFail(err)
+	})
+}
+
+// done hands the image to the caller, whose restore reads it before the
+// callback returns, and then lets go of the leg's hold.
+func (op *hierFetchOp) done(img *Image, logs []*mpi.Packet) {
+	op.leg = nil
+	op.onDone(img, logs)
+	img.drop()
 }
 
 func (op *hierFetchOp) fetchLower() {
@@ -634,9 +707,10 @@ func (op *hierFetchOp) fetchFromPFS() bool {
 	targets := h.pfs.images[k].targets
 	h.emit(obs.Event{Type: obs.EvReplicaFailover, Rank: op.rank, Wave: op.wave,
 		Channel: -1, Node: op.dstNode, Server: -1, Level: h.pfsIdx})
+	op.holdLeg(img)
 	op.flows = h.stripe(op.dstNode, targets, img.RestoreBytes(), false, func() {
 		op.flows = nil
-		op.deliver(img)
+		op.deliver("a PFS read")
 	})
 	return true
 }
@@ -654,6 +728,9 @@ func (h *Hierarchy) KillBuffer(node int) bool {
 		return false
 	}
 	buf.dead = true
+	for _, img := range buf.images {
+		img.drop()
+	}
 	buf.images = make(map[imgKey]*Image)
 	for _, d := range buf.drains {
 		d.Cancel()
@@ -716,8 +793,9 @@ func (h *Hierarchy) gcBuffer(buf *nodeBuffer, drop func(imgKey) bool) {
 	if buf == nil || buf.dead {
 		return
 	}
-	for k := range buf.images {
+	for k, img := range buf.images {
 		if drop(k) {
+			img.drop()
 			delete(buf.images, k)
 		}
 	}
@@ -727,8 +805,9 @@ func (h *Hierarchy) gcPFS(drop func(imgKey) bool) {
 	if h.pfs == nil {
 		return
 	}
-	for k := range h.pfs.images {
+	for k, ent := range h.pfs.images {
 		if drop(k) {
+			ent.img.drop()
 			delete(h.pfs.images, k)
 		}
 	}

@@ -12,24 +12,37 @@
 // the Program's declared Footprint plus the serialized engine/protocol
 // state actually needed to restore.
 //
-// An Image is an immutable value from the moment it is handed to a store.
-// The process manager builds it (App, Engine and Device are fresh copies
-// out of the live process: EncodeProgram, Engine.CaptureImage and the
-// protocol's DeviceState) and passes it to Hierarchy.Store, which makes the
-// last writes — the modelled costs Delta/Base/Stored/Restore — before any
-// level holds a reference.  After that the node buffer, every replica
-// server and the PFS entry share the one pointer, a fetch at any level
-// returns that same pointer, and restart only reads it (DecodeProgram,
-// Engine.RestoreImage and the protocol's Restore copy into the new
-// process).  Nothing may write through an *Image obtained from a store.
-// Log packets are shared the same way: Server.ReceiveLogs keeps the
-// received packets it is handed, which the receiving engine holds too and
-// nobody writes (mpi.Filter), and a replay delivers clones of them.
+// An Image is one record, shared by pointer and never copied.  The process
+// manager takes it from the hierarchy (Hierarchy.NewImage), fills it out of
+// the live process (AppendProgram into the record's own App buffer,
+// Engine.CaptureImage and the protocol's DeviceState) and passes it to
+// Hierarchy.Store, which makes the last writes — the modelled costs
+// Delta/Base/Stored/Restore — before any level holds a reference.  After
+// that the node buffer, every replica server and the PFS entry share the one
+// pointer, a fetch at any level returns that same pointer, and restart only
+// reads it, inside the fetch's callback (DecodeProgram,
+// Engine.RestoreImage and the protocol's Restore copy into the new process).
+// Nothing may write through an *Image obtained from a store.
+//
+// A record the hierarchy handed out counts its holders: each level entry
+// and each leg in flight (a buffer write, a group store, a drain, a PFS
+// stripe, a fetch until its callback returns).  When the count reaches
+// zero no level can serve the image any more and no transfer can deliver
+// it, so the record goes back to its rank's free list and the rank's next
+// capture encodes into the same App buffer.  A released record reads Wave
+// -1, and every delivery checks Rank and Wave, so a count that fell short
+// panics where a restore would have read the wrong state.  An image built
+// as a literal has no home and is never recycled.
+//
+// Log packets are shared the same way: a server keeps the log records it
+// is handed, which the receiving engine holds too and nobody writes
+// (mpi.Filter), and a replay delivers clones of them.
 package ckpt
 
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"ftckpt/internal/mpi"
 )
@@ -37,11 +50,12 @@ import (
 // Image is one process's local checkpoint for one wave.  Its builder sets
 // Rank through Done, Hierarchy.Store sets Delta through Restore on entry,
 // and from then on the image — the bytes App, Device and Engine point to
-// included — is shared and read-only (see the package comment).
+// included — is shared and read-only until its last holder lets it go (see
+// the package comment).
 type Image struct {
 	Rank int
 	Wave int
-	// App is the encoded Program (EncodeProgram): its kind's name and its
+	// App is the encoded Program (AppendProgram): its kind's name and its
 	// exported fields, so its length is a function of the program's state.
 	App []byte
 	// Engine is the communication-engine state (unconsumed messages,
@@ -69,6 +83,53 @@ type Image struct {
 	// a delta restore reads its full base plus the delta chain.  0 means
 	// Bytes().
 	Restore int64
+
+	// home is the hierarchy whose free list the record returns to, nil
+	// for a literal; holds counts its level entries and legs in flight.
+	home  *Hierarchy
+	holds int32
+}
+
+// maxFreeImages is how many released records a rank keeps: a rank's
+// levels hold one to three of its images at a time, so a capture finds
+// one and the rest go to the garbage collector.
+const maxFreeImages = 2
+
+// hold adds a holder to a recycled record (a level entry or a leg in
+// flight); a literal image is not counted.
+func (im *Image) hold() {
+	if im.home != nil {
+		im.holds++
+	}
+}
+
+// drop removes a holder.  The last one returns the record to its rank's
+// free list: its App keeps its capacity, Wave reads -1 and what it pointed
+// to is let go.  nil is a no-op (a log set's store carries no image).
+func (im *Image) drop() {
+	if im == nil || im.home == nil {
+		return
+	}
+	if im.holds--; im.holds > 0 {
+		return
+	}
+	if im.holds < 0 {
+		panic(fmt.Sprintf("ckpt: image rank %d wave %d released more often than held", im.Rank, im.Wave))
+	}
+	im.App, im.Wave, im.Engine, im.Device = im.App[:0], -1, nil, nil
+	h := im.home
+	if free := h.free[im.Rank]; len(free) < maxFreeImages {
+		h.free[im.Rank] = append(free, im)
+	}
+}
+
+// check panics unless the image is (rank, wave): a holder that reads a
+// record after its count reached zero sees another capture, or Wave -1.
+func (im *Image) check(rank, wave int, holder string) {
+	if im.Rank != rank || im.Wave != wave {
+		panic(fmt.Sprintf("ckpt: %s delivers image rank %d wave %d for rank %d wave %d: the record was recycled while held",
+			holder, im.Rank, im.Wave, rank, wave))
+	}
 }
 
 // Bytes returns the modelled size of the image on the wire and on the
@@ -100,15 +161,22 @@ func (im *Image) RestoreBytes() int64 {
 	return im.Bytes()
 }
 
-// EncodeProgram serializes a Program for an image: the name its kind was
+// AppendProgram appends p's image encoding to dst: the name its kind was
 // registered under (mpi.RegisterProgram), then its state (mpi.AppendState).
-func EncodeProgram(p mpi.Program) ([]byte, error) {
+// dst grows once, to the encoding's exact length (mpi.StateSize), so a
+// record's App buffer with room for the program is reused as it is.
+func AppendProgram(dst []byte, p mpi.Program) ([]byte, error) {
 	name, ok := mpi.ProgramName(p)
 	if !ok {
-		return nil, fmt.Errorf("ckpt: encoding program: %T is not registered", p)
+		return dst, fmt.Errorf("ckpt: encoding program: %T is not registered", p)
 	}
-	return mpi.AppendState(mpi.AppendState(nil, name), p), nil
+	dst = slices.Grow(dst, mpi.StateSize(name)+mpi.StateSize(p))
+	return mpi.AppendState(mpi.AppendState(dst, name), p), nil
 }
+
+// EncodeProgram serializes a Program into a buffer of its own (see
+// AppendProgram).
+func EncodeProgram(p mpi.Program) ([]byte, error) { return AppendProgram(nil, p) }
 
 // DecodeProgram reverses EncodeProgram.
 func DecodeProgram(b []byte) (mpi.Program, error) {

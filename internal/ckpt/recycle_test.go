@@ -1,0 +1,308 @@
+package ckpt
+
+import (
+	"bytes"
+	"fmt"
+	"math/rand"
+	"reflect"
+	"slices"
+	"testing"
+	"time"
+
+	"ftckpt/internal/mpi"
+	"ftckpt/internal/sim"
+	"ftckpt/internal/simnet"
+)
+
+// fill sets every exported field v reaches to a value other than its
+// zero: numbers to n and up, bools true, strings, slices and maps to two
+// and one elements, pointers (to a depth of three) to a filled target.
+func fill(v reflect.Value, n, depth int) {
+	switch v.Kind() {
+	case reflect.Bool:
+		v.SetBool(true)
+	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+		v.SetInt(int64(n))
+	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr:
+		v.SetUint(uint64(n))
+	case reflect.Float32, reflect.Float64:
+		v.SetFloat(float64(n) + 0.5)
+	case reflect.String:
+		v.SetString(fmt.Sprint("s", n))
+	case reflect.Pointer:
+		if depth < 3 {
+			v.Set(reflect.New(v.Type().Elem()))
+			fill(v.Elem(), n+1, depth+1)
+		}
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			if f := v.Field(i); f.CanSet() {
+				fill(f, n+i, depth)
+			}
+		}
+	case reflect.Slice:
+		v.Set(reflect.MakeSlice(v.Type(), 2, 2))
+		for i := 0; i < 2; i++ {
+			fill(v.Index(i), n+i, depth)
+		}
+	case reflect.Map:
+		k, e := reflect.New(v.Type().Key()).Elem(), reflect.New(v.Type().Elem()).Elem()
+		fill(k, n, depth)
+		fill(e, n+1, depth)
+		v.Set(reflect.MakeMap(v.Type()))
+		v.SetMapIndex(k, e)
+	}
+}
+
+// TestStateSizeOfPrograms: for every registered program kind with every
+// field non-zero, mpi.StateSize is the length of its state's encoding,
+// AppendProgram writes what EncodeProgram does, and appending into a
+// buffer with room reuses it.
+func TestStateSizeOfPrograms(t *testing.T) {
+	for _, name := range []string{"nas.CG", "nas.BTModel", "nas.CGModel", "nas.Jacobi", "ckpt.toyProgram"} {
+		p := mpi.NewProgram(name)
+		if p == nil {
+			t.Fatalf("no program kind %q", name)
+		}
+		fill(reflect.ValueOf(p).Elem(), 1, 0)
+		if n, enc := mpi.StateSize(p), len(mpi.AppendState(nil, p)); n != enc {
+			t.Errorf("%s: StateSize %d, encoding %d bytes", name, n, enc)
+		}
+		want, err := EncodeProgram(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		buf := make([]byte, 3, len(want)+3)
+		got, err := AppendProgram(buf[:0], p)
+		if err != nil || !bytes.Equal(got, want) || &got[0] != &buf[0] {
+			t.Errorf("%s: AppendProgram into a buffer with room gave %d bytes (same buffer %v, %v), want %d in place",
+				name, len(got), &got[0] == &buf[0], err, len(want))
+		}
+	}
+}
+
+// TestImageRecordsRecycle: a rank's records come back once every holder
+// has let go, keep their App buffer, and at most maxFreeImages wait per
+// rank.
+func TestImageRecordsRecycle(t *testing.T) {
+	k := sim.New(1)
+	h, _ := hierSetup(k)
+	app, _ := EncodeProgram(&toyProgram{Phase: 1, X: make([]float64, 64), Mem: 1 << 10})
+	var stored []*Image
+	for wave := 1; wave <= 4; wave++ {
+		img := h.NewImage(0)
+		img.Wave, img.App, img.Footprint = wave, append(img.App, app...), 1<<10
+		h.Store(img, 0, 0, nil, nil)
+		stored = append(stored, img)
+	}
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	h.GC(5)
+	if got := len(h.free[0]); got != maxFreeImages {
+		t.Fatalf("rank 0 keeps %d free records, want %d", got, maxFreeImages)
+	}
+	for _, im := range stored {
+		if im.holds != 0 || im.Wave != -1 || len(im.App) != 0 {
+			t.Errorf("released record holds %d, wave %d, %d App bytes", im.holds, im.Wave, len(im.App))
+		}
+	}
+	free := slices.Clone(h.free[0])
+	next := h.NewImage(0)
+	if !slices.Contains(free, next) || cap(next.App) < len(app) || next.Wave != 0 || next.home != h {
+		t.Errorf("NewImage gave %p (cap %d, wave %d), want a released record with its buffer", next, cap(next.App), next.Wave)
+	}
+}
+
+// TestImageRecordChurn runs seeded schedules of stores, cancels, fetches,
+// log stores, buffer, server and PFS-target kills, GC and GCRank through a
+// three-level hierarchy and checks, after every step and every few
+// microseconds between them, that no record on a free list is reachable
+// from a level or an open operation, that each reachable record counts at
+// least the holders the test can see, and that a fetch delivers the
+// capture it asked for.  Once everything has settled and every wave is
+// collected, every record has come back.
+func TestImageRecordChurn(t *testing.T) {
+	for seed := int64(1); seed <= 12; seed++ {
+		t.Run(fmt.Sprint("seed", seed), func(t *testing.T) { churn(t, seed) })
+	}
+}
+
+func churn(t *testing.T, seed int64) {
+	const ranks, nodes, servers = 6, 3, 3
+	rng := rand.New(rand.NewSource(seed))
+	k := sim.New(seed)
+	net := simnet.New(k, simnet.Topology{Clusters: []simnet.ClusterSpec{{
+		Name: "c", Nodes: nodes + servers + 2, NICBW: 100e6, Latency: 50 * time.Microsecond,
+	}}})
+	pool := make([]*Server, servers)
+	for i := range pool {
+		pool[i] = NewServer(net, i, nodes+i)
+	}
+	g := NewGroup(net, pool, 2, 1, nil)
+	g.MaxRetries, g.Backoff = 1, time.Millisecond
+	spec := (&Spec{Levels: []LevelSpec{
+		{Kind: LevelBuffer},
+		{Kind: LevelServers, Servers: servers, Replicas: 2, WriteQuorum: 1},
+		{Kind: LevelPFS, Targets: 2, Stripes: 2},
+	}}).Normalize()
+	h := NewHierarchy(net, *spec, g, []int{nodes + servers, nodes + servers + 1})
+
+	var (
+		records []*Image
+		stores  []Op
+		fetches []*hierFetchOp
+		capture = map[int]imgKey{} // a capture's serial (its program's Phase) → its rank and wave
+		waves   = make([]int, ranks)
+		serial  int
+	)
+	nodeOf := func(rank int) int { return rank % nodes }
+	store := func() {
+		r := rng.Intn(ranks)
+		if waves[r] == 0 || rng.Intn(4) > 0 {
+			waves[r]++ // else: the wave captured again, as after a rollback
+		}
+		img := h.NewImage(r)
+		if !slices.Contains(records, img) {
+			records = append(records, img)
+		}
+		serial++
+		capture[serial] = imgKey{r, waves[r]}
+		app, err := AppendProgram(img.App, &toyProgram{Phase: serial, X: make([]float64, 1+rng.Intn(64)), Mem: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		img.Wave, img.App, img.Footprint = waves[r], app, int64(16<<10+rng.Intn(64<<10))
+		stores = append(stores, h.Store(img, nodeOf(r), 0, nil, nil))
+		if rng.Intn(3) == 0 {
+			h.StoreLogs(r, waves[r], []*mpi.Packet{{Src: r, Dst: (r + 1) % ranks, Kind: mpi.KindPayload, VSize: 512}}, nodeOf(r), nil)
+		}
+	}
+	fetch := func() {
+		r := rng.Intn(ranks)
+		if waves[r] == 0 {
+			return
+		}
+		want := imgKey{r, waves[r] - rng.Intn(min(2, waves[r]))}
+		op := h.Fetch(want.rank, want.wave, nodeOf(r), rng.Intn(2) == 0, func(img *Image, _ []*mpi.Packet) {
+			p, err := DecodeProgram(img.App)
+			if err != nil {
+				t.Fatalf("fetch of %v delivered an image that does not decode: %v", want, err)
+			}
+			if got := capture[p.(*toyProgram).Phase]; got != want {
+				t.Fatalf("fetch of %v delivered the capture of %v", want, got)
+			}
+		}, func(error) {})
+		fetches = append(fetches, op.(*hierFetchOp))
+	}
+	check := func(when string) {
+		refs := map[*Image]int32{}
+		for _, b := range h.buffers {
+			for _, im := range b.images {
+				refs[im]++
+			}
+			for _, d := range b.drains {
+				if !d.Settled() {
+					refs[d.img]++
+				}
+			}
+		}
+		for _, srv := range pool {
+			for _, rs := range srv.ranks {
+				for _, e := range rs.images {
+					refs[e.img]++
+				}
+			}
+		}
+		for _, e := range h.pfs.images {
+			refs[e.img]++
+		}
+		for _, im := range h.pfs.staging {
+			refs[im]++
+		}
+		for _, op := range stores {
+			switch op := op.(type) {
+			case *hierOp:
+				if op.leg != nil {
+					refs[op.leg]++
+				}
+				if in, ok := op.inner.(*StoreOp); ok && !in.Settled() {
+					refs[in.img]++
+				}
+			case *StoreOp:
+				if !op.Settled() {
+					refs[op.img]++
+				}
+			}
+		}
+		for _, op := range fetches {
+			if op.leg != nil {
+				refs[op.leg]++
+			}
+			if in, ok := op.inner.(*FetchOp); ok && in.img != nil {
+				refs[in.img]++
+			}
+		}
+		delete(refs, nil)
+		for r, free := range h.free {
+			for _, im := range free {
+				if n := refs[im]; n > 0 || im.holds != 0 || im.Wave != -1 || len(im.App) != 0 || im.Rank != r {
+					t.Fatalf("%s: free record of rank %d (holds %d, rank %d, wave %d, %d App bytes) is reachable %d times",
+						when, r, im.holds, im.Rank, im.Wave, len(im.App), n)
+				}
+			}
+		}
+		for im, n := range refs {
+			if im.home != nil && im.holds < n {
+				t.Fatalf("%s: record rank %d wave %d counts %d holds, %d holders are in sight", when, im.Rank, im.Wave, im.holds, n)
+			}
+		}
+	}
+
+	for step := 0; step < 400; step++ {
+		k.At(sim.Time(step)*sim.Time(200*time.Microsecond), func() {
+			switch x := rng.Intn(100); {
+			case x < 40:
+				store()
+			case x < 55:
+				fetch()
+			case x < 67:
+				if len(stores) > 0 {
+					stores[rng.Intn(len(stores))].Cancel()
+				}
+			case x < 70:
+				h.KillBuffer(rng.Intn(nodes))
+			case x < 72:
+				pool[rng.Intn(servers)].Kill()
+			case x < 73:
+				h.KillPFSTarget(rng.Intn(2))
+			case x < 87:
+				r := rng.Intn(ranks)
+				h.GCRank(r, waves[r]-rng.Intn(2))
+			default:
+				low := waves[0]
+				for _, w := range waves {
+					low = min(low, w)
+				}
+				h.GC(low)
+			}
+			check(fmt.Sprintf("step %d", step))
+		})
+	}
+	for at := sim.Time(0); at < sim.Time(100*time.Millisecond); at += sim.Time(13 * time.Microsecond) {
+		k.At(at, func() { check(fmt.Sprintf("t=%v", k.Now())) })
+	}
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	h.GC(1 << 30)
+	check("after the last GC")
+	for _, im := range records {
+		if im.holds != 0 {
+			t.Errorf("record rank %d wave %d still counts %d holds with every level collected and nothing in flight", im.Rank, im.Wave, im.holds)
+		}
+	}
+	if len(records) >= serial {
+		t.Errorf("%d captures took %d records: none was recycled", serial, len(records))
+	}
+}

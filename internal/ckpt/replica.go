@@ -209,6 +209,7 @@ func (g *Group) Store(img *Image, srcNode int, cap simnet.Rate, onQuorum, onFail
 	op := g.newStoreOp()
 	op.rank, op.wave, op.srcNode = int32(img.Rank), int32(img.Wave), int32(srcNode)
 	op.img, op.cap, op.onFailed = img, cap, onFailed
+	img.hold() // until the op settles
 	if onQuorum != nil {
 		op.sink = quorumFunc(onQuorum)
 	}
@@ -250,7 +251,7 @@ func (op *StoreOp) Stored() bool { return op.quorumHit }
 // callback runs after that, so whoever tracks the op to cancel it on the
 // sender's death can drop it.
 func (op *StoreOp) Settled() bool {
-	return op.cancelled || int(op.acks+op.failed) == len(op.replicas)
+	return op.cancelled || op.lastReplica()
 }
 
 // attempt ships the replica's copy (current attempt) in flow f.
@@ -265,13 +266,24 @@ func (r *replica) stored() {
 	op := r.op
 	r.flow = nil
 	op.acks++
+	last := op.lastReplica()
 	if !op.quorumHit && int(op.acks) >= op.g.Quorum {
 		op.quorumHit = true
 		if op.sink != nil {
 			op.sink.LogsStored()
 		}
 	}
+	if last {
+		op.img.drop()
+	}
 }
+
+// lastReplica reports that every replica has acknowledged or failed for
+// good: the op settles, and an image store lets go of its image once the
+// callbacks have run.  It is read before them, because a callback may
+// cancel the op, and Cancel lets go of the image of an op that has not
+// settled.
+func (op *StoreOp) lastReplica() bool { return int(op.acks+op.failed) == len(op.replicas) }
 
 // aborted: the replica died before or during the transfer; re-schedule
 // the attempt after the backoff, or mark the replica failed once its
@@ -299,6 +311,7 @@ func replicaRetry(x any) {
 
 func (op *StoreOp) replicaFailed() {
 	op.failed++
+	last := op.lastReplica()
 	if !op.quorumHit && !op.lost && len(op.replicas)-int(op.failed) < op.g.Quorum {
 		op.lost = true
 		op.g.emit(obs.EvQuorumLost, int(op.rank), int(op.wave), -1)
@@ -306,10 +319,14 @@ func (op *StoreOp) replicaFailed() {
 			op.onFailed()
 		}
 	}
+	if last {
+		op.img.drop()
+	}
 }
 
 // Cancel aborts the store: live transfers are cancelled, pending retries
 // dropped, no further callbacks run.  Used when the sender itself dies.
+// An image store lets go of its image here unless it had settled already.
 func (op *StoreOp) Cancel() {
 	if op.cancelled {
 		return
@@ -328,6 +345,9 @@ func (op *StoreOp) Cancel() {
 			r.timer = 0
 		}
 	}
+	if !op.lastReplica() {
+		op.img.drop()
+	}
 }
 
 // FetchOp is one replicated fetch in progress (image plus, when the
@@ -340,8 +360,8 @@ type FetchOp struct {
 	onDone     func(*Image, []*mpi.Packet)
 	onFail     func(error)
 
-	primary   int // the rank's primary replica; the set is walked by index
-	img       *Image
+	primary   int    // the rank's primary replica; the set is walked by index
+	img       *Image // held from the image transfer's start to onDone
 	logs      []*mpi.Packet
 	union     bool // logs are a multi-replica union: sort + dedup at the end
 	remaining int
@@ -428,28 +448,36 @@ func (op *FetchOp) fetchImage(i int) {
 	}
 	for ; i < op.g.Replicas; i++ {
 		srv := op.g.replica(op.primary, i)
-		if !srv.Alive() || !srv.Has(op.rank, op.wave) {
+		img := srv.rank(op.rank).image(op.wave) // nil: dead, or holding no copy
+		if img == nil {
 			continue
 		}
 		next := i + 1
-		fl, err := srv.FetchImage(op.rank, op.wave, op.dstNode,
+		img.hold()
+		op.img = img
+		// Cannot fail: the server is alive and holds the image.
+		fl, _ := srv.FetchImage(op.rank, op.wave, op.dstNode,
 			func(img *Image) {
 				if op.cancelled {
 					return
 				}
-				op.img = img
+				img.check(op.rank, op.wave, "a replica fetch")
+				if op.failedErr != nil {
+					// The fetch failed while this transfer was under
+					// way: nothing waits for the image.
+					op.dropImage()
+					return
+				}
 				op.partDone()
 			},
 			func() { // replica died mid-transfer: fail over
 				if op.cancelled {
 					return
 				}
+				op.dropImage()
 				op.g.emit(obs.EvReplicaFailover, op.rank, op.wave, srv.Index)
 				op.fetchImage(next)
 			})
-		if err != nil {
-			continue
-		}
 		if i > 0 {
 			op.g.emit(obs.EvReplicaFailover, op.rank, op.wave, srv.Index)
 		}
@@ -511,10 +539,22 @@ func (op *FetchOp) partDone() {
 			sortLogs(op.logs)
 			op.logs = DedupLogs(op.logs)
 		}
+		// The hold passes to the callback, which restores from the image
+		// before it returns.
+		img := op.img
+		op.img = nil
 		if op.onDone != nil {
-			op.onDone(op.img, op.logs)
+			op.onDone(img, op.logs)
 		}
+		img.drop()
 	}
+}
+
+// dropImage lets go of the image held for a transfer that will not
+// deliver it.
+func (op *FetchOp) dropImage() {
+	op.img.drop()
+	op.img = nil
 }
 
 func (op *FetchOp) fail(err error) {
@@ -526,6 +566,7 @@ func (op *FetchOp) fail(err error) {
 		fl.Cancel()
 	}
 	op.flows = nil
+	op.dropImage()
 	if op.onFail != nil {
 		op.onFail(err)
 	}
@@ -547,6 +588,7 @@ func (op *FetchOp) Cancel() {
 		fl.Cancel()
 	}
 	op.flows = nil
+	op.dropImage()
 }
 
 // FetchLogsOnly recovers just (rank, wave)'s committed channel-state logs

@@ -3,7 +3,7 @@ package ckpt
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"ftckpt/internal/mpi"
 	"ftckpt/internal/obs"
@@ -31,8 +31,9 @@ type Server struct {
 	Node  int
 	net   *simnet.Network
 
-	images map[imgKey]*Image
-	logs   map[imgKey][]*mpi.Packet
+	// ranks holds each rank's stored images and log sets, indexed by
+	// rank, so what one rank's GC or replay reads is that rank's alone.
+	ranks []rankStore
 
 	// obs receives image-store and log-ship begin/end events (nil-safe).
 	obs *obs.Hub
@@ -72,15 +73,110 @@ type fetch struct {
 
 type imgKey struct{ rank, wave int }
 
+// rankStore is one rank's share of a server: its images and its log sets,
+// each in ascending wave order.  GC keeps a rank to the few waves its
+// recovery line still needs, so a lookup scans from the newest.  An image
+// entry is a holder of its record (see Image).
+type rankStore struct {
+	images []waveImage
+	logs   []waveLogs
+}
+
+type waveImage struct {
+	wave int
+	img  *Image
+}
+
+type waveLogs struct {
+	wave int
+	pkts []*mpi.Packet
+}
+
+// image returns the rank's image of wave, nil when none is stored.
+func (rs rankStore) image(wave int) *Image {
+	for i := len(rs.images) - 1; i >= 0; i-- {
+		if rs.images[i].wave == wave {
+			return rs.images[i].img
+		}
+	}
+	return nil
+}
+
+// putImage stores img as the rank's image of wave, holding it, and lets go
+// of a different record it replaces (a wave captured again after a
+// rollback).
+func (rs *rankStore) putImage(wave int, img *Image) {
+	i := len(rs.images)
+	for i > 0 && rs.images[i-1].wave >= wave {
+		i--
+	}
+	if i < len(rs.images) && rs.images[i].wave == wave {
+		if old := rs.images[i].img; old != img {
+			img.hold()
+			rs.images[i].img = img
+			old.drop()
+		}
+		return
+	}
+	img.hold()
+	rs.images = insert(rs.images, i, waveImage{wave, img})
+}
+
+// insert puts e at index i of list: an append when i is the end, as a
+// newer wave's entry usually is.
+func insert[E any](list []E, i int, e E) []E {
+	if i == len(list) {
+		return append(list, e)
+	}
+	return slices.Insert(list, i, e)
+}
+
+// logIndex returns where the rank's log set of wave is, or would go, and
+// whether it is there.
+func (rs rankStore) logIndex(wave int) (int, bool) {
+	i := len(rs.logs)
+	for i > 0 && rs.logs[i-1].wave >= wave {
+		i--
+	}
+	return i, i < len(rs.logs) && rs.logs[i].wave == wave
+}
+
+// gc drops the images and logs of waves older than wave: a prefix of
+// each list.
+func (rs *rankStore) gc(wave int) {
+	n := 0
+	for n < len(rs.images) && rs.images[n].wave < wave {
+		rs.images[n].img.drop()
+		n++
+	}
+	rs.images = slices.Delete(rs.images, 0, n)
+	n = 0
+	for n < len(rs.logs) && rs.logs[n].wave < wave {
+		n++
+	}
+	rs.logs = slices.Delete(rs.logs, 0, n)
+}
+
 // NewServer places checkpoint server index on node of net.
 func NewServer(net *simnet.Network, index, node int) *Server {
-	return &Server{
-		Index:  index,
-		Node:   node,
-		net:    net,
-		images: make(map[imgKey]*Image),
-		logs:   make(map[imgKey][]*mpi.Packet),
+	return &Server{Index: index, Node: node, net: net}
+}
+
+// rank returns rank r's store to read, empty when the server never stored
+// for it.
+func (s *Server) rank(r int) rankStore {
+	if r < 0 || r >= len(s.ranks) {
+		return rankStore{}
 	}
+	return s.ranks[r]
+}
+
+// rankForWrite returns rank r's store, growing the index to reach it.
+func (s *Server) rankForWrite(r int) *rankStore {
+	for len(s.ranks) <= r {
+		s.ranks = append(s.ranks, rankStore{})
+	}
+	return &s.ranks[r]
 }
 
 // SetObs attaches the observability hub the server's transfer events go
@@ -105,8 +201,12 @@ func (s *Server) Kill() {
 		return
 	}
 	s.dead = true
-	s.images = make(map[imgKey]*Image)
-	s.logs = make(map[imgKey][]*mpi.Packet)
+	for i := range s.ranks {
+		for _, e := range s.ranks[i].images {
+			e.img.drop()
+		}
+	}
+	s.ranks = nil
 	for s.first != nil {
 		tr := s.first
 		s.unlink(tr)
@@ -171,10 +271,10 @@ func (tr *transfer) landed() {
 	op := r.op
 	rank, wave := int(op.rank), int(op.wave)
 	if op.img != nil {
-		s.images[imgKey{rank, wave}] = op.img
+		s.rankForWrite(rank).putImage(wave, op.img)
 		s.emit(obs.EvImageStoreEnd, rank, wave, tr.bytes, tr.span)
 	} else {
-		s.storeLogs(imgKey{rank, wave}, op.pkts)
+		s.storeLogs(rank, wave, op.pkts)
 		s.emit(obs.EvLogShipEnd, rank, wave, tr.bytes, tr.span)
 	}
 	r.stored()
@@ -185,13 +285,17 @@ func (tr *transfer) landed() {
 // records as the rank's previous wave ended with: an Mlog rank logs one
 // record per set, wave after wave, and a slice grown by append alone
 // would copy itself several times a wave.
-func (s *Server) storeLogs(k imgKey, pkts []*mpi.Packet) {
-	logs, ok := s.logs[k]
+func (s *Server) storeLogs(rank, wave int, pkts []*mpi.Packet) {
+	rs := s.rankForWrite(rank)
+	i, ok := rs.logIndex(wave)
 	if !ok {
-		prev := len(s.logs[imgKey{k.rank, k.wave - 1}])
-		logs = make([]*mpi.Packet, 0, max(prev, len(pkts)))
+		prev := 0
+		if i > 0 && rs.logs[i-1].wave == wave-1 {
+			prev = len(rs.logs[i-1].pkts)
+		}
+		rs.logs = insert(rs.logs, i, waveLogs{wave, make([]*mpi.Packet, 0, max(prev, len(pkts)))})
 	}
-	s.logs[k] = append(logs, pkts...)
+	rs.logs[i].pkts = append(rs.logs[i].pkts, pkts...)
 }
 
 // receive starts store attempt r on the server, in flow f: r.op's image,
@@ -237,8 +341,8 @@ func (s *Server) Image(rank, wave int) (*Image, error) {
 		return nil, fmt.Errorf("ckpt: server %d, image rank %d wave %d: %w",
 			s.Index, rank, wave, ErrServerDown)
 	}
-	img, ok := s.images[imgKey{rank, wave}]
-	if !ok {
+	img := s.rank(rank).image(wave)
+	if img == nil {
 		return nil, fmt.Errorf("ckpt: server %d, image rank %d wave %d: %w",
 			s.Index, rank, wave, ErrNoImage)
 	}
@@ -246,12 +350,17 @@ func (s *Server) Image(rank, wave int) (*Image, error) {
 }
 
 // Logs returns the stored channel-state messages for (rank, wave).
-func (s *Server) Logs(rank, wave int) []*mpi.Packet { return s.logs[imgKey{rank, wave}] }
+func (s *Server) Logs(rank, wave int) []*mpi.Packet {
+	rs := s.rank(rank)
+	if i, ok := rs.logIndex(wave); ok {
+		return rs.logs[i].pkts
+	}
+	return nil
+}
 
 // Has reports whether a complete image for (rank, wave) is stored.
 func (s *Server) Has(rank, wave int) bool {
-	_, ok := s.images[imgKey{rank, wave}]
-	return ok
+	return s.rank(rank).image(wave) != nil
 }
 
 // HasLogs reports whether a log set for (rank, wave) is stored.  Key
@@ -259,7 +368,7 @@ func (s *Server) Has(rank, wave int) bool {
 // state in one transfer (possibly empty), so the key existing means the
 // log set is complete, not partial.
 func (s *Server) HasLogs(rank, wave int) bool {
-	_, ok := s.logs[imgKey{rank, wave}]
+	_, ok := s.rank(rank).logIndex(wave)
 	return ok
 }
 
@@ -267,15 +376,8 @@ func (s *Server) HasLogs(rank, wave int) bool {
 // the paper's "simple garbage collection reduces the size needed to store
 // the checkpoints" once a wave is fully committed.
 func (s *Server) GC(wave int) {
-	for k := range s.images {
-		if k.wave < wave {
-			delete(s.images, k)
-		}
-	}
-	for k := range s.logs {
-		if k.wave < wave {
-			delete(s.logs, k)
-		}
+	for i := range s.ranks {
+		s.ranks[i].gc(wave)
 	}
 }
 
@@ -283,15 +385,8 @@ func (s *Server) GC(wave int) {
 // uncoordinated checkpointing garbage-collects per process, since each
 // rank's recovery line advances independently.
 func (s *Server) GCRank(rank, wave int) {
-	for k := range s.images {
-		if k.rank == rank && k.wave < wave {
-			delete(s.images, k)
-		}
-	}
-	for k := range s.logs {
-		if k.rank == rank && k.wave < wave {
-			delete(s.logs, k)
-		}
+	if rank < len(s.ranks) {
+		s.ranks[rank].gc(wave)
 	}
 }
 
@@ -301,16 +396,11 @@ func (s *Server) GCRank(rank, wave int) {
 // message-logging recovery replays: messages delivered after snapshot
 // `wave`, including any logged under a later, never-committed checkpoint.
 func (s *Server) LogsSince(rank, wave int) []*mpi.Packet {
-	var tags []int
-	for k := range s.logs {
-		if k.rank == rank && k.wave >= wave {
-			tags = append(tags, k.wave)
-		}
-	}
-	sort.Ints(tags)
 	var out []*mpi.Packet
-	for _, w := range tags {
-		out = append(out, s.logs[imgKey{rank, w}]...)
+	for _, e := range s.rank(rank).logs {
+		if e.wave >= wave {
+			out = append(out, e.pkts...)
+		}
 	}
 	return out
 }

@@ -361,8 +361,9 @@ func devStateIs(t *testing.T, m *Mlog, want string) {
 }
 
 // TestDevStateCodec: the device state, every field of it and of its
-// packets non-zero, comes back from its encoding deep-equal, and encodes to
-// the same bytes before and after another type was encoded.
+// packets non-zero, comes back from its encoding deep-equal, encodes to
+// the same bytes before and after another type was encoded, and is as long
+// as mpi.StateSize says.
 func TestDevStateCodec(t *testing.T) {
 	pkt := func(n int) mpi.Packet {
 		return mpi.Packet{Src: n, Dst: n + 1, Kind: mpi.KindPayload, Tag: n + 2, Seq: uint64(n + 3), Wave: n + 4,
@@ -371,6 +372,9 @@ func TestDevStateCodec(t *testing.T) {
 	ds := devState{Wave: 2, SendSeq: map[int]uint64{2: 3, 3: 1}, DelUpTo: map[int]uint64{0: 5},
 		Unacked: map[int][]mpi.Packet{2: {pkt(1), pkt(2)}, 3: {pkt(3)}}, Pending: []mpi.Packet{pkt(4)}}
 	b := mpi.AppendState(nil, &ds)
+	if n := mpi.StateSize(&ds); n != len(b) {
+		t.Errorf("StateSize %d, encoding %d bytes", n, len(b))
+	}
 	var got devState
 	if err := mpi.LoadState(b, &got); err != nil {
 		t.Fatal(err)

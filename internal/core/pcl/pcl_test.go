@@ -153,8 +153,9 @@ func TestPclDeviceStateRoundTrip(t *testing.T) {
 }
 
 // TestPclDevStateCodec: the device state, every field of it and of its
-// packets non-zero, comes back from its encoding deep-equal, and encodes to
-// the same bytes before and after another type was encoded.
+// packets non-zero, comes back from its encoding deep-equal, encodes to the
+// same bytes before and after another type was encoded, and is as long as
+// mpi.StateSize says.
 func TestPclDevStateCodec(t *testing.T) {
 	pkt := func(n int) *mpi.Packet {
 		return &mpi.Packet{Src: n, Dst: n + 1, Kind: mpi.KindControl, Tag: n + 2, Seq: uint64(n + 3), Wave: n + 4,
@@ -162,6 +163,9 @@ func TestPclDevStateCodec(t *testing.T) {
 	}
 	ds := devState{Wave: 3, Sends: []*mpi.Packet{pkt(1), pkt(20)}}
 	b := mpi.AppendState(nil, &ds)
+	if n := mpi.StateSize(&ds); n != len(b) {
+		t.Errorf("StateSize %d, encoding %d bytes", n, len(b))
+	}
 	var got devState
 	if err := mpi.LoadState(b, &got); err != nil {
 		t.Fatal(err)

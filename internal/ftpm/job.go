@@ -552,7 +552,7 @@ func (job *Job) launch(wave int) {
 				Span: rs, Cause: job.lastKillSpan})
 		}
 		for r := 0; r < job.cfg.NP; r++ {
-			job.spawn(r, nil, nil)
+			job.spawn(r, nil)
 		}
 		job.startSchedulers()
 		if restarting {
@@ -566,11 +566,7 @@ func (job *Job) launch(wave int) {
 	rs := job.hub.NextSpan()
 	job.emit(obs.Event{Type: obs.EvRestartBegin, Rank: -1, Wave: wave, Channel: -1, Node: -1, Server: -1,
 		Span: rs, Cause: job.lastKillSpan})
-	type restored struct {
-		img  *ckpt.Image
-		logs []*mpi.Packet
-	}
-	pending := make([]restored, job.cfg.NP)
+	pending := make([]*restartState, job.cfg.NP)
 	remaining := job.cfg.NP
 	gen := job.gen
 	needLogs := job.cfg.Protocol == ProtoVcl
@@ -578,12 +574,12 @@ func (job *Job) launch(wave int) {
 		job.store.Fetch(r, wave, job.nodeOfRank(r), needLogs, onDone, onFail)
 	}
 	live := func() bool { return job.gen == gen && !job.doneRes }
-	restore := func(r int, img *ckpt.Image, logs []*mpi.Packet) {
-		pending[r] = restored{img, logs}
+	restore := func(r int, st *restartState) {
+		pending[r] = st
 		remaining--
 		if remaining == 0 {
 			for q := 0; q < job.cfg.NP; q++ {
-				job.spawn(q, pending[q].img, pending[q].logs)
+				job.spawn(q, pending[q])
 			}
 			job.startSchedulers()
 			job.emit(obs.Event{Type: obs.EvRestartEnd, Rank: -1, Wave: wave, Channel: -1, Node: -1, Server: -1, Span: rs})
@@ -595,17 +591,17 @@ func (job *Job) launch(wave int) {
 }
 
 // fetchCommitted fetches rank's committed image of wave for a restart and
-// hands it to restore.  A failed fetch is retried up to the servers
-// level's StoreRetries times, RetryBackoff apart — copies may still be in
-// flight towards surviving replicas — and then stops the job in degraded
-// mode.  live is asked before every step, so a fetch overtaken by a newer
+// hands restore what it read out of it (readImage).  A failed fetch is
+// retried up to the servers level's StoreRetries times, RetryBackoff
+// apart — copies may still be in flight towards surviving replicas — and
+// then stops the job in degraded mode.  live is asked before every step, so a fetch overtaken by a newer
 // restart or by job completion does nothing.
 func (job *Job) fetchCommitted(rank, wave, attempt int,
 	fetch func(rank int, onDone func(*ckpt.Image, []*mpi.Packet), onFail func(error)),
-	live func() bool, restore func(rank int, img *ckpt.Image, logs []*mpi.Packet)) {
+	live func() bool, restore func(rank int, st *restartState)) {
 	fetch(rank, func(img *ckpt.Image, logs []*mpi.Packet) {
 		if live() {
-			restore(rank, img, logs)
+			restore(rank, readImage(rank, wave, img, logs))
 		}
 	}, func(err error) {
 		if !live() {
@@ -636,8 +632,35 @@ func (job *Job) startSchedulers() {
 	}
 }
 
-func (job *Job) spawn(rank int, img *ckpt.Image, logs []*mpi.Packet) {
-	pr := &procRun{job: job, rank: rank, node: job.nodeOfRank(rank), gen: job.gen, img: img, replay: logs}
+// restartState is what a restarted incarnation starts from: the program,
+// engine and device state read out of its image, and the messages to
+// replay.  A nil *restartState is a fresh start.
+type restartState struct {
+	prog   mpi.Program // nil: a fresh program (a replay-only restart)
+	engine *mpi.EngineImage
+	device []byte
+	done   bool
+	replay []*mpi.Packet
+}
+
+// readImage decodes a fetched image inside the fetch's callback: the
+// storage hierarchy recycles the record once no level holds it, which may
+// be as soon as the callback returns, so nothing keeps the record itself.
+// A record that is not (rank, wave) was recycled while held, and restoring
+// from it would run another capture's state.
+func readImage(rank, wave int, img *ckpt.Image, logs []*mpi.Packet) *restartState {
+	if img.Rank != rank || img.Wave != wave {
+		panic(fmt.Sprintf("ftpm: rank %d restores from image rank %d wave %d, want wave %d", rank, img.Rank, img.Wave, wave))
+	}
+	prog, err := ckpt.DecodeProgram(img.App)
+	if err != nil {
+		panic(fmt.Sprintf("ftpm: rank %d: %v", rank, err))
+	}
+	return &restartState{prog: prog, engine: img.Engine, device: img.Device, done: img.Done, replay: logs}
+}
+
+func (job *Job) spawn(rank int, st *restartState) {
+	pr := &procRun{job: job, rank: rank, node: job.nodeOfRank(rank), gen: job.gen, restart: st}
 	job.procs[rank] = pr
 	job.k.Go(fmt.Sprintf("g%d.rank%d", job.gen, rank), pr.body)
 }
@@ -742,7 +765,11 @@ func (job *Job) onFailureLocal(rank int) {
 			// No image yet: restart from scratch and replay the whole
 			// reception history recorded since launch — the union across
 			// live replicas, in case one of them died.
-			job.respawnLocal(rank, nil, job.store.LogsSinceUnion(rank, 0))
+			var st *restartState
+			if logs := job.store.LogsSinceUnion(rank, 0); logs != nil {
+				st = &restartState{replay: logs}
+			}
+			job.respawnLocal(rank, st)
 			return
 		}
 		job.fetchCommitted(rank, wave, 0,
@@ -753,7 +780,7 @@ func (job *Job) onFailureLocal(rank int) {
 	})
 }
 
-func (job *Job) respawnLocal(rank int, img *ckpt.Image, logs []*mpi.Packet) {
+func (job *Job) respawnLocal(rank int, st *restartState) {
 	job.recovering[rank] = false
 	if job.store != nil {
 		job.store.ResetChain(rank)
@@ -761,7 +788,7 @@ func (job *Job) respawnLocal(rank int, img *ckpt.Image, logs []*mpi.Packet) {
 	if job.det != nil {
 		job.det.resetRank(rank)
 	}
-	job.spawn(rank, img, logs)
+	job.spawn(rank, st)
 	job.emit(obs.Event{Type: obs.EvRestartEnd, Rank: rank, Wave: job.rankWave[rank], Channel: -1, Node: -1, Server: -1,
 		Span: job.restartSpan[rank]})
 	job.restartSpan[rank] = 0
@@ -868,19 +895,20 @@ func (job *Job) procFinished(pr *procRun) {
 
 // procRun is one process incarnation; it implements core.Host.
 type procRun struct {
-	job    *Job
-	rank   int
-	node   int
-	gen    int
-	lp     *sim.Proc
-	eng    *mpi.Engine
-	prog   mpi.Program
-	proto  core.Protocol
-	img    *ckpt.Image
-	replay []*mpi.Packet
-	ftBlob []byte // partner-held app snapshot seeding a repaired rank
-	done   bool
-	down   bool // torn down (idempotence guard; heartbeat ground truth)
+	job   *Job
+	rank  int
+	node  int
+	gen   int
+	lp    *sim.Proc
+	eng   *mpi.Engine
+	prog  mpi.Program
+	proto core.Protocol
+	// restart is the state a restored incarnation starts from (nil: a
+	// fresh one), let go once body has installed it.
+	restart *restartState
+	ftBlob  []byte // partner-held app snapshot seeding a repaired rank
+	done    bool
+	down    bool // torn down (idempotence guard; heartbeat ground truth)
 	// stores are the image and log stores this incarnation started that
 	// still have something to cancel, in start order: what teardown
 	// cancels, so it keeps nothing that has settled (see track).
@@ -903,17 +931,11 @@ func (pr *procRun) body(p *sim.Proc) {
 	}
 	pr.proto = pr.job.newProtocol(pr)
 	pr.eng.SetFilter(pr.proto)
-	var dev []byte
-	restore := pr.img != nil || pr.replay != nil
-	if pr.img != nil {
-		prog, err := ckpt.DecodeProgram(pr.img.App)
-		if err != nil {
-			panic(fmt.Sprintf("ftpm: rank %d: %v", pr.rank, err))
-		}
-		pr.prog = prog
-		pr.eng.RestoreImage(pr.img.Engine)
-		pr.done = pr.img.Done
-		dev = pr.img.Device
+	st := pr.restart
+	if st != nil && st.prog != nil {
+		pr.prog = st.prog
+		pr.eng.RestoreImage(st.engine)
+		pr.done = st.done
 	} else {
 		pr.prog = pr.job.cfg.NewProgram(pr.rank, pr.job.cfg.NP)
 	}
@@ -922,8 +944,8 @@ func (pr *procRun) body(p *sim.Proc) {
 			ft.SetFTEvery(pr.job.cfg.FTEvery)
 		}
 	}
-	if restore {
-		pr.proto.Restore(dev, pr.replay, pr.job.lastWave)
+	if st != nil {
+		pr.proto.Restore(st.device, st.replay, pr.job.lastWave)
 	}
 	if pr.ftBlob != nil {
 		// Replacement for a repaired rank: install the partner-held
@@ -938,7 +960,7 @@ func (pr *procRun) body(p *sim.Proc) {
 			Channel: -1, Node: -1, Server: -1})
 		pr.ftBlob = nil
 	}
-	pr.img, pr.replay = nil, nil
+	pr.restart = nil
 	p.Yield() // every engine binds before any body communicates
 	pr.proto.Start()
 	for !pr.done {
@@ -1009,21 +1031,16 @@ func (pr *procRun) Wire(dst int, p mpi.Packet) {
 	pr.job.fab.Send(pr.rank, dst, &p)
 }
 
-// TakeCheckpoint captures the local image and ships it in the background.
+// TakeCheckpoint captures the local image, into a record the storage
+// hierarchy recycles, and ships it in the background.
 func (pr *procRun) TakeCheckpoint(wave int, dev []byte, onStored func()) {
-	app, err := ckpt.EncodeProgram(pr.prog)
+	img := pr.job.store.NewImage(pr.rank)
+	app, err := ckpt.AppendProgram(img.App, pr.prog)
 	if err != nil {
 		panic(fmt.Sprintf("ftpm: rank %d: %v", pr.rank, err))
 	}
-	img := &ckpt.Image{
-		Rank:      pr.rank,
-		Wave:      wave,
-		App:       app,
-		Engine:    pr.eng.CaptureImage(),
-		Device:    dev,
-		Footprint: pr.prog.Footprint(),
-		Done:      pr.done,
-	}
+	img.Wave, img.App, img.Engine, img.Device = wave, app, pr.eng.CaptureImage(), dev
+	img.Footprint, img.Done = pr.prog.Footprint(), pr.done
 	gen := pr.gen
 	prof := pr.job.cfg.Profile
 	// The fork'd clone and the pipelined transfer steal CPU and memory

@@ -148,6 +148,58 @@ func appendState(b []byte, v reflect.Value) []byte {
 	panic(fmt.Sprintf("mpi: AppendState: no layout for %s", v.Type()))
 }
 
+// StateSize returns the length of v's encoding, len(AppendState(nil, v)),
+// without writing it: a caller sizes its buffer once and appends into it.
+func StateSize(v any) int {
+	return stateSize(reflect.Indirect(reflect.ValueOf(v)))
+}
+
+// stateSize walks appendState's path and adds up what each case writes.
+func stateSize(v reflect.Value) int {
+	switch v.Kind() {
+	case reflect.Bool:
+		return 1
+	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+		reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr,
+		reflect.Float32, reflect.Float64:
+		return 8
+	case reflect.String:
+		return 8 + v.Len()
+	case reflect.Pointer:
+		if v.IsNil() {
+			return 1
+		}
+		return 1 + stateSize(v.Elem())
+	case reflect.Struct:
+		n := 0
+		for i := 0; i < v.NumField(); i++ {
+			if f := v.Field(i); f.CanInterface() {
+				n += stateSize(f)
+			}
+		}
+		return n
+	case reflect.Slice:
+		switch {
+		case v.Type().Elem().Kind() == reflect.Uint8:
+			return 8 + v.Len()
+		case v.Type() == f64sType:
+			return 8 + 8*v.Len()
+		}
+		n := 8
+		for i := 0; i < v.Len(); i++ {
+			n += stateSize(v.Index(i))
+		}
+		return n
+	case reflect.Map:
+		n := 8
+		for it := v.MapRange(); it.Next(); {
+			n += stateSize(it.Key()) + stateSize(it.Value())
+		}
+		return n
+	}
+	panic(fmt.Sprintf("mpi: StateSize: no layout for %s", v.Type()))
+}
+
 // LoadState decodes b, laid out by AppendState, into the value v points
 // to, overwriting its exported fields and leaving the unexported ones as
 // they are.  Malformed bytes (short, overlong, or a length, bool or

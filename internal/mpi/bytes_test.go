@@ -8,7 +8,8 @@ import (
 )
 
 // TestStateLayout pins the codec's layout on one value of every kind it
-// writes, and that LoadState refuses what no encoding holds.
+// writes, that StateSize measures it, and that LoadState refuses what no
+// encoding holds.
 func TestStateLayout(t *testing.T) {
 	type inner struct{ B bool }
 	type all struct {
@@ -36,6 +37,9 @@ func TestStateLayout(t *testing.T) {
 	}
 	if !bytes.Equal(AppendState(nil, &v), want) {
 		t.Error("a pointer to the value encodes differently")
+	}
+	if n := StateSize(v); n != len(want) || StateSize(&v) != n {
+		t.Errorf("StateSize %d (%d through a pointer), want %d", n, StateSize(&v), len(want))
 	}
 	var got all
 	if err := LoadState(want, &got); err != nil || got.M[-1] != 2 || !got.Ptr.B || got.Nil != nil || got.hidden != 0 {

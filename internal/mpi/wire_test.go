@@ -128,30 +128,38 @@ func TestConsumedBodyHoldsNoData(t *testing.T) {
 }
 
 // TestHeaderOutOfRangePanics: a header the 40-byte record cannot hold is a
-// programming error, and the panic says which packet it was.
+// programming error, and the panic says which packet it was.  The int
+// fields are given as int64, and a case whose value no int holds (a 32-bit
+// platform) has nothing to check.
 func TestHeaderOutOfRangePanics(t *testing.T) {
 	cases := []struct {
-		name     string
-		p        Packet
-		src, dst int
-		seq      uint64
+		name                string
+		p                   Packet
+		wave, tag, src, dst int64
+		seq                 uint64
 	}{
-		{"wave", Packet{Kind: KindMarker, Wave: math.MaxInt32 + 1}, 0, 1, 1},
-		{"tag", Packet{Kind: KindPayload, Tag: math.MinInt32 - 1}, 0, 1, 1},
-		{"dst", Packet{Kind: KindMarker}, 0, math.MaxInt32 + 1, 1},
-		{"src", Packet{Kind: KindMarker}, math.MinInt32 - 1, 1, 1},
-		{"seq", Packet{Kind: KindPayload, VSize: 8}, 0, 1, math.MaxUint32 + 1},
-		{"PSeq and SpanID", Packet{Kind: KindMarker, PSeq: 1, SpanID: 2}, 0, 1, 1},
+		{"wave", Packet{Kind: KindMarker}, math.MaxInt32 + 1, 0, 0, 1, 1},
+		{"tag", Packet{Kind: KindPayload}, 0, math.MinInt32 - 1, 0, 1, 1},
+		{"dst", Packet{Kind: KindMarker}, 0, 0, 0, math.MaxInt32 + 1, 1},
+		{"src", Packet{Kind: KindMarker}, 0, 0, math.MinInt32 - 1, 1, 1},
+		{"seq", Packet{Kind: KindPayload, VSize: 8}, 0, 0, 0, 1, math.MaxUint32 + 1},
+		{"PSeq and SpanID", Packet{Kind: KindMarker, PSeq: 1, SpanID: 2}, 0, 0, 0, 1, 1},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
+			for _, v := range []int64{c.wave, c.tag, c.src, c.dst} {
+				if int64(int(v)) != v {
+					t.Skipf("an int cannot hold %d on this platform", v)
+				}
+			}
+			c.p.Wave, c.p.Tag = int(c.wave), int(c.tag)
 			defer func() {
 				r := recover()
 				if msg, _ := r.(string); !strings.HasPrefix(msg, "mpi: ") {
 					t.Errorf("recovered %v, want an mpi panic naming the packet", r)
 				}
 			}()
-			header(&c.p, c.src, c.dst, c.seq)
+			header(&c.p, int(c.src), int(c.dst), c.seq)
 		})
 	}
 }
@@ -159,6 +167,10 @@ func TestHeaderOutOfRangePanics(t *testing.T) {
 // TestSendRejectsUnfitHeader: Fabric.Send panics on such a header before
 // anything reaches the wire.
 func TestSendRejectsUnfitHeader(t *testing.T) {
+	wave := int64(math.MaxInt32) + 1
+	if int64(int(wave)) != wave {
+		t.Skip("an int cannot hold a wave beyond int32 on this platform")
+	}
 	k := sim.New(1)
 	fab := NewFabric(simnet.New(k, testTopo(2)))
 	fab.Place(0, 0)
@@ -171,7 +183,7 @@ func TestSendRejectsUnfitHeader(t *testing.T) {
 				t.Error("a wave beyond int32 was sent")
 			}
 		}()
-		fab.Send(0, 1, &Packet{Kind: KindControl, Wave: math.MaxInt32 + 1, Data: []byte("x")})
+		fab.Send(0, 1, &Packet{Kind: KindControl, Wave: int(wave), Data: []byte("x")})
 	}()
 	k.After(time.Millisecond, func() {})
 	if err := k.Run(); err != nil {

@@ -90,17 +90,18 @@ func (j *Jacobi) Step(e *mpi.Engine) bool {
 		// Idempotent: recomputes New from Cur; the swap happens after and
 		// the phase counter flips with it, without parking in between.
 		for r := 1; r <= rows; r++ {
-			for c := 0; c < n; c++ {
-				up := j.Cur[(r-1)*n+c]
-				down := j.Cur[(r+1)*n+c]
+			out := j.New[r*n : (r+1)*n]
+			above, mid, below := j.Cur[(r-1)*n:][:len(out)], j.Cur[r*n:][:len(out)], j.Cur[(r+1)*n:][:len(out)]
+			for c := range out {
+				up, down := above[c], below[c]
 				left, right := up, down
 				if c > 0 {
-					left = j.Cur[r*n+c-1]
+					left = mid[c-1]
 				}
-				if c < n-1 {
-					right = j.Cur[r*n+c+1]
+				if c < len(mid)-1 {
+					right = mid[c+1]
 				}
-				j.New[r*n+c] = 0.25 * (up + down + left + right)
+				out[c] = 0.25 * (up + down + left + right)
 			}
 		}
 		// Preserve the fixed boundary ghosts.
@@ -115,11 +116,11 @@ func (j *Jacobi) Step(e *mpi.Engine) bool {
 		}
 	case jacResidual:
 		local := 0.0
-		for r := 1; r <= rows; r++ {
-			for c := 0; c < n; c++ {
-				d := j.Cur[r*n+c] - j.New[r*n+c] // New holds the previous iterate
-				local += float64(d * d)
-			}
+		cur := j.Cur[n : (rows+1)*n]
+		prev := j.New[n:][:len(cur)] // New holds the previous iterate
+		for i, x := range cur {
+			d := x - prev[i]
+			local += float64(d * d)
 		}
 		res := e.AllreduceF64(mpi.OpSum, []float64{local})
 		j.Residual = math.Sqrt(res[0])

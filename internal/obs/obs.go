@@ -286,24 +286,49 @@ func (h *Hub) NextSpan() uint64 {
 
 // Collector is a sink retaining every event in emission order, for
 // event-level assertions and replaying a stream through another sink.
+// Events land in fixed chunks, so a long run never copies what it has
+// collected; Events flattens them once, into a slice of the exact length.
 type Collector struct {
-	events []Event
+	chunks [][]Event
+	n      int
+	flat   []Event // every event when len(flat) == n
 }
+
+// collectorChunk is how many events one chunk holds.
+const collectorChunk = 1024
 
 // NewCollector returns an empty collector.
 func NewCollector() *Collector { return &Collector{} }
 
 // Emit appends the event.
-func (c *Collector) Emit(ev Event) { c.events = append(c.events, ev) }
+func (c *Collector) Emit(ev Event) {
+	last := len(c.chunks) - 1
+	if last < 0 || len(c.chunks[last]) == cap(c.chunks[last]) {
+		c.chunks = append(c.chunks, make([]Event, 0, collectorChunk))
+		last++
+	}
+	c.chunks[last] = append(c.chunks[last], ev)
+	c.n++
+}
 
 // Events returns the collected events in emission order (shared slice;
-// callers must not mutate).
-func (c *Collector) Events() []Event { return c.events }
+// callers must not mutate).  The flattened slice replaces the chunks, so
+// the events are held once.
+func (c *Collector) Events() []Event {
+	if len(c.flat) != c.n {
+		flat := make([]Event, 0, c.n)
+		for _, ch := range c.chunks {
+			flat = append(flat, ch...)
+		}
+		c.flat, c.chunks = flat, [][]Event{flat}
+	}
+	return c.flat
+}
 
 // Filter returns the collected events of one type, in emission order.
 func (c *Collector) Filter(t EventType) []Event {
 	var out []Event
-	for _, ev := range c.events {
+	for _, ev := range c.Events() {
 		if ev.Type == t {
 			out = append(out, ev)
 		}
@@ -314,7 +339,7 @@ func (c *Collector) Filter(t EventType) []Event {
 // Count returns how many events of one type were collected.
 func (c *Collector) Count(t EventType) int {
 	n := 0
-	for _, ev := range c.events {
+	for _, ev := range c.Events() {
 		if ev.Type == t {
 			n++
 		}

@@ -76,6 +76,35 @@ func TestHubFanout(t *testing.T) {
 	}
 }
 
+// TestCollectorAcrossChunks: events that fill several chunks come back in
+// emission order, and events emitted after Events was read join them.
+func TestCollectorAcrossChunks(t *testing.T) {
+	c := NewCollector()
+	emit := func(from, to int) {
+		for i := from; i < to; i++ {
+			c.Emit(Event{Type: EventType(i % 2), Rank: i})
+		}
+	}
+	check := func(n int) {
+		evs := c.Events()
+		if len(evs) != n || cap(evs) != n {
+			t.Fatalf("Events holds %d (cap %d), want %d", len(evs), cap(evs), n)
+		}
+		for i, ev := range evs {
+			if ev.Rank != i {
+				t.Fatalf("event %d is rank %d", i, ev.Rank)
+			}
+		}
+		if c.Count(1) != n/2 || len(c.Filter(0)) != n-n/2 {
+			t.Fatalf("Count %d, Filter %d of %d events", c.Count(1), len(c.Filter(0)), n)
+		}
+	}
+	emit(0, 2*collectorChunk+5)
+	check(2*collectorChunk + 5)
+	emit(2*collectorChunk+5, 3*collectorChunk+7)
+	check(3*collectorChunk + 7)
+}
+
 func TestHistogram(t *testing.T) {
 	m := NewMetrics()
 	m.Observe("d", 5*time.Microsecond) // bucket 1 (< 10µs)

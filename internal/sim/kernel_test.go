@@ -535,7 +535,9 @@ func TestGenWraparoundRetiresSlot(t *testing.T) {
 
 // TestEventSlotSize pins the slab's stride: a slot is one cache line.
 func TestEventSlotSize(t *testing.T) {
-	if n := unsafe.Sizeof(eventSlot{}); n != 64 {
-		t.Fatalf("eventSlot is %d bytes, want 64", n)
+	// 24 bytes of t, seq, gen and pos, then five words (fn, argFn, arg's
+	// two, proc): 64 bytes on a 64-bit platform.
+	if n, want := unsafe.Sizeof(eventSlot{}), 24+5*unsafe.Sizeof(uintptr(0)); n != want {
+		t.Fatalf("eventSlot is %d bytes, want %d", n, want)
 	}
 }

@@ -86,14 +86,25 @@ const protocolPackages = "pcl vcl mlog"
 var timerMethods = map[string]int{"After": 2, "AfterArg": 3, "At": 2, "AtArg": 3, "Cancel": 1}
 
 // pooledTypes are the recycled record types.
-const pooledTypes = "sim.eventSlot mpi.CollState"
+const pooledTypes = "sim.eventSlot mpi.CollState ckpt.Image"
 
 // pooledHolders are the only declarations that may hold a pooled pointer,
-// each with why it cannot outlive the release.
+// each with why it cannot outlive the release.  A ckpt.Image returns to
+// its rank's free list when its hold count reaches zero, so each of its
+// holders counts one hold for as long as it keeps the pointer.
 var pooledHolders = map[string]string{
 	"mpi.Engine.coll":      "the in-flight collective; endColl moves it to collFree",
 	"mpi.Engine.collFree":  "the one-record free list",
 	"mpi.EngineImage.Coll": "holds a clone(), never the pooled record",
+
+	"ckpt.Hierarchy.free":    "the per-rank free lists: only records whose count reached zero",
+	"ckpt.nodeBuffer.images": "a buffer entry holds one; gcBuffer, KillBuffer and an overwrite (put) let go",
+	"ckpt.pfsStore.staging":  "a stripe write in flight holds one, which passes to the entry it lands as",
+	"ckpt.pfsImage.img":      "a PFS entry holds one until gcPFS drops the entry",
+	"ckpt.waveImage.img":     "a server entry holds one; GC, GCRank, Kill and an overwrite (putImage) let go",
+	"ckpt.StoreOp.img":       "the group store holds one from Store until its last replica settles or Cancel",
+	"ckpt.FetchOp.img":       "held from the image transfer's start until onDone returns, a failover, fail or Cancel",
+	"ckpt.hierOp.leg":        "a buffer write, buffer read or PFS read holds one until it hands on or is cancelled",
 }
 
 // knobStructs are the configuration structs the knob rule holds to being

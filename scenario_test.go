@@ -131,7 +131,7 @@ var scenarios = func() []scenario {
 		// a spare, and the non-blocking protocol, each without a restart.
 		{name: "ulfm-rank-8", opts: ulfm(Pcl, KillRank(40*ms, 3)), repeat: 1, post: repairedInJob},
 		{name: "ulfm-node-8", opts: ulfm(Pcl, KillNode(40*ms, 3)), pinned: true, repeat: 1, post: repairedInJob,
-			budget: &budget{mallocs: 43_154, bytes: 107_005_352}},
+			budget: &budget{mallocs: 42_193, bytes: 97_526_896}},
 		{name: "ulfm-vcl-8", opts: ulfm(Vcl, KillRank(40*ms, 3)), repeat: 1, post: repairedInJob},
 		// Replication, heartbeats and failover: retry timers, failover
 		// fetches and bulk-flow delivery order.  replicated-hb-8's recorded
@@ -175,7 +175,7 @@ var scenarios = func() []scenario {
 		{name: "storage-hier-8", opts: hier(true, KillBuffer(9*ms, 1), KillRank(17*ms, 3)),
 			pinned: true, repeat: 1, post: recovered},
 		{name: "storage-incremental-8", opts: hier(false, KillBuffer(9*ms, 1), KillRank(17*ms, 3)),
-			budget: &budget{mallocs: 46_140, bytes: 5_754_448}},
+			budget: &budget{mallocs: 45_830, bytes: 4_314_040}},
 		{name: "storage-chaos-8", opts: hier(false), repeat: 1, post: bufferThenRankKill,
 			chaos: &ChaosSpec{Seed: 1, Kills: 3, BufferFrac: 0.5, From: 6 * ms, Until: 16 * ms}},
 		{name: "shared-image-pcl-8", opts: shared(Pcl), post: restoredTwice},
@@ -203,16 +203,16 @@ var scenarios = func() []scenario {
 		{name: "vcl-256", opts: kernel(Vcl, 256, 2*s),
 			budget: &budget{heapPerRank: 4, counts: [3]uint64{2_172_078, 1_974_706, 60_688}}},
 		{name: "mlog-256", opts: kernel(Mlog, 256, 2*s),
-			budget: &budget{mallocs: 424_106, bytes: 172_588_008, heapPerRank: 4, counts: [3]uint64{3_645_123, 2_962_662, 365_316}}},
-		{name: "pcl-64-nofail", opts: kernel(Pcl, 64, 8*s), budget: &budget{mallocs: 9_964}},
-		{name: "vcl-64-nofail", opts: kernel(Vcl, 64, 8*s), budget: &budget{mallocs: 8_925}},
-		{name: "mlog-64-nofail", opts: kernel(Mlog, 64, 8*s), budget: &budget{mallocs: 97_651, bytes: 42_377_776}},
+			budget: &budget{mallocs: 420_939, bytes: 172_285_864, heapPerRank: 4, counts: [3]uint64{3_645_123, 2_962_662, 365_316}}},
+		{name: "pcl-64-nofail", opts: kernel(Pcl, 64, 8*s), budget: &budget{mallocs: 9_755}},
+		{name: "vcl-64-nofail", opts: kernel(Vcl, 64, 8*s), budget: &budget{mallocs: 8_822}},
+		{name: "mlog-64-nofail", opts: kernel(Mlog, 64, 8*s), budget: &budget{mallocs: 97_517, bytes: 42_377_776}},
 		// Overload: 64 images of 3.9 MB every 400 ms offer four servers
 		// 625 MB/s.  Before Mlog deferred a tick while its last image was
 		// in flight, this run never returned.  Its counts were re-recorded
 		// with the NP=256 rows' (3 163 884 / 749 387 / 2 335 144 before).
 		{name: "mlog-64-overload", opts: kernel(Mlog, 64, 400*ms),
-			budget: &budget{mallocs: 249_517, bytes: 49_986_360, heapPerRank: 4, counts: [3]uint64{932_159, 749_388, 103_467}}},
+			budget: &budget{mallocs: 236_833, bytes: 48_779_456, heapPerRank: 4, counts: [3]uint64{932_159, 749_388, 103_467}}},
 	}
 }()
 
