@@ -124,6 +124,7 @@ func checkRows(t *testing.T, pattern string, labels ...string) {
 // at the row.
 func TestGoldenDeterminism(t *testing.T)           { checkRows(t, "%s-16", "pcl", "vcl", "mlog") }
 func TestGoldenDeterminismULFM(t *testing.T)       { checkRows(t, "ulfm-%s-8", "rank", "node", "vcl") }
+func TestRestartedJacobiChecksum(t *testing.T)     { checkRows(t, "jacobi-%s-8", "mlog", "vcl") }
 func TestGoldenDeterminismRepeat(t *testing.T)     { checkRows(t, "%s", "mlog-chaos", "snapshots") }
 func TestSharedImageRestoredTwice(t *testing.T)    { checkRows(t, "shared-image-%s-8", "pcl", "vcl") }
 func TestGoldenDeterminismReplicated(t *testing.T) { checkRows(t, "%s", "replicated-hb-8") }
@@ -149,10 +150,23 @@ func wantReport(want string) func(*testing.T, *result) {
 	}
 }
 
+// repairedInJob: one in-job repair, no restart, and the run ended on
+// jacobi-8's failure-free checksum.
 func repairedInJob(t *testing.T, r *result) {
 	if r.rep.Repairs != 1 || r.rep.Restarts != 0 || r.rep.RecoveredWork <= 0 || r.rep.RecoveredWork >= 1 {
 		t.Errorf("Repairs %d, Restarts %d, RecoveredWork %v; want one in-job repair, no restart, RecoveredWork in (0, 1)",
 			r.rep.Repairs, r.rep.Restarts, r.rep.RecoveredWork)
+	}
+	if base := first(t, "jacobi-8").rep.Checksum; r.rep.Checksum != base {
+		t.Errorf("checksum %v, want jacobi-8's failure-free %v", r.rep.Checksum, base)
+	}
+}
+
+// restartedJacobi: the run restarted and ended on jacobi-8's failure-free
+// checksum.
+func restartedJacobi(t *testing.T, r *result) {
+	if base := first(t, "jacobi-8").rep.Checksum; r.rep.Restarts == 0 || r.rep.Checksum != base {
+		t.Errorf("want a restart and checksum %v; got %+v", base, r.rep)
 	}
 }
 

@@ -441,9 +441,13 @@ func (g *Group) FetchSince(rank, wave, dstNode int, onDone func(*Image, []*mpi.P
 	return op
 }
 
-// fetchImage tries replica i onwards for the image.
+// fetchImage tries replica i onwards for the image.  A fetch that failed
+// or was cancelled starts no transfer and fails over nowhere: Fetch tries
+// the image after its logs may already have failed, and fail cancels a
+// transfer's flow but leaves it in its server's in-progress list, whose
+// kill still runs its onAbort.  fetchLogs is guarded alike.
 func (op *FetchOp) fetchImage(i int) {
-	if op.cancelled {
+	if op.cancelled || op.failedErr != nil {
 		return
 	}
 	for ; i < op.g.Replicas; i++ {
@@ -471,7 +475,7 @@ func (op *FetchOp) fetchImage(i int) {
 				op.partDone()
 			},
 			func() { // replica died mid-transfer: fail over
-				if op.cancelled {
+				if op.cancelled || op.failedErr != nil {
 					return
 				}
 				op.dropImage()
@@ -490,7 +494,7 @@ func (op *FetchOp) fetchImage(i int) {
 
 // fetchLogs tries replica i onwards for the committed wave's log set.
 func (op *FetchOp) fetchLogs(i int, failover bool) {
-	if op.cancelled {
+	if op.cancelled || op.failedErr != nil {
 		return
 	}
 	for ; i < op.g.Replicas; i++ {
@@ -508,7 +512,7 @@ func (op *FetchOp) fetchLogs(i int, failover bool) {
 				op.partDone()
 			},
 			func() {
-				if op.cancelled {
+				if op.cancelled || op.failedErr != nil {
 					return
 				}
 				op.g.emit(obs.EvReplicaFailover, op.rank, op.wave, srv.Index)

@@ -102,6 +102,74 @@ func TestGroupFetchAllReplicasDead(t *testing.T) {
 	}
 }
 
+// idle reports whether no server of pool has a transfer in progress.
+func idle(pool []*Server) bool {
+	for _, srv := range pool {
+		if srv.first != nil {
+			return false
+		}
+	}
+	return true
+}
+
+// TestFetchFailedOnLogsStartsNoImage: when no replica holds the wave's
+// logs, Fetch fails at once, and the image transfer it would have started
+// next never starts: nobody waits for it.
+func TestFetchFailedOnLogsStartsNoImage(t *testing.T) {
+	k := sim.New(1)
+	g, pool := testGroup(k, 2, 2, 2)
+	var failErr error
+	k.Go("w", func(p *sim.Proc) {
+		g.Store(testImage(0, 1), 0, 0, func() {
+			g.Fetch(0, 1, 0, true, func(*Image, []*mpi.Packet) {
+				t.Error("fetch delivered without the wave's logs")
+			}, func(err error) { failErr = err })
+			if !idle(pool) {
+				t.Error("a failed fetch still started a transfer")
+			}
+		}, nil)
+	})
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if !errors.Is(failErr, ErrNoImage) {
+		t.Fatalf("want ErrNoImage, got %v", failErr)
+	}
+}
+
+// TestKillAfterFetchFailedDoesNotFailOver: a server kill that fails a
+// fetch (the only copy of the logs dies with it) also aborts the fetch's
+// image transfer from that server, whose flow the failure cancelled; that
+// abort must not fail over to the other replica's image.
+func TestKillAfterFetchFailedDoesNotFailOver(t *testing.T) {
+	k := sim.New(1)
+	g, pool := testGroup(k, 2, 2, 2)
+	col := obs.NewCollector()
+	g.SetObs(obs.NewHub(col))
+	var failErr error
+	k.Go("w", func(p *sim.Proc) {
+		g.Store(testImage(0, 1), 0, 0, func() {
+			pool[0].storeLogs(0, 1, []*mpi.Packet{{Src: 1, Kind: mpi.KindPayload, Data: []byte{1}}})
+			g.Fetch(0, 1, 0, true, func(*Image, []*mpi.Packet) {
+				t.Error("fetch delivered without the wave's logs")
+			}, func(err error) { failErr = err })
+			pool[0].Kill() // aborts the log transfer, then the image transfer
+			if !idle(pool) {
+				t.Error("the failed fetch failed over and started a transfer")
+			}
+		}, nil)
+	})
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if !errors.Is(failErr, ErrNoImage) {
+		t.Fatalf("want ErrNoImage, got %v", failErr)
+	}
+	if n := col.Count(obs.EvReplicaFailover); n != 1 {
+		t.Errorf("%d failovers, want 1: the log transfer's", n)
+	}
+}
+
 func TestGroupKillMidTransferAborts(t *testing.T) {
 	// A server killed while a store is in flight cancels the transfer;
 	// with no retries left the quorum is immediately lost.

@@ -80,14 +80,15 @@ type Mlog struct {
 const recChunk = 32
 
 // keep copies a lent packet into the next record of the chunk: the record
-// the pending queue, the log store and ooo hold.
+// the pending queue, the log store and ooo hold.  The log store keeps it
+// past delivery, so the copy is a Retain: the payload is shared.
 func (m *Mlog) keep(p *mpi.Packet) *mpi.Packet {
 	if len(m.spare) == 0 {
 		m.spare = make([]mpi.Packet, recChunk)
 	}
 	q := &m.spare[0]
 	m.spare = m.spare[1:]
-	*q = *p
+	*q = p.Retain()
 	return q
 }
 
@@ -146,11 +147,13 @@ func (m *Mlog) checkpoint() int {
 	return w
 }
 
-// OutPayload stamps and buffers every outgoing payload.
+// OutPayload stamps and buffers every outgoing payload.  unacked keeps
+// it for retransmission after the receiver consumed it, so it is a
+// Retain: the payload leaves shared, and no receiver recycles it.
 func (m *Mlog) OutPayload(p *mpi.Packet) bool {
 	m.sendSeq[p.Dst]++
 	p.PSeq = m.sendSeq[p.Dst]
-	m.unacked.Push(*p)
+	m.unacked.Push(p.Retain())
 	return true
 }
 

@@ -12,10 +12,15 @@ import (
 // EncodeF64s serializes a float64 slice little-endian (8 bytes each).
 func EncodeF64s(x []float64) []byte {
 	b := make([]byte, 8*len(x))
+	putF64s(b, x)
+	return b
+}
+
+// putF64s encodes x into b, which holds 8*len(x) bytes, as EncodeF64s does.
+func putF64s(b []byte, x []float64) {
 	for i, v := range x {
 		binary.LittleEndian.PutUint64(b[8*i:], math.Float64bits(v))
 	}
-	return b
 }
 
 // AppendF64s decodes b (as EncodeF64s lays it out) onto the end of dst and
@@ -127,7 +132,7 @@ func appendState(b []byte, v reflect.Value) []byte {
 			return append(b, v.Bytes()...)
 		case v.Type() == f64sType:
 			b = slices.Grow(b, 8*v.Len())
-			for _, x := range v.Interface().([]float64) {
+			for _, x := range f64s(v) {
 				b = le.AppendUint64(b, math.Float64bits(x))
 			}
 			return b
@@ -146,6 +151,16 @@ func appendState(b []byte, v reflect.Value) []byte {
 		return b
 	}
 	panic(fmt.Sprintf("mpi: AppendState: no layout for %s", v.Type()))
+}
+
+// f64s returns the []float64 v holds, through its address when it has one
+// (a field of a struct AppendState was given a pointer to): interfacing
+// the slice itself would box its header, a pointer fits the interface.
+func f64s(v reflect.Value) []float64 {
+	if v.CanAddr() {
+		return *v.Addr().Interface().(*[]float64)
+	}
+	return v.Interface().([]float64)
 }
 
 // StateSize returns the length of v's encoding, len(AppendState(nil, v)),

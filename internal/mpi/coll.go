@@ -155,7 +155,7 @@ func (e *Engine) AllreduceF64(op ReduceOp, x []float64) []float64 {
 			} else {
 				buf := EncodeF64s(cs.AccF)
 				e.chargeSend(buf, 0)
-				e.send(e.rank&^cs.Mask, tag, buf, 0)
+				e.send(e.rank&^cs.Mask, tag, buf, 0, false)
 				break
 			}
 			cs.Mask <<= 1
@@ -192,7 +192,7 @@ func (e *Engine) AllreduceF64(op ReduceOp, x []float64) []float64 {
 				down = EncodeF64s(cs.AccF)
 			}
 			e.chargeSend(down, 0)
-			e.send(e.rank+cs.Mask, tag, down, 0)
+			e.send(e.rank+cs.Mask, tag, down, 0, false)
 		}
 		cs.Mask >>= 1
 	}
@@ -223,7 +223,7 @@ func (e *Engine) AllgatherB(block []byte) [][]byte {
 		sendIdx := ((e.rank-cs.Round)%p + p) % p
 		if !cs.Sent {
 			e.chargeSend(cs.Blocks[sendIdx], 0)
-			e.send(right, tag, cs.Blocks[sendIdx], 0)
+			e.send(right, tag, cs.Blocks[sendIdx], 0, false)
 			cs.Sent = true
 		}
 		pkt := e.recvMatch(left, tag)

@@ -151,6 +151,103 @@ func TestSendrecvAllocsPinned(t *testing.T) {
 	}
 }
 
+// TestSendrecvF64sAllocsPinned: a halo exchange of float64 rows allocates
+// nothing once warm.  Each side encodes its row into an owned buffer
+// (Packet.owned) drawn from the fabric, and the receiver decodes the row
+// into place and gives the buffer back, so after the first exchange the
+// rows circulate through two buffers.  A fresh encoding per send would
+// make it 2; the rows must also arrive intact.
+func TestSendrecvF64sAllocsPinned(t *testing.T) {
+	const runs, perExchange = 100, 0
+	var allocs float64
+	bad := false
+	err := newWorld(t, 2).Run(func(e *Engine) {
+		peer := 1 - e.Rank()
+		row, ghost := make([]float64, 128), make([]float64, 128) // 1 KB rows
+		i := 0
+		exchange := func() {
+			i++
+			row[0], row[127] = float64(i), float64(e.Rank())
+			e.SendrecvF64s(peer, 1, row, peer, 1, ghost)
+			bad = bad || ghost[0] != float64(i) || ghost[127] != float64(peer)
+		}
+		exchange() // opens the links, sizes the queues and the spare list
+		if e.Rank() == 1 {
+			for range runs + 1 { // AllocsPerRun makes one warm-up call
+				exchange()
+			}
+			return
+		}
+		allocs = testing.AllocsPerRun(runs, exchange)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bad {
+		t.Error("a halo row arrived with other values than its sender's")
+	}
+	if allocs > perExchange {
+		t.Errorf("%v allocations per SendrecvF64s exchange of a 1 KB row, want at most %d", allocs, perExchange)
+	}
+}
+
+// TestOwnedPayloadRecycledOnce: a buffer comes back to the fabric only
+// from the receiver of a payload that arrived owned.  A protocol that
+// clones a packet, on either side, makes it shared, and Send never sends
+// owned, so neither is recycled.
+func TestOwnedPayloadRecycledOnce(t *testing.T) {
+	spare := func(w *World) (n int) {
+		for _, s := range w.Fab.spare {
+			n += len(s)
+		}
+		return n
+	}
+	for _, tc := range []struct {
+		name   string
+		filter func(w *World)
+		want   int
+	}{
+		{"owned", func(*World) {}, 2},
+		{"clone-out", func(w *World) { w.Engines[0].SetFilter(cloneFilter{out: true}) }, 1},
+		{"clone-in", func(w *World) { w.Engines[0].SetFilter(cloneFilter{}) }, 1},
+	} {
+		w := newWorld(t, 2)
+		err := w.Run(func(e *Engine) {
+			if e.Rank() == 0 {
+				tc.filter(w)
+			}
+			peer := 1 - e.Rank()
+			e.SendrecvF64s(peer, 1, []float64{1}, peer, 1, make([]float64, 1))
+			e.Send(peer, 2, []byte{2}, 0)
+			e.Recv(peer, 2)
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := spare(w); got != tc.want {
+			t.Errorf("%s: %d buffers recycled, want %d", tc.name, got, tc.want)
+		}
+	}
+}
+
+// cloneFilter keeps a Clone of every payload it sees, on the way out when
+// out is set, else on the way in.
+type cloneFilter struct{ out bool }
+
+func (f cloneFilter) OutPayload(p *Packet) bool {
+	if f.out {
+		p.Clone()
+	}
+	return true
+}
+
+func (f cloneFilter) InPacket(p *Packet) bool {
+	if !f.out {
+		p.Clone()
+	}
+	return true
+}
+
 // TestAllreduceAllocs pins AllreduceF64 at np=8 to little more than its
 // results: each rank allocates its result and the encoding of its partial
 // sum for its parent, rank 0 the encoding of the result it broadcasts, and

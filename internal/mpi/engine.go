@@ -23,10 +23,11 @@ import (
 // Both hooks are lent their packet for the length of the call, whatever
 // its kind: OutPayload's is the engine's send buffer, and InPacket's is the
 // WireMsg rebuilt into the engine's receive buffer, which the next arrival
-// reuses.  A protocol that holds a packet past the call copies it
-// (Packet.Clone, or a value of its own); the copy may share Data, which is
-// read-only once sent.  Deliver copies the packet it is given, so a
-// protocol may pass the lent one straight on.
+// reuses.  A protocol that holds a packet past the call copies it with
+// Packet.Clone or Packet.Retain; the copy shares Data, which is shared and
+// read-only once sent unless owned, and both calls make it shared, so no
+// receiver recycles what the copy holds.  Deliver copies the packet it is
+// given, so a protocol may pass the lent one straight on.
 type Filter interface {
 	OutPayload(p *Packet) bool
 	InPacket(p *Packet) bool
@@ -280,9 +281,10 @@ func (e *Engine) advanceInOp(d sim.Time) { e.lp.Advance(d) }
 // tag (tag must be >= 0).  Sends are eager: the call returns once the
 // message is handed to the device; it never blocks waiting for the
 // receiver, so a checkpoint can never split a send.  data is handed over,
-// not copied: it becomes the packet's Data, which the receiver, a
-// protocol's log and a checkpoint image may all share, so the caller must
-// not write it again (Packet.Data).
+// not copied: it becomes the packet's Data, shared unless owned, and Send
+// never sends it owned, so the receiver, a protocol's log and a checkpoint
+// image may all share it and the caller must not write it again
+// (Packet.Data).
 func (e *Engine) Send(dst, tag int, data []byte, vsize int64) {
 	if tag < 0 {
 		panic("mpi: application tags must be >= 0")
@@ -290,7 +292,7 @@ func (e *Engine) Send(dst, tag int, data []byte, vsize int64) {
 	e.enterOp()
 	defer e.exitOp()
 	e.chargeSend(data, vsize)
-	e.send(dst, tag, data, vsize)
+	e.send(dst, tag, data, vsize, false)
 }
 
 // chargeSend consumes the CPU cost of a send call.  It runs before the
@@ -308,12 +310,14 @@ func (e *Engine) chargeSend(data []byte, vsize int64) {
 
 // send builds and emits a payload packet through the outgoing gate around
 // buf itself, which nobody writes again once it is sent: a caller's handed
-// over buffer, a block a collective received, a fresh encoding.  The
-// packet is built in e.out, which the gate is lent; Fabric.Send puts it on
-// the wire as a WireMsg and a body slot.
-func (e *Engine) send(dst, tag int, buf []byte, vsize int64) {
+// over buffer, a block a collective received, a fresh encoding.  owned
+// says the engine filled buf from Fabric.buffer for this packet alone
+// (Packet.owned); a gate that keeps the packet clears it.  The packet is
+// built in e.out, which the gate is lent; Fabric.Send puts it on the wire
+// as a WireMsg and a body slot.
+func (e *Engine) send(dst, tag int, buf []byte, vsize int64, owned bool) {
 	p := &e.out
-	*p = Packet{Src: e.rank, Dst: dst, Kind: KindPayload, Tag: tag, Data: buf, VSize: vsize}
+	*p = Packet{Src: e.rank, Dst: dst, Kind: KindPayload, owned: owned, Tag: tag, Data: buf, VSize: vsize}
 	if e.filter.OutPayload(p) {
 		e.fab.Send(e.rank, dst, p)
 	}
@@ -368,17 +372,56 @@ func match(p *Packet, src, tag int) bool { return p.Src == src && p.Tag == tag }
 // checkpoint: if a snapshot is taken while blocked in the receive, the
 // restored process does not send again.  data is handed over as in Send.
 func (e *Engine) Sendrecv(dst, sendTag int, data []byte, vsize int64, src, recvTag int) Packet {
+	return e.exchange(func() {
+		e.chargeSend(data, vsize)
+		e.send(dst, sendTag, data, vsize, false)
+	}, src, recvTag)
+}
+
+// SendrecvF64s is the typed Sendrecv of a halo exchange: it sends x to dst
+// and decodes the vector received from src into into, which must be
+// exactly as long; a payload of any other length would spill past into or
+// fall short of it, so it panics.  x is encoded into an owned buffer
+// (Packet.owned), and a payload that arrives owned goes back to the
+// fabric once decoded, so a steady exchange allocates nothing.
+func (e *Engine) SendrecvF64s(dst, sendTag int, x []float64, src, recvTag int, into []float64) {
+	p := e.exchange(func() {
+		e.chargeSend(nil, int64(8*len(x)))
+		buf := e.fab.buffer(8 * len(x))
+		putF64s(buf, x)
+		e.send(dst, sendTag, buf, 0, true)
+	}, src, recvTag)
+	if len(p.Data) != 8*len(into) {
+		panic(fmt.Sprintf("mpi: rank %d: SendrecvF64s from %d tag %d carries %d bytes, want %d",
+			e.rank, src, recvTag, len(p.Data), 8*len(into)))
+	}
+	AppendF64s(into[:0], p.Data)
+	e.release(&p)
+}
+
+// exchange is the resumable core of the send-receive calls: send runs
+// unless a restored process already sent (CollState.Sent), then the
+// receive from src matches.
+func (e *Engine) exchange(send func(), src, recvTag int) Packet {
 	e.enterOp()
 	defer e.exitOp()
 	cs, _ := e.beginColl(CollSendrecv)
 	if !cs.Sent {
-		e.chargeSend(data, vsize)
-		e.send(dst, sendTag, data, vsize)
+		send()
 		cs.Sent = true
 	}
 	p := e.recvMatch(src, recvTag)
 	e.endColl()
 	return p
+}
+
+// release gives the buffer of a payload that arrived owned back to the
+// fabric, once the caller has copied its bytes out: no other holder has
+// it (Packet.Retain).
+func (e *Engine) release(p *Packet) {
+	if p.owned {
+		e.fab.recycle(p.Data)
+	}
 }
 
 // --- checkpoint support --------------------------------------------------

@@ -63,6 +63,10 @@ type Fabric struct {
 	lent Packet
 	// bodies is the rest of the chunk Send carves body slots from.
 	bodies []wireBody
+	// spare holds, by capacity, the buffers of owned payloads that their
+	// receivers have copied out (Engine.release), at most maxSpare of
+	// each: the next owned send of that size refills one (Fabric.buffer).
+	spare map[int][][]byte
 
 	// msgs and payloadBytes count the traffic (obs.MFabricMsgs,
 	// obs.MFabricPayloadBytes) once SetMetrics names a registry.
@@ -193,6 +197,36 @@ func (f *Fabric) linkFor(src, dst int) *link {
 func (f *Fabric) deliverPacket(m WireMsg) {
 	if h := f.handler(m.dest()); h != nil {
 		h(m)
+	}
+}
+
+// maxSpare bounds the recycled buffers the Fabric keeps of one capacity.
+// A steady exchange returns a buffer about as often as it draws one, so
+// the list stays near the number of messages in flight; the bound caps
+// what a burst of returns can keep.
+const maxSpare = 64
+
+// buffer returns an n-byte buffer for an owned send: one a receiver gave
+// back when there is one of that capacity, else a fresh one.
+func (f *Fabric) buffer(n int) []byte {
+	s := f.spare[n]
+	if len(s) == 0 {
+		return make([]byte, n)
+	}
+	b := s[len(s)-1]
+	s[len(s)-1] = nil
+	f.spare[n] = s[:len(s)-1]
+	return b[:n]
+}
+
+// recycle takes back the buffer of an owned payload once its receiver has
+// copied it out, unless maxSpare of its capacity are already spare.
+func (f *Fabric) recycle(b []byte) {
+	if f.spare == nil {
+		f.spare = map[int][][]byte{}
+	}
+	if s := f.spare[cap(b)]; len(s) < maxSpare {
+		f.spare[cap(b)] = append(s, b)
 	}
 }
 

@@ -64,16 +64,25 @@ const packetHeader = 64
 // bytes in Data (real kernels) or only a modelled size in VSize (workload
 // models); both contribute to transfer time.
 type Packet struct {
-	Src, Dst int    // endpoint identifiers
-	Kind     Kind   // payload / marker / control
-	Tag      int    // application tag (payload) or protocol opcode (control)
-	Seq      uint64 // per-channel sequence, assigned by the Fabric
-	Wave     int    // checkpoint wave number (markers, control)
-	PSeq     uint64 // protocol sequence (message logging: per-pair, survives restarts)
-	SpanID   uint64 // causal span of the packet's flight (markers), 0 when untraced
-	// Data is shared and read-only once sent: a sender hands its buffer
-	// over (Engine.Send) and a collective forwards the one it received, so
-	// one slice backs packets, logs, images and results.  Copy first.
+	Src, Dst int  // endpoint identifiers
+	Kind     Kind // payload / marker / control
+	// owned marks Data as a buffer the sending engine filled for this
+	// message alone, which no holder shares: its receiver may copy it out
+	// and recycle it (Engine.release).  It rides in the WireMsg's padding
+	// and in Packet's, and the state codec skips it, so images never
+	// carry it.
+	owned  bool
+	Tag    int    // application tag (payload) or protocol opcode (control)
+	Seq    uint64 // per-channel sequence, assigned by the Fabric
+	Wave   int    // checkpoint wave number (markers, control)
+	PSeq   uint64 // protocol sequence (message logging: per-pair, survives restarts)
+	SpanID uint64 // causal span of the packet's flight (markers), 0 when untraced
+	// Data is shared and read-only once sent, unless owned: a sender hands
+	// its buffer over (Engine.Send) and a collective forwards the one it
+	// received, so one slice backs packets, logs, images and results.  Copy
+	// first.  An owned Data has one holder at a time, and every holder
+	// that keeps the packet past a lent call takes its copy with Clone or
+	// Retain, which make it shared.
 	Data  []byte
 	VSize int64 // modelled payload size when Data is empty or symbolic
 }
@@ -95,9 +104,18 @@ func (p *Packet) String() string {
 }
 
 // Clone returns a copy of the packet's header that shares its Data (used
-// when logging channel state and capturing images).  Data is read-only
-// once sent, so the copy and the original may both hold it.
+// when logging channel state and capturing images).  Data is shared unless
+// owned, and Clone makes it shared: it clears owned on the copy and on p,
+// so no receiver recycles a buffer the copy still holds.
 func (p *Packet) Clone() *Packet {
-	q := *p
+	q := p.Retain()
 	return &q
+}
+
+// Retain returns a value copy of p for a holder that keeps it past a lent
+// call (Mlog's sent and accepted records).  Like Clone, it clears owned on
+// both copies.
+func (p *Packet) Retain() Packet {
+	p.owned = false
+	return *p
 }

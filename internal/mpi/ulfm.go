@@ -186,21 +186,25 @@ func (e *Engine) ftCheck(src int) {
 	}
 }
 
-// TrySendrecv is the error-returning Sendrecv of FT mode: against a
-// failed peer it returns ErrProcFailed, under a revocation ErrRevoked,
-// in both cases releasing the in-flight operation state back to its
-// pool.  Outside FT mode it is exactly Sendrecv.  data is handed over as
-// in Send.
-func (e *Engine) TrySendrecv(dst, sendTag int, data []byte, vsize int64, src, recvTag int) (pkt Packet, err error) {
+// TrySendrecv is the error-returning exchange of FT mode: it sends a copy
+// of data to dst and appends the payload received from src to into.
+// Against a failed peer it returns ErrProcFailed, under a revocation
+// ErrRevoked, in both cases with into as it was and the in-flight
+// operation state released back to its pool.  Outside FT mode it never
+// fails.  Unlike Sendrecv it copies: the copy travels owned
+// (Packet.owned), and a payload that arrives owned goes back to the
+// fabric once appended, so neither side's buffer is shared and a steady
+// exchange allocates nothing.
+func (e *Engine) TrySendrecv(dst, sendTag int, data []byte, src, recvTag int, into []byte) (out []byte, err error) {
 	if e.ft {
 		if e.revoked {
-			return Packet{}, &RevokedError{Epoch: e.epoch}
+			return into, &RevokedError{Epoch: e.epoch}
 		}
 		if e.failed[dst] {
-			return Packet{}, &ProcFailedError{Rank: dst}
+			return into, &ProcFailedError{Rank: dst}
 		}
 		if e.failed[src] {
-			return Packet{}, &ProcFailedError{Rank: src}
+			return into, &ProcFailedError{Rank: src}
 		}
 		defer func() {
 			if r := recover(); r != nil {
@@ -209,11 +213,19 @@ func (e *Engine) TrySendrecv(dst, sendTag int, data []byte, vsize int64, src, re
 					panic(r)
 				}
 				e.AbortColl()
-				pkt, err = Packet{}, ftErr
+				out, err = into, ftErr
 			}
 		}()
 	}
-	return e.Sendrecv(dst, sendTag, data, vsize, src, recvTag), nil
+	p := e.exchange(func() {
+		e.chargeSend(data, 0)
+		buf := e.fab.buffer(len(data))
+		copy(buf, data)
+		e.send(dst, sendTag, buf, 0, true)
+	}, src, recvTag)
+	out = append(into, p.Data...)
+	e.release(&p)
+	return out, nil
 }
 
 // FTProgram is implemented by applications that survive failures in
@@ -235,7 +247,8 @@ type FTProgram interface {
 	// FTPeerLatest returns the newest held snapshot level for rank, -1
 	// when this program holds no copy of rank's state.
 	FTPeerLatest(rank int) int
-	// FTPeerSnapshot returns the held copy of rank's state at level.
+	// FTPeerSnapshot returns a copy of the held snapshot of rank's state
+	// at level, the caller's to keep.
 	FTPeerSnapshot(rank, level int) ([]byte, bool)
 	// FTRollback restores the program to its own snapshot at level after
 	// a repair; false means the level is not held (the caller falls back

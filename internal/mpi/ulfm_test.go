@@ -103,7 +103,8 @@ func TestNotifyFailedAbortsBlockedRecv(t *testing.T) {
 
 // TestTrySendrecvTypedErrors: the error-returning operation refuses
 // immediately — no blocking, no panic — with the right sentinel for each
-// FT condition, and recovers cleanly after FTReset.
+// FT condition and the caller's buffer as it was, and recovers cleanly
+// after FTReset.
 func TestTrySendrecvTypedErrors(t *testing.T) {
 	w := newWorld(t, 2)
 	err := w.Run(func(e *Engine) {
@@ -112,13 +113,14 @@ func TestTrySendrecvTypedErrors(t *testing.T) {
 		if rank != 0 {
 			return
 		}
+		into := []byte("kept")
 		e.NotifyFailed(1)
-		if _, err := e.TrySendrecv(1, 3, nil, 8, 1, 3); !errors.Is(err, ErrProcFailed) {
-			t.Errorf("against a failed peer: err = %v, want ErrProcFailed", err)
+		if out, err := e.TrySendrecv(1, 3, []byte{1}, 1, 3, into); !errors.Is(err, ErrProcFailed) || string(out) != "kept" {
+			t.Errorf("against a failed peer: %q, err = %v, want %q and ErrProcFailed", out, err, into)
 		}
 		e.Revoke()
-		if _, err := e.TrySendrecv(1, 3, nil, 8, 1, 3); !errors.Is(err, ErrRevoked) {
-			t.Errorf("under revocation: err = %v, want ErrRevoked", err)
+		if out, err := e.TrySendrecv(1, 3, []byte{1}, 1, 3, into); !errors.Is(err, ErrRevoked) || string(out) != "kept" {
+			t.Errorf("under revocation: %q, err = %v, want %q and ErrRevoked", out, err, into)
 		}
 		e.FTReset()
 		if e.coll != nil {

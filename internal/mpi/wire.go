@@ -25,6 +25,7 @@ type WireMsg struct {
 	seq                 uint32
 	kind                Kind
 	spanAux             bool
+	owned               bool // Packet.owned, in the record's padding
 }
 
 // wireBody is the part of a packet the record has no room for.
@@ -55,7 +56,7 @@ func header(p *Packet, src, dst int, seq uint64) WireMsg {
 		panic(fmt.Sprintf("mpi: %v %d->%d tag=%d carries both PSeq %d and SpanID %d", p.Kind, src, dst, p.Tag, p.PSeq, p.SpanID))
 	}
 	m := WireMsg{src: int32(src), dst: int32(dst), tag: int32(p.Tag), wave: int32(p.Wave),
-		seq: uint32(seq), kind: p.Kind, aux: p.PSeq}
+		seq: uint32(seq), kind: p.Kind, aux: p.PSeq, owned: p.owned}
 	if p.SpanID != 0 {
 		m.aux, m.spanAux = p.SpanID, true
 	}
@@ -78,7 +79,7 @@ func (m *WireMsg) payloadSize() int64 {
 // and returns it.  It consumes the body: its slot is emptied, so a message
 // is rebuilt once.
 func (m *WireMsg) packet(lent *Packet) *Packet {
-	*lent = Packet{Src: int(m.src), Dst: int(m.dst), Kind: m.kind, Tag: int(m.tag), Seq: uint64(m.seq), Wave: int(m.wave)}
+	*lent = Packet{Src: int(m.src), Dst: int(m.dst), Kind: m.kind, owned: m.owned, Tag: int(m.tag), Seq: uint64(m.seq), Wave: int(m.wave)}
 	if m.spanAux {
 		lent.SpanID = m.aux
 	} else {

@@ -44,6 +44,7 @@ type CG struct {
 	rows   [][]int
 	vals   [][]float64
 	haveMx bool
+	snap   cgSnap // ftEncode's record, held so that an encode boxes nothing
 }
 
 // NewCG builds the rank-local part of an N×N system (N divisible by size).
@@ -193,7 +194,7 @@ func (c *CG) Step(e *mpi.Engine) bool {
 		// The phase flips only after the exchange completes, so a protocol
 		// checkpoint taken while blocked in it restores into the same
 		// Sendrecv (ftEncode is a pure function of the solver state).
-		c.ftExchange(e, c.Rank, c.Size, c.It, c.ftEncode())
+		c.ftExchange(e, c.Rank, c.Size, c.It, c.ftEncode)
 		c.Phase = cgGatherP
 	case cgFinish:
 		rr := e.AllreduceF64(mpi.OpSum, []float64{dot(c.R, c.R)})
@@ -212,8 +213,10 @@ type cgSnap struct {
 	X, R, P []float64
 }
 
-func (c *CG) ftEncode() []byte {
-	return mpi.AppendState(snapBuf(2, c.X, c.R, c.P), &cgSnap{c.It, c.RR, c.X, c.R, c.P})
+// ftEncode appends the snapshot to dst's buffer, emptied.
+func (c *CG) ftEncode(dst []byte) []byte {
+	c.snap = cgSnap{c.It, c.RR, c.X, c.R, c.P}
+	return mpi.AppendState(snapBuf(dst, 2, c.X, c.R, c.P), &c.snap)
 }
 
 func (c *CG) ftDecode(blob []byte) bool {

@@ -26,6 +26,8 @@ package nas
 // blob.
 
 import (
+	"slices"
+
 	"ftckpt/internal/mpi"
 	"ftckpt/internal/obs"
 	"ftckpt/internal/sim"
@@ -37,6 +39,8 @@ const ftTagSnap = 62
 
 // ftSnap is one held snapshot: the iteration it captures, the virtual
 // time it was taken (the recovered-work baseline) and the encoded state.
+// blob is the program's own: the exchange that drops a level encodes or
+// receives the next one into its buffer.
 type ftSnap struct {
 	level int // iteration; -1 = empty
 	t     sim.Time
@@ -89,14 +93,16 @@ func (f *ftState) FTPeerLatest(rank int) int {
 	return f.peer[1].level
 }
 
-// FTPeerSnapshot returns the held copy of rank's state at level.
+// FTPeerSnapshot returns a copy of the held snapshot of rank's state at
+// level: the held buffer is rewritten by a later exchange, and the copy
+// seeds a replacement for good.
 func (f *ftState) FTPeerSnapshot(rank, level int) ([]byte, bool) {
 	if !f.peerOK || f.peerRank != rank {
 		return nil, false
 	}
 	for _, s := range f.peer {
 		if s.blob != nil && s.level == level {
-			return s.blob, true
+			return slices.Clone(s.blob), true
 		}
 	}
 	return nil, false
@@ -137,15 +143,18 @@ func (f *ftState) ftInstall(level int, t sim.Time, blob []byte) {
 	f.peerOK = false
 }
 
-// ftExchange records blob as the own snapshot at iteration it and trades
-// copies around the ring (send right, receive left).  The call is
-// resumable: the phase machine stays in its exchange phase until this
-// returns, so a protocol checkpoint taken mid-exchange restores into the
-// same Sendrecv.  Under a revoked communicator the exchange aborts
-// without recording partner state; the repair machinery handles the rest.
-func (f *ftState) ftExchange(e *mpi.Engine, rank, size, it int, blob []byte) {
-	f.own[0] = f.own[1]
-	f.own[1] = ftSnap{level: it, t: e.Now(), blob: blob}
+// ftExchange records encode's output as the own snapshot at iteration it
+// and trades copies around the ring (send right, receive left).  encode
+// appends into the buffer of the own level the exchange drops, and the
+// received copy lands in the buffer of the dropped peer level, so a
+// steady exchange allocates nothing.  The call is resumable: the phase
+// machine stays in its exchange phase until this returns, so a protocol
+// checkpoint taken mid-exchange restores into the same Sendrecv.  Under a
+// revoked communicator the exchange aborts without recording partner
+// state; the repair machinery handles the rest.
+func (f *ftState) ftExchange(e *mpi.Engine, rank, size, it int, encode func(dst []byte) []byte) {
+	blob := encode(f.own[0].blob[:0])
+	f.own[0], f.own[1] = f.own[1], ftSnap{level: it, t: e.Now(), blob: blob}
 	if size == 1 {
 		return
 	}
@@ -153,13 +162,12 @@ func (f *ftState) ftExchange(e *mpi.Engine, rank, size, it int, blob []byte) {
 	left := (rank - 1 + size) % size
 	e.EmitFT(obs.Event{Type: obs.EvAppCkpt, Rank: rank, Wave: it, Channel: right,
 		Node: -1, Server: -1, Bytes: int64(len(blob))})
-	p, err := e.TrySendrecv(right, ftTagSnap, blob, 0, left, ftTagSnap)
+	got, err := e.TrySendrecv(right, ftTagSnap, blob, left, ftTagSnap, f.peer[0].blob[:0])
 	if err != nil {
 		return
 	}
 	f.peerRank, f.peerOK = left, true
-	f.peer[0] = f.peer[1]
-	f.peer[1] = ftSnap{level: it, t: e.Now(), blob: p.Data}
+	f.peer[0], f.peer[1] = f.peer[1], ftSnap{level: it, t: e.Now(), blob: got}
 }
 
 // --- blob encoding -------------------------------------------------------
@@ -168,14 +176,18 @@ func (f *ftState) ftExchange(e *mpi.Engine, rank, size, it int, blob []byte) {
 // layout (mpi.AppendState): an 8-byte word per scalar, then each vector's
 // 8-byte length and raw float64 bits.
 
-// snapBuf returns an empty buffer sized for scalars words plus vecs, so a
-// blob is allocated once at its exact length.
-func snapBuf(scalars int, vecs ...[]float64) []byte {
+// snapBuf returns dst emptied when it has room for scalars words plus
+// vecs, else an empty buffer of exactly that size, so a blob is allocated
+// once at its exact length and a reused one not at all.
+func snapBuf(dst []byte, scalars int, vecs ...[]float64) []byte {
 	n := 8 * scalars
 	for _, v := range vecs {
 		n += 8 + 8*len(v)
 	}
-	return make([]byte, 0, n)
+	if cap(dst) < n {
+		return make([]byte, 0, n)
+	}
+	return dst[:0]
 }
 
 // The two real kernels implement the full in-job recovery contract.

@@ -8,8 +8,11 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"ftckpt/internal/mpi"
+	"ftckpt/internal/sim"
+	"ftckpt/internal/simnet"
 )
 
 // fill gives every element of v a distinct value derived from seed.
@@ -27,7 +30,7 @@ func TestCGSnapshotExactSize(t *testing.T) {
 	c := NewCG(1, 4, 64, 7, 10)
 	fill(1, c.X, c.R, c.P)
 	c.It, c.RR = 3, 0.25
-	blob := c.ftEncode()
+	blob := c.ftEncode(nil)
 	if len(blob) != cap(blob) {
 		t.Fatalf("blob len %d, cap %d: not allocated at its exact size", len(blob), cap(blob))
 	}
@@ -64,17 +67,17 @@ func TestSnapshotLayout(t *testing.T) {
 	c := NewCG(1, 4, 64, 7, 10)
 	fill(1, c.X, c.R, c.P)
 	c.It, c.RR = 3, 0.25
-	if got, want := c.ftEncode(), layout(3, 0.25, c.X, c.R, c.P); !bytes.Equal(got, want) {
+	if got, want := c.ftEncode(nil), layout(3, 0.25, c.X, c.R, c.P); !bytes.Equal(got, want) {
 		t.Errorf("CG snapshot is %d bytes, differs from the %d-byte layout", len(got), len(want))
 	}
 	j := NewJacobi(1, 4, 16, 100)
 	fill(2, j.Cur, j.New)
 	j.It, j.Residual = 20, -0.5
-	if got, want := j.ftEncode(), layout(20, -0.5, j.Cur, j.New); !bytes.Equal(got, want) {
+	if got, want := j.ftEncode(nil), layout(20, -0.5, j.Cur, j.New); !bytes.Equal(got, want) {
 		t.Errorf("Jacobi snapshot is %d bytes, differs from the %d-byte layout", len(got), len(want))
 	}
 	// A blob of another problem shape is refused.
-	if c.FTInstall(j.ftEncode()) || c.FTInstall(NewCG(1, 4, 128, 7, 10).ftEncode()) {
+	if c.FTInstall(j.ftEncode(nil)) || c.FTInstall(NewCG(1, 4, 128, 7, 10).ftEncode(nil)) {
 		t.Error("CG installed a snapshot of another shape")
 	}
 }
@@ -128,7 +131,7 @@ func TestProgramStateRoundTrip(t *testing.T) {
 	before := mpi.AppendState(nil, c)
 	c.SetFTEvery(3)
 	c.ensureMatrix()
-	c.own[1] = ftSnap{level: 1, blob: c.ftEncode()}
+	c.own[1] = ftSnap{level: 1, blob: c.ftEncode(nil)}
 	if !bytes.Equal(mpi.AppendState(nil, c), before) {
 		t.Error("CG's unexported state reached its encoding")
 	}
@@ -138,7 +141,7 @@ func TestJacobiSnapshotExactSize(t *testing.T) {
 	j := NewJacobi(1, 4, 16, 100)
 	fill(2, j.Cur, j.New)
 	j.It, j.Residual = 20, 0.5
-	blob := j.ftEncode()
+	blob := j.ftEncode(nil)
 	if len(blob) != cap(blob) {
 		t.Fatalf("blob len %d, cap %d: not allocated at its exact size", len(blob), cap(blob))
 	}
@@ -156,30 +159,82 @@ func TestJacobiSnapshotExactSize(t *testing.T) {
 	}
 }
 
-// TestJacobiHaloLength: a halo decodes straight into its ghost row, so a
-// row of the wrong length must panic rather than spill into the next row.
+// TestJacobiHaloLength: a halo decodes straight into its ghost row
+// (mpi.Engine.SendrecvF64s), so a row of the wrong length must panic
+// rather than spill into the next row.
 func TestJacobiHaloLength(t *testing.T) {
 	const n = 8
-	j := NewJacobi(2, 4, 4*n, 100)
 	row := []float64{1, 2, 3, 4, 5, 6, 7, 8}
-	j.recvHalo(j.Cur[:n], &mpi.Packet{Data: mpi.EncodeF64s(row)}, jacTagDown)
-	if !slices.Equal(j.Cur[:n], row) {
-		t.Fatalf("ghost row %v, want %v", j.Cur[:n], row)
+	topo := simnet.Topology{Clusters: []simnet.ClusterSpec{{
+		Name: "c", Nodes: 2, NICBW: 100e6, Latency: 50 * time.Microsecond,
+	}}}
+	for _, m := range []int{n, n + 1, n - 1} {
+		j := NewJacobi(1, 2, n, 100)
+		ghost, next := slices.Clone(j.Cur[:n]), slices.Clone(j.Cur[n:2*n])
+		err := mpi.NewWorld(sim.New(1), topo, mpi.Profile{}, 2, 1).Run(func(e *mpi.Engine) {
+			if e.Rank() == 1 {
+				j.Step(e) // jacExchUp: rank 1 trades rows with rank 0
+				return
+			}
+			halo := append(slices.Clone(row), 9)[:m]
+			e.SendrecvF64s(1, jacTagDown, halo, 1, jacTagUp, make([]float64, n))
+		})
+		if m == n {
+			if err != nil || !slices.Equal(j.Cur[:n], row) {
+				t.Fatalf("ghost row %v (err %v), want %v", j.Cur[:n], err, row)
+			}
+			continue
+		}
+		if err == nil || !strings.Contains(err.Error(), "rank 1") || !strings.Contains(err.Error(), "tag 61") {
+			t.Errorf("halo of %d values: error %v, want a panic naming rank 1 and tag 61", m, err)
+		}
+		if !slices.Equal(j.Cur[:n], ghost) || !slices.Equal(j.Cur[n:2*n], next) {
+			t.Errorf("a rejected halo of %d values still wrote the slab", m)
+		}
 	}
+}
 
-	next := slices.Clone(j.Cur[n : 2*n])
-	for _, m := range []int{n + 1, n - 1} {
-		func() {
-			defer func() {
-				msg, _ := recover().(string)
-				if !strings.Contains(msg, "rank 2") || !strings.Contains(msg, "tag 61") {
-					t.Errorf("halo of %d values: panic %q, want one naming rank 2 and tag 61", m, msg)
-				}
-			}()
-			j.recvHalo(j.Cur[:n], &mpi.Packet{Data: mpi.EncodeF64s(make([]float64, m))}, jacTagDown)
-		}()
+// TestFTExchangeAllocs: a partner-snapshot exchange allocates nothing once
+// warm.  ftEncode writes into the buffer of the own level the exchange
+// drops, the copy on the wire is an owned buffer its receiver gives back
+// to the fabric, and the received copy lands in the buffer of the dropped
+// peer level.  Each rank ends holding its left neighbour's last snapshot.
+func TestFTExchangeAllocs(t *testing.T) {
+	const np, runs = 2, 50
+	topo := simnet.Topology{Clusters: []simnet.ClusterSpec{{
+		Name: "c", Nodes: np, NICBW: 100e6, Latency: 50 * time.Microsecond,
+	}}}
+	js := []*Jacobi{NewJacobi(0, np, 16, 100), NewJacobi(1, np, 16, 100)}
+	var allocs float64
+	err := mpi.NewWorld(sim.New(1), topo, mpi.Profile{}, np, 1).Run(func(e *mpi.Engine) {
+		j := js[e.Rank()]
+		fill(float64(e.Rank()), j.Cur, j.New)
+		exchange := func() {
+			j.It++
+			j.Cur[0] = float64(j.It)
+			j.ftExchange(e, j.Rank, np, j.It, j.ftEncode)
+		}
+		exchange() // both levels' buffers, the links and the spare list
+		exchange()
+		if e.Rank() == 1 {
+			for range runs + 1 { // AllocsPerRun makes one warm-up call
+				exchange()
+			}
+			return
+		}
+		allocs = testing.AllocsPerRun(runs, exchange)
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !slices.Equal(j.Cur[:n], row) || !slices.Equal(j.Cur[n:2*n], next) {
-		t.Fatal("a rejected halo still wrote the slab")
+	if allocs > 0 {
+		t.Errorf("%v allocations per partner-snapshot exchange, want 0", allocs)
+	}
+	for r, j := range js {
+		left := js[(r+np-1)%np]
+		got, ok := j.FTPeerSnapshot(left.Rank, left.It)
+		if !ok || !bytes.Equal(got, left.own[1].blob) || left.FTLatest() != left.It {
+			t.Errorf("rank %d does not hold rank %d's snapshot of iteration %d", r, left.Rank, left.It)
+		}
 	}
 }

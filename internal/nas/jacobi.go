@@ -30,6 +30,8 @@ type Jacobi struct {
 	GhostsUp bool
 	Residual float64
 	Iters    int // iterations actually executed (set when done)
+
+	snap jacobiSnap // ftEncode's record, held so that an encode boxes nothing
 }
 
 // NewJacobi builds rank's slab of an N×N grid (N divisible by size), with
@@ -75,14 +77,12 @@ func (j *Jacobi) Step(e *mpi.Engine) bool {
 	switch j.Phase {
 	case jacExchUp:
 		if j.Rank > 0 {
-			p := e.Sendrecv(j.Rank-1, jacTagUp, mpi.EncodeF64s(j.Cur[n:2*n]), 0, j.Rank-1, jacTagDown)
-			j.recvHalo(j.Cur[0:n], &p, jacTagDown)
+			e.SendrecvF64s(j.Rank-1, jacTagUp, j.Cur[n:2*n], j.Rank-1, jacTagDown, j.Cur[0:n])
 		}
 		j.Phase = jacExchDown
 	case jacExchDown:
 		if j.Rank < j.Size-1 {
-			p := e.Sendrecv(j.Rank+1, jacTagDown, mpi.EncodeF64s(j.Cur[rows*n:(rows+1)*n]), 0, j.Rank+1, jacTagUp)
-			j.recvHalo(j.Cur[(rows+1)*n:], &p, jacTagUp)
+			e.SendrecvF64s(j.Rank+1, jacTagDown, j.Cur[rows*n:(rows+1)*n], j.Rank+1, jacTagUp, j.Cur[(rows+1)*n:])
 		}
 		j.Phase = jacCompute
 	case jacCompute:
@@ -138,21 +138,10 @@ func (j *Jacobi) Step(e *mpi.Engine) bool {
 		// The phase flips only after the exchange completes, so a protocol
 		// checkpoint taken while blocked in it restores into the same
 		// Sendrecv (ftEncode is a pure function of the solver state).
-		j.ftExchange(e, j.Rank, j.Size, j.It, j.ftEncode())
+		j.ftExchange(e, j.Rank, j.Size, j.It, j.ftEncode)
 		j.Phase = jacExchUp
 	}
 	return false
-}
-
-// recvHalo decodes a received halo row straight into its ghost row.  A
-// row of the wrong length would overwrite the next row (or fall short of
-// the ghost), so it panics instead.
-func (j *Jacobi) recvHalo(ghost []float64, p *mpi.Packet, tag int) {
-	if len(p.Data) != 8*len(ghost) {
-		panic(fmt.Sprintf("nas: Jacobi rank %d: halo tag %d carries %d bytes, want %d",
-			j.Rank, tag, len(p.Data), 8*len(ghost)))
-	}
-	mpi.AppendF64s(ghost[:0], p.Data)
 }
 
 // jacobiSnap is Jacobi's partner snapshot: the solver state at the
@@ -164,8 +153,10 @@ type jacobiSnap struct {
 	Cur, New []float64
 }
 
-func (j *Jacobi) ftEncode() []byte {
-	return mpi.AppendState(snapBuf(2, j.Cur, j.New), &jacobiSnap{j.It, j.Residual, j.Cur, j.New})
+// ftEncode appends the snapshot to dst's buffer, emptied.
+func (j *Jacobi) ftEncode(dst []byte) []byte {
+	j.snap = jacobiSnap{j.It, j.Residual, j.Cur, j.New}
+	return mpi.AppendState(snapBuf(dst, 2, j.Cur, j.New), &j.snap)
 }
 
 func (j *Jacobi) ftDecode(blob []byte) bool {

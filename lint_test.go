@@ -12,7 +12,11 @@ package ftckpt
 //   - Sent bytes are read-only: simulation packages write no byte that a
 //     .Data or .Blocks selector reaches (p.Data[i], cs.Blocks[i][j], by
 //     assignment, op=, ++ or --, or as the destination of copy or append),
-//     since a sent buffer is shared by its receivers, logs and images.
+//     since a sent buffer is shared by its receivers, logs and images.  The
+//     one exception is mpi's own: the fabric refills a buffer whose packet
+//     arrived owned (mpi.Packet.Retain), which no holder shares; it does so
+//     through a buffer the fabric hands out, never through a .Data
+//     selector, so the check needs no exemption.
 //   - One cadence: the protocol packages arm and cancel no timer (a call of
 //     a clock method, timerMethods), since core.Cadence owns the one timer
 //     a protocol has and Protocol.Stop cancels it; a timer armed beside it

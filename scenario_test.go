@@ -84,6 +84,10 @@ var scenarios = func() []scenario {
 		return Options{Workload: WorkloadJacobi, NP: 8, Protocol: p, Interval: 25 * ms, Servers: 2,
 			Recovery: RecoveryULFM, Spares: 2, Seed: 5, Failures: []Failure{kill}}
 	}
+	jacobi := func(p Protocol) Options { // restart mode, one rank kill
+		return Options{Workload: WorkloadJacobi, NP: 8, Protocol: p, Interval: 25 * ms, Servers: 2,
+			Seed: 5, Failures: []Failure{KillRank(40*ms, 3)}}
+	}
 	cg8 := func(p Protocol, seed int64, kills ...Failure) Options {
 		return Options{Workload: WorkloadCGReal, NP: 8, ProcsPerNode: 2, Protocol: p, Interval: 5 * ms, Seed: seed, Failures: kills}
 	}
@@ -130,9 +134,19 @@ var scenarios = func() []scenario {
 		// Spare-rank in-job recovery: a rank kill, a node kill spliced onto
 		// a spare, and the non-blocking protocol, each without a restart.
 		{name: "ulfm-rank-8", opts: ulfm(Pcl, KillRank(40*ms, 3)), repeat: 1, post: repairedInJob},
+		// Its budget was re-recorded when halo rows and partner snapshots
+		// began to circulate through recycled buffers (42 193 mallocs and
+		// 97 526 896 bytes before).
 		{name: "ulfm-node-8", opts: ulfm(Pcl, KillNode(40*ms, 3)), pinned: true, repeat: 1, post: repairedInJob,
-			budget: &budget{mallocs: 42_193, bytes: 97_526_896}},
+			budget: &budget{mallocs: 7_567, bytes: 8_327_320}},
 		{name: "ulfm-vcl-8", opts: ulfm(Vcl, KillRank(40*ms, 3)), repeat: 1, post: repairedInJob},
+		// Jacobi's halo rows and partner snapshots travel in recycled
+		// buffers (mpi.Packet.owned): a buffer recycled while Mlog's sender
+		// log or Vcl's channel log still holds it would replay other bytes
+		// after the kill and move the checksum off jacobi-8's.
+		{name: "jacobi-8", opts: Options{Workload: WorkloadJacobi, NP: 8, Seed: 5}},
+		{name: "jacobi-mlog-8", opts: jacobi(Mlog), post: restartedJacobi},
+		{name: "jacobi-vcl-8", opts: jacobi(Vcl), post: restartedJacobi},
 		// Replication, heartbeats and failover: retry timers, failover
 		// fetches and bulk-flow delivery order.  replicated-hb-8's recorded
 		// hashes are its pinned report, metrics and trace hashes.  -late
