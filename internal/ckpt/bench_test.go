@@ -33,6 +33,7 @@ func benchGroup(k *sim.Kernel, replicas, quorum int) (*Group, *simnet.Network) {
 // start(i) begins store i and next begins the following one.
 type chain struct {
 	b     *testing.B
+	k     *sim.Kernel
 	i     int
 	start func(i int)
 }
@@ -43,11 +44,16 @@ func (c *chain) next() {
 	}
 }
 
-// LogsStored makes the chain a log store's sink.
-func (c *chain) LogsStored() { c.next() }
+// LogsStored makes the chain a log store's sink.  The next store starts
+// in an event of its own, once the landing callback has returned, so the
+// op that landed can be released by then (StoreOp.Release).
+func (c *chain) LogsStored() { c.k.AfterArg(0, chainNext, c) }
+
+func chainNext(x any) { x.(*chain).next() }
 
 func (c *chain) run(k *sim.Kernel) {
 	c.b.ReportAllocs()
+	c.k = k
 	k.After(0, func() { c.start(0) })
 	c.b.ResetTimer()
 	if err := k.Run(); err != nil {
@@ -71,7 +77,8 @@ func BenchmarkGroupStore(b *testing.B) {
 }
 
 // BenchmarkGroupStoreLogs: one log record per op — what Mlog.accept ships
-// for every received message — at one and at two replicas.
+// for every received message — at one and at two replicas, each op
+// tracked and released once settled, as ftpm's procRun does.
 func BenchmarkGroupStoreLogs(b *testing.B) {
 	for _, replicas := range []int{1, 2} {
 		b.Run(fmt.Sprintf("replicas=%d", replicas), func(b *testing.B) {
@@ -79,9 +86,11 @@ func BenchmarkGroupStoreLogs(b *testing.B) {
 			g, _ := benchGroup(k, replicas, replicas)
 			record := []*mpi.Packet{{Src: 1, Kind: mpi.KindPayload, Tag: 5, VSize: 4 << 10}}
 			c := &chain{b: b}
+			tr := make(tracker, 0, 1)
 			c.start = func(i int) {
 				record[0].PSeq = uint64(i + 1)
-				g.StoreLogs(i%16, 1, record, (i%16)/2, c)
+				tr.drop()
+				tr = append(tr, g.StoreLogs(i%16, 1, record, (i%16)/2, c))
 			}
 			c.run(k)
 		})

@@ -5,11 +5,13 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"slices"
 	"testing"
 	"time"
 
 	"ftckpt/internal/mpi"
+	"ftckpt/internal/obs"
 	"ftckpt/internal/sim"
 	"ftckpt/internal/simnet"
 )
@@ -304,5 +306,273 @@ func churn(t *testing.T, seed int64) {
 	}
 	if len(records) >= serial {
 		t.Errorf("%d captures took %d records: none was recycled", serial, len(records))
+	}
+}
+
+// tracker is a sender's list of its log stores, kept as ftpm's procRun
+// keeps its own: drop removes the settled ones in order and releases each
+// (StoreOp.Release).
+type tracker []*StoreOp
+
+func (tr *tracker) drop() {
+	*tr = slices.DeleteFunc(*tr, func(op *StoreOp) bool {
+		if !op.Settled() {
+			return false
+		}
+		op.Release()
+		return true
+	})
+}
+
+// pendingEvents calls fn with the callback and the argument of every
+// argument-carrying event the kernel holds.  The kernel exports no view of
+// its heap, so this reads it through reflection; a renamed field fails the
+// test instead of hiding an event.
+func pendingEvents(t *testing.T, k *sim.Kernel, fn func(callback, arg reflect.Value)) {
+	kv := reflect.ValueOf(k).Elem()
+	slab, heap := kv.FieldByName("slab"), kv.FieldByName("heap")
+	if !slab.IsValid() || !heap.IsValid() {
+		t.Fatal("sim.Kernel has no slab and heap to read pending events from")
+	}
+	argFn, okFn := slab.Type().Elem().FieldByName("argFn")
+	arg, okArg := slab.Type().Elem().FieldByName("arg")
+	if !okFn || !okArg {
+		t.Fatal("sim.Kernel's event slot has no argFn and arg")
+	}
+	for i := 0; i < heap.Len(); i++ {
+		s := slab.Index(int(heap.Index(i).Int()))
+		if f, a := s.Field(argFn.Index[0]), s.Field(arg.Index[0]); !f.IsNil() && !a.IsNil() {
+			fn(f, a.Elem())
+		}
+	}
+}
+
+// logRec is one log record of TestLogOpChurn and its store's sink.
+type logRec struct {
+	rank, wave int
+	pkt        *mpi.Packet
+	start      sim.Time // when its store started
+	heard      int      // LogsStored calls
+	cancelled  bool
+	heardAt    int // heard when its op was cancelled
+	onStored   func(*logRec)
+}
+
+func (r *logRec) LogsStored() { r.onStored(r) }
+
+// TestLogOpChurn runs seeded schedules of one-record log stores at one and
+// two replicas, write quorum 1, through server kills (before and after a
+// flow's last byte left, so some deliveries are still pending), reboots,
+// retries, sender cancels and tracker drops, some of them from inside a
+// sink.  A server reboots on the senders' cluster or across a WAN of
+// longer latency, so a retry can land while the aborted attempt's
+// delivery is still pending.  After every step, and every few
+// microseconds between them, no op on the group's free list may be
+// reachable from a tracker, a server's in-progress list or a pending
+// kernel event (a retry timer, a flow's completion or its delivery), and
+// the free list holds each op once, emptied.  Each record's sink hears
+// LogsStored at most once, never before one path latency after its store
+// started (a stale delivery through a recycled op's flow would land it
+// earlier), and exactly once unless its store was cancelled first or
+// lost its quorum.
+func TestLogOpChurn(t *testing.T) {
+	for _, replicas := range []int{1, 2} {
+		for seed := int64(1); seed <= 16; seed++ {
+			t.Run(fmt.Sprintf("replicas%d/seed%d", replicas, seed), func(t *testing.T) {
+				logChurn(t, replicas, seed)
+			})
+		}
+	}
+}
+
+func logChurn(t *testing.T, replicas int, seed int64) {
+	const ranks, nodes, servers = 6, 3, 3
+	const latency = 50 * time.Microsecond
+	rng := rand.New(rand.NewSource(seed))
+	k := sim.New(seed)
+	net := simnet.New(k, simnet.Topology{Clusters: []simnet.ClusterSpec{
+		{Name: "near", Nodes: nodes + servers, NICBW: 100e6, Latency: latency},
+		{Name: "far", Nodes: servers, NICBW: 100e6, Latency: latency},
+	}, WanBW: 100e6, WanLatency: 20 * latency})
+	// place puts server i on its node in the senders' cluster or across
+	// the WAN.
+	place := func(i int) int { return nodes + i + servers*rng.Intn(2) }
+	pool := make([]*Server, servers)
+	for i := range pool {
+		pool[i] = NewServer(net, i, place(i))
+	}
+	g := NewGroup(net, pool, replicas, 1, nil)
+	g.MaxRetries = 1 + rng.Intn(2)
+	g.Backoff = sim.Time([]time.Duration{0, 20, 60, 150}[rng.Intn(4)] * time.Microsecond)
+	col := obs.NewCollector()
+	g.SetObs(obs.NewHub(col))
+
+	var (
+		recs     []*logRec
+		trackers = make([]tracker, ranks)
+		reused   int // stores that took an op from the free list
+		late     int // transfers a kill aborted with their delivery pending
+	)
+	nodeOf := func(rank int) int { return rank % nodes }
+	onStored := func(r *logRec) {
+		if r.heard++; r.heard > 1 {
+			t.Fatalf("record rank %d wave %d heard of its quorum %d times", r.rank, r.wave, r.heard)
+		}
+		if k.Now() < r.start+sim.Time(latency) {
+			t.Fatalf("record rank %d wave %d heard of its quorum %v after its store started, under one path latency: another op's delivery landed it",
+				r.rank, r.wave, k.Now()-r.start)
+		}
+		if rng.Intn(4) == 0 {
+			trackers[r.rank].drop() // from inside the landing callback
+		}
+	}
+	store := func() {
+		r := &logRec{rank: rng.Intn(ranks), wave: len(recs) + 1, start: k.Now(), onStored: onStored}
+		r.pkt = &mpi.Packet{Src: r.rank, Dst: (r.rank + 1) % ranks, Kind: mpi.KindPayload, PSeq: uint64(r.wave), VSize: int64(256 + rng.Intn(8<<10))}
+		recs = append(recs, r)
+		if len(g.free) > 0 {
+			reused++
+		}
+		trackers[r.rank] = append(trackers[r.rank], g.StoreLogs(r.rank, r.wave, []*mpi.Packet{r.pkt}, nodeOf(r.rank), r))
+	}
+	cancel := func() {
+		tr := trackers[rng.Intn(ranks)]
+		if len(tr) == 0 {
+			return
+		}
+		op := tr[rng.Intn(len(tr))]
+		if r := op.sink.(*logRec); !op.cancelled {
+			r.cancelled, r.heardAt = true, r.heard
+		}
+		op.Cancel()
+	}
+	// name is a pending event's callback.
+	name := func(callback reflect.Value) string { return runtime.FuncForPC(callback.Pointer()).Name() }
+	kill := func() {
+		srv := pool[rng.Intn(servers)]
+		if !srv.Alive() {
+			return
+		}
+		inFlight := map[uintptr]bool{}
+		for tr := srv.first; tr != nil; tr = tr.next {
+			inFlight[reflect.ValueOf(tr.flow).Pointer()] = true
+		}
+		pendingEvents(t, k, func(callback, arg reflect.Value) {
+			if arg.Kind() == reflect.Pointer && inFlight[arg.Pointer()] && name(callback) == "ftckpt/internal/simnet.deliverFlow" {
+				late++
+			}
+		})
+		srv.Kill()
+		// Back, empty, after a while, maybe on the other side of the WAN
+		// (set by hand, as in TestStoreLogsOwnsRecord: a killed server
+		// stays dead in this model).
+		k.After(sim.Time(rng.Intn(100))*sim.Time(time.Microsecond), func() {
+			srv.dead, srv.Node = false, place(srv.Index)
+		})
+	}
+	check := func(when string) {
+		ops := map[*StoreOp]bool{}
+		free := map[uintptr]bool{} // a free op's entries, transfers and first flows
+		for _, op := range g.free {
+			if ops[op] {
+				t.Fatalf("%s: an op is on the free list twice", when)
+			}
+			ops[op] = true
+			if op.g != g || op.sink != nil || op.pkts != nil || op.img != nil || len(op.replicas) != g.Replicas {
+				t.Fatalf("%s: a free op keeps state: %+v", when, *op)
+			}
+			for j := range op.replicas {
+				r := &op.replicas[j]
+				if r.op != nil || r.flow != nil || r.timer != 0 {
+					t.Fatalf("%s: a free op's replica entry keeps state", when)
+				}
+				for _, p := range []any{r, &r.transfer, &r.first} {
+					free[reflect.ValueOf(p).Pointer()] = true
+				}
+			}
+		}
+		for rank, tr := range trackers {
+			for _, op := range tr {
+				if ops[op] {
+					t.Fatalf("%s: rank %d's tracker holds a free op", when, rank)
+				}
+			}
+		}
+		for _, srv := range pool {
+			for tr := srv.first; tr != nil; tr = tr.next {
+				if free[reflect.ValueOf(tr).Pointer()] {
+					t.Fatalf("%s: server %d's in-progress list reaches a free op", when, srv.Index)
+				}
+			}
+		}
+		pendingEvents(t, k, func(callback, arg reflect.Value) {
+			if arg.Kind() == reflect.Pointer && free[arg.Pointer()] {
+				t.Fatalf("%s: a pending %s reaches a free op", when, name(callback))
+			}
+		})
+	}
+
+	// Steps and checks each schedule their next, so the kernel holds two
+	// events of the test's at a time and a check's walk stays short.
+	var step, tick func(n int)
+	step = func(n int) {
+		if n < 1500 {
+			k.After(sim.Time(7*time.Microsecond), func() { step(n + 1) })
+		}
+		switch x := rng.Intn(100); {
+		case x < 45:
+			store()
+		case x < 55:
+			cancel()
+		case x < 60:
+			kill()
+		case x < 85:
+			trackers[rng.Intn(ranks)].drop()
+		}
+		check(fmt.Sprintf("step %d", n))
+	}
+	tick = func(n int) {
+		if n < 5000 {
+			k.After(sim.Time(3*time.Microsecond), func() { tick(n + 1) })
+		}
+		check(fmt.Sprintf("t=%v", k.Now()))
+	}
+	k.At(0, func() { step(0) })
+	k.At(0, func() { tick(0) })
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	for i := range trackers {
+		trackers[i].drop()
+	}
+	check("after the last drop")
+
+	lost := map[int]bool{}
+	for _, ev := range col.Filter(obs.EvQuorumLost) {
+		lost[ev.Wave] = true
+	}
+	for _, r := range recs {
+		want := 1
+		switch {
+		case r.cancelled:
+			want = r.heardAt
+		case lost[r.wave]:
+			want = 0
+		}
+		if r.heard != want {
+			t.Errorf("record rank %d wave %d heard of its quorum %d times, want %d (cancelled %v, quorum lost %v)",
+				r.rank, r.wave, r.heard, want, r.cancelled, lost[r.wave])
+		}
+	}
+	for i, tr := range trackers {
+		if len(tr) != 0 {
+			t.Errorf("rank %d's tracker keeps %d ops with nothing in flight", i, len(tr))
+		}
+	}
+	t.Logf("%d stores, %d on a reused op, %d transfers aborted with a delivery pending, %d retries, %d ops on the free list at the end",
+		len(recs), reused, late, col.Count(obs.EvStoreRetry), len(g.free))
+	if reused == 0 || late == 0 || col.Count(obs.EvStoreRetry) == 0 {
+		t.Errorf("the schedule reused %d ops, aborted %d transfers with a delivery pending and retried %d: it does not exercise the release rule",
+			reused, late, col.Count(obs.EvStoreRetry))
 	}
 }

@@ -39,6 +39,10 @@ type Group struct {
 	MaxRetries int
 	Backoff    sim.Time
 
+	// free holds the log ops their trackers released (StoreOp.Release),
+	// for StoreLogs to take before it allocates.
+	free []*StoreOp
+
 	obs *obs.Hub
 }
 
@@ -121,8 +125,9 @@ type LogSink interface{ LogsStored() }
 // satisfies the same cancellation contract as a single flow: Cancel aborts
 // every replica transfer and pending retry (copies already stored stay
 // stored; GC reclaims them).  An op, its replica entries and their first
-// flows are one allocation for up to two replicas (newStoreOp), so a
-// logged message costs one object.
+// flows are one allocation for up to two replicas (newStoreOp), and a log
+// op its tracker released comes back for the next StoreLogs (Release), so
+// a logged message costs no object once the free list is warm.
 type StoreOp struct {
 	g *Group
 
@@ -158,12 +163,16 @@ type StoreOp struct {
 // attempt's outcome to and what the retry timer fires on.  The first
 // attempt's flow lives in the entry; a retry starts a fresh one, because
 // an aborted flow whose last byte had left still has its delivery pending,
-// and that delivery reads the flow.
+// and that delivery reads the flow.  aborted and landed are what Release
+// asks of the entry: whether an attempt was ever aborted, and whether the
+// landing callback of its copy has returned.
 type replica struct {
 	transfer
 	op      *StoreOp
 	timer   sim.EventID
 	retries int32
+	aborted bool
+	landed  bool
 	first   simnet.Flow
 }
 
@@ -185,7 +194,8 @@ type storeOp2 struct {
 
 // newStoreOp allocates an op sized to the group's replica count: the op
 // and its entries in one object for one or two replicas, a slice of its
-// own beside the op for more.
+// own beside the op for more.  Every op of a group has that shape, so a
+// released log op serves any later StoreLogs of the group.
 func (g *Group) newStoreOp() *StoreOp {
 	switch g.Replicas {
 	case 1:
@@ -220,9 +230,17 @@ func (g *Group) Store(img *Image, srcNode int, cap simnet.Rate, onQuorum, onFail
 // StoreLogs replicates a log set (Vcl channel state for a wave, or one
 // mlog pessimistic log record) with the same quorum semantics as Store;
 // done (may be nil) hears of the quorum.  The op copies the set, so pkts
-// is read only during the call.
+// is read only during the call.  The op is one the group's free list
+// holds, when there is one: whoever tracks it hands it back with Release.
 func (g *Group) StoreLogs(rank, wave int, pkts []*mpi.Packet, srcNode int, done LogSink) *StoreOp {
-	op := g.newStoreOp()
+	var op *StoreOp
+	if n := len(g.free); n > 0 {
+		op = g.free[n-1]
+		g.free[n-1] = nil
+		g.free = g.free[:n-1]
+	} else {
+		op = g.newStoreOp()
+	}
 	op.rank, op.wave, op.srcNode, op.sink = int32(rank), int32(wave), int32(srcNode), done
 	op.pkts = append(op.one[:0], pkts...)
 	op.start()
@@ -243,15 +261,35 @@ func (op *StoreOp) start() {
 	}
 }
 
-// Stored reports whether the store reached its write quorum.
-func (op *StoreOp) Stored() bool { return op.quorumHit }
-
 // Settled reports that nothing is left to cancel: every replica has
 // acknowledged or failed for good, or the store was cancelled.  No
 // callback runs after that, so whoever tracks the op to cancel it on the
 // sender's death can drop it.
 func (op *StoreOp) Settled() bool {
 	return op.cancelled || op.lastReplica()
+}
+
+// Release is the op's last holder letting go of it: nothing may use the
+// op afterwards.  A log op goes back to its group's free list for the
+// next StoreLogs if nothing else can still reach it: it was never
+// cancelled, and every replica stored on its first attempt and its
+// landing callback has returned.  An aborted or cancelled attempt's flow
+// may still have its delivery pending, which reads the flow, and a
+// landing callback still running reads the op once its sink returns.
+// Any other op, and an image op always, is left to the garbage collector.
+func (op *StoreOp) Release() {
+	if op.img != nil || op.cancelled {
+		return
+	}
+	for i := range op.replicas {
+		if r := &op.replicas[i]; r.aborted || !r.landed {
+			return
+		}
+	}
+	g, reps := op.g, op.replicas
+	clear(reps)
+	*op = StoreOp{g: g, replicas: reps}
+	g.free = append(g.free, op)
 }
 
 // attempt ships the replica's copy (current attempt) in flow f.
@@ -285,12 +323,12 @@ func (r *replica) stored() {
 // settled.
 func (op *StoreOp) lastReplica() bool { return int(op.acks+op.failed) == len(op.replicas) }
 
-// aborted: the replica died before or during the transfer; re-schedule
+// abort: the replica died before or during the transfer; re-schedule
 // the attempt after the backoff, or mark the replica failed once its
 // retries are exhausted.
-func (r *replica) aborted() {
+func (r *replica) abort() {
 	op := r.op
-	r.flow = nil
+	r.flow, r.aborted = nil, true
 	if op.cancelled {
 		return
 	}

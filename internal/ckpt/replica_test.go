@@ -485,24 +485,29 @@ func TestRecordSizes(t *testing.T) {
 	}
 }
 
-// TestStoreLogsAllocs pins BenchmarkGroupStoreLogs: a one-record log store
-// allocates one object at one replica and at two — the op, with the record,
-// the replica entries and their first flows inside it.
+// TestStoreLogsAllocs pins BenchmarkGroupStoreLogs: once the group's free
+// list is warm, a one-record log store allocates nothing at one replica
+// or at two.  The sender tracks each op and drops it once settled, as
+// ftpm's procRun does, which releases it (StoreOp.Release); the next
+// StoreLogs takes it back, with the record, the replica entries and their
+// first flows inside.
 func TestStoreLogsAllocs(t *testing.T) {
 	for _, replicas := range []int{1, 2} {
 		k := sim.New(1)
 		g, _ := benchGroup(k, replicas, replicas)
 		record := []*mpi.Packet{{Src: 1, Kind: mpi.KindPayload, Tag: 5, VSize: 4 << 10}}
 		var sink countSink
+		tr := make(tracker, 0, 1)
 		k.Go("w", func(p *sim.Proc) {
 			one := func() {
 				record[0].PSeq++
-				g.StoreLogs(int(record[0].PSeq%16), 1, record, 0, &sink)
+				tr = append(tr, g.StoreLogs(int(record[0].PSeq%16), 1, record, 0, &sink))
 				p.Advance(time.Millisecond) // long after both copies landed
+				tr.drop()
 			}
 			one()
-			if n := testing.AllocsPerRun(200, one); n != 1 {
-				t.Errorf("replicas=%d: %v allocations per record, want 1", replicas, n)
+			if n := testing.AllocsPerRun(200, one); n != 0 {
+				t.Errorf("replicas=%d: %v allocations per record, want 0", replicas, n)
 			}
 		})
 		if err := k.Run(); err != nil {
@@ -510,6 +515,9 @@ func TestStoreLogsAllocs(t *testing.T) {
 		}
 		if int(sink) != 202 {
 			t.Errorf("replicas=%d: %d of 202 stores reached their quorum", replicas, sink)
+		}
+		if len(g.free) != 1 {
+			t.Errorf("replicas=%d: %d ops on the free list, want the one all 202 stores shared", replicas, len(g.free))
 		}
 	}
 }

@@ -213,7 +213,7 @@ func (s *Server) Kill() {
 		tr.flow.Cancel()
 		switch {
 		case tr.rep != nil:
-			tr.rep.aborted()
+			tr.rep.abort()
 		case tr.fetch.onAbort != nil:
 			tr.fetch.onAbort()
 		}
@@ -259,7 +259,8 @@ func (s *Server) unlink(tr *transfer) {
 
 // landed leaves the in-progress list and completes the transfer: a fetch
 // hands over, a store attempt puts what its op carries on the server and
-// tells its replica entry.
+// tells its replica entry, which counts as landed once the callbacks that
+// runs have returned (StoreOp.Release).
 func (tr *transfer) landed() {
 	s := tr.srv
 	s.unlink(tr)
@@ -278,6 +279,7 @@ func (tr *transfer) landed() {
 		s.emit(obs.EvLogShipEnd, rank, wave, tr.bytes, tr.span)
 	}
 	r.stored()
+	r.landed = true
 }
 
 // storeLogs appends a landed log set to the (rank, wave) it belongs to.
@@ -302,7 +304,7 @@ func (s *Server) storeLogs(rank, wave int, pkts []*mpi.Packet) {
 // paced by the op's sender-side rate ceiling (0 = none, modelling
 // transfers driven by a single-threaded daemon), or its log set (Vcl
 // channel state, or one mlog reception record).  r.stored runs once the
-// copy is on the server; r.aborted runs if the server dies first, or at
+// copy is on the server; r.abort runs if the server dies first, or at
 // once when it is already dead.  Log sets for one (rank, wave) accumulate
 // in arrival order, which preserves per-channel FIFO since each channel's
 // log is shipped in one piece.  The server keeps the image pointer and
@@ -313,7 +315,7 @@ func (s *Server) storeLogs(rank, wave int, pkts []*mpi.Packet) {
 // server shares the records.  Only the slice of them is the server's own.
 func (s *Server) receive(r *replica, f *simnet.Flow) {
 	if s.dead {
-		r.aborted()
+		r.abort()
 		return
 	}
 	// One span per attempt, closed by the matching end event (or left open

@@ -79,20 +79,10 @@ func (h *Host) TakeCheckpoint(wave int, dev []byte, onStored func()) {
 	}
 }
 
-// logStore is a fake log store: durable once the test says so (OnLog).
-type logStore struct{ stored bool }
-
-func (s *logStore) Stored() bool { return s.stored }
-
-func (h *Host) ShipLogs(wave int, pkts []*mpi.Packet, done core.LogSink) core.LogStore {
+func (h *Host) ShipLogs(wave int, pkts []*mpi.Packet, done core.LogSink) {
 	h.LogWaves = append(h.LogWaves, wave)
 	h.Logged = append(h.Logged, slices.Clone(pkts))
-	st := &logStore{}
-	h.OnLog = append(h.OnLog, func() {
-		st.stored = true
-		done.LogsStored()
-	})
-	return st
+	h.OnLog = append(h.OnLog, done.LogsStored)
 }
 
 // Run runs body inside an LP that owns a real engine on a one-node

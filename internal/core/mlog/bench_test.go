@@ -11,21 +11,15 @@ import (
 )
 
 // benchHost is the fake host without its bookkeeping: the log sink is kept
-// as handed over, the host is the one store (durable once the loop says
-// so), acks are dropped, no event is collected — so allocs/op is the
-// protocol's own.
+// as handed over and told of the store when the loop says so, acks are
+// dropped, no event is collected — so allocs/op is the protocol's own.
 type benchHost struct {
 	*coretest.Host
-	sink   core.LogSink
-	stored bool
+	sink core.LogSink
 }
 
-func (h *benchHost) ShipLogs(wave int, pkts []*mpi.Packet, done core.LogSink) core.LogStore {
-	h.sink, h.stored = done, false
-	return h
-}
-func (h *benchHost) Stored() bool               { return h.stored }
-func (h *benchHost) Wire(dst int, p mpi.Packet) {}
+func (h *benchHost) ShipLogs(wave int, pkts []*mpi.Packet, done core.LogSink) { h.sink = done }
+func (h *benchHost) Wire(dst int, p mpi.Packet)                               {}
 
 // acceptDeliver runs n received messages through the pessimistic pipeline
 // inside an LP: each is accepted (Mlog.accept, up to the host's ShipLogs),
@@ -44,7 +38,6 @@ func acceptDeliver(tb testing.TB, before func(), run func(one func())) {
 			seq++
 			p.PSeq = seq
 			m.InPacket(p)
-			h.stored = true
 			h.sink.LogsStored()
 			*p = h.Eng.Recv(0, 5)
 		}
@@ -67,10 +60,9 @@ func BenchmarkAcceptDeliver(b *testing.B) {
 }
 
 // TestAcceptDeliverAllocs pins BenchmarkAcceptDeliver: a logged message
-// allocates nothing of its own in the protocol — its record is a 32nd of
+// allocates nothing of its own in the protocol — its record is a 36th of
 // a chunk (Mlog.keep), which AllocsPerRun's whole-number mean rounds to
-// 0, the pending queue holds it by value and the Mlog is its store's
-// sink.
+// 0, and the record is its store's sink.
 func TestAcceptDeliverAllocs(t *testing.T) {
 	acceptDeliver(t, func() {}, func(one func()) {
 		if n := testing.AllocsPerRun(1000, one); n != 0 {

@@ -59,50 +59,57 @@ type Mlog struct {
 	// An ack pops the acknowledged prefix; an acknowledged send behind an
 	// older unacknowledged one waits in place, and ackSeq tells it apart.
 	unacked sim.Queue[mpi.Packet]
-	pending sim.Queue[held] // accepted in order, waiting for the log store
-	rec     [1]*mpi.Packet  // the one-record set accept ships
-	// ooo holds packets that overtook a gap (organic traffic racing a
+	pending sim.Queue[*record] // accepted in order, waiting for the log store
+	rec     [1]*mpi.Packet     // the one-record set accept ships
+	// ooo holds records that overtook a gap (organic traffic racing a
 	// retransmission after a peer restart); the retransmission fills the
 	// gap and releases them in sequence.
-	ooo map[int]map[uint64]*mpi.Packet
+	ooo map[int]map[uint64]*record
 	// spare is the rest of the chunk keep carves records from.
-	spare []mpi.Packet
+	spare []record
 }
 
-// recChunk is how many records keep carves from one allocation: 32
-// Packets of 96 bytes are 3 KB, a malloc size class.  A chunk lives while
-// the log store holds any of its records, and a rank's records leave the
-// store a wave at a time, so a chunk that straddles two waves, and the
-// rank's current one, hold dead or unused records.  At 64 to a chunk that
-// retention raised the peak live heap of BT.A NP=256 under Mlog by half
-// of what its records take (3.6 → 5.5 MB; peak RSS 32 → 37 MB, and 34 MB
-// at 32 to a chunk).
-const recChunk = 32
+// record is one pessimistic log record from accept to delivery: the
+// packet, and whether the store that makes it durable has reached its
+// quorum.  The record is its store's core.LogSink, so the Mlog keeps no
+// handle on the store, which its host recycles once it has settled; and
+// the record is a piece of a chunk (keep), so logging a message allocates
+// a 36th of a chunk here.
+type record struct {
+	pkt    mpi.Packet
+	m      *Mlog
+	stored bool
+}
+
+// LogsStored: the record is on stable storage; deliver what that
+// unblocks.
+func (r *record) LogsStored() {
+	r.stored = true
+	r.m.drain()
+}
+
+// recChunk is how many records keep carves from one allocation: 36
+// records of 112 bytes are 3.9 KB of a 4 KB malloc size class.  A chunk
+// lives while the log store holds any of its records, and a rank's
+// records leave the store a wave at a time, so a chunk that straddles two
+// waves, and the rank's current one, hold dead or unused records.  At 64
+// to a chunk that retention raised the peak live heap of BT.A NP=256
+// under Mlog by half of what its records take (3.6 → 5.5 MB; peak RSS
+// 32 → 37 MB, and 34 MB at 32 to a chunk).
+const recChunk = 36
 
 // keep copies a lent packet into the next record of the chunk: the record
 // the pending queue, the log store and ooo hold.  The log store keeps it
 // past delivery, so the copy is a Retain: the payload is shared.
-func (m *Mlog) keep(p *mpi.Packet) *mpi.Packet {
+func (m *Mlog) keep(p *mpi.Packet) *record {
 	if len(m.spare) == 0 {
-		m.spare = make([]mpi.Packet, recChunk)
+		m.spare = make([]record, recChunk)
 	}
-	q := &m.spare[0]
+	r := &m.spare[0]
 	m.spare = m.spare[1:]
-	*q = p.Retain()
-	return q
+	r.pkt, r.m = p.Retain(), m
+	return r
 }
-
-// held is one pessimistic log record from accept to delivery: the packet
-// and the store that makes it durable.  The Mlog is every store's
-// core.LogSink and the record a piece of a chunk (keep), so logging a
-// message allocates a 32nd of a chunk here.
-type held struct {
-	pkt   *mpi.Packet
-	store core.LogStore
-}
-
-// LogsStored: a record is on stable storage; deliver what that unblocks.
-func (m *Mlog) LogsStored() { m.drain() }
 
 // New builds an Mlog instance checkpointing every interval, staggered by
 // rank so the uncoordinated checkpoints do not accidentally synchronize.
@@ -113,7 +120,7 @@ func New(h core.Host, interval sim.Time) *Mlog {
 		ackSeq:  map[int]uint64{},
 		delUpTo: map[int]uint64{},
 		nextSeq: map[int]uint64{},
-		ooo:     map[int]map[uint64]*mpi.Packet{},
+		ooo:     map[int]map[uint64]*record{},
 	}
 	stagger := interval * sim.Time(h.Rank()) / sim.Time(h.Size())
 	m.cad = core.Independent(h, h.Obs(), h.Rank(), interval, stagger, m.checkpoint)
@@ -198,19 +205,19 @@ func (m *Mlog) onPayload(p *mpi.Packet) {
 		}
 		waiting := m.ooo[p.Src]
 		for len(waiting) > 0 {
-			q, ok := waiting[m.nextSeq[p.Src]+1]
+			r, ok := waiting[m.nextSeq[p.Src]+1]
 			if !ok {
 				return
 			}
-			delete(waiting, q.PSeq)
-			m.accept(q)
+			delete(waiting, r.pkt.PSeq)
+			m.accept(r)
 		}
 		delete(m.ooo, p.Src)
 	default:
 		// Overtook a gap (organic traffic racing a retransmission after
 		// a restart): hold until the gap fills.
 		if m.ooo[p.Src] == nil {
-			m.ooo[p.Src] = map[uint64]*mpi.Packet{}
+			m.ooo[p.Src] = map[uint64]*record{}
 		}
 		m.ooo[p.Src][p.PSeq] = m.keep(p)
 	}
@@ -218,18 +225,19 @@ func (m *Mlog) onPayload(p *mpi.Packet) {
 
 // accept enqueues an in-sequence record into the pessimistic log
 // pipeline: delivery waits until the log is on stable storage, which
-// keeps p.
-func (m *Mlog) accept(p *mpi.Packet) {
-	m.nextSeq[p.Src] = p.PSeq
-	m.rec[0] = p
-	m.pending.Push(held{p, m.h.ShipLogs(m.wave, m.rec[:], m)})
+// keeps the record's packet.
+func (m *Mlog) accept(r *record) {
+	m.nextSeq[r.pkt.Src] = r.pkt.PSeq
+	m.rec[0] = &r.pkt
+	m.pending.Push(r)
+	m.h.ShipLogs(m.wave, m.rec[:], r)
 }
 
 // drain delivers the stored prefix of the pending queue, preserving the
 // original arrival order.
 func (m *Mlog) drain() {
-	for m.pending.Len() > 0 && m.pending.Front().store.Stored() {
-		m.deliver(m.pending.Pop().pkt)
+	for m.pending.Len() > 0 && m.pending.Front().stored {
+		m.deliver(&m.pending.Pop().pkt)
 	}
 }
 
@@ -317,7 +325,7 @@ func (m *Mlog) DeviceState() []byte {
 		}
 	}
 	for i := 0; i < m.pending.Len(); i++ {
-		ds.Pending = append(ds.Pending, *m.pending.At(i).pkt)
+		ds.Pending = append(ds.Pending, m.pending.At(i).pkt)
 	}
 	return mpi.AppendState(nil, &ds)
 }
@@ -347,8 +355,8 @@ func (m *Mlog) Restore(dev []byte, logs []*mpi.Packet, lastWave int) {
 			m.unacked.Push(p)
 		}
 	}
-	m.pending = sim.Queue[held]{}
-	m.ooo = map[int]map[uint64]*mpi.Packet{}
+	m.pending = sim.Queue[*record]{}
+	m.ooo = map[int]map[uint64]*record{}
 	for i := range ds.Pending {
 		// Already persisted by the image itself: deliver directly.
 		m.deliver(&ds.Pending[i])

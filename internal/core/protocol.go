@@ -59,7 +59,7 @@ type Host interface {
 	// call) and tells done once they are durable, never before ShipLogs
 	// returns.  The store keeps the packets, not the slice: pkts is read
 	// only during the call.
-	ShipLogs(wave int, pkts []*mpi.Packet, done LogSink) LogStore
+	ShipLogs(wave int, pkts []*mpi.Packet, done LogSink)
 	// CommitWave records that wave is complete on every server: the
 	// recovery line advances and older waves are garbage collected.
 	// Called by the wave coordinator only.
@@ -70,19 +70,15 @@ type Host interface {
 	Obs() *obs.Hub
 }
 
-// LogSink is the completion target of one ShipLogs call.  It is an
-// interface rather than a func so that a protocol logging every message
-// (mlog) can pass the record it already holds instead of a closure per
-// message; LogSinkFunc adapts a func where the call is rare.
+// LogSink is the completion target of one ShipLogs call, and all a
+// protocol learns of the store: it hears LogsStored at most once, when the
+// packets are durable.  It is an interface rather than a func so that a
+// protocol logging every message (mlog) can pass the record it already
+// holds, which keeps its own stored bit, instead of a closure per message;
+// the store itself stays the host's, which recycles it once it has settled
+// and the host has dropped it.
+// LogSinkFunc adapts a func where the call is rare.
 type LogSink interface{ LogsStored() }
-
-// LogStore is one ShipLogs store in progress.  Mlog queues it beside the
-// record it carries, so a logged message needs no object of its own.
-type LogStore interface {
-	// Stored reports whether the packets are durable (the write quorum
-	// was reached).
-	Stored() bool
-}
 
 // LogSinkFunc is a func() as a LogSink.
 type LogSinkFunc func()

@@ -1071,22 +1071,21 @@ func (pr *procRun) TakeCheckpoint(wave int, dev []byte, onStored func()) {
 }
 
 // ShipLogs replicates logged packets across the rank's replica set,
-// acknowledging at the write quorum, and returns the store itself.  done
-// goes to the store as it is: a completion from a revoked incarnation
-// cannot arrive, because teardown and repair cancel every store that has
-// not settled and a settled one calls nobody.
-func (pr *procRun) ShipLogs(wave int, pkts []*mpi.Packet, done core.LogSink) core.LogStore {
-	op := pr.job.store.StoreLogs(pr.rank, wave, pkts, pr.node, done)
-	pr.track(op)
-	return op
+// acknowledging at the write quorum.  done goes to the store as it is: a
+// completion from a revoked incarnation cannot arrive, because teardown
+// and repair cancel every store that has not settled and a settled one
+// calls nobody.  The store itself goes to the tracker alone.
+func (pr *procRun) ShipLogs(wave int, pkts []*mpi.Packet, done core.LogSink) {
+	pr.track(pr.job.store.StoreLogs(pr.rank, wave, pkts, pr.node, done))
 }
 
 // track remembers a store so that the incarnation's death cancels it.  A
 // host tracks an op only while it is unsettled: when the list is full the
 // settled ones are dropped before it grows, so it stays within a small
 // multiple of the stores in flight instead of holding every op — with its
-// packets and callbacks — of the whole run.  Order is kept: cancellation order is
-// part of the run.
+// packets and callbacks — of the whole run.  Order is kept: cancellation
+// order is part of the run.  The tracker is a log op's last holder, so
+// its drop is where the op is released for reuse (dropSettled).
 func (pr *procRun) track(op ckpt.Op) {
 	if len(pr.stores) == cap(pr.stores) {
 		pr.dropSettled()
@@ -1098,9 +1097,20 @@ func (pr *procRun) track(op ckpt.Op) {
 	pr.stores = append(pr.stores, op)
 }
 
-// dropSettled removes the stores with nothing left to cancel, in place.
+// dropSettled removes the stores with nothing left to cancel, in place,
+// and releases each dropped store op (ckpt.StoreOp.Release): nothing else
+// holds a log op once Mlog's record or Vcl's closure is its only sink, so
+// this is where a log op goes back to its group's free list.
 func (pr *procRun) dropSettled() {
-	pr.stores = slices.DeleteFunc(pr.stores, ckpt.Op.Settled)
+	pr.stores = slices.DeleteFunc(pr.stores, func(op ckpt.Op) bool {
+		if !op.Settled() {
+			return false
+		}
+		if s, ok := op.(*ckpt.StoreOp); ok {
+			s.Release()
+		}
+		return true
+	})
 }
 
 // cancelStores aborts every store still in flight.

@@ -90,12 +90,15 @@ const protocolPackages = "pcl vcl mlog"
 var timerMethods = map[string]int{"After": 2, "AfterArg": 3, "At": 2, "AtArg": 3, "Cancel": 1}
 
 // pooledTypes are the recycled record types.
-const pooledTypes = "sim.eventSlot mpi.CollState ckpt.Image"
+const pooledTypes = "sim.eventSlot mpi.CollState ckpt.Image ckpt.StoreOp"
 
 // pooledHolders are the only declarations that may hold a pooled pointer,
 // each with why it cannot outlive the release.  A ckpt.Image returns to
 // its rank's free list when its hold count reaches zero, so each of its
-// holders counts one hold for as long as it keeps the pointer.
+// holders counts one hold for as long as it keeps the pointer.  A log
+// ckpt.StoreOp returns to its group's free list when its tracker drops it
+// (StoreOp.Release): the release point is ftpm's procRun.dropSettled,
+// whose list is typed []ckpt.Op and so is not seen here.
 var pooledHolders = map[string]string{
 	"mpi.Engine.coll":      "the in-flight collective; endColl moves it to collFree",
 	"mpi.Engine.collFree":  "the one-record free list",
@@ -109,6 +112,10 @@ var pooledHolders = map[string]string{
 	"ckpt.StoreOp.img":       "the group store holds one from Store until its last replica settles or Cancel",
 	"ckpt.FetchOp.img":       "held from the image transfer's start until onDone returns, a failover, fail or Cancel",
 	"ckpt.hierOp.leg":        "a buffer write, buffer read or PFS read holds one until it hands on or is cancelled",
+
+	"ckpt.Group.free":        "the free list: only ops released with every replica landed, none aborted or cancelled",
+	"ckpt.replica.op":        "an entry of its own op, cleared with it on release",
+	"ckpt.nodeBuffer.drains": "image ops, which Release never recycles",
 }
 
 // knobStructs are the configuration structs the knob rule holds to being
