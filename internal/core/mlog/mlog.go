@@ -31,6 +31,7 @@
 package mlog
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 
@@ -67,6 +68,11 @@ type Mlog struct {
 	ooo map[int]map[uint64]*record
 	// spare is the rest of the chunk keep carves records from.
 	spare []record
+	// img is the device state DeviceState encodes and sent the
+	// unacknowledged sends its Unacked entries slice: both reused from one
+	// checkpoint to the next, and emptied after each encoding.
+	img  devState
+	sent []mpi.Packet
 }
 
 // record is one pessimistic log record from accept to delivery: the
@@ -301,33 +307,60 @@ type devState struct {
 	Wave    int
 	SendSeq map[int]uint64
 	DelUpTo map[int]uint64
-	Unacked map[int][]mpi.Packet
+	// Unacked has one entry per destination ever sent to, in ascending
+	// Dst, empty once everything is acknowledged: the entry is part of the
+	// encoding, and so of the image size.  A slice of {Dst, Pkts} encodes
+	// as a map from Dst would, a length and then key and value per entry.
+	Unacked []unackedTo
 	Pending []mpi.Packet // arrived before the snapshot, log not yet stored
 }
 
-// DeviceState serializes the protocol state into the image.
+// unackedTo is one destination's unacknowledged sends, in send order.
+type unackedTo struct {
+	Dst  int
+	Pkts []mpi.Packet
+}
+
+// DeviceState serializes the protocol state into the image.  It builds no
+// map: the sends are grouped by destination with a stable sort, and every
+// slice it fills is reused at the next checkpoint, so the image's one
+// allocation here is the encoding, sized exactly.
 func (m *Mlog) DeviceState() []byte {
-	ds := devState{
-		Wave:    m.wave,
-		SendSeq: m.sendSeq,
-		DelUpTo: m.delUpTo,
-		// One entry per destination ever sent to, empty once everything
-		// is acknowledged: the entry is part of the encoding, and so of
-		// the image size.
-		Unacked: make(map[int][]mpi.Packet, len(m.sendSeq)),
-	}
-	for dst := range m.sendSeq {
-		ds.Unacked[dst] = nil
-	}
+	ds := &m.img
+	ds.Wave, ds.SendSeq, ds.DelUpTo = m.wave, m.sendSeq, m.delUpTo
+	sent := m.sent[:0]
 	for i := 0; i < m.unacked.Len(); i++ {
 		if p := m.unacked.At(i); !m.acked(p) {
-			ds.Unacked[p.Dst] = append(ds.Unacked[p.Dst], p)
+			sent = append(sent, p)
 		}
+	}
+	slices.SortStableFunc(sent, func(x, y mpi.Packet) int { return cmp.Compare(x.Dst, y.Dst) })
+	for dst := range m.sendSeq {
+		ds.Unacked = append(ds.Unacked, unackedTo{Dst: dst})
+	}
+	slices.SortFunc(ds.Unacked, func(x, y unackedTo) int { return cmp.Compare(x.Dst, y.Dst) })
+	rest := sent
+	for i := range ds.Unacked {
+		n := 0
+		for n < len(rest) && rest[n].Dst == ds.Unacked[i].Dst {
+			n++
+		}
+		ds.Unacked[i].Pkts, rest = rest[:n:n], rest[n:]
+	}
+	if len(rest) > 0 {
+		panic(fmt.Sprintf("mlog: rank %d: unacknowledged send to %d, a destination it never sent to", m.h.Rank(), rest[0].Dst))
 	}
 	for i := 0; i < m.pending.Len(); i++ {
 		ds.Pending = append(ds.Pending, m.pending.At(i).pkt)
 	}
-	return mpi.AppendState(nil, &ds)
+	b := mpi.AppendState(make([]byte, 0, mpi.StateSize(ds)), ds)
+	// Keep the storage, not the packets: the image has their bytes.
+	clear(sent)
+	clear(ds.Unacked)
+	clear(ds.Pending)
+	m.sent = sent[:0]
+	*ds = devState{Unacked: ds.Unacked[:0], Pending: ds.Pending[:0]}
+	return b
 }
 
 // Restore loads the image state and reconstructs the reception history:
@@ -350,8 +383,8 @@ func (m *Mlog) Restore(dev []byte, logs []*mpi.Packet, lastWave int) {
 	}
 	m.ackSeq = map[int]uint64{}
 	m.unacked.Reset()
-	for _, dst := range sortedKeys(ds.Unacked) {
-		for _, p := range ds.Unacked[dst] {
+	for _, u := range ds.Unacked {
+		for _, p := range u.Pkts {
 			m.unacked.Push(p)
 		}
 	}

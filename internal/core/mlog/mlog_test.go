@@ -370,7 +370,7 @@ func TestDevStateCodec(t *testing.T) {
 			PSeq: uint64(n + 5), SpanID: uint64(n + 6), Data: []byte{byte(n), 7}, VSize: int64(n + 8)}
 	}
 	ds := devState{Wave: 2, SendSeq: map[int]uint64{2: 3, 3: 1}, DelUpTo: map[int]uint64{0: 5},
-		Unacked: map[int][]mpi.Packet{2: {pkt(1), pkt(2)}, 3: {pkt(3)}}, Pending: []mpi.Packet{pkt(4)}}
+		Unacked: []unackedTo{{2, []mpi.Packet{pkt(1), pkt(2)}}, {3, []mpi.Packet{pkt(3)}}}, Pending: []mpi.Packet{pkt(4)}}
 	b := mpi.AppendState(nil, &ds)
 	if n := mpi.StateSize(&ds); n != len(b) {
 		t.Errorf("StateSize %d, encoding %d bytes", n, len(b))
@@ -431,7 +431,8 @@ func TestDeviceStateUnackedRoundTrip(t *testing.T) {
 		if !reflect.DeepEqual(got.Unacked, was.Unacked) || !reflect.DeepEqual(got.SendSeq, was.SendSeq) {
 			t.Errorf("restored unacked %v (send seqs %v), want %v (%v)", got.Unacked, got.SendSeq, was.Unacked, was.SendSeq)
 		}
-		if u := was.Unacked; len(u) != 2 || len(u[3]) != 0 || len(u[2]) != 2 || u[2][0].PSeq != 2 || string(u[2][1].Data) != "c" {
+		if u := was.Unacked; len(u) != 2 || u[0].Dst != 2 || u[1].Dst != 3 || len(u[1].Pkts) != 0 ||
+			len(u[0].Pkts) != 2 || u[0].Pkts[0].PSeq != 2 || string(u[0].Pkts[1].Data) != "c" {
 			t.Errorf("imaged unacked %v, want rank 2's PSeq 2 and 3 and an empty entry for rank 3", u)
 		}
 	})

@@ -143,14 +143,55 @@ func appendState(b []byte, v reflect.Value) []byte {
 		return b
 	case reflect.Map:
 		b = le.AppendUint64(b, uint64(v.Len()))
-		keys := v.MapKeys()
-		slices.SortFunc(keys, func(x, y reflect.Value) int { return cmp.Compare(x.Int(), y.Int()) })
-		for _, k := range keys {
-			b = appendState(appendState(b, k), v.MapIndex(k))
+		if m, ok := v.Interface().(map[int]uint64); ok {
+			return appendSeqMap(b, m)
 		}
-		return b
+		return appendMap(b, v)
 	}
 	panic(fmt.Sprintf("mpi: AppendState: no layout for %s", v.Type()))
+}
+
+// appendSeqMap writes the entries of a map[int]uint64, the per-peer
+// sequence numbers of a protocol's state, in ascending key order: up to 64
+// keys sort in place on the stack, so with room in b it allocates nothing.
+func appendSeqMap(b []byte, m map[int]uint64) []byte {
+	var on [64]int
+	keys := on[:0]
+	for k := range m {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	for _, k := range keys {
+		b = le.AppendUint64(le.AppendUint64(b, uint64(k)), m[k])
+	}
+	return b
+}
+
+// appendMap writes the entries of any other map with integer keys in
+// ascending key order.  One pass copies each entry into the same two
+// Values (SetIterKey, SetIterValue) and encodes its value into a scratch
+// buffer, so no entry is boxed; the entries then sort by key and their
+// encodings are copied out.
+func appendMap(b []byte, v reflect.Value) []byte {
+	type entry struct {
+		key    int64
+		lo, hi int // the value's encoding in vals
+	}
+	ents := make([]entry, 0, v.Len())
+	var vals []byte
+	k, e := reflect.New(v.Type().Key()).Elem(), reflect.New(v.Type().Elem()).Elem()
+	for it := v.MapRange(); it.Next(); {
+		k.SetIterKey(it)
+		e.SetIterValue(it)
+		lo := len(vals)
+		vals = appendState(vals, e)
+		ents = append(ents, entry{k.Int(), lo, len(vals)})
+	}
+	slices.SortFunc(ents, func(x, y entry) int { return cmp.Compare(x.key, y.key) })
+	for _, en := range ents {
+		b = append(le.AppendUint64(b, uint64(en.key)), vals[en.lo:en.hi]...)
+	}
+	return b
 }
 
 // f64s returns the []float64 v holds, through its address when it has one
@@ -206,9 +247,16 @@ func stateSize(v reflect.Value) int {
 		}
 		return n
 	case reflect.Map:
-		n := 8
+		if m, ok := v.Interface().(map[int]uint64); ok {
+			return 8 + 16*len(m)
+		}
+		// Integer keys are 8 bytes each; every value is copied into one
+		// Value, so no entry is boxed.
+		n := 8 + 8*v.Len()
+		e := reflect.New(v.Type().Elem()).Elem()
 		for it := v.MapRange(); it.Next(); {
-			n += stateSize(it.Key()) + stateSize(it.Value())
+			e.SetIterValue(it)
+			n += stateSize(e)
 		}
 		return n
 	}

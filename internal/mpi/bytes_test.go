@@ -3,6 +3,7 @@ package mpi
 import (
 	"bytes"
 	"encoding/binary"
+	"maps"
 	"math"
 	"testing"
 )
@@ -66,6 +67,42 @@ func TestStateLayout(t *testing.T) {
 	} {
 		if err := LoadState(c.b, c.into); err == nil {
 			t.Errorf("%s: decoded without an error", c.name)
+		}
+	}
+}
+
+// TestAppendStateMapAllocs: a map[int]uint64, a protocol's per-peer
+// sequence numbers, encodes without boxing a key or a value, so into a
+// buffer with room it allocates nothing; and it encodes and measures as
+// any other integer-keyed map does (map[int64]uint64 takes the general
+// path), past the 64 keys that sort on the stack too.
+func TestAppendStateMapAllocs(t *testing.T) {
+	m := map[int]uint64{}
+	for i := 0; i < 64; i++ {
+		m[(i*37)%64-20] = uint64(i) << 40
+	}
+	buf := make([]byte, 0, StateSize(m))
+	if n := testing.AllocsPerRun(100, func() { AppendState(buf, m) }); n != 0 {
+		t.Errorf("%v allocations to encode a map of %d entries, want 0", n, len(m))
+	}
+	for _, extra := range []int{0, 1, 200} {
+		for i := 0; i < extra; i++ {
+			m[1000+i] = uint64(i)
+		}
+		general := map[int64]uint64{}
+		for k, v := range m {
+			general[int64(k)] = v
+		}
+		got, want := AppendState(nil, m), AppendState(nil, general)
+		if !bytes.Equal(got, want) {
+			t.Errorf("%d entries: map[int]uint64 encodes to\n%x\nmap[int64]uint64 to\n%x", len(m), got, want)
+		}
+		if StateSize(m) != len(got) || StateSize(general) != len(want) {
+			t.Errorf("%d entries: StateSize %d and %d, encodings %d bytes", len(m), StateSize(m), StateSize(general), len(got))
+		}
+		var back map[int]uint64
+		if err := LoadState(got, &back); err != nil || !maps.Equal(back, m) {
+			t.Errorf("%d entries: decoded %v (%v)", len(m), back, err)
 		}
 	}
 }

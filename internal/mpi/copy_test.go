@@ -122,7 +122,8 @@ func TestSendHandsOverBuffer(t *testing.T) {
 // TestSendrecvAllocsPinned: an exchange of pre-encoded buffers between two
 // ranks allocates nothing per payload: the engine hands the buffer over
 // instead of copying it, each packet's header rides in its wire record
-// and its Data in a 128th of a body chunk (Fabric.Send).  AllocsPerRun's
+// and its Data in a body slot that a consumed message handed back to the
+// Fabric (Fabric.Send).  AllocsPerRun's
 // whole-number mean is 0; a copy of each buffer would make it 2, and a
 // heap Packet per message 2 as well.
 func TestSendrecvAllocsPinned(t *testing.T) {
@@ -251,8 +252,9 @@ func (f cloneFilter) InPacket(p *Packet) bool {
 // TestAllreduceAllocs pins AllreduceF64 at np=8 to little more than its
 // results: each rank allocates its result and the encoding of its partial
 // sum for its parent, rank 0 the encoding of the result it broadcasts, and
-// the 14 messages a 128th of a body chunk each.  That is 16 objects and
-// 14/128 of a chunk per call, 2.11 per rank; decoding every child's sum
+// the 14 messages reuse body slots that consumed messages handed back.
+// That is 16 objects per call, 2 per rank (2.11 while each message carved
+// a 128th of a body chunk, which the bound still allows); decoding every child's sum
 // into a temporary, re-encoding the result once per child and decoding it
 // into a fresh slice made it 36 (50 with a heap Packet per message).
 // Every rank reduces the same vector, so the result is checked too.

@@ -176,9 +176,10 @@ func (e *Engine) SubSteal(f float64) {
 // applies the daemon service time (store-and-forward, preserving order) if
 // the profile has one, then either processes the message immediately
 // (asynchronous daemon, or the application is inside an MPI call) or
-// defers it to the inbox.
+// defers it to the inbox.  A closed engine drops it.
 func (e *Engine) HandleWire(m WireMsg) {
 	if e.closed {
+		e.fab.drop(m)
 		return
 	}
 	if svc := e.prof.daemonService(m.payloadSize()); svc > 0 {
@@ -208,18 +209,24 @@ type admitRec struct {
 
 func (e *Engine) admitEvent(r admitRec) {
 	if e.ft && r.epoch != e.epoch {
-		return // sent to a since-revoked incarnation: drop
+		e.fab.drop(r.m) // sent to a since-revoked incarnation
+		return
 	}
 	e.admit(r.m)
 }
 
 // Close marks the engine dead (its process was killed): packets still in
 // the pipeline — e.g. scheduled daemon-service events — are discarded
-// instead of mutating a defunct process's state.
-func (e *Engine) Close() { e.closed = true }
+// instead of mutating a defunct process's state, and the inbox is
+// dropped with them.
+func (e *Engine) Close() {
+	e.closed = true
+	e.dropInbox()
+}
 
 func (e *Engine) admit(m WireMsg) {
 	if e.closed {
+		e.fab.drop(m)
 		return
 	}
 	if e.prof.Async || e.opDepth > 0 {
@@ -231,7 +238,7 @@ func (e *Engine) admit(m WireMsg) {
 
 // process runs one message through the filter, lent in e.in.
 func (e *Engine) process(m WireMsg) {
-	if p := m.packet(&e.in); e.filter.InPacket(p) {
+	if p := e.fab.unwrap(m, &e.in); e.filter.InPacket(p) {
 		e.Deliver(p)
 	}
 	e.in.Data = nil // e.in must not keep the buffer alive
@@ -268,6 +275,13 @@ func (e *Engine) exitOp() { e.opDepth-- }
 func (e *Engine) drainInbox() {
 	for e.inbox.Len() > 0 {
 		e.process(e.inbox.Pop())
+	}
+}
+
+// dropInbox discards the inbox, handing every message's body back.
+func (e *Engine) dropInbox() {
+	for e.inbox.Len() > 0 {
+		e.fab.drop(e.inbox.Pop())
 	}
 }
 

@@ -61,8 +61,12 @@ type Fabric struct {
 	// lent is the Packet a message is rebuilt into for a Bind handler,
 	// for the length of the call.
 	lent Packet
-	// bodies is the rest of the chunk Send carves body slots from.
+	// bodies is the rest of the chunk Send carves body slots from, and
+	// free the emptied slots of consumed and dropped messages, which Send
+	// takes first (WireMsg).  A slot is on the list only while no message
+	// holds it, so the list is at most the bodies in flight at the peak.
 	bodies []wireBody
+	free   []*wireBody
 	// spare holds, by capacity, the buffers of owned payloads that their
 	// receivers have copied out (Engine.release), at most maxSpare of
 	// each: the next owned send of that size refills one (Fabric.buffer).
@@ -117,7 +121,7 @@ func (f *Fabric) Placed(id int) bool {
 // keeps one copies it.
 func (f *Fabric) Bind(id int, h func(*Packet)) {
 	f.BindWire(id, func(m WireMsg) {
-		h(m.packet(&f.lent))
+		h(f.unwrap(m, &f.lent))
 		f.lent.Data = nil // f.lent must not keep the buffer alive
 	})
 }
@@ -197,6 +201,26 @@ func (f *Fabric) linkFor(src, dst int) *link {
 func (f *Fabric) deliverPacket(m WireMsg) {
 	if h := f.handler(m.dest()); h != nil {
 		h(m)
+		return
+	}
+	f.drop(m)
+}
+
+// unwrap consumes m: it rebuilds the message into lent (WireMsg.packet)
+// and hands its body slot back.
+func (f *Fabric) unwrap(m WireMsg, lent *Packet) *Packet {
+	m.packet(lent)
+	f.drop(m)
+	return lent
+}
+
+// drop hands back the body slot of a message that has been consumed or
+// will never be: emptied, so a chunk kept alive by its other slots pins
+// no dead message's Data.  m is not read again.
+func (f *Fabric) drop(m WireMsg) {
+	if b := m.body; b != nil {
+		*b = wireBody{}
+		f.free = append(f.free, b)
 	}
 }
 
@@ -230,11 +254,27 @@ func (f *Fabric) recycle(b []byte) {
 	}
 }
 
+// body returns an empty slot for a message's body: one a consumed or
+// dropped message handed back, else the next of the chunk.
+func (f *Fabric) body() *wireBody {
+	if n := len(f.free); n > 0 {
+		b := f.free[n-1]
+		f.free = f.free[:n-1]
+		return b
+	}
+	if len(f.bodies) == 0 {
+		f.bodies = make([]wireBody, bodyChunk)
+	}
+	b := &f.bodies[0]
+	f.bodies = f.bodies[1:]
+	return b
+}
+
 // Send transmits a packet from src to dst over their FIFO channel, as the
 // link's next Seq.  It reads p and never keeps it, so the caller's packet
 // may live on its stack: the header travels in the WireMsg itself, and
-// Data and VSize, when the packet has either, in a body slot carved from
-// the Fabric's chunk.  Sending to an unplaced endpoint, or to an id below
+// Data and VSize, when the packet has either, in a body slot of the
+// Fabric's (body).  Sending to an unplaced endpoint, or to an id below
 // the service range, panics (programming error), as does a header the
 // record cannot hold; sending to an unbound endpoint silently drops at
 // delivery time (peer died).
@@ -243,11 +283,7 @@ func (f *Fabric) Send(src, dst int, p *Packet) {
 	l.seq++
 	m := header(p, src, dst, l.seq)
 	if p.Data != nil || p.VSize != 0 {
-		if len(f.bodies) == 0 {
-			f.bodies = make([]wireBody, bodyChunk)
-		}
-		m.body = &f.bodies[0]
-		f.bodies = f.bodies[1:]
+		m.body = f.body()
 		*m.body = wireBody{p.Data, p.VSize}
 	}
 	f.msgs.Inc()

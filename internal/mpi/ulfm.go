@@ -151,7 +151,7 @@ func (e *Engine) FTReset() {
 	e.AbortColl()
 	clear(e.unexpected)
 	e.unexpected = e.unexpected[:0]
-	e.inbox.Reset()
+	e.dropInbox()
 	for i := range e.failed {
 		e.failed[i] = false
 	}

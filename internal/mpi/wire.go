@@ -9,15 +9,23 @@ import (
 // network's lanes, an engine's inbox and its daemon-service lane hold by
 // value.  Every message's header rides in the record itself: its ids, tag
 // and wave as int32, its Seq as uint32, and one of PSeq and SpanID.  A
-// message with Data or a VSize also points at its body, a slot the Fabric
-// carves bodyChunk to an allocation; a marker or control packet without
-// data has none and costs no heap object at all.
+// message with Data or a VSize also points at its body, a slot of the
+// Fabric's; a marker or control packet without data has none and costs no
+// heap object at all.
 //
-// A message is rebuilt into a Packet only for the call that consumes it
-// (Filter.InPacket, a Bind handler): that Packet is lent, and a receiver
-// that keeps it must copy it.  Rebuilding empties the body slot, so a
-// chunk whose other slots are still on the wire keeps no consumed Data
-// alive.
+// A body slot is lent to the message, not spent on it.  Send takes one
+// from the Fabric's free list, or carves it from a chunk of bodyChunk when
+// the list is empty.  The message is rebuilt into a Packet only for the
+// call that consumes it (Filter.InPacket, a Bind handler), through
+// Fabric.unwrap, which empties the slot and hands it back; that Packet is
+// lent, and a receiver that keeps it must copy it.  A message dropped on
+// its way (at an unbound endpoint or a closed engine, out of a stale
+// epoch, in the inbox Close or FTReset discards) hands its slot back
+// emptied too (Fabric.drop).  A message is rebuilt or
+// dropped once, and no copy of it is read after that, so no live message
+// shares a slot the list holds.  Only the messages a closing simnet
+// channel drops (Unbind) never come back: their slots stay with the GC
+// and keep their Data while the chunk lives.
 type WireMsg struct {
 	body                *wireBody // Data and VSize, nil when the message has neither
 	aux                 uint64    // PSeq, or SpanID when spanAux
@@ -35,7 +43,9 @@ type wireBody struct {
 }
 
 // bodyChunk is how many body slots the Fabric carves from one allocation:
-// 128 slots of 32 bytes are 4 KB, a malloc size class.
+// 128 slots of 32 bytes are 4 KB, a malloc size class.  Slots go back to
+// the Fabric's free list, so the chunks a run carves cover the most
+// bodies it has in flight at once.
 const bodyChunk = 128
 
 // fits32 reports whether v survives a round trip through int32.
@@ -76,8 +86,8 @@ func (m *WireMsg) payloadSize() int64 {
 }
 
 // packet rebuilds the message into lent, which the caller owns and lends,
-// and returns it.  It consumes the body: its slot is emptied, so a message
-// is rebuilt once.
+// and returns it.  It leaves the body slot as it is: Fabric.unwrap, the
+// one caller, hands it back.
 func (m *WireMsg) packet(lent *Packet) *Packet {
 	*lent = Packet{Src: int(m.src), Dst: int(m.dst), Kind: m.kind, owned: m.owned, Tag: int(m.tag), Seq: uint64(m.seq), Wave: int(m.wave)}
 	if m.spanAux {
@@ -87,7 +97,6 @@ func (m *WireMsg) packet(lent *Packet) *Packet {
 	}
 	if b := m.body; b != nil {
 		lent.Data, lent.VSize = b.data, b.vsize
-		*b = wireBody{}
 	}
 	return lent
 }

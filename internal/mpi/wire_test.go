@@ -1,8 +1,12 @@
 package mpi
 
 import (
+	"fmt"
 	"math"
+	"math/rand/v2"
 	"reflect"
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -200,4 +204,318 @@ func TestSendRejectsUnfitHeader(t *testing.T) {
 	if delivered != 0 {
 		t.Errorf("%d packets delivered after a rejected send", delivered)
 	}
+}
+
+// TestBodySlotsRecycle: a body slot goes back to the Fabric when its
+// message is consumed, so once a run has carved the slots it has in flight
+// at once, data messages allocate nothing.  Without the free list, 10 000
+// messages would carve 78 chunks: one malloc per bodyChunk messages, which
+// AllocsPerRun's whole-number mean would round away, hence the totals.
+func TestBodySlotsRecycle(t *testing.T) {
+	const links, rounds, warm, windows = 4, 2500, 100, 3
+	k := sim.New(1)
+	fab := NewFabric(simnet.New(k, testTopo(links)))
+	delivered := 0
+	for id := 0; id < links; id++ {
+		fab.Place(id, id)
+		fab.Bind(id, func(p *Packet) {
+			if len(p.Data) != 8 && p.VSize != 64 {
+				t.Errorf("delivered %+v", p)
+			}
+			delivered++
+		})
+	}
+	data := []byte("8 bytes!")
+	round := func(i int) {
+		for src := 0; src < links; src++ {
+			p := Packet{Kind: KindPayload, Tag: i}
+			if (i+src)%2 == 0 {
+				p.Data = data
+			} else {
+				p.VSize = 64
+			}
+			fab.Send(src, (src+1)%links, &p)
+		}
+	}
+	var mallocs []uint64
+	k.Go("sender", func(lp *sim.Proc) {
+		for i := 0; i < warm; i++ {
+			round(i)
+			lp.Advance(time.Millisecond) // transmitted and delivered
+		}
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+		// About once in 150 runs a window counts 1 malloc the messages do
+		// not make, so a window is measured up to three times and the
+		// least count is the messages'.
+		for len(mallocs) < windows && !slices.Contains(mallocs, 0) {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for i := 0; i < rounds; i++ {
+				round(i)
+				lp.Advance(time.Millisecond)
+			}
+			runtime.ReadMemStats(&after)
+			mallocs = append(mallocs, after.Mallocs-before.Mallocs)
+		}
+	})
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if want := links * (warm + rounds*len(mallocs)); delivered != want {
+		t.Fatalf("delivered %d of %d messages", delivered, want)
+	}
+	if !slices.Contains(mallocs, 0) {
+		t.Errorf("%v mallocs in %d windows of %d data messages after a warm-up, want 0 in one", mallocs, len(mallocs), links*rounds)
+	}
+	if len(fab.free) > links {
+		t.Errorf("%d slots on the free list, more than the %d messages ever in flight at once", len(fab.free), links)
+	}
+}
+
+// TestBodySlotChurn drives seeded schedules of Data and VSize sends over
+// every link of six engines with a daemon-service delay, half of them
+// synchronous (an inbox that fills between MPI calls), while endpoints are
+// killed (Engine.Close, then Unbind up to 200 µs later) and bound again,
+// and FT engines are reset (FTReset, which drops the inbox and, by epoch,
+// the daemon lane).  Every packet that reaches a filter equals what was
+// sent, field for field.  After every step (a send, an arrival, a
+// consumption, a kill, a bind, a reset) each slot on the free list is
+// empty and listed once, and none is the body of a message still in
+// flight, on the wire or waiting in an engine.  It fails on each of these
+// mutations of the code: the slot pushed at Send, pushed twice on each
+// drop path (unbound endpoint, closed engine at HandleWire and at admit,
+// stale epoch, dropped inbox), pushed without being emptied, and pushed
+// by unwrap before the body is read.
+func TestBodySlotChurn(t *testing.T) {
+	for seed := uint64(1); seed <= 6; seed++ {
+		t.Run(fmt.Sprint(seed), func(t *testing.T) { bodySlotChurn(t, seed) })
+	}
+}
+
+// churnMsg is a message of bodySlotChurn's schedule and what became of it.
+type churnMsg struct {
+	p    Packet    // as the filter must see it
+	slot *wireBody // the body slot Send took
+	// The message is on the wire until it arrives at its engine, then
+	// waits there until a filter consumes it; doomed when a kill or a
+	// reset drops it for certain, maybe when it was sent to an unbound
+	// endpoint, which drops it unless the endpoint is bound again first.
+	arrived, consumed, doomed, maybe bool
+}
+
+func bodySlotChurn(t *testing.T, seed uint64) {
+	const n, horizon = 6, 40 * time.Millisecond
+	rng := rand.New(rand.NewPCG(seed, 54))
+	k := sim.New(1)
+	fab := NewFabric(simnet.New(k, testTopo(n/2)))
+	var msgs []*churnMsg
+	check := func(step string) {
+		t.Helper()
+		free := map[*wireBody]bool{}
+		for _, b := range fab.free {
+			if free[b] {
+				t.Fatalf("%s: slot %p is on the free list twice", step, b)
+			}
+			if free[b] = true; b.data != nil || b.vsize != 0 {
+				t.Fatalf("%s: free slot %p holds %+v", step, b, *b)
+			}
+		}
+		for id, m := range msgs {
+			if m.consumed || m.doomed || m.maybe {
+				continue
+			}
+			if free[m.slot] {
+				t.Fatalf("%s: message %d's slot is on the free list, the message still in flight (arrived %v)", step, id, m.arrived)
+			}
+			if b := *m.slot; !reflect.DeepEqual(b.data, m.p.Data) || b.vsize != m.p.VSize {
+				t.Fatalf("%s: message %d's slot holds %+v, sent %q and %d", step, id, b, m.p.Data, m.p.VSize)
+			}
+		}
+	}
+	profile := func(r int) Profile {
+		return Profile{Name: "churn", DaemonLatency: 30 * time.Microsecond, DaemonCopyBW: 1e9, Async: r%2 == 0}
+	}
+	engines := make([]*Engine, n)
+	lps := make([]*sim.Proc, n)
+	bound := make([]bool, n)
+	seq := make([][]uint64, n) // the sequence number each link's next message carries, less one
+	for r := range seq {
+		seq[r] = make([]uint64, n)
+	}
+	bind := func(r int) {
+		e := NewEngine(r, n, lps[r], profile(r), fab)
+		e.EnableFT()
+		e.SetFilter(churnFilter(func(p *Packet) {
+			id := int(p.PSeq)
+			m := msgs[id]
+			switch {
+			case m.consumed:
+				t.Fatalf("message %d consumed twice", id)
+			case m.doomed:
+				t.Fatalf("message %d reached a filter after a kill or a reset dropped it", id)
+			case !reflect.DeepEqual(*p, m.p):
+				t.Fatalf("message %d: filter got %+v\n  sent %+v", id, *p, m.p)
+			}
+			m.consumed = true
+			check(fmt.Sprintf("consume %d", id))
+		}))
+		fab.BindWire(r, func(w WireMsg) {
+			m := msgs[w.aux]
+			if m.doomed {
+				t.Fatalf("message %d arrived after a kill closed its link", w.aux)
+			}
+			if w.body != m.slot {
+				t.Fatalf("message %d arrived with slot %p, sent with %p", w.aux, w.body, m.slot)
+			}
+			// A closed engine whose endpoint is still bound drops it.
+			m.arrived, m.maybe, m.doomed = true, false, e.closed
+			check(fmt.Sprintf("arrive %d", w.aux))
+			e.HandleWire(w)
+		})
+		engines[r], bound[r] = e, true
+	}
+	// drop dooms what a kill or a reset of r drops: the messages waiting
+	// in its engine and, on a kill, every message on a link of r's.
+	drop := func(r int, kill bool) {
+		for _, m := range msgs {
+			if m.consumed {
+				continue
+			}
+			if m.arrived && m.p.Dst == r || kill && !m.arrived && (m.p.Dst == r || m.p.Src == r) {
+				m.doomed = true
+			}
+		}
+	}
+	for r := 0; r < n; r++ {
+		fab.Place(r, r/2)
+		lps[r] = k.Go(fmt.Sprintf("rank%d", r), func(lp *sim.Proc) {
+			for lp.Now() < time.Second { // long past the last arrival
+				lp.Advance(time.Duration(50+rng.IntN(400)) * time.Microsecond)
+				engines[r].enterOp() // a synchronous engine drains its inbox
+				engines[r].exitOp()
+			}
+		})
+	}
+	for r := 0; r < n; r++ {
+		bind(r)
+	}
+	data := func(id int) []byte { return []byte(fmt.Sprintf("message %d", id)) }
+	for i := 0; i < 400; i++ {
+		at := time.Duration(rng.Int64N(int64(horizon)))
+		switch x := rng.IntN(100); {
+		case x < 88: // a send between two different endpoints
+			src, dst := rng.IntN(n), rng.IntN(n-1)
+			if dst >= src {
+				dst++
+			}
+			p := Packet{Kind: KindPayload, Tag: rng.IntN(8), Wave: rng.IntN(3)}
+			if x%8 == 5 {
+				p.Kind, p.Tag = KindControl, -p.Tag
+			}
+			body := x % 4
+			switch body {
+			case 0: // bulk: up to 2.6 ms on the wire
+				p.VSize = int64(1 + rng.IntN(256<<10))
+			case 2:
+				p.VSize = int64(1 + rng.IntN(64))
+			}
+			k.At(at, func() {
+				if !bound[src] {
+					return // a dead process sends nothing
+				}
+				id := len(msgs)
+				p := p
+				switch body {
+				case 1, 2:
+					p.Data = data(id)
+				case 3:
+					p.Data = []byte{} // present and empty: still a body
+				}
+				p.Src, p.Dst, p.PSeq = src, dst, uint64(id)
+				seq[src][dst]++
+				p.Seq = seq[src][dst]
+				m := &churnMsg{p: p, slot: nextBody(fab), maybe: !bound[dst]}
+				msgs = append(msgs, m)
+				sent := p
+				sent.Seq = 0
+				fab.Send(src, dst, &sent)
+				check(fmt.Sprintf("send %d", id))
+			})
+		case x < 94: // a kill, the endpoint unbound a moment later, and bound again
+			r := rng.IntN(n)
+			lag := time.Duration(rng.Int64N(int64(200 * time.Microsecond)))
+			back := time.Duration(rng.Int64N(int64(5 * time.Millisecond)))
+			k.At(at, func() {
+				if !bound[r] {
+					return
+				}
+				drop(r, false)
+				engines[r].Close()
+				bound[r] = false
+				check(fmt.Sprintf("close %d", r))
+				k.After(lag, func() {
+					drop(r, true)
+					fab.Unbind(r)
+					for o := 0; o < n; o++ {
+						seq[r][o], seq[o][r] = 0, 0
+					}
+					check(fmt.Sprintf("unbind %d", r))
+					k.After(back, func() {
+						bind(r)
+						check(fmt.Sprintf("bind %d", r))
+					})
+				})
+			})
+		default: // a repair
+			r := rng.IntN(n)
+			k.At(at, func() {
+				if bound[r] {
+					drop(r, false)
+					engines[r].FTReset()
+					check(fmt.Sprintf("reset %d", r))
+				}
+			})
+		}
+	}
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	var consumed, doomed, lost int
+	for id, m := range msgs {
+		switch {
+		case m.consumed:
+			consumed++
+		case m.doomed:
+			doomed++
+		case m.maybe:
+			lost++
+		default:
+			t.Errorf("message %d neither consumed nor dropped: %+v", id, m)
+		}
+	}
+	if consumed == 0 || doomed == 0 || lost == 0 {
+		t.Errorf("%d messages consumed, %d dropped by a kill or reset, %d sent to an unbound endpoint: the schedule misses a path",
+			consumed, doomed, lost)
+	}
+}
+
+// nextBody returns the slot fab.Send takes next, carving the chunk first
+// as Send would.
+func nextBody(f *Fabric) *wireBody {
+	if n := len(f.free); n > 0 {
+		return f.free[n-1]
+	}
+	if len(f.bodies) == 0 {
+		f.bodies = make([]wireBody, bodyChunk)
+	}
+	return &f.bodies[0]
+}
+
+// churnFilter hands every packet to itself and consumes it.
+type churnFilter func(*Packet)
+
+func (f churnFilter) OutPayload(*Packet) bool { return true }
+func (f churnFilter) InPacket(p *Packet) bool {
+	f(p)
+	return false
 }

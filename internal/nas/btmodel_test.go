@@ -9,8 +9,10 @@ import (
 )
 
 // TestBTExchangeAllocs pins the model send: one BT exchange costs each
-// rank's Sendrecv 1/64 of a payload chunk (mpi.F64Chunk) and 1/128 of the
-// fabric's body chunk (mpi.WireMsg), nothing more.  Ranks 0 and 1 of a
+// rank's Sendrecv 1/64 of a payload chunk (mpi.F64Chunk), nothing more:
+// its body slot is one a consumed message handed back to the fabric
+// (mpi.WireMsg), which the bound's 1/128 of a body chunk, the cost while
+// slots were carved and never reused, still allows.  Ranks 0 and 1 of a
 // 2×2 grid exchange faces with each other; ranks 2 and 3 stay idle, so
 // every malloc of the run while rank 0 is inside AllocsPerRun is one of
 // the pair's: rank 1's, the network's and the kernel's count too.  The

@@ -90,7 +90,7 @@ const protocolPackages = "pcl vcl mlog"
 var timerMethods = map[string]int{"After": 2, "AfterArg": 3, "At": 2, "AtArg": 3, "Cancel": 1}
 
 // pooledTypes are the recycled record types.
-const pooledTypes = "sim.eventSlot mpi.CollState ckpt.Image ckpt.StoreOp"
+const pooledTypes = "sim.eventSlot mpi.CollState mpi.wireBody ckpt.Image ckpt.StoreOp"
 
 // pooledHolders are the only declarations that may hold a pooled pointer,
 // each with why it cannot outlive the release.  A ckpt.Image returns to
@@ -98,11 +98,15 @@ const pooledTypes = "sim.eventSlot mpi.CollState ckpt.Image ckpt.StoreOp"
 // holders counts one hold for as long as it keeps the pointer.  A log
 // ckpt.StoreOp returns to its group's free list when its tracker drops it
 // (StoreOp.Release): the release point is ftpm's procRun.dropSettled,
-// whose list is typed []ckpt.Op and so is not seen here.
+// whose list is typed []ckpt.Op and so is not seen here.  A message's
+// body slot returns to its Fabric's free list when the message is consumed
+// or dropped (Fabric.unwrap, Fabric.drop).
 var pooledHolders = map[string]string{
 	"mpi.Engine.coll":      "the in-flight collective; endColl moves it to collFree",
 	"mpi.Engine.collFree":  "the one-record free list",
 	"mpi.EngineImage.Coll": "holds a clone(), never the pooled record",
+	"mpi.WireMsg.body":     "a message is consumed or dropped once, which hands the slot back, and no copy of it is read after that",
+	"mpi.Fabric.free":      "the free list: only slots unwrap or drop emptied and handed back",
 
 	"ckpt.Hierarchy.free":    "the per-rank free lists: only records whose count reached zero",
 	"ckpt.nodeBuffer.images": "a buffer entry holds one; gcBuffer, KillBuffer and an overwrite (put) let go",

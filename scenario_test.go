@@ -138,7 +138,7 @@ var scenarios = func() []scenario {
 		// began to circulate through recycled buffers (42 193 mallocs and
 		// 97 526 896 bytes before).
 		{name: "ulfm-node-8", opts: ulfm(Pcl, KillNode(40*ms, 3)), pinned: true, repeat: 1, post: repairedInJob,
-			budget: &budget{mallocs: 7_567, bytes: 8_327_320}},
+			budget: &budget{mallocs: 7_319, bytes: 7_096_984}},
 		{name: "ulfm-vcl-8", opts: ulfm(Vcl, KillRank(40*ms, 3)), repeat: 1, post: repairedInJob},
 		// Jacobi's halo rows and partner snapshots travel in recycled
 		// buffers (mpi.Packet.owned): a buffer recycled while Mlog's sender
@@ -189,7 +189,7 @@ var scenarios = func() []scenario {
 		{name: "storage-hier-8", opts: hier(true, KillBuffer(9*ms, 1), KillRank(17*ms, 3)),
 			pinned: true, repeat: 1, post: recovered},
 		{name: "storage-incremental-8", opts: hier(false, KillBuffer(9*ms, 1), KillRank(17*ms, 3)),
-			budget: &budget{mallocs: 45_830, bytes: 4_314_040}},
+			budget: &budget{mallocs: 45_610, bytes: 4_204_296}},
 		{name: "storage-chaos-8", opts: hier(false), repeat: 1, post: bufferThenRankKill,
 			chaos: &ChaosSpec{Seed: 1, Kills: 3, BufferFrac: 0.5, From: 6 * ms, Until: 16 * ms}},
 		{name: "shared-image-pcl-8", opts: shared(Pcl), post: restoredTwice},
@@ -215,22 +215,27 @@ var scenarios = func() []scenario {
 		// The three Mlog rows' mallocs and bytes were re-recorded (largest
 		// of four) when a log store op went back to its group's free list
 		// once its tracker dropped it: 420 939 / 172.3 MB, 97 517 /
-		// 42.4 MB and 236 833 / 48.8 MB before.
+		// 42.4 MB and 236 833 / 48.8 MB before.  Every malloc budget was
+		// lowered again (largest of four) when a consumed or dropped
+		// message handed its body slot back to the Fabric and Mlog's
+		// device state stopped encoding through maps: the Mlog rows
+		// from 108 507 / 66.7 MB, 19 401 / 16.0 MB and 158 794 /
+		// 22.4 MB.
 		{name: "pcl-256", opts: kernel(Pcl, 256, 2*s),
 			budget: &budget{heapPerRank: 4, counts: [3]uint64{1_741_930, 1_529_800, 75_960}}},
 		{name: "vcl-256", opts: kernel(Vcl, 256, 2*s),
 			budget: &budget{heapPerRank: 4, counts: [3]uint64{2_172_078, 1_974_706, 60_688}}},
 		{name: "mlog-256", opts: kernel(Mlog, 256, 2*s),
-			budget: &budget{mallocs: 108_507, bytes: 66_721_536, heapPerRank: 4, counts: [3]uint64{3_645_123, 2_962_662, 365_316}}},
-		{name: "pcl-64-nofail", opts: kernel(Pcl, 64, 8*s), budget: &budget{mallocs: 9_755}},
-		{name: "vcl-64-nofail", opts: kernel(Vcl, 64, 8*s), budget: &budget{mallocs: 8_822}},
-		{name: "mlog-64-nofail", opts: kernel(Mlog, 64, 8*s), budget: &budget{mallocs: 19_401, bytes: 16_035_304}},
+			budget: &budget{mallocs: 61_888, bytes: 53_171_480, heapPerRank: 4, counts: [3]uint64{3_645_123, 2_962_662, 365_316}}},
+		{name: "pcl-64-nofail", opts: kernel(Pcl, 64, 8*s), budget: &budget{mallocs: 9_164}},
+		{name: "vcl-64-nofail", opts: kernel(Vcl, 64, 8*s), budget: &budget{mallocs: 8_160}},
+		{name: "mlog-64-nofail", opts: kernel(Mlog, 64, 8*s), budget: &budget{mallocs: 13_452, bytes: 12_890_512}},
 		// Overload: 64 images of 3.9 MB every 400 ms offer four servers
 		// 625 MB/s.  Before Mlog deferred a tick while its last image was
 		// in flight, this run never returned.  Its counts were re-recorded
 		// with the NP=256 rows' (3 163 884 / 749 387 / 2 335 144 before).
 		{name: "mlog-64-overload", opts: kernel(Mlog, 64, 400*ms),
-			budget: &budget{mallocs: 158_794, bytes: 22_404_736, heapPerRank: 4, counts: [3]uint64{932_159, 749_388, 103_467}}},
+			budget: &budget{mallocs: 52_196, bytes: 15_371_144, heapPerRank: 4, counts: [3]uint64{932_159, 749_388, 103_467}}},
 	}
 }()
 
