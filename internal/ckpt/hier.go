@@ -231,8 +231,12 @@ type Hierarchy struct {
 
 	chains map[int]*chainState
 
-	// free is each rank's list of released image records (NewImage).
-	free [][]*Image
+	// ranks is each rank's image bookkeeping: its free lists (NewImage)
+	// and its own GC line (GCRank).
+	ranks []rankImages
+	// gcLine is the wave GC last collected below: a rank's GC line is the
+	// higher of it and the rank's own, and it only rises (see line).
+	gcLine int
 
 	hub *obs.Hub
 }
@@ -276,23 +280,73 @@ func NewHierarchy(net *simnet.Network, spec Spec, group *Group, pfsNodes []int) 
 	return h
 }
 
-// NewImage returns an empty image record for rank: one the rank released,
-// whose App keeps its capacity for the next AppendProgram, or a new one.
-// The record returns to the rank's free list once no level entry and no
-// leg in flight holds it (see Image).
+// rankImages is one rank's image bookkeeping: its free lists, the first
+// nimages of images (records whose count reached zero, emptied) and the
+// first napps of apps (the App buffers of released and retired records),
+// which the rank's next captures take; and the wave GCRank last collected
+// the rank's data below.  The lists are arrays, so a rank's share is one
+// element of the hierarchy's index and costs no allocation of its own.
+type rankImages struct {
+	images         [maxFreeImages]*Image
+	apps           [maxFreeImages][]byte
+	nimages, napps int
+	line           int
+}
+
+// rank returns rank r's bookkeeping, growing the index to reach it.
+func (h *Hierarchy) rank(r int) *rankImages {
+	for len(h.ranks) <= r {
+		h.ranks = append(h.ranks, rankImages{})
+	}
+	return &h.ranks[r]
+}
+
+// NewImage returns an empty image record for rank: one the rank released
+// or a new one, with an App buffer the rank got back, which keeps its
+// capacity for the next AppendProgram, when there is one.  The buffer
+// returns to the rank once no level entry and no fetch leg can read it
+// below the rank's GC line, the record once no holder is left (see Image).
 func (h *Hierarchy) NewImage(rank int) *Image {
-	for len(h.free) <= rank {
-		h.free = append(h.free, nil)
+	ri := h.rank(rank)
+	var app []byte
+	if ri.napps > 0 {
+		ri.napps--
+		app, ri.apps[ri.napps] = ri.apps[ri.napps], nil
 	}
-	free := h.free[rank]
-	if len(free) == 0 {
-		return &Image{Rank: rank, home: h}
+	if ri.nimages == 0 {
+		return &Image{Rank: rank, App: app, home: h}
 	}
-	im := free[len(free)-1]
-	free[len(free)-1] = nil
-	h.free[rank] = free[:len(free)-1]
-	*im = Image{Rank: rank, App: im.App[:0], home: h}
+	ri.nimages--
+	im := ri.images[ri.nimages]
+	ri.images[ri.nimages] = nil
+	*im = Image{Rank: rank, App: app, home: h}
 	return im
+}
+
+// putApp takes back a rank's App buffer, emptied, unless maxFreeImages
+// wait.
+func (h *Hierarchy) putApp(rank int, app []byte) {
+	if ri := &h.ranks[rank]; cap(app) > 0 && ri.napps < maxFreeImages {
+		ri.apps[ri.napps] = app[:0]
+		ri.napps++
+	}
+}
+
+// putImage takes back a released record, unless maxFreeImages wait.
+func (h *Hierarchy) putImage(im *Image) {
+	if ri := &h.ranks[im.Rank]; ri.nimages < maxFreeImages {
+		ri.images[ri.nimages] = im
+		ri.nimages++
+	}
+}
+
+// line returns rank's GC line: no level keeps its waves below it, and no
+// fetch may ask for one.
+func (h *Hierarchy) line(rank int) int {
+	if rank < len(h.ranks) {
+		return max(h.gcLine, h.ranks[rank].line)
+	}
+	return h.gcLine
 }
 
 // put stores img as the buffer's copy of its wave, holding it, and
@@ -303,9 +357,9 @@ func (b *nodeBuffer) put(img *Image) {
 	if old == img {
 		return
 	}
-	img.hold()
+	img.holdRead()
 	b.images[k] = img
-	old.drop()
+	old.dropRead()
 }
 
 // SetObs attaches the hub hierarchy events go to.
@@ -399,25 +453,34 @@ func (h *Hierarchy) ResetChain(rank int) {
 // server group: the buffer device timer, the group operation or the PFS
 // stripe flows of whichever leg is in flight.  leg is the image a buffer
 // write, a buffer read or a PFS read holds until it is done with it (a
-// group operation holds its own).
+// group operation holds its own); a fetch's legs read it (read).
 type hierOp struct {
 	h         *Hierarchy
 	timer     sim.EventID
 	inner     Op
 	flows     []*simnet.Flow
 	leg       *Image
+	read      bool
 	cancelled bool
 }
 
 // holdLeg makes img the image the leg in flight holds.
 func (op *hierOp) holdLeg(img *Image) {
-	img.hold()
+	if op.read {
+		img.holdRead()
+	} else {
+		img.hold()
+	}
 	op.leg = img
 }
 
 // dropLeg lets go of the leg's image.
 func (op *hierOp) dropLeg() {
-	op.leg.drop()
+	if op.read {
+		op.leg.dropRead()
+	} else {
+		op.leg.drop()
+	}
 	op.leg = nil
 }
 
@@ -559,7 +622,7 @@ func (h *Hierarchy) drainToPFS(img *Image, cap simnet.Rate) {
 	if len(targets) == 0 {
 		return
 	}
-	img.hold() // the stripe write's, then the entry's
+	img.hold() // the stripe write's
 	h.pfs.staging[k] = img
 	span := h.hub.NextSpan()
 	stored := img.StoredBytes()
@@ -568,6 +631,8 @@ func (h *Hierarchy) drainToPFS(img *Image, cap simnet.Rate) {
 		Bytes: stored, Span: span})
 	h.stripe(src.Node, targets, stored, true, func() {
 		delete(h.pfs.staging, k)
+		img.holdRead() // the entry's
+		img.drop()     // the stripe write's
 		h.pfs.images[k] = &pfsImage{img: img, targets: targets}
 		h.emit(obs.Event{Type: obs.EvDrainEnd, Rank: img.Rank, Wave: img.Wave,
 			Channel: -1, Node: src.Node, Server: -1, Level: h.pfsIdx,
@@ -626,7 +691,7 @@ type hierFetchOp struct {
 // still fetches logs from the group.  onDone receives the stored image
 // itself, not a copy: the caller restores from it and must not write it.
 func (h *Hierarchy) Fetch(rank, wave, dstNode int, needLogs bool, onDone func(*Image, []*mpi.Packet), onFail func(error)) Op {
-	op := &hierFetchOp{hierOp: hierOp{h: h}, rank: rank, wave: wave, dstNode: dstNode,
+	op := &hierFetchOp{hierOp: hierOp{h: h, read: true}, rank: rank, wave: wave, dstNode: dstNode,
 		needLogs: needLogs, onDone: onDone, onFail: onFail}
 	if h.bufIdx >= 0 {
 		if buf := h.buffers[dstNode]; buf != nil && !buf.dead {
@@ -677,7 +742,7 @@ func (op *hierFetchOp) deliver(from string) {
 func (op *hierFetchOp) done(img *Image, logs []*mpi.Packet) {
 	op.leg = nil
 	op.onDone(img, logs)
-	img.drop()
+	img.dropRead()
 }
 
 func (op *hierFetchOp) fetchLower() {
@@ -729,7 +794,7 @@ func (h *Hierarchy) KillBuffer(node int) bool {
 	}
 	buf.dead = true
 	for _, img := range buf.images {
-		img.drop()
+		img.dropRead()
 	}
 	buf.images = make(map[imgKey]*Image)
 	for _, d := range buf.drains {
@@ -771,8 +836,11 @@ func (h *Hierarchy) LogsSinceUnion(rank, wave int) []*mpi.Packet {
 	return h.group.LogsSinceUnion(rank, wave)
 }
 
-// GC reclaims waves older than wave at every level.
+// GC reclaims waves older than wave at every level and raises every
+// rank's GC line to wave: a record below it is retired once no level
+// entry and no fetch leg holds it (see Image).
 func (h *Hierarchy) GC(wave int) {
+	h.gcLine = max(h.gcLine, wave)
 	h.group.GC(wave)
 	for _, node := range h.bufNodes {
 		h.gcBuffer(h.buffers[node], func(k imgKey) bool { return k.wave < wave })
@@ -780,8 +848,11 @@ func (h *Hierarchy) GC(wave int) {
 	h.gcPFS(func(k imgKey) bool { return k.wave < wave })
 }
 
-// GCRank reclaims one rank's data older than wave at every level.
+// GCRank reclaims one rank's data older than wave at every level and
+// raises the rank's GC line to wave.
 func (h *Hierarchy) GCRank(rank, wave int) {
+	ri := h.rank(rank)
+	ri.line = max(ri.line, wave)
 	h.group.GCRank(rank, wave)
 	for _, node := range h.bufNodes {
 		h.gcBuffer(h.buffers[node], func(k imgKey) bool { return k.rank == rank && k.wave < wave })
@@ -795,7 +866,7 @@ func (h *Hierarchy) gcBuffer(buf *nodeBuffer, drop func(imgKey) bool) {
 	}
 	for k, img := range buf.images {
 		if drop(k) {
-			img.drop()
+			img.dropRead()
 			delete(buf.images, k)
 		}
 	}
@@ -807,7 +878,7 @@ func (h *Hierarchy) gcPFS(drop func(imgKey) bool) {
 	}
 	for k, ent := range h.pfs.images {
 		if drop(k) {
-			ent.img.drop()
+			ent.img.dropRead()
 			delete(h.pfs.images, k)
 		}
 	}

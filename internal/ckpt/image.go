@@ -26,13 +26,22 @@
 //
 // A record the hierarchy handed out counts its holders: each level entry
 // and each leg in flight (a buffer write, a group store, a drain, a PFS
-// stripe, a fetch until its callback returns).  When the count reaches
-// zero no level can serve the image any more and no transfer can deliver
-// it, so the record goes back to its rank's free list and the rank's next
-// capture encodes into the same App buffer.  A released record reads Wave
-// -1, and every delivery checks Rank and Wave, so a count that fell short
-// panics where a restore would have read the wrong state.  An image built
-// as a literal has no home and is never recycled.
+// stripe, a fetch until its callback returns), and separately how many of
+// them read it: the level entries and the fetch legs.  A store leg only
+// moves the image: it needs its size, not its bytes.  So once GC or
+// GCRank has raised a rank's GC line past a record's wave and its last
+// reader lets go, the record is retired: its App buffer goes back to the
+// rank's free list at once, for the next capture, and its Engine and
+// Device are let go, while Rank, Wave, the pricing fields and the value
+// Bytes() had stay for the store legs still moving it.  This is safe
+// because the GC line only rises and a restart fetches only at the line,
+// never below it; a delivery of a retired record panics, naming the line.
+// When the count reaches zero no level can serve the image any more and
+// no transfer can deliver it, so the record itself goes back to its
+// rank's free list.  A released record reads Wave -1, and every delivery
+// checks Rank and Wave, so a count that fell short panics where a restore
+// would have read the wrong state.  An image built as a literal has no
+// home and is never recycled or retired.
 //
 // Log packets are shared the same way: a server keeps the log records it
 // is handed, which the receiving engine holds too and nobody writes
@@ -50,8 +59,11 @@ import (
 // Image is one process's local checkpoint for one wave.  Its builder sets
 // Rank through Done, Hierarchy.Store sets Delta through Restore on entry,
 // and from then on the image — the bytes App, Device and Engine point to
-// included — is shared and read-only until its last holder lets it go (see
-// the package comment).
+// included — is shared and read-only until its last reader lets it go
+// below the rank's GC line, which retires it, or its last holder lets it
+// go, which recycles it (see the package comment).  A retired record
+// keeps Rank, Wave, Footprint, Done, the pricing fields and its Bytes(),
+// and has no App, Engine or Device.
 type Image struct {
 	Rank int
 	Wave int
@@ -85,27 +97,68 @@ type Image struct {
 	Restore int64
 
 	// home is the hierarchy whose free list the record returns to, nil
-	// for a literal; holds counts its level entries and legs in flight.
-	home  *Hierarchy
-	holds int32
+	// for a literal; holds counts its level entries and legs in flight,
+	// reads the level entries and fetch legs among them.
+	home         *Hierarchy
+	holds, reads int32
+	// size is what Bytes() returned when the record was retired, 0 while
+	// it holds its content.
+	size int64
 }
 
-// maxFreeImages is how many released records a rank keeps: a rank's
-// levels hold one to three of its images at a time, so a capture finds
-// one and the rest go to the garbage collector.
+// maxFreeImages is how many released records, and apart from them how
+// many App buffers, a rank keeps: a rank's levels hold one to three of
+// its images at a time, so a capture finds one and the rest go to the
+// garbage collector.
 const maxFreeImages = 2
 
-// hold adds a holder to a recycled record (a level entry or a leg in
-// flight); a literal image is not counted.
+// hold adds a holder that moves the record (a store leg); a literal image
+// is not counted.
 func (im *Image) hold() {
 	if im.home != nil {
 		im.holds++
 	}
 }
 
+// holdRead adds a holder that may read the record's content: a level
+// entry or a fetch leg.
+func (im *Image) holdRead() {
+	if im.home != nil {
+		im.holds++
+		im.reads++
+	}
+}
+
+// dropRead removes a reader (see holdRead).  The last one retires a
+// record whose wave is below its rank's GC line: no fetch may ask for it
+// any more, so only store legs still hold it, and they read its size
+// alone.  nil is a no-op.
+func (im *Image) dropRead() {
+	if im == nil || im.home == nil {
+		return
+	}
+	if im.reads--; im.reads == 0 && im.Wave < im.home.line(im.Rank) {
+		im.retire()
+	}
+	im.drop()
+}
+
+// retire hands the record's App buffer back to its rank and lets go of
+// its Engine and Device, keeping what Bytes() returned for the legs that
+// still move it.
+func (im *Image) retire() {
+	if im.size != 0 {
+		return
+	}
+	im.size = im.Bytes()
+	im.home.putApp(im.Rank, im.App)
+	im.App, im.Engine, im.Device = nil, nil, nil
+}
+
 // drop removes a holder.  The last one returns the record to its rank's
-// free list: its App keeps its capacity, Wave reads -1 and what it pointed
-// to is let go.  nil is a no-op (a log set's store carries no image).
+// free list and its App buffer, unless retirement already returned it,
+// to the rank's buffers: Wave reads -1 and what the record pointed to is
+// let go.  nil is a no-op (a log set's store carries no image).
 func (im *Image) drop() {
 	if im == nil || im.home == nil {
 		return
@@ -116,16 +169,20 @@ func (im *Image) drop() {
 	if im.holds < 0 {
 		panic(fmt.Sprintf("ckpt: image rank %d wave %d released more often than held", im.Rank, im.Wave))
 	}
-	im.App, im.Wave, im.Engine, im.Device = im.App[:0], -1, nil, nil
 	h := im.home
-	if free := h.free[im.Rank]; len(free) < maxFreeImages {
-		h.free[im.Rank] = append(free, im)
-	}
+	h.putApp(im.Rank, im.App)
+	*im = Image{Rank: im.Rank, Wave: -1, home: h}
+	h.putImage(im)
 }
 
-// check panics unless the image is (rank, wave): a holder that reads a
-// record after its count reached zero sees another capture, or Wave -1.
+// check panics unless the image is (rank, wave) with its content: a holder
+// that reads a record after its count reached zero sees another capture,
+// or Wave -1, and one that reads it below the GC line sees it retired.
 func (im *Image) check(rank, wave int, holder string) {
+	if im.Rank == rank && im.Wave == wave && im.size != 0 {
+		panic(fmt.Sprintf("ckpt: %s delivers image rank %d wave %d, retired below the GC line %d: a fetch below the line",
+			holder, rank, wave, im.home.line(rank)))
+	}
 	if im.Rank != rank || im.Wave != wave {
 		panic(fmt.Sprintf("ckpt: %s delivers image rank %d wave %d for rank %d wave %d: the record was recycled while held",
 			holder, im.Rank, im.Wave, rank, wave))
@@ -133,8 +190,12 @@ func (im *Image) check(rank, wave int, holder string) {
 }
 
 // Bytes returns the modelled size of the image on the wire and on the
-// server: the process footprint plus live engine/device state.
+// server: the process footprint plus live engine/device state, or of a
+// retired record what that was when it was retired.
 func (im *Image) Bytes() int64 {
+	if im.size != 0 {
+		return im.size
+	}
 	n := im.Footprint + int64(len(im.App)) + int64(len(im.Device)) + 256
 	if im.Engine != nil {
 		n += im.Engine.StateBytes()

@@ -9,6 +9,7 @@ import (
 	"slices"
 	"testing"
 	"time"
+	"unsafe"
 
 	"ftckpt/internal/mpi"
 	"ftckpt/internal/obs"
@@ -83,9 +84,9 @@ func TestStateSizeOfPrograms(t *testing.T) {
 	}
 }
 
-// TestImageRecordsRecycle: a rank's records come back once every holder
-// has let go, keep their App buffer, and at most maxFreeImages wait per
-// rank.
+// TestImageRecordsRecycle: a rank's records and their App buffers come
+// back once every holder has let go, at most maxFreeImages of each wait
+// per rank, and the next record gets a buffer back.
 func TestImageRecordsRecycle(t *testing.T) {
 	k := sim.New(1)
 	h, _ := hierSetup(k)
@@ -101,15 +102,15 @@ func TestImageRecordsRecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	h.GC(5)
-	if got := len(h.free[0]); got != maxFreeImages {
-		t.Fatalf("rank 0 keeps %d free records, want %d", got, maxFreeImages)
+	if got, apps := h.ranks[0].nimages, h.ranks[0].napps; got != maxFreeImages || apps != maxFreeImages {
+		t.Fatalf("rank 0 keeps %d free records and %d App buffers, want %d of each", got, apps, maxFreeImages)
 	}
 	for _, im := range stored {
 		if im.holds != 0 || im.Wave != -1 || len(im.App) != 0 {
 			t.Errorf("released record holds %d, wave %d, %d App bytes", im.holds, im.Wave, len(im.App))
 		}
 	}
-	free := slices.Clone(h.free[0])
+	free := slices.Clone(h.ranks[0].images[:])
 	next := h.NewImage(0)
 	if !slices.Contains(free, next) || cap(next.App) < len(app) || next.Wave != 0 || next.home != h {
 		t.Errorf("NewImage gave %p (cap %d, wave %d), want a released record with its buffer", next, cap(next.App), next.Wave)
@@ -185,7 +186,9 @@ func churn(t *testing.T, seed int64) {
 		if waves[r] == 0 {
 			return
 		}
-		want := imgKey{r, waves[r] - rng.Intn(min(2, waves[r]))}
+		// A fetch asks for a wave at or above the rank's GC line, as a
+		// restart does: below it a record may be retired.
+		want := imgKey{r, max(waves[r]-rng.Intn(min(2, waves[r])), h.line(r))}
 		op := h.Fetch(want.rank, want.wave, nodeOf(r), rng.Intn(2) == 0, func(img *Image, _ []*mpi.Packet) {
 			p, err := DecodeProgram(img.App)
 			if err != nil {
@@ -198,56 +201,9 @@ func churn(t *testing.T, seed int64) {
 		fetches = append(fetches, op.(*hierFetchOp))
 	}
 	check := func(when string) {
-		refs := map[*Image]int32{}
-		for _, b := range h.buffers {
-			for _, im := range b.images {
-				refs[im]++
-			}
-			for _, d := range b.drains {
-				if !d.Settled() {
-					refs[d.img]++
-				}
-			}
-		}
-		for _, srv := range pool {
-			for _, rs := range srv.ranks {
-				for _, e := range rs.images {
-					refs[e.img]++
-				}
-			}
-		}
-		for _, e := range h.pfs.images {
-			refs[e.img]++
-		}
-		for _, im := range h.pfs.staging {
-			refs[im]++
-		}
-		for _, op := range stores {
-			switch op := op.(type) {
-			case *hierOp:
-				if op.leg != nil {
-					refs[op.leg]++
-				}
-				if in, ok := op.inner.(*StoreOp); ok && !in.Settled() {
-					refs[in.img]++
-				}
-			case *StoreOp:
-				if !op.Settled() {
-					refs[op.img]++
-				}
-			}
-		}
-		for _, op := range fetches {
-			if op.leg != nil {
-				refs[op.leg]++
-			}
-			if in, ok := op.inner.(*FetchOp); ok && in.img != nil {
-				refs[in.img]++
-			}
-		}
-		delete(refs, nil)
-		for r, free := range h.free {
-			for _, im := range free {
+		refs, _ := inSight(h, pool, stores, fetches)
+		for r := range h.ranks {
+			for _, im := range h.ranks[r].images[:h.ranks[r].nimages] {
 				if n := refs[im]; n > 0 || im.holds != 0 || im.Wave != -1 || len(im.App) != 0 || im.Rank != r {
 					t.Fatalf("%s: free record of rank %d (holds %d, rank %d, wave %d, %d App bytes) is reachable %d times",
 						when, r, im.holds, im.Rank, im.Wave, len(im.App), n)
@@ -307,6 +263,68 @@ func churn(t *testing.T, seed int64) {
 	if len(records) >= serial {
 		t.Errorf("%d captures took %d records: none was recycled", serial, len(records))
 	}
+}
+
+// inSight counts the holders of image records a test can see: the entries
+// of every level, the buffers' drains and the PFS stripe writes, and the
+// legs of the stores and fetches it started.  reads counts the level
+// entries and fetch legs among them, the holders that read a record's
+// content.
+func inSight(h *Hierarchy, pool []*Server, stores []Op, fetches []*hierFetchOp) (holds, reads map[*Image]int32) {
+	holds, reads = map[*Image]int32{}, map[*Image]int32{}
+	read := func(im *Image) {
+		holds[im]++
+		reads[im]++
+	}
+	for _, b := range h.buffers {
+		for _, im := range b.images {
+			read(im)
+		}
+		for _, d := range b.drains {
+			if !d.Settled() {
+				holds[d.img]++
+			}
+		}
+	}
+	for _, srv := range pool {
+		for _, rs := range srv.ranks {
+			for _, e := range rs.images {
+				read(e.img)
+			}
+		}
+	}
+	for _, e := range h.pfs.images {
+		read(e.img)
+	}
+	for _, im := range h.pfs.staging {
+		holds[im]++
+	}
+	for _, op := range stores {
+		switch op := op.(type) {
+		case *hierOp:
+			if op.leg != nil {
+				holds[op.leg]++
+			}
+			if in, ok := op.inner.(*StoreOp); ok && !in.Settled() {
+				holds[in.img]++
+			}
+		case *StoreOp:
+			if !op.Settled() {
+				holds[op.img]++
+			}
+		}
+	}
+	for _, op := range fetches {
+		if op.leg != nil {
+			read(op.leg)
+		}
+		if in, ok := op.inner.(*FetchOp); ok && in.img != nil {
+			read(in.img)
+		}
+	}
+	delete(holds, nil)
+	delete(reads, nil)
+	return holds, reads
 }
 
 // tracker is a sender's list of its log stores, kept as ftpm's procRun
@@ -574,5 +592,316 @@ func logChurn(t *testing.T, replicas int, seed int64) {
 	if reused == 0 || late == 0 || col.Count(obs.EvStoreRetry) == 0 {
 		t.Errorf("the schedule reused %d ops, aborted %d transfers with a delivery pending and retried %d: it does not exercise the release rule",
 			reused, late, col.Count(obs.EvStoreRetry))
+	}
+}
+
+// TestRetiredImageChurn runs seeded schedules of captures, rollbacks that
+// capture a wave number again, fetches, store cancels, buffer, server and
+// PFS-target kills, and GC and GCRank raising the GC line while the
+// drains, replica retries, PFS stripes and fetches of older waves are in
+// flight, through a three-level hierarchy whose servers are slow enough
+// that many of each are.  A fetch asks for a wave at or above its rank's
+// GC line, as a restart does.  After every step and every few
+// microseconds between them:
+//   - no fetch delivers a retired record, and each delivers the capture
+//     it asked for;
+//   - every store and drain of a capture, begun or landed, retry or not,
+//     retired record or not, carries the size the capture had when its
+//     store began;
+//   - no App buffer on a rank's free list is the App of a record a level
+//     entry or a fetch leg can read, or of any record not retired;
+//   - each record counts at least the holders and readers in sight.
+//
+// It fails on the mutants "retire without checking the GC line" (a buffer
+// kill then retires a record its drain still carries to a server that a
+// later fetch reads) and "retire while a fetch leg holds the record" (a
+// GC that passes a fetch in flight then retires what it delivers).
+func TestRetiredImageChurn(t *testing.T) {
+	for seed := int64(1); seed <= 12; seed++ {
+		t.Run(fmt.Sprint("seed", seed), func(t *testing.T) { retireChurn(t, seed) })
+	}
+}
+
+func retireChurn(t *testing.T, seed int64) {
+	const ranks, nodes, servers = 4, 2, 3
+	rng := rand.New(rand.NewSource(seed))
+	k := sim.New(seed)
+	net := simnet.New(k, simnet.Topology{Clusters: []simnet.ClusterSpec{{
+		Name: "c", Nodes: nodes + servers + 2, NICBW: 50e6, Latency: 50 * time.Microsecond,
+	}}})
+	pool := make([]*Server, servers)
+	for i := range pool {
+		pool[i] = NewServer(net, i, nodes+i)
+	}
+	g := NewGroup(net, pool, 2, 1, nil)
+	g.MaxRetries, g.Backoff = 2, 300*time.Microsecond
+	spec := (&Spec{Levels: []LevelSpec{
+		{Kind: LevelBuffer},
+		{Kind: LevelServers, Servers: servers, Replicas: 2, WriteQuorum: 1},
+		{Kind: LevelPFS, Targets: 2, Stripes: 2},
+	}}).Normalize()
+	h := NewHierarchy(net, *spec, g, []int{nodes + servers, nodes + servers + 1})
+	var (
+		lateLandings int // stores and drains that landed below the line
+		col          = obs.NewCollector()
+	)
+	h.SetObs(obs.NewHub(col, sinkFunc(func(ev obs.Event) {
+		if (ev.Type == obs.EvImageStoreEnd || ev.Type == obs.EvDrainEnd) && ev.Wave < h.line(ev.Rank) {
+			lateLandings++
+		}
+	})))
+
+	var (
+		stores                 []Op
+		fetches                []*hierFetchOp
+		capture                = map[int]imgKey{} // a capture's serial (its program's Phase) → its rank and wave
+		sizes                  = map[imgKey][]int64{}
+		serialOf               = map[*Image]int{} // the capture a record holds
+		sizeOf                 = map[int]int64{}  // a capture's size when its store began
+		wave                   = 1                // the wave the ranks capture
+		retired, passedFetches int
+	)
+	nodeOf := func(rank int) int { return rank % nodes }
+	back := func() sim.Time { return sim.Time(1+rng.Intn(3000)) * sim.Time(time.Microsecond) }
+	store := func() {
+		r := rng.Intn(ranks)
+		img := h.NewImage(r)
+		serial := len(capture) + 1
+		capture[serial] = imgKey{r, wave}
+		app, err := AppendProgram(img.App, &toyProgram{Phase: serial, X: make([]float64, 1+rng.Intn(64)), Mem: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		img.Wave, img.App, img.Footprint = wave, app, int64(32<<10+rng.Intn(96<<10))
+		serialOf[img], sizeOf[serial] = serial, img.Bytes()
+		sizes[imgKey{r, wave}] = append(sizes[imgKey{r, wave}], img.Bytes())
+		stores = append(stores, h.Store(img, nodeOf(r), 0, nil, nil))
+	}
+	fetch := func() {
+		r := rng.Intn(ranks)
+		want := imgKey{r, h.line(r) + rng.Intn(wave-h.line(r)+1)}
+		// The restarted rank may land on a node whose buffer lacks the
+		// image: the fetch falls to the servers or the PFS.
+		op := h.Fetch(want.rank, want.wave, rng.Intn(nodes), false, func(img *Image, _ []*mpi.Packet) {
+			if img.size != 0 {
+				t.Fatalf("fetch of %v delivered a retired record", want)
+			}
+			p, err := DecodeProgram(img.App)
+			if err != nil {
+				t.Fatalf("fetch of %v delivered an image that does not decode: %v", want, err)
+			}
+			if got := capture[p.(*toyProgram).Phase]; got != want {
+				t.Fatalf("fetch of %v delivered the capture of %v", want, got)
+			}
+			if want.wave < h.line(r) {
+				passedFetches++
+			}
+		}, func(error) {})
+		fetches = append(fetches, op.(*hierFetchOp))
+		if rng.Intn(2) == 0 {
+			// A commit while the fetch is in flight passes its wave.
+			k.After(sim.Time(rng.Intn(400))*sim.Time(time.Microsecond), func() {
+				wave = max(wave, want.wave+1)
+				h.GCRank(r, want.wave+1)
+			})
+		}
+	}
+	check := func(when string) {
+		holds, reads := inSight(h, pool, stores, fetches)
+		readable := map[*byte]bool{} // the App buffers a reader can read, or a live record will
+		for im, n := range holds {
+			if im.holds < n || im.reads < reads[im] {
+				t.Fatalf("%s: record rank %d wave %d counts %d holds and %d reads, %d and %d are in sight",
+					when, im.Rank, im.Wave, im.holds, im.reads, n, reads[im])
+			}
+			if im.size != 0 {
+				if im.App != nil || im.Engine != nil || im.Device != nil {
+					t.Fatalf("%s: retired record rank %d wave %d keeps its content", when, im.Rank, im.Wave)
+				}
+				if l := h.line(im.Rank); im.Wave >= l {
+					t.Fatalf("%s: record rank %d wave %d is retired at or above its GC line %d", when, im.Rank, im.Wave, l)
+				}
+				if want := sizeOf[serialOf[im]]; im.Bytes() != want || im.StoredBytes() != want || im.RestoreBytes() != want {
+					t.Fatalf("%s: retired record rank %d wave %d reads %d bytes, its store began with %d", when, im.Rank, im.Wave, im.Bytes(), want)
+				}
+				retired++
+				continue
+			}
+			if cap(im.App) > 0 {
+				readable[unsafe.SliceData(im.App[:1])] = true
+			}
+		}
+		for _, op := range fetches {
+			in, _ := op.inner.(*FetchOp)
+			if op.leg != nil && op.leg.size != 0 || in != nil && in.img != nil && in.img.size != 0 {
+				t.Fatalf("%s: a fetch of rank %d wave %d holds a retired record", when, op.rank, op.wave)
+			}
+		}
+		for r := range h.ranks {
+			free := &h.ranks[r]
+			for _, app := range free.apps[:free.napps] {
+				if readable[unsafe.SliceData(app[:1])] {
+					t.Fatalf("%s: an App buffer on rank %d's free list is the App of a record that is not retired", when, r)
+				}
+			}
+			for _, im := range free.images[:free.nimages] {
+				if holds[im] > 0 || im.holds != 0 || im.reads != 0 || im.Wave != -1 || im.App != nil || im.size != 0 {
+					t.Fatalf("%s: free record of rank %d (holds %d, reads %d, wave %d) is in sight %d times",
+						when, r, im.holds, im.reads, im.Wave, holds[im])
+				}
+			}
+		}
+	}
+
+	for step := 0; step < 500; step++ {
+		k.At(sim.Time(step)*sim.Time(150*time.Microsecond), func() {
+			switch x := rng.Intn(100); {
+			case x < 35:
+				store()
+			case x < 45:
+				wave++
+			case x < 60:
+				fetch()
+			case x < 66:
+				if len(stores) > 0 {
+					stores[rng.Intn(len(stores))].Cancel()
+				}
+			case x < 70:
+				// Kills, each undone by hand a while later (a killed
+				// device stays dead in this model), so that the levels
+				// keep filling.
+				n := rng.Intn(nodes)
+				if h.KillBuffer(n) {
+					k.After(back(), func() { h.buffers[n].dead = false })
+				}
+			case x < 72:
+				srv := pool[rng.Intn(servers)]
+				if srv.Alive() {
+					srv.Kill()
+					k.After(back(), func() { srv.dead = false })
+				}
+			case x < 73:
+				tg := rng.Intn(2)
+				if h.KillPFSTarget(tg) {
+					k.After(back(), func() { h.pfs.dead[tg] = false })
+				}
+			case x < 76:
+				// Rollback: capture again from the wave after the highest
+				// line, over wave numbers some of whose stores are in
+				// flight.
+				top := 0
+				for r := 0; r < ranks; r++ {
+					top = max(top, h.line(r))
+				}
+				wave = top + 1
+			case x < 86:
+				r := rng.Intn(ranks)
+				h.GCRank(r, h.line(r)+rng.Intn(wave-h.line(r)+1))
+			default:
+				h.GC(h.gcLine + rng.Intn(wave-h.gcLine+1))
+			}
+			check(fmt.Sprintf("step %d", step))
+		})
+	}
+	for at := sim.Time(0); at < sim.Time(200*time.Millisecond); at += sim.Time(37 * time.Microsecond) {
+		k.At(at, func() { check(fmt.Sprintf("t=%v", k.Now())) })
+	}
+	func() {
+		// A delivery of a retired record panics (Image.check).
+		defer func() {
+			if p := recover(); p != nil {
+				t.Fatal(p)
+			}
+		}()
+		if err := k.Run(); err != nil {
+			t.Fatal(err)
+		}
+	}()
+	for _, typ := range []obs.EventType{obs.EvImageStoreBegin, obs.EvImageStoreEnd, obs.EvDrainBegin, obs.EvDrainEnd} {
+		for _, ev := range col.Filter(typ) {
+			if !slices.Contains(sizes[imgKey{ev.Rank, ev.Wave}], ev.Bytes) {
+				t.Fatalf("%v of rank %d wave %d at %v carries %d bytes, no capture of that wave began with it (%v)",
+					typ, ev.Rank, ev.Wave, ev.T, ev.Bytes, sizes[imgKey{ev.Rank, ev.Wave}])
+			}
+		}
+	}
+	t.Logf("%d captures, %d sightings of retired records, %d landings below the line, %d fetches the line passed in flight, %d retries",
+		len(capture), retired, lateLandings, passedFetches, col.Count(obs.EvStoreRetry))
+	if retired == 0 || lateLandings == 0 || passedFetches == 0 || col.Count(obs.EvStoreRetry) == 0 {
+		t.Errorf("the schedule saw %d sightings of retired records, %d landings below the line, %d fetches the line passed and %d retries: it does not exercise retirement",
+			retired, lateLandings, passedFetches, col.Count(obs.EvStoreRetry))
+	}
+}
+
+// sinkFunc is an obs.Sink that hands each event to a function.
+type sinkFunc func(obs.Event)
+
+func (f sinkFunc) Emit(ev obs.Event) { f(ev) }
+
+// TestStalledDrainsReuseImageBuffers runs 24 waves of four ranks through a
+// buffer → servers → PFS hierarchy whose images are too big for any drain
+// to reach a server before the last wave: each wave commits when its
+// buffer writes land and collects the wave before it, as ftpm does.  The
+// drains hold every record, so records are not recycled; but a collected
+// record is retired, and after two waves of warm-up every capture encodes
+// into an App buffer its rank already had.
+func TestStalledDrainsReuseImageBuffers(t *testing.T) {
+	const ranks, nodes, waves, warmup = 4, 2, 24, 2
+	k := sim.New(1)
+	net := simnet.New(k, simnet.Topology{Clusters: []simnet.ClusterSpec{{
+		Name: "c", Nodes: nodes + 4, NICBW: 100e6, Latency: 50 * time.Microsecond,
+	}}})
+	pool := []*Server{NewServer(net, 0, nodes), NewServer(net, 1, nodes+1)}
+	g := NewGroup(net, pool, 2, 1, nil)
+	spec := (&Spec{Levels: []LevelSpec{
+		{Kind: LevelBuffer},
+		{Kind: LevelServers, Servers: 2, Replicas: 2, WriteQuorum: 1},
+		{Kind: LevelPFS, Targets: 2, Stripes: 2},
+	}}).Normalize()
+	h := NewHierarchy(net, *spec, g, []int{nodes + 2, nodes + 3})
+	col := obs.NewCollector()
+	h.SetObs(obs.NewHub(col))
+
+	seen := make([]map[*byte]bool, ranks) // each rank's App buffers
+	for r := range seen {
+		seen[r] = map[*byte]bool{}
+	}
+	fresh, drained := 0, 0
+	for w := 1; w <= waves; w++ {
+		k.At(sim.Time(w)*sim.Time(time.Second), func() {
+			drained = col.Count(obs.EvDrainEnd)
+			stored := 0
+			for r := 0; r < ranks; r++ {
+				img := h.NewImage(r)
+				app, err := AppendProgram(img.App, &toyProgram{Phase: w, X: make([]float64, 512), Mem: 1})
+				if err != nil {
+					t.Fatal(err)
+				}
+				// 1 GB: half a second into the buffer, ten seconds
+				// alone to a server, and the wave's drains share the
+				// servers' NICs with every earlier wave's.
+				img.Wave, img.App, img.Footprint = w, app, 1<<30
+				if p := unsafe.SliceData(app); !seen[r][p] {
+					seen[r][p] = true
+					if w > warmup {
+						fresh++
+					}
+				}
+				h.Store(img, r%nodes, 0, func() {
+					if stored++; stored == ranks {
+						h.GC(w) // the wave commits
+					}
+				}, nil)
+			}
+		})
+	}
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if drained != 0 {
+		t.Fatalf("%d drains landed before the last wave's captures: the drains do not stall", drained)
+	}
+	if fresh != 0 {
+		t.Errorf("after %d waves of warm-up, %d of %d captures encoded into a new App buffer", warmup, fresh, ranks*(waves-warmup))
 	}
 }

@@ -495,7 +495,7 @@ func (op *FetchOp) fetchImage(i int) {
 			continue
 		}
 		next := i + 1
-		img.hold()
+		img.holdRead()
 		op.img = img
 		// Cannot fail: the server is alive and holds the image.
 		fl, _ := srv.FetchImage(op.rank, op.wave, op.dstNode,
@@ -588,14 +588,14 @@ func (op *FetchOp) partDone() {
 		if op.onDone != nil {
 			op.onDone(img, op.logs)
 		}
-		img.drop()
+		img.dropRead()
 	}
 }
 
 // dropImage lets go of the image held for a transfer that will not
 // deliver it.
 func (op *FetchOp) dropImage() {
-	op.img.drop()
+	op.img.dropRead()
 	op.img = nil
 }
 

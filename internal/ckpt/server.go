@@ -112,13 +112,13 @@ func (rs *rankStore) putImage(wave int, img *Image) {
 	}
 	if i < len(rs.images) && rs.images[i].wave == wave {
 		if old := rs.images[i].img; old != img {
-			img.hold()
+			img.holdRead()
 			rs.images[i].img = img
-			old.drop()
+			old.dropRead()
 		}
 		return
 	}
-	img.hold()
+	img.holdRead()
 	rs.images = insert(rs.images, i, waveImage{wave, img})
 }
 
@@ -146,7 +146,7 @@ func (rs rankStore) logIndex(wave int) (int, bool) {
 func (rs *rankStore) gc(wave int) {
 	n := 0
 	for n < len(rs.images) && rs.images[n].wave < wave {
-		rs.images[n].img.drop()
+		rs.images[n].img.dropRead()
 		n++
 	}
 	rs.images = slices.Delete(rs.images, 0, n)
@@ -203,7 +203,7 @@ func (s *Server) Kill() {
 	s.dead = true
 	for i := range s.ranks {
 		for _, e := range s.ranks[i].images {
-			e.img.drop()
+			e.img.dropRead()
 		}
 	}
 	s.ranks = nil

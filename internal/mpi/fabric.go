@@ -48,8 +48,9 @@ type link struct {
 // reinitialization the paper's restart performs.
 type Fabric struct {
 	net *simnet.Network
-	// wire carries every channel's WireMsgs to deliverPacket, bound once:
-	// a message is a value from Send to its delivery.
+	// wire carries every channel's WireMsgs to deliverPacket, bound once,
+	// and hands those a closed channel drops to drop: a message is a value
+	// from Send to its delivery or its drop.
 	wire     *simnet.Wire[WireMsg]
 	nodeOf   []int           // node+1 per endpoint index, 0 = not placed
 	handlers []func(WireMsg) // per endpoint index, nil = unbound
@@ -81,6 +82,7 @@ type Fabric struct {
 func NewFabric(net *simnet.Network) *Fabric {
 	f := &Fabric{net: net}
 	f.wire = simnet.NewWire(net, f.deliverPacket)
+	f.wire.SetDrop(f.drop)
 	return f
 }
 

@@ -20,12 +20,11 @@ import (
 // Fabric.unwrap, which empties the slot and hands it back; that Packet is
 // lent, and a receiver that keeps it must copy it.  A message dropped on
 // its way (at an unbound endpoint or a closed engine, out of a stale
-// epoch, in the inbox Close or FTReset discards) hands its slot back
-// emptied too (Fabric.drop).  A message is rebuilt or
-// dropped once, and no copy of it is read after that, so no live message
-// shares a slot the list holds.  Only the messages a closing simnet
-// channel drops (Unbind) never come back: their slots stay with the GC
-// and keep their Data while the chunk lives.
+// epoch, in the inbox Close or FTReset discards, on a channel Unbind
+// closed, through the Wire's drop callback) hands its slot back emptied
+// too (Fabric.drop).  A message is rebuilt or dropped once, and no copy
+// of it is read after that, so no live message shares a slot the list
+// holds.
 type WireMsg struct {
 	body                *wireBody // Data and VSize, nil when the message has neither
 	aux                 uint64    // PSeq, or SpanID when spanAux

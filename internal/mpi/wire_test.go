@@ -285,7 +285,13 @@ func TestBodySlotsRecycle(t *testing.T) {
 // mutations of the code: the slot pushed at Send, pushed twice on each
 // drop path (unbound endpoint, closed engine at HandleWire and at admit,
 // stale epoch, dropped inbox), pushed without being emptied, and pushed
-// by unwrap before the body is read.
+// by unwrap before the body is read.  A kill's Unbind closes the links
+// that still carry messages, and their slots come back too: from the
+// check lostSettle after the kill on, each slot a message took is on the
+// free list or held by a message still live, and once the run is over
+// every one is on the free list.  That fails when a closed channel drops
+// its queue, the message it was transmitting or a delivery already on a
+// lane without handing the slot back.
 func TestBodySlotChurn(t *testing.T) {
 	for seed := uint64(1); seed <= 6; seed++ {
 		t.Run(fmt.Sprint(seed), func(t *testing.T) { bodySlotChurn(t, seed) })
@@ -301,7 +307,14 @@ type churnMsg struct {
 	// reset drops it for certain, maybe when it was sent to an unbound
 	// endpoint, which drops it unless the endpoint is bound again first.
 	arrived, consumed, doomed, maybe bool
+	// lost is when a kill's Unbind closed the link the message was still
+	// on (lost > 0).
+	lost time.Duration
 }
+
+// lostSettle is how long after a kill every delivery the closed links had
+// on a lane has arrived, and been dropped, in bodySlotChurn's schedules.
+const lostSettle = 20 * time.Millisecond
 
 func bodySlotChurn(t *testing.T, seed uint64) {
 	const n, horizon = 6, 40 * time.Millisecond
@@ -309,6 +322,7 @@ func bodySlotChurn(t *testing.T, seed uint64) {
 	k := sim.New(1)
 	fab := NewFabric(simnet.New(k, testTopo(n/2)))
 	var msgs []*churnMsg
+	holder := map[*wireBody]*churnMsg{} // the last message that took each slot
 	check := func(step string) {
 		t.Helper()
 		free := map[*wireBody]bool{}
@@ -329,6 +343,11 @@ func bodySlotChurn(t *testing.T, seed uint64) {
 			}
 			if b := *m.slot; !reflect.DeepEqual(b.data, m.p.Data) || b.vsize != m.p.VSize {
 				t.Fatalf("%s: message %d's slot holds %+v, sent %q and %d", step, id, b, m.p.Data, m.p.VSize)
+			}
+		}
+		for slot, m := range holder {
+			if !free[slot] && m.lost > 0 && k.Now() >= m.lost+lostSettle {
+				t.Fatalf("%s: the slot of message %d, lost when a kill closed its link at %v, is not on the free list", step, m.p.PSeq, m.lost)
 			}
 		}
 	}
@@ -381,8 +400,14 @@ func bodySlotChurn(t *testing.T, seed uint64) {
 			if m.consumed {
 				continue
 			}
-			if m.arrived && m.p.Dst == r || kill && !m.arrived && (m.p.Dst == r || m.p.Src == r) {
+			if m.arrived && m.p.Dst == r {
 				m.doomed = true
+			}
+			if kill && !m.arrived && (m.p.Dst == r || m.p.Src == r) {
+				m.doomed = true
+				if m.lost == 0 {
+					m.lost = k.Now()
+				}
 			}
 		}
 	}
@@ -436,6 +461,7 @@ func bodySlotChurn(t *testing.T, seed uint64) {
 				p.Seq = seq[src][dst]
 				m := &churnMsg{p: p, slot: nextBody(fab), maybe: !bound[dst]}
 				msgs = append(msgs, m)
+				holder[m.slot] = m
 				sent := p
 				sent.Seq = 0
 				fab.Send(src, dst, &sent)
@@ -479,6 +505,16 @@ func bodySlotChurn(t *testing.T, seed uint64) {
 	}
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
+	}
+	check("end")
+	free := map[*wireBody]bool{}
+	for _, b := range fab.free {
+		free[b] = true
+	}
+	for slot, m := range holder {
+		if !free[slot] {
+			t.Errorf("the slot of message %d (%+v) is not on the free list with nothing in flight", m.p.PSeq, m)
+		}
 	}
 	var consumed, doomed, lost int
 	for id, m := range msgs {

@@ -30,7 +30,10 @@ type Wire[T any] struct {
 	// not block (hand off to an LP through a sim.Cond if needed).  It is
 	// the Wire's, not each channel's: the message says where it goes.
 	deliver func(T)
-	nodes   []wireNode[T]
+	// drop, when set (SetDrop), hears of every message a closed channel
+	// will never deliver, so whatever the message holds can go back.
+	drop  func(T)
+	nodes []wireNode[T]
 	// bulkIntra[c] carries the deliveries of channel flows inside cluster
 	// c and bulkWan those between clusters: each adds one constant latency
 	// to a completion time that never decreases, so each lane is monotone.
@@ -125,6 +128,12 @@ type delivery[T any] struct {
 	payload T
 	size    Bytes
 }
+
+// SetDrop names the callback that hears of each message a channel drops
+// undelivered: on Close, the one in transmission and then the queue in
+// order, and later each delivery that arrives at the closed channel.  It
+// runs inside Close or the arrival event and must not send.
+func (w *Wire[T]) SetDrop(drop func(T)) { w.drop = drop }
 
 // NewChan opens a FIFO channel of T messages from node src to node dst.
 // Channels are carved chanChunk to an allocation and never reused, so a
@@ -277,6 +286,7 @@ func (c *Chan[T]) transferred(at sim.Time, size Bytes) {
 func arrive[T any](d delivery[T]) {
 	c := d.c
 	if c.closed {
+		c.dropped(d.payload)
 		return
 	}
 	n := c.w.net
@@ -288,18 +298,35 @@ func arrive[T any](d delivery[T]) {
 // Close tears the channel down, dropping queued and in-flight messages —
 // the simulated analogue of a socket reset when a process dies.  Cancelling
 // the flow stops a bulk message still transmitting; a delivery already on
-// a lane is dropped there, because the channel is closed.
+// a lane is dropped there, because the channel is closed.  The Wire's drop
+// callback hears of each dropped message (SetDrop).
 func (c *Chan[T]) Close() {
 	if c.closed {
 		return
 	}
 	c.closed = true
-	if side := c.side; side != nil {
-		side.queue.Reset()
-		var zero T
-		side.inflight = zero
-		if side.flow != nil {
-			side.flow.Cancel()
-		}
+	side := c.side
+	if side == nil {
+		return
+	}
+	if c.bulk {
+		c.dropped(side.inflight)
+	}
+	for i := 0; i < side.queue.Len(); i++ {
+		c.dropped(side.queue.At(i).payload)
+	}
+	side.queue.Reset()
+	var zero T
+	side.inflight = zero
+	if side.flow != nil {
+		side.flow.Cancel()
+	}
+}
+
+// dropped tells the Wire's drop callback, if any, of a message the closed
+// channel will not deliver.
+func (c *Chan[T]) dropped(payload T) {
+	if c.w.drop != nil {
+		c.w.drop(payload)
 	}
 }

@@ -3,6 +3,7 @@ package simnet
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -820,5 +821,41 @@ func TestLongFlowsNeverWrap(t *testing.T) {
 	}
 	if landed != 0 {
 		t.Fatalf("%d of 1024 flows of 2^50 B landed within 1 s", landed)
+	}
+}
+
+// TestCloseHandsBackDroppedMessages: every message a closed channel will
+// not deliver reaches the Wire's drop callback once, and none reaches
+// deliver.  Close drops the bulk message in transmission and then the
+// queue behind it, in order; a small message already on its way is
+// dropped when it arrives.  On the open channel beside it nothing is
+// dropped.
+func TestCloseHandsBackDroppedMessages(t *testing.T) {
+	k := sim.New(1)
+	n := lan(k)
+	var delivered, dropped []int
+	w := NewWire(n, func(m msg) { delivered = append(delivered, m.v) })
+	w.SetDrop(func(m msg) { dropped = append(dropped, m.v) })
+	small, bulk, open := w.NewChan(0, 1), w.NewChan(0, 2), w.NewChan(1, 2)
+	k.At(0, func() {
+		small.Send(msg{v: 1}, 64) // on a lane when Close runs
+		bulk.Send(msg{v: 2}, 1<<20)
+		bulk.Send(msg{v: 3}, 64)
+		bulk.Send(msg{v: 4}, 1<<20)
+		open.Send(msg{v: 5}, 1<<20)
+		small.Close()
+		bulk.Close()
+		if want := []int{2, 3, 4}; !slices.Equal(dropped, want) {
+			t.Errorf("Close dropped %v, want %v", dropped, want)
+		}
+	})
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if want := []int{2, 3, 4, 1}; !slices.Equal(dropped, want) {
+		t.Errorf("dropped %v, want %v", dropped, want)
+	}
+	if want := []int{5}; !slices.Equal(delivered, want) {
+		t.Errorf("delivered %v, want %v", delivered, want)
 	}
 }

@@ -132,10 +132,13 @@ func TestOverloadedMlogReturns(t *testing.T) {
 // copy costs bytes, not mallocs, and so do the three Mlog rows, since a
 // log record that regrows costs bytes too.  mlog-256 is the per-record
 // logging path at the benchmark's proto-matrix-256 size.  A change that
-// allocates more or less re-records the values (last, every row: when
-// images took the flat state codec in place of gob) and says so.
-// A re-record only tightens: a row whose bytes came out above the recorded
-// value keeps it (mlog-64-nofail then, by 0.15 %).
+// allocates more or less re-records the values (last, every row's mallocs
+// and ulfm-node-8's bytes: when a rank's image free lists became arrays
+// and a collected image's App buffer went back before its drains landed)
+// and says so.  A re-record only tightens: a row whose bytes came out
+// above the recorded value keeps it (storage-incremental-8 and the three
+// Mlog rows then, by at most 0.12 %: an image record is 16 bytes larger
+// and a rank's free lists sit inline in the hierarchy's index).
 func TestAllocCeilings(t *testing.T) {
 	if testing.Short() || raceEnabled {
 		t.Skip("allocation counts are recorded for a plain, full run")

@@ -95,7 +95,11 @@ const pooledTypes = "sim.eventSlot mpi.CollState mpi.wireBody ckpt.Image ckpt.St
 // pooledHolders are the only declarations that may hold a pooled pointer,
 // each with why it cannot outlive the release.  A ckpt.Image returns to
 // its rank's free list when its hold count reaches zero, so each of its
-// holders counts one hold for as long as it keeps the pointer.  A log
+// holders counts one hold for as long as it keeps the pointer.  Its App
+// buffer goes back earlier, when the record is retired below its rank's
+// GC line, so the holders that read the content (level entries, fetch
+// legs) count a read as well, and the ones that only move the record
+// (store legs) read nothing but its size, which retirement keeps.  A log
 // ckpt.StoreOp returns to its group's free list when its tracker drops it
 // (StoreOp.Release): the release point is ftpm's procRun.dropSettled,
 // whose list is typed []ckpt.Op and so is not seen here.  A message's
@@ -108,14 +112,14 @@ var pooledHolders = map[string]string{
 	"mpi.WireMsg.body":     "a message is consumed or dropped once, which hands the slot back, and no copy of it is read after that",
 	"mpi.Fabric.free":      "the free list: only slots unwrap or drop emptied and handed back",
 
-	"ckpt.Hierarchy.free":    "the per-rank free lists: only records whose count reached zero",
-	"ckpt.nodeBuffer.images": "a buffer entry holds one; gcBuffer, KillBuffer and an overwrite (put) let go",
-	"ckpt.pfsStore.staging":  "a stripe write in flight holds one, which passes to the entry it lands as",
-	"ckpt.pfsImage.img":      "a PFS entry holds one until gcPFS drops the entry",
-	"ckpt.waveImage.img":     "a server entry holds one; GC, GCRank, Kill and an overwrite (putImage) let go",
-	"ckpt.StoreOp.img":       "the group store holds one from Store until its last replica settles or Cancel",
-	"ckpt.FetchOp.img":       "held from the image transfer's start until onDone returns, a failover, fail or Cancel",
-	"ckpt.hierOp.leg":        "a buffer write, buffer read or PFS read holds one until it hands on or is cancelled",
+	"ckpt.rankImages.images": "a rank's free list: only records whose count reached zero, emptied; NewImage takes one off before it hands it out",
+	"ckpt.nodeBuffer.images": "a buffer entry holds and reads one; gcBuffer, KillBuffer and an overwrite (put) let go",
+	"ckpt.pfsStore.staging":  "a stripe write in flight holds one and reads its size alone, until it passes to the entry it lands as",
+	"ckpt.pfsImage.img":      "a PFS entry holds and reads one until gcPFS drops the entry",
+	"ckpt.waveImage.img":     "a server entry holds and reads one; GC, GCRank, Kill and an overwrite (putImage) let go",
+	"ckpt.StoreOp.img":       "the group store holds one from Store until its last replica settles or Cancel, and reads its size alone",
+	"ckpt.FetchOp.img":       "held and read from the image transfer's start until onDone returns, a failover, fail or Cancel",
+	"ckpt.hierOp.leg":        "a buffer write holds one (its size alone), a buffer or PFS read holds and reads one, until it hands on or is cancelled",
 
 	"ckpt.Group.free":        "the free list: only ops released with every replica landed, none aborted or cancelled",
 	"ckpt.replica.op":        "an entry of its own op, cleared with it on release",

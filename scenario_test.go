@@ -138,7 +138,7 @@ var scenarios = func() []scenario {
 		// began to circulate through recycled buffers (42 193 mallocs and
 		// 97 526 896 bytes before).
 		{name: "ulfm-node-8", opts: ulfm(Pcl, KillNode(40*ms, 3)), pinned: true, repeat: 1, post: repairedInJob,
-			budget: &budget{mallocs: 7_319, bytes: 7_096_984}},
+			budget: &budget{mallocs: 7_311, bytes: 7_093_416}},
 		{name: "ulfm-vcl-8", opts: ulfm(Vcl, KillRank(40*ms, 3)), repeat: 1, post: repairedInJob},
 		// Jacobi's halo rows and partner snapshots travel in recycled
 		// buffers (mpi.Packet.owned): a buffer recycled while Mlog's sender
@@ -189,7 +189,7 @@ var scenarios = func() []scenario {
 		{name: "storage-hier-8", opts: hier(true, KillBuffer(9*ms, 1), KillRank(17*ms, 3)),
 			pinned: true, repeat: 1, post: recovered},
 		{name: "storage-incremental-8", opts: hier(false, KillBuffer(9*ms, 1), KillRank(17*ms, 3)),
-			budget: &budget{mallocs: 45_610, bytes: 4_204_296}},
+			budget: &budget{mallocs: 45_603, bytes: 4_204_296}},
 		{name: "storage-chaos-8", opts: hier(false), repeat: 1, post: bufferThenRankKill,
 			chaos: &ChaosSpec{Seed: 1, Kills: 3, BufferFrac: 0.5, From: 6 * ms, Until: 16 * ms}},
 		{name: "shared-image-pcl-8", opts: shared(Pcl), post: restoredTwice},
@@ -226,16 +226,16 @@ var scenarios = func() []scenario {
 		{name: "vcl-256", opts: kernel(Vcl, 256, 2*s),
 			budget: &budget{heapPerRank: 4, counts: [3]uint64{2_172_078, 1_974_706, 60_688}}},
 		{name: "mlog-256", opts: kernel(Mlog, 256, 2*s),
-			budget: &budget{mallocs: 61_888, bytes: 53_171_480, heapPerRank: 4, counts: [3]uint64{3_645_123, 2_962_662, 365_316}}},
-		{name: "pcl-64-nofail", opts: kernel(Pcl, 64, 8*s), budget: &budget{mallocs: 9_164}},
-		{name: "vcl-64-nofail", opts: kernel(Vcl, 64, 8*s), budget: &budget{mallocs: 8_160}},
-		{name: "mlog-64-nofail", opts: kernel(Mlog, 64, 8*s), budget: &budget{mallocs: 13_452, bytes: 12_890_512}},
+			budget: &budget{mallocs: 61_630, bytes: 53_171_480, heapPerRank: 4, counts: [3]uint64{3_645_123, 2_962_662, 365_316}}},
+		{name: "pcl-64-nofail", opts: kernel(Pcl, 64, 8*s), budget: &budget{mallocs: 9_102}},
+		{name: "vcl-64-nofail", opts: kernel(Vcl, 64, 8*s), budget: &budget{mallocs: 8_094}},
+		{name: "mlog-64-nofail", opts: kernel(Mlog, 64, 8*s), budget: &budget{mallocs: 13_391, bytes: 12_890_512}},
 		// Overload: 64 images of 3.9 MB every 400 ms offer four servers
 		// 625 MB/s.  Before Mlog deferred a tick while its last image was
 		// in flight, this run never returned.  Its counts were re-recorded
 		// with the NP=256 rows' (3 163 884 / 749 387 / 2 335 144 before).
 		{name: "mlog-64-overload", opts: kernel(Mlog, 64, 400*ms),
-			budget: &budget{mallocs: 52_196, bytes: 15_371_144, heapPerRank: 4, counts: [3]uint64{932_159, 749_388, 103_467}}},
+			budget: &budget{mallocs: 52_140, bytes: 15_371_144, heapPerRank: 4, counts: [3]uint64{932_159, 749_388, 103_467}}},
 	}
 }()
 
