@@ -92,7 +92,7 @@ func main() {
 		cpuProf = flag.String("cpuprofile", "", "write a CPU profile of the run to this file (inspect with go tool pprof)")
 		memProf = flag.String("memprofile", "", "write a heap profile taken after the run to this file")
 		allocs  = flag.Bool("allocs", false, "print the run's allocation statistics (mallocs, bytes, GC cycles) to stderr")
-		stats   = flag.Bool("stats", false, "print the event kernel's counters (events scheduled/fired/cancelled, heap/slab/lane high-water marks) to stderr")
+		stats   = flag.Bool("stats", false, "print the event kernel's counters (events scheduled/fired/cancelled, LP resumes, heap/slab/lane high-water marks) to stderr")
 	)
 	flag.Usage = usage
 	flag.Parse()
@@ -225,8 +225,12 @@ func main() {
 	flush()
 	finishProf()
 	if *stats {
-		fmt.Fprintf(os.Stderr, "kernel            %d events scheduled, %d fired, %d cancelled; high water: heap %d, slab %d, lanes %d\n",
-			kst.Scheduled, kst.Fired, kst.Cancelled, kst.HeapMax, kst.SlabMax, kst.LaneMax)
+		perMsg := 0.0
+		if rep.Messages > 0 {
+			perMsg = float64(kst.Resumes) / float64(rep.Messages)
+		}
+		fmt.Fprintf(os.Stderr, "kernel            %d events scheduled, %d fired, %d cancelled; %d LP resumes (%.2f per message); high water: heap %d, slab %d, lanes %d\n",
+			kst.Scheduled, kst.Fired, kst.Cancelled, kst.Resumes, perMsg, kst.HeapMax, kst.SlabMax, kst.LaneMax)
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "ftrun:", err)

@@ -3,11 +3,13 @@ package main
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"reflect"
 	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -271,5 +273,30 @@ func TestDegradedChaosTrace(t *testing.T) {
 	}
 	if spans == 0 || stops != 1 {
 		t.Errorf("%d spans and %d degraded-stop instants, want some and 1", spans, stops)
+	}
+}
+
+// TestStatsLine runs the built binary with -stats: stderr is the one kernel
+// line, and its LP resumes per message are the resumes over the messages of
+// the traffic line.
+func TestStatsLine(t *testing.T) {
+	bin := buildFtrun(t)
+	cmd := exec.Command(bin, "-bench", "cg-real", "-np", "4", "-proto", "pcl", "-interval", "5ms", "-stats")
+	var stderr strings.Builder
+	cmd.Stderr = &stderr
+	out, err := cmd.Output()
+	if err != nil {
+		t.Fatalf("ftrun: %v\n%s%s", err, out, stderr.String())
+	}
+	kernel := regexp.MustCompile(`^kernel +[0-9]+ events scheduled, [0-9]+ fired, [0-9]+ cancelled; ([0-9]+) LP resumes \(([0-9.]+) per message\); high water: heap [0-9]+, slab [0-9]+, lanes [0-9]+\n$`)
+	k := kernel.FindStringSubmatch(stderr.String())
+	m := regexp.MustCompile(`(?m)^traffic +([0-9]+) messages`).FindSubmatch(out)
+	if k == nil || m == nil {
+		t.Fatalf("no kernel line with LP resumes or no traffic line:\n%s%s", stderr.String(), out)
+	}
+	resumes, _ := strconv.ParseFloat(k[1], 64)
+	msgs, _ := strconv.ParseFloat(string(m[1]), 64)
+	if want := fmt.Sprintf("%.2f", resumes/msgs); resumes == 0 || k[2] != want {
+		t.Errorf("%s LP resumes, %s per message for %s messages; want %s", k[1], k[2], m[1], want)
 	}
 }

@@ -90,3 +90,27 @@ func BenchmarkAllreduce64(b *testing.B) {
 		b.Fatal(err)
 	}
 }
+
+// BenchmarkSendrecvRing is the halo exchange's layer number: 16 ranks, two
+// per node, each exchanging 1 KB with both ring neighbours per op through
+// Sendrecv, as BT's faces do.  resumes/op counts the LP resumes per op: 32
+// once every exchange parks its rank once (80 while an exchange parked for
+// its send charge, for its match unless it was queued, and for its receive
+// charge).
+func BenchmarkSendrecvRing(b *testing.B) {
+	b.ReportAllocs()
+	const np = 16
+	w := mpi.NewWorld(sim.New(1), platform.EthernetCluster(np/2), platform.PclSock, np, 2)
+	b.ResetTimer()
+	err := w.Run(func(e *mpi.Engine) {
+		right, left := (e.Rank()+1)%np, (e.Rank()+np-1)%np
+		for i := 0; i < b.N; i++ {
+			e.Sendrecv(right, 0, nil, 1024, left, 0)
+			e.Sendrecv(left, 1, nil, 1024, right, 1)
+		}
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportMetric(float64(w.K.Stats().Resumes)/float64(b.N), "resumes/op")
+}

@@ -153,9 +153,8 @@ func (e *Engine) AllreduceF64(op ReduceOp, x []float64) []float64 {
 					addF64s(cs.AccF, pkt.Data)
 				}
 			} else {
-				buf := EncodeF64s(cs.AccF)
-				e.chargeSend(buf, 0)
-				e.send(e.rank&^cs.Mask, tag, buf, 0, false)
+				e.chargeSend(outSend{dst: e.rank &^ cs.Mask, tag: tag, buf: EncodeF64s(cs.AccF)})
+				e.awaitSend()
 				break
 			}
 			cs.Mask <<= 1
@@ -191,8 +190,8 @@ func (e *Engine) AllreduceF64(op ReduceOp, x []float64) []float64 {
 			if down == nil {
 				down = EncodeF64s(cs.AccF)
 			}
-			e.chargeSend(down, 0)
-			e.send(e.rank+cs.Mask, tag, down, 0, false)
+			e.chargeSend(outSend{dst: e.rank + cs.Mask, tag: tag, buf: down})
+			e.awaitSend()
 		}
 		cs.Mask >>= 1
 	}
@@ -222,9 +221,8 @@ func (e *Engine) AllgatherB(block []byte) [][]byte {
 		tag := collTag(CollAllgather, cs.Seq, cs.Round)
 		sendIdx := ((e.rank-cs.Round)%p + p) % p
 		if !cs.Sent {
-			e.chargeSend(cs.Blocks[sendIdx], 0)
-			e.send(right, tag, cs.Blocks[sendIdx], 0, false)
-			cs.Sent = true
+			// The round's receive parks behind the send charge.
+			e.chargeSend(outSend{dst: right, tag: tag, buf: cs.Blocks[sendIdx], mark: true})
 		}
 		pkt := e.recvMatch(left, tag)
 		recvIdx := ((e.rank-cs.Round-1)%p + p) % p

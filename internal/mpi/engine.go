@@ -62,17 +62,28 @@ type Engine struct {
 	// admitLane carries packets through the daemon-service delay:
 	// daemonBusy never decreases, so the delayed admits are a lane.
 	admitLane *sim.Lane[admitRec]
-	// in is the Packet a message is rebuilt into for InPacket, and out the
+	// in is the Packet a message is rebuilt into for InPacket, and pkt the
 	// one send builds for OutPayload: both lent for the call.
-	in, out Packet
+	in, pkt Packet
 
 	// unexpected holds delivered payloads by value until a receive
 	// matches them.
 	unexpected []Packet
 	opDepth    int
-	waiting    bool
-	waitSrc    int
-	waitTag    int
+
+	// A blocking call parks its LP once (DESIGN.md §5.2): a send's CPU
+	// charge is the event sendEv, at whose end the packet out describes
+	// enters the wire, and a receive's wait for its match and its charge
+	// are the one timed wake wakeEv.  park says what the LP waits for;
+	// waitSrc and waitTag name the receive's match and waitFrom when it
+	// began to wait for it (mpi.recv_blocked).
+	park     parkState
+	out      outSend
+	sendEv   sim.EventID
+	wakeEv   sim.EventID
+	waitSrc  int
+	waitTag  int
+	waitFrom sim.Time
 
 	collSeq  uint64
 	coll     *CollState
@@ -219,8 +230,14 @@ func (e *Engine) admitEvent(r admitRec) {
 // the pipeline — e.g. scheduled daemon-service events — are discarded
 // instead of mutating a defunct process's state, and the inbox is
 // dropped with them.
+//
+// A torn-down process may be parked in a charge: Close cancels its pending
+// send, whose packet then never reaches the wire, and its armed receive
+// wake, so the dead incarnation fires no event later.
 func (e *Engine) Close() {
 	e.closed = true
+	e.cancelCharges()
+	e.park = parkNone
 	e.dropInbox()
 }
 
@@ -256,8 +273,9 @@ func (e *Engine) Deliver(p *Packet) {
 		panic(fmt.Sprintf("mpi: %v reached the matching engine", p))
 	}
 	e.unexpected = append(e.unexpected, *p)
-	if e.waiting && match(p, e.waitSrc, e.waitTag) {
-		e.cond.Signal()
+	if e.park == parkMatch && match(p, e.waitSrc, e.waitTag) {
+		e.recvBlocked.Observe(e.lp.Now() - e.waitFrom)
+		e.charge(p.PayloadSize())
 	}
 }
 
@@ -285,11 +303,44 @@ func (e *Engine) dropInbox() {
 	}
 }
 
-// advanceInOp parks inside an MPI call; packets arriving meanwhile are
-// processed immediately (the progress engine is polling).
-func (e *Engine) advanceInOp(d sim.Time) { e.lp.Advance(d) }
-
 // --- point-to-point -----------------------------------------------------
+
+// parkState is what an LP parked inside an MPI call waits for, and so which
+// event may wake it and what it does then.
+type parkState uint8
+
+const (
+	// parkNone: the LP is not parked in a call.
+	parkNone parkState = iota
+	// parkSend: Send or AllreduceF64 waits out its send charge; sendDone
+	// wakes it.
+	parkSend
+	// parkPosted: a receive waits behind its own exchange's send charge;
+	// sendDone looks for the match once the packet is out.
+	parkPosted
+	// parkMatch: a receive waits for its match.  Deliver arms the receive
+	// charge; Revoke, NotifyFailed and FTReset wake the LP to check.
+	parkMatch
+	// parkCharge: the receive charge is armed (wakeEv).
+	parkCharge
+	// parkCheck: the LP runs ftCheck and looks for the match again.
+	parkCheck
+	// parkTake: the LP takes the first match and returns it.
+	parkTake
+	// parkRepair: AwaitRepair waits for FTReset.
+	parkRepair
+)
+
+// outSend is a send waiting out its CPU charge.  owned says the engine
+// filled buf from Fabric.buffer for this packet alone (Packet.owned), and
+// mark that the send is the in-flight operation's own (CollState.Sent).
+type outSend struct {
+	dst, tag int
+	buf      []byte
+	vsize    int64
+	owned    bool
+	mark     bool
+}
 
 // Send transmits data (and/or a modelled vsize) to dst with an application
 // tag (tag must be >= 0).  Sends are eager: the call returns once the
@@ -305,20 +356,82 @@ func (e *Engine) Send(dst, tag int, data []byte, vsize int64) {
 	}
 	e.enterOp()
 	defer e.exitOp()
-	e.chargeSend(data, vsize)
-	e.send(dst, tag, data, vsize, false)
+	e.chargeSend(outSend{dst: dst, tag: tag, buf: data, vsize: vsize})
+	e.awaitSend()
 }
 
-// chargeSend consumes the CPU cost of a send call.  It runs before the
-// packet is built, so a checkpoint taken while parked here restores to a
-// state where the send never happened and re-execution emits it once.
-func (e *Engine) chargeSend(data []byte, vsize int64) {
-	size := int64(len(data))
-	if vsize > size {
-		size = vsize
+// chargeSend starts the CPU charge of a send call: an event at now +
+// sendCost, at whose end sendDone puts the packet through the outgoing gate
+// and on the wire (a call with no charge sends at once).  The LP does not
+// park for it: Send waits it out (awaitSend), and an exchange parks in its
+// receive at once.
+//
+// Until the event fires the send has not happened: the packet is nowhere
+// and CollState.Sent is false, so a checkpoint taken meanwhile restores to
+// a state where re-execution sends it exactly once, and Close cancels the
+// event, so a torn-down process puts nothing on the wire.
+func (e *Engine) chargeSend(s outSend) {
+	e.out = s
+	if c := e.prof.sendCost(max(int64(len(s.buf)), s.vsize)); c > 0 {
+		e.sendEv = e.lp.Kernel().AfterArg(c, sendEvent, e)
+		return
 	}
-	if c := e.prof.sendCost(size); c > 0 {
-		e.advanceInOp(c)
+	e.sendDone()
+}
+
+func sendEvent(a any) { a.(*Engine).sendDone() }
+
+// sendDone ends a send charge: it sends, marks the operation's send done,
+// and moves on whatever the LP waits for behind it.
+func (e *Engine) sendDone() {
+	e.sendEv = 0
+	s := e.out
+	e.out = outSend{}
+	e.send(s.dst, s.tag, s.buf, s.vsize, s.owned)
+	if s.mark && e.coll != nil { // FTReset may have dropped the operation
+		e.coll.Sent = true
+	}
+	switch e.park {
+	case parkSend:
+		e.park = parkNone
+		e.cond.Signal()
+	case parkPosted:
+		e.look()
+	}
+}
+
+// awaitSend parks the LP until its send charge has ended.
+func (e *Engine) awaitSend() {
+	for e.sendEv != 0 {
+		e.park = parkSend
+		e.wait()
+	}
+}
+
+// wait parks the LP on the engine's condition until an event of its call
+// wakes it.  An LP unwound while parked (killed, or left parked at the end
+// of the run) cancels its pending charges, as a parked Advance cancels its
+// timer; on a wake none is pending.
+func (e *Engine) wait() {
+	defer e.cancelCharges()
+	e.cond.Wait(e.lp)
+}
+
+// cancelCharges cancels a pending send, handing back an owned buffer no
+// packet took, and an armed receive wake.
+func (e *Engine) cancelCharges() {
+	k := e.lp.Kernel()
+	if e.sendEv != 0 {
+		k.Cancel(e.sendEv)
+		e.sendEv = 0
+		if e.out.owned {
+			e.fab.recycle(e.out.buf)
+		}
+		e.out = outSend{}
+	}
+	if e.wakeEv != 0 {
+		k.Cancel(e.wakeEv)
+		e.wakeEv = 0
 	}
 }
 
@@ -327,15 +440,15 @@ func (e *Engine) chargeSend(data []byte, vsize int64) {
 // over buffer, a block a collective received, a fresh encoding.  owned
 // says the engine filled buf from Fabric.buffer for this packet alone
 // (Packet.owned); a gate that keeps the packet clears it.  The packet is
-// built in e.out, which the gate is lent; Fabric.Send puts it on the wire
+// built in e.pkt, which the gate is lent; Fabric.Send puts it on the wire
 // as a WireMsg and a body slot.
 func (e *Engine) send(dst, tag int, buf []byte, vsize int64, owned bool) {
-	p := &e.out
+	p := &e.pkt
 	*p = Packet{Src: e.rank, Dst: dst, Kind: KindPayload, owned: owned, Tag: tag, Data: buf, VSize: vsize}
 	if e.filter.OutPayload(p) {
 		e.fab.Send(e.rank, dst, p)
 	}
-	p.Data = nil // e.out must not keep the buffer alive
+	p.Data = nil // e.pkt must not keep the buffer alive
 }
 
 // Recv blocks until a payload from src with tag is available and returns
@@ -346,29 +459,78 @@ func (e *Engine) Recv(src, tag int) Packet {
 	return e.recvMatch(src, tag)
 }
 
+// recvMatch serves every receive, parking the LP once: until the receive
+// charge of the first match from src with tag has ended, which is
+// max(send done, match arrival) + recvCost.  Whichever event first knows
+// that time arms the wake: the LP itself when the match is queued on
+// entry, the exchange's send event, or Deliver of the match.
 func (e *Engine) recvMatch(src, tag int) Packet {
+	e.waitSrc, e.waitTag = src, tag
+	e.park = parkCheck
+	if e.sendEv != 0 {
+		e.park = parkPosted
+	}
 	for {
-		// In FT mode a revocation or known peer failure aborts the receive
-		// (both on entry and on every wake) instead of blocking forever.
-		e.ftCheck(src)
-		if i := e.findMatch(src, tag); i >= 0 {
-			if c := e.prof.recvCost(e.unexpected[i].PayloadSize()); c > 0 {
-				e.advanceInOp(c)
-				// The queue may have grown while parked; re-find the
-				// first match (never lost: only recvMatch removes).
-				i = e.findMatch(src, tag)
-			}
+		switch e.park {
+		case parkCheck:
+			// In FT mode a revocation or known peer failure aborts the
+			// receive (on entry, once the send is out, and on every wake
+			// while it waits for its match) instead of blocking forever.
+			e.ftCheck(src)
+			e.look()
+		case parkTake:
+			// The costed match is still the first: only recvMatch removes.
+			e.park = parkNone
+			i := e.findMatch(src, tag)
 			p := e.unexpected[i]
 			// Delete zeroes the vacated slot, which keeps no Data alive.
 			e.unexpected = slices.Delete(e.unexpected, i, i+1)
 			return p
+		default:
+			e.wait()
 		}
-		e.waiting, e.waitSrc, e.waitTag = true, src, tag
-		t0 := e.lp.Now()
-		e.cond.Wait(e.lp)
-		e.recvBlocked.Observe(e.lp.Now() - t0)
-		e.waiting = false
 	}
+}
+
+// look moves a posted receive on, in the LP or in an event: to the LP's
+// FT abort when one is due, to its charge when the match is queued, and
+// else to waiting for the match.
+func (e *Engine) look() {
+	if e.ftDue(e.waitSrc) {
+		e.park = parkCheck
+		e.cond.Signal()
+		return
+	}
+	if i := e.findMatch(e.waitSrc, e.waitTag); i >= 0 {
+		e.charge(e.unexpected[i].PayloadSize())
+		return
+	}
+	e.park = parkMatch
+	e.waitFrom = e.lp.Now()
+}
+
+// charge arms the receive charge of a match of size bytes, or wakes the
+// LP to take it when the profile charges nothing.
+func (e *Engine) charge(size int64) {
+	if c := e.prof.recvCost(size); c > 0 {
+		e.park = parkCharge
+		e.wakeEv = e.lp.Kernel().AfterArg(c, wakeEvent, e)
+		return
+	}
+	e.take()
+}
+
+func wakeEvent(a any) {
+	e := a.(*Engine)
+	e.wakeEv = 0
+	e.take()
+}
+
+// take wakes the LP to take its match.  From the LP itself the Signal finds
+// no waiter and recvMatch goes on.
+func (e *Engine) take() {
+	e.park = parkTake
+	e.cond.Signal()
 }
 
 func (e *Engine) findMatch(src, tag int) int {
@@ -386,10 +548,12 @@ func match(p *Packet, src, tag int) bool { return p.Src == src && p.Tag == tag }
 // checkpoint: if a snapshot is taken while blocked in the receive, the
 // restored process does not send again.  data is handed over as in Send.
 func (e *Engine) Sendrecv(dst, sendTag int, data []byte, vsize int64, src, recvTag int) Packet {
-	return e.exchange(func() {
-		e.chargeSend(data, vsize)
-		e.send(dst, sendTag, data, vsize, false)
-	}, src, recvTag)
+	e.enterOp()
+	defer e.exitOp()
+	if e.beginExchange() {
+		e.chargeSend(outSend{dst: dst, tag: sendTag, buf: data, vsize: vsize, mark: true})
+	}
+	return e.endExchange(src, recvTag)
 }
 
 // SendrecvF64s is the typed Sendrecv of a halo exchange: it sends x to dst
@@ -399,12 +563,14 @@ func (e *Engine) Sendrecv(dst, sendTag int, data []byte, vsize int64, src, recvT
 // (Packet.owned), and a payload that arrives owned goes back to the
 // fabric once decoded, so a steady exchange allocates nothing.
 func (e *Engine) SendrecvF64s(dst, sendTag int, x []float64, src, recvTag int, into []float64) {
-	p := e.exchange(func() {
-		e.chargeSend(nil, int64(8*len(x)))
+	e.enterOp()
+	defer e.exitOp()
+	if e.beginExchange() {
 		buf := e.fab.buffer(8 * len(x))
 		putF64s(buf, x)
-		e.send(dst, sendTag, buf, 0, true)
-	}, src, recvTag)
+		e.chargeSend(outSend{dst: dst, tag: sendTag, buf: buf, owned: true, mark: true})
+	}
+	p := e.endExchange(src, recvTag)
 	if len(p.Data) != 8*len(into) {
 		panic(fmt.Sprintf("mpi: rank %d: SendrecvF64s from %d tag %d carries %d bytes, want %d",
 			e.rank, src, recvTag, len(p.Data), 8*len(into)))
@@ -413,17 +579,17 @@ func (e *Engine) SendrecvF64s(dst, sendTag int, x []float64, src, recvTag int, i
 	e.release(&p)
 }
 
-// exchange is the resumable core of the send-receive calls: send runs
-// unless a restored process already sent (CollState.Sent), then the
-// receive from src matches.
-func (e *Engine) exchange(send func(), src, recvTag int) Packet {
-	e.enterOp()
-	defer e.exitOp()
+// beginExchange starts or resumes a send-receive call and reports whether
+// its send is still owed: a restored process that had already sent
+// (CollState.Sent) sends no second time.
+func (e *Engine) beginExchange() bool {
 	cs, _ := e.beginColl(CollSendrecv)
-	if !cs.Sent {
-		send()
-		cs.Sent = true
-	}
+	return !cs.Sent
+}
+
+// endExchange receives the exchange's payload from src and retires the
+// call's state.
+func (e *Engine) endExchange(src, recvTag int) Packet {
 	p := e.recvMatch(src, recvTag)
 	e.endColl()
 	return p

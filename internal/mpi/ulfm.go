@@ -96,7 +96,7 @@ func (e *Engine) Revoke() {
 		return
 	}
 	e.revoked = true
-	e.cond.Broadcast()
+	e.alert()
 }
 
 // Revoked reports whether the communicator is currently revoked.
@@ -110,15 +110,17 @@ func (e *Engine) NotifyFailed(rank int) {
 		return
 	}
 	e.failed[rank] = true
-	e.cond.Broadcast()
+	e.alert()
 }
 
 // AwaitRepair parks the process until the revocation is lifted (FTReset).
 // Must be called from the process LP, outside any operation.
 func (e *Engine) AwaitRepair() {
 	for e.revoked {
-		e.cond.Wait(e.lp)
+		e.park = parkRepair
+		e.wait()
 	}
+	e.park = parkNone
 }
 
 // InFlightColl reports the collective operation the process is currently
@@ -165,25 +167,44 @@ func (e *Engine) FTReset() {
 	e.collSeq = 0
 	e.revoked = false
 	e.epoch++
-	e.cond.Broadcast()
+	e.alert()
 }
 
-// ftCheck aborts a blocking receive in FT mode when the communicator is
-// revoked or the awaited source is known to have failed.  It runs at the
-// top of the receive loop, so both a fresh call and a woken waiter pass
-// through it before touching the queue.
+// alert wakes the LP when a revocation, a peer failure or a repair changes
+// what it waits for: a receive's match, which it then checks for an FT
+// abort, or the repair.  A send or receive charge runs on: a revocation
+// during the send charge aborts once the packet is out, and one during the
+// receive charge lets the receive complete.
+func (e *Engine) alert() {
+	switch e.park {
+	case parkMatch:
+		e.recvBlocked.Observe(e.lp.Now() - e.waitFrom)
+		e.park = parkCheck
+		e.cond.Signal()
+	case parkRepair:
+		e.cond.Signal()
+	}
+}
+
+// ftDue reports whether a receive from src must abort in FT mode: the
+// communicator is revoked or src is known to have failed.
+func (e *Engine) ftDue(src int) bool {
+	return e.ft && (e.revoked || e.failed[src])
+}
+
+// ftCheck aborts a blocking receive from the LP when ftDue.  recvMatch runs
+// it whenever it looks for the match (parkCheck), so a fresh call, a
+// receive whose send just went out and a woken waiter all pass through it
+// before touching the queue.
 func (e *Engine) ftCheck(src int) {
-	if !e.ft {
+	if !e.ftDue(src) {
 		return
 	}
+	e.park = parkNone
 	if e.revoked {
-		e.waiting = false
 		panic(ftSignal{&RevokedError{Epoch: e.epoch}})
 	}
-	if e.failed[src] {
-		e.waiting = false
-		panic(ftSignal{&ProcFailedError{Rank: src}})
-	}
+	panic(ftSignal{&ProcFailedError{Rank: src}})
 }
 
 // TrySendrecv is the error-returning exchange of FT mode: it sends a copy
@@ -217,12 +238,14 @@ func (e *Engine) TrySendrecv(dst, sendTag int, data []byte, src, recvTag int, in
 			}
 		}()
 	}
-	p := e.exchange(func() {
-		e.chargeSend(data, 0)
+	e.enterOp()
+	defer e.exitOp()
+	if e.beginExchange() {
 		buf := e.fab.buffer(len(data))
 		copy(buf, data)
-		e.send(dst, sendTag, buf, 0, true)
-	}, src, recvTag)
+		e.chargeSend(outSend{dst: dst, tag: sendTag, buf: buf, owned: true, mark: true})
+	}
+	p := e.endExchange(src, recvTag)
 	out = append(into, p.Data...)
 	e.release(&p)
 	return out, nil

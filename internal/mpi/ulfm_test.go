@@ -89,8 +89,8 @@ func TestNotifyFailedAbortsBlockedRecv(t *testing.T) {
 			if !errors.Is(ftErr, ErrProcFailed) {
 				t.Errorf("%v does not match the ErrProcFailed sentinel", ftErr)
 			}
-			if e.waiting {
-				t.Error("engine still marked waiting after the FT unwind")
+			if e.park != parkNone {
+				t.Error("engine still marked parked after the FT unwind")
 			}
 		}()
 		e.Recv(1, 7)

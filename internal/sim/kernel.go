@@ -136,6 +136,7 @@ type Kernel struct {
 	// Counters behind Stats.  seq doubles as the scheduled count.
 	fired     uint64
 	cancelled uint64
+	resumes   uint64
 	heapMax   int
 	laned     int // entries queued across all lanes
 	lanedMax  int
@@ -177,6 +178,9 @@ type Stats struct {
 	// completed run Scheduled is Fired + Cancelled + the reserved keys
 	// never scheduled.
 	Scheduled, Fired, Cancelled uint64
+	// Resumes counts the switches into an LP: its first run and every
+	// resume after a park.
+	Resumes uint64
 	// HeapMax is the deepest the event heap got and SlabMax the most
 	// event slots ever allocated.
 	HeapMax, SlabMax int
@@ -191,6 +195,7 @@ func (k *Kernel) Stats() Stats {
 		Scheduled: k.seq,
 		Fired:     k.fired,
 		Cancelled: k.cancelled,
+		Resumes:   k.resumes,
 		HeapMax:   k.heapMax,
 		SlabMax:   len(k.slab),
 		LaneMax:   k.lanedMax,
@@ -557,6 +562,7 @@ var ErrDeadlock = errors.New("sim: deadlock")
 func (k *Kernel) runLP(p *Proc) {
 	p.state = stateRunning
 	k.running = p
+	k.resumes++
 	p.next()
 	k.running = nil
 }

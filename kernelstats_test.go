@@ -95,8 +95,8 @@ func TestHeapHighWaterBounded(t *testing.T) {
 // behind a backlog); fired counts only the releases that were.
 func TestKernelCountsPinned(t *testing.T) {
 	at256(t, func(t *testing.T, b *budget, st KernelStats, _ int) {
-		if got := [3]uint64{st.Scheduled, st.Fired, st.Cancelled}; got != b.counts {
-			t.Errorf("scheduled, fired, cancelled %v; pinned %v", got, b.counts)
+		if got := [4]uint64{st.Scheduled, st.Fired, st.Cancelled, st.Resumes}; got != b.counts {
+			t.Errorf("scheduled, fired, cancelled, resumes %v; pinned %v", got, b.counts)
 		}
 	})
 }
@@ -114,8 +114,8 @@ func TestOverloadedMlogReturns(t *testing.T) {
 	}
 	b, c := kernelRun(t, "mlog-64-overload")
 	st, np := c.stats, byName["mlog-64-overload"].opts.NP
-	if got := [3]uint64{st.Scheduled, st.Fired, st.Cancelled}; got != b.counts {
-		t.Errorf("scheduled, fired, cancelled %v; pinned %v", got, b.counts)
+	if got := [4]uint64{st.Scheduled, st.Fired, st.Cancelled, st.Resumes}; got != b.counts {
+		t.Errorf("scheduled, fired, cancelled, resumes %v; pinned %v", got, b.counts)
 	}
 	if st.HeapMax > b.heapPerRank*np || st.Scheduled < st.Fired+st.Cancelled {
 		t.Errorf("want heap high-water <= %d and fired + cancelled <= scheduled; stats %+v", b.heapPerRank*np, st)
