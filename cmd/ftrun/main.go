@@ -248,8 +248,11 @@ func main() {
 	}
 	fmt.Println()
 	fmt.Printf("completion        %v\n", rep.Completion)
-	fmt.Printf("waves committed   %d (%d local checkpoints, %.1f MB stored)\n",
+	fmt.Printf("waves committed   %d (%d local checkpoints, %.1f MB stored on servers)\n",
 		rep.Waves, rep.LocalCheckpoints, rep.CheckpointMB)
+	if *storage != "" {
+		printLevels(o.Storage.Levels, rep.Metrics)
+	}
 	if rep.Waves > 0 {
 		fmt.Printf("wave breakdown    snapshot straggle %v, transfer %v, cycle %v (means)\n",
 			rep.MeanWaveSpread, rep.MeanWaveTransfer, rep.MeanWaveCycle)
@@ -277,6 +280,29 @@ func main() {
 			os.Exit(code)
 		}
 	}
+}
+
+// printLevels writes the images each storage level holds: what landed
+// in the buffer or the PFS (one copy), and the servers' own bytes, replicas
+// included, whether drained there or stored directly.
+func printLevels(levels []ftckpt.LevelSpec, m *ftckpt.Metrics) {
+	fmt.Print("levels           ")
+	for k, l := range levels {
+		b := m.LevelBytes[k]
+		with := ""
+		if l.Kind == ftckpt.LevelServers {
+			b, with = 0, " with replicas"
+			for _, n := range m.ServerBytes {
+				b += n
+			}
+		}
+		sep := ","
+		if k == 0 {
+			sep = ""
+		}
+		fmt.Printf("%s %s %.1f MB%s", sep, l.Kind, float64(b)/(1<<20), with)
+	}
+	fmt.Println()
 }
 
 // fanout feeds every event to each of its sinks (-v beside -trace-out).

@@ -300,3 +300,110 @@ func TestStatsLine(t *testing.T) {
 		t.Errorf("%s LP resumes, %s per message for %s messages; want %s", k[1], k[2], m[1], want)
 	}
 }
+
+// hierArgs is a three-level hierarchy run: every storage level holds
+// images, and the buffer and the PFS differ from the servers.
+var hierArgs = []string{"-bench", "cg-real", "-np", "16", "-ppn", "2", "-proto", "pcl", "-interval", "5ms",
+	"-storage-levels", "buffer,servers:4x2,pfs:4x2", "-incremental", "-compress"}
+
+// runMetrics runs ftrun with args and -metrics-out path, returning stdout
+// and the export.
+func runMetrics(t *testing.T, bin, path string, args ...string) (string, string) {
+	t.Helper()
+	out, err := exec.Command(bin, append(args, "-metrics-out", path)...).Output()
+	if err != nil {
+		t.Fatalf("ftrun: %v\n%s", err, out)
+	}
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(out), string(b)
+}
+
+// TestLevelsLine: a hierarchy run prints each level's images, read off the
+// run's ledger, and labels the checkpoint volume as the servers' alone; a
+// run without -storage-levels prints no levels line.
+func TestLevelsLine(t *testing.T) {
+	bin, dir := buildFtrun(t), t.TempDir()
+	out, doc := runMetrics(t, bin, filepath.Join(dir, "m.json"), hierArgs...)
+	var m struct{ Counters map[string]int64 }
+	if err := json.Unmarshal([]byte(doc), &m); err != nil {
+		t.Fatal(err)
+	}
+	var servers int64
+	for name, v := range m.Counters {
+		if strings.HasPrefix(name, "ckpt.image_bytes.server") {
+			servers += v
+		}
+	}
+	mb := func(b int64) string { return fmt.Sprintf("%.1f", float64(b)/(1<<20)) }
+	want := fmt.Sprintf("levels            buffer %s MB, servers %s MB with replicas, pfs %s MB\n",
+		mb(m.Counters["ckpt.level_bytes.l0"]), mb(servers), mb(m.Counters["ckpt.level_bytes.l2"]))
+	if !strings.Contains(out, want) {
+		t.Errorf("no line %q in\n%s", want, out)
+	}
+	if want := fmt.Sprintf(" local checkpoints, %s MB stored on servers)\n", mb(servers)); !strings.Contains(out, want) {
+		t.Errorf("no %q in\n%s", want, out)
+	}
+	if mb(servers) == mb(m.Counters["ckpt.level_bytes.l0"]) || mb(servers) == mb(m.Counters["ckpt.level_bytes.l2"]) {
+		t.Errorf("the levels hold alike, so the line shows nothing:\n%s", out)
+	}
+	flat, _ := runMetrics(t, bin, filepath.Join(dir, "flat.json"), "-bench", "cg-real", "-np", "4", "-proto", "pcl", "-interval", "5ms")
+	if strings.Contains(flat, "levels ") {
+		t.Errorf("a run without -storage-levels prints a levels line:\n%s", flat)
+	}
+}
+
+// TestMetricsExportFormatsAgree: the JSON and the CSV export of one run
+// carry the same fields with the same values — each counter and gauge,
+// and each histogram's count, sum, extrema and mean — and nothing else;
+// the never-written ckpt.level_bytes total is in neither.
+func TestMetricsExportFormatsAgree(t *testing.T) {
+	bin, dir := buildFtrun(t), t.TempDir()
+	_, doc := runMetrics(t, bin, filepath.Join(dir, "a.json"), hierArgs...)
+	_, csv := runMetrics(t, bin, filepath.Join(dir, "b.csv"), hierArgs...)
+	var m struct {
+		Counters   map[string]int64
+		Gauges     map[string]float64
+		Histograms map[string]map[string]any
+	}
+	if err := json.Unmarshal([]byte(doc), &m); err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]float64{}
+	for name, v := range m.Counters {
+		want["counter,"+name+",value"] = float64(v)
+	}
+	for name, v := range m.Gauges {
+		want["gauge,"+name+",value"] = v
+	}
+	for name, h := range m.Histograms {
+		for _, f := range []string{"count", "sum_ns", "min_ns", "max_ns", "mean_ns"} {
+			want["hist,"+name+","+f] = h[f].(float64)
+		}
+	}
+	rows := strings.Split(strings.TrimSuffix(csv, "\n"), "\n")
+	if rows[0] != "kind,name,field,value" {
+		t.Fatalf("CSV header %q", rows[0])
+	}
+	for _, row := range rows[1:] {
+		i := strings.LastIndexByte(row, ',')
+		v, err := strconv.ParseFloat(row[i+1:], 64)
+		if w, ok := want[row[:i]]; err != nil || !ok || v != w {
+			t.Errorf("CSV row %q: JSON has %v (present %v)", row, w, ok)
+		}
+		delete(want, row[:i])
+	}
+	if len(want) > 0 {
+		t.Errorf("JSON fields missing from the CSV: %v", want)
+	}
+	if len(m.Counters) < 30 || len(m.Histograms) < 10 || len(m.Gauges) != 1 {
+		t.Errorf("export holds %d counters, %d histograms, %d gauges", len(m.Counters), len(m.Histograms), len(m.Gauges))
+	}
+	for _, text := range []string{doc, csv} {
+		if strings.Contains(text, `"ckpt.level_bytes"`) || strings.Contains(text, "ckpt.level_bytes,") {
+			t.Error("the export carries a ckpt.level_bytes total")
+		}
+	}
+}

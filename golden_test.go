@@ -6,7 +6,8 @@ package ftckpt
 // simulation output re-records it with `go test -run TestGoldenPinned
 // -update .` and says so in CHANGES.md.  To see which event moved, run
 // `go test -run '^TestGoldenPinned$' -events-dir DIR .` at both commits and
-// `diff -u OLD/<scenario>.events NEW/<scenario>.events`.
+// `diff -u OLD/<scenario>.events NEW/<scenario>.events`; a metrics move
+// diffs the same way, `<scenario>.metrics.json`.
 
 import (
 	"bytes"
@@ -27,7 +28,7 @@ import (
 
 var (
 	updatePinned = flag.Bool("update", false, "rewrite testdata/golden_pinned.json from this run")
-	eventsDir    = flag.String("events-dir", "", "write each pinned scenario's event line stream to DIR/<name>.events")
+	eventsDir    = flag.String("events-dir", "", "write each pinned scenario's event line stream to DIR/<name>.events and its metrics JSON to DIR/<name>.metrics.json")
 )
 
 const pinnedPath = "testdata/golden_pinned.json"
@@ -264,8 +265,10 @@ func TestGoldenPinned(t *testing.T) {
 			t.Parallel()
 			r := first(t, sc.name)
 			if *eventsDir != "" {
-				if err := os.WriteFile(filepath.Join(*eventsDir, sc.name+".events"), r.events, 0o644); err != nil {
-					t.Fatal(err)
+				for ext, b := range map[string][]byte{".events": r.events, ".metrics.json": r.metrics} {
+					if err := os.WriteFile(filepath.Join(*eventsDir, sc.name+ext), b, 0o644); err != nil {
+						t.Fatal(err)
+					}
 				}
 			}
 			if h := pinned(r); !*updatePinned && h != want[sc.name] {

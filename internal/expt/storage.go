@@ -6,7 +6,6 @@ import (
 
 	"ftckpt/internal/ckpt"
 	"ftckpt/internal/ftpm"
-	"ftckpt/internal/obs"
 	"ftckpt/internal/platform"
 	"ftckpt/internal/sim"
 )
@@ -224,14 +223,14 @@ func Storage(o Options) (StorageStudy, error) {
 		res, cfg := sat[i][0], points[i].runs[0]
 		reg := res.Metrics
 		nicMBps := cfg.Topology.Clusters[0].NICBW / mib
-		levels := []StorageSatRow{{Level: "servers", MB: float64(reg.Counter(obs.MImageBytes)) / mib,
+		levels := []StorageSatRow{{Level: "servers", MB: float64(reg.ImageBytes) / mib,
 			Capacity: nicMBps * float64(v.servers)}}
 		// The run's Validate normalized the spec in place, so the PFS
 		// target count read here is the one the run used.
 		if sp := cfg.Storage; sp != nil {
 			levels = levels[:0]
 			for k, l := range sp.Levels {
-				row := StorageSatRow{Level: string(l.Kind), MB: float64(reg.Counter(fmt.Sprintf("%s.l%d", obs.MLevelBytes, k))) / mib}
+				row := StorageSatRow{Level: string(l.Kind), MB: float64(reg.LevelBytes[k]) / mib}
 				switch l.Kind {
 				case ckpt.LevelBuffer:
 					computeNodes := (np + cfg.ProcsPerNode - 1) / cfg.ProcsPerNode

@@ -58,9 +58,7 @@ type Job struct {
 	repairSkip    bool     // an aborted repair's fallback must not re-enter
 	lostWork      sim.Time
 
-	rankDiedAt []sim.Time // actual death times (heartbeat mode)
-	srvDiedAt  []sim.Time
-	degraded   bool
+	degraded bool
 
 	hub *obs.Hub
 	// met is the run's one ledger, always the job's own: the MetricsSink
@@ -152,8 +150,6 @@ func NewJob(cfg Config) (*Job, error) {
 	job.nodeMap = make([]int, cfg.NP)
 	job.deadNodes = map[int]bool{}
 	job.nodeKilled = map[int]bool{}
-	job.rankDiedAt = make([]sim.Time, cfg.NP)
-	job.srvDiedAt = make([]sim.Time, nServers)
 	job.deathSpan = make([]uint64, cfg.NP)
 	job.detectSpan = make([]uint64, cfg.NP)
 	job.restartSpan = make([]uint64, cfg.NP)
@@ -393,7 +389,6 @@ func (job *Job) injectServerKill(s int) {
 	if !srv.Alive() {
 		return
 	}
-	job.srvDiedAt[s] = job.k.Now()
 	job.srvKillSpan[s] = job.hub.NextSpan()
 	job.emit(obs.Event{Type: obs.EvServerKilled, Rank: -1, Wave: -1, Channel: -1,
 		Node: srv.Node, Server: s, Span: job.srvKillSpan[s]})
@@ -459,27 +454,23 @@ func (job *Job) silentKill(rank int) {
 	if pr == nil || pr.down || job.recovering[rank] {
 		return
 	}
-	job.rankDiedAt[rank] = job.k.Now()
 	job.deathSpan[rank] = job.hub.NextSpan()
 	job.emit(obs.Event{Type: obs.EvComponentDead, Rank: rank, Wave: job.lastWave, Channel: -1,
 		Node: job.nodeMap[rank], Server: -1, Span: job.deathSpan[rank]})
 	pr.teardown()
 }
 
-// suspectRank handles the detector declaring a rank dead: observe the
-// detection latency (or count the false suspicion — the dispatcher
-// kills and restarts either way, which is what a real one does when it
-// closes a live task's connection), then run the recovery path.
+// suspectRank handles the detector declaring a rank dead — a detection
+// whose Cause is the death, or a false suspicion without one (the
+// dispatcher kills and restarts either way, which is what a real one does
+// when it closes a live task's connection) — then runs the recovery path.
 func (job *Job) suspectRank(r int) {
 	pr := job.procs[r]
-	now := job.k.Now()
 	job.detectSpan[r] = job.hub.NextSpan()
 	if pr == nil || pr.down {
-		job.met.Observe(obs.MDetectLatency, now-job.rankDiedAt[r])
 		job.emit(obs.Event{Type: obs.EvHeartbeatTimeout, Rank: r, Wave: -1, Channel: -1,
 			Node: job.nodeMap[r], Server: -1, Span: job.detectSpan[r], Cause: job.deathSpan[r]})
 	} else {
-		job.met.Inc(obs.MFalseSuspicions)
 		job.emit(obs.Event{Type: obs.EvHeartbeatTimeout, Rank: r, Wave: -1, Channel: -1,
 			Node: job.nodeMap[r], Server: -1, Span: job.detectSpan[r]})
 	}
@@ -491,45 +482,28 @@ func (job *Job) suspectRank(r int) {
 // already discovered the death through their aborted transfers.
 func (job *Job) suspectServer(s int) {
 	srv := job.servers[s]
-	now := job.k.Now()
 	if !srv.Alive() {
-		job.met.Observe(obs.MDetectLatency, now-job.srvDiedAt[s])
 		job.emit(obs.Event{Type: obs.EvHeartbeatTimeout, Rank: -1, Wave: -1, Channel: -1,
 			Node: srv.Node, Server: s, Span: job.hub.NextSpan(), Cause: job.srvKillSpan[s]})
 	} else {
-		job.met.Inc(obs.MFalseSuspicions)
 		job.emit(obs.Event{Type: obs.EvHeartbeatTimeout, Rank: -1, Wave: -1, Channel: -1,
 			Node: srv.Node, Server: s, Span: job.hub.NextSpan()})
 	}
 }
 
-// snapshotCounters is the fixed set of cumulative counters sampled by
-// the periodic metrics snapshot (Config.MetricsSnapshot).  The list and
-// its order are frozen so snapshot streams are byte-deterministic.
-var snapshotCounters = []string{
-	obs.MMarkersSent,
-	obs.MDelayedSends,
-	obs.MLoggedMsgs,
-	obs.MLoggedBytes,
-	obs.MLocalCkpts,
-	obs.MImageBytes,
-	obs.MWavesCommitted,
-	obs.MFailures,
-	obs.MReplayedMsgs,
-}
-
 // scheduleSnapshot arms the recurring metrics-snapshot timer: every
-// MetricsSnapshot it emits one EvCounterSample per tracked counter, which
-// the trace exporter renders as Perfetto counter tracks.
+// MetricsSnapshot it emits one EvCounterSample per counter the ledger
+// samples (obs.Metrics.Sample), which the trace exporter renders as
+// Perfetto counter tracks.
 func (job *Job) scheduleSnapshot() {
 	job.k.After(job.cfg.MetricsSnapshot, func() {
 		if job.doneRes {
 			return
 		}
-		for _, name := range snapshotCounters {
+		job.met.Sample(func(name string, v int64) {
 			job.emit(obs.Event{Type: obs.EvCounterSample, Rank: -1, Wave: -1, Channel: -1,
-				Node: -1, Server: -1, Bytes: job.met.Counter(name), Detail: name})
-		}
+				Node: -1, Server: -1, Bytes: v, Detail: name})
+		})
 		job.scheduleSnapshot()
 	})
 }
@@ -859,36 +833,36 @@ func (job *Job) procFinished(pr *procRun) {
 	// Every total is read off the run's own registry, which the
 	// MetricsSink (and the fabric, for traffic) folded from the events.
 	met := job.met
-	ckptBytes := met.Counter(obs.MLogShipBytes)
-	for s := range job.servers {
-		ckptBytes += met.Counter(fmt.Sprintf("%s.server%d", obs.MImageBytes, s))
+	ckptBytes := met.LogShipBytes
+	for _, b := range met.ServerBytes {
+		ckptBytes += b
 	}
 	job.res = Result{
 		Completion: job.k.Now(),
 		WaveBreakdown: WaveBreakdown{
-			MeanSpread:   met.Hist(obs.MWaveSpread).Mean(),
-			MeanTransfer: met.Hist(obs.MWaveTransfer).Mean(),
-			MeanCycle:    met.Hist(obs.MWaveCycle).Mean(),
+			MeanSpread:   met.WaveSpread.Mean(),
+			MeanTransfer: met.WaveTransfer.Mean(),
+			MeanCycle:    met.WaveCycle.Mean(),
 		},
-		WavesCommitted: int(met.Counter(obs.MWavesCommitted)),
+		WavesCommitted: int(met.Tally[obs.EvWaveCommit]),
 		LastWave:       job.lastWave,
-		LocalCkpts:     int(met.Counter(obs.MLocalCkpts)),
-		Restarts:       int(met.Counter(obs.MFailures)),
-		Messages:       met.Counter(obs.MFabricMsgs),
-		PayloadBytes:   met.Counter(obs.MFabricPayloadBytes),
+		LocalCkpts:     int(met.Tally[obs.EvLocalCkptEnd]),
+		Restarts:       int(met.Tally[obs.EvRankKilled]),
+		Messages:       met.FabricMsgs,
+		PayloadBytes:   met.FabricPayloadBytes,
 		CkptBytes:      ckptBytes,
-		LoggedMsgs:     int(met.Counter(obs.MLoggedMsgs)),
-		LoggedBytes:    met.Counter(obs.MLoggedBytes),
-		ServerFailures: int(met.Counter(obs.MServerFailures)),
-		Failovers:      int(met.Counter(obs.MFailovers)),
-		Repairs:        int(met.Counter(obs.MRepairs)),
+		LoggedMsgs:     int(met.Tally[obs.EvMessageLogged]),
+		LoggedBytes:    met.LoggedBytes,
+		ServerFailures: int(met.Tally[obs.EvServerKilled]),
+		Failovers:      int(met.Tally[obs.EvReplicaFailover]),
+		Repairs:        int(met.Tally[obs.EvRepairEnd]),
 		LostWork:       job.lostWork,
 	}
 	if job.spans != nil {
 		job.res.Attribution = job.spans.Finalize(job.k.Now())
 	}
 	job.doneRes = true
-	job.met.Set("job.completion_s", job.k.Now().Seconds())
+	job.met.CompletionS = job.k.Now().Seconds()
 	job.emit(obs.Event{Type: obs.EvJobComplete, Rank: -1, Wave: job.lastWave, Channel: -1, Node: -1, Server: -1})
 	job.k.Stop(nil)
 }

@@ -173,10 +173,10 @@ func TestObsRestartEvents(t *testing.T) {
 		t.Fatalf("restart wave %d != recovery line %d", begins[0].Wave, kills[0].Wave)
 	}
 	// Aggregates follow the events.
-	if res.Metrics.Counter(obs.MFailures) != 1 {
+	if res.Metrics.Tally[obs.EvRankKilled] != 1 {
 		t.Fatal("failures counter wrong")
 	}
-	if h := res.Metrics.Hist(obs.MRestartTime); h == nil || h.Count != 1 {
+	if h := res.Metrics.RestartTime; h.Count != 1 {
 		t.Fatalf("restart histogram %+v", h)
 	}
 }

@@ -119,8 +119,8 @@ func TestDegradedStopWithoutReplication(t *testing.T) {
 	if deg.Err == nil {
 		t.Fatal("DegradedError carries no cause")
 	}
-	if res.Metrics.Counter(obs.MDegradedStops) != 1 {
-		t.Fatalf("degraded stops counter = %d", res.Metrics.Counter(obs.MDegradedStops))
+	if n := res.Metrics.Tally[obs.EvDegraded]; n != 1 {
+		t.Fatalf("degraded stops counter = %d", n)
 	}
 }
 
@@ -141,10 +141,10 @@ func TestHeartbeatDetection(t *testing.T) {
 	if res.Restarts != 1 {
 		t.Fatalf("restarts = %d", res.Restarts)
 	}
-	if res.Metrics.Counter(obs.MDetectTimeouts) < 1 {
+	if res.Metrics.Tally[obs.EvHeartbeatTimeout] < 1 {
 		t.Fatal("no heartbeat timeout recorded")
 	}
-	h := res.Metrics.Hist(obs.MDetectLatency)
+	h := res.Metrics.DetectLatency
 	if h.Count < 1 {
 		t.Fatal("no detection latency observed")
 	}
@@ -176,7 +176,7 @@ func TestHeartbeatDetectsServerDeath(t *testing.T) {
 	if res.ServerFailures != 1 {
 		t.Fatalf("server failures = %d", res.ServerFailures)
 	}
-	if res.Metrics.Counter(obs.MDetectTimeouts) < 1 {
+	if res.Metrics.Tally[obs.EvHeartbeatTimeout] < 1 {
 		t.Fatal("server death not detected by heartbeat")
 	}
 	if res.WavesCommitted < 2 {

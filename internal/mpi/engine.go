@@ -99,9 +99,9 @@ type Engine struct {
 	failed  []bool
 	epoch   int
 
-	// recvBlocked receives blocked-receive time observations
-	// ("mpi.recv_blocked") once SetMetrics names a registry.
-	recvBlocked obs.HistHandle
+	// met receives blocked-receive durations once SetMetrics names a
+	// registry.
+	met *obs.Metrics
 	// hub, when set, receives application-layer events (EmitFT); nil-safe.
 	hub *obs.Hub
 }
@@ -133,7 +133,14 @@ func (e *Engine) Now() sim.Time { return e.lp.Now() }
 
 // SetMetrics attaches the observability registry the engine reports
 // blocked-receive durations to (nil disables).
-func (e *Engine) SetMetrics(m *obs.Metrics) { e.recvBlocked = m.HistHandle("mpi.recv_blocked") }
+func (e *Engine) SetMetrics(m *obs.Metrics) { e.met = m }
+
+// recvWaited observes how long a receive parked for its message.
+func (e *Engine) recvWaited() {
+	if e.met != nil {
+		e.met.RecvBlocked.Observe(e.lp.Now() - e.waitFrom)
+	}
+}
 
 // SetObs attaches the observability hub application-layer events are
 // published through (nil disables).
@@ -274,7 +281,7 @@ func (e *Engine) Deliver(p *Packet) {
 	}
 	e.unexpected = append(e.unexpected, *p)
 	if e.park == parkMatch && match(p, e.waitSrc, e.waitTag) {
-		e.recvBlocked.Observe(e.lp.Now() - e.waitFrom)
+		e.recvWaited()
 		e.charge(p.PayloadSize())
 	}
 }

@@ -73,9 +73,8 @@ type Fabric struct {
 	// each: the next owned send of that size refills one (Fabric.buffer).
 	spare map[int][][]byte
 
-	// msgs and payloadBytes count the traffic (obs.MFabricMsgs,
-	// obs.MFabricPayloadBytes) once SetMetrics names a registry.
-	msgs, payloadBytes obs.Counter
+	// met counts the traffic once SetMetrics names a registry.
+	met *obs.Metrics
 }
 
 // NewFabric wraps a simulated network.
@@ -88,9 +87,7 @@ func NewFabric(net *simnet.Network) *Fabric {
 
 // SetMetrics attaches the observability registry the traffic counters
 // live in (nil disables).
-func (f *Fabric) SetMetrics(m *obs.Metrics) {
-	f.msgs, f.payloadBytes = m.CounterHandle(obs.MFabricMsgs), m.CounterHandle(obs.MFabricPayloadBytes)
-}
+func (f *Fabric) SetMetrics(m *obs.Metrics) { f.met = m }
 
 // Place assigns an endpoint to a node.  An endpoint must be placed before
 // it sends, receives, or is bound.
@@ -288,7 +285,9 @@ func (f *Fabric) Send(src, dst int, p *Packet) {
 		m.body = f.body()
 		*m.body = wireBody{p.Data, p.VSize}
 	}
-	f.msgs.Inc()
-	f.payloadBytes.Add(p.PayloadSize())
+	if f.met != nil {
+		f.met.FabricMsgs++
+		f.met.FabricPayloadBytes += p.PayloadSize()
+	}
 	l.ch.Send(m, p.WireSize())
 }

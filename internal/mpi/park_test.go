@@ -195,7 +195,7 @@ func TestKillMidCharge(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got := m.Counter(obs.MFabricMsgs); got != tc.msgs {
+			if got := m.FabricMsgs; got != tc.msgs {
 				t.Errorf("%d packets on the wire, want %d", got, tc.msgs)
 			}
 			if got := killed.Cancelled - before.Cancelled; got != 1 {
@@ -247,7 +247,7 @@ func TestFTAbortInstants(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		o.msgs = m.Counter(obs.MFabricMsgs)
+		o.msgs = m.FabricMsgs
 		return o
 	}
 	for _, tc := range []struct {
@@ -307,9 +307,9 @@ func TestRecvBlockedObservations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := m.Hist("mpi.recv_blocked")
+	h := &m.RecvBlocked
 	arrival := done - ms
-	if h == nil || h.Count != 2 || h.Min != 2*ms || h.Sum != arrival-ms {
+	if h.Count != 2 || h.Min != 2*ms || h.Sum != arrival-ms {
 		t.Fatalf("recv_blocked %s; want 2 observations, 2ms and %v", fmt.Sprint(h), arrival-3*ms)
 	}
 }

@@ -178,7 +178,7 @@ func (e *Engine) FTReset() {
 func (e *Engine) alert() {
 	switch e.park {
 	case parkMatch:
-		e.recvBlocked.Observe(e.lp.Now() - e.waitFrom)
+		e.recvWaited()
 		e.park = parkCheck
 		e.cond.Signal()
 	case parkRepair:

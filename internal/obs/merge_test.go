@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"errors"
 	"strings"
 	"testing"
 	"time"
@@ -13,22 +14,24 @@ func TestMergeMatchesSharedRegistry(t *testing.T) {
 	type op func(m *Metrics)
 	runs := [][]op{
 		{
-			func(m *Metrics) { m.Add("msgs", 3) },
-			func(m *Metrics) { m.Observe("span", 5*time.Microsecond) },
-			func(m *Metrics) { m.Observe("span", 90*time.Second) }, // overflow bucket
-			func(m *Metrics) { m.Set("done", 1) },
-			func(m *Metrics) { m.Touch("idle") },
+			func(m *Metrics) { m.FabricMsgs += 3 },
+			func(m *Metrics) { m.WaveCycle.Observe(5 * time.Microsecond) },
+			func(m *Metrics) { m.WaveCycle.Observe(90 * time.Second) }, // overflow bucket
+			func(m *Metrics) { m.CompletionS = 1 },
+			func(m *Metrics) { m.LevelBytes[0] += 0 }, // a family member at zero
+			func(m *Metrics) { m.Tally[EvWaveCommit] += 2 },
 		},
 		{
-			func(m *Metrics) { m.Add("msgs", 4) },
-			func(m *Metrics) { m.Observe("span", 2*time.Microsecond) }, // new global min
-			func(m *Metrics) { m.Observe("other", 3*time.Millisecond) },
-			func(m *Metrics) { m.Set("done", 2) },
-			func(m *Metrics) { m.TouchHist("empty") },
+			func(m *Metrics) { m.FabricMsgs += 4 },
+			func(m *Metrics) { m.WaveCycle.Observe(2 * time.Microsecond) }, // new global min
+			func(m *Metrics) { m.RecvBlocked.Observe(3 * time.Millisecond) },
+			func(m *Metrics) { m.CompletionS = 2 },
+			func(m *Metrics) { NewMetricsSink(m) }, // the schema, zeros included
+			func(m *Metrics) { m.ChannelBytes[[2]int32{1, 2}] += 5 },
 		},
 		{
-			func(m *Metrics) { m.Observe("span", 200*time.Second) }, // new global max
-			func(m *Metrics) { m.Set("done", 3) },
+			func(m *Metrics) { m.WaveCycle.Observe(200 * time.Second) }, // new global max
+			func(m *Metrics) { m.CompletionS = 3 },
 		},
 	}
 
@@ -62,15 +65,15 @@ func TestMergeMatchesSharedRegistry(t *testing.T) {
 
 func TestMergeHistExactExtremaAndBuckets(t *testing.T) {
 	a, b := NewMetrics(), NewMetrics()
-	a.Observe("h", 10*time.Millisecond)
-	a.Observe("h", 20*time.Millisecond)
-	b.Observe("h", time.Microsecond) // min lives in the second registry
-	b.Observe("h", time.Minute)      // so does the max
+	a.WaveCycle.Observe(10 * time.Millisecond)
+	a.WaveCycle.Observe(20 * time.Millisecond)
+	b.WaveCycle.Observe(time.Microsecond) // min lives in the second registry
+	b.WaveCycle.Observe(time.Minute)      // so does the max
 
 	m := NewMetrics()
 	m.Merge(a)
 	m.Merge(b)
-	h := m.Hist("h")
+	h := &m.WaveCycle
 	if h.Count != 4 {
 		t.Fatalf("count = %d", h.Count)
 	}
@@ -89,22 +92,29 @@ func TestMergeHistExactExtremaAndBuckets(t *testing.T) {
 	}
 }
 
+// TestMergeIntoEmptyPreservesSchema: a registry a MetricsSink wrote shows
+// its whole schema at zero, and so does a fresh registry it is merged
+// into; a field shown only once written stays out of both.
 func TestMergeIntoEmptyPreservesSchema(t *testing.T) {
 	src := NewMetrics()
-	src.Touch("zero.counter")
-	src.TouchHist("zero.hist")
+	NewMetricsSink(src)
 	dst := NewMetrics()
 	dst.Merge(src)
-	if dst.Hist("zero.hist") == nil {
-		t.Fatal("touched histogram lost in merge")
-	}
-	var out strings.Builder
-	if err := dst.WriteJSON(&out); err != nil {
+	var a, b strings.Builder
+	if err := errors.Join(src.WriteJSON(&a), dst.WriteJSON(&b)); err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"zero.counter", "zero.hist"} {
-		if !strings.Contains(out.String(), want) {
-			t.Fatalf("export lost %q: %s", want, out.String())
+	if a.String() != b.String() {
+		t.Fatalf("merge into an empty registry changed the export:\n%s\nwant\n%s", b.String(), a.String())
+	}
+	for _, want := range []string{`"detect.false_suspicions": 0`, `"wave.cycle": {`} {
+		if !strings.Contains(b.String(), want) {
+			t.Fatalf("export lost %s: %s", want, b.String())
+		}
+	}
+	for _, absent := range []string{"fabric.msgs", "mpi.recv_blocked", "job.completion_s", "ckpt.deferred"} {
+		if strings.Contains(b.String(), absent) {
+			t.Fatalf("export shows %s, which was never written: %s", absent, b.String())
 		}
 	}
 }
@@ -128,9 +138,9 @@ func TestMergeEmptyRegistries(t *testing.T) {
 	}
 
 	pop := NewMetrics()
-	pop.Add("c", 7)
-	pop.Observe("h", 3*time.Millisecond)
-	pop.Set("g", 2.5)
+	pop.FabricMsgs += 7
+	pop.WaveCycle.Observe(3 * time.Millisecond)
+	pop.CompletionS = 2.5
 	var before strings.Builder
 	if err := pop.WriteJSON(&before); err != nil {
 		t.Fatal(err)
@@ -151,30 +161,30 @@ func TestMergeEmptyRegistries(t *testing.T) {
 // clobber a real minimum.
 func TestMergeSingleSampleExtrema(t *testing.T) {
 	a, b := NewMetrics(), NewMetrics()
-	a.Observe("h", 5*time.Millisecond)
-	b.Observe("h", 2*time.Millisecond)
+	a.WaveCycle.Observe(5 * time.Millisecond)
+	b.WaveCycle.Observe(2 * time.Millisecond)
 	m := NewMetrics()
 	m.Merge(a)
-	if h := m.Hist("h"); h.Min != h.Max || h.Min != 5*time.Millisecond {
+	if h := m.WaveCycle; h.Min != h.Max || h.Min != 5*time.Millisecond {
 		t.Fatalf("single sample: min=%v max=%v, want both 5ms", h.Min, h.Max)
 	}
 	m.Merge(b)
-	if h := m.Hist("h"); h.Min != 2*time.Millisecond || h.Max != 5*time.Millisecond {
+	if h := m.WaveCycle; h.Min != 2*time.Millisecond || h.Max != 5*time.Millisecond {
 		t.Fatalf("two singletons: min=%v max=%v", h.Min, h.Max)
 	}
 
-	// A touched histogram has Count==0 and zero extrema; folding it in
-	// either direction must not invent a 0ns minimum.
+	// A histogram the schema shows empty has Count==0 and zero extrema;
+	// folding it in either direction must not invent a 0ns minimum.
 	empty := NewMetrics()
-	empty.TouchHist("h")
+	NewMetricsSink(empty)
 	m.Merge(empty)
-	if h := m.Hist("h"); h.Min != 2*time.Millisecond {
+	if h := m.WaveCycle; h.Min != 2*time.Millisecond {
 		t.Fatalf("empty hist clobbered min: %v", h.Min)
 	}
 	adopt := NewMetrics()
-	adopt.TouchHist("h")
+	NewMetricsSink(adopt)
 	adopt.Merge(m)
-	if h := adopt.Hist("h"); h.Min != 2*time.Millisecond || h.Max != 5*time.Millisecond {
+	if h := adopt.WaveCycle; h.Min != 2*time.Millisecond || h.Max != 5*time.Millisecond {
 		t.Fatalf("touched registry did not adopt extrema: min=%v max=%v", h.Min, h.Max)
 	}
 }
@@ -184,14 +194,14 @@ func TestMergeSingleSampleExtrema(t *testing.T) {
 // overflow bucket.
 func TestMergeOverflowBucket(t *testing.T) {
 	a, b := NewMetrics(), NewMetrics()
-	a.Observe("h", 150*time.Second)
-	a.Observe("h", time.Millisecond)
-	b.Observe("h", 100*time.Second) // exactly the last bound: overflow by convention
-	b.Observe("h", 3600*time.Second)
+	a.WaveCycle.Observe(150 * time.Second)
+	a.WaveCycle.Observe(time.Millisecond)
+	b.WaveCycle.Observe(100 * time.Second) // exactly the last bound: overflow by convention
+	b.WaveCycle.Observe(3600 * time.Second)
 	m := NewMetrics()
 	m.Merge(a)
 	m.Merge(b)
-	h := m.Hist("h")
+	h := m.WaveCycle
 	if len(h.Buckets) != len(HistBounds)+1 {
 		t.Fatalf("bucket layout: %d buckets for %d bounds", len(h.Buckets), len(HistBounds))
 	}
@@ -208,8 +218,8 @@ func TestMergeNilSafety(t *testing.T) {
 	nilM.Merge(NewMetrics()) // must not panic
 	m := NewMetrics()
 	m.Merge(nil)
-	m.Add("c", 1)
-	if m.Counter("c") != 1 {
+	m.FabricMsgs++
+	if m.Counter("fabric.msgs") != 1 {
 		t.Fatal("registry corrupted by nil merge")
 	}
 }

@@ -5,33 +5,22 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"strconv"
 
 	"ftckpt/internal/sim"
 )
 
 // HistBounds are the upper bounds (exclusive) of the virtual-time
 // histogram buckets: decades from 1µs to 100s, plus an overflow bucket.
-var HistBounds = []sim.Time{
-	1000,           // 1µs
-	10_000,         // 10µs
-	100_000,        // 100µs
-	1_000_000,      // 1ms
-	10_000_000,     // 10ms
-	100_000_000,    // 100ms
-	1_000_000_000,  // 1s
-	10_000_000_000, // 10s
-	100_000_000_000,
-}
+var HistBounds = [...]sim.Time{1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11}
 
 // Hist is a virtual-time histogram with fixed decade buckets.
 type Hist struct {
 	Count    int64
 	Sum      sim.Time
 	Min, Max sim.Time
-	Buckets  []int64 // len(HistBounds)+1, last = overflow
+	Buckets  [len(HistBounds) + 1]int64 // last = overflow
 }
-
-func newHist() *Hist { return &Hist{Buckets: make([]int64, len(HistBounds)+1)} }
 
 // Observe records one duration.
 func (h *Hist) Observe(d sim.Time) {
@@ -69,12 +58,7 @@ func (h *Hist) merge(other *Hist) {
 		if h.Count == 0 {
 			h.Min, h.Max = other.Min, other.Max
 		} else {
-			if other.Min < h.Min {
-				h.Min = other.Min
-			}
-			if other.Max > h.Max {
-				h.Max = other.Max
-			}
+			h.Min, h.Max = min(h.Min, other.Min), max(h.Max, other.Max)
 		}
 	}
 	h.Count += other.Count
@@ -84,212 +68,234 @@ func (h *Hist) merge(other *Hist) {
 	}
 }
 
-// Metrics is the registry: counters, gauges and virtual-time histograms
-// keyed by dotted names (e.g. "vcl.logged_bytes", "wave.spread").  All
-// methods are safe on a nil receiver (no-ops), so optional instrumentation
-// costs one nil check.  Exports are deterministic (keys sorted).
-//
-// A registry is single-writer: it has no internal synchronization, so all
-// writes must come from the one simulation (or goroutine) that owns it.
-// To aggregate across concurrent runs — the sweep harnesses, ftckpt.Sweep
-// — give every run a private registry and fold the per-run registries
-// into the aggregate with Merge after each run has completed; merging in
-// run order reproduces exactly the registry a sequential sweep sharing
-// one registry would have produced.
+// Metrics is a run's ledger: the cost decomposition the MetricsSink folds
+// from the event stream, and the traffic mpi.Fabric and simnet.Network
+// count per packet and per flow.  Writers set its fields; table names
+// them for the exports and the by-name reads (Counter, Gauge, Hist; safe
+// on a nil m).  A registry has one writer, the run that owns it: to
+// aggregate concurrent runs (sweeps), Merge each run's private registry
+// in run order once it completed, which reproduces the registry a
+// sequential sweep sharing one would have produced.
 type Metrics struct {
-	counters map[string]*int64 // a pointer, so a Counter handle can hold it
-	gauges   map[string]float64
-	hists    map[string]*Hist
+	// Tally[t] counts the events of type t; the exports and Merge carry
+	// the types table names.
+	Tally [numEventTypes]int64
+
+	LoggedBytes, ImageBytes, LogShipBytes, DrainBytes int64 // the events' Bytes
+	FalseSuspicions                                   int64 // heartbeat timeouts without a Cause
+	FabricMsgs, FabricPayloadBytes                    int64 // per packet sent
+	NetFlows, NetBytesMoved                           int64 // per flow delivered
+	CompletionS                                       float64
+
+	BlockedTime, ImageStoreTime, RestartTime, DrainTime Hist
+	WaveSpread, WaveTransfer, WaveCycle                 Hist // the phases of wavePhase
+	DetectLatency, RepairLatency, RecvBlocked           Hist
+
+	// Per-index families: an index is exported once written.
+	BlockedNs     map[int]int64      // rank → blocked-send ns
+	ServerBytes   map[int]int64      // server → image bytes stored on it
+	ServerStoreNs map[int]int64      // server → image-store ns
+	LevelBytes    map[int]int64      // level → buffer-store and drain bytes landing there
+	ChannelBytes  map[[2]int32]int64 // (src, dst) → logged bytes
+
+	// full is set by a MetricsSink (and by Merge from a registry that had
+	// one): the sink's fields then export even at zero, so a Pcl run still
+	// shows log.bytes = 0 and a Vcl run pcl.delayed_sends = 0.
+	full bool
 }
 
 // NewMetrics returns an empty registry.
 func NewMetrics() *Metrics {
-	return &Metrics{
-		counters: make(map[string]*int64),
-		gauges:   make(map[string]float64),
-		hists:    make(map[string]*Hist),
+	return &Metrics{BlockedNs: map[int]int64{}, ServerBytes: map[int]int64{}, ServerStoreNs: map[int]int64{},
+		LevelBytes: map[int]int64{}, ChannelBytes: map[[2]int32]int64{}}
+}
+
+// stat is one field of a schema: its dotted name (a family's members
+// append their index to it), its cell, and whether an export shows it.
+type stat[T any] struct {
+	name  string
+	v     *T
+	shown bool
+}
+
+// schema is table's value: arrays, so a Sample allocates nothing, sized
+// so that a field added to table without its count does not compile.
+type schema struct {
+	counters [31]stat[int64] // the first sampled are Sample's, in its frozen order
+	gauges   [1]stat[float64]
+	hists    [10]stat[Hist]
+	families [4]stat[map[int]int64]
+}
+
+const sampled = 9
+
+// table maps each field of m to its dotted name; it is the only place the
+// names exist.  A field shows with the sink's schema (m.full) or, for
+// traffic, Mlog's deferred ticks, blocked receives and the completion
+// time, once written.  ChannelBytes is "log.bytes.ch<src>-<dst>".
+func (m *Metrics) table() schema {
+	on, t := m.full, &m.Tally
+	fabric, net := m.FabricMsgs != 0, m.NetFlows != 0
+	return schema{
+		counters: [...]stat[int64]{
+			{"markers.sent", &t[EvMarkerSent], on}, {"pcl.delayed_sends", &t[EvSendDelayed], on},
+			{"log.msgs", &t[EvMessageLogged], on}, {"log.bytes", &m.LoggedBytes, on},
+			{"ckpt.local", &t[EvLocalCkptEnd], on}, {"ckpt.image_bytes", &m.ImageBytes, on},
+			{"waves.committed", &t[EvWaveCommit], on}, {"failures", &t[EvRankKilled], on},
+			{"log.replayed", &t[EvMessageReplayed], on},
+
+			{"markers.recv", &t[EvMarkerRecv], on}, {"pcl.delayed_recvs", &t[EvRecvDelayed], on},
+			{"ckpt.log_bytes", &m.LogShipBytes, on}, {"failures.server", &t[EvServerKilled], on},
+			{"detect.timeouts", &t[EvHeartbeatTimeout], on}, {"detect.false_suspicions", &m.FalseSuspicions, on},
+			{"ckpt.failover", &t[EvReplicaFailover], on}, {"ckpt.store_retry", &t[EvStoreRetry], on},
+			{"ckpt.quorum_lost", &t[EvQuorumLost], on}, {"degraded.stops", &t[EvDegraded], on},
+			{"failures.survived", &t[EvProcFailed], on}, {"repairs", &t[EvRepairEnd], on},
+			{"app.ckpts", &t[EvAppCkpt], on}, {"app.restores", &t[EvAppRestore], on},
+			{"ckpt.drain_bytes", &m.DrainBytes, on}, {"failures.buffer", &t[EvBufferKilled], on},
+			{"failures.pfs", &t[EvPFSKilled], on},
+
+			{"ckpt.deferred", &t[EvCkptDeferred], t[EvCkptDeferred] != 0},
+			{"fabric.msgs", &m.FabricMsgs, fabric}, {"fabric.payload_bytes", &m.FabricPayloadBytes, fabric},
+			{"net.flows", &m.NetFlows, net}, {"net.bytes_moved", &m.NetBytesMoved, net},
+		},
+		gauges: [...]stat[float64]{{"job.completion_s", &m.CompletionS, m.CompletionS != 0}},
+		hists: [...]stat[Hist]{
+			{"pcl.blocked_time", &m.BlockedTime, on}, {"ckpt.store_time", &m.ImageStoreTime, on},
+			{"restart.time", &m.RestartTime, on}, {"ckpt.drain_time", &m.DrainTime, on},
+			{"wave.spread", &m.WaveSpread, on}, {"wave.transfer", &m.WaveTransfer, on},
+			{"wave.cycle", &m.WaveCycle, on}, {"detect.latency", &m.DetectLatency, on},
+			{"repair.latency", &m.RepairLatency, on}, {"mpi.recv_blocked", &m.RecvBlocked, m.RecvBlocked.Count != 0},
+		},
+		families: [...]stat[map[int]int64]{{"pcl.blocked_time.rank", &m.BlockedNs, true},
+			{"ckpt.image_bytes.server", &m.ServerBytes, true}, {"ckpt.store_ns.server", &m.ServerStoreNs, true},
+			{"ckpt.level_bytes.l", &m.LevelBytes, true}},
 	}
 }
 
-// counter returns the named counter's cell, creating it at 0.
-func (m *Metrics) counter(name string) *int64 {
-	c, ok := m.counters[name]
-	if !ok {
-		c = new(int64)
-		m.counters[name] = c
-	}
-	return c
-}
-
-// hist returns the named histogram, creating it empty.
-func (m *Metrics) hist(name string) *Hist {
-	h, ok := m.hists[name]
-	if !ok {
-		h = newHist()
-		m.hists[name] = h
-	}
-	return h
-}
-
-// Add increments a counter by v (creating it at 0).
-func (m *Metrics) Add(name string, v int64) {
+// each calls counter, gauge and hist with every field m shows, by name.
+func (m *Metrics) each(counter func(string, int64), gauge func(string, float64), hist func(string, *Hist)) {
 	if m == nil {
 		return
 	}
-	*m.counter(name) += v
+	s := m.table()
+	for _, c := range s.counters {
+		if c.shown {
+			counter(c.name, *c.v)
+		}
+	}
+	for _, f := range s.families {
+		for i, v := range *f.v {
+			counter(f.name+strconv.Itoa(i), v)
+		}
+	}
+	for ch, v := range m.ChannelBytes {
+		counter("log.bytes.ch"+strconv.Itoa(int(ch[0]))+"-"+strconv.Itoa(int(ch[1])), v)
+	}
+	for _, g := range s.gauges {
+		if g.shown {
+			gauge(g.name, *g.v)
+		}
+	}
+	for _, h := range s.hists {
+		if h.shown {
+			hist(h.name, h.v)
+		}
+	}
 }
 
-// Inc increments a counter by one.
-func (m *Metrics) Inc(name string) { m.Add(name, 1) }
-
-// Counter returns a counter's value (0 if absent or m is nil).
-func (m *Metrics) Counter(name string) int64 {
-	if m == nil {
-		return 0
+// find returns the cell of the field named name among those list picks,
+// nil when m does not show it.
+func find[T any](m *Metrics, name string, list func(*schema) []stat[T]) *T {
+	if m != nil {
+		s := m.table()
+		for _, f := range list(&s) {
+			if f.name == name && f.shown {
+				return f.v
+			}
+		}
 	}
-	if c := m.counters[name]; c != nil {
-		return *c
+	return nil
+}
+
+// Counter returns the named scalar counter (not a family member), 0 when
+// m does not show it.
+func (m *Metrics) Counter(name string) int64 {
+	if v := find(m, name, func(s *schema) []stat[int64] { return s.counters[:] }); v != nil {
+		return *v
 	}
 	return 0
 }
 
-// Touch ensures a counter exists (so exports include its zero).
-func (m *Metrics) Touch(name string) { m.Add(name, 0) }
-
-// Set stores a gauge value.
-func (m *Metrics) Set(name string, v float64) {
-	if m == nil {
-		return
-	}
-	m.gauges[name] = v
-}
-
-// Gauge returns a gauge's value (0 if absent or m is nil).
+// Gauge returns the named gauge, 0 when m does not show it.
 func (m *Metrics) Gauge(name string) float64 {
-	if m == nil {
-		return 0
+	if v := find(m, name, func(s *schema) []stat[float64] { return s.gauges[:] }); v != nil {
+		return *v
 	}
-	return m.gauges[name]
+	return 0
 }
 
-// Observe records a duration into a histogram (creating it).
-func (m *Metrics) Observe(name string, d sim.Time) {
-	if m == nil {
-		return
-	}
-	m.hist(name).Observe(d)
-}
-
-// TouchHist ensures a histogram exists (so exports include it empty).
-func (m *Metrics) TouchHist(name string) {
-	if m == nil {
-		return
-	}
-	m.hist(name)
-}
-
-// Hist returns a histogram, or nil if absent.
+// Hist returns the named histogram, nil when m does not show it.
 func (m *Metrics) Hist(name string) *Hist {
-	if m == nil {
-		return nil
+	return find(m, name, func(s *schema) []stat[Hist] { return s.hists[:] })
+}
+
+// Sample calls emit with the name and value of each counter the periodic
+// metrics snapshot tracks, in its frozen order.
+func (m *Metrics) Sample(emit func(name string, v int64)) {
+	s := m.table()
+	for _, c := range s.counters[:sampled] {
+		emit(c.name, *c.v)
 	}
-	return m.hists[name]
 }
 
 // Merge folds every counter, gauge and histogram of other into m.
 // Counters and histogram tallies combine exactly (sums add; histogram
-// min/max and bucket counts merge, never recomputed from means); gauges
-// take other's value, so merging per-run registries in run order matches
-// the last-write-wins outcome of sequential runs sharing one registry.
-// Merge must only be called after the run owning other has completed (see
-// the single-writer note on Metrics).  A nil m or other is a no-op.
+// min/max and bucket counts merge, never recomputed from means); a gauge
+// other shows takes its value, so merging per-run registries in run order
+// matches the last-write-wins outcome of sequential runs sharing one
+// registry.  Merge must only be called after the run owning other has
+// completed (see the single-writer note on Metrics).  A nil m or other is
+// a no-op.
 func (m *Metrics) Merge(other *Metrics) {
 	if m == nil || other == nil {
 		return
 	}
-	for name, v := range other.counters {
-		*m.counter(name) += *v
+	dst, src := m.table(), other.table()
+	for i, c := range src.counters {
+		*dst.counters[i].v += *c.v
 	}
-	for name, v := range other.gauges {
-		m.gauges[name] = v
-	}
-	for name, oh := range other.hists {
-		m.hist(name).merge(oh)
-	}
-}
-
-// Counter is a handle on one counter of a registry, for a write site that
-// runs per message: Add through it follows a pointer where Metrics.Add
-// hashes the name.  It binds on its first Add, so a counter that is never
-// written never appears in an export, exactly as with Metrics.Add.  A
-// handle on a nil registry is a no-op.  Write through a pointer to the
-// handle: binding stores into it.
-type Counter struct {
-	m    *Metrics
-	name string
-	c    *int64
-}
-
-// CounterHandle returns a handle on the named counter.  It creates nothing.
-func (m *Metrics) CounterHandle(name string) Counter { return Counter{m: m, name: name} }
-
-// Add increments the counter by v.
-func (c *Counter) Add(v int64) {
-	if c.c == nil {
-		if c.m == nil {
-			return
+	for i, f := range src.families {
+		for k, v := range *f.v {
+			(*dst.families[i].v)[k] += v
 		}
-		c.c = c.m.counter(c.name)
 	}
-	*c.c += v
-}
-
-// Inc increments the counter by one.
-func (c *Counter) Inc() { c.Add(1) }
-
-// HistHandle is Counter's twin for a histogram: it binds on its first
-// Observe.
-type HistHandle struct {
-	m    *Metrics
-	name string
-	h    *Hist
-}
-
-// HistHandle returns a handle on the named histogram.  It creates nothing.
-func (m *Metrics) HistHandle(name string) HistHandle { return HistHandle{m: m, name: name} }
-
-// Observe records one duration.
-func (h *HistHandle) Observe(d sim.Time) {
-	if h.h == nil {
-		if h.m == nil {
-			return
+	for ch, v := range other.ChannelBytes {
+		m.ChannelBytes[ch] += v
+	}
+	for i, g := range src.gauges {
+		if g.shown {
+			*dst.gauges[i].v = *g.v
 		}
-		h.h = h.m.hist(h.name)
 	}
-	h.h.Observe(d)
+	for i, h := range src.hists {
+		dst.hists[i].v.merge(h.v)
+	}
+	m.full = m.full || other.full
 }
 
 // histJSON is the export shape of one histogram.
 type histJSON struct {
-	Count   int64   `json:"count"`
-	SumNs   int64   `json:"sum_ns"`
-	MinNs   int64   `json:"min_ns"`
-	MaxNs   int64   `json:"max_ns"`
-	MeanNs  int64   `json:"mean_ns"`
-	Bounds  []int64 `json:"bounds_ns"`
-	Buckets []int64 `json:"buckets"`
+	Count   int64      `json:"count"`
+	SumNs   int64      `json:"sum_ns"`
+	MinNs   int64      `json:"min_ns"`
+	MaxNs   int64      `json:"max_ns"`
+	MeanNs  int64      `json:"mean_ns"`
+	Bounds  []sim.Time `json:"bounds_ns"`
+	Buckets []int64    `json:"buckets"`
 }
 
 func (h *Hist) export() histJSON {
-	bounds := make([]int64, len(HistBounds))
-	for i, b := range HistBounds {
-		bounds[i] = int64(b)
-	}
-	return histJSON{
-		Count: h.Count, SumNs: int64(h.Sum),
-		MinNs: int64(h.Min), MaxNs: int64(h.Max), MeanNs: int64(h.Mean()),
-		Bounds: bounds, Buckets: h.Buckets,
-	}
+	return histJSON{h.Count, int64(h.Sum), int64(h.Min), int64(h.Max), int64(h.Mean()), HistBounds[:], h.Buckets[:]}
 }
 
 // WriteJSON dumps the registry as indented JSON with sorted keys
@@ -299,15 +305,14 @@ func (m *Metrics) WriteJSON(w io.Writer) error {
 		_, err := io.WriteString(w, "{}\n")
 		return err
 	}
-	hists := make(map[string]histJSON, len(m.hists))
-	for name, h := range m.hists {
-		hists[name] = h.export()
-	}
 	doc := struct {
-		Counters   map[string]*int64   `json:"counters"`
+		Counters   map[string]int64    `json:"counters"`
 		Gauges     map[string]float64  `json:"gauges"`
 		Histograms map[string]histJSON `json:"histograms"`
-	}{m.counters, m.gauges, hists}
+	}{map[string]int64{}, map[string]float64{}, map[string]histJSON{}}
+	m.each(func(name string, v int64) { doc.Counters[name] = v },
+		func(name string, v float64) { doc.Gauges[name] = v },
+		func(name string, h *Hist) { doc.Histograms[name] = h.export() })
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(doc)
@@ -319,21 +324,17 @@ func (m *Metrics) WriteCSV(w io.Writer) error {
 		return nil
 	}
 	var rows []string
-	for name, v := range m.counters {
-		rows = append(rows, fmt.Sprintf("counter,%s,value,%d", name, *v))
-	}
-	for name, v := range m.gauges {
-		rows = append(rows, fmt.Sprintf("gauge,%s,value,%g", name, v))
-	}
-	for name, h := range m.hists {
-		rows = append(rows,
-			fmt.Sprintf("hist,%s,count,%d", name, h.Count),
-			fmt.Sprintf("hist,%s,sum_ns,%d", name, int64(h.Sum)),
-			fmt.Sprintf("hist,%s,min_ns,%d", name, int64(h.Min)),
-			fmt.Sprintf("hist,%s,max_ns,%d", name, int64(h.Max)),
-			fmt.Sprintf("hist,%s,mean_ns,%d", name, int64(h.Mean())),
-		)
-	}
+	m.each(func(name string, v int64) { rows = append(rows, fmt.Sprintf("counter,%s,value,%d", name, v)) },
+		func(name string, v float64) { rows = append(rows, fmt.Sprintf("gauge,%s,value,%g", name, v)) },
+		func(name string, h *Hist) {
+			rows = append(rows,
+				fmt.Sprintf("hist,%s,count,%d", name, h.Count),
+				fmt.Sprintf("hist,%s,sum_ns,%d", name, int64(h.Sum)),
+				fmt.Sprintf("hist,%s,min_ns,%d", name, int64(h.Min)),
+				fmt.Sprintf("hist,%s,max_ns,%d", name, int64(h.Max)),
+				fmt.Sprintf("hist,%s,mean_ns,%d", name, int64(h.Mean())),
+			)
+		})
 	sort.Strings(rows)
 	if _, err := io.WriteString(w, "kind,name,field,value\n"); err != nil {
 		return err

@@ -1,13 +1,18 @@
 package obs
 
-import "testing"
+import (
+	"bytes"
+	"encoding/json"
+	"strconv"
+	"strings"
+	"testing"
+)
 
-// TestIndexedNamesInterned: an indexed counter name (".ch<s>-<d>",
-// ".rank<r>", ".server<s>", ".l<k>") is formatted on its first use and
-// looked up afterwards — a logged message is an event, so a Sprintf per
-// Emit was an allocation per message — and the names are the ones the
-// export has always carried.
-func TestIndexedNamesInterned(t *testing.T) {
+// TestSinkFamiliesAllocFree: a per-index family member (".ch<s>-<d>",
+// ".rank<r>", ".server<s>", ".l<k>") is a map cell keyed by its index,
+// so folding an event allocates nothing once the cell exists — a logged
+// message is an event — and the exporter names it as exports always have.
+func TestSinkFamiliesAllocFree(t *testing.T) {
 	m := NewMetrics()
 	s := NewMetricsSink(m)
 	events := []Event{
@@ -28,6 +33,14 @@ func TestIndexedNamesInterned(t *testing.T) {
 	if n := testing.AllocsPerRun(100, round); n != 0 {
 		t.Errorf("%v allocations per round once every name has been used", n)
 	}
+	var out bytes.Buffer
+	if err := m.WriteJSON(&out); err != nil {
+		t.Fatal(err)
+	}
+	var doc struct{ Counters map[string]int64 }
+	if err := json.Unmarshal(out.Bytes(), &doc); err != nil {
+		t.Fatal(err)
+	}
 	for name, want := range map[string]int64{
 		"log.bytes.ch7-3":          10 * 102,
 		"pcl.blocked_time.rank3":   4 * 102,
@@ -36,8 +49,25 @@ func TestIndexedNamesInterned(t *testing.T) {
 		"ckpt.level_bytes.l0":      10 * 102,
 		"ckpt.level_bytes.l1":      10 * 102,
 	} {
-		if got := m.Counter(name); got != want {
+		if got := doc.Counters[name]; got != want {
 			t.Errorf("%s = %d, want %d", name, got, want)
 		}
+	}
+}
+
+// TestSampleAllocFree: the periodic snapshot reads the ledger on every
+// tick, so a Sample allocates nothing, and it walks the frozen order.
+func TestSampleAllocFree(t *testing.T) {
+	m := NewMetrics()
+	m.LoggedBytes = 7
+	var names []string
+	m.Sample(func(name string, v int64) { names = append(names, name+"="+strconv.FormatInt(v, 10)) })
+	want := "markers.sent=0 pcl.delayed_sends=0 log.msgs=0 log.bytes=7 ckpt.local=0 ckpt.image_bytes=0 waves.committed=0 failures=0 log.replayed=0"
+	if got := strings.Join(names, " "); got != want {
+		t.Errorf("sampled %s, want %s", got, want)
+	}
+	var sum int64
+	if n := testing.AllocsPerRun(100, func() { m.Sample(func(_ string, v int64) { sum += v }) }); n != 0 {
+		t.Errorf("%v allocations per Sample", n)
 	}
 }

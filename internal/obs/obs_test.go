@@ -43,13 +43,7 @@ func TestNilHubAndMetricsAreNoOps(t *testing.T) {
 	var h *Hub
 	h.Emit(Event{Type: EvWaveCommit}) // must not panic
 	var m *Metrics
-	m.Inc("x")
-	m.Add("x", 3)
-	m.Set("g", 1.5)
-	m.Observe("h", time.Second)
-	m.Touch("x")
-	m.TouchHist("h")
-	if m.Counter("x") != 0 || m.Gauge("g") != 0 || m.Hist("h") != nil {
+	if m.Counter("fabric.msgs") != 0 || m.Gauge("job.completion_s") != 0 || m.Hist("wave.cycle") != nil {
 		t.Fatal("nil metrics returned values")
 	}
 	var buf bytes.Buffer
@@ -106,11 +100,10 @@ func TestCollectorAcrossChunks(t *testing.T) {
 }
 
 func TestHistogram(t *testing.T) {
-	m := NewMetrics()
-	m.Observe("d", 5*time.Microsecond) // bucket 1 (< 10µs)
-	m.Observe("d", 2*time.Millisecond) // bucket 4 (< 10ms)
-	m.Observe("d", 500*time.Second)    // overflow
-	h := m.Hist("d")
+	var h Hist
+	h.Observe(5 * time.Microsecond) // bucket 1 (< 10µs)
+	h.Observe(2 * time.Millisecond) // bucket 4 (< 10ms)
+	h.Observe(500 * time.Second)    // overflow
 	if h.Count != 3 || h.Min != 5*time.Microsecond || h.Max != 500*time.Second {
 		t.Fatalf("hist %+v", h)
 	}
@@ -126,10 +119,10 @@ func TestHistogram(t *testing.T) {
 func TestMetricsExportsDeterministic(t *testing.T) {
 	build := func() *Metrics {
 		m := NewMetrics()
-		m.Add("z.last", 9)
-		m.Inc("a.first")
-		m.Set("gauge.x", 0.25)
-		m.Observe("spread", 3*time.Millisecond)
+		m.NetFlows += 9
+		m.FabricMsgs++
+		m.CompletionS = 0.25
+		m.RecvBlocked.Observe(3 * time.Millisecond)
 		return m
 	}
 	var j1, j2, c1, c2 bytes.Buffer
@@ -149,11 +142,11 @@ func TestMetricsExportsDeterministic(t *testing.T) {
 	if err := json.Unmarshal(j1.Bytes(), &doc); err != nil {
 		t.Fatal(err)
 	}
-	if doc.Counters["z.last"] != 9 || doc.Counters["a.first"] != 1 {
+	if doc.Counters["net.flows"] != 9 || doc.Counters["fabric.msgs"] != 1 {
 		t.Fatalf("counters %v", doc.Counters)
 	}
-	if doc.Histograms["spread"]["count"].(float64) != 1 {
-		t.Fatalf("hist %v", doc.Histograms["spread"])
+	if doc.Histograms["mpi.recv_blocked"]["count"].(float64) != 1 {
+		t.Fatalf("hist %v", doc.Histograms["mpi.recv_blocked"])
 	}
 	if err := build().WriteCSV(&c1); err != nil {
 		t.Fatal(err)
@@ -168,7 +161,7 @@ func TestMetricsExportsDeterministic(t *testing.T) {
 	if lines[0] != "kind,name,field,value" {
 		t.Fatalf("csv header %q", lines[0])
 	}
-	if len(lines) != 1+2+1+5 { // header, 2 counters, 1 gauge, 5 hist fields
+	if len(lines) != 1+4+1+5 { // header, 4 counters (each pair shows together), 1 gauge, 5 hist fields
 		t.Fatalf("csv rows:\n%s", c1.String())
 	}
 }
@@ -207,34 +200,48 @@ func TestMetricsSinkPairsSpans(t *testing.T) {
 	at(EvRestartBegin, 30*time.Millisecond, Event{Rank: -1, Wave: 1})
 	at(EvRestartEnd, 42*time.Millisecond, Event{Rank: -1, Wave: 1})
 	at(EvMessageLogged, 5*time.Millisecond, Event{Rank: 1, Channel: 0, Bytes: 256})
+	// A detection's latency runs from its Cause's death; a suspicion
+	// without a Cause is false.
+	at(EvComponentDead, 60*time.Millisecond, Event{Rank: 3, Span: 7})
+	at(EvServerKilled, 61*time.Millisecond, Event{Server: 1, Span: 8})
+	at(EvHeartbeatTimeout, 69*time.Millisecond, Event{Server: 1, Span: 9, Cause: 8})
+	at(EvHeartbeatTimeout, 70*time.Millisecond, Event{Rank: 3, Span: 10, Cause: 7})
+	at(EvHeartbeatTimeout, 70*time.Millisecond, Event{Rank: 4, Span: 11})
 
-	if h := m.Hist(MBlockedTime); h.Count != 1 || h.Sum != 4*time.Millisecond {
+	if h := m.BlockedTime; h.Count != 1 || h.Sum != 4*time.Millisecond {
 		t.Fatalf("blocked %+v", h)
 	}
-	if m.Counter(MBlockedTime+".rank2") != int64(4*time.Millisecond) {
+	if m.BlockedNs[2] != int64(4*time.Millisecond) {
 		t.Fatal("per-rank blocked counter missing")
 	}
-	if h := m.Hist(MImageStoreTime); h.Count != 1 || h.Sum != 6*time.Millisecond {
+	if h := m.ImageStoreTime; h.Count != 1 || h.Sum != 6*time.Millisecond {
 		t.Fatalf("store %+v", h)
 	}
-	if m.Counter(MImageBytes) != 1<<20 || m.Counter(MImageBytes+".server0") != 1<<20 {
+	if m.ImageBytes != 1<<20 || m.ServerBytes[0] != 1<<20 {
 		t.Fatal("image bytes not attributed")
 	}
-	if h := m.Hist(MRestartTime); h.Count != 1 || h.Sum != 12*time.Millisecond {
+	if h := m.RestartTime; h.Count != 1 || h.Sum != 12*time.Millisecond {
 		t.Fatalf("restart %+v", h)
 	}
-	if m.Counter(MLoggedMsgs) != 1 || m.Counter(MLoggedBytes) != 256 ||
-		m.Counter(MLoggedBytes+".ch0-1") != 256 {
+	if m.Tally[EvMessageLogged] != 1 || m.LoggedBytes != 256 || m.ChannelBytes[[2]int32{0, 1}] != 256 {
 		t.Fatal("logged-message accounting wrong")
+	}
+	if h := m.DetectLatency; h.Count != 2 || h.Min != 8*time.Millisecond || h.Max != 10*time.Millisecond ||
+		m.FalseSuspicions != 1 || m.Tally[EvHeartbeatTimeout] != 3 {
+		t.Fatalf("detections %+v, %d false suspicions", h, m.FalseSuspicions)
 	}
 	// An end without a begin must not observe a bogus span.
 	at(EvChannelUnblocked, 50*time.Millisecond, Event{Rank: 9})
-	if h := m.Hist(MBlockedTime); h.Count != 1 {
+	if h := m.BlockedTime; h.Count != 1 {
 		t.Fatal("unpaired unblock observed")
 	}
-	// Schema pre-registration: a key this run never touched still exports.
-	if _, ok := m.counters[MDelayedSends]; !ok {
-		t.Fatal("standard counters not pre-registered")
+	// The schema exports a field this run never wrote.
+	var out bytes.Buffer
+	if err := m.WriteJSON(&out); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(out.String(), `"pcl.delayed_sends": 0`) {
+		t.Fatal("standard counters not in the export")
 	}
 }
 

@@ -136,14 +136,14 @@ func TestWaveFold(t *testing.T) {
 			for _, h := range []struct {
 				name string
 				sum  sim.Time
-			}{{MWaveSpread, want.spread}, {MWaveTransfer, want.transfer}, {MWaveCycle, want.cycle}} {
+			}{{"wave.spread", want.spread}, {"wave.transfer", want.transfer}, {"wave.cycle", want.cycle}} {
 				got := m.Hist(h.name)
 				if got.Count != int64(len(tc.want)) || got.Sum != h.sum || got.Mean() != h.sum/n {
 					t.Errorf("%s observed %d waves summing to %v (mean %v), want %d summing to %v",
 						h.name, got.Count, got.Sum, got.Mean(), len(tc.want), h.sum)
 				}
 			}
-			if got := m.Counter(MWavesCommitted); got != int64(commits) {
+			if got := m.Tally[EvWaveCommit]; got != int64(commits) {
 				t.Errorf("%d commits counted, want %d", got, commits)
 			}
 		})

@@ -162,10 +162,9 @@ type Network struct {
 	touched []*resource
 	movers  []*Flow
 
-	// flows and bytesMoved mirror delivery statistics into the
-	// observability registry ("net.flows", "net.bytes_moved") once
-	// SetMetrics names one.
-	flows, bytesMoved obs.Counter
+	// met mirrors delivery statistics into the observability registry
+	// once SetMetrics names one.
+	met *obs.Metrics
 
 	// BytesMoved and FlowsDone accumulate delivery statistics.
 	BytesMoved Bytes
@@ -213,9 +212,7 @@ func (n *Network) Kernel() *sim.Kernel { return n.k }
 
 // SetMetrics attaches the observability registry delivery statistics are
 // mirrored into (nil disables).
-func (n *Network) SetMetrics(m *obs.Metrics) {
-	n.flows, n.bytesMoved = m.CounterHandle("net.flows"), m.CounterHandle("net.bytes_moved")
-}
+func (n *Network) SetMetrics(m *obs.Metrics) { n.met = m }
 
 // NumNodes returns the number of nodes in the platform.
 func (n *Network) NumNodes() int { return len(n.nodes) }
@@ -357,8 +354,10 @@ func deliverFlow(x any) {
 	n := f.net
 	n.BytesMoved += f.size
 	n.FlowsDone++
-	n.flows.Inc()
-	n.bytesMoved.Add(f.size)
+	if n.met != nil {
+		n.met.NetFlows++
+		n.met.NetBytesMoved += f.size
+	}
 	if f.fn != nil {
 		f.fn(f.payload)
 	}

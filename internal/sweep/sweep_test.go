@@ -122,11 +122,11 @@ func TestRunMergedRegistryDeterminism(t *testing.T) {
 			func(_ context.Context, i int, p int, _ sweep.Tracef) (struct{}, error) {
 				m := obs.NewMetrics()
 				for k := 0; k < 100; k++ {
-					m.Inc("runs")
-					m.Add("bytes", int64(p))
-					m.Observe("span", time.Duration(p*k+1)*time.Microsecond)
+					m.FabricMsgs++
+					m.FabricPayloadBytes += int64(p)
+					m.WaveCycle.Observe(time.Duration(p*k+1) * time.Microsecond)
 				}
-				m.Set("last", float64(p))
+				m.CompletionS = float64(p)
 				regs[i] = m
 				return struct{}{}, nil
 			}, sweep.Opts{Jobs: jobs})
@@ -140,17 +140,17 @@ func TestRunMergedRegistryDeterminism(t *testing.T) {
 		return agg
 	}
 	agg := merged(8)
-	if got := agg.Counter("runs"); got != n*100 {
-		t.Fatalf("runs = %d", got)
+	if got := agg.FabricMsgs; got != n*100 {
+		t.Fatalf("msgs = %d", got)
 	}
-	if got := agg.Counter("bytes"); got != 100*n*(n-1)/2 {
+	if got := agg.FabricPayloadBytes; got != 100*n*(n-1)/2 {
 		t.Fatalf("bytes = %d", got)
 	}
-	if got := agg.Gauge("last"); got != n-1 {
-		t.Fatalf("last = %v (gauges must keep input-order last-write)", got)
+	if got := agg.CompletionS; got != n-1 {
+		t.Fatalf("completion = %v (gauges must keep input-order last-write)", got)
 	}
-	h := agg.Hist("span")
-	if h == nil || h.Count != n*100 {
+	h := agg.WaveCycle
+	if h.Count != n*100 {
 		t.Fatalf("span hist: %+v", h)
 	}
 	if h.Min != time.Microsecond {

@@ -35,7 +35,7 @@ func init() {
 				runtime.ReadMemStats(&before)
 				rep, st, err := RunKernelStats(sc.opts)
 				runtime.ReadMemStats(&after)
-				deferred := rep.Metrics.Counter(obs.MCkptDeferred)
+				deferred := rep.Metrics.Tally[obs.EvCkptDeferred]
 				rep.Metrics = nil
 				return kernelCost{rep, st, after.Mallocs - before.Mallocs, after.TotalAlloc - before.TotalAlloc, deferred}, err
 			})

@@ -62,9 +62,10 @@ func foldMismatch(rep Report, events []Event) error {
 // one Options.Metrics, recorded at the commit before a job's registry
 // became its own (when both runs wrote into the shared one directly), and
 // re-recorded when the two always-zero buffer-eviction counters left
-// every export, and again when images took the flat state codec (the
-// stream first differs at its first image-store-begin's Bytes).
-const sharedRegistrySHA = "11bb32185275edb7a931f19bb136da3207313ac7c956e17347916542296ebd2c"
+// every export, again when images took the flat state codec (the
+// stream first differs at its first image-store-begin's Bytes), and again
+// when the never-written ckpt.level_bytes left every export.
+const sharedRegistrySHA = "2acfbd6f195add51b52a82410a921ee5601f1e708170b6cab2ef81c79e33d859"
 
 // TestSharedRegistry: two sequential runs sharing one Options.Metrics each
 // report their own totals, and the shared registry ends up byte-identical

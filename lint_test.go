@@ -22,11 +22,13 @@ package ftckpt
 //     a protocol has and Protocol.Stop cancels it; a timer armed beside it
 //     outlives Stop into a revoked or restarted world.
 //   - Every knob is set: each field of the configuration structs
-//     (knobStructs) is written by non-test code in the module or bench/, as
-//     a composite-literal key or a selector assignment.  A field only tests
-//     set is a knob with one value in use, which is a constant.
-//     Default-filling (Normalize, Validate and the validate helpers) is not
-//     a write.
+//     (knobStructs) and of the metrics ledger (ledgerStructs) is written by
+//     non-test code in the module or bench/, as a composite-literal key, an
+//     assignment, op= or ++ through a selector (indexed or not), or an
+//     Observe call through it.  A knob only tests set has one value in use,
+//     which is a constant; a ledger field nothing writes exports a constant.
+//     Default-filling (Normalize, Validate and the validate helpers) and
+//     folding one ledger into another (Merge) are not writes.
 //   - Documents name what exists: every backticked pkg.Name, Type.Member or
 //     pkg.Type.Member in docFiles names a declaration in the tree (test
 //     files and bench/ included), since a design that names a removed
@@ -43,10 +45,11 @@ package ftckpt
 // count (a sim.Queue's At(i) is a read), so a timer call through a func
 // value or a wrapper of another name goes unseen.
 // The knob rule types a selector's operand from declarations alone
-// (parameters, receivers, := and var, range values, struct fields, the
-// results of functions and func literals), so a write through a method's
-// result or an interface goes unseen and its field is reported unset;
-// the rule errs towards a finding, never past an unset knob.
+// (parameters, receivers, := and var, range values, struct fields, type
+// assertions, the results of functions and func literals), so a write
+// through a method's result or an interface goes unseen and its field is
+// reported unset; the rule errs towards a finding, never past an unset
+// knob.
 // Map order is left to the runs (TestGoldenDeterminismRepeat).
 
 import (
@@ -128,7 +131,11 @@ var pooledHolders = map[string]string{
 
 // knobStructs are the configuration structs the knob rule holds to being
 // set; an alias of one (ftckpt.LevelSpec) writes the same fields.
-const knobStructs = "ftckpt.Options ftpm.Config ftpm.HeartbeatSpec ckpt.Spec ckpt.LevelSpec chaos.Spec"
+// ledgerStructs are the ledgers it holds to being written.
+const (
+	knobStructs   = "ftckpt.Options ftpm.Config ftpm.HeartbeatSpec ckpt.Spec ckpt.LevelSpec chaos.Spec"
+	ledgerStructs = "obs.Metrics"
+)
 
 // importsOf maps a file's import names to their paths.
 func importsOf(f *ast.File) map[string]string {
@@ -275,8 +282,9 @@ func (ix *typeIndex) canon(t string) string {
 
 // knobWrites indexes the files' types and returns the "pkg.Type.Field"
 // names their code writes: literal keys of a typed (or elided) struct
-// literal, and selector assignments whose operand's type the function's
-// declarations give.  Default-filling functions are skipped.
+// literal, and selector assignments and Observe calls whose operand's
+// type the function's declarations give.  Default-filling and merging
+// functions are skipped.
 func knobWrites(fset *token.FileSet, files []*ast.File) (*typeIndex, map[string]bool) {
 	ix := &typeIndex{fields: map[string][]string{}, types: map[string]string{},
 		pos: map[string]token.Position{}, aliases: map[string]string{}, results: map[string]string{}}
@@ -326,7 +334,7 @@ func knobWrites(fset *token.FileSet, files []*ast.File) (*typeIndex, map[string]
 		}
 		for _, decl := range f.Decls {
 			fn, _ := decl.(*ast.FuncDecl)
-			if fn != nil && (fn.Name.Name == "Normalize" || strings.HasPrefix(strings.ToLower(fn.Name.Name), "validate")) {
+			if fn != nil && (fn.Name.Name == "Normalize" || fn.Name.Name == "Merge" || strings.HasPrefix(strings.ToLower(fn.Name.Name), "validate")) {
 				continue
 			}
 			env := map[string]string{} // a name in the function → its type
@@ -347,6 +355,10 @@ func knobWrites(fset *token.FileSet, files []*ast.File) (*typeIndex, map[string]
 					}
 				case *ast.StarExpr:
 					return strings.TrimPrefix(typeOf(e.X), "*")
+				case *ast.TypeAssertExpr:
+					if e.Type != nil {
+						return typ(e.Type)
+					}
 				case *ast.SelectorExpr:
 					return ix.canon(ix.types[strings.TrimPrefix(typeOf(e.X), "*")+"."+e.Sel.Name])
 				case *ast.IndexExpr:
@@ -380,6 +392,9 @@ func knobWrites(fset *token.FileSet, files []*ast.File) (*typeIndex, map[string]
 				}
 			}
 			assigned := func(x ast.Expr) {
+				for idx, ok := x.(*ast.IndexExpr); ok; idx, ok = x.(*ast.IndexExpr) {
+					x = idx.X
+				}
 				if sel, ok := x.(*ast.SelectorExpr); ok {
 					if t := strings.TrimPrefix(typeOf(sel.X), "*"); t != "" {
 						written[t+"."+sel.Sel.Name] = true
@@ -426,6 +441,10 @@ func knobWrites(fset *token.FileSet, files []*ast.File) (*typeIndex, map[string]
 					}
 				case *ast.IncDecStmt:
 					assigned(n.X)
+				case *ast.CallExpr:
+					if sel, ok := n.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "Observe" {
+						assigned(sel.X)
+					}
 				}
 				return true
 			})
@@ -512,16 +531,32 @@ func TestLintTree(t *testing.T) {
 		t.Fatal(err)
 	}
 	ix, written := knobWrites(fset, append(files, bench...))
-	for _, st := range strings.Fields(knobStructs) {
-		if ix.fields[st] == nil {
-			t.Errorf("knobStructs lists %s, which is not a struct in the tree", st)
-		}
-		for _, name := range ix.fields[st] {
-			if key := st + "." + name; !written[key] {
-				t.Errorf("%s: %s is set by no code but tests; a knob with one value in use is a constant", ix.pos[key], key)
+	for _, msg := range unwritten(ix, written) {
+		t.Error(msg)
+	}
+}
+
+// unwritten returns a finding for each field of knobStructs and
+// ledgerStructs that written lacks, and for each listed struct the tree
+// does not declare.
+func unwritten(ix *typeIndex, written map[string]bool) []string {
+	var out []string
+	for _, list := range []struct{ structs, why string }{
+		{knobStructs, "is set by no code but tests; a knob with one value in use is a constant"},
+		{ledgerStructs, "is written by no code but tests; a ledger field nothing writes exports a constant"},
+	} {
+		for _, st := range strings.Fields(list.structs) {
+			if ix.fields[st] == nil {
+				out = append(out, fmt.Sprintf("%s is listed, but it is not a struct in the tree", st))
+			}
+			for _, name := range ix.fields[st] {
+				if key := st + "." + name; !written[key] {
+					out = append(out, fmt.Sprintf("%s: %s %s", ix.pos[key], key, list.why))
+				}
 			}
 		}
 	}
+	return out
 }
 
 // docFiles are the documents whose backticked identifiers must resolve.
@@ -786,6 +821,8 @@ type Options struct{ NP int; Storage *StorageSpec }
 			"ckpt.LevelSpec.Kind ftckpt.Options.Storage"},
 		{`package main; import "ftckpt"; func opts() ftckpt.Options { var o ftckpt.Options; return o }; func f() { o := opts(); o.Storage.Compress = true }`,
 			"ckpt.Spec.Compress"},
+		{`package main; import "ftckpt"; func f(x any) { o := x.(*ftckpt.Options); o.Storage.Levels[0] = ftckpt.LevelSpec{} }`,
+			"ckpt.Spec.Levels"},
 		// Not knob writes: default-filling, and a namesake field of another
 		// type (or of an operand whose type the declarations do not give).
 		{`package ckpt; func (sp *Spec) Normalize() { sp.Compress = true }; func (sp *Spec) validate() { sp.Levels = nil }`, ""},
@@ -810,5 +847,37 @@ type Options struct{ NP int; Storage *StorageSpec }
 		if want := strings.Fields(tc.want); !slices.Equal(got, want) {
 			t.Errorf("%s\n  writes %q, want %q", tc.src, got, want)
 		}
+	}
+}
+
+// TestLintLedgerSnippet: a ledger field that only a test writes is a
+// finding of the tree's rule, which reads no test file; an increment, an
+// indexed op= and an Observe call are writes, a Merge is not.
+func TestLintLedgerSnippet(t *testing.T) {
+	dir := t.TempDir()
+	for name, src := range map[string]string{
+		"metrics.go": `package obs; type Hist struct{}; func (h *Hist) Observe(int64) {}
+type Metrics struct{ N int64; H Hist; F map[int]int64; Dead int64 }
+func (m *Metrics) Merge(o *Metrics) { m.Dead += o.Dead }`,
+		"sink.go":      `package obs; func (m *Metrics) emit() { m.N++; m.H.Observe(1); m.F[2] += 3 }`,
+		"sink_test.go": `package obs; func poke(m *Metrics) { m.Dead = 1 }`,
+	} {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fset := token.NewFileSet()
+	files, err := goFiles(fset, dir, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, msg := range unwritten(knobWrites(fset, files)) {
+		if strings.Contains(msg, "obs.Metrics.") {
+			got = append(got, msg)
+		}
+	}
+	if len(got) != 1 || !strings.Contains(got[0], "obs.Metrics.Dead is written by no code but tests") {
+		t.Errorf("findings on the ledger %q, want one naming obs.Metrics.Dead", got)
 	}
 }

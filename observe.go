@@ -29,7 +29,8 @@ type EventType = obs.EventType
 // Collector is a Sink that retains every event in order, for inspection.
 type Collector = obs.Collector
 
-// Metrics is a registry of counters, gauges and virtual-time histograms.
+// Metrics is a run's typed ledger of counters, gauges and virtual-time
+// histograms; its exports and Counter/Gauge/Hist name them.
 type Metrics = obs.Metrics
 
 // Event types, re-exported from the internal observability package.

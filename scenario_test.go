@@ -152,8 +152,9 @@ var scenarios = func() []scenario {
 		// hashes are its pinned report, metrics and trace hashes.  -late
 		// moves its rank kill by 1 ms for TestFirstDivergenceNamesTheEvent.
 		// The metrics hashes of these rows were re-recorded when the two
-		// always-zero buffer-eviction counters left every export; nothing
-		// else in them moved.  The three below were re-recorded when flows
+		// always-zero buffer-eviction counters left every export, and again
+		// when the never-written ckpt.level_bytes did; nothing else in them
+		// moved.  The three below were re-recorded when flows
 		// began to ride per-resource clocks (simnet/clock.go), which
 		// reorders completions that tie and moves some by 1 ns; each
 		// stream first differs at such an event (CHANGES.md lists them),
@@ -165,7 +166,7 @@ var scenarios = func() []scenario {
 		{name: "replicated-hb-8-late", opts: hbKill(18 * ms)},
 		{name: "replicated-vcl-8", opts: replicated(Vcl, 11, KillRank(13*ms, 2), KillNode(23*ms, 1)), recorded: [3]string{
 			"be1b860fbf0bfebf4b36ed7a1d3e71f79dfbe9a16c8fff14b2056df2c5c4538b",
-			"3654bffe91fbde2fe34266e80616e93b1080d1616759ae3de64443d3fb0f4304",
+			"497413c8178f0372ebf6f63a741810cb4600f83bb4877ca5111a2a0b5393077f",
 			"afda758ded111eacc016834d38f50baf632c395449f0ec9adceb145bff26c3ca"}},
 		// Re-recorded when Mlog began deferring a checkpoint tick while the
 		// previous image is in flight.  The stream first differs at line 2616:
@@ -176,11 +177,11 @@ var scenarios = func() []scenario {
 		// checkpoints, same checksum.
 		{name: "replicated-mlog-8", opts: replicated(Mlog, 13, KillServer(9*ms, 0)), recorded: [3]string{
 			"a692338532b1aeaf59a85467bf4d30d0049a2172c428bfcbfd88cfe5699ec13c",
-			"6072245406a90a6bd02c334751fa5ec47ae9ec6d0caa64d9622a5e36b007d5bb",
+			"e186403bff983086dd8cc474ad72e248c5f1a12c0bee9533ff2a7a80edd50191",
 			"48e260d18cf73925c0d4041099560f9b970f1f370f5a31f4a7db721fb0491c19"}},
 		{name: "replicated-node-8", opts: replicated(Pcl, 21, KillNode(15*ms, 2)), recorded: [3]string{
 			"226983f51dcd68ac272a495e15456913676f50fbf341f978c24c45a4ea66125c",
-			"1528e6b10366fed38701bc017d1bee38aca209270f86da83bb7bb3fc0bdccd45",
+			"3b9b684983a68fe0d931b3200b13db04614db638aa0e82d4d77219269dad9670",
 			"218491927384dd7f34c75bdd32d9f6d55cfb381f55953e12ce7535b36d3194fb"}},
 		// The storage hierarchy: a buffer loss between two waves, then a
 		// rank kill whose restore falls through the dead buffer; a chaos
