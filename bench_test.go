@@ -255,7 +255,7 @@ func cgAblationCfg() ftpm.Config {
 }
 
 // BenchmarkAblationDaemonOverhead isolates the Vcl daemon's per-message
-// cost (DESIGN.md §5.3) on the latency-bound CG benchmark: the same
+// cost (DESIGN.md §7) on the latency-bound CG benchmark: the same
 // failure-free run through the daemon path and through a hypothetical
 // daemon-free non-blocking stack.
 func BenchmarkAblationDaemonOverhead(b *testing.B) {

@@ -518,8 +518,8 @@ func (op *hierOp) Cancel() {
 // a buffer level the commit gate (onQuorum) fires when the node-local
 // write completes — that is the point the image is recoverable if the
 // process dies — and an asynchronous drain then pushes copies to the
-// server group and the PFS.  Without a buffer the group's quorum is the
-// gate, as before.  Cancel aborts the leg the dying process still owns;
+// server group and the PFS.  Without a buffer the group's write quorum is
+// the gate.  Cancel aborts the leg the dying process still owns;
 // drains belong to the buffer and survive rank death.
 func (h *Hierarchy) Store(img *Image, srcNode int, cap simnet.Rate, onQuorum, onFailed func()) Op {
 	h.price(img)

@@ -89,7 +89,7 @@ type Image struct {
 	Base int
 	// Stored overrides the modelled bytes shipped and kept per copy when
 	// > 0: the dirty-region payload of a delta, and/or the compressed
-	// size.  0 means Bytes() (the legacy full-image cost).
+	// size.  0 means Bytes(), the full image.
 	Stored int64
 	// Restore overrides the modelled bytes read back at recovery when > 0:
 	// a delta restore reads its full base plus the delta chain.  0 means

@@ -367,7 +367,7 @@ func (job *Job) inject(ev failure.Event) {
 // injectRankKill kills one MPI task.  With instant detection (the
 // paper's model) recovery begins immediately; in heartbeat mode the task
 // just goes silent and the detector finds it.  Kills while the job is
-// already down (mid-restart) are no-ops, as before.
+// already down (mid-restart) are no-ops.
 func (job *Job) injectRankKill(rank int) {
 	if !job.running {
 		return

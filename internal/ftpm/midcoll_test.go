@@ -45,7 +45,7 @@ func (s *skewProg) Step(e *mpi.Engine) bool {
 func (s *skewProg) Footprint() int64 { return 64 << 10 }
 
 // TestCheckpointInsideCollective verifies the serialized-engine-state
-// design (DESIGN.md §5.2): a wave lands while most ranks are blocked
+// design (DESIGN.md §6): a wave lands while most ranks are blocked
 // inside an allreduce, the images carry the in-flight collective state,
 // and a rollback restores and resumes mid-collective with the exact
 // failure-free result.

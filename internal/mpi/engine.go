@@ -71,7 +71,7 @@ type Engine struct {
 	unexpected []Packet
 	opDepth    int
 
-	// A blocking call parks its LP once (DESIGN.md §5.2): a send's CPU
+	// A blocking call parks its LP once (DESIGN.md §6): a send's CPU
 	// charge is the event sendEv, at whose end the packet out describes
 	// enters the wire, and a receive's wait for its match and its charge
 	// are the one timed wake wakeEv.  park says what the LP waits for;

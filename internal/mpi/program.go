@@ -8,7 +8,7 @@ import (
 // Program is a resumable MPI application: a state machine advanced by
 // Step, whose entire state lives in the exported fields of the
 // implementing struct.  This is the checkpointable execution model of the
-// reproduction (DESIGN.md §5.2): a goroutine stack cannot be serialized,
+// reproduction (DESIGN.md §6): a goroutine stack cannot be serialized,
 // so the coordinated checkpoint captures the Program struct plus the
 // engine's pending-operation state while the process is parked, and a
 // restarted process re-enters Step.

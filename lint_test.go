@@ -35,7 +35,11 @@ package ftckpt
 //     function describes code that is gone.  A span whose first part is
 //     neither a package nor a type of the tree (a variable, a file, the
 //     standard library) is not checked, nor is pkg.name in lower case
-//     alone, which is how metric names (mpi.msgs) read.
+//     alone, which is how metric names (mpi.msgs) read.  Every "DESIGN §N"
+//     or "DESIGN.md §N.M" in the tree's Go files and documents (CHANGES.md
+//     and ISSUE.md, which record past requests, apart) names a numbered
+//     heading of DESIGN.md, and DESIGN.md stays within designBudget bytes,
+//     since a design that only grows turns into its own history.
 // The holder rule checks declarations, not stores, so a holder typed any
 // would go unseen; no pooled record travels that way (lanes carry their
 // records by value).  A package var with an inferred type is not seen
@@ -560,7 +564,33 @@ func unwritten(ix *typeIndex, written map[string]bool) []string {
 }
 
 // docFiles are the documents whose backticked identifiers must resolve.
-const docFiles = "DESIGN.md README.md EXPERIMENTS.md"
+const docFiles = "DESIGN.md README.md EXPERIMENTS.md .claude/skills/verify/SKILL.md"
+
+// designBudget is the most bytes DESIGN.md may hold.
+const designBudget = 40960
+
+// designRef is a reference to a section of DESIGN.md; a bare §N cites the
+// paper and is not one.
+var designRef = regexp.MustCompile(`DESIGN(?:\.md)?\s+(?://\s*)?§(\d+(?:\.\d+)?)`)
+
+// designHeading is a numbered heading of DESIGN.md: "## 4." or "### 4.1".
+var designHeading = regexp.MustCompile(`(?m)^#{2,3} (\d+(?:\.\d+)?)\.? `)
+
+// danglingRefs returns the DESIGN § references of doc that name no
+// numbered heading of design, as "line N: §x".
+func danglingRefs(design, doc string) []string {
+	sections := map[string]bool{}
+	for _, m := range designHeading.FindAllStringSubmatch(design, -1) {
+		sections[m[1]] = true
+	}
+	var out []string
+	for _, m := range designRef.FindAllStringSubmatchIndex(doc, -1) {
+		if n := doc[m[2]:m[3]]; !sections[n] {
+			out = append(out, fmt.Sprintf("line %d: §%s", strings.Count(doc[:m[0]], "\n")+1, n))
+		}
+	}
+	return out
+}
 
 // docIdent is a backticked pkg.Name, Type.Member or pkg.Type.Member, with
 // an optional "()".
@@ -701,7 +731,8 @@ func (ix *declIndex) dangling(doc string) []string {
 }
 
 // TestLintDocs holds docFiles to the tree: every backticked identifier
-// they check names a declaration.
+// they check names a declaration.  It also holds every DESIGN § reference
+// of the tree to a heading, and DESIGN.md to its budget.
 func TestLintDocs(t *testing.T) {
 	fset := token.NewFileSet()
 	files, err := goFiles(fset, ".", true)
@@ -721,6 +752,38 @@ func TestLintDocs(t *testing.T) {
 		for _, d := range ix.dangling(string(doc)) {
 			t.Errorf("%s %s names no declaration in the tree", name, d)
 		}
+	}
+	design, err := os.ReadFile("DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(design); n > designBudget {
+		t.Errorf("DESIGN.md is %d bytes, over its budget of %d: a new design replaces the paragraph it supersedes", n, designBudget)
+	}
+	err = filepath.Walk(".", func(p string, info os.FileInfo, err error) error {
+		if err != nil {
+			return err
+		}
+		if info.IsDir() {
+			if p != "." && p != ".claude" && (info.Name()[0] == '.' || info.Name() == "testdata") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if p == "CHANGES.md" || p == "ISSUE.md" || !strings.HasSuffix(p, ".go") && !strings.HasSuffix(p, ".md") {
+			return nil
+		}
+		doc, err := os.ReadFile(p)
+		if err != nil {
+			return err
+		}
+		for _, d := range danglingRefs(string(design), string(doc)) {
+			t.Errorf("%s %s names no heading of DESIGN.md", p, d)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -746,6 +809,18 @@ func EncodeF64s() {}; type Alias = Packet`
 		{"```\n`mpi.Gone`\n```", ""},
 	} {
 		if got := strings.Join(ix.dangling(tc.doc), "; "); got != tc.want {
+			t.Errorf("%q: dangling %q, want %q", tc.doc, got, tc.want)
+		}
+	}
+	// Section references: one that resolves (wrapped in a comment), one
+	// that dangles, and paper citations, which are not checked.
+	const design = "## 4. Kernel\n### 4.1 Order\n"
+	for _, tc := range []struct{ doc, want string }{
+		{"// see DESIGN\n// §4.1 and DESIGN.md §4", ""},
+		{"x\nDESIGN.md §" + "5.7's table", "line 2: §5.7"},
+		{"paper §5.4, §2 and DESIGN.md", ""},
+	} {
+		if got := strings.Join(danglingRefs(design, tc.doc), "; "); got != tc.want {
 			t.Errorf("%q: dangling %q, want %q", tc.doc, got, tc.want)
 		}
 	}

@@ -9,8 +9,8 @@ import (
 )
 
 // Typed facade constants.  Protocol, Platform, Workload and Class are
-// string-backed, so the stringly-typed literals of earlier releases
-// ("pcl", "ethernet", "bt", "B") keep compiling unchanged; the exported
+// string-backed, so untyped string literals ("pcl", "ethernet", "bt",
+// "B") compile where the types are expected; the exported
 // constants below are the supported values, and anything outside them is
 // rejected with a *ConfigError naming the field.
 //

@@ -5,7 +5,7 @@ package ftckpt
 // it.  A row's first run is made once per test process and every check
 // reads that one result; only the row's repeats run it again.  The golden
 // test that names a row runs its post, recorded, same and repeat checks
-// (checkRow); DESIGN §5.8 lists the columns and the tests that read each.
+// (checkRow); DESIGN §11 lists the columns and the tests that read each.
 
 import (
 	"bytes"
@@ -224,7 +224,7 @@ var scenarios = func() []scenario {
 		// 22.4 MB.  The fourth count is the LP resumes: 993 147, 1 004 181,
 		// 1 020 923 and 253 078 while an exchange parked for its send
 		// charge, for its match and for its receive charge (one park per
-		// MPI call since, DESIGN.md §5.2).
+		// MPI call since, DESIGN.md §6).
 		{name: "pcl-256", opts: kernel(Pcl, 256, 2*s),
 			budget: &budget{heapPerRank: 4, counts: [4]uint64{1_741_930, 1_529_800, 75_960, 471_512}}},
 		{name: "vcl-256", opts: kernel(Vcl, 256, 2*s),
