@@ -36,9 +36,9 @@ package ftckpt
 //     neither a package nor a type of the tree (a variable, a file, the
 //     standard library) is not checked, nor is pkg.name in lower case
 //     alone, which is how metric names (mpi.msgs) read.  Every "DESIGN §N"
-//     or "DESIGN.md §N.M" in the tree's Go files and documents (CHANGES.md
-//     and ISSUE.md, which record past requests, apart) names a numbered
-//     heading of DESIGN.md, and DESIGN.md stays within designBudget bytes,
+//     or "DESIGN.md §N.M" in the tree's Go files and documents (CHANGES.md,
+//     which records past changes, apart) names a numbered heading of
+//     DESIGN.md, and DESIGN.md stays within designBudget bytes,
 //     since a design that only grows turns into its own history.
 // The holder rule checks declarations, not stores, so a holder typed any
 // would go unseen; no pooled record travels that way (lanes carry their
@@ -770,7 +770,7 @@ func TestLintDocs(t *testing.T) {
 			}
 			return nil
 		}
-		if p == "CHANGES.md" || p == "ISSUE.md" || !strings.HasSuffix(p, ".go") && !strings.HasSuffix(p, ".md") {
+		if p == "CHANGES.md" || !strings.HasSuffix(p, ".go") && !strings.HasSuffix(p, ".md") {
 			return nil
 		}
 		doc, err := os.ReadFile(p)
