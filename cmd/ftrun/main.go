@@ -92,7 +92,7 @@ func main() {
 		cpuProf = flag.String("cpuprofile", "", "write a CPU profile of the run to this file (inspect with go tool pprof)")
 		memProf = flag.String("memprofile", "", "write a heap profile taken after the run to this file")
 		allocs  = flag.Bool("allocs", false, "print the run's allocation statistics (mallocs, bytes, GC cycles) to stderr")
-		stats   = flag.Bool("stats", false, "print the event kernel's counters (events scheduled/fired/cancelled, LP resumes, heap/slab/lane high-water marks) to stderr")
+		stats   = flag.Bool("stats", false, "print the event kernel's counters (events scheduled/fired/cancelled, LP resumes, heap/slab/lane high-water marks; lanes counts queued lane records, a flood's run of markers being one) to stderr")
 	)
 	flag.Usage = usage
 	flag.Parse()

@@ -67,6 +67,18 @@ func (h *Host) Wire(dst int, p mpi.Packet) {
 	h.Wired = append(h.Wired, &p)
 }
 
+// Flood records one wired marker per other rank, as Wire would.
+func (h *Host) Flood(p mpi.Packet) {
+	for dst := 0; dst < h.size; dst++ {
+		if dst != h.rank {
+			h.Wire(dst, p)
+			if p.SpanID != 0 {
+				p.SpanID++
+			}
+		}
+	}
+}
+
 func (h *Host) TakeCheckpoint(wave int, dev []byte, onStored func()) {
 	h.Ckpts = append(h.Ckpts, wave)
 	switch {

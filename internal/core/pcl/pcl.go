@@ -99,15 +99,7 @@ func (p *Pcl) enterWave(w int, cause uint64) {
 	// blocked-send span the paper's flush-straggle analysis measures.
 	p.freezeSpan = hub.NextSpan()
 	hub.Emit(obs.Event{Type: obs.EvChannelBlocked, T: now, Rank: p.h.Rank(), Wave: w, Channel: -1, Node: -1, Server: -1, Span: p.freezeSpan, Cause: p.ckptSpan})
-	for dst := 0; dst < p.h.Size(); dst++ {
-		if dst != p.h.Rank() {
-			ms := hub.NextSpan()
-			hub.Emit(obs.Event{Type: obs.EvMarkerSent, T: now, Rank: p.h.Rank(), Wave: w, Channel: dst, Node: -1, Server: -1, Span: ms, Cause: p.ckptSpan})
-			mk := core.Marker(w)
-			mk.SpanID = ms
-			p.h.Wire(dst, mk)
-		}
-	}
+	core.Flood(p.h, w, p.ckptSpan)
 	if p.markers == p.h.Size()-1 { // single-process job
 		p.takeCheckpoint()
 	}

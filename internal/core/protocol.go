@@ -20,6 +20,7 @@ package core
 import (
 	"ftckpt/internal/mpi"
 	"ftckpt/internal/obs"
+	"ftckpt/internal/sim"
 )
 
 // Control opcodes carried in Packet.Tag of KindControl packets.
@@ -48,6 +49,10 @@ type Host interface {
 	// Data or VSize in a body slot, so a marker or control packet
 	// allocates nothing (mpi.WireMsg).
 	Wire(dst int, p mpi.Packet)
+	// Flood sends the marker p to every other rank in rank order, the
+	// k-th of them with SpanID p.SpanID+k when p has a span, as Wire
+	// would send each (mpi.Fabric.Flood).
+	Flood(p mpi.Packet)
 	// TakeCheckpoint captures the local process image for wave
 	// (application + engine + the given protocol device state) right now,
 	// then transfers it to this rank's checkpoint server in the
@@ -114,6 +119,33 @@ type PeerAware interface {
 // Marker builds a checkpoint-wave marker packet.
 func Marker(wave int) mpi.Packet {
 	return mpi.Packet{Kind: mpi.KindMarker, Wave: wave}
+}
+
+// Flood sends wave w's markers from h's rank to every other rank: one
+// EvMarkerSent per peer, caused by cause, then the markers in one
+// Host.Flood, each with the span of its event.
+func Flood(h Host, w int, cause uint64) {
+	mk := Marker(w)
+	mk.SpanID = MarkerEvents(h.Obs(), h.Now(), h.Rank(), h.Size(), w, cause)
+	h.Flood(mk)
+}
+
+// MarkerEvents emits, at now, the EvMarkerSent of a flood of wave w from
+// src to every rank of a job of size but src, in rank order, each with a
+// span of its own caused by cause, and returns the first span: the k-th
+// marker's is that plus k, and all are 0 on a nil hub.
+func MarkerEvents(hub *obs.Hub, now sim.Time, src, size, w int, cause uint64) uint64 {
+	var first uint64
+	for dst := 0; dst < size; dst++ {
+		if dst != src {
+			ms := hub.NextSpan()
+			if first == 0 {
+				first = ms
+			}
+			hub.Emit(obs.Event{Type: obs.EvMarkerSent, T: now, Rank: src, Wave: w, Channel: dst, Node: -1, Server: -1, Span: ms, Cause: cause})
+		}
+	}
+	return first
 }
 
 // Done builds an OpCkptDone control packet.

@@ -125,15 +125,7 @@ func (v *Vcl) beginWave(w int, cause uint64) {
 	// The fork is immediate — computation never stops under Vcl, so the
 	// snapshot begin/end collapse to the same virtual instant.
 	hub.Emit(obs.Event{Type: obs.EvLocalCkptEnd, T: now, Rank: v.h.Rank(), Wave: w, Channel: -1, Node: -1, Server: -1, Span: v.ckptSpan})
-	for dst := 0; dst < v.h.Size(); dst++ {
-		if dst != v.h.Rank() {
-			ms := hub.NextSpan()
-			hub.Emit(obs.Event{Type: obs.EvMarkerSent, T: now, Rank: v.h.Rank(), Wave: w, Channel: dst, Node: -1, Server: -1, Span: ms, Cause: v.ckptSpan})
-			mk := core.Marker(w)
-			mk.SpanID = ms
-			v.h.Wire(dst, mk)
-		}
-	}
+	core.Flood(v.h, w, v.ckptSpan)
 	if v.h.Size() == 1 {
 		v.shipLogs()
 	}
@@ -233,13 +225,9 @@ func (s *Scheduler) Stop() {
 func (s *Scheduler) initiate() int {
 	s.wave++
 	s.acks = 0
-	for r := 0; r < s.size; r++ {
-		ms := s.Obs.NextSpan()
-		s.Obs.Emit(obs.Event{Type: obs.EvMarkerSent, T: s.k.Now(), Rank: mpi.SchedulerID, Wave: s.wave, Channel: r, Node: -1, Server: -1, Span: ms})
-		mk := core.Marker(s.wave)
-		mk.SpanID = ms
-		s.fab.Send(mpi.SchedulerID, r, &mk)
-	}
+	mk := core.Marker(s.wave)
+	mk.SpanID = core.MarkerEvents(s.Obs, s.k.Now(), mpi.SchedulerID, s.size, s.wave, 0)
+	s.fab.Flood(mpi.SchedulerID, 0, s.size, &mk)
 	return s.wave
 }
 

@@ -1005,6 +1005,11 @@ func (pr *procRun) Wire(dst int, p mpi.Packet) {
 	pr.job.fab.Send(pr.rank, dst, &p)
 }
 
+// Flood sends the marker p to every other rank in one fabric call.
+func (pr *procRun) Flood(p mpi.Packet) {
+	pr.job.fab.Flood(pr.rank, 0, pr.job.cfg.NP, &p)
+}
+
 // TakeCheckpoint captures the local image, into a record the storage
 // hierarchy recycles, and ships it in the background.
 func (pr *procRun) TakeCheckpoint(wave int, dev []byte, onStored func()) {

@@ -1,11 +1,14 @@
 package mpi_test
 
 import (
+	"runtime"
 	"testing"
+	"time"
 
 	"ftckpt/internal/mpi"
 	"ftckpt/internal/platform"
 	"ftckpt/internal/sim"
+	"ftckpt/internal/simnet"
 )
 
 // The benchmarks below are the in-tree twins of bench/'s mpi.* probes: same
@@ -113,4 +116,42 @@ func BenchmarkSendrecvRing(b *testing.B) {
 		b.Fatal(err)
 	}
 	b.ReportMetric(float64(w.K.Stats().Resumes)/float64(b.N), "resumes/op")
+}
+
+// BenchmarkFabricFlood is the marker flood's layer number: 512 endpoints
+// on 256 nodes, two a node, each flooding one wave with Fabric.Flood from
+// one event, then the kernel delivering all 512·511 markers.  It reports
+// the wall time and the bytes allocated per marker; a new fabric and
+// kernel per op, so B/marker includes the one-off link rows (16 bytes a
+// pair) and a per-marker state would show as a multiple of that.
+func BenchmarkFabricFlood(b *testing.B) {
+	const eps = 512
+	markers := b.N * eps * (eps - 1)
+	var ms0, ms1 runtime.MemStats
+	runtime.ReadMemStats(&ms0)
+	start := time.Now()
+	for i := 0; i < b.N; i++ {
+		k := sim.New(1)
+		fab := mpi.NewFabric(simnet.New(k, platform.EthernetCluster(eps/2)))
+		got := 0
+		for id := 0; id < eps; id++ {
+			fab.Place(id, id/2)
+			fab.Bind(id, func(*mpi.Packet) { got++ })
+		}
+		k.After(0, func() {
+			for src := 0; src < eps; src++ {
+				fab.Flood(src, 0, eps, &mpi.Packet{Kind: mpi.KindMarker, Wave: 1})
+			}
+		})
+		if err := k.Run(); err != nil {
+			b.Fatal(err)
+		}
+		if got != eps*(eps-1) {
+			b.Fatalf("delivered %d of %d markers", got, eps*(eps-1))
+		}
+	}
+	elapsed := time.Since(start)
+	runtime.ReadMemStats(&ms1)
+	b.ReportMetric(float64(elapsed.Nanoseconds())/float64(markers), "ns/marker")
+	b.ReportMetric(float64(ms1.TotalAlloc-ms0.TotalAlloc)/float64(markers), "B/marker")
 }

@@ -151,14 +151,13 @@ func TestFabricUnbindCloseOrder(t *testing.T) {
 }
 
 // TestFabricNewPairAllocatesNothing is the marker flood's cost per ordered
-// pair: opening a link and sending one marker on it allocates nothing of
-// its own.  The Chan is a slot of a 64-channel chunk (the 100 pairs counted
-// here open one chunk between them, which AllocsPerRun's integer mean
-// rounds to 0 per pair); there is no
-// delivery closure per channel, no backlog or flow state for a channel
-// that never backs up, no release event for a channel without a backlog,
-// and no packet: the marker travels inline as a WireMsg and the caller's
-// literal stays on its stack.
+// pair: sending one marker on a pair that never carried a payload
+// allocates nothing of its own and opens no channel.  The marker is
+// posted on the node's transmit horizon, its delivery is a lane record
+// and its release a key (the sender's post log extends one entry across
+// the 100 pairs counted here); there is no
+// delivery closure, no release event, and no packet: the marker travels
+// inline as a WireMsg and the caller's literal stays on its stack.
 func TestFabricNewPairAllocatesNothing(t *testing.T) {
 	const runs, peers = 100, 102 // AllocsPerRun makes one warm-up call
 	k := sim.New(1)
@@ -188,6 +187,11 @@ func TestFabricNewPairAllocatesNothing(t *testing.T) {
 	}
 	if allocs != 0 {
 		t.Errorf("%v allocations per new pair and marker, want 0", allocs)
+	}
+	for dst, l := range fab.links[handlerOff] {
+		if l.ch != nil {
+			t.Errorf("a marker opened the channel 0->%d", dst-handlerOff)
+		}
 	}
 }
 

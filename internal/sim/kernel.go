@@ -41,6 +41,7 @@ import (
 	"errors"
 	"fmt"
 	"iter"
+	"math"
 	"math/rand"
 	"sort"
 	"time"
@@ -138,7 +139,7 @@ type Kernel struct {
 	cancelled uint64
 	resumes   uint64
 	heapMax   int
-	laned     int // entries queued across all lanes
+	laned     int // records queued across all lanes
 	lanedMax  int
 
 	runq Queue[*Proc]
@@ -184,7 +185,9 @@ type Stats struct {
 	// HeapMax is the deepest the event heap got and SlabMax the most
 	// event slots ever allocated.
 	HeapMax, SlabMax int
-	// LaneMax is the most entries queued across all lanes at once.
+	// LaneMax is the most records queued across all lanes at once: an
+	// event appended with At or AtKey is one record, and so is a whole run
+	// queued with AtRun.
 	LaneMax int
 }
 
@@ -231,6 +234,56 @@ func (k *Kernel) Reserve(t Time) Key {
 	}
 	k.seq++
 	return Key{t, k.seq}
+}
+
+// A Run is n keys drawn in one step, stride seqs apart: key i is at
+// t + i·dt with the seq of the first plus i·stride.  The stride-1 seqs
+// between two of its keys are drawn with it and belong to no other key, so
+// Offset names them: a sender that reserves a release and a delivery per
+// message, one after the other, reserves both runs at once with stride 2.
+// Lane.AtRun queues a whole run as one record.
+type Run struct {
+	first     Key
+	dt        Time
+	n, stride int32
+}
+
+// ReserveRun draws the keys of n events at t, t+dt, ..., t+(n-1)·dt (t
+// clamped to the current time, as Reserve does), stride seqs apart: the
+// keys n·stride Reserve calls would draw with only every stride-th one
+// kept.  All n·stride count in Stats.Scheduled.
+func (k *Kernel) ReserveRun(t, dt Time, n, stride int) Run {
+	if n < 1 || stride < 1 || dt < 0 || n*stride > math.MaxInt32 {
+		panic(fmt.Sprintf("sim: ReserveRun of %d keys, stride %d, step %v", n, stride, dt))
+	}
+	if t < k.now {
+		t = k.now
+	}
+	r := Run{Key{t, k.seq + 1}, dt, int32(n), int32(stride)}
+	k.seq += uint64(n * stride)
+	return r
+}
+
+// Len returns the number of keys in the run.
+func (r Run) Len() int { return int(r.n) }
+
+// Key returns the run's i-th key, 0 <= i < Len.
+func (r Run) Key(i int) Key {
+	return Key{r.first.t + Time(i)*r.dt, r.first.seq + uint64(i)*uint64(r.stride)}
+}
+
+// Last returns the run's newest key.
+func (r Run) Last() Key { return r.Key(int(r.n) - 1) }
+
+// Offset returns the run of keys d later and s seqs after each of r's,
+// 0 <= s < stride: keys drawn with r that no key of r holds.
+func (r Run) Offset(d Time, s int) Run {
+	if s < 0 || s >= int(r.stride) {
+		panic(fmt.Sprintf("sim: Run.Offset by %d seqs of a run of stride %d", s, r.stride))
+	}
+	r.first.t += d
+	r.first.seq += uint64(s)
+	return r
 }
 
 // Passed reports whether an event at key would already have fired: the

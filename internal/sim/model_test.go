@@ -3,13 +3,15 @@ package sim
 // Model-based test of the kernel's one contract: callbacks and LP wakes
 // are dispatched in (t, seq) order, where seq is the order of scheduling.
 // Programs of At/After/AtArg/Cancel/Kill/Lane.At, held-timer arms and
-// stops and Reserve/Lane.AtKey/Passed run against the real kernel and
+// stops, Reserve/Lane.AtKey/Passed and ReserveRun/Lane.AtRun run against
+// the real kernel and
 // against a reference that keeps every pending event in one sorted slice.
 // A held timer is an EventID kept across calls, as simnet keeps a flow's
 // completion: the real kernel re-arms it by Cancel plus AtArg and stops it
 // by Cancel.  A reserved key is a placeholder that AtKey turns into an
-// event and that has passed once it is popped.  The two logs (dispatches
-// and Passed answers) and the kernel's counters must match.  The programs
+// event and that has passed once it is popped; a run is its events, and
+// with stride 2 a reserved key before each of them, added one by one.
+// The two logs (dispatches and Passed answers) and the kernel's counters must match.  The programs
 // come from a seed (TestKernelMatchesSortedSliceModel) or from
 // fuzzer-chosen bytes (FuzzKernelModel, corpus under testdata/fuzz).
 
@@ -44,6 +46,10 @@ type modelOps interface {
 	reserve(t Time)                  // Kernel.Reserve: the next key, numbered in draw order
 	laneAtKey(lane, key int, id int) // Lane.AtKey: event id fires at key
 	passed(key int) bool
+	// ReserveRun(t, dt, n, stride) and Lane.AtRun: with stride 1 the run's
+	// events id0.. fire at its keys; with stride 2 they fire d later, one
+	// seq after each key, and the keys themselves are reserved keys.
+	laneRun(lane int, t, d, dt Time, n, stride, id0 int)
 }
 
 // modelRec is one dispatch — an event callback ('e'), an LP returning from
@@ -89,6 +95,7 @@ type modelProg struct {
 	inSetup     bool        // the program is setting up, before Run
 	keys        []bool      // per reserved key: scheduled by AtKey
 	keyOf       map[int]int // event id → the reserved key it fires at
+	runKey      []bool      // per reserved key: drawn by a run of stride 2
 	cover       modelCover
 }
 
@@ -98,6 +105,9 @@ type modelCover struct {
 	atReserve  int // Passed right after Reserve, at the reserving instant
 	ownKey     int // Passed on the key of the event being dispatched
 	passedTrue int // Passed answers true
+	runs       int // AtRun queued a run as one record
+	splitRuns  int // AtRun below the lane's newest entry: queued event by event
+	runKeys    int // AtKey at a key reserved between a run's events
 }
 
 // rng returns the decision stream for salt: -1 is setup, an event id its
@@ -138,11 +148,12 @@ func (p *modelProg) pickLane(r modelDraw, self int) int {
 }
 
 // act performs n random operations; self is the lane of the firing event.
-// Ops 0-25 are laid out as before reserved keys existed, so a corpus input
-// that never draws 26 or more decodes to the same program.
+// Ops 0-25 are laid out as before reserved keys existed and 0-31 as before
+// lane runs, so a corpus input whose op decisions stay below 26 (32)
+// decodes to the same program.
 func (p *modelProg) act(r modelDraw, n, self int) {
 	for i := 0; i < n; i++ {
-		switch op := r.Intn(32); {
+		switch op := r.Intn(34); {
 		case op < 6 && p.budget > 0:
 			id := p.newID(-1)
 			p.cancellable = append(p.cancellable, id)
@@ -183,11 +194,14 @@ func (p *modelProg) act(r modelDraw, n, self int) {
 			p.budget--
 			p.m.reserve(p.m.now() + Time(r.Intn(8)-2))
 			p.keys = append(p.keys, false)
+			p.runKey = append(p.runKey, false)
 			p.cover.atReserve++
 			key := len(p.keys) - 1
 			if !p.query(key) && r.Intn(2) == 0 {
 				p.atKey(r, self, key)
 			}
+		case op >= 32:
+			p.laneRun(r, self)
 		case op < 30:
 			// One of the last four keys drawn, the likeliest to be pending.
 			if n := len(p.keys); n > 0 {
@@ -202,6 +216,40 @@ func (p *modelProg) act(r modelDraw, n, self int) {
 	}
 }
 
+// laneRun queues a run of one to four events on a lane, from its tail (or
+// the present, which may precede it) with a step of up to two ticks; with
+// stride 2 the events sit up to two ticks after reserved keys.
+func (p *modelProg) laneRun(r modelDraw, self int) {
+	lane := p.pickLane(r, self)
+	n, stride := 1+r.Intn(4), 1+r.Intn(2)
+	dt, d := Time(r.Intn(3)), Time(0)
+	if stride == 2 {
+		d = Time(r.Intn(3))
+	}
+	t := p.laneTail[lane] + Time(r.Intn(3))
+	if r.Intn(5) == 0 {
+		t = p.m.now() + Time(r.Intn(3)) - 1
+	}
+	if p.budget < n*stride {
+		return
+	}
+	id0 := len(p.laneOf)
+	for i := 0; i < n; i++ {
+		p.newID(lane)
+	}
+	if stride == 2 {
+		for i := 0; i < n; i++ {
+			p.budget--
+			p.keys = append(p.keys, false)
+			p.runKey = append(p.runKey, true)
+		}
+	}
+	if last := max(t, p.m.now()) + d + Time(n-1)*dt; last > p.laneTail[lane] {
+		p.laneTail[lane] = last
+	}
+	p.m.laneRun(lane, t, d, dt, n, stride, id0)
+}
+
 // tryAtKey asks whether a reserved key has passed and, if it has not and
 // is not scheduled yet, schedules it.
 func (p *modelProg) tryAtKey(r modelDraw, self, key int) {
@@ -213,6 +261,9 @@ func (p *modelProg) tryAtKey(r modelDraw, self, key int) {
 // atKey schedules a new event at a reserved key that has not passed.
 func (p *modelProg) atKey(r modelDraw, self, key int) {
 	p.keys[key] = true
+	if p.runKey[key] {
+		p.cover.runKeys++
+	}
 	lane := p.pickLane(r, self)
 	id := p.newID(lane)
 	p.keyOf[id] = key
@@ -278,7 +329,7 @@ func newRealMachine(p *modelProg) *realMachine {
 		m.k.free = append(m.k.free, i)
 	}
 	for i := range m.lanes {
-		m.lanes[i] = NewLane(m.k, m.fire)
+		m.lanes[i] = NewRunLane(m.k, m.fire, func(id, i int) int { return id + i })
 	}
 	for i := range m.lps {
 		lp := i
@@ -324,6 +375,25 @@ func (m *realMachine) schedule(kind int, t Time, id int) {
 }
 
 func (m *realMachine) laneAt(lane int, t Time, id int) { m.lanes[lane].At(t, id) }
+
+func (m *realMachine) laneRun(lane int, t, d, dt Time, n, stride, id0 int) {
+	l := m.lanes[lane]
+	r := m.k.ReserveRun(t, dt, n, stride)
+	if stride == 2 {
+		for i := 0; i < n; i++ {
+			m.keys = append(m.keys, r.Key(i))
+		}
+		r = r.Offset(d, 1)
+	}
+	switch {
+	case n == 1:
+	case l.q.Len() > 0 && r.first.before(l.tail):
+		m.p.cover.splitRuns++
+	default:
+		m.p.cover.runs++
+	}
+	l.AtRun(r, id0)
+}
 
 func (m *realMachine) cancel(id int) { m.k.Cancel(m.ids[id]) }
 func (m *realMachine) kill(lp int)   { m.k.Kill(m.lps[lp], nil) }
@@ -413,6 +483,20 @@ func (m *refMachine) passed(key int) bool            { return m.passedKey[key] }
 func (m *refMachine) reserve(t Time) {
 	m.passedKey = append(m.passedKey, false)
 	m.addKey(t, -1, false, -1, len(m.passedKey)-1)
+}
+
+// laneRun adds the run's reserved keys and events in draw order: for
+// each event, its reserved key first when there is one.
+func (m *refMachine) laneRun(_ int, t, d, dt Time, n, stride, id0 int) {
+	t = max(t, m.clock)
+	for i := 0; i < n; i++ {
+		at := t + Time(i)*dt
+		if stride == 2 {
+			m.passedKey = append(m.passedKey, false)
+			m.addKey(at, -1, false, -1, len(m.passedKey)-1)
+		}
+		m.add(at+d, id0+i, false, -1)
+	}
 }
 
 // laneAtKey makes the key's placeholder event id, where it stands.
@@ -553,12 +637,15 @@ func TestKernelMatchesSortedSliceModel(t *testing.T) {
 			all.atReserve += cover.atReserve
 			all.ownKey += cover.ownKey
 			all.passedTrue += cover.passedTrue
+			all.runs += cover.runs
+			all.splitRuns += cover.splitRuns
+			all.runKeys += cover.runKeys
 		})
 	}
-	if all.belowTail == 0 || all.atReserve == 0 || all.ownKey == 0 || all.passedTrue == 0 {
-		t.Errorf("the seeded programs missed a reserved-key case: %+v", all)
+	if all.belowTail == 0 || all.atReserve == 0 || all.ownKey == 0 || all.passedTrue == 0 || all.runs == 0 || all.splitRuns == 0 || all.runKeys == 0 {
+		t.Errorf("the seeded programs missed a reserved-key or lane-run case: %+v", all)
 	}
-	t.Logf("reserved-key cases: %+v", all)
+	t.Logf("reserved-key and lane-run cases: %+v", all)
 }
 
 // FuzzKernelModel is the same check with the program read from the fuzz
@@ -608,6 +695,17 @@ func TestFuzzCorpusKillsKills(t *testing.T) {
 	}
 	if killed == 0 {
 		t.Fatalf("no LP was killed in %d records", len(p.log))
+	}
+}
+
+// TestFuzzCorpusLaneRuns keeps the "lane-runs" corpus entry a seed for the
+// lane-run op: its program queues a run as one record, queues one below a
+// lane's tail event by event, and schedules an event at a key reserved
+// between a run's events.
+func TestFuzzCorpusLaneRuns(t *testing.T) {
+	_, _, c := checkAgainstModel(t, &modelProg{data: corpusInput(t, "lane-runs"), budget: modelBudget})
+	if c.runs == 0 || c.splitRuns == 0 || c.runKeys == 0 {
+		t.Fatalf("the program missed a lane-run case: %+v", c)
 	}
 }
 

@@ -1,6 +1,10 @@
 package simnet
 
-import "ftckpt/internal/sim"
+import (
+	"fmt"
+
+	"ftckpt/internal/sim"
+)
 
 // smallCutoff is the size below which a message takes the fast path: its
 // transfer time is charged against a per-node transmit horizon (so bursts
@@ -14,8 +18,11 @@ import "ftckpt/internal/sim"
 const smallCutoff = 4 << 10
 
 // A Wire carries messages of one type T over the network to one deliver
-// callback: it owns the event lanes its channels' messages ride from
-// transmission to delivery, and it carves its channels from chunks.  Per
+// callback: it owns the event lanes its messages ride from transmission to
+// delivery, and it carves its channels from chunks.  A small message needs
+// no channel of its own (PostRun): it rides the same transmit horizon and
+// lanes as a channel's, and a channel opened later on its path inherits
+// its release (Chan.Inherit).  Per
 // node, one lane releases a backlogged channel at the node's transmit
 // horizon and two deliver small messages one latency later (one per
 // latency class, so each stays monotone); per cluster plus one for the
@@ -32,7 +39,12 @@ type Wire[T any] struct {
 	deliver func(T)
 	// drop, when set (SetDrop), hears of every message a closed channel
 	// will never deliver, so whatever the message holds can go back.
-	drop  func(T)
+	drop func(T)
+	// nth builds the i-th message of a run from its first, and stale
+	// tells whether a posted message is to be dropped on arrival, as a
+	// closed channel's would be (SetPosts).
+	nth   func(T, int) T
+	stale func(T) bool
 	nodes []wireNode[T]
 	// bulkIntra[c] carries the deliveries of channel flows inside cluster
 	// c and bulkWan those between clusters: each adds one constant latency
@@ -59,17 +71,19 @@ type wireNode[T any] struct {
 // deliver.
 func NewWire[T any](n *Network, deliver func(T)) *Wire[T] {
 	k := n.k
-	w := &Wire[T]{net: n, deliver: deliver, nodes: make([]wireNode[T], len(n.nodes)), bulkWan: sim.NewLane(k, arrive[T])}
+	w := &Wire[T]{net: n, deliver: deliver, nodes: make([]wireNode[T], len(n.nodes))}
+	arrive, nth := w.arrive, w.nthDelivery
+	w.bulkWan = sim.NewLane(k, arrive)
 	for i := range w.nodes {
 		w.nodes[i] = wireNode[T]{
 			next:  sim.NewLane(k, (*Chan[T]).startNext),
-			intra: sim.NewLane(k, arrive[T]),
-			wan:   sim.NewLane(k, arrive[T]),
+			intra: sim.NewRunLane(k, arrive, nth),
+			wan:   sim.NewRunLane(k, arrive, nth),
 		}
 	}
 	w.bulkIntra = make([]*sim.Lane[delivery[T]], len(n.topo.Clusters))
 	for i := range w.bulkIntra {
-		w.bulkIntra[i] = sim.NewLane(k, arrive[T])
+		w.bulkIntra[i] = sim.NewLane(k, arrive)
 	}
 	return w
 }
@@ -83,16 +97,17 @@ func NewWire[T any](n *Network, deliver func(T)) *Wire[T] {
 // Distinct channels between the same pair of nodes compete for bandwidth
 // like distinct connections.
 //
-// A marker flood opens a channel per ordered pair and sends one small
-// message on most of them, so the Chan itself holds only what every
-// channel needs.  The backlog and the bulk Flow live in a chanSide,
-// allocated the first time the channel backs up or sends a message of
-// smallCutoff bytes or more.  A small message schedules no event to free
-// the channel: the channel keeps the key that event would have had
-// (release), is busy until that key has passed, and has the event
-// scheduled at that key only when a message queues behind it.  A channel
-// that only ever sends small messages on an idle path is this one record,
-// a 64th of a chunk, and costs one delivery per message.
+// A pair that carries only small control messages needs no channel
+// (Wire.PostRun), so a Chan is opened by a pair's first payload, and the
+// Chan itself holds only what every channel needs.  The backlog and the
+// bulk Flow live in a chanSide, allocated the first time the channel
+// backs up or sends a message of smallCutoff bytes or more.  A small
+// message schedules no event to free the channel: the channel keeps the
+// key that event would have had (release), is busy until that key has
+// passed, and has the event scheduled at that key only when a message
+// queues behind it.  A channel that only ever sends small messages on an
+// idle path is this one record, a 64th of a chunk, and costs one delivery
+// per message.
 type Chan[T any] struct {
 	w    *Wire[T]
 	side *chanSide[T] // nil until the channel first backs up or sends bulk
@@ -120,9 +135,9 @@ type message[T any] struct {
 	size    Bytes
 }
 
-// delivery is a channel message on its way to the receiver (see startSmall
-// and transferred): the lanes carry it by value from transmission to
-// arrive.
+// delivery is a message on its way to the receiver (see post and
+// transferred): the lanes carry it by value from transmission to arrive.
+// c is nil for a posted message, which has no channel.
 type delivery[T any] struct {
 	c       *Chan[T]
 	payload T
@@ -134,6 +149,74 @@ type delivery[T any] struct {
 // order, and later each delivery that arrives at the closed channel.  It
 // runs inside Close or the arrival event and must not send.
 func (w *Wire[T]) SetDrop(drop func(T)) { w.drop = drop }
+
+// SetPosts names what posted messages need: nth(v, i) is the i-th message
+// of a run whose first is v (PostRun), and stale(m) tells, when a posted
+// message m arrives, whether the channel it would have had has closed
+// since it was sent, so that it is dropped as that channel's would be.
+func (w *Wire[T]) SetPosts(nth func(v T, i int) T, stale func(m T) bool) {
+	w.nth, w.stale = nth, stale
+}
+
+// PostRun transmits n small messages (each under smallCutoff bytes) of one
+// size back to back from node src without a channel: the i-th is nth(v, i)
+// (SetPosts), and each goes to a node on the path class of dst
+// (SameSmallPath).  Each is timed, keyed and delivered exactly as a small
+// message sent then on an idle channel (Chan.Send): the keys n such sends
+// would draw are drawn in one step, and the n deliveries are one lane
+// record.  It returns the run of keys at which the messages clear src's
+// NIC: a channel opened on one of their paths before its key passes must
+// Inherit it to stay FIFO behind the message.
+func (w *Wire[T]) PostRun(src, dst int, v T, size Bytes, n int) sim.Run {
+	if size >= smallCutoff {
+		panic(fmt.Sprintf("simnet: posting %d bytes, not under the small-message cutoff %d", size, smallCutoff))
+	}
+	return w.post(nil, src, dst, v, size, n)
+}
+
+// post transmits n small messages back to back from node src, on c or,
+// when c is nil, without a channel: the unloaded path bandwidth,
+// serialized against the node's transmit horizon.  It reserves the keys at
+// which they clear the NIC and queues their deliveries, one latency later,
+// on the node's lane for their latency class (sim.Lane), so a burst of
+// small messages holds one heap entry per lane, and a run of them one lane
+// record.
+func (w *Wire[T]) post(c *Chan[T], src, dst int, v T, size Bytes, n int) sim.Run {
+	nw := w.net
+	svc := nw.smallService(src, dst, size)
+	node := nw.nodes[src]
+	start := max(node.smallTxBusy, nw.k.Now())
+	node.smallTxBusy = start + sim.Time(n)*svc
+	// Each message draws its release key, then its delivery's.
+	rel := nw.k.ReserveRun(start+svc, svc, n, 2)
+	lane, lat := w.deliveryLane(src, dst)
+	del := rel.Offset(lat, 1)
+	if n == 1 {
+		lane.AtKey(del.Key(0), delivery[T]{c, v, size})
+	} else {
+		lane.AtRun(del, delivery[T]{c, v, size})
+	}
+	return rel
+}
+
+// nthDelivery is the i-th delivery of a posted run.
+func (w *Wire[T]) nthDelivery(d delivery[T], i int) delivery[T] {
+	d.payload = w.nth(d.payload, i)
+	return d
+}
+
+// deliveryLane returns the lane a small message from src to dst is
+// delivered on and the latency it adds: ready never decreases per node
+// and the latency is one constant per class, so each lane is monotone.
+func (w *Wire[T]) deliveryLane(src, dst int) (*sim.Lane[delivery[T]], sim.Time) {
+	n := w.net
+	lanes := &w.nodes[src]
+	c := n.nodes[src].cluster
+	if n.nodes[dst].cluster != c {
+		return lanes.wan, n.topo.WanLatency
+	}
+	return lanes.intra, n.topo.Clusters[c].Latency
+}
 
 // NewChan opens a FIFO channel of T messages from node src to node dst.
 // Channels are carved chanChunk to an allocation and never reused, so a
@@ -161,6 +244,22 @@ func (c *Chan[T]) Src() int { return int(c.src) }
 
 // Dst returns the destination node.
 func (c *Chan[T]) Dst() int { return int(c.dst) }
+
+// Busy reports whether a message sent now would queue: one is in
+// transmission and has not cleared the NIC.
+func (c *Chan[T]) Busy() bool { return c.bulk || !c.w.net.k.Passed(c.release) }
+
+// Inherit makes the channel busy until release has passed, as if the small
+// message that clears the NIC at release had been sent on it: a channel
+// opened on a path with a posted message still in transmission
+// (Wire.PostRun) keeps its FIFO order behind it.  The channel must be
+// idle.
+func (c *Chan[T]) Inherit(release sim.Key) {
+	if c.Busy() {
+		panic("simnet: Inherit on a busy channel")
+	}
+	c.release = release
+}
 
 // Send enqueues a message.  It never blocks; the sender-side cost of
 // copying into the transmit path is modelled by the caller (device service
@@ -232,36 +331,10 @@ func (c *Chan[T]) start(m message[T]) {
 	n.transmit(f, src, dst)
 }
 
-// startSmall transmits a message on the fast path: the unloaded path
-// bandwidth, serialized against the sender node's transmit horizon.  It
-// reserves the key at which the message clears the NIC, which frees the
-// channel, and schedules the delivery one latency later on the sender
-// node's lane for its latency class (sim.Lane), so a burst of small
-// messages holds one heap entry per lane, not one per message.
+// startSmall transmits a message on the fast path (Wire.post); the key
+// at which it clears the NIC frees the channel.
 func (c *Chan[T]) startSmall(m message[T]) {
-	w := c.w
-	n := w.net
-	now := n.k.Now()
-	var svc sim.Time
-	if c.src != c.dst {
-		svc = sim.Time(float64(m.size) / n.Bandwidth(int(c.src), int(c.dst)) * 1e9)
-	}
-	node := n.nodes[c.src]
-	ready := node.smallTxBusy
-	if ready < now {
-		ready = now
-	}
-	ready += svc
-	node.smallTxBusy = ready
-	c.release = n.k.Reserve(ready)
-	lanes := &w.nodes[c.src]
-	// ready never decreases per node and the latency is one constant per
-	// class, so each delivery lane's times are monotone too.
-	lane, lat := lanes.intra, n.topo.Clusters[node.cluster].Latency
-	if n.nodes[c.dst].cluster != node.cluster {
-		lane, lat = lanes.wan, n.topo.WanLatency
-	}
-	lane.At(ready+lat, delivery[T]{c, m.payload, m.size})
+	c.release = c.w.post(c, int(c.src), int(c.dst), m.payload, m.size, 1).Key(0)
 }
 
 // transferred runs when the last byte of the channel's bulk message clears
@@ -282,17 +355,17 @@ func (c *Chan[T]) transferred(at sim.Time, size Bytes) {
 }
 
 // arrive fires one path latency after a message's last byte left and
-// hands the payload to the receiver.
-func arrive[T any](d delivery[T]) {
-	c := d.c
-	if c.closed {
-		c.dropped(d.payload)
+// hands the payload to the receiver, unless its channel has closed (a
+// posted message: unless it is stale).
+func (w *Wire[T]) arrive(d delivery[T]) {
+	if c := d.c; c != nil && c.closed || c == nil && w.stale != nil && w.stale(d.payload) {
+		w.dropped(d.payload)
 		return
 	}
-	n := c.w.net
+	n := w.net
 	n.BytesMoved += d.size
 	n.FlowsDone++
-	c.w.deliver(d.payload)
+	w.deliver(d.payload)
 }
 
 // Close tears the channel down, dropping queued and in-flight messages —
@@ -310,10 +383,10 @@ func (c *Chan[T]) Close() {
 		return
 	}
 	if c.bulk {
-		c.dropped(side.inflight)
+		c.w.dropped(side.inflight)
 	}
 	for i := 0; i < side.queue.Len(); i++ {
-		c.dropped(side.queue.At(i).payload)
+		c.w.dropped(side.queue.At(i).payload)
 	}
 	side.queue.Reset()
 	var zero T
@@ -323,10 +396,10 @@ func (c *Chan[T]) Close() {
 	}
 }
 
-// dropped tells the Wire's drop callback, if any, of a message the closed
-// channel will not deliver.
-func (c *Chan[T]) dropped(payload T) {
-	if c.w.drop != nil {
-		c.w.drop(payload)
+// dropped tells the Wire's drop callback, if any, of a message that will
+// not be delivered.
+func (w *Wire[T]) dropped(payload T) {
+	if w.drop != nil {
+		w.drop(payload)
 	}
 }

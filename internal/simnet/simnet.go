@@ -250,6 +250,28 @@ func (n *Network) Bandwidth(src, dst int) Rate {
 	return bw
 }
 
+// smallService is how long a small message of size bytes from src to dst
+// holds src's transmit horizon: none on the node itself.
+func (n *Network) smallService(src, dst int, size Bytes) sim.Time {
+	if src == dst {
+		return 0
+	}
+	return sim.Time(float64(size) / n.Bandwidth(src, dst) * 1e9)
+}
+
+// SameSmallPath reports whether small messages from node src to nodes a
+// and b are timed alike: both on src itself or both off it, on the same
+// delivery lane (inside src's cluster or across the WAN) and at the same
+// bandwidth.  Messages to such nodes can share a run (Wire.PostRun).
+func (n *Network) SameSmallPath(src, a, b int) bool {
+	if a == b {
+		return true
+	}
+	c := n.nodes[src].cluster
+	return (a == src) == (b == src) && (n.nodes[a].cluster == c) == (n.nodes[b].cluster == c) &&
+		n.Bandwidth(src, a) == n.Bandwidth(src, b)
+}
+
 // pathInto fills the flow's resource array with the capacities a src→dst
 // transfer crosses.
 func (n *Network) pathInto(f *Flow, src, dst int) {

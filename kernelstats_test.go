@@ -76,12 +76,17 @@ func at256(t *testing.T, check func(t *testing.T, b *budget, st KernelStats, np 
 // wave.  At NP=256 it holds 429 entries under Pcl (an NP² marker flood),
 // 644 under Vcl and 768 under Mlog (a cancelled event leaves the heap at
 // once); one entry per pending small message or daemon admit made the
-// Pcl and Vcl runs reach 29 179 and 122 623.
+// Pcl and Vcl runs reach 29 179 and 122 623.  Under Pcl the lanes stay
+// O(NP) too: a rank's flood is a few run records on its node's lanes (256
+// records at the high water; one record per marker made it 17 248).
 func TestHeapHighWaterBounded(t *testing.T) {
 	at256(t, func(t *testing.T, b *budget, st KernelStats, np int) {
 		if st.HeapMax > b.heapPerRank*np || st.LaneMax == 0 || st.Scheduled < st.Fired+st.Cancelled {
 			t.Errorf("want heap high-water <= %d, some event through a lane and fired + cancelled <= scheduled; stats %+v",
 				b.heapPerRank*np, st)
+		}
+		if b.lanePerRank > 0 && st.LaneMax > b.lanePerRank*np {
+			t.Errorf("lane high water %d records, want <= %d", st.LaneMax, b.lanePerRank*np)
 		}
 	})
 }
