@@ -46,7 +46,7 @@ type Pcl struct {
 
 	checkpointing bool
 	wave          int // current wave while checkpointing, else last entered
-	markerFrom    []bool
+	markerFrom    core.RankSet
 	markers       int
 	delayedSend   []*mpi.Packet
 	delayedRecv   []*mpi.Packet
@@ -61,7 +61,7 @@ type Pcl struct {
 
 // New builds a Pcl instance with the given time between checkpoint waves.
 func New(h core.Host, interval sim.Time) *Pcl {
-	p := &Pcl{h: h, markerFrom: make([]bool, h.Size())}
+	p := &Pcl{h: h, markerFrom: core.NewRankSet(h.Size())}
 	if h.Rank() != 0 {
 		interval = 0 // only the coordinator starts waves
 	}
@@ -88,9 +88,7 @@ func (p *Pcl) enterWave(w int, cause uint64) {
 	p.checkpointing = true
 	p.wave = w
 	p.markers = 0
-	for i := range p.markerFrom {
-		p.markerFrom[i] = false
-	}
+	p.markerFrom.Clear()
 	now := p.h.Now()
 	hub := p.h.Obs()
 	p.ckptSpan = hub.NextSpan()
@@ -130,7 +128,7 @@ func (p *Pcl) InPacket(pkt *mpi.Packet) bool {
 		p.onControl(pkt)
 		return false
 	default:
-		if p.checkpointing && pkt.Src >= 0 && p.markerFrom[pkt.Src] {
+		if p.checkpointing && pkt.Src >= 0 && p.markerFrom.Has(pkt.Src) {
 			p.delayedRecv = append(p.delayedRecv, pkt.Clone())
 			p.h.Obs().Emit(obs.Event{Type: obs.EvRecvDelayed, T: p.h.Now(), Rank: p.h.Rank(), Wave: p.wave, Channel: pkt.Src, Node: -1, Server: -1, Bytes: pkt.PayloadSize(), Cause: p.freezeSpan})
 			return false
@@ -149,10 +147,10 @@ func (p *Pcl) onMarker(src, w int, spanID uint64) {
 	if w != p.wave {
 		panic(fmt.Sprintf("pcl: rank %d in wave %d got marker for wave %d", p.h.Rank(), p.wave, w))
 	}
-	if p.markerFrom[src] {
+	if p.markerFrom.Has(src) {
 		return
 	}
-	p.markerFrom[src] = true
+	p.markerFrom.Set(src)
 	p.markers++
 	p.h.Obs().Emit(obs.Event{Type: obs.EvMarkerRecv, T: p.h.Now(), Rank: p.h.Rank(), Wave: w, Channel: src, Node: -1, Server: -1, Span: spanID})
 	if p.markers == p.h.Size()-1 {
@@ -237,9 +235,7 @@ func (p *Pcl) Restore(dev []byte, logs []*mpi.Packet, lastWave int) {
 	p.delayedRecv = nil
 	p.markers = 0
 	p.done = 0
-	for i := range p.markerFrom {
-		p.markerFrom[i] = false
-	}
+	p.markerFrom.Clear()
 }
 
 var _ core.Protocol = (*Pcl)(nil)

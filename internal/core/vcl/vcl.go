@@ -33,7 +33,7 @@ type Vcl struct {
 
 	inWave      bool
 	wave        int
-	markerFrom  []bool
+	markerFrom  core.RankSet
 	markers     int
 	logs        []*mpi.Packet
 	imageStored bool
@@ -43,7 +43,7 @@ type Vcl struct {
 
 // New builds a Vcl process instance.
 func New(h core.Host) *Vcl {
-	return &Vcl{h: h, markerFrom: make([]bool, h.Size())}
+	return &Vcl{h: h, markerFrom: core.NewRankSet(h.Size())}
 }
 
 // Start is a no-op: waves are driven by the scheduler.
@@ -65,7 +65,7 @@ func (v *Vcl) InPacket(pkt *mpi.Packet) bool {
 	case mpi.KindControl:
 		panic(fmt.Sprintf("vcl: unexpected control packet at process: %v", pkt))
 	default:
-		if v.inWave && pkt.Src >= 0 && !v.markerFrom[pkt.Src] {
+		if v.inWave && pkt.Src >= 0 && !v.markerFrom.Has(pkt.Src) {
 			// Received after the local snapshot, before the sender's
 			// marker: this is channel state (message m in Fig. 1).  The
 			// packet is lent (mpi.Filter), so the log holds a copy, which
@@ -90,10 +90,10 @@ func (v *Vcl) onMarker(src, w int, spanID uint64) {
 	if src == mpi.SchedulerID || src < 0 {
 		return // the scheduler's marker only triggers the wave
 	}
-	if v.markerFrom[src] {
+	if v.markerFrom.Has(src) {
 		return
 	}
-	v.markerFrom[src] = true
+	v.markerFrom.Set(src)
 	v.markers++
 	v.h.Obs().Emit(obs.Event{Type: obs.EvMarkerRecv, T: v.h.Now(), Rank: v.h.Rank(), Wave: w, Channel: src, Node: -1, Server: -1, Span: spanID})
 	if v.markers == v.h.Size()-1 {
@@ -111,9 +111,7 @@ func (v *Vcl) beginWave(w int, cause uint64) {
 	v.imageStored = false
 	v.logsStored = false
 	v.logs = nil
-	for i := range v.markerFrom {
-		v.markerFrom[i] = false
-	}
+	v.markerFrom.Clear()
 	now := v.h.Now()
 	hub := v.h.Obs()
 	v.ckptSpan = hub.NextSpan()
@@ -164,9 +162,7 @@ func (v *Vcl) Restore(dev []byte, logs []*mpi.Packet, lastWave int) {
 	v.wave = lastWave
 	v.logs = nil
 	v.markers = 0
-	for i := range v.markerFrom {
-		v.markerFrom[i] = false
-	}
+	v.markerFrom.Clear()
 	for _, pkt := range logs {
 		v.h.Obs().Emit(obs.Event{Type: obs.EvMessageReplayed, T: v.h.Now(), Rank: v.h.Rank(),
 			Wave: lastWave, Channel: pkt.Src, Node: -1, Server: -1, Bytes: pkt.PayloadSize(),

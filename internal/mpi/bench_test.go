@@ -122,8 +122,8 @@ func BenchmarkSendrecvRing(b *testing.B) {
 // on 256 nodes, two a node, each flooding one wave with Fabric.Flood from
 // one event, then the kernel delivering all 512·511 markers.  It reports
 // the wall time and the bytes allocated per marker; a new fabric and
-// kernel per op, so B/marker includes the one-off link rows (16 bytes a
-// pair) and a per-marker state would show as a multiple of that.
+// kernel per op, so B/marker includes the one-off per-endpoint tables,
+// and a per-pair or per-marker state would show as a multiple of them.
 func BenchmarkFabricFlood(b *testing.B) {
 	const eps = 512
 	markers := b.N * eps * (eps - 1)

@@ -133,7 +133,7 @@ func TestSendrecvAllocsPinned(t *testing.T) {
 		peer := 1 - e.Rank()
 		halo := EncodeF64s(make([]float64, 128)) // a 1 KB halo row
 		exchange := func() { e.Sendrecv(peer, 1, halo, 0, peer, 1) }
-		exchange() // opens the links and sizes the queues
+		exchange() // opens the channels and sizes the queues
 		if e.Rank() == 1 {
 			for range runs + 1 { // AllocsPerRun makes one warm-up call
 				exchange()
@@ -268,7 +268,7 @@ func TestAllreduceAllocs(t *testing.T) {
 				t.Errorf("rank %d: allreduce %v", e.Rank(), got)
 			}
 		}
-		call() // opens the links and sizes the queues
+		call() // opens the channels and sizes the queues
 		if e.Rank() != 0 {
 			for range runs + 1 { // AllocsPerRun makes one warm-up call
 				call()

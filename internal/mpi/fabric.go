@@ -2,6 +2,7 @@ package mpi
 
 import (
 	"fmt"
+	"slices"
 
 	"ftckpt/internal/obs"
 	"ftckpt/internal/sim"
@@ -11,7 +12,8 @@ import (
 // handlerOff maps endpoint ids onto table indices: ranks are >= 0 and the
 // runtime service ids are small negatives (currently only SchedulerID), so
 // id+handlerOff is a dense non-negative index.  Every per-endpoint table
-// of the Fabric — placement, handlers, links — is indexed this way.
+// of the Fabric — placement, handlers, channels, post logs — is indexed
+// this way.
 const handlerOff = -SchedulerID
 
 // endpointIndex returns id's table index.  An id below the service range
@@ -32,38 +34,32 @@ func grown[T any](s []T, n int) []T {
 	return s
 }
 
-// link is the per-ordered-pair connection state: the FIFO channel, the
-// packet sequence counter, which counts every packet of the pair, and the
-// pair's last post.  ch == nil means no payload has opened the channel
-// yet: the pair's markers and control packets are posted (Fabric.post).
-// A link is 16 bytes: seq is a uint32, as the wire record's is.
-type link struct {
-	ch  *simnet.Chan[WireMsg]
+// conn is an open channel from a source: its destination's table index,
+// the number of packets it has carried since it opened, and the channel.
+// A conn is 16 bytes: seq is a uint32, as the wire record's is.
+type conn struct {
+	dst int32
 	seq uint32
-	// post is 1 + the number of posts the source had made before the one
-	// that carried the pair's last posted packet (postLog), 0 when none.
-	post uint32
+	ch  *simnet.Chan[WireMsg]
 }
 
 // posted is what a source sent without a channel — one control packet or
 // a run of markers: rel holds the release keys, the i-th for the i-th
-// destination from dst0 on with the source itself skipped (runDst).
+// destination from dst0 on with the source itself skipped (runDst), and
+// unbinds the Fabric's unbind count at the send, which the packets carry
+// too (stale).
 type posted struct {
-	rel  sim.Run
-	dst0 int32
+	rel     sim.Run
+	dst0    int32
+	unbinds uint32
 }
 
-// postLog is a source's posts that may still be on its NIC, oldest first:
-// the last len(ps) of the n it has made.  Each post drops the entries
-// whose releases have all passed, so a log holds the few posts of the
-// last wave, not one per peer: its first postLogCap come from a chunk the
-// Fabric shares among logChunk sources.
-type postLog struct {
-	ps []posted
-	n  uint32
-}
-
-const postLogCap, logChunk = 4, 64
+// A source's post log is its posts that may still be on its NIC, oldest
+// first.  Each post drops the entries whose releases have all passed, so
+// a log holds the few posts of the last wave, not one per peer.  A
+// source's first postLogCap posts and its first connCap channels come
+// from chunks the Fabric shares among srcChunk sources.
+const postLogCap, connCap, srcChunk = 4, 16, 64
 
 // runDst returns the i-th destination of a run from src that starts at
 // dst0 and skips src.
@@ -75,22 +71,27 @@ func runDst(src, dst0, i int) int {
 	return d
 }
 
-// release returns the release key of p's message from src to dst.
-func (p *posted) release(src, dst int) sim.Key {
+// index returns the position among p's destinations of dst, the i-th of
+// the run from src, or -1 when p did not go to dst.
+func (p *posted) index(src, dst int) int {
 	i := dst - int(p.dst0)
 	if int(p.dst0) < src && dst > src {
 		i--
 	}
-	return p.rel.Key(i)
+	if i < 0 || i >= p.rel.Len() || runDst(src, int(p.dst0), i) != dst {
+		return -1
+	}
+	return i
 }
 
 // Fabric places endpoints (MPI ranks and runtime services) on simulated
 // nodes and provides a FIFO channel per ordered endpoint pair, created
 // lazily on the pair's first payload — as MPICH2 opens TCP connections on
 // the first communication between two processes.  A pair that has carried
-// only markers and control packets has no channel: those are posted on the
-// source node's transmit horizon (simnet.Wire.PostRun), timed and keyed as
-// on an idle channel, and a channel opened while one is still on the NIC
+// only markers and control packets has no channel and no state at all:
+// those are posted on the source node's transmit horizon
+// (simnet.Wire.PostRun), timed and keyed as on an idle channel, and filed
+// in the source's post log; a channel opened while one is still on the NIC
 // inherits its release, so the pair stays FIFO.  Unbinding an endpoint
 // (process death) closes every channel touching it, dropping in-flight
 // packets like a socket reset, and stamps it so that its posted packets
@@ -105,21 +106,24 @@ type Fabric struct {
 	wire     *simnet.Wire[WireMsg]
 	nodeOf   []int           // node+1 per endpoint index, 0 = not placed
 	handlers []func(WireMsg) // per endpoint index, nil = unbound
-	// links[src][dst] by endpoint index.  A source's row is allocated on
-	// its first send and links are held by value, so the per-packet send
-	// path is two slice indexings, a marker or control packet on a new
-	// pair allocates nothing, and opening a channel a 64th of a chunk of
-	// channels (simnet.Wire.NewChan).
-	links [][]link
-	// posts[src] is what src posted that may still be on its NIC, and
-	// logs the rest of the chunk the logs start in (record).
-	posts []postLog
+	// chans[src] is src's open channels by endpoint index, sorted by
+	// destination and found by binary search (search): a rank opens a
+	// few, one per peer it exchanges payloads with, so fabric state is
+	// O(channels), and a marker or control packet on a new pair allocates
+	// nothing.  Opening a channel takes a 64th of a chunk of channels
+	// (simnet.Wire.NewChan).
+	chans [][]conn
+	conns []conn // the rest of the chunk the channel slices start in (open)
+	// posts[src] is src's post log, and logs the rest of the chunk the
+	// logs start in (record).
+	posts [][]posted
 	logs  []posted
 	// unbinds counts Unbind calls, and unbound[i] is the count just after
 	// endpoint i's last.  A posted packet carries the count at its send
-	// in its seq field, and it is stale — dropped on arrival — once
-	// either end's stamp exceeds it: exactly when the channel it would
-	// have ridden has been closed.
+	// in its seq field, as its post log entry does, and it is stale —
+	// dropped on arrival, ignored by pending — once either end's stamp
+	// exceeds it: exactly when the channel it would have ridden has been
+	// closed.
 	unbinds uint32
 	unbound []uint32
 	// lent is the Packet a message is rebuilt into for a Bind handler,
@@ -206,14 +210,13 @@ func (f *Fabric) handler(id int) func(WireMsg) {
 	return nil
 }
 
-// Unbind removes an endpoint's handler and resets every link touching it.
-// Queued and in-flight packets are lost, posted ones too (stale).
-// Channels close in ascending
-// (src, dst) order: closing cancels in-flight flows and re-arms the
-// earliest finisher of every resource clock they changed, which assigns
-// fresh kernel event sequence numbers, so the close order decides which
-// equal-time completions fire first and must not depend on anything but
-// the ids.
+// Unbind removes an endpoint's handler and closes every channel touching
+// it.  Queued and in-flight packets are lost, posted ones too (stale).
+// Channels close in ascending (src, dst) order: closing cancels in-flight
+// flows and re-arms the earliest finisher of every resource clock they
+// changed, which assigns fresh kernel event sequence numbers, so the close
+// order decides which equal-time completions fire first and must not
+// depend on anything but the ids.
 func (f *Fabric) Unbind(id int) {
 	i := id + handlerOff
 	if i < 0 {
@@ -226,104 +229,130 @@ func (f *Fabric) Unbind(id int) {
 	f.unbound = grown(f.unbound, i+1)
 	f.unbound[i] = f.unbinds
 	if i < len(f.posts) {
-		f.posts[i].ps = f.posts[i].ps[:0]
+		f.posts[i] = f.posts[i][:0]
 	}
-	// Column i above the row, the row itself, then column i below it.
-	for src := range f.links {
-		row := f.links[src]
-		switch {
-		case src == i:
-			for dst := range row {
-				row[dst].close()
+	// The channels to i from the sources below it, i's own, then those to
+	// i from the sources above it.
+	for src, cs := range f.chans {
+		if src == i {
+			for _, c := range cs {
+				c.ch.Close()
 			}
-		case i < len(row):
-			row[i].close()
+			f.chans[src] = slices.Delete(cs, 0, len(cs))
+		} else if j := search(cs, i); j < len(cs) && int(cs[j].dst) == i {
+			cs[j].ch.Close()
+			f.chans[src] = slices.Delete(cs, j, j+1)
 		}
 	}
 }
 
-// count advances the link's sequence number for one more packet.
-func (l *link) count() {
-	if l.seq++; l.seq == 0 {
-		panic("mpi: a link carried 2^32 packets")
+// count advances the channel's sequence number for one more packet.
+func (c *conn) count() {
+	if c.seq++; c.seq == 0 {
+		panic("mpi: a channel carried 2^32 packets")
 	}
 }
 
-func (l *link) close() {
-	if l.ch != nil {
-		l.ch.Close()
+// search returns the index of the first of cs whose destination is at
+// table index di or above.
+func search(cs []conn, di int) int {
+	lo, hi := 0, len(cs)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if int(cs[m].dst) < di {
+			lo = m + 1
+		} else {
+			hi = m
+		}
 	}
-	*l = link{}
+	return lo
 }
 
-// link returns the link between the endpoints at table indices si and di.
-func (f *Fabric) link(si, di int) *link {
-	f.links = grown(f.links, si+1)
-	f.posts = grown(f.posts, si+1)
-	if di >= len(f.links[si]) {
-		// Endpoints are placed before anyone sends, so nodeOf already
-		// spans every peer and a row is sized once.
-		f.links[si] = grown(f.links[si], max(di+1, len(f.nodeOf)))
-	}
-	return &f.links[si][di]
-}
-
-// open opens l's channel from src to dst.  When the pair's last posted
+// open opens the channel from src to dst, at table indices si and di, as
+// the j-th of si's (search), and returns it.  When the pair's last posted
 // packet is still on the NIC (pending), the channel inherits its release,
 // so whatever it carries follows that packet.
-func (f *Fabric) open(l *link, si, src, dst int) {
-	l.ch = f.wire.NewChan(f.NodeOf(src), f.NodeOf(dst))
-	if rel, ok := f.pending(l, si, src, dst); ok {
-		l.ch.Inherit(rel)
+func (f *Fabric) open(si, di, j, src, dst int) *conn {
+	c := conn{dst: int32(di), ch: f.wire.NewChan(f.NodeOf(src), f.NodeOf(dst))}
+	if rel, ok := f.pending(si, src, dst); ok {
+		c.ch.Inherit(rel)
 	}
+	if si >= len(f.chans) {
+		// Endpoints are placed before anyone sends, so nodeOf already
+		// spans every source and the table is sized once.
+		f.chans = grown(f.chans, max(si+1, len(f.nodeOf)))
+	}
+	cs := f.chans[si]
+	if cs == nil {
+		if len(f.conns) == 0 {
+			f.conns = make([]conn, connCap*srcChunk)
+		}
+		cs = f.conns[:0:connCap]
+		f.conns = f.conns[connCap:]
+	}
+	f.chans[si] = slices.Insert(cs, j, c)
+	return &f.chans[si][j]
 }
 
-// pending returns the release key of the last packet src posted to dst on
-// link l, with ok false when there is none or it has cleared the NIC.  An
-// Unbind of either end resets the link, so a stale post is never found.
-func (f *Fabric) pending(l *link, si, src, dst int) (rel sim.Key, ok bool) {
-	if l.post == 0 {
+// pending returns the release key of the last packet src, at table index
+// si, posted to dst, with ok false when there is none or it has cleared
+// the NIC.  It scans the source's post log from the newest post back: the
+// log drops only posts whose every release has passed, and a post from
+// before an Unbind of either end is stale, as the channel it stood for.
+func (f *Fabric) pending(si, src, dst int) (rel sim.Key, ok bool) {
+	if si >= len(f.posts) {
 		return rel, false
 	}
-	log := &f.posts[si]
-	j := int(l.post-1) - (int(log.n) - len(log.ps))
-	if j < 0 {
-		return rel, false // dropped from the log: every release passed
+	log := f.posts[si]
+	for j := len(log) - 1; j >= 0; j-- {
+		p := &log[j]
+		if i := p.index(src, dst); i >= 0 {
+			if f.unboundSince(src, dst, p.unbinds) {
+				return rel, false
+			}
+			rel = p.rel.Key(i)
+			return rel, !f.net.Kernel().Passed(rel)
+		}
 	}
-	rel = log.ps[j].release(src, dst)
-	return rel, !f.net.Kernel().Passed(rel)
+	return rel, false
 }
 
-// record files a post from the source at table index si, first dropping
-// the entries whose every release has passed, and returns its id + 1
-// (link.post).
-func (f *Fabric) record(si int, p posted) uint32 {
-	log := &f.posts[si]
-	if log.ps == nil {
+// record files a post from the source at table index si in its log, first
+// dropping the entries whose every release has passed.
+func (f *Fabric) record(si int, p posted) {
+	if si >= len(f.posts) {
+		f.posts = grown(f.posts, max(si+1, len(f.nodeOf)))
+	}
+	log := f.posts[si]
+	if log == nil {
 		if len(f.logs) == 0 {
-			f.logs = make([]posted, postLogCap*logChunk)
+			f.logs = make([]posted, postLogCap*srcChunk)
 		}
-		log.ps = f.logs[:0:postLogCap]
+		log = f.logs[:0:postLogCap]
 		f.logs = f.logs[postLogCap:]
 	}
 	k := f.net.Kernel()
 	n := 0
-	for n < len(log.ps) && k.Passed(log.ps[n].rel.Last()) {
+	for n < len(log) && k.Passed(log[n].rel.Last()) {
 		n++
 	}
 	if n > 0 {
-		log.ps = log.ps[:copy(log.ps, log.ps[n:])]
+		log = log[:copy(log, log[n:])]
 	}
-	log.ps = append(log.ps, p)
-	log.n++
-	return log.n
+	f.posts[si] = append(log, p)
 }
 
 // stale is the wire's test for a posted message on arrival: whether src or
 // dst has been unbound since it was sent (its seq holds the unbind count
 // at the send, post).
 func (f *Fabric) stale(m WireMsg) bool {
-	return f.unboundAt(int(m.src)) > m.seq || f.unboundAt(int(m.dst)) > m.seq
+	return f.unboundSince(int(m.src), int(m.dst), m.seq)
+}
+
+// unboundSince reports whether src or dst has been unbound since the
+// Fabric's unbind count was unbinds.
+func (f *Fabric) unboundSince(src, dst int, unbinds uint32) bool {
+	return f.unboundAt(src) > unbinds || f.unboundAt(dst) > unbinds
 }
 
 func (f *Fabric) unboundAt(id int) uint32 {
@@ -419,8 +448,8 @@ func (f *Fabric) body() *wireBody {
 }
 
 // Send transmits a packet from src to dst over their FIFO channel, as the
-// link's next Seq.  A marker or control packet without Data or VSize on a
-// pair that has no channel is posted instead (post).  Send reads p and
+// channel's next Seq.  A marker or control packet without Data or VSize on
+// a pair that has no channel is posted instead (post).  Send reads p and
 // never keeps it, so the caller's packet may live on its stack: the header
 // travels in the WireMsg itself, and Data and VSize, when the packet has
 // either, in a body slot of the Fabric's (body).  Sending to an unplaced
@@ -428,39 +457,46 @@ func (f *Fabric) body() *wireBody {
 // error), as does a header the record cannot hold; sending to an unbound
 // endpoint silently drops at delivery time (peer died).
 func (f *Fabric) Send(src, dst int, p *Packet) {
-	si := endpointIndex(src)
-	l := f.link(si, endpointIndex(dst))
-	l.count()
+	si, di := endpointIndex(src), endpointIndex(dst)
 	if f.met != nil {
 		f.met.FabricMsgs++
 		f.met.FabricPayloadBytes += p.PayloadSize()
 	}
-	if l.ch == nil {
+	var cs []conn
+	if si < len(f.chans) {
+		cs = f.chans[si]
+	}
+	var c *conn
+	if j := search(cs, di); j < len(cs) && int(cs[j].dst) == di {
+		c = &cs[j]
+	} else {
 		if p.Kind != KindPayload && p.Data == nil && p.VSize == 0 {
-			if _, busy := f.pending(l, si, src, dst); !busy {
+			if _, busy := f.pending(si, src, dst); !busy {
 				f.post(si, src, f.NodeOf(src), p, dst, f.NodeOf(dst), 1)
 				return
 			}
 		}
-		f.open(l, si, src, dst)
+		c = f.open(si, di, j, src, dst)
 	}
-	m := header(p, src, dst, uint64(l.seq))
+	c.count()
+	m := header(p, src, dst, uint64(c.seq))
 	if p.Data != nil || p.VSize != 0 {
 		m.body = f.body()
 		*m.body = wireBody{p.Data, p.VSize}
 	}
-	l.ch.Send(m, p.WireSize())
+	c.ch.Send(m, p.WireSize())
 }
 
 // Flood sends the body-less packet p (a marker) from src to every endpoint
 // in [lo, hi) but src, in ascending order, the k-th of them with SpanID
-// p.SpanID+k when p has a span: what Send would do for each, keys and
-// sequence numbers included.  The packets to a run of consecutive
-// destinations whose pairs are idle and whose paths are timed alike
-// (simnet.Network.SameSmallPath) are posted as one run, which the source
-// node's lane holds as one record; a destination whose channel is busy,
-// or whose last posted packet is still on the NIC, gets its packet queued
-// on its channel, as Send would.
+// p.SpanID+k when p has a span: what Send would do for each, keys
+// included.  The packets to a run of consecutive destinations whose pairs
+// are idle and whose paths are timed alike (simnet.Network.SameSmallPath)
+// are posted as one run, which the source node's lane holds as one record;
+// a destination whose channel is busy, or whose last posted packet is
+// still on the NIC, gets its packet queued on its channel, as Send would.
+// The source's channels are walked beside the destinations, in the same
+// ascending order.
 func (f *Fabric) Flood(src, lo, hi int, p *Packet) {
 	if p.Kind == KindPayload || p.Data != nil || p.VSize != 0 {
 		// The panic names the fields, not p, which would escape.
@@ -476,28 +512,39 @@ func (f *Fabric) Flood(src, lo, hi int, p *Packet) {
 		f.post(si, src, node, &r, dst0, node0, n)
 		n = 0
 	}
+	j := 0 // the first of src's channels not to a destination passed
 	for dst := lo; dst < hi; dst++ {
 		if dst == src {
 			continue
 		}
-		l := f.link(si, endpointIndex(dst))
-		l.count()
+		di := endpointIndex(dst)
+		var c *conn
+		if si < len(f.chans) {
+			cs := f.chans[si]
+			for j < len(cs) && int(cs[j].dst) < di {
+				j++
+			}
+			if j < len(cs) && int(cs[j].dst) == di {
+				c = &cs[j]
+			}
+		}
 		dn := f.NodeOf(dst)
 		busy := false
-		if l.ch != nil {
-			busy = l.ch.Busy()
+		if c != nil {
+			busy = c.ch.Busy()
 		} else {
-			_, busy = f.pending(l, si, src, dst)
+			_, busy = f.pending(si, src, dst)
 		}
 		if n > 0 && (busy || !f.net.SameSmallPath(node, node0, dn)) {
 			flush()
 		}
 		switch {
 		case busy:
-			if l.ch == nil {
-				f.open(l, si, src, dst)
+			if c == nil {
+				c = f.open(si, di, j, src, dst)
 			}
-			l.ch.Send(header(&q, src, dst, uint64(l.seq)), q.WireSize())
+			c.count()
+			c.ch.Send(header(&q, src, dst, uint64(c.seq)), q.WireSize())
 		case n == 0:
 			dst0, node0, n, span0 = dst, dn, 1, q.SpanID
 		default:
@@ -517,22 +564,23 @@ func (f *Fabric) Flood(src, lo, hi int, p *Packet) {
 
 // post transmits p from src (at table index si, on node) to the n
 // destinations from dst0 on (src skipped), the first on node node0,
-// without a channel: their packets carry the Fabric's unbind count in
-// place of a link sequence number (Packet.Seq is read only by
-// Packet.String), so stale can tell them from packets sent after an
+// without a channel, and files the post in src's log.  Their packets
+// carry the Fabric's unbind count in place of a channel sequence number
+// (WireMsg.posted), so stale can tell them from packets sent after an
 // Unbind.  A destination whose pair has an idle channel inherits its
-// packet's release, which keeps that channel FIFO; the others' links
-// remember the post (link.post).
+// packet's release, which keeps that channel FIFO.
 func (f *Fabric) post(si, src, node int, p *Packet, dst0, node0, n int) {
 	m := header(p, src, dst0, uint64(f.unbinds))
-	pr := posted{f.wire.PostRun(node, node0, m, p.WireSize(), n), int32(dst0)}
-	id := f.record(si, pr)
-	row := f.links[si]
-	for i := 0; i < n; i++ {
-		if l := &row[endpointIndex(runDst(src, dst0, i))]; l.ch != nil {
-			l.ch.Inherit(pr.rel.Key(i))
-		} else {
-			l.post = id
+	m.posted = true
+	pr := posted{f.wire.PostRun(node, node0, m, p.WireSize(), n), int32(dst0), f.unbinds}
+	f.record(si, pr)
+	if si >= len(f.chans) {
+		return
+	}
+	cs, last := f.chans[si], endpointIndex(runDst(src, dst0, n-1))
+	for j := search(cs, endpointIndex(dst0)); j < len(cs) && int(cs[j].dst) <= last; j++ {
+		if i := pr.index(src, int(cs[j].dst)-handlerOff); i >= 0 {
+			cs[j].ch.Inherit(pr.rel.Key(i))
 		}
 	}
 }

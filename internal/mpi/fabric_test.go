@@ -3,6 +3,7 @@ package mpi
 import (
 	"fmt"
 	"reflect"
+	"runtime"
 	"sort"
 	"strings"
 	"testing"
@@ -30,6 +31,12 @@ func TestFabricUnbindDropsInFlight(t *testing.T) {
 	}
 }
 
+// TestFabricRebindResetsSequences pins Packet.Seq: the count of the
+// packets a channel has carried since it opened.  A marker posted on a pair
+// without a channel carries 0 and is not counted, so the payload that
+// opens the channel behind it is 1; a marker sent on the open channel is
+// counted.  Unbind closes the channel, and the one the next payload opens
+// counts from 1 again, as after a reconnect.
 func TestFabricRebindResetsSequences(t *testing.T) {
 	k := sim.New(1)
 	net := simnet.New(k, testTopo(2))
@@ -41,21 +48,108 @@ func TestFabricRebindResetsSequences(t *testing.T) {
 		fab.Bind(1, func(p *Packet) { seqs = append(seqs, p.Seq) })
 	}
 	bind()
+	fab.Send(0, 1, &Packet{Kind: KindMarker, Wave: 1})
 	fab.Send(0, 1, &Packet{Kind: KindPayload, Tag: 1})
 	fab.Send(0, 1, &Packet{Kind: KindPayload, Tag: 1})
+	fab.Send(0, 1, &Packet{Kind: KindMarker, Wave: 1})
 	k.After(time.Millisecond, func() {
 		fab.Unbind(1)
 		bind()
+		fab.Send(0, 1, &Packet{Kind: KindMarker, Wave: 2})
 		fab.Send(0, 1, &Packet{Kind: KindPayload, Tag: 1})
 	})
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
-	// Two deliveries pre-reset (seq 1,2), one post-reset (seq 1 again:
-	// the channel was recreated, as after a reconnect).
-	if len(seqs) != 3 || seqs[0] != 1 || seqs[1] != 2 || seqs[2] != 1 {
-		t.Fatalf("seqs %v", seqs)
+	if want := []uint64{0, 1, 2, 3, 0, 1}; !reflect.DeepEqual(seqs, want) {
+		t.Fatalf("seqs %v, want %v", seqs, want)
 	}
+}
+
+// TestFabricStateLinearInEdges is the fabric's memory at scale: every
+// endpoint opens channels to the same few peers (by offset), and once
+// those payloads are delivered, floods once.  The bytes allocated per
+// endpoint at 4 096 endpoints stay within 1.5x of those at 512.  A table
+// with an entry per ordered pair makes the ratio about 8.
+func TestFabricStateLinearInEdges(t *testing.T) {
+	perEndpoint := func(eps int) float64 {
+		k := sim.New(1)
+		net := simnet.New(k, testTopo(eps/2))
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		fab := NewFabric(net)
+		for id := 0; id < eps; id++ {
+			fab.Place(id, id/2)
+			fab.Bind(id, func(*Packet) {})
+		}
+		for src := 0; src < eps; src++ {
+			for _, d := range []int{1, 2, 3, 5, 8, 13, 21, 34} {
+				fab.Send(src, (src+d)%eps, &Packet{Kind: KindPayload, Tag: 1, VSize: 8})
+			}
+		}
+		if err := k.Run(); err != nil {
+			t.Fatal(err)
+		}
+		for src := 0; src < eps; src++ {
+			fab.Flood(src, 0, eps, &Packet{Kind: KindMarker, Wave: 1})
+		}
+		runtime.ReadMemStats(&after)
+		if n := len(openChans(fab)); n != 8*eps {
+			t.Fatalf("%d endpoints opened %d channels, want %d", eps, n, 8*eps)
+		}
+		runtime.KeepAlive(fab)
+		return float64(after.TotalAlloc-before.TotalAlloc) / float64(eps)
+	}
+	small, large := perEndpoint(512), perEndpoint(4096)
+	t.Logf("%.0f bytes an endpoint at 512, %.0f at 4096", small, large)
+	if large > 1.5*small {
+		t.Errorf("%.0f bytes allocated an endpoint at 4096 endpoints, %.0f at 512: want within 1.5x", large, small)
+	}
+}
+
+// TestFabricPendingForgetsUnbound: a pair's posted packet is pending while
+// it is on the NIC, until an Unbind of either end, which would have closed
+// the channel it stands for; a post after the Unbind is pending again.
+func TestFabricPendingForgetsUnbound(t *testing.T) {
+	k := sim.New(1)
+	fab := NewFabric(simnet.New(k, testTopo(3)))
+	for id := 0; id < 3; id++ {
+		fab.Place(id, id)
+	}
+	si := endpointIndex(0)
+	want := func(step string, to1, to2 bool) {
+		t.Helper()
+		_, got1 := fab.pending(si, 0, 1)
+		_, got2 := fab.pending(si, 0, 2)
+		if got1 != to1 || got2 != to2 {
+			t.Errorf("%s: posts 0->1 and 0->2 pending %v and %v, want %v and %v", step, got1, got2, to1, to2)
+		}
+	}
+	fab.Flood(0, 0, 3, &Packet{Kind: KindMarker, Wave: 1})
+	want("flood", true, true)
+	fab.Unbind(1)
+	want("unbind 1", false, true)
+	fab.Send(0, 1, &Packet{Kind: KindControl})
+	want("control to 1", true, true)
+	fab.Unbind(0)
+	want("unbind 0", false, false)
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	fab.Send(0, 2, &Packet{Kind: KindControl})
+	want("control to 2", false, true)
+}
+
+// openChans lists the (src, dst) endpoint pairs the fabric holds a channel
+// for, in ascending order.
+func openChans(f *Fabric) [][2]int {
+	var pairs [][2]int
+	for si, cs := range f.chans {
+		for _, c := range cs {
+			pairs = append(pairs, [2]int{si - handlerOff, int(c.dst) - handlerOff})
+		}
+	}
+	return pairs
 }
 
 func TestFabricUnplacedPanics(t *testing.T) {
@@ -169,7 +263,7 @@ func TestFabricNewPairAllocatesNothing(t *testing.T) {
 	}
 	var allocs float64
 	k.Go("sender", func(p *sim.Proc) {
-		// The first send sizes the sender's link row and the node's lanes.
+		// The first send sizes the sender's post log and the node's lanes.
 		fab.Send(0, 1, &Packet{Kind: KindMarker, Wave: 1})
 		p.Advance(time.Millisecond)
 		dst := 1
@@ -188,15 +282,14 @@ func TestFabricNewPairAllocatesNothing(t *testing.T) {
 	if allocs != 0 {
 		t.Errorf("%v allocations per new pair and marker, want 0", allocs)
 	}
-	for dst, l := range fab.links[handlerOff] {
-		if l.ch != nil {
-			t.Errorf("a marker opened the channel 0->%d", dst-handlerOff)
-		}
+	for _, pair := range openChans(fab) {
+		t.Errorf("a marker opened the channel %d->%d", pair[0], pair[1])
 	}
 }
 
-// TestMarkerOnOpenPairAllocatesNothing: once a pair's link is open, a
-// marker to a synchronous-profile engine allocates nothing on its whole
+// TestMarkerOnOpenPairAllocatesNothing: once a pair has carried a marker
+// (posted: markers open no channel), a marker to a synchronous-profile
+// engine allocates nothing on its whole
 // way — the lane records, the inbox that holds it while the rank computes,
 // and the filter that consumes it at the next MPI call, which is lent the
 // marker rebuilt in the engine's own Packet.
@@ -217,7 +310,7 @@ func TestMarkerOnOpenPairAllocatesNothing(t *testing.T) {
 			e.enterOp() // the next MPI call runs it through the filter
 			e.exitOp()
 		}
-		marker() // opens the link and the inbox's first segment
+		marker() // sizes the lanes, the post log and the inbox's first segment
 		allocs = testing.AllocsPerRun(100, marker)
 	})
 	if err := k.Run(); err != nil {

@@ -116,17 +116,7 @@ func (r *floodRig) run() (scheduled, fired uint64) {
 }
 
 // channels counts the channels the fabric holds open.
-func (r *floodRig) channels() int {
-	n := 0
-	for _, row := range r.fab.links {
-		for _, l := range row {
-			if l.ch != nil {
-				n++
-			}
-		}
-	}
-	return n
-}
+func (r *floodRig) channels() int { return len(openChans(r.fab)) }
 
 // floodScript sets a scenario up on a rig; the rig's kernel then runs.
 type floodScript struct {
@@ -363,8 +353,8 @@ func recAt(log []floodRec, i int) string {
 // endpoint on pairs that never carried a payload opens no channel, queues
 // a few lane records a source (its runs: its node splits its cluster's,
 // here one cluster), and a later wave allocates nothing — the post logs
-// and the lanes' segments are reused.  What stays O(NP²) is the link
-// rows, 16 bytes a pair.
+// and the lanes' segments are reused.  No pair has state of its own: the
+// fabric holds 16 bytes an open channel and nothing for the others.
 func TestFloodOpensNoChannel(t *testing.T) {
 	const eps, ppn = 64, 2
 	k := sim.New(1)
@@ -393,12 +383,8 @@ func TestFloodOpensNoChannel(t *testing.T) {
 	if want := w * eps * (eps - 1); got != want {
 		t.Fatalf("delivered %d of %d markers", got, want)
 	}
-	for src, row := range fab.links {
-		for dst, l := range row {
-			if l.ch != nil {
-				t.Errorf("a flood opened the channel %d->%d", src-handlerOff, dst-handlerOff)
-			}
-		}
+	for _, pair := range openChans(fab) {
+		t.Errorf("a flood opened the channel %d->%d", pair[0], pair[1])
 	}
 	if lanes := k.Stats().LaneMax; lanes > 3*eps {
 		t.Errorf("lane high water %d records, want at most 3 a source (%d)", lanes, 3*eps)
@@ -406,7 +392,7 @@ func TestFloodOpensNoChannel(t *testing.T) {
 	if allocs != 0 {
 		t.Errorf("%v allocations per wave of %d floods, want 0", allocs, eps)
 	}
-	if n := unsafe.Sizeof(link{}); n > 16 {
-		t.Errorf("a link is %d bytes, want <= 16: the rows hold one per ordered pair", n)
+	if n := unsafe.Sizeof(conn{}); n > 16 {
+		t.Errorf("a channel entry is %d bytes, want <= 16", n)
 	}
 }

@@ -15,7 +15,8 @@
 // Engines run as logical processes on the sim kernel; the Fabric maps
 // endpoints (MPI ranks and runtime services) onto simulated nodes and
 // gives each ordered endpoint pair a FIFO channel, as TCP connections do
-// in the paper's implementations.
+// in the paper's implementations; a pair has state only once a payload
+// opens its channel.
 //
 // Every piece of engine state that can exist while a process is blocked —
 // the unexpected-message queue, progress within a collective, a pending
@@ -73,7 +74,7 @@ type Packet struct {
 	// carry it.
 	owned  bool
 	Tag    int    // application tag (payload) or protocol opcode (control)
-	Seq    uint64 // per-channel sequence, assigned by the Fabric
+	Seq    uint64 // 1-based count on its channel since it opened, 0 when posted without one (Fabric.Send)
 	Wave   int    // checkpoint wave number (markers, control)
 	PSeq   uint64 // protocol sequence (message logging: per-pair, survives restarts)
 	SpanID uint64 // causal span of the packet's flight (markers), 0 when untraced

@@ -29,10 +29,14 @@ type WireMsg struct {
 	body                *wireBody // Data and VSize, nil when the message has neither
 	aux                 uint64    // PSeq, or SpanID when spanAux
 	src, dst, tag, wave int32
-	seq                 uint32
-	kind                Kind
-	spanAux             bool
-	owned               bool // Packet.owned, in the record's padding
+	// seq is the channel's count of the packet, or the Fabric's unbind
+	// count at the send for a posted one (Fabric.post), which carries
+	// Packet.Seq 0.
+	seq     uint32
+	kind    Kind
+	spanAux bool
+	owned   bool // Packet.owned, in the record's padding
+	posted  bool // sent without a channel, in the padding too
 }
 
 // wireBody is the part of a packet the record has no room for.
@@ -51,14 +55,15 @@ const bodyChunk = 128
 func fits32(v int) bool { return v == int(int32(v)) }
 
 // header puts p's header on the wire from src to dst as the seq-th packet
-// of its link, without its body.  It reads p and never keeps it.  A header
-// the record cannot hold is a programming error: ids, tags and waves are
-// small, a link does not carry 2^32 packets, and only a marker has a span.
+// of its channel, without its body.  It reads p and never keeps it.  A
+// header the record cannot hold is a programming error: ids, tags and
+// waves are small, a channel does not carry 2^32 packets, and only a
+// marker has a span.
 func header(p *Packet, src, dst int, seq uint64) WireMsg {
 	// The panics name the fields, not p: passing p on would make every
 	// caller's packet escape to the heap.
 	if seq > math.MaxUint32 || !fits32(src) || !fits32(dst) || !fits32(p.Tag) || !fits32(p.Wave) {
-		panic(fmt.Sprintf("mpi: %v %d->%d tag=%d wave=%d as packet %d of its link: a header field exceeds the wire record",
+		panic(fmt.Sprintf("mpi: %v %d->%d tag=%d wave=%d as packet %d of its channel: a header field exceeds the wire record",
 			p.Kind, src, dst, p.Tag, p.Wave, seq))
 	}
 	if p.PSeq != 0 && p.SpanID != 0 {
@@ -88,7 +93,10 @@ func (m *WireMsg) payloadSize() int64 {
 // and returns it.  It leaves the body slot as it is: Fabric.unwrap, the
 // one caller, hands it back.
 func (m *WireMsg) packet(lent *Packet) *Packet {
-	*lent = Packet{Src: int(m.src), Dst: int(m.dst), Kind: m.kind, owned: m.owned, Tag: int(m.tag), Seq: uint64(m.seq), Wave: int(m.wave)}
+	*lent = Packet{Src: int(m.src), Dst: int(m.dst), Kind: m.kind, owned: m.owned, Tag: int(m.tag), Wave: int(m.wave)}
+	if !m.posted {
+		lent.Seq = uint64(m.seq)
+	}
 	if m.spanAux {
 		lent.SpanID = m.aux
 	} else {

@@ -357,7 +357,7 @@ func bodySlotChurn(t *testing.T, seed uint64) {
 	engines := make([]*Engine, n)
 	lps := make([]*sim.Proc, n)
 	bound := make([]bool, n)
-	seq := make([][]uint64, n) // the sequence number each link's next message carries, less one
+	seq := make([][]uint64, n) // the packets each pair's channel has carried since it opened (Packet.Seq)
 	for r := range seq {
 		seq[r] = make([]uint64, n)
 	}
